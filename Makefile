@@ -4,8 +4,8 @@ GO ?= go
 
 # Hot-path micro-benchmarks the bench-baseline / bench-compare pair
 # tracks: bitmap intersection, prefix-index probe+build, memo-warm batch
-# serving.
-MICRO_BENCH = Intersect_|IndexProbe_|IndexBuild_|CountBatchInto_
+# serving, cold ∃-component predicate materialization.
+MICRO_BENCH = Intersect_|IndexProbe_|IndexBuild_|CountBatchInto_|Materialize_Predicate
 MICRO_PKGS  = ./internal/structure ./internal/engine ./internal/core
 
 build:

@@ -221,3 +221,87 @@ func TestSimpleEnginesCountInCtx(t *testing.T) {
 		}
 	}
 }
+
+// predicateFixture compiles the quantified 3-path — one ∃-component
+// predicate on {s,t}, nothing else — and returns its plan, the predicate
+// constraint, and a structure on which materializing the predicate takes
+// a few hundred milliseconds of nested join-count work.
+func predicateFixture(t *testing.T) (Plan, *planConstraint, *Session) {
+	t.Helper()
+	sig := workload.EdgeSig()
+	pl, err := Compile(compilePP(t, sig, "p(s,t) := exists a. exists b. E(s,a) & E(a,b) & E(b,t)"), FPT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl, firstPredicate(t, pl), NewSession(workload.RandomStructure(sig, 250, 0.5, 17))
+}
+
+// cachedTable reports the table the session has cached under the
+// constraint's key (nil: none, or a materialization that did not finish).
+func cachedTable(s *Session, c *planConstraint) *Table {
+	s.mu.Lock()
+	e := s.tables[c.key]
+	s.mu.Unlock()
+	if e == nil {
+		return nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.t
+}
+
+// TestPredicateMaterializationPreCancelled: with the done channel already
+// closed the nested run stops at its first poll, reports the abort, and
+// caches nothing; the same session then materializes the table in full.
+func TestPredicateMaterializationPreCancelled(t *testing.T) {
+	_, pred, s := predicateFixture(t)
+	done := make(chan struct{})
+	close(done)
+	if tab := s.tableFor(pred, done); tab != nil {
+		t.Fatalf("tableFor under a closed done channel returned a table of %d rows, want none", tab.Len())
+	}
+	if cachedTable(s, pred) != nil {
+		t.Fatal("aborted materialization was cached")
+	}
+	tab := s.tableFor(pred, nil)
+	if tab == nil {
+		t.Fatal("materialization after an abort did not complete")
+	}
+	ref := NewSession(s.B).tableFor(pred, nil)
+	if tab.Len() != ref.Len() || tab.Len() == 0 {
+		t.Fatalf("table after an abort has %d rows, a fresh session's %d", tab.Len(), ref.Len())
+	}
+}
+
+// TestPredicateMaterializationDeadlineMidRun: a deadline that expires
+// while the predicate is being materialized surfaces as the context's
+// error instead of running the materialization out, the session keeps no
+// partial table, and the next count on the same session is right.
+func TestPredicateMaterializationDeadlineMidRun(t *testing.T) {
+	pl, pred, s := predicateFixture(t)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if _, err := CountInCtx(ctx, pl, s, 1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	s.mu.Lock()
+	_, attempted := s.tables[pred.key]
+	s.mu.Unlock()
+	if !attempted {
+		t.Fatal("the deadline fired before the predicate was requested: the test exercised nothing")
+	}
+	if cachedTable(s, pred) != nil {
+		t.Fatal("a materialization cut short by the deadline was cached")
+	}
+	got, err := CountInCtx(context.Background(), pl, s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pl.CountIn(NewSession(s.B))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cmp(want) != 0 {
+		t.Fatalf("count after an aborted materialization %v, fresh session %v", got, want)
+	}
+}

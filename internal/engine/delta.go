@@ -263,7 +263,7 @@ func (pc *planComponent) advanceJoin(ctx context.Context, s *Session, workers in
 	newT := make([]*Table, k)
 	lens := make([]int, k)
 	for i := range pc.constraints {
-		newT[i] = s.tableFor(&pc.constraints[i])
+		newT[i] = s.tableFor(&pc.constraints[i], nil)
 		lens[i] = newT[i].Len()
 		if oldLens[i] > lens[i] {
 			return nil, nil, false, nil // not a prefix: state is not from this history

@@ -8,14 +8,29 @@
 //     switch-dispatch on engine names.  Plans are memoized per formula
 //     identity (Compile) and per canonical counting-class fingerprint
 //     (CompileKeyed): counting-equivalent terms — across inclusion–
-//     exclusion expansions, Counters, and batches — share one plan;
+//     exclusion expansions, Counters, and batches — share one plan.
+//     An FPT plan component is a join over two kinds of constraint on
+//     its liberal variables: atoms, and one predicate per ∃-component
+//     ("this interface assignment extends to the quantified part").
+//     Each ∃-component is itself compiled into a nested component
+//     (compilePredicate) — all of its elements as variables, its atoms
+//     as constraints, an extra clique on the interface so that some bag
+//     holds it, the decomposition rooted there — because the tractable
+//     case of Theorem 3.2 bounds the treewidth of the core as well as
+//     of the contract graph, and that second bound is exactly what
+//     makes the predicate a polynomial-time DP rather than a search.
+//     Decompositions are reduced (tw.Reduce): bags contained in a
+//     neighbour's are contracted away;
 //   - the Executor layer (exec.go, prune.go): a semi-join pre-pruning
 //     pass that reduces each constraint table against the value supports
-//     of the other constraints on its variables — implemented on
-//     per-table alive-row bitmasks and per-variable allowed-value masks
-//     (64 candidates per word, dead blocks skipped wordwise, one
-//     exact-size compaction at fixpoint) — then the join-count dynamic
-//     program itself.  The DP is index-driven and multi-core: at
+//     of the other constraints on its variables — worklist arc
+//     consistency (AC-4: per-value occurrence counts, lazily built
+//     posting lists, work proportional to the rows that die, an exact
+//     fixpoint; alive rows and allowed values are word bitmaps, the
+//     survivors are compacted once into exact-size arena rows; a capped
+//     rescanning loop remains only for components too large for the
+//     counters) — then the join-count dynamic program itself.  The DP
+//     is index-driven and multi-core: at
 //     plan-bind time (once per component and session) each node gets a
 //     constraint bind order (smallest table first, then maximal
 //     bound-prefix overlap) and each non-pivot step gets a prefix index
@@ -33,12 +48,23 @@
 //     Bag keys are packed uint64 (with a spill path for wide bags),
 //     counts are int64 with overflow detection before big.Int held
 //     inline in open-addressing wmap accumulators, and scratch buffers
-//     are pooled.  The worker budget comes from the EPCQ_WORKERS
-//     environment variable, SetDefaultWorkers, or per-call overrides
-//     (CountInWorkers);
+//     are pooled.  A bag position no local constraint covers is
+//     enumerated from a child table's keys under the already-bound
+//     prefix where one shares it (freeDrivers), over the domain
+//     otherwise.  The same DP run in the existence semiring
+//     (projectKeys) materializes the predicate tables: node tables are
+//     key sets, the root bag's projection onto the interface is the
+//     answer, and below the depth at which a node's output key is bound
+//     the enumeration stops at the first witness (nodeRun.cut).  The
+//     worker budget comes from the EPCQ_WORKERS environment variable,
+//     SetDefaultWorkers, or per-call overrides (CountInWorkers);
 //   - the Session layer (session.go): per-structure state — fingerprint,
-//     constraint tables materialized straight off the columnar relation
-//     stores, bound execution plans, cached sentence checks, and a count
+//     atom tables materialized straight off the columnar relation
+//     stores, predicate tables materialized by a nested executor run
+//     over those atom tables (one-shot: its pruned copies, indexes and
+//     bind plan live in a scratch arena returned before the rows are
+//     emitted) and shared under a structural key of the ∃-component,
+//     bound execution plans, cached sentence checks, and a count
 //     memo keyed on canonical term fingerprints (each unique counting
 //     class executes at most once per structure-version) — shared
 //     across φ⁻af terms, repeated counts, and batched counting, with
@@ -72,8 +98,15 @@
 //
 // Execution is cancellable: CountInCtx / CountKeyedCtx / RunBoundedCtx
 // thread a context through every engine, and the join-count DP polls it
-// at pivot-row and emission granularity (dpRun.cancelled), so a
-// serving layer's per-request deadline stops CPU consumption within a
-// bounded amount of work.  A cancelled keyed count never poisons the
-// session memo — its entry is evicted and the next request recomputes.
+// at pivot-row and emission granularity (dpRun.cancelled) — in the
+// nested predicate runs too — so a serving layer's per-request deadline
+// stops CPU consumption within a bounded amount of work.  A cancelled
+// keyed count never poisons the session memo — its entry is evicted and
+// the next request recomputes — and an aborted predicate
+// materialization caches no table.
+//
+// internal/hom's backtracking solver is not on this path: it answers
+// sentence checks (hom.Exists), drives the brute and projection
+// ablation engines (plan_simple.go), and is the reference the predicate
+// tables are differential-tested against.
 package engine

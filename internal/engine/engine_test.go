@@ -25,6 +25,21 @@ func compilePP(t *testing.T, sig *structure.Signature, src string) pp.PP {
 	return p
 }
 
+// firstPredicate returns the plan's first ∃-component predicate
+// constraint.
+func firstPredicate(tb testing.TB, pl Plan) *planConstraint {
+	tb.Helper()
+	for _, pc := range pl.(*fptPlan).comps {
+		for i := range pc.constraints {
+			if pc.constraints[i].pred != nil {
+				return &pc.constraints[i]
+			}
+		}
+	}
+	tb.Fatal("plan has no predicate constraint")
+	return nil
+}
+
 // All five engines are Plans behind the same interface and must agree
 // with the brute reference on random structures.
 func TestAllEnginesAgreeViaPlanInterface(t *testing.T) {

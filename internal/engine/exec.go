@@ -216,12 +216,19 @@ func nextPow2(n int) int {
 // is sound because every stored weight is ≥ 1 (weights start at 1 and
 // are products/sums of stored weights); add drops zero weights — the
 // additive identity — outright to preserve it.
+//
+// With set on the accumulator is a key set — the existence semiring of
+// the predicate runs (projectKeys): a key keeps the first weight it got,
+// so no sum ever grows towards a big.Int, and the flat form is one bit
+// per key (bits) instead of one wnum.
 type wmap struct {
 	codec keyCodec
-	n     int
+	set   bool
+	n     int // packed entries; len() covers the spill form too
 	mask  uint64
 	slots []wslot
 	dense []wnum
+	bits  []uint64 // flat form of a key set
 	sk    map[string]wnum
 }
 
@@ -236,14 +243,17 @@ type wslot struct {
 // the array stays ≤ 1 MiB (65536 16-byte wnums).
 const denseWmapCap = 1 << 16
 
-func newWmap(codec keyCodec) *wmap { return newWmapSized(codec, 0) }
-
-// newWmapSized presizes the accumulator for about n entries (0 = unknown).
-func newWmapSized(codec keyCodec, n int) *wmap {
-	m := &wmap{codec: codec}
+// newWmap returns an accumulator (a key set if set) presized for about n
+// entries (0 = unknown).
+func newWmap(codec keyCodec, n int, set bool) *wmap {
+	m := &wmap{codec: codec, set: set}
 	if codec.packed {
 		if kb := codec.bits * uint(codec.width); kb <= 16 { // key space 1<<kb ≤ denseWmapCap
-			m.dense = make([]wnum, 1<<kb)
+			if set {
+				m.bits = make([]uint64, (1<<kb+63)/64)
+			} else {
+				m.dense = make([]wnum, 1<<kb)
+			}
 			return m
 		}
 		capN := nextPow2(8 + 2*n) // ≤ 1/2 load at the hint
@@ -260,12 +270,21 @@ func (m *wmap) addPacked(k uint64, w wnum) {
 	if w.isZero() {
 		return // identity; also keeps the empty-slot encoding sound
 	}
+	if m.bits != nil {
+		if wd, b := &m.bits[k>>6], uint64(1)<<(k&63); *wd&b == 0 {
+			*wd |= b
+			m.n++
+		}
+		return
+	}
 	if m.dense != nil {
 		d := &m.dense[k]
 		if d.isZero() {
 			m.n++
+			*d = w
+		} else if !m.set {
+			*d = addW(*d, w)
 		}
-		*d = addW(*d, w)
 		return
 	}
 	if (m.n+1)*2 > len(m.slots) {
@@ -281,7 +300,9 @@ func (m *wmap) addPacked(k uint64, w wnum) {
 			return
 		}
 		if s.key == k {
-			s.val = addW(s.val, w)
+			if !m.set {
+				s.val = addW(s.val, w)
+			}
 			return
 		}
 		i = (i + 1) & m.mask
@@ -312,14 +333,35 @@ func (m *wmap) add(vals []int, w wnum, buf []byte) {
 		m.addPacked(m.codec.pack(vals), w)
 		return
 	}
-	k := spillKey(vals, buf)
-	m.sk[k] = addW(m.sk[k], w)
+	m.addSpill(spillKey(vals, buf), w)
+}
+
+func (m *wmap) addSpill(k string, w wnum) {
+	if old, ok := m.sk[k]; !ok {
+		m.sk[k] = w
+	} else if !m.set {
+		m.sk[k] = addW(old, w)
+	}
+}
+
+// len returns the number of keys.
+func (m *wmap) len() int {
+	if m.codec.packed {
+		return m.n
+	}
+	return len(m.sk)
 }
 
 // get looks up the weight at vals; ok reports presence.
 func (m *wmap) get(vals []int, buf []byte) (wnum, bool) {
 	if m.codec.packed {
 		k := m.codec.pack(vals)
+		if m.bits != nil {
+			if m.bits[k>>6]>>(k&63)&1 == 0 {
+				return wnum{}, false
+			}
+			return wnum{lo: 1}, true
+		}
 		if m.dense != nil {
 			v := m.dense[k]
 			return v, !v.isZero()
@@ -345,6 +387,16 @@ func (m *wmap) get(vals []int, buf []byte) (wnum, bool) {
 // merge order because all weights are non-negative.
 func (m *wmap) merge(o *wmap) {
 	if m.codec.packed {
+		if o.bits != nil {
+			for i, wd := range o.bits {
+				m.bits[i] |= wd
+			}
+			m.n = 0
+			for _, wd := range m.bits {
+				m.n += bits.OnesCount64(wd)
+			}
+			return
+		}
 		if o.dense != nil {
 			for k, w := range o.dense {
 				if !w.isZero() {
@@ -361,7 +413,7 @@ func (m *wmap) merge(o *wmap) {
 		return
 	}
 	for k, w := range o.sk {
-		m.sk[k] = addW(m.sk[k], w)
+		m.addSpill(k, w)
 	}
 }
 
@@ -369,6 +421,15 @@ func (m *wmap) merge(o *wmap) {
 // supplied scratch slice (len == codec.width, reused between visits).
 func (m *wmap) forEach(vals []int, fn func(vals []int, w wnum)) {
 	if m.codec.packed {
+		if m.bits != nil {
+			for i, wd := range m.bits {
+				for ; wd != 0; wd &= wd - 1 {
+					m.codec.unpack(uint64(i<<6+bits.TrailingZeros64(wd)), vals)
+					fn(vals, wnum{lo: 1})
+				}
+			}
+			return
+		}
 		if m.dense != nil {
 			for k, w := range m.dense {
 				if w.isZero() {
@@ -490,6 +551,15 @@ func (ix *tableIndex) probe(key uint64) []int32 {
 		}
 		i = (i + 1) & ix.mask
 	}
+}
+
+// lookup is probe for either index form: vals are the prefix values
+// aligned with pos, buf scratch for a spill key.
+func (ix *tableIndex) lookup(vals []int, buf []byte) []int32 {
+	if ix.codec.packed {
+		return ix.probe(ix.codec.pack(vals))
+	}
+	return ix.sk[spillKey(vals, buf)]
 }
 
 // slotFor returns the slot of key, claiming an empty one if absent
@@ -751,6 +821,16 @@ type dpRun struct {
 	maxW int
 	sem  chan struct{}
 
+	// exists switches the run to the existence semiring (projectKeys):
+	// node tables are key sets (wmap.set), so every weight is 1, and each
+	// node looks for one witness per output key (nodeRun.cut).
+	exists bool
+
+	// ar allocates the tables the run builds for itself (freeDrivers):
+	// nil, the heap, for a counting run; the scratch arena of a predicate
+	// materialization.
+	ar *arena
+
 	// done is the run's cancellation signal (nil when the caller's
 	// context cannot fire; then every check below is a single nil
 	// comparison).  aborted latches once any worker observes done, so
@@ -806,13 +886,7 @@ func (r *dpRun) scratch() *execScratch {
 // returned; a run that completed before observing the signal returns its
 // (correct, complete) total with aborted=false.
 func joinCount(pc *planComponent, ep *execPlan, domSize, workers int, done <-chan struct{}) (total *big.Int, aborted bool) {
-	maxW := 0
-	for _, bag := range pc.dec.Bags {
-		if len(bag) > maxW {
-			maxW = len(bag)
-		}
-	}
-	r := &dpRun{pc: pc, ep: ep, dom: domSize, maxW: maxW, done: done}
+	r := &dpRun{pc: pc, ep: ep, dom: domSize, maxW: pc.dec.Width() + 1, done: done}
 	if workers > 1 && int64(ep.work) >= parallelMinWork.Load() {
 		r.sem = make(chan struct{}, workers-1)
 	}
@@ -826,6 +900,22 @@ func joinCount(pc *planComponent, ep *execPlan, domSize, workers int, done <-cha
 		w.addInto(total)
 	})
 	return total, false
+}
+
+// projectKeys runs the DP over the bound plan in the existence semiring
+// and returns the root bag's assignments projected onto its positions
+// proj, as a key set: the assignments of those variables that extend to
+// an assignment of all of the component's variables satisfying every
+// constraint.  This is how an ∃-component predicate is materialized
+// (Session.materializePredicate).  Weights would count the extensions,
+// which nobody asks for, so they stay 1 — nothing overflows towards
+// big.Int however many extensions there are.  The run is serial, and
+// builds what tables it needs in scratch.  done and aborted are as for
+// joinCount.
+func projectKeys(pc *planComponent, ep *execPlan, domSize int, proj []int, scratch *arena, done <-chan struct{}) (keys *wmap, aborted bool) {
+	r := &dpRun{pc: pc, ep: ep, dom: domSize, maxW: pc.dec.Width() + 1, done: done, exists: true, ar: scratch}
+	keys = r.process(pc.root, proj)
+	return keys, r.aborted.Load()
 }
 
 // projSize bounds the number of distinct keys of a projection onto w
@@ -895,7 +985,7 @@ func (r *dpRun) process(ni int, proj []int) *wmap {
 
 	en := &r.ep.nodes[ni]
 	hint := projSize(r.dom, len(proj), en.pivotSize(r.dom))
-	out := newWmapSized(newKeyCodec(r.dom, len(proj)), hint)
+	out := newWmap(newKeyCodec(r.dom, len(proj)), hint, r.exists)
 	r.enumerate(en, groups, out, proj)
 	return out
 }
@@ -917,7 +1007,21 @@ func (en *execNode) pivotSize(domSize int) int {
 // sharding the pivot range across workers when the pool has capacity and
 // the range is large enough to amortize the merge.
 func (r *dpRun) enumerate(en *execNode, groups []*childGroup, out *wmap, outProj []int) {
-	ready := groupReadiness(en, groups)
+	boundAt := en.bindDepths()
+	nr := &nodeRun{
+		ready: groupReadiness(en, groups, boundAt),
+		drive: freeDrivers(en, groups, boundAt, r.dom, r.ar),
+		proj:  outProj,
+		cut:   -1,
+	}
+	if r.exists {
+		nr.cut = 0
+		for _, bi := range outProj {
+			if boundAt[bi] > nr.cut {
+				nr.cut = boundAt[bi]
+			}
+		}
+	}
 	pivotN := en.pivotSize(r.dom)
 	extra := 0
 	if r.sem != nil && int64(pivotN) >= shardMinRows.Load() {
@@ -933,7 +1037,7 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, out *wmap, outProj
 	}
 	if extra == 0 {
 		sc := r.scratch()
-		r.enumRange(en, ready, out, outProj, sc, 0, pivotN)
+		r.enumRange(en, nr, out, sc, 0, pivotN)
 		scratchPool.Put(sc)
 		return
 	}
@@ -950,15 +1054,15 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, out *wmap, outProj
 			if hi > pivotN {
 				hi = pivotN
 			}
-			m := newWmap(out.codec)
+			m := newWmap(out.codec, 0, out.set)
 			sc := r.scratch()
-			r.enumRange(en, ready, m, outProj, sc, lo, hi)
+			r.enumRange(en, nr, m, sc, lo, hi)
 			scratchPool.Put(sc)
 			parts[s] = m
 		}(s)
 	}
 	sc := r.scratch()
-	r.enumRange(en, ready, out, outProj, sc, 0, chunk)
+	r.enumRange(en, nr, out, sc, 0, chunk)
 	scratchPool.Put(sc)
 	wg.Wait()
 	for s := 1; s < shards; s++ {
@@ -966,16 +1070,11 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, out *wmap, outProj
 	}
 }
 
-// groupReadiness schedules each child-group lookup at the earliest bind
-// depth where all of its shared bag positions are set.  Depth 0 is
-// before any binder runs; depth si+1 is after step si binds its free
-// scope; depth len(steps)+k+1 is after free variable k is assigned.
-// Hoisting the lookups out of the deeper loops both deduplicates them
-// (one probe per distinct shared-prefix binding instead of one per full
-// assignment) and prunes the entire subtree on a zero factor.
-func groupReadiness(en *execNode, groups []*childGroup) [][]*childGroup {
-	nSteps := len(en.steps)
-	depths := nSteps + len(en.freePos) + 1
+// bindDepths returns, per bag position, the bind depth at which it is
+// set: depth si+1 is after step si binds its free scope, depth
+// len(steps)+k+1 after free variable k is assigned (depth 0 is before
+// any binder runs).
+func (en *execNode) bindDepths() []int {
 	boundAt := make([]int, en.width)
 	for si := range en.steps {
 		for _, bi := range en.steps[si].freeBag {
@@ -983,9 +1082,18 @@ func groupReadiness(en *execNode, groups []*childGroup) [][]*childGroup {
 		}
 	}
 	for k, bi := range en.freePos {
-		boundAt[bi] = nSteps + k + 1
+		boundAt[bi] = len(en.steps) + k + 1
 	}
-	ready := make([][]*childGroup, depths)
+	return boundAt
+}
+
+// groupReadiness schedules each child-group lookup at the earliest bind
+// depth (bindDepths) where all of its shared bag positions are set.
+// Hoisting the lookups out of the deeper loops both deduplicates them
+// (one probe per distinct shared-prefix binding instead of one per full
+// assignment) and prunes the entire subtree on a zero factor.
+func groupReadiness(en *execNode, groups []*childGroup, boundAt []int) [][]*childGroup {
+	ready := make([][]*childGroup, len(en.steps)+len(en.freePos)+1)
 	for _, g := range groups {
 		d := 0
 		for _, bi := range g.sharedBag {
@@ -998,6 +1106,97 @@ func groupReadiness(en *execNode, groups []*childGroup) [][]*childGroup {
 	return ready
 }
 
+// freeDriver supplies the candidate values of one free bag position —
+// one no local constraint covers — from a child group's keys instead of
+// the whole domain: t holds the group's distinct (bound prefix, value)
+// projections, idx indexes them on the prefix.
+type freeDriver struct {
+	t        *Table
+	idx      *tableIndex
+	boundBag []int // bag positions supplying the probe key, aligned with idx.pos
+}
+
+// freeDrivers builds, for each free position of the node, a driver from
+// the smallest child group that shares the position together with at
+// least one position bound before it (nil where there is none: the
+// position is then enumerated over the domain).  A free variable is in
+// the bag only to connect nodes that do constrain it, so under a bound
+// prefix the child's keys name the few values that can survive, where
+// the domain scan probes the child's table |B| times per prefix.  The
+// group's readiness lookup still runs and supplies the weight; a driver
+// only narrows the candidates.  Without a bound prefix the scan is
+// already one pass over the domain, cheaper than indexing the keys.
+func freeDrivers(en *execNode, groups []*childGroup, boundAt []int, dom int, ar *arena) []*freeDriver {
+	drivers := make([]*freeDriver, len(en.freePos))
+	for k, f := range en.freePos {
+		var from *childGroup
+		for _, g := range groups {
+			shares, prefix := false, false
+			for _, bi := range g.sharedBag {
+				shares = shares || bi == f
+				prefix = prefix || boundAt[bi] < boundAt[f]
+			}
+			// (prefixIndex keys its cache on a 64-bit position mask.)
+			if shares && prefix && len(g.sharedBag) <= 64 && (from == nil || g.sums.len() < from.sums.len()) {
+				from = g
+			}
+		}
+		if from == nil {
+			continue
+		}
+		d := &freeDriver{}
+		var cols []int // the prefix's, then f's, index in the group's keys
+		fcol := -1
+		for i, bi := range from.sharedBag {
+			switch {
+			case bi == f:
+				fcol = i
+			case boundAt[bi] < boundAt[f]:
+				cols = append(cols, i)
+				d.boundBag = append(d.boundBag, bi)
+			}
+		}
+		cols = append(cols, fcol)
+		n := from.sums.len()
+		d.t = newTable(len(cols), dom, ar)
+		d.t.flat = ar.allocI32(n * len(cols))[:0]
+		var dedup *structure.TupleSet // keys differing only in later-bound positions project alike
+		if len(cols) < len(from.sharedBag) {
+			dedup = structure.NewTupleSetSized(len(cols), n)
+		}
+		row := make([]int, len(cols))
+		from.sums.forEach(make([]int, len(from.sharedBag)), func(vals []int, _ wnum) {
+			for i, c := range cols {
+				row[i] = vals[c]
+			}
+			if dedup == nil || dedup.Add(row) {
+				d.t.appendRow(row)
+			}
+		})
+		prefix := make([]int, len(cols)-1)
+		for i := range prefix {
+			prefix[i] = i
+		}
+		d.idx = d.t.prefixIndex(prefix)
+		drivers[k] = d
+	}
+	return drivers
+}
+
+// nodeRun is what one node's enumeration reads besides the bound node
+// itself; it is fixed before the pivot range is sharded.
+type nodeRun struct {
+	ready [][]*childGroup // child-group lookups per bind depth (groupReadiness)
+	drive []*freeDriver   // per free position, nil entries allowed (freeDrivers)
+	proj  []int           // bag positions of the output key
+	// cut is, in an existence run, the bind depth at which the output key
+	// is fully bound (-1 in a counting run).  Below it the enumeration
+	// only looks for a witness: a key that is already present is not
+	// searched again, and the first emission unwinds back to depth cut,
+	// because every other candidate down there would emit the same key.
+	cut int
+}
+
 // enumRange enumerates the node's bag assignments with the pivot range
 // restricted to [lo, hi): rows of the pivot table, or values of the first
 // free variable for constraint-less nodes.  Bind orders are fixed at plan
@@ -1006,40 +1205,74 @@ func groupReadiness(en *execNode, groups []*childGroup) [][]*childGroup {
 // Child-group factors are multiplied into the running weight at their
 // readiness depth (see groupReadiness); a missing factor abandons the
 // subtree before any deeper binder runs.
-func (r *dpRun) enumRange(en *execNode, ready [][]*childGroup, m *wmap, outProj []int, sc *execScratch, lo, hi int) {
+func (r *dpRun) enumRange(en *execNode, nr *nodeRun, m *wmap, sc *execScratch, lo, hi int) {
 	assign := sc.assign[:en.width]
-	// applyReady folds the factors scheduled at depth d into w; ok=false
-	// means some factor is zero and the subtree contributes nothing.
-	applyReady := func(d int, w wnum) (wnum, bool) {
-		for _, g := range ready[d] {
+	nSteps := len(en.steps)
+	free := en.freePos
+	last := nSteps + len(free) // the depth at which the bag is fully assigned
+	key := func() []int {
+		pv := sc.proj[:len(nr.proj)]
+		for i, bi := range nr.proj {
+			pv[i] = assign[bi]
+		}
+		return pv
+	}
+	hit := false // existence run: a key was emitted and the unwinding to nr.cut is under way
+	var recStep func(si int, w wnum)
+	var fill func(k int, w wnum)
+	// descend continues below depth d, whose binder has just written its
+	// bag positions: it folds in the child-group factors scheduled at d (a
+	// missing one means the subtree contributes nothing) and runs the next
+	// binder, or emits.  It reports whether the calling binder should stop
+	// iterating (see nodeRun.cut).
+	descend := func(d int, w wnum) bool {
+		if d == nr.cut && d < last {
+			if _, ok := m.get(key(), sc.keyBuf); ok {
+				return false
+			}
+		}
+		for _, g := range nr.ready[d] {
 			proj := sc.proj[:len(g.sharedBag)]
 			for i, bi := range g.sharedBag {
 				proj[i] = assign[bi]
 			}
 			s, ok := g.sums.get(proj, sc.keyBuf)
 			if !ok {
-				return w, false
+				return false
 			}
 			w = mulW(w, s)
 		}
-		return w, true
-	}
-	emit := func(w wnum) {
-		if r.cancelled(sc) {
-			return
+		switch {
+		case d < nSteps:
+			recStep(d, w)
+		case d < last:
+			fill(d-nSteps, w)
+		case !r.cancelled(sc):
+			m.add(key(), w, sc.keyBuf)
+			hit = r.exists
 		}
-		pv := sc.proj[:len(outProj)]
-		for i, bi := range outProj {
-			pv[i] = assign[bi]
+		if hit {
+			if d > nr.cut {
+				return true
+			}
+			hit = false
 		}
-		m.add(pv, w, sc.keyBuf)
+		return false
 	}
-	nSteps := len(en.steps)
-	free := en.freePos
-	var fill func(k int, w wnum)
+	// fill assigns free position k (bind depth nSteps+k+1).
 	fill = func(k int, w wnum) {
-		if k == len(free) {
-			emit(w)
+		if d := nr.drive[k]; d != nil {
+			vals := sc.vals[:len(d.boundBag)]
+			for i, bi := range d.boundBag {
+				vals[i] = assign[bi]
+			}
+			col := d.t.width - 1
+			for _, row := range d.idx.lookup(vals, sc.keyBuf) {
+				assign[free[k]] = int(d.t.flat[int(row)*d.t.width+col])
+				if descend(nSteps+k+1, w) {
+					return
+				}
+			}
 			return
 		}
 		loK, hiK := 0, r.dom
@@ -1052,17 +1285,13 @@ func (r *dpRun) enumRange(en *execNode, ready [][]*childGroup, m *wmap, outProj 
 				return
 			}
 			assign[free[k]] = v
-			if wv, ok := applyReady(nSteps+k+1, w); ok {
-				fill(k+1, wv)
+			if descend(nSteps+k+1, w) {
+				return
 			}
 		}
 	}
-	var recStep func(si int, w wnum)
+	// recStep binds step si's free scope (bind depth si+1).
 	recStep = func(si int, w wnum) {
-		if si == nSteps {
-			fill(0, w)
-			return
-		}
 		st := &en.steps[si]
 		t := st.table
 		if st.idx == nil {
@@ -1078,8 +1307,8 @@ func (r *dpRun) enumRange(en *execNode, ready [][]*childGroup, m *wmap, outProj 
 				for i, j := range st.freeScope {
 					assign[st.freeBag[i]] = int(t.flat[base+j])
 				}
-				if wv, ok := applyReady(si+1, w); ok {
-					recStep(si+1, wv)
+				if descend(si+1, w) {
+					return
 				}
 			}
 			return
@@ -1088,25 +1317,17 @@ func (r *dpRun) enumRange(en *execNode, ready [][]*childGroup, m *wmap, outProj 
 		for i, bi := range st.boundBag {
 			vals[i] = assign[bi]
 		}
-		var rows []int32
-		if st.idx.codec.packed {
-			rows = st.idx.probe(st.idx.codec.pack(vals))
-		} else {
-			rows = st.idx.sk[spillKey(vals, sc.keyBuf)]
-		}
-		for _, row := range rows {
+		for _, row := range st.idx.lookup(vals, sc.keyBuf) {
 			base := int(row) * t.width
 			for i, j := range st.freeScope {
 				assign[st.freeBag[i]] = int(t.flat[base+j])
 			}
-			if wv, ok := applyReady(si+1, w); ok {
-				recStep(si+1, wv)
+			if descend(si+1, w) {
+				return
 			}
 		}
 	}
-	if w0, ok := applyReady(0, wnum{lo: 1}); ok {
-		recStep(0, w0)
-	}
+	descend(0, wnum{lo: 1})
 }
 
 // sharedPositions returns, for the variables common to bag and childVars

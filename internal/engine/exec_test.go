@@ -327,3 +327,64 @@ func TestBenchSmokeParallelNoRegression(t *testing.T) {
 		t.Fatalf("parallel executor regressed: %v > 2x serial %v", par, serial)
 	}
 }
+
+// A key-set wmap (the existence semiring of projectKeys) must behave the
+// same in its three forms — one bit per key, open addressing, spill
+// strings: a key is present once however often it is added, its weight
+// stays 1, and merge is set union.
+func TestWmapKeySetForms(t *testing.T) {
+	forms := []struct {
+		name   string
+		dom    int
+		budget int
+	}{
+		{"bits", 16, 64},       // 3 × 4 bits: flat
+		{"slots", 1 << 10, 64}, // 3 × 10 bits: hashed
+		{"spill", 16, 0},       // packed budget 0: strings
+	}
+	for _, f := range forms {
+		restore := SetPackedKeyBudget(f.budget)
+		codec := newKeyCodec(f.dom, 3)
+		a, b := newWmap(codec, 0, true), newWmap(codec, 0, true)
+		restore()
+		one := wnum{lo: 1}
+		for i := 0; i < 40; i++ {
+			a.add([]int{i % 7, i % 5, i % 3}, one, nil)
+		}
+		for i := 0; i < 40; i++ {
+			b.add([]int{i % 11, i % 5, i % 2}, one, nil)
+		}
+		want := map[[3]int]bool{}
+		for i := 0; i < 40; i++ {
+			want[[3]int{i % 7, i % 5, i % 3}] = true
+		}
+		if a.len() != len(want) {
+			t.Fatalf("%s: len %d, want %d", f.name, a.len(), len(want))
+		}
+		for i := 0; i < 40; i++ {
+			want[[3]int{i % 11, i % 5, i % 2}] = true
+		}
+		a.merge(b)
+		if a.len() != len(want) {
+			t.Fatalf("%s: len after merge %d, want %d", f.name, a.len(), len(want))
+		}
+		seen := 0
+		a.forEach(make([]int, 3), func(vals []int, w wnum) {
+			seen++
+			if !want[[3]int{vals[0], vals[1], vals[2]}] || w != one {
+				t.Fatalf("%s: forEach visited %v with weight %v", f.name, vals, w)
+			}
+		})
+		if seen != len(want) {
+			t.Fatalf("%s: forEach visited %d keys, want %d", f.name, seen, len(want))
+		}
+		for k := range want {
+			if w, ok := a.get(k[:], nil); !ok || w != one {
+				t.Fatalf("%s: get(%v) = %v, %v", f.name, k, w, ok)
+			}
+		}
+		if _, ok := a.get([]int{15, 15, 15}, nil); ok {
+			t.Fatalf("%s: absent key reported present", f.name)
+		}
+	}
+}

@@ -45,8 +45,10 @@ type planConstraint struct {
 	rel      string
 	atomTmpl []int // for atoms: position-in-scope per argument (repeats kept)
 	// Predicate constraint:
-	sub   *structure.Structure // ∃-component structure (nil for atoms)
-	iface []int                // projection elements inside sub, aligned with scope
+	sub      *structure.Structure // ∃-component structure (nil for atoms)
+	iface    []int                // projection elements inside sub, aligned with scope
+	pred     *planComponent       // sub compiled for the join executor (compilePredicate)
+	predProj []int                // pred's root-bag positions of iface
 
 	// key identifies the materialized table of this constraint within a
 	// Session, enabling sharing across plans and repeated counts.
@@ -118,75 +120,40 @@ func compileComponent(comp pp.PP) (*planComponent, error) {
 	if len(comp.S) == 0 {
 		return &planComponent{sentence: true, structureOnly: comp.A}, nil
 	}
-	posOf := make(map[int]int, len(comp.S))
+	pos := make([]int, comp.A.Size())
+	for v := range pos {
+		pos[v] = -1
+	}
 	for i, v := range comp.S {
-		posOf[v] = i
+		pos[v] = i
 	}
-	inS := make(map[int]bool, len(comp.S))
-	for _, v := range comp.S {
-		inS[v] = true
-	}
-	var cons []planConstraint
 
-	// (a) atoms entirely on liberal variables.  One sorted-dedup scratch
-	// buffer serves every atom; position-in-scope lookups are binary
-	// searches on the sorted scope instead of a throwaway map per atom.
-	var scopeBuf []int
-	for _, r := range comp.A.Signature().Rels() {
-		comp.A.ForEachTuple(r.Name, func(t []int) bool {
-			for _, v := range t {
-				if !inS[v] {
-					return true
-				}
-			}
-			scopeBuf = scopeBuf[:0]
-			for _, v := range t {
-				scopeBuf = append(scopeBuf, posOf[v])
-			}
-			sort.Ints(scopeBuf)
-			scope := make([]int, 0, len(scopeBuf))
-			for i, s := range scopeBuf {
-				if i == 0 || s != scopeBuf[i-1] {
-					scope = append(scope, s)
-				}
-			}
-			tmpl := make([]int, len(t))
-			for j, v := range t {
-				tmpl[j] = sort.SearchInts(scope, posOf[v])
-			}
-			cons = append(cons, planConstraint{scope: scope, rel: r.Name, atomTmpl: tmpl})
-			return true
-		})
-	}
+	// (a) atoms entirely on liberal variables.
+	cons := atomConstraints(comp.A, pos)
 
 	// (b) ∃-component predicates.  ExistsComponents expects the cored
 	// formula per the paper's definition, but the decomposition of the
 	// extension condition is sound for any formula.
-	sentences := []*structure.Structure{}
+	var sentences []*structure.Structure
 	for _, ec := range pp.ExistsComponents(comp) {
-		sub, old2new := comp.A.Induced(ec.Vertices)
+		sub, old2new := existsSub(comp.A, ec)
+		if len(ec.Interface) == 0 {
+			sentences = append(sentences, sub)
+			continue
+		}
+		// Interface sorted by scope position (comp.S and ec.Interface are
+		// both ascending, so it already is).
 		iface := make([]int, len(ec.Interface))
 		scope := make([]int, len(ec.Interface))
 		for i, v := range ec.Interface {
 			iface[i] = old2new[v]
-			scope[i] = posOf[v]
+			scope[i] = pos[v]
 		}
-		perm := make([]int, len(scope))
-		for i := range perm {
-			perm[i] = i
+		pred, proj, err := compilePredicate(sub, iface)
+		if err != nil {
+			return nil, err
 		}
-		sort.Slice(perm, func(i, j int) bool { return scope[perm[i]] < scope[perm[j]] })
-		sortedScope := make([]int, len(scope))
-		sortedIface := make([]int, len(iface))
-		for i, pi := range perm {
-			sortedScope[i] = scope[pi]
-			sortedIface[i] = iface[pi]
-		}
-		if len(sortedScope) == 0 {
-			sentences = append(sentences, sub)
-			continue
-		}
-		cons = append(cons, planConstraint{scope: sortedScope, sub: sub, iface: sortedIface})
+		cons = append(cons, planConstraint{scope: scope, sub: sub, iface: iface, pred: pred, predProj: proj})
 	}
 
 	// Re-index to active (constraint-covered) variables.
@@ -218,43 +185,180 @@ func compileComponent(comp pp.PP) (*planComponent, error) {
 		nActive:     nActive,
 		freeVars:    free,
 		constraints: cons,
+		// Quantified-only parts with empty interfaces behave as sentence
+		// sub-checks: treat each as an extra sentence component.
+		extraSentences: sentences,
 	}
-	// Quantified-only parts with empty interfaces behave as sentence
-	// sub-checks: treat each as an extra sentence component.
-	pc.extraSentences = append(pc.extraSentences, sentences...)
 	if nActive > 0 {
 		cg := graph.New(nActive)
 		for _, c := range cons {
 			cg.AddClique(c.scope)
 		}
 		_, dec, _ := tw.Treewidth(cg)
-		pc.dec = dec
-		pc.consAt = make([][]int, len(dec.Bags))
-		for ci, c := range cons {
-			placed := false
-			for ni, bag := range dec.Bags {
-				if containsAll(bag, c.scope) {
-					pc.consAt[ni] = append(pc.consAt[ni], ci)
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				return nil, fmt.Errorf("engine: constraint scope %v fits in no bag", c.scope)
-			}
+		if err := pc.place(dec); err != nil {
+			return nil, err
 		}
-		pc.children = make([][]int, len(dec.Bags))
-		pc.root = -1
-		for i, p := range dec.Parent {
-			if p == -1 {
-				pc.root = i
-			} else {
-				pc.children[p] = append(pc.children[p], i)
-			}
-		}
-		pc.compileNodes()
 	}
 	return pc, nil
+}
+
+// atomConstraints returns one atom constraint per tuple of a whose
+// arguments all have a variable position (pos[v] ≥ 0), scoped on those
+// positions.  One sorted-dedup scratch buffer serves every atom;
+// position-in-scope lookups are binary searches on the sorted scope.
+func atomConstraints(a *structure.Structure, pos []int) []planConstraint {
+	var cons []planConstraint
+	var scopeBuf []int
+	for _, r := range a.Signature().Rels() {
+		a.ForEachTuple(r.Name, func(t []int) bool {
+			scopeBuf = scopeBuf[:0]
+			for _, v := range t {
+				if pos[v] < 0 {
+					return true
+				}
+				scopeBuf = append(scopeBuf, pos[v])
+			}
+			sort.Ints(scopeBuf)
+			scope := make([]int, 0, len(scopeBuf))
+			for i, s := range scopeBuf {
+				if i == 0 || s != scopeBuf[i-1] {
+					scope = append(scope, s)
+				}
+			}
+			tmpl := make([]int, len(t))
+			for j, v := range t {
+				tmpl[j] = sort.SearchInts(scope, pos[v])
+			}
+			cons = append(cons, planConstraint{scope: scope, rel: r.Name, atomTmpl: tmpl})
+			return true
+		})
+	}
+	return cons
+}
+
+// existsSub builds the structure of an ∃-component: a induced on the
+// component's vertices, minus the atoms lying entirely on its interface.
+// Those atoms are liberal-only, hence already atom constraints of the
+// enclosing component; dropping them here only widens the predicate to a
+// superset the enclosing join cuts back, and lets ∃-components that
+// differ in nothing else share one table (predKey).
+func existsSub(a *structure.Structure, ec pp.ExistsComponent) (*structure.Structure, []int) {
+	old2new := make([]int, a.Size())
+	for i := range old2new {
+		old2new[i] = -1
+	}
+	for _, v := range ec.Vertices {
+		old2new[v] = 0
+	}
+	sub := structure.New(a.Signature())
+	for v := range old2new { // index order, as Induced numbers them
+		if old2new[v] == 0 {
+			old2new[v], _ = sub.AddElem(a.ElemName(v)) // names are distinct in a
+		}
+	}
+	onIface := make([]bool, a.Size())
+	for _, v := range ec.Interface {
+		onIface[v] = true
+	}
+	for _, r := range a.Signature().Rels() {
+		nt := make([]int, r.Arity)
+		a.ForEachTuple(r.Name, func(t []int) bool {
+			quantified := false
+			for j, v := range t {
+				if old2new[v] < 0 {
+					return true
+				}
+				nt[j] = old2new[v]
+				quantified = quantified || !onIface[v]
+			}
+			if quantified {
+				_ = sub.AddTuple(r.Name, nt...) // arity and indices are a's own
+			}
+			return true
+		})
+	}
+	return sub, old2new
+}
+
+// compilePredicate compiles the predicate "iface extends to a
+// homomorphism of sub" into a nested component over all of sub's
+// elements, to be run by the join executor in the existence semiring
+// (Session.materializePredicate): the bounded treewidth of the core (Theorem 3.2)
+// is what bounds this component's bags.  Its constraints are sub's atoms,
+// so their tables are the session's shared atom tables; its constraint
+// graph gets one extra clique on the interface, so that some bag contains
+// the whole interface, and the decomposition is rooted there.  proj lists
+// the root-bag positions of iface, in iface order: the root's projection
+// onto them is the predicate's table.
+func compilePredicate(sub *structure.Structure, iface []int) (pc *planComponent, proj []int, err error) {
+	n := sub.Size()
+	pos := make([]int, n)
+	for v := range pos {
+		pos[v] = v
+	}
+	cons := atomConstraints(sub, pos)
+	cg := graph.New(n)
+	for i := range cons {
+		cons[i].key = makeTableKey(&cons[i])
+		cg.AddClique(cons[i].scope)
+	}
+	clique := append([]int(nil), iface...)
+	sort.Ints(clique)
+	cg.AddClique(clique)
+	_, dec, _ := tw.Treewidth(cg)
+	root := -1
+	for ni, bag := range dec.Bags {
+		if containsAll(bag, clique) {
+			root = ni
+			break
+		}
+	}
+	if root < 0 {
+		return nil, nil, fmt.Errorf("engine: interface %v fits in no bag", iface)
+	}
+	dec.Reroot(root)
+	pc = &planComponent{nActive: n, constraints: cons}
+	if err := pc.place(dec); err != nil {
+		return nil, nil, err
+	}
+	proj = make([]int, len(iface))
+	for i, v := range iface {
+		proj[i] = sort.SearchInts(dec.Bags[pc.root], v)
+	}
+	return pc, proj, nil
+}
+
+// place installs the decomposition: every constraint goes to the first
+// bag containing its scope, the tree's child lists and root are derived
+// from the parent pointers, and the per-node metadata is compiled.
+func (pc *planComponent) place(dec *tw.Decomposition) error {
+	dec.Reduce()
+	pc.dec = dec
+	pc.consAt = make([][]int, len(dec.Bags))
+	for ci, c := range pc.constraints {
+		placed := false
+		for ni, bag := range dec.Bags {
+			if containsAll(bag, c.scope) {
+				pc.consAt[ni] = append(pc.consAt[ni], ci)
+				placed = true
+				break
+			}
+		}
+		if !placed {
+			return fmt.Errorf("engine: constraint scope %v fits in no bag", c.scope)
+		}
+	}
+	pc.children = make([][]int, len(dec.Bags))
+	pc.root = -1
+	for i, p := range dec.Parent {
+		if p == -1 {
+			pc.root = i
+		} else {
+			pc.children[p] = append(pc.children[p], i)
+		}
+	}
+	pc.compileNodes()
+	return nil
 }
 
 // compileNodes precomputes the per-node executor metadata (scope→bag
@@ -316,11 +420,13 @@ func (pl *fptPlan) CountInWorkers(s *Session, workers int) (*big.Int, error) {
 	return pl.countIn(nil, s, workers)
 }
 
-// CountInCtx is CountInWorkers under a context: the join-count DP polls
-// ctx at pivot-row and emission granularity and aborts with ctx's error
-// once it fires (partial work discarded).  Sentence checks and table
-// materialization are not interruptible; cancellation latency is
-// bounded by the largest of those steps.
+// CountInCtx is CountInWorkers under a context: the join-count DP — the
+// component's own and the nested runs that materialize its ∃-component
+// predicate tables — polls ctx at pivot-row and emission granularity and
+// aborts with ctx's error once it fires (partial work discarded, no
+// table cached).  Sentence checks and atom-table projection are not
+// interruptible; cancellation latency is bounded by the largest of those
+// steps.
 func (pl *fptPlan) CountInCtx(ctx context.Context, s *Session, workers int) (*big.Int, error) {
 	return pl.countIn(ctx, s, workers)
 }
@@ -390,11 +496,19 @@ func (pc *planComponent) joinState(ctx context.Context, s *Session, workers int)
 	if pc.nActive == 0 {
 		return big.NewInt(1), nil, nil
 	}
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
 	tables := make([]*Table, len(pc.constraints))
 	lens := make([]int, len(pc.constraints))
 	for ci := range pc.constraints {
-		tables[ci] = s.tableFor(&pc.constraints[ci])
-		lens[ci] = tables[ci].Len()
+		t := s.tableFor(&pc.constraints[ci], done)
+		if t == nil {
+			return nil, nil, ctxAbortErr(ctx)
+		}
+		tables[ci] = t
+		lens[ci] = t.Len()
 	}
 	// Bind the component to this session's tables: semi-join pre-pruning,
 	// per-node bind orders, prefix indexes — computed once per
@@ -402,10 +516,6 @@ func (pc *planComponent) joinState(ctx context.Context, s *Session, workers int)
 	ep, empty := s.execPlanFor(pc, tables)
 	if empty {
 		return new(big.Int), lens, nil
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
 	}
 	joined, aborted := joinCount(pc, ep, s.B.Size(), workers, done)
 	if aborted {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"math/big"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -21,8 +22,9 @@ import (
 // scheme is materialized against the structure exactly once.  Sessions
 // are safe for concurrent use.
 //
-// The memo maps are keyed partly by compile-time pointers (component,
-// sub-structure), so a long-lived session fed by endlessly recompiled
+// The memo maps are keyed partly by compile-time pointers (bound plans by
+// component, sentence checks by sub-structure; tables are keyed
+// structurally), so a long-lived session fed by endlessly recompiled
 // plans would otherwise grow without bound; each map is wiped wholesale
 // when it reaches sessionMemoCap (a memo, not a store — entries rebuild
 // on demand).
@@ -105,10 +107,12 @@ type pruneEntry struct {
 
 // tableEntry guards one table's materialization: the registry lock is
 // only held to install the entry, so distinct tables build concurrently
-// while duplicate requests wait on the entry's Once.
+// while duplicate requests wait on the entry's lock.  t stays nil until a
+// materialization completes: an aborted one (cancelled request) caches
+// nothing, and the next request for the table materializes it afresh.
 type tableEntry struct {
-	once sync.Once
-	t    *Table
+	mu sync.Mutex
+	t  *Table
 }
 
 // NewSession builds a fresh session for b.
@@ -338,13 +342,12 @@ func (s *Session) SentenceHolds(sub *structure.Structure) bool {
 }
 
 // tableKey identifies a constraint scheme's materialization: atom tables
-// by (relation, projection template), predicate tables by the identity of
-// the ∃-component structure and its interface.  Two constraints with the
-// same key have identical tables on any structure.
+// by (relation, projection template), predicate tables by the structural
+// encoding of the ∃-component and its interface (predKey).  Two
+// constraints with the same key have identical tables on any structure.
 type tableKey struct {
 	kind byte // 'a' atom, 'p' predicate
 	rel  string
-	sub  *structure.Structure
 	enc  string
 }
 
@@ -352,7 +355,55 @@ func makeTableKey(c *planConstraint) tableKey {
 	if c.sub == nil {
 		return tableKey{kind: 'a', rel: c.rel, enc: structure.TupleKey(c.atomTmpl, nil) + ";" + strconv.Itoa(len(c.scope))}
 	}
-	return tableKey{kind: 'p', sub: c.sub, enc: structure.TupleKey(c.iface, nil)}
+	return tableKey{kind: 'p', enc: predKey(c.sub, c.iface)}
+}
+
+// predKey encodes an ∃-component up to the names of its elements: the
+// interface elements are renumbered 0..k-1 in iface order (the table's
+// column order), the quantified ones k.. in index order, and each
+// relation's renumbered tuples are listed sorted.  Equal keys mean
+// isomorphic components with matching interface columns, hence identical
+// predicate tables on every structure; the encoding is not a canonical
+// form — components that differ in the order of their quantified
+// elements get distinct keys and merely miss the sharing.
+func predKey(sub *structure.Structure, iface []int) string {
+	renum := make([]int, sub.Size())
+	for v := range renum {
+		renum[v] = -1
+	}
+	for i, v := range iface {
+		renum[v] = i
+	}
+	next := len(iface)
+	for v := range renum {
+		if renum[v] < 0 {
+			renum[v] = next
+			next++
+		}
+	}
+	var enc []byte
+	enc = strconv.AppendInt(enc, int64(len(iface)), 10)
+	for _, r := range sub.Signature().Rels() {
+		var tuples []string
+		var buf []byte
+		sub.ForEachTuple(r.Name, func(t []int) bool {
+			buf = buf[:0]
+			for _, v := range t {
+				buf = strconv.AppendInt(append(buf, ','), int64(renum[v]), 10)
+			}
+			tuples = append(tuples, string(buf))
+			return true
+		})
+		if len(tuples) == 0 {
+			continue
+		}
+		sort.Strings(tuples)
+		enc = append(append(enc, ';'), r.Name...)
+		for _, t := range tuples {
+			enc = append(append(enc, '('), t...)
+		}
+	}
+	return string(enc)
 }
 
 // sessionMemoCap bounds each per-session memo map (tables, sentences,
@@ -391,8 +442,9 @@ func (s *Session) execPlanFor(pc *planComponent, tables []*Table) (*execPlan, bo
 // tableFor returns the materialized table of the constraint, building it
 // on first use and sharing it afterwards.  Distinct constraints
 // materialize concurrently; duplicate requests block only on their own
-// table.
-func (s *Session) tableFor(c *planConstraint) *Table {
+// table.  done (nil = never fires) interrupts a predicate
+// materialization: the result is nil then, and nothing is cached.
+func (s *Session) tableFor(c *planConstraint, done <-chan struct{}) *Table {
 	s.mu.Lock()
 	e := s.tables[c.key]
 	if e == nil {
@@ -403,58 +455,93 @@ func (s *Session) tableFor(c *planConstraint) *Table {
 		s.tables[c.key] = e
 	}
 	s.mu.Unlock()
-	e.once.Do(func() { e.t = s.materialize(c) })
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.t == nil {
+		if c.sub == nil {
+			e.t = s.materializeAtom(c)
+		} else {
+			e.t = s.materializePredicate(c, done)
+		}
+	}
 	return e.t
 }
 
-func (s *Session) materialize(c *planConstraint) *Table {
+// materializeAtom projects B's relation through the atom's template
+// directly off the columnar store into the table's flat row-major cells,
+// deduplicating projected rows with a packed-key tuple set (no string
+// keys, no [][]int materialization of the relation).
+func (s *Session) materializeAtom(c *planConstraint) *Table {
 	width := len(c.scope)
 	t := newTable(width, s.B.Size(), s.arenaFor())
-	if c.sub == nil {
-		// Atom constraint: project B's relation through the template
-		// directly off the columnar store into the table's flat row-major
-		// cells, deduplicating projected rows with a packed-key tuple set
-		// (no string keys, no [][]int materialization of the relation).
-		rel := s.B.Rel(c.rel)
-		n := rel.Len()
-		if n == 0 {
-			return t
-		}
-		cols := make([][]int32, len(c.atomTmpl))
-		for j := range c.atomTmpl {
-			cols[j] = rel.Col(j)
-		}
-		// Sized to the relation: projection only removes rows, so n bounds
-		// the distinct count and bulk insertion never rehashes.
-		dedup := structure.NewTupleSetSized(width, n)
-		vals := make([]int, width)
-		seen := make([]bool, width)
-	rowLoop:
-		for row := 0; row < n; row++ {
-			for i := range seen {
-				seen[i] = false
-			}
-			for j, si := range c.atomTmpl {
-				u := int(cols[j][row])
-				if seen[si] && vals[si] != u {
-					continue rowLoop
-				}
-				vals[si] = u
-				seen[si] = true
-			}
-			if dedup.Add(vals) {
-				t.appendRow(vals)
-			}
-		}
+	rel := s.B.Rel(c.rel)
+	n := rel.Len()
+	if n == 0 {
 		return t
 	}
-	// ∃-component predicate: the extendable interface assignments.  Each
-	// distinct assignment is reported exactly once.
-	hom.ForEachExtendable(c.sub, s.B, c.iface, hom.Options{}, func(vals []int) bool {
-		t.appendRow(vals)
-		return true
-	})
+	cols := make([][]int32, len(c.atomTmpl))
+	for j := range c.atomTmpl {
+		cols[j] = rel.Col(j)
+	}
+	// Sized to the relation: projection only removes rows, so n bounds
+	// the distinct count and bulk insertion never rehashes.
+	dedup := structure.NewTupleSetSized(width, n)
+	vals := make([]int, width)
+	seen := make([]bool, width)
+rowLoop:
+	for row := 0; row < n; row++ {
+		for i := range seen {
+			seen[i] = false
+		}
+		for j, si := range c.atomTmpl {
+			u := int(cols[j][row])
+			if seen[si] && vals[si] != u {
+				continue rowLoop
+			}
+			vals[si] = u
+			seen[si] = true
+		}
+		if dedup.Add(vals) {
+			t.appendRow(vals)
+		}
+	}
 	return t
+}
+
+// materializePredicate computes an ∃-component predicate — the interface
+// assignments that extend to a homomorphism of the component — by running
+// the join executor over the component itself (compilePredicate) in the
+// existence semiring: the constraint tables are the session's atom
+// tables, and the root bag's projection onto the interface is the answer.
+// The run is one-shot per (predicate, session), so everything it binds —
+// pruned table copies, prefix indexes, the bind plan — lives in a scratch
+// arena returned to the pools before the rows are emitted; only the rows
+// go to the session arena.  Returns nil when done fired mid-run.
+func (s *Session) materializePredicate(c *planConstraint, done <-chan struct{}) *Table {
+	out := newTable(len(c.scope), s.B.Size(), s.arenaFor())
+	scratch := &arena{}
+	defer scratch.free()
+	tables := make([]*Table, len(c.pred.constraints))
+	for i := range c.pred.constraints {
+		at := s.tableFor(&c.pred.constraints[i], nil)
+		if at.n == 0 {
+			return out // an atom of the component has no rows: nothing extends
+		}
+		// A view of the shared rows whose prefix indexes are scratch too.
+		tables[i] = prefixView(at, at.n)
+		tables[i].ar = scratch
+	}
+	pruned, empty := semiJoinPrune(c.pred, tables, s.B.Size())
+	if empty {
+		return out
+	}
+	keys, aborted := projectKeys(c.pred, newExecPlan(c.pred, pruned, s.B.Size()), s.B.Size(), c.predProj, scratch, done)
+	if aborted {
+		return nil
+	}
+	out.flat = out.ar.allocI32(keys.len() * out.width)[:0]
+	keys.forEach(make([]int, out.width), func(vals []int, _ wnum) { out.appendRow(vals) })
+	return out
 }
 
 // The session registry memoizes sessions per structure identity, keyed by

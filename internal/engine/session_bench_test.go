@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"repro/internal/hom"
 	"repro/internal/parser"
 	"repro/internal/pp"
 	"repro/internal/structure"
@@ -55,8 +56,43 @@ func BenchmarkMaterialize_Path4_N4000(b *testing.B) {
 	benchMaterializeFresh(b, "q(a,b,c,d,e) := E(a,b) & E(b,c) & E(c,d) & E(d,e)", 4000, 4.0)
 }
 
-// Quantified tail: one ∃-component predicate table enumerated by the hom
-// solver plus atom tables, on a large structure.
+// Quantified tail: one ∃-component predicate table (a nested projection
+// DP over a path of two quantified variables) plus atom tables, on a large
+// structure.
 func BenchmarkMaterialize_PredTail_N1000(b *testing.B) {
 	benchMaterializeFresh(b, "q(a,b,c) := exists u, v. E(a,b) & E(b,c) & E(c,u) & E(u,v)", 1000, 3.0)
+}
+
+// A wide ∃-component on dense data: a quantified K4 hanging off one free
+// variable, on ER(60, 0.5), where nearly every vertex has a witness.  This
+// is the shape on which enumerating the K4 bag in full would lose to a
+// solver that stops at the first witness per interface value; the nested
+// run stops there too (nodeRun.cut), and the solver sub-benchmark — the
+// reference the differential tests compare against, hom.ForEachExtendable
+// on the same component — is the yardstick that keeps it honest.
+func BenchmarkMaterialize_PredicateK4_N60(b *testing.B) {
+	p := benchCompilePP(b, workload.EdgeSig(),
+		"q(x) := exists a, b, c, d. E(x,a) & E(a,b) & E(a,c) & E(a,d) & E(b,c) & E(b,d) & E(c,d)")
+	pl, err := Compile(p, FPT)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pred := firstPredicate(b, pl)
+	bs := workload.GraphStructure(workload.ER(60, 0.5, 7))
+	b.Run("dp", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if NewSession(bs).tableFor(pred, nil).Len() == 0 {
+				b.Fatal("empty predicate")
+			}
+		}
+	})
+	b.Run("solver", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			rows := 0
+			hom.ForEachExtendable(pred.sub, bs, pred.iface, hom.Options{}, func([]int) bool { rows++; return true })
+			if rows == 0 {
+				b.Fatal("empty predicate")
+			}
+		}
+	})
 }

@@ -71,7 +71,7 @@ func TestSemiJoinPrunePreservesJoinCount(t *testing.T) {
 			tables := make([]*Table, len(pc.constraints))
 			total := 0
 			for ci := range pc.constraints {
-				tables[ci] = s.tableFor(&pc.constraints[ci])
+				tables[ci] = s.tableFor(&pc.constraints[ci], nil)
 				total += tables[ci].Len()
 			}
 			want, _ := joinCount(pc, newExecPlan(pc, tables, bs.Size()), bs.Size(), 1, nil)
@@ -94,7 +94,7 @@ func TestSemiJoinPrunePreservesJoinCount(t *testing.T) {
 			}
 			// The shared session tables must be untouched.
 			for ci := range pc.constraints {
-				if s.tableFor(&pc.constraints[ci]).Len() != tables[ci].Len() {
+				if s.tableFor(&pc.constraints[ci], nil).Len() != tables[ci].Len() {
 					t.Fatalf("seed %d: session table %d mutated by pruning", seed, ci)
 				}
 			}
@@ -129,5 +129,35 @@ func TestFPTCountPerformsZeroFullScans(t *testing.T) {
 				t.Errorf("%s engine %v: %d full-relation scans during count, want 0", src, name, d)
 			}
 		}
+	}
+}
+
+// A predicate count must leave no more arena memory parked in its session
+// than the predicate's rows and the atom tables need: the nested run that
+// materializes the ∃-component binds pruned table copies, prefix indexes
+// and a bind plan, all one-shot, and returns them before it emits the
+// rows.  One cold count of the quantified 3-path at the repository
+// benchmark's cold-exec size holds one pooled chunk, as it did when the
+// hom solver enumerated the predicate and bound nothing at all; retiring
+// the session returns it.
+func TestPredicateCountHoldsOneArenaChunk(t *testing.T) {
+	sig := workload.EdgeSig()
+	p := compilePP(t, sig, "p(s,t) := exists a. exists b. E(s,a) & E(a,b) & E(b,t)")
+	pl, err := Compile(p, FPT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := workload.RandomStructure(sig, 120, 8.0/120, 20160626)
+	base := ArenaChunksLive()
+	s := NewSession(b)
+	if _, err := pl.CountIn(s); err != nil {
+		t.Fatal(err)
+	}
+	if held := ArenaChunksLive() - base; held != 1 {
+		t.Fatalf("one cold predicate count holds %d arena chunks in its session, want 1", held)
+	}
+	s.retire()
+	if live := ArenaChunksLive(); live != base {
+		t.Fatalf("retiring the session left %d chunks live, baseline %d", live, base)
 	}
 }

@@ -3,7 +3,6 @@ package tw
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -24,6 +23,97 @@ func (d *Decomposition) Width() int {
 		}
 	}
 	return w - 1
+}
+
+// Reroot makes bag r the root by reversing the parent pointers on the
+// path from r to the old root.  Bags and tree edges are unchanged, so a
+// valid decomposition stays valid.
+func (d *Decomposition) Reroot(r int) {
+	prev := -1
+	for i := r; i != -1; {
+		next := d.Parent[i]
+		d.Parent[i] = prev
+		prev, i = i, next
+	}
+}
+
+// Reduce contracts every tree edge one of whose bags contains the other,
+// keeping the larger bag, until none is left, and renumbers the bags that
+// remain (order kept).  Contracting such an edge keeps the decomposition
+// valid and its width.  The root stays the root unless a child's bag
+// contains it; that child is then the root.  Decompositions built from
+// elimination orders have one bag per vertex and are full of such edges.
+func (d *Decomposition) Reduce() {
+	n := len(d.Bags)
+	dead := make([]bool, n)
+	reparent := func(from, to int) {
+		for c := 0; c < n; c++ {
+			if !dead[c] && c != to && d.Parent[c] == from {
+				d.Parent[c] = to
+			}
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := 0; i < n; i++ {
+			p := d.Parent[i]
+			if dead[i] || p < 0 {
+				continue
+			}
+			switch {
+			case subset(d.Bags[i], d.Bags[p]):
+				reparent(i, p)
+				dead[i] = true
+				changed = true
+			case subset(d.Bags[p], d.Bags[i]):
+				d.Parent[i] = d.Parent[p]
+				reparent(p, i)
+				dead[p] = true
+				changed = true
+			}
+		}
+	}
+	renum := make([]int, n)
+	k := 0
+	for i := 0; i < n; i++ {
+		if !dead[i] {
+			renum[i] = k
+			k++
+		}
+	}
+	bags, parent := make([][]int, 0, k), make([]int, 0, k)
+	for i := 0; i < n; i++ {
+		if dead[i] {
+			continue
+		}
+		bags = append(bags, d.Bags[i])
+		if p := d.Parent[i]; p < 0 {
+			parent = append(parent, -1)
+		} else {
+			parent = append(parent, renum[p])
+		}
+	}
+	d.Bags, d.Parent = bags, parent
+}
+
+// subset reports whether every vertex of a is in b.
+func subset(a, b []int) bool {
+	if len(a) > len(b) {
+		return false
+	}
+	for _, v := range a {
+		found := false
+		for _, u := range b {
+			if u == v {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
 }
 
 // Validate checks the three tree-decomposition conditions against g:
@@ -112,12 +202,75 @@ func (d *Decomposition) Validate(g *graph.Graph) error {
 	return nil
 }
 
+// adjBits is a mutable adjacency matrix, one bit row of w words per
+// vertex: the fill graph the elimination routines below edit.  Rows of
+// maps cost an allocation per vertex and a hash per probe; query graphs
+// are a handful of vertices, where a row is one word.
+type adjBits struct {
+	n, w int
+	bits []uint64
+}
+
+func newAdjBits(g *graph.Graph) adjBits {
+	n := g.N()
+	a := adjBits{n: n, w: (n + 63) / 64}
+	a.bits = make([]uint64, n*a.w)
+	for v := 0; v < n; v++ {
+		row := a.row(v)
+		for _, u := range g.Neighbors(v) {
+			row[u>>6] |= 1 << (uint(u) & 63)
+		}
+	}
+	return a
+}
+
+func (a adjBits) clone() adjBits {
+	a.bits = append([]uint64(nil), a.bits...)
+	return a
+}
+
+func (a adjBits) row(v int) []uint64 { return a.bits[v*a.w : (v+1)*a.w] }
+
+// clique makes the vertices of set pairwise adjacent.
+func (a adjBits) clique(set []uint64) {
+	forEachBit(set, func(u int) {
+		row := a.row(u)
+		for i, m := range set {
+			row[i] |= m
+		}
+		row[u>>6] &^= 1 << (uint(u) & 63)
+	})
+}
+
+// forEachBit calls fn with the index of every set bit, ascending.
+func forEachBit(set []uint64, fn func(v int)) {
+	for i, m := range set {
+		for ; m != 0; m &= m - 1 {
+			fn(i<<6 + bits.TrailingZeros64(m))
+		}
+	}
+}
+
+func popcount(set []uint64) int {
+	c := 0
+	for _, m := range set {
+		c += bits.OnesCount64(m)
+	}
+	return c
+}
+
 // FromEliminationOrder builds a tree decomposition from an elimination
 // order using the standard fill-in construction.  Bag i contains order[i]
 // plus its higher-ordered neighbors in the fill graph; bag i's parent is
 // the bag of the lowest-ordered vertex among those neighbors.
 func FromEliminationOrder(g *graph.Graph, order []int) *Decomposition {
-	n := g.N()
+	return fromEliminationOrder(newAdjBits(g), order)
+}
+
+// fromEliminationOrder is FromEliminationOrder on an adjacency matrix it
+// may edit.
+func fromEliminationOrder(adj adjBits, order []int) *Decomposition {
+	n := adj.n
 	if n == 0 {
 		return &Decomposition{Bags: [][]int{{}}, Parent: []int{-1}}
 	}
@@ -125,35 +278,33 @@ func FromEliminationOrder(g *graph.Graph, order []int) *Decomposition {
 	for i, v := range order {
 		pos[v] = i
 	}
-	// Fill graph: adjacency sets we mutate while eliminating.
-	adj := make([]map[int]bool, n)
-	for v := 0; v < n; v++ {
-		adj[v] = make(map[int]bool)
-		for _, u := range g.Neighbors(v) {
-			adj[v][u] = true
-		}
-	}
 	bags := make([][]int, n)
 	bagOf := make([]int, n) // vertex -> index of its bag
+	later := make([]uint64, adj.w)
+	left := make([]uint64, adj.w) // vertices not yet eliminated
+	for _, v := range order {
+		left[v>>6] |= 1 << (uint(v) & 63)
+	}
 	for i, v := range order {
-		var later []int
-		for u := range adj[v] {
-			if pos[u] > i {
-				later = append(later, u)
-			}
+		left[v>>6] &^= 1 << (uint(v) & 63)
+		for j, m := range adj.row(v) {
+			later[j] = m & left[j]
 		}
-		sort.Ints(later)
-		bag := append([]int{v}, later...)
-		sort.Ints(bag)
+		bag := make([]int, 0, popcount(later)+1)
+		placed := false
+		forEachBit(later, func(u int) {
+			if !placed && u > v {
+				bag, placed = append(bag, v), true
+			}
+			bag = append(bag, u)
+		})
+		if !placed {
+			bag = append(bag, v)
+		}
 		bags[i] = bag
 		bagOf[v] = i
 		// Connect later neighbors into a clique.
-		for a := 0; a < len(later); a++ {
-			for b := a + 1; b < len(later); b++ {
-				adj[later[a]][later[b]] = true
-				adj[later[b]][later[a]] = true
-			}
-		}
+		adj.clique(later)
 	}
 	parent := make([]int, n)
 	for i, v := range order {
@@ -190,80 +341,64 @@ func FromEliminationOrder(g *graph.Graph, order []int) *Decomposition {
 
 // MinFillOrder returns an elimination order chosen greedily by minimum
 // fill-in (ties broken by minimum degree, then index).
-func MinFillOrder(g *graph.Graph) []int {
-	n := g.N()
-	adj := make([]map[int]bool, n)
+func MinFillOrder(g *graph.Graph) []int { return minFillOrder(newAdjBits(g)) }
+
+// minFillOrder is MinFillOrder on an adjacency matrix it may edit.
+func minFillOrder(adj adjBits) []int {
+	n := adj.n
+	alive := make([]uint64, adj.w)
 	for v := 0; v < n; v++ {
-		adj[v] = make(map[int]bool)
-		for _, u := range g.Neighbors(v) {
-			adj[v][u] = true
-		}
+		alive[v>>6] |= 1 << (uint(v) & 63)
 	}
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
+	nbrs := make([]uint64, adj.w)
+	liveNbrs := func(v int) {
+		for j, m := range adj.row(v) {
+			nbrs[j] = m & alive[j]
+		}
 	}
 	order := make([]int, 0, n)
 	for len(order) < n {
 		best, bestFill, bestDeg := -1, 1<<30, 1<<30
-		for v := 0; v < n; v++ {
-			if !alive[v] {
-				continue
-			}
-			var nbrs []int
-			for u := range adj[v] {
-				if alive[u] {
-					nbrs = append(nbrs, u)
+		forEachBit(alive, func(v int) {
+			liveNbrs(v)
+			deg := popcount(nbrs)
+			// Each missing edge {a,b} among the neighbours is seen from a
+			// and from b; a itself is in nbrs and not in its own row.
+			missing := 0
+			forEachBit(nbrs, func(a int) {
+				for j, m := range adj.row(a) {
+					missing += bits.OnesCount64(nbrs[j] &^ m)
 				}
+				missing--
+			})
+			if fill := missing / 2; fill < bestFill || (fill == bestFill && deg < bestDeg) {
+				best, bestFill, bestDeg = v, fill, deg
 			}
-			fill := 0
-			for a := 0; a < len(nbrs); a++ {
-				for b := a + 1; b < len(nbrs); b++ {
-					if !adj[nbrs[a]][nbrs[b]] {
-						fill++
-					}
-				}
-			}
-			if fill < bestFill || (fill == bestFill && len(nbrs) < bestDeg) {
-				best, bestFill, bestDeg = v, fill, len(nbrs)
-			}
-		}
+		})
 		order = append(order, best)
-		alive[best] = false
-		var nbrs []int
-		for u := range adj[best] {
-			if alive[u] {
-				nbrs = append(nbrs, u)
-			}
-		}
-		for a := 0; a < len(nbrs); a++ {
-			for b := a + 1; b < len(nbrs); b++ {
-				adj[nbrs[a]][nbrs[b]] = true
-				adj[nbrs[b]][nbrs[a]] = true
-			}
-		}
+		alive[best>>6] &^= 1 << (uint(best) & 63)
+		liveNbrs(best)
+		adj.clique(nbrs)
 	}
 	return order
 }
 
 // HeuristicDecomposition returns a min-fill tree decomposition.
 func HeuristicDecomposition(g *graph.Graph) *Decomposition {
-	return FromEliminationOrder(g, MinFillOrder(g))
+	adj := newAdjBits(g)
+	return fromEliminationOrder(adj.clone(), minFillOrder(adj))
 }
 
 // LowerBoundMMD returns the maximum-minimum-degree treewidth lower bound.
-func LowerBoundMMD(g *graph.Graph) int {
-	n := g.N()
+func LowerBoundMMD(g *graph.Graph) int { return lowerBoundMMD(newAdjBits(g)) }
+
+func lowerBoundMMD(adj adjBits) int {
+	n := adj.n
 	deg := make([]int, n)
 	alive := make([]bool, n)
-	adj := make([]map[int]bool, n)
 	for v := 0; v < n; v++ {
 		alive[v] = true
-		adj[v] = make(map[int]bool)
-		for _, u := range g.Neighbors(v) {
-			adj[v][u] = true
-		}
-		deg[v] = len(adj[v])
+		deg[v] = popcount(adj.row(v))
 	}
 	lb, remaining := 0, n
 	for remaining > 0 {
@@ -278,11 +413,11 @@ func LowerBoundMMD(g *graph.Graph) int {
 		}
 		alive[best] = false
 		remaining--
-		for u := range adj[best] {
+		forEachBit(adj.row(best), func(u int) {
 			if alive[u] {
 				deg[u]--
 			}
-		}
+		})
 	}
 	return lb
 }
@@ -298,12 +433,13 @@ func Treewidth(g *graph.Graph) (width int, dec *Decomposition, exact bool) {
 	if g.N() == 0 {
 		return -1, &Decomposition{Bags: [][]int{{}}, Parent: []int{-1}}, true
 	}
-	heur := HeuristicDecomposition(g)
+	adj := newAdjBits(g)
+	heur := fromEliminationOrder(adj.clone(), minFillOrder(adj.clone()))
 	ub := heur.Width()
 	if g.N() > exactLimit {
 		return ub, heur, false
 	}
-	lb := LowerBoundMMD(g)
+	lb := lowerBoundMMD(adj)
 	if lb >= ub {
 		return ub, heur, true
 	}

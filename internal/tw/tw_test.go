@@ -167,3 +167,56 @@ func TestTreewidthSandwichProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Rerooting at any bag keeps the decomposition valid (same bags, same
+// tree edges) and makes that bag the unique root.
+func TestRerootKeepsDecompositionValid(t *testing.T) {
+	for _, g := range []*graph.Graph{path(6), cycle(7), grid(3, 3), complete(4)} {
+		_, dec, _ := Treewidth(g)
+		for r := range dec.Bags {
+			dec.Reroot(r)
+			if dec.Parent[r] != -1 {
+				t.Fatalf("bag %d is not the root after Reroot", r)
+			}
+			if err := dec.Validate(g); err != nil {
+				t.Fatalf("reroot at %d: %v", r, err)
+			}
+		}
+	}
+}
+
+// Reduce leaves a valid decomposition of the same width in which no bag
+// contains a tree neighbour's, whatever bag it was rooted at before.
+func TestReduceContractsSubsetBags(t *testing.T) {
+	for _, g := range []*graph.Graph{path(6), cycle(7), grid(3, 3), complete(4), graph.New(1), graph.New(3)} {
+		_, ref, _ := Treewidth(g)
+		for r := range ref.Bags {
+			_, dec, _ := Treewidth(g)
+			dec.Reroot(r)
+			dec.Reduce()
+			if err := dec.Validate(g); err != nil {
+				t.Fatalf("rooted at %d: %v", r, err)
+			}
+			if dec.Width() != ref.Width() {
+				t.Fatalf("rooted at %d: width %d after Reduce, want %d", r, dec.Width(), ref.Width())
+			}
+			for i, p := range dec.Parent {
+				if p >= 0 && (subset(dec.Bags[i], dec.Bags[p]) || subset(dec.Bags[p], dec.Bags[i])) {
+					t.Fatalf("rooted at %d: bags %v and %v still nested", r, dec.Bags[i], dec.Bags[p])
+				}
+			}
+			if !subset(ref.Bags[r], dec.Bags[rootOf(dec)]) {
+				t.Fatalf("root %v no longer contains the bag %v it was rooted at", dec.Bags[rootOf(dec)], ref.Bags[r])
+			}
+		}
+	}
+}
+
+func rootOf(d *Decomposition) int {
+	for i, p := range d.Parent {
+		if p == -1 {
+			return i
+		}
+	}
+	return -1
+}
