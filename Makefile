@@ -4,9 +4,10 @@ GO ?= go
 
 # Hot-path micro-benchmarks the bench-baseline / bench-compare pair
 # tracks: bitmap intersection, prefix-index probe+build, memo-warm batch
-# serving, cold ∃-component predicate materialization.
-MICRO_BENCH = Intersect_|IndexProbe_|IndexBuild_|CountBatchInto_|Materialize_Predicate
-MICRO_PKGS  = ./internal/structure ./internal/engine ./internal/core
+# serving, cold ∃-component predicate materialization, and the Theorem
+# 3.1 front-end (cold compile, core, canonical key).
+MICRO_BENCH = Intersect_|IndexProbe_|IndexBuild_|CountBatchInto_|Materialize_Predicate|FrontEnd_
+MICRO_PKGS  = ./internal/structure ./internal/engine ./internal/core ./internal/eptrans ./internal/pp
 
 build:
 	$(GO) build ./...

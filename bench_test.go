@@ -1,4 +1,5 @@
-// Benchmarks: one family per reproduction experiment (DESIGN.md §4).
+// Benchmarks: one family per reproduction experiment (the suite in
+// internal/experiments, see its package comment).
 // The paper has no measurement tables, so these benches regenerate the
 // executable content of its worked examples and theorems; `cmd/epbench`
 // prints the corresponding human-readable tables.

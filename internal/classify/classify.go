@@ -58,7 +58,7 @@ func (c Case) Hard() bool { return c == CaseClique || c == CaseSharpClique }
 // Report carries the measured structural parameters of one pp-formula.
 type Report struct {
 	Formula pp.PP
-	// Core is the cored formula (core of the augmented structure).
+	// Core is the cored formula (pp.PP.Core).
 	Core pp.PP
 	// CoreTreewidth is the treewidth of the core's graph.
 	CoreTreewidth int
@@ -74,18 +74,12 @@ type Report struct {
 	MaxInterface int
 }
 
-// AnalyzePP measures one pp-formula.
-func AnalyzePP(p pp.PP) (Report, error) {
-	core, err := p.Core()
-	if err != nil {
-		return Report{}, err
-	}
-	return measure(p, core), nil
-}
+// AnalyzePP measures one pp-formula.  Coring is free for formulas already
+// marked cored, as the interned φ⁻af terms of the counting pipeline are.
+func AnalyzePP(p pp.PP) Report { return measure(p, p.Core()) }
 
-// AnalyzeCored measures a pp-formula that is already its own core (the
-// interned φ⁻af terms of the counting pipeline are cored by
-// construction), skipping the iterated-retraction core search.
+// AnalyzeCored measures a pp-formula the caller vouches is its own core,
+// without looking for a retraction.
 func AnalyzeCored(p pp.PP) Report { return measure(p, p) }
 
 func measure(p, core pp.PP) Report {
@@ -140,13 +134,10 @@ func (v Verdict) String() string {
 // width bounds (wCore, wContract): the verdict is the Theorem 3.2 case of
 // any family whose members stay within the measured maxima iff those
 // maxima respect the bounds.
-func ClassifyPPSet(pps []pp.PP, wCore, wContract int) (Verdict, error) {
+func ClassifyPPSet(pps []pp.PP, wCore, wContract int) Verdict {
 	v := Verdict{WCore: wCore, WContract: wContract, AllWidthsExact: true, LimitingFormulaID: -1}
 	for i, p := range pps {
-		r, err := AnalyzePP(p)
-		if err != nil {
-			return Verdict{}, err
-		}
+		r := AnalyzePP(p)
 		v.Reports = append(v.Reports, r)
 		if r.CoreTreewidth > v.MaxCoreTW || r.ContractTreewidth > v.MaxContractTW {
 			v.LimitingFormulaID = i
@@ -169,7 +160,7 @@ func ClassifyPPSet(pps []pp.PP, wCore, wContract int) (Verdict, error) {
 	default:
 		v.Case = CaseSharpClique
 	}
-	return v, nil
+	return v
 }
 
 // ClassifyEP compiles an ep-query to φ⁺ (Theorem 3.1) and classifies the
@@ -180,10 +171,7 @@ func ClassifyEP(q logic.Query, sig *structure.Signature, wCore, wContract int) (
 	if err != nil {
 		return Verdict{}, nil, err
 	}
-	v, err := ClassifyPPSet(c.Plus, wCore, wContract)
-	if err != nil {
-		return Verdict{}, nil, err
-	}
+	v := ClassifyPPSet(c.Plus, wCore, wContract)
 	return v, c, nil
 }
 

@@ -95,10 +95,7 @@ func TestAnalyzeStarQuery(t *testing.T) {
 }
 
 func TestAnalyzePPReportFields(t *testing.T) {
-	r, err := AnalyzePP(singlePP(t, workload.PathQuery(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := AnalyzePP(singlePP(t, workload.PathQuery(3)))
 	if r.NumExistsComponents != 1 {
 		t.Fatalf("∃-components = %d, want 1 (the quantified interior)", r.NumExistsComponents)
 	}
@@ -106,10 +103,7 @@ func TestAnalyzePPReportFields(t *testing.T) {
 		t.Fatalf("max interface = %d, want 2 ({s,t})", r.MaxInterface)
 	}
 	// Quantifier-free edge: no ∃-components.
-	r, err = AnalyzePP(singlePP(t, workload.PathQuery(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r = AnalyzePP(singlePP(t, workload.PathQuery(1)))
 	if r.NumExistsComponents != 0 {
 		t.Fatalf("edge query ∃-components = %d, want 0", r.NumExistsComponents)
 	}

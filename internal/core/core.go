@@ -422,7 +422,7 @@ func (c *Counter) Answers(b *structure.Structure, limit int, fn func(count.Answe
 // Classify returns the trichotomy verdict of the compiled query's φ⁺
 // relative to the supplied width bounds.
 func (c *Counter) Classify(wCore, wContract int) (classify.Verdict, error) {
-	return classify.ClassifyPPSet(c.Compiled.Plus, wCore, wContract)
+	return classify.ClassifyPPSet(c.Compiled.Plus, wCore, wContract), nil
 }
 
 // Stats is a snapshot of the counter's term-interning and caching

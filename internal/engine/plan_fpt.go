@@ -98,11 +98,7 @@ type planComponent struct {
 func newFPTPlan(p pp.PP, name Name, useCore bool) (*fptPlan, error) {
 	d := p
 	if useCore {
-		var err error
-		d, err = p.Core()
-		if err != nil {
-			return nil, err
-		}
+		d = p.Core()
 	}
 	plan := &fptPlan{name: name, p: p, sig: p.A.Signature()}
 	for _, comp := range d.Components() {

@@ -76,7 +76,8 @@ func (c *Compiled) plusIndex(psi pp.PP) int {
 // (The paper's Appendix A uses the disjoint union of all φ⁻af structures
 // as the product factor; using ψ's own structure is an equally valid
 // choice of the reduction's per-parameter data and avoids a subtlety with
-// disconnected sentence disjuncts — see DESIGN.md.)
+// disconnected sentence disjuncts: a sentence disjunct split over several
+// φ⁻af structures could hold on their union while failing on each.)
 func CountPPViaEP(c *Compiled, psi pp.PP, b *structure.Structure, oracle EPOracle) (*big.Int, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err

@@ -260,10 +260,7 @@ func RunA4(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cored, err := p.Core()
-		if err != nil {
-			return nil, err
-		}
+		cored := p.Core()
 		var vCore, vNo *big.Int
 		dCore, err := timed(func() error {
 			var e error

@@ -1,5 +1,5 @@
 // Package experiments implements the reproduction experiment suite
-// E1–E10 and the ablations A1–A5 documented in DESIGN.md §4, plus the
+// E1–E10 and the ablations A1–A6 (one Spec each, listed by All), plus the
 // system-level S-series (S1: epserved service throughput under
 // concurrent HTTP clients; S2: delta maintenance on append streams)
 // and D-series (D1: durability cost by fsync policy, every row

@@ -7,12 +7,14 @@ type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
-func fullBitset(n int) bitset {
-	b := newBitset(n)
-	for i := 0; i < n; i++ {
-		b.set(i)
+// fill makes b the set {0, …, n-1}; n must not exceed b's capacity.
+func (b bitset) fill(n int) {
+	for i := range b {
+		b[i] = ^uint64(0)
 	}
-	return b
+	if r := n % 64; r != 0 {
+		b[len(b)-1] = 1<<r - 1
+	}
 }
 
 func (b bitset) set(i int)      { b[i/64] |= 1 << (i % 64) }
@@ -23,12 +25,6 @@ func (b bitset) zero() {
 	for i := range b {
 		b[i] = 0
 	}
-}
-
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
-	copy(c, b)
-	return c
 }
 
 func (b bitset) count() int {

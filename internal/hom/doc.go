@@ -4,7 +4,11 @@
 // tuple of B (Section 2.1).  The engine is a constraint solver: variables
 // are A's elements, domains are subsets of B's elements, the constraints
 // are A's tuples; it supports pinned partial maps, restricted domains,
-// injectivity groups (for the bijection searches of Theorem 5.4), and
+// injectivity groups (for the bijection searches of Theorem 5.4),
 // enumeration of the assignments of a projection set that extend to a
-// homomorphism (the counting semantics of pp-formulas).
+// homomorphism (the counting semantics of pp-formulas), and Retract, the
+// core of a structure under endomorphisms fixing chosen elements.  The
+// query front-end (entailment, cores) runs on this solver directly: a pin
+// per liberal variable stands for the singleton relations of the paper's
+// aug(A,S).
 package hom

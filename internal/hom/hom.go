@@ -21,7 +21,6 @@ type Options struct {
 }
 
 type constraint struct {
-	rel  string
 	vars []int // A-element per position
 
 	// brel/bcols are B's columnar relation store and its column views,
@@ -37,8 +36,7 @@ type solver struct {
 	nA, nB  int
 	cons    []constraint
 	consOf  [][]int // A-element -> indices into cons
-	allDiff []bool  // A-element -> participates in the alldiff group
-	hasAD   bool
+	allDiff []bool  // A-element -> participates in the alldiff group (nil: none)
 	initDom []bitset
 	initErr error
 
@@ -46,11 +44,15 @@ type solver struct {
 	// per entry) recycled across search branches; supBuf is the pooled
 	// per-position support scratch of propagate; candBuf is the pooled
 	// candidate-row word bitmap the posting-bitmap union accumulates
-	// into.  A solver serves one call and is single-threaded, so no
-	// locking is needed.
+	// into; queue/inQueue are propagate's worklist and assign is search's
+	// solution buffer.  A solver serves one call and is single-threaded,
+	// so no locking is needed.
 	domFree [][]bitset
 	supBuf  []bitset
 	candBuf []uint64
+	queue   []int
+	inQueue []bool
+	assign  []int
 }
 
 // candWords returns a zeroed word bitmap covering n rows from the pooled
@@ -77,12 +79,20 @@ func (s *solver) cloneDoms(dom []bitset) []bitset {
 		}
 		return d
 	}
+	d := s.newDoms()
+	for v := range dom {
+		copy(d[v], dom[v])
+	}
+	return d
+}
+
+// newDoms returns nA empty domains over one flat backing array.
+func (s *solver) newDoms() []bitset {
 	words := (s.nB + 63) / 64
 	flat := make([]uint64, s.nA*words)
 	d := make([]bitset, s.nA)
-	for v := range dom {
-		d[v] = flat[v*words : (v+1)*words]
-		copy(d[v], dom[v])
+	for v := range d {
+		d[v] = flat[v*words : (v+1)*words : (v+1)*words]
 	}
 	return d
 }
@@ -103,9 +113,27 @@ func (s *solver) supports(ar int) []bitset {
 
 func newSolver(A, B *structure.Structure, opts Options) *solver {
 	s := &solver{A: A, B: B, nA: A.Size(), nB: B.Size()}
-	s.consOf = make([][]int, s.nA)
-	for _, r := range A.Signature().Rels() {
-		brel := B.Rel(r.Name)
+	sig := A.Signature()
+	nCons, nSlots := 0, 0
+	for i := 0; i < sig.NumRels(); i++ {
+		r := sig.Rel(i)
+		n := A.Rel(r.Name).Len()
+		nCons += n
+		nSlots += n * r.Arity
+	}
+	// One constraint per A-tuple; the vars slices, the consOf lists and
+	// the solver's int scratch are carved out of one array.
+	ints := make([]int, 2*nSlots+nCons+2*s.nA)
+	carve := func(n int) []int {
+		out := ints[:n:n]
+		ints = ints[n:]
+		return out
+	}
+	flat, deg := carve(nSlots), carve(s.nA)
+	s.cons = make([]constraint, 0, nCons)
+	for i := 0; i < sig.NumRels(); i++ {
+		r := sig.Rel(i)
+		arel, brel := A.Rel(r.Name), B.Rel(r.Name)
 		var bcols [][]int32
 		if brel != nil {
 			bcols = make([][]int32, r.Arity)
@@ -113,66 +141,87 @@ func newSolver(A, B *structure.Structure, opts Options) *solver {
 				bcols[p] = brel.Col(p)
 			}
 		}
-		A.ForEachTuple(r.Name, func(t []int) bool {
-			ci := len(s.cons)
-			s.cons = append(s.cons, constraint{
-				rel:   r.Name,
-				vars:  append([]int(nil), t...),
-				brel:  brel,
-				bcols: bcols,
-			})
-			seen := map[int]bool{}
-			for _, v := range t {
-				if !seen[v] {
-					seen[v] = true
-					s.consOf[v] = append(s.consOf[v], ci)
+		for row, n := 0, arel.Len(); row < n; row++ {
+			vars := arel.Row(row, flat[:r.Arity:r.Arity])
+			flat = flat[r.Arity:]
+			s.cons = append(s.cons, constraint{vars: vars, brel: brel, bcols: bcols})
+			for p, v := range vars {
+				if firstAt(vars, p) {
+					deg[v]++
 				}
 			}
-			return true
-		})
+		}
 	}
-	s.allDiff = make([]bool, s.nA)
-	for _, v := range opts.AllDiff {
-		s.allDiff[v] = true
-		s.hasAD = true
+	s.consOf = make([][]int, s.nA)
+	flat = carve(nSlots)
+	for v, d := range deg {
+		s.consOf[v] = flat[:0:d]
+		flat = flat[d:]
 	}
-	// Initial domains.
-	dom := make([]bitset, s.nA)
-	for v := 0; v < s.nA; v++ {
-		dom[v] = fullBitset(s.nB)
-	}
-	for v, allowed := range opts.Restrict {
-		nb := newBitset(s.nB)
-		for _, b := range allowed {
-			if b >= 0 && b < s.nB {
-				nb.set(b)
+	for ci, c := range s.cons {
+		for p, v := range c.vars {
+			if firstAt(c.vars, p) {
+				s.consOf[v] = append(s.consOf[v], ci)
 			}
 		}
-		dom[v] = nb
+	}
+	s.queue, s.assign = carve(nCons)[:0], carve(s.nA)
+	s.inQueue = make([]bool, nCons)
+	if len(opts.AllDiff) > 0 {
+		s.allDiff = make([]bool, s.nA)
+		for _, v := range opts.AllDiff {
+			s.allDiff[v] = true
+		}
+	}
+	// Initial domains.
+	dom := s.newDoms()
+	for v := range dom {
+		dom[v].fill(s.nB)
+	}
+	for v, allowed := range opts.Restrict {
+		dom[v].zero()
+		for _, b := range allowed {
+			if b >= 0 && b < s.nB {
+				dom[v].set(b)
+			}
+		}
 	}
 	for v, b := range opts.Pin {
 		if b < 0 || b >= s.nB || !dom[v].has(b) {
 			s.initErr = fmt.Errorf("hom: pin %d→%d outside domain", v, b)
 			return s
 		}
-		nb := newBitset(s.nB)
-		nb.set(b)
-		dom[v] = nb
+		dom[v].zero()
+		dom[v].set(b)
 	}
 	s.initDom = dom
 	return s
 }
 
-// propagate runs generalized arc consistency to a fixpoint on dom,
-// starting from the given constraint queue (nil = all constraints).
-// It returns false if some domain became empty.
-func (s *solver) propagate(dom []bitset, queue []int) bool {
-	inQueue := make([]bool, len(s.cons))
-	if queue == nil {
-		queue = make([]int, len(s.cons))
-		for i := range queue {
-			queue[i] = i
+// firstAt reports whether position p is the first occurrence of vars[p].
+func firstAt(vars []int, p int) bool {
+	for q := 0; q < p; q++ {
+		if vars[q] == vars[p] {
+			return false
 		}
+	}
+	return true
+}
+
+// propagate runs generalized arc consistency to a fixpoint on dom,
+// starting from the constraints of A-element from (from < 0: all
+// constraints).  It returns false if some domain became empty.
+func (s *solver) propagate(dom []bitset, from int) bool {
+	queue, inQueue := s.queue[:0], s.inQueue
+	if from < 0 {
+		for ci := range s.cons {
+			queue = append(queue, ci)
+		}
+	} else {
+		queue = append(queue, s.consOf[from]...)
+	}
+	for i := range inQueue {
+		inQueue[i] = false
 	}
 	for _, ci := range queue {
 		inQueue[ci] = true
@@ -270,7 +319,7 @@ func addRowSupport(vars []int, bcols [][]int32, dom []bitset, support []bitset, 
 // members once some alldiff member's domain is the singleton {b}.
 // Returns false on wipeout.  (Weak alldiff propagation; sound.)
 func (s *solver) propagateAllDiff(dom []bitset) bool {
-	if !s.hasAD {
+	if s.allDiff == nil {
 		return true
 	}
 	changed := true
@@ -298,73 +347,67 @@ func (s *solver) propagateAllDiff(dom []bitset) bool {
 	return true
 }
 
-// search runs backtracking search over the variables in varOrder (others
-// are still propagated but only need non-empty domains if decided=false…
-// varOrder must cover all of A's elements for a full homomorphism).
-// onSolution is invoked with the value of each variable; returning false
-// stops the search.  Returns true if the search was stopped early.
+// search runs backtracking search from the (propagated) domains dom.
+// onSolution is invoked with the value of each variable in a buffer the
+// solver reuses (copy to retain); returning false stops the search.
+// Returns true if the search was stopped early.
 func (s *solver) search(dom []bitset, onSolution func(assign []int) bool) bool {
-	assign := make([]int, s.nA)
-	var rec func(dom []bitset) bool
-	rec = func(dom []bitset) bool {
-		// MRV: pick unfixed variable with smallest domain > 1.
-		pick, pickCnt := -1, 1<<30
-		for v := 0; v < s.nA; v++ {
-			c := dom[v].count()
-			if c == 0 {
-				return true
-			}
-			if c > 1 && c < pickCnt {
-				pick, pickCnt = v, c
-			}
+	return !s.searchRec(dom, onSolution)
+}
+
+// searchRec reports whether the search should continue.
+func (s *solver) searchRec(dom []bitset, onSolution func(assign []int) bool) bool {
+	// MRV: pick unfixed variable with smallest domain > 1.
+	pick, pickCnt := -1, 1<<30
+	for v := 0; v < s.nA; v++ {
+		c := dom[v].count()
+		if c == 0 {
+			return true
 		}
-		if pick == -1 {
+		if c > 1 && c < pickCnt {
+			pick, pickCnt = v, c
+		}
+	}
+	if pick == -1 {
+		assign := s.assign
+		for v := 0; v < s.nA; v++ {
+			assign[v] = dom[v].first()
+		}
+		// GAC can fix variables without passing through the alldiff
+		// propagator, so re-verify injectivity at the leaf.
+		if s.allDiff != nil {
 			for v := 0; v < s.nA; v++ {
-				assign[v] = dom[v].first()
-			}
-			// GAC can fix variables without passing through the alldiff
-			// propagator, so re-verify injectivity at the leaf.
-			if s.hasAD {
-				seen := make(map[int]bool)
-				for v := 0; v < s.nA; v++ {
-					if s.allDiff[v] {
-						if seen[assign[v]] {
-							return true
-						}
-						seen[assign[v]] = true
+				for u := 0; u < v && s.allDiff[v]; u++ {
+					if s.allDiff[u] && assign[u] == assign[v] {
+						return true
 					}
 				}
 			}
-			return onSolution(assign)
 		}
-		cont := true
-		dom[pick].forEach(func(b int) bool {
-			nd := s.cloneDoms(dom)
-			nd[pick].zero()
-			nd[pick].set(b)
-			if s.propagateAllDiff(nd) && s.propagate(nd, append([]int(nil), s.consOf[pick]...)) {
-				cont = rec(nd)
-			}
-			s.releaseDoms(nd)
-			return cont
-		})
-		return cont
+		return onSolution(assign)
 	}
-	return !rec(dom)
+	cont := true
+	dom[pick].forEach(func(b int) bool {
+		nd := s.cloneDoms(dom)
+		nd[pick].zero()
+		nd[pick].set(b)
+		if s.propagateAllDiff(nd) && s.propagate(nd, pick) {
+			cont = s.searchRec(nd, onSolution)
+		}
+		s.releaseDoms(nd)
+		return cont
+	})
+	return cont
 }
 
+// initialDomains propagates the solver's initial domains in place and
+// returns them; a solver hands them out once.
 func (s *solver) initialDomains() ([]bitset, bool) {
 	if s.initErr != nil {
 		return nil, false
 	}
-	dom := make([]bitset, s.nA)
-	for v := range dom {
-		dom[v] = s.initDom[v].clone()
-	}
-	if !s.propagateAllDiff(dom) {
-		return nil, false
-	}
-	if !s.propagate(dom, nil) {
+	dom := s.initDom
+	if !s.propagateAllDiff(dom) || !s.propagate(dom, -1) {
 		return nil, false
 	}
 	return dom, true
@@ -379,11 +422,10 @@ func Find(A, B *structure.Structure, opts Options) ([]int, bool) {
 		return nil, false
 	}
 	var sol []int
-	stopped := s.search(dom, func(assign []int) bool {
+	s.search(dom, func(assign []int) bool {
 		sol = append([]int(nil), assign...)
 		return false
 	})
-	_ = stopped
 	return sol, sol != nil
 }
 
@@ -443,7 +485,7 @@ func ForEachExtendable(A, B *structure.Structure, proj []int, opts Options, fn f
 			nd := s.cloneDoms(dom)
 			nd[v].zero()
 			nd[v].set(b)
-			if s.propagateAllDiff(nd) && s.propagate(nd, append([]int(nil), s.consOf[v]...)) {
+			if s.propagateAllDiff(nd) && s.propagate(nd, v) {
 				vals[i] = b
 				cont = rec(i+1, nd)
 			}
@@ -469,6 +511,64 @@ func FindBijectionOn(A, B *structure.Structure, SA, SB []int) ([]int, bool) {
 		restrict[a] = append([]int(nil), SB...)
 	}
 	return Find(A, B, Options{Restrict: restrict, AllDiff: append([]int(nil), SA...)})
+}
+
+// Retract returns, in increasing order, the elements of a core of A under
+// the endomorphisms that fix every element of fixed pointwise: an induced
+// substructure A[I] ⊇ fixed that A maps onto and that has no proper
+// endomorphism of that kind (it is unique up to isomorphism).
+//
+// One solver on (A, A) serves the whole computation.  Pinning fixed is
+// the constraint-solver form of augmenting A with a singleton unary
+// relation per fixed element.  The codomain is a shrinking mask I: since
+// A maps into A[I], A[I] has an endomorphism missing v iff A maps into
+// A[I∖{v}], which is decided on cloned domains with v's bit cleared;
+// a witness h shrinks I to h(I).  A vertex that cannot be dropped from I
+// cannot be dropped from any subset of I either, so one pass over the
+// vertices reaches the core.
+func Retract(A *structure.Structure, fixed []int) []int {
+	s := newSolver(A, A, Options{})
+	for _, v := range fixed {
+		s.initDom[v].zero()
+		s.initDom[v].set(v)
+	}
+	// base is the arc-consistent closure of "fixed pinned, codomain I".
+	// The identity is a solution, so no domain empties.
+	base, _ := s.initialDomains()
+	inI, img := newBitset(s.nA), newBitset(s.nA)
+	inI.fill(s.nA)
+	for v := 0; v < s.nA; v++ {
+		if !inI.has(v) || (base[v].has(v) && base[v].count() == 1) {
+			// Already dropped, or every solution maps v to itself.
+			continue
+		}
+		nd := s.cloneDoms(base)
+		for u := range nd {
+			nd[u].clear(v)
+		}
+		dropped := s.propagate(nd, -1) && s.search(nd, func(h []int) bool {
+			img.zero()
+			inI.forEach(func(u int) bool {
+				img.set(h[u])
+				return true
+			})
+			return false
+		})
+		s.releaseDoms(nd)
+		if dropped {
+			copy(inI, img)
+			for u := range base {
+				base[u].intersect(inI)
+			}
+			s.propagate(base, -1)
+		}
+	}
+	keep := make([]int, 0, inI.count())
+	inI.forEach(func(v int) bool {
+		keep = append(keep, v)
+		return true
+	})
+	return keep
 }
 
 // SortElems returns a sorted copy of indices (utility shared by callers).

@@ -259,3 +259,34 @@ func TestExistsMatchesCountProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Retract: a directed path a→b→c with a second branch a→d folds d onto b;
+// fixing d keeps it; a cycle with a chord-free tail is its own core once
+// the tail's end is fixed.
+func TestRetract(t *testing.T) {
+	a := pathStruct(3) // a→b→c
+	d := a.FreshElem("d")
+	_ = a.AddTuple("E", 0, d)
+	if got := Retract(a, nil); len(got) != 3 {
+		t.Fatalf("core of the forked path = %v, want 3 elements", got)
+	}
+	if got := Retract(a, []int{d}); len(got) != 4 {
+		t.Fatalf("fixing the fork's tip must keep it: %v", got)
+	}
+	// The kept set must induce a substructure A maps into, fixing `fixed`.
+	keep := Retract(a, []int{0})
+	sub, old2new := a.Induced(keep)
+	if !Exists(a, sub, Options{Pin: map[int]int{0: old2new[0]}}) {
+		t.Fatalf("A does not retract onto A[%v]", keep)
+	}
+	// A structure with a loop retracts onto the loop.
+	l := cycleStruct(3)
+	_ = l.AddTuple("E", 1, 1)
+	if got := Retract(l, nil); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("core of a looped cycle = %v, want [1]", got)
+	}
+	// A directed cycle is a core.
+	if got := Retract(cycleStruct(4), nil); len(got) != 4 {
+		t.Fatalf("directed C4 is a core, got %v", got)
+	}
+}

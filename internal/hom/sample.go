@@ -81,7 +81,7 @@ func (sp *Sampler) Sample(rng *rand.Rand) float64 {
 		w *= float64(c)
 		dom[v].zero()
 		dom[v].set(pick)
-		if !sp.s.propagate(dom, append([]int(nil), sp.s.consOf[v]...)) {
+		if !sp.s.propagate(dom, v) {
 			return 0
 		}
 	}

@@ -25,38 +25,51 @@ type Term struct {
 // MaxDisjuncts caps the 2^s inclusion–exclusion expansion.
 const MaxDisjuncts = 20
 
-// RawTerms returns the unmerged inclusion–exclusion expansion: for every
-// non-empty J ⊆ [s], the conjunction ⋀_{j∈J} φ_j with coefficient
+// expand emits, in increasing order of the subset's bit mask, one term per
+// non-empty J ⊆ [s]: the formula build returns for J with coefficient
 // (-1)^{|J|+1} (equation (1) in Section 5.3).
-func RawTerms(disjuncts []pp.PP) ([]Term, error) {
-	s := len(disjuncts)
-	if s == 0 {
-		return nil, nil
-	}
+func expand(s int, build func(mask int, subset []int) (pp.PP, error), emit func(Term) error) error {
 	if s > MaxDisjuncts {
-		return nil, fmt.Errorf("ie: %d disjuncts exceed the 2^s expansion cap of %d", s, MaxDisjuncts)
+		return fmt.Errorf("ie: %d disjuncts exceed the 2^s expansion cap of %d", s, MaxDisjuncts)
 	}
-	var out []Term
 	for mask := 1; mask < 1<<s; mask++ {
 		var subset []int
-		var parts []pp.PP
 		for j := 0; j < s; j++ {
 			if mask&(1<<j) != 0 {
 				subset = append(subset, j)
-				parts = append(parts, disjuncts[j])
 			}
 		}
-		conj, err := pp.Conjoin(parts...)
+		f, err := build(mask, subset)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		coeff := big.NewInt(1)
 		if len(subset)%2 == 0 {
 			coeff.SetInt64(-1)
 		}
-		out = append(out, Term{Formula: conj, Coeff: coeff, Subset: subset})
+		if err := emit(Term{Formula: f, Coeff: coeff, Subset: subset}); err != nil {
+			return err
+		}
 	}
-	return out, nil
+	return nil
+}
+
+// RawTerms returns the unmerged inclusion–exclusion expansion: for every
+// non-empty J ⊆ [s], the conjunction ⋀_{j∈J} φ_j with coefficient
+// (-1)^{|J|+1}.
+func RawTerms(disjuncts []pp.PP) ([]Term, error) {
+	var out []Term
+	err := expand(len(disjuncts), func(_ int, subset []int) (pp.PP, error) {
+		parts := make([]pp.PP, len(subset))
+		for i, j := range subset {
+			parts[i] = disjuncts[j]
+		}
+		return pp.Conjoin(parts...)
+	}, func(t Term) error {
+		out = append(out, t)
+		return nil
+	})
+	return out, err
 }
 
 // Merge combines counting-equivalent terms, summing coefficients, and
@@ -86,21 +99,48 @@ func Merge(terms []Term) ([]Term, error) {
 // recursive peeling depends on.  Terms exceeding the canonical-labeling
 // budget are classified by the pool's pairwise Theorem 5.4 fallback.
 func MergeInto(pool *term.Pool, terms []Term) ([]Term, error) {
-	if pool.Stats().Raw != 0 {
-		return nil, fmt.Errorf("ie: MergeInto requires a fresh pool")
+	m, err := newMerger(pool)
+	if err != nil {
+		return nil, err
 	}
-	subsets := make(map[int][]int)
 	for _, t := range terms {
-		idx, err := pool.Add(t.Formula, t.Coeff)
-		if err != nil {
+		if err := m.intern(t); err != nil {
 			return nil, err
 		}
-		if _, seen := subsets[idx]; !seen {
-			subsets[idx] = append([]int(nil), t.Subset...)
-		}
 	}
+	return m.liveTerms(), nil
+}
+
+// merger interns terms into a pool, remembering for every counting class
+// the subset of the first term that landed in it.
+type merger struct {
+	pool    *term.Pool
+	subsets map[int][]int // class index → witnessing subset
+}
+
+func newMerger(pool *term.Pool) (*merger, error) {
+	if pool.Stats().Raw != 0 {
+		return nil, fmt.Errorf("ie: merging requires a fresh pool")
+	}
+	return &merger{pool: pool, subsets: make(map[int][]int)}, nil
+}
+
+func (m *merger) intern(t Term) error {
+	idx, err := m.pool.Add(t.Formula, t.Coeff)
+	if err != nil {
+		return err
+	}
+	if _, seen := m.subsets[idx]; !seen {
+		m.subsets[idx] = append([]int(nil), t.Subset...)
+	}
+	return nil
+}
+
+// liveTerms returns one Term per counting class of the pool with a
+// non-zero merged coefficient, in first-seen order.
+func (m *merger) liveTerms() []Term {
 	var out []Term
-	for idx, e := range pool.Terms() {
+	for idx, e := range m.pool.Terms() {
 		if e.Coeff.Sign() == 0 {
 			continue
 		}
@@ -108,10 +148,10 @@ func MergeInto(pool *term.Pool, terms []Term) ([]Term, error) {
 			Formula: e.Formula,
 			Coeff:   new(big.Int).Set(e.Coeff),
 			FP:      e.FP,
-			Subset:  subsets[idx],
+			Subset:  m.subsets[idx],
 		})
 	}
-	return out, nil
+	return out
 }
 
 // PhiStar computes φ* for an all-free disjunction: the cancelled
@@ -122,12 +162,36 @@ func PhiStar(disjuncts []pp.PP) ([]Term, error) {
 
 // PhiStarInto is PhiStar interning through the supplied (fresh) pool, so
 // the caller keeps the per-class statistics and fingerprints.
+//
+// It interns the same 2^s-1 terms as MergeInto(pool, RawTerms(disjuncts))
+// in the same order, but builds each φ_J as core(φ_{J∖{max J}}) ∧ φ_{max J}
+// — logically equivalent to ⋀_{j∈J} φ_j, and a much smaller input to the
+// core computation than the conjunction of the raw disjuncts.
 func PhiStarInto(pool *term.Pool, disjuncts []pp.PP) ([]Term, error) {
-	raw, err := RawTerms(disjuncts)
+	m, err := newMerger(pool)
 	if err != nil {
 		return nil, err
 	}
-	return MergeInto(pool, raw)
+	var cored []pp.PP // core(φ_J) by J's bit mask
+	err = expand(len(disjuncts), func(mask int, subset []int) (pp.PP, error) {
+		if cored == nil {
+			cored = make([]pp.PP, 1<<len(disjuncts))
+		}
+		hi := subset[len(subset)-1]
+		f := disjuncts[hi]
+		if rest := mask &^ (1 << hi); rest != 0 {
+			var err error
+			if f, err = pp.Conjoin(cored[rest], f); err != nil {
+				return pp.PP{}, err
+			}
+		}
+		cored[mask] = f.Core()
+		return cored[mask], nil
+	}, m.intern)
+	if err != nil {
+		return nil, err
+	}
+	return m.liveTerms(), nil
 }
 
 // newPool returns a pool honoring the package's test hook.

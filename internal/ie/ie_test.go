@@ -1,6 +1,7 @@
 package ie_test
 
 import (
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -335,5 +336,47 @@ func TestMergeFallbackAgreesWithCanonical(t *testing.T) {
 	}
 	if len(star) != 1 {
 		t.Fatalf("fallback path: φ* terms = %d, want 1", len(star))
+	}
+}
+
+// PhiStarInto builds φ_J from the core of φ_J∖max; it must intern the same
+// classes with the same coefficients, in the same order and with the same
+// witnessing subsets, as merging the raw conjunctions.
+func TestPhiStarMatchesMergedRawTerms(t *testing.T) {
+	sig := edgeSig()
+	for seed := int64(0); seed < 60; seed++ {
+		q := workload.RandomEPQuery(sig, 4, 5, 2, 4, seed)
+		var ds []pp.PP
+		for _, d := range q.Disjuncts() {
+			p, err := pp.FromDisjunct(sig, q.Lib, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.IsFree() {
+				ds = append(ds, p)
+			}
+		}
+		raw, err := ie.RawTerms(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ie.Merge(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ie.PhiStar(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d terms, merged raw terms give %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].FP != want[i].FP || got[i].Coeff.Cmp(want[i].Coeff) != 0 ||
+				fmt.Sprint(got[i].Subset) != fmt.Sprint(want[i].Subset) {
+				t.Fatalf("seed %d term %d: (%v, %q, %v), merged raw terms give (%v, %q, %v)", seed, i,
+					got[i].Coeff, got[i].FP, got[i].Subset, want[i].Coeff, want[i].FP, want[i].Subset)
+			}
+		}
 	}
 }

@@ -140,10 +140,7 @@ func TestCanonicalAgreesWithRenamingEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := p.Core()
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := p.Core()
 		return c
 	}
 	f := func(s1, s2 int64) bool {

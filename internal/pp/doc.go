@@ -3,7 +3,12 @@
 // pp-formula φ(S) is a pair (A, S) of a finite structure A whose universe
 // is the liberal variables S plus the quantified variables, and whose
 // tuples are φ's atoms.  The package provides the syntactic and algebraic
-// toolkit of the paper: components, augmented structures, cores,
-// ∃-components, contract graphs, conjunction, Chandra–Merlin entailment,
-// and the renaming / counting / semi-counting equivalences of Section 5.
+// toolkit of the paper: components, cores, ∃-components, contract graphs,
+// conjunction, Chandra–Merlin entailment, canonical keys, and the
+// renaming / counting / semi-counting equivalences of Section 5.
+// Entailment and cores are homomorphism questions between query-sized
+// structures and go straight to internal/hom's solver: the liberal
+// variables are pinned rather than marked by extra relations, and a core
+// is found by retraction on one solver, so the only structure Core ever
+// builds is the core itself.
 package pp

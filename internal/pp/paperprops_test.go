@@ -97,14 +97,8 @@ func TestTheorem23(t *testing.T) {
 		t.Fatal("redundant quantified twin must be logically equivalent")
 	}
 	// Isomorphic cores (the theorem's second characterization).
-	c1, err := p1.Core()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c3, err := p3.Core()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c1 := p1.Core()
+	c3 := p3.Core()
 	if c1.A.Size() != c3.A.Size() {
 		t.Fatalf("equivalent formulas with non-isomorphic cores: %d vs %d", c1.A.Size(), c3.A.Size())
 	}

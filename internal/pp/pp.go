@@ -3,6 +3,7 @@ package pp
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/graph"
@@ -17,6 +18,10 @@ import (
 type PP struct {
 	A *structure.Structure
 	S []int
+
+	// coredAt is A.Version()+1 as of the moment the formula was found to
+	// be its own core (0: not known), so the mark lapses if A is mutated.
+	coredAt uint64
 }
 
 // New validates and returns a PP over the given structure and liberal set.
@@ -119,6 +124,18 @@ func (p PP) sSet() []bool {
 	return in
 }
 
+// forEachAtom visits every tuple of every relation of A through a reused
+// buffer.
+func (p PP) forEachAtom(fn func(t []int)) {
+	sig := p.A.Signature()
+	for i := 0; i < sig.NumRels(); i++ {
+		p.A.ForEachTuple(sig.Rel(i).Name, func(t []int) bool {
+			fn(t)
+			return true
+		})
+	}
+}
+
 // String renders the formula as "(x,y) | exists u. E(x,u) & E(u,y)".
 func (p PP) String() string {
 	d := p.ToDisjunct()
@@ -132,14 +149,11 @@ func (p PP) IsLiberal() bool { return len(p.S) > 0 }
 // these are exactly free(φ).
 func (p PP) FreeElems() []int {
 	occurs := make([]bool, p.A.Size())
-	for _, r := range p.A.Signature().Rels() {
-		p.A.ForEachTuple(r.Name, func(t []int) bool {
-			for _, v := range t {
-				occurs[v] = true
-			}
-			return true
-		})
-	}
+	p.forEachAtom(func(t []int) {
+		for _, v := range t {
+			occurs[v] = true
+		}
+	})
 	var out []int
 	for _, v := range p.S {
 		if occurs[v] {
@@ -161,16 +175,13 @@ func (p PP) IsFree() bool { return !p.IsSentence() }
 // "Graphs").
 func (p PP) Graph() *graph.Graph {
 	g := graph.New(p.A.Size())
-	for _, r := range p.A.Signature().Rels() {
-		p.A.ForEachTuple(r.Name, func(t []int) bool {
-			for i := 0; i < len(t); i++ {
-				for j := i + 1; j < len(t); j++ {
-					g.AddEdge(t[i], t[j])
-				}
+	p.forEachAtom(func(t []int) {
+		for i := 0; i < len(t); i++ {
+			for j := i + 1; j < len(t); j++ {
+				g.AddEdge(t[i], t[j])
 			}
-			return true
-		})
-	}
+		}
+	})
 	return g
 }
 
@@ -232,79 +243,38 @@ func (p PP) Hat() (PP, error) {
 	return New(sub, s)
 }
 
-// libRelPrefix marks the augmented pinning relations R_a (Section 2.1).
-const libRelPrefix = "@lib:"
-
-// Aug returns the augmented structure aug(A,S) over the expanded
-// vocabulary τ ∪ {R_a | a ∈ S} with R_a = {a}.  Homomorphisms between
-// augmented structures must fix liberal variables pointwise (by name),
-// which is exactly Chandra–Merlin entailment with designated variables
-// (Theorem 2.3).
-func (p PP) Aug() (*structure.Structure, error) {
-	extra := make([]structure.RelSym, 0, len(p.S))
-	for _, v := range p.S {
-		extra = append(extra, structure.RelSym{Name: libRelPrefix + p.A.ElemName(v), Arity: 1})
+// libPins maps every liberal element of q to the liberal element of p
+// carrying the same name.  Pinning q's liberal variables this way is the
+// constraint-solver form of the augmented structures aug(A,S) of Section
+// 2.1 (a singleton relation R_a = {a} per liberal variable): a pinned
+// homomorphism q.A → p.A is exactly a homomorphism aug(q) → aug(p).
+func libPins(q, p PP) (map[int]int, error) {
+	if !p.A.Signature().Equal(q.A.Signature()) {
+		return nil, fmt.Errorf("pp: entailment across different signatures")
 	}
-	sig, err := p.A.Signature().Extend(extra...)
-	if err != nil {
-		return nil, err
-	}
-	out, err := p.A.WithSignature(sig)
-	if err != nil {
-		return nil, err
-	}
-	for _, v := range p.S {
-		if err := out.AddTuple(libRelPrefix+p.A.ElemName(v), v); err != nil {
-			return nil, err
+	pin := make(map[int]int, len(q.S))
+	for _, v := range q.S {
+		w := p.A.ElemIndex(q.A.ElemName(v))
+		if i := sort.SearchInts(p.S, w); i < len(p.S) && p.S[i] == w {
+			pin[v] = w
 		}
 	}
-	return out, nil
-}
-
-// sameLibNames reports whether two formulas have the same set of liberal
-// variable names (required for entailment/equivalence comparisons that
-// fix the liberal variables pointwise).
-func sameLibNames(p, q PP) bool {
-	a, b := p.LibNames(), q.LibNames()
-	if len(a) != len(b) {
-		return false
+	if len(pin) != len(q.S) || len(p.S) != len(q.S) {
+		return nil, fmt.Errorf("pp: entailment requires identical liberal variables (got %v vs %v)", p.LibNames(), q.LibNames())
 	}
-	sort.Strings(a)
-	sort.Strings(b)
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return pin, nil
 }
 
 // Entails reports whether p logically entails q, i.e. every answer of p is
 // an answer of q on every structure.  By Theorem 2.3 this holds iff there
-// is a homomorphism aug(q) → aug(p).  Both formulas must share the same
-// liberal variable names and signature.
+// is a homomorphism q.A → p.A fixing the liberal variables by name.  Both
+// formulas must share the same liberal variable names and signature.
 func Entails(p, q PP) (bool, error) {
-	if !p.A.Signature().Equal(q.A.Signature()) {
-		return false, fmt.Errorf("pp: entailment across different signatures")
-	}
-	if !sameLibNames(p, q) {
-		return false, fmt.Errorf("pp: entailment requires identical liberal variables (got %v vs %v)", p.LibNames(), q.LibNames())
-	}
-	ap, err := p.Aug()
+	pin, err := libPins(q, p)
 	if err != nil {
 		return false, err
 	}
-	aq, err := q.Aug()
-	if err != nil {
-		return false, err
-	}
-	// Signatures of the two augmented structures coincide because the
-	// liberal names coincide.
-	aq2, err := aq.WithSignature(ap.Signature())
-	if err != nil {
-		return false, err
-	}
-	return hom.Exists(aq2, ap, hom.Options{}), nil
+	return hom.Exists(q.A, p.A, hom.Options{Pin: pin}), nil
 }
 
 // LogicallyEquivalent reports mutual entailment (Theorem 2.3).
@@ -316,69 +286,31 @@ func LogicallyEquivalent(p, q PP) (bool, error) {
 	return Entails(q, p)
 }
 
-// Core returns the core of the pp-formula: the core of its augmented
-// structure (Section 2.1), re-expressed over the original vocabulary.
-// The liberal variables are always retained (their pinning relations force
-// every endomorphism to fix them), so the result is again a pp-formula
-// with the same liberal variables, logically equivalent to p.
-func (p PP) Core() (PP, error) {
-	aug, err := p.Aug()
-	if err != nil {
-		return PP{}, err
-	}
-	core := coreOf(aug)
-	plain, err := core.ProjectSignature(p.A.Signature())
-	if err != nil {
-		return PP{}, err
-	}
-	var s []int
-	for _, v := range p.S {
-		idx := plain.ElemIndex(p.A.ElemName(v))
-		if idx < 0 {
-			return PP{}, fmt.Errorf("pp: core lost liberal variable %s", p.A.ElemName(v))
-		}
-		s = append(s, idx)
-	}
-	return New(plain, s)
-}
+// IsCored reports whether the formula is known to be its own core, which
+// makes Core free.
+func (p PP) IsCored() bool { return p.coredAt == p.A.Version()+1 }
 
-// coreOf computes the core of a structure by iterated proper retraction:
-// while some homomorphism X → X[X∖{v}] exists, restrict X to the image.
-func coreOf(x *structure.Structure) *structure.Structure {
-	for {
-		improved := false
-		for v := 0; v < x.Size() && !improved; v++ {
-			keep := make([]int, 0, x.Size()-1)
-			for u := 0; u < x.Size(); u++ {
-				if u != v {
-					keep = append(keep, u)
-				}
-			}
-			sub, old2new := x.Induced(keep)
-			// Hom X → sub; express as hom X → X with codomain restricted.
-			h, ok := hom.Find(x, sub, hom.Options{})
-			if !ok {
-				continue
-			}
-			// Image of h in sub; restrict sub to image (h is X → sub, its
-			// image is a retract of X by composing with inclusion).
-			imgSet := make(map[int]bool)
-			for _, b := range h {
-				imgSet[b] = true
-			}
-			img := make([]int, 0, len(imgSet))
-			for b := range imgSet {
-				img = append(img, b)
-			}
-			img = hom.SortElems(img)
-			x, _ = sub.Induced(img)
-			improved = true
-			_ = old2new
-		}
-		if !improved {
-			return x
-		}
+// Core returns the core of the pp-formula (Section 2.1): a smallest
+// induced subformula that p retracts onto by an endomorphism fixing the
+// liberal variables.  It has the same liberal variables and is logically
+// equivalent to p.  The result is marked cored; a formula that already is
+// its own core is returned as is (same structure), so coring twice costs
+// nothing.
+func (p PP) Core() PP {
+	if p.IsCored() {
+		return p
 	}
+	keep := hom.Retract(p.A, p.S)
+	if len(keep) < p.A.Size() {
+		sub, old2new := p.A.Induced(keep)
+		s := make([]int, len(p.S))
+		for i, v := range p.S {
+			s[i] = old2new[v]
+		}
+		p = PP{A: sub, S: s}
+	}
+	p.coredAt = p.A.Version() + 1
+	return p
 }
 
 // ExistsComponent is an ∃-component of a pp-formula (Section 2.4): the
@@ -485,20 +417,23 @@ func Conjoin(ps ...PP) (PP, error) {
 		if !p.A.Signature().Equal(sig) {
 			return PP{}, fmt.Errorf("pp: conjunction across different signatures")
 		}
-		if !sameLibNames(p, ps[0]) {
+		if len(p.S) != len(s) {
 			return PP{}, fmt.Errorf("pp: conjunction requires identical liberal variables")
 		}
 		// Map each element of p into out.
 		m := make([]int, p.A.Size())
 		inS := p.sSet()
 		for v := 0; v < p.A.Size(); v++ {
-			if inS[v] {
-				m[v] = libIdx[p.A.ElemName(v)]
+			if !inS[v] {
+				m[v] = out.FreshElem(p.A.ElemName(v) + "~" + strconv.Itoa(k))
+			} else if i, ok := libIdx[p.A.ElemName(v)]; ok {
+				m[v] = i
 			} else {
-				m[v] = out.FreshElem(fmt.Sprintf("%s~%d", p.A.ElemName(v), k))
+				return PP{}, fmt.Errorf("pp: conjunction requires identical liberal variables")
 			}
 		}
-		for _, r := range sig.Rels() {
+		for ri := 0; ri < sig.NumRels(); ri++ {
+			r := sig.Rel(ri)
 			var addErr error
 			nt := make([]int, r.Arity)
 			p.A.ForEachTuple(r.Name, func(t []int) bool {
@@ -521,14 +456,11 @@ func Conjoin(ps ...PP) (PP, error) {
 func (p PP) InvariantKey() string {
 	inS := p.sSet()
 	deg := make([]int, p.A.Size())
-	for _, r := range p.A.Signature().Rels() {
-		p.A.ForEachTuple(r.Name, func(t []int) bool {
-			for _, v := range t {
-				deg[v]++
-			}
-			return true
-		})
-	}
+	p.forEachAtom(func(t []int) {
+		for _, v := range t {
+			deg[v]++
+		}
+	})
 	var sDeg, qDeg []int
 	for v := 0; v < p.A.Size(); v++ {
 		if inS[v] {

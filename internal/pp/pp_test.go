@@ -224,10 +224,7 @@ func TestCoreCollapsesRedundancy(t *testing.T) {
 		Exist: []logic.Var{"u", "v"},
 		Atoms: []logic.Atom{atom("E", "x", "u"), atom("E", "x", "v")},
 	})
-	c, err := p.Core()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := p.Core()
 	if c.A.Size() != 2 {
 		t.Fatalf("core size = %d, want 2", c.A.Size())
 	}
@@ -242,10 +239,7 @@ func TestCoreKeepsLiberals(t *testing.T) {
 	p := mustPP(t, sig, []logic.Var{"x", "y", "z"}, logic.Disjunct{
 		Atoms: []logic.Atom{atom("E", "x", "y"), atom("E", "x", "z")},
 	})
-	c, err := p.Core()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := p.Core()
 	if c.A.Size() != 3 {
 		t.Fatalf("core size = %d, want 3 (liberals are pinned)", c.A.Size())
 	}
@@ -300,10 +294,7 @@ func TestExistsComponentsAndContract(t *testing.T) {
 		Exist: []logic.Var{"u"},
 		Atoms: []logic.Atom{atom("E", "s", "u"), atom("E", "u", "t")},
 	})
-	d, err := p.Core()
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := p.Core()
 	ecs := ExistsComponents(d)
 	if len(ecs) != 1 {
 		t.Fatalf("∃-components = %d, want 1", len(ecs))
@@ -327,10 +318,7 @@ func TestContractGraphStar(t *testing.T) {
 		Exist: []logic.Var{"c"},
 		Atoms: []logic.Atom{atom("E", "c", "x1"), atom("E", "c", "x2"), atom("E", "c", "x3")},
 	})
-	d, err := p.Core()
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := p.Core()
 	cg, _ := ContractGraph(d)
 	if cg.NumEdges() != 3 {
 		t.Fatalf("star contract graph edges = %d, want 3 (K3)", cg.NumEdges())
@@ -347,10 +335,7 @@ func TestContractGraphDisconnectedQuantified(t *testing.T) {
 	})
 	// Note: cored, the sentence part collapses into the liberal edge (u,v
 	// maps onto x,y), so the contract graph is a single edge.
-	d, err := p.Core()
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := p.Core()
 	cg, sv := ContractGraph(d)
 	if len(sv) != 2 || !cg.HasEdge(0, 1) {
 		t.Fatal("contract graph should be the edge {x,y}")

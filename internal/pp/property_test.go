@@ -36,14 +36,8 @@ func randomPP(t *testing.T, seed int64) PP {
 func TestCoreIdempotentAndEquivalent(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		p := randomPP(t, seed)
-		c1, err := p.Core()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c2, err := c1.Core()
-		if err != nil {
-			t.Fatal(err)
-		}
+		c1 := p.Core()
+		c2 := c1.Core()
 		if c2.A.Size() != c1.A.Size() {
 			t.Fatalf("seed %d: core not idempotent (%d → %d)", seed, c1.A.Size(), c2.A.Size())
 		}

@@ -17,6 +17,7 @@ type RelSym struct {
 type Signature struct {
 	rels  []RelSym
 	index map[string]int
+	text  string // String(), rendered once: signatures are immutable
 }
 
 // NewSignature builds a signature from the given relation symbols.
@@ -39,6 +40,16 @@ func NewSignature(rels ...RelSym) (*Signature, error) {
 		s.index[r.Name] = len(s.rels)
 		s.rels = append(s.rels, r)
 	}
+	var b strings.Builder
+	b.WriteByte('{')
+	for i, r := range s.rels {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s/%d", r.Name, r.Arity)
+	}
+	b.WriteByte('}')
+	s.text = b.String()
 	return s, nil
 }
 
@@ -61,6 +72,10 @@ func (s *Signature) Rels() []RelSym {
 
 // NumRels returns the number of relation symbols.
 func (s *Signature) NumRels() int { return len(s.rels) }
+
+// Rel returns the i-th relation symbol in sorted name order: the
+// copy-free counterpart of Rels for loops on the serving path.
+func (s *Signature) Rel(i int) RelSym { return s.rels[i] }
 
 // Arity returns the arity of the named relation and whether it exists.
 func (s *Signature) Arity(name string) (int, bool) {
@@ -104,15 +119,6 @@ func (s *Signature) Equal(t *Signature) bool {
 	return true
 }
 
-// Extend returns a new signature with the extra symbols added.
-// It is an error for an extra symbol to clash with an existing one.
-func (s *Signature) Extend(extra ...RelSym) (*Signature, error) {
-	all := make([]RelSym, 0, len(s.rels)+len(extra))
-	all = append(all, s.rels...)
-	all = append(all, extra...)
-	return NewSignature(all...)
-}
-
 // Restrict returns the sub-signature containing only the named relations
 // for which keep returns true.
 func (s *Signature) Restrict(keep func(RelSym) bool) *Signature {
@@ -126,15 +132,4 @@ func (s *Signature) Restrict(keep func(RelSym) bool) *Signature {
 }
 
 // String renders the signature as, e.g., "{E/2, F/1}".
-func (s *Signature) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, r := range s.rels {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%s/%d", r.Name, r.Arity)
-	}
-	b.WriteByte('}')
-	return b.String()
-}
+func (s *Signature) String() string { return s.text }

@@ -314,58 +314,6 @@ func (s *Structure) RenameElems(names []string) (*Structure, error) {
 	return out, nil
 }
 
-// WithSignature reinterprets the structure over a different signature that
-// must contain every relation the structure actually uses; relations of the
-// new signature that the structure lacks are empty.  Used to move between a
-// vocabulary and its augmented extension.
-func (s *Structure) WithSignature(sig *Signature) (*Structure, error) {
-	out := New(sig)
-	for _, name := range s.elems {
-		_, _ = out.AddElem(name)
-	}
-	for _, r := range s.sig.rels {
-		if s.rels[r.Name].Len() == 0 {
-			continue
-		}
-		ar, ok := sig.Arity(r.Name)
-		if !ok {
-			return nil, fmt.Errorf("structure: new signature lacks used relation %s", r.Name)
-		}
-		if ar != r.Arity {
-			return nil, fmt.Errorf("structure: relation %s arity mismatch (%d vs %d)", r.Name, r.Arity, ar)
-		}
-		s.ForEachTuple(r.Name, func(t []int) bool {
-			_ = out.AddTuple(r.Name, t...)
-			return true
-		})
-	}
-	return out, nil
-}
-
-// ProjectSignature returns a copy of the structure over sig, keeping only
-// the relations sig knows about and dropping the rest (the inverse of the
-// augmentation step: it strips pinning relations).
-func (s *Structure) ProjectSignature(sig *Signature) (*Structure, error) {
-	out := New(sig)
-	for _, name := range s.elems {
-		_, _ = out.AddElem(name)
-	}
-	for _, r := range sig.rels {
-		ar, ok := s.sig.Arity(r.Name)
-		if !ok {
-			continue
-		}
-		if ar != r.Arity {
-			return nil, fmt.Errorf("structure: relation %s arity mismatch (%d vs %d)", r.Name, ar, r.Arity)
-		}
-		s.ForEachTuple(r.Name, func(t []int) bool {
-			_ = out.AddTuple(r.Name, t...)
-			return true
-		})
-	}
-	return out, nil
-}
-
 // IsAllLoop reports whether element e carries the "all loops" pattern:
 // for every relation R of arity k, the tuple (e,...,e) is present.
 func (s *Structure) IsAllLoop(e int) bool {

@@ -45,25 +45,36 @@ func TestSignatureErrors(t *testing.T) {
 	}
 }
 
-func TestSignatureEqualExtendRestrict(t *testing.T) {
+func TestSignatureEqualRestrict(t *testing.T) {
 	a := edgeSig()
 	b := edgeSig()
 	if !a.Equal(b) {
 		t.Fatal("equal signatures not Equal")
 	}
-	c, err := a.Extend(RelSym{Name: "F", Arity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := twoRelSig()
 	if a.Equal(c) {
-		t.Fatal("extended signature should differ")
+		t.Fatal("larger signature should differ")
 	}
 	d := c.Restrict(func(r RelSym) bool { return r.Name == "E" })
 	if !d.Equal(a) {
 		t.Fatal("restricted signature should equal original")
 	}
-	if _, err := a.Extend(RelSym{Name: "E", Arity: 2}); err == nil {
-		t.Fatal("extending with clash should error")
+}
+
+// String is rendered once at construction and Rel indexes the sorted
+// symbols without copying.
+func TestSignatureStringAndRel(t *testing.T) {
+	s := MustSignature(RelSym{Name: "F", Arity: 1}, RelSym{Name: "E", Arity: 2})
+	if got := s.String(); got != "{E/2, F/1}" {
+		t.Fatalf("String() = %q", got)
+	}
+	for i, r := range s.Rels() {
+		if s.Rel(i) != r {
+			t.Fatalf("Rel(%d) = %v, want %v", i, s.Rel(i), r)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = s.String() }); n != 0 {
+		t.Fatalf("String() allocates %v times per call", n)
 	}
 }
 
@@ -267,24 +278,6 @@ func TestPadLoops(t *testing.T) {
 	// Original untouched.
 	if a.Size() != 2 {
 		t.Fatal("PadLoops mutated its input")
-	}
-}
-
-func TestProjectSignature(t *testing.T) {
-	big := twoRelSig()
-	s := New(big)
-	_ = s.AddFact("E", "a", "b")
-	_ = s.AddFact("F", "a")
-	small := edgeSig()
-	p, err := s.ProjectSignature(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Signature().Has("F") {
-		t.Fatal("projection kept dropped relation")
-	}
-	if len(p.Tuples("E")) != 1 {
-		t.Fatal("projection lost kept relation")
 	}
 }
 

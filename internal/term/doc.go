@@ -17,7 +17,9 @@
 //  1. raw stage — the canonical key of the un-cored formula.  Raw
 //     inclusion–exclusion terms that are outright isomorphic (the same
 //     conjunction up to renaming, e.g. φ_J for symmetric subsets J)
-//     merge here without paying for a core computation at all;
+//     merge here without paying for a core computation at all.  A
+//     formula already marked cored (ie.PhiStarInto hands those in)
+//     skips this stage: its raw key is its cored key;
 //  2. cored stage — the canonical key of the core, the complete
 //     counting-class fingerprint.  Terms whose cores coincide merge
 //     their coefficients; entries whose merged coefficient cancels to

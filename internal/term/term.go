@@ -14,11 +14,7 @@ import (
 // canonical-labeling budget was exceeded; callers should then fall back
 // to pairwise equivalence tests.
 func Fingerprint(p pp.PP) (string, error) {
-	cored, err := p.Core()
-	if err != nil {
-		return "", err
-	}
-	return cored.CanonicalKey()
+	return p.Core().CanonicalKey()
 }
 
 // Interned is one unique counting class in a Pool: the cored
@@ -110,11 +106,12 @@ func rawProfile(p pp.PP) string { return p.InvariantKey() }
 // index of its counting class among Terms().  The coefficient is read,
 // not retained.
 func (pl *Pool) Add(f pp.PP, coeff *big.Int) (int, error) {
-	// Raw stage: isomorphic raw terms share a class without being cored.
-	// The labeling only runs once a profile twin exists; the first term
-	// of a profile defers (rawPending) and is labeled retroactively.
+	// Raw stage: isomorphic raw terms share a class without being cored
+	// (a term that arrives cored has nothing to save).  The labeling only
+	// runs once a profile twin exists; the first term of a profile defers
+	// (rawPending) and is labeled retroactively.
 	var rawKey, deferProfile string
-	if !pl.DisableCanon {
+	if !pl.DisableCanon && !f.IsCored() {
 		profile := rawProfile(f)
 		if pl.rawSeen[profile] == 0 {
 			deferProfile = profile
@@ -138,10 +135,7 @@ func (pl *Pool) Add(f pp.PP, coeff *big.Int) (int, error) {
 		pl.rawSeen[profile]++
 	}
 	// Cored stage: the complete counting-class fingerprint.
-	cored, err := f.Core()
-	if err != nil {
-		return -1, err
-	}
+	cored := f.Core()
 	idx := -1
 	var fp string
 	if !pl.DisableCanon {
