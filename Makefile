@@ -76,8 +76,10 @@ crash-smoke:
 	$(GO) test -race -count=1 ./internal/wal
 	$(GO) test -race -count=1 -run 'TestServeRecovery|TestAppendIdempotency|TestShutdownDrains|TestHealthz|TestServerRestart|TestKillRestartLiveStream|TestCompactionUnderLoad' ./internal/serve
 
-# Cluster suite under the race detector: the randomized
+# Cluster suite under the race detector, for local use (CI's race job
+# runs it as part of go test -race ./...): the randomized
 # coordinator-vs-single-node differential over real loopback HTTP, the
+# router-vs-single-node wire equivalence on errors, the
 # 503-mid-shutdown scatter-gather reroute regression, dead-shard
 # failover, the consistent-hash stability property test, and the
 # partitioned-count recombination differentials.

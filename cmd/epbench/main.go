@@ -1,5 +1,5 @@
-// Command epbench runs the reproduction experiment suite (E1–E10, P1, S1–S2,
-// D1, C1, A1–A6;
+// Command epbench runs the reproduction experiment suite (E1–E10, P1, S2,
+// D1, A1–A6;
 // see the package comment of internal/experiments) and prints one table
 // per experiment.  Since the paper
 // is a theory paper with no measurement section, these tables are the

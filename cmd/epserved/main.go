@@ -13,16 +13,10 @@
 //	epserved -data-dir /var/lib/epserved -fsync always
 //	epserved -router http://shard0:8080,http://shard1:8080 -replicas 2
 //
-// Endpoints:
-//
-//	POST /structures              {"name":..., "facts":..., "signature":[{"name":"E","arity":2}]?}
-//	GET  /structures              list registered structures
-//	GET  /structures/{name}       one structure's metadata
-//	POST /structures/{name}/facts {"facts":..., "batch_id"?}   append (atomic, idempotent per batch_id)
-//	POST /count                   {"query":..., "structure":..., "engine"?, "timeout_ms"?}
-//	POST /countBatch              {"query":..., "structures":[...], ...}
-//	GET  /stats                   admission + per-query + session telemetry
-//	GET  /healthz                 liveness ("recovering" 503 vs "ready" 200)
+// The twelve endpoints — structures, appends, /count and /countBatch
+// (exact or mode "approx"), subscriptions, /stats, /healthz — are
+// listed with their request shapes by `epserved -h`, from the route
+// table they are served from (serve.Routes).
 //
 // With -data-dir, every structure creation and append batch is
 // write-ahead logged (fsynced per -fsync) and periodically compacted
@@ -96,17 +90,62 @@ func main() {
 		loadSpecs = append(loadSpecs, ls)
 		return nil
 	})
+	flag.Usage = func() {
+		out := flag.CommandLine.Output()
+		fmt.Fprintln(out, "Usage: epserved [flags]")
+		flag.PrintDefaults()
+		fmt.Fprintln(out, "\nEndpoints (JSON bodies; \"?\" marks an optional field):")
+		for _, rt := range serve.Routes {
+			fmt.Fprintf(out, "  %-6s %-26s %s\n", rt.Method, rt.Path, rt.Doc)
+		}
+	}
 	flag.Parse()
 
-	var err error
-	if *router != "" {
-		if *hardExact != 0 {
-			fmt.Fprintln(os.Stderr, "epserved: -hard-exact-limit does not apply in router mode (shards enforce admission); set it on the shard processes")
-			os.Exit(1)
+	var (
+		svc service
+		// ready, if set, runs once the listener is bound (boot recovery
+		// included).
+		ready func() error
+		err   error
+	)
+	switch {
+	case *router == "":
+		svc, ready, err = newShard(serve.Config{
+			Addr:           *addr,
+			Workers:        *workers,
+			MaxInFlight:    *inflight,
+			RequestTimeout: *timeout,
+			QueryCacheCap:  *queryCap,
+			DataDir:        *dataDir,
+			Fsync:          *fsync,
+			HardExactLimit: *hardExact,
+		}, loadSpecs)
+	// Shard-local flags are rejected rather than silently ignored: a
+	// router holds no structures and no durability store.
+	case *hardExact != 0:
+		err = fmt.Errorf("-hard-exact-limit does not apply in router mode (shards enforce admission); set it on the shard processes")
+	case *dataDir != "":
+		err = fmt.Errorf("-data-dir does not apply in router mode (shards own durability); run it on the shard processes")
+	case len(loadSpecs) > 0:
+		err = fmt.Errorf("-load does not apply in router mode; preload through the API so creates replicate")
+	default:
+		// The same HTTP frontend a shard has, over a backend that owns no
+		// structures and routes every operation over the shard fleet.
+		var co *cluster.Coordinator
+		co, err = cluster.New(cluster.Config{
+			Shards:              strings.FieldsFunc(*router, func(r rune) bool { return r == ',' || r == ' ' }),
+			Replicas:            *replicas,
+			VNodes:              *vnodes,
+			MaxIdleConnsPerHost: *maxIdle,
+		})
+		if err == nil {
+			fmt.Fprintf(os.Stderr, "epserved: routing %d shards (replicas=%d, vnodes=%d)\n",
+				len(co.Ring().Nodes()), co.Replicas(), co.Ring().VNodes())
+			svc = serve.NewFrontend(co, *addr, *timeout)
 		}
-		err = runRouter(*addr, *router, *replicas, *vnodes, *maxIdle, *timeout, *drain, *dataDir, loadSpecs)
-	} else {
-		err = run(*addr, *workers, *inflight, *timeout, *queryCap, *drain, *dataDir, *fsync, *hardExact, loadSpecs)
+	}
+	if err == nil {
+		err = run(svc, ready, *drain)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "epserved:", err)
@@ -114,103 +153,48 @@ func main() {
 	}
 }
 
-// runRouter starts the process as a cluster coordinator over the given
-// shard fleet.  Shard-local flags are rejected rather than silently
-// ignored: a router holds no structures and no durability store.
-func runRouter(addr, shardList string, replicas, vnodes, maxIdle int, timeout, drain time.Duration, dataDir string, loads []loadSpec) error {
-	if dataDir != "" {
-		return fmt.Errorf("-data-dir does not apply in router mode (shards own durability); run it on the shard processes")
+// newShard makes the process a single node.  Without a data dir the
+// -load structures land before the listener opens; with one they wait
+// for ready, after Start's recovery, so the creations are logged
+// durably.
+func newShard(cfg serve.Config, loads []loadSpec) (service, func() error, error) {
+	srv := serve.New(cfg)
+	if cfg.DataDir == "" {
+		return srv, nil, preload(srv.Registry(), loads, false)
 	}
-	if len(loads) > 0 {
-		return fmt.Errorf("-load does not apply in router mode; preload through the API so creates replicate")
-	}
-	var shards []string
-	for _, s := range strings.Split(shardList, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			shards = append(shards, s)
-		}
-	}
-	co, err := cluster.New(cluster.Config{
-		Shards:              shards,
-		Replicas:            replicas,
-		VNodes:              vnodes,
-		MaxIdleConnsPerHost: maxIdle,
-		RequestTimeout:      timeout,
-		Addr:                addr,
-	})
-	if err != nil {
-		return err
-	}
-	if err := co.Start(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "epserved: routing %d shards (replicas=%d, vnodes=%d), listening on %s\n",
-		len(shards), co.Replicas(), co.Ring().VNodes(), co.Addr())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Fprintln(os.Stderr, "epserved: router shutting down (draining in-flight requests)")
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	return co.Shutdown(ctx)
-}
-
-func run(addr string, workers, inflight int, timeout time.Duration, queryCap int, drain time.Duration, dataDir, fsync string, hardExactLimit int, loads []loadSpec) error {
-	srv := serve.New(serve.Config{
-		Addr:           addr,
-		Workers:        workers,
-		MaxInFlight:    inflight,
-		RequestTimeout: timeout,
-		QueryCacheCap:  queryCap,
-		DataDir:        dataDir,
-		Fsync:          fsync,
-		HardExactLimit: hardExactLimit,
-	})
-	// Without a data dir, preloads land before the listener opens.  With
-	// one, they run after Start's recovery so the creations are logged
-	// durably — and a -load name the data dir already holds is skipped
-	// (the recovered state wins; reloading it every boot would conflict).
-	preload := func() error {
-		for _, ls := range loads {
-			facts, err := os.ReadFile(ls.path)
-			if err != nil {
-				return err
-			}
-			info, err := srv.Registry().CreateStructure(ls.name, string(facts), nil)
-			if err != nil {
-				if dataDir != "" && serve.IsDuplicate(err) {
-					fmt.Fprintf(os.Stderr, "epserved: %s already in data dir; skipping -load\n", ls.name)
-					continue
-				}
-				return fmt.Errorf("preload %s: %w", ls.name, err)
-			}
-			fmt.Fprintf(os.Stderr, "epserved: loaded %s (%d elements, %d tuples)\n", info.Name, info.Size, info.Tuples)
-		}
-		return nil
-	}
-	if dataDir == "" {
-		if err := preload(); err != nil {
+	return srv, func() error {
+		if err := preload(srv.Registry(), loads, true); err != nil {
 			return err
 		}
-	}
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	if dataDir != "" {
-		if err := preload(); err != nil {
-			return err
-		}
-	}
-	if dataDir != "" {
 		d := srv.Registry().DurabilityStats()
 		fmt.Fprintf(os.Stderr, "epserved: recovered %d structures (%d snapshots, %d WAL records) from %s; fsync=%s\n",
-			d.RecoveredStructures, d.RecoveredSnapshots, d.RecoveredRecords, dataDir, d.Fsync)
+			d.RecoveredStructures, d.RecoveredSnapshots, d.RecoveredRecords, cfg.DataDir, d.Fsync)
 		if d.TruncatedTail {
 			fmt.Fprintln(os.Stderr, "epserved: WARNING: a torn or corrupt WAL tail was truncated during recovery")
 		}
+		return nil
+	}, nil
+}
+
+// service is the lifecycle a shard (serve.Server) and a router (a
+// serve.Frontend over the coordinator) share.
+type service interface {
+	Start() error
+	Addr() string
+	Shutdown(context.Context) error
+}
+
+// run serves until SIGINT/SIGTERM, then drains.
+func run(svc service, ready func() error, drain time.Duration) error {
+	if err := svc.Start(); err != nil {
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "epserved: listening on %s\n", srv.Addr())
+	if ready != nil {
+		if err := ready(); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(os.Stderr, "epserved: listening on %s\n", svc.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -218,5 +202,27 @@ func run(addr string, workers, inflight int, timeout time.Duration, queryCap int
 	fmt.Fprintln(os.Stderr, "epserved: shutting down (draining in-flight requests)")
 	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
-	return srv.Shutdown(ctx)
+	return svc.Shutdown(ctx)
+}
+
+// preload registers the -load structures.  With skipExisting (a data
+// dir is attached) a name the recovered state already holds is skipped:
+// the recovered state wins, reloading it every boot would conflict.
+func preload(reg *serve.Registry, loads []loadSpec, skipExisting bool) error {
+	for _, ls := range loads {
+		facts, err := os.ReadFile(ls.path)
+		if err != nil {
+			return err
+		}
+		info, err := reg.CreateStructure(ls.name, string(facts), nil)
+		if err != nil {
+			if skipExisting && serve.IsDuplicate(err) {
+				fmt.Fprintf(os.Stderr, "epserved: %s already in data dir; skipping -load\n", ls.name)
+				continue
+			}
+			return fmt.Errorf("preload %s: %w", ls.name, err)
+		}
+		fmt.Fprintf(os.Stderr, "epserved: loaded %s (%d elements, %d tuples)\n", info.Name, info.Size, info.Tuples)
+	}
+	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"net"
 	"net/http"
 	"sort"
 	"strings"
@@ -15,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/parser"
 	"repro/internal/serve"
 	"repro/internal/structure"
 )
@@ -38,16 +36,8 @@ type Config struct {
 	// calls before the coordinator fails over to another replica
 	// (zero value = 2 attempts, 25ms base, 250ms cap).
 	Retry serve.RetryPolicy
-	// RequestTimeout bounds routed counting requests (≤ 0 = 30s);
-	// request timeout_ms can lower it, never raise it.
-	RequestTimeout time.Duration
-	// Addr is the coordinator's listen address (empty = ":0").
-	Addr string
 	// MaxPartitions caps partitioned creates (≤ 0 = 64).
 	MaxPartitions int
-	// HTTPClient overrides the shared transport (tests); nil builds one
-	// from MaxIdleConnsPerHost.
-	HTTPClient *http.Client
 }
 
 func (c Config) withDefaults() Config {
@@ -59,9 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retry.MaxAttempts == 0 {
 		c.Retry = serve.RetryPolicy{MaxAttempts: 2, BaseDelay: 25 * time.Millisecond, MaxDelay: 250 * time.Millisecond}
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 30 * time.Second
 	}
 	if c.MaxPartitions <= 0 {
 		c.MaxPartitions = 64
@@ -91,18 +78,18 @@ type planKey struct {
 	sig   string
 }
 
-// Coordinator is the cluster router: it speaks the same HTTP/JSON API
-// as a single epserved node (serve.Client works against it unchanged)
-// and fans requests out over the shard fleet — consistent-hash routing
-// with replication for plain structures, exact inclusion–exclusion
-// recombination for partitioned ones.  Create with New, then Start /
-// Shutdown, or mount Handler.
+// Coordinator is the cluster router: a serve.Backend composed of the
+// shard fleet's Backends — consistent-hash routing with replication for
+// plain structures, exact inclusion–exclusion recombination for
+// partitioned ones.  Served through a serve.Frontend it speaks the same
+// HTTP/JSON API as a single epserved node (serve.Client works against
+// it unchanged).  Create with New; mount Handler, or hand the
+// coordinator to serve.NewFrontend for a managed listener.
 type Coordinator struct {
 	cfg     Config
 	ring    *Ring
-	clients map[string]*serve.Client
+	shards  []serve.Backend // aligned with cfg.Shards
 	nodeIdx map[string]int
-	mux     *http.ServeMux
 	started time.Time
 
 	mu    sync.RWMutex
@@ -115,9 +102,6 @@ type Coordinator struct {
 
 	batchPrefix string
 	batchSeq    atomic.Uint64
-
-	httpSrv  *http.Server
-	listener net.Listener
 }
 
 // planCacheCap bounds the recombination-plan cache; reaching it wipes
@@ -132,10 +116,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = serve.SharedTransport(cfg.MaxIdleConnsPerHost)
-	}
+	hc := serve.SharedTransport(cfg.MaxIdleConnsPerHost)
 	var rnd [6]byte
 	if _, err := rand.Read(rnd[:]); err != nil {
 		return nil, err
@@ -143,24 +124,38 @@ func New(cfg Config) (*Coordinator, error) {
 	co := &Coordinator{
 		cfg:         cfg,
 		ring:        ring,
-		clients:     make(map[string]*serve.Client, len(cfg.Shards)),
 		nodeIdx:     make(map[string]int, len(cfg.Shards)),
-		mux:         http.NewServeMux(),
 		started:     time.Now(),
 		parts:       make(map[string]*partitioned),
 		plans:       make(map[planKey]*partPlan),
 		batchPrefix: hex.EncodeToString(rnd[:]),
 	}
 	for i, s := range cfg.Shards {
-		co.clients[s] = serve.NewClient(s, hc).WithRetry(cfg.Retry)
+		co.shards = append(co.shards, serve.NewClient(s, hc).WithRetry(cfg.Retry))
 		co.nodeIdx[s] = i
 	}
-	co.routes()
 	return co, nil
 }
 
-// client returns the pooled typed client of a shard node.
-func (co *Coordinator) client(node string) *serve.Client { return co.clients[node] }
+// shard returns a shard node's backend.
+func (co *Coordinator) shard(node string) serve.Backend { return co.shards[co.nodeIdx[node]] }
+
+// fanOut runs op on every shard concurrently; results and errors align
+// with cfg.Shards.
+func fanOut[T any](co *Coordinator, op func(serve.Backend) (T, error)) ([]T, []error) {
+	out := make([]T, len(co.shards))
+	errs := make([]error, len(co.shards))
+	var wg sync.WaitGroup
+	for i, b := range co.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = op(b)
+		}()
+	}
+	wg.Wait()
+	return out, errs
+}
 
 // Ring exposes the coordinator's hash ring (telemetry, tests).
 func (co *Coordinator) Ring() *Ring { return co.ring }
@@ -169,43 +164,9 @@ func (co *Coordinator) Ring() *Ring { return co.ring }
 // shard count).
 func (co *Coordinator) Replicas() int { return co.cfg.Replicas }
 
-// Handler returns the coordinator's HTTP handler.
-func (co *Coordinator) Handler() http.Handler { return co.mux }
-
-// Start listens on cfg.Addr and serves in a background goroutine until
-// Shutdown; Addr is valid once Start returns.
-func (co *Coordinator) Start() error {
-	addr := co.cfg.Addr
-	if addr == "" {
-		addr = ":0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	co.listener = ln
-	co.httpSrv = &http.Server{Handler: co.mux}
-	go func() { _ = co.httpSrv.Serve(ln) }()
-	return nil
-}
-
-// Addr returns the bound listen address after Start.
-func (co *Coordinator) Addr() string {
-	if co.listener == nil {
-		return ""
-	}
-	return co.listener.Addr().String()
-}
-
-// Shutdown stops a Started coordinator: the listener closes and
-// in-flight routed requests run to completion or ctx expires.  The
-// shards are not touched — they have their own lifecycles.
-func (co *Coordinator) Shutdown(ctx context.Context) error {
-	if co.httpSrv == nil {
-		return nil
-	}
-	return co.httpSrv.Shutdown(ctx)
-}
+// Handler returns the coordinator behind the one epserved HTTP surface,
+// with the default request deadline.
+func (co *Coordinator) Handler() http.Handler { return serve.NewFrontend(co, "", 0).Handler() }
 
 // genBatchID mints a cluster-unique append idempotency id, used when a
 // client appends without one: the same id propagates the batch to
@@ -221,6 +182,18 @@ func (co *Coordinator) partitionedFor(name string) *partitioned {
 	co.mu.RLock()
 	defer co.mu.RUnlock()
 	return co.parts[name]
+}
+
+// resolve is the name-resolution step every operation on an existing
+// structure starts from.  A client-facing name is partitioned (p is its
+// logical structure), plain (p is nil: the ring places it), or reserved:
+// name@pN belongs to the parts of partitioned structures, which no
+// client may address, so to clients there is no such structure.
+func (co *Coordinator) resolve(name string) (p *partitioned, err error) {
+	if p = co.partitionedFor(name); p == nil && isPartName(name) {
+		return nil, serve.Errorf(http.StatusNotFound, "unknown structure %q", name)
+	}
+	return p, nil
 }
 
 // ---- routing primitives ----
@@ -254,139 +227,144 @@ func (co *Coordinator) replicaAt(query, name string) (owners []string, start int
 	return owners, start
 }
 
-// countOne routes one /count with warm-replica selection and failover:
-// a failoverable error moves to the next replica in rotation; skip (if
-// non-empty) is excluded up front — the group reroute path uses it to
-// avoid a shard that just failed a batch.
-func (co *Coordinator) countOne(ctx context.Context, req serve.CountRequest, skip string) (serve.CountResponse, error) {
-	owners, start := co.replicaAt(req.Query, req.Structure)
-	var lastErr error
-	tried := 0
-	for i := 0; i < len(owners); i++ {
+// failover runs op on the replicas in rotation from owners[start],
+// moving on while the failure is failoverable and ctx is live, and
+// returns the last outcome.  skip (if non-empty) is excluded up front —
+// the group reroute path uses it to avoid a shard that just failed a
+// batch.
+func (co *Coordinator) failover(ctx context.Context, owners []string, start int, skip string, op func(serve.Backend) error) (err error) {
+	tried := false
+	for i := range owners {
 		node := owners[(start+i)%len(owners)]
 		if node == skip && len(owners) > 1 {
 			continue
 		}
-		if tried > 0 {
+		if tried {
 			co.failovers.Add(1)
 		}
-		tried++
-		_, resp, err := co.client(node).CountWith(ctx, req)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if !failoverable(err) || ctx.Err() != nil {
-			return serve.CountResponse{}, err
+		tried = true
+		if err = op(co.shard(node)); err == nil || !failoverable(err) || ctx.Err() != nil {
+			break
 		}
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("cluster: no replica available for %q", req.Structure)
+	return err
+}
+
+// countOne routes one count to its warm replica, with failover.
+func (co *Coordinator) countOne(ctx context.Context, req serve.CountRequest, skip string) (v *big.Int, resp serve.CountResponse, err error) {
+	owners, start := co.replicaAt(req.Query, req.Structure)
+	err = co.failover(ctx, owners, start, skip, func(b serve.Backend) (err error) {
+		v, resp, err = b.CountWith(ctx, req)
+		return err
+	})
+	return v, resp, err
+}
+
+// slot is structure j's share of a batch response, in the shape of a
+// single count (the estimate block is there in approx mode only).
+func slot(r serve.CountBatchResponse, j int) serve.CountResponse {
+	s := serve.CountResponse{Count: r.Counts[j], Version: r.Versions[j]}
+	if j < len(r.Estimates) {
+		s.Estimate, s.RelError, s.Confidence = r.Estimates[j], r.RelErrors[j], r.Confidences[j]
+		s.Case, s.Samples = r.Cases[j], r.Samples[j]
 	}
-	return serve.CountResponse{}, lastErr
+	return s
 }
 
-// groupResult is one structure's routed count within a scatter-gather
-// batch.  The estimate block is populated in approx mode only.
-type groupResult struct {
-	count   string
-	version uint64
-
-	estimate   string
-	relErr     float64
-	confidence float64
-	caseStr    string
-	samples    int
-}
-
-// scatterBatch fans one query over many plain structures: structures
+// scatterBatch fans one query over many structures.  The plain ones
 // group by their warm replica shard, each group runs as one upstream
-// /countBatch, groups run concurrently, and results reassemble in
-// request order.  base carries the query, engine, timeout, and the
-// approx-mode knobs applied to every structure (base.Structures is
-// ignored).  A shard-level failoverable failure (503 from a node
-// draining, a dropped connection) does not fail the request: that
-// group's structures reroute individually to surviving replicas.
-func (co *Coordinator) scatterBatch(ctx context.Context, base serve.CountBatchRequest, names []string) ([]groupResult, error) {
-	type group struct {
-		node string
-		idx  []int
+// batch count; each partitioned one (parts[i] non-nil; parts itself may
+// be nil) recombines its own scatter; all run concurrently, and results
+// reassemble in request order.  req carries the query, engine, timeout,
+// and the approx-mode knobs applied to every structure.  A shard-level
+// failoverable failure (503 from a node draining, a dropped connection)
+// does not fail the request: that group's structures reroute
+// individually to surviving replicas.
+func (co *Coordinator) scatterBatch(ctx context.Context, req serve.CountBatchRequest, parts []*partitioned) ([]*big.Int, serve.CountBatchResponse, error) {
+	names := req.Structures
+	approxMode := req.Mode == "approx"
+	vals := make([]*big.Int, len(names))
+	out := serve.CountBatchResponse{Counts: make([]string, len(names)), Versions: make([]uint64, len(names))}
+	if approxMode {
+		out.Estimates = make([]string, len(names))
+		out.RelErrors = make([]float64, len(names))
+		out.Confidences = make([]float64, len(names))
+		out.Cases = make([]string, len(names))
+		out.Samples = make([]int, len(names))
 	}
-	groups := make(map[string]*group)
-	var order []string
-	for i, name := range names {
-		owners, start := co.replicaAt(base.Query, name)
-		node := owners[start]
-		g, ok := groups[node]
-		if !ok {
-			g = &group{node: node}
-			groups[node] = g
-			order = append(order, node)
+	// put stores structure i's result; distinct i never share a slot, so
+	// the goroutines below write concurrently.  errs[i] is the failure of
+	// the work that structure i started.
+	put := func(i int, v *big.Int, r serve.CountResponse) {
+		vals[i], out.Counts[i], out.Versions[i] = v, r.Count, r.Version
+		if approxMode {
+			out.Estimates[i], out.RelErrors[i], out.Confidences[i] = r.Estimate, r.RelError, r.Confidence
+			out.Cases[i], out.Samples[i] = r.Case, r.Samples
 		}
-		g.idx = append(g.idx, i)
+	}
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
+	groups := make(map[string][]int) // warm replica → its structures' indexes
+	for i, name := range names {
+		if parts != nil && parts[i] != nil {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				v, err := co.partitionedCount(ctx, parts[i], req.Query, req.Engine, req.TimeoutMillis)
+				if errs[i] = err; err == nil {
+					put(i, v, serve.CountResponse{Count: v.String()})
+				}
+			}()
+			continue
+		}
+		owners, start := co.replicaAt(req.Query, name)
+		groups[owners[start]] = append(groups[owners[start]], i)
 	}
 	co.scatters.Add(1)
-	out := make([]groupResult, len(names))
-	errs := make([]error, len(order))
-	var wg sync.WaitGroup
-	for gi, node := range order {
-		g := groups[node]
+	for node, idx := range groups {
 		wg.Add(1)
-		go func(gi int, g *group) {
+		go func() {
 			defer wg.Done()
-			sub := make([]string, len(g.idx))
-			for j, i := range g.idx {
-				sub[j] = names[i]
+			sub := req
+			sub.Structures = make([]string, len(idx))
+			for j, i := range idx {
+				sub.Structures[j] = names[i]
 			}
-			req := base
-			req.Structures = sub
-			_, resp, err := co.client(g.node).CountBatchWith(ctx, req)
+			vs, resp, err := co.shard(node).CountBatchWith(ctx, sub)
 			if err == nil {
-				for j, i := range g.idx {
-					gr := groupResult{count: resp.Counts[j], version: resp.Versions[j]}
-					if j < len(resp.Estimates) {
-						gr.estimate = resp.Estimates[j]
-						gr.relErr = resp.RelErrors[j]
-						gr.confidence = resp.Confidences[j]
-						gr.caseStr = resp.Cases[j]
-						gr.samples = resp.Samples[j]
-					}
-					out[i] = gr
+				for j, i := range idx {
+					put(i, vs[j], slot(resp, j))
 				}
 				return
 			}
 			if !failoverable(err) || ctx.Err() != nil {
-				errs[gi] = err
+				errs[idx[0]] = err
 				return
 			}
 			// The shard failed the whole group (draining, refused,
 			// dropped): reroute each structure to a surviving replica.
 			co.rerouted.Add(1)
-			for _, i := range g.idx {
-				cresp, cerr := co.countOne(ctx, serve.CountRequest{
-					Query: base.Query, Structure: names[i], Engine: base.Engine, TimeoutMillis: base.TimeoutMillis,
-					Mode: base.Mode, Epsilon: base.Epsilon, Delta: base.Delta,
-					MaxSamples: base.MaxSamples, Seed: base.Seed,
-				}, g.node)
+			for _, i := range idx {
+				v, cresp, cerr := co.countOne(ctx, serve.CountRequest{
+					Query: req.Query, Structure: names[i], Engine: req.Engine, TimeoutMillis: req.TimeoutMillis,
+					Mode: req.Mode, Epsilon: req.Epsilon, Delta: req.Delta,
+					MaxSamples: req.MaxSamples, Seed: req.Seed,
+				}, node)
 				if cerr != nil {
-					errs[gi] = cerr
+					errs[i] = cerr
 					return
 				}
-				out[i] = groupResult{
-					count: cresp.Count, version: cresp.Version,
-					estimate: cresp.Estimate, relErr: cresp.RelError,
-					confidence: cresp.Confidence, caseStr: cresp.Case, samples: cresp.Samples,
-				}
+				put(i, v, cresp)
 			}
-		}(gi, g)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, serve.CountBatchResponse{}, err
 		}
 	}
-	return out, nil
+	return vals, out, nil
 }
 
 // ---- partitioned structures ----
@@ -404,7 +382,9 @@ func (co *Coordinator) planFor(query string, p *partitioned) (*partPlan, error) 
 	}
 	pl, err := buildPartitionPlan(query, p.sig)
 	if err != nil {
-		return nil, err
+		// A malformed query or an unknown relation: the client's fault,
+		// as on a single node.
+		return nil, serve.WithStatus(http.StatusBadRequest, err)
 	}
 	co.mu.Lock()
 	if prev := co.plans[key]; prev != nil {
@@ -436,21 +416,16 @@ func (co *Coordinator) partitionedCount(ctx context.Context, p *partitioned, que
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			results, err := co.scatterBatch(ctx, serve.CountBatchRequest{
-				Query: pl.comps[ci].query, Engine: engineName, TimeoutMillis: timeoutMillis,
-			}, p.parts)
+			vals, _, err := co.scatterBatch(ctx, serve.CountBatchRequest{
+				Query: pl.comps[ci].query, Structures: p.parts, Engine: engineName, TimeoutMillis: timeoutMillis,
+			}, nil)
 			if err != nil {
 				errs[ci] = err
 				return
 			}
 			sum := new(big.Int)
-			var v big.Int
-			for _, r := range results {
-				if _, ok := v.SetString(r.count, 10); !ok {
-					errs[ci] = fmt.Errorf("cluster: malformed part count %q", r.count)
-					return
-				}
-				sum.Add(sum, &v)
+			for _, v := range vals {
+				sum.Add(sum, v)
 			}
 			totals[ci] = sum
 		}(ci)
@@ -472,7 +447,7 @@ func (co *Coordinator) createOnOwners(ctx context.Context, req serve.CreateStruc
 	owners := co.ring.Owners(req.Name, co.cfg.Replicas)
 	var primary serve.StructureInfo
 	for i, node := range owners {
-		info, err := co.client(node).CreateStructureWith(ctx, req)
+		info, err := co.shard(node).CreateStructureWith(ctx, req)
 		if err != nil {
 			return serve.StructureInfo{}, err
 		}
@@ -491,31 +466,24 @@ func (co *Coordinator) createOnOwners(ctx context.Context, req serve.CreateStruc
 // parts, which would break the disjoint-union invariant the exact
 // recombination rests on.
 func (co *Coordinator) createPartitioned(ctx context.Context, req serve.CreateStructureRequest) (serve.StructureInfo, error) {
+	// What the coordinator finds wrong with the request itself is the
+	// client's fault; a shard's refusal or a transport failure passes as is.
+	bad := func(err error) (serve.StructureInfo, error) {
+		return serve.StructureInfo{}, serve.WithStatus(http.StatusBadRequest, err)
+	}
 	if req.Partitions > co.cfg.MaxPartitions {
-		return serve.StructureInfo{}, fmt.Errorf("cluster: %d partitions exceed the cap of %d", req.Partitions, co.cfg.MaxPartitions)
+		return bad(fmt.Errorf("cluster: %d partitions exceed the cap of %d", req.Partitions, co.cfg.MaxPartitions))
 	}
-	var sig *structure.Signature
-	if len(req.Signature) > 0 {
-		rels := make([]structure.RelSym, len(req.Signature))
-		for i, rs := range req.Signature {
-			rels[i] = structure.RelSym{Name: rs.Name, Arity: rs.Arity}
-		}
-		var err error
-		sig, err = structure.NewSignature(rels...)
-		if err != nil {
-			return serve.StructureInfo{}, err
-		}
-	}
-	b, err := parser.ParseStructure(req.Facts, sig)
+	b, err := serve.ParseFacts(req.Facts, req.Signature)
 	if err != nil {
-		return serve.StructureInfo{}, err
+		return bad(err)
 	}
 	spec := make([]serve.RelSpec, 0, len(b.Signature().Rels()))
 	for _, r := range b.Signature().Rels() {
 		spec = append(spec, serve.RelSpec{Name: r.Name, Arity: r.Arity})
 	}
 	if b.Size() == 0 {
-		return serve.StructureInfo{}, fmt.Errorf("cluster: an empty structure cannot be partitioned")
+		return bad(fmt.Errorf("cluster: an empty structure cannot be partitioned"))
 	}
 	bins := partitionElems(b, req.Partitions)
 	p := &partitioned{name: req.Name, size: b.Size(), tuples: b.NumTuples(), sig: b.Signature()}
@@ -530,7 +498,7 @@ func (co *Coordinator) createPartitioned(ctx context.Context, req serve.CreateSt
 		part, _ := b.Induced(bin)
 		facts, err := part.FactsString()
 		if err != nil {
-			return serve.StructureInfo{}, err
+			return bad(err)
 		}
 		partName := fmt.Sprintf("%s%s%d", req.Name, partSep, i)
 		if _, err := co.createOnOwners(ctx, serve.CreateStructureRequest{Name: partName, Facts: facts, Signature: spec}); err != nil {
@@ -541,15 +509,18 @@ func (co *Coordinator) createPartitioned(ctx context.Context, req serve.CreateSt
 	co.mu.Lock()
 	if _, dup := co.parts[req.Name]; dup {
 		co.mu.Unlock()
-		return serve.StructureInfo{}, errDuplicatePartitioned
+		return serve.StructureInfo{}, errDuplicate(req.Name)
 	}
 	co.parts[req.Name] = p
 	co.mu.Unlock()
-	return serve.StructureInfo{Name: req.Name, Size: p.size, Tuples: p.tuples}, nil
+	return p.logicalInfo(), nil
 }
 
-// errDuplicatePartitioned marks a partitioned-create name collision.
-var errDuplicatePartitioned = errors.New("cluster: partitioned structure already exists")
+// errDuplicate is a create's name collision with a partitioned
+// structure, worded as a shard words its own.
+func errDuplicate(name string) error {
+	return serve.Errorf(http.StatusConflict, "structure %q already exists", name)
+}
 
 // logicalInfo is the wire metadata of a partitioned structure (version
 // 0: partitioned structures are immutable).
@@ -566,31 +537,18 @@ func isPartName(name string) bool { return strings.Contains(name, partSep) }
 // (the ring primary's row wins), partitioned logical rows appended.
 // Unreachable shards are skipped — listing degrades, it does not fail.
 func (co *Coordinator) mergedStructures(ctx context.Context) []serve.StructureInfo {
-	type shardList struct {
-		node  string
-		infos []serve.StructureInfo
-	}
-	lists := make([]shardList, len(co.cfg.Shards))
-	var wg sync.WaitGroup
-	for i, node := range co.cfg.Shards {
-		wg.Add(1)
-		go func(i int, node string) {
-			defer wg.Done()
-			infos, err := co.client(node).Structures(ctx)
-			if err == nil {
-				lists[i] = shardList{node: node, infos: infos}
-			}
-		}(i, node)
-	}
-	wg.Wait()
+	lists, errs := fanOut(co, func(b serve.Backend) ([]serve.StructureInfo, error) { return b.Structures(ctx) })
 	byName := make(map[string]serve.StructureInfo)
 	fromPrimary := make(map[string]bool)
-	for _, l := range lists {
-		for _, info := range l.infos {
+	for i, infos := range lists {
+		if errs[i] != nil {
+			continue
+		}
+		for _, info := range infos {
 			if isPartName(info.Name) {
 				continue
 			}
-			primary := co.ring.Owner(info.Name) == l.node
+			primary := co.ring.Owner(info.Name) == co.cfg.Shards[i]
 			prev, ok := byName[info.Name]
 			// Prefer the ring primary's row; among replicas keep the
 			// freshest version (a replica may trail mid-append).

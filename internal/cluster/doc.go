@@ -1,7 +1,12 @@
 // Package cluster turns a fleet of single-node epserved shards into
-// one logical counting service.  A Coordinator speaks the exact
-// HTTP/JSON API of a single node (serve.Client works against it
-// unchanged) and routes behind it: structure names map to shard nodes
+// one logical counting service.  A Coordinator is a serve.Backend
+// composed of the shards' Backends and holds no HTTP code: behind the
+// serve.Frontend every node has, it speaks the HTTP/JSON API of a
+// single node (serve.Client works against it unchanged) because it is
+// served by the same handlers.  Every operation starts from one
+// name-resolution step — partitioned, plain, or the reserved name@pN
+// of a partition part, which no client may address — and routes
+// behind it: structure names map to shard nodes
 // by a consistent-hash ring with virtual nodes (membership changes
 // remap only the expected 1/(N+1) fraction of names), structures are
 // created on R ring successors, and reads pick the replica a query

@@ -40,7 +40,7 @@ import (
 // over terms, exactly as on one node; sentence disjuncts short-circuit
 // to |B|^|lib| when every component holds in some part.  The
 // recombined count is bit-identical to the single-node count — the
-// differential suite and the C1 experiment assert that on every query.
+// differential suite asserts that on every query.
 
 // partComponent is one connected component of some term, rendered back
 // to query text so shards can count it through their ordinary /count

@@ -1,14 +1,13 @@
 package cluster
 
 import (
-	"net/http"
-	"sync"
+	"context"
 	"time"
 
 	"repro/internal/serve"
 )
 
-// handleStats answers the aggregated cluster /stats view: the shards'
+// Stats is the aggregated cluster /stats view: the shards'
 // StatsResponses fan in concurrently and merge into one StatsResponse
 // of the single-node shape — admission counters, query memo hits,
 // delta counters and durability counters summed, query rows merged by
@@ -16,22 +15,8 @@ import (
 // the per-shard breakdown and router telemetry under Cluster.  A
 // dashboard written against one epserved node reads a whole cluster
 // unchanged.
-func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	type shardRes struct {
-		stats serve.StatsResponse
-		err   error
-	}
-	results := make([]shardRes, len(co.cfg.Shards))
-	var wg sync.WaitGroup
-	for i, node := range co.cfg.Shards {
-		wg.Add(1)
-		go func(i int, node string) {
-			defer wg.Done()
-			st, err := co.client(node).Stats(r.Context())
-			results[i] = shardRes{stats: st, err: err}
-		}(i, node)
-	}
-	wg.Wait()
+func (co *Coordinator) Stats(ctx context.Context) (serve.StatsResponse, error) {
+	stats, errs := fanOut(co, func(b serve.Backend) (serve.StatsResponse, error) { return b.Stats(ctx) })
 
 	merged := serve.StatsResponse{UptimeSeconds: time.Since(co.started).Seconds()}
 	cluster := &serve.ClusterStats{
@@ -49,11 +34,11 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	queryAt := make(map[qkey]int)
 	for i, node := range co.cfg.Shards {
 		ss := serve.ShardStats{Node: node}
-		if results[i].err != nil {
+		if errs[i] != nil {
 			cluster.Shards = append(cluster.Shards, ss)
 			continue
 		}
-		st := results[i].stats
+		st := stats[i]
 		ss.Healthy = true
 		ss.Structures = len(st.Structures)
 		ss.Admission = st.Admission
@@ -104,7 +89,7 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			merged.Durability.TruncatedTail = merged.Durability.TruncatedTail || st.Durability.TruncatedTail
 		}
 	}
-	merged.Structures = co.mergedStructures(r.Context())
+	merged.Structures = co.mergedStructures(ctx)
 	merged.Cluster = cluster
-	writeJSON(w, http.StatusOK, merged)
+	return merged, nil
 }

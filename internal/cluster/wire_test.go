@@ -1,0 +1,254 @@
+package cluster
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"repro/internal/serve"
+)
+
+// answer is what a client can tell one surface from another by.
+type answer struct {
+	status     int
+	caseStr    string
+	errMsg     string
+	retryAfter string
+}
+
+// probe sends one raw request (no typed client in between, so unknown
+// JSON fields and malformed ids reach the surface as written).
+func probe(t *testing.T, base, method, path, body string) answer {
+	t.Helper()
+	var rd io.Reader
+	if body != "" {
+		rd = strings.NewReader(body)
+	}
+	req, err := http.NewRequest(method, base+path, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	a := answer{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After")}
+	if resp.StatusCode >= 300 {
+		var er serve.ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			t.Fatalf("%s %s: HTTP %d with a non-JSON error body: %v", method, path, resp.StatusCode, err)
+		}
+		a.caseStr, a.errMsg = er.Case, er.Error
+	}
+	return a
+}
+
+// wireSurfaces starts a 2-shard × 2-replica router and a single node
+// (all with the same exact-admission limit, so a typed 422 exists on
+// both) holding the same state: "g" (plain, over E), "h" (plain, over
+// F only), and "big" — partitioned three ways on the router, plain on
+// the single node.
+func wireSurfaces(t *testing.T) (router, single string) {
+	t.Helper()
+	cfg := serve.Config{HardExactLimit: 5}
+	var urls []string
+	for i := 0; i < 2; i++ {
+		ts := httptest.NewServer(serve.New(cfg).Handler())
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	co, err := New(Config{Shards: urls, Replicas: 2, VNodes: 32, Retry: serve.RetryPolicy{MaxAttempts: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(co.Handler())
+	t.Cleanup(rts.Close)
+	sts := httptest.NewServer(serve.New(cfg).Handler())
+	t.Cleanup(sts.Close)
+
+	// Every part of "big" must itself exceed the admission limit, or the
+	// partitioned 422 row would be a 200: clusters of ≥ 10 tuples each.
+	big, err := multiComponentStructure(33, 3, 5, 0.7, 0).FactsString()
+	if err != nil {
+		t.Fatal(err)
+	}
+	create := func(base string, req serve.CreateStructureRequest) {
+		t.Helper()
+		body, _ := json.Marshal(req)
+		if a := probe(t, base, "POST", "/structures", string(body)); a.status != http.StatusCreated {
+			t.Fatalf("create %s: HTTP %d %s", req.Name, a.status, a.errMsg)
+		}
+	}
+	for _, base := range []string{rts.URL, sts.URL} {
+		create(base, serve.CreateStructureRequest{Name: "g", Facts: erFacts(t, 12, 0.5, 3)})
+		create(base, serve.CreateStructureRequest{Name: "h", Facts: "F(a,b). F(b,c)."})
+	}
+	create(rts.URL, serve.CreateStructureRequest{Name: "big", Facts: big, Partitions: 3})
+	create(sts.URL, serve.CreateStructureRequest{Name: "big", Facts: big})
+	return rts.URL, sts.URL
+}
+
+// TestWireEquivalenceOnErrors sends one probe matrix to the router and
+// to a single node and requires the same status and the same trichotomy
+// case from both, with Retry-After on every 503: whatever a client does
+// wrong, it cannot tell from the answer which of the two it talks to.
+// The rows marked routerWant are the router's own refusals — operations
+// a single node cannot be asked (its "big" is a plain structure) — and
+// pin the router's status alone.
+func TestWireEquivalenceOnErrors(t *testing.T) {
+	router, single := wireSurfaces(t)
+
+	const edge = `q(x,y) := E(x,y)`
+	type row struct {
+		name, method, path, body string
+		routerWant               int
+	}
+	var rows []row
+
+	// The counting probes, on a plain and on a partitioned structure,
+	// through /count and /countBatch.
+	counting := []struct{ name, query, more string }{
+		{"unknown mode", edge, `,"mode":"bogus"`},
+		{"unknown engine", edge, `,"engine":"warp"`},
+		{"unknown JSON field", edge, `,"bogus":1`},
+		{"malformed query", "this is not a query", ""},
+		{"unknown relation", "q(x) := R(x,x)", ""},
+		{"hard query in exact mode (typed 422)", triQuery, ""},
+	}
+	for _, target := range []string{"g", "big"} {
+		for _, c := range counting {
+			rows = append(rows,
+				row{name: c.name + " /count " + target, method: "POST", path: "/count",
+					body: fmt.Sprintf(`{"query":%q,"structure":%q%s}`, c.query, target, c.more)},
+				row{name: c.name + " /countBatch " + target, method: "POST", path: "/countBatch",
+					body: fmt.Sprintf(`{"query":%q,"structures":["g",%q]%s}`, c.query, target, c.more)})
+		}
+		// "h" has no relation E.  (The router cannot see a plain
+		// structure's signature, so a batch whose signatures differ while
+		// every one of them admits the query is counted there and refused
+		// by a single node; that is not probed.)
+		rows = append(rows, row{name: "mixed-signature batch " + target, method: "POST", path: "/countBatch",
+			body: fmt.Sprintf(`{"query":%q,"structures":[%q,"h"]}`, edge, target)})
+	}
+	// Names that resolve to nothing: unknown, and a partition part, which
+	// exists on the shards but not for clients.
+	for _, name := range []string{"nope", "big@p0"} {
+		rows = append(rows,
+			row{name: "count on " + name, method: "POST", path: "/count",
+				body: fmt.Sprintf(`{"query":%q,"structure":%q}`, edge, name)},
+			row{name: "countBatch on " + name, method: "POST", path: "/countBatch",
+				body: fmt.Sprintf(`{"query":%q,"structures":["g",%q]}`, edge, name)},
+			row{name: "get " + name, method: "GET", path: "/structures/" + name},
+			row{name: "append to " + name, method: "POST", path: "/structures/" + name + "/facts", body: `{"facts":"E(a,b)."}`},
+			row{name: "subscribe to " + name, method: "POST", path: "/subscriptions",
+				body: fmt.Sprintf(`{"query":%q,"structure":%q}`, edge, name)})
+	}
+	rows = append(rows,
+		row{name: "empty structures", method: "POST", path: "/countBatch", body: fmt.Sprintf(`{"query":%q,"structures":[]}`, edge)},
+		row{name: "create: empty name", method: "POST", path: "/structures", body: `{"name":"","facts":"E(a,b)."}`},
+		row{name: "create: duplicate name", method: "POST", path: "/structures", body: `{"name":"g","facts":"E(a,b)."}`},
+		row{name: "create: name of a partitioned structure", method: "POST", path: "/structures", body: `{"name":"big","facts":"E(a,b)."}`},
+		row{name: "create: negative partitions", method: "POST", path: "/structures", body: `{"name":"n","facts":"E(a,b).","partitions":-1}`},
+		row{name: "create: malformed facts", method: "POST", path: "/structures", body: `{"name":"m","facts":"E(a,"}`},
+		row{name: "create: unknown JSON field", method: "POST", path: "/structures", body: `{"name":"u","facts":"E(a,b).","bogus":1}`},
+		row{name: "create: reserved @p name", method: "POST", path: "/structures", body: `{"name":"x@p0","facts":"E(a,b)."}`,
+			routerWant: http.StatusBadRequest},
+		row{name: "append: arity mismatch", method: "POST", path: "/structures/g/facts", body: `{"facts":"E(a,b,c)."}`},
+		row{name: "append: unknown JSON field", method: "POST", path: "/structures/g/facts", body: `{"facts":"E(a,b).","bogus":1}`},
+		row{name: "append to partitioned", method: "POST", path: "/structures/big/facts", body: `{"facts":"E(zz,zz)."}`,
+			routerWant: http.StatusBadRequest},
+		row{name: "subscribe: unknown engine", method: "POST", path: "/subscriptions",
+			body: fmt.Sprintf(`{"query":%q,"structure":"g","engine":"warp"}`, edge)},
+		row{name: "subscribe: malformed query", method: "POST", path: "/subscriptions", body: `{"query":"nope","structure":"g"}`},
+		row{name: "subscribe to partitioned", method: "POST", path: "/subscriptions",
+			body: fmt.Sprintf(`{"query":%q,"structure":"big"}`, edge), routerWant: http.StatusBadRequest},
+		row{name: "read unknown subscription", method: "GET", path: "/subscriptions/sub-999"},
+		row{name: "read unknown subscription, shard-shaped id", method: "GET", path: "/subscriptions/s0~sub-999"},
+		row{name: "delete unknown subscription", method: "DELETE", path: "/subscriptions/sub-999"},
+		row{name: "delete unknown subscription, shard-shaped id", method: "DELETE", path: "/subscriptions/s0~sub-999"},
+	)
+
+	for _, r := range rows {
+		got := probe(t, router, r.method, r.path, r.body)
+		want := answer{status: r.routerWant}
+		if r.routerWant == 0 {
+			want = probe(t, single, r.method, r.path, r.body)
+			if want.status < 400 {
+				t.Errorf("%s: the single node answers HTTP %d; every row is meant to be an error", r.name, want.status)
+			}
+		}
+		if got.status != want.status || got.caseStr != want.caseStr {
+			t.Errorf("%s: router HTTP %d case %q (%s), want HTTP %d case %q (%s)",
+				r.name, got.status, got.caseStr, got.errMsg, want.status, want.caseStr, want.errMsg)
+		}
+		for who, a := range map[string]answer{"router": got, "single node": want} {
+			if a.status == http.StatusServiceUnavailable && a.retryAfter == "" {
+				t.Errorf("%s: %s answers 503 without Retry-After", r.name, who)
+			}
+			if a.status >= 400 && r.routerWant == 0 && a.errMsg == "" {
+				t.Errorf("%s: %s answers HTTP %d without an error message", r.name, who, a.status)
+			}
+		}
+	}
+
+	// The typed 422 keeps its case through the hop (the comparison above
+	// would also pass on two empty cases).
+	for _, target := range []string{"g", "big"} {
+		a := probe(t, router, "POST", "/count", fmt.Sprintf(`{"query":%q,"structure":%q}`, triQuery, target))
+		if a.status != http.StatusUnprocessableEntity || a.caseStr == "" {
+			t.Errorf("hard exact count on %s through the router: HTTP %d case %q, want 422 with a case", target, a.status, a.caseStr)
+		}
+	}
+}
+
+// TestEveryRouteOnBothSurfaces walks the exported route table and
+// requires a success from a single node and from the router on every
+// row: the table is the whole API on both, so a route registered on one
+// surface only — a second mux — has nowhere to hide.
+func TestEveryRouteOnBothSurfaces(t *testing.T) {
+	const edge = `q(x,y) := E(x,y)`
+	bodies := map[string]string{
+		"POST /structures":              `{"name":"fresh","facts":"E(a,b)."}`,
+		"POST /structures/{name}/facts": `{"facts":"E(b,c)."}`,
+		"POST /count":                   fmt.Sprintf(`{"query":%q,"structure":"g"}`, edge),
+		"POST /countBatch":              fmt.Sprintf(`{"query":%q,"structures":["g"]}`, edge),
+		"POST /subscriptions":           fmt.Sprintf(`{"query":%q,"structure":"g"}`, edge),
+	}
+	shard := httptest.NewServer(serve.New(serve.Config{}).Handler())
+	t.Cleanup(shard.Close)
+	co, err := New(Config{Shards: []string{shard.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	surfaces := map[string]http.Handler{
+		"single node": serve.New(serve.Config{}).Handler(),
+		"router":      co.Handler(),
+	}
+	if len(serve.Routes) != 12 {
+		t.Errorf("the route table has %d rows, the API has 12 routes", len(serve.Routes))
+	}
+	for who, h := range surfaces {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		cl := serve.NewClient(ts.URL, nil)
+		if _, err := cl.CreateStructure(t.Context(), "g", "E(a,b).", nil); err != nil {
+			t.Fatal(err)
+		}
+		sub, err := cl.Subscribe(t.Context(), edge, "g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill := strings.NewReplacer("{name}", "g", "{id}", sub.ID)
+		for _, rt := range serve.Routes {
+			a := probe(t, ts.URL, rt.Method, fill.Replace(rt.Path), bodies[rt.Method+" "+rt.Path])
+			if a.status < 200 || a.status >= 300 {
+				t.Errorf("%s: %s %s answers HTTP %d (%s)", who, rt.Method, rt.Path, a.status, a.errMsg)
+			}
+		}
+	}
+}

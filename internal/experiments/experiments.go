@@ -135,10 +135,8 @@ func All() []Spec {
 		{"E9", "Theorem 3.2 — trichotomy classification of query families", RunE9},
 		{"E10", "FPT vs XP — time as the parameter (query size) grows", RunE10},
 		{"P1", "Core sweep — batch counting across worker/GOMAXPROCS budgets", RunP1},
-		{"S1", "Service throughput — epserved HTTP counting under concurrent clients", RunS1},
 		{"S2", "Delta maintenance — append-stream subscription reads vs full recounts", RunS2},
 		{"D1", "Durability cost — append throughput by fsync policy, recovery-validated", RunD1},
-		{"C1", "Cluster routing — sharded epserved behind a consistent-hash coordinator", RunC1},
 		{"A1", "Approximation — exact vs sampled counting in the hard regime", RunA1},
 		{"A2", "Ablation — φ* with vs without cancellation", RunA2},
 		{"A3", "Ablation — normalization (UCQ minimization) on vs off", RunA3},

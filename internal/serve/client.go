@@ -38,34 +38,6 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}
 }
 
-// APIError is the typed form of every non-2xx server response the
-// client surfaces: the HTTP status, the request that produced it, and
-// the server's message.  Callers that route around failing replicas
-// (the cluster coordinator) inspect Status via errors.As to separate
-// transient refusals (503, 504) from semantic errors (400, 404, 422)
-// that would fail identically everywhere.
-type APIError struct {
-	// Status is the HTTP status code of the response.
-	Status int
-	// Method and Path identify the request.
-	Method, Path string
-	// Msg is the server's error message (empty when the body carried
-	// none).
-	Msg string
-	// Case is the query's trichotomy case on typed admission rejections
-	// of exact-mode hard queries ("clique", "sharp-clique"); empty
-	// otherwise.  Clients switch to mode "approx" on seeing it.
-	Case string
-}
-
-// Error renders the error in the client's historical format.
-func (e *APIError) Error() string {
-	if e.Msg != "" {
-		return fmt.Sprintf("epserved: %s %s: %s (HTTP %d)", e.Method, e.Path, e.Msg, e.Status)
-	}
-	return fmt.Sprintf("epserved: %s %s: HTTP %d", e.Method, e.Path, e.Status)
-}
-
 // SharedTransport returns an http.Client over one pooled transport
 // tuned for fan-out against a fixed set of epserved hosts: up to
 // maxIdlePerHost warm keep-alive connections are retained per host
@@ -250,10 +222,7 @@ func (c *Client) CreateStructureWith(ctx context.Context, req CreateStructureReq
 // response leaves the outcome unknown; use AppendFactsBatch for
 // retry-safe appends.
 func (c *Client) AppendFacts(ctx context.Context, name, facts string) (StructureInfo, error) {
-	var info StructureInfo
-	err := c.do(ctx, http.MethodPost, "/structures/"+name+"/facts",
-		AppendFactsRequest{Facts: facts}, &info, false)
-	return info, err
+	return c.AppendFactsBatch(ctx, name, facts, "")
 }
 
 // AppendFactsBatch appends facts under a client-chosen idempotency

@@ -37,21 +37,36 @@
 //     count to a sequential replay of the append history at its
 //     version.
 //
-//   - Server: the HTTP endpoints.  POST /structures ingests, POST
-//     /structures/{name}/facts appends, POST /count and /countBatch
-//     execute on the engine's bounded worker pools, GET /stats
-//     surfaces the typed core.Counter.Stats of every cached query plus
-//     the term-pool, session-registry, and admission telemetry, GET
-//     /healthz answers liveness.  Admission control caps in-flight
-//     counting requests (excess requests get 503 + Retry-After rather
-//     than queueing), and every counting request carries a deadline —
-//     the server default, optionally lowered per request — threaded as
-//     a context through the executor, so an expired request stops
-//     consuming CPU at the executor's cancellation-poll granularity
-//     and answers 504.  Shutdown drains in-flight requests.
+//   - Backend (backend.go): the operation set of the API — create,
+//     list, get, append, count, countBatch, subscribe / list / read /
+//     unsubscribe, stats, healthz — over the wire types of api.go, and
+//     APIError, the one error that carries a wire status, raised where
+//     the fault is known.
 //
-//   - Client: a typed client for the wire API (api.go), used by the
-//     examples, the load generator, and tests.
+//   - Frontend (http.go): the HTTP surface of any Backend, and the only
+//     one in the repository.  Routes is the route table (twelve rows,
+//     with the request shapes `epserved -h` prints); the Frontend
+//     decodes (unknown fields refused, 64 MiB cap), validates mode and
+//     engine, bounds every counting request by a deadline — its
+//     default, optionally lowered per request by timeout_ms — encodes
+//     results and errors (status, Retry-After on 503, the trichotomy
+//     case), and owns the listener (Start / Addr / Shutdown).
+//
+//   - Server (server.go): the local Backend, behind its own Frontend.
+//     Counting executes on the engine's bounded worker pools under
+//     admission control (excess requests get 503 rather than queueing)
+//     and under the structure's read lock; the request's deadline is
+//     threaded as a context through the executor, so an expired
+//     request stops consuming CPU at the executor's cancellation-poll
+//     granularity and answers 504.  Stats surfaces the typed
+//     core.Counter.Stats of every cached query plus the term-pool,
+//     session-registry, and admission telemetry.  Shutdown drains
+//     in-flight requests, then closes the registry.
+//
+//   - Client (client.go): the remote Backend — a typed client for the
+//     wire API, used by the examples, the benchmark, tests, and the
+//     cluster coordinator (internal/cluster), which is the third
+//     Backend: a composition of Clients.
 //
 // Counts travel as decimal strings: answer counts are big integers and
 // JSON numbers are lossy beyond 2^53.

@@ -1,8 +1,8 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -16,13 +16,10 @@ import (
 	"repro/internal/wal"
 )
 
-// errDuplicate marks a CreateStructure name collision (mapped to 409).
-var errDuplicate = errors.New("already exists")
-
-// errClosed marks writes against a registry that has begun shutting
-// down (mapped to 503 + Retry-After so clients back off and retry
-// against the restarted process).
-var errClosed = errors.New("registry is shutting down")
+// errClosed refuses writes against a registry that has begun shutting
+// down: the write had no effect, so clients back off (503 goes out with
+// Retry-After) and retry against the restarted process.
+var errClosed = Errorf(http.StatusServiceUnavailable, "registry is shutting down")
 
 // batchMemoCap bounds the per-structure idempotency memo (recent batch
 // ids and their responses); older entries fall off FIFO.
@@ -147,19 +144,7 @@ func (r *Registry) CreateStructure(name, facts string, spec []RelSpec) (Structur
 	if name == "" {
 		return StructureInfo{}, fmt.Errorf("structure name must not be empty")
 	}
-	var sig *structure.Signature
-	if len(spec) > 0 {
-		rels := make([]structure.RelSym, len(spec))
-		for i, rs := range spec {
-			rels[i] = structure.RelSym{Name: rs.Name, Arity: rs.Arity}
-		}
-		var err error
-		sig, err = structure.NewSignature(rels...)
-		if err != nil {
-			return StructureInfo{}, err
-		}
-	}
-	b, err := parser.ParseStructure(facts, sig)
+	b, err := ParseFacts(facts, spec)
 	if err != nil {
 		return StructureInfo{}, err
 	}
@@ -170,7 +155,7 @@ func (r *Registry) CreateStructure(name, facts string, spec []RelSpec) (Structur
 		return StructureInfo{}, errClosed
 	}
 	if _, dup := r.structs[name]; dup {
-		return StructureInfo{}, fmt.Errorf("structure %q %w", name, errDuplicate)
+		return StructureInfo{}, Errorf(http.StatusConflict, "structure %q already exists", name)
 	}
 	// Log the creation before publishing it: once a client sees the 201,
 	// the structure exists across restarts.  The raw facts and spec are
@@ -185,6 +170,23 @@ func (r *Registry) CreateStructure(name, facts string, spec []RelSpec) (Structur
 	return StructureInfo{Name: name, Size: b.Size(), Tuples: b.NumTuples(), Version: b.Version()}, nil
 }
 
+// ParseFacts parses a create request's facts over its signature spec
+// (empty: relation arities are inferred from the facts).
+func ParseFacts(facts string, spec []RelSpec) (*structure.Structure, error) {
+	var sig *structure.Signature
+	if len(spec) > 0 {
+		rels := make([]structure.RelSym, len(spec))
+		for i, rs := range spec {
+			rels[i] = structure.RelSym{Name: rs.Name, Arity: rs.Arity}
+		}
+		var err error
+		if sig, err = structure.NewSignature(rels...); err != nil {
+			return nil, err
+		}
+	}
+	return parser.ParseStructure(facts, sig)
+}
+
 // walSpec converts the wire signature spec to the WAL's record shape.
 func walSpec(spec []RelSpec) []wal.RelSpec {
 	if len(spec) == 0 {
@@ -197,13 +199,13 @@ func walSpec(spec []RelSpec) []wal.RelSpec {
 	return out
 }
 
-// entry resolves a named structure.
+// entry resolves a named structure (a typed 404 when there is none).
 func (r *Registry) entry(name string) (*structEntry, error) {
 	r.mu.RLock()
 	e := r.structs[name]
 	r.mu.RUnlock()
 	if e == nil {
-		return nil, fmt.Errorf("unknown structure %q", name)
+		return nil, Errorf(http.StatusNotFound, "unknown structure %q", name)
 	}
 	return e, nil
 }
@@ -581,5 +583,6 @@ func parseEngine(s string) (engine.Name, error) {
 	if strings.TrimSpace(s) == "" {
 		return engine.FPT, nil
 	}
-	return engine.ParseName(s)
+	eng, err := engine.ParseName(s)
+	return eng, WithStatus(http.StatusBadRequest, err)
 }

@@ -2,10 +2,9 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
+	"math/big"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -59,25 +58,15 @@ type Config struct {
 	HardExactLimit int
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 64
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 30 * time.Second
-	}
-	return c
-}
-
-// Server is the epserved HTTP service: a structure registry, a
-// compiled-query cache, and counting endpoints that execute on the
-// engine's bounded worker pools under admission control.  Create with
-// New, wire into any http.Server via Handler, or use Start/Shutdown for
-// the managed lifecycle.
+// Server is a single epserved node: the local Backend — a structure
+// registry, a compiled-query cache, and counting operations that
+// execute on the engine's bounded worker pools under admission control
+// — behind its Frontend.  Create with New, wire into any http.Server
+// via Handler, or use Start/Shutdown for the managed lifecycle.
 type Server struct {
+	*Frontend
 	cfg     Config
 	reg     *Registry
-	mux     *http.ServeMux
 	started time.Time
 
 	inflight  chan struct{}
@@ -86,55 +75,30 @@ type Server struct {
 	rejected  atomic.Uint64
 	deadlines atomic.Uint64
 
-	// state drives /healthz: recovering until Start's boot recovery
-	// finishes (servers without a DataDir are born ready), then ready.
-	state atomic.Int32
-
-	httpSrv  *http.Server
-	listener net.Listener
+	// recovering drives Healthz: set until Start's boot recovery finishes
+	// (servers without a DataDir are born ready).
+	recovering atomic.Bool
 }
-
-// Server states (see healthz).
-const (
-	stateReady int32 = iota
-	stateRecovering
-)
 
 // New builds a Server from the config.
 func New(cfg Config) *Server {
-	cfg = cfg.withDefaults()
+	if cfg.MaxInFlight <= 0 {
+		cfg.MaxInFlight = 64
+	}
 	s := &Server{
 		cfg:      cfg,
 		reg:      NewRegistry(cfg.QueryCacheCap, cfg.Workers),
-		mux:      http.NewServeMux(),
 		started:  time.Now(),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 	}
-	s.mux.HandleFunc("POST /structures", s.handleCreateStructure)
-	s.mux.HandleFunc("GET /structures", s.handleListStructures)
-	s.mux.HandleFunc("GET /structures/{name}", s.handleGetStructure)
-	s.mux.HandleFunc("POST /structures/{name}/facts", s.handleAppendFacts)
-	s.mux.HandleFunc("POST /count", s.handleCount)
-	s.mux.HandleFunc("POST /countBatch", s.handleCountBatch)
-	s.mux.HandleFunc("POST /subscriptions", s.handleSubscribe)
-	s.mux.HandleFunc("GET /subscriptions", s.handleListSubscriptions)
-	s.mux.HandleFunc("GET /subscriptions/{id}", s.handleSubscriptionCount)
-	s.mux.HandleFunc("DELETE /subscriptions/{id}", s.handleUnsubscribe)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	if cfg.DataDir != "" {
-		s.state.Store(stateRecovering)
-	}
+	s.Frontend = NewFrontend(s, cfg.Addr, cfg.RequestTimeout)
+	s.recovering.Store(cfg.DataDir != "")
 	return s
 }
 
 // Registry exposes the server's registry (examples and in-process
 // drivers preload structures through it).
 func (s *Server) Registry() *Registry { return s.reg }
-
-// Handler returns the server's HTTP handler (mountable under httptest
-// or an external http.Server).
-func (s *Server) Handler() http.Handler { return s.mux }
 
 // Start runs boot recovery (when DataDir is configured: open the store,
 // replay snapshot + WAL tail, attach it to the registry), then listens
@@ -143,7 +107,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // observes a half-recovered registry.  Start returns once the listener
 // is bound, so Addr is valid immediately after.
 func (s *Server) Start() error {
-	if s.cfg.DataDir != "" && s.state.Load() == stateRecovering {
+	if s.recovering.Load() {
 		policy, err := wal.ParseSyncPolicy(s.cfg.Fsync)
 		if err != nil {
 			return err
@@ -156,28 +120,9 @@ func (s *Server) Start() error {
 			st.Close()
 			return fmt.Errorf("boot recovery: %w", err)
 		}
-		s.state.Store(stateReady)
+		s.recovering.Store(false)
 	}
-	addr := s.cfg.Addr
-	if addr == "" {
-		addr = ":0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.listener = ln
-	s.httpSrv = &http.Server{Handler: s.mux}
-	go func() { _ = s.httpSrv.Serve(ln) }()
-	return nil
-}
-
-// Addr returns the bound listen address after Start.
-func (s *Server) Addr() string {
-	if s.listener == nil {
-		return ""
-	}
-	return s.listener.Addr().String()
+	return s.Frontend.Start()
 }
 
 // Shutdown gracefully stops a Started server: the listener closes
@@ -189,45 +134,19 @@ func (s *Server) Addr() string {
 // durability store.  An acknowledged append therefore cannot be lost to
 // a graceful shutdown regardless of fsync policy.
 func (s *Server) Shutdown(ctx context.Context) error {
-	var err error
-	if s.httpSrv != nil {
-		err = s.httpSrv.Shutdown(ctx)
-	}
+	err := s.Frontend.Shutdown(ctx)
 	if cerr := s.reg.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// ---- request plumbing ----
+// ---- the local Backend ----
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-		return false
-	}
-	return true
-}
-
-// maxRequestBytes bounds request bodies (fact batches included).
-const maxRequestBytes = 64 << 20
-
-// admit reserves an in-flight counting slot, or rejects with 503 when
+// admit reserves an in-flight counting slot, or refuses with 503 when
 // the server is saturated.  The returned release must be called when
 // the request finishes.
-func (s *Server) admit(w http.ResponseWriter) (release func(), ok bool) {
+func (s *Server) admit() (release func(), err error) {
 	select {
 	case s.inflight <- struct{}{}:
 		s.admitted.Add(1)
@@ -235,192 +154,133 @@ func (s *Server) admit(w http.ResponseWriter) (release func(), ok bool) {
 		return func() {
 			s.inFlight.Add(-1)
 			<-s.inflight
-		}, true
+		}, nil
 	default:
 		s.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "server at max in-flight counting requests (%d)", s.cfg.MaxInFlight)
-		return nil, false
+		return nil, Errorf(http.StatusServiceUnavailable, "server at max in-flight counting requests (%d)", s.cfg.MaxInFlight)
 	}
 }
 
-// requestCtx derives the counting context: the client's connection
-// context bounded by the server deadline, optionally lowered by the
-// request's timeout_ms.
-func (s *Server) requestCtx(r *http.Request, timeoutMillis int64) (context.Context, context.CancelFunc) {
-	d := s.cfg.RequestTimeout
-	if timeoutMillis > 0 {
-		if td := time.Duration(timeoutMillis) * time.Millisecond; td < d {
-			d = td
-		}
-	}
-	return context.WithTimeout(r.Context(), d)
-}
+// errNoStructures refuses a batch count over no structures.
+var errNoStructures = Errorf(http.StatusBadRequest, "structures must not be empty")
 
-// parseMode validates a count request's execution mode.
-func parseMode(mode string) (approxMode bool, err error) {
+// countOptions validates a counting request's engine and execution
+// mode: the one check behind every surface, and where the local backend
+// reads their parsed values.
+func countOptions(engineName, mode string) (eng engine.Name, approxMode bool, err error) {
+	if eng, err = parseEngine(engineName); err != nil {
+		return eng, false, err
+	}
 	switch mode {
 	case "", "exact":
-		return false, nil
+		return eng, false, nil
 	case "approx":
-		return true, nil
-	default:
-		return false, fmt.Errorf("serve: unknown mode %q (want \"exact\" or \"approx\")", mode)
+		return eng, true, nil
 	}
+	return eng, false, Errorf(http.StatusBadRequest, "serve: unknown mode %q (want \"exact\" or \"approx\")", mode)
 }
 
-// rejectHardExact writes the typed admission rejection for exact
-// execution of a hard-classified query (422 with the trichotomy case).
-func rejectHardExact(w http.ResponseWriter, err error) {
+// countError types a counting failure that is not typed yet: an expired
+// deadline (counted for /stats) or a vanished client is 504; everything
+// else is 422, with the trichotomy case when the admission rule refused
+// exact execution of a hard query.
+func (s *Server) countError(err error) error {
+	var ae *APIError
+	if errors.As(err, &ae) {
+		return err
+	}
+	ae = &APIError{Status: http.StatusUnprocessableEntity, Msg: err.Error()}
 	var hee *core.HardExactError
-	if errors.As(err, &hee) {
-		writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{Error: err.Error(), Case: hee.Case.Short()})
-		return
-	}
-	writeError(w, http.StatusUnprocessableEntity, "%v", err)
-}
-
-// countStatus maps a counting error to an HTTP status.
-func (s *Server) countStatus(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.deadlines.Add(1)
-		return http.StatusGatewayTimeout
+		ae.Status = http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		// The client went away; the status is moot but 499-style
 		// semantics map closest onto 504 here.
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusUnprocessableEntity
+		ae.Status = http.StatusGatewayTimeout
+	case errors.As(err, &hee):
+		ae.Case = hee.Case.Short()
 	}
-}
-
-// ---- handlers ----
-
-func (s *Server) handleCreateStructure(w http.ResponseWriter, r *http.Request) {
-	var req CreateStructureRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	if req.Partitions != 0 {
-		writeError(w, http.StatusBadRequest,
-			"partitioned structures require a cluster coordinator (this is a single shard node)")
-		return
-	}
-	info, err := s.reg.CreateStructure(req.Name, req.Facts, req.Signature)
-	if err != nil {
-		status := http.StatusBadRequest
-		switch {
-		case IsDuplicate(err):
-			status = http.StatusConflict
-		case errors.Is(err, errClosed):
-			w.Header().Set("Retry-After", "1")
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, info)
+	return ae
 }
 
 // IsDuplicate reports whether err is a structure-name collision from
 // CreateStructure (HTTP 409 on the wire) — preloaders that want
 // create-if-absent semantics test it to skip already-present names.
 func IsDuplicate(err error) bool {
-	return err != nil && errors.Is(err, errDuplicate)
+	var ae *APIError
+	return errors.As(err, &ae) && ae.Status == http.StatusConflict
 }
 
-func (s *Server) handleListStructures(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, StructuresResponse{Structures: s.reg.Structures()})
+// CreateStructureWith ingests a named structure.
+func (s *Server) CreateStructureWith(_ context.Context, req CreateStructureRequest) (StructureInfo, error) {
+	if req.Partitions != 0 {
+		return StructureInfo{}, Errorf(http.StatusBadRequest,
+			"partitioned structures require a cluster coordinator (this is a single shard node)")
+	}
+	info, err := s.reg.CreateStructure(req.Name, req.Facts, req.Signature)
+	return info, WithStatus(http.StatusBadRequest, err)
 }
 
-func (s *Server) handleGetStructure(w http.ResponseWriter, r *http.Request) {
-	info, err := s.reg.StructureInfo(r.PathValue("name"))
+// Structures lists the registered structures, sorted by name.
+func (s *Server) Structures(context.Context) ([]StructureInfo, error) {
+	return s.reg.Structures(), nil
+}
+
+// Structure snapshots one structure's metadata.
+func (s *Server) Structure(_ context.Context, name string) (StructureInfo, error) {
+	return s.reg.StructureInfo(name)
+}
+
+// AppendFactsBatch appends facts under an optional idempotency batch id
+// (see Registry.AppendFactsBatch).
+func (s *Server) AppendFactsBatch(_ context.Context, name, facts, batchID string) (StructureInfo, error) {
+	info, err := s.reg.AppendFactsBatch(name, facts, batchID)
+	return info, WithStatus(http.StatusBadRequest, err)
+}
+
+// CountWith counts a query on one structure, in exact or approx mode,
+// under admission control and ctx's deadline.
+func (s *Server) CountWith(ctx context.Context, req CountRequest) (*big.Int, CountResponse, error) {
+	fail := func(err error) (*big.Int, CountResponse, error) { return nil, CountResponse{}, err }
+	release, err := s.admit()
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-func (s *Server) handleAppendFacts(w http.ResponseWriter, r *http.Request) {
-	var req AppendFactsRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	name := r.PathValue("name")
-	info, err := s.reg.AppendFactsBatch(name, req.Facts, req.BatchID)
-	if err != nil {
-		status := http.StatusBadRequest
-		switch {
-		case errors.Is(err, errClosed):
-			// Shutdown in progress: the write was refused before any
-			// effect, so the client may retry against the next process.
-			w.Header().Set("Retry-After", "1")
-			status = http.StatusServiceUnavailable
-		default:
-			if _, lookupErr := s.reg.entry(name); lookupErr != nil {
-				status = http.StatusNotFound
-			}
-		}
-		writeError(w, status, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	var req CountRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	release, ok := s.admit(w)
-	if !ok {
-		return
+		return fail(err)
 	}
 	defer release()
-	eng, err := parseEngine(req.Engine)
+	eng, approxMode, err := countOptions(req.Engine, req.Mode)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	approxMode, err := parseMode(req.Mode)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return fail(err)
 	}
 	e, err := s.reg.entry(req.Structure)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
+		return fail(err)
 	}
 	// The signature is immutable after ingest, so the counter resolves
 	// (and on first use compiles) outside the structure lock.
 	c, err := s.reg.counterFor(req.Query, eng, e.b.Signature())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return fail(WithStatus(http.StatusBadRequest, err))
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMillis)
-	defer cancel()
 	start := time.Now()
 	// The read lock spans version read and count, so the request
 	// executes against one consistent structure version.
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	version := e.b.Version()
 	if approxMode {
 		res, aerr := c.CountApproxCtx(ctx, e.b, approx.Params{
 			Epsilon: req.Epsilon, Delta: req.Delta,
 			MaxSamples: req.MaxSamples, Seed: req.Seed,
 		})
-		e.mu.RUnlock()
 		if aerr != nil {
-			writeError(w, s.countStatus(aerr), "%v", aerr)
-			return
+			return fail(s.countError(aerr))
 		}
-		writeJSON(w, http.StatusOK, CountResponse{
-			Count:      res.Estimate.String(),
-			Estimate:   res.Estimate.String(),
+		est := res.Estimate.String()
+		return res.Estimate, CountResponse{
+			Count:      est,
+			Estimate:   est,
 			RelError:   res.RelErr,
 			Confidence: res.Confidence,
 			Case:       res.Case.Short(),
@@ -428,50 +288,38 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 			Exact:      res.Exact,
 			Version:    version,
 			ElapsedUS:  time.Since(start).Microseconds(),
-		})
-		return
+		}, nil
 	}
 	if aerr := c.AdmitExact(e.b, s.cfg.HardExactLimit); aerr != nil {
-		e.mu.RUnlock()
-		rejectHardExact(w, aerr)
-		return
+		return fail(s.countError(aerr))
 	}
 	v, err := c.CountCtx(ctx, e.b)
-	e.mu.RUnlock()
 	if err != nil {
-		writeError(w, s.countStatus(err), "%v", err)
-		return
+		return fail(s.countError(err))
 	}
-	writeJSON(w, http.StatusOK, CountResponse{
+	return v, CountResponse{
 		Count:     v.String(),
 		Version:   version,
 		ElapsedUS: time.Since(start).Microseconds(),
-	})
+	}, nil
 }
 
-func (s *Server) handleCountBatch(w http.ResponseWriter, r *http.Request) {
-	var req CountBatchRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
+// CountBatchWith counts one query on many structures (one shared
+// signature), fanned out on the bounded worker pool, under admission
+// control and ctx's deadline.
+func (s *Server) CountBatchWith(ctx context.Context, req CountBatchRequest) ([]*big.Int, CountBatchResponse, error) {
+	fail := func(err error) ([]*big.Int, CountBatchResponse, error) { return nil, CountBatchResponse{}, err }
 	if len(req.Structures) == 0 {
-		writeError(w, http.StatusBadRequest, "structures must not be empty")
-		return
+		return fail(errNoStructures)
 	}
-	release, ok := s.admit(w)
-	if !ok {
-		return
+	release, err := s.admit()
+	if err != nil {
+		return fail(err)
 	}
 	defer release()
-	eng, err := parseEngine(req.Engine)
+	eng, approxMode, err := countOptions(req.Engine, req.Mode)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	approxMode, err := parseMode(req.Mode)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return fail(err)
 	}
 	// Resolve (and maybe compile) the counter BEFORE taking the
 	// structure locks: counterFor acquires the registry lock, and
@@ -481,34 +329,28 @@ func (s *Server) handleCountBatch(w http.ResponseWriter, r *http.Request) {
 	// immutable after creation, so reading it lock-free is safe.
 	first, err := s.reg.entry(req.Structures[0])
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
+		return fail(err)
 	}
 	sig := first.b.Signature()
 	c, err := s.reg.counterFor(req.Query, eng, sig)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return fail(WithStatus(http.StatusBadRequest, err))
 	}
 	entries, unlock, err := s.reg.lockAll(req.Structures)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
+		return fail(err)
 	}
 	defer unlock()
 	versions := make([]uint64, len(entries))
 	bs := make([]*structure.Structure, len(entries))
 	for i, e := range entries {
 		if !sig.Equal(e.b.Signature()) {
-			writeError(w, http.StatusBadRequest,
-				"structures %q and %q have different signatures", req.Structures[0], req.Structures[i])
-			return
+			return fail(Errorf(http.StatusBadRequest,
+				"structures %q and %q have different signatures", req.Structures[0], req.Structures[i]))
 		}
 		bs[i] = e.b
 		versions[i] = e.b.Version()
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMillis)
-	defer cancel()
 	start := time.Now()
 	if approxMode {
 		prm := approx.Params{
@@ -526,13 +368,12 @@ func (s *Server) handleCountBatch(w http.ResponseWriter, r *http.Request) {
 			return aerr
 		})
 		if err != nil {
-			writeError(w, s.countStatus(err), "%v", err)
-			return
+			return fail(s.countError(err))
 		}
+		vs := make([]*big.Int, len(results))
 		resp := CountBatchResponse{
 			Counts:      make([]string, len(results)),
 			Versions:    versions,
-			Estimates:   make([]string, len(results)),
 			RelErrors:   make([]float64, len(results)),
 			Confidences: make([]float64, len(results)),
 			Cases:       make([]string, len(results)),
@@ -540,95 +381,73 @@ func (s *Server) handleCountBatch(w http.ResponseWriter, r *http.Request) {
 			ElapsedUS:   time.Since(start).Microseconds(),
 		}
 		for i, res := range results {
+			vs[i] = res.Estimate
 			resp.Counts[i] = res.Estimate.String()
-			resp.Estimates[i] = res.Estimate.String()
 			resp.RelErrors[i] = res.RelErr
 			resp.Confidences[i] = res.Confidence
 			resp.Cases[i] = res.Case.Short()
 			resp.Samples[i] = res.Samples
 		}
-		writeJSON(w, http.StatusOK, resp)
-		return
+		resp.Estimates = resp.Counts
+		return vs, resp, nil
 	}
 	for _, b := range bs {
 		if aerr := c.AdmitExact(b, s.cfg.HardExactLimit); aerr != nil {
-			rejectHardExact(w, aerr)
-			return
+			return fail(s.countError(aerr))
 		}
 	}
 	vs, err := c.CountBatchCtx(ctx, bs)
 	if err != nil {
-		writeError(w, s.countStatus(err), "%v", err)
-		return
+		return fail(s.countError(err))
 	}
 	counts := make([]string, len(vs))
 	for i, v := range vs {
 		counts[i] = v.String()
 	}
-	writeJSON(w, http.StatusOK, CountBatchResponse{
+	return vs, CountBatchResponse{
 		Counts:    counts,
 		Versions:  versions,
 		ElapsedUS: time.Since(start).Microseconds(),
-	})
+	}, nil
 }
 
-func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	var req SubscribeRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
+// SubscribeWith registers a maintained count (see Registry.Subscribe).
+func (s *Server) SubscribeWith(_ context.Context, req SubscribeRequest) (SubscriptionInfo, error) {
 	info, err := s.reg.Subscribe(req.Query, req.Structure, req.Engine)
+	return info, WithStatus(http.StatusBadRequest, err)
+}
+
+// Subscriptions lists the registered subscriptions, sorted by id.
+func (s *Server) Subscriptions(context.Context) ([]SubscriptionInfo, error) {
+	return s.reg.Subscriptions(), nil
+}
+
+// SubscriptionCount reads a maintained count.  The lazy maintenance may
+// run a delta advance or a full count, so the read passes through
+// admission control like CountWith.
+func (s *Server) SubscriptionCount(ctx context.Context, id string) (*big.Int, SubscriptionInfo, error) {
+	release, err := s.admit()
 	if err != nil {
-		status := http.StatusBadRequest
-		if _, lookupErr := s.reg.entry(req.Structure); lookupErr != nil {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, info)
-}
-
-func (s *Server) handleListSubscriptions(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, SubscriptionsResponse{Subscriptions: s.reg.Subscriptions()})
-}
-
-// handleSubscriptionCount is a counting request (the lazy maintenance
-// may run a delta advance or a full count), so it passes through
-// admission control and the per-request deadline like /count.
-func (s *Server) handleSubscriptionCount(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, err := s.reg.subscription(id); err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	release, ok := s.admit(w)
-	if !ok {
-		return
+		return nil, SubscriptionInfo{}, err
 	}
 	defer release()
-	ctx, cancel := s.requestCtx(r, 0)
-	defer cancel()
 	start := time.Now()
-	info, err := s.reg.SubscriptionCount(ctx, id)
+	v, info, err := s.reg.subscriptionCount(ctx, id)
 	if err != nil {
-		writeError(w, s.countStatus(err), "%v", err)
-		return
+		return nil, info, s.countError(err)
 	}
 	info.ElapsedUS = time.Since(start).Microseconds()
-	writeJSON(w, http.StatusOK, info)
+	return v, info, nil
 }
 
-func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
-	if err := s.reg.Unsubscribe(r.PathValue("id")); err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+// Unsubscribe removes a subscription.
+func (s *Server) Unsubscribe(_ context.Context, id string) error {
+	return s.reg.Unsubscribe(id)
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, StatsResponse{
+// Stats snapshots the server's telemetry.
+func (s *Server) Stats(context.Context) (StatsResponse, error) {
+	return StatsResponse{
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Admission: AdmissionStats{
 			InFlight:    s.inFlight.Load(),
@@ -644,17 +463,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Delta:         engine.DeltaStats(),
 		Subscriptions: s.reg.NumSubscriptions(),
 		Durability:    s.reg.DurabilityStats(),
-	})
+	}, nil
 }
 
-// handleHealthz distinguishes a server still replaying its durability
-// store (503 "recovering" — load balancers keep traffic away) from one
-// ready to serve (200 "ready").
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.state.Load() == stateRecovering {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, HealthzResponse{OK: false, State: "recovering"})
-		return
+// Healthz distinguishes a server still replaying its durability store
+// ("recovering") from one ready to serve.
+func (s *Server) Healthz(context.Context) error {
+	if s.recovering.Load() {
+		return Errorf(http.StatusServiceUnavailable, "recovering")
 	}
-	writeJSON(w, http.StatusOK, HealthzResponse{OK: true, State: "ready"})
+	return nil
 }

@@ -205,11 +205,11 @@ func TestAdmissionControl(t *testing.T) {
 	}
 
 	// Occupy the only slot directly (deterministic), then hit the API.
-	release, ok := s.admit(httptest.NewRecorder())
-	if !ok {
+	release, err := s.admit()
+	if err != nil {
 		t.Fatal("could not occupy the admission slot")
 	}
-	_, _, err := cl.Count(ctx, triangleQuery, "big")
+	_, _, err = cl.Count(ctx, triangleQuery, "big")
 	release()
 	if err == nil || !strings.Contains(err.Error(), "HTTP 503") {
 		t.Fatalf("err = %v, want HTTP 503 while saturated", err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"net/http"
 	"sort"
 	"sync"
 
@@ -97,7 +98,7 @@ func (r *Registry) subscription(id string) (*subEntry, error) {
 	se := r.subs[id]
 	r.mu.RUnlock()
 	if se == nil {
-		return nil, fmt.Errorf("unknown subscription %q", id)
+		return nil, Errorf(http.StatusNotFound, "unknown subscription %q", id)
 	}
 	return se, nil
 }
@@ -110,34 +111,32 @@ func (r *Registry) subscription(id string) (*subEntry, error) {
 // one is maintained through the engine's delta path when the plan
 // allows it.
 func (r *Registry) SubscriptionCount(ctx context.Context, id string) (SubscriptionInfo, error) {
+	_, info, err := r.subscriptionCount(ctx, id)
+	return info, err
+}
+
+// subscriptionCount is SubscriptionCount that also hands out the count
+// itself (shared with the subscription: read-only).
+func (r *Registry) subscriptionCount(ctx context.Context, id string) (*big.Int, SubscriptionInfo, error) {
 	se, err := r.subscription(id)
 	if err != nil {
-		return SubscriptionInfo{}, err
+		return nil, SubscriptionInfo{}, err
 	}
 	se.e.mu.RLock()
 	defer se.e.mu.RUnlock()
 	v := se.e.b.Version()
 	se.mu.Lock()
-	if se.valid && se.version == v {
-		defer se.mu.Unlock()
-		return SubscriptionInfo{
-			ID:        se.id,
-			Query:     se.query,
-			Structure: se.structure,
-			Engine:    se.engName.String(),
-			Count:     se.count.String(),
-			Version:   se.version,
-		}, nil
+	cnt := se.count
+	if !se.valid || se.version != v {
+		se.mu.Unlock()
+		if cnt, err = se.c.CountCtx(ctx, se.e.b); err != nil {
+			return nil, SubscriptionInfo{}, err
+		}
+		se.mu.Lock()
+		se.count, se.version, se.valid = cnt, v, true
 	}
 	se.mu.Unlock()
-	cnt, err := se.c.CountCtx(ctx, se.e.b)
-	if err != nil {
-		return SubscriptionInfo{}, err
-	}
-	se.mu.Lock()
-	se.count, se.version, se.valid = cnt, v, true
-	se.mu.Unlock()
-	return SubscriptionInfo{
+	return cnt, SubscriptionInfo{
 		ID:        se.id,
 		Query:     se.query,
 		Structure: se.structure,
@@ -152,7 +151,7 @@ func (r *Registry) Unsubscribe(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.subs[id]; !ok {
-		return fmt.Errorf("unknown subscription %q", id)
+		return Errorf(http.StatusNotFound, "unknown subscription %q", id)
 	}
 	delete(r.subs, id)
 	return nil
