@@ -4,10 +4,13 @@ GO ?= go
 
 # Hot-path micro-benchmarks the bench-baseline / bench-compare pair
 # tracks: bitmap intersection, prefix-index probe+build, memo-warm batch
-# serving, cold ∃-component predicate materialization, and the Theorem
-# 3.1 front-end (cold compile, core, canonical key).
-MICRO_BENCH = Intersect_|IndexProbe_|IndexBuild_|CountBatchInto_|Materialize_Predicate|FrontEnd_
-MICRO_PKGS  = ./internal/structure ./internal/engine ./internal/core ./internal/eptrans ./internal/pp
+# serving, cold ∃-component predicate materialization, the Theorem 3.1
+# front-end (cold compile, core, canonical key), and the hom solver on
+# both revise kernels (one sampler draw on the approx-hard inputs;
+# Exists / Count / ForEachExtendable on either side of the bit-row
+# crossover).
+MICRO_BENCH = Intersect_|IndexProbe_|IndexBuild_|CountBatchInto_|Materialize_Predicate|FrontEnd_|Hom_
+MICRO_PKGS  = ./internal/structure ./internal/engine ./internal/core ./internal/eptrans ./internal/pp ./internal/hom
 
 build:
 	$(GO) build ./...
@@ -89,7 +92,8 @@ cluster-smoke:
 # Statistical acceptance suite for the approximate-counting engine,
 # swept across several disjoint fixed-seed matrices: unbiasedness of the
 # fixed-budget estimator, (ε, δ) interval coverage against exact ground
-# truth, routing differentials (FPT bit-identical, hard sampled), and
+# truth, cover-or-Converged=false on sparse-answer instances, routing
+# differentials (FPT bit-identical, hard sampled, golden seeds), and
 # the serve/cluster approx wire contracts under the race detector.  The
 # tolerances carry a Chernoff-style failure budget, so a red matrix
 # means estimator bias, not bad luck.
@@ -98,5 +102,5 @@ approx-smoke:
 		EPCQ_APPROX_SEED_BASE=$$base $(GO) test -count=1 ./internal/approx || exit 1; \
 	done
 	$(GO) test -race -count=1 ./internal/approx ./internal/hom
-	$(GO) test -race -count=1 -run 'TestRoutingMatchesClassify|TestFPTApproxBitIdentical|TestHardRoutingSamples|TestWithRouteBoundsReroutes|TestClassificationMemoizedPerFingerprint' ./internal/core
+	$(GO) test -race -count=1 -run 'TestRoutingMatchesClassify|TestFPTApproxBitIdentical|TestHardRoutingSamples|TestApproxHardGolden|TestWithRouteBoundsReroutes|TestClassificationMemoizedPerFingerprint' ./internal/core
 	$(GO) test -race -count=1 -run 'Approx|TestHardExactAdmission|TestCountModeValidation' ./internal/serve ./internal/cluster

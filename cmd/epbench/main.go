@@ -1,7 +1,8 @@
 // Command epbench runs the reproduction experiment suite (E1–E10, P1, S2,
-// D1, A1–A6;
+// D1, A2–A6;
 // see the package comment of internal/experiments) and prints one table
-// per experiment.  Since the paper
+// per experiment; the approximate-counting numbers are measured by
+// go run ./benchmark -workload approx-hard instead.  Since the paper
 // is a theory paper with no measurement section, these tables are the
 // "figures" of the reproduction: each operationalizes one worked example
 // or theorem and self-validates.

@@ -159,19 +159,18 @@ func sampleComponent(ctx context.Context, sp *hom.Sampler, rng *rand.Rand, eps, 
 		}
 	}
 	// Budget exhausted: report the interval actually achieved.  With no
-	// successful draw at all the mean is 0 and no relative bound exists;
-	// surface full uncertainty (absErr = mean-scale unknown → use the
-	// largest observed-compatible value of one unit so RelErr reads 1).
+	// successful draw at all the mean and the radius are both 0 and no
+	// relative bound exists (Count then reports RelErr 1).  A single draw
+	// has no sample variance either: its interval is as wide as the
+	// estimate itself.
 	mean := sum / n
-	var radius float64
-	if nonzero > 0 {
+	radius := mean
+	if n > 1 {
 		variance := (sumsq - n*mean*mean) / (n - 1)
 		if variance < 0 {
 			variance = 0
 		}
 		radius = z * math.Sqrt(variance/n)
-	} else {
-		mean, radius = 0, 0
 	}
 	return compEstimate{mean: mean, absErr: radius, samples: int(n), converged: false}, nil
 }

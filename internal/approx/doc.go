@@ -5,8 +5,10 @@
 // parameterized-complexity assumptions fail.
 //
 // The estimator is a sequential importance sampler in the style of
-// Knuth's unbiased tree-size estimator, run over the same posting-list
-// indexes and GAC propagation the exact solver uses (hom.Sampler): a
+// Knuth's unbiased tree-size estimator, run over the same GAC
+// propagation the exact solver uses (hom.Sampler; on binary relations a
+// revise is a few word operations on the solver's bit rows, so a draw
+// costs microseconds and allocates nothing): a
 // draw fixes the liberal variables one at a time to a uniformly random
 // member of their current propagated domain, multiplies the domain sizes
 // into a Horvitz–Thompson weight, and checks the partial assignment
@@ -26,7 +28,7 @@
 // normal-approximation confidence interval (z · s/√n, z from the inverse
 // error function): sampling stops once the half-width drops below ε times
 // the running mean, or the per-component MaxSamples cap is hit (reported
-// via Result.Converged).  The interval is asymptotic rather than a
+// via Result.Converged, and as "converged" on the wire).  The interval is asymptotic rather than a
 // finite-sample Chernoff bound — the worst-case weight range R = ∏|dom⁰ᵥ|
 // makes empirical-Bernstein stopping vacuous on realistic instances — and
 // its coverage is validated empirically by the repeated-trial statistical

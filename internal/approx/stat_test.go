@@ -1,7 +1,7 @@
 // Statistical acceptance tests for the importance-sampling estimator:
 // unbiasedness of the fixed-budget mean, (ε, δ) interval coverage against
-// exact ground truth, multi-component products, exact short-circuits and
-// seed reproducibility.
+// exact ground truth, multi-component products, exact short-circuits,
+// seed reproducibility, and honesty on sparse-answer instances.
 //
 // Every test runs a fixed seed matrix so `go test ./...` is deterministic.
 // The matrix base can be shifted with EPCQ_APPROX_SEED_BASE (used by
@@ -22,6 +22,7 @@ import (
 	"repro/internal/approx"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/hom"
 	"repro/internal/pp"
 	"repro/internal/structure"
 	"repro/internal/workload"
@@ -289,5 +290,155 @@ func TestSeedReproducibility(t *testing.T) {
 	}
 	if r1.Estimate.Cmp(r3.Estimate) == 0 {
 		t.Fatalf("seeds 42 and 43 produced the identical estimate %v — RNG is not seeded", r1.Estimate)
+	}
+}
+
+// TestSparseAnswerHonesty runs the estimator where importance sampling
+// over arc-consistent domains is weakest: answers so sparse that most
+// draws die and the live ones carry large, uneven weights (Dell–Roth,
+// arXiv 1902.04960, locate the hardness of approximate answer counting
+// exactly here).  The graphs are pinned — K5 on G(40, 0.3), two of whose
+// seeds are clique-free, a sparse graph with one planted K5, two
+// triangles on a graph with a handful of them, and an edgeless graph —
+// and only the sampler seeds move with the matrix base.  The contract is
+// cover or say so: an estimate may claim Converged only with the truth
+// inside ±ε of it (up to the δ budget, sized as in TestCoverage: the 64
+// trials on instances with answers, at a true failure rate of δ = 0.1,
+// exceed 17 misses with probability below 1e-4); a zero is Exact only
+// when the initial propagation proves it, otherwise it is an unconverged
+// estimate with no relative bound; and MaxSamples bounds every sampled
+// component's draws, hence the wall-clock.
+func TestSparseAnswerHonesty(t *testing.T) {
+	base := seedBase(t)
+	k5 := cliquePP(t, 5)
+	two := graph.New(6)
+	two.AddClique([]int{0, 1, 2})
+	two.AddClique([]int{3, 4, 5})
+	twoK3, err := pp.New(workload.GraphStructure(two), []int{0, 1, 2, 3, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := workload.ER(40, 0.1, 77)
+	planted.AddClique([]int{3, 11, 19, 27, 35})
+
+	type instance struct {
+		name  string
+		p     pp.PP
+		g     *graph.Graph
+		truth float64
+	}
+	var instances []instance
+	cliqueFree := 0
+	for s := int64(1); s <= 8; s++ {
+		g := workload.ER(40, 0.3, s)
+		truth := 120 * bigToF(g.CountCliques(5)) // 5! orderings per clique
+		if truth == 0 {
+			cliqueFree++
+		}
+		instances = append(instances, instance{"K5/ER(40,0.3," + strconv.FormatInt(s, 10) + ")", k5, g, truth})
+	}
+	if cliqueFree == 0 || cliqueFree == 8 {
+		t.Fatalf("%d of 8 pinned graphs are K5-free: the matrix must mix both kinds", cliqueFree)
+	}
+	sparse := workload.ER(40, 0.08, 5)
+	tri := 6 * bigToF(sparse.CountCliques(3))
+	instances = append(instances,
+		instance{"K5/planted", k5, planted, 120 * bigToF(planted.CountCliques(5))},
+		instance{"2xK3/ER(40,0.08)", twoK3, sparse, tri * tri},
+		instance{"K5/edgeless", k5, graph.New(12), 0},
+	)
+	if instances[8].truth != 120 || tri == 0 {
+		t.Fatalf("pinned inputs drifted: planted K5 count %v (want 120), triangles %v (want > 0)", instances[8].truth, tri)
+	}
+
+	const (
+		trials     = 8
+		eps        = 0.1
+		delta      = 0.1
+		maxSamples = 8192
+		allowMiss  = 17
+	)
+	confident, misses := 0, 0
+	for ii, inst := range instances {
+		b := workload.GraphStructure(inst.g)
+		sampled, proven := 0, false
+		for _, comp := range inst.p.Components() {
+			if len(comp.S) > 0 && comp.A.NumTuples() > 0 {
+				sampled++
+				proven = proven || hom.NewSampler(comp.A, b, comp.S, hom.Options{}).ExactZero()
+			}
+		}
+		est := approx.New(inst.p)
+		for i := 0; i < trials; i++ {
+			res, err := est.Count(context.Background(), b, approx.Params{
+				Epsilon: eps, Delta: delta, MaxSamples: maxSamples,
+				Seed: base + int64(5000+100*ii+i),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Samples > sampled*maxSamples {
+				t.Fatalf("%s trial %d: %d draws over %d sampled components capped at %d each", inst.name, i, res.Samples, sampled, maxSamples)
+			}
+			if res.Exact != proven {
+				t.Fatalf("%s trial %d: Exact=%v, but the initial propagation proves zero: %v", inst.name, i, res.Exact, proven)
+			}
+			got := bigToF(res.Estimate)
+			switch {
+			case res.Exact:
+				if got != 0 || inst.truth != 0 || res.Samples != 0 {
+					t.Fatalf("%s trial %d: exact result %+v, truth %v", inst.name, i, res, inst.truth)
+				}
+			case got == 0:
+				// Every draw died: nothing was learnt about the scale.
+				if res.Converged || res.RelErr != 1 || res.Confidence != 1-delta {
+					t.Fatalf("%s trial %d: an all-dead sample must be unconverged with rel-error 1: %+v", inst.name, i, res)
+				}
+			case inst.truth == 0:
+				t.Fatalf("%s trial %d: estimate %v on an instance with no answer", inst.name, i, res.Estimate)
+			case res.Converged:
+				confident++
+				if res.RelErr > eps {
+					t.Fatalf("%s trial %d: Converged with rel-error %v > ε", inst.name, i, res.RelErr)
+				}
+				if math.Abs(got-inst.truth) > eps*inst.truth {
+					misses++
+				}
+			}
+		}
+	}
+	t.Logf("%d converged estimates, %d outside ε", confident, misses)
+	if confident < 40 {
+		t.Fatalf("only %d trials converged: the matrix no longer exercises the confident path", confident)
+	}
+	if misses > allowMiss {
+		t.Fatalf("%d of %d converged estimates miss ε=%.2f (budget %d at δ=%.2f) — confident wrong intervals",
+			misses, confident, eps, allowMiss, delta)
+	}
+}
+
+// TestOneDrawBudget checks the smallest budget: one draw has no sample
+// variance, so the estimate — live or dead — is unconverged with an
+// interval as wide as itself, not a NaN the wire cannot encode.
+func TestOneDrawBudget(t *testing.T) {
+	base := seedBase(t)
+	p := cliquePP(t, 3)
+	b := workload.GraphStructure(workload.ER(40, 0.25, 3))
+	est := approx.New(p)
+	live := 0
+	for i := int64(0); i < 20; i++ {
+		res, err := est.Count(context.Background(), b, approx.Params{MaxSamples: 1, Seed: base + 7000 + i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Converged || res.Exact || res.Samples != 1 || res.RelErr != 1 {
+			t.Fatalf("seed %d: one-draw estimate %+v, want unconverged with rel-error 1", i, res)
+		}
+		if res.Estimate.Sign() > 0 {
+			live++
+		}
+	}
+	if live == 0 {
+		t.Fatal("no live draw in 20 seeds: the single-draw variance path was not reached")
 	}
 }

@@ -54,7 +54,7 @@ func TestClusterApproxRoundTrip(t *testing.T) {
 	if resp.Case != "sharp-clique" && resp.Case != "clique" {
 		t.Fatalf("routed case = %q, want a hard case", resp.Case)
 	}
-	if resp.Samples == 0 || resp.RelError <= 0 || resp.Confidence != 0.95 {
+	if resp.Samples == 0 || resp.RelError <= 0 || resp.Confidence != 0.95 || resp.Converged == nil || !*resp.Converged {
 		t.Fatalf("routed approx telemetry missing: %+v", resp)
 	}
 	ef, _ := new(big.Float).SetInt(exact).Float64()
@@ -74,6 +74,12 @@ func TestClusterApproxRoundTrip(t *testing.T) {
 	}
 	if e1.Cmp(e2) != 0 {
 		t.Fatalf("seeded routed estimate diverged: %v vs %v", e1, e2)
+	}
+
+	// A capped estimate's converged=false crosses the router.
+	req.MaxSamples = 1
+	if _, capped, err := cc.CountWith(ctx, req); err != nil || capped.Converged == nil || *capped.Converged {
+		t.Fatalf("routed max_samples=1 must answer converged=false: %+v, %v", capped, err)
 	}
 }
 
@@ -98,16 +104,17 @@ func TestClusterApproxBatchArrays(t *testing.T) {
 	}
 	if len(ests) != len(names) || len(resp.Estimates) != len(names) ||
 		len(resp.RelErrors) != len(names) || len(resp.Confidences) != len(names) ||
-		len(resp.Cases) != len(names) || len(resp.Samples) != len(names) {
+		len(resp.Cases) != len(names) || len(resp.Samples) != len(names) ||
+		len(resp.Converged) != len(names) {
 		t.Fatalf("approx batch arrays misaligned: %+v", resp)
 	}
 	for i := range names {
 		if resp.Estimates[i] != resp.Counts[i] {
 			t.Fatalf("structure %d: estimate %q != count %q", i, resp.Estimates[i], resp.Counts[i])
 		}
-		if resp.Cases[i] == "" || resp.Samples[i] == 0 {
-			t.Fatalf("structure %d: missing approx telemetry: case=%q samples=%d",
-				i, resp.Cases[i], resp.Samples[i])
+		if resp.Cases[i] == "" || resp.Samples[i] == 0 || !resp.Converged[i] {
+			t.Fatalf("structure %d: missing approx telemetry: case=%q samples=%d converged=%v",
+				i, resp.Cases[i], resp.Samples[i], resp.Converged[i])
 		}
 		exact, _, err := cc.Count(ctx, triQuery, names[i])
 		if err != nil {
@@ -120,6 +127,19 @@ func TestClusterApproxBatchArrays(t *testing.T) {
 		}
 		if rel := (gf - ef) / ef; rel > 0.4 || rel < -0.4 {
 			t.Fatalf("structure %d: routed estimate %v too far from exact %v", i, ests[i], exact)
+		}
+	}
+
+	// Capped, every slot of the scatter says converged=false.
+	_, capped, err := cc.CountBatchWith(ctx, serve.CountBatchRequest{
+		Query: triQuery, Structures: names, Mode: "approx", Seed: 11, MaxSamples: 1,
+	})
+	if err != nil || len(capped.Converged) != len(names) {
+		t.Fatalf("capped approx batch: %+v, %v", capped, err)
+	}
+	for i, conv := range capped.Converged {
+		if conv {
+			t.Fatalf("structure %d: max_samples=1 answered converged=true", i)
 		}
 	}
 }

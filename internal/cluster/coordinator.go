@@ -266,7 +266,7 @@ func slot(r serve.CountBatchResponse, j int) serve.CountResponse {
 	s := serve.CountResponse{Count: r.Counts[j], Version: r.Versions[j]}
 	if j < len(r.Estimates) {
 		s.Estimate, s.RelError, s.Confidence = r.Estimates[j], r.RelErrors[j], r.Confidences[j]
-		s.Case, s.Samples = r.Cases[j], r.Samples[j]
+		s.Case, s.Samples, s.Converged = r.Cases[j], r.Samples[j], &r.Converged[j]
 	}
 	return s
 }
@@ -291,6 +291,7 @@ func (co *Coordinator) scatterBatch(ctx context.Context, req serve.CountBatchReq
 		out.Confidences = make([]float64, len(names))
 		out.Cases = make([]string, len(names))
 		out.Samples = make([]int, len(names))
+		out.Converged = make([]bool, len(names))
 	}
 	// put stores structure i's result; distinct i never share a slot, so
 	// the goroutines below write concurrently.  errs[i] is the failure of
@@ -299,7 +300,7 @@ func (co *Coordinator) scatterBatch(ctx context.Context, req serve.CountBatchReq
 		vals[i], out.Counts[i], out.Versions[i] = v, r.Count, r.Version
 		if approxMode {
 			out.Estimates[i], out.RelErrors[i], out.Confidences[i] = r.Estimate, r.RelError, r.Confidence
-			out.Cases[i], out.Samples[i] = r.Case, r.Samples
+			out.Cases[i], out.Samples[i], out.Converged[i] = r.Case, r.Samples, r.Converged != nil && *r.Converged
 		}
 	}
 	errs := make([]error, len(names))

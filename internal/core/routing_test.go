@@ -217,3 +217,42 @@ func TestWithRouteBoundsReroutes(t *testing.T) {
 		t.Fatalf("re-routed FPT count %v (exact=%v) != %v", res.Estimate, res.Exact, want)
 	}
 }
+
+// TestApproxHardGolden pins (estimate, samples) of free K4 / K5 on the
+// approx-hard benchmark inputs, as recorded before the hom solver's
+// revise moved to value-space bit rows: arc consistency has a unique
+// fixpoint, so a change of propagation kernel must reproduce every draw
+// and therefore every figure here bit for bit.
+func TestApproxHardGolden(t *testing.T) {
+	type golden struct {
+		estimate int64
+		samples  int
+	}
+	cases := []struct {
+		k    int
+		n    int
+		p    float64
+		seed int64
+		want [4]golden // sampler seeds 1–4
+	}{
+		{4, 40, 0.4, 20160626, [4]golden{{9949, 256}, {9896, 256}, {10242, 256}, {10234, 256}}},
+		{5, 30, 0.6, 20160726, [4]golden{{57869, 384}, {57944, 448}, {57173, 448}, {51580, 384}}},
+	}
+	for _, tc := range cases {
+		c, err := NewCounter(workload.CliqueQuery(tc.k), nil, count.EngineFPT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := workload.GraphStructure(workload.ER(tc.n, tc.p, tc.seed))
+		for i, want := range tc.want {
+			res, err := c.CountApprox(b, approx.Params{Epsilon: 0.1, Delta: 0.05, Seed: int64(i + 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Estimate.IsInt64() || res.Estimate.Int64() != want.estimate || res.Samples != want.samples {
+				t.Errorf("K%d seed %d: (estimate, samples) = (%v, %d), want (%d, %d)",
+					tc.k, i+1, res.Estimate, res.Samples, want.estimate, want.samples)
+			}
+		}
+	}
+}

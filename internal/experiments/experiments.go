@@ -137,7 +137,6 @@ func All() []Spec {
 		{"P1", "Core sweep — batch counting across worker/GOMAXPROCS budgets", RunP1},
 		{"S2", "Delta maintenance — append-stream subscription reads vs full recounts", RunS2},
 		{"D1", "Durability cost — append throughput by fsync policy, recovery-validated", RunD1},
-		{"A1", "Approximation — exact vs sampled counting in the hard regime", RunA1},
 		{"A2", "Ablation — φ* with vs without cancellation", RunA2},
 		{"A3", "Ablation — normalization (UCQ minimization) on vs off", RunA3},
 		{"A4", "Ablation — FPT engine with vs without core computation", RunA4},

@@ -11,4 +11,15 @@
 // query front-end (entailment, cores) runs on this solver directly: a pin
 // per liberal variable stands for the singleton relations of the paper's
 // aug(A,S).
+//
+// Propagation is generalized arc consistency on one worklist with two
+// revise kernels.  A binary constraint R(x,y) on distinct variables is
+// revised on R's value-space support rows — fwd[a] = {b : R(a,b)} and
+// bwd[b] = {a : R(a,b)}, bitsets over B's universe built once per solver
+// — in |dom| word operations (AC3^bit).  Constraints without rows (arity
+// ≠ 2, a repeated variable, a relation too sparse for its universe; see
+// bitRowsFit) visit candidate B-tuples drawn from posting lists.  Arc
+// consistency has a unique fixpoint, so the two kernels yield identical
+// domains and everything derived from them — search order, sampler
+// draws — does not depend on which one ran.
 package hom

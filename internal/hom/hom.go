@@ -24,16 +24,43 @@ type constraint struct {
 	vars []int // A-element per position
 
 	// brel/bcols are B's columnar relation store and its column views,
-	// resolved once at solver construction: candidate generation walks
-	// posting lists and reads columns directly, never materializing
-	// tuple slices or scanning the full relation.
+	// resolved once at solver construction: the row kernel's candidate
+	// generation walks posting lists and reads columns directly, never
+	// materializing tuple slices or scanning the full relation.
 	brel  *structure.Relation
 	bcols [][]int32
+
+	// fwd/bwd are the relation's value-space support rows, words words
+	// per B-element: fwd[a] = {b : R(a,b)} and bwd[b] = {a : R(a,b)} as
+	// bitsets over B's universe.  They exist for a binary constraint on
+	// two distinct variables whose relation is dense enough for its
+	// universe (see bitRowsFit) and select the bit-row revise kernel;
+	// nil selects the row kernel.
+	fwd, bwd []uint64
+}
+
+// bitRowWordsPerTuple bounds the size of a relation's support rows: a
+// direction's nB·⌈nB/64⌉ words may not exceed this many words per
+// B-tuple, which keeps a solver's rows (quadratic in the universe, built
+// and dropped per call) near the size of the relation itself.  The
+// micro-benchmarks on either side of it place the bound where the time
+// saved stops paying for the memory: Hom_CountPath4_N300 (1.4 words per
+// tuple) and Hom_ForEachExtendablePath4_N800 (4.3) run 1.9× and 2.0×
+// faster on bit rows; Hom_ExistsPath6_N1500 (5.9) would run 1.3× faster
+// for 38× the allocation (595 KB against 16 KB per call) and keeps the
+// row kernel.
+const bitRowWordsPerTuple = 5
+
+// bitRowsFit reports whether B's relation brel of the given arity gets
+// value-space support rows over a universe of nB elements.
+func bitRowsFit(arity, nB int, brel *structure.Relation) bool {
+	return arity == 2 && brel != nil && nB*((nB+63)/64) <= bitRowWordsPerTuple*brel.Len()
 }
 
 type solver struct {
 	A, B    *structure.Structure
 	nA, nB  int
+	words   int // words per bitset over B's universe
 	cons    []constraint
 	consOf  [][]int // A-element -> indices into cons
 	allDiff []bool  // A-element -> participates in the alldiff group (nil: none)
@@ -41,12 +68,12 @@ type solver struct {
 	initErr error
 
 	// domFree is a freelist of domain-set copies (one flat backing array
-	// per entry) recycled across search branches; supBuf is the pooled
+	// per entry) recycled across search branches; supBuf is the
 	// per-position support scratch of propagate; candBuf is the pooled
-	// candidate-row word bitmap the posting-bitmap union accumulates
-	// into; queue/inQueue are propagate's worklist and assign is search's
-	// solution buffer.  A solver serves one call and is single-threaded,
-	// so no locking is needed.
+	// candidate-row word bitmap the row kernel's posting-bitmap union
+	// accumulates into; queue/inQueue are propagate's worklist and assign
+	// is search's solution buffer.  A solver serves one call and is
+	// single-threaded, so no locking is needed.
 	domFree [][]bitset
 	supBuf  []bitset
 	candBuf []uint64
@@ -71,82 +98,101 @@ func (s *solver) candWords(n int) []uint64 {
 
 // cloneDoms returns a recycled (or fresh, flat-backed) copy of dom.
 func (s *solver) cloneDoms(dom []bitset) []bitset {
+	var d []bitset
 	if n := len(s.domFree); n > 0 {
-		d := s.domFree[n-1]
+		d = s.domFree[n-1]
 		s.domFree = s.domFree[:n-1]
-		for v := range dom {
-			copy(d[v], dom[v])
-		}
-		return d
+	} else {
+		d = carveBitsets(make([]bitset, s.nA), make([]uint64, s.nA*s.words), s.words)
 	}
-	d := s.newDoms()
 	for v := range dom {
 		copy(d[v], dom[v])
 	}
 	return d
 }
 
-// newDoms returns nA empty domains over one flat backing array.
-func (s *solver) newDoms() []bitset {
-	words := (s.nB + 63) / 64
-	flat := make([]uint64, s.nA*words)
-	d := make([]bitset, s.nA)
-	for v := range d {
-		d[v] = flat[v*words : (v+1)*words : (v+1)*words]
+// carveBitsets points each of sets at its own words-word window of flat.
+func carveBitsets(sets []bitset, flat []uint64, words int) []bitset {
+	for v := range sets {
+		sets[v] = flat[v*words : (v+1)*words : (v+1)*words]
 	}
-	return d
+	return sets
 }
 
 func (s *solver) releaseDoms(d []bitset) { s.domFree = append(s.domFree, d) }
 
-// supports returns ar zeroed support bitsets from the pooled scratch.
-func (s *solver) supports(ar int) []bitset {
-	for len(s.supBuf) < ar {
-		s.supBuf = append(s.supBuf, newBitset(s.nB))
-	}
-	sup := s.supBuf[:ar]
-	for _, b := range sup {
-		b.zero()
-	}
-	return sup
-}
-
 func newSolver(A, B *structure.Structure, opts Options) *solver {
 	s := &solver{A: A, B: B, nA: A.Size(), nB: B.Size()}
+	s.words = (s.nB + 63) / 64
 	sig := A.Signature()
-	nCons, nSlots := 0, 0
+	nCons, nSlots, maxAr, nBitRels := 0, 0, 0, 0
 	for i := 0; i < sig.NumRels(); i++ {
 		r := sig.Rel(i)
 		n := A.Rel(r.Name).Len()
+		if n == 0 {
+			continue
+		}
 		nCons += n
 		nSlots += n * r.Arity
+		if r.Arity > maxAr {
+			maxAr = r.Arity
+		}
+		if bitRowsFit(r.Arity, s.nB, B.Rel(r.Name)) {
+			nBitRels++
+		}
 	}
 	// One constraint per A-tuple; the vars slices, the consOf lists and
-	// the solver's int scratch are carved out of one array.
+	// the solver's int scratch are carved out of one array, and the
+	// initial domains, the support scratch and every relation's support
+	// rows out of another.
 	ints := make([]int, 2*nSlots+nCons+2*s.nA)
 	carve := func(n int) []int {
 		out := ints[:n:n]
 		ints = ints[n:]
 		return out
 	}
+	rowWords := s.nB * s.words
+	slab := make([]uint64, (s.nA+maxAr)*s.words+2*nBitRels*rowWords)
+	sets := carveBitsets(make([]bitset, s.nA+maxAr), slab, s.words)
+	dom := sets[:s.nA:s.nA]
+	s.supBuf = sets[s.nA:]
+	slab = slab[(s.nA+maxAr)*s.words:]
 	flat, deg := carve(nSlots), carve(s.nA)
 	s.cons = make([]constraint, 0, nCons)
 	for i := 0; i < sig.NumRels(); i++ {
 		r := sig.Rel(i)
 		arel, brel := A.Rel(r.Name), B.Rel(r.Name)
-		var bcols [][]int32
+		if arel.Len() == 0 {
+			continue
+		}
+		c := constraint{brel: brel}
 		if brel != nil {
-			bcols = make([][]int32, r.Arity)
+			c.bcols = make([][]int32, r.Arity)
 			for p := 0; p < r.Arity; p++ {
-				bcols[p] = brel.Col(p)
+				c.bcols[p] = brel.Col(p)
+			}
+			if bitRowsFit(r.Arity, s.nB, brel) {
+				c.fwd, c.bwd = slab[:rowWords:rowWords], slab[rowWords:2*rowWords:2*rowWords]
+				slab = slab[2*rowWords:]
+				for row, a := range c.bcols[0] {
+					b := c.bcols[1][row]
+					bitset(c.fwd[int(a)*s.words:]).set(int(b))
+					bitset(c.bwd[int(b)*s.words:]).set(int(a))
+				}
 			}
 		}
 		for row, n := 0, arel.Len(); row < n; row++ {
-			vars := arel.Row(row, flat[:r.Arity:r.Arity])
+			ac := c
+			ac.vars = arel.Row(row, flat[:r.Arity:r.Arity])
 			flat = flat[r.Arity:]
-			s.cons = append(s.cons, constraint{vars: vars, brel: brel, bcols: bcols})
-			for p, v := range vars {
-				if firstAt(vars, p) {
+			if r.Arity == 2 && ac.vars[0] == ac.vars[1] {
+				// R(x,x) constrains one domain by the relation's
+				// diagonal: the row kernel's repeated-variable check.
+				ac.fwd, ac.bwd = nil, nil
+			}
+			s.cons = append(s.cons, ac)
+			for p, v := range ac.vars {
+				if firstAt(ac.vars, p) {
 					deg[v]++
 				}
 			}
@@ -158,9 +204,10 @@ func newSolver(A, B *structure.Structure, opts Options) *solver {
 		s.consOf[v] = flat[:0:d]
 		flat = flat[d:]
 	}
-	for ci, c := range s.cons {
-		for p, v := range c.vars {
-			if firstAt(c.vars, p) {
+	for ci := range s.cons {
+		vars := s.cons[ci].vars
+		for p, v := range vars {
+			if firstAt(vars, p) {
 				s.consOf[v] = append(s.consOf[v], ci)
 			}
 		}
@@ -174,7 +221,6 @@ func newSolver(A, B *structure.Structure, opts Options) *solver {
 		}
 	}
 	// Initial domains.
-	dom := s.newDoms()
 	for v := range dom {
 		dom[v].fill(s.nB)
 	}
@@ -211,6 +257,12 @@ func firstAt(vars []int, p int) bool {
 // propagate runs generalized arc consistency to a fixpoint on dom,
 // starting from the constraints of A-element from (from < 0: all
 // constraints).  It returns false if some domain became empty.
+//
+// One worklist serves two revise kernels.  Both compute, per position,
+// the set of values that some B-tuple consistent with every current
+// domain supports; the fixpoint of that operator is unique, so which
+// kernel revises a constraint — and in what order — cannot change the
+// resulting domains.
 func (s *solver) propagate(dom []bitset, from int) bool {
 	queue, inQueue := s.queue[:0], s.inQueue
 	if from < 0 {
@@ -230,52 +282,14 @@ func (s *solver) propagate(dom []bitset, from int) bool {
 		ci := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		inQueue[ci] = false
-		c := s.cons[ci]
-		ar := len(c.vars)
-		support := s.supports(ar)
-		// Candidate B-tuples come from the posting lists of the position
-		// whose variable has the smallest domain: the union over that
-		// domain's values is disjoint (each row holds one value there)
-		// and visits only rows consistent with the tightest domain.
-		// Only a near-unpruned pivot (≥ 3/4 of the universe) falls back
-		// to a contiguous column sweep, which is cheaper than per-value
-		// posting lookups when almost every row qualifies anyway.
-		bestPos, bestCnt := -1, 1<<30
-		for p, v := range c.vars {
-			if cnt := dom[v].count(); cnt < bestCnt {
-				bestPos, bestCnt = p, cnt
+		c := &s.cons[ci]
+		support := s.supBuf[:len(c.vars)]
+		if c.fwd != nil {
+			if !reviseBits(c, dom, support) {
+				return false
 			}
-		}
-		if bestCnt == 0 || c.brel == nil || c.brel.Len() == 0 {
+		} else if !s.reviseRows(c, dom, support) {
 			return false
-		}
-		bcols := c.bcols
-		vars := c.vars
-		if 4*bestCnt < 3*s.nB {
-			// Restrictive pivot: union the posting bitmaps of the
-			// domain's values into one candidate-row word bitmap (64
-			// rows per op; the per-value bitmaps are disjoint, each row
-			// holding one value at the pivot position), then visit each
-			// candidate row once in increasing, cache-friendly order.
-			words := s.candWords(c.brel.Len())
-			dom[vars[bestPos]].forEach(func(val int) bool {
-				c.brel.RowsWith(bestPos, val).UnionIntoWords(words)
-				return true
-			})
-			for wi, w := range words {
-				for w != 0 {
-					j := bits.TrailingZeros64(w)
-					w &^= 1 << j
-					addRowSupport(vars, bcols, dom, support, wi<<6|j)
-				}
-			}
-		} else {
-			// Unpruned pivot domain: a contiguous column sweep beats
-			// per-value posting lookups (the row filter still applies).
-			n := c.brel.Len()
-			for row := 0; row < n; row++ {
-				addRowSupport(vars, bcols, dom, support, row)
-			}
 		}
 		for p, v := range c.vars {
 			if dom[v].intersect(support[p]) {
@@ -289,6 +303,103 @@ func (s *solver) propagate(dom []bitset, from int) bool {
 					}
 				}
 			}
+		}
+	}
+	return true
+}
+
+// reviseBits is the bit-row revise kernel (bitwise arc consistency in
+// the sense of Lecoutre–Vion's AC3^bit) for R(x,y), x ≠ y: for each
+// value a of the smaller domain, t = row[a] ∩ dom[other] is the set of
+// a's partners; t joins the other side's support and a is supported iff
+// t is non-empty.  That is |dom| word operations per universe word where
+// the row kernel visits every candidate B-tuple.  It returns false if a
+// domain is empty.
+func reviseBits(c *constraint, dom, support []bitset) bool {
+	small, other, rows := 0, 1, c.fwd
+	cs, co := dom[c.vars[0]].count(), dom[c.vars[1]].count()
+	if co < cs {
+		small, other, rows = 1, 0, c.bwd
+		cs, co = co, cs
+	}
+	if cs == 0 {
+		return false
+	}
+	ds, do := dom[c.vars[small]], dom[c.vars[other]]
+	ss, so := support[small], support[other]
+	so.zero()
+	for i, w := range ds {
+		keep := uint64(0)
+		for w != 0 {
+			j := bits.TrailingZeros64(w)
+			w &^= 1 << j
+			row := rows[(i<<6|j)*len(do):]
+			any := uint64(0)
+			for k, d := range do {
+				t := row[k] & d
+				so[k] |= t
+				any |= t
+			}
+			if any != 0 {
+				keep |= 1 << j
+			}
+		}
+		ss[i] = keep
+	}
+	return true
+}
+
+// reviseRows is the row revise kernel, for every constraint without
+// support rows (arity ≠ 2, a repeated variable, a relation too sparse
+// for its universe): it visits candidate B-tuples and marks the values
+// of each tuple consistent with every domain.  It returns false if a
+// domain or the relation is empty.
+func (s *solver) reviseRows(c *constraint, dom, support []bitset) bool {
+	// Candidate B-tuples come from the posting lists of the position
+	// whose variable has the smallest domain: the union over that
+	// domain's values is disjoint (each row holds one value there)
+	// and visits only rows consistent with the tightest domain.
+	// Only a near-unpruned pivot (≥ 3/4 of the universe) falls back
+	// to a contiguous column sweep, which is cheaper than per-value
+	// posting lookups when almost every row qualifies anyway.
+	bestPos, bestCnt := -1, 1<<30
+	for p, v := range c.vars {
+		if cnt := dom[v].count(); cnt < bestCnt {
+			bestPos, bestCnt = p, cnt
+		}
+	}
+	if bestCnt == 0 || c.brel == nil || c.brel.Len() == 0 {
+		return false
+	}
+	for _, b := range support {
+		b.zero()
+	}
+	bcols := c.bcols
+	vars := c.vars
+	if 4*bestCnt < 3*s.nB {
+		// Restrictive pivot: union the posting bitmaps of the
+		// domain's values into one candidate-row word bitmap (64
+		// rows per op; the per-value bitmaps are disjoint, each row
+		// holding one value at the pivot position), then visit each
+		// candidate row once in increasing, cache-friendly order.
+		words := s.candWords(c.brel.Len())
+		dom[vars[bestPos]].forEach(func(val int) bool {
+			c.brel.RowsWith(bestPos, val).UnionIntoWords(words)
+			return true
+		})
+		for wi, w := range words {
+			for w != 0 {
+				j := bits.TrailingZeros64(w)
+				w &^= 1 << j
+				addRowSupport(vars, bcols, dom, support, wi<<6|j)
+			}
+		}
+	} else {
+		// Unpruned pivot domain: a contiguous column sweep beats
+		// per-value posting lookups (the row filter still applies).
+		n := c.brel.Len()
+		for row := 0; row < n; row++ {
+			addRowSupport(vars, bcols, dom, support, row)
 		}
 	}
 	return true
@@ -429,10 +540,16 @@ func Find(A, B *structure.Structure, opts Options) ([]int, bool) {
 	return sol, sol != nil
 }
 
+// firstSolution is the onSolution callback of an existence check: it
+// stops search at the first solution, so search reports whether one
+// exists.
+func firstSolution([]int) bool { return false }
+
 // Exists reports whether a homomorphism from A to B subject to opts exists.
 func Exists(A, B *structure.Structure, opts Options) bool {
-	_, ok := Find(A, B, opts)
-	return ok
+	s := newSolver(A, B, opts)
+	dom, ok := s.initialDomains()
+	return ok && s.search(dom, firstSolution)
 }
 
 // Count returns the number of homomorphisms from A to B subject to opts.
@@ -469,12 +586,7 @@ func ForEachExtendable(A, B *structure.Structure, proj []int, opts Options, fn f
 	rec = func(i int, dom []bitset) bool {
 		if i == len(proj) {
 			// All projection variables fixed; check a completion exists.
-			found := false
-			s.search(dom, func([]int) bool {
-				found = true
-				return false
-			})
-			if !found {
+			if !s.search(dom, firstSolution) {
 				return true
 			}
 			return fn(vals)

@@ -1,6 +1,7 @@
 package hom
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/structure"
@@ -67,3 +68,41 @@ func BenchmarkHom_ForEachExtendablePath4_N800(b *testing.B) {
 		}
 	}
 }
+
+// cliquePattern is the canonical structure of workload.CliqueQuery(k):
+// elements x1..xk with E(xi,xj) for i < j, every element liberal.
+func cliquePattern(k int) (*structure.Structure, []int) {
+	a := structure.New(workload.EdgeSig())
+	proj := make([]int, k)
+	for i := range proj {
+		proj[i] = a.FreshElem("x")
+	}
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			_ = a.AddTuple("E", i, j)
+		}
+	}
+	return a, proj
+}
+
+// The two sampler benchmarks run on the approx-hard workload's pinned
+// inputs (benchmark/workload.go: free K4 on ER(40, 0.4) and free K5 on
+// ER(30, 0.6), input seed 20160626); ns/op is the cost of one draw.
+
+func benchSampler(b *testing.B, k, n int, p float64, seed int64) {
+	a, proj := cliquePattern(k)
+	sp := NewSampler(a, workload.GraphStructure(workload.ER(n, p, seed)), proj, Options{})
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	sum := 0.0
+	for i := 0; i < b.N; i++ {
+		sum += sp.Sample(rng)
+	}
+	if sum == 0 {
+		b.Fatal("expected a live draw")
+	}
+}
+
+func BenchmarkHom_SamplerK4_N40(b *testing.B) { benchSampler(b, 4, 40, 0.4, 20160626) }
+func BenchmarkHom_SamplerK5_N30(b *testing.B) { benchSampler(b, 5, 30, 0.6, 20160726) }

@@ -26,6 +26,11 @@ type Sampler struct {
 	dom0 []bitset
 	maxW float64
 	zero bool
+	// total: proj covers every element of A and there is no injectivity
+	// group, so a draw that survives propagation is a homomorphism (all
+	// domains are arc-consistent singletons) and needs no completion
+	// search.
+	total bool
 }
 
 // NewSampler prepares a sampler for homomorphisms A → B projected onto
@@ -33,16 +38,26 @@ type Sampler struct {
 // if it already wipes out a domain the count is exactly zero and
 // ExactZero reports true.
 func NewSampler(A, B *structure.Structure, proj []int, opts Options) *Sampler {
-	sp := &Sampler{s: newSolver(A, B, opts), proj: append([]int(nil), proj...)}
-	dom, ok := sp.s.initialDomains()
+	return newSampler(newSolver(A, B, opts), proj)
+}
+
+func newSampler(s *solver, proj []int) *Sampler {
+	sp := &Sampler{s: s, proj: append([]int(nil), proj...)}
+	dom, ok := s.initialDomains()
 	if !ok {
 		sp.zero = true
 		return sp
 	}
 	sp.dom0 = dom
 	sp.maxW = 1
+	liberal := make([]bool, s.nA)
 	for _, v := range sp.proj {
 		sp.maxW *= float64(dom[v].count())
+		liberal[v] = true
+	}
+	sp.total = s.allDiff == nil
+	for _, l := range liberal {
+		sp.total = sp.total && l
 	}
 	return sp
 }
@@ -65,12 +80,19 @@ func (sp *Sampler) MaxWeight() float64 {
 // product of the domain sizes seen while fixing the liberal variables if
 // the drawn partial assignment extends to a full homomorphism, and 0
 // otherwise (a dead branch).  The expectation over draws equals |φ(B)|.
+// After the first draw it allocates nothing.
 func (sp *Sampler) Sample(rng *rand.Rand) float64 {
 	if sp.zero {
 		return 0
 	}
 	dom := sp.s.cloneDoms(sp.dom0)
-	defer sp.s.releaseDoms(dom)
+	w := sp.draw(dom, rng)
+	sp.s.releaseDoms(dom)
+	return w
+}
+
+// draw is one Sample on the scratch domains dom.
+func (sp *Sampler) draw(dom []bitset, rng *rand.Rand) float64 {
 	w := 1.0
 	for _, v := range sp.proj {
 		c := dom[v].count()
@@ -85,12 +107,7 @@ func (sp *Sampler) Sample(rng *rand.Rand) float64 {
 			return 0
 		}
 	}
-	found := false
-	sp.s.search(dom, func([]int) bool {
-		found = true
-		return false
-	})
-	if !found {
+	if !sp.total && !sp.s.search(dom, firstSolution) {
 		return 0
 	}
 	return w

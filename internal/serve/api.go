@@ -92,7 +92,7 @@ type CountRequest struct {
 	// Approx mode routes each term of the query through the trichotomy
 	// classifier — FPT terms run the exact executor, hard terms the
 	// sampling estimator — and the response carries estimate, rel_error,
-	// confidence, and case alongside count.
+	// confidence, case, and converged alongside count.
 	Mode string `json:"mode,omitempty"`
 	// Epsilon / Delta are the approx-mode (ε, δ) target: relative error
 	// ε with probability ≥ 1-δ (defaults 0.1 / 0.05).  Ignored in exact
@@ -130,6 +130,11 @@ type CountResponse struct {
 	// every term resolved exactly (RelError 0, Confidence 1).
 	Samples int  `json:"samples,omitempty"`
 	Exact   bool `json:"exact,omitempty"`
+	// Converged states whether the estimate met its (ε, δ) target: false
+	// means some sampled component hit max_samples first, and RelError
+	// is the wider interval actually achieved.  Always present in approx
+	// mode, absent in exact mode.
+	Converged *bool `json:"converged,omitempty"`
 }
 
 // CountBatchRequest counts one query on many named structures in one
@@ -158,12 +163,14 @@ type CountBatchResponse struct {
 	Versions  []uint64 `json:"versions"`
 	ElapsedUS int64    `json:"elapsed_us"`
 	Estimates []string `json:"estimates,omitempty"`
-	// RelErrors / Confidences / Cases / Samples align with Counts
-	// (approx mode only); see CountResponse for the field semantics.
+	// RelErrors / Confidences / Cases / Samples / Converged align with
+	// Counts (approx mode only); see CountResponse for the field
+	// semantics.
 	RelErrors   []float64 `json:"rel_errors,omitempty"`
 	Confidences []float64 `json:"confidences,omitempty"`
 	Cases       []string  `json:"cases,omitempty"`
 	Samples     []int     `json:"samples,omitempty"`
+	Converged   []bool    `json:"converged,omitempty"`
 }
 
 // SubscribeRequest registers a maintained count: a query bound to a

@@ -53,6 +53,9 @@ func TestCountApproxContract(t *testing.T) {
 	if resp.Samples == 0 || resp.Exact {
 		t.Fatalf("hard query must sample: samples=%d exact=%v", resp.Samples, resp.Exact)
 	}
+	if resp.Converged == nil || !*resp.Converged {
+		t.Fatalf("an estimate inside its ε must say converged=true: %+v", resp)
+	}
 	// Single-trial sanity: within 3ε of the exact count.
 	ef, _ := new(big.Float).SetInt(exact).Float64()
 	gf, _ := new(big.Float).SetInt(est).Float64()
@@ -72,6 +75,21 @@ func TestCountApproxContract(t *testing.T) {
 	}
 	if e1.Cmp(e2) != 0 {
 		t.Fatalf("same seed over the wire diverged: %v vs %v", e1, e2)
+	}
+
+	// An estimate that ran into max_samples says so, rather than leaving
+	// the client to compare rel_error with the ε it asked for; an exact
+	// count carries no verdict at all.
+	req.MaxSamples = 1
+	_, capped, err := cl.CountWith(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if capped.Converged == nil || *capped.Converged || capped.Samples != 1 {
+		t.Fatalf("max_samples=1 must answer converged=false after one draw: %+v", capped)
+	}
+	if _, plain, err := cl.Count(ctx, triangleQuery, "g"); err != nil || plain.Converged != nil {
+		t.Fatalf("exact mode must not carry converged: %+v, %v", plain, err)
 	}
 }
 
@@ -123,10 +141,10 @@ func TestCountBatchApproxArrays(t *testing.T) {
 	}
 	if len(resp.Estimates) != len(names) || len(resp.RelErrors) != len(names) ||
 		len(resp.Confidences) != len(names) || len(resp.Cases) != len(names) ||
-		len(resp.Samples) != len(names) {
-		t.Fatalf("approx arrays misaligned: %d/%d/%d/%d/%d for %d structures",
+		len(resp.Samples) != len(names) || len(resp.Converged) != len(names) {
+		t.Fatalf("approx arrays misaligned: %d/%d/%d/%d/%d/%d for %d structures",
 			len(resp.Estimates), len(resp.RelErrors), len(resp.Confidences),
-			len(resp.Cases), len(resp.Samples), len(names))
+			len(resp.Cases), len(resp.Samples), len(resp.Converged), len(names))
 	}
 	for i := range names {
 		if resp.Estimates[i] != resp.Counts[i] {
@@ -135,8 +153,8 @@ func TestCountBatchApproxArrays(t *testing.T) {
 		if resp.Cases[i] != "sharp-clique" && resp.Cases[i] != "clique" {
 			t.Fatalf("structure %d: case %q, want a hard case", i, resp.Cases[i])
 		}
-		if resp.Samples[i] == 0 {
-			t.Fatalf("structure %d: no samples spent", i)
+		if resp.Samples[i] == 0 || !resp.Converged[i] {
+			t.Fatalf("structure %d: samples=%d converged=%v, want a converged sampled estimate", i, resp.Samples[i], resp.Converged[i])
 		}
 
 		// Cross-check against the exact count per structure.

@@ -273,9 +273,9 @@ func (c *Client) CountWith(ctx context.Context, req CountRequest) (*big.Int, Cou
 // mode with the given (ε, δ) target (0, 0 selects the server defaults
 // 0.1, 0.05): hard-classified terms run the sampling estimator, FPT
 // terms the exact executor.  The returned big.Int is the point
-// estimate; the CountResponse carries rel_error, confidence, case, and
-// samples.  Use CountWith for the remaining approx knobs (seed,
-// max_samples).
+// estimate; the CountResponse carries rel_error, confidence, case,
+// samples, and converged.  Use CountWith for the remaining approx knobs
+// (seed, max_samples).
 func (c *Client) CountApprox(ctx context.Context, query, structureName string, eps, delta float64) (*big.Int, CountResponse, error) {
 	return c.CountWith(ctx, CountRequest{
 		Query: query, Structure: structureName,

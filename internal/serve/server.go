@@ -286,6 +286,7 @@ func (s *Server) CountWith(ctx context.Context, req CountRequest) (*big.Int, Cou
 			Case:       res.Case.Short(),
 			Samples:    res.Samples,
 			Exact:      res.Exact,
+			Converged:  &res.Converged,
 			Version:    version,
 			ElapsedUS:  time.Since(start).Microseconds(),
 		}, nil
@@ -378,6 +379,7 @@ func (s *Server) CountBatchWith(ctx context.Context, req CountBatchRequest) ([]*
 			Confidences: make([]float64, len(results)),
 			Cases:       make([]string, len(results)),
 			Samples:     make([]int, len(results)),
+			Converged:   make([]bool, len(results)),
 			ElapsedUS:   time.Since(start).Microseconds(),
 		}
 		for i, res := range results {
@@ -387,6 +389,7 @@ func (s *Server) CountBatchWith(ctx context.Context, req CountBatchRequest) ([]*
 			resp.Confidences[i] = res.Confidence
 			resp.Cases[i] = res.Case.Short()
 			resp.Samples[i] = res.Samples
+			resp.Converged[i] = res.Converged
 		}
 		resp.Estimates = resp.Counts
 		return vs, resp, nil
