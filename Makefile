@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet doccheck bench bench-smoke bench-baseline bench-compare fuzz-smoke crash-smoke cluster-smoke approx-smoke
+.PHONY: build test race vet doccheck bench-smoke bench-baseline bench-compare fuzz-smoke crash-smoke cluster-smoke approx-smoke
 
 # Hot-path micro-benchmarks the bench-baseline / bench-compare pair
 # tracks: bitmap intersection, prefix-index probe+build, memo-warm batch
@@ -30,22 +30,11 @@ vet:
 doccheck:
 	$(GO) run ./scripts/doccheck
 
-# Full benchmark pass: executor/bag-join micro-benchmarks (3 runs each,
-# raw output under bench-out/) plus the machine-readable experiment
-# tables (BENCH_<id>.json).  See scripts/bench.sh for the methodology
-# used to produce the curated BENCH_pr<N>.json comparisons at the repo
-# root.
-bench:
-	./scripts/bench.sh
-
-# Short bench suite + the same-machine parallel-regression guard: the
-# guard re-counts a medium multi-bag instance with 1 worker and with the
-# full budget and fails if the parallel executor is more than 2x slower
-# than the serial one — catching synchronization regressions without
-# depending on absolute CI machine speed.
+# Short micro-benchmark suite + the serve delta guard: on an append+read
+# mix the delta path must beat forced full recounts by ≥ 2x — a
+# same-machine relative bound, independent of absolute CI machine speed.
 bench-smoke:
 	$(GO) test -run XXX -bench 'JoinCount|FPT|UnionDedup' -benchmem -benchtime 0.2s .
-	EPCQ_BENCH_SMOKE=1 $(GO) test -run TestBenchSmoke -v ./internal/engine
 	EPCQ_BENCH_SMOKE=1 $(GO) test -run TestBenchSmoke -v ./internal/serve
 
 # Record the current tree's micro-benchmark medians as the comparison

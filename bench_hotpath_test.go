@@ -1,5 +1,5 @@
 // Hot-path benchmarks: workloads decided entirely by the semi-join
-// prune fixpoint, tracked in BENCH_pr7.json.
+// prune fixpoint.
 package epcq_test
 
 import (

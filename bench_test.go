@@ -13,7 +13,6 @@ import (
 	"repro/internal/cliquered"
 	"repro/internal/core"
 	"repro/internal/count"
-	"repro/internal/engine"
 	"repro/internal/eptrans"
 	"repro/internal/graph"
 	"repro/internal/ie"
@@ -369,38 +368,6 @@ func BenchmarkAPI_CompiledCount(b *testing.B) {
 	}
 }
 
-// --- parallel counting --------------------------------------------------
-
-func BenchmarkCounter_SerialTerms(b *testing.B) {
-	benchCounterParallel(b, false)
-}
-
-func BenchmarkCounter_ParallelTerms(b *testing.B) {
-	benchCounterParallel(b, true)
-}
-
-func benchCounterParallel(b *testing.B, parallel bool) {
-	b.Helper()
-	q := parser.MustQuery(`q(w,x,y,z) := E(x,y) & E(y,z) | E(z,w) & E(w,x) | E(x,w) & E(y,w)`)
-	c, err := core.NewCounter(q, workload.EdgeSig(), count.EngineFPT)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bs := workload.GraphStructure(workload.ER(30, 0.2, 21))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if parallel {
-			_, err = c.CountParallel(bs)
-		} else {
-			_, err = c.Count(bs)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- JoinCount: executor hot path on medium instances --------------------
 //
 // Pure #HOM workloads (every pattern variable liberal): the count is
@@ -451,18 +418,9 @@ func BenchmarkJoinCount_Cycle6_N120(b *testing.B) {
 	benchJoinCountHom(b, cycleStructure(6), 120, 6.0/120)
 }
 
-// --- JoinCount: parallel executor ----------------------------------------
-//
-// Same pure #HOM workloads with the worker budget pinned: _W1 rows run
-// the strictly serial DP, _WMax rows let subtree workers and pivot
-// sharding use every core (identical results; on a 1-core host the pair
-// measures synchronization overhead instead of speedup).  The spider
-// pattern's decomposition branches at the body, exercising the
-// subtree-parallel path on multi-core hosts.
-
 // spiderStructure is a body vertex with legs rays of length legLen each:
-// its contract-graph decomposition is a tree with legs independent
-// subtrees.
+// its contract-graph decomposition branches at the body, the one shape
+// the path and cycle lanes lack.
 func spiderStructure(legs, legLen int) *structure.Structure {
 	a := structure.New(workload.EdgeSig())
 	body := a.EnsureElem("b")
@@ -477,36 +435,8 @@ func spiderStructure(legs, legLen int) *structure.Structure {
 	return a
 }
 
-func benchJoinCountHomWorkers(b *testing.B, pattern *structure.Structure, n int, density float64, workers int) {
-	b.Helper()
-	restore := engine.SetDefaultWorkers(workers)
-	defer restore()
-	bs := workload.GraphStructure(workload.ER(n, density, int64(n)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := count.Homomorphisms(pattern, bs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkJoinCountPar_Path10_N400_W1(b *testing.B) {
-	benchJoinCountHomWorkers(b, pathStructure(10), 400, 5.0/400, 1)
-}
-func BenchmarkJoinCountPar_Path10_N400_WMax(b *testing.B) {
-	benchJoinCountHomWorkers(b, pathStructure(10), 400, 5.0/400, 0)
-}
-func BenchmarkJoinCountPar_Spider3x3_N300_W1(b *testing.B) {
-	benchJoinCountHomWorkers(b, spiderStructure(3, 3), 300, 5.0/300, 1)
-}
-func BenchmarkJoinCountPar_Spider3x3_N300_WMax(b *testing.B) {
-	benchJoinCountHomWorkers(b, spiderStructure(3, 3), 300, 5.0/300, 0)
-}
-func BenchmarkJoinCountPar_Cycle6_N200_W1(b *testing.B) {
-	benchJoinCountHomWorkers(b, cycleStructure(6), 200, 6.0/200, 1)
-}
-func BenchmarkJoinCountPar_Cycle6_N200_WMax(b *testing.B) {
-	benchJoinCountHomWorkers(b, cycleStructure(6), 200, 6.0/200, 0)
+func BenchmarkJoinCount_Spider3x3_N300(b *testing.B) {
+	benchJoinCountHom(b, spiderStructure(3, 3), 300, 5.0/300)
 }
 
 // --- union-heavy term dedup -----------------------------------------------

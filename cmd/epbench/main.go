@@ -1,11 +1,11 @@
-// Command epbench runs the reproduction experiment suite (E1–E10, P1, S2,
-// D1, A2–A6;
-// see the package comment of internal/experiments) and prints one table
-// per experiment; the approximate-counting numbers are measured by
-// go run ./benchmark -workload approx-hard instead.  Since the paper
-// is a theory paper with no measurement section, these tables are the
-// "figures" of the reproduction: each operationalizes one worked example
-// or theorem and self-validates.
+// Command epbench runs the reproduction experiment suite (E1–E10 and the
+// ablations A2–A5; see the package comment of internal/experiments) and
+// prints one table per experiment; service performance — throughput,
+// latency, delta maintenance, durability, the sampler — is measured by
+// go run ./benchmark instead.  Since the paper is a theory paper with no
+// measurement section, these tables are the "figures" of the
+// reproduction: each operationalizes one worked example or theorem and
+// self-validates.
 //
 // Usage:
 //
@@ -14,8 +14,6 @@
 //	epbench -run E3          # one experiment
 //	epbench -list            # list experiments
 //	epbench -json out/       # also write machine-readable BENCH_<id>.json files
-//	epbench -workers 4       # cap the parallel executor's worker pool
-//	epbench -cores 1,2,4,8   # core budgets for the P1 sweep
 //	epbench -cpuprofile p.pb # write a pprof CPU profile of the run
 package main
 
@@ -26,11 +24,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/experiments"
 )
 
@@ -41,15 +36,10 @@ func main() {
 		list       = flag.Bool("list", false, "list experiments and exit")
 		csvDir     = flag.String("csv", "", "also write each table as CSV into this directory")
 		jsonDir    = flag.String("json", "", "also write each table as BENCH_<id>.json into this directory")
-		workers    = flag.Int("workers", 0, "worker pool size for the parallel executor and batch pools (0 = EPCQ_WORKERS, else GOMAXPROCS)")
-		coresFlag  = flag.String("cores", "", "comma-separated core budgets for the P1 sweep (e.g. 1,2,4,8)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
 	flag.Parse()
-	if *workers > 0 {
-		engine.SetDefaultWorkers(*workers)
-	}
 	if *list {
 		for _, s := range experiments.All() {
 			fmt.Printf("%-3s  %s\n", s.ID, s.Title)
@@ -67,14 +57,9 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	cores, err := parseCores(*coresFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "epbench:", err)
-		os.Exit(2)
-	}
 	// Profiles must flush on every exit path, so the suite reports its
 	// exit code instead of calling os.Exit mid-run.
-	code := runSuite(*quick, *runID, *csvDir, *jsonDir, cores)
+	code := runSuite(*quick, *runID, *csvDir, *jsonDir)
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
 	}
@@ -97,24 +82,8 @@ func writeHeapProfile(path string) {
 	}
 }
 
-// parseCores turns the -cores flag ("1,2,4,8") into a budget list.
-func parseCores(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var cores []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -cores entry %q (want positive integers)", part)
-		}
-		cores = append(cores, n)
-	}
-	return cores, nil
-}
-
-func runSuite(quick bool, runID, csvDir, jsonDir string, cores []int) int {
-	cfg := experiments.Config{Quick: quick, Cores: cores}
+func runSuite(quick bool, runID, csvDir, jsonDir string) int {
+	cfg := experiments.Config{Quick: quick}
 	specs := experiments.All()
 	if runID != "" {
 		s, err := experiments.Get(runID)

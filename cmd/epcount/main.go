@@ -38,7 +38,6 @@ func main() {
 		verify    = flag.Bool("verify", false, "cross-check with a second engine")
 		timing    = flag.Bool("time", false, "print elapsed wall-clock time")
 		answers   = flag.Int("answers", 0, "also print up to N answers (-1 = all)")
-		workers   = flag.Int("workers", 0, "worker pool size for the parallel join-count executor (0 = EPCQ_WORKERS, else GOMAXPROCS)")
 		mode      = flag.String("mode", "exact", "counting mode: exact | approx (approx samples hard terms, exact terms stay exact)")
 		eps       = flag.Float64("eps", 0, "approx mode: target relative error (0 = 0.1)")
 		delta     = flag.Float64("delta", 0, "approx mode: failure probability (0 = 0.05)")
@@ -47,7 +46,7 @@ func main() {
 	)
 	flag.Parse()
 	ao := approxOpts{mode: *mode, eps: *eps, delta: *delta, seed: *seed, maxSamples: *maxS}
-	if err := run(*queryStr, *queryFile, *dataFile, *engine, *explain, *stats, *verify, *timing, *answers, *workers, ao); err != nil {
+	if err := run(*queryStr, *queryFile, *dataFile, *engine, *explain, *stats, *verify, *timing, *answers, ao); err != nil {
 		fmt.Fprintln(os.Stderr, "epcount:", err)
 		os.Exit(1)
 	}
@@ -61,7 +60,7 @@ type approxOpts struct {
 	maxSamples int
 }
 
-func run(queryStr, queryFile, dataFile, engineName string, explain, stats, verify, timing bool, answers, workers int, ao approxOpts) error {
+func run(queryStr, queryFile, dataFile, engineName string, explain, stats, verify, timing bool, answers int, ao approxOpts) error {
 	if (queryStr == "") == (queryFile == "") {
 		return fmt.Errorf("exactly one of -query or -queryfile is required")
 	}
@@ -100,9 +99,6 @@ func run(queryStr, queryFile, dataFile, engineName string, explain, stats, verif
 	c, err := core.NewCounter(q, sig, eng)
 	if err != nil {
 		return err
-	}
-	if workers > 0 {
-		c.WithWorkers(workers)
 	}
 	if explain {
 		fmt.Print(c.Explain())

@@ -1,8 +1,7 @@
 // Command epserved serves ep-query counting over HTTP/JSON: a named-
 // structure registry with streaming fact appends, compiled-query
-// caching with cross-client plan sharing, batched counting on bounded
-// worker pools, admission control, per-request deadlines, and a /stats
-// telemetry endpoint.  See internal/serve for the API and
+// caching with cross-client plan sharing, batched counting, admission
+// control, per-request deadlines, and a /stats telemetry endpoint.  See internal/serve for the API and
 // examples/service for an end-to-end walkthrough.
 //
 // Usage:
@@ -68,7 +67,7 @@ func parseLoadSpec(s string) (loadSpec, error) {
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		workers   = flag.Int("workers", 0, "worker budget per compiled query (0 = EPCQ_WORKERS, else GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "width of the /countBatch fan-out: structures of one batch counted at once (0 = GOMAXPROCS)")
 		inflight  = flag.Int("max-inflight", 0, "max concurrently executing counting requests (0 = 64); excess requests get 503")
 		timeout   = flag.Duration("timeout", 0, "per-request counting deadline (0 = 30s); requests may lower it via timeout_ms")
 		queryCap  = flag.Int("query-cache", 0, "compiled-query cache capacity (0 = 256)")

@@ -20,14 +20,11 @@
 //     tables, bind per-node constraint orders with prefix hash indexes,
 //     and memoize one count per unique term once per session, and the
 //     join-count DP runs index probes on packed uint64 keys with an
-//     int64 fast path, spreading independent decomposition subtrees and
-//     sharded pivot tables over a bounded worker pool (bit-identical to
-//     serial execution);
-//   - repeated counting (Counter.Count), concurrent term evaluation
-//     (Counter.CountParallel), and batched counting over many structures
-//     on a bounded worker pool (Counter.CountBatch / epcq.CountBatch);
-//     the worker budget comes from Counter.WithWorkers, the EPCQ_WORKERS
-//     environment variable, or GOMAXPROCS, in that order;
+//     int64 fast path, on the caller's goroutine;
+//   - repeated counting (Counter.Count) and batched counting over many
+//     structures (Counter.CountBatch / epcq.CountBatch), the one place
+//     the library fans out: Counter.WithWorkers structures at a time,
+//     GOMAXPROCS by default;
 //   - the decidable equivalence notions of Section 5 (counting
 //     equivalence, semi-counting equivalence, logical equivalence);
 //   - the φ⁺ translation of the equivalence theorem and both counting
@@ -40,7 +37,7 @@
 //	b, _ := epcq.ParseStructure("E(a,b). E(b,c). E(c,a).", nil)
 //	c, _ := epcq.NewCounter(q, b.Signature(), epcq.EngineFPT)
 //	n, _ := c.Count(b)                                  // *big.Int
-//	ns, _ := c.CountBatch([]*epcq.Structure{b, b2, b3}) // bounded worker pool
+//	ns, _ := c.CountBatch([]*epcq.Structure{b, b2, b3}) // GOMAXPROCS at a time
 package epcq
 
 import (
@@ -186,8 +183,8 @@ func CountApprox(q Query, b *Structure, prm ApproxParams) (ApproxResult, error) 
 }
 
 // CountBatch compiles the query once and counts its answers on every
-// structure of the batch, spreading the structures over a bounded worker
-// pool (at most GOMAXPROCS goroutines).  Result i corresponds to bs[i].
+// structure of the batch, GOMAXPROCS structures at a time (each count on
+// one goroutine).  Result i corresponds to bs[i].
 // For repeated batches over the same query, hold a Counter and call its
 // CountBatch method.
 func CountBatch(q Query, bs []*Structure) ([]*big.Int, error) {

@@ -35,9 +35,6 @@ func TestZeroFullScansAcrossIEAndUnionPaths(t *testing.T) {
 	if _, err := c.Count(bs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CountParallel(bs[1]); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := c.CountBatch(bs); err != nil {
 		t.Fatal(err)
 	}

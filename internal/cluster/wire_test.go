@@ -107,25 +107,31 @@ func TestWireEquivalenceOnErrors(t *testing.T) {
 	type row struct {
 		name, method, path, body string
 		routerWant               int
+		mentions                 string // what both error messages must name
 	}
 	var rows []row
 
 	// The counting probes, on a plain and on a partitioned structure,
 	// through /count and /countBatch.
-	counting := []struct{ name, query, more string }{
-		{"unknown mode", edge, `,"mode":"bogus"`},
-		{"unknown engine", edge, `,"engine":"warp"`},
-		{"unknown JSON field", edge, `,"bogus":1`},
-		{"malformed query", "this is not a query", ""},
-		{"unknown relation", "q(x) := R(x,x)", ""},
-		{"hard query in exact mode (typed 422)", triQuery, ""},
+	counting := []struct{ name, query, more, mentions string }{
+		{"unknown mode", edge, `,"mode":"bogus"`, ""},
+		{"unknown engine", edge, `,"engine":"warp"`, ""},
+		{"unknown JSON field", edge, `,"bogus":1`, ""},
+		{"malformed query", "this is not a query", "", ""},
+		{"unknown relation", "q(x) := R(x,x)", "", ""},
+		{"hard query in exact mode (typed 422)", triQuery, "", ""},
+		// Out-of-range approx parameters are refused, not replaced by
+		// the defaults (0 is what asks for a default).
+		{"approx: negative epsilon", edge, `,"mode":"approx","epsilon":-1`, "epsilon"},
+		{"approx: delta beyond 1", edge, `,"mode":"approx","delta":2`, "delta"},
+		{"approx: negative max_samples", edge, `,"mode":"approx","max_samples":-7`, "max_samples"},
 	}
 	for _, target := range []string{"g", "big"} {
 		for _, c := range counting {
 			rows = append(rows,
-				row{name: c.name + " /count " + target, method: "POST", path: "/count",
+				row{name: c.name + " /count " + target, method: "POST", path: "/count", mentions: c.mentions,
 					body: fmt.Sprintf(`{"query":%q,"structure":%q%s}`, c.query, target, c.more)},
-				row{name: c.name + " /countBatch " + target, method: "POST", path: "/countBatch",
+				row{name: c.name + " /countBatch " + target, method: "POST", path: "/countBatch", mentions: c.mentions,
 					body: fmt.Sprintf(`{"query":%q,"structures":["g",%q]%s}`, c.query, target, c.more)})
 		}
 		// "h" has no relation E.  (The router cannot see a plain
@@ -192,6 +198,9 @@ func TestWireEquivalenceOnErrors(t *testing.T) {
 			}
 			if a.status >= 400 && r.routerWant == 0 && a.errMsg == "" {
 				t.Errorf("%s: %s answers HTTP %d without an error message", r.name, who, a.status)
+			}
+			if r.mentions != "" && (a.status != http.StatusBadRequest || !strings.Contains(a.errMsg, r.mentions)) {
+				t.Errorf("%s: %s answers HTTP %d %q, want a 400 naming %q", r.name, who, a.status, a.errMsg, r.mentions)
 			}
 		}
 	}

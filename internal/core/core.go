@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,12 +51,11 @@ type Counter struct {
 	explainOnce   sync.Once
 	explainStatic string
 
-	// workers caps the counter's total parallelism — the executor's
-	// intra-plan workers and the CountParallel/CountBatch fan-out pools
-	// share the budget.  0 means the process default (EPCQ_WORKERS, else
-	// GOMAXPROCS); see WithWorkers.  Atomic so that long-lived serving
-	// processes may retune the budget while counts are in flight (the
-	// race-free snapshot Stats relies on).
+	// workers is the width of the CountBatch fan-out over independent
+	// structures (0 = GOMAXPROCS); see WithWorkers.  A single count runs
+	// on its caller's goroutine and never reads it.  Atomic so that
+	// long-lived serving processes may retune it while counts are in
+	// flight (the race-free snapshot Stats relies on).
 	workers atomic.Int32
 
 	// Routing state (see routing.go): the width bounds terms were
@@ -85,14 +85,12 @@ type compiledTerm struct {
 	est      *approx.Estimator
 }
 
-// WithWorkers sets the counter's worker budget (n ≤ 0 restores the
-// process default: EPCQ_WORKERS, else GOMAXPROCS) and returns the
-// counter for chaining.  The budget is shared: CountParallel and
-// CountBatch split it between their fan-out pool and the per-term
-// executors, so total concurrency stays at most n.  Counts are
-// bit-identical for every budget.  Safe to call concurrently with
-// in-flight counting (in-flight calls keep the budget they started
-// with; subsequent calls see the new one).
+// WithWorkers sets the width of the counter's batch fan-out — how many
+// structures of a CountBatch are counted at once (n ≤ 0 restores the
+// default, GOMAXPROCS) — and returns the counter for chaining.  Each
+// count of the batch, like every single count, runs on one goroutine.
+// Safe to call concurrently with in-flight counting (in-flight calls
+// keep the width they started with; subsequent calls see the new one).
 func (c *Counter) WithWorkers(n int) *Counter {
 	if n < 0 {
 		n = 0
@@ -101,29 +99,12 @@ func (c *Counter) WithWorkers(n int) *Counter {
 	return c
 }
 
-// curWorkers returns the raw configured budget (0 = process default).
-func (c *Counter) curWorkers() int { return int(c.workers.Load()) }
-
-// effWorkers resolves the counter's worker budget.
-func (c *Counter) effWorkers() int { return engine.EffectiveWorkers(c.curWorkers()) }
-
-// splitWorkers divides the counter's budget between an outer fan-out of
-// n tasks and the executors inside each: outer gets min(n, budget)
-// slots, inner gets the leftover share (≥ 1).
-func (c *Counter) splitWorkers(n int) (outer, inner int) {
-	w := c.effWorkers()
-	outer = w
-	if outer > n {
-		outer = n
+// batchWidth resolves the configured fan-out width.
+func (c *Counter) batchWidth() int {
+	if n := int(c.workers.Load()); n > 0 {
+		return n
 	}
-	if outer < 1 {
-		outer = 1
-	}
-	inner = w / outer
-	if inner < 1 {
-		inner = 1
-	}
-	return outer, inner
+	return runtime.GOMAXPROCS(0)
 }
 
 // NewCounter compiles the query over the signature.  Passing a nil
@@ -171,7 +152,7 @@ func NewCounter(q logic.Query, sig *structure.Signature, eng count.PPEngine) (*C
 // sentence disjuncts short-circuit to |B|^|lib|; otherwise the signed sum
 // over φ⁻af is evaluated with the configured pp engine.
 func (c *Counter) Count(b *structure.Structure) (*big.Int, error) {
-	return c.countWith(context.Background(), b, c.curWorkers())
+	return c.CountInto(context.Background(), b, new(big.Int))
 }
 
 // CountCtx is Count under a context: the executor polls ctx while
@@ -182,45 +163,7 @@ func (c *Counter) Count(b *structure.Structure) (*big.Int, error) {
 // evicted so later calls recompute.  Serving layers thread per-request
 // deadlines through here.
 func (c *Counter) CountCtx(ctx context.Context, b *structure.Structure) (*big.Int, error) {
-	return c.countWith(ctx, b, c.curWorkers())
-}
-
-// CountParallel is Count with the unique φ⁻af terms evaluated
-// concurrently on a bounded worker pool.  The counter's worker budget
-// (WithWorkers, else EPCQ_WORKERS, else GOMAXPROCS) is split between the
-// term fan-out and the executor inside each term.  Structures are safe
-// for concurrent read-only use, the shared engine.Session is
-// concurrency-safe, and the signed sum is order-independent, so the
-// result is identical to Count.  Worth it when φ⁻af has several
-// expensive terms.
-func (c *Counter) CountParallel(b *structure.Structure) (*big.Int, error) {
-	return c.CountParallelCtx(context.Background(), b)
-}
-
-// CountParallelCtx is CountParallel under a context (see CountCtx).
-func (c *Counter) CountParallelCtx(ctx context.Context, b *structure.Structure) (*big.Int, error) {
-	sess, err := c.sessionFor(b)
-	if err != nil {
-		return nil, err
-	}
-	if c.sentenceHolds(sess) {
-		return c.Compiled.MaxCount(b), nil
-	}
-	outer, inner := c.splitWorkers(len(c.terms))
-	results := make([]*big.Int, len(c.terms))
-	err = engine.RunBoundedCtx(ctx, len(c.terms), outer, func(i int) error {
-		v, err := c.termCountAt(ctx, i, sess, inner)
-		results[i] = v
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := new(big.Int)
-	for i := range c.terms {
-		total.Add(total, new(big.Int).Mul(c.terms[i].coeff, results[i]))
-	}
-	return total, nil
+	return c.CountInto(ctx, b, new(big.Int))
 }
 
 // sessionFor validates b against the compiled signature and returns its
@@ -248,11 +191,9 @@ func (c *Counter) sentenceHolds(sess *engine.Session) bool {
 }
 
 // CountBatch counts the query on every structure of the batch, spreading
-// the structures over a bounded worker pool (the counter's worker
-// budget, split between the batch fan-out and the executor inside each
-// worker: large batches run one structure per worker with serial
-// executors, small batches give each structure a share of the cores).
-// Result i corresponds to bs[i].
+// the structures over a bounded pool of goroutines (WithWorkers wide,
+// one structure per goroutine at a time).  Result i corresponds to
+// bs[i].
 func (c *Counter) CountBatch(bs []*structure.Structure) ([]*big.Int, error) {
 	return c.CountBatchCtx(context.Background(), bs)
 }
@@ -261,10 +202,9 @@ func (c *Counter) CountBatch(bs []*structure.Structure) ([]*big.Int, error) {
 // further structures are started and the in-flight executors abort with
 // ctx's error (see CountCtx).
 func (c *Counter) CountBatchCtx(ctx context.Context, bs []*structure.Structure) ([]*big.Int, error) {
-	outer, inner := c.splitWorkers(len(bs))
 	out := make([]*big.Int, len(bs))
-	err := engine.RunBoundedCtx(ctx, len(bs), outer, func(i int) error {
-		v, err := c.countWith(ctx, bs[i], inner)
+	err := engine.RunBoundedCtx(ctx, len(bs), c.batchWidth(), func(i int) error {
+		v, err := c.CountInto(ctx, bs[i], new(big.Int))
 		out[i] = v
 		return err
 	})
@@ -274,24 +214,20 @@ func (c *Counter) CountBatchCtx(ctx context.Context, bs []*structure.Structure) 
 	return out, nil
 }
 
-// countWith is Count with an explicit executor worker budget per term:
-// the paper's forward pipeline — sentence short-circuit, then the signed
-// sum over the unique φ⁻af counting classes — executed through the
-// session's per-fingerprint count memo.
-func (c *Counter) countWith(ctx context.Context, b *structure.Structure, workers int) (*big.Int, error) {
-	return c.countIntoWith(ctx, b, workers, new(big.Int))
-}
-
 // mulScratch pools the big.Int temporaries of the signed-sum loop so a
 // memo-warm count allocates nothing for the coeff×count products.
 var mulScratch = sync.Pool{New: func() any { return new(big.Int) }}
 
-// countIntoWith is countWith accumulating into caller-owned dst (which
-// is returned).  On the memo-warm path — every term's fingerprint
-// settled in the session — it performs zero heap allocations: term
-// counts come out of the session memo by pointer, the per-term product
-// uses a pooled temporary, and dst absorbs the sum in place.
-func (c *Counter) countIntoWith(ctx context.Context, b *structure.Structure, workers int, dst *big.Int) (*big.Int, error) {
+// CountInto is Count under a context, accumulating into caller-owned dst
+// (which is returned): the paper's forward pipeline — sentence
+// short-circuit, then the signed sum over the unique φ⁻af counting
+// classes — executed through the session's per-fingerprint count memo.
+// On the memo-warm path — every term's fingerprint settled in b's
+// session, the steady state of serving workloads — it performs zero heap
+// allocations: term counts come out of the session memo by pointer, the
+// per-term product uses a pooled temporary, and dst absorbs the sum in
+// place.  See CountBatchInto for the batch form.
+func (c *Counter) CountInto(ctx context.Context, b *structure.Structure, dst *big.Int) (*big.Int, error) {
 	sess, err := c.sessionFor(b)
 	if err != nil {
 		return nil, err
@@ -302,7 +238,7 @@ func (c *Counter) countIntoWith(ctx context.Context, b *structure.Structure, wor
 	dst.SetInt64(0)
 	tmp := mulScratch.Get().(*big.Int)
 	for i := range c.terms {
-		v, err := c.termCountAt(ctx, i, sess, workers)
+		v, err := c.termCountAt(ctx, i, sess)
 		if err != nil {
 			mulScratch.Put(tmp)
 			return nil, err
@@ -314,51 +250,43 @@ func (c *Counter) countIntoWith(ctx context.Context, b *structure.Structure, wor
 	return dst, nil
 }
 
-// CountInto is Count accumulating into caller-owned dst, which is
-// returned.  When every term of the query is memo-warm in b's session
-// (the steady state of serving workloads), the call performs zero heap
-// allocations; see CountBatchInto for the batch form.
-func (c *Counter) CountInto(ctx context.Context, b *structure.Structure, dst *big.Int) (*big.Int, error) {
-	return c.countIntoWith(ctx, b, c.curWorkers(), dst)
-}
-
 // CountBatchInto is CountBatch writing into caller-owned out (len(out)
 // must equal len(bs); out[i] must be non-nil and is overwritten in
-// place).  With an effective worker budget of 1 the batch runs inline on
-// the caller's goroutine, so a fully memo-warm batch is allocation-free
-// end to end; wider budgets fan out like CountBatch.
+// place).  With a fan-out width of 1 the batch runs inline on the
+// caller's goroutine, so a fully memo-warm batch is allocation-free end
+// to end; wider settings fan out like CountBatch.
 func (c *Counter) CountBatchInto(ctx context.Context, bs []*structure.Structure, out []*big.Int) error {
 	if len(out) != len(bs) {
 		return fmt.Errorf("core: CountBatchInto out length %d != batch length %d", len(out), len(bs))
 	}
-	outer, inner := c.splitWorkers(len(bs))
-	if outer == 1 {
+	width := c.batchWidth()
+	if width == 1 || len(bs) <= 1 {
 		for i := range bs {
 			if ctx != nil {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			if _, err := c.countIntoWith(ctx, bs[i], inner, out[i]); err != nil {
+			if _, err := c.CountInto(ctx, bs[i], out[i]); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return engine.RunBoundedCtx(ctx, len(bs), outer, func(i int) error {
-		_, err := c.countIntoWith(ctx, bs[i], inner, out[i])
+	return engine.RunBoundedCtx(ctx, len(bs), width, func(i int) error {
+		_, err := c.CountInto(ctx, bs[i], out[i])
 		return err
 	})
 }
 
-// termCountAt evaluates the i-th unique term inside a session with the
-// given executor worker budget, through the shared fingerprint-memoized
-// execution helper (engine.CountKeyedCtx); the memo hit/miss telemetry
-// feeds Stats.  The memoized value is shared and must be treated as
-// read-only (every caller multiplies it into a fresh big.Int).
-func (c *Counter) termCountAt(ctx context.Context, i int, sess *engine.Session, workers int) (*big.Int, error) {
+// termCountAt evaluates the i-th unique term inside a session through
+// the shared fingerprint-memoized execution helper
+// (engine.CountKeyedCtx); the memo hit/miss telemetry feeds Stats.  The
+// memoized value is shared and must be treated as read-only (every
+// caller multiplies it into a fresh big.Int).
+func (c *Counter) termCountAt(ctx context.Context, i int, sess *engine.Session) (*big.Int, error) {
 	t := &c.terms[i]
-	v, hit, err := engine.CountKeyedCtx(ctx, t.plan, t.fp, sess, workers)
+	v, hit, err := engine.CountKeyedCtx(ctx, t.plan, t.fp, sess, 0)
 	if t.fp != "" {
 		if hit {
 			c.countHits.Add(1)
@@ -369,12 +297,10 @@ func (c *Counter) termCountAt(ctx context.Context, i int, sess *engine.Session, 
 	return v, err
 }
 
-func (c *Counter) ppCounter() eptrans.PPCounter { return c.ppCounterWith(c.curWorkers()) }
-
-func (c *Counter) ppCounterWith(workers int) eptrans.PPCounter {
+func (c *Counter) ppCounter() eptrans.PPCounter {
 	return func(p pp.PP, b *structure.Structure) (*big.Int, error) {
 		if i, ok := c.termIdx[p.A]; ok {
-			return c.termCountAt(context.Background(), i, engine.SessionFor(b), workers)
+			return c.termCountAt(context.Background(), i, engine.SessionFor(b))
 		}
 		return count.PP(p, b, c.Engine)
 	}
@@ -442,11 +368,11 @@ type Stats struct {
 	// fingerprint-keyed plan cache.
 	SharedPlans int
 	// CountCacheHits/CountCacheMisses are the session count-memo
-	// outcomes across every Count/CountParallel/CountBatch call so far.
+	// outcomes across every Count/CountBatch call so far.
 	CountCacheHits   uint64
 	CountCacheMisses uint64
-	// Workers is the counter's effective worker budget at snapshot time
-	// (WithWorkers, else EPCQ_WORKERS, else GOMAXPROCS).
+	// Workers is the width of the counter's batch fan-out at snapshot
+	// time (WithWorkers, else GOMAXPROCS).
 	Workers int
 	// HardestCase is the worst trichotomy case among the terms under
 	// the route bounds (RouteWCore, RouteWContract); TermsFPT/TermsHard
@@ -468,7 +394,7 @@ type Stats struct {
 // String renders the telemetry block shared by Explain and epcount
 // -stats.
 func (st Stats) String() string {
-	return fmt.Sprintf("term pool: %s\nplans: %d (one per unique surviving term; %d shared via fingerprint cache)\ncount cache: %d hits, %d misses\nworkers: %d\nrouting vs bounds (%d,%d): %s — %d exact term(s), %d approx term(s); classify memo: %d analyses, %d hits; approx evals: %d\n",
+	return fmt.Sprintf("term pool: %s\nplans: %d (one per unique surviving term; %d shared via fingerprint cache)\ncount cache: %d hits, %d misses\nbatch width: %d\nrouting vs bounds (%d,%d): %s — %d exact term(s), %d approx term(s); classify memo: %d analyses, %d hits; approx evals: %d\n",
 		st.Pool, st.Plans, st.SharedPlans, st.CountCacheHits, st.CountCacheMisses, st.Workers,
 		st.RouteWCore, st.RouteWContract, st.HardestCase.Short(), st.TermsFPT, st.TermsHard,
 		st.ClassifyAnalyses, st.ClassifyHits, st.ApproxCounts)
@@ -485,7 +411,7 @@ func (c *Counter) Stats() Stats {
 		SharedPlans:      c.sharedPlans,
 		CountCacheHits:   c.countHits.Load(),
 		CountCacheMisses: c.countMisses.Load(),
-		Workers:          c.effWorkers(),
+		Workers:          c.batchWidth(),
 		HardestCase:      c.hardest,
 		RouteWCore:       c.routeWCore,
 		RouteWContract:   c.routeWContract,

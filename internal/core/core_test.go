@@ -141,46 +141,6 @@ func TestSentenceShortCircuit(t *testing.T) {
 	}
 }
 
-func TestCountParallelMatchesSerial(t *testing.T) {
-	q := parser.MustQuery("q(w,x,y,z) := E(x,y) & E(y,z) | E(z,w) & E(w,x) | E(w,x) & E(x,y)")
-	c, err := NewCounter(q, nil, count.EngineFPT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(0); seed < 6; seed++ {
-		b := workload.RandomStructure(workload.EdgeSig(), 4, 0.4, seed)
-		serial, err := c.Count(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := c.CountParallel(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial.Cmp(parallel) != 0 {
-			t.Fatalf("seed %d: serial %v != parallel %v", seed, serial, parallel)
-		}
-	}
-	// Sentence short-circuit in the parallel path.
-	q2 := parser.MustQuery("q(x) := E(x,x) & E(x,x) | exists u, v. E(u,v) & E(v,u)")
-	c2, err := NewCounter(q2, nil, count.EngineFPT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := parser.MustStructure("E(1,2). E(2,1). E(2,3).", workload.EdgeSig())
-	p2, err := c2.CountParallel(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := c2.CountDirect(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.Cmp(want) != 0 {
-		t.Fatalf("parallel sentence path %v != direct %v", p2, want)
-	}
-}
-
 func TestAnswersThroughCounter(t *testing.T) {
 	q := parser.MustQuery("q(x,y) := E(x,y) | E(y,x)")
 	c, err := NewCounter(q, nil, count.EngineFPT)

@@ -11,9 +11,11 @@
 // interning/caching telemetry (Stats, Explain).
 //
 // Counters are built for long-lived concurrent use: counting methods
-// have context variants (CountCtx, CountBatchCtx, CountParallelCtx)
-// that thread per-request deadlines into the executor's cancellation
-// polling, the worker budget (WithWorkers) is retunable while counts
-// are in flight, and Stats snapshots race-free against all of it — the
-// contract the HTTP service layer (internal/serve) is built on.
+// have context variants (CountCtx, CountBatchCtx) that thread
+// per-request deadlines into the executor's cancellation polling, every
+// count runs on its caller's goroutine (requests are the parallelism;
+// WithWorkers sets only how many structures of one CountBatch are
+// counted at once, retunable while counts are in flight), and Stats
+// snapshots race-free against all of it — the contract the HTTP service
+// layer (internal/serve) is built on.
 package core

@@ -215,7 +215,7 @@ func (c *Counter) CountApproxCtx(ctx context.Context, b *structure.Structure, pr
 	for i := range c.terms {
 		t := &c.terms[i]
 		if t.est == nil {
-			v, err := c.termCountAt(ctx, i, sess, c.curWorkers())
+			v, err := c.termCountAt(ctx, i, sess)
 			if err != nil {
 				return ApproxResult{}, err
 			}

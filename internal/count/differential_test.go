@@ -85,15 +85,11 @@ func TestIndexedCountsMatchBruteForceAndInsertionOrder(t *testing.T) {
 	}
 }
 
-// Differential property for the parallel executor: with the parallel
-// thresholds forced down so subtree workers and pivot sharding engage on
-// tiny instances, the multi-worker join-count DP must agree with the
-// strictly serial path and with the EPDirect brute-force reference on
-// randomized formulas and structures.  Runs under the -race CI job like
-// every test in this package.
-func TestParallelExecutorMatchesSerialAndBruteForce(t *testing.T) {
-	restore := engine.SetParallelThresholds(1, 1)
-	defer restore()
+// Differential property for the join-count executor, driven through a
+// compiled engine plan and an explicit session: the DP must agree with
+// the EPDirect brute-force reference on randomized formulas and
+// structures, whatever order the tuples were inserted in.
+func TestExecutorMatchesBruteForceUnderReinsertion(t *testing.T) {
 	sig := workload.EdgeSig()
 	queries := []string{
 		"q(a,b,c) := E(a,b) & E(b,c)",
@@ -122,30 +118,24 @@ func TestParallelExecutorMatchesSerialAndBruteForce(t *testing.T) {
 				t.Fatal(err)
 			}
 			for which, bs := range []*structure.Structure{b, shuffled} {
-				s := engine.SessionFor(bs)
-				serial, err := engine.CountInWorkers(pl, s, 1)
+				got, err := pl.CountIn(engine.SessionFor(bs))
 				if err != nil {
 					t.Fatal(err)
 				}
-				par, err := engine.CountInWorkers(pl, s, 6)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if serial.Cmp(want) != 0 || par.Cmp(want) != 0 {
-					t.Fatalf("seed %d, query %q, structure %d: serial %v, parallel %v, brute-force %v",
-						seed, src, which, serial, par, want)
+				if got.Cmp(want) != 0 {
+					t.Fatalf("seed %d, query %q, structure %d: got %v, brute-force %v",
+						seed, src, which, got, want)
 				}
 			}
 		}
 	}
 }
 
-// The parallel/serial agreement must survive the big.Int overflow
-// fallback: counting homomorphisms of a path into a large complete graph
-// with loops exceeds int64 inside the DP (hom(P_12, K_41^loop) = 41^13).
-func TestParallelExecutorMatchesSerialThroughOverflow(t *testing.T) {
-	restore := engine.SetParallelThresholds(1, 1)
-	defer restore()
+// The executor must stay exact through the big.Int overflow fallback:
+// counting homomorphisms of a path into a large complete graph with
+// loops exceeds int64 inside the DP (hom(P_12, K_41^loop) = 41^13, the
+// closed form computed in big.Int).
+func TestExecutorCountsThroughOverflow(t *testing.T) {
 	const n, edges = 41, 12
 	b := structure.New(workload.EdgeSig())
 	for i := 0; i < n; i++ {
@@ -177,20 +167,15 @@ func TestParallelExecutorMatchesSerialThroughOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := engine.SessionFor(b)
-	serial, err := engine.CountInWorkers(pl, s, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := engine.CountInWorkers(pl, s, 8)
+	got, err := pl.CountIn(engine.SessionFor(b))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := new(big.Int).Exp(big.NewInt(n), big.NewInt(edges+1), nil)
-	if serial.Cmp(want) != 0 || par.Cmp(want) != 0 {
-		t.Fatalf("serial %v, parallel %v, want %v", serial, par, want)
+	if got.Cmp(want) != 0 {
+		t.Fatalf("got %v, want %v", got, want)
 	}
-	if par.IsInt64() {
+	if got.IsInt64() {
 		t.Fatal("instance too small to force the big.Int fallback")
 	}
 }

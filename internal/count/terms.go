@@ -42,7 +42,7 @@ func CountTerms(terms []ie.Term, b *structure.Structure, eng PPEngine) (*big.Int
 		if err != nil {
 			return nil, err
 		}
-		v, _, err := engine.CountKeyed(pl, t.FP, sess, 0)
+		v, _, err := engine.CountKeyed(pl, t.FP, sess)
 		if err != nil {
 			return nil, err
 		}

@@ -85,7 +85,7 @@ func TestSessionPinRetireRace(t *testing.T) {
 				defer wg.Done()
 				// Post-retirement counts rebuild heap-backed tables; the
 				// value must be unchanged either way.
-				got, err := pl.(*fptPlan).countIn(nil, s, 1)
+				got, err := pl.(*fptPlan).countIn(nil, s)
 				if err != nil {
 					t.Error(err)
 					return

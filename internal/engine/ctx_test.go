@@ -89,7 +89,7 @@ func TestCountInCtxPreCancelled(t *testing.T) {
 	b := workload.RandomStructure(workload.EdgeSig(), 30, 0.3, 7)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CountInCtx(ctx, pl, SessionFor(b), 1); !errors.Is(err, context.Canceled) {
+	if _, err := CountInCtx(ctx, pl, SessionFor(b), 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -100,8 +100,6 @@ func TestCountInCtxPreCancelled(t *testing.T) {
 // correct count (the abort discards partial state and does not poison
 // any cache).
 func TestCountInCtxAbortMidRun(t *testing.T) {
-	restore := SetParallelThresholds(1, 1)
-	defer restore()
 	pl := compileTestPlan(t, "triangle", FPT)
 	// Dense 250-vertex graph: the triangle join-count is far too much
 	// work for a 1ms deadline on any machine.
@@ -110,7 +108,7 @@ func TestCountInCtxAbortMidRun(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	_, err := CountInCtx(ctx, pl, s, 2)
+	_, err := CountInCtx(ctx, pl, s, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -119,7 +117,7 @@ func TestCountInCtxAbortMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CountInCtx(context.Background(), pl, SessionFor(b), 2)
+	got, err := CountInCtx(context.Background(), pl, SessionFor(b), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +137,11 @@ func TestCountKeyedCtxMemoNotPoisoned(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	if _, _, err := CountKeyedCtx(ctx, pl, fp, s, 1); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := CountKeyedCtx(ctx, pl, fp, s, 0); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 
-	v, hit, err := CountKeyedCtx(context.Background(), pl, fp, s, 1)
+	v, hit, err := CountKeyedCtx(context.Background(), pl, fp, s, 0)
 	if err != nil {
 		t.Fatalf("recompute after cancelled memo entry: %v", err)
 	}
@@ -178,10 +176,10 @@ func TestCountKeyedCtxHealthyWaiterRetries(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, shortErr = CountKeyedCtx(shortCtx, pl, fp, s, 1)
+		_, _, shortErr = CountKeyedCtx(shortCtx, pl, fp, s, 0)
 	}()
 	time.Sleep(200 * time.Microsecond) // let the short-deadline caller start computing
-	v, _, err := CountKeyedCtx(context.Background(), pl, fp, s, 1)
+	v, _, err := CountKeyedCtx(context.Background(), pl, fp, s, 0)
 	wg.Wait()
 	if !errors.Is(shortErr, context.DeadlineExceeded) {
 		t.Fatalf("short-deadline caller err = %v, want context.DeadlineExceeded", shortErr)
@@ -205,7 +203,7 @@ func TestSimpleEnginesCountInCtx(t *testing.T) {
 		pl := compileTestPlan(t, "path", name)
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 		start := time.Now()
-		_, err := CountInCtx(ctx, pl, SessionFor(b), 1)
+		_, err := CountInCtx(ctx, pl, SessionFor(b), 0)
 		cancel()
 		if name == Brute {
 			// 26^4 pinned hom checks cannot finish in 1ms; the brute
@@ -281,7 +279,7 @@ func TestPredicateMaterializationDeadlineMidRun(t *testing.T) {
 	pl, pred, s := predicateFixture(t)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	if _, err := CountInCtx(ctx, pl, s, 1); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := CountInCtx(ctx, pl, s, 0); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	s.mu.Lock()
@@ -293,7 +291,7 @@ func TestPredicateMaterializationDeadlineMidRun(t *testing.T) {
 	if cachedTable(s, pred) != nil {
 		t.Fatal("a materialization cut short by the deadline was cached")
 	}
-	got, err := CountInCtx(context.Background(), pl, s, 1)
+	got, err := CountInCtx(context.Background(), pl, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,9 +140,9 @@ type fptDeltaState struct {
 // advanceable state for delta-maintainable plans.  Unlike countIn it
 // does not early-exit on a zero component factor: every component's
 // join value must land in the state.
-func (pl *fptPlan) countStateIn(ctx context.Context, s *Session, workers int) (*big.Int, any, error) {
+func (pl *fptPlan) countStateIn(ctx context.Context, s *Session) (*big.Int, any, error) {
 	if !pl.deltaOK || deltaDisabled.Load() {
-		v, err := pl.countIn(ctx, s, workers)
+		v, err := pl.countIn(ctx, s)
 		return v, nil, err
 	}
 	if s.acquirePin() {
@@ -151,7 +151,6 @@ func (pl *fptPlan) countStateIn(ctx context.Context, s *Session, workers int) (*
 	if !pl.sig.Equal(s.B.Signature()) {
 		return nil, nil, errSignature(pl.p, s.B)
 	}
-	workers = EffectiveWorkers(workers)
 	st := &fptDeltaState{
 		plan:  pl,
 		joins: make([]*big.Int, len(pl.comps)),
@@ -164,7 +163,7 @@ func (pl *fptPlan) countStateIn(ctx context.Context, s *Session, workers int) (*
 				return nil, nil, err
 			}
 		}
-		j, lens, err := pc.joinState(ctx, s, workers)
+		j, lens, err := pc.joinState(ctx, s)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -182,7 +181,7 @@ func (pl *fptPlan) countStateIn(ctx context.Context, s *Session, workers int) (*
 // the delta path does not apply (plan not maintainable or disabled,
 // foreign or future state, batch over threshold) and the caller should
 // full-recount; a non-nil error (cancellation) is terminal either way.
-func (pl *fptPlan) countAdvanceIn(ctx context.Context, s *Session, workers int, prev priorCount) (*big.Int, any, bool, error) {
+func (pl *fptPlan) countAdvanceIn(ctx context.Context, s *Session, prev priorCount) (*big.Int, any, bool, error) {
 	if !pl.deltaOK || deltaDisabled.Load() {
 		return nil, nil, false, nil
 	}
@@ -205,7 +204,6 @@ func (pl *fptPlan) countAdvanceIn(ctx context.Context, s *Session, workers int, 
 		deltaFullRecounts.Add(1)
 		return nil, nil, false, nil
 	}
-	workers = EffectiveWorkers(workers)
 	ns := &fptDeltaState{
 		plan:  pl,
 		joins: make([]*big.Int, len(pl.comps)),
@@ -218,7 +216,7 @@ func (pl *fptPlan) countAdvanceIn(ctx context.Context, s *Session, workers int, 
 				return nil, nil, true, err
 			}
 		}
-		j, lens, ok, err := pc.advanceJoin(ctx, s, workers, dv, st.joins[ci], st.lens[ci])
+		j, lens, ok, err := pc.advanceJoin(ctx, s, dv, st.joins[ci], st.lens[ci])
 		if err != nil {
 			return nil, nil, true, err
 		}
@@ -240,7 +238,7 @@ func (pl *fptPlan) countAdvanceIn(ctx context.Context, s *Session, workers int, 
 // telescoped delta-join per constraint whose table grew.  oldJ is
 // treated as read-only; the result is freshly allocated (or oldJ
 // itself when nothing this component reads grew).
-func (pc *planComponent) advanceJoin(ctx context.Context, s *Session, workers int, dv structure.DeltaView, oldJ *big.Int, oldLens []int) (*big.Int, []int, bool, error) {
+func (pc *planComponent) advanceJoin(ctx context.Context, s *Session, dv structure.DeltaView, oldJ *big.Int, oldLens []int) (*big.Int, []int, bool, error) {
 	if pc.nActive == 0 {
 		return big.NewInt(1), nil, true, nil
 	}
@@ -310,7 +308,7 @@ func (pc *planComponent) advanceJoin(ctx context.Context, s *Session, workers in
 			continue
 		}
 		ep := newExecPlan(pc, run, s.B.Size())
-		j, aborted := joinCount(pc, ep, s.B.Size(), workers, done)
+		j, aborted := joinCount(pc, ep, s.B.Size(), done)
 		if aborted {
 			return nil, nil, true, ctxAbortErr(ctx)
 		}

@@ -60,7 +60,7 @@ func TestDeltaAdvanceDifferential(t *testing.T) {
 		fp := fmt.Sprintf("delta-differential-%d", qi)
 		for step := 0; step < 12; step++ {
 			appendRandomBatch(t, b, rng, step)
-			got, _, err := CountKeyed(pl, fp, SessionFor(b), 0)
+			got, _, err := CountKeyed(pl, fp, SessionFor(b))
 			if err != nil {
 				t.Fatalf("%s step %d: %v", src, step, err)
 			}
@@ -76,7 +76,7 @@ func TestDeltaAdvanceDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := CountKeyed(pl, fp, SessionFor(b), 0)
+		got, _, err := CountKeyed(pl, fp, SessionFor(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,12 +105,12 @@ func TestDeltaAdvanceUniverseGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := "delta-universe-growth"
-	if _, _, err := CountKeyed(pl, fp, SessionFor(b), 0); err != nil {
+	if _, _, err := CountKeyed(pl, fp, SessionFor(b)); err != nil {
 		t.Fatal(err)
 	}
 	adv := DeltaStats().Advances
 	b.EnsureElem("fresh-element")
-	got, _, err := CountKeyed(pl, fp, SessionFor(b), 0)
+	got, _, err := CountKeyed(pl, fp, SessionFor(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestDeltaThresholdFallback(t *testing.T) {
 	}
 	b := workload.RandomStructure(sig, 5, 0.4, 3)
 	fp := "delta-threshold-fallback"
-	if _, _, err := CountKeyed(pl, fp, SessionFor(b), 0); err != nil {
+	if _, _, err := CountKeyed(pl, fp, SessionFor(b)); err != nil {
 		t.Fatal(err)
 	}
 	full := DeltaStats().FullRecounts
@@ -152,7 +152,7 @@ func TestDeltaThresholdFallback(t *testing.T) {
 			t.Fatal("could not grow the random structure")
 		}
 	}
-	got, _, err := CountKeyed(pl, fp, SessionFor(b), 0)
+	got, _, err := CountKeyed(pl, fp, SessionFor(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,12 +184,12 @@ func TestDeltaDisabledRecounts(t *testing.T) {
 	b := workload.RandomStructure(sig, 5, 0.4, 5)
 	fp := "delta-disabled"
 	adv := DeltaStats().Advances
-	if _, _, err := CountKeyed(pl, fp, SessionFor(b), 0); err != nil {
+	if _, _, err := CountKeyed(pl, fp, SessionFor(b)); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
 	appendRandomBatch(t, b, rng, 0)
-	got, _, err := CountKeyed(pl, fp, SessionFor(b), 0)
+	got, _, err := CountKeyed(pl, fp, SessionFor(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestAdvanceableMemosFreedWithSessions(t *testing.T) {
 	var structs []*structure.Structure
 	for i := 0; i < sessionCacheCap+8; i++ {
 		b := workload.RandomStructure(sig, 5, 0.4, int64(i))
-		if _, _, err := CountKeyed(pl, "delta-leak", SessionFor(b), 0); err != nil {
+		if _, _, err := CountKeyed(pl, "delta-leak", SessionFor(b)); err != nil {
 			t.Fatal(err)
 		}
 		structs = append(structs, b)

@@ -30,7 +30,7 @@
 //     survivors are compacted once into exact-size arena rows; a capped
 //     rescanning loop remains only for components too large for the
 //     counters) — then the join-count dynamic program itself.  The DP
-//     is index-driven and multi-core: at
+//     is index-driven: at
 //     plan-bind time (once per component and session) each node gets a
 //     constraint bind order (smallest table first, then maximal
 //     bound-prefix overlap) and each non-pivot step gets a prefix index
@@ -40,11 +40,9 @@
 //     open-addressing tables: splitmix64-hashed packed keys in a
 //     power-of-two slot array sized once at build and never rehashed,
 //     rows contiguous in one shared array, probes allocation-free; the
-//     per-table index cache is LRU-capped (tableIndexCacheCap).  At run
-//     time independent subtrees of the decomposition execute
-//     concurrently on a bounded worker pool and large pivot tables are
-//     sharded row-wise into per-worker accumulators (bit-identical to
-//     serial execution, with a serial fallback below a size threshold).
+//     per-table index cache is LRU-capped (tableIndexCacheCap).  A
+//     run stays on its caller's goroutine: requests, and the structures
+//     of a batch (RunBoundedCtx), are the units of parallelism.
 //     Bag keys are packed uint64 (with a spill path for wide bags),
 //     counts are int64 with overflow detection before big.Int held
 //     inline in open-addressing wmap accumulators, and scratch buffers
@@ -55,9 +53,7 @@
 //     (projectKeys) materializes the predicate tables: node tables are
 //     key sets, the root bag's projection onto the interface is the
 //     answer, and below the depth at which a node's output key is bound
-//     the enumeration stops at the first witness (nodeRun.cut).  The
-//     worker budget comes from the EPCQ_WORKERS environment variable,
-//     SetDefaultWorkers, or per-call overrides (CountInWorkers);
+//     the enumeration stops at the first witness (cut in enumerate);
 //   - the Session layer (session.go): per-structure state — fingerprint,
 //     atom tables materialized straight off the columnar relation
 //     stores, predicate tables materialized by a nested executor run

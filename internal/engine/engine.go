@@ -82,58 +82,52 @@ type Plan interface {
 	CountIn(s *Session) (*big.Int, error)
 }
 
-// CountInWorkers runs the plan inside a session with its executor-level
-// parallelism capped at workers (≤ 0 means the process default; see
-// EffectiveWorkers).  Plans without intra-plan parallelism (brute,
-// projection) ignore the knob.  Counts are bit-identical for every
-// workers value.
-func CountInWorkers(pl Plan, s *Session, workers int) (*big.Int, error) {
-	if wp, ok := pl.(interface {
-		CountInWorkers(*Session, int) (*big.Int, error)
-	}); ok {
-		return wp.CountInWorkers(s, workers)
-	}
-	return pl.CountIn(s)
-}
-
-// CountInCtx is CountInWorkers under a context: plans that support
-// cooperative cancellation (all built-in engines do) poll ctx while
-// executing and return its error once it fires, discarding partial
+// CountInCtx runs the plan inside a session under a context: plans that
+// support cooperative cancellation (all built-in engines do) poll ctx
+// while executing and return its error once it fires, discarding partial
 // work.  A ctx that can never be cancelled adds zero overhead — the
 // executor's polling engages only when ctx.Done() is non-nil.
 // Cancellation is cooperative and approximate: a count that completes
 // just as ctx fires may still be returned.
-func CountInCtx(ctx context.Context, pl Plan, s *Session, workers int) (*big.Int, error) {
+//
+// The trailing int is retired and read by nothing: it was the per-call
+// worker budget of the parallel executor, and stays only because
+// benchmark/ladder.go, frozen outside benchmark PRs, still passes it.
+func CountInCtx(ctx context.Context, pl Plan, s *Session, _ int) (*big.Int, error) {
+	return countInCtx(ctx, pl, s)
+}
+
+func countInCtx(ctx context.Context, pl Plan, s *Session) (*big.Int, error) {
 	if ctx == nil || ctx.Done() == nil {
-		return CountInWorkers(pl, s, workers)
+		return pl.CountIn(s)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if cp, ok := pl.(interface {
-		CountInCtx(context.Context, *Session, int) (*big.Int, error)
+		CountInCtx(context.Context, *Session) (*big.Int, error)
 	}); ok {
-		return cp.CountInCtx(ctx, s, workers)
+		return cp.CountInCtx(ctx, s)
 	}
-	return CountInWorkers(pl, s, workers)
+	return pl.CountIn(s)
 }
 
-// CountKeyed executes the plan inside the session with the executor
-// budget capped at workers (≤ 0 = process default), memoizing the
-// result under the canonical counting-class fingerprint when one is
-// present (fp != ""): each unique class executes at most once per
-// (session, structure-version), no matter how many terms, repeated
-// counts, Counters, or batch workers ask.  The bool reports a memo hit
-// (always false for fp == "").  The returned value is shared — callers
-// must treat it as read-only.
-func CountKeyed(pl Plan, fp string, s *Session, workers int) (*big.Int, bool, error) {
-	return CountKeyedCtx(context.Background(), pl, fp, s, workers)
+// CountKeyed executes the plan inside the session, memoizing the result
+// under the canonical counting-class fingerprint when one is present
+// (fp != ""): each unique class executes at most once per (session,
+// structure-version), no matter how many terms, repeated counts,
+// Counters, or batch workers ask.  The bool reports a memo hit (always
+// false for fp == "").  The returned value is shared — callers must
+// treat it as read-only.
+func CountKeyed(pl Plan, fp string, s *Session) (*big.Int, bool, error) {
+	return CountKeyedCtx(context.Background(), pl, fp, s, 0)
 }
 
-// CountKeyedCtx is CountKeyed under a context.  A memo entry whose
-// computation ended in a cancellation error is evicted immediately
-// (CountMemo), so one cancelled request never poisons the fingerprint's
-// count for later callers.  A caller that parked on another request's
+// CountKeyedCtx is CountKeyed under a context (the trailing int is
+// retired, as on CountInCtx).  A memo entry whose computation ended in a
+// cancellation error is evicted immediately (CountMemo), so one
+// cancelled request never poisons the fingerprint's count for later
+// callers.  A caller that parked on another request's
 // computation and received that request's cancellation error retries
 // while its own context is still alive — a short-deadline client must
 // never surface its timeout to a concurrent client with a healthy
@@ -146,9 +140,9 @@ func CountKeyed(pl Plan, fp string, s *Session, workers int) (*big.Int, bool, er
 // previous version, the plan advances it by the appended delta instead
 // of recounting, and every successful count leaves behind the state the
 // next advance starts from (delta.go).
-func CountKeyedCtx(ctx context.Context, pl Plan, fp string, s *Session, workers int) (*big.Int, bool, error) {
+func CountKeyedCtx(ctx context.Context, pl Plan, fp string, s *Session, _ int) (*big.Int, bool, error) {
 	if fp == "" {
-		v, err := CountInCtx(ctx, pl, s, workers)
+		v, err := countInCtx(ctx, pl, s)
 		return v, false, err
 	}
 	// Memo-warm fast path: a settled fingerprint returns its shared value
@@ -160,15 +154,15 @@ func CountKeyedCtx(ctx context.Context, pl Plan, fp string, s *Session, workers 
 	for {
 		v, hit, err := s.countMemoState(ctx, fp, pl.Engine(), func(prev *priorCount) (*big.Int, any, error) {
 			if dp == nil {
-				v, err := CountInCtx(ctx, pl, s, workers)
+				v, err := countInCtx(ctx, pl, s)
 				return v, nil, err
 			}
 			if prev != nil {
-				if v, st, ok, err := dp.countAdvanceIn(ctx, s, workers, *prev); ok || err != nil {
+				if v, st, ok, err := dp.countAdvanceIn(ctx, s, *prev); ok || err != nil {
 					return v, st, err
 				}
 			}
-			return dp.countStateIn(ctx, s, workers)
+			return dp.countStateIn(ctx, s)
 		})
 		if err != nil && isCancellation(err) && (ctx == nil || ctx.Err() == nil) {
 			continue
@@ -182,8 +176,8 @@ func CountKeyedCtx(ctx context.Context, pl Plan, fp string, s *Session, workers 
 // advance that rolls a prior count forward across an append delta
 // (ok=false: not applicable, caller recounts).
 type deltaPlan interface {
-	countStateIn(ctx context.Context, s *Session, workers int) (*big.Int, any, error)
-	countAdvanceIn(ctx context.Context, s *Session, workers int, prev priorCount) (*big.Int, any, bool, error)
+	countStateIn(ctx context.Context, s *Session) (*big.Int, any, error)
+	countAdvanceIn(ctx context.Context, s *Session, prev priorCount) (*big.Int, any, bool, error)
 }
 
 // isCancellation reports whether err stems from a context firing.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/big"
@@ -290,7 +291,7 @@ func TestSessionReuseAndInvalidation(t *testing.T) {
 func TestRunBounded(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		got := make([]int, 100)
-		err := RunBounded(len(got), workers, func(i int) error {
+		err := RunBoundedCtx(context.Background(), len(got), workers, func(i int) error {
 			got[i] = i + 1
 			return nil
 		})
@@ -304,7 +305,7 @@ func TestRunBounded(t *testing.T) {
 		}
 	}
 	wantErr := fmt.Errorf("boom")
-	err := RunBounded(50, 4, func(i int) error {
+	err := RunBoundedCtx(context.Background(), 50, 4, func(i int) error {
 		if i == 7 {
 			return wantErr
 		}

@@ -28,10 +28,8 @@ import (
 //     bound-prefix overlap), the bound/free split of every scope, and the
 //     prefix hash indexes of the tables — everything derivable from the
 //     formula plus the table sizes;
-//   - run time (joinCount): pure index probes and map accumulation, with
-//     independent subtrees of the decomposition processed concurrently on
-//     a bounded worker pool and large pivot tables sharded row-wise into
-//     per-worker accumulators merged with addW.
+//   - run time (joinCount): pure index probes and map accumulation, on
+//     the caller's goroutine — a request is the unit of parallelism.
 //
 // Two representation choices make this the hot path's fast path:
 //
@@ -40,17 +38,11 @@ import (
 //     wide bags;
 //   - extension counts are int64 until an addition or multiplication
 //     would overflow, then fall back to big.Int per entry.
-//
-// Parallel execution is bit-identical to serial execution: every merge is
-// a sum of non-negative wnums, and a partial sum of non-negative terms
-// overflows int64 only if the full sum does, so the packed/big
-// representation of every entry — not just its value — is independent of
-// merge order.
 
 // packedKeyBudget is the number of key bits available before the packed
 // representation spills to strings.  It is a variable (not a constant)
 // only so tests can force the spill path on small instances; it is
-// atomic because the executor reads it from concurrent workers.
+// atomic because concurrent requests' executors read it.
 var packedKeyBudget atomic.Int64
 
 func init() { packedKeyBudget.Store(64) }
@@ -63,32 +55,6 @@ func init() { packedKeyBudget.Store(64) }
 func SetPackedKeyBudget(bits int) (restore func()) {
 	old := packedKeyBudget.Swap(int64(bits))
 	return func() { packedKeyBudget.Store(old) }
-}
-
-// parallelMinWork is the minimum total table size (rows summed over the
-// component's constraint tables) before joinCount engages the parallel
-// machinery at all; below it the DP runs strictly serially and pays zero
-// synchronization.  Atomic so tests can force the parallel path on tiny
-// instances.
-var parallelMinWork atomic.Int64
-
-// shardMinRows is the minimum pivot size (rows of a node's first table,
-// or |B| for a purely free node) before the node's enumeration is
-// sharded across workers.
-var shardMinRows atomic.Int64
-
-func init() {
-	parallelMinWork.Store(2048)
-	shardMinRows.Store(128)
-}
-
-// SetParallelThresholds overrides the parallel-DP engagement thresholds
-// (test hook; lets differential tests force the concurrent path on
-// instances small enough to cross-check against brute force).  Returns a
-// restore function; callers must not interleave override/restore pairs.
-func SetParallelThresholds(minWork, minShardRows int) (restore func()) {
-	ow, os := parallelMinWork.Swap(int64(minWork)), shardMinRows.Swap(int64(minShardRows))
-	return func() { parallelMinWork.Store(ow); shardMinRows.Store(os) }
 }
 
 // keyCodec packs fixed-width assignments of values in [0, domSize) into
@@ -382,41 +348,6 @@ func (m *wmap) get(vals []int, buf []byte) (wnum, bool) {
 	return w, ok
 }
 
-// merge folds every entry of o into m (same codec).  The merged values —
-// including their int64/big.Int representation — are independent of
-// merge order because all weights are non-negative.
-func (m *wmap) merge(o *wmap) {
-	if m.codec.packed {
-		if o.bits != nil {
-			for i, wd := range o.bits {
-				m.bits[i] |= wd
-			}
-			m.n = 0
-			for _, wd := range m.bits {
-				m.n += bits.OnesCount64(wd)
-			}
-			return
-		}
-		if o.dense != nil {
-			for k, w := range o.dense {
-				if !w.isZero() {
-					m.addPacked(uint64(k), w)
-				}
-			}
-			return
-		}
-		for _, s := range o.slots {
-			if !s.val.isZero() {
-				m.addPacked(s.key, s.val)
-			}
-		}
-		return
-	}
-	for k, w := range o.sk {
-		m.addSpill(k, w)
-	}
-}
-
 // forEach visits every (assignment, weight) pair, decoding keys into the
 // supplied scratch slice (len == codec.width, reused between visits).
 func (m *wmap) forEach(vals []int, fn func(vals []int, w wnum)) {
@@ -700,7 +631,6 @@ type execNode struct {
 type execPlan struct {
 	tables []*Table
 	nodes  []execNode
-	work   int // total table rows: parallel engagement estimate
 }
 
 // newExecPlan chooses the per-node bind orders for the given tables and
@@ -709,9 +639,6 @@ type execPlan struct {
 // table, then placement order).
 func newExecPlan(pc *planComponent, tables []*Table, domSize int) *execPlan {
 	ep := &execPlan{tables: tables, nodes: make([]execNode, len(pc.dec.Bags))}
-	for _, t := range tables {
-		ep.work += t.Len()
-	}
 	for ni, bag := range pc.dec.Bags {
 		meta := &pc.nodes[ni]
 		cons := pc.consAt[ni]
@@ -771,7 +698,7 @@ func newExecPlan(pc *planComponent, tables []*Table, domSize int) *execPlan {
 	return ep
 }
 
-// execScratch holds the per-worker buffers of the executor, pooled across
+// execScratch holds the buffers of one node enumeration, pooled across
 // calls to keep the inner loops allocation-free.
 type execScratch struct {
 	assign []int
@@ -810,20 +737,17 @@ type childGroup struct {
 	sums      *wmap // keyed by the shared projection
 }
 
-// dpRun is one joinCount execution: the compiled component, its bound
-// plan, and the worker pool.  sem is nil for strictly serial runs; it
-// holds workers-1 tokens otherwise, shared between subtree-level and
-// shard-level parallelism.
+// dpRun is one joinCount (or projectKeys) execution: the compiled
+// component and its bound plan.  A run lives on one goroutine.
 type dpRun struct {
 	pc   *planComponent
 	ep   *execPlan
 	dom  int
 	maxW int
-	sem  chan struct{}
 
 	// exists switches the run to the existence semiring (projectKeys):
 	// node tables are key sets (wmap.set), so every weight is 1, and each
-	// node looks for one witness per output key (nodeRun.cut).
+	// node looks for one witness per output key (cut in enumerate).
 	exists bool
 
 	// ar allocates the tables the run builds for itself (freeDrivers):
@@ -833,11 +757,11 @@ type dpRun struct {
 
 	// done is the run's cancellation signal (nil when the caller's
 	// context cannot fire; then every check below is a single nil
-	// comparison).  aborted latches once any worker observes done, so
-	// all shards and subtrees bail out at their next check; an aborted
-	// run's partial result is discarded by joinCount.
+	// comparison).  aborted latches once a poll observes done, so every
+	// enclosing loop bails out at its next check; an aborted run's
+	// partial result is discarded by joinCount.
 	done    <-chan struct{}
-	aborted atomic.Bool
+	aborted bool
 }
 
 // cancelCheckMask throttles cancellation polls: the done channel is
@@ -853,7 +777,7 @@ func (r *dpRun) cancelled(sc *execScratch) bool {
 	if r.done == nil {
 		return false
 	}
-	if r.aborted.Load() {
+	if r.aborted {
 		return true
 	}
 	sc.ops++
@@ -862,7 +786,7 @@ func (r *dpRun) cancelled(sc *execScratch) bool {
 	}
 	select {
 	case <-r.done:
-		r.aborted.Store(true)
+		r.aborted = true
 		return true
 	default:
 		return false
@@ -878,20 +802,17 @@ func (r *dpRun) scratch() *execScratch {
 // joinCount runs the join-count DP over the bound plan and returns the
 // total number of assignments of the component's active variables (with
 // multiplicities counting extensions of the quantified subtree variables
-// — which are none at the root, so the total is exact).  workers caps the
-// concurrency; the result is bit-identical for every workers value.
+// — which are none at the root, so the total is exact).  The run stays on
+// the caller's goroutine.
 //
 // done (nil = never fires) is the cooperative cancellation signal: when
 // it fires mid-run the partial result is discarded and aborted=true is
 // returned; a run that completed before observing the signal returns its
 // (correct, complete) total with aborted=false.
-func joinCount(pc *planComponent, ep *execPlan, domSize, workers int, done <-chan struct{}) (total *big.Int, aborted bool) {
+func joinCount(pc *planComponent, ep *execPlan, domSize int, done <-chan struct{}) (total *big.Int, aborted bool) {
 	r := &dpRun{pc: pc, ep: ep, dom: domSize, maxW: pc.dec.Width() + 1, done: done}
-	if workers > 1 && int64(ep.work) >= parallelMinWork.Load() {
-		r.sem = make(chan struct{}, workers-1)
-	}
 	root := r.process(pc.root, nil)
-	if r.aborted.Load() {
+	if r.aborted {
 		return nil, true
 	}
 	total = new(big.Int)
@@ -909,13 +830,12 @@ func joinCount(pc *planComponent, ep *execPlan, domSize, workers int, done <-cha
 // constraint.  This is how an ∃-component predicate is materialized
 // (Session.materializePredicate).  Weights would count the extensions,
 // which nobody asks for, so they stay 1 — nothing overflows towards
-// big.Int however many extensions there are.  The run is serial, and
-// builds what tables it needs in scratch.  done and aborted are as for
-// joinCount.
+// big.Int however many extensions there are.  The run builds what tables
+// it needs in scratch.  done and aborted are as for joinCount.
 func projectKeys(pc *planComponent, ep *execPlan, domSize int, proj []int, scratch *arena, done <-chan struct{}) (keys *wmap, aborted bool) {
 	r := &dpRun{pc: pc, ep: ep, dom: domSize, maxW: pc.dec.Width() + 1, done: done, exists: true, ar: scratch}
 	keys = r.process(pc.root, proj)
-	return keys, r.aborted.Load()
+	return keys, r.aborted
 }
 
 // projSize bounds the number of distinct keys of a projection onto w
@@ -942,44 +862,15 @@ func projSize(dom, w, lim int) int {
 // positions proj (the positions ni shares with its parent; empty at the
 // root, aggregating everything into one entry).  Emitting straight into
 // the parent's key space fuses the DP's project-and-group step into the
-// enumeration — no full-width node table is ever materialized.  Child
-// subtrees run concurrently when the pool has capacity.
+// enumeration — no full-width node table is ever materialized.
 func (r *dpRun) process(ni int, proj []int) *wmap {
 	children := r.pc.children[ni]
 	meta := &r.pc.nodes[ni]
 	groups := make([]*childGroup, len(children))
-	if r.sem != nil && len(children) > 1 {
-		var wg sync.WaitGroup
-		for i := 1; i < len(children); i++ {
-			select {
-			case r.sem <- struct{}{}:
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					groups[i] = &childGroup{
-						sharedBag: meta.groups[i].sharedBag,
-						sums:      r.process(children[i], meta.groups[i].sharedChild),
-					}
-					<-r.sem
-				}(i)
-			default:
-				groups[i] = &childGroup{
-					sharedBag: meta.groups[i].sharedBag,
-					sums:      r.process(children[i], meta.groups[i].sharedChild),
-				}
-			}
-		}
-		groups[0] = &childGroup{
-			sharedBag: meta.groups[0].sharedBag,
-			sums:      r.process(children[0], meta.groups[0].sharedChild),
-		}
-		wg.Wait()
-	} else {
-		for i, c := range children {
-			groups[i] = &childGroup{
-				sharedBag: meta.groups[i].sharedBag,
-				sums:      r.process(c, meta.groups[i].sharedChild),
-			}
+	for i, c := range children {
+		groups[i] = &childGroup{
+			sharedBag: meta.groups[i].sharedBag,
+			sums:      r.process(c, meta.groups[i].sharedChild),
 		}
 	}
 
@@ -990,9 +881,9 @@ func (r *dpRun) process(ni int, proj []int) *wmap {
 	return out
 }
 
-// pivotSize is the sharding range of a node: the pivot table's row count,
-// or the domain size when the node has no constraints (then the first
-// free variable's values are sharded).
+// pivotSize is the length of a node's outermost loop: the pivot table's
+// row count, or the domain size when the node has no constraints (then
+// the first free variable's values are scanned).
 func (en *execNode) pivotSize(domSize int) int {
 	if len(en.steps) > 0 {
 		return en.steps[0].table.n
@@ -1001,73 +892,6 @@ func (en *execNode) pivotSize(domSize int) int {
 		return domSize
 	}
 	return 1
-}
-
-// enumerate fills out with node en's contributions keyed on outProj,
-// sharding the pivot range across workers when the pool has capacity and
-// the range is large enough to amortize the merge.
-func (r *dpRun) enumerate(en *execNode, groups []*childGroup, out *wmap, outProj []int) {
-	boundAt := en.bindDepths()
-	nr := &nodeRun{
-		ready: groupReadiness(en, groups, boundAt),
-		drive: freeDrivers(en, groups, boundAt, r.dom, r.ar),
-		proj:  outProj,
-		cut:   -1,
-	}
-	if r.exists {
-		nr.cut = 0
-		for _, bi := range outProj {
-			if boundAt[bi] > nr.cut {
-				nr.cut = boundAt[bi]
-			}
-		}
-	}
-	pivotN := en.pivotSize(r.dom)
-	extra := 0
-	if r.sem != nil && int64(pivotN) >= shardMinRows.Load() {
-	acquire:
-		for extra < cap(r.sem) && extra+1 < pivotN {
-			select {
-			case r.sem <- struct{}{}:
-				extra++
-			default:
-				break acquire
-			}
-		}
-	}
-	if extra == 0 {
-		sc := r.scratch()
-		r.enumRange(en, nr, out, sc, 0, pivotN)
-		scratchPool.Put(sc)
-		return
-	}
-	shards := extra + 1
-	chunk := (pivotN + shards - 1) / shards
-	parts := make([]*wmap, shards)
-	var wg sync.WaitGroup
-	for s := 1; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			defer func() { <-r.sem }()
-			lo, hi := s*chunk, (s+1)*chunk
-			if hi > pivotN {
-				hi = pivotN
-			}
-			m := newWmap(out.codec, 0, out.set)
-			sc := r.scratch()
-			r.enumRange(en, nr, m, sc, lo, hi)
-			scratchPool.Put(sc)
-			parts[s] = m
-		}(s)
-	}
-	sc := r.scratch()
-	r.enumRange(en, nr, out, sc, 0, chunk)
-	scratchPool.Put(sc)
-	wg.Wait()
-	for s := 1; s < shards; s++ {
-		out.merge(parts[s])
-	}
 }
 
 // bindDepths returns, per bag position, the bind depth at which it is
@@ -1183,55 +1007,60 @@ func freeDrivers(en *execNode, groups []*childGroup, boundAt []int, dom int, ar 
 	return drivers
 }
 
-// nodeRun is what one node's enumeration reads besides the bound node
-// itself; it is fixed before the pivot range is sharded.
-type nodeRun struct {
-	ready [][]*childGroup // child-group lookups per bind depth (groupReadiness)
-	drive []*freeDriver   // per free position, nil entries allowed (freeDrivers)
-	proj  []int           // bag positions of the output key
+// enumerate fills m with node en's contributions keyed on the bag
+// positions outProj, by enumerating the node's bag assignments: the rows
+// of the pivot table (or the values of the first free variable of a
+// constraint-less node), then each later step's index probes.  Bind
+// orders are fixed at plan bind, so no assigned-flag bookkeeping or
+// rollback happens here — every bag position is written by exactly one
+// binder before any deeper read.  Child-group factors are multiplied
+// into the running weight at their readiness depth (see groupReadiness);
+// a missing factor abandons the subtree before any deeper binder runs.
+func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj []int) {
+	boundAt := en.bindDepths()
+	ready := groupReadiness(en, groups, boundAt)
+	drive := freeDrivers(en, groups, boundAt, r.dom, r.ar)
 	// cut is, in an existence run, the bind depth at which the output key
 	// is fully bound (-1 in a counting run).  Below it the enumeration
 	// only looks for a witness: a key that is already present is not
 	// searched again, and the first emission unwinds back to depth cut,
 	// because every other candidate down there would emit the same key.
-	cut int
-}
-
-// enumRange enumerates the node's bag assignments with the pivot range
-// restricted to [lo, hi): rows of the pivot table, or values of the first
-// free variable for constraint-less nodes.  Bind orders are fixed at plan
-// bind, so no assigned-flag bookkeeping or rollback happens here — every
-// bag position is written by exactly one binder before any deeper read.
-// Child-group factors are multiplied into the running weight at their
-// readiness depth (see groupReadiness); a missing factor abandons the
-// subtree before any deeper binder runs.
-func (r *dpRun) enumRange(en *execNode, nr *nodeRun, m *wmap, sc *execScratch, lo, hi int) {
+	cut := -1
+	if r.exists {
+		cut = 0
+		for _, bi := range outProj {
+			if boundAt[bi] > cut {
+				cut = boundAt[bi]
+			}
+		}
+	}
+	sc := r.scratch()
 	assign := sc.assign[:en.width]
 	nSteps := len(en.steps)
 	free := en.freePos
 	last := nSteps + len(free) // the depth at which the bag is fully assigned
 	key := func() []int {
-		pv := sc.proj[:len(nr.proj)]
-		for i, bi := range nr.proj {
+		pv := sc.proj[:len(outProj)]
+		for i, bi := range outProj {
 			pv[i] = assign[bi]
 		}
 		return pv
 	}
-	hit := false // existence run: a key was emitted and the unwinding to nr.cut is under way
+	hit := false // existence run: a key was emitted and the unwinding to cut is under way
 	var recStep func(si int, w wnum)
 	var fill func(k int, w wnum)
 	// descend continues below depth d, whose binder has just written its
 	// bag positions: it folds in the child-group factors scheduled at d (a
 	// missing one means the subtree contributes nothing) and runs the next
 	// binder, or emits.  It reports whether the calling binder should stop
-	// iterating (see nodeRun.cut).
+	// iterating (see cut).
 	descend := func(d int, w wnum) bool {
-		if d == nr.cut && d < last {
+		if d == cut && d < last {
 			if _, ok := m.get(key(), sc.keyBuf); ok {
 				return false
 			}
 		}
-		for _, g := range nr.ready[d] {
+		for _, g := range ready[d] {
 			proj := sc.proj[:len(g.sharedBag)]
 			for i, bi := range g.sharedBag {
 				proj[i] = assign[bi]
@@ -1252,7 +1081,7 @@ func (r *dpRun) enumRange(en *execNode, nr *nodeRun, m *wmap, sc *execScratch, l
 			hit = r.exists
 		}
 		if hit {
-			if d > nr.cut {
+			if d > cut {
 				return true
 			}
 			hit = false
@@ -1261,7 +1090,7 @@ func (r *dpRun) enumRange(en *execNode, nr *nodeRun, m *wmap, sc *execScratch, l
 	}
 	// fill assigns free position k (bind depth nSteps+k+1).
 	fill = func(k int, w wnum) {
-		if d := nr.drive[k]; d != nil {
+		if d := drive[k]; d != nil {
 			vals := sc.vals[:len(d.boundBag)]
 			for i, bi := range d.boundBag {
 				vals[i] = assign[bi]
@@ -1275,12 +1104,8 @@ func (r *dpRun) enumRange(en *execNode, nr *nodeRun, m *wmap, sc *execScratch, l
 			}
 			return
 		}
-		loK, hiK := 0, r.dom
 		pivot := nSteps == 0 && k == 0
-		if pivot {
-			loK, hiK = lo, hi
-		}
-		for v := loK; v < hiK; v++ {
+		for v := 0; v < r.dom; v++ {
 			if pivot && r.cancelled(sc) {
 				return
 			}
@@ -1295,11 +1120,7 @@ func (r *dpRun) enumRange(en *execNode, nr *nodeRun, m *wmap, sc *execScratch, l
 		st := &en.steps[si]
 		t := st.table
 		if st.idx == nil {
-			rlo, rhi := 0, t.n
-			if si == 0 {
-				rlo, rhi = lo, hi
-			}
-			for row := rlo; row < rhi; row++ {
+			for row := 0; row < t.n; row++ {
 				if si == 0 && r.cancelled(sc) {
 					return
 				}
@@ -1328,6 +1149,7 @@ func (r *dpRun) enumRange(en *execNode, nr *nodeRun, m *wmap, sc *execScratch, l
 		}
 	}
 	descend(0, wnum{lo: 1})
+	scratchPool.Put(sc)
 }
 
 // sharedPositions returns, for the variables common to bag and childVars

@@ -217,11 +217,8 @@ func TestTableIndexCacheCap(t *testing.T) {
 // Executor differential across the structural edge shapes the bitmap
 // and index rewrites touch: empty prefixes (a node whose scope shares
 // no bound variable falls back to full enumeration), fully-bound
-// scopes, and single-row relations — FPT must agree with brute force,
-// with pruning and parallel thresholds forced on.
+// scopes, and single-row relations — FPT must agree with brute force.
 func TestExecutorEdgeShapesDifferential(t *testing.T) {
-	restorePar := SetParallelThresholds(1, 1)
-	defer restorePar()
 	sig := workload.EdgeSig()
 	queries := []string{
 		"q(x) := E(x,x)",                         // single-position, self-loop rows

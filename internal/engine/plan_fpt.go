@@ -402,36 +402,28 @@ func (pl *fptPlan) Count(b *structure.Structure) (*big.Int, error) {
 	return pl.CountIn(SessionFor(b))
 }
 
-// CountIn executes the plan inside a session with the process-default
-// worker budget, reusing any constraint tables already materialized
-// there.
+// CountIn executes the plan inside a session, reusing any constraint
+// tables already materialized there.
 func (pl *fptPlan) CountIn(s *Session) (*big.Int, error) {
-	return pl.CountInWorkers(s, 0)
+	return pl.countIn(nil, s)
 }
 
-// CountInWorkers is CountIn with the executor's intra-plan parallelism
-// capped at workers (≤ 0 means the process default: EPCQ_WORKERS, else
-// GOMAXPROCS).  The count is bit-identical for every workers value.
-func (pl *fptPlan) CountInWorkers(s *Session, workers int) (*big.Int, error) {
-	return pl.countIn(nil, s, workers)
-}
-
-// CountInCtx is CountInWorkers under a context: the join-count DP — the
+// CountInCtx is CountIn under a context: the join-count DP — the
 // component's own and the nested runs that materialize its ∃-component
 // predicate tables — polls ctx at pivot-row and emission granularity and
 // aborts with ctx's error once it fires (partial work discarded, no
 // table cached).  Sentence checks and atom-table projection are not
 // interruptible; cancellation latency is bounded by the largest of those
 // steps.
-func (pl *fptPlan) CountInCtx(ctx context.Context, s *Session, workers int) (*big.Int, error) {
-	return pl.countIn(ctx, s, workers)
+func (pl *fptPlan) CountInCtx(ctx context.Context, s *Session) (*big.Int, error) {
+	return pl.countIn(ctx, s)
 }
 
 // countIn is the shared implementation; ctx may be nil (never cancels).
 // The whole count runs under a session pin: the tables and prefix
 // indexes it reads live in the session's arena, and the pin keeps those
 // chunks out of the recycling pools until the executor window closes.
-func (pl *fptPlan) countIn(ctx context.Context, s *Session, workers int) (*big.Int, error) {
+func (pl *fptPlan) countIn(ctx context.Context, s *Session) (*big.Int, error) {
 	if s.acquirePin() {
 		defer s.releasePin()
 	}
@@ -439,7 +431,6 @@ func (pl *fptPlan) countIn(ctx context.Context, s *Session, workers int) (*big.I
 	if !pl.sig.Equal(b.Signature()) {
 		return nil, errSignature(pl.p, b)
 	}
-	workers = EffectiveWorkers(workers)
 	total := big.NewInt(1)
 	for _, pc := range pl.comps {
 		if ctx != nil {
@@ -447,7 +438,7 @@ func (pl *fptPlan) countIn(ctx context.Context, s *Session, workers int) (*big.I
 				return nil, err
 			}
 		}
-		f, err := pc.count(ctx, s, workers)
+		f, err := pc.count(ctx, s)
 		if err != nil {
 			return nil, err
 		}
@@ -459,7 +450,7 @@ func (pl *fptPlan) countIn(ctx context.Context, s *Session, workers int) (*big.I
 	return total, nil
 }
 
-func (pc *planComponent) count(ctx context.Context, s *Session, workers int) (*big.Int, error) {
+func (pc *planComponent) count(ctx context.Context, s *Session) (*big.Int, error) {
 	if pc.sentence {
 		if s.SentenceHolds(pc.structureOnly) {
 			return big.NewInt(1), nil
@@ -475,7 +466,7 @@ func (pc *planComponent) count(ctx context.Context, s *Session, workers int) (*b
 	if pc.nActive == 0 {
 		return result, nil
 	}
-	joined, _, err := pc.joinState(ctx, s, workers)
+	joined, _, err := pc.joinState(ctx, s)
 	if err != nil {
 		return nil, err
 	}
@@ -488,7 +479,7 @@ func (pc *planComponent) count(ctx context.Context, s *Session, workers int) (*b
 // tables' row counts — the cut points a later delta advance splits the
 // next version's tables at (delta.go).  For a constraint-free component
 // the join is the neutral 1 with no lens.
-func (pc *planComponent) joinState(ctx context.Context, s *Session, workers int) (*big.Int, []int, error) {
+func (pc *planComponent) joinState(ctx context.Context, s *Session) (*big.Int, []int, error) {
 	if pc.nActive == 0 {
 		return big.NewInt(1), nil, nil
 	}
@@ -513,7 +504,7 @@ func (pc *planComponent) joinState(ctx context.Context, s *Session, workers int)
 	if empty {
 		return new(big.Int), lens, nil
 	}
-	joined, aborted := joinCount(pc, ep, s.B.Size(), workers, done)
+	joined, aborted := joinCount(pc, ep, s.B.Size(), done)
 	if aborted {
 		return nil, nil, ctxAbortErr(ctx)
 	}

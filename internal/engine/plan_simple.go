@@ -64,7 +64,7 @@ func (pl *brutePlan) CountIn(s *Session) (*big.Int, error) { return pl.Count(s.B
 
 // CountInCtx polls ctx once per enumerated liberal assignment (before
 // each extendability check) and aborts with ctx's error when it fires.
-func (pl *brutePlan) CountInCtx(ctx context.Context, s *Session, _ int) (*big.Int, error) {
+func (pl *brutePlan) CountInCtx(ctx context.Context, s *Session) (*big.Int, error) {
 	if err := checkStructure(pl.p, s.B); err != nil {
 		return nil, err
 	}
@@ -136,7 +136,7 @@ func (pl *projectionPlan) CountIn(s *Session) (*big.Int, error) { return pl.Coun
 
 // CountInCtx polls ctx between components and once per enumerated
 // extendable assignment, aborting with ctx's error when it fires.
-func (pl *projectionPlan) CountInCtx(ctx context.Context, s *Session, _ int) (*big.Int, error) {
+func (pl *projectionPlan) CountInCtx(ctx context.Context, s *Session) (*big.Int, error) {
 	if err := checkStructure(pl.p, s.B); err != nil {
 		return nil, err
 	}

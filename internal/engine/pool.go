@@ -2,79 +2,25 @@ package engine
 
 import (
 	"context"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
 
-// defaultWorkers is the process-wide worker budget used whenever a
-// caller does not pass an explicit count: 0 means "GOMAXPROCS at call
-// time".  It is initialized from the EPCQ_WORKERS environment variable
-// and adjustable via SetDefaultWorkers; every parallel surface — the
-// join-count DP's subtree/shard workers, Counter.CountParallel's term
-// fan-out, and CountBatch's structure fan-out — resolves its budget
-// through EffectiveWorkers.
-var defaultWorkers atomic.Int64
-
-func init() {
-	if s := os.Getenv("EPCQ_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			defaultWorkers.Store(int64(n))
-		}
-	}
-}
-
-// DefaultWorkers returns the process-default worker count: EPCQ_WORKERS
-// if set (and positive), else GOMAXPROCS.
-func DefaultWorkers() int {
-	if n := defaultWorkers.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetDefaultWorkers overrides the process-default worker count (n ≤ 0
-// restores the GOMAXPROCS default) and returns a function restoring the
-// previous value.  Callers must not interleave override/restore pairs.
-func SetDefaultWorkers(n int) (restore func()) {
-	if n < 0 {
-		n = 0
-	}
-	old := defaultWorkers.Swap(int64(n))
-	return func() { defaultWorkers.Store(old) }
-}
-
-// EffectiveWorkers resolves a requested worker count: n > 0 is taken as
-// given, n ≤ 0 resolves to the process default (EPCQ_WORKERS, else
-// GOMAXPROCS).
-func EffectiveWorkers(n int) int {
-	if n > 0 {
-		return n
-	}
-	return DefaultWorkers()
-}
-
-// RunBounded executes fn(0)…fn(n-1) on a bounded pool of goroutines
-// (workers ≤ 0 means the process default; see EffectiveWorkers).  Once
-// any call errors, no further indices are started; the first error (by
-// index order of observation) is returned after all in-flight calls
-// finish.  Replaces the goroutine-per-task fan-out previously used for
-// φ⁻af terms.
-func RunBounded(n, workers int, fn func(i int) error) error {
-	return RunBoundedCtx(context.Background(), n, workers, fn)
-}
-
-// RunBoundedCtx is RunBounded under a context: once ctx is done, no
-// further indices are started (in-flight calls finish; fn is expected to
-// observe ctx itself if its unit of work is long) and the context's
-// error is returned unless an fn error happened first.
+// RunBoundedCtx executes fn(0)…fn(n-1) on at most workers goroutines
+// (workers ≤ 0 means GOMAXPROCS; 1 runs inline on the caller's): the one
+// fan-out primitive, used over the independent structures of a batch.
+// Once any call errors or ctx is done, no further indices are started
+// (in-flight calls finish; fn is expected to observe ctx itself if its
+// unit of work is long).  The first error observed is returned, else
+// the context's.
 func RunBoundedCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers = EffectiveWorkers(workers)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}

@@ -230,7 +230,7 @@ func TestPredKeyIsStructural(t *testing.T) {
 // off one free variable, on the complete graph with loops on 80 vertices,
 // where the K4 bag has 80⁴ ≈ 4·10⁷ assignments and every one is a
 // witness.  The nested run needs one per interface value and must stop
-// there (nodeRun.cut) — enumerating the bag in full takes seconds, the
+// there (cut in enumerate) — enumerating the bag in full takes seconds, the
 // witness search well under the bound below — which is why no second
 // mechanism, a solver selected by the nested decomposition's width, sits
 // beside the DP (BenchmarkMaterialize_PredicateK4_N60 has the comparison

@@ -67,7 +67,7 @@ func BenchmarkMaterialize_PredTail_N1000(b *testing.B) {
 // variable, on ER(60, 0.5), where nearly every vertex has a witness.  This
 // is the shape on which enumerating the K4 bag in full would lose to a
 // solver that stops at the first witness per interface value; the nested
-// run stops there too (nodeRun.cut), and the solver sub-benchmark — the
+// run stops there too (cut in enumerate), and the solver sub-benchmark — the
 // reference the differential tests compare against, hom.ForEachExtendable
 // on the same component — is the yardstick that keeps it honest.
 func BenchmarkMaterialize_PredicateK4_N60(b *testing.B) {

@@ -74,13 +74,13 @@ func TestSemiJoinPrunePreservesJoinCount(t *testing.T) {
 				tables[ci] = s.tableFor(&pc.constraints[ci], nil)
 				total += tables[ci].Len()
 			}
-			want, _ := joinCount(pc, newExecPlan(pc, tables, bs.Size()), bs.Size(), 1, nil)
+			want, _ := joinCount(pc, newExecPlan(pc, tables, bs.Size()), bs.Size(), nil)
 			pruned, empty := semiJoinPrune(pc, tables, bs.Size())
 			var got *big.Int
 			if empty {
 				got = new(big.Int)
 			} else {
-				got, _ = joinCount(pc, newExecPlan(pc, pruned, bs.Size()), bs.Size(), 1, nil)
+				got, _ = joinCount(pc, newExecPlan(pc, pruned, bs.Size()), bs.Size(), nil)
 			}
 			if want.Cmp(got) != 0 {
 				t.Fatalf("seed %d: pruned count %v != unpruned %v", seed, got, want)

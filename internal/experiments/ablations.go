@@ -14,54 +14,6 @@ import (
 	"repro/internal/workload"
 )
 
-// RunA6 compares all counting engines on one moderate workload.
-func RunA6(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:      "A6",
-		Title:   "Ablation: counting engines on the path query over G(n, 4/n)",
-		Columns: []string{"engine", "n", "count", "time"},
-		OK:      true,
-	}
-	n := 60
-	bruteMax := 16
-	if cfg.Quick {
-		n, bruteMax = 20, 10
-	}
-	q := workload.PathQuery(3)
-	p, err := singlePP(q)
-	if err != nil {
-		return nil, err
-	}
-	engines := []count.PPEngine{count.EngineFPT, count.EngineFPTNoCore, count.EngineProjection, count.EngineBrute}
-	var reference *big.Int
-	for _, e := range engines {
-		size := n
-		if e == count.EngineBrute {
-			size = bruteMax
-		}
-		g := workload.ER(size, 4.0/float64(size), 99)
-		b := workload.GraphStructure(g)
-		var v *big.Int
-		d, err := timed(func() error {
-			var err2 error
-			v, err2 = count.PP(p, b, e)
-			return err2
-		})
-		if err != nil {
-			return nil, err
-		}
-		if e != count.EngineBrute {
-			if reference == nil {
-				reference = v
-			} else if reference.Cmp(v) != 0 {
-				t.OK = false
-			}
-		}
-		t.Rows = append(t.Rows, []string{e.String(), fmt.Sprint(size), fmtBig(v), fmtDur(d)})
-	}
-	return t, nil
-}
-
 // RunA2 measures the cancellation rate of counting-equivalence merging:
 // raw 2^s−1 terms vs surviving φ* terms.  Cancellation comes from
 // symmetry among disjuncts (Example 4.2's rotated paths are the paradigm),

@@ -19,9 +19,9 @@ type Table struct {
 	OK bool
 }
 
-// JSON renders the table as machine-readable JSON (the `BENCH_*.json`
-// format used to track the perf trajectory across PRs): the grid plus an
-// elapsed wall-clock measurement supplied by the caller.
+// JSON renders the table as machine-readable JSON (the BENCH_<id>.json
+// files of epbench -json): the grid plus an elapsed wall-clock
+// measurement supplied by the caller.
 func (t *Table) JSON(elapsed time.Duration) ([]byte, error) {
 	type payload struct {
 		ID        string     `json:"id"`
@@ -109,9 +109,6 @@ func (t *Table) Render() string {
 type Config struct {
 	// Quick shrinks instance sizes for smoke runs.
 	Quick bool
-	// Cores is the worker/GOMAXPROCS budgets the P1 sweep visits
-	// (epbench -cores); empty means the default {1, 2, 4, 8}.
-	Cores []int
 }
 
 // Spec describes one experiment.
@@ -134,14 +131,10 @@ func All() []Spec {
 		{"E8", "Theorem 3.1 — end-to-end interreducibility count[Φ] ≡ count[Φ⁺]", RunE8},
 		{"E9", "Theorem 3.2 — trichotomy classification of query families", RunE9},
 		{"E10", "FPT vs XP — time as the parameter (query size) grows", RunE10},
-		{"P1", "Core sweep — batch counting across worker/GOMAXPROCS budgets", RunP1},
-		{"S2", "Delta maintenance — append-stream subscription reads vs full recounts", RunS2},
-		{"D1", "Durability cost — append throughput by fsync policy, recovery-validated", RunD1},
 		{"A2", "Ablation — φ* with vs without cancellation", RunA2},
 		{"A3", "Ablation — normalization (UCQ minimization) on vs off", RunA3},
 		{"A4", "Ablation — FPT engine with vs without core computation", RunA4},
 		{"A5", "Ablation — exact vs heuristic treewidth in the classifier", RunA5},
-		{"A6", "Ablation — counting engines on one workload", RunA6},
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/term"
@@ -107,6 +108,11 @@ type CountRequest struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
+// approxParams collects the request's approx-mode parameters.
+func (r CountRequest) approxParams() approx.Params {
+	return approx.Params{Epsilon: r.Epsilon, Delta: r.Delta, MaxSamples: r.MaxSamples, Seed: r.Seed}
+}
+
 // CountResponse is one count: the decimal answer count and the
 // structure version it was computed against.  Approx-mode responses
 // also populate the estimate block (Count then equals Estimate, so
@@ -138,7 +144,7 @@ type CountResponse struct {
 }
 
 // CountBatchRequest counts one query on many named structures in one
-// request, fanned out on the server's bounded worker pool.
+// request, Config.Workers of them at a time.
 type CountBatchRequest struct {
 	Query         string   `json:"query"`
 	Structures    []string `json:"structures"`
@@ -152,6 +158,11 @@ type CountBatchRequest struct {
 	Delta      float64 `json:"delta,omitempty"`
 	MaxSamples int     `json:"max_samples,omitempty"`
 	Seed       int64   `json:"seed,omitempty"`
+}
+
+// approxParams collects the request's approx-mode parameters.
+func (r CountBatchRequest) approxParams() approx.Params {
+	return approx.Params{Epsilon: r.Epsilon, Delta: r.Delta, MaxSamples: r.MaxSamples, Seed: r.Seed}
 }
 
 // CountBatchResponse carries the per-structure counts in request order,
@@ -334,7 +345,8 @@ type ClusterStats struct {
 // per-query counter statistics, the structure registry, the
 // process-wide engine session registry, the incremental-maintenance
 // counters, the number of registered subscriptions, and the durability
-// layer.  A cluster coordinator answers the same shape with every
+// layer; Workers is the /countBatch fan-out width (Config.Workers,
+// resolved).  A cluster coordinator answers the same shape with every
 // counter merged across its shards and the per-shard breakdown under
 // Cluster.
 type StatsResponse struct {

@@ -53,7 +53,8 @@
 //     case), and owns the listener (Start / Addr / Shutdown).
 //
 //   - Server (server.go): the local Backend, behind its own Frontend.
-//     Counting executes on the engine's bounded worker pools under
+//     A count executes on its request's goroutine (a batch fans out
+//     over its structures, Config.Workers at a time) under
 //     admission control (excess requests get 503 rather than queueing)
 //     and under the structure's read lock; the request's deadline is
 //     threaded as a context through the executor, so an expired

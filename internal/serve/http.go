@@ -202,7 +202,7 @@ func (f *Frontend) count(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if _, _, err := countOptions(req.Engine, req.Mode); err != nil {
+	if _, _, err := countOptions(req.Engine, req.Mode, req.approxParams()); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -221,7 +221,7 @@ func (f *Frontend) countBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errNoStructures)
 		return
 	}
-	if _, _, err := countOptions(req.Engine, req.Mode); err != nil {
+	if _, _, err := countOptions(req.Engine, req.Mode, req.approxParams()); err != nil {
 		writeError(w, err)
 		return
 	}

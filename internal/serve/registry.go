@@ -97,8 +97,8 @@ type Registry struct {
 	// queryCap bounds the counter cache; reaching it wipes the cache
 	// wholesale (a memo, not a store — entries rebuild on demand).
 	queryCap int
-	// workers is the budget handed to every new counter (0 = process
-	// default).
+	// workers is the batch fan-out width handed to every new counter
+	// (0 = GOMAXPROCS).
 	workers int
 
 	// store is the optional durability store (nil = in-memory only),
@@ -124,7 +124,8 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry.  queryCap ≤ 0 selects the
-// default counter-cache capacity.
+// default counter-cache capacity; workers is the batch fan-out width of
+// its counters (core.Counter.WithWorkers; 0 = GOMAXPROCS).
 func NewRegistry(queryCap, workers int) *Registry {
 	if queryCap <= 0 {
 		queryCap = 256

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/big"
 	"net/http"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -17,8 +18,8 @@ import (
 )
 
 // Config tunes an epserved Server.  The zero value serves on an
-// OS-chosen port with the process-default worker budget, 64 in-flight
-// counting requests, and a 30-second per-request deadline.
+// OS-chosen port with 64 in-flight counting requests, a 30-second
+// per-request deadline, and /countBatch fanning out GOMAXPROCS wide.
 type Config struct {
 	// Addr is the listen address (":8080"; empty = ":0", an OS-chosen
 	// port, reported by Addr after Start).
@@ -33,8 +34,9 @@ type Config struct {
 	// is threaded as a context through the executor, so an expired
 	// request stops consuming CPU at the executor's poll granularity.
 	RequestTimeout time.Duration
-	// Workers is the worker budget handed to every compiled counter
-	// (0 = EPCQ_WORKERS, else GOMAXPROCS).
+	// Workers is the width of the /countBatch fan-out: how many
+	// structures of one batch request are counted at once (≤ 0 =
+	// GOMAXPROCS).  A single count runs on its request's goroutine.
 	Workers int
 	// QueryCacheCap bounds the compiled-query cache (≤ 0 = 256).
 	QueryCacheCap int
@@ -60,8 +62,8 @@ type Config struct {
 
 // Server is a single epserved node: the local Backend — a structure
 // registry, a compiled-query cache, and counting operations that
-// execute on the engine's bounded worker pools under admission control
-// — behind its Frontend.  Create with New, wire into any http.Server
+// execute on their request's goroutine under admission control —
+// behind its Frontend.  Create with New, wire into any http.Server
 // via Handler, or use Start/Shutdown for the managed lifecycle.
 type Server struct {
 	*Frontend
@@ -84,6 +86,9 @@ type Server struct {
 func New(cfg Config) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 64
+	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -164,10 +169,12 @@ func (s *Server) admit() (release func(), err error) {
 // errNoStructures refuses a batch count over no structures.
 var errNoStructures = Errorf(http.StatusBadRequest, "structures must not be empty")
 
-// countOptions validates a counting request's engine and execution
-// mode: the one check behind every surface, and where the local backend
-// reads their parsed values.
-func countOptions(engineName, mode string) (eng engine.Name, approxMode bool, err error) {
+// countOptions validates a counting request's engine, execution mode
+// and — in approx mode — its (ε, δ) target and sample cap: the one check
+// behind every surface, and where the local backend reads their parsed
+// values.  A zero approx parameter means its default; one out of range
+// is refused, never replaced — the answer would misstate what it met.
+func countOptions(engineName, mode string, prm approx.Params) (eng engine.Name, approxMode bool, err error) {
 	if eng, err = parseEngine(engineName); err != nil {
 		return eng, false, err
 	}
@@ -175,7 +182,15 @@ func countOptions(engineName, mode string) (eng engine.Name, approxMode bool, er
 	case "", "exact":
 		return eng, false, nil
 	case "approx":
-		return eng, true, nil
+		switch {
+		case !(prm.Epsilon >= 0): // NaN included
+			err = Errorf(http.StatusBadRequest, "serve: epsilon %v out of range (want positive, or 0 for the default)", prm.Epsilon)
+		case !(prm.Delta >= 0 && prm.Delta < 1):
+			err = Errorf(http.StatusBadRequest, "serve: delta %v out of range (want in (0, 1), or 0 for the default)", prm.Delta)
+		case prm.MaxSamples < 0:
+			err = Errorf(http.StatusBadRequest, "serve: max_samples %d out of range (want positive, or 0 for the default)", prm.MaxSamples)
+		}
+		return eng, true, err
 	}
 	return eng, false, Errorf(http.StatusBadRequest, "serve: unknown mode %q (want \"exact\" or \"approx\")", mode)
 }
@@ -249,7 +264,8 @@ func (s *Server) CountWith(ctx context.Context, req CountRequest) (*big.Int, Cou
 		return fail(err)
 	}
 	defer release()
-	eng, approxMode, err := countOptions(req.Engine, req.Mode)
+	prm := req.approxParams()
+	eng, approxMode, err := countOptions(req.Engine, req.Mode, prm)
 	if err != nil {
 		return fail(err)
 	}
@@ -270,10 +286,7 @@ func (s *Server) CountWith(ctx context.Context, req CountRequest) (*big.Int, Cou
 	defer e.mu.RUnlock()
 	version := e.b.Version()
 	if approxMode {
-		res, aerr := c.CountApproxCtx(ctx, e.b, approx.Params{
-			Epsilon: req.Epsilon, Delta: req.Delta,
-			MaxSamples: req.MaxSamples, Seed: req.Seed,
-		})
+		res, aerr := c.CountApproxCtx(ctx, e.b, prm)
 		if aerr != nil {
 			return fail(s.countError(aerr))
 		}
@@ -306,8 +319,8 @@ func (s *Server) CountWith(ctx context.Context, req CountRequest) (*big.Int, Cou
 }
 
 // CountBatchWith counts one query on many structures (one shared
-// signature), fanned out on the bounded worker pool, under admission
-// control and ctx's deadline.
+// signature), cfg.Workers structures at a time, under admission control
+// and ctx's deadline.
 func (s *Server) CountBatchWith(ctx context.Context, req CountBatchRequest) ([]*big.Int, CountBatchResponse, error) {
 	fail := func(err error) ([]*big.Int, CountBatchResponse, error) { return nil, CountBatchResponse{}, err }
 	if len(req.Structures) == 0 {
@@ -318,7 +331,8 @@ func (s *Server) CountBatchWith(ctx context.Context, req CountBatchRequest) ([]*
 		return fail(err)
 	}
 	defer release()
-	eng, approxMode, err := countOptions(req.Engine, req.Mode)
+	prm := req.approxParams()
+	eng, approxMode, err := countOptions(req.Engine, req.Mode, prm)
 	if err != nil {
 		return fail(err)
 	}
@@ -354,16 +368,8 @@ func (s *Server) CountBatchWith(ctx context.Context, req CountBatchRequest) ([]*
 	}
 	start := time.Now()
 	if approxMode {
-		prm := approx.Params{
-			Epsilon: req.Epsilon, Delta: req.Delta,
-			MaxSamples: req.MaxSamples, Seed: req.Seed,
-		}
 		results := make([]core.ApproxResult, len(bs))
-		outer := engine.EffectiveWorkers(s.cfg.Workers)
-		if outer > len(bs) {
-			outer = len(bs)
-		}
-		err := engine.RunBoundedCtx(ctx, len(bs), outer, func(i int) error {
+		err := engine.RunBoundedCtx(ctx, len(bs), s.cfg.Workers, func(i int) error {
 			res, aerr := c.CountApproxCtx(ctx, bs[i], prm)
 			results[i] = res
 			return aerr
@@ -459,7 +465,7 @@ func (s *Server) Stats(context.Context) (StatsResponse, error) {
 			Rejected:    s.rejected.Load(),
 			Deadline:    s.deadlines.Load(),
 		},
-		Workers:       engine.EffectiveWorkers(s.cfg.Workers),
+		Workers:       s.cfg.Workers,
 		Queries:       s.reg.QueryStats(),
 		Structures:    s.reg.Structures(),
 		Sessions:      engine.SessionStats(),
