@@ -26,16 +26,17 @@ vet:
 
 # Documentation bar: every exported symbol of the public epcq package
 # and internal/serve has a doc comment; every internal/* package has a
-# non-trivial package comment.
+# non-trivial package comment, and none of them keeps a Deprecated: shim.
 doccheck:
 	$(GO) run ./scripts/doccheck
 
-# Short micro-benchmark suite + the serve delta guard: on an append+read
-# mix the delta path must beat forced full recounts by ≥ 2x — a
-# same-machine relative bound, independent of absolute CI machine speed.
+# Short micro-benchmark suite + the engine delta guard: on an
+# append+count mix the delta path must beat forced full recounts by
+# ≥ 2x — a same-machine relative bound, independent of absolute CI
+# machine speed.
 bench-smoke:
 	$(GO) test -run XXX -bench 'JoinCount|FPT|UnionDedup' -benchmem -benchtime 0.2s .
-	EPCQ_BENCH_SMOKE=1 $(GO) test -run TestBenchSmoke -v ./internal/serve
+	EPCQ_BENCH_SMOKE=1 $(GO) test -run TestBenchSmoke -v ./internal/engine
 
 # Record the current tree's micro-benchmark medians as the comparison
 # baseline (run this on the commit you want to compare against).

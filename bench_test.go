@@ -497,21 +497,20 @@ func BenchmarkUnionDedup_CountBatch8(b *testing.B) {
 	}
 }
 
-func BenchmarkUnionDedup_EPUnionTerms(b *testing.B) {
+// Compile plus one count per iteration, the one-shot cost of the pooled
+// pipeline on a union: the expansion and interning are paid every time,
+// the plans and the session's count memo are warm after the first.
+func BenchmarkUnionDedup_CompileAndCount(b *testing.B) {
 	q := parser.MustQuery(unionDedupSrc)
 	sig := workload.EdgeSig()
-	var ds []pp.PP
-	for _, d := range q.Disjuncts() {
-		p, err := pp.FromDisjunct(sig, q.Lib, d)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ds = append(ds, p)
-	}
 	bs := workload.GraphStructure(workload.ER(24, 0.18, 5))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := count.EPUnionTerms(ds, bs, count.EngineFPT, nil); err != nil {
+		c, err := core.NewCounter(q, sig, count.EngineFPT)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.Count(bs); err != nil {
 			b.Fatal(err)
 		}
 	}

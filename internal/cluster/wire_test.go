@@ -116,6 +116,10 @@ func TestWireEquivalenceOnErrors(t *testing.T) {
 	counting := []struct{ name, query, more, mentions string }{
 		{"unknown mode", edge, `,"mode":"bogus"`, ""},
 		{"unknown engine", edge, `,"engine":"warp"`, ""},
+		// The oracle and ablation engines are epcount's, not the wire's.
+		{"engine brute", edge, `,"engine":"brute"`, "engine"},
+		{"engine projection", edge, `,"engine":"projection"`, "engine"},
+		{"engine fpt-nocore", edge, `,"engine":"fpt-nocore"`, "engine"},
 		{"unknown JSON field", edge, `,"bogus":1`, ""},
 		{"malformed query", "this is not a query", "", ""},
 		{"unknown relation", "q(x) := R(x,x)", "", ""},
@@ -153,6 +157,10 @@ func TestWireEquivalenceOnErrors(t *testing.T) {
 			row{name: "append to " + name, method: "POST", path: "/structures/" + name + "/facts", body: `{"facts":"E(a,b)."}`},
 			row{name: "subscribe to " + name, method: "POST", path: "/subscriptions",
 				body: fmt.Sprintf(`{"query":%q,"structure":%q}`, edge, name)})
+	}
+	for _, eng := range []string{"brute", "projection", "fpt-nocore"} {
+		rows = append(rows, row{name: "subscribe: engine " + eng, method: "POST", path: "/subscriptions", mentions: "engine",
+			body: fmt.Sprintf(`{"query":%q,"structure":"g","engine":%q}`, edge, eng)})
 	}
 	rows = append(rows,
 		row{name: "empty structures", method: "POST", path: "/countBatch", body: fmt.Sprintf(`{"query":%q,"structures":[]}`, edge)},
@@ -218,15 +226,16 @@ func TestWireEquivalenceOnErrors(t *testing.T) {
 // TestEveryRouteOnBothSurfaces walks the exported route table and
 // requires a success from a single node and from the router on every
 // row: the table is the whole API on both, so a route registered on one
-// surface only — a second mux — has nowhere to hide.
+// surface only — a second mux — has nowhere to hide.  The counting
+// bodies spell the served executor both ways the engine field accepts.
 func TestEveryRouteOnBothSurfaces(t *testing.T) {
 	const edge = `q(x,y) := E(x,y)`
 	bodies := map[string]string{
 		"POST /structures":              `{"name":"fresh","facts":"E(a,b)."}`,
 		"POST /structures/{name}/facts": `{"facts":"E(b,c)."}`,
-		"POST /count":                   fmt.Sprintf(`{"query":%q,"structure":"g"}`, edge),
-		"POST /countBatch":              fmt.Sprintf(`{"query":%q,"structures":["g"]}`, edge),
-		"POST /subscriptions":           fmt.Sprintf(`{"query":%q,"structure":"g"}`, edge),
+		"POST /count":                   fmt.Sprintf(`{"query":%q,"structure":"g","engine":"fpt"}`, edge),
+		"POST /countBatch":              fmt.Sprintf(`{"query":%q,"structures":["g"],"engine":"auto"}`, edge),
+		"POST /subscriptions":           fmt.Sprintf(`{"query":%q,"structure":"g","engine":"auto"}`, edge),
 	}
 	shard := httptest.NewServer(serve.New(serve.Config{}).Handler())
 	t.Cleanup(shard.Close)

@@ -107,6 +107,18 @@ func (c *Counter) batchWidth() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// termEngine maps the configured engine to the engine used for interned
+// inclusion–exclusion terms: terms come out of the pool already cored,
+// so the FPT family skips the redundant core step.
+func termEngine(e count.PPEngine) count.PPEngine {
+	switch e {
+	case count.EngineFPT, count.EngineAuto, count.EngineFPTNoCore:
+		return count.EngineFPTNoCore
+	default:
+		return e
+	}
+}
+
 // NewCounter compiles the query over the signature.  Passing a nil
 // signature infers it from the query's atoms.  Each unique φ⁻af counting
 // class gets exactly one engine plan, resolved through the fingerprint-
@@ -128,7 +140,7 @@ func NewCounter(q logic.Query, sig *structure.Signature, eng count.PPEngine) (*C
 	counter.terms = make([]compiledTerm, 0, len(c.Minus))
 	counter.termIdx = make(map[*structure.Structure]int, len(c.Minus))
 	for _, t := range c.Minus {
-		plan, hit, err := engine.CompileKeyed(t.Formula, t.FP, count.TermEngine(eng))
+		plan, hit, err := engine.CompileKeyed(t.Formula, t.FP, termEngine(eng))
 		if err != nil {
 			return nil, err
 		}

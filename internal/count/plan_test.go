@@ -3,6 +3,7 @@ package count
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/pp"
 	"repro/internal/structure"
 	"repro/internal/workload"
@@ -22,7 +23,7 @@ func TestPlanMatchesOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := NewPlan(p, true)
+		plan, err := engine.Compile(p, EngineFPT)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func TestPlanReuseAcrossStructures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := NewPlan(p, true)
+	plan, err := engine.Compile(p, EngineFPT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestPlanRejectsWrongSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := NewPlan(p, true)
+	plan, err := engine.Compile(p, EngineFPT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestPlanRejectsWrongSignature(t *testing.T) {
 func BenchmarkPlanReuse_Compiled(b *testing.B) {
 	q := workload.PathQuery(4)
 	p, _ := pp.FromDisjunct(workload.EdgeSig(), q.Lib, q.Disjuncts()[0])
-	plan, err := NewPlan(p, true)
+	plan, err := engine.Compile(p, EngineFPT)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -48,15 +48,3 @@ func PP(p pp.PP, b *structure.Structure, eng PPEngine) (*big.Int, error) {
 	}
 	return pl.Count(b)
 }
-
-// NewPlan compiles the Theorem 2.11 counting plan for a pp-formula.
-// useCore selects whether the formula is replaced by its core first
-// (always sound; pre-cored formulas such as φ⁻af terms should pass
-// false).  Kept as the package's stable entry point to the engine's Plan
-// layer.
-func NewPlan(p pp.PP, useCore bool) (engine.Plan, error) {
-	if useCore {
-		return engine.Compile(p, engine.FPT)
-	}
-	return engine.Compile(p, engine.FPTNoCore)
-}

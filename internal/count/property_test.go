@@ -5,7 +5,6 @@ import (
 	"math/big"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/ie"
 	"repro/internal/logic"
 	"repro/internal/parser"
@@ -196,41 +195,6 @@ func TestPaddingPolynomialIdentity(t *testing.T) {
 	d3 := new(big.Int).Sub(d2[1], d2[0])
 	if d3.Sign() != 0 {
 		t.Fatalf("|φ(B+kI)| not a degree-≤2 polynomial in k: %v", vals)
-	}
-}
-
-// Executor key schemes: the packed-uint64 and wide-bag spill paths of the
-// join-count DP must agree with the brute engine on randomized
-// queries/structures.
-func TestExecutorKeySchemesAgreeWithBrute(t *testing.T) {
-	sig := workload.EdgeSig()
-	for seed := int64(0); seed < 25; seed++ {
-		q := workload.RandomEPQuery(sig, 1, 4, 2, 3, seed)
-		p, err := pp.FromDisjunct(sig, q.Lib, q.Disjuncts()[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := workload.RandomStructure(sig, 5, 0.35, seed+1000)
-		want, err := PP(p, b, EngineBrute)
-		if err != nil {
-			t.Fatal(err)
-		}
-		packed, err := PP(p, b, EngineFPT)
-		if err != nil {
-			t.Fatal(err)
-		}
-		restore := engine.SetPackedKeyBudget(0)
-		spilled, err := PP(p, b, EngineFPT)
-		restore()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if packed.Cmp(want) != 0 {
-			t.Fatalf("seed %d: packed %v != brute %v (query %v)", seed, packed, want, q)
-		}
-		if spilled.Cmp(want) != 0 {
-			t.Fatalf("seed %d: spilled %v != brute %v (query %v)", seed, spilled, want, q)
-		}
 	}
 }
 

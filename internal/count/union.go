@@ -24,38 +24,29 @@ func EPUnion(disjuncts []pp.PP, b *structure.Structure) (*big.Int, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	nLib, free, sentences := splitUnion(disjuncts)
+	nLib := 0
+	for _, d := range disjuncts {
+		if len(d.S) > nLib {
+			nLib = len(d.S)
+		}
+	}
 	// The sentence check is a plain hom search on purpose: EPUnion is the
 	// session-free reference the pooled pipeline is differential-tested
 	// against.
-	for _, d := range sentences {
-		if hom.Exists(d.A, b, hom.Options{}) {
+	for _, d := range disjuncts {
+		if d.IsSentence() && hom.Exists(d.A, b, hom.Options{}) {
 			return structure.PowerSize(b, nLib), nil
 		}
 	}
 	seen := make(map[string]bool)
-	for _, d := range free {
+	for _, d := range disjuncts {
+		if d.IsSentence() {
+			continue
+		}
 		hom.ForEachExtendable(d.A, b, d.S, hom.Options{}, func(vals []int) bool {
 			seen[structure.TupleKey(vals, nil)] = true
 			return true
 		})
 	}
 	return big.NewInt(int64(len(seen))), nil
-}
-
-// splitUnion is the shared preamble of both union counters: the number
-// of liberal variables (max |S| over the disjuncts) and the
-// sentence/free partition.
-func splitUnion(disjuncts []pp.PP) (nLib int, free, sentences []pp.PP) {
-	for _, d := range disjuncts {
-		if len(d.S) > nLib {
-			nLib = len(d.S)
-		}
-		if d.IsSentence() {
-			sentences = append(sentences, d)
-		} else {
-			free = append(free, d)
-		}
-	}
-	return nLib, free, sentences
 }

@@ -42,7 +42,7 @@ import (
 // deltaOK: quantifier-free joins over atom constraints; sentence checks
 // and ∃-component predicate tables are not pure functions of appended
 // rows) and only while the batch is small relative to the structure
-// (SetDeltaThresholds); everything else falls back to a full recount,
+// (deltaMinRows, deltaMaxPct); everything else falls back to a full recount,
 // which is always sound.
 
 // deltaMaintainable reports whether every component of a compiled plan
@@ -62,44 +62,19 @@ func deltaMaintainable(comps []*planComponent) bool {
 	return true
 }
 
-// deltaDisabled turns the delta path off process-wide (the baseline
-// the benchmarks and differential tests compare against).
-var deltaDisabled atomic.Bool
-
 // deltaMinRows and deltaMaxPct gate when an advance is attempted: a
 // batch of at most deltaMinRows appended tuples always takes the delta
 // path; a larger one only while appended·100 ≤ deltaMaxPct·total.
 // Beyond that the delta joins approach the cost of the full DP and a
-// recount re-anchors the state.
+// recount re-anchors the state.  deltaDisabled makes every keyed count
+// a full recount.  Nothing outside the package's own tests
+// (export_test.go) writes the three: they force or starve the delta
+// path, and switch it off for the recount baseline.
 var (
-	deltaMinRows atomic.Int64
-	deltaMaxPct  atomic.Int64
+	deltaMinRows  = 256
+	deltaMaxPct   = 50
+	deltaDisabled = false
 )
-
-func init() {
-	deltaMinRows.Store(256)
-	deltaMaxPct.Store(50)
-}
-
-// SetDeltaEnabled switches incremental count maintenance on or off
-// process-wide (it defaults to on).  Returns a restore function;
-// callers must not interleave override/restore pairs.  Disabling makes
-// every keyed count a full recount — the baseline side of the
-// delta-vs-recount benchmarks.
-func SetDeltaEnabled(on bool) (restore func()) {
-	old := deltaDisabled.Swap(!on)
-	return func() { deltaDisabled.Store(old) }
-}
-
-// SetDeltaThresholds overrides the advance gate: batches of at most
-// minRows appended tuples always advance; larger ones only while
-// appended·100 ≤ maxPercent·total tuples.  Test hook (force or starve
-// the delta path); returns a restore function; callers must not
-// interleave override/restore pairs.
-func SetDeltaThresholds(minRows, maxPercent int) (restore func()) {
-	om, op := deltaMinRows.Swap(int64(minRows)), deltaMaxPct.Swap(int64(maxPercent))
-	return func() { deltaMinRows.Store(om); deltaMaxPct.Store(op) }
-}
 
 // deltaAdvances counts memoized counts advanced by the delta path;
 // deltaFullRecounts counts advances that fell back to a full recount
@@ -141,7 +116,7 @@ type fptDeltaState struct {
 // does not early-exit on a zero component factor: every component's
 // join value must land in the state.
 func (pl *fptPlan) countStateIn(ctx context.Context, s *Session) (*big.Int, any, error) {
-	if !pl.deltaOK || deltaDisabled.Load() {
+	if !pl.deltaOK || deltaDisabled {
 		v, err := pl.countIn(ctx, s)
 		return v, nil, err
 	}
@@ -182,7 +157,7 @@ func (pl *fptPlan) countStateIn(ctx context.Context, s *Session) (*big.Int, any,
 // foreign or future state, batch over threshold) and the caller should
 // full-recount; a non-nil error (cancellation) is terminal either way.
 func (pl *fptPlan) countAdvanceIn(ctx context.Context, s *Session, prev priorCount) (*big.Int, any, bool, error) {
-	if !pl.deltaOK || deltaDisabled.Load() {
+	if !pl.deltaOK || deltaDisabled {
 		return nil, nil, false, nil
 	}
 	st, isState := prev.state.(*fptDeltaState)
@@ -199,8 +174,8 @@ func (pl *fptPlan) countAdvanceIn(ctx context.Context, s *Session, prev priorCou
 	if !ok {
 		return nil, nil, false, nil
 	}
-	if added := int64(dv.TuplesAdded()); added > deltaMinRows.Load() &&
-		added*100 > deltaMaxPct.Load()*int64(s.B.NumTuples()) {
+	if added := dv.TuplesAdded(); added > deltaMinRows &&
+		added*100 > deltaMaxPct*s.B.NumTuples() {
 		deltaFullRecounts.Add(1)
 		return nil, nil, false, nil
 	}

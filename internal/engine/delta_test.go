@@ -36,7 +36,7 @@ func appendRandomBatch(t *testing.T, b *structure.Structure, rng *rand.Rand, ste
 // is a fresh session's full recount (and the brute engine as a second
 // opinion on the final version).
 func TestDeltaAdvanceDifferential(t *testing.T) {
-	restore := SetDeltaThresholds(1<<30, 100)
+	restore := ForceDeltaGate(1<<30, 100)
 	defer restore()
 	sig := workload.EdgeSig()
 	queries := []string{
@@ -92,7 +92,7 @@ func TestDeltaAdvanceDifferential(t *testing.T) {
 // An element-only append (no new tuples) must advance cheaply and still
 // rescale the free-variable factors to the grown universe.
 func TestDeltaAdvanceUniverseGrowth(t *testing.T) {
-	restore := SetDeltaThresholds(1<<30, 100)
+	restore := ForceDeltaGate(1<<30, 100)
 	defer restore()
 	sig := workload.EdgeSig()
 	p := compilePP(t, sig, "q(x,y,z) := E(x,y) & E(z,z)")
@@ -129,7 +129,7 @@ func TestDeltaAdvanceUniverseGrowth(t *testing.T) {
 // Over-threshold batches must fall back to a full recount (and count it
 // in the telemetry) while still returning correct values.
 func TestDeltaThresholdFallback(t *testing.T) {
-	restore := SetDeltaThresholds(0, 0)
+	restore := ForceDeltaGate(0, 0)
 	defer restore()
 	sig := workload.EdgeSig()
 	p := compilePP(t, sig, "q(x,y,z) := E(x,y) & E(y,z) & E(z,x)")
@@ -171,9 +171,9 @@ func TestDeltaThresholdFallback(t *testing.T) {
 // With the delta path disabled the keyed pipeline must behave exactly
 // like the pre-delta engine: plain recounts, no advances.
 func TestDeltaDisabledRecounts(t *testing.T) {
-	restoreT := SetDeltaThresholds(1<<30, 100)
+	restoreT := ForceDeltaGate(1<<30, 100)
 	defer restoreT()
-	restore := SetDeltaEnabled(false)
+	restore := DisableDelta()
 	defer restore()
 	sig := workload.EdgeSig()
 	p := compilePP(t, sig, "q(x,y,z) := E(x,y) & E(y,z) & E(z,x)")
@@ -210,7 +210,7 @@ func TestDeltaDisabledRecounts(t *testing.T) {
 // free them, and the registry stays within its cap no matter how many
 // structures carry version-stamped memo state.
 func TestAdvanceableMemosFreedWithSessions(t *testing.T) {
-	restore := SetDeltaThresholds(1<<30, 100)
+	restore := ForceDeltaGate(1<<30, 100)
 	defer restore()
 	sig := workload.EdgeSig()
 	p := compilePP(t, sig, "q(x,y,z) := E(x,y) & E(y,z) & E(z,x)")

@@ -23,13 +23,12 @@
 //     neighbour's are contracted away;
 //   - the Executor layer (exec.go, prune.go): a semi-join pre-pruning
 //     pass that reduces each constraint table against the value supports
-//     of the other constraints on its variables — worklist arc
-//     consistency (AC-4: per-value occurrence counts, lazily built
-//     posting lists, work proportional to the rows that die, an exact
-//     fixpoint; alive rows and allowed values are word bitmaps, the
-//     survivors are compacted once into exact-size arena rows; a capped
-//     rescanning loop remains only for components too large for the
-//     counters) — then the join-count dynamic program itself.  The DP
+//     of the other constraints on its variables — one bounded
+//     scanning fixpoint (at most pruneMaxRounds rounds, each rebuilding
+//     the allowed values from the live rows and rechecking only the
+//     columns whose variable shrank; alive rows and allowed values are
+//     word bitmaps, the survivors are compacted once into exact-size
+//     arena rows) — then the join-count dynamic program itself.  The DP
 //     is index-driven: at
 //     plan-bind time (once per component and session) each node gets a
 //     constraint bind order (smallest table first, then maximal
@@ -86,11 +85,12 @@
 // tables (old tables are row prefixes, by the stores' insertion-order
 // materialization) — and re-stamps the memo, at a cost proportional to
 // the appended rows.  Plans opt in at compile time (deltaOK: every
-// component a quantifier-free join over atoms); oversized deltas,
-// foreign or rewound snapshots, and disabled maintenance
-// (SetDeltaEnabled, SetDeltaThresholds) fall back to a full recount
-// that re-captures fresh state.  DeltaStats counts advances vs
-// fallbacks; priors live inside sessions, so eviction frees them.
+// component a quantifier-free join over atoms); oversized deltas
+// (more than deltaMinRows appended tuples and more than deltaMaxPct
+// percent of the structure) and foreign or rewound snapshots fall back
+// to a full recount that re-captures fresh state.  DeltaStats counts
+// advances vs fallbacks; priors live inside sessions, so eviction frees
+// them.
 //
 // Execution is cancellable: CountInCtx / CountKeyedCtx / RunBoundedCtx
 // thread a context through every engine, and the join-count DP polls it

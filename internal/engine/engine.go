@@ -125,7 +125,7 @@ func CountKeyed(pl Plan, fp string, s *Session) (*big.Int, bool, error) {
 
 // CountKeyedCtx is CountKeyed under a context (the trailing int is
 // retired, as on CountInCtx).  A memo entry whose computation ended in a
-// cancellation error is evicted immediately (CountMemo), so one
+// cancellation error is evicted immediately (countMemoState), so one
 // cancelled request never poisons the fingerprint's count for later
 // callers.  A caller that parked on another request's
 // computation and received that request's cancellation error retries

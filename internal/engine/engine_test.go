@@ -104,7 +104,7 @@ func TestPackedAndSpillKeysAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			restore := SetPackedKeyBudget(0)
+			restore := ForcePackedKeyBudget(0)
 			spilled, err := pl.Count(b)
 			restore()
 			if err != nil {

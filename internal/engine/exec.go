@@ -5,7 +5,6 @@ import (
 	"math/big"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/structure"
 )
@@ -40,22 +39,10 @@ import (
 //     would overflow, then fall back to big.Int per entry.
 
 // packedKeyBudget is the number of key bits available before the packed
-// representation spills to strings.  It is a variable (not a constant)
-// only so tests can force the spill path on small instances; it is
-// atomic because concurrent requests' executors read it.
-var packedKeyBudget atomic.Int64
-
-func init() { packedKeyBudget.Store(64) }
-
-// SetPackedKeyBudget overrides the packed-key bit budget and returns a
-// restore function.  Test hook: forcing the budget to 0 routes every bag
-// through the wide-bag spill path.  Restore re-installs the value seen
-// at override time, so callers must not interleave override/restore
-// pairs.
-func SetPackedKeyBudget(bits int) (restore func()) {
-	old := packedKeyBudget.Swap(int64(bits))
-	return func() { packedKeyBudget.Store(old) }
-}
+// representation spills to strings.  Nothing outside the package's own
+// tests (export_test.go) writes it: they force the spill path on small
+// instances.
+var packedKeyBudget = 64
 
 // keyCodec packs fixed-width assignments of values in [0, domSize) into
 // uint64 keys, or marks the width as spilled.
@@ -70,7 +57,7 @@ func newKeyCodec(domSize, width int) keyCodec {
 	if b == 0 {
 		b = 1
 	}
-	return keyCodec{bits: b, width: width, packed: int64(width)*int64(b) <= packedKeyBudget.Load()}
+	return keyCodec{bits: b, width: width, packed: width*int(b) <= packedKeyBudget}
 }
 
 func (c keyCodec) pack(vals []int) uint64 {
@@ -629,8 +616,7 @@ type execNode struct {
 // session) and reused by every subsequent count, so executing it does
 // zero formula-dependent setup.
 type execPlan struct {
-	tables []*Table
-	nodes  []execNode
+	nodes []execNode
 }
 
 // newExecPlan chooses the per-node bind orders for the given tables and
@@ -638,7 +624,7 @@ type execPlan struct {
 // smallest table first, then maximal bound-prefix overlap (ties: smaller
 // table, then placement order).
 func newExecPlan(pc *planComponent, tables []*Table, domSize int) *execPlan {
-	ep := &execPlan{tables: tables, nodes: make([]execNode, len(pc.dec.Bags))}
+	ep := &execPlan{nodes: make([]execNode, len(pc.dec.Bags))}
 	for ni, bag := range pc.dec.Bags {
 		meta := &pc.nodes[ni]
 		cons := pc.consAt[ni]

@@ -59,7 +59,7 @@ func TestScratchPoolReuseAcrossWidthsWithSpill(t *testing.T) {
 			}
 			packed = append(packed, v)
 		}
-		restore := SetPackedKeyBudget(0)
+		restore := ForcePackedKeyBudget(0)
 		for i, src := range queries {
 			pl, err := Compile(compilePP(t, sig, src), FPTNoCore)
 			if err != nil {
@@ -110,7 +110,7 @@ func TestTablePrefixIndex(t *testing.T) {
 	}
 	check()
 	// Spilled codec: fresh table (the index cache is keyed per table).
-	restore := SetPackedKeyBudget(0)
+	restore := ForcePackedKeyBudget(0)
 	defer restore()
 	tb = newTable(3, 5, nil)
 	for _, r := range rows {
@@ -218,7 +218,7 @@ func TestWmapKeySetForms(t *testing.T) {
 		{"spill", 16, 0},       // packed budget 0: strings
 	}
 	for _, f := range forms {
-		restore := SetPackedKeyBudget(f.budget)
+		restore := ForcePackedKeyBudget(f.budget)
 		codec := newKeyCodec(f.dom, 3)
 		a := newWmap(codec, 0, true)
 		restore()

@@ -1,0 +1,31 @@
+package engine
+
+// Test-only overrides of the executor's fixed parameters.  Each returns
+// a restore function that re-installs the value seen at override time,
+// so callers must not interleave override/restore pairs, and must not
+// run counts on other goroutines across either call.
+
+// ForcePackedKeyBudget overrides the packed-key bit budget: 0 routes
+// every bag through the wide-bag spill path.
+func ForcePackedKeyBudget(bits int) (restore func()) {
+	old := packedKeyBudget
+	packedKeyBudget = bits
+	return func() { packedKeyBudget = old }
+}
+
+// ForceDeltaGate overrides the advance gate: batches of at most minRows
+// appended tuples always advance; larger ones only while
+// appended·100 ≤ maxPercent·total tuples.
+func ForceDeltaGate(minRows, maxPercent int) (restore func()) {
+	om, op := deltaMinRows, deltaMaxPct
+	deltaMinRows, deltaMaxPct = minRows, maxPercent
+	return func() { deltaMinRows, deltaMaxPct = om, op }
+}
+
+// DisableDelta makes every keyed count a full recount — the baseline
+// side of the delta-vs-recount comparisons.
+func DisableDelta() (restore func()) {
+	old := deltaDisabled
+	deltaDisabled = true
+	return func() { deltaDisabled = old }
+}

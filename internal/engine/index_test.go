@@ -144,7 +144,7 @@ func TestPrefixIndexEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("SpillCodec", func(t *testing.T) {
-		restore := SetPackedKeyBudget(0)
+		restore := ForcePackedKeyBudget(0)
 		defer restore()
 		rng := rand.New(rand.NewSource(9))
 		tb := randomTable(rng, 80, 3, 6, nil)

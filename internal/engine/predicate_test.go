@@ -185,7 +185,7 @@ func TestPredicateTableMatchesSolver(t *testing.T) {
 			b := randomPredStructure(rng, n)
 			restore := func() {}
 			if seed%3 == 0 {
-				restore = SetPackedKeyBudget(0)
+				restore = ForcePackedKeyBudget(0)
 			}
 			tab := NewSession(b).tableFor(c, nil)
 			restore()

@@ -16,40 +16,26 @@ import "math/bits"
 // are value bitmaps intersected 64 values per word op.  Rows are never
 // copied between rounds — the session-shared input tables are never
 // mutated, and the surviving rows are compacted into fresh (arena-
-// backed, exactly sized) tables once, at the fixpoint.
+// backed, exactly sized) tables once, at the end.
 //
-// The default strategy is worklist-driven arc consistency (AC-4): one
-// pass per column counts the live occurrences of every value and
-// builds a posting list (value → row ids, a counting-sort CSR), one
-// filtering pass kills the rows holding initially-disallowed values,
-// and from then on work is proportional to deaths alone.  A dying row
-// decrements its cells' occurrence counts; a count hitting zero clears
-// the value's support bit, and a value dropping out of a variable's
-// allowed set walks exactly the posting lists of that (variable, value)
-// pair to kill its remaining rows.  No table is ever rescanned, no
-// round structure exists, and the fixpoint reached is exact — cascades
-// deeper than pruneMaxRounds that the scanning fallback cannot see are
-// followed to the end.  Counters and postings take O(Σ|scope|·|B|)
-// memory; above pruneMaxCntCells cells the pass falls back to
-// re-scanning live rows each round (word-skipping dead 64-row blocks,
-// re-checking only columns whose allowed set shrank), capped at
-// pruneMaxRounds rounds.
+// There is one strategy, a bounded scanning fixpoint: each round
+// rebuilds the per-variable allowed sets from the live rows and kills
+// the rows left unsupported, up to pruneMaxRounds rounds.  Filtering is
+// column-major and delta-driven — allowed sets only shrink, so a
+// surviving row is only rechecked at columns whose variable shrank in
+// the latest rebuild, and dead 64-row blocks are skipped in one test.
+// Memory is O(nActive·|B|/64) words whatever the tables hold.  The
+// pass is sound at every round, not only at the fixpoint: a cascade
+// deeper than the cap leaves rows the DP then discards itself, at the
+// same count.
 
 // pruneMinRows skips the pass when every table is tiny: the DP on such
 // inputs is cheaper than even one filtering round.
 const pruneMinRows = 32
 
-// pruneMaxRounds caps the scanning fallback's fixpoint iteration; each
-// extra round only helps when the previous round newly emptied some
-// support.  (The AC-4 path has no cap: its total work is linear.)  A
-// var so the differential test can run the fallback to convergence.
-var pruneMaxRounds = 4
-
-// pruneMaxCntCells caps the occurrence-counter and posting-list index
-// (8 bytes per (scope position, value) cell) behind the AC-4 strategy:
-// 4M cells = 32 MiB.  A var so the differential test can force the
-// scanning fallback.
-var pruneMaxCntCells = 1 << 22
+// pruneMaxRounds caps the fixpoint iteration; each extra round only
+// helps when the previous round newly emptied some support.
+const pruneMaxRounds = 4
 
 // semiJoinPrune returns tables with unsupported rows removed, and
 // whether some table became empty (in which case the component's join
@@ -76,271 +62,26 @@ func semiJoinPrune(pc *planComponent, tables []*Table, domSize int) ([]*Table, b
 	k := len(tables)
 	alive := make([][]uint64, k)
 	liveN := make([]int, k)
-	totScope := 0
 	for ci, t := range tables {
+		if t.n == 0 {
+			return nil, true // empty constraint table: the join is zero
+		}
 		rw := (t.n + 63) / 64
 		m := make([]uint64, rw)
 		for i := range m {
 			m[i] = ^uint64(0)
 		}
-		if rw > 0 && t.n&63 != 0 {
+		if t.n&63 != 0 {
 			m[rw-1] = 1<<(uint(t.n)&63) - 1
 		}
 		alive[ci] = m
 		liveN[ci] = t.n
-		if t.n == 0 {
-			return nil, true // empty constraint table: the join is zero
-		}
-		totScope += len(pc.constraints[ci].scope)
 	}
 
-	var pruned, empty bool
-	if totScope*domSize <= pruneMaxCntCells {
-		pruned, empty = pruneAC4(pc, tables, domSize, totScope, alive, liveN)
-	} else {
-		pruned, empty = pruneRounds(pc, tables, domSize, alive, liveN)
-	}
-	if empty {
-		return nil, true
-	}
-	if !pruned {
-		return tables, false
-	}
-	// Compact once at the fixpoint: each shrunken table gets an exactly
-	// sized arena allocation and a single masked copy pass.
-	out := append([]*Table(nil), tables...)
-	for ci, t := range tables {
-		if liveN[ci] == t.n {
-			continue
-		}
-		nt := newTable(t.width, t.dom, t.ar)
-		dst := t.ar.allocI32(liveN[ci] * t.width)
-		o := 0
-		for wi, mw := range alive[ci] {
-			base := wi << 6
-			for ; mw != 0; mw &= mw - 1 {
-				r := base + bits.TrailingZeros64(mw)
-				copy(dst[o:o+t.width], t.flat[r*t.width:(r+1)*t.width])
-				o += t.width
-			}
-		}
-		nt.flat = dst
-		nt.n = liveN[ci]
-		out[ci] = nt
-	}
-	return out, false
-}
-
-// pruneRem is one worklist entry of the AC-4 pass: value u left
-// variable v's allowed set, so every live row holding u at a position
-// bound to v must die.
-type pruneRem struct{ v, u int32 }
-
-// pruneAC4 runs the worklist arc-consistency strategy.  It mutates
-// alive and liveN in place and reports (any row died, some table
-// emptied).
-func pruneAC4(pc *planComponent, tables []*Table, domSize, totScope int, alive [][]uint64, liveN []int) (bool, bool) {
-	words := (domSize + 63) / 64
-	nv := pc.nActive
-	k := len(tables)
-
-	// Slot layout: one slot per (constraint, scope position), constraint
-	// ci's slots starting at slotOf[ci].
-	slotOf := make([]int, k)
-	slotTab := make([]int32, totScope)
-	slotCol := make([]int32, totScope)
-	varSlots := make([][]int32, nv)
-	{
-		slot := 0
-		for ci := range tables {
-			slotOf[ci] = slot
-			for j, v := range pc.constraints[ci].scope {
-				slotTab[slot] = int32(ci)
-				slotCol[slot] = int32(j)
-				varSlots[v] = append(varSlots[v], int32(slot))
-				slot++
-			}
-		}
-	}
-
-	// Occurrence counts and support bitmaps per slot, from one column
-	// pass each.
-	cnt := make([]int32, totScope*domSize)
-	sup := make([]uint64, totScope*words)
-	for ci, t := range tables {
-		for j := range pc.constraints[ci].scope {
-			slot := slotOf[ci] + j
-			sb := sup[slot*words : (slot+1)*words]
-			cb := cnt[slot*domSize : (slot+1)*domSize]
-			for off := j; off < len(t.flat); off += t.width {
-				u := int(t.flat[off])
-				cb[u]++
-				sb[u>>6] |= 1 << (u & 63)
-			}
-		}
-	}
-
-	// Posting lists: postRows[postStart[slot*(domSize+1)+u] ...
-	// postStart[slot*(domSize+1)+u+1]] are the live rows holding value u
-	// at the slot's column, ascending (counting sort off cnt).  Built
-	// lazily before the first worklist drain: components the initial
-	// filtering pass already decides — emptied tables, or no removals at
-	// all — never pay for the index, and a late build only indexes the
-	// rows that survived that pass.
-	var postStart, postRows []int32
-	buildPostings := func() {
-		cells := 0
-		for ci, t := range tables {
-			cells += liveN[ci] * t.width
-		}
-		postStart = make([]int32, totScope*(domSize+1))
-		postRows = make([]int32, cells)
-		base := int32(0)
-		for slot := 0; slot < totScope; slot++ {
-			ps := postStart[slot*(domSize+1) : (slot+1)*(domSize+1)]
-			cb := cnt[slot*domSize : (slot+1)*domSize]
-			ps[0] = base
-			for u, c := range cb {
-				ps[u+1] = ps[u] + c
-			}
-			base = ps[domSize]
-			ci := int(slotTab[slot])
-			t := tables[ci]
-			j := int(slotCol[slot])
-			live := int32(liveN[ci])
-			// Fill with ps[u] as a moving cursor over the live rows;
-			// afterwards each ps[u] holds the old ps[u+1], so one
-			// overlapping shift restores the start offsets.
-			for wi, mw := range alive[ci] {
-				rb := int32(wi << 6)
-				for ; mw != 0; mw &= mw - 1 {
-					r := rb + int32(bits.TrailingZeros64(mw))
-					u := int(t.flat[int(r)*t.width+j])
-					postRows[ps[u]] = r
-					ps[u]++
-				}
-			}
-			copy(ps[1:], ps[:domSize])
-			ps[0] = base - live
-		}
-	}
-
-	// Allowed sets: the intersection of every covering slot's support.
-	allowed := make([]uint64, nv*words)
-	for i := range allowed {
-		allowed[i] = ^uint64(0)
-	}
-	for v := 0; v < nv; v++ {
-		ab := allowed[v*words : (v+1)*words]
-		for _, slot := range varSlots[v] {
-			sb := sup[int(slot)*words : (int(slot)+1)*words]
-			for i := range ab {
-				ab[i] &= sb[i]
-			}
-		}
-	}
-
-	queue := make([]pruneRem, 0, 64)
-	pruned, emptied := false, false
-	// kill clears row r of table ci and feeds the worklist: a cell count
-	// hitting zero drops the value from that slot's support, and — when
-	// the value was still allowed for the slot's variable — from the
-	// variable's allowed set.
-	kill := func(ci int, r int32) {
-		m := alive[ci]
-		wi, bit := int(r>>6), uint64(1)<<(uint(r)&63)
-		if m[wi]&bit == 0 {
-			return
-		}
-		m[wi] &^= bit
-		liveN[ci]--
-		if liveN[ci] == 0 {
-			emptied = true
-		}
-		pruned = true
-		t := tables[ci]
-		w := t.width
-		rowBase := int(r) * w
-		slot := slotOf[ci]
-		for jj := 0; jj < w; jj++ {
-			uu := int(t.flat[rowBase+jj])
-			ix := (slot + jj) * domSize
-			if cnt[ix+uu]--; cnt[ix+uu] == 0 {
-				sup[(slot+jj)*words+uu>>6] &^= 1 << (uu & 63)
-				v := pc.constraints[ci].scope[jj]
-				ab := allowed[v*words : (v+1)*words]
-				if ab[uu>>6]&(1<<(uu&63)) != 0 {
-					ab[uu>>6] &^= 1 << (uu & 63)
-					queue = append(queue, pruneRem{v: int32(v), u: int32(uu)})
-				}
-			}
-		}
-	}
-
-	// Initial filtering: kill every row holding a value outside its
-	// variable's allowed set.  Deaths enqueue removals; the worklist is
-	// drained afterwards (order does not matter for the fixpoint).
-	for ci, t := range tables {
-		m := alive[ci]
-		w := t.width
-		for j, v := range pc.constraints[ci].scope {
-			ab := allowed[v*words : (v+1)*words]
-			for wi := range m {
-				mw := m[wi]
-				if mw == 0 {
-					continue
-				}
-				base := int32(wi << 6)
-				for ; mw != 0; mw &= mw - 1 {
-					r := base + int32(bits.TrailingZeros64(mw))
-					u := int(t.flat[int(r)*w+j])
-					if ab[u>>6]&(1<<(u&63)) == 0 {
-						kill(ci, r)
-					}
-				}
-			}
-		}
-		if emptied {
-			return true, true
-		}
-	}
-
-	// Drain: each removed (variable, value) pair walks exactly the
-	// posting lists of the slots bound to the variable.
-	if len(queue) > 0 {
-		buildPostings()
-	}
-	for len(queue) > 0 {
-		rem := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, slot := range varSlots[rem.v] {
-			ci := int(slotTab[slot])
-			ps := postStart[int(slot)*(domSize+1):]
-			lo, hi := ps[rem.u], ps[rem.u+1]
-			for _, r := range postRows[lo:hi] {
-				kill(ci, r)
-			}
-			if emptied {
-				return true, true
-			}
-		}
-	}
-	return pruned, false
-}
-
-// pruneRounds is the scanning fallback for components whose
-// (scope × domain) product would make the AC-4 index too large: each
-// round rebuilds the per-variable allowed sets from the live rows and
-// kills the rows left unsupported, up to pruneMaxRounds rounds.
-// Filtering is column-major and delta-driven — allowed sets only
-// shrink, so a surviving row is only rechecked at columns whose
-// variable shrank in the latest rebuild.
-func pruneRounds(pc *planComponent, tables []*Table, domSize int, alive [][]uint64, liveN []int) (bool, bool) {
 	words := (domSize + 63) / 64
 	nv := pc.nActive
 	allowed := make([]uint64, nv*words)
 	prev := make([]uint64, nv*words)
-	varBits := func(v int) []uint64 { return allowed[v*words : (v+1)*words] }
 	varChanged := make([]bool, nv)
 	support := make([]uint64, words)
 
@@ -367,7 +108,7 @@ func pruneRounds(pc *planComponent, tables []*Table, domSize int, alive [][]uint
 						support[u>>6] |= 1 << (u & 63)
 					}
 				}
-				ab := varBits(v)
+				ab := allowed[v*words : (v+1)*words]
 				for i := range ab {
 					ab[i] &= support[i]
 				}
@@ -396,7 +137,7 @@ func pruneRounds(pc *planComponent, tables []*Table, domSize int, alive [][]uint
 				if !varChanged[v] {
 					continue
 				}
-				ab := varBits(v)
+				ab := allowed[v*words : (v+1)*words]
 				for wi, mw := range m {
 					if mw == 0 {
 						continue
@@ -415,7 +156,7 @@ func pruneRounds(pc *planComponent, tables []*Table, domSize int, alive [][]uint
 				}
 			}
 			if liveN[ci] == 0 {
-				return true, true
+				return nil, true
 			}
 		}
 		if !changed {
@@ -423,5 +164,30 @@ func pruneRounds(pc *planComponent, tables []*Table, domSize int, alive [][]uint
 		}
 		pruned = true
 	}
-	return pruned, false
+	if !pruned {
+		return tables, false
+	}
+	// Compact once at the end: each shrunken table gets an exactly
+	// sized arena allocation and a single masked copy pass.
+	out := append([]*Table(nil), tables...)
+	for ci, t := range tables {
+		if liveN[ci] == t.n {
+			continue
+		}
+		nt := newTable(t.width, t.dom, t.ar)
+		dst := t.ar.allocI32(liveN[ci] * t.width)
+		o := 0
+		for wi, mw := range alive[ci] {
+			base := wi << 6
+			for ; mw != 0; mw &= mw - 1 {
+				r := base + bits.TrailingZeros64(mw)
+				copy(dst[o:o+t.width], t.flat[r*t.width:(r+1)*t.width])
+				o += t.width
+			}
+		}
+		nt.flat = dst
+		nt.n = liveN[ci]
+		out[ci] = nt
+	}
+	return out, false
 }

@@ -3,15 +3,25 @@ package engine
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/tw"
 )
 
 // chainComponent is a path-query shape for exercising semiJoinPrune
 // directly: nvars active variables joined by nvars-1 binary constraints
-// E(x_i, x_{i+1}).
+// E(x_i, x_{i+1}), placed on a path decomposition so joinCount can run
+// over whatever tables the caller supplies.
 func chainComponent(nvars int) *planComponent {
 	pc := &planComponent{nActive: nvars}
+	cg := graph.New(nvars)
 	for i := 0; i < nvars-1; i++ {
 		pc.constraints = append(pc.constraints, planConstraint{scope: []int{i, i + 1}})
+		cg.AddEdge(i, i+1)
+	}
+	_, dec, _ := tw.Treewidth(cg)
+	if err := pc.place(dec); err != nil {
+		panic(err)
 	}
 	return pc
 }
@@ -48,90 +58,57 @@ func layeredEdgeTables(k, layers, width, deg int, seed int64, ar *arena) ([]*Tab
 	return tables, dom
 }
 
-// tableRows flattens a table into comparable row slices.
-func tableRows(t *Table) [][2]int32 {
-	rows := make([][2]int32, t.n)
-	for r := 0; r < t.n; r++ {
-		rows[r] = [2]int32{t.flat[2*r], t.flat[2*r+1]}
-	}
-	return rows
+// pruneShapes are layered-DAG chain inputs on either side of every
+// outcome the pass has: emptied in the first rounds, emptied exactly at
+// the round cap, trimmed with survivors, and a cascade deeper than
+// pruneMaxRounds, which the pass leaves unfinished for the DP.
+var pruneShapes = []struct {
+	nvars, layers, width, deg int
+	seed                      int64
+}{
+	{5, 3, 20, 4, 1},   // shallow: prune empties (no 4-edge walk in 3 layers)
+	{9, 12, 24, 4, 2},  // deep: boundary trickle, survivors remain
+	{4, 6, 16, 3, 3},   // short chain on a mid-depth target
+	{7, 4, 40, 6, 4},   // empties at the round cap
+	{16, 20, 16, 3, 5}, // cascade deeper than the round cap
 }
 
-// The AC-4 worklist strategy must land on exactly the tables the
-// rescanning fallback reaches when the fallback is run to convergence:
-// both compute the same arc-consistency fixpoint, differing only in how
-// supports are kept current.  Against the fallback at its default round
-// cap, AC-4 may only prune more, never less.
-func TestSemiJoinPruneAC4MatchesRescanFallback(t *testing.T) {
-	shapes := []struct {
-		nvars, layers, width, deg int
-		seed                      int64
-	}{
-		{5, 3, 20, 4, 1},   // shallow: prune empties (no 4-edge walk in 3 layers)
-		{9, 12, 24, 4, 2},  // deep: boundary trickle, survivors remain
-		{4, 6, 16, 3, 3},   // short chain on a mid-depth target
-		{7, 4, 40, 6, 4},   // empties at the round cap
-		{16, 20, 16, 3, 5}, // cascade deeper than the default round cap
+// checkPrunePreservesCount is the pass's whole contract: joinCount over
+// the pruned tables equals joinCount over the unpruned ones, empty is
+// reported only when that count is 0, no table grows, and the input
+// tables are left as they were.
+func checkPrunePreservesCount(t *testing.T, label string, pc *planComponent, tables []*Table, dom int) {
+	t.Helper()
+	lens := make([]int, len(tables))
+	for ci, tb := range tables {
+		lens[ci] = tb.Len()
 	}
-	defer func(oldCells, oldRounds int) {
-		pruneMaxCntCells, pruneMaxRounds = oldCells, oldRounds
-	}(pruneMaxCntCells, pruneMaxRounds)
-	for _, sh := range shapes {
-		pc := chainComponent(sh.nvars)
-		tables, dom := layeredEdgeTables(sh.nvars-1, sh.layers, sh.width, sh.deg, sh.seed, &arena{})
-
-		pruneMaxCntCells = 1 << 22
-		gotAC4, emptyAC4 := semiJoinPrune(pc, tables, dom)
-		pruneMaxCntCells = 0  // force the rescanning fallback...
-		pruneMaxRounds = 1024 // ...run to convergence
-		gotScan, emptyScan := semiJoinPrune(pc, tables, dom)
-
-		if emptyAC4 != emptyScan {
-			t.Fatalf("shape %+v: AC-4 empty=%v, converged fallback empty=%v", sh, emptyAC4, emptyScan)
+	want, _ := joinCount(pc, newExecPlan(pc, tables, dom), dom, nil)
+	pruned, empty := semiJoinPrune(pc, tables, dom)
+	if empty {
+		if want.Sign() != 0 {
+			t.Fatalf("%s: pruned to empty but the unpruned count is %v", label, want)
 		}
-		if !emptyAC4 {
-			if len(gotAC4) != len(gotScan) {
-				t.Fatalf("shape %+v: table count %d vs %d", sh, len(gotAC4), len(gotScan))
-			}
-			for ci := range gotAC4 {
-				ri, rs := tableRows(gotAC4[ci]), tableRows(gotScan[ci])
-				if len(ri) != len(rs) {
-					t.Fatalf("shape %+v table %d: %d rows vs %d", sh, ci, len(ri), len(rs))
-				}
-				for r := range ri {
-					if ri[r] != rs[r] {
-						t.Fatalf("shape %+v table %d row %d: %v vs %v", sh, ci, r, ri[r], rs[r])
-					}
-				}
+	} else {
+		got, _ := joinCount(pc, newExecPlan(pc, pruned, dom), dom, nil)
+		if want.Cmp(got) != 0 {
+			t.Fatalf("%s: pruned count %v != unpruned %v", label, got, want)
+		}
+		for ci, pt := range pruned {
+			if pt.Len() > lens[ci] {
+				t.Fatalf("%s: pruning grew table %d (%d > %d)", label, ci, pt.Len(), lens[ci])
 			}
 		}
-
-		// Subset law vs the capped fallback: AC-4 keeps no row the
-		// capped fixpoint would have dropped.
-		pruneMaxRounds = 4
-		gotCap, emptyCap := semiJoinPrune(pc, tables, dom)
-		if emptyCap && !emptyAC4 {
-			t.Fatalf("shape %+v: capped fallback emptied but AC-4 did not", sh)
-		}
-		if emptyAC4 || emptyCap {
-			continue
-		}
-		for ci := range gotAC4 {
-			keep := make(map[[2]int32]bool, gotCap[ci].n)
-			for _, row := range tableRows(gotCap[ci]) {
-				keep[row] = true
-			}
-			for _, row := range tableRows(gotAC4[ci]) {
-				if !keep[row] {
-					t.Fatalf("shape %+v table %d: AC-4 kept row %v the capped fallback dropped", sh, ci, row)
-				}
-			}
+	}
+	for ci, tb := range tables {
+		if tb.Len() != lens[ci] {
+			t.Fatalf("%s: input table %d mutated by pruning", label, ci)
 		}
 	}
 }
 
-// The shapes above must exercise both fixpoint outcomes; pin them so a
-// workload change cannot silently turn the test one-sided.
+// pruneShapes must exercise both outcomes; pin them so a workload change
+// cannot silently turn the count-preservation check one-sided.
 func TestSemiJoinPruneShapesCoverBothOutcomes(t *testing.T) {
 	pcE := chainComponent(5)
 	tE, domE := layeredEdgeTables(4, 3, 20, 4, 1, &arena{})

@@ -190,21 +190,6 @@ func (s *Session) arenaFor() *arena {
 	return s.ar
 }
 
-// CountMemo returns the session-cached count of the canonical counting
-// class fp under engine name, computing it with f on first use.  One
-// session counts each unique term at most once, no matter how many
-// inclusion–exclusion terms, repeated counts, Counters, or batch workers
-// ask for it — the per-(session, structure-version) count cache of the
-// interned pipeline.  The returned value is shared: callers must treat
-// it as read-only.  The bool reports a cache hit (the value may still be
-// computed by a concurrent first caller; the Once serializes that).
-func (s *Session) CountMemo(fp string, name Name, f func() (*big.Int, error)) (*big.Int, bool, error) {
-	return s.countMemoState(nil, fp, name, func(*priorCount) (*big.Int, any, error) {
-		v, err := f()
-		return v, nil, err
-	})
-}
-
 // countMemoHit is the allocation-free warm path of the count memo: it
 // reports the settled value of (fp, name) without building closures or
 // entries.  A miss (absent, still computing, or failed) falls through to
@@ -219,7 +204,13 @@ func (s *Session) countMemoHit(fp string, name Name) (*big.Int, bool) {
 	return nil, false
 }
 
-// countMemoState is CountMemo with prior-state threading: the compute
+// countMemoState returns the session-cached count of the canonical
+// counting class fp under engine name, computing it with f on first use.
+// One session counts each unique term at most once, no matter how many
+// inclusion–exclusion terms, repeated counts, Counters, or batch workers
+// ask for it — the per-(session, structure-version) count cache of the
+// interned pipeline.  The returned value is shared: callers must treat
+// it as read-only.  The bool reports a cache hit.  The compute
 // function receives the count's adopted prior (value, snapshot, opaque
 // advanceable state from the structure's previous session) when one
 // exists, so a delta-capable plan can advance it instead of recounting;

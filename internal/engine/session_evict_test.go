@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"math/big"
+	"fmt"
 	"testing"
 
 	"repro/internal/structure"
@@ -52,7 +52,9 @@ func TestSessionForReplacesStaleSession(t *testing.T) {
 }
 
 // Semi-join pruning must not change the DP's count, only shrink its
-// inputs.  Structures are large enough that tables clear pruneMinRows.
+// inputs: on session-materialized tables (structures large enough that
+// they clear pruneMinRows) and on the layered chain shapes that drive
+// the pass to each of its outcomes.
 func TestSemiJoinPrunePreservesJoinCount(t *testing.T) {
 	sig := workload.EdgeSig()
 	p := compilePP(t, sig, "q(a,b,c,d) := E(a,b) & E(b,c) & E(c,d)")
@@ -69,66 +71,16 @@ func TestSemiJoinPrunePreservesJoinCount(t *testing.T) {
 				continue
 			}
 			tables := make([]*Table, len(pc.constraints))
-			total := 0
 			for ci := range pc.constraints {
 				tables[ci] = s.tableFor(&pc.constraints[ci], nil)
-				total += tables[ci].Len()
 			}
-			want, _ := joinCount(pc, newExecPlan(pc, tables, bs.Size()), bs.Size(), nil)
-			pruned, empty := semiJoinPrune(pc, tables, bs.Size())
-			var got *big.Int
-			if empty {
-				got = new(big.Int)
-			} else {
-				got, _ = joinCount(pc, newExecPlan(pc, pruned, bs.Size()), bs.Size(), nil)
-			}
-			if want.Cmp(got) != 0 {
-				t.Fatalf("seed %d: pruned count %v != unpruned %v", seed, got, want)
-			}
-			prunedTotal := 0
-			for _, pt := range pruned {
-				prunedTotal += pt.Len()
-			}
-			if prunedTotal > total {
-				t.Fatalf("seed %d: pruning grew tables (%d > %d)", seed, prunedTotal, total)
-			}
-			// The shared session tables must be untouched.
-			for ci := range pc.constraints {
-				if s.tableFor(&pc.constraints[ci], nil).Len() != tables[ci].Len() {
-					t.Fatalf("seed %d: session table %d mutated by pruning", seed, ci)
-				}
-			}
+			checkPrunePreservesCount(t, fmt.Sprintf("seed %d", seed), pc, tables, bs.Size())
 		}
 	}
-}
-
-// The FPT count path must never fall back to the deprecated Tuples
-// full-materialization shim: materialization projects off columns, hom
-// candidate generation walks posting lists/columns.
-func TestFPTCountPerformsZeroFullScans(t *testing.T) {
-	sig := workload.EdgeSig()
-	queries := []string{
-		"q(a,b,c,d) := E(a,b) & E(b,c) & E(c,d)",
-		"q(a,b) := exists u, v. E(a,u) & E(u,v) & E(v,b)",
-		"q(x) := E(x,x) & (exists s, t. E(s,t) & E(t,s))",
-	}
-	for _, src := range queries {
-		p := compilePP(t, sig, src)
-		for _, name := range []Name{FPT, FPTNoCore, Projection} {
-			pl, err := Compile(p, name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bs := workload.RandomStructure(sig, 15, 0.2, 3)
-			s := NewSession(bs)
-			before := structure.FullScanCount()
-			if _, err := pl.CountIn(s); err != nil {
-				t.Fatal(err)
-			}
-			if d := structure.FullScanCount() - before; d != 0 {
-				t.Errorf("%s engine %v: %d full-relation scans during count, want 0", src, name, d)
-			}
-		}
+	for _, sh := range pruneShapes {
+		pc := chainComponent(sh.nvars)
+		tables, dom := layeredEdgeTables(sh.nvars-1, sh.layers, sh.width, sh.deg, sh.seed, &arena{})
+		checkPrunePreservesCount(t, fmt.Sprintf("shape %+v", sh), pc, tables, dom)
 	}
 }
 

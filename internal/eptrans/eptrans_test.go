@@ -47,7 +47,7 @@ func TestMinimizeDropsEntailingDisjunct(t *testing.T) {
 	if len(c.Disjuncts) != 1 {
 		t.Fatalf("normalized disjuncts = %d, want 1", len(c.Disjuncts))
 	}
-	if len(c.Disjuncts[0].A.Tuples("E")) != 1 {
+	if c.Disjuncts[0].A.Rel("E").Len() != 1 {
 		t.Fatal("wrong disjunct survived")
 	}
 }

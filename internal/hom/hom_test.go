@@ -82,7 +82,7 @@ func TestFindReturnsValidHom(t *testing.T) {
 		t.Fatal("path must map into C2")
 	}
 	for _, r := range a.Signature().Rels() {
-		for _, tup := range a.Tuples(r.Name) {
+		a.ForEachTuple(r.Name, func(tup []int) bool {
 			img := make([]int, len(tup))
 			for i, v := range tup {
 				img[i] = h[v]
@@ -90,7 +90,8 @@ func TestFindReturnsValidHom(t *testing.T) {
 			if !b.HasTuple(r.Name, img) {
 				t.Fatalf("returned map is not a homomorphism at %v", tup)
 			}
-		}
+			return true
+		})
 	}
 }
 

@@ -175,7 +175,7 @@ func TestParseStructureInferred(t *testing.T) {
 	if s.Size() != 4 {
 		t.Fatalf("size = %d, want 4", s.Size())
 	}
-	if len(s.Tuples("E")) != 2 || len(s.Tuples("F")) != 1 {
+	if s.Rel("E").Len() != 2 || s.Rel("F").Len() != 1 {
 		t.Fatal("tuples wrong")
 	}
 	if ar, _ := s.Signature().Arity("E"); ar != 2 {

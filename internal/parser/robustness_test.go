@@ -64,7 +64,7 @@ func TestFactsRoundTripThroughParser(t *testing.T) {
 		t.Fatal("round trip changed the structure")
 	}
 	for _, r := range s1.Signature().Rels() {
-		for _, tp := range s1.Tuples(r.Name) {
+		s1.ForEachTuple(r.Name, func(tp []int) bool {
 			names := make([]string, len(tp))
 			for i, v := range tp {
 				names[i] = s1.ElemName(v)
@@ -76,6 +76,7 @@ func TestFactsRoundTripThroughParser(t *testing.T) {
 			if !s2.HasTuple(r.Name, idx) {
 				t.Fatalf("tuple %s(%v) lost in round trip", r.Name, names)
 			}
-		}
+			return true
+		})
 	}
 }

@@ -33,7 +33,7 @@ func shuffledCopy(t *testing.T, p PP, seed int64) PP {
 		}
 	}
 	for _, r := range p.A.Signature().Rels() {
-		for _, tp := range p.A.Tuples(r.Name) {
+		p.A.ForEachTuple(r.Name, func(tp []int) bool {
 			nt := make([]int, len(tp))
 			for j, v := range tp {
 				nt[j] = old2new[v]
@@ -41,7 +41,8 @@ func shuffledCopy(t *testing.T, p PP, seed int64) PP {
 			if err := out.AddTuple(r.Name, nt...); err != nil {
 				t.Fatal(err)
 			}
-		}
+			return true
+		})
 	}
 	var s []int
 	for _, v := range p.S {

@@ -55,7 +55,7 @@ func TestExample22PairView(t *testing.T) {
 	if len(p.S) != 4 {
 		t.Fatalf("|S| = %d, want 4", len(p.S))
 	}
-	if len(p.A.Tuples("E")) != 2 || len(p.A.Tuples("F")) != 1 || len(p.A.Tuples("G")) != 1 {
+	if p.A.Rel("E").Len() != 2 || p.A.Rel("F").Len() != 1 || p.A.Rel("G").Len() != 1 {
 		t.Fatal("relation contents wrong")
 	}
 	// z is isolated but in the universe.
@@ -128,7 +128,7 @@ func TestExample58Hat(t *testing.T) {
 	if len(h.S) != 4 {
 		t.Fatalf("φ̂ |S| = %d, want 4", len(h.S))
 	}
-	if len(h.A.Tuples("E")) != 2 || len(h.A.Tuples("F")) != 0 {
+	if h.A.Rel("E").Len() != 2 || h.A.Rel("F").Len() != 0 {
 		t.Fatal("φ̂ atoms wrong")
 	}
 }
@@ -366,8 +366,8 @@ func TestConjoin(t *testing.T) {
 	if c.A.Size() != 4 {
 		t.Fatalf("conjunction size = %d, want 4 (x,y,u~0,u~1)", c.A.Size())
 	}
-	if len(c.A.Tuples("E")) != 2 {
-		t.Fatalf("conjunction tuples = %d", len(c.A.Tuples("E")))
+	if c.A.Rel("E").Len() != 2 {
+		t.Fatalf("conjunction tuples = %d", c.A.Rel("E").Len())
 	}
 }
 
@@ -381,8 +381,8 @@ func TestConjoinIdempotentShape(t *testing.T) {
 	}
 	// Atoms coincide (quantifier-free), so the conjunction is the formula
 	// itself (the duplicate tuple is deduplicated).
-	if c.A.Size() != 2 || len(c.A.Tuples("E")) != 1 {
-		t.Fatalf("self-conjunction should collapse: size=%d tuples=%d", c.A.Size(), len(c.A.Tuples("E")))
+	if c.A.Size() != 2 || c.A.Rel("E").Len() != 1 {
+		t.Fatalf("self-conjunction should collapse: size=%d tuples=%d", c.A.Size(), c.A.Rel("E").Len())
 	}
 	eq, err := CountingEquivalent(c, p)
 	if err != nil {

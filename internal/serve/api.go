@@ -82,8 +82,9 @@ type CountRequest struct {
 	Query string `json:"query"`
 	// Structure is the registered structure's name.
 	Structure string `json:"structure"`
-	// Engine selects the counting engine ("fpt" when empty; also
-	// "fpt-nocore", "projection", "brute", "auto").
+	// Engine selects nothing: the service runs one exact executor, and
+	// the field accepts its spellings ("fpt", "auto", or empty).  Any
+	// other engine name is a 400.
 	Engine string `json:"engine,omitempty"`
 	// TimeoutMillis lowers the server's per-request deadline for this
 	// request (0 = server default; values above the server default are
@@ -192,7 +193,7 @@ type CountBatchResponse struct {
 type SubscribeRequest struct {
 	Query     string `json:"query"`
 	Structure string `json:"structure"`
-	// Engine selects the counting engine ("fpt" when empty).
+	// Engine is validated as on CountRequest and selects nothing.
 	Engine string `json:"engine,omitempty"`
 }
 
@@ -220,7 +221,8 @@ type SubscriptionsResponse struct {
 type QueryStats struct {
 	// Query is the source text the counter was registered under.
 	Query string `json:"query"`
-	// Engine is the counting engine the counter compiles to.
+	// Engine is the exact executor the counter compiles to: always
+	// "fpt".
 	Engine string `json:"engine"`
 	// Pool is the canonical term pool's interning summary.
 	Pool term.Stats `json:"pool"`
@@ -373,10 +375,10 @@ type ErrorResponse struct {
 }
 
 // queryStatsFrom flattens a counter's Stats into the wire shape.
-func queryStatsFrom(query, engineName string, st core.Stats) QueryStats {
+func queryStatsFrom(query string, st core.Stats) QueryStats {
 	return QueryStats{
 		Query:            query,
-		Engine:           engineName,
+		Engine:           servedEngine,
 		Pool:             st.Pool,
 		Plans:            st.Plans,
 		SharedPlans:      st.SharedPlans,

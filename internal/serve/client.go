@@ -256,7 +256,7 @@ func (c *Client) Count(ctx context.Context, query, structureName string) (*big.I
 	return c.CountWith(ctx, CountRequest{Query: query, Structure: structureName})
 }
 
-// CountWith is Count with full request control (engine, timeout).
+// CountWith is Count with full request control (timeout, mode).
 func (c *Client) CountWith(ctx context.Context, req CountRequest) (*big.Int, CountResponse, error) {
 	var resp CountResponse
 	if err := c.do(ctx, http.MethodPost, "/count", req, &resp, true); err != nil {
@@ -313,7 +313,7 @@ func (c *Client) Subscribe(ctx context.Context, query, structureName string) (Su
 	return c.SubscribeWith(ctx, SubscribeRequest{Query: query, Structure: structureName})
 }
 
-// SubscribeWith is Subscribe with full request control (engine).
+// SubscribeWith is Subscribe from a full request.
 func (c *Client) SubscribeWith(ctx context.Context, req SubscribeRequest) (SubscriptionInfo, error) {
 	var info SubscriptionInfo
 	err := c.do(ctx, http.MethodPost, "/subscriptions", req, &info, false)

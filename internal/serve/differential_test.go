@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/parser"
 )
 
@@ -33,7 +32,7 @@ func TestAppendUnderConcurrentCountDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter, err := reg.counterFor(query, engine.FPT, e.b.Signature())
+	counter, err := reg.counterFor(query, e.b.Signature())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +121,7 @@ func TestAppendUnderConcurrentCountDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := reg.counterFor(query, engine.FPT, b.Signature())
+		fresh, err := reg.counterFor(query, b.Signature())
 		if err != nil {
 			t.Fatal(err)
 		}

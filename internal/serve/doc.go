@@ -21,7 +21,7 @@
 //     Inserted field reports the dedup-aware effective delta, and a
 //     fully-duplicate batch keeps the version, leaving caches valid).
 //     The registry also
-//     caches compiled queries per (source text, engine, signature);
+//     caches compiled queries per (source text, signature);
 //     counting-equivalent queries — even textually different ones from
 //     different clients — share engine plans underneath through the
 //     fingerprint-keyed plan cache.

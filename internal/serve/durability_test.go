@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -72,7 +71,7 @@ func TestServeRecoveryRoundTrip(t *testing.T) {
 	wantInfos := reg.Structures()
 	wantCounts := make(map[string]string)
 	for _, info := range wantInfos {
-		c, err := reg.counterFor(triQuery, engine.FPT, mustEntry(t, reg, info.Name).b.Signature())
+		c, err := reg.counterFor(triQuery, mustEntry(t, reg, info.Name).b.Signature())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +96,7 @@ func TestServeRecoveryRoundTrip(t *testing.T) {
 		if got.Name != want.Name || got.Size != want.Size || got.Tuples != want.Tuples || got.Version != want.Version {
 			t.Fatalf("structure %d: got %+v, want %+v", i, got, want)
 		}
-		c, err := reg2.counterFor(triQuery, engine.FPT, mustEntry(t, reg2, got.Name).b.Signature())
+		c, err := reg2.counterFor(triQuery, mustEntry(t, reg2, got.Name).b.Signature())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +360,7 @@ func TestKillRestartLiveStream(t *testing.T) {
 					if err != nil {
 						return
 					}
-					c, err := reg.counterFor(triQuery, engine.FPT, e.b.Signature())
+					c, err := reg.counterFor(triQuery, e.b.Signature())
 					if err != nil {
 						return
 					}
@@ -423,7 +422,7 @@ func TestKillRestartLiveStream(t *testing.T) {
 		if gotFacts != wantFacts {
 			t.Fatalf("trial %d: recovered facts differ from acknowledged replay", trial)
 		}
-		c, err := reg2.counterFor(triQuery, engine.FPT, gotB.Signature())
+		c, err := reg2.counterFor(triQuery, gotB.Signature())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,7 +430,7 @@ func TestKillRestartLiveStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cw, err := replay.counterFor(triQuery, engine.FPT, wantB.Signature())
+		cw, err := replay.counterFor(triQuery, wantB.Signature())
 		if err != nil {
 			t.Fatal(err)
 		}

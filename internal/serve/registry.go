@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/count"
-	"repro/internal/engine"
 	"repro/internal/parser"
 	"repro/internal/structure"
 	"repro/internal/wal"
@@ -70,17 +69,16 @@ func (e *structEntry) info(name string) StructureInfo {
 	return StructureInfo{Name: name, Size: e.b.Size(), Tuples: e.b.NumTuples(), Version: e.b.Version()}
 }
 
-// queryKey identifies a cached counter: the query source text, the
-// engine, and the signature it was compiled against (the same text over
-// different vocabularies compiles to different counters).
+// queryKey identifies a cached counter: the query source text and the
+// signature it was compiled against (the same text over different
+// vocabularies compiles to different counters).
 type queryKey struct {
-	src    string
-	engine engine.Name
-	sig    string
+	src string
+	sig string
 }
 
 // Registry holds the server's named structures and its compiled-query
-// cache.  Counters are cached per (query text, engine, signature);
+// cache.  Counters are cached per (query text, signature);
 // textually different but counting-equivalent queries still share
 // compiled plans underneath through the engine's fingerprint-keyed plan
 // cache, so the counter cache only saves front-end (parse + Theorem 3.1)
@@ -340,8 +338,8 @@ func (r *Registry) Structures() []StructureInfo {
 // of a query over a signature.  Counting-equivalent queries compiled
 // here share engine plans through the fingerprint-keyed plan cache even
 // when their source texts differ.
-func (r *Registry) counterFor(src string, eng engine.Name, sig *structure.Signature) (*core.Counter, error) {
-	key := queryKey{src: src, engine: eng, sig: sig.String()}
+func (r *Registry) counterFor(src string, sig *structure.Signature) (*core.Counter, error) {
+	key := queryKey{src: src, sig: sig.String()}
 	r.mu.RLock()
 	c := r.queries[key]
 	r.mu.RUnlock()
@@ -352,7 +350,7 @@ func (r *Registry) counterFor(src string, eng engine.Name, sig *structure.Signat
 	if err != nil {
 		return nil, err
 	}
-	c, err = core.NewCounter(q, sig, count.PPEngine(eng))
+	c, err = core.NewCounter(q, sig, count.EngineFPT)
 	if err != nil {
 		return nil, err
 	}
@@ -387,11 +385,11 @@ func (r *Registry) QueryStats() []QueryStats {
 		if pairs[i].key.src != pairs[j].key.src {
 			return pairs[i].key.src < pairs[j].key.src
 		}
-		return pairs[i].key.engine < pairs[j].key.engine
+		return pairs[i].key.sig < pairs[j].key.sig
 	})
 	out := make([]QueryStats, 0, len(pairs))
 	for _, p := range pairs {
-		out = append(out, queryStatsFrom(p.key.src, p.key.engine.String(), p.c.Stats()))
+		out = append(out, queryStatsFrom(p.key.src, p.c.Stats()))
 	}
 	return out
 }
@@ -579,11 +577,18 @@ func (r *Registry) DurabilityStats() DurabilityStats {
 	return ds
 }
 
-// parseEngine resolves the wire engine name ("" = fpt).
-func parseEngine(s string) (engine.Name, error) {
-	if strings.TrimSpace(s) == "" {
-		return engine.FPT, nil
+// servedEngine is the one exact executor epserved runs, as the engine
+// fields of its responses spell it.
+const servedEngine = "fpt"
+
+// parseEngine validates the wire engine field.  It selects nothing: the
+// empty string, "auto" and "fpt" all mean the served executor, and every
+// other name — the oracles and ablations that epcount -engine still
+// runs — is refused.
+func parseEngine(s string) error {
+	switch strings.TrimSpace(s) {
+	case "", "auto", servedEngine:
+		return nil
 	}
-	eng, err := engine.ParseName(s)
-	return eng, WithStatus(http.StatusBadRequest, err)
+	return Errorf(http.StatusBadRequest, "serve: engine %q is not served (want %q, \"auto\" or empty)", s, servedEngine)
 }

@@ -174,13 +174,13 @@ var errNoStructures = Errorf(http.StatusBadRequest, "structures must not be empt
 // behind every surface, and where the local backend reads their parsed
 // values.  A zero approx parameter means its default; one out of range
 // is refused, never replaced — the answer would misstate what it met.
-func countOptions(engineName, mode string, prm approx.Params) (eng engine.Name, approxMode bool, err error) {
-	if eng, err = parseEngine(engineName); err != nil {
-		return eng, false, err
+func countOptions(engineName, mode string, prm approx.Params) (approxMode bool, err error) {
+	if err = parseEngine(engineName); err != nil {
+		return false, err
 	}
 	switch mode {
 	case "", "exact":
-		return eng, false, nil
+		return false, nil
 	case "approx":
 		switch {
 		case !(prm.Epsilon >= 0): // NaN included
@@ -190,9 +190,9 @@ func countOptions(engineName, mode string, prm approx.Params) (eng engine.Name, 
 		case prm.MaxSamples < 0:
 			err = Errorf(http.StatusBadRequest, "serve: max_samples %d out of range (want positive, or 0 for the default)", prm.MaxSamples)
 		}
-		return eng, true, err
+		return true, err
 	}
-	return eng, false, Errorf(http.StatusBadRequest, "serve: unknown mode %q (want \"exact\" or \"approx\")", mode)
+	return false, Errorf(http.StatusBadRequest, "serve: unknown mode %q (want \"exact\" or \"approx\")", mode)
 }
 
 // countError types a counting failure that is not typed yet: an expired
@@ -265,7 +265,7 @@ func (s *Server) CountWith(ctx context.Context, req CountRequest) (*big.Int, Cou
 	}
 	defer release()
 	prm := req.approxParams()
-	eng, approxMode, err := countOptions(req.Engine, req.Mode, prm)
+	approxMode, err := countOptions(req.Engine, req.Mode, prm)
 	if err != nil {
 		return fail(err)
 	}
@@ -275,7 +275,7 @@ func (s *Server) CountWith(ctx context.Context, req CountRequest) (*big.Int, Cou
 	}
 	// The signature is immutable after ingest, so the counter resolves
 	// (and on first use compiles) outside the structure lock.
-	c, err := s.reg.counterFor(req.Query, eng, e.b.Signature())
+	c, err := s.reg.counterFor(req.Query, e.b.Signature())
 	if err != nil {
 		return fail(WithStatus(http.StatusBadRequest, err))
 	}
@@ -332,7 +332,7 @@ func (s *Server) CountBatchWith(ctx context.Context, req CountBatchRequest) ([]*
 	}
 	defer release()
 	prm := req.approxParams()
-	eng, approxMode, err := countOptions(req.Engine, req.Mode, prm)
+	approxMode, err := countOptions(req.Engine, req.Mode, prm)
 	if err != nil {
 		return fail(err)
 	}
@@ -347,7 +347,7 @@ func (s *Server) CountBatchWith(ctx context.Context, req CountBatchRequest) ([]*
 		return fail(err)
 	}
 	sig := first.b.Signature()
-	c, err := s.reg.counterFor(req.Query, eng, sig)
+	c, err := s.reg.counterFor(req.Query, sig)
 	if err != nil {
 		return fail(WithStatus(http.StatusBadRequest, err))
 	}

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/count"
 	"repro/internal/engine"
 	"repro/internal/parser"
 )
@@ -108,14 +110,14 @@ func TestSubscriptionLifecycleHTTP(t *testing.T) {
 }
 
 // Delta-maintained subscription counts must equal full recounts of the
-// replayed append history at every observed version, for every engine,
-// with readers racing the writer (run under -race this is the
-// incremental-maintenance safety net the serving layer relies on).
+// replayed append history at every observed version, under every
+// spelling of the served executor, with readers racing the writer (run
+// under -race this is the incremental-maintenance safety net the serving
+// layer relies on).  The batches are a few tuples each, so the engine's
+// default advance gate sends every one down the delta path.
 func TestSubscriptionDeltaDifferential(t *testing.T) {
-	restore := engine.SetDeltaThresholds(1<<30, 100) // always take the delta path
-	defer restore()
 	const query = "tri(x,y,z) := E(x,y) & E(y,z) & E(z,x)"
-	engines := []engine.Name{engine.FPT, engine.FPTNoCore, engine.Projection}
+	engines := []string{"fpt", "auto", ""}
 
 	// A randomized append stream over a growing vertex pool; duplicate
 	// edges occur naturally and whole-batch duplicates keep the version.
@@ -142,7 +144,7 @@ func TestSubscriptionDeltaDifferential(t *testing.T) {
 	}
 	subIDs := make([]string, len(engines))
 	for i, eng := range engines {
-		sub, err := reg.Subscribe(query, "g", eng.String())
+		sub, err := reg.Subscribe(query, "g", eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +156,7 @@ func TestSubscriptionDeltaDifferential(t *testing.T) {
 	}
 
 	type observation struct {
-		engine  engine.Name
+		engine  string
 		version uint64
 		count   *big.Int
 	}
@@ -233,6 +235,10 @@ func TestSubscriptionDeltaDifferential(t *testing.T) {
 	// the batch prefix and recount from scratch.  Equal versions always
 	// denote equal fact sets (ineffective batches do not bump), so the
 	// latest prefix per version is a valid witness.
+	oracle, err := core.NewCounter(parser.MustQuery(query), nil, count.EngineBrute)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := make(map[uint64]*big.Int)
 	for _, o := range obs {
 		w, ok := want[o.version]
@@ -249,18 +255,14 @@ func TestSubscriptionDeltaDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := reg.counterFor(query, engine.Brute, b.Signature())
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err = fresh.Count(b)
+			w, err = oracle.Count(b)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want[o.version] = w
 		}
 		if o.count.Cmp(w) != 0 {
-			t.Fatalf("engine %v at version %d: maintained %v != sequential replay %v",
+			t.Fatalf("engine %q at version %d: maintained %v != sequential replay %v",
 				o.engine, o.version, o.count, w)
 		}
 	}

@@ -73,9 +73,6 @@ func (s *Structure) DeltaSince(snap Snapshot) (DeltaView, bool) {
 	return DeltaView{base: snap, cur: s, rowOf: rowOf}, true
 }
 
-// BaseVersion returns the snapshot version the delta starts from.
-func (d DeltaView) BaseVersion() uint64 { return d.base.Version }
-
 // ElemsAdded returns the number of universe elements added since the
 // snapshot.
 func (d DeltaView) ElemsAdded() int { return d.cur.Size() - d.base.Elems }

@@ -14,11 +14,9 @@
 // chunks, and the hom solver unions lists straight into word-aligned
 // candidate masks (UnionIntoWords).  Consumers
 // iterate allocation-free with ForEachTuple/ForEachWith or access
-// columns through Rel; the materializing [][]int accessors Tuples and
-// TuplesWith are deprecated compatibility shims retained for the
-// migration (FullScanCount counts their use).  Element order,
-// relation-symbol order, and tuple insertion order are deterministic so
-// that all algorithms built on top are reproducible.
+// columns through Rel; there is no materialized [][]int view.  Element
+// order, relation-symbol order, and tuple insertion order are
+// deterministic so that all algorithms built on top are reproducible.
 //
 // Concurrency discipline: a Structure is safe for any number of
 // concurrent readers, but mutation (AddElem/AddTuple/AddFact) requires

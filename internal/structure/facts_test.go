@@ -46,7 +46,7 @@ func TestNormalizedSerializable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("normalized structure should serialize: %v", err)
 	}
-	if norm.Size() != prod.Size() || len(norm.Tuples("E")) != len(prod.Tuples("E")) {
+	if norm.Size() != prod.Size() || norm.Rel("E").Len() != prod.Rel("E").Len() {
 		t.Fatal("Normalized changed the structure")
 	}
 	if !strings.Contains(out, "universe e0") {

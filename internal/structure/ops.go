@@ -114,22 +114,6 @@ func DisjointUnion(a, b *Structure) (*Structure, error) {
 	return out, nil
 }
 
-// DisjointUnionAll folds DisjointUnion over one or more structures.
-func DisjointUnionAll(ss ...*Structure) (*Structure, error) {
-	if len(ss) == 0 {
-		return nil, fmt.Errorf("structure: disjoint union of nothing")
-	}
-	out := ss[0].Clone()
-	for _, s := range ss[1:] {
-		var err error
-		out, err = DisjointUnion(out, s)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // PadLoops returns B + kI: the disjoint union of b with k fresh all-loop
 // elements (k copies of I_τ).  This is the padding used in the proofs of
 // Theorem 5.9 and Lemma 5.13.

@@ -1,7 +1,5 @@
 package structure
 
-import "sync"
-
 // Relation is the columnar store of one relation's tuple set: a flat
 // []int32 column per position, a packed-key TupleSet for O(1)
 // dedup/membership, and per-position posting lists (value → row-id
@@ -10,9 +8,7 @@ import "sync"
 // array containers while sparse, packed bitmap containers once dense, so
 // consumers union and intersect candidate rows 64 per word op instead of
 // one element at a time.  Rows are exposed through allocation-free
-// iteration (ForEachTuple, ForEachWith) and row views; the [][]int
-// representation survives only as the deprecated Tuples compatibility
-// shim on Structure.
+// iteration (ForEachTuple, ForEachWith) and row views.
 //
 // A Relation is mutated only through its owning Structure (single
 // mutator); any number of goroutines may read it concurrently between
@@ -23,11 +19,6 @@ type Relation struct {
 	cols  [][]int32           // per position, len == Len()
 	posts []map[int32]*Bitmap // per position: value → row-id bitmap
 	set   *TupleSet
-
-	// rowCache backs the deprecated Tuples shim: materialized [][]int
-	// rows, built lazily under rowMu and dropped on mutation.
-	rowMu    sync.Mutex
-	rowCache [][]int
 }
 
 func newRelation(name string, arity int) *Relation {
@@ -75,9 +66,6 @@ func (r *Relation) add(t []int) bool {
 		}
 		bm.Add(row)
 	}
-	r.rowMu.Lock()
-	r.rowCache = nil
-	r.rowMu.Unlock()
 	return true
 }
 
@@ -183,30 +171,6 @@ func (r *Relation) RowsWith(pos, v int) *Bitmap {
 		return nil
 	}
 	return r.posts[pos][int32(v)]
-}
-
-// rows returns (building and caching on first use) the materialized
-// [][]int view backing the deprecated Tuples shim.
-func (r *Relation) rows() [][]int {
-	if r == nil || r.Len() == 0 {
-		return nil
-	}
-	r.rowMu.Lock()
-	defer r.rowMu.Unlock()
-	if r.rowCache == nil {
-		n := r.Len()
-		flat := make([]int, n*r.arity)
-		out := make([][]int, n)
-		for i := 0; i < n; i++ {
-			row := flat[i*r.arity : (i+1)*r.arity]
-			for p := range r.cols {
-				row[p] = int(r.cols[p][i])
-			}
-			out[i] = row
-		}
-		r.rowCache = out
-	}
-	return r.rowCache
 }
 
 // clone returns a deep copy sharing nothing with r.

@@ -67,7 +67,9 @@ func TestPostingListsAreIncremental(t *testing.T) {
 	}
 }
 
-func TestForEachWithMatchesTuplesWithShim(t *testing.T) {
+// The posting-list walk must yield exactly the rows a filtered full
+// iteration yields, in the same (insertion) order.
+func TestForEachWithMatchesFilteredScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := New(relTestSig())
 	const n = 20
@@ -79,14 +81,19 @@ func TestForEachWithMatchesTuplesWithShim(t *testing.T) {
 	}
 	for pos := 0; pos < 3; pos++ {
 		for v := 0; v < n; v++ {
-			want := s.TuplesWith("T", pos, v)
-			var got [][]int
+			var want, got [][]int
+			s.ForEachTuple("T", func(u []int) bool {
+				if u[pos] == v {
+					want = append(want, append([]int(nil), u...))
+				}
+				return true
+			})
 			s.ForEachWith("T", pos, v, func(u []int) bool {
 				got = append(got, append([]int(nil), u...))
 				return true
 			})
 			if len(got) != len(want) {
-				t.Fatalf("pos %d val %d: ForEachWith %d rows, TuplesWith %d", pos, v, len(got), len(want))
+				t.Fatalf("pos %d val %d: ForEachWith %d rows, filtered scan %d", pos, v, len(got), len(want))
 			}
 			for i := range got {
 				for j := range got[i] {
@@ -96,40 +103,6 @@ func TestForEachWithMatchesTuplesWithShim(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestTuplesShimCountsFullScans(t *testing.T) {
-	s := New(relTestSig())
-	s.EnsureElem("a")
-	s.EnsureElem("b")
-	_ = s.AddTuple("E", 0, 1)
-	before := FullScanCount()
-	_ = s.Tuples("E")
-	_ = s.Tuples("E")
-	if d := FullScanCount() - before; d != 2 {
-		t.Fatalf("FullScanCount delta = %d, want 2", d)
-	}
-	before = FullScanCount()
-	s.ForEachTuple("E", func([]int) bool { return true })
-	s.ForEachWith("E", 0, 0, func([]int) bool { return true })
-	if d := FullScanCount() - before; d != 0 {
-		t.Fatalf("iterators bumped FullScanCount by %d, want 0", d)
-	}
-}
-
-func TestTuplesShimSeesMutations(t *testing.T) {
-	s := New(relTestSig())
-	for i := 0; i < 4; i++ {
-		s.EnsureElem("e" + string(rune('0'+i)))
-	}
-	_ = s.AddTuple("E", 0, 1)
-	if got := len(s.Tuples("E")); got != 1 {
-		t.Fatalf("len = %d, want 1", got)
-	}
-	_ = s.AddTuple("E", 1, 2)
-	if got := len(s.Tuples("E")); got != 2 {
-		t.Fatalf("after mutation: len = %d, want 2 (stale row cache?)", got)
 	}
 }
 

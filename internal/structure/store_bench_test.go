@@ -84,33 +84,17 @@ func BenchmarkStore_LookupAfterMutation(b *testing.B) {
 		// A fresh arity-3 tuple each iteration (n^3 ≫ b.N combinations).
 		_ = s.AddTuple("T", i%n, (i/n)%n, (i/(n*n))%n)
 		total := 0
-		for _, t := range s.TuplesWith("E", 0, i%n) {
+		s.ForEachWith("E", 0, i%n, func(t []int) bool {
 			total += t[1]
-		}
+			return true
+		})
 		_ = total
 	}
 }
 
-// BenchmarkStore_TuplesWith_Hot measures repeated indexed lookups on an
-// unchanging structure (allocation behaviour of the lookup itself).
-func BenchmarkStore_TuplesWith_Hot(b *testing.B) {
-	const n, m = 1000, 30000
-	s := benchBase(n, m)
-	s.TuplesWith("E", 0, 0) // warm the index
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total := 0
-		for _, t := range s.TuplesWith("E", 0, i%n) {
-			total += t[1]
-		}
-		_ = total
-	}
-}
-
-// BenchmarkStore_ForEachWith_Hot is the zero-alloc counterpart of
-// BenchmarkStore_TuplesWith_Hot: posting-list iteration without
-// materializing [][]int rows.
+// BenchmarkStore_ForEachWith_Hot measures repeated indexed lookups on an
+// unchanging structure: posting-list iteration through the reused row
+// buffer, zero allocations.
 func BenchmarkStore_ForEachWith_Hot(b *testing.B) {
 	const n, m = 1000, 30000
 	s := benchBase(n, m)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 )
 
 // Structure is a finite relational structure: a non-empty universe of named
@@ -17,8 +16,7 @@ import (
 // Tuples live in per-relation columnar Relation stores: flat columns, a
 // packed-key dedup set, and per-position posting lists maintained
 // incrementally on AddTuple.  Consumers iterate with ForEachTuple /
-// ForEachWith; the [][]int accessors Tuples and TuplesWith survive as
-// deprecated compatibility shims.
+// ForEachWith, or reach the columns through Rel.
 type Structure struct {
 	sig   *Signature
 	elems []string
@@ -35,16 +33,6 @@ type Structure struct {
 	// rehashing the structure.
 	version uint64
 }
-
-// fullScans counts calls to the deprecated full-materialization shim
-// Structure.Tuples.  Hot paths (hom candidate generation, constraint
-// materialization) are required to perform zero such scans; tests assert
-// this via FullScanCount deltas.
-var fullScans atomic.Uint64
-
-// FullScanCount returns the process-wide number of deprecated
-// Tuples-shim materializations performed so far.  Test hook.
-func FullScanCount() uint64 { return fullScans.Load() }
 
 // New returns an empty structure over sig.  Note that a structure must have
 // at least one element before it is used for counting; Validate enforces
@@ -177,17 +165,6 @@ func (s *Structure) HasTuple(rel string, t []int) bool {
 	return s.rels[rel].Contains(t)
 }
 
-// Tuples returns the tuples of relation rel as materialized [][]int rows
-// (shared backing slices: callers must not modify the returned tuples).
-//
-// Deprecated: this is the full-scan compatibility shim over the columnar
-// store; it materializes (and caches) every row.  New code should use
-// ForEachTuple / ForEachWith, or Rel for column access.
-func (s *Structure) Tuples(rel string) [][]int {
-	fullScans.Add(1)
-	return s.rels[rel].rows()
-}
-
 // ForEachTuple visits every tuple of rel in insertion order through a
 // reused row buffer (copy to retain).  Returning false stops early.
 func (s *Structure) ForEachTuple(rel string, fn func(t []int) bool) {
@@ -209,27 +186,6 @@ func (s *Structure) NumTuples() int {
 		n += r.Len()
 	}
 	return n
-}
-
-// TuplesWith returns the tuples of rel whose position pos holds value v.
-//
-// Deprecated: thin shim over ForEachWith that allocates a fresh [][]int
-// per call; new code should use ForEachWith (zero-alloc) or
-// Rel(rel).RowsWith (row ids).
-func (s *Structure) TuplesWith(rel string, pos, v int) [][]int {
-	r := s.rels[rel]
-	n := r.PostingLen(pos, v)
-	if n == 0 {
-		return nil
-	}
-	out := make([][]int, 0, n)
-	flat := make([]int, 0, n*r.arity)
-	r.ForEachWith(pos, v, func(t []int) bool {
-		flat = append(flat, t...)
-		out = append(out, flat[len(flat)-r.arity:])
-		return true
-	})
-	return out
 }
 
 // Validate checks the structure invariants (non-empty universe).

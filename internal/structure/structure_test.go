@@ -100,8 +100,8 @@ func TestStructureBasics(t *testing.T) {
 	if err := s.AddTuple("E", a, b); err != nil {
 		t.Fatal("duplicate tuple should be silently ignored")
 	}
-	if len(s.Tuples("E")) != 1 {
-		t.Fatalf("tuple count = %d", len(s.Tuples("E")))
+	if s.Rel("E").Len() != 1 {
+		t.Fatalf("tuple count = %d", s.Rel("E").Len())
 	}
 	if !s.HasTuple("E", []int{a, b}) || s.HasTuple("E", []int{b, a}) {
 		t.Fatal("HasTuple wrong")
@@ -120,7 +120,7 @@ func TestStructureBasics(t *testing.T) {
 	}
 }
 
-func TestTuplesWith(t *testing.T) {
+func TestForEachWithAfterAddFact(t *testing.T) {
 	s := New(edgeSig())
 	for _, f := range [][2]string{{"a", "b"}, {"a", "c"}, {"b", "c"}} {
 		if err := s.AddFact("E", f[0], f[1]); err != nil {
@@ -128,19 +128,23 @@ func TestTuplesWith(t *testing.T) {
 		}
 	}
 	a := s.ElemIndex("a")
-	got := s.TuplesWith("E", 0, a)
-	if len(got) != 2 {
-		t.Fatalf("TuplesWith(E,0,a) = %d tuples, want 2", len(got))
+	rowsWith := func(pos int) int {
+		n := 0
+		s.ForEachWith("E", pos, a, func([]int) bool { n++; return true })
+		return n
 	}
-	if len(s.TuplesWith("E", 1, a)) != 0 {
-		t.Fatal("TuplesWith(E,1,a) should be empty")
+	if got := rowsWith(0); got != 2 {
+		t.Fatalf("ForEachWith(E,0,a) = %d tuples, want 2", got)
+	}
+	if rowsWith(1) != 0 {
+		t.Fatal("ForEachWith(E,1,a) should be empty")
 	}
 	// Index must refresh after adding tuples.
 	if err := s.AddFact("E", "c", "a"); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.TuplesWith("E", 1, a)) != 1 {
-		t.Fatal("TuplesWith stale after AddFact")
+	if rowsWith(1) != 1 {
+		t.Fatal("ForEachWith stale after AddFact")
 	}
 }
 
@@ -149,7 +153,7 @@ func TestCloneIndependence(t *testing.T) {
 	_ = s.AddFact("E", "a", "b")
 	c := s.Clone()
 	_ = c.AddFact("E", "b", "a")
-	if len(s.Tuples("E")) != 1 || len(c.Tuples("E")) != 2 {
+	if s.Rel("E").Len() != 1 || c.Rel("E").Len() != 2 {
 		t.Fatal("clone not independent")
 	}
 }
@@ -162,8 +166,8 @@ func TestInduced(t *testing.T) {
 	if sub.Size() != 2 {
 		t.Fatalf("induced size = %d", sub.Size())
 	}
-	if len(sub.Tuples("E")) != 1 {
-		t.Fatalf("induced tuples = %d, want 1", len(sub.Tuples("E")))
+	if sub.Rel("E").Len() != 1 {
+		t.Fatalf("induced tuples = %d, want 1", sub.Rel("E").Len())
 	}
 	if old2new[s.ElemIndex("c")] != -1 {
 		t.Fatal("dropped element should map to -1")
@@ -197,15 +201,15 @@ func TestProductCountsAndLoops(t *testing.T) {
 	if p.Size() != a.Size()*b.Size() {
 		t.Fatalf("product size = %d", p.Size())
 	}
-	if len(p.Tuples("E")) != len(a.Tuples("E"))*len(b.Tuples("E")) {
-		t.Fatalf("product tuples = %d", len(p.Tuples("E")))
+	if p.Rel("E").Len() != a.Rel("E").Len()*b.Rel("E").Len() {
+		t.Fatalf("product tuples = %d", p.Rel("E").Len())
 	}
 	// Product with the unit is "the same" structure up to renaming.
 	u, err := Product(a, Unit(sig))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.Size() != a.Size() || len(u.Tuples("E")) != len(a.Tuples("E")) {
+	if u.Size() != a.Size() || u.Rel("E").Len() != a.Rel("E").Len() {
 		t.Fatal("product with unit changed size")
 	}
 }
@@ -226,8 +230,8 @@ func TestPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.Size() != 9 || len(p2.Tuples("E")) != 4 {
-		t.Fatalf("A^2: size=%d tuples=%d", p2.Size(), len(p2.Tuples("E")))
+	if p2.Size() != 9 || p2.Rel("E").Len() != 4 {
+		t.Fatalf("A^2: size=%d tuples=%d", p2.Size(), p2.Rel("E").Len())
 	}
 	if got := PowerSize(a, 5); got.Cmp(big.NewInt(243)) != 0 {
 		t.Fatalf("PowerSize = %v", got)
@@ -250,8 +254,8 @@ func TestDisjointUnionCollisions(t *testing.T) {
 	if u.Size() != 4 {
 		t.Fatalf("union size = %d, want 4", u.Size())
 	}
-	if len(u.Tuples("E")) != 2 {
-		t.Fatalf("union tuples = %d, want 2", len(u.Tuples("E")))
+	if u.Rel("E").Len() != 2 {
+		t.Fatalf("union tuples = %d, want 2", u.Rel("E").Len())
 	}
 }
 
@@ -353,7 +357,7 @@ func TestProductSizesProperty(t *testing.T) {
 			return false
 		}
 		return p.Size() == na*nb &&
-			len(p.Tuples("E")) == len(a.Tuples("E"))*len(b.Tuples("E"))
+			p.Rel("E").Len() == a.Rel("E").Len()*b.Rel("E").Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

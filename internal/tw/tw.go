@@ -339,11 +339,8 @@ func fromEliminationOrder(adj adjBits, order []int) *Decomposition {
 	return &Decomposition{Bags: bags, Parent: parent}
 }
 
-// MinFillOrder returns an elimination order chosen greedily by minimum
-// fill-in (ties broken by minimum degree, then index).
-func MinFillOrder(g *graph.Graph) []int { return minFillOrder(newAdjBits(g)) }
-
-// minFillOrder is MinFillOrder on an adjacency matrix it may edit.
+// minFillOrder returns an elimination order chosen greedily by minimum
+// fill-in (ties broken by minimum degree, then index).  It may edit adj.
 func minFillOrder(adj adjBits) []int {
 	n := adj.n
 	alive := make([]uint64, adj.w)

@@ -44,8 +44,8 @@ func TestGraphStructureSymmetric(t *testing.T) {
 		t.Fatal("size wrong")
 	}
 	// Both orientations present.
-	if len(s.Tuples("E")) != 4 {
-		t.Fatalf("tuples = %d, want 4 (2 edges × 2 orientations)", len(s.Tuples("E")))
+	if s.Rel("E").Len() != 4 {
+		t.Fatalf("tuples = %d, want 4 (2 edges × 2 orientations)", s.Rel("E").Len())
 	}
 }
 
@@ -109,7 +109,7 @@ func TestSocialNetwork(t *testing.T) {
 	if s.Size() != 28 {
 		t.Fatalf("social network size = %d, want 28", s.Size())
 	}
-	if len(s.Tuples("Follows")) == 0 || len(s.Tuples("Likes")) == 0 || len(s.Tuples("Member")) == 0 {
+	if s.Rel("Follows").Len() == 0 || s.Rel("Likes").Len() == 0 || s.Rel("Member").Len() == 0 {
 		t.Fatal("social network relations empty")
 	}
 	// Deterministic for equal seeds.

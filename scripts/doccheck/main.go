@@ -2,7 +2,10 @@
 //
 //  1. every exported top-level symbol (and method) of the public epcq
 //     package and of internal/serve carries a doc comment;
-//  2. every internal/* package has a non-trivial package comment.
+//  2. every internal/* package has a non-trivial package comment;
+//  3. no comment under internal/* carries a "Deprecated:" paragraph: an
+//     internal package has no outside caller to migrate, so a
+//     deprecated shim there is only a second path — delete it.
 //
 // It exits non-zero listing every violation.  CI runs it next to go
 // vet; locally: go run ./scripts/doccheck (or make doccheck).
@@ -36,7 +39,8 @@ func main() {
 		problems = append(problems, ps...)
 	}
 
-	// 2. Non-trivial package comments across internal/*.
+	// 2 + 3. Non-trivial package comments and no deprecated shims across
+	// internal/*.
 	dirs, err := filepath.Glob("internal/*")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "doccheck:", err)
@@ -47,7 +51,7 @@ func main() {
 		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 			continue
 		}
-		ps, err := checkPackageDoc(dir)
+		ps, err := checkInternalPackage(dir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "doccheck:", err)
 			os.Exit(2)
@@ -74,9 +78,10 @@ func parseDir(dir string) (*token.FileSet, map[string]*ast.Package, error) {
 	return fset, pkgs, err
 }
 
-// checkPackageDoc requires one substantial package comment in dir.
-func checkPackageDoc(dir string) ([]string, error) {
-	_, pkgs, err := parseDir(dir)
+// checkInternalPackage requires one substantial package comment in dir
+// and no "Deprecated:" paragraph in any of its comments.
+func checkInternalPackage(dir string) ([]string, error) {
+	fset, pkgs, err := parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -90,6 +95,12 @@ func checkPackageDoc(dir string) ([]string, error) {
 			if f.Doc != nil {
 				if n := len(f.Doc.Text()); n > best {
 					best = n
+				}
+			}
+			for _, cg := range f.Comments {
+				if strings.Contains("\n"+cg.Text(), "\nDeprecated:") {
+					p := fset.Position(cg.Pos())
+					problems = append(problems, fmt.Sprintf("%s:%d: Deprecated: under internal/ — delete the shim, its callers are all in this repository", p.Filename, p.Line))
 				}
 			}
 		}
