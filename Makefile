@@ -1,16 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet doccheck bench-smoke bench-baseline bench-compare fuzz-smoke crash-smoke cluster-smoke approx-smoke
-
-# Hot-path micro-benchmarks the bench-baseline / bench-compare pair
-# tracks: bitmap intersection, prefix-index probe+build, memo-warm batch
-# serving, cold ∃-component predicate materialization, the Theorem 3.1
-# front-end (cold compile, core, canonical key), and the hom solver on
-# both revise kernels (one sampler draw on the approx-hard inputs;
-# Exists / Count / ForEachExtendable on either side of the bit-row
-# crossover).
-MICRO_BENCH = Intersect_|IndexProbe_|IndexBuild_|CountBatchInto_|Materialize_Predicate|FrontEnd_|Hom_
-MICRO_PKGS  = ./internal/structure ./internal/engine ./internal/core ./internal/eptrans ./internal/pp ./internal/hom
+.PHONY: build test race vet doccheck bench-smoke fuzz-smoke crash-smoke cluster-smoke approx-smoke
 
 build:
 	$(GO) build ./...
@@ -37,22 +27,6 @@ doccheck:
 bench-smoke:
 	$(GO) test -run XXX -bench 'JoinCount|FPT|UnionDedup' -benchmem -benchtime 0.2s .
 	EPCQ_BENCH_SMOKE=1 $(GO) test -run TestBenchSmoke -v ./internal/engine
-
-# Record the current tree's micro-benchmark medians as the comparison
-# baseline (run this on the commit you want to compare against).
-bench-baseline:
-	mkdir -p bench-out
-	$(GO) test -run XXX -bench '$(MICRO_BENCH)' -benchmem -count 5 -benchtime 0.2s $(MICRO_PKGS) | tee bench-out/micro_base.txt
-
-# Re-run the micro-benchmarks and compare against the recorded baseline
-# with the in-repo comparator (no external benchstat): prints median
-# deltas and fails if the arena/open-addressing hot paths regressed to
-# allocating — the intersection, probe, and memo-warm benches must stay
-# at their baseline allocs/op.
-bench-compare:
-	@test -f bench-out/micro_base.txt || { echo "bench-compare: run 'make bench-baseline' first"; exit 1; }
-	$(GO) test -run XXX -bench '$(MICRO_BENCH)' -benchmem -count 5 -benchtime 0.2s $(MICRO_PKGS) | tee bench-out/micro_new.txt
-	$(GO) run ./scripts/benchcmp -allocguard 'Intersect_Bitmap|IndexProbe_OpenAddr|CountBatchInto_MemoWarm' bench-out/micro_base.txt bench-out/micro_new.txt
 
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzParseQuery -fuzztime 10s ./internal/parser

@@ -34,7 +34,6 @@ func main() {
 		quick      = flag.Bool("quick", false, "run reduced instance sizes")
 		runID      = flag.String("run", "", "run a single experiment by id (e.g. E3)")
 		list       = flag.Bool("list", false, "list experiments and exit")
-		csvDir     = flag.String("csv", "", "also write each table as CSV into this directory")
 		jsonDir    = flag.String("json", "", "also write each table as BENCH_<id>.json into this directory")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -59,7 +58,7 @@ func main() {
 	}
 	// Profiles must flush on every exit path, so the suite reports its
 	// exit code instead of calling os.Exit mid-run.
-	code := runSuite(*quick, *runID, *csvDir, *jsonDir)
+	code := runSuite(*quick, *runID, *jsonDir)
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
 	}
@@ -82,7 +81,7 @@ func writeHeapProfile(path string) {
 	}
 }
 
-func runSuite(quick bool, runID, csvDir, jsonDir string) int {
+func runSuite(quick bool, runID, jsonDir string) int {
 	cfg := experiments.Config{Quick: quick}
 	specs := experiments.All()
 	if runID != "" {
@@ -105,17 +104,6 @@ func runSuite(quick bool, runID, csvDir, jsonDir string) int {
 		elapsed := time.Since(start)
 		fmt.Print(tbl.Render())
 		fmt.Printf("elapsed: %v\n\n", elapsed.Round(time.Millisecond))
-		if csvDir != "" {
-			if err := os.MkdirAll(csvDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, "epbench:", err)
-				return 1
-			}
-			path := filepath.Join(csvDir, s.ID+".csv")
-			if err := os.WriteFile(path, []byte(tbl.CSV()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "epbench:", err)
-				return 1
-			}
-		}
 		if jsonDir != "" {
 			if err := os.MkdirAll(jsonDir, 0o755); err != nil {
 				fmt.Fprintln(os.Stderr, "epbench:", err)

@@ -70,14 +70,11 @@ func main() {
 		workers   = flag.Int("workers", 0, "width of the /countBatch fan-out: structures of one batch counted at once (0 = GOMAXPROCS)")
 		inflight  = flag.Int("max-inflight", 0, "max concurrently executing counting requests (0 = 64); excess requests get 503")
 		timeout   = flag.Duration("timeout", 0, "per-request counting deadline (0 = 30s); requests may lower it via timeout_ms")
-		queryCap  = flag.Int("query-cache", 0, "compiled-query cache capacity (0 = 256)")
 		drain     = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget for in-flight requests")
 		dataDir   = flag.String("data-dir", "", "durability directory (WAL + snapshots); empty = in-memory only")
 		fsync     = flag.String("fsync", "batch", "WAL sync policy with -data-dir: always | batch | never")
 		router    = flag.String("router", "", "run as a cluster coordinator over this comma-separated shard URL list instead of serving structures locally")
 		replicas  = flag.Int("replicas", 1, "router mode: replication factor (structures live on this many ring successors)")
-		vnodes    = flag.Int("vnodes", 0, "router mode: virtual nodes per shard on the hash ring (0 = 64)")
-		maxIdle   = flag.Int("max-idle-per-host", 0, "router mode: pooled keep-alive connections per shard for scatter-gather fan-out (0 = 32)")
 		hardExact = flag.Int("hard-exact-limit", 0, "reject exact-mode counting of #W[1]-hard queries on structures above this many tuples with 422; clients should retry with mode=approx (0 = no limit)")
 		loadSpecs []loadSpec
 	)
@@ -114,7 +111,6 @@ func main() {
 			Workers:        *workers,
 			MaxInFlight:    *inflight,
 			RequestTimeout: *timeout,
-			QueryCacheCap:  *queryCap,
 			DataDir:        *dataDir,
 			Fsync:          *fsync,
 			HardExactLimit: *hardExact,
@@ -132,10 +128,8 @@ func main() {
 		// structures and routes every operation over the shard fleet.
 		var co *cluster.Coordinator
 		co, err = cluster.New(cluster.Config{
-			Shards:              strings.FieldsFunc(*router, func(r rune) bool { return r == ',' || r == ' ' }),
-			Replicas:            *replicas,
-			VNodes:              *vnodes,
-			MaxIdleConnsPerHost: *maxIdle,
+			Shards:   strings.FieldsFunc(*router, func(r rune) bool { return r == ',' || r == ' ' }),
+			Replicas: *replicas,
 		})
 		if err == nil {
 			fmt.Fprintf(os.Stderr, "epserved: routing %d shards (replicas=%d, vnodes=%d)\n",

@@ -187,9 +187,6 @@ func (e *Estimator) Count(ctx context.Context, b *structure.Structure, prm Param
 	if !e.p.A.Signature().Equal(b.Signature()) {
 		return Result{}, fmt.Errorf("approx: structure signature does not match formula signature")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 
 	sampled := 0
 	for _, comp := range e.comps {

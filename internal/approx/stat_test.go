@@ -67,7 +67,7 @@ func exactCount(t *testing.T, p pp.PP, b *structure.Structure) *big.Int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := pl.Count(b)
+	n, err := pl.CountIn(context.Background(), engine.SessionFor(b))
 	if err != nil {
 		t.Fatal(err)
 	}

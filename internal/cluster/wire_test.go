@@ -106,6 +106,7 @@ func TestWireEquivalenceOnErrors(t *testing.T) {
 	const edge = `q(x,y) := E(x,y)`
 	type row struct {
 		name, method, path, body string
+		singlePath               string // the single node's path, where it differs (subscription ids are per surface)
 		routerWant               int
 		mentions                 string // what both error messages must name
 	}
@@ -187,11 +188,27 @@ func TestWireEquivalenceOnErrors(t *testing.T) {
 		row{name: "delete unknown subscription, shard-shaped id", method: "DELETE", path: "/subscriptions/s0~sub-999"},
 	)
 
+	// A subscription read is a read: subscribing to a hard query computes
+	// nothing and succeeds; reading it is refused like the /count above.
+	var hardSub [2]string
+	for i, base := range []string{router, single} {
+		sub, err := serve.NewClient(base, nil).Subscribe(t.Context(), triQuery, "g")
+		if err != nil {
+			t.Fatalf("subscribing to a hard query must succeed: %v", err)
+		}
+		hardSub[i] = "/subscriptions/" + sub.ID
+	}
+	rows = append(rows, row{name: "read a hard subscription (typed 422)", method: "GET", path: hardSub[0], singlePath: hardSub[1]})
+
 	for _, r := range rows {
 		got := probe(t, router, r.method, r.path, r.body)
 		want := answer{status: r.routerWant}
 		if r.routerWant == 0 {
-			want = probe(t, single, r.method, r.path, r.body)
+			singlePath := r.path
+			if r.singlePath != "" {
+				singlePath = r.singlePath
+			}
+			want = probe(t, single, r.method, singlePath, r.body)
 			if want.status < 400 {
 				t.Errorf("%s: the single node answers HTTP %d; every row is meant to be an error", r.name, want.status)
 			}
@@ -219,6 +236,11 @@ func TestWireEquivalenceOnErrors(t *testing.T) {
 		a := probe(t, router, "POST", "/count", fmt.Sprintf(`{"query":%q,"structure":%q}`, triQuery, target))
 		if a.status != http.StatusUnprocessableEntity || a.caseStr == "" {
 			t.Errorf("hard exact count on %s through the router: HTTP %d case %q, want 422 with a case", target, a.status, a.caseStr)
+		}
+	}
+	for i, base := range []string{router, single} {
+		if a := probe(t, base, "GET", hardSub[i], ""); a.status != http.StatusUnprocessableEntity || a.caseStr == "" {
+			t.Errorf("hard subscription read on surface %d (0 = router): HTTP %d case %q, want 422 with a case", i, a.status, a.caseStr)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // Memo-warm batch serving: after the warm pass every count comes out of
-// session memos.  bench-compare's allocation guard pins this at 0
+// session memos.  TestCountBatchIntoZeroAllocMemoWarm pins this at 0
 // allocs/op.
 func BenchmarkCountBatchInto_MemoWarm(b *testing.B) {
 	q := parser.MustQuery("q(x,y,z) := E(x,y) & E(y,z)")

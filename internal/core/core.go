@@ -274,10 +274,8 @@ func (c *Counter) CountBatchInto(ctx context.Context, bs []*structure.Structure,
 	width := c.batchWidth()
 	if width == 1 || len(bs) <= 1 {
 		for i := range bs {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 			if _, err := c.CountInto(ctx, bs[i], out[i]); err != nil {
 				return err

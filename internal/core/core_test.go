@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/big"
+	"sort"
 	"strings"
 	"testing"
 
@@ -159,7 +160,7 @@ func TestAnswersThroughCounter(t *testing.T) {
 	if n != 2 || len(got) != 2 {
 		t.Fatalf("answers = %d (%v), want 2", n, got)
 	}
-	count.SortAnswers(got)
+	sort.Slice(got, func(i, j int) bool { return got[i][0] < got[j][0] })
 	if got[0][0] != "a" || got[0][1] != "b" || got[1][0] != "b" || got[1][1] != "a" {
 		t.Fatalf("answers = %v", got)
 	}

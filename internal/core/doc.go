@@ -10,9 +10,11 @@
 // trichotomy classification of the compiled query (Theorem 3.2) and the
 // interning/caching telemetry (Stats, Explain).
 //
-// Counters are built for long-lived concurrent use: counting methods
-// have context variants (CountCtx, CountBatchCtx) that thread
-// per-request deadlines into the executor's cancellation polling, every
+// Counters are built for long-lived concurrent use: every count enters
+// the engine through engine.CountKeyedCtx with a context — the context
+// variants (CountCtx, CountBatchCtx, CountApproxCtx) thread per-request
+// deadlines into the executor's cancellation polling, the plain ones
+// pass context.Background() — every
 // count runs on its caller's goroutine (requests are the parallelism;
 // WithWorkers sets only how many structures of one CountBatch are
 // counted at once, retunable while counts are in flight), and Stats

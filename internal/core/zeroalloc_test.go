@@ -2,8 +2,7 @@
 
 // The zero-allocation assertion is meaningful only without the race
 // detector: -race instrumentation itself allocates on synchronization
-// paths, so the memo-warm guarantee is pinned in the plain suite (and
-// by the make bench-compare allocation guard).
+// paths, so the memo-warm guarantee is pinned in the plain suite.
 package core
 
 import (

@@ -3,7 +3,6 @@ package count
 import (
 	"fmt"
 	"math/big"
-	"sort"
 
 	"repro/internal/hom"
 	"repro/internal/logic"
@@ -133,17 +132,4 @@ func Homomorphisms(a, b *structure.Structure) (*big.Int, error) {
 	// No core: counting homs from A itself, not from its core (the count
 	// differs between a structure and its core!).
 	return PP(p, b, EngineFPTNoCore)
-}
-
-// SortAnswers orders answers lexicographically (test helper quality, but
-// generally useful for stable output).
-func SortAnswers(answers []Answer) {
-	sort.Slice(answers, func(i, j int) bool {
-		for k := range answers[i] {
-			if answers[i][k] != answers[j][k] {
-				return answers[i][k] < answers[j][k]
-			}
-		}
-		return false
-	})
 }

@@ -141,11 +141,3 @@ func TestHomomorphismsPathIntoClique(t *testing.T) {
 		t.Fatalf("homs = %v, want 36", got)
 	}
 }
-
-func TestSortAnswers(t *testing.T) {
-	answers := []Answer{{"b", "a"}, {"a", "b"}, {"a", "a"}}
-	SortAnswers(answers)
-	if answers[0][0] != "a" || answers[0][1] != "a" || answers[2][0] != "b" {
-		t.Fatalf("sorted = %v", answers)
-	}
-}

@@ -1,6 +1,7 @@
 package count
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -118,7 +119,7 @@ func TestExecutorMatchesBruteForceUnderReinsertion(t *testing.T) {
 				t.Fatal(err)
 			}
 			for which, bs := range []*structure.Structure{b, shuffled} {
-				got, err := pl.CountIn(engine.SessionFor(bs))
+				got, err := pl.CountIn(context.Background(), engine.SessionFor(bs))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -167,7 +168,7 @@ func TestExecutorCountsThroughOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pl.CountIn(engine.SessionFor(b))
+	got, err := pl.CountIn(context.Background(), engine.SessionFor(b))
 	if err != nil {
 		t.Fatal(err)
 	}

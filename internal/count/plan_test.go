@@ -33,7 +33,7 @@ func TestPlanMatchesOneShot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := plan.Count(b)
+			got, err := countPlan(plan, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +58,7 @@ func TestPlanReuseAcrossStructures(t *testing.T) {
 	for _, n := range []int{3, 6, 12} {
 		g := workload.ER(n, 0.3, int64(n))
 		b := workload.GraphStructure(g)
-		got, err := plan.Count(b)
+		got, err := countPlan(plan, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,11 +85,11 @@ func TestPlanRejectsWrongSignature(t *testing.T) {
 	other := structure.MustSignature(structure.RelSym{Name: "F", Arity: 1})
 	b := structure.New(other)
 	b.EnsureElem("a")
-	if _, err := plan.Count(b); err == nil {
+	if _, err := countPlan(plan, b); err == nil {
 		t.Fatal("plan must reject structures over a different signature")
 	}
 	empty := structure.New(workload.EdgeSig())
-	if _, err := plan.Count(empty); err == nil {
+	if _, err := countPlan(plan, empty); err == nil {
 		t.Fatal("plan must reject empty structures")
 	}
 }
@@ -104,7 +104,7 @@ func BenchmarkPlanReuse_Compiled(b *testing.B) {
 	bs := workload.GraphStructure(workload.ER(40, 0.1, 3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.Count(bs); err != nil {
+		if _, err := countPlan(plan, bs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package count
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 
@@ -35,9 +36,6 @@ const (
 // executed against b; callers holding a Plan directly avoid even the
 // memoization lookup.
 func PP(p pp.PP, b *structure.Structure, eng PPEngine) (*big.Int, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
 	if !p.A.Signature().Equal(b.Signature()) {
 		return nil, fmt.Errorf("count: formula signature %v differs from structure signature %v",
 			p.A.Signature(), b.Signature())
@@ -46,5 +44,14 @@ func PP(p pp.PP, b *structure.Structure, eng PPEngine) (*big.Int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pl.Count(b)
+	return countPlan(pl, b)
+}
+
+// countPlan executes a compiled plan against a structure, validated
+// first, inside the structure's shared engine session.
+func countPlan(pl engine.Plan, b *structure.Structure) (*big.Int, error) {
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	return engine.CountInCtx(context.Background(), pl, engine.SessionFor(b), 0)
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestSessionPinRetireRace(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		b := workload.RandomStructure(sig, 8, 0.5, int64(trial))
 		s := SessionFor(b)
-		want, err := pl.CountIn(s)
+		want, err := pl.CountIn(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +86,7 @@ func TestSessionPinRetireRace(t *testing.T) {
 				defer wg.Done()
 				// Post-retirement counts rebuild heap-backed tables; the
 				// value must be unchanged either way.
-				got, err := pl.(*fptPlan).countIn(nil, s)
+				got, err := pl.CountIn(context.Background(), s)
 				if err != nil {
 					t.Error(err)
 					return

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"os"
@@ -42,7 +43,7 @@ func TestBenchSmokeDeltaAppendCountMix(t *testing.T) {
 		b := workload.RandomStructure(sig, n, 0.06, 11)
 		defer ReleaseSession(b)
 		const fp = "bench-smoke-delta-mix"
-		if _, _, err := CountKeyed(pl, fp, SessionFor(b)); err != nil { // cold count outside the timing
+		if _, _, err := CountKeyedCtx(context.Background(), pl, fp, SessionFor(b), 0); err != nil { // cold count outside the timing
 			t.Fatal(err)
 		}
 		var last *big.Int
@@ -53,7 +54,7 @@ func TestBenchSmokeDeltaAppendCountMix(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if last, _, err = CountKeyed(pl, fp, SessionFor(b)); err != nil {
+			if last, _, err = CountKeyedCtx(context.Background(), pl, fp, SessionFor(b), 0); err != nil {
 				t.Fatal(err)
 			}
 		}

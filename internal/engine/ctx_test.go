@@ -113,7 +113,7 @@ func TestCountInCtxAbortMidRun(t *testing.T) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 
-	want, err := pl.CountIn(SessionFor(b))
+	want, err := pl.CountIn(context.Background(), SessionFor(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestCountKeyedCtxMemoNotPoisoned(t *testing.T) {
 	if hit {
 		t.Fatalf("cancelled entry should have been evicted, got a memo hit")
 	}
-	want, err := pl.CountIn(s)
+	want, err := pl.CountIn(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestCountKeyedCtxHealthyWaiterRetries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("healthy caller err = %v (another caller's deadline leaked)", err)
 	}
-	want, err := pl.CountIn(s)
+	want, err := pl.CountIn(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestPredicateMaterializationDeadlineMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pl.CountIn(NewSession(s.B))
+	want, err := pl.CountIn(context.Background(), NewSession(s.B))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,57 +111,48 @@ type fptDeltaState struct {
 	lens  [][]int    // per component, per constraint; nil when nActive == 0
 }
 
-// countStateIn is the full count that additionally captures the
-// advanceable state for delta-maintainable plans.  Unlike countIn it
-// does not early-exit on a zero component factor: every component's
-// join value must land in the state.
-func (pl *fptPlan) countStateIn(ctx context.Context, s *Session) (*big.Int, any, error) {
-	if !pl.deltaOK || deltaDisabled {
-		v, err := pl.countIn(ctx, s)
-		return v, nil, err
-	}
-	if s.acquirePin() {
-		defer s.releasePin()
-	}
-	if !pl.sig.Equal(s.B.Signature()) {
-		return nil, nil, errSignature(pl.p, s.B)
-	}
-	st := &fptDeltaState{
+// newDeltaState returns an empty state sized to the plan's components.
+func (pl *fptPlan) newDeltaState() *fptDeltaState {
+	return &fptDeltaState{
 		plan:  pl,
 		joins: make([]*big.Int, len(pl.comps)),
 		lens:  make([][]int, len(pl.comps)),
 	}
-	total := big.NewInt(1)
-	for ci, pc := range pl.comps {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-		}
-		j, lens, err := pc.joinState(ctx, s)
-		if err != nil {
-			return nil, nil, err
-		}
-		st.joins[ci] = j
-		st.lens[ci] = lens
-		f := structure.PowerSize(s.B, pc.freeVars)
-		f.Mul(f, j)
-		total.Mul(total, f)
-	}
-	return total, st, nil
 }
 
-// countAdvanceIn advances a previously memoized count to the session's
-// version by telescoped delta-joins.  ok=false with a nil error means
-// the delta path does not apply (plan not maintainable or disabled,
-// foreign or future state, batch over threshold) and the caller should
-// full-recount; a non-nil error (cancellation) is terminal either way.
-func (pl *fptPlan) countAdvanceIn(ctx context.Context, s *Session, prev priorCount) (*big.Int, any, bool, error) {
+// countMaintained is the plan's keyed count: a delta-maintainable plan
+// advances prev (the count the session adopted from the structure's
+// previous version, if any) by the appended rows, or counts in full
+// when there is no prior or the advance does not apply, and either way
+// returns the state the next advance starts from.  Every other plan,
+// and every plan while deltaDisabled, counts in full with no state.
+func (pl *fptPlan) countMaintained(ctx context.Context, s *Session, prev *priorCount) (*big.Int, *fptDeltaState, error) {
 	if !pl.deltaOK || deltaDisabled {
-		return nil, nil, false, nil
+		v, err := pl.countIn(ctx, s, nil)
+		return v, nil, err
 	}
-	st, isState := prev.state.(*fptDeltaState)
-	if !isState || st.plan != pl || len(st.joins) != len(pl.comps) {
+	if prev != nil {
+		if v, st, ok, err := pl.countAdvanceIn(ctx, s, *prev); ok || err != nil {
+			return v, st, err
+		}
+	}
+	st := pl.newDeltaState()
+	v, err := pl.countIn(ctx, s, st)
+	if err != nil {
+		return nil, nil, err
+	}
+	return v, st, nil
+}
+
+// countAdvanceIn advances a previously memoized count of a
+// delta-maintainable plan to the session's version by telescoped
+// delta-joins.  ok=false with a nil error means the delta path does not
+// apply (foreign or future state, batch over threshold) and the caller
+// should full-recount; a non-nil error (cancellation) is terminal either
+// way.
+func (pl *fptPlan) countAdvanceIn(ctx context.Context, s *Session, prev priorCount) (*big.Int, *fptDeltaState, bool, error) {
+	st := prev.state
+	if st == nil || st.plan != pl || len(st.joins) != len(pl.comps) {
 		return nil, nil, false, nil
 	}
 	if !pl.sig.Equal(s.B.Signature()) {
@@ -179,17 +170,11 @@ func (pl *fptPlan) countAdvanceIn(ctx context.Context, s *Session, prev priorCou
 		deltaFullRecounts.Add(1)
 		return nil, nil, false, nil
 	}
-	ns := &fptDeltaState{
-		plan:  pl,
-		joins: make([]*big.Int, len(pl.comps)),
-		lens:  make([][]int, len(pl.comps)),
-	}
+	ns := pl.newDeltaState()
 	total := big.NewInt(1)
 	for ci, pc := range pl.comps {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, true, err
-			}
+		if err := ctx.Err(); err != nil {
+			return nil, nil, true, err
 		}
 		j, lens, ok, err := pc.advanceJoin(ctx, s, dv, st.joins[ci], st.lens[ci])
 		if err != nil {
@@ -261,10 +246,7 @@ func (pc *planComponent) advanceJoin(ctx context.Context, s *Session, dv structu
 		views[key] = [2]*Table{o, d}
 		oldV[i], delV[i] = o, d
 	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
+	done := ctx.Done()
 	delta := new(big.Int)
 	mixed := make([]*Table, k)
 	for i := 0; i < k; i++ {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -60,11 +61,11 @@ func TestDeltaAdvanceDifferential(t *testing.T) {
 		fp := fmt.Sprintf("delta-differential-%d", qi)
 		for step := 0; step < 12; step++ {
 			appendRandomBatch(t, b, rng, step)
-			got, _, err := CountKeyed(pl, fp, SessionFor(b))
+			got, _, err := CountKeyedCtx(context.Background(), pl, fp, SessionFor(b), 0)
 			if err != nil {
 				t.Fatalf("%s step %d: %v", src, step, err)
 			}
-			want, err := pl.CountIn(NewSession(b))
+			want, err := pl.CountIn(context.Background(), NewSession(b))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,11 +73,11 @@ func TestDeltaAdvanceDifferential(t *testing.T) {
 				t.Fatalf("%s step %d: delta-maintained %v != full recount %v", src, step, got, want)
 			}
 		}
-		want, err := ref.Count(b)
+		want, err := ref.CountIn(context.Background(), SessionFor(b))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := CountKeyed(pl, fp, SessionFor(b))
+		got, _, err := CountKeyedCtx(context.Background(), pl, fp, SessionFor(b), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,16 +106,16 @@ func TestDeltaAdvanceUniverseGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := "delta-universe-growth"
-	if _, _, err := CountKeyed(pl, fp, SessionFor(b)); err != nil {
+	if _, _, err := CountKeyedCtx(context.Background(), pl, fp, SessionFor(b), 0); err != nil {
 		t.Fatal(err)
 	}
 	adv := DeltaStats().Advances
 	b.EnsureElem("fresh-element")
-	got, _, err := CountKeyed(pl, fp, SessionFor(b))
+	got, _, err := CountKeyedCtx(context.Background(), pl, fp, SessionFor(b), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pl.CountIn(NewSession(b))
+	want, err := pl.CountIn(context.Background(), NewSession(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestDeltaThresholdFallback(t *testing.T) {
 	}
 	b := workload.RandomStructure(sig, 5, 0.4, 3)
 	fp := "delta-threshold-fallback"
-	if _, _, err := CountKeyed(pl, fp, SessionFor(b)); err != nil {
+	if _, _, err := CountKeyedCtx(context.Background(), pl, fp, SessionFor(b), 0); err != nil {
 		t.Fatal(err)
 	}
 	full := DeltaStats().FullRecounts
@@ -152,11 +153,11 @@ func TestDeltaThresholdFallback(t *testing.T) {
 			t.Fatal("could not grow the random structure")
 		}
 	}
-	got, _, err := CountKeyed(pl, fp, SessionFor(b))
+	got, _, err := CountKeyedCtx(context.Background(), pl, fp, SessionFor(b), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pl.CountIn(NewSession(b))
+	want, err := pl.CountIn(context.Background(), NewSession(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,16 +185,16 @@ func TestDeltaDisabledRecounts(t *testing.T) {
 	b := workload.RandomStructure(sig, 5, 0.4, 5)
 	fp := "delta-disabled"
 	adv := DeltaStats().Advances
-	if _, _, err := CountKeyed(pl, fp, SessionFor(b)); err != nil {
+	if _, _, err := CountKeyedCtx(context.Background(), pl, fp, SessionFor(b), 0); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
 	appendRandomBatch(t, b, rng, 0)
-	got, _, err := CountKeyed(pl, fp, SessionFor(b))
+	got, _, err := CountKeyedCtx(context.Background(), pl, fp, SessionFor(b), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pl.CountIn(NewSession(b))
+	want, err := pl.CountIn(context.Background(), NewSession(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestAdvanceableMemosFreedWithSessions(t *testing.T) {
 	var structs []*structure.Structure
 	for i := 0; i < sessionCacheCap+8; i++ {
 		b := workload.RandomStructure(sig, 5, 0.4, int64(i))
-		if _, _, err := CountKeyed(pl, "delta-leak", SessionFor(b)); err != nil {
+		if _, _, err := CountKeyedCtx(context.Background(), pl, "delta-leak", SessionFor(b), 0); err != nil {
 			t.Fatal(err)
 		}
 		structs = append(structs, b)

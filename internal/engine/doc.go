@@ -5,7 +5,13 @@
 //   - the Plan IR layer: compiling a pp-formula once into an executable
 //     Plan — every engine (brute, projection, FPT with or without core,
 //     auto) is a Plan behind the same interface, so callers never
-//     switch-dispatch on engine names.  Plans are memoized per formula
+//     switch-dispatch on engine names.  A plan is entered one way,
+//     Plan.CountIn(ctx, session), and the package has two ways in:
+//     CountInCtx (the plan, in a session) and CountKeyedCtx (the same
+//     through the session's per-fingerprint count memo, which is where
+//     delta maintenance happens).  The context is never nil; callers
+//     with nothing to cancel pass context.Background(), which costs
+//     nothing.  Plans are memoized per formula
 //     identity (Compile) and per canonical counting-class fingerprint
 //     (CompileKeyed): counting-equivalent terms — across inclusion–
 //     exclusion expansions, Counters, and batches — share one plan.
@@ -53,8 +59,8 @@
 //     key sets, the root bag's projection onto the interface is the
 //     answer, and below the depth at which a node's output key is bound
 //     the enumeration stops at the first witness (cut in enumerate);
-//   - the Session layer (session.go): per-structure state — fingerprint,
-//     atom tables materialized straight off the columnar relation
+//   - the Session layer (session.go): per-structure state — atom
+//     tables materialized straight off the columnar relation
 //     stores, predicate tables materialized by a nested executor run
 //     over those atom tables (one-shot: its pruned copies, indexes and
 //     bind plan live in a scratch arena returned before the rows are
@@ -84,16 +90,20 @@
 // table grew, over zero-copy prefix/suffix views of the new session
 // tables (old tables are row prefixes, by the stores' insertion-order
 // materialization) — and re-stamps the memo, at a cost proportional to
-// the appended rows.  Plans opt in at compile time (deltaOK: every
-// component a quantifier-free join over atoms); oversized deltas
+// the appended rows.  Which plans are maintained is decided at compile
+// time (fptPlan.deltaOK: every component a quantifier-free join over
+// atoms) and the state a count leaves for the next advance is a
+// concrete *fptDeltaState, captured by the plan's one full-count loop
+// (fptPlan.countIn); oversized deltas
 // (more than deltaMinRows appended tuples and more than deltaMaxPct
 // percent of the structure) and foreign or rewound snapshots fall back
 // to a full recount that re-captures fresh state.  DeltaStats counts
 // advances vs fallbacks; priors live inside sessions, so eviction frees
 // them.
 //
-// Execution is cancellable: CountInCtx / CountKeyedCtx / RunBoundedCtx
-// thread a context through every engine, and the join-count DP polls it
+// Execution is cancellable: every plan's CountIn takes the context, the
+// simple engines poll it per enumerated assignment, and the join-count
+// DP polls it
 // at pivot-row and emission granularity (dpRun.cancelled) — in the
 // nested predicate runs too — so a serving layer's per-request deadline
 // stops CPU consumption within a bounded amount of work.  A cancelled

@@ -67,82 +67,66 @@ func Names() []Name { return []Name{Auto, Brute, Projection, FPT, FPTNoCore} }
 
 // Plan is a pp-formula compiled for a fixed engine: all formula-dependent
 // work (cores, ∃-components, tree decompositions, constraint schemes) is
-// done at compile time, so Count only performs structure-dependent work.
-// Plans are immutable after compilation and safe for concurrent use.
+// done at compile time, so CountIn only performs structure-dependent
+// work.  Plans are immutable after compilation and safe for concurrent
+// use.
 type Plan interface {
 	// Engine returns the engine the plan was compiled for.
 	Engine() Name
 	// Formula returns the compiled pp-formula.
 	Formula() pp.PP
-	// Count executes the plan against a structure, using a shared Session
-	// for the structure-dependent materializations.
-	Count(b *structure.Structure) (*big.Int, error)
-	// CountIn executes the plan inside an existing session (the structure
-	// is the session's); materialized tables are reused and extended.
-	CountIn(s *Session) (*big.Int, error)
+	// CountIn executes the plan inside a session (the structure is the
+	// session's; materialized tables are reused and extended), polling
+	// ctx while it runs and returning ctx's error once it fires, partial
+	// work discarded.  ctx is never nil; one that can never be cancelled
+	// costs nothing — the polling engages only when ctx.Done() is non-nil.
+	CountIn(ctx context.Context, s *Session) (*big.Int, error)
 }
 
-// CountInCtx runs the plan inside a session under a context: plans that
-// support cooperative cancellation (all built-in engines do) poll ctx
-// while executing and return its error once it fires, discarding partial
-// work.  A ctx that can never be cancelled adds zero overhead — the
-// executor's polling engages only when ctx.Done() is non-nil.
-// Cancellation is cooperative and approximate: a count that completes
-// just as ctx fires may still be returned.
+// CountInCtx runs the plan inside a session under a context (see
+// Plan.CountIn); an already-fired ctx is refused before the plan is
+// entered.  Cancellation is cooperative and approximate: a count that
+// completes just as ctx fires may still be returned.
 //
 // The trailing int is retired and read by nothing: it was the per-call
 // worker budget of the parallel executor, and stays only because
 // benchmark/ladder.go, frozen outside benchmark PRs, still passes it.
 func CountInCtx(ctx context.Context, pl Plan, s *Session, _ int) (*big.Int, error) {
-	return countInCtx(ctx, pl, s)
-}
-
-func countInCtx(ctx context.Context, pl Plan, s *Session) (*big.Int, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return pl.CountIn(s)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if cp, ok := pl.(interface {
-		CountInCtx(context.Context, *Session) (*big.Int, error)
-	}); ok {
-		return cp.CountInCtx(ctx, s)
-	}
-	return pl.CountIn(s)
+	return pl.CountIn(ctx, s)
 }
 
-// CountKeyed executes the plan inside the session, memoizing the result
-// under the canonical counting-class fingerprint when one is present
-// (fp != ""): each unique class executes at most once per (session,
-// structure-version), no matter how many terms, repeated counts,
-// Counters, or batch workers ask.  The bool reports a memo hit (always
-// false for fp == "").  The returned value is shared — callers must
-// treat it as read-only.
-func CountKeyed(pl Plan, fp string, s *Session) (*big.Int, bool, error) {
-	return CountKeyedCtx(context.Background(), pl, fp, s, 0)
-}
-
-// CountKeyedCtx is CountKeyed under a context (the trailing int is
-// retired, as on CountInCtx).  A memo entry whose computation ended in a
-// cancellation error is evicted immediately (countMemoState), so one
-// cancelled request never poisons the fingerprint's count for later
-// callers.  A caller that parked on another request's
-// computation and received that request's cancellation error retries
-// while its own context is still alive — a short-deadline client must
-// never surface its timeout to a concurrent client with a healthy
-// deadline.  Each retry lands on a fresh entry (the cancelled one was
-// evicted) computed under a live context, so the loop terminates once
-// this caller either computes the count itself or its own ctx fires.
-// A keyed count against a delta-capable plan (deltaPlan, currently the
-// FPT family) is maintained incrementally across append batches: when
-// the session adopted a prior for the fingerprint from the structure's
-// previous version, the plan advances it by the appended delta instead
-// of recounting, and every successful count leaves behind the state the
+// CountKeyedCtx executes the plan inside the session, memoizing the
+// result under the canonical counting-class fingerprint when one is
+// present (fp != ""): each unique class executes at most once per
+// (session, structure-version), no matter how many terms, repeated
+// counts, Counters, or batch workers ask.  The bool reports a memo hit
+// (always false for fp == "").  The returned value is shared — callers
+// must treat it as read-only.  The trailing int is retired, as on
+// CountInCtx.
+//
+// A memo entry whose computation ended in a cancellation error is
+// evicted immediately (countMemoState), so one cancelled request never
+// poisons the fingerprint's count for later callers.  A caller that
+// parked on another request's computation and received that request's
+// cancellation error retries while its own context is still alive — a
+// short-deadline client must never surface its timeout to a concurrent
+// client with a healthy deadline.  Each retry lands on a fresh entry
+// (the cancelled one was evicted) computed under a live context, so the
+// loop terminates once this caller either computes the count itself or
+// its own ctx fires.
+//
+// A keyed count against a delta-maintainable plan (fptPlan.deltaOK) is
+// maintained incrementally across append batches: when the session
+// adopted a prior for the fingerprint from the structure's previous
+// version, the plan advances it by the appended delta instead of
+// recounting, and every successful count leaves behind the state the
 // next advance starts from (delta.go).
 func CountKeyedCtx(ctx context.Context, pl Plan, fp string, s *Session, _ int) (*big.Int, bool, error) {
 	if fp == "" {
-		v, err := countInCtx(ctx, pl, s)
+		v, err := CountInCtx(ctx, pl, s, 0)
 		return v, false, err
 	}
 	// Memo-warm fast path: a settled fingerprint returns its shared value
@@ -150,34 +134,20 @@ func CountKeyedCtx(ctx context.Context, pl Plan, fp string, s *Session, _ int) (
 	if v, ok := s.countMemoHit(fp, pl.Engine()); ok {
 		return v, true, nil
 	}
-	dp, _ := pl.(deltaPlan)
+	maintained, _ := pl.(*fptPlan)
 	for {
-		v, hit, err := s.countMemoState(ctx, fp, pl.Engine(), func(prev *priorCount) (*big.Int, any, error) {
-			if dp == nil {
-				v, err := countInCtx(ctx, pl, s)
-				return v, nil, err
+		v, hit, err := s.countMemoState(ctx, fp, pl.Engine(), func(prev *priorCount) (*big.Int, *fptDeltaState, error) {
+			if maintained != nil {
+				return maintained.countMaintained(ctx, s, prev)
 			}
-			if prev != nil {
-				if v, st, ok, err := dp.countAdvanceIn(ctx, s, *prev); ok || err != nil {
-					return v, st, err
-				}
-			}
-			return dp.countStateIn(ctx, s)
+			v, err := CountInCtx(ctx, pl, s, 0)
+			return v, nil, err
 		})
-		if err != nil && isCancellation(err) && (ctx == nil || ctx.Err() == nil) {
+		if err != nil && isCancellation(err) && ctx.Err() == nil {
 			continue
 		}
 		return v, hit, err
 	}
-}
-
-// deltaPlan is the optional plan capability behind incremental count
-// maintenance: a full count that captures advanceable state, and an
-// advance that rolls a prior count forward across an append delta
-// (ok=false: not applicable, caller recounts).
-type deltaPlan interface {
-	countStateIn(ctx context.Context, s *Session) (*big.Int, any, error)
-	countAdvanceIn(ctx context.Context, s *Session, prev priorCount) (*big.Int, any, bool, error)
 }
 
 // isCancellation reports whether err stems from a context firing.

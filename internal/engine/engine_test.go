@@ -59,7 +59,7 @@ func TestAllEnginesAgreeViaPlanInterface(t *testing.T) {
 		}
 		for seed := int64(0); seed < 6; seed++ {
 			b := workload.RandomStructure(sig, 4, 0.35, seed)
-			want, err := ref.Count(b)
+			want, err := ref.CountIn(context.Background(), SessionFor(b))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +71,7 @@ func TestAllEnginesAgreeViaPlanInterface(t *testing.T) {
 				if pl.Engine() != name {
 					t.Fatalf("plan engine = %v, want %v", pl.Engine(), name)
 				}
-				got, err := pl.Count(b)
+				got, err := pl.CountIn(context.Background(), SessionFor(b))
 				if err != nil {
 					t.Fatalf("%s engine %v: %v", src, name, err)
 				}
@@ -100,12 +100,12 @@ func TestPackedAndSpillKeysAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			packed, err := pl.Count(b)
+			packed, err := pl.CountIn(context.Background(), SessionFor(b))
 			if err != nil {
 				t.Fatal(err)
 			}
 			restore := ForcePackedKeyBudget(0)
-			spilled, err := pl.Count(b)
+			spilled, err := pl.CountIn(context.Background(), SessionFor(b))
 			restore()
 			if err != nil {
 				t.Fatal(err)
@@ -217,7 +217,7 @@ func TestExecutorBigIntFallbackEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pl.Count(b)
+	got, err := pl.CountIn(context.Background(), SessionFor(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,15 +245,14 @@ func TestSessionReuseAndInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := pl.CountIn(s1)
+	before, err := pl.CountIn(context.Background(), s1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(s1.tables) == 0 {
 		t.Fatal("counting materialized no tables in the session")
 	}
-	fp1 := s1.Fingerprint()
-	if !s1.Valid() {
+	if s1.version != b.Version() {
 		t.Fatal("session should be valid before mutation")
 	}
 
@@ -262,17 +261,14 @@ func TestSessionReuseAndInvalidation(t *testing.T) {
 	if err := b.AddTuple("E", 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if s1.Valid() {
+	if s1.version == b.Version() {
 		t.Fatal("session should be stale after mutation")
 	}
 	s3 := SessionFor(b)
 	if s3 == s1 {
 		t.Fatal("stale session must be replaced")
 	}
-	if s3.Fingerprint() == fp1 {
-		t.Fatal("fingerprint should change when tuples change")
-	}
-	after, err := pl.CountIn(s3)
+	after, err := pl.CountIn(context.Background(), s3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestScratchPoolReuseAcrossWidthsWithSpill(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, err := pl.Count(b)
+			v, err := pl.CountIn(context.Background(), SessionFor(b))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestScratchPoolReuseAcrossWidthsWithSpill(t *testing.T) {
 			}
 			// Fresh session: the cached exec plan of the packed run was
 			// built under the packed budget; the spill path needs its own.
-			v, err := pl.CountIn(NewSession(b))
+			v, err := pl.CountIn(context.Background(), NewSession(b))
 			if err != nil {
 				restore()
 				t.Fatal(err)
@@ -128,7 +128,7 @@ func TestCountInEmptyUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pl.CountIn(NewSession(structure.New(sig)))
+	got, err := pl.CountIn(context.Background(), NewSession(structure.New(sig)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCountRunsOnTheCallersGoroutine(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewSession(workload.GraphStructure(workload.ER(200, 6.0/200, 7)))
-	want, err := pl.CountIn(s) // materializes tables, binds the plan
+	want, err := pl.CountIn(context.Background(), s) // materializes tables, binds the plan
 	if err != nil {
 		t.Fatal(err)
 	}

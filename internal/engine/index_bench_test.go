@@ -39,8 +39,8 @@ func BenchmarkIndexProbe_OpenAddr(b *testing.B) {
 	_ = sink
 }
 
-// The replaced map[uint64][]int32 path, kept as the bench-compare
-// reference for the probe microbenchmark.
+// The replaced map[uint64][]int32 path, kept as the reference the probe
+// microbenchmark reads against.
 func BenchmarkIndexProbe_MapRef(b *testing.B) {
 	tb, pos, keys := benchIndexSetup(b)
 	ref := buildMapIndexRef(tb, pos)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -99,6 +100,15 @@ func TestPrefixIndexDifferentialVsMapReference(t *testing.T) {
 			if got := ix.probe(k); len(got) != 0 {
 				t.Fatalf("trial %d: probe(absent %d) = %v, want empty", trial, k, got)
 			}
+		}
+		// Every bound-prefix step of the executor goes through probe, or
+		// through lookup (pack, then probe): neither may allocate.
+		vals := make([]int, len(pos))
+		if avg := testing.AllocsPerRun(20, func() {
+			_ = ix.probe(rng.Uint64())
+			_ = ix.lookup(vals, nil)
+		}); avg != 0 {
+			t.Fatalf("trial %d: probe + lookup allocate %.2f objects, want 0", trial, avg)
 		}
 	}
 }
@@ -240,11 +250,11 @@ func TestExecutorEdgeShapesDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := brute.Count(b)
+			want, err := brute.CountIn(context.Background(), SessionFor(b))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := fpt.CountIn(NewSession(b))
+			got, err := fpt.CountIn(context.Background(), NewSession(b))
 			if err != nil {
 				t.Fatal(err)
 			}

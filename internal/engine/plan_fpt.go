@@ -393,37 +393,27 @@ func (pc *planComponent) compileNodes() {
 func (pl *fptPlan) Engine() Name   { return pl.name }
 func (pl *fptPlan) Formula() pp.PP { return pl.p }
 
-// Count executes the plan against a structure via an ephemeral or cached
-// session (see SessionFor).
-func (pl *fptPlan) Count(b *structure.Structure) (*big.Int, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	return pl.CountIn(SessionFor(b))
-}
-
 // CountIn executes the plan inside a session, reusing any constraint
-// tables already materialized there.
-func (pl *fptPlan) CountIn(s *Session) (*big.Int, error) {
-	return pl.countIn(nil, s)
-}
-
-// CountInCtx is CountIn under a context: the join-count DP — the
+// tables already materialized there.  The join-count DP — the
 // component's own and the nested runs that materialize its ∃-component
 // predicate tables — polls ctx at pivot-row and emission granularity and
 // aborts with ctx's error once it fires (partial work discarded, no
 // table cached).  Sentence checks and atom-table projection are not
 // interruptible; cancellation latency is bounded by the largest of those
 // steps.
-func (pl *fptPlan) CountInCtx(ctx context.Context, s *Session) (*big.Int, error) {
-	return pl.countIn(ctx, s)
+func (pl *fptPlan) CountIn(ctx context.Context, s *Session) (*big.Int, error) {
+	return pl.countIn(ctx, s, nil)
 }
 
-// countIn is the shared implementation; ctx may be nil (never cancels).
-// The whole count runs under a session pin: the tables and prefix
-// indexes it reads live in the session's arena, and the pin keeps those
-// chunks out of the recycling pools until the executor window closes.
-func (pl *fptPlan) countIn(ctx context.Context, s *Session) (*big.Int, error) {
+// countIn is the plan's one full count: the product of the component
+// values.  A non-nil st (sized to the plan, see countMaintained)
+// captures every component's join value and table row counts — the state
+// a later delta advance starts from — so the count then runs every
+// component; without it a zero factor ends the count early.  The whole
+// count runs under a session pin: the tables and prefix indexes it reads
+// live in the session's arena, and the pin keeps those chunks out of the
+// recycling pools until the executor window closes.
+func (pl *fptPlan) countIn(ctx context.Context, s *Session, st *fptDeltaState) (*big.Int, error) {
 	if s.acquirePin() {
 		defer s.releasePin()
 	}
@@ -432,17 +422,17 @@ func (pl *fptPlan) countIn(ctx context.Context, s *Session) (*big.Int, error) {
 		return nil, errSignature(pl.p, b)
 	}
 	total := big.NewInt(1)
-	for _, pc := range pl.comps {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+	for ci, pc := range pl.comps {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		f, err := pc.count(ctx, s)
+		f, join, lens, err := pc.count(ctx, s)
 		if err != nil {
 			return nil, err
 		}
-		if f.Sign() == 0 {
+		if st != nil {
+			st.joins[ci], st.lens[ci] = join, lens
+		} else if f.Sign() == 0 {
 			return new(big.Int), nil
 		}
 		total.Mul(total, f)
@@ -450,28 +440,28 @@ func (pl *fptPlan) countIn(ctx context.Context, s *Session) (*big.Int, error) {
 	return total, nil
 }
 
-func (pc *planComponent) count(ctx context.Context, s *Session) (*big.Int, error) {
+// count returns the component's value |B|^free × J and, for a liberal
+// component, its join count J with the per-constraint table row counts
+// joinState reports (nil for a sentence component or a failed sentence
+// check, which no delta-maintainable plan has).
+func (pc *planComponent) count(ctx context.Context, s *Session) (f, join *big.Int, lens []int, err error) {
 	if pc.sentence {
 		if s.SentenceHolds(pc.structureOnly) {
-			return big.NewInt(1), nil
+			return big.NewInt(1), nil, nil, nil
 		}
-		return new(big.Int), nil
+		return new(big.Int), nil, nil, nil
 	}
 	for _, sub := range pc.extraSentences {
 		if !s.SentenceHolds(sub) {
-			return new(big.Int), nil
+			return new(big.Int), nil, nil, nil
 		}
 	}
-	result := structure.PowerSize(s.B, pc.freeVars)
-	if pc.nActive == 0 {
-		return result, nil
-	}
-	joined, _, err := pc.joinState(ctx, s)
+	join, lens, err = pc.joinState(ctx, s)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	result.Mul(result, joined)
-	return result, nil
+	f = structure.PowerSize(s.B, pc.freeVars)
+	return f.Mul(f, join), join, lens, nil
 }
 
 // joinState computes the component's join count over the session's
@@ -483,10 +473,7 @@ func (pc *planComponent) joinState(ctx context.Context, s *Session) (*big.Int, [
 	if pc.nActive == 0 {
 		return big.NewInt(1), nil, nil
 	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
+	done := ctx.Done()
 	tables := make([]*Table, len(pc.constraints))
 	lens := make([]int, len(pc.constraints))
 	for ci := range pc.constraints {
@@ -515,10 +502,8 @@ func (pc *planComponent) joinState(ctx context.Context, s *Session) (*big.Int, [
 // defaulting to context.Canceled in the (unreachable in practice) case
 // where the context reports none.
 func ctxAbortErr(ctx context.Context) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	return context.Canceled
 }

@@ -15,17 +15,11 @@ import (
 // unit of work here is a full homomorphism/extendability check — far
 // more expensive than a non-blocking channel poll — so cancellation
 // latency stays one check, not thousands.  The verdict latches; a nil
-// done channel makes every call a single comparison.
+// done channel (an uncancellable context) makes every call a single
+// comparison.
 type cancelPoll struct {
 	done <-chan struct{}
 	hit  bool
-}
-
-func newCancelPoll(ctx context.Context) *cancelPoll {
-	if ctx == nil {
-		return &cancelPoll{}
-	}
-	return &cancelPoll{done: ctx.Done()}
 }
 
 func (c *cancelPoll) cancelled() bool {
@@ -53,22 +47,13 @@ type brutePlan struct {
 func (pl *brutePlan) Engine() Name   { return Brute }
 func (pl *brutePlan) Formula() pp.PP { return pl.p }
 
-func (pl *brutePlan) Count(b *structure.Structure) (*big.Int, error) {
-	if err := checkStructure(pl.p, b); err != nil {
-		return nil, err
-	}
-	return pl.count(b, &cancelPoll{}), nil
-}
-
-func (pl *brutePlan) CountIn(s *Session) (*big.Int, error) { return pl.Count(s.B) }
-
-// CountInCtx polls ctx once per enumerated liberal assignment (before
-// each extendability check) and aborts with ctx's error when it fires.
-func (pl *brutePlan) CountInCtx(ctx context.Context, s *Session) (*big.Int, error) {
+// CountIn polls ctx once per enumerated liberal assignment (before each
+// extendability check) and aborts with ctx's error when it fires.
+func (pl *brutePlan) CountIn(ctx context.Context, s *Session) (*big.Int, error) {
 	if err := checkStructure(pl.p, s.B); err != nil {
 		return nil, err
 	}
-	poll := newCancelPoll(ctx)
+	poll := &cancelPoll{done: ctx.Done()}
 	v := pl.count(s.B, poll)
 	if poll.hit {
 		return nil, ctxAbortErr(ctx)
@@ -125,22 +110,13 @@ func newProjectionPlan(p pp.PP) *projectionPlan {
 func (pl *projectionPlan) Engine() Name   { return Projection }
 func (pl *projectionPlan) Formula() pp.PP { return pl.p }
 
-func (pl *projectionPlan) Count(b *structure.Structure) (*big.Int, error) {
-	if err := checkStructure(pl.p, b); err != nil {
-		return nil, err
-	}
-	return pl.count(b, &cancelPoll{}), nil
-}
-
-func (pl *projectionPlan) CountIn(s *Session) (*big.Int, error) { return pl.Count(s.B) }
-
-// CountInCtx polls ctx between components and once per enumerated
+// CountIn polls ctx between components and once per enumerated
 // extendable assignment, aborting with ctx's error when it fires.
-func (pl *projectionPlan) CountInCtx(ctx context.Context, s *Session) (*big.Int, error) {
+func (pl *projectionPlan) CountIn(ctx context.Context, s *Session) (*big.Int, error) {
 	if err := checkStructure(pl.p, s.B); err != nil {
 		return nil, err
 	}
-	poll := newCancelPoll(ctx)
+	poll := &cancelPoll{done: ctx.Done()}
 	v := pl.count(s.B, poll)
 	if poll.hit {
 		return nil, ctxAbortErr(ctx)
@@ -178,7 +154,7 @@ func (pl *projectionPlan) count(b *structure.Structure, poll *cancelPoll) *big.I
 }
 
 // checkStructure validates the structure and its signature against the
-// plan's formula; shared by every engine.
+// plan's formula; shared by the simple engines.
 func checkStructure(p pp.PP, b *structure.Structure) error {
 	if err := b.Validate(); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -253,7 +254,7 @@ func TestWideComponentStopsAtFirstWitness(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	got, err := pl.CountIn(NewSession(b))
+	got, err := pl.CountIn(context.Background(), NewSession(b))
 	if err != nil {
 		t.Fatal(err)
 	}

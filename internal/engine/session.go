@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"hash/fnv"
 	"math/big"
 	"sort"
 	"strconv"
@@ -15,12 +14,11 @@ import (
 )
 
 // Session is the per-structure state of the counting pipeline: the
-// structure's fingerprint (computed lazily, once), the materialized
-// constraint tables, cached sentence checks, and cached semi-join prune
-// results.  One session serves every φ⁻af term of a compiled query,
-// repeated Count calls, and batched counting — each distinct constraint
-// scheme is materialized against the structure exactly once.  Sessions
-// are safe for concurrent use.
+// materialized constraint tables, cached sentence checks, and cached
+// semi-join prune results.  One session serves every φ⁻af term of a
+// compiled query, repeated Count calls, and batched counting — each
+// distinct constraint scheme is materialized against the structure
+// exactly once.  Sessions are safe for concurrent use.
 //
 // The memo maps are keyed partly by compile-time pointers (bound plans by
 // component, sentence checks by sub-structure; tables are keyed
@@ -33,8 +31,6 @@ type Session struct {
 
 	version uint64
 	snap    structure.Snapshot
-	fpOnce  sync.Once
-	fp      uint64
 
 	// ar backs the session's table rows and prefix-index slots with
 	// pooled chunks (arena.go).  pins is the reference count guarding
@@ -61,12 +57,12 @@ type Session struct {
 }
 
 // priorCount is one adopted count: its value, the snapshot of the
-// structure extent it was computed at, and the plan's opaque
-// advanceable state.  All fields are read-only once installed.
+// structure extent it was computed at, and the plan's advanceable
+// state.  All fields are read-only once installed.
 type priorCount struct {
 	v     *big.Int
 	snap  structure.Snapshot
-	state any
+	state *fptDeltaState
 }
 
 // countKey identifies a memoized term count: the canonical counting-
@@ -82,14 +78,15 @@ type countKey struct {
 // computation and closes ch when it finishes, duplicate requests wait on
 // ch (or their own context — a deadlined waiter unblocks without the
 // driver) while distinct fingerprints compute concurrently.  state is
-// the plan's opaque advanceable state (nil for plans without delta
-// support); done flips true only after a successful computation, so a
-// concurrent settledCounts can adopt v/state safely (the atomic store
-// orders the writes before any reader that observes done).
+// the plan's advanceable state (nil unless the plan is
+// delta-maintainable); done flips true only after a successful
+// computation, so a concurrent settledCounts can adopt v/state safely
+// (the atomic store orders the writes before any reader that observes
+// done).
 type countEntry struct {
 	ch    chan struct{}
 	v     *big.Int
-	state any
+	state *fptDeltaState
 	err   error
 	done  atomic.Bool
 }
@@ -211,17 +208,18 @@ func (s *Session) countMemoHit(fp string, name Name) (*big.Int, bool) {
 // ask for it — the per-(session, structure-version) count cache of the
 // interned pipeline.  The returned value is shared: callers must treat
 // it as read-only.  The bool reports a cache hit.  The compute
-// function receives the count's adopted prior (value, snapshot, opaque
+// function receives the count's adopted prior (value, snapshot,
 // advanceable state from the structure's previous session) when one
-// exists, so a delta-capable plan can advance it instead of recounting;
-// it returns the new value plus the state a future advance starts from.
+// exists, so a delta-maintainable plan can advance it instead of
+// recounting; it returns the new value plus the state a future advance
+// starts from.
 //
 // The installing caller becomes the driver; duplicate callers park on
 // the entry.  A parked caller whose own ctx fires returns its ctx error
 // immediately instead of riding out the driver's computation — a
 // serving request's deadline bounds its wait even when another request
-// owns the compute (nil ctx waits indefinitely).
-func (s *Session) countMemoState(ctx context.Context, fp string, name Name, f func(prev *priorCount) (*big.Int, any, error)) (*big.Int, bool, error) {
+// owns the compute.
+func (s *Session) countMemoState(ctx context.Context, fp string, name Name, f func(prev *priorCount) (*big.Int, *fptDeltaState, error)) (*big.Int, bool, error) {
 	key := countKey{fp: fp, name: name}
 	s.mu.Lock()
 	e := s.counts[key]
@@ -259,58 +257,12 @@ func (s *Session) countMemoState(ctx context.Context, fp string, name Name, f fu
 		return e.v, hit, e.err
 	}
 	s.mu.Unlock()
-	if ctx != nil {
-		select {
-		case <-e.ch:
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
-	} else {
-		<-e.ch
+	select {
+	case <-e.ch:
+	case <-ctx.Done():
+		return nil, true, ctx.Err()
 	}
 	return e.v, hit, e.err
-}
-
-// Fingerprint returns the FNV-1a hash of the structure's universe and
-// tuples, computed lazily on first use (a full pass over the structure)
-// and cached for the session's lifetime.
-func (s *Session) Fingerprint() uint64 {
-	s.fpOnce.Do(func() { s.fp = fingerprint(s.B) })
-	return s.fp
-}
-
-// Valid reports whether the structure is unchanged since the session was
-// created (sessions must be discarded after mutation).
-func (s *Session) Valid() bool { return s.B.Version() == s.version }
-
-func fingerprint(b *structure.Structure) uint64 {
-	h := fnv.New64a()
-	var sz [8]byte
-	for i, u := 0, uint64(b.Size()); i < 8; i++ {
-		sz[i] = byte(u >> (8 * i))
-	}
-	h.Write(sz[:])
-	// Hash column-major straight off the relation stores, flushing in
-	// chunks: one Write per ~1k values instead of one per value.
-	buf := make([]byte, 0, 4096)
-	for _, r := range b.Signature().Rels() {
-		h.Write([]byte(r.Name))
-		rel := b.Rel(r.Name)
-		for p := 0; p < r.Arity; p++ {
-			for _, v := range rel.Col(p) {
-				buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-				if len(buf) >= 4096-4 {
-					h.Write(buf)
-					buf = buf[:0]
-				}
-			}
-		}
-		if len(buf) > 0 {
-			h.Write(buf)
-			buf = buf[:0]
-		}
-	}
-	return h.Sum64()
 }
 
 // SentenceHolds reports whether sub maps homomorphically into the
@@ -602,8 +554,8 @@ func SessionStats() SessionCacheStats {
 }
 
 // SessionFor returns the cached session of b, creating (or replacing a
-// stale) one as needed.  NewSession is cheap (fingerprinting and all
-// materialization are lazy), so the whole lookup runs under the
+// stale) one as needed.  NewSession is cheap (all materialization is
+// lazy), so the whole lookup runs under the
 // registry lock.
 //
 // Replacing a stale session carries its settled advanceable counts into

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/hom"
@@ -41,7 +42,7 @@ func benchMaterializeFresh(b *testing.B, src string, n int, avgDeg float64) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := NewSession(bs)
-		if _, err := pl.CountIn(s); err != nil {
+		if _, err := pl.CountIn(context.Background(), s); err != nil {
 			b.Fatal(err)
 		}
 	}

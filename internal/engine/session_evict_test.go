@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestSessionForReplacesStaleSession(t *testing.T) {
 	if s1 == s2 {
 		t.Fatal("stale session not replaced after mutation")
 	}
-	if !s2.Valid() || s1.Valid() {
+	if s2.version != b.Version() || s1.version == b.Version() {
 		t.Fatal("validity flags wrong after mutation")
 	}
 	ReleaseSession(b)
@@ -102,7 +103,7 @@ func TestPredicateCountHoldsOneArenaChunk(t *testing.T) {
 	b := workload.RandomStructure(sig, 120, 8.0/120, 20160626)
 	base := ArenaChunksLive()
 	s := NewSession(b)
-	if _, err := pl.CountIn(s); err != nil {
+	if _, err := pl.CountIn(context.Background(), s); err != nil {
 		t.Fatal(err)
 	}
 	if held := ArenaChunksLive() - base; held != 1 {

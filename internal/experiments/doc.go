@@ -5,7 +5,7 @@
 // results, so that `cmd/epbench` (and the root benchmarks) can
 // regenerate "the paper's numbers": who wins, by what factor, and where
 // the asymptotic shape shows.  Every table self-validates (the OK column
-// aggregates exact cross-checks) and renders as text, CSV, or JSON.
+// aggregates exact cross-checks) and renders as text or JSON.
 // Service performance — throughput and latency, delta maintenance,
 // durability, the cluster, the sampler on the hard side of the
 // trichotomy — is the repository benchmark's job (go run ./benchmark),

@@ -38,33 +38,6 @@ func (t *Table) JSON(elapsed time.Duration) ([]byte, error) {
 	}, "", "  ")
 }
 
-// CSV renders the table as comma-separated values (quotes around cells
-// containing commas), for plotting the series externally.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	cells := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		cells[i] = esc(c)
-	}
-	b.WriteString(strings.Join(cells, ","))
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		cells = cells[:0]
-		for _, c := range r {
-			cells = append(cells, esc(c))
-		}
-		b.WriteString(strings.Join(cells, ","))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // Render prints the table in aligned plain text.
 func (t *Table) Render() string {
 	var b strings.Builder

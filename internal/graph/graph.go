@@ -41,9 +41,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return g.adj[u][v]
 }
 
-// Degree returns the degree of v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
-
 // Neighbors returns the sorted neighbor list of v.
 func (g *Graph) Neighbors(v int) []int {
 	out := make([]int, 0, len(g.adj[v]))

@@ -37,9 +37,6 @@ func TestBasics(t *testing.T) {
 	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) || g.HasEdge(0, 2) {
 		t.Fatal("HasEdge wrong")
 	}
-	if g.Degree(1) != 2 {
-		t.Fatalf("deg(1) = %d", g.Degree(1))
-	}
 	if n := g.Neighbors(1); len(n) != 2 || n[0] != 0 || n[1] != 2 {
 		t.Fatalf("neighbors = %v", n)
 	}

@@ -24,7 +24,6 @@ type Sampler struct {
 	s    *solver
 	proj []int
 	dom0 []bitset
-	maxW float64
 	zero bool
 	// total: proj covers every element of A and there is no injectivity
 	// group, so a draw that survives propagation is a homomorphism (all
@@ -49,10 +48,8 @@ func newSampler(s *solver, proj []int) *Sampler {
 		return sp
 	}
 	sp.dom0 = dom
-	sp.maxW = 1
 	liberal := make([]bool, s.nA)
 	for _, v := range sp.proj {
-		sp.maxW *= float64(dom[v].count())
 		liberal[v] = true
 	}
 	sp.total = s.allDiff == nil
@@ -65,16 +62,6 @@ func newSampler(s *solver, proj []int) *Sampler {
 // ExactZero reports whether the initial propagation proved |φ(B)| = 0,
 // in which case Sample always returns 0 and the zero is exact.
 func (sp *Sampler) ExactZero() bool { return sp.zero }
-
-// MaxWeight returns an upper bound on the value any single Sample draw
-// can return: the product of the liberal variables' initial propagated
-// domain sizes (domains only shrink as variables are fixed).
-func (sp *Sampler) MaxWeight() float64 {
-	if sp.zero {
-		return 0
-	}
-	return sp.maxW
-}
 
 // Sample performs one draw and returns its importance weight: the
 // product of the domain sizes seen while fixing the liberal variables if

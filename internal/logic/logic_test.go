@@ -59,8 +59,8 @@ func TestQueryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(q.LibSet()) != 3 {
-		t.Fatal("LibSet wrong")
+	if len(q.Lib) != 3 {
+		t.Fatal("Lib wrong")
 	}
 }
 
@@ -158,23 +158,6 @@ func TestDisjunctsQuantifierOverOr(t *testing.T) {
 		if len(d.Exist) != 1 {
 			t.Fatalf("disjunct %v should have one quantified variable", d)
 		}
-	}
-}
-
-func TestFromDisjunctsRoundTrip(t *testing.T) {
-	f := Or{
-		And{atom("E", "x", "y"), Exists{"u", atom("E", "y", "u")}},
-		atom("E", "y", "x"),
-	}
-	q := MustQuery("q", []Var{"x", "y"}, f)
-	ds := q.Disjuncts()
-	q2, err := FromDisjuncts("q2", q.Lib, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds2 := q2.Disjuncts()
-	if len(ds2) != len(ds) {
-		t.Fatalf("round trip changed disjunct count: %d vs %d", len(ds2), len(ds))
 	}
 }
 

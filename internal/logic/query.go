@@ -71,15 +71,6 @@ func quantifiedVars(f Formula) map[Var]bool {
 	return out
 }
 
-// LibSet returns the liberal variables as a set.
-func (q Query) LibSet() map[Var]bool {
-	out := make(map[Var]bool, len(q.Lib))
-	for _, v := range q.Lib {
-		out[v] = true
-	}
-	return out
-}
-
 // String renders the query in the library's concrete syntax.
 func (q Query) String() string {
 	name := q.Name
@@ -277,21 +268,4 @@ func containsVar(vs []Var, v Var) bool {
 		}
 	}
 	return false
-}
-
-// FromDisjuncts reassembles a query from prenex pp disjuncts over the given
-// liberal variables.
-func FromDisjuncts(name string, lib []Var, ds []Disjunct) (Query, error) {
-	if len(ds) == 0 {
-		return Query{}, fmt.Errorf("logic: no disjuncts")
-	}
-	parts := make([]Formula, len(ds))
-	for i, d := range ds {
-		atoms := make([]Formula, len(d.Atoms))
-		for j, a := range d.Atoms {
-			atoms[j] = a
-		}
-		parts[i] = Exist(d.Exist, Conj(atoms...))
-	}
-	return NewQuery(name, lib, Disj(parts...))
 }

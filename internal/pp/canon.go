@@ -313,25 +313,3 @@ func (c *canonizer) render(p PP) string {
 	}
 	return string(append(buf, ']'))
 }
-
-// CountingEquivalentCored decides counting equivalence of two *cored*
-// formulas by canonical-key comparison; it must agree with
-// CountingEquivalent (property-tested) and is O(canonical labeling)
-// instead of two homomorphism searches.
-func CountingEquivalentCored(p, q PP) (bool, error) {
-	if !p.A.Signature().Equal(q.A.Signature()) {
-		return false, fmt.Errorf("pp: counting equivalence across different signatures")
-	}
-	if len(p.S) != len(q.S) || p.A.Size() != q.A.Size() {
-		return false, nil
-	}
-	kp, err := p.CanonicalKey()
-	if err != nil {
-		return false, err
-	}
-	kq, err := q.CanonicalKey()
-	if err != nil {
-		return false, err
-	}
-	return kp == kq, nil
-}

@@ -257,7 +257,9 @@ type AdmissionStats struct {
 	// with 503 because the cap was reached.
 	Admitted uint64 `json:"admitted"`
 	Rejected uint64 `json:"rejected"`
-	// Deadline counts requests that hit their per-request deadline.
+	// Deadline counts reads that hit their request's deadline: one per
+	// /count or subscription read, one per structure that was being
+	// counted when a /countBatch ran out of time.
 	Deadline uint64 `json:"deadline"`
 }
 

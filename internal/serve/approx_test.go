@@ -212,6 +212,15 @@ func TestHardExactAdmission(t *testing.T) {
 	if !errors.As(err, &ae) || ae.Status != 422 || ae.Case == "" {
 		t.Fatalf("batch admission: want typed 422 with case, got %v", err)
 	}
+	// So does a subscription read; subscribing itself computes nothing.
+	sub, err := cl.Subscribe(ctx, triangleQuery, "g")
+	if err != nil {
+		t.Fatalf("subscribing to a hard query rejected: %v", err)
+	}
+	_, _, err = cl.SubscriptionCount(ctx, sub.ID)
+	if !errors.As(err, &ae) || ae.Status != 422 || ae.Case == "" {
+		t.Fatalf("subscription read admission: want typed 422 with case, got %v", err)
+	}
 }
 
 // TestCountModeValidation checks that an unknown mode is a 400.

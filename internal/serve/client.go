@@ -32,12 +32,6 @@ type RetryPolicy struct {
 	MaxDelay time.Duration
 }
 
-// DefaultRetryPolicy retries up to 4 attempts with 50ms base backoff
-// capped at 2s.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}
-}
-
 // SharedTransport returns an http.Client over one pooled transport
 // tuned for fan-out against a fixed set of epserved hosts: up to
 // maxIdlePerHost warm keep-alive connections are retained per host

@@ -24,16 +24,24 @@
 //     caches compiled queries per (source text, signature);
 //     counting-equivalent queries — even textually different ones from
 //     different clients — share engine plans underneath through the
-//     fingerprint-keyed plan cache.
+//     fingerprint-keyed plan cache.  And it is where a read executes:
+//     Registry.read, the one function behind /count, every structure
+//     of a /countBatch and a subscription's maintenance, counts a
+//     compiled query against an entry whose read lock the caller holds
+//     — version, sampler or exact-mode admission rule
+//     (Config.HardExactLimit) and exact count, failures typed as
+//     APIErrors — so every surface applies the same rules by
+//     construction.
 //
 //   - Subscriptions (subscription.go): maintained counts.  POST
 //     /subscriptions binds a query to a registered structure (compiling
 //     the counter, computing nothing); the first GET
 //     /subscriptions/{id} materializes the count and later reads either
 //     answer from the cached (count, version) pair when the structure
-//     is unchanged or re-count under the structure's read lock — riding
-//     the engine's delta path when the plan allows — and re-stamp at
-//     the observed version.  A differential test pins every maintained
+//     is unchanged or re-count under the structure's read lock — an
+//     exact read through Registry.read like any other, riding the
+//     engine's delta path when the plan allows — and re-stamp at the
+//     observed version.  A differential test pins every maintained
 //     count to a sequential replay of the append history at its
 //     version.
 //
@@ -53,8 +61,11 @@
 //     case), and owns the listener (Start / Addr / Shutdown).
 //
 //   - Server (server.go): the local Backend, behind its own Frontend.
-//     A count executes on its request's goroutine (a batch fans out
-//     over its structures, Config.Workers at a time) under
+//     Its counting operations resolve the counter and the entries, take
+//     the read locks, call Registry.read and shape the response.  A
+//     count executes on its request's goroutine (a batch fans out
+//     over its structures, one read each, Config.Workers at a time)
+//     under
 //     admission control (excess requests get 503 rather than queueing)
 //     and under the structure's read lock; the request's deadline is
 //     threaded as a context through the executor, so an expired

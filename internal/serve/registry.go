@@ -1,13 +1,17 @@
 package serve
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"math/big"
 	"net/http"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/count"
 	"repro/internal/parser"
@@ -98,6 +102,12 @@ type Registry struct {
 	// workers is the batch fan-out width handed to every new counter
 	// (0 = GOMAXPROCS).
 	workers int
+	// hardExactLimit is the exact-mode admission bound read applies
+	// (Config.HardExactLimit, installed by New; 0 = every read admitted).
+	hardExactLimit int
+	// deadlines counts reads that ended on their request's deadline
+	// (AdmissionStats.Deadline).
+	deadlines atomic.Uint64
 
 	// store is the optional durability store (nil = in-memory only),
 	// installed once by AttachStore; compactBytes is the WAL size that
@@ -392,6 +402,61 @@ func (r *Registry) QueryStats() []QueryStats {
 		out = append(out, queryStatsFrom(p.key.src, p.c.Stats()))
 	}
 	return out
+}
+
+// reading is the outcome of one count against one structure: the value
+// (in approx mode the estimate), the version it was counted at and, in
+// approx mode, the estimate's account.
+type reading struct {
+	v       *big.Int
+	version uint64
+	approx  core.ApproxResult
+}
+
+// read is where a read executes — the one place, behind /count, every
+// entry of a /countBatch and a subscription's maintenance alike.  It
+// counts c on e, whose read lock the caller holds, so the reading is
+// consistent with one version boundary: the version, then the sampler in
+// approx mode, else the exact-mode admission rule and the exact count,
+// on the caller's goroutine.  A failure comes back typed (countError).
+func (r *Registry) read(ctx context.Context, c *core.Counter, e *structEntry, approxMode bool, prm approx.Params) (reading, error) {
+	rd := reading{version: e.b.Version()}
+	var err error
+	if approxMode {
+		rd.approx, err = c.CountApproxCtx(ctx, e.b, prm)
+		rd.v = rd.approx.Estimate
+	} else if err = c.AdmitExact(e.b, r.hardExactLimit); err == nil {
+		rd.v, err = c.CountCtx(ctx, e.b)
+	}
+	if err != nil {
+		return reading{}, r.countError(err)
+	}
+	return rd, nil
+}
+
+// countError types a counting failure that is not typed yet: an expired
+// deadline (counted for /stats) or a vanished client is 504; everything
+// else is 422, with the trichotomy case when the admission rule refused
+// exact execution of a hard query.
+func (r *Registry) countError(err error) error {
+	var ae *APIError
+	if errors.As(err, &ae) {
+		return err
+	}
+	ae = &APIError{Status: http.StatusUnprocessableEntity, Msg: err.Error()}
+	var hee *core.HardExactError
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		r.deadlines.Add(1)
+		ae.Status = http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		// The client went away; the status is moot but 499-style
+		// semantics map closest onto 504 here.
+		ae.Status = http.StatusGatewayTimeout
+	case errors.As(err, &hee):
+		ae.Case = hee.Case.Short()
+	}
+	return ae
 }
 
 // lockAll acquires the read locks of the named structures in a global

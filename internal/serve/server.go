@@ -11,9 +11,7 @@ import (
 	"time"
 
 	"repro/internal/approx"
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/structure"
 	"repro/internal/wal"
 )
 
@@ -38,8 +36,6 @@ type Config struct {
 	// structures of one batch request are counted at once (≤ 0 =
 	// GOMAXPROCS).  A single count runs on its request's goroutine.
 	Workers int
-	// QueryCacheCap bounds the compiled-query cache (≤ 0 = 256).
-	QueryCacheCap int
 	// DataDir enables crash-safe durability: structure creations and
 	// append batches are write-ahead logged there and recovered on
 	// Start, before the listener accepts.  Empty = in-memory only.
@@ -71,11 +67,10 @@ type Server struct {
 	reg     *Registry
 	started time.Time
 
-	inflight  chan struct{}
-	inFlight  atomic.Int64
-	admitted  atomic.Uint64
-	rejected  atomic.Uint64
-	deadlines atomic.Uint64
+	inflight chan struct{}
+	inFlight atomic.Int64
+	admitted atomic.Uint64
+	rejected atomic.Uint64
 
 	// recovering drives Healthz: set until Start's boot recovery finishes
 	// (servers without a DataDir are born ready).
@@ -92,10 +87,11 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:      cfg,
-		reg:      NewRegistry(cfg.QueryCacheCap, cfg.Workers),
+		reg:      NewRegistry(0, cfg.Workers),
 		started:  time.Now(),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 	}
+	s.reg.hardExactLimit = cfg.HardExactLimit
 	s.Frontend = NewFrontend(s, cfg.Addr, cfg.RequestTimeout)
 	s.recovering.Store(cfg.DataDir != "")
 	return s
@@ -195,31 +191,6 @@ func countOptions(engineName, mode string, prm approx.Params) (approxMode bool, 
 	return false, Errorf(http.StatusBadRequest, "serve: unknown mode %q (want \"exact\" or \"approx\")", mode)
 }
 
-// countError types a counting failure that is not typed yet: an expired
-// deadline (counted for /stats) or a vanished client is 504; everything
-// else is 422, with the trichotomy case when the admission rule refused
-// exact execution of a hard query.
-func (s *Server) countError(err error) error {
-	var ae *APIError
-	if errors.As(err, &ae) {
-		return err
-	}
-	ae = &APIError{Status: http.StatusUnprocessableEntity, Msg: err.Error()}
-	var hee *core.HardExactError
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		s.deadlines.Add(1)
-		ae.Status = http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		// The client went away; the status is moot but 499-style
-		// semantics map closest onto 504 here.
-		ae.Status = http.StatusGatewayTimeout
-	case errors.As(err, &hee):
-		ae.Case = hee.Case.Short()
-	}
-	return ae
-}
-
 // IsDuplicate reports whether err is a structure-name collision from
 // CreateStructure (HTTP 409 on the wire) — preloaders that want
 // create-if-absent semantics test it to skip already-present names.
@@ -284,38 +255,26 @@ func (s *Server) CountWith(ctx context.Context, req CountRequest) (*big.Int, Cou
 	// executes against one consistent structure version.
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	version := e.b.Version()
-	if approxMode {
-		res, aerr := c.CountApproxCtx(ctx, e.b, prm)
-		if aerr != nil {
-			return fail(s.countError(aerr))
-		}
-		est := res.Estimate.String()
-		return res.Estimate, CountResponse{
-			Count:      est,
-			Estimate:   est,
-			RelError:   res.RelErr,
-			Confidence: res.Confidence,
-			Case:       res.Case.Short(),
-			Samples:    res.Samples,
-			Exact:      res.Exact,
-			Converged:  &res.Converged,
-			Version:    version,
-			ElapsedUS:  time.Since(start).Microseconds(),
-		}, nil
-	}
-	if aerr := c.AdmitExact(e.b, s.cfg.HardExactLimit); aerr != nil {
-		return fail(s.countError(aerr))
-	}
-	v, err := c.CountCtx(ctx, e.b)
+	rd, err := s.reg.read(ctx, c, e, approxMode, prm)
 	if err != nil {
-		return fail(s.countError(err))
+		return fail(err)
 	}
-	return v, CountResponse{
-		Count:     v.String(),
-		Version:   version,
+	resp := CountResponse{
+		Count:     rd.v.String(),
+		Version:   rd.version,
 		ElapsedUS: time.Since(start).Microseconds(),
-	}, nil
+	}
+	if approxMode {
+		resp.Estimate = resp.Count
+		resp.RelError = rd.approx.RelErr
+		resp.Confidence = rd.approx.Confidence
+		resp.Case = rd.approx.Case.Short()
+		resp.Samples = rd.approx.Samples
+		resp.Exact = rd.approx.Exact
+		converged := rd.approx.Converged // a copy: &rd's field would move every reading to the heap
+		resp.Converged = &converged
+	}
+	return rd.v, resp, nil
 }
 
 // CountBatchWith counts one query on many structures (one shared
@@ -356,68 +315,48 @@ func (s *Server) CountBatchWith(ctx context.Context, req CountBatchRequest) ([]*
 		return fail(err)
 	}
 	defer unlock()
-	versions := make([]uint64, len(entries))
-	bs := make([]*structure.Structure, len(entries))
 	for i, e := range entries {
 		if !sig.Equal(e.b.Signature()) {
 			return fail(Errorf(http.StatusBadRequest,
 				"structures %q and %q have different signatures", req.Structures[0], req.Structures[i]))
 		}
-		bs[i] = e.b
-		versions[i] = e.b.Version()
 	}
 	start := time.Now()
-	if approxMode {
-		results := make([]core.ApproxResult, len(bs))
-		err := engine.RunBoundedCtx(ctx, len(bs), s.cfg.Workers, func(i int) error {
-			res, aerr := c.CountApproxCtx(ctx, bs[i], prm)
-			results[i] = res
-			return aerr
-		})
-		if err != nil {
-			return fail(s.countError(err))
-		}
-		vs := make([]*big.Int, len(results))
-		resp := CountBatchResponse{
-			Counts:      make([]string, len(results)),
-			Versions:    versions,
-			RelErrors:   make([]float64, len(results)),
-			Confidences: make([]float64, len(results)),
-			Cases:       make([]string, len(results)),
-			Samples:     make([]int, len(results)),
-			Converged:   make([]bool, len(results)),
-			ElapsedUS:   time.Since(start).Microseconds(),
-		}
-		for i, res := range results {
-			vs[i] = res.Estimate
-			resp.Counts[i] = res.Estimate.String()
-			resp.RelErrors[i] = res.RelErr
-			resp.Confidences[i] = res.Confidence
-			resp.Cases[i] = res.Case.Short()
-			resp.Samples[i] = res.Samples
-			resp.Converged[i] = res.Converged
-		}
-		resp.Estimates = resp.Counts
-		return vs, resp, nil
-	}
-	for _, b := range bs {
-		if aerr := c.AdmitExact(b, s.cfg.HardExactLimit); aerr != nil {
-			return fail(s.countError(aerr))
-		}
-	}
-	vs, err := c.CountBatchCtx(ctx, bs)
+	rds := make([]reading, len(entries))
+	err = engine.RunBoundedCtx(ctx, len(entries), s.cfg.Workers, func(i int) (err error) {
+		rds[i], err = s.reg.read(ctx, c, entries[i], approxMode, prm)
+		return err
+	})
 	if err != nil {
-		return fail(s.countError(err))
+		// Typed already, unless it is the fan-out's own: ctx fired
+		// between two entries.
+		return fail(s.reg.countError(err))
 	}
-	counts := make([]string, len(vs))
-	for i, v := range vs {
-		counts[i] = v.String()
-	}
-	return vs, CountBatchResponse{
-		Counts:    counts,
-		Versions:  versions,
+	vs := make([]*big.Int, len(rds))
+	resp := CountBatchResponse{
+		Counts:    make([]string, len(rds)),
+		Versions:  make([]uint64, len(rds)),
 		ElapsedUS: time.Since(start).Microseconds(),
-	}, nil
+	}
+	for i, rd := range rds {
+		vs[i], resp.Counts[i], resp.Versions[i] = rd.v, rd.v.String(), rd.version
+	}
+	if approxMode {
+		resp.Estimates = resp.Counts
+		resp.RelErrors = make([]float64, len(rds))
+		resp.Confidences = make([]float64, len(rds))
+		resp.Cases = make([]string, len(rds))
+		resp.Samples = make([]int, len(rds))
+		resp.Converged = make([]bool, len(rds))
+		for i, rd := range rds {
+			resp.RelErrors[i] = rd.approx.RelErr
+			resp.Confidences[i] = rd.approx.Confidence
+			resp.Cases[i] = rd.approx.Case.Short()
+			resp.Samples[i] = rd.approx.Samples
+			resp.Converged[i] = rd.approx.Converged
+		}
+	}
+	return vs, resp, nil
 }
 
 // SubscribeWith registers a maintained count (see Registry.Subscribe).
@@ -443,7 +382,7 @@ func (s *Server) SubscriptionCount(ctx context.Context, id string) (*big.Int, Su
 	start := time.Now()
 	v, info, err := s.reg.subscriptionCount(ctx, id)
 	if err != nil {
-		return nil, info, s.countError(err)
+		return nil, info, err
 	}
 	info.ElapsedUS = time.Since(start).Microseconds()
 	return v, info, nil
@@ -463,7 +402,7 @@ func (s *Server) Stats(context.Context) (StatsResponse, error) {
 			MaxInFlight: s.cfg.MaxInFlight,
 			Admitted:    s.admitted.Load(),
 			Rejected:    s.rejected.Load(),
-			Deadline:    s.deadlines.Load(),
+			Deadline:    s.reg.deadlines.Load(),
 		},
 		Workers:       s.cfg.Workers,
 		Queries:       s.reg.QueryStats(),

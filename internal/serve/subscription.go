@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/approx"
 	"repro/internal/core"
 )
 
@@ -108,8 +109,9 @@ func (r *Registry) subscription(id string) (*subEntry, error) {
 // since the last read.  The whole read runs under the structure's read
 // lock, so the (count, version) pair is consistent with one version
 // boundary; an unchanged version is a pure cache hit, and an advanced
-// one is maintained through the engine's delta path when the plan
-// allows it.
+// one is an exact read like any other (Registry.read: admission rule,
+// typed errors), maintained through the engine's delta path when the
+// plan allows it.
 func (r *Registry) SubscriptionCount(ctx context.Context, id string) (SubscriptionInfo, error) {
 	_, info, err := r.subscriptionCount(ctx, id)
 	return info, err
@@ -129,9 +131,11 @@ func (r *Registry) subscriptionCount(ctx context.Context, id string) (*big.Int, 
 	cnt := se.count
 	if !se.valid || se.version != v {
 		se.mu.Unlock()
-		if cnt, err = se.c.CountCtx(ctx, se.e.b); err != nil {
+		rd, err := r.read(ctx, se.c, se.e, false, approx.Params{})
+		if err != nil {
 			return nil, SubscriptionInfo{}, err
 		}
+		cnt = rd.v
 		se.mu.Lock()
 		se.count, se.version, se.valid = cnt, v, true
 	}

@@ -7,15 +7,17 @@ import "math/bits"
 // the low 16 bits of its members either as a sorted array container
 // (while sparse) or as a packed 1024-word bitmap container (once dense).
 // The crossover is arrayContainerCap members: below it the array form is
-// smaller and its merge-style intersection faster; at or above it the
-// bitmap form intersects 64 rows per word op.
+// smaller; at or above it the bitmap form unions 64 rows per word op.
 //
-// Bitmaps replace the flat []int32 posting lists of the relation store:
-// Add is amortized O(1) for the store's append pattern (row ids arrive
-// strictly increasing), And/AndCard intersect word-at-a-time, and
-// ForEach visits members in increasing order without materializing a
-// slice.  A Bitmap is single-writer (the owning Relation mutates it);
-// any number of goroutines may read it between mutations.
+// Bitmaps are the posting lists of the relation store, and do the three
+// things a posting list is asked for — append, iterate, union: Add is
+// amortized O(1) for the store's append pattern (row ids arrive strictly
+// increasing), ForEach visits members in increasing order without
+// materializing a slice, and UnionIntoWords ors a list into a flat word
+// bitmap.  There is no intersection: the join executor joins on session
+// table indexes, never on postings.  A Bitmap is single-writer (the
+// owning Relation mutates it); any number of goroutines may read it
+// between mutations.
 type Bitmap struct {
 	n    int
 	keys []uint32 // chunk high bits, strictly increasing
@@ -36,23 +38,6 @@ const containerSpan = 1 << 16
 type container struct {
 	arr   []uint16
 	words []uint64
-}
-
-func (c *container) has(low uint16) bool {
-	if c.words != nil {
-		return c.words[low>>6]&(1<<(low&63)) != 0
-	}
-	// Binary search the sorted array form.
-	lo, hi := 0, len(c.arr)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.arr[mid] < low {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(c.arr) && c.arr[lo] == low
 }
 
 // add inserts low and reports whether it was new.  The store's append
@@ -99,18 +84,6 @@ func (c *container) promote() {
 		words[v>>6] |= 1 << (v & 63)
 	}
 	c.arr, c.words = nil, words
-}
-
-// card returns the container's cardinality.
-func (c *container) card() int {
-	if c.words == nil {
-		return len(c.arr)
-	}
-	n := 0
-	for _, w := range c.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // Len returns the bitmap's cardinality.  A nil Bitmap is empty.
@@ -178,15 +151,6 @@ func (b *Bitmap) Add(row int32) bool {
 	return false
 }
 
-// Contains reports membership of row.
-func (b *Bitmap) Contains(row int32) bool {
-	if b == nil {
-		return false
-	}
-	ci := b.chunkAt(uint32(row) >> 16)
-	return ci >= 0 && b.ctrs[ci].has(uint16(row))
-}
-
 // ForEach visits every member in increasing order; fn returning false
 // stops the iteration.
 func (b *Bitmap) ForEach(fn func(row int32) bool) {
@@ -216,58 +180,6 @@ func (b *Bitmap) ForEach(fn func(row int32) bool) {
 	}
 }
 
-// AndCard returns |b ∩ o| without materializing the intersection:
-// bitmap×bitmap chunks popcount 64 rows per word op, array×bitmap
-// chunks probe, array×array chunks merge.
-func (b *Bitmap) AndCard(o *Bitmap) int {
-	if b == nil || o == nil {
-		return 0
-	}
-	total := 0
-	i, j := 0, 0
-	for i < len(b.keys) && j < len(o.keys) {
-		switch {
-		case b.keys[i] < o.keys[j]:
-			i++
-		case b.keys[i] > o.keys[j]:
-			j++
-		default:
-			total += andCardContainers(&b.ctrs[i], &o.ctrs[j])
-			i++
-			j++
-		}
-	}
-	return total
-}
-
-// And returns b ∩ o as a fresh Bitmap.  Result containers re-choose
-// their form by cardinality: an intersection that thinned a bitmap
-// chunk below the threshold demotes it back to the array form.
-func (b *Bitmap) And(o *Bitmap) *Bitmap {
-	out := &Bitmap{}
-	if b == nil || o == nil {
-		return out
-	}
-	i, j := 0, 0
-	for i < len(b.keys) && j < len(o.keys) {
-		switch {
-		case b.keys[i] < o.keys[j]:
-			i++
-		case b.keys[i] > o.keys[j]:
-			j++
-		default:
-			if c, n := andContainers(&b.ctrs[i], &o.ctrs[j]); n > 0 {
-				out.keys = append(out.keys, b.keys[i])
-				out.ctrs = append(out.ctrs, c)
-				out.n += n
-			}
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // UnionIntoWords sets, in the flat word bitmap dst (bit r = row r), the
 // bit of every member — the word-at-a-time union the hom solver's
 // candidate pivoting accumulates posting lists through.  dst must cover
@@ -294,101 +206,6 @@ func (b *Bitmap) UnionIntoWords(dst []uint64) {
 			dst[r>>6] |= 1 << (r & 63)
 		}
 	}
-}
-
-func andCardContainers(a, b *container) int {
-	if a.words != nil && b.words != nil {
-		n := 0
-		for wi, w := range a.words {
-			n += bits.OnesCount64(w & b.words[wi])
-		}
-		return n
-	}
-	if a.words == nil && b.words == nil {
-		n, i, j := 0, 0, 0
-		for i < len(a.arr) && j < len(b.arr) {
-			switch {
-			case a.arr[i] < b.arr[j]:
-				i++
-			case a.arr[i] > b.arr[j]:
-				j++
-			default:
-				n++
-				i++
-				j++
-			}
-		}
-		return n
-	}
-	arr, wc := a, b
-	if a.words != nil {
-		arr, wc = b, a
-	}
-	n := 0
-	for _, v := range arr.arr {
-		if wc.words[v>>6]&(1<<(v&63)) != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// andContainers intersects two containers, returning the result in
-// whichever form its cardinality calls for.
-func andContainers(a, b *container) (container, int) {
-	if a.words != nil && b.words != nil {
-		words := make([]uint64, containerSpan/64)
-		n := 0
-		for wi, w := range a.words {
-			iw := w & b.words[wi]
-			words[wi] = iw
-			n += bits.OnesCount64(iw)
-		}
-		if n == 0 {
-			return container{}, 0
-		}
-		if n < arrayContainerCap {
-			// Demote: the intersection thinned out below the threshold.
-			arr := make([]uint16, 0, n)
-			for wi, w := range words {
-				for w != 0 {
-					j := bits.TrailingZeros64(w)
-					w &^= 1 << j
-					arr = append(arr, uint16(wi<<6|j))
-				}
-			}
-			return container{arr: arr}, n
-		}
-		return container{words: words}, n
-	}
-	if a.words == nil && b.words == nil {
-		var arr []uint16
-		i, j := 0, 0
-		for i < len(a.arr) && j < len(b.arr) {
-			switch {
-			case a.arr[i] < b.arr[j]:
-				i++
-			case a.arr[i] > b.arr[j]:
-				j++
-			default:
-				arr = append(arr, a.arr[i])
-				i++
-				j++
-			}
-		}
-		return container{arr: arr}, len(arr)
-	}
-	arr, wc := a, b
-	if a.words != nil {
-		arr, wc = b, a
-	}
-	var out []uint16
-	for _, v := range arr.arr {
-		if wc.words[v>>6]&(1<<(v&63)) != 0 {
-			out = append(out, v)
-		}
-	}
-	return container{arr: out}, len(out)
 }
 
 // clone returns a deep copy sharing nothing with b.

@@ -9,13 +9,13 @@
 // posting lists maintained incrementally on insertion.  Posting lists
 // are two-level roaring-style bitmaps (Bitmap): rows chunk by row>>16
 // into sorted-uint16 array containers (sparse) or 1024-word bitmap
-// containers (dense, promoted at 4096 entries), so membership is O(1),
-// intersection (And/AndCard) runs 64 rows per machine word on dense
-// chunks, and the hom solver unions lists straight into word-aligned
-// candidate masks (UnionIntoWords).  Consumers
-// iterate allocation-free with ForEachTuple/ForEachWith or access
-// columns through Rel; there is no materialized [][]int view.  Element
-// order, relation-symbol order, and tuple insertion order are
+// containers (dense, promoted at 4096 entries).  A posting list is
+// appended to, iterated and unioned — the hom solver ors lists straight
+// into word-aligned candidate masks (UnionIntoWords) — and never
+// intersected: joins run on the engine's session table indexes.
+// Consumers iterate allocation-free with ForEachTuple/ForEachWith or
+// access columns through Rel; there is no materialized [][]int view.
+// Element order, relation-symbol order, and tuple insertion order are
 // deterministic so that all algorithms built on top are reproducible.
 //
 // Concurrency discipline: a Structure is safe for any number of

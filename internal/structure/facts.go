@@ -49,18 +49,3 @@ func (s *Structure) FactsString() (string, error) {
 	}
 	return b.String(), nil
 }
-
-// Normalized returns a copy with elements renamed e0, e1, ... — always
-// serializable, isomorphic to the original.
-func (s *Structure) Normalized() *Structure {
-	names := make([]string, len(s.elems))
-	for i := range names {
-		names[i] = fmt.Sprintf("e%d", i)
-	}
-	out, err := s.RenameElems(names)
-	if err != nil {
-		// Cannot happen: generated names are unique and non-empty.
-		panic(err)
-	}
-	return out
-}

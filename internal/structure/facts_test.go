@@ -28,28 +28,3 @@ func TestWriteFactsRejectsFancyNames(t *testing.T) {
 		t.Fatal("non-identifier element names should be rejected")
 	}
 }
-
-func TestNormalizedSerializable(t *testing.T) {
-	a := New(edgeSig())
-	_ = a.AddFact("E", "x", "y")
-	b := New(edgeSig())
-	_ = b.AddFact("E", "u", "v")
-	prod, err := Product(a, b) // product names contain parens/commas
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := prod.FactsString(); err == nil {
-		t.Fatal("product names should not serialize directly")
-	}
-	norm := prod.Normalized()
-	out, err := norm.FactsString()
-	if err != nil {
-		t.Fatalf("normalized structure should serialize: %v", err)
-	}
-	if norm.Size() != prod.Size() || norm.Rel("E").Len() != prod.Rel("E").Len() {
-		t.Fatal("Normalized changed the structure")
-	}
-	if !strings.Contains(out, "universe e0") {
-		t.Fatalf("unexpected serialization:\n%s", out)
-	}
-}

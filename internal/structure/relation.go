@@ -155,15 +155,6 @@ func (r *Relation) ForEachWith(pos, v int, fn func(t []int) bool) {
 	})
 }
 
-// PostingLen returns the number of tuples holding v at position pos —
-// the selectivity estimate used to order candidate generation.
-func (r *Relation) PostingLen(pos, v int) int {
-	if r == nil || pos < 0 || pos >= r.arity {
-		return 0
-	}
-	return r.posts[pos][int32(v)].Len()
-}
-
 // RowsWith returns the posting bitmap (row ids) of value v at position
 // pos as a shared read-only view; nil means no row holds v there.
 func (r *Relation) RowsWith(pos, v int) *Bitmap {

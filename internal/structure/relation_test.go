@@ -27,11 +27,11 @@ func TestRelationColumnsAndPostings(t *testing.T) {
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d, want 4 (dup ignored)", r.Len())
 	}
-	if got := r.PostingLen(0, 0); got != 2 {
-		t.Fatalf("PostingLen(0,0) = %d, want 2", got)
+	if got := r.RowsWith(0, 0).Len(); got != 2 {
+		t.Fatalf("RowsWith(0,0).Len() = %d, want 2", got)
 	}
-	if got := r.PostingLen(1, 2); got != 2 {
-		t.Fatalf("PostingLen(1,2) = %d, want 2", got)
+	if got := r.RowsWith(1, 2).Len(); got != 2 {
+		t.Fatalf("RowsWith(1,2).Len() = %d, want 2", got)
 	}
 	// Columns align with insertion order.
 	if r.Value(2, 0) != 0 || r.Value(2, 1) != 2 {
@@ -144,7 +144,7 @@ func TestCloneIsDeep(t *testing.T) {
 	if s.Rel("E").Len() != 1 || c.Rel("E").Len() != 2 {
 		t.Fatalf("clone not independent: orig %d, clone %d", s.Rel("E").Len(), c.Rel("E").Len())
 	}
-	if s.Rel("E").PostingLen(0, 1) != 0 || c.Rel("E").PostingLen(0, 1) != 1 {
+	if s.Rel("E").RowsWith(0, 1).Len() != 0 || c.Rel("E").RowsWith(0, 1).Len() != 1 {
 		t.Fatal("clone postings not independent")
 	}
 	if !Equal(s.Clone(), s) {

@@ -92,17 +92,6 @@ func (s *Signature) Has(name string) bool {
 	return ok
 }
 
-// MaxArity returns the largest arity in the signature (0 if empty).
-func (s *Signature) MaxArity() int {
-	m := 0
-	for _, r := range s.rels {
-		if r.Arity > m {
-			m = r.Arity
-		}
-	}
-	return m
-}
-
 // Equal reports whether two signatures have the same symbols and arities.
 func (s *Signature) Equal(t *Signature) bool {
 	if s == t {

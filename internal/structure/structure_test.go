@@ -25,9 +25,6 @@ func TestSignatureBasics(t *testing.T) {
 	if _, ok := s.Arity("G"); ok {
 		t.Fatal("Arity(G) should not exist")
 	}
-	if s.MaxArity() != 2 {
-		t.Fatalf("MaxArity = %d", s.MaxArity())
-	}
 	if s.String() != "{E/2, F/1}" {
 		t.Fatalf("String = %q", s.String())
 	}

@@ -211,20 +211,3 @@ func decodeRecord(buf []byte) (Record, int, error) {
 	}
 	return rec, 8 + int(n), nil
 }
-
-// scanRecords walks buf (the WAL contents after the magic) and returns
-// every valid record plus the byte offset — relative to buf — where
-// scanning stopped.  A framing or checksum violation stops the scan;
-// the returned error (nil when the log ends cleanly) describes it.
-func scanRecords(buf []byte) (recs []Record, valid int, err error) {
-	off := 0
-	for off < len(buf) {
-		rec, n, derr := decodeRecord(buf[off:])
-		if derr != nil {
-			return recs, off, derr
-		}
-		recs = append(recs, rec)
-		off += n
-	}
-	return recs, off, nil
-}
