@@ -1,11 +1,13 @@
 // Hot-path benchmarks: workloads decided entirely by the semi-join
-// prune fixpoint.
+// prune fixpoint, and the read after an append.
 package epcq_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	epcq "repro"
 	"repro/internal/count"
 	"repro/internal/engine"
 	"repro/internal/structure"
@@ -80,6 +82,50 @@ func BenchmarkPrune_Path8Layers12_Trickle(b *testing.B) {
 		}
 		if v.Sign() == 0 {
 			b.Fatal("a 12-layer DAG holds 8-edge walks")
+		}
+	}
+}
+
+// The benchmark's append-mix cycle in process: three fresh edges into
+// G(200, 0.06), then the maintained triangle and 4-cycle counts — two
+// delta advances (seven delta terms) per iteration.  The graph grows by
+// three edges an iteration, so compare runs at the same -benchtime.
+func BenchmarkAdvance_TriC4_N200(b *testing.B) {
+	const n = 200
+	sig := workload.EdgeSig()
+	g := workload.RandomStructure(sig, n, 0.06, 1)
+	defer engine.ReleaseSession(g)
+	var counters []*epcq.Counter
+	for _, src := range []string{
+		"tri(x,y,z) := E(x,y) & E(y,z) & E(z,x)",
+		"c4(a,b,c,d) := E(a,b) & E(b,c) & E(c,d) & E(d,a)",
+	} {
+		c, err := epcq.NewCounter(epcq.MustParseQuery(src), sig, epcq.EngineFPT)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.CountCtx(context.Background(), g); err != nil { // cold counts outside the timing
+			b.Fatal(err)
+		}
+		counters = append(counters, c)
+	}
+	rng := rand.New(rand.NewSource(2))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for added := 0; added < 3; {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if g.HasTuple("E", []int{u, v}) {
+				continue
+			}
+			if err := g.AddTuple("E", u, v); err != nil {
+				b.Fatal(err)
+			}
+			added++
+		}
+		for _, c := range counters {
+			if _, err := c.CountCtx(context.Background(), g); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -14,10 +14,12 @@ import (
 // Bench-smoke regression guard (CI: make bench-smoke): on an append
 // stream with a maintained keyed count, the delta-maintained mix (append
 // a batch + keyed count per step) must beat the full-recount baseline by
-// at least 2x — a same-machine relative bound that catches regressions
+// at least 20x — a same-machine relative bound that catches regressions
 // in the incremental path (delta.go) without depending on absolute CI
-// speed.  Gated behind EPCQ_BENCH_SMOKE so the normal test run stays
-// fast.
+// speed.  An advance whose cost follows the structure instead of the
+// batch (tables re-materialized, a scanning prune, accumulators laid out
+// over their key space) reads 8x here; the seeded walk reads over 100x.
+// Gated behind EPCQ_BENCH_SMOKE so the normal test run stays fast.
 func TestBenchSmokeDeltaAppendCountMix(t *testing.T) {
 	if os.Getenv("EPCQ_BENCH_SMOKE") == "" {
 		t.Skip("set EPCQ_BENCH_SMOKE=1 to run the bench smoke guard")
@@ -80,7 +82,7 @@ func TestBenchSmokeDeltaAppendCountMix(t *testing.T) {
 	}
 	t.Logf("bench smoke: append+count mix full-recount %v, delta-maintained %v (%.2fx)",
 		full, delta, float64(full)/float64(delta))
-	if 2*delta > full {
-		t.Fatalf("delta maintenance regressed: %v not ≥2x faster than full recount %v", delta, full)
+	if 20*delta > full {
+		t.Fatalf("delta maintenance regressed: %v not ≥20x faster than full recount %v", delta, full)
 	}
 }

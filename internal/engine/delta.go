@@ -26,17 +26,22 @@ import (
 //	J(new₁..newₖ) − J(old₁..oldₖ) = Σᵢ J(new₁..newᵢ₋₁, Δᵢ, oldᵢ₊₁..oldₖ)
 //
 // Each summand pins one constraint to its (typically tiny) delta table
-// and reuses the existing bind-order/prefix-index executor, whose
-// smallest-table-first heuristic makes Δᵢ the pivot.  Cost per advance
-// is the delta joins plus view indexing, not a fresh full DP.
+// and runs the ordinary bind-order/prefix-index executor on it.
 //
-// The split itself is free: session tables are materialized by scanning
-// relation rows in insertion order with first-sighting dedup, so the
-// old version's table is exactly the row prefix of the new version's
-// table, and ΔT the suffix.  A memoized count therefore only needs to
-// remember, per constraint, the table row count at its version
-// (fptDeltaState.lens) — old and delta tables are zero-copy prefix and
-// suffix views over the new session's tables.
+// The k inputs of a summand are built straight off the columnar store,
+// not from session tables (seedWalk).  A relation's rows are append-only
+// and an atom's projection onto its distinct variables is injective on
+// the rows that pass its repeated-variable filter, so a table at an
+// earlier version is exactly the projection of the relation's row prefix
+// at that version: the snapshot's row count is the one cut point, "old"
+// is row < dv.OldRows(rel), and Δᵢ is the appended row range.  Every
+// other table is fetched through the store's incrementally maintained
+// posting lists (Relation.RowsWith), seeded by the values a table
+// already built fixed for a shared variable and filtered on the rest —
+// a semi-join reduction whose work is the rows it keeps, not the rows
+// the relation holds.  A read after an append therefore costs the delta
+// joins; nothing about the session is rebuilt for it, and the memoized
+// state is the join values alone.
 //
 // The delta path applies only to delta-maintainable plans (fptPlan.
 // deltaOK: quantifier-free joins over atom constraints; sentence checks
@@ -101,23 +106,17 @@ func DeltaStats() DeltaCounters {
 }
 
 // fptDeltaState is the advanceable part of a memoized FPT count: the
-// per-component join values and, per constraint, the session-table row
-// counts at the version the count was computed — the cut points the
-// next advance's prefix/suffix views split at.  The joins are shared
+// per-component join values at the version the count was computed (the
+// prior's snapshot says which rows they cover).  The joins are shared
 // read-only big.Ints; an advance always allocates fresh ones.
 type fptDeltaState struct {
 	plan  *fptPlan
 	joins []*big.Int // per component; the neutral 1 when nActive == 0
-	lens  [][]int    // per component, per constraint; nil when nActive == 0
 }
 
 // newDeltaState returns an empty state sized to the plan's components.
 func (pl *fptPlan) newDeltaState() *fptDeltaState {
-	return &fptDeltaState{
-		plan:  pl,
-		joins: make([]*big.Int, len(pl.comps)),
-		lens:  make([][]int, len(pl.comps)),
-	}
+	return &fptDeltaState{plan: pl, joins: make([]*big.Int, len(pl.comps))}
 }
 
 // countMaintained is the plan's keyed count: a delta-maintainable plan
@@ -149,7 +148,8 @@ func (pl *fptPlan) countMaintained(ctx context.Context, s *Session, prev *priorC
 // delta-joins.  ok=false with a nil error means the delta path does not
 // apply (foreign or future state, batch over threshold) and the caller
 // should full-recount; a non-nil error (cancellation) is terminal either
-// way.
+// way.  The advance reads the structure, never the session's tables, so
+// it needs no pin.
 func (pl *fptPlan) countAdvanceIn(ctx context.Context, s *Session, prev priorCount) (*big.Int, *fptDeltaState, bool, error) {
 	st := prev.state
 	if st == nil || st.plan != pl || len(st.joins) != len(pl.comps) {
@@ -157,9 +157,6 @@ func (pl *fptPlan) countAdvanceIn(ctx context.Context, s *Session, prev priorCou
 	}
 	if !pl.sig.Equal(s.B.Signature()) {
 		return nil, nil, false, nil
-	}
-	if s.acquirePin() {
-		defer s.releasePin()
 	}
 	dv, ok := s.B.DeltaSince(prev.snap)
 	if !ok {
@@ -176,15 +173,11 @@ func (pl *fptPlan) countAdvanceIn(ctx context.Context, s *Session, prev priorCou
 		if err := ctx.Err(); err != nil {
 			return nil, nil, true, err
 		}
-		j, lens, ok, err := pc.advanceJoin(ctx, s, dv, st.joins[ci], st.lens[ci])
+		j, err := pc.advanceJoin(ctx, s.B, dv, st.joins[ci])
 		if err != nil {
 			return nil, nil, true, err
 		}
-		if !ok {
-			return nil, nil, false, nil
-		}
 		ns.joins[ci] = j
-		ns.lens[ci] = lens
 		f := structure.PowerSize(s.B, pc.freeVars)
 		f.Mul(f, j)
 		total.Mul(total, f)
@@ -193,98 +186,189 @@ func (pl *fptPlan) countAdvanceIn(ctx context.Context, s *Session, prev priorCou
 	return total, ns, true, nil
 }
 
-// advanceJoin computes the component's join count at the session's
-// version from its value at an earlier version: new J = old J + one
-// telescoped delta-join per constraint whose table grew.  oldJ is
-// treated as read-only; the result is freshly allocated (or oldJ
-// itself when nothing this component reads grew).
-func (pc *planComponent) advanceJoin(ctx context.Context, s *Session, dv structure.DeltaView, oldJ *big.Int, oldLens []int) (*big.Int, []int, bool, error) {
+// advanceJoin computes the component's join count at b's current
+// version from its value at dv's snapshot: new J = old J + one
+// telescoped delta-join per constraint whose relation grew.  oldJ is
+// treated as read-only; the result is freshly allocated.
+func (pc *planComponent) advanceJoin(ctx context.Context, b *structure.Structure, dv structure.DeltaView, oldJ *big.Int) (*big.Int, error) {
 	if pc.nActive == 0 {
-		return big.NewInt(1), nil, true, nil
+		return big.NewInt(1), nil
 	}
-	if oldJ == nil || len(oldLens) != len(pc.constraints) {
-		return nil, nil, false, nil
-	}
-	grew := false
+	w := newSeedWalk(pc, b, dv, ctx.Done())
+	j := new(big.Int).Set(oldJ)
 	for i := range pc.constraints {
-		if dv.NewRows(pc.constraints[i].rel) > 0 {
-			grew = true
+		if dv.NewRows(pc.constraints[i].rel) == 0 {
+			continue
+		}
+		if !w.term(i, j) {
+			return nil, ctxAbortErr(ctx)
+		}
+	}
+	return j, nil
+}
+
+// seedWalk builds the inputs of one component's delta terms off the
+// store.  Per variable it keeps the support that the tables built so far
+// for the current term leave it — the values as a list (vals; empty =
+// no table covers the variable yet) to seed posting-list fetches from,
+// and as a bitmap over the universe (in) to filter on.
+type seedWalk struct {
+	pc    *planComponent
+	b     *structure.Structure
+	dv    structure.DeltaView
+	words int      // bitmap words per variable
+	in    []uint64 // nActive bitmaps; set exactly at vals
+	vals  [][]int32
+
+	// done is polled every cancelCheckMask+1 row visits, as in
+	// dpRun.cancelled; aborted latches.
+	done    <-chan struct{}
+	ops     int
+	aborted bool
+}
+
+func newSeedWalk(pc *planComponent, b *structure.Structure, dv structure.DeltaView, done <-chan struct{}) *seedWalk {
+	words := (b.Size() + 63) / 64
+	return &seedWalk{pc: pc, b: b, dv: dv, done: done, words: words,
+		in: make([]uint64, pc.nActive*words), vals: make([][]int32, pc.nActive)}
+}
+
+// term adds J(new₁..newᵢ₋₁, Δᵢ, oldᵢ₊₁..oldₖ) to acc and reports whether
+// it ran to completion (false: done fired).  Table i is built first, from
+// its relation's appended rows, and fixes the supports the rest are
+// fetched through.  The tables, their prefix indexes and everything
+// newExecPlan binds over them live in a scratch arena returned to the
+// pools before the next term.
+func (w *seedWalk) term(i int, acc *big.Int) bool {
+	for v := range w.vals {
+		w.clear(v)
+	}
+	scratch := &arena{}
+	defer scratch.free()
+	tables := make([]*Table, len(w.pc.constraints))
+	for ci, seed := i, -1; ci >= 0; ci, seed = w.next(tables) {
+		t := w.reduce(ci, i, seed, scratch)
+		if w.aborted {
+			return false
+		}
+		if t.n == 0 {
+			return true // an empty input: the term is zero
+		}
+		tables[ci] = t
+		for p, v := range w.pc.constraints[ci].scope {
+			w.support(v, t, p)
+		}
+	}
+	dom := w.b.Size()
+	j, aborted := joinCount(w.pc, newExecPlan(w.pc, tables, dom), dom, true, w.done)
+	if !aborted {
+		acc.Add(acc, j)
+	}
+	return !aborted
+}
+
+// next picks the constraint to build next and the scope position to seed
+// it from: over the unbuilt constraints, the supported variable with the
+// fewest values, so every fetch starts from the smallest set that bounds
+// it.  ci is -1 when every table is built; seed is -1 for a constraint no
+// built table shares a variable with (a component's atoms are connected,
+// so there is none), which is then read whole.
+func (w *seedWalk) next(tables []*Table) (ci, seed int) {
+	ci, seed = -1, -1
+	fewest := 0
+	for c := range w.pc.constraints {
+		if tables[c] != nil {
+			continue
+		}
+		if ci < 0 {
+			ci = c
+		}
+		for p, v := range w.pc.constraints[c].scope {
+			if n := len(w.vals[v]); n > 0 && (seed < 0 || n < fewest) {
+				ci, seed, fewest = c, p, n
+			}
+		}
+	}
+	return ci, seed
+}
+
+// reduce builds constraint ci's input to delta term i: the rows of its
+// relation in the term's range — appended since the snapshot for ci == i,
+// all for ci < i, older than the snapshot for ci > i — that pass the
+// atom's repeated-variable filter and hold a supported value at every
+// supported variable, projected through the template (one table row per
+// kept relation row: the projection is injective on them).  The rows are
+// fetched from the posting lists of the values supporting scope position
+// seed (row ids ascend, so each list is left at the cut); work is the
+// rows visited, whatever the relation holds.
+func (w *seedWalk) reduce(ci, i, seed int, ar *arena) *Table {
+	c := &w.pc.constraints[ci]
+	rel := w.b.Rel(c.rel)
+	lo, hi := 0, rel.Len()
+	if ci == i {
+		lo = w.dv.OldRows(c.rel)
+	} else if ci > i {
+		hi = w.dv.OldRows(c.rel)
+	}
+	t := newTable(len(c.scope), w.b.Size(), ar)
+	row := make([]int, len(c.scope))
+	keep := func(r int32) bool {
+		if int(r) >= hi {
+			return false // row ids ascend: the rest of the list is past the cut
+		}
+		if w.ops++; w.ops&cancelCheckMask == 0 {
+			select {
+			case <-w.done:
+				w.aborted = true
+				return false
+			default:
+			}
+		}
+		if !c.project(rel, int(r), row) {
+			return true
+		}
+		for p, v := range c.scope {
+			if u := row[p]; len(w.vals[v]) > 0 && w.in[v*w.words+u>>6]&(1<<(u&63)) == 0 {
+				return true
+			}
+		}
+		t.appendRow(row)
+		return true
+	}
+	if seed < 0 {
+		for r := lo; r < hi && keep(int32(r)); r++ {
+		}
+		return t
+	}
+	arg := 0
+	for c.atomTmpl[arg] != seed {
+		arg++
+	}
+	for _, u := range w.vals[c.scope[seed]] {
+		if rel.RowsWith(arg, int(u)).ForEach(keep); w.aborted {
 			break
 		}
 	}
-	if !grew {
-		// No relation this component projects from gained rows: its
-		// tables, and hence its join value, are unchanged.
-		return oldJ, oldLens, true, nil
-	}
-	k := len(pc.constraints)
-	newT := make([]*Table, k)
-	lens := make([]int, k)
-	for i := range pc.constraints {
-		newT[i] = s.tableFor(&pc.constraints[i], nil)
-		lens[i] = newT[i].Len()
-		if oldLens[i] > lens[i] {
-			return nil, nil, false, nil // not a prefix: state is not from this history
-		}
-	}
-	// Split each table at its old row count.  Materialization scans
-	// relation rows in insertion order with first-sighting dedup, and
-	// relations are append-only, so the old version's table is exactly
-	// the row prefix of the new one and ΔT the suffix — both zero-copy
-	// views.  Constraints sharing a table key share one view pair so
-	// the views' prefix indexes are shared within the advance too.
-	oldV := make([]*Table, k)
-	delV := make([]*Table, k)
-	views := make(map[tableKey][2]*Table, k)
-	for i := range pc.constraints {
-		key := pc.constraints[i].key
-		if v, hit := views[key]; hit {
-			oldV[i], delV[i] = v[0], v[1]
-			continue
-		}
-		o, d := prefixView(newT[i], oldLens[i]), suffixView(newT[i], oldLens[i])
-		views[key] = [2]*Table{o, d}
-		oldV[i], delV[i] = o, d
-	}
-	done := ctx.Done()
-	delta := new(big.Int)
-	mixed := make([]*Table, k)
-	for i := 0; i < k; i++ {
-		if delV[i].Len() == 0 {
-			continue
-		}
-		for j := 0; j < i; j++ {
-			mixed[j] = newT[j]
-		}
-		mixed[i] = delV[i]
-		for j := i + 1; j < k; j++ {
-			mixed[j] = oldV[j]
-		}
-		run, empty := semiJoinPrune(pc, mixed, s.B.Size())
-		if empty {
-			continue
-		}
-		ep := newExecPlan(pc, run, s.B.Size())
-		j, aborted := joinCount(pc, ep, s.B.Size(), done)
-		if aborted {
-			return nil, nil, true, ctxAbortErr(ctx)
-		}
-		delta.Add(delta, j)
-	}
-	return new(big.Int).Add(oldJ, delta), lens, true, nil
+	return t
 }
 
-// prefixView returns a read-only view of t's first n rows, sharing the
-// row storage (sound because session tables are never appended to after
-// materialization).  The view has its own index cache.
-func prefixView(t *Table, n int) *Table {
-	return &Table{width: t.width, n: n, dom: t.dom, flat: t.flat[:n*t.width], ar: t.ar}
+// clear empties variable v's support and returns its bitmap.
+func (w *seedWalk) clear(v int) []uint64 {
+	in := w.in[v*w.words : (v+1)*w.words]
+	for _, u := range w.vals[v] {
+		in[u>>6] &^= 1 << (u & 63)
+	}
+	w.vals[v] = w.vals[v][:0]
+	return in
 }
 
-// suffixView returns a read-only view of t's rows from row `from` on,
-// sharing the row storage.  Views inherit the parent's arena so their
-// prefix indexes are chunk-backed too (an advance runs under the
-// session pin, so the chunks outlive every view built on them).
-func suffixView(t *Table, from int) *Table {
-	return &Table{width: t.width, n: t.n - from, dom: t.dom, flat: t.flat[from*t.width:], ar: t.ar}
+// support narrows variable v's support to the values in column p of t.
+func (w *seedWalk) support(v int, t *Table, p int) {
+	in := w.clear(v)
+	for r := 0; r < t.n; r++ {
+		if u := t.flat[r*t.width+p]; in[u>>6]&(1<<(u&63)) == 0 {
+			in[u>>6] |= 1 << (u & 63)
+			w.vals[v] = append(w.vals[v], u)
+		}
+	}
 }

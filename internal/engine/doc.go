@@ -87,26 +87,28 @@
 // stale session's settled counts into its replacement as priors; the
 // next keyed count of the same fingerprint then applies the exact
 // telescoped delta-join identity — one mixed join per constraint whose
-// table grew, over zero-copy prefix/suffix views of the new session
-// tables (old tables are row prefixes, by the stores' insertion-order
-// materialization) — and re-stamps the memo, at a cost proportional to
-// the appended rows.  Which plans are maintained is decided at compile
-// time (fptPlan.deltaOK: every component a quantifier-free join over
-// atoms) and the state a count leaves for the next advance is a
-// concrete *fptDeltaState, captured by the plan's one full-count loop
-// (fptPlan.countIn); oversized deltas
-// (more than deltaMinRows appended tuples and more than deltaMaxPct
-// percent of the structure) and foreign or rewound snapshots fall back
-// to a full recount that re-captures fresh state.  DeltaStats counts
+// relation grew, its inputs read off the columnar store: the appended
+// row range for that constraint, and for the others the posting-list
+// rows reached from it through shared variables, cut at the prior's
+// snapshot row count (seedWalk) — and re-stamps the memo, at a cost
+// proportional to the rows those fetches keep, not to the structure.
+// Which plans are maintained is decided at compile time (fptPlan.deltaOK:
+// every component a quantifier-free join over atoms) and the state a
+// count leaves for the next advance is its per-component join values
+// (*fptDeltaState), captured by the plan's one full-count loop
+// (fptPlan.countIn); oversized deltas (more than deltaMinRows appended
+// tuples and more than deltaMaxPct percent of the structure) and
+// foreign or rewound snapshots fall back to a full recount that
+// re-captures fresh state.  DeltaStats counts
 // advances vs fallbacks; priors live inside sessions, so eviction frees
 // them.
 //
 // Execution is cancellable: every plan's CountIn takes the context, the
-// simple engines poll it per enumerated assignment, and the join-count
-// DP polls it
+// simple engines poll it per enumerated assignment, the join-count DP
 // at pivot-row and emission granularity (dpRun.cancelled) — in the
-// nested predicate runs too — so a serving layer's per-request deadline
-// stops CPU consumption within a bounded amount of work.  A cancelled
+// nested predicate runs too — and the delta walk per fetched row, so a
+// serving layer's per-request deadline stops CPU consumption within a
+// bounded amount of work.  A cancelled
 // keyed count never poisons the session memo — its entry is evicted and
 // the next request recomputes — and an aborted predicate
 // materialization caches no table.

@@ -284,6 +284,63 @@ func TestSessionReuseAndInvalidation(t *testing.T) {
 	}
 }
 
+// An atom table is built without a dedup set because none is needed:
+// the projection onto the atom's distinct variables is injective on the
+// relation rows that pass its repeated-variable filter, and a relation
+// is a set.  So the table has exactly one row per passing relation row,
+// in row order, pairwise distinct — also what lets the delta path cut
+// "old" from "new" by relation row id (delta.go).
+func TestAtomTableOneRowPerPassingRow(t *testing.T) {
+	sig := predSig() // E/2 and R/3
+	atoms := []string{
+		"q(x,y) := E(x,y)", "q(x) := E(x,x)", "q(x,y) := E(y,x)",
+		"q(x,y,z) := R(x,y,z)", "q(x,y,z) := R(z,x,y)", "q(x,y) := R(x,y,x)",
+		"q(x,y) := R(x,x,y)", "q(x,y) := R(y,x,x)", "q(x) := R(x,x,x)",
+	}
+	for seed := int64(0); seed < 6; seed++ {
+		b := workload.RandomStructure(sig, 3+int(seed)*3, 0.3, seed)
+		for _, src := range atoms {
+			pl, err := Compile(compilePP(t, sig, src), FPT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := &pl.(*fptPlan).comps[0].constraints[0]
+			tab := NewSession(b).tableFor(c, nil)
+			seen := make(map[string]bool)
+			r := 0
+			b.ForEachTuple(c.rel, func(tup []int) bool {
+				want := make([]int, len(c.scope))
+				for a, p := range c.atomTmpl {
+					for a2, p2 := range c.atomTmpl {
+						if p == p2 && tup[a] != tup[a2] {
+							return true // fails the repeated-variable filter
+						}
+					}
+					want[p] = tup[a]
+				}
+				if r >= tab.Len() {
+					t.Fatalf("%s seed %d: table has %d rows, relation has more passing rows", src, seed, tab.Len())
+				}
+				for p, u := range want {
+					if got := int(tab.flat[r*tab.width+p]); got != u {
+						t.Fatalf("%s seed %d: table row %d = …%d… at column %d, want %v", src, seed, r, got, p, want)
+					}
+				}
+				if key := fmt.Sprint(want); seen[key] {
+					t.Fatalf("%s seed %d: projected row %v repeats", src, seed, want)
+				} else {
+					seen[key] = true
+				}
+				r++
+				return true
+			})
+			if r != tab.Len() {
+				t.Fatalf("%s seed %d: table has %d rows, %d relation rows pass", src, seed, tab.Len(), r)
+			}
+		}
+	}
+}
+
 func TestRunBounded(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		got := make([]int, 100)

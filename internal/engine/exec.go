@@ -197,11 +197,12 @@ type wslot struct {
 const denseWmapCap = 1 << 16
 
 // newWmap returns an accumulator (a key set if set) presized for about n
-// entries (0 = unknown).
-func newWmap(codec keyCodec, n int, set bool) *wmap {
+// entries (0 = unknown).  sparse keeps a small key space out of the flat
+// form, whose zeroing costs the key space whatever the run puts in it.
+func newWmap(codec keyCodec, n int, set, sparse bool) *wmap {
 	m := &wmap{codec: codec, set: set}
 	if codec.packed {
-		if kb := codec.bits * uint(codec.width); kb <= 16 { // key space 1<<kb ≤ denseWmapCap
+		if kb := codec.bits * uint(codec.width); kb <= 16 && !sparse { // key space 1<<kb ≤ denseWmapCap
 			if set {
 				m.bits = make([]uint64, (1<<kb+63)/64)
 			} else {
@@ -736,6 +737,11 @@ type dpRun struct {
 	// node looks for one witness per output key (cut in enumerate).
 	exists bool
 
+	// sparse marks a delta term's run (delta.go): its pivot is an append
+	// batch, so its node tables hold a handful of keys and are hashed
+	// rather than laid out flat over their key space.
+	sparse bool
+
 	// ar allocates the tables the run builds for itself (freeDrivers):
 	// nil, the heap, for a counting run; the scratch arena of a predicate
 	// materialization.
@@ -794,9 +800,9 @@ func (r *dpRun) scratch() *execScratch {
 // done (nil = never fires) is the cooperative cancellation signal: when
 // it fires mid-run the partial result is discarded and aborted=true is
 // returned; a run that completed before observing the signal returns its
-// (correct, complete) total with aborted=false.
-func joinCount(pc *planComponent, ep *execPlan, domSize int, done <-chan struct{}) (total *big.Int, aborted bool) {
-	r := &dpRun{pc: pc, ep: ep, dom: domSize, maxW: pc.dec.Width() + 1, done: done}
+// (correct, complete) total with aborted=false.  sparse is dpRun.sparse.
+func joinCount(pc *planComponent, ep *execPlan, domSize int, sparse bool, done <-chan struct{}) (total *big.Int, aborted bool) {
+	r := &dpRun{pc: pc, ep: ep, dom: domSize, maxW: pc.dec.Width() + 1, sparse: sparse, done: done}
 	root := r.process(pc.root, nil)
 	if r.aborted {
 		return nil, true
@@ -862,7 +868,7 @@ func (r *dpRun) process(ni int, proj []int) *wmap {
 
 	en := &r.ep.nodes[ni]
 	hint := projSize(r.dom, len(proj), en.pivotSize(r.dom))
-	out := newWmap(newKeyCodec(r.dom, len(proj)), hint, r.exists)
+	out := newWmap(newKeyCodec(r.dom, len(proj)), hint, r.exists, r.sparse)
 	r.enumerate(en, groups, out, proj)
 	return out
 }

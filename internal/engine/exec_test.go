@@ -220,7 +220,7 @@ func TestWmapKeySetForms(t *testing.T) {
 	for _, f := range forms {
 		restore := ForcePackedKeyBudget(f.budget)
 		codec := newKeyCodec(f.dom, 3)
-		a := newWmap(codec, 0, true)
+		a := newWmap(codec, 0, true, false)
 		restore()
 		one := wnum{lo: 1}
 		for i := 0; i < 40; i++ {

@@ -407,12 +407,12 @@ func (pl *fptPlan) CountIn(ctx context.Context, s *Session) (*big.Int, error) {
 
 // countIn is the plan's one full count: the product of the component
 // values.  A non-nil st (sized to the plan, see countMaintained)
-// captures every component's join value and table row counts — the state
-// a later delta advance starts from — so the count then runs every
-// component; without it a zero factor ends the count early.  The whole
-// count runs under a session pin: the tables and prefix indexes it reads
-// live in the session's arena, and the pin keeps those chunks out of the
-// recycling pools until the executor window closes.
+// captures every component's join value — the state a later delta
+// advance starts from — so the count then runs every component; without
+// it a zero factor ends the count early.  The whole count runs under a
+// session pin: the tables and prefix indexes it reads live in the
+// session's arena, and the pin keeps those chunks out of the recycling
+// pools until the executor window closes.
 func (pl *fptPlan) countIn(ctx context.Context, s *Session, st *fptDeltaState) (*big.Int, error) {
 	if s.acquirePin() {
 		defer s.releasePin()
@@ -426,12 +426,12 @@ func (pl *fptPlan) countIn(ctx context.Context, s *Session, st *fptDeltaState) (
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		f, join, lens, err := pc.count(ctx, s)
+		f, join, err := pc.count(ctx, s)
 		if err != nil {
 			return nil, err
 		}
 		if st != nil {
-			st.joins[ci], st.lens[ci] = join, lens
+			st.joins[ci] = join
 		} else if f.Sign() == 0 {
 			return new(big.Int), nil
 		}
@@ -441,61 +441,56 @@ func (pl *fptPlan) countIn(ctx context.Context, s *Session, st *fptDeltaState) (
 }
 
 // count returns the component's value |B|^free × J and, for a liberal
-// component, its join count J with the per-constraint table row counts
-// joinState reports (nil for a sentence component or a failed sentence
-// check, which no delta-maintainable plan has).
-func (pc *planComponent) count(ctx context.Context, s *Session) (f, join *big.Int, lens []int, err error) {
+// component, its join count J (nil for a sentence component or a failed
+// sentence check, which no delta-maintainable plan has).
+func (pc *planComponent) count(ctx context.Context, s *Session) (f, join *big.Int, err error) {
 	if pc.sentence {
 		if s.SentenceHolds(pc.structureOnly) {
-			return big.NewInt(1), nil, nil, nil
+			return big.NewInt(1), nil, nil
 		}
-		return new(big.Int), nil, nil, nil
+		return new(big.Int), nil, nil
 	}
 	for _, sub := range pc.extraSentences {
 		if !s.SentenceHolds(sub) {
-			return new(big.Int), nil, nil, nil
+			return new(big.Int), nil, nil
 		}
 	}
-	join, lens, err = pc.joinState(ctx, s)
+	join, err = pc.joinIn(ctx, s)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	f = structure.PowerSize(s.B, pc.freeVars)
-	return f.Mul(f, join), join, lens, nil
+	return f.Mul(f, join), join, nil
 }
 
-// joinState computes the component's join count over the session's
-// materialized constraint tables and reports, per constraint, those
-// tables' row counts — the cut points a later delta advance splits the
-// next version's tables at (delta.go).  For a constraint-free component
-// the join is the neutral 1 with no lens.
-func (pc *planComponent) joinState(ctx context.Context, s *Session) (*big.Int, []int, error) {
+// joinIn computes the component's join count over the session's
+// materialized constraint tables (the neutral 1 for a constraint-free
+// component).
+func (pc *planComponent) joinIn(ctx context.Context, s *Session) (*big.Int, error) {
 	if pc.nActive == 0 {
-		return big.NewInt(1), nil, nil
+		return big.NewInt(1), nil
 	}
 	done := ctx.Done()
 	tables := make([]*Table, len(pc.constraints))
-	lens := make([]int, len(pc.constraints))
 	for ci := range pc.constraints {
 		t := s.tableFor(&pc.constraints[ci], done)
 		if t == nil {
-			return nil, nil, ctxAbortErr(ctx)
+			return nil, ctxAbortErr(ctx)
 		}
 		tables[ci] = t
-		lens[ci] = t.Len()
 	}
 	// Bind the component to this session's tables: semi-join pre-pruning,
 	// per-node bind orders, prefix indexes — computed once per
 	// (component, session) and cached thereafter.
 	ep, empty := s.execPlanFor(pc, tables)
 	if empty {
-		return new(big.Int), lens, nil
+		return new(big.Int), nil
 	}
-	joined, aborted := joinCount(pc, ep, s.B.Size(), done)
+	joined, aborted := joinCount(pc, ep, s.B.Size(), false, done)
 	if aborted {
-		return nil, nil, ctxAbortErr(ctx)
+		return nil, ctxAbortErr(ctx)
 	}
-	return joined, lens, nil
+	return joined, nil
 }
 
 // ctxAbortErr maps an executor abort back to the context's error,

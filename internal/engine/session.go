@@ -411,44 +411,50 @@ func (s *Session) tableFor(c *planConstraint, done <-chan struct{}) *Table {
 }
 
 // materializeAtom projects B's relation through the atom's template
-// directly off the columnar store into the table's flat row-major cells,
-// deduplicating projected rows with a packed-key tuple set (no string
-// keys, no [][]int materialization of the relation).
+// directly off the columnar store into the table's flat row-major cells
+// (no [][]int materialization of the relation).  Nothing is deduplicated
+// because nothing can repeat: every argument position maps to a scope
+// position, so the projection is injective on the rows that pass the
+// repeated-variable filter, and a relation is a set — the table has one
+// row per passing relation row, in row order.
 func (s *Session) materializeAtom(c *planConstraint) *Table {
 	width := len(c.scope)
 	t := newTable(width, s.B.Size(), s.arenaFor())
 	rel := s.B.Rel(c.rel)
 	n := rel.Len()
-	if n == 0 {
-		return t
-	}
-	cols := make([][]int32, len(c.atomTmpl))
-	for j := range c.atomTmpl {
-		cols[j] = rel.Col(j)
-	}
-	// Sized to the relation: projection only removes rows, so n bounds
-	// the distinct count and bulk insertion never rehashes.
-	dedup := structure.NewTupleSetSized(width, n)
+	t.flat = t.ar.allocI32(n * width)[:0]
 	vals := make([]int, width)
-	seen := make([]bool, width)
-rowLoop:
 	for row := 0; row < n; row++ {
-		for i := range seen {
-			seen[i] = false
-		}
-		for j, si := range c.atomTmpl {
-			u := int(cols[j][row])
-			if seen[si] && vals[si] != u {
-				continue rowLoop
-			}
-			vals[si] = u
-			seen[si] = true
-		}
-		if dedup.Add(vals) {
+		if c.project(rel, row, vals) {
 			t.appendRow(vals)
 		}
 	}
 	return t
+}
+
+// project writes the atom's projection of rel's row into vals (one cell
+// per scope position) and reports whether the row passes the atom's
+// repeated-variable filter: argument positions the template maps to one
+// scope position must hold one value.
+func (c *planConstraint) project(rel *structure.Relation, row int, vals []int) bool {
+	for p := range vals {
+		vals[p] = -1
+	}
+	for a, p := range c.atomTmpl {
+		u := rel.Value(row, a)
+		if vals[p] >= 0 && vals[p] != u {
+			return false
+		}
+		vals[p] = u
+	}
+	return true
+}
+
+// prefixView returns a read-only view of t's first n rows, sharing the
+// row storage (sound because session tables are never appended to after
+// materialization).  The view has its own index cache.
+func prefixView(t *Table, n int) *Table {
+	return &Table{width: t.width, n: n, dom: t.dom, flat: t.flat[:n*t.width], ar: t.ar}
 }
 
 // materializePredicate computes an ∃-component predicate — the interface
@@ -511,8 +517,9 @@ var (
 var sessionEvictions atomic.Uint64
 
 // evictSessionsLocked drops the least-recently-used entries until at
-// least sessionCacheCap/8 slots are free.  Caller holds sessionMu.
-func evictSessionsLocked() {
+// least sessionCacheCap/8 slots are free and returns them for the caller
+// to retire once it has released sessionMu, which it holds here.
+func evictSessionsLocked() (evicted []*Session) {
 	target := sessionCacheCap - sessionCacheCap/8
 	if target < 1 {
 		target = 1
@@ -525,11 +532,11 @@ func evictSessionsLocked() {
 				oldest, oldestUse = b, e.use
 			}
 		}
-		evicted := sessions[oldest].s
+		evicted = append(evicted, sessions[oldest].s)
 		delete(sessions, oldest)
-		evicted.retire()
 		sessionEvictions.Add(1)
 	}
+	return evicted
 }
 
 // SessionCacheStats is a snapshot of the process-wide session registry:
@@ -555,8 +562,10 @@ func SessionStats() SessionCacheStats {
 
 // SessionFor returns the cached session of b, creating (or replacing a
 // stale) one as needed.  NewSession is cheap (all materialization is
-// lazy), so the whole lookup runs under the
-// registry lock.
+// lazy), so the whole lookup runs under the registry lock; the sessions
+// it displaces are retired after the lock is released, because freeing
+// an arena (chunk-pool returns, memo rebuilds) is work every reader of
+// every other structure would otherwise wait for.
 //
 // Replacing a stale session carries its settled advanceable counts into
 // the new one as priors (settledCounts), so a warm memo survives the
@@ -566,6 +575,16 @@ func SessionStats() SessionCacheStats {
 // takes its priors with it, so advanceable memos never outlive their
 // structure's registry entry.
 func SessionFor(b *structure.Structure) *Session {
+	s, displaced := sessionLookup(b)
+	for _, d := range displaced {
+		d.retire()
+	}
+	return s
+}
+
+// sessionLookup is SessionFor under sessionMu: the session to use and
+// the sessions that left the registry to make room for it.
+func sessionLookup(b *structure.Structure) (*Session, []*Session) {
 	v := b.Version()
 	sessionMu.Lock()
 	defer sessionMu.Unlock()
@@ -573,7 +592,7 @@ func SessionFor(b *structure.Structure) *Session {
 	if e := sessions[b]; e != nil {
 		if e.s.version == v {
 			e.use = sessionClock
-			return e.s
+			return e.s, nil
 		}
 		ns := NewSession(b)
 		if e.s.version < v {
@@ -586,15 +605,15 @@ func SessionFor(b *structure.Structure) *Session {
 			ns.prior = e.s.settledCounts()
 		}
 		sessions[b] = &sessionEntry{s: ns, use: sessionClock}
-		e.s.retire()
-		return ns
+		return ns, []*Session{e.s}
 	}
+	var displaced []*Session
 	if len(sessions) >= sessionCacheCap {
-		evictSessionsLocked()
+		displaced = evictSessionsLocked()
 	}
 	ns := NewSession(b)
 	sessions[b] = &sessionEntry{s: ns, use: sessionClock}
-	return ns
+	return ns, displaced
 }
 
 // settledCounts collects the session's advanceable counts for adoption

@@ -17,10 +17,13 @@ import (
 // append batches.  Registration compiles the counter but computes
 // nothing; the count materializes lazily on the first read and is then
 // *advanced* on later reads — the counter's keyed counts ride the
-// engine's incremental delta path (engine/delta.go), so a read after an
-// append batch costs the delta joins, not a recount, while an unchanged
-// version is answered from the subscription's own cached pair without
-// touching the engine at all.
+// engine's incremental delta path (engine/delta.go), whose inputs are
+// fetched from the store's posting lists starting at the appended rows,
+// so a read after an append batch costs the delta joins — not a
+// recount, and not a rebuild of the structure's session tables — while
+// an unchanged version is answered from the subscription's own cached
+// pair without touching the engine at all.  That holds for queries
+// whose terms are quantifier-free joins; the others recount.
 
 // subEntry is one registered subscription plus its maintained state.
 type subEntry struct {
