@@ -63,18 +63,32 @@ func TestStatsConcurrentWithCounting(t *testing.T) {
 	wg.Wait()
 }
 
+// testDeadline is the deadline of the two abort tests below.
+const testDeadline = 500 * time.Microsecond
+
+// slowCycle4 returns a counter of the free 4-cycle and a structure on
+// which its un-cancelled count has just been measured at 100 ×
+// testDeadline or more (workload.SlowDigraph).
+func slowCycle4(t *testing.T) (*Counter, *structure.Structure) {
+	t.Helper()
+	c, err := NewCounter(workload.CycleQuery(4), workload.EdgeSig(), count.EngineFPT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, workload.SlowDigraph(t, testDeadline, func(b *structure.Structure) error {
+		_, err := c.Count(b)
+		c.Release(b)
+		return err
+	})
+}
+
 // TestCountCtxDeadline: an expired per-request deadline aborts the count
 // with context.DeadlineExceeded, and the counter still answers the next
 // un-cancelled request correctly (the per-session count memo must not be
 // poisoned by the cancelled term).
 func TestCountCtxDeadline(t *testing.T) {
-	q := workload.CliqueQuery(3) // free triangle: a dense three-way join
-	b := workload.RandomStructure(workload.EdgeSig(), 250, 0.5, 17)
-	c, err := NewCounter(q, b.Signature(), count.EngineFPT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	c, b := slowCycle4(t)
+	ctx, cancel := context.WithTimeout(context.Background(), testDeadline)
 	defer cancel()
 	if _, err := c.CountCtx(ctx, b); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("CountCtx err = %v, want context.DeadlineExceeded", err)
@@ -96,17 +110,12 @@ func TestCountCtxDeadline(t *testing.T) {
 // TestCountBatchCtxCancel: cancelling a batch stops it with the
 // context's error.
 func TestCountBatchCtxCancel(t *testing.T) {
-	q := workload.CliqueQuery(3)
-	b := workload.RandomStructure(workload.EdgeSig(), 200, 0.5, 19)
-	c, err := NewCounter(q, b.Signature(), count.EngineFPT)
-	if err != nil {
-		t.Fatal(err)
+	c, b := slowCycle4(t)
+	batch := []*structure.Structure{b}
+	for i := 1; i < 4; i++ {
+		batch = append(batch, workload.RandomStructure(workload.EdgeSig(), b.Size(), 0.5, int64(20+i)))
 	}
-	batch := make([]*structure.Structure, 8)
-	for i := range batch {
-		batch[i] = workload.RandomStructure(workload.EdgeSig(), 200, 0.5, int64(20+i))
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), testDeadline)
 	defer cancel()
 	if _, err := c.CountBatchCtx(ctx, batch); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("CountBatchCtx err = %v, want context.DeadlineExceeded", err)

@@ -87,15 +87,6 @@ func (a *arena) allocI32(n int) []int32 {
 	return out
 }
 
-// allocI32Zero is allocI32 with the cells cleared.
-func (a *arena) allocI32Zero(n int) []int32 {
-	out := a.allocI32(n)
-	for i := range out {
-		out[i] = 0
-	}
-	return out
-}
-
 // allocU64 is allocI32 for uint64 slots.
 func (a *arena) allocU64(n int) []uint64 {
 	if n == 0 {

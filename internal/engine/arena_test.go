@@ -30,12 +30,6 @@ func TestArenaExactCapacityAndFree(t *testing.T) {
 			t.Fatal("adjacent arena allocations alias")
 		}
 	}
-	z := a.allocI32Zero(64)
-	for _, v := range z {
-		if v != 0 {
-			t.Fatal("allocI32Zero returned dirty cells")
-		}
-	}
 	u := a.allocU64(1000)
 	if len(u) != 1000 || cap(u) != 1000 {
 		t.Fatalf("allocU64(1000): len %d cap %d", len(u), cap(u))

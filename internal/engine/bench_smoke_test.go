@@ -16,15 +16,16 @@ import (
 // a batch + keyed count per step) must beat the full-recount baseline by
 // at least 20x — a same-machine relative bound that catches regressions
 // in the incremental path (delta.go) without depending on absolute CI
-// speed.  An advance whose cost follows the structure instead of the
-// batch (tables re-materialized, a scanning prune, accumulators laid out
-// over their key space) reads 8x here; the seeded walk reads over 100x.
+// speed.  The instance has the degree (≈ 16) of the 260-element one it
+// replaces, where the recount on rows (Table.rows) had come within 14–17x
+// of the advance, on four times the universe: a recount follows the
+// structure, the seeded walk the batch and the degree, and reads 45–85x.
 // Gated behind EPCQ_BENCH_SMOKE so the normal test run stays fast.
 func TestBenchSmokeDeltaAppendCountMix(t *testing.T) {
 	if os.Getenv("EPCQ_BENCH_SMOKE") == "" {
 		t.Skip("set EPCQ_BENCH_SMOKE=1 to run the bench smoke guard")
 	}
-	const n, steps, batchEdges = 260, 24, 3
+	const n, steps, batchEdges = 1040, 24, 3
 	sig := workload.EdgeSig()
 	pl, err := Compile(compilePP(t, sig, "tri(x,y,z) := E(x,y) & E(y,z) & E(z,x)"), FPT)
 	if err != nil {
@@ -42,7 +43,7 @@ func TestBenchSmokeDeltaAppendCountMix(t *testing.T) {
 		if !deltaOn {
 			defer DisableDelta()()
 		}
-		b := workload.RandomStructure(sig, n, 0.06, 11)
+		b := workload.RandomStructure(sig, n, 0.015, 11)
 		defer ReleaseSession(b)
 		const fp = "bench-smoke-delta-mix"
 		if _, _, err := CountKeyedCtx(context.Background(), pl, fp, SessionFor(b), 0); err != nil { // cold count outside the timing

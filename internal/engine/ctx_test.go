@@ -3,12 +3,14 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/pp"
+	"repro/internal/structure"
 	"repro/internal/workload"
 )
 
@@ -82,6 +84,24 @@ func compileTestPlan(t *testing.T, shape string, name Name) Plan {
 	return pl
 }
 
+// testDeadline is the deadline of the mid-run abort tests below.
+const testDeadline = 500 * time.Microsecond
+
+// slowCycle4 returns the free 4-cycle's plan and a structure on which its
+// un-cancelled count has just been measured at 100 × testDeadline or more
+// (workload.SlowDigraph): an executor run a deadline does cut short.
+func slowCycle4(t *testing.T) (Plan, *structure.Structure) {
+	t.Helper()
+	pl, err := Compile(compilePP(t, workload.EdgeSig(), "c4(a,b,c,d) := E(a,b) & E(b,c) & E(c,d) & E(d,a)"), FPT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl, workload.SlowDigraph(t, testDeadline, func(b *structure.Structure) error {
+		_, err := pl.CountIn(context.Background(), NewSession(b))
+		return err
+	})
+}
+
 // TestCountInCtxPreCancelled: a context that is already done returns its
 // error without executing.
 func TestCountInCtxPreCancelled(t *testing.T) {
@@ -100,13 +120,10 @@ func TestCountInCtxPreCancelled(t *testing.T) {
 // correct count (the abort discards partial state and does not poison
 // any cache).
 func TestCountInCtxAbortMidRun(t *testing.T) {
-	pl := compileTestPlan(t, "triangle", FPT)
-	// Dense 250-vertex graph: the triangle join-count is far too much
-	// work for a 1ms deadline on any machine.
-	b := workload.RandomStructure(workload.EdgeSig(), 250, 0.5, 11)
+	pl, b := slowCycle4(t)
 	s := SessionFor(b)
 
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), testDeadline)
 	defer cancel()
 	_, err := CountInCtx(ctx, pl, s, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -130,12 +147,11 @@ func TestCountInCtxAbortMidRun(t *testing.T) {
 // leave its error in the session memo; the next keyed request
 // recomputes and succeeds.
 func TestCountKeyedCtxMemoNotPoisoned(t *testing.T) {
-	pl := compileTestPlan(t, "triangle", FPT)
-	b := workload.RandomStructure(workload.EdgeSig(), 250, 0.5, 13)
+	pl, b := slowCycle4(t)
 	s := SessionFor(b)
 	const fp = "test-fingerprint"
 
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), testDeadline)
 	defer cancel()
 	if _, _, err := CountKeyedCtx(ctx, pl, fp, s, 0); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -162,12 +178,11 @@ func TestCountKeyedCtxMemoNotPoisoned(t *testing.T) {
 // must not surface that caller's cancellation — it retries and gets the
 // correct count.
 func TestCountKeyedCtxHealthyWaiterRetries(t *testing.T) {
-	pl := compileTestPlan(t, "triangle", FPT)
-	b := workload.RandomStructure(workload.EdgeSig(), 250, 0.5, 37)
+	pl, b := slowCycle4(t)
 	s := SessionFor(b)
 	const fp = "waiter-retry-fingerprint"
 
-	shortCtx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	shortCtx, cancel := context.WithTimeout(context.Background(), testDeadline)
 	defer cancel()
 	var (
 		wg       sync.WaitGroup
@@ -221,17 +236,15 @@ func TestSimpleEnginesCountInCtx(t *testing.T) {
 }
 
 // predicateFixture compiles the quantified 3-path — one ∃-component
-// predicate on {s,t}, nothing else — and returns its plan, the predicate
-// constraint, and a structure on which materializing the predicate takes
-// a few hundred milliseconds of nested join-count work.
-func predicateFixture(t *testing.T) (Plan, *planConstraint, *Session) {
+// predicate on {s,t}, nothing else — and returns its plan and the
+// predicate constraint.
+func predicateFixture(t *testing.T) (Plan, *planConstraint) {
 	t.Helper()
-	sig := workload.EdgeSig()
-	pl, err := Compile(compilePP(t, sig, "p(s,t) := exists a. exists b. E(s,a) & E(a,b) & E(b,t)"), FPT)
+	pl, err := Compile(compilePP(t, workload.EdgeSig(), "p(s,t) := exists a. exists b. E(s,a) & E(a,b) & E(b,t)"), FPT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pl, firstPredicate(t, pl), NewSession(workload.RandomStructure(sig, 250, 0.5, 17))
+	return pl, firstPredicate(t, pl)
 }
 
 // cachedTable reports the table the session has cached under the
@@ -252,7 +265,8 @@ func cachedTable(s *Session, c *planConstraint) *Table {
 // closed the nested run stops at its first poll, reports the abort, and
 // caches nothing; the same session then materializes the table in full.
 func TestPredicateMaterializationPreCancelled(t *testing.T) {
-	_, pred, s := predicateFixture(t)
+	_, pred := predicateFixture(t)
+	s := NewSession(workload.RandomStructure(workload.EdgeSig(), 250, 0.5, 17))
 	done := make(chan struct{})
 	close(done)
 	if tab := s.tableFor(pred, done); tab != nil {
@@ -276,8 +290,15 @@ func TestPredicateMaterializationPreCancelled(t *testing.T) {
 // error instead of running the materialization out, the session keeps no
 // partial table, and the next count on the same session is right.
 func TestPredicateMaterializationDeadlineMidRun(t *testing.T) {
-	pl, pred, s := predicateFixture(t)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	pl, pred := predicateFixture(t)
+	// The nested run ORs rows, 64 values a word: a shorter deadline keeps
+	// the instance that is 100 × it small.
+	const deadline = 200 * time.Microsecond
+	s := NewSession(workload.SlowDigraph(t, deadline, func(b *structure.Structure) error {
+		_, err := pl.CountIn(context.Background(), NewSession(b))
+		return err
+	}))
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	if _, err := CountInCtx(ctx, pl, s, 0); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -301,5 +322,42 @@ func TestPredicateMaterializationDeadlineMidRun(t *testing.T) {
 	}
 	if got.Cmp(want) != 0 {
 		t.Fatalf("count after an aborted materialization %v, fresh session %v", got, want)
+	}
+}
+
+// TestJoinCountAbortInsideRowTails: on a dense triangle every pivot row's
+// work is one row tail, so a signal that fires a hundredth of the way into
+// the run fires between tails; the run must notice, report the abort and
+// bind only part of what the full run binds, and the bound plan must count
+// right afterwards.
+func TestJoinCountAbortInsideRowTails(t *testing.T) {
+	pl, err := Compile(compilePP(t, workload.EdgeSig(), "tri(x,y,z) := E(x,y) & E(y,z) & E(z,x)"), FPT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := workload.RandomStructure(workload.EdgeSig(), 600, 0.5, 41)
+	s, pc := NewSession(b), pl.(*fptPlan).comps[0]
+	tables := make([]*Table, len(pc.constraints))
+	for ci := range tables {
+		tables[ci] = s.tableFor(&pc.constraints[ci], nil)
+	}
+	ep, _ := s.execPlanFor(pc, tables)
+	run := func(done chan struct{}) (total string, aborted bool, binds int64, took time.Duration) {
+		before, start := rowBinds.Load(), time.Now()
+		v, aborted := joinCount(pc, ep, b.Size(), false, done)
+		return fmt.Sprint(v), aborted, rowBinds.Load() - before, time.Since(start)
+	}
+	want, aborted, full, took := run(make(chan struct{}))
+	if aborted || full < int64(tables[0].Len()) {
+		t.Fatalf("the full run aborted (%v) or bound %d positions from rows over %d pivot rows: the test exercised nothing", aborted, full, tables[0].Len())
+	}
+	done := make(chan struct{})
+	timer := time.AfterFunc(took/100, func() { close(done) })
+	defer timer.Stop()
+	if _, aborted, part, _ := run(done); !aborted || part >= full {
+		t.Fatalf("signal %v into a %v run: aborted = %v after %d of %d row binds", took/100, took, aborted, part, full)
+	}
+	if got, aborted, _, _ := run(nil); aborted || got != want {
+		t.Fatalf("count after the abort %v (aborted = %v), want %v", got, aborted, want)
 	}
 }

@@ -260,7 +260,7 @@ func (w *seedWalk) term(i int, acc *big.Int) bool {
 		}
 	}
 	dom := w.b.Size()
-	j, aborted := joinCount(w.pc, newExecPlan(w.pc, tables, dom), dom, true, w.done)
+	j, aborted := joinCount(w.pc, newExecPlan(w.pc, tables, dom, true), dom, true, w.done)
 	if !aborted {
 		acc.Add(acc, j)
 	}

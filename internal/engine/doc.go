@@ -34,18 +34,23 @@
 //     the allowed values from the live rows and rechecking only the
 //     columns whose variable shrank; alive rows and allowed values are
 //     word bitmaps, the survivors are compacted once into exact-size
-//     arena rows) — then the join-count dynamic program itself.  The DP
-//     is index-driven: at
+//     arena rows) — then the join-count dynamic program itself.  At
 //     plan-bind time (once per component and session) each node gets a
 //     constraint bind order (smallest table first, then maximal
-//     bound-prefix overlap) and each non-pivot step gets a prefix index
-//     of its table keyed on the packed values of the already-bound part
-//     of its scope, so enumeration is index probes instead of
-//     backtracking scans.  Prefix indexes (tableIndex) are CSR-layout
-//     open-addressing tables: splitmix64-hashed packed keys in a
-//     power-of-two slot array sized once at build and never rehashed,
-//     rows contiguous in one shared array, probes allocation-free; the
-//     per-table index cache is LRU-capped (tableIndexCacheCap).  A
+//     bound-prefix overlap) and each non-pivot step the way it enters
+//     its table by the already-bound part of its scope, so enumeration
+//     is look-ups instead of backtracking scans.  A width-2 table over
+//     a universe of at least 64 elements that is dense enough for it
+//     (structure.BitRowsFit, the hom solver's rule) is entered by its
+//     rows (Table.rows: a bit matrix over the universe per
+//     orientation), and where a node's last binder binds one position
+//     from rows — a table's, or a child key set's that is flat and so
+//     rows already — the end of the bind order is one AND of rows per
+//     bound prefix, emitted 64 values a word (the tail in enumerate).
+//     Every other table, and every input of a delta run, is entered by
+//     a prefix index keyed on the packed bound values (tableIndex: a
+//     CSR-layout open-addressing table sized once at build, its probes
+//     allocation-free; the per-table cache is LRU-capped).  A
 //     run stays on its caller's goroutine: requests, and the structures
 //     of a batch (RunBoundedCtx), are the units of parallelism.
 //     Bag keys are packed uint64 (with a spill path for wide bags),
@@ -105,7 +110,7 @@
 //
 // Execution is cancellable: every plan's CountIn takes the context, the
 // simple engines poll it per enumerated assignment, the join-count DP
-// at pivot-row and emission granularity (dpRun.cancelled) — in the
+// per pivot row and per emission or row tail (dpRun.cancelled) — in the
 // nested predicate runs too — and the delta walk per fetched row, so a
 // serving layer's per-request deadline stops CPU consumption within a
 // bounded amount of work.  A cancelled

@@ -4,7 +4,9 @@ import (
 	"math"
 	"math/big"
 	"math/bits"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/structure"
 )
@@ -13,9 +15,9 @@ import (
 // component.  Node tables map bag assignments to the number of extensions
 // over the subtree's variables; children merge by grouping on shared bag
 // variables; bag assignments are enumerated by joining the local
-// constraint tables along a precomputed bind order, probing each table's
-// prefix index with the packed values of the already-bound part of its
-// scope.
+// constraint tables along a precomputed bind order, each table entered by
+// the already-bound part of its scope: through its rows where it has
+// them, through a prefix index on the packed bound values otherwise.
 //
 // The work is split across three moments:
 //
@@ -25,18 +27,34 @@ import (
 //   - bind time (newExecPlan, once per component and session): the
 //     constraint bind order per node (smallest table first, then maximal
 //     bound-prefix overlap), the bound/free split of every scope, and the
-//     prefix hash indexes of the tables — everything derivable from the
-//     formula plus the table sizes;
-//   - run time (joinCount): pure index probes and map accumulation, on
-//     the caller's goroutine — a request is the unit of parallelism.
+//     rows or prefix hash index each step enters its table by —
+//     everything derivable from the formula plus the tables;
+//   - run time (joinCount): row intersections, index probes and map
+//     accumulation, on the caller's goroutine — a request is the unit of
+//     parallelism.
 //
-// Two representation choices make this the hot path's fast path:
+// Three representation choices make this the hot path's fast path:
 //
 //   - bag assignments are packed into uint64 keys (⌈log₂ |B|⌉ bits per
 //     variable) whenever they fit, spilling to byte-string keys only for
 //     wide bags;
 //   - extension counts are int64 until an addition or multiplication
-//     would overflow, then fall back to big.Int per entry.
+//     would overflow, then fall back to big.Int per entry;
+//   - a width-2 table lays itself out, per orientation and on first use,
+//     as a bit matrix over the universe (Table.rows: row u = the values
+//     beside u) when it fits: |B| ≥ 64 (rowsMinDom — below it a row is a
+//     fraction of a word and a flat key set is not word-aligned rows) and
+//     |B|·⌈|B|/64⌉ ≤ 5·rows (structure.BitRowsFit, the hom solver's
+//     rule).  A step over such a table iterates a row's bits or tests
+//     one, and builds no index.  Wider tables, universes too small or
+//     too sparse for the rule, and every delta run (dpRun.sparse: nothing
+//     universe-sized is built for an append batch) stay on tuples.  Where
+//     a node's last binder binds one position v from rows, the end of the
+//     bind order is one intersection per bound prefix, emitted whole
+//     (enumerate): one key if it is non-empty (existence run, v outside
+//     the key), OR-ed into the output's row (existence run, v the last
+//     column of a flat key set), weight × popcount (counting run, v
+//     outside the key, no child table on v), value by value otherwise.
 
 // packedKeyBudget is the number of key bits available before the packed
 // representation spills to strings.  Nothing outside the package's own
@@ -391,9 +409,10 @@ type Table struct {
 	flat  []int32
 	ar    *arena // owning session's allocator; nil → heap
 
-	mu    sync.Mutex
-	idx   map[uint64]*tableIndex // bound-position bitmask → index
-	clock uint64                 // probe tick for LRU eviction of idx
+	mu      sync.Mutex
+	idx     map[uint64]*tableIndex // bound-position bitmask → index
+	clock   uint64                 // probe tick for LRU eviction of idx
+	bitRows [2][]uint64            // rows(by), laid out on first use
 }
 
 func newTable(width, dom int, ar *arena) *Table { return &Table{width: width, dom: dom, ar: ar} }
@@ -428,6 +447,44 @@ func (t *Table) grow(need int) {
 	nf := t.ar.allocI32(newCap)
 	copy(nf, t.flat)
 	t.flat = nf[:len(t.flat)]
+}
+
+// rowsMinDom is the smallest universe whose tables are laid out as rows:
+// from 64 values on a row is at least a word, and a flat key set over two
+// positions (wmap.bits, codec.bits ≥ 6) is word-aligned rows already.
+const rowsMinDom = 64
+
+// rows returns t laid out as a bit matrix by scope position by — row u,
+// ⌈dom/64⌉ words, holds the values beside u in the rows with u at by — or
+// nil when t does not fit the layout: width 2, a universe of at least
+// rowsMinDom, dense enough for it by the hom solver's rule.  An
+// orientation is built on first use and cached beside idx.
+func (t *Table) rows(by int) []uint64 {
+	if t.dom < rowsMinDom || !structure.BitRowsFit(t.width, t.dom, t.n) {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.bitRows[by] == nil {
+		words := (t.dom + 63) / 64
+		m := t.ar.allocU64(t.dom * words)
+		clear(m)
+		for r := 0; r < t.n; r++ {
+			u, v := int(t.flat[2*r+by]), uint(t.flat[2*r+1-by])
+			m[u*words+int(v>>6)] |= 1 << (v & 63)
+		}
+		t.bitRows[by] = m
+	}
+	return t.bitRows[by]
+}
+
+// rowSrc is one operand of a row intersection: the row of the bit matrix
+// m, stride words apart, that the value at bag position by selects
+// (stride 0: m is a single row).
+type rowSrc struct {
+	m      []uint64
+	stride int
+	by     int
 }
 
 // tableIndex is a hash index of a table keyed on the packed values of a
@@ -528,7 +585,8 @@ func (t *Table) prefixIndex(pos []int) *tableIndex {
 		ix.mask = uint64(capN - 1)
 		ix.keys = t.ar.allocU64(capN)
 		ix.starts = t.ar.allocI32(capN)
-		ix.counts = t.ar.allocI32Zero(capN)
+		ix.counts = t.ar.allocI32(capN)
+		clear(ix.counts)
 		ix.rows = t.ar.allocI32(t.n)
 		// Pass 1: bucket cardinalities.
 		for r := 0; r < t.n; r++ {
@@ -595,14 +653,21 @@ func (t *Table) prefixIndex(pos []int) *tableIndex {
 // otherwise) into the bag assignment.
 type execStep struct {
 	table *Table
-	// idx is nil for the pivot step and for steps whose scope shares no
-	// bound position (then every row is enumerated).
+	// idx is nil for the pivot step, for steps whose scope shares no bound
+	// position (then every row is enumerated) and for steps bound to rows.
 	idx      *tableIndex
 	boundBag []int // bag positions supplying the probe key, aligned with idx.pos
 	// freeScope/freeBag are the scope positions this step newly binds and
 	// the bag positions they bind into.
 	freeScope []int
 	freeBag   []int
+	// A step over a table laid out as rows (Table.rows) is bound to srcs
+	// instead of idx: their rows' intersection holds the candidates of bag
+	// position bit, which the step binds (freeBag = {bit}) or, both bound,
+	// tests.  A test of the position the step before it binds from rows is
+	// no step of its own: its row joins that step's srcs.
+	srcs []rowSrc
+	bit  int
 }
 
 // execNode is a decomposition node bound to a session's tables.
@@ -621,11 +686,13 @@ type execPlan struct {
 }
 
 // newExecPlan chooses the per-node bind orders for the given tables and
-// builds the prefix indexes every non-pivot step probes.  Heuristic:
-// smallest table first, then maximal bound-prefix overlap (ties: smaller
-// table, then placement order).
-func newExecPlan(pc *planComponent, tables []*Table, domSize int) *execPlan {
+// binds every non-pivot step to its table's rows or, for a table that has
+// none and for a delta term's inputs (sparse), builds the prefix index it
+// probes.  Heuristic: smallest table first, then maximal bound-prefix
+// overlap (ties: smaller table, then placement order).
+func newExecPlan(pc *planComponent, tables []*Table, domSize int, sparse bool) *execPlan {
 	ep := &execPlan{nodes: make([]execNode, len(pc.dec.Bags))}
+	words := (domSize + 63) / 64
 	for ni, bag := range pc.dec.Bags {
 		meta := &pc.nodes[ni]
 		cons := pc.consAt[ni]
@@ -635,19 +702,19 @@ func newExecPlan(pc *planComponent, tables []*Table, domSize int) *execPlan {
 		if len(cons) == 0 {
 			continue
 		}
-		bound := make([]bool, len(bag))
+		boundAt := make([]int, len(bag)) // bind depth per position; 0 = unbound
 		used := make([]bool, len(cons))
 		en.steps = make([]execStep, 0, len(cons))
-		for len(en.steps) < len(cons) {
+		for placed := 0; placed < len(cons); placed++ {
 			best, bestOv, bestSz := -1, -1, -1
 			for k := range cons {
 				if used[k] {
 					continue
 				}
 				ov := 0
-				if len(en.steps) > 0 { // pivot choice is by size alone
+				if placed > 0 { // pivot choice is by size alone
 					for _, bi := range meta.scopeBag[k] {
-						if bound[bi] {
+						if boundAt[bi] > 0 {
 							ov++
 						}
 					}
@@ -662,7 +729,7 @@ func newExecPlan(pc *planComponent, tables []*Table, domSize int) *execPlan {
 			st := execStep{table: t}
 			var boundScope []int
 			for j, bi := range meta.scopeBag[best] {
-				if bound[bi] {
+				if boundAt[bi] > 0 {
 					boundScope = append(boundScope, j)
 					st.boundBag = append(st.boundBag, bi)
 				} else {
@@ -670,20 +737,41 @@ func newExecPlan(pc *planComponent, tables []*Table, domSize int) *execPlan {
 					st.freeBag = append(st.freeBag, bi)
 				}
 			}
-			for _, bi := range st.freeBag {
-				bound[bi] = true
+			// by is the scope position selecting the row: the bound one, or
+			// of two the one bound first, so that a test is of the later.
+			var m []uint64
+			by := 0
+			if t.width == 2 && len(boundScope) > 0 && !sparse {
+				if by = boundScope[0]; len(boundScope) == 2 && boundAt[st.boundBag[0]] > boundAt[st.boundBag[1]] {
+					by = 1
+				}
+				m = t.rows(by)
 			}
-			// Scope widths beyond 64 cannot be mask-keyed; fall back to
-			// row enumeration (unreachable for bag widths the packed and
-			// spill key paths are designed for).
-			if len(boundScope) > 0 && t.width <= 64 {
+			if m != nil {
+				src := rowSrc{m, words, meta.scopeBag[best][by]}
+				st.bit = meta.scopeBag[best][1-by]
+				if prev := &en.steps[len(en.steps)-1]; len(st.freeBag) == 0 && prev.bindsRow() && prev.bit == st.bit {
+					prev.srcs = append(prev.srcs, src)
+					continue
+				}
+				st.srcs = []rowSrc{src}
+			} else if len(boundScope) > 0 && t.width <= 64 {
+				// Scope widths beyond 64 cannot be mask-keyed; fall back to
+				// row enumeration (unreachable for bag widths the packed and
+				// spill key paths are designed for).
 				st.idx = t.prefixIndex(boundScope)
+			}
+			for _, bi := range st.freeBag {
+				boundAt[bi] = len(en.steps) + 1
 			}
 			en.steps = append(en.steps, st)
 		}
 	}
 	return ep
 }
+
+// bindsRow reports whether the step binds a bag position (bit) from rows.
+func (st *execStep) bindsRow() bool { return st.srcs != nil && len(st.freeBag) == 1 }
 
 // execScratch holds the buffers of one node enumeration, pooled across
 // calls to keep the inner loops allocation-free.
@@ -692,7 +780,8 @@ type execScratch struct {
 	proj   []int
 	vals   []int
 	keyBuf []byte
-	ops    int // cancellation-poll counter (see dpRun.cancelled)
+	cand   []uint64 // row intersections, one per bind depth (enumerate's bindRow)
+	ops    int      // cancellation-poll counter (see dpRun.cancelled)
 }
 
 var scratchPool = sync.Pool{New: func() any { return &execScratch{} }}
@@ -932,19 +1021,19 @@ type freeDriver struct {
 	boundBag []int // bag positions supplying the probe key, aligned with idx.pos
 }
 
-// freeDrivers builds, for each free position of the node, a driver from
-// the smallest child group that shares the position together with at
-// least one position bound before it (nil where there is none: the
-// position is then enumerated over the domain).  A free variable is in
-// the bag only to connect nodes that do constrain it, so under a bound
-// prefix the child's keys name the few values that can survive, where
-// the domain scan probes the child's table |B| times per prefix.  The
-// group's readiness lookup still runs and supplies the weight; a driver
-// only narrows the candidates.  Without a bound prefix the scan is
-// already one pass over the domain, cheaper than indexing the keys.
-func freeDrivers(en *execNode, groups []*childGroup, boundAt []int, dom int, ar *arena) []*freeDriver {
-	drivers := make([]*freeDriver, len(en.freePos))
-	for k, f := range en.freePos {
+// freeDrivers builds, for each position in free (the node's free positions
+// but one a row tail binds, see enumerate), a driver from the smallest
+// child group that shares the position together with at least one
+// position bound before it (nil where there is none: the position is then
+// enumerated over the domain).  A free variable is in the bag only to
+// connect nodes that do constrain it, so under a bound prefix the child's
+// keys name the few values that can survive, where the domain scan probes
+// the child's table |B| times per prefix.  The group's readiness lookup
+// still runs and supplies the weight; a driver only narrows the candidates.
+// Without a bound prefix the scan is one pass over the domain already.
+func freeDrivers(free []int, groups []*childGroup, boundAt []int, dom int, ar *arena) []*freeDriver {
+	drivers := make([]*freeDriver, len(free))
+	for k, f := range free {
 		var from *childGroup
 		for _, g := range groups {
 			shares, prefix := false, false
@@ -999,19 +1088,96 @@ func freeDrivers(en *execNode, groups []*childGroup, boundAt []int, dom int, ar 
 	return drivers
 }
 
+// groupRows returns child group g's keys as rows over bag position v
+// (which g shares), when they are rows: a flat key set (wmap.bits — an
+// existence run's, over a universe of at least rowsMinDom) on v alone, or
+// on v and one other position, whose value selects the row — transposed
+// first, once per run, when v is the key's high column.
+func (r *dpRun) groupRows(g *childGroup, v int) (rowSrc, bool) {
+	set := g.sums.bits
+	if set == nil || r.dom < rowsMinDom || len(g.sharedBag) > 2 {
+		return rowSrc{}, false
+	}
+	if n := len(g.sharedBag); n == 1 || g.sharedBag[1] == v { // one row (stride 0), or v the low column
+		return rowSrc{set, (n - 1) << (g.sums.codec.bits - 6), g.sharedBag[0]}, true
+	}
+	words := (r.dom + 63) / 64
+	t := r.ar.allocU64(r.dom * words)
+	clear(t)
+	g.sums.forEach(make([]int, 2), func(k []int, _ wnum) { t[k[1]*words+k[0]>>6] |= 1 << (k[0] & 63) })
+	return rowSrc{t, words, g.sharedBag[1]}, true
+}
+
+// The emission of a row tail (enumerate), chosen once per run.
+const (
+	tailEach  = iota // bind each candidate and descend: the general case
+	tailAny          // existence run, v outside the key: one emission if there is a candidate
+	tailOr           // existence run, v the last column of a flat key set: OR into the key's row
+	tailCount        // counting run, v outside the key, no group on v: weight × candidates
+)
+
+// rowBinds counts the positions bound from rows, for the package's tests
+// (export_test.go) to tell which side of the fit rule a run was on.
+var rowBinds atomic.Int64
+
 // enumerate fills m with node en's contributions keyed on the bag
 // positions outProj, by enumerating the node's bag assignments: the rows
 // of the pivot table (or the values of the first free variable of a
-// constraint-less node), then each later step's index probes.  Bind
-// orders are fixed at plan bind, so no assigned-flag bookkeeping or
+// constraint-less node), then each later step's index probes or rows.
+// Bind orders are fixed at plan bind, so no assigned-flag bookkeeping or
 // rollback happens here — every bag position is written by exactly one
 // binder before any deeper read.  Child-group factors are multiplied
 // into the running weight at their readiness depth (see groupReadiness);
 // a missing factor abandons the subtree before any deeper binder runs.
+//
+// The tail: when the node's last binder binds one position v from rows —
+// the last step's (execStep.srcs) and those of the child key sets sharing
+// v (groupRows), which alone serve a last free position — v's candidates
+// under a bound prefix are one intersection, emitted as mode says.
 func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj []int) {
+	nSteps := len(en.steps)
+	free := en.freePos
+	last := nSteps + len(free) // the depth at which the bag is fully assigned
+	if last == 1 && nSteps == 1 && len(groups) == 0 && len(outProj) == 0 {
+		// Each pivot row would add 1 to the one key: count, don't walk.
+		m.add(nil, wnum{lo: int64(en.steps[0].table.n)}, nil)
+		return
+	}
 	boundAt := en.bindDepths()
 	ready := groupReadiness(en, groups, boundAt)
-	drive := freeDrivers(en, groups, boundAt, r.dom, r.ar)
+	v, tail := -1, []rowSrc(nil)
+	if len(free) > 0 {
+		v = free[len(free)-1]
+	} else if st := &en.steps[nSteps-1]; st.bindsRow() {
+		v, tail = st.bit, st.srcs[:len(st.srcs):len(st.srcs)]
+	}
+	if v >= 0 {
+		rest := ready[last][:0]
+		for _, g := range ready[last] {
+			if src, ok := r.groupRows(g, v); ok {
+				tail = append(tail, src)
+			} else {
+				rest = append(rest, g)
+			}
+		}
+		ready[last] = rest
+	}
+	mode := tailEach
+	if col := slices.Index(outProj, v); len(tail) > 0 && len(ready[last]) == 0 {
+		switch {
+		case col < 0 && r.exists:
+			mode = tailAny
+		case col < 0:
+			mode = tailCount
+		case r.exists && col == len(outProj)-1 && m.bits != nil:
+			mode = tailOr
+		}
+	}
+	nDrive := len(free)
+	if len(tail) > 0 && nDrive > 0 {
+		nDrive-- // the tail binds the last free position
+	}
+	drive := freeDrivers(free[:nDrive], groups, boundAt, r.dom, r.ar)
 	// cut is, in an existence run, the bind depth at which the output key
 	// is fully bound (-1 in a counting run).  Below it the enumeration
 	// only looks for a witness: a key that is already present is not
@@ -1028,9 +1194,8 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 	}
 	sc := r.scratch()
 	assign := sc.assign[:en.width]
-	nSteps := len(en.steps)
-	free := en.freePos
-	last := nSteps + len(free) // the depth at which the bag is fully assigned
+	words := (r.dom + 63) / 64
+	binds := 0
 	key := func() []int {
 		pv := sc.proj[:len(outProj)]
 		for i, bi := range outProj {
@@ -1080,8 +1245,70 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 		}
 		return false
 	}
+	// bindRow binds position u (bind depth d) to each value in the
+	// intersection of srcs' rows and descends, or at the tail (d == last)
+	// emits for all the values in tail's at once as mode says.
+	bindRow := func(srcs []rowSrc, u, d int, w wnum) {
+		md := tailEach
+		if d == last {
+			if srcs, md = tail, mode; r.cancelled(sc) {
+				return
+			}
+		}
+		binds++
+		if cap(sc.cand) < (last+1)*words { // one intersection per depth: binders nest
+			sc.cand = make([]uint64, (last+1)*words)
+		}
+		cand := sc.cand[d*words:][:words]
+		for i := range srcs {
+			row := srcs[i].m[assign[srcs[i].by]*srcs[i].stride:][:words]
+			if i == 0 {
+				copy(cand, row)
+				continue
+			}
+			for j := range cand {
+				cand[j] &= row[j]
+			}
+		}
+		switch md {
+		case tailAny:
+			for _, c := range cand {
+				if c != 0 {
+					m.add(key(), w, sc.keyBuf)
+					hit = true
+					return
+				}
+			}
+		case tailOr:
+			assign[u] = 0
+			row := m.bits[m.codec.pack(key())>>6:][:words]
+			for j, c := range cand {
+				m.n += bits.OnesCount64(c &^ row[j])
+				row[j] |= c
+			}
+		case tailCount:
+			n := 0
+			for _, c := range cand {
+				n += bits.OnesCount64(c)
+			}
+			m.add(key(), mulW(w, wnum{lo: int64(n)}), sc.keyBuf)
+		default:
+			for j, c := range cand {
+				for ; c != 0; c &= c - 1 {
+					assign[u] = j<<6 + bits.TrailingZeros64(c)
+					if descend(d, w) {
+						return
+					}
+				}
+			}
+		}
+	}
 	// fill assigns free position k (bind depth nSteps+k+1).
 	fill = func(k int, w wnum) {
+		if k == nDrive {
+			bindRow(nil, free[k], last, w)
+			return
+		}
 		if d := drive[k]; d != nil {
 			vals := sc.vals[:len(d.boundBag)]
 			for i, bi := range d.boundBag {
@@ -1111,7 +1338,14 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 	recStep = func(si int, w wnum) {
 		st := &en.steps[si]
 		t := st.table
-		if st.idx == nil {
+		switch {
+		case st.bindsRow():
+			bindRow(st.srcs, st.bit, si+1, w)
+		case st.srcs != nil: // both positions bound: a bit test
+			if s, u := &st.srcs[0], assign[st.bit]; s.m[assign[s.by]*s.stride+u>>6]>>(u&63)&1 != 0 {
+				descend(si+1, w)
+			}
+		case st.idx == nil:
 			for row := 0; row < t.n; row++ {
 				if si == 0 && r.cancelled(sc) {
 					return
@@ -1124,23 +1358,26 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 					return
 				}
 			}
-			return
-		}
-		vals := sc.vals[:len(st.boundBag)]
-		for i, bi := range st.boundBag {
-			vals[i] = assign[bi]
-		}
-		for _, row := range st.idx.lookup(vals, sc.keyBuf) {
-			base := int(row) * t.width
-			for i, j := range st.freeScope {
-				assign[st.freeBag[i]] = int(t.flat[base+j])
+		default:
+			vals := sc.vals[:len(st.boundBag)]
+			for i, bi := range st.boundBag {
+				vals[i] = assign[bi]
 			}
-			if descend(si+1, w) {
-				return
+			for _, row := range st.idx.lookup(vals, sc.keyBuf) {
+				base := int(row) * t.width
+				for i, j := range st.freeScope {
+					assign[st.freeBag[i]] = int(t.flat[base+j])
+				}
+				if descend(si+1, w) {
+					return
+				}
 			}
 		}
 	}
 	descend(0, wnum{lo: 1})
+	if binds > 0 { // a tuple-side run leaves the shared counter alone
+		rowBinds.Add(int64(binds))
+	}
 	scratchPool.Put(sc)
 }
 

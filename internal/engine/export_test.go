@@ -29,3 +29,8 @@ func DisableDelta() (restore func()) {
 	deltaDisabled = true
 	return func() { deltaDisabled = old }
 }
+
+// RowBinds reports how many bag positions the executor has bound from
+// rows (Table.rows, groupRows) since process start: a count that leaves
+// it unchanged ran on the tuple path alone.
+func RowBinds() int64 { return rowBinds.Load() }

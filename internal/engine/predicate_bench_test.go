@@ -10,13 +10,14 @@ import (
 	"repro/internal/workload"
 )
 
-// Predicate materialization benchmarks: the two quantified queries of the
-// repository benchmark's cold-exec workload, on a structure drawn with its
+// The five query classes of the repository benchmark's cold-exec
+// workload — two quantified (Materialize_Predicate*), three
+// quantifier-free joins (ColdExec_*) — on a structure drawn with its
 // pinned generator parameters (RandomStructure(EdgeSig, 120, 8/120,
 // 20160626)), through core.Counter as the server counts them.  The
 // session is released before every iteration, as cold-exec's round-robin
 // over more structures than the session LRU holds does, so each count
-// re-materializes its ∃-component predicate tables.
+// re-materializes its tables and ∃-component predicate tables.
 
 func benchPredicateCold(b *testing.B, src string) {
 	b.Helper()
@@ -49,4 +50,16 @@ func BenchmarkMaterialize_PredicatePath3_N120(b *testing.B) {
 // them need two distinct predicates, ∃z.E(x,z)∧E(z,y) and its converse.
 func BenchmarkMaterialize_PredicateUnion_N120(b *testing.B) {
 	benchPredicateCold(b, "u(x,y) := E(x,y) | (exists z. E(x,z) & E(z,y)) | E(y,x) | (exists w. E(y,w) & E(w,x))")
+}
+
+func BenchmarkColdExec_Tri_N120(b *testing.B) {
+	benchPredicateCold(b, "tri(x,y,z) := E(x,y) & E(y,z) & E(z,x)")
+}
+
+func BenchmarkColdExec_C4_N120(b *testing.B) {
+	benchPredicateCold(b, "c4(a,b,c,d) := E(a,b) & E(b,c) & E(c,d) & E(d,a)")
+}
+
+func BenchmarkColdExec_FPath3_N120(b *testing.B) {
+	benchPredicateCold(b, "fp3(a,b,c,d) := E(a,b) & E(b,c) & E(c,d)")
 }

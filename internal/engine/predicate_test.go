@@ -23,6 +23,55 @@ func predSig() *structure.Signature {
 	)
 }
 
+// PredSig, RowsStructure and PadIsolated are exported to the package's
+// external tests (rows_test.go).
+func PredSig() *structure.Signature { return predSig() }
+
+// RowsStructure draws a structure over predSig with n elements, nE
+// distinct E-tuples (loops included) and nR distinct R-triples: sizes
+// picked by the caller to land on one side of Table.rows' fit rule.
+func RowsStructure(n, nE, nR int, seed int64) *structure.Structure {
+	rng := rand.New(rand.NewSource(seed))
+	b := structure.New(predSig())
+	for i := 0; i < n; i++ {
+		b.EnsureElem(fmt.Sprintf("e%d", i))
+	}
+	for b.Rel("E").Len() < nE {
+		_ = b.AddTuple("E", rng.Intn(n), rng.Intn(n))
+	}
+	for b.Rel("R").Len() < nR {
+		_ = b.AddTuple("R", rng.Intn(n), rng.Intn(n), rng.Intn(n))
+	}
+	return b
+}
+
+// PadIsolated returns b with isolated elements added until no table a
+// query can build over b's tuples fits the row layout: a binary table
+// has at most |b|² rows, and the universe is grown past
+// structure.BitRowsFit for that many (and past the 256 values up to which
+// a two-position key set is flat, hence rows in its own right).
+func PadIsolated(b *structure.Structure) *structure.Structure {
+	n := 257
+	for structure.BitRowsFit(2, n, b.Size()*b.Size()) {
+		n += 64
+	}
+	out := structure.New(b.Signature())
+	for i := 0; i < n; i++ {
+		if i < b.Size() {
+			out.EnsureElem(b.ElemName(i))
+		} else {
+			out.EnsureElem(fmt.Sprintf("pad%d", i))
+		}
+	}
+	for _, r := range b.Signature().Rels() {
+		b.ForEachTuple(r.Name, func(t []int) bool {
+			_ = out.AddTuple(r.Name, t...)
+			return true
+		})
+	}
+	return out
+}
+
 // randomExistsComponent draws a connected pp-formula whose liberal
 // variables are the interface (1–3 of them) of one ∃-component: a
 // quantified part of 1–4 variables joined by a random tree of E atoms,
@@ -129,6 +178,33 @@ func predRows(t *Table, keep func(row []int) bool) []string {
 	return rows
 }
 
+// existsConstraint compiles p — one ∃-component on its whole interface
+// (randomExistsComponent) — into the predicate constraint the FPT plan
+// would hold for it, and returns it with the component as compiled (sub,
+// interface-only atoms stripped), the unstripped one (full) and the
+// interface's elements in sub.
+func existsConstraint(t *testing.T, p pp.PP) (c *planConstraint, sub, full *structure.Structure, iface []int) {
+	t.Helper()
+	ecs := pp.ExistsComponents(p)
+	if len(ecs) != 1 || len(ecs[0].Interface) != len(p.S) {
+		t.Fatalf("generator produced %d ∃-components, want one on the whole interface", len(ecs))
+	}
+	sub, old2new := existsSub(p.A, ecs[0])
+	full, _ = p.A.Induced(ecs[0].Vertices)
+	iface = make([]int, len(p.S))
+	scope := make([]int, len(p.S))
+	for i, v := range p.S {
+		iface[i], scope[i] = old2new[v], i
+	}
+	pred, proj, err := compilePredicate(sub, iface)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c = &planConstraint{scope: scope, sub: sub, iface: iface, pred: pred, predProj: proj}
+	c.key = makeTableKey(c)
+	return c, sub, full, iface
+}
+
 // TestPredicateTableMatchesSolver is the table-level differential of the
 // nested projection DP: for random ∃-components and random structures the
 // predicate table holds exactly the interface assignments
@@ -144,23 +220,7 @@ func TestPredicateTableMatchesSolver(t *testing.T) {
 	for seed := 0; seed < rounds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		p := randomExistsComponent(rng)
-		ecs := pp.ExistsComponents(p)
-		if len(ecs) != 1 || len(ecs[0].Interface) != len(p.S) {
-			t.Fatalf("seed %d: generator produced %d ∃-components, want one on the whole interface", seed, len(ecs))
-		}
-		sub, old2new := existsSub(p.A, ecs[0])
-		full, _ := p.A.Induced(ecs[0].Vertices)
-		iface := make([]int, len(p.S))
-		scope := make([]int, len(p.S))
-		for i, v := range p.S {
-			iface[i], scope[i] = old2new[v], i
-		}
-		pred, proj, err := compilePredicate(sub, iface)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		c := &planConstraint{scope: scope, sub: sub, iface: iface, pred: pred, predProj: proj}
-		c.key = makeTableKey(c)
+		c, sub, full, iface := existsConstraint(t, p)
 		// onIface reports whether an interface assignment satisfies the
 		// atoms of the component that lie on the interface alone.
 		onIface := func(b *structure.Structure) func(row []int) bool {
@@ -199,6 +259,52 @@ func TestPredicateTableMatchesSolver(t *testing.T) {
 				t.Fatalf("seed %d n %d: unstripped component %v interface %v\n table cut back %v\n solver         %v", seed, n, full, iface, got, want)
 			}
 		}
+	}
+}
+
+// TestPredicateTableRowsMatchTuples puts the same random ∃-components on
+// both sides of the row layout: on a structure whose E tables fit it and
+// on that structure padded until nothing does (PadIsolated), the predicate
+// tables agree row for row, and with the solver; the padded
+// materialization binds nothing from rows, and the rows side does.
+func TestPredicateTableRowsMatchTuples(t *testing.T) {
+	rounds := 120
+	if testing.Short() {
+		rounds = 30
+	}
+	onRows := 0
+	for seed := 0; seed < rounds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		c, sub, _, iface := existsConstraint(t, randomExistsComponent(rng))
+		n := []int{64, 65, 100, 128, 129}[seed%5]
+		b := RowsStructure(n, (2+rng.Intn(6))*n, rng.Intn(2*n), int64(seed))
+		before := rowBinds.Load()
+		rows := predRows(NewSession(b).tableFor(c, nil), nil)
+		if rowBinds.Load() > before {
+			onRows++
+		}
+		scans := 0 // positions some node scans the universe for: the padded one is 20 × as large
+		for _, nm := range c.pred.nodes {
+			scans = max(scans, len(nm.freePos))
+		}
+		if scans < 2 {
+			before = rowBinds.Load()
+			tuples := predRows(NewSession(PadIsolated(b)).tableFor(c, nil), nil)
+			if binds := rowBinds.Load() - before; binds != 0 {
+				t.Fatalf("seed %d: %d positions bound from rows on the padded structure", seed, binds)
+			}
+			if fmt.Sprint(rows) != fmt.Sprint(tuples) {
+				t.Fatalf("seed %d n %d: component %v interface %v\n rows   %v\n tuples %v", seed, n, sub, iface, rows, tuples)
+			}
+		}
+		if len(iface) < 3 { // the solver enumerates |B|^|iface| candidates
+			if want := solverRows(sub, b, iface); fmt.Sprint(rows) != fmt.Sprint(want) {
+				t.Fatalf("seed %d n %d: component %v interface %v\n table  %v\n solver %v", seed, n, sub, iface, rows, want)
+			}
+		}
+	}
+	if onRows < rounds/4 {
+		t.Fatalf("%d of %d materializations bound a position from rows: the rows side was not exercised", onRows, rounds)
 	}
 }
 

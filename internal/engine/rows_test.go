@@ -1,0 +1,209 @@
+package engine_test
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/big"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/count"
+	"repro/internal/engine"
+	"repro/internal/logic"
+	"repro/internal/parser"
+	"repro/internal/pp"
+	"repro/internal/structure"
+	"repro/internal/workload"
+)
+
+// Both sides of the executor's row layout (Table.rows), reached by input
+// alone: the same queries are counted on structures whose binary tables
+// fit the layout, on structures that are too small or too sparse for it,
+// and on the fitting ones padded with isolated elements until nothing
+// fits — and engine.RowBinds says which side each count ran on.
+
+// covered reports whether every disjunct of q constrains every liberal
+// variable: only then are q's answers untouched by isolated elements.
+func covered(q logic.Query) bool {
+	for _, d := range q.Disjuncts() {
+		for _, v := range q.Lib {
+			seen := false
+			for _, a := range d.Atoms {
+				for _, u := range a.Args {
+					seen = seen || u == v
+				}
+			}
+			if !seen {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+type rowsQuery struct {
+	q logic.Query
+	// tail: on a dense structure of at least 64 elements some run of the
+	// count binds its last variable from rows, whatever the draw.
+	tail bool
+	// free: no quantifier, so no run is an existence run and nothing but
+	// Table.rows can put the count on the rows side.
+	free bool
+}
+
+func rowsQueries() []rowsQuery {
+	qs := []rowsQuery{
+		{q: parser.MustQuery("tri(x,y,z) := E(x,y) & E(y,z) & E(z,x)"), tail: true, free: true},
+		{q: parser.MustQuery("c4(a,b,c,d) := E(a,b) & E(b,c) & E(c,d) & E(d,a)"), tail: true, free: true},
+		{q: parser.MustQuery("fp3(a,b,c,d) := E(a,b) & E(b,c) & E(c,d)"), free: true},
+		{q: parser.MustQuery("conv(x,y) := E(x,y) & E(y,x) & E(x,x)"), free: true},
+		{q: parser.MustQuery("mix(x,y,z) := R(x,y,z) & E(z,x) & E(y,z)"), free: true},
+		{q: parser.MustQuery("p3(s,t) := exists a. exists b. E(s,a) & E(a,b) & E(b,t)"), tail: true},
+		{q: parser.MustQuery("p4(s,t) := exists a. exists b. exists c. E(a,s) & E(a,b) & E(c,b) & E(c,t)"), tail: true},
+		{q: parser.MustQuery("loop3(s) := exists a. exists b. E(s,a) & E(a,b) & E(b,s)"), tail: true},
+		{q: parser.MustQuery("ear(s,t) := exists a. exists b. E(s,a) & E(a,b) & E(b,s) & E(a,t)"), tail: true},
+		{q: parser.MustQuery("star(x,y) := exists c. E(c,x) & E(c,y) & E(c,c)")},
+		{q: parser.MustQuery("star3(x,y) := exists c. exists d. E(c,x) & E(y,c) & E(c,d)"), tail: true},
+		{q: parser.MustQuery("tern(x,y) := exists z. R(x,y,z) & E(z,x)")},
+		{q: parser.MustQuery("u(x,y) := E(x,y) | (exists z. E(x,z) & E(z,y)) | E(y,x) | (exists w. E(y,w) & E(w,x))"), tail: true},
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		qs = append(qs, rowsQuery{q: workload.RandomEPQuery(engine.PredSig(), 1+int(seed%3), 4+int(seed%2), 2, 3+int(seed%3), seed)})
+	}
+	return qs
+}
+
+func TestRowsDifferential(t *testing.T) {
+	queries := rowsQueries()
+	if testing.Short() {
+		queries = queries[:16]
+	}
+	counters := make([][2]*core.Counter, len(queries))
+	for i, rq := range queries {
+		for j, eng := range []count.PPEngine{count.EngineFPT, count.EngineProjection} {
+			c, err := core.NewCounter(rq.q, engine.PredSig(), eng)
+			if err != nil {
+				t.Fatalf("%v: %v", rq.q, err)
+			}
+			counters[i][j] = c
+		}
+	}
+	// cold counts q on b with no session to start from and reports what
+	// the count bound from rows.
+	cold := func(c *core.Counter, b *structure.Structure) (*big.Int, int64) {
+		t.Helper()
+		c.Release(b)
+		before := engine.RowBinds()
+		v, err := c.Count(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Release(b)
+		return v, engine.RowBinds() - before
+	}
+	for _, n := range []int{63, 64, 65, 127, 128, 129, 200} {
+		fits := n * ((n + 63) / 64) / 5 // E-tuples at which the layout starts to fit
+		for _, dense := range []bool{false, true} {
+			nE := fits * 6 / 10
+			if dense {
+				nE = 10 * n
+			}
+			b := engine.RowsStructure(n, nE, 3*n, int64(n))
+			pad := engine.PadIsolated(b)
+			for i, rq := range queries {
+				name := fmt.Sprintf("|B| = %d, dense = %v, query %v", n, dense, rq.q)
+				got, binds := cold(counters[i][0], b)
+				if want, _ := cold(counters[i][1], b); got.Cmp(want) != 0 {
+					t.Fatalf("%s: FPT %v, Projection %v", name, got, want)
+				}
+				// The brute-force semantics where |B|^vars allows.
+				if vars := len(logic.AllVars(rq.q.F)); math.Pow(float64(n), float64(vars)) < 3e5 {
+					if want, err := count.EPDirect(rq.q, b); err != nil || got.Cmp(want) != 0 {
+						t.Fatalf("%s: FPT %v, EPDirect %v (%v)", name, got, want, err)
+					}
+				}
+				switch {
+				case n < 64 || (!dense && rq.free):
+					if binds != 0 {
+						t.Fatalf("%s: %d positions bound from rows where nothing fits them", name, binds)
+					}
+				case dense && rq.tail:
+					if binds == 0 {
+						t.Fatalf("%s: nothing was bound from rows", name)
+					}
+				}
+				restore := engine.ForcePackedKeyBudget(0)
+				spilled, _ := cold(counters[i][0], b)
+				restore()
+				if spilled.Cmp(got) != 0 {
+					t.Fatalf("%s: spilled keys %v, packed %v", name, spilled, got)
+				}
+				if !dense {
+					continue
+				}
+				onPad, binds := cold(counters[i][0], pad)
+				if binds != 0 {
+					t.Fatalf("%s: %d positions bound from rows on the padded structure", name, binds)
+				}
+				if covered(rq.q) && onPad.Cmp(got) != 0 {
+					t.Fatalf("%s: %v on the padded structure, %v as built", name, onPad, got)
+				}
+			}
+		}
+	}
+}
+
+// TestRowTailCountsThroughOverflow is TestExecutorCountsThroughOverflow's
+// shape on the rows side: a triangle with a 10-edge path hanging off two
+// of its corners, on the complete graph with loops over 70 elements.  The
+// triangle's node binds its third corner last, from rows, with the
+// paths' 70^10 extensions already in the running weight, so the weight ×
+// popcount product leaves int64; the total is 70^23.
+func TestRowTailCountsThroughOverflow(t *testing.T) {
+	const n, tail = 70, 10
+	b := structure.New(workload.EdgeSig())
+	for i := 0; i < n; i++ {
+		b.EnsureElem(fmt.Sprintf("e%d", i))
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			_ = b.AddTuple("E", i, j)
+		}
+	}
+	a := structure.New(workload.EdgeSig())
+	all := make([]int, 3+2*tail)
+	for i := range all {
+		all[i] = a.EnsureElem(fmt.Sprintf("x%d", i))
+	}
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}} {
+		_ = a.AddTuple("E", e[0], e[1])
+	}
+	for corner := 0; corner < 2; corner++ {
+		prev := corner
+		for i := 0; i < tail; i++ {
+			next := 3 + corner*tail + i
+			_ = a.AddTuple("E", prev, next)
+			prev = next
+		}
+	}
+	p, err := pp.New(a, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := engine.Compile(p, engine.FPTNoCore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := engine.RowBinds()
+	got, err := pl.CountIn(context.Background(), engine.NewSession(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if engine.RowBinds() == before {
+		t.Fatal("nothing was bound from rows")
+	}
+	if want := new(big.Int).Exp(big.NewInt(n), big.NewInt(int64(len(all))), nil); got.Cmp(want) != 0 {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+}

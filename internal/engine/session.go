@@ -377,7 +377,7 @@ func (s *Session) execPlanFor(pc *planComponent, tables []*Table) (*execPlan, bo
 			e.empty = true
 			return
 		}
-		e.ep = newExecPlan(pc, pruned, s.B.Size())
+		e.ep = newExecPlan(pc, pruned, s.B.Size(), false)
 	})
 	return e.ep, e.empty
 }
@@ -484,7 +484,7 @@ func (s *Session) materializePredicate(c *planConstraint, done <-chan struct{}) 
 	if empty {
 		return out
 	}
-	keys, aborted := projectKeys(c.pred, newExecPlan(c.pred, pruned, s.B.Size()), s.B.Size(), c.predProj, scratch, done)
+	keys, aborted := projectKeys(c.pred, newExecPlan(c.pred, pruned, s.B.Size(), false), s.B.Size(), c.predProj, scratch, done)
 	if aborted {
 		return nil
 	}

@@ -18,8 +18,8 @@
 // bwd[b] = {a : R(a,b)}, bitsets over B's universe built once per solver
 // — in |dom| word operations (AC3^bit).  Constraints without rows (arity
 // ≠ 2, a repeated variable, a relation too sparse for its universe; see
-// bitRowsFit) visit candidate B-tuples drawn from posting lists.  Arc
-// consistency has a unique fixpoint, so the two kernels yield identical
-// domains and everything derived from them — search order, sampler
-// draws — does not depend on which one ran.
+// structure.BitRowsFit) visit candidate B-tuples drawn from posting
+// lists.  Arc consistency has a unique fixpoint, so the two kernels yield
+// identical domains and everything derived from them — search order,
+// sampler draws — does not depend on which one ran.
 package hom

@@ -34,27 +34,9 @@ type constraint struct {
 	// per B-element: fwd[a] = {b : R(a,b)} and bwd[b] = {a : R(a,b)} as
 	// bitsets over B's universe.  They exist for a binary constraint on
 	// two distinct variables whose relation is dense enough for its
-	// universe (see bitRowsFit) and select the bit-row revise kernel;
-	// nil selects the row kernel.
+	// universe (see structure.BitRowsFit) and select the bit-row revise
+	// kernel; nil selects the row kernel.
 	fwd, bwd []uint64
-}
-
-// bitRowWordsPerTuple bounds the size of a relation's support rows: a
-// direction's nB·⌈nB/64⌉ words may not exceed this many words per
-// B-tuple, which keeps a solver's rows (quadratic in the universe, built
-// and dropped per call) near the size of the relation itself.  The
-// micro-benchmarks on either side of it place the bound where the time
-// saved stops paying for the memory: Hom_CountPath4_N300 (1.4 words per
-// tuple) and Hom_ForEachExtendablePath4_N800 (4.3) run 1.9× and 2.0×
-// faster on bit rows; Hom_ExistsPath6_N1500 (5.9) would run 1.3× faster
-// for 38× the allocation (595 KB against 16 KB per call) and keeps the
-// row kernel.
-const bitRowWordsPerTuple = 5
-
-// bitRowsFit reports whether B's relation brel of the given arity gets
-// value-space support rows over a universe of nB elements.
-func bitRowsFit(arity, nB int, brel *structure.Relation) bool {
-	return arity == 2 && brel != nil && nB*((nB+63)/64) <= bitRowWordsPerTuple*brel.Len()
 }
 
 type solver struct {
@@ -137,7 +119,7 @@ func newSolver(A, B *structure.Structure, opts Options) *solver {
 		if r.Arity > maxAr {
 			maxAr = r.Arity
 		}
-		if bitRowsFit(r.Arity, s.nB, B.Rel(r.Name)) {
+		if structure.BitRowsFit(r.Arity, s.nB, B.Rel(r.Name).Len()) {
 			nBitRels++
 		}
 	}
@@ -171,7 +153,7 @@ func newSolver(A, B *structure.Structure, opts Options) *solver {
 			for p := 0; p < r.Arity; p++ {
 				c.bcols[p] = brel.Col(p)
 			}
-			if bitRowsFit(r.Arity, s.nB, brel) {
+			if structure.BitRowsFit(r.Arity, s.nB, brel.Len()) {
 				c.fwd, c.bwd = slab[:rowWords:rowWords], slab[rowWords:2*rowWords:2*rowWords]
 				slab = slab[2*rowWords:]
 				for row, a := range c.bcols[0] {

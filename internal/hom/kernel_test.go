@@ -77,7 +77,7 @@ func randomKernelCase(rng *rand.Rand, nB int) kernelCase {
 	var nE int
 	switch rng.Intn(4) {
 	case 0: // empty relation
-	case 1: // below the bitRowsFit density for every nB > 2
+	case 1: // below the structure.BitRowsFit density for every nB > 2
 		nE = 1 + nB/16
 	default:
 		nE = nB + rng.Intn(2*nB*((nB+63)/64)+1)

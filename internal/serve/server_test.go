@@ -163,22 +163,31 @@ func TestCountBatchEndpoint(t *testing.T) {
 	}
 }
 
-// TestDeadlineCancellation: a 1ms budget cannot cover a dense triangle
-// join; the server must answer 504 with the executor aborted, and the
-// same request without the tiny budget must succeed afterwards (no
-// memo poisoning).
+// TestDeadlineCancellation: a 1ms budget does not cover a free 4-cycle on
+// a structure where the server has just taken 100 × that to count it
+// (workload.SlowDigraph); the server must answer 504 with the executor
+// aborted, and the same request without the tiny budget must succeed
+// afterwards (no memo poisoning).
 func TestDeadlineCancellation(t *testing.T) {
 	_, cl := newTestServer(t, Config{})
 	ctx := context.Background()
-	b := workload.RandomStructure(workload.EdgeSig(), 250, 0.5, 23)
+	const cycle4Query = "c4(a,b,c,d) := E(a,b) & E(b,c) & E(c,d) & E(d,a)"
+	b := workload.SlowDigraph(t, time.Millisecond, func(b *structure.Structure) error {
+		probe := fmt.Sprintf("probe%d", b.Size())
+		if _, err := cl.CreateStructure(ctx, probe, factsText(t, b), nil); err != nil {
+			return err
+		}
+		_, _, err := cl.Count(ctx, cycle4Query, probe)
+		return err
+	})
 	if _, err := cl.CreateStructure(ctx, "big", factsText(t, b), nil); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := cl.CountWith(ctx, CountRequest{Query: triangleQuery, Structure: "big", TimeoutMillis: 1})
+	_, _, err := cl.CountWith(ctx, CountRequest{Query: cycle4Query, Structure: "big", TimeoutMillis: 1})
 	if err == nil || !strings.Contains(err.Error(), "HTTP 504") {
 		t.Fatalf("err = %v, want HTTP 504 deadline error", err)
 	}
-	v, _, err := cl.Count(ctx, triangleQuery, "big")
+	v, _, err := cl.Count(ctx, cycle4Query, "big")
 	if err != nil {
 		t.Fatalf("count after deadline abort: %v", err)
 	}

@@ -182,3 +182,22 @@ func (r *Relation) clone() *Relation {
 	}
 	return c
 }
+
+// bitRowWordsPerTuple bounds the size of a binary relation's value-space
+// rows (row a = {b : R(a,b)}, a bitset over the universe): a direction's
+// dom·⌈dom/64⌉ words may not exceed this many words per tuple, which
+// keeps the rows, quadratic in the universe, near the size of the
+// relation.  The hom solver's micro-benchmarks on either side place the
+// bound where the time saved stops paying for the memory:
+// Hom_CountPath4_N300 (1.4 words per tuple) and
+// Hom_ForEachExtendablePath4_N800 (4.3) run 1.9× and 2.0× faster on bit
+// rows; Hom_ExistsPath6_N1500 (5.9) would run 1.3× faster for 38× the
+// allocation (595 KB against 16 KB per call) and keeps the row kernel.
+const bitRowWordsPerTuple = 5
+
+// BitRowsFit reports whether a relation of the given arity with tuples
+// tuples over dom elements is laid out as value-space rows: the one rule
+// of the hom solver's support rows and the join executor's table rows.
+func BitRowsFit(arity, dom, tuples int) bool {
+	return arity == 2 && tuples > 0 && dom*((dom+63)/64) <= bitRowWordsPerTuple*tuples
+}
