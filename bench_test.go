@@ -1,8 +1,7 @@
-// Benchmarks: one family per reproduction experiment (the suite in
-// internal/experiments, see its package comment).
-// The paper has no measurement tables, so these benches regenerate the
-// executable content of its worked examples and theorems; `cmd/epbench`
-// prints the corresponding human-readable tables.
+// Benchmarks: timing probes for the paper's worked examples and
+// theorems, one family per claim.  The claims themselves
+// are asserted by the TestPaper* tests of the packages that own them
+// (go test -run Paper -v ./internal/...); these benches only time them.
 package epcq_test
 
 import (

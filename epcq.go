@@ -106,7 +106,7 @@ const (
 	// EngineFPT is the Theorem 2.11 algorithm: core, ∃-component
 	// predicates, join-count DP over a contract-graph tree decomposition.
 	EngineFPT = count.EngineFPT
-	// EngineFPTNoCore is EngineFPT without the core step (ablation).
+	// EngineFPTNoCore is EngineFPT without the core step.
 	EngineFPTNoCore = count.EngineFPTNoCore
 )
 

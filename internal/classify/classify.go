@@ -239,17 +239,8 @@ func trendOf(pts []FamilyPoint, f func(FamilyPoint) int) Trend {
 	if len(pts) < 2 {
 		return TrendBounded
 	}
-	last := f(pts[len(pts)-1])
-	prev := f(pts[len(pts)-2])
-	if last > prev {
+	if f(pts[len(pts)-1]) > f(pts[len(pts)-2]) {
 		return TrendGrowing
-	}
-	// Constant over the sampled tail (last two equal): check whether the
-	// whole suffix after the first sample is flat.
-	for i := 1; i < len(pts); i++ {
-		if f(pts[i]) > f(pts[i-1]) && i == len(pts)-1 {
-			return TrendGrowing
-		}
 	}
 	return TrendBounded
 }

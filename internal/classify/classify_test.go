@@ -112,37 +112,44 @@ func TestAnalyzePPReportFields(t *testing.T) {
 	}
 }
 
-func TestAnalyzeFamilyTrends(t *testing.T) {
+// TestAnalyzeFamilyTrends is TestPaperTheorem32FamilyCases under the
+// package's own name.
+func TestAnalyzeFamilyTrends(t *testing.T) { TestPaperTheorem32FamilyCases(t) }
+
+// Theorem 3.2 on the named families: the growth of the core and contract
+// widths along k decides the trichotomy case.  Bounded core and contract
+// width is case 1; a growing core with bounded contract width is case 2;
+// a growing contract width is case 3, even when the query is a tree.
+func TestPaperTheorem32FamilyCases(t *testing.T) {
 	ks := []int{2, 3, 4, 5}
-	// Path family: both widths bounded → case 1.
-	fv, err := AnalyzeFamily(func(k int) logic.Query { return workload.PathQuery(k) }, edgeSig(), ks)
-	if err != nil {
-		t.Fatal(err)
+	families := []struct {
+		name                string
+		gen                 func(k int) logic.Query
+		coreTrend, conTrend Trend
+		want                Case
+	}{
+		{"path", workload.PathQuery, TrendBounded, TrendBounded, CaseFPT},
+		{"free-path", workload.FreePathQuery, TrendBounded, TrendBounded, CaseFPT},
+		{"clique-sentence", workload.CliqueSentence, TrendGrowing, TrendBounded, CaseClique},
+		{"free-clique", workload.CliqueQuery, TrendGrowing, TrendGrowing, CaseSharpClique},
+		{"star-quantified-centre", workload.StarQuery, TrendBounded, TrendGrowing, CaseSharpClique},
 	}
-	if fv.ImpliedCase != CaseFPT {
-		t.Fatalf("path family case = %v, want FPT", fv.ImpliedCase)
-	}
-	// Clique sentence family: core grows, contract bounded → case 2.
-	fv, err = AnalyzeFamily(func(k int) logic.Query { return workload.CliqueSentence(k) }, edgeSig(), ks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fv.ImpliedCase != CaseClique {
-		t.Fatalf("clique sentence family case = %v, want CaseClique", fv.ImpliedCase)
-	}
-	if fv.CoreTrend != TrendGrowing {
-		t.Fatal("clique sentence core width must grow")
-	}
-	// Free clique family: contract grows → case 3.
-	fv, err = AnalyzeFamily(func(k int) logic.Query { return workload.CliqueQuery(k) }, edgeSig(), ks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fv.ImpliedCase != CaseSharpClique {
-		t.Fatalf("free clique family case = %v, want CaseSharpClique", fv.ImpliedCase)
-	}
-	if fv.ContractTrend != TrendGrowing {
-		t.Fatal("free clique contract width must grow")
+	for _, fam := range families {
+		fv, err := AnalyzeFamily(fam.gen, edgeSig(), ks)
+		if err != nil {
+			t.Fatalf("%s: %v", fam.name, err)
+		}
+		for _, pt := range fv.Points {
+			t.Logf("%-22s k=%d  core tw %d  contract tw %d", fam.name, pt.K, pt.CoreTW, pt.ContractTW)
+		}
+		t.Logf("%-22s → %v", fam.name, fv.ImpliedCase)
+		if fv.CoreTrend != fam.coreTrend || fv.ContractTrend != fam.conTrend {
+			t.Errorf("%s: trends (core %v, contract %v), want (%v, %v)",
+				fam.name, fv.CoreTrend, fv.ContractTrend, fam.coreTrend, fam.conTrend)
+		}
+		if fv.ImpliedCase != fam.want {
+			t.Errorf("%s: implied %v, want %v", fam.name, fv.ImpliedCase, fam.want)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/logic"
 	"repro/internal/pp"
-	"repro/internal/structure"
 	"repro/internal/workload"
 )
 
@@ -85,23 +84,4 @@ func HasCliqueViaQuery(g *graph.Graph, k int, engine count.PPEngine) (bool, erro
 		return false, err
 	}
 	return c.Sign() > 0, nil
-}
-
-// StructureToGraph decodes a structure over {E/2} into an undirected
-// graph (ignoring loops, symmetrizing edges) — the inverse encoding used
-// when feeding counting instances back to the native baselines.
-func StructureToGraph(b *structure.Structure) (*graph.Graph, error) {
-	if !b.Signature().Has("E") {
-		return nil, fmt.Errorf("cliquered: structure lacks relation E")
-	}
-	ar, _ := b.Signature().Arity("E")
-	if ar != 2 {
-		return nil, fmt.Errorf("cliquered: E has arity %d, want 2", ar)
-	}
-	g := graph.New(b.Size())
-	b.ForEachTuple("E", func(t []int) bool {
-		g.AddEdge(t[0], t[1])
-		return true
-	})
-	return g, nil
 }

@@ -2,7 +2,6 @@
 // trichotomy (Theorem 2.12 / cases 2–3 of Theorem 3.2) constructively:
 // the clique decision and counting problems embed into answer counting
 // for the canonical hard query families, so an answer-counting engine
-// *is* a (#)Clique solver.  The package provides both directions —
-// solving clique problems through query counting, and the native
-// baselines to compare against — which is what the E7 experiment runs.
+// *is* a (#)Clique solver.  The package's tests check both directions
+// against the native clique counters of internal/graph.
 package cliquered

@@ -335,7 +335,7 @@ func (c *Counter) CountPP(p pp.PP, b *structure.Structure) (*big.Int, error) {
 
 // CountPPViaOracle counts a member of φ⁺ using only oracle access to the
 // full ep-query — the backward slice reduction of Theorem 3.1, exposed so
-// applications (and the E8 experiment) can exercise the interreduction.
+// applications can exercise the interreduction.
 func (c *Counter) CountPPViaOracle(p pp.PP, b *structure.Structure) (*big.Int, error) {
 	oracle := func(y *structure.Structure) (*big.Int, error) {
 		return eptrans.CountEPViaPP(c.Compiled, y, c.ppCounter())

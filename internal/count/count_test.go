@@ -1,6 +1,7 @@
 package count
 
 import (
+	"fmt"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -167,6 +168,27 @@ func TestEmptyStructureRejected(t *testing.T) {
 	}
 }
 
+// enginesAgree fails t unless every engine counts p on b as brute force
+// does, and returns that count.
+func enginesAgree(t *testing.T, name string, p pp.PP, b *structure.Structure) *big.Int {
+	t.Helper()
+	want, err := PP(p, b, EngineBrute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []PPEngine{EngineProjection, EngineFPT, EngineFPTNoCore} {
+		got, err := PP(p, b, e)
+		if err != nil {
+			t.Fatalf("%s engine %v: %v", name, e, err)
+		}
+		if got.Cmp(want) != 0 {
+			t.Fatalf("%s engine %v: %v != brute %v\nformula: %v\nstruct: %v",
+				name, e, got, want, p, b)
+		}
+	}
+	return want
+}
+
 // Cross-engine consistency on random pp-queries and random structures:
 // the heart of the counting test suite.
 func TestEnginesAgreeOnRandomInstances(t *testing.T) {
@@ -174,21 +196,55 @@ func TestEnginesAgreeOnRandomInstances(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		q := workload.RandomPPQuery(sig, 4, 2, 3, seed)
 		b := workload.RandomStructure(sig, 4, 0.35, seed+1000)
-		p := mustPPFromQuery(t, q, sig)
-		want, err := PP(p, b, EngineBrute)
-		if err != nil {
+		enginesAgree(t, fmt.Sprintf("seed %d", seed), mustPPFromQuery(t, q, sig), b)
+	}
+}
+
+// Theorem 2.11's tractable side as |B| grows: every engine counts the
+// path query alike on sparse random graphs.
+func TestPaperPathQueryScaling(t *testing.T) {
+	p := mustPPFromQuery(t, workload.PathQuery(4), edgeSig())
+	for _, n := range []int{12, 20} {
+		name := fmt.Sprintf("path(4) on G(%d, 4/n)", n)
+		v := enginesAgree(t, name, p, workload.GraphStructure(workload.ER(n, 4.0/float64(n), int64(n))))
+		t.Logf("%s: %v answers, every engine agrees", name, v)
+	}
+}
+
+// Theorem 2.11's tractable side as the parameter grows: every engine
+// counts free paths alike, where brute force enumerates |B|^(k+1)
+// liberal assignments.
+func TestPaperFreePathParameter(t *testing.T) {
+	b := workload.GraphStructure(workload.ER(9, 0.35, 17))
+	for k := 1; k <= 4; k++ {
+		name := fmt.Sprintf("free-path(%d) on G(9, 0.35)", k)
+		v := enginesAgree(t, name, mustPPFromQuery(t, workload.FreePathQuery(k), edgeSig()), b)
+		t.Logf("%s: %v answers, every engine agrees", name, v)
+	}
+}
+
+// Queries whose core is smaller than the query: FPT counts them alike
+// with and without the core step.
+func TestPaperCoreCollapse(t *testing.T) {
+	// Every fifth vertex carries a loop, so the looped query has answers.
+	b := workload.GraphStructure(workload.ER(40, 6.0/40, 7))
+	for v := 0; v < b.Size(); v += 5 {
+		if err := b.AddTuple("E", v, v); err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range []PPEngine{EngineProjection, EngineFPT, EngineFPTNoCore} {
-			got, err := PP(p, b, e)
-			if err != nil {
-				t.Fatalf("seed %d engine %v: %v", seed, e, err)
-			}
-			if got.Cmp(want) != 0 {
-				t.Fatalf("seed %d engine %v: %v != brute %v\nquery: %v\nstruct: %v",
-					seed, e, got, want, q, b)
-			}
+	}
+	for _, src := range []string{
+		"q(x) := exists u, v, w. E(x,u) & E(x,v) & E(x,w)",
+		"q(s,t) := exists u, a, b. E(s,u) & E(u,t) & E(s,a) & E(a,b)",
+		"q(x) := exists u, v. E(x,u) & E(u,v) & E(x,v) & E(x,x)",
+	} {
+		p := mustPPFromQuery(t, parser.MustQuery(src), edgeSig())
+		core := p.Core()
+		if core.A.Size() >= p.A.Size() {
+			t.Fatalf("%s: core has %d elements, the query %d", src, core.A.Size(), p.A.Size())
 		}
+		v := enginesAgree(t, src, p, b)
+		t.Logf("%s: |core|/|A| = %d/%d, %v answers, every engine agrees", src, core.A.Size(), p.A.Size(), v)
 	}
 }
 

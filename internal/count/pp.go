@@ -27,7 +27,7 @@ const (
 	// EngineFPT runs the Theorem 2.11 pipeline: core, ∃-component
 	// predicates, join-count DP over a contract-graph tree decomposition.
 	EngineFPT = engine.FPT
-	// EngineFPTNoCore is EngineFPT without the core step (ablation A1).
+	// EngineFPTNoCore is EngineFPT without the core step.
 	EngineFPTNoCore = engine.FPTNoCore
 )
 

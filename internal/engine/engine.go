@@ -25,7 +25,7 @@ const (
 	// FPT runs the Theorem 2.11 pipeline: core, ∃-component predicates,
 	// join-count DP over a contract-graph tree decomposition.
 	FPT
-	// FPTNoCore is FPT without the core step (ablation A1).
+	// FPTNoCore is FPT without the core step.
 	FPTNoCore
 )
 

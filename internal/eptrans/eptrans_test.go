@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/count"
+	"repro/internal/ie"
 	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/pp"
@@ -60,6 +61,59 @@ func TestMinimizeKeepsOneOfEquivalentPair(t *testing.T) {
 	}
 }
 
+// Normalisation (Minimize) before the φ* expansion, on unions of the
+// form ψ ∨ (ψ ∧ extra) ∨ renamed-ψ: it drops the disjuncts that entail
+// a survivor, and the φ* expansions with and without it count the same.
+func TestPaperMinimizeRedundantUnions(t *testing.T) {
+	queries := []struct {
+		src  string
+		want int // disjuncts left after Minimize
+	}{
+		{"q(x,y) := E(x,y) | E(x,y) & E(y,x) | E(x,y) & E(x,y)", 1},
+		{"q(x,y) := E(x,y) | E(x,y) & E(y,y) | E(x,y) & E(x,x)", 1},
+		{"q(s,t) := (exists u. E(s,u) & E(u,t)) | (exists u, v. E(s,u) & E(u,v) & E(v,t) & E(s,t)) | E(s,t)", 2},
+	}
+	sig := edgeSig()
+	b := workload.RandomStructure(sig, 4, 0.4, 5)
+	for _, tc := range queries {
+		q := parser.MustQuery(tc.src)
+		var raw []pp.PP
+		for _, d := range q.Disjuncts() {
+			p, err := pp.FromDisjunct(sig, q.Lib, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw = append(raw, p)
+		}
+		minimized, err := Minimize(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		starRaw, err := ie.PhiStar(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		starMin, err := ie.PhiStar(minimized)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vRaw, err := ie.Count(starRaw, b, fptCounter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vMin, err := ie.Count(starMin, b, fptCounter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: disjuncts %d → %d, φ* terms %d → %d, count %v", tc.src,
+			len(raw), len(minimized), len(starRaw), len(starMin), vMin)
+		if len(minimized) != tc.want || vRaw.Cmp(vMin) != 0 {
+			t.Fatalf("%s: %d disjuncts minimised to %d, want %d; φ* counts %v without, %v with",
+				tc.src, len(raw), len(minimized), tc.want, vRaw, vMin)
+		}
+	}
+}
+
 // Example 5.21: θ = φ1 ∨ φ2 ∨ φ3 ∨ θ1 with the Example 4.2 disjuncts and
 // the sentence θ1 = ∃a,b,c,d. E(a,b) ∧ E(b,c) ∧ E(c,d).
 // Expected: θ*af = {3·φ1, -2·(φ1∧φ3)}, φ1∧φ3 entails θ1, so
@@ -89,9 +143,14 @@ func TestExample521PhiPlus(t *testing.T) {
 	}
 }
 
-// Forward reduction correctness: CountEPViaPP ≡ EPDirect on many random
-// instances, including queries with sentence disjuncts.
-func TestForwardReductionMatchesDirect(t *testing.T) {
+// TestForwardReductionMatchesDirect is
+// TestPaperForwardReductionMatchesDirect under the package's own name.
+func TestForwardReductionMatchesDirect(t *testing.T) { TestPaperForwardReductionMatchesDirect(t) }
+
+// Forward reduction correctness (Theorem 3.1, Example 4.1): CountEPViaPP
+// ≡ EPDirect ≡ union enumeration over the disjuncts, on Example 4.3's C
+// and random instances, including queries with sentence disjuncts.
+func TestPaperForwardReductionMatchesDirect(t *testing.T) {
 	queries := []string{
 		"q(w,x,y,z) := E(x,y) & (E(w,x) | E(y,z) & E(z,z))",                 // Example 4.1
 		"q(w,x,y,z) := E(x,y) & E(y,z) | E(z,w) & E(w,x) | E(w,x) & E(x,y)", // Example 4.2
@@ -102,27 +161,53 @@ func TestForwardReductionMatchesDirect(t *testing.T) {
 	}
 	for _, src := range queries {
 		c := compile(t, src)
+		var pps []pp.PP
+		for _, d := range c.Query.Disjuncts() {
+			p, err := pp.FromDisjunct(c.Sig, c.Query.Lib, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pps = append(pps, p)
+		}
+		structs := []*structure.Structure{parser.MustStructure(example43C, c.Sig)}
 		for seed := int64(0); seed < 6; seed++ {
-			b := workload.RandomStructure(c.Sig, 3, 0.4, seed)
+			structs = append(structs, workload.RandomStructure(c.Sig, 3, 0.4, seed))
+		}
+		for i, b := range structs {
 			want, err := count.EPDirect(c.Query, b)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got, err := CountEPViaPP(c, b, fptCounter)
 			if err != nil {
-				t.Fatalf("%s seed %d: %v", src, seed, err)
+				t.Fatalf("%s structure %d: %v", src, i, err)
 			}
-			if got.Cmp(want) != 0 {
-				t.Fatalf("%s seed %d: forward reduction %v != direct %v\nB = %v", src, seed, got, want, b)
+			union, err := count.EPUnion(pps, b)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if got.Cmp(want) != 0 || union.Cmp(want) != 0 {
+				t.Fatalf("%s structure %d: forward reduction %v, union %v, direct %v\nB = %v",
+					src, i, got, union, want, b)
+			}
+			t.Logf("%s  structure %d: direct = pipeline = union = %v", src, i, want)
 		}
 	}
 }
 
+// example43C is the 4-element structure C of Example 4.3.
+const example43C = `E(1,2). E(2,3). E(3,4). E(4,4).`
+
+// TestExample43StructureSeparates is
+// TestPaperExample43StructureSeparates under the package's own name.
+func TestExample43StructureSeparates(t *testing.T) { TestPaperExample43StructureSeparates(t) }
+
 // Example 4.3: with the paper's 4-element structure C the three formulas
-// φ1, φ2, φ1∧φ2 have pairwise distinct positive counts.
-func TestExample43StructureSeparates(t *testing.T) {
-	cStruct := parser.MustStructure(`E(1,2). E(2,3). E(3,4). E(4,4).`, edgeSig())
+// φ1, φ2, φ1∧φ2 have pairwise distinct positive counts, so each count
+// |ψ(B)|, ψ ∈ φ⁺, is recovered exactly from the ep oracle by products
+// with C and a Vandermonde solve.
+func TestPaperExample43StructureSeparates(t *testing.T) {
+	cStruct := parser.MustStructure(example43C, edgeSig())
 	c := compile(t, "q(w,x,y,z) := E(x,y) & E(w,x) | E(x,y) & E(y,z) & E(z,z)")
 	if len(c.Star) != 3 {
 		t.Fatalf("star terms = %d, want 3", len(c.Star))
@@ -135,6 +220,7 @@ func TestExample43StructureSeparates(t *testing.T) {
 		}
 		vals = append(vals, v)
 	}
+	t.Logf("φ* counts on C: %v", vals)
 	for i := range vals {
 		if vals[i].Sign() <= 0 {
 			t.Fatalf("term %d count %v not positive", i, vals[i])
@@ -143,6 +229,29 @@ func TestExample43StructureSeparates(t *testing.T) {
 			if vals[i].Cmp(vals[j]) == 0 {
 				t.Fatalf("terms %d and %d have equal counts %v on Example 4.3's C", i, j, vals[i])
 			}
+		}
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		b := workload.RandomStructure(c.Sig, 3, 0.45, seed+10)
+		calls := 0
+		oracle := func(y *structure.Structure) (*big.Int, error) {
+			calls++
+			return CountEPViaPP(c, y, fptCounter)
+		}
+		for pi, psi := range c.Plus {
+			calls = 0
+			want, err := count.PP(psi, b, count.EngineFPT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := CountPPViaEP(c, psi, b, oracle)
+			if err != nil {
+				t.Fatalf("seed %d ψ%d: %v", seed, pi+1, err)
+			}
+			if got.Cmp(want) != 0 {
+				t.Fatalf("seed %d ψ%d: recovered %v, direct %v", seed, pi+1, got, want)
+			}
+			t.Logf("random#%d ψ%d: direct = recovered = %v (%d oracle calls)", seed, pi+1, want, calls)
 		}
 	}
 }
@@ -312,9 +421,13 @@ func TestDistinguishSet(t *testing.T) {
 	}
 }
 
+// TestInterreductionRandom is TestPaperTheorem31Interreduction under the
+// package's own name.
+func TestInterreductionRandom(t *testing.T) { TestPaperTheorem31Interreduction(t) }
+
 // End-to-end interreducibility on random ep-queries: the operational
-// content of Theorem 3.1.
-func TestInterreductionRandom(t *testing.T) {
+// content of Theorem 3.1, count[Φ] ≡ count[Φ⁺].
+func TestPaperTheorem31Interreduction(t *testing.T) {
 	sig := edgeSig()
 	for seed := int64(0); seed < 8; seed++ {
 		q := workload.RandomEPQuery(sig, 2, 3, 2, 2, seed)
@@ -350,6 +463,8 @@ func TestInterreductionRandom(t *testing.T) {
 				t.Fatalf("seed %d ψ#%d: backward %v != direct %v", seed, pi, pg, pw)
 			}
 		}
+		t.Logf("seed %d: %d disjuncts, |φ*| = %d, |φ⁺| = %d; forward and backward exact",
+			seed, len(c.Disjuncts), len(c.Star), len(c.Plus))
 	}
 }
 

@@ -11,6 +11,8 @@ import (
 	"repro/internal/parser"
 	"repro/internal/pp"
 	"repro/internal/structure"
+	"repro/internal/term"
+	"repro/internal/tw"
 	"repro/internal/workload"
 )
 
@@ -66,12 +68,62 @@ func TestRawTermsCount(t *testing.T) {
 	}
 }
 
-// Example 4.2 / 5.15: after cancellation, φ* = {3·φ1, -2·(φ1∧φ3)}.
-func TestExample42Cancellation(t *testing.T) {
+// maxTreewidth is the largest treewidth among the terms' formulas.
+func maxTreewidth(terms []ie.Term) int {
+	m := -1
+	for _, x := range terms {
+		if w, _, _ := tw.Treewidth(x.Formula.Graph()); w > m {
+			m = w
+		}
+	}
+	return m
+}
+
+// TestExample42Cancellation is TestPaperExample42Cancellation under the
+// package's own name.
+func TestExample42Cancellation(t *testing.T) { TestPaperExample42Cancellation(t) }
+
+// Examples 4.2 / 5.15: the 7 raw terms cancel to φ* = {3·φ1, -2·(φ1∧φ3)},
+// the cancelled terms were the only treewidth-2 ones, and both expansions
+// count the same.
+func TestPaperExample42Cancellation(t *testing.T) {
 	ds := example42(t)
-	star, err := ie.PhiStar(ds)
+	raw, err := ie.RawTerms(ds)
 	if err != nil {
 		t.Fatal(err)
+	}
+	pool := term.NewPool()
+	star, err := ie.MergeInto(pool, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := pool.Stats()
+	t.Logf("raw terms %d, max tw %d → φ* terms %d, max tw %d; pool: %s",
+		len(raw), maxTreewidth(raw), len(star), maxTreewidth(star), ps)
+	if len(raw) != 7 || maxTreewidth(raw) != 2 || maxTreewidth(star) != 1 {
+		t.Fatalf("raw terms %d with max treewidth %d, φ* max treewidth %d; want 7, 2 and 1",
+			len(raw), maxTreewidth(raw), maxTreewidth(star))
+	}
+	if ps.Raw != 7 || ps.Unique != len(star)+ps.Cancelled {
+		t.Fatalf("pool %s: want 7 raw and unique = %d live + cancelled", ps, len(star))
+	}
+	cnt := func(p pp.PP, s *structure.Structure) (*big.Int, error) {
+		return count.PP(p, s, count.EngineProjection)
+	}
+	for _, n := range []int{5, 7, 10} {
+		b := workload.RandomStructure(edgeSig(), n, 0.3, int64(n))
+		vRaw, err := ie.Count(raw, b, cnt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vStar, err := ie.Count(star, b, cnt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vRaw.Cmp(vStar) != 0 {
+			t.Fatalf("|B| = %d: raw terms count %v, φ* counts %v", n, vRaw, vStar)
+		}
+		t.Logf("|B| = %d: raw and φ* both count %v", n, vStar)
 	}
 	if len(star) != 2 {
 		for _, s := range star {
@@ -112,6 +164,76 @@ func TestExample42Cancellation(t *testing.T) {
 	}
 	if !got3 || !gotm2 {
 		t.Fatal("missing expected coefficients 3 and -2")
+	}
+}
+
+// rotated2Paths returns the k−1 rotations E(v_r, v_r+1) ∧ E(v_r+1, v_r+2)
+// of a 2-path over the cyclic liberal variables v0 … v_k−1.  Example 4.2
+// is k = 4.
+func rotated2Paths(t *testing.T, k int) []pp.PP {
+	t.Helper()
+	lib := make([]logic.Var, k)
+	for i := range lib {
+		lib[i] = logic.Var(fmt.Sprintf("v%d", i))
+	}
+	out := make([]pp.PP, 0, k-1)
+	for r := 0; r < k-1; r++ {
+		p, err := pp.FromDisjunct(edgeSig(), lib, logic.Disjunct{Atoms: []logic.Atom{
+			{Rel: "E", Args: []logic.Var{lib[r], lib[(r+1)%k]}},
+			{Rel: "E", Args: []logic.Var{lib[(r+1)%k], lib[(r+2)%k]}},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// Cancellation comes from symmetry among the disjuncts: rotated 2-paths
+// cancel (Example 4.2's 7 → 2 at k = 4), and merging never adds terms on
+// random unions.
+func TestPaperCancellationRate(t *testing.T) {
+	sig := edgeSig()
+	type union struct {
+		name      string
+		ds        []pp.PP
+		raw, star int // 0: only merged ≤ raw is asserted
+	}
+	unions := []union{
+		{"rotated-2paths(k=4)", rotated2Paths(t, 4), 7, 2},
+		{"rotated-2paths(k=5)", rotated2Paths(t, 5), 15, 4},
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		q := workload.RandomEPQuery(sig, 3, 3, 2, 2, seed)
+		var free []pp.PP
+		for _, d := range q.Disjuncts() {
+			p, err := pp.FromDisjunct(sig, q.Lib, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.IsFree() {
+				free = append(free, p)
+			}
+		}
+		unions = append(unions, union{fmt.Sprintf("random#%d", seed), free, 0, 0})
+	}
+	for _, u := range unions {
+		raw, err := ie.RawTerms(u.ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, err := ie.Merge(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%-20s s=%d  raw %d → φ* %d", u.name, len(u.ds), len(raw), len(merged))
+		if len(merged) > len(raw) {
+			t.Errorf("%s: merging grew %d raw terms to %d", u.name, len(raw), len(merged))
+		}
+		if u.raw != 0 && (len(raw) != u.raw || len(merged) != u.star) {
+			t.Errorf("%s: raw %d → φ* %d, want %d → %d", u.name, len(raw), len(merged), u.raw, u.star)
+		}
 	}
 }
 

@@ -216,7 +216,7 @@ func (pl *Pool) Live() []*Interned {
 }
 
 // String renders the stats in the canonical one-line form shared by the
-// CLIs, Explain, and the experiment tables.
+// CLIs and Explain.
 func (st Stats) String() string {
 	return fmt.Sprintf("%d raw IE terms → %d unique cores (%d cancelled, %d merged pre-core, %d via fallback)",
 		st.Raw, st.Unique, st.Cancelled, st.RawMerged, st.Fallback)

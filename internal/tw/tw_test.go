@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/workload"
 )
 
 func path(n int) *graph.Graph {
@@ -134,6 +135,20 @@ func TestDisconnectedGraph(t *testing.T) {
 	}
 	if err := dec.Validate(g); err != nil {
 		t.Fatalf("decomposition invalid: %v", err)
+	}
+}
+
+// The classifier's widths are exact up to its size cap and min-fill upper
+// bounds beyond it; the logged rows show the gap on G(14, 0.3).
+func TestPaperTreewidthSandwich(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		g := workload.ER(14, 0.3, seed)
+		w, _, _ := Treewidth(g)
+		heur := HeuristicDecomposition(g).Width()
+		if heur < w {
+			t.Fatalf("G(14, 0.3) seed %d: min-fill width %d below exact %d", seed, heur, w)
+		}
+		t.Logf("seed %d  edges %d  exact %d  min-fill %d", seed, g.NumEdges(), w, heur)
 	}
 }
 
