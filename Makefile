@@ -20,14 +20,15 @@ vet:
 doccheck:
 	$(GO) run ./scripts/doccheck
 
-# Short micro-benchmark suite, the five query classes of the repository
-# benchmark's cold-exec workload in process, + the engine delta guard: on
-# an append+count mix the delta path must beat forced full recounts by
-# ≥ 20x — a same-machine relative bound, independent of absolute CI
-# machine speed.
+# Short micro-benchmark suite, the query classes of the repository
+# benchmark's cold-exec workload in process (one by one and at the
+# workload's mix) beside the other materialization benchmarks, + the
+# engine delta guard: on an append+count mix the delta path must beat
+# forced full recounts by ≥ 20x — a same-machine relative bound,
+# independent of absolute CI machine speed.
 bench-smoke:
 	$(GO) test -run XXX -bench 'JoinCount|FPT|UnionDedup|Advance_' -benchmem -benchtime 0.2s .
-	$(GO) test -run XXX -bench 'Materialize_Predicate|ColdExec_' -benchmem -benchtime 0.2s ./internal/engine
+	$(GO) test -run XXX -bench 'Materialize_|ColdExec_' -benchmem -benchtime 0.2s ./internal/engine
 	EPCQ_BENCH_SMOKE=1 $(GO) test -run TestBenchSmoke -v ./internal/engine
 
 fuzz-smoke:

@@ -27,26 +27,25 @@
 //     makes the predicate a polynomial-time DP rather than a search.
 //     Decompositions are reduced (tw.Reduce): bags contained in a
 //     neighbour's are contracted away;
-//   - the Executor layer (exec.go, prune.go): a semi-join pre-pruning
-//     pass that reduces each constraint table against the value supports
-//     of the other constraints on its variables — one bounded
-//     scanning fixpoint (at most pruneMaxRounds rounds, each rebuilding
-//     the allowed values from the live rows and rechecking only the
-//     columns whose variable shrank; alive rows and allowed values are
-//     word bitmaps, the survivors are compacted once into exact-size
-//     arena rows) — then the join-count dynamic program itself.  At
-//     plan-bind time (once per component and session) each node gets a
-//     constraint bind order (smallest table first, then maximal
-//     bound-prefix overlap) and each non-pivot step the way it enters
-//     its table by the already-bound part of its scope, so enumeration
-//     is look-ups instead of backtracking scans.  A width-2 table over
-//     a universe of at least 64 elements that is dense enough for it
-//     (structure.BitRowsFit, the hom solver's rule) is entered by its
-//     rows (Table.rows: a bit matrix over the universe per
-//     orientation), and where a node's last binder binds one position
-//     from rows — a table's, or a child key set's that is flat and so
-//     rows already — the end of the bind order is one AND of rows per
-//     bound prefix, emitted 64 values a word (the tail in enumerate).
+//   - the Executor layer (exec.go, prune.go, words.go): a semi-join
+//     pre-pruning pass that reduces each constraint table against the
+//     value supports of the other constraints on its variables — one
+//     bounded scanning fixpoint (at most pruneMaxRounds rounds) over two
+//     layouts, a table's rows or an alive mask over its tuples, compacted
+//     once into a table of the same layout — then the join-count dynamic
+//     program itself.  At plan-bind time (once per component and
+//     session) each node gets a constraint bind order (smallest table
+//     first, then maximal bound-prefix overlap) and each step the way it
+//     enters its table by the already-bound part of its scope, so
+//     enumeration is look-ups instead of backtracking scans.  A width-2
+//     table over a universe of at least 64 elements that is dense enough
+//     for it (structure.BitRowsFit, the hom solver's rule) is a bit
+//     matrix over the universe for its whole life (Table.rows; predicate
+//     tables are born as rows): a step over it scans its non-empty rows,
+//     binds from a row intersection or tests a bit, and where a node's
+//     last binder binds one position from rows the end of the bind order
+//     is one AND of rows per bound prefix, emitted 64 values a word or
+//     added into flat accumulators by index (the tail in enumerate).
 //     Every other table, and every input of a delta run, is entered by
 //     a prefix index keyed on the packed bound values (tableIndex: a
 //     CSR-layout open-addressing table sized once at build, its probes

@@ -40,21 +40,21 @@ import (
 //     wide bags;
 //   - extension counts are int64 until an addition or multiplication
 //     would overflow, then fall back to big.Int per entry;
-//   - a width-2 table lays itself out, per orientation and on first use,
-//     as a bit matrix over the universe (Table.rows: row u = the values
-//     beside u) when it fits: |B| ≥ 64 (rowsMinDom — below it a row is a
-//     fraction of a word and a flat key set is not word-aligned rows) and
-//     |B|·⌈|B|/64⌉ ≤ 5·rows (structure.BitRowsFit, the hom solver's
-//     rule).  A step over such a table iterates a row's bits or tests
-//     one, and builds no index.  Wider tables, universes too small or
-//     too sparse for the rule, and every delta run (dpRun.sparse: nothing
-//     universe-sized is built for an append batch) stay on tuples.  Where
-//     a node's last binder binds one position v from rows, the end of the
-//     bind order is one intersection per bound prefix, emitted whole
-//     (enumerate): one key if it is non-empty (existence run, v outside
-//     the key), OR-ed into the output's row (existence run, v the last
-//     column of a flat key set), weight × popcount (counting run, v
-//     outside the key, no child table on v), value by value otherwise.
+//   - a width-2 table that fits rows — |B| ≥ 64 (rowsMinDom: below it a
+//     row is a fraction of a word and a flat key set is not word-aligned
+//     rows) and |B|·⌈|B|/64⌉ ≤ 5·rows (structure.BitRowsFit, the hom
+//     solver's rule) — is a bit matrix over the universe for its whole
+//     life (Table.rows: row u = the values beside u).  Atom tables lay
+//     theirs out on first use; predicate tables, and the prune's copies
+//     of tables on rows, are born as rows and lay out tuples only for a
+//     consumer of tuples (layTuples: a prefix index, a delta run).  Wider
+//     tables, universes too small or too sparse for the rule, and every
+//     delta run (dpRun.sparse: nothing universe-sized is built for an
+//     append batch) stay on tuples.  A step over rows scans the non-empty
+//     rows, binds a position from a row intersection or tests a bit, and
+//     builds no index.  Where a node's last binder binds one position v
+//     from rows, the end of the bind order is one intersection per bound
+//     prefix, emitted whole as the tail's mode says (enumerate).
 
 // packedKeyBudget is the number of key bits available before the packed
 // representation spills to strings.  Nothing outside the package's own
@@ -191,14 +191,17 @@ func nextPow2(n int) int {
 // With set on the accumulator is a key set — the existence semiring of
 // the predicate runs (projectKeys): a key keeps the first weight it got,
 // so no sum ever grows towards a big.Int, and the flat form is one bit
-// per key (bits) instead of one wnum.
+// per key (bits) instead of one wnum.  A counting accumulator's flat form
+// (dense) is pointer-free: an int64 per key, -1 for a weight past int64,
+// which is then kept in over.
 type wmap struct {
 	codec keyCodec
 	set   bool
 	n     int // packed entries; len() covers the spill form too
 	mask  uint64
 	slots []wslot
-	dense []wnum
+	dense []int64
+	over  map[uint64]*big.Int
 	bits  []uint64 // flat form of a key set
 	sk    map[string]wnum
 }
@@ -211,8 +214,14 @@ type wslot struct {
 
 // denseWmapCap bounds the key spaces stored as a flat array: dom^width
 // packed keys index dense directly — no hash, no probe chain — while
-// the array stays ≤ 1 MiB (65536 16-byte wnums).
+// the array stays ≤ 512 KiB (65536 int64s).
 const denseWmapCap = 1 << 16
+
+// densePools recycle the flat arrays of counting accumulators, by key
+// bits: a cold count of the 4-cycle over 120 values fills one of 1<<14
+// weights (128 KiB), garbage once its parent has read it.  An array goes
+// back zeroed (release).
+var densePools [17]sync.Pool
 
 // newWmap returns an accumulator (a key set if set) presized for about n
 // entries (0 = unknown).  sparse keeps a small key space out of the flat
@@ -223,8 +232,10 @@ func newWmap(codec keyCodec, n int, set, sparse bool) *wmap {
 		if kb := codec.bits * uint(codec.width); kb <= 16 && !sparse { // key space 1<<kb ≤ denseWmapCap
 			if set {
 				m.bits = make([]uint64, (1<<kb+63)/64)
+			} else if p, ok := densePools[kb].Get().(*[]int64); ok {
+				m.dense = *p
 			} else {
-				m.dense = make([]wnum, 1<<kb)
+				m.dense = make([]int64, 1<<kb)
 			}
 			return m
 		}
@@ -243,20 +254,11 @@ func (m *wmap) addPacked(k uint64, w wnum) {
 		return // identity; also keeps the empty-slot encoding sound
 	}
 	if m.bits != nil {
-		if wd, b := &m.bits[k>>6], uint64(1)<<(k&63); *wd&b == 0 {
-			*wd |= b
-			m.n++
-		}
+		m.setBit(k)
 		return
 	}
 	if m.dense != nil {
-		d := &m.dense[k]
-		if d.isZero() {
-			m.n++
-			*d = w
-		} else if !m.set {
-			*d = addW(*d, w)
-		}
+		m.addDense(k, w)
 		return
 	}
 	if (m.n+1)*2 > len(m.slots) {
@@ -278,6 +280,50 @@ func (m *wmap) addPacked(k uint64, w wnum) {
 			return
 		}
 		i = (i + 1) & m.mask
+	}
+}
+
+// setBit adds packed key k to a key set's flat form.
+func (m *wmap) setBit(k uint64) {
+	if wd, b := &m.bits[k>>6], uint64(1)<<(k&63); *wd&b == 0 {
+		*wd |= b
+		m.n++
+	}
+}
+
+// addDense accumulates w ≠ 0 at packed key k of a counting accumulator's
+// flat form (a key set's is bits).
+func (m *wmap) addDense(k uint64, w wnum) {
+	d := &m.dense[k]
+	if *d == 0 {
+		m.n++
+	}
+	if s := *d + w.lo; *d >= 0 && w.b == nil && s >= 0 { // both operands are non-negative: wrap ⇒ negative
+		*d = s
+		return
+	}
+	if m.over == nil {
+		m.over = make(map[uint64]*big.Int)
+	}
+	m.over[k] = addW(m.denseAt(k), w).b // past int64
+	*d = -1
+}
+
+// denseAt is the weight at packed key k of a counting accumulator's flat
+// form.
+func (m *wmap) denseAt(k uint64) wnum {
+	if v := m.dense[k]; v >= 0 {
+		return wnum{lo: v}
+	}
+	return wnum{b: m.over[k]}
+}
+
+// release hands a counting accumulator's flat array back to densePools,
+// zeroed.  m is dead afterwards: the pool holds &m.dense.
+func (m *wmap) release() {
+	if m.dense != nil {
+		clear(m.dense)
+		densePools[bits.TrailingZeros(uint(len(m.dense)))].Put(&m.dense)
 	}
 }
 
@@ -335,8 +381,7 @@ func (m *wmap) get(vals []int, buf []byte) (wnum, bool) {
 			return wnum{lo: 1}, true
 		}
 		if m.dense != nil {
-			v := m.dense[k]
-			return v, !v.isZero()
+			return m.denseAt(k), m.dense[k] != 0
 		}
 		i := mix64(k) & m.mask
 		for {
@@ -359,21 +404,19 @@ func (m *wmap) get(vals []int, buf []byte) (wnum, bool) {
 func (m *wmap) forEach(vals []int, fn func(vals []int, w wnum)) {
 	if m.codec.packed {
 		if m.bits != nil {
-			for i, wd := range m.bits {
-				for ; wd != 0; wd &= wd - 1 {
-					m.codec.unpack(uint64(i<<6+bits.TrailingZeros64(wd)), vals)
-					fn(vals, wnum{lo: 1})
-				}
+			for k := range eachBit(m.bits) {
+				m.codec.unpack(uint64(k), vals)
+				fn(vals, wnum{lo: 1})
 			}
 			return
 		}
 		if m.dense != nil {
 			for k, w := range m.dense {
-				if w.isZero() {
+				if w == 0 {
 					continue
 				}
 				m.codec.unpack(uint64(k), vals)
-				fn(vals, w)
+				fn(vals, m.denseAt(uint64(k)))
 			}
 			return
 		}
@@ -394,10 +437,12 @@ func (m *wmap) forEach(vals []int, fn func(vals []int, w wnum)) {
 
 // Table is a materialized constraint: the set of allowed assignments over
 // its scope (variable positions), deduplicated, stored as flat row-major
-// []int32 cells like the structure package's columnar relations.  Tables
-// are immutable once built and shared across plans via the Session;
-// prefix indexes (value-prefix → row ids) are built lazily per bound
-// position subset and cached on the table (capped: see prefixIndex).
+// []int32 cells like the structure package's columnar relations, or — a
+// table born as rows (rowsTable) — as a bit matrix, with the cells laid
+// out from it only for a consumer of tuples (layTuples).  Tables are
+// immutable once built and shared across plans via the Session; prefix
+// indexes (value-prefix → row ids) are built lazily per bound position
+// subset and cached on the table (capped: see prefixIndex).
 //
 // Row cells and index arrays are carved from the owning session's arena
 // (ar; nil falls back to the heap), so a session's whole table memory is
@@ -405,17 +450,45 @@ func (m *wmap) forEach(vals []int, fn func(vals []int, w wnum)) {
 type Table struct {
 	width int
 	n     int
-	dom   int // domain size of the values (index key packing)
-	flat  []int32
-	ar    *arena // owning session's allocator; nil → heap
+	dom   int     // domain size of the values (index key packing)
+	flat  []int32 // nil until layTuples in a table born as rows
+	ar    *arena  // owning session's allocator; nil → heap
 
 	mu      sync.Mutex
 	idx     map[uint64]*tableIndex // bound-position bitmask → index
 	clock   uint64                 // probe tick for LRU eviction of idx
-	bitRows [2][]uint64            // rows(by), laid out on first use
+	bitRows [2][]uint64            // rows(by): born, or laid out on first use
 }
 
 func newTable(width, dom int, ar *arena) *Table { return &Table{width: width, dom: dom, ar: ar} }
+
+// rowsTable returns the width-2 table whose rows(0) is m: ⌈dom/64⌉ words a
+// row, row u the values beside u.
+func rowsTable(m []uint64, dom int, ar *arena) *Table {
+	t := newTable(2, dom, ar)
+	t.bitRows[0], t.n = m, countWords(m)
+	return t
+}
+
+// tupleLayouts counts the tuple forms built of predicate tables and of
+// tables born as rows, for the package's tests (export_test.go) to tell
+// which tables a count laid out as tuples.
+var tupleLayouts atomic.Int64
+
+// layTuples lays out the cells of a table born as rows, from rows(0), on
+// first use by a consumer of tuples.  The caller holds t.mu.
+func (t *Table) layTuples() {
+	if t.flat == nil && t.n > 0 {
+		words := (t.dom + 63) / 64
+		t.flat = t.ar.allocI32(2 * t.n)[:0]
+		for u := 0; u < t.dom; u++ {
+			for v := range eachBit(t.bitRows[0][u*words:][:words]) {
+				t.flat = append(t.flat, int32(u), int32(v))
+			}
+		}
+		tupleLayouts.Add(1)
+	}
+}
 
 // Len returns the number of distinct rows.
 func (t *Table) Len() int { return t.n }
@@ -457,23 +530,29 @@ const rowsMinDom = 64
 // rows returns t laid out as a bit matrix by scope position by — row u,
 // ⌈dom/64⌉ words, holds the values beside u in the rows with u at by — or
 // nil when t does not fit the layout: width 2, a universe of at least
-// rowsMinDom, dense enough for it by the hom solver's rule.  An
-// orientation is built on first use and cached beside idx.
+// rowsMinDom, dense enough for it by the hom solver's rule.  A table born
+// as rows has them whatever it holds.  An orientation is built on first
+// use — from the cells, or by transposing the other — and cached beside
+// idx.
 func (t *Table) rows(by int) []uint64 {
-	if t.dom < rowsMinDom || !structure.BitRowsFit(t.width, t.dom, t.n) {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.bitRows[by] == nil {
 		words := (t.dom + 63) / 64
-		m := t.ar.allocU64(t.dom * words)
-		clear(m)
-		for r := 0; r < t.n; r++ {
-			u, v := int(t.flat[2*r+by]), uint(t.flat[2*r+1-by])
-			m[u*words+int(v>>6)] |= 1 << (v & 63)
+		switch {
+		case t.bitRows[1-by] != nil:
+			m := t.ar.allocU64(t.dom * words)
+			transposeRows(m, words, t.bitRows[1-by], words, t.dom)
+			t.bitRows[by] = m
+		case t.dom >= rowsMinDom && structure.BitRowsFit(t.width, t.dom, t.n):
+			m := t.ar.allocU64(t.dom * words)
+			clear(m)
+			for r := 0; r < t.n; r++ {
+				u, v := int(t.flat[2*r+by]), uint(t.flat[2*r+1-by])
+				m[u*words+int(v>>6)] |= 1 << (v & 63)
+			}
+			t.bitRows[by] = m
 		}
-		t.bitRows[by] = m
 	}
 	return t.bitRows[by]
 }
@@ -575,6 +654,7 @@ func (t *Table) prefixIndex(pos []int) *tableIndex {
 		return ix
 	}
 	ix := &tableIndex{pos: append([]int(nil), pos...), codec: newKeyCodec(t.dom, len(pos)), lastUse: t.clock}
+	t.layTuples()
 	vals := make([]int, len(pos))
 	if ix.codec.packed {
 		capN := t.n + (t.n*3+6)/7 // ≥ n/0.7: load factor ≤ 0.7, never rehashed
@@ -665,7 +745,10 @@ type execStep struct {
 	// instead of idx: their rows' intersection holds the candidates of bag
 	// position bit, which the step binds (freeBag = {bit}) or, both bound,
 	// tests.  A test of the position the step before it binds from rows is
-	// no step of its own: its row joins that step's srcs.
+	// no step of its own: its row joins that step's srcs.  A table entered
+	// with nothing bound is two steps: a scan (boundBag empty) binds bit to
+	// each non-empty row of srcs[0], and the next step binds the other
+	// position from that row.
 	srcs []rowSrc
 	bit  int
 }
@@ -675,6 +758,7 @@ type execNode struct {
 	width   int
 	steps   []execStep
 	freePos []int // bag positions covered by no constraint at this node
+	cons    int   // constraints at this node
 }
 
 // execPlan is a component bound to one session's (pruned) tables: bind
@@ -698,7 +782,7 @@ func newExecPlan(pc *planComponent, tables []*Table, domSize int, sparse bool) *
 		cons := pc.consAt[ni]
 		en := &ep.nodes[ni]
 		en.width = len(bag)
-		en.freePos = meta.freePos
+		en.freePos, en.cons = meta.freePos, len(cons)
 		if len(cons) == 0 {
 			continue
 		}
@@ -741,25 +825,37 @@ func newExecPlan(pc *planComponent, tables []*Table, domSize int, sparse bool) *
 			// of two the one bound first, so that a test is of the later.
 			var m []uint64
 			by := 0
-			if t.width == 2 && len(boundScope) > 0 && !sparse {
-				if by = boundScope[0]; len(boundScope) == 2 && boundAt[st.boundBag[0]] > boundAt[st.boundBag[1]] {
+			if t.width == 2 && !sparse {
+				if len(boundScope) > 0 {
+					by = boundScope[0]
+				}
+				if len(boundScope) == 2 && boundAt[st.boundBag[0]] > boundAt[st.boundBag[1]] {
 					by = 1
 				}
 				m = t.rows(by)
 			}
-			if m != nil {
+			switch {
+			case m != nil:
 				src := rowSrc{m, words, meta.scopeBag[best][by]}
 				st.bit = meta.scopeBag[best][1-by]
-				if prev := &en.steps[len(en.steps)-1]; len(st.freeBag) == 0 && prev.bindsRow() && prev.bit == st.bit {
+				if len(boundScope) == 0 { // the scan of src.by, then st binds bit from its row
+					boundAt[src.by] = len(en.steps) + 1
+					en.steps = append(en.steps, execStep{table: t, srcs: []rowSrc{src}, bit: src.by, freeBag: []int{src.by}})
+					st.boundBag, st.freeBag = []int{src.by}, []int{st.bit}
+				} else if prev := &en.steps[len(en.steps)-1]; len(st.freeBag) == 0 && prev.bindsRow() && prev.bit == st.bit {
 					prev.srcs = append(prev.srcs, src)
 					continue
 				}
 				st.srcs = []rowSrc{src}
-			} else if len(boundScope) > 0 && t.width <= 64 {
+			case len(boundScope) > 0 && t.width <= 64:
 				// Scope widths beyond 64 cannot be mask-keyed; fall back to
 				// row enumeration (unreachable for bag widths the packed and
 				// spill key paths are designed for).
 				st.idx = t.prefixIndex(boundScope)
+			default: // the step enumerates the cells
+				t.mu.Lock()
+				t.layTuples()
+				t.mu.Unlock()
 			}
 			for _, bi := range st.freeBag {
 				boundAt[bi] = len(en.steps) + 1
@@ -770,8 +866,11 @@ func newExecPlan(pc *planComponent, tables []*Table, domSize int, sparse bool) *
 	return ep
 }
 
-// bindsRow reports whether the step binds a bag position (bit) from rows.
-func (st *execStep) bindsRow() bool { return st.srcs != nil && len(st.freeBag) == 1 }
+// bindsRow reports whether the step binds a bag position (bit) from the
+// rows its bound positions select.
+func (st *execStep) bindsRow() bool {
+	return st.srcs != nil && len(st.freeBag) == 1 && len(st.boundBag) > 0
+}
 
 // execScratch holds the buffers of one node enumeration, pooled across
 // calls to keep the inner loops allocation-free.
@@ -901,6 +1000,7 @@ func joinCount(pc *planComponent, ep *execPlan, domSize int, sparse bool, done <
 	root.forEach(vals, func(_ []int, w wnum) {
 		w.addInto(total)
 	})
+	root.release()
 	return total, false
 }
 
@@ -959,6 +1059,9 @@ func (r *dpRun) process(ni int, proj []int) *wmap {
 	hint := projSize(r.dom, len(proj), en.pivotSize(r.dom))
 	out := newWmap(newKeyCodec(r.dom, len(proj)), hint, r.exists, r.sparse)
 	r.enumerate(en, groups, out, proj)
+	for _, g := range groups {
+		g.sums.release()
+	}
 	return out
 }
 
@@ -1098,13 +1201,13 @@ func (r *dpRun) groupRows(g *childGroup, v int) (rowSrc, bool) {
 	if set == nil || r.dom < rowsMinDom || len(g.sharedBag) > 2 {
 		return rowSrc{}, false
 	}
+	stride := 1 << (g.sums.codec.bits - 6)
 	if n := len(g.sharedBag); n == 1 || g.sharedBag[1] == v { // one row (stride 0), or v the low column
-		return rowSrc{set, (n - 1) << (g.sums.codec.bits - 6), g.sharedBag[0]}, true
+		return rowSrc{set, (n - 1) * stride, g.sharedBag[0]}, true
 	}
 	words := (r.dom + 63) / 64
 	t := r.ar.allocU64(r.dom * words)
-	clear(t)
-	g.sums.forEach(make([]int, 2), func(k []int, _ wnum) { t[k[1]*words+k[0]>>6] |= 1 << (k[0] & 63) })
+	transposeRows(t, words, set, stride, r.dom)
 	return rowSrc{t, words, g.sharedBag[1]}, true
 }
 
@@ -1113,7 +1216,8 @@ const (
 	tailEach  = iota // bind each candidate and descend: the general case
 	tailAny          // existence run, v outside the key: one emission if there is a candidate
 	tailOr           // existence run, v the last column of a flat key set: OR into the key's row
-	tailCount        // counting run, v outside the key, no group on v: weight × candidates
+	tailCount        // counting run, v outside the key: weight × candidates, or × Σ the gather's weights
+	tailAdd          // v in a flat key (bits, dense): each candidate adds weight (× the gather's) by index
 )
 
 // rowBinds counts the positions bound from rows, for the package's tests
@@ -1133,13 +1237,16 @@ var rowBinds atomic.Int64
 // The tail: when the node's last binder binds one position v from rows —
 // the last step's (execStep.srcs) and those of the child key sets sharing
 // v (groupRows), which alone serve a last free position — v's candidates
-// under a bound prefix are one intersection, emitted as mode says.
+// under a bound prefix are one intersection, emitted as mode says.  One
+// child group left there with flat weights (wmap.dense) is read by index
+// too (gather): its key, as the output's, is base | x<<shift at v = x.
 func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj []int) {
 	nSteps := len(en.steps)
 	free := en.freePos
 	last := nSteps + len(free) // the depth at which the bag is fully assigned
-	if last == 1 && nSteps == 1 && len(groups) == 0 && len(outProj) == 0 {
-		// Each pivot row would add 1 to the one key: count, don't walk.
+	if en.cons == 1 && len(free) == 0 && len(groups) == 0 && len(outProj) == 0 {
+		// One table covers the bag, each of its rows adding 1 to the one
+		// key: count, don't walk.
 		m.add(nil, wnum{lo: int64(en.steps[0].table.n)}, nil)
 		return
 	}
@@ -1162,15 +1269,30 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 		}
 		ready[last] = rest
 	}
-	mode := tailEach
-	if col := slices.Index(outProj, v); len(tail) > 0 && len(ready[last]) == 0 {
+	mode, gather := tailEach, (*childGroup)(nil)
+	var outShift, gShift uint
+	if len(tail) > 0 {
+		rest := ready[last]
+		if len(rest) == 1 && rest[0].sums.dense != nil {
+			gather, rest = rest[0], nil
+			gShift = gather.sums.codec.bits * uint(len(gather.sharedBag)-1-slices.Index(gather.sharedBag, v))
+		}
+		col := slices.Index(outProj, v)
 		switch {
+		case len(rest) > 0:
 		case col < 0 && r.exists:
 			mode = tailAny
 		case col < 0:
 			mode = tailCount
 		case r.exists && col == len(outProj)-1 && m.bits != nil:
 			mode = tailOr
+		case m.bits != nil || m.dense != nil:
+			mode, outShift = tailAdd, m.codec.bits*uint(len(outProj)-1-col)
+		}
+		if mode == tailEach {
+			gather = nil
+		} else {
+			ready[last] = rest
 		}
 	}
 	nDrive := len(free)
@@ -1196,13 +1318,7 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 	assign := sc.assign[:en.width]
 	words := (r.dom + 63) / 64
 	binds := 0
-	key := func() []int {
-		pv := sc.proj[:len(outProj)]
-		for i, bi := range outProj {
-			pv[i] = assign[bi]
-		}
-		return pv
-	}
+	key := func() []int { return valuesAt(sc.proj, assign, outProj) }
 	hit := false // existence run: a key was emitted and the unwinding to cut is under way
 	var recStep func(si int, w wnum)
 	var fill func(k int, w wnum)
@@ -1218,11 +1334,7 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 			}
 		}
 		for _, g := range ready[d] {
-			proj := sc.proj[:len(g.sharedBag)]
-			for i, bi := range g.sharedBag {
-				proj[i] = assign[bi]
-			}
-			s, ok := g.sums.get(proj, sc.keyBuf)
+			s, ok := g.sums.get(valuesAt(sc.proj, assign, g.sharedBag), sc.keyBuf)
 			if !ok {
 				return false
 			}
@@ -1259,45 +1371,61 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 		if cap(sc.cand) < (last+1)*words { // one intersection per depth: binders nest
 			sc.cand = make([]uint64, (last+1)*words)
 		}
-		cand := sc.cand[d*words:][:words]
-		for i := range srcs {
-			row := srcs[i].m[assign[srcs[i].by]*srcs[i].stride:][:words]
-			if i == 0 {
-				copy(cand, row)
-				continue
-			}
-			for j := range cand {
-				cand[j] &= row[j]
+		cand := srcs[0].m[assign[srcs[0].by]*srcs[0].stride:][:words] // one row is read in place
+		if len(srcs) > 1 {
+			cand = sc.cand[d*words:][:words]
+			copy(cand, srcs[0].m[assign[srcs[0].by]*srcs[0].stride:])
+			for i := range srcs[1:] {
+				andWords(cand, srcs[1+i].m[assign[srcs[1+i].by]*srcs[1+i].stride:])
 			}
 		}
-		switch md {
-		case tailAny:
-			for _, c := range cand {
-				if c != 0 {
-					m.add(key(), w, sc.keyBuf)
-					hit = true
+		if md == tailEach {
+			for x := range eachBit(cand) {
+				assign[u] = x
+				if descend(d, w) {
 					return
 				}
 			}
+			return
+		}
+		var gBase uint64 // the gather's key at v = 0
+		if assign[u] = 0; gather != nil {
+			gBase = gather.sums.codec.pack(valuesAt(sc.vals, assign, gather.sharedBag))
+		}
+		switch md {
+		case tailAny:
+			if countWords(cand) > 0 {
+				m.add(key(), w, sc.keyBuf)
+				hit = true
+			}
 		case tailOr:
-			assign[u] = 0
 			row := m.bits[m.codec.pack(key())>>6:][:words]
-			for j, c := range cand {
-				m.n += bits.OnesCount64(c &^ row[j])
-				row[j] |= c
-			}
+			m.n += countAndNotWords(cand, row)
+			orWords(row, cand)
 		case tailCount:
-			n := 0
-			for _, c := range cand {
-				n += bits.OnesCount64(c)
+			n := wnum{lo: int64(countWords(cand))}
+			if gather != nil {
+				n = wnum{}
+				for x := range eachBit(cand) {
+					n = addW(n, gather.sums.denseAt(gBase|uint64(x)<<gShift))
+				}
 			}
-			m.add(key(), mulW(w, wnum{lo: int64(n)}), sc.keyBuf)
-		default:
-			for j, c := range cand {
-				for ; c != 0; c &= c - 1 {
-					assign[u] = j<<6 + bits.TrailingZeros64(c)
-					if descend(d, w) {
-						return
+			m.add(key(), mulW(w, n), sc.keyBuf)
+		case tailAdd:
+			base := m.codec.pack(key())
+			switch {
+			case m.bits != nil: // an existence run's: every weight is 1
+				for x := range eachBit(cand) {
+					m.setBit(base | uint64(x)<<outShift)
+				}
+			case gather == nil:
+				for x := range eachBit(cand) {
+					m.addDense(base|uint64(x)<<outShift, w)
+				}
+			default:
+				for x := range eachBit(cand) {
+					if k := gBase | uint64(x)<<gShift; gather.sums.dense[k] != 0 {
+						m.addDense(base|uint64(x)<<outShift, mulW(w, gather.sums.denseAt(k)))
 					}
 				}
 			}
@@ -1310,12 +1438,8 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 			return
 		}
 		if d := drive[k]; d != nil {
-			vals := sc.vals[:len(d.boundBag)]
-			for i, bi := range d.boundBag {
-				vals[i] = assign[bi]
-			}
 			col := d.t.width - 1
-			for _, row := range d.idx.lookup(vals, sc.keyBuf) {
+			for _, row := range d.idx.lookup(valuesAt(sc.vals, assign, d.boundBag), sc.keyBuf) {
 				assign[free[k]] = int(d.t.flat[int(row)*d.t.width+col])
 				if descend(nSteps+k+1, w) {
 					return
@@ -1341,6 +1465,16 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 		switch {
 		case st.bindsRow():
 			bindRow(st.srcs, st.bit, si+1, w)
+		case st.srcs != nil && len(st.boundBag) == 0: // a scan of the non-empty rows
+			s := &st.srcs[0]
+			for u := 0; u < r.dom; u++ {
+				if countWords(s.m[u*s.stride:][:words]) == 0 {
+					continue
+				}
+				if assign[st.bit] = u; r.cancelled(sc) || descend(si+1, w) {
+					return
+				}
+			}
 		case st.srcs != nil: // both positions bound: a bit test
 			if s, u := &st.srcs[0], assign[st.bit]; s.m[assign[s.by]*s.stride+u>>6]>>(u&63)&1 != 0 {
 				descend(si+1, w)
@@ -1359,11 +1493,7 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 				}
 			}
 		default:
-			vals := sc.vals[:len(st.boundBag)]
-			for i, bi := range st.boundBag {
-				vals[i] = assign[bi]
-			}
-			for _, row := range st.idx.lookup(vals, sc.keyBuf) {
+			for _, row := range st.idx.lookup(valuesAt(sc.vals, assign, st.boundBag), sc.keyBuf) {
 				base := int(row) * t.width
 				for i, j := range st.freeScope {
 					assign[st.freeBag[i]] = int(t.flat[base+j])
@@ -1379,6 +1509,16 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 		rowBinds.Add(int64(binds))
 	}
 	scratchPool.Put(sc)
+}
+
+// valuesAt writes into dst the values assign holds at the bag positions
+// pos, and returns them.
+func valuesAt(dst, assign, pos []int) []int {
+	dst = dst[:len(pos)]
+	for i, bi := range pos {
+		dst[i] = assign[bi]
+	}
+	return dst
 }
 
 // sharedPositions returns, for the variables common to bag and childVars

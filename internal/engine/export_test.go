@@ -34,3 +34,8 @@ func DisableDelta() (restore func()) {
 // rows (Table.rows, groupRows) since process start: a count that leaves
 // it unchanged ran on the tuple path alone.
 func RowBinds() int64 { return rowBinds.Load() }
+
+// TupleLayouts reports how many tuple forms of predicate tables and of
+// tables born as rows the executor has built since process start: a
+// count that leaves it unchanged kept every such table as rows.
+func TupleLayouts() int64 { return tupleLayouts.Load() }

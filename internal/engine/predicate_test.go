@@ -3,14 +3,17 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/hom"
 	"repro/internal/pp"
 	"repro/internal/structure"
+	"repro/internal/workload"
 )
 
 // predSig has a binary and a ternary relation, so the random
@@ -163,7 +166,12 @@ func solverRows(sub, b *structure.Structure, iface []int) []string {
 	return rows
 }
 
+// predRows lists t's rows that keep accepts (nil: all), read from its
+// rows(0) when it was born as rows, so that listing them builds no tuples.
 func predRows(t *Table, keep func(row []int) bool) []string {
+	if bornRows(t) {
+		return bitPairs(t.bitRows[0], t.dom, false, keep)
+	}
 	var rows []string
 	row := make([]int, t.width)
 	for r := 0; r < t.n; r++ {
@@ -172,6 +180,29 @@ func predRows(t *Table, keep func(row []int) bool) []string {
 		}
 		if keep == nil || keep(row) {
 			rows = append(rows, fmt.Sprint(row))
+		}
+	}
+	sort.Strings(rows)
+	return rows
+}
+
+// bornRows reports whether t was born as rows and has no tuples yet.
+func bornRows(t *Table) bool { return t.flat == nil && t.n > 0 }
+
+// bitPairs lists the pairs [u v] of the dom × dom bit matrix m (bit v of
+// row u), as [v u] if swap, that keep accepts (nil: all).
+func bitPairs(m []uint64, dom int, swap bool, keep func(row []int) bool) []string {
+	var rows []string
+	words := (dom + 63) / 64
+	for u := 0; u < dom; u++ {
+		for v := range eachBit(m[u*words:][:words]) {
+			row := []int{u, v}
+			if swap {
+				row[0], row[1] = v, u
+			}
+			if keep == nil || keep(row) {
+				rows = append(rows, fmt.Sprint(row))
+			}
 		}
 	}
 	sort.Strings(rows)
@@ -266,22 +297,30 @@ func TestPredicateTableMatchesSolver(t *testing.T) {
 // both sides of the row layout: on a structure whose E tables fit it and
 // on that structure padded until nothing does (PadIsolated), the predicate
 // tables agree row for row, and with the solver; the padded
-// materialization binds nothing from rows, and the rows side does.
+// materialization binds nothing from rows, and the rows side does.  A
+// table born as rows holds the same rows in its other orientation.
 func TestPredicateTableRowsMatchTuples(t *testing.T) {
 	rounds := 120
 	if testing.Short() {
 		rounds = 30
 	}
-	onRows := 0
+	onRows, born := 0, 0
 	for seed := 0; seed < rounds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		c, sub, _, iface := existsConstraint(t, randomExistsComponent(rng))
 		n := []int{64, 65, 100, 128, 129}[seed%5]
 		b := RowsStructure(n, (2+rng.Intn(6))*n, rng.Intn(2*n), int64(seed))
 		before := rowBinds.Load()
-		rows := predRows(NewSession(b).tableFor(c, nil), nil)
+		tab := NewSession(b).tableFor(c, nil)
+		rows := predRows(tab, nil)
 		if rowBinds.Load() > before {
 			onRows++
+		}
+		if bornRows(tab) {
+			born++
+			if other := bitPairs(tab.rows(1), n, true, nil); fmt.Sprint(other) != fmt.Sprint(rows) {
+				t.Fatalf("seed %d n %d: component %v interface %v\n rows(0) %v\n rows(1) %v", seed, n, sub, iface, rows, other)
+			}
 		}
 		scans := 0 // positions some node scans the universe for: the padded one is 20 × as large
 		for _, nm := range c.pred.nodes {
@@ -303,9 +342,78 @@ func TestPredicateTableRowsMatchTuples(t *testing.T) {
 			}
 		}
 	}
-	if onRows < rounds/4 {
-		t.Fatalf("%d of %d materializations bound a position from rows: the rows side was not exercised", onRows, rounds)
+	if onRows < rounds/4 || born < rounds/16 {
+		t.Fatalf("of %d materializations %d bound a position from rows and %d were born as rows: the rows side was not exercised", rounds, onRows, born)
 	}
+}
+
+// A table born as rows has no tuples until a consumer of tuples asks for
+// them: binding a delta (sparse) run over it lays them out, once, from the
+// rows, and the run counts what the rows run counts.
+func TestSparseRunLaysOutBornRows(t *testing.T) {
+	pl, pred := predicateFixture(t)
+	pc := pl.(*fptPlan).comps[0]
+	const n = 120
+	tab := NewSession(workload.RandomStructure(workload.EdgeSig(), n, 8.0/n, 20160626)).tableFor(pred, nil)
+	if !bornRows(tab) {
+		t.Fatal("the quantified 3-path's predicate table at |B| = 120 was not born as rows")
+	}
+	rows, tables := predRows(tab, nil), []*Table{tab}
+	before := tupleLayouts.Load()
+	want, _ := joinCount(pc, newExecPlan(pc, tables, n, false), n, false, nil)
+	if laid := tupleLayouts.Load() - before; laid != 0 {
+		t.Fatalf("a run on rows laid the table out as tuples %d times", laid)
+	}
+	got, _ := joinCount(pc, newExecPlan(pc, tables, n, true), n, true, nil)
+	if laid := tupleLayouts.Load() - before; laid != 1 {
+		t.Fatalf("binding a sparse run laid the table out as tuples %d times, want 1", laid)
+	}
+	if got.Cmp(want) != 0 || want.Int64() != int64(len(rows)) {
+		t.Fatalf("sparse run %v, run on rows %v, %d rows", got, want, len(rows))
+	}
+	if tuples := predRows(tab, nil); fmt.Sprint(tuples) != fmt.Sprint(rows) {
+		t.Fatalf("tuples laid out from the rows\n %v\nrows\n %v", tuples, rows)
+	}
+}
+
+// Counts that share a session share its tables born as rows and the
+// pooled accumulators: goroutines that at once lay out a born table's
+// other orientation or its tuples, and count through it or through a
+// 4-cycle's flat weights, all count right (run under -race).
+func TestBornRowsSharedAcrossGoroutines(t *testing.T) {
+	pl, pred := predicateFixture(t)
+	c4, err := Compile(compilePP(t, workload.EdgeSig(), "c4(a,b,c,d) := E(a,b) & E(b,c) & E(c,d) & E(d,a)"), FPT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := workload.RandomStructure(workload.EdgeSig(), 120, 8.0/120, 20160626)
+	plans := []Plan{pl, c4}
+	want := make([]*big.Int, len(plans))
+	for i, p := range plans {
+		if want[i], err = p.CountIn(context.Background(), NewSession(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewSession(b)
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			switch tab := s.tableFor(pred, nil); g % 3 {
+			case 0:
+				tab.rows(1)
+			case 1:
+				newExecPlan(pl.(*fptPlan).comps[0], []*Table{tab}, b.Size(), true)
+			}
+			for i, p := range plans {
+				if got, err := p.CountIn(context.Background(), s); err != nil || got.Cmp(want[i]) != 0 {
+					t.Errorf("goroutine %d, %v: %v (%v), want %v", g, p.Formula(), got, err, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // ∃-components that differ only in the names of their elements and in

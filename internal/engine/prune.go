@@ -1,6 +1,6 @@
 package engine
 
-import "math/bits"
+import "slices"
 
 // Semi-join pre-pruning: before the join-count DP runs, each constraint
 // table is reduced against the value supports of every other constraint
@@ -11,20 +11,25 @@ import "math/bits"
 // shrinking the intermediate tables the DP joins and groups — and the
 // prefix indexes the bound plan builds over them.
 //
-// The pass works entirely in word bitmaps: each table carries an alive
-// mask (bit r = row r survives), supports and per-variable allowed sets
-// are value bitmaps intersected 64 values per word op.  Rows are never
-// copied between rounds — the session-shared input tables are never
-// mutated, and the surviving rows are compacted into fresh (arena-
-// backed, exactly sized) tables once, at the end.
+// The pass works entirely in word bitmaps (words.go), one pass over two
+// layouts.  Supports and per-variable allowed sets are value bitmaps
+// intersected 64 values per word op.  What survives of a table is kept
+// in its own layout.  A table on rows (Table.rows) is its bit matrix,
+// copied at its first kill: column 0's support is the set of non-empty
+// rows, column 1's the OR of the rows, and killing clears the rows whose
+// value is not allowed and ANDs the others with the allowed set — a
+// round is O(|B|·⌈|B|/64⌉) words whatever the table holds.  Any other
+// table is an alive mask over its tuples (bit r = row r survives).  The
+// session-shared input tables are never mutated; the survivors are
+// compacted once, at the end, into fresh tables of the same layout.
 //
 // There is one strategy, a bounded scanning fixpoint: each round
 // rebuilds the per-variable allowed sets from the live rows and kills
-// the rows left unsupported, up to pruneMaxRounds rounds.  Filtering is
-// column-major and delta-driven — allowed sets only shrink, so a
-// surviving row is only rechecked at columns whose variable shrank in
-// the latest rebuild, and dead 64-row blocks are skipped in one test.
-// Memory is O(nActive·|B|/64) words whatever the tables hold.  The
+// the rows left unsupported, up to pruneMaxRounds rounds.  Tuple
+// filtering is column-major and delta-driven — allowed sets only shrink,
+// so a surviving tuple is only rechecked at columns whose variable
+// shrank in the latest rebuild, and dead 64-row blocks are skipped in
+// one test.  Memory is O(nActive·|B|/64) words plus the row copies.  The
 // pass is sound at every round, not only at the fixpoint: a cascade
 // deeper than the cap leaves rows the DP then discards itself, at the
 // same count.
@@ -57,33 +62,38 @@ func semiJoinPrune(pc *planComponent, tables []*Table, domSize int) ([]*Table, b
 		return tables, false
 	}
 
-	// Per-table alive row masks, all-ones to start (bits past n stay 0
-	// so whole-word scans never visit phantom rows).
+	// Per table, what is alive: its rows (onRows; the table's own until
+	// the first kill, then a copy the pass owns), or a mask over its
+	// tuples, all-ones to start (bits past n stay 0 so whole-word scans
+	// never visit phantom rows).
 	k := len(tables)
+	words := (domSize + 63) / 64
 	alive := make([][]uint64, k)
+	onRows, owned := make([]bool, k), make([]bool, k)
 	liveN := make([]int, k)
 	for ci, t := range tables {
 		if t.n == 0 {
 			return nil, true // empty constraint table: the join is zero
 		}
-		rw := (t.n + 63) / 64
-		m := make([]uint64, rw)
+		liveN[ci] = t.n
+		if m := t.rows(0); m != nil {
+			alive[ci], onRows[ci] = m, true
+			continue
+		}
+		m := make([]uint64, (t.n+63)/64)
 		for i := range m {
 			m[i] = ^uint64(0)
 		}
-		if t.n&63 != 0 {
-			m[rw-1] = 1<<(uint(t.n)&63) - 1
-		}
+		m[len(m)-1] >>= uint(-t.n) & 63
 		alive[ci] = m
-		liveN[ci] = t.n
 	}
 
-	words := (domSize + 63) / 64
 	nv := pc.nActive
 	allowed := make([]uint64, nv*words)
 	prev := make([]uint64, nv*words)
 	varChanged := make([]bool, nv)
 	support := make([]uint64, words)
+	allowedOf := func(v int) []uint64 { return allowed[v*words : (v+1)*words] }
 
 	pruned := false
 	for round := 0; round < pruneMaxRounds; round++ {
@@ -91,67 +101,79 @@ func semiJoinPrune(pc *planComponent, tables []*Table, domSize int) ([]*Table, b
 			allowed[i] = ^uint64(0)
 		}
 		for ci, t := range tables {
-			m := alive[ci]
-			for j, v := range pc.constraints[ci].scope {
-				for i := range support {
-					support[i] = 0
-				}
-				for wi, w := range m {
-					if w == 0 {
-						continue // 64 dead rows skipped in one test
-					}
-					base := wi << 6
-					for w != 0 {
-						r := base + bits.TrailingZeros64(w)
-						w &= w - 1
-						u := int(t.flat[r*t.width+j])
-						support[u>>6] |= 1 << (u & 63)
+			m, scope := alive[ci], pc.constraints[ci].scope
+			if onRows[ci] {
+				clear(support)
+				a0 := allowedOf(scope[0])
+				for u := 0; u < domSize; u++ {
+					if !orWords(support, m[u*words:]) {
+						a0[u>>6] &^= 1 << (u & 63)
 					}
 				}
-				ab := allowed[v*words : (v+1)*words]
-				for i := range ab {
-					ab[i] &= support[i]
+				andWords(allowedOf(scope[1]), support)
+				continue
+			}
+			for j, v := range scope {
+				clear(support)
+				for r := range eachBit(m) {
+					u := int(t.flat[r*t.width+j])
+					support[u>>6] |= 1 << (u & 63)
 				}
+				andWords(allowedOf(v), support)
 			}
 		}
 		for v := 0; v < nv; v++ {
-			if round == 0 {
-				varChanged[v] = true
-				continue
-			}
-			varChanged[v] = false
-			ab, pb := allowed[v*words:(v+1)*words], prev[v*words:(v+1)*words]
-			for i := range ab {
-				if ab[i] != pb[i] {
-					varChanged[v] = true
-					break
-				}
-			}
+			varChanged[v] = round == 0 || !slices.Equal(allowedOf(v), prev[v*words:(v+1)*words])
 		}
 		copy(prev, allowed)
 		changed := false
 		for ci, t := range tables {
-			m := alive[ci]
-			w := t.width
-			for j, v := range pc.constraints[ci].scope {
-				if !varChanged[v] {
+			m, scope := alive[ci], pc.constraints[ci].scope
+			if onRows[ci] {
+				if !varChanged[scope[0]] && !varChanged[scope[1]] {
 					continue
 				}
-				ab := allowed[v*words : (v+1)*words]
-				for wi, mw := range m {
-					if mw == 0 {
+				// A row's bits are all allowed as of the round before: only a
+				// shrunken allowed set can kill some.
+				a0, a1 := allowedOf(scope[0]), allowedOf(scope[1])
+				for u := 0; u < domSize; u++ {
+					row, keep, dead := m[u*words:][:words], a0[u>>6]>>(u&63)&1 != 0, 0
+					switch {
+					case keep && varChanged[scope[1]]:
+						dead = countAndNotWords(row, a1)
+					case !keep && varChanged[scope[0]]:
+						dead = countWords(row)
+					}
+					if dead == 0 {
 						continue
 					}
-					base := wi << 6
-					for rem := mw; rem != 0; rem &= rem - 1 {
-						r := base + bits.TrailingZeros64(rem)
-						u := int(t.flat[r*w+j])
-						if ab[u>>6]&(1<<(u&63)) != 0 {
-							continue
+					if !owned[ci] { // the first kill copies the table's rows
+						c := t.ar.allocU64(domSize * words)
+						copy(c, m)
+						m, row = c, c[u*words:][:words]
+						alive[ci], owned[ci] = c, true
+					}
+					if keep {
+						andWords(row, a1)
+					} else {
+						clear(row)
+					}
+					liveN[ci] -= dead
+					changed = true
+				}
+			} else {
+				w := t.width
+				for j, v := range scope {
+					if !varChanged[v] {
+						continue
+					}
+					ab := allowedOf(v)
+					for r := range eachBit(m) { // eachBit holds a copy of the word it is in
+						if u := int(t.flat[r*w+j]); ab[u>>6]&(1<<(u&63)) == 0 {
+							m[r>>6] &^= 1 << (r & 63)
+							liveN[ci]--
+							changed = true
 						}
-						m[wi] &^= rem & -rem
-						liveN[ci]--
-						changed = true
 					}
 				}
 			}
@@ -167,23 +189,24 @@ func semiJoinPrune(pc *planComponent, tables []*Table, domSize int) ([]*Table, b
 	if !pruned {
 		return tables, false
 	}
-	// Compact once at the end: each shrunken table gets an exactly
-	// sized arena allocation and a single masked copy pass.
+	// Compact once at the end: a table on rows keeps its surviving rows;
+	// each other shrunken table gets an exactly sized arena allocation and
+	// a single masked copy pass.
 	out := append([]*Table(nil), tables...)
 	for ci, t := range tables {
 		if liveN[ci] == t.n {
 			continue
 		}
+		if onRows[ci] {
+			out[ci] = rowsTable(alive[ci], t.dom, t.ar)
+			continue
+		}
 		nt := newTable(t.width, t.dom, t.ar)
 		dst := t.ar.allocI32(liveN[ci] * t.width)
 		o := 0
-		for wi, mw := range alive[ci] {
-			base := wi << 6
-			for ; mw != 0; mw &= mw - 1 {
-				r := base + bits.TrailingZeros64(mw)
-				copy(dst[o:o+t.width], t.flat[r*t.width:(r+1)*t.width])
-				o += t.width
-			}
+		for r := range eachBit(alive[ci]) {
+			copy(dst[o:o+t.width], t.flat[r*t.width:(r+1)*t.width])
+			o += t.width
 		}
 		nt.flat = dst
 		nt.n = liveN[ci]

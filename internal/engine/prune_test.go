@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/pp"
 	"repro/internal/tw"
+	"repro/internal/workload"
 )
 
 // chainComponent is a path-query shape for exercising semiJoinPrune
@@ -104,6 +107,78 @@ func checkPrunePreservesCount(t *testing.T, label string, pc *planComponent, tab
 		if tb.Len() != lens[ci] {
 			t.Fatalf("%s: input table %d mutated by pruning", label, ci)
 		}
+	}
+}
+
+// TestPruneRowsMatchTuples runs the prune on both layouts of the same
+// tables: random components — a random ∃-component's nested run and the
+// liberal components of a random ep-query's disjuncts — over a structure
+// whose binary tables fit rows, and over that structure padded with
+// isolated elements until nothing does (PadIsolated keeps every value).
+// Table by table the rows prune and the tuple prune agree on empty and on
+// the rows that survive.
+func TestPruneRowsMatchTuples(t *testing.T) {
+	rounds := 120
+	if testing.Short() {
+		rounds = 30
+	}
+	sig := predSig()
+	onRows := 0
+	for seed := 0; seed < rounds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		c, _, _, _ := existsConstraint(t, randomExistsComponent(rng))
+		comps := []*planComponent{c.pred}
+		q := workload.RandomEPQuery(sig, 2, 4, 2, 3+rng.Intn(3), int64(seed))
+		for _, d := range q.Disjuncts() {
+			p, err := pp.FromDisjunct(sig, q.Lib, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl, err := Compile(p, FPT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pc := range pl.(*fptPlan).comps {
+				if !pc.sentence && pc.nActive > 0 {
+					comps = append(comps, pc)
+				}
+			}
+		}
+		n := []int{64, 65, 128, 200}[seed%4]
+		b := RowsStructure(n, (2+rng.Intn(6))*n, rng.Intn(2*n), int64(seed))
+		pad := PadIsolated(b)
+		onB, onPad := NewSession(b), NewSession(pad)
+		tablesIn := func(s *Session, pc *planComponent) []*Table {
+			tables := make([]*Table, len(pc.constraints))
+			for ci := range pc.constraints {
+				tables[ci] = s.tableFor(&pc.constraints[ci], nil)
+			}
+			return tables
+		}
+		for i, pc := range comps {
+			rows, rowsEmpty := semiJoinPrune(pc, tablesIn(onB, pc), n)
+			tuples, tuplesEmpty := semiJoinPrune(pc, tablesIn(onPad, pc), pad.Size())
+			if rowsEmpty != tuplesEmpty {
+				t.Fatalf("seed %d component %d: empty on rows %v, on tuples %v", seed, i, rowsEmpty, tuplesEmpty)
+			}
+			if rowsEmpty {
+				continue
+			}
+			for ci := range rows {
+				if tuples[ci].rows(0) != nil {
+					t.Fatalf("seed %d component %d table %d: laid out as rows on the padded structure", seed, i, ci)
+				}
+				if rows[ci].rows(0) != nil {
+					onRows++
+				}
+				if got, want := predRows(rows[ci], nil), predRows(tuples[ci], nil); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("seed %d n %d component %d table %d scope %v:\n rows   %v\n tuples %v", seed, n, i, ci, pc.constraints[ci].scope, got, want)
+				}
+			}
+		}
+	}
+	if onRows < rounds {
+		t.Fatalf("%d tables pruned on rows over %d rounds: the rows side was not exercised", onRows, rounds)
 	}
 }
 

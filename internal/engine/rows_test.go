@@ -154,12 +154,54 @@ func TestRowsDifferential(t *testing.T) {
 	}
 }
 
+// The ∃-component predicate tables of the repository benchmark's two
+// quantified cold-exec classes are born as rows at its |B| = 120, and no
+// step of a cold count lays them out as tuples; below rowsMinDom (|B| =
+// 63) and on the structure padded until nothing fits rows, the same
+// counts build them as tuples.
+func TestColdPredicateTablesStayRows(t *testing.T) {
+	for _, src := range []string{
+		"p(s,t) := exists a. exists b. E(s,a) & E(a,b) & E(b,t)",
+		"u(x,y) := E(x,y) | (exists z. E(x,z) & E(z,y)) | E(y,x) | (exists w. E(y,w) & E(w,x))",
+	} {
+		c, err := core.NewCounter(parser.MustQuery(src), workload.EdgeSig(), count.EngineFPT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layouts := func(b *structure.Structure) int64 {
+			t.Helper()
+			c.Release(b)
+			before := engine.TupleLayouts()
+			if _, err := c.Count(b); err != nil {
+				t.Fatal(err)
+			}
+			c.Release(b)
+			return engine.TupleLayouts() - before
+		}
+		b := workload.RandomStructure(workload.EdgeSig(), 120, 8.0/120, 20160626)
+		if n := layouts(b); n != 0 {
+			t.Errorf("%s at |B| = 120: %d tuple forms of predicate tables", src, n)
+		}
+		if n := layouts(workload.RandomStructure(workload.EdgeSig(), 63, 8.0/63, 20160626)); n == 0 {
+			t.Errorf("%s at |B| = 63: no predicate table was laid out as tuples", src)
+		}
+		if n := layouts(engine.PadIsolated(b)); n == 0 {
+			t.Errorf("%s on the padded structure: no predicate table was laid out as tuples", src)
+		}
+	}
+}
+
 // TestRowTailCountsThroughOverflow is TestExecutorCountsThroughOverflow's
-// shape on the rows side: a triangle with a 10-edge path hanging off two
-// of its corners, on the complete graph with loops over 70 elements.  The
-// triangle's node binds its third corner last, from rows, with the
-// paths' 70^10 extensions already in the running weight, so the weight ×
-// popcount product leaves int64; the total is 70^23.
+// shape on the rows side, on the complete graph with loops over 70
+// elements, where every count is 70^(variables):
+//   - a triangle with a 10-edge path hanging off two of its corners: the
+//     triangle's node binds its third corner last, from rows, with the
+//     paths' 70^10 extensions already in the running weight, so the
+//     weight × popcount product leaves int64;
+//   - a 4-cycle with a 10-edge path hanging off corner 0: the node of
+//     corners 0, 1, 3 binds corner 3 last and adds 70^10 per value into its
+//     accumulator on (1, 3) by index (tailAdd), whose sums, 70^11, leave
+//     int64, and the root node gathers them by index at its tail.
 func TestRowTailCountsThroughOverflow(t *testing.T) {
 	const n, tail = 70, 10
 	b := structure.New(workload.EdgeSig())
@@ -171,39 +213,44 @@ func TestRowTailCountsThroughOverflow(t *testing.T) {
 			_ = b.AddTuple("E", i, j)
 		}
 	}
-	a := structure.New(workload.EdgeSig())
-	all := make([]int, 3+2*tail)
-	for i := range all {
-		all[i] = a.EnsureElem(fmt.Sprintf("x%d", i))
-	}
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}} {
-		_ = a.AddTuple("E", e[0], e[1])
-	}
-	for corner := 0; corner < 2; corner++ {
-		prev := corner
-		for i := 0; i < tail; i++ {
-			next := 3 + corner*tail + i
-			_ = a.AddTuple("E", prev, next)
-			prev = next
+	for _, sh := range []struct {
+		cycle   int   // corners 0..cycle-1, joined by E in a cycle
+		corners []int // the corners a path hangs off
+	}{{3, []int{0, 1}}, {4, []int{0}}} {
+		a := structure.New(workload.EdgeSig())
+		all := make([]int, sh.cycle+len(sh.corners)*tail)
+		for i := range all {
+			all[i] = a.EnsureElem(fmt.Sprintf("x%d", i))
 		}
-	}
-	p, err := pp.New(a, all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := engine.Compile(p, engine.FPTNoCore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := engine.RowBinds()
-	got, err := pl.CountIn(context.Background(), engine.NewSession(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if engine.RowBinds() == before {
-		t.Fatal("nothing was bound from rows")
-	}
-	if want := new(big.Int).Exp(big.NewInt(n), big.NewInt(int64(len(all))), nil); got.Cmp(want) != 0 {
-		t.Fatalf("got %v, want %v", got, want)
+		for i := 0; i < sh.cycle; i++ {
+			_ = a.AddTuple("E", i, (i+1)%sh.cycle)
+		}
+		for k, corner := range sh.corners {
+			prev := corner
+			for i := 0; i < tail; i++ {
+				next := sh.cycle + k*tail + i
+				_ = a.AddTuple("E", prev, next)
+				prev = next
+			}
+		}
+		p, err := pp.New(a, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := engine.Compile(p, engine.FPTNoCore)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := engine.RowBinds()
+		got, err := pl.CountIn(context.Background(), engine.NewSession(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if engine.RowBinds() == before {
+			t.Fatalf("%d-cycle: nothing was bound from rows", sh.cycle)
+		}
+		if want := new(big.Int).Exp(big.NewInt(n), big.NewInt(int64(len(all))), nil); got.Cmp(want) != 0 {
+			t.Fatalf("%d-cycle: got %v, want %v", sh.cycle, got, want)
+		}
 	}
 }

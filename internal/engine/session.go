@@ -450,13 +450,6 @@ func (c *planConstraint) project(rel *structure.Relation, row int, vals []int) b
 	return true
 }
 
-// prefixView returns a read-only view of t's first n rows, sharing the
-// row storage (sound because session tables are never appended to after
-// materialization).  The view has its own index cache.
-func prefixView(t *Table, n int) *Table {
-	return &Table{width: t.width, n: n, dom: t.dom, flat: t.flat[:n*t.width], ar: t.ar}
-}
-
 // materializePredicate computes an ∃-component predicate — the interface
 // assignments that extend to a homomorphism of the component — by running
 // the join executor over the component itself (compilePredicate) in the
@@ -464,10 +457,15 @@ func prefixView(t *Table, n int) *Table {
 // tables, and the root bag's projection onto the interface is the answer.
 // The run is one-shot per (predicate, session), so everything it binds —
 // pruned table copies, prefix indexes, the bind plan — lives in a scratch
-// arena returned to the pools before the rows are emitted; only the rows
-// go to the session arena.  Returns nil when done fired mid-run.
+// arena returned to the pools before the rows are emitted.  The answer is
+// born as rows when it is a flat key set (wmap.bits) on two positions
+// that fits them: the key set's own words, which are its rows (copied
+// only to close up a stride wider than the universe's rows).  Otherwise
+// it goes to the session arena as tuples.  Returns nil when done fired
+// mid-run.
 func (s *Session) materializePredicate(c *planConstraint, done <-chan struct{}) *Table {
-	out := newTable(len(c.scope), s.B.Size(), s.arenaFor())
+	dom := s.B.Size()
+	out := newTable(len(c.scope), dom, s.arenaFor())
 	scratch := &arena{}
 	defer scratch.free()
 	tables := make([]*Table, len(c.pred.constraints))
@@ -476,18 +474,30 @@ func (s *Session) materializePredicate(c *planConstraint, done <-chan struct{}) 
 		if at.n == 0 {
 			return out // an atom of the component has no rows: nothing extends
 		}
-		// A view of the shared rows whose prefix indexes are scratch too.
-		tables[i] = prefixView(at, at.n)
-		tables[i].ar = scratch
+		// A view of the shared cells (session tables are never appended to)
+		// whose indexes and rows are scratch too.
+		tables[i] = &Table{width: at.width, n: at.n, dom: dom, flat: at.flat, ar: scratch}
 	}
-	pruned, empty := semiJoinPrune(c.pred, tables, s.B.Size())
+	pruned, empty := semiJoinPrune(c.pred, tables, dom)
 	if empty {
 		return out
 	}
-	keys, aborted := projectKeys(c.pred, newExecPlan(c.pred, pruned, s.B.Size(), false), s.B.Size(), c.predProj, scratch, done)
+	keys, aborted := projectKeys(c.pred, newExecPlan(c.pred, pruned, dom, false), dom, c.predProj, scratch, done)
 	if aborted {
 		return nil
 	}
+	if keys.bits != nil && out.width == 2 && dom >= rowsMinDom && structure.BitRowsFit(2, dom, keys.len()) {
+		// Row u of the key set is its keys u<<bits | v, stride words apart.
+		m, words, stride := keys.bits, (dom+63)/64, 1<<(keys.codec.bits-6)
+		if stride != words {
+			m = make([]uint64, dom*words)
+			for u := 0; u < dom; u++ {
+				copy(m[u*words:][:words], keys.bits[u*stride:])
+			}
+		}
+		return rowsTable(m, dom, out.ar)
+	}
+	tupleLayouts.Add(1)
 	out.flat = out.ar.allocI32(keys.len() * out.width)[:0]
 	keys.forEach(make([]int, out.width), func(vals []int, _ wnum) { out.appendRow(vals) })
 	return out
