@@ -20,12 +20,14 @@ vet:
 doccheck:
 	$(GO) run ./scripts/doccheck
 
-# Short micro-benchmark suite, the query classes of the repository
-# benchmark's cold-exec workload in process (one by one and at the
-# workload's mix) beside the other materialization benchmarks, + the
-# engine delta guard: on an append+count mix the delta path must beat
-# forced full recounts by ≥ 20x — a same-machine relative bound,
-# independent of absolute CI machine speed.
+# Short micro-benchmark suite: the read after an append at pinned
+# densities (Advance_TriC4_N200_P06 / _P35) and growing, the query
+# classes of the repository benchmark's cold-exec workload in process
+# (one by one and at the workload's mix) beside the other
+# materialization benchmarks, + the engine delta guard: on an
+# append+count mix, sparse and dense, the delta path must beat forced
+# full recounts by ≥ 20x — a same-machine relative bound, independent of
+# absolute CI machine speed.
 bench-smoke:
 	$(GO) test -run XXX -bench 'JoinCount|FPT|UnionDedup|Advance_' -benchmem -benchtime 0.2s .
 	$(GO) test -run XXX -bench 'Materialize_|ColdExec_' -benchmem -benchtime 0.2s ./internal/engine

@@ -129,3 +129,78 @@ func BenchmarkAdvance_TriC4_N200(b *testing.B) {
 		}
 	}
 }
+
+// The same cycle at a pinned density: every advanceRound batches the
+// graph starts over from a fresh G(200, p) (rebuilt and counted cold off
+// the clock), so ns/op — one batch of three edges and the two maintained
+// reads — does not depend on -benchtime.
+func BenchmarkAdvance_TriC4_N200_P06(b *testing.B) { benchAdvancePinned(b, 0.06) }
+
+// At p = 0.35 a delta term's supports cover most of the universe.
+func BenchmarkAdvance_TriC4_N200_P35(b *testing.B) { benchAdvancePinned(b, 0.35) }
+
+const advanceRound = 32
+
+func benchAdvancePinned(b *testing.B, p float64) {
+	const n = 200
+	sig := workload.EdgeSig()
+	base := workload.RandomStructure(sig, n, p, 1)
+	var counters []*epcq.Counter
+	for _, src := range []string{
+		"tri(x,y,z) := E(x,y) & E(y,z) & E(z,x)",
+		"c4(a,b,c,d) := E(a,b) & E(b,c) & E(c,d) & E(d,a)",
+	} {
+		c, err := epcq.NewCounter(epcq.MustParseQuery(src), sig, epcq.EngineFPT)
+		if err != nil {
+			b.Fatal(err)
+		}
+		counters = append(counters, c)
+	}
+	var g *structure.Structure
+	var batches [advanceRound][3][2]int
+	fresh := func() {
+		if g != nil {
+			engine.ReleaseSession(g)
+		}
+		g = base.Clone()
+		for _, c := range counters {
+			if _, err := c.CountCtx(context.Background(), g); err != nil {
+				b.Fatal(err)
+			}
+		}
+		rng := rand.New(rand.NewSource(2))
+		seen := map[[2]int]bool{}
+		for k := range batches {
+			for e := range batches[k] {
+				for {
+					u, v := rng.Intn(n), rng.Intn(n)
+					if !g.HasTuple("E", []int{u, v}) && !seen[[2]int{u, v}] {
+						seen[[2]int{u, v}] = true
+						batches[k][e] = [2]int{u, v}
+						break
+					}
+				}
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%advanceRound == 0 {
+			b.StopTimer()
+			fresh()
+			b.StartTimer()
+		}
+		for _, e := range batches[i%advanceRound] {
+			if err := g.AddTuple("E", e[0], e[1]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, c := range counters {
+			if _, err := c.CountCtx(context.Background(), g); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	engine.ReleaseSession(g)
+}

@@ -344,7 +344,7 @@ func TestJoinCountAbortInsideRowTails(t *testing.T) {
 	ep, _ := s.execPlanFor(pc, tables)
 	run := func(done chan struct{}) (total string, aborted bool, binds int64, took time.Duration) {
 		before, start := rowBinds.Load(), time.Now()
-		v, aborted := joinCount(pc, ep, b.Size(), false, done)
+		v, aborted := joinCount(pc, ep, b.Size(), done)
 		return fmt.Sprint(v), aborted, rowBinds.Load() - before, time.Since(start)
 	}
 	want, aborted, full, took := run(make(chan struct{}))

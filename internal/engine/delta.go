@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math/big"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/structure"
@@ -28,20 +29,23 @@ import (
 // Each summand pins one constraint to its (typically tiny) delta table
 // and runs the ordinary bind-order/prefix-index executor on it.
 //
-// The k inputs of a summand are built straight off the columnar store,
+// The k inputs of a summand are read straight off the columnar store,
 // not from session tables (seedWalk).  A relation's rows are append-only
 // and an atom's projection onto its distinct variables is injective on
 // the rows that pass its repeated-variable filter, so a table at an
 // earlier version is exactly the projection of the relation's row prefix
 // at that version: the snapshot's row count is the one cut point, "old"
-// is row < dv.OldRows(rel), and Δᵢ is the appended row range.  Every
-// other table is fetched through the store's incrementally maintained
-// posting lists (Relation.RowsWith), seeded by the values a table
-// already built fixed for a shared variable and filtered on the rest —
-// a semi-join reduction whose work is the rows it keeps, not the rows
-// the relation holds.  A read after an append therefore costs the delta
-// joins; nothing about the session is rebuilt for it, and the memoized
-// state is the join values alone.
+// is row < dv.OldRows(rel), and Δᵢ is the appended row range.  Δᵢ is read
+// first; the supports it leaves each variable seed and cut every other
+// input, a semi-join reduction whose work is the values it keeps.  A
+// plain binary atom over a relation that keeps rows (Relation.BitRows) is
+// a live input, read in place and cut to the supports (execPlan.masks).
+// Rows exist at the new version only, and J is linear in each input, so
+// a live old = new − Δ: a correction pinned to Δⱼ too, of the other sign,
+// takes Δⱼ out wherever it meets the supports (seedWalk.run).  Every
+// other atom is fetched as tuples through the store's posting lists
+// (Relation.RowsWith).  A read after an append costs the delta joins;
+// the memoized state is the join values alone.
 //
 // The delta path applies only to delta-maintainable plans (fptPlan.
 // deltaOK: quantifier-free joins over atom constraints; sentence checks
@@ -208,10 +212,10 @@ func (pc *planComponent) advanceJoin(ctx context.Context, b *structure.Structure
 }
 
 // seedWalk builds the inputs of one component's delta terms off the
-// store.  Per variable it keeps the support that the tables built so far
+// store.  Per variable it keeps the support that the inputs built so far
 // for the current term leave it — the values as a list (vals; empty =
-// no table covers the variable yet) to seed posting-list fetches from,
-// and as a bitmap over the universe (in) to filter on.
+// no input covers the variable yet) to seed posting-list fetches from,
+// and as a bitmap over the universe (in), the executor's mask.
 type seedWalk struct {
 	pc    *planComponent
 	b     *structure.Structure
@@ -219,6 +223,11 @@ type seedWalk struct {
 	words int      // bitmap words per variable
 	in    []uint64 // nActive bitmaps; set exactly at vals
 	vals  [][]int32
+
+	live   [][2][]uint64 // a live constraint's rows, by the scope position selecting them
+	stride []int
+	i      int    // the current term's constraint
+	pinned []bool // constraints read as their Δ: i, and a correction's
 
 	// done is polled every cancelCheckMask+1 row visits, as in
 	// dpRun.cancelled; aborted latches.
@@ -228,48 +237,100 @@ type seedWalk struct {
 }
 
 func newSeedWalk(pc *planComponent, b *structure.Structure, dv structure.DeltaView, done <-chan struct{}) *seedWalk {
-	words := (b.Size() + 63) / 64
-	return &seedWalk{pc: pc, b: b, dv: dv, done: done, words: words,
-		in: make([]uint64, pc.nActive*words), vals: make([][]int32, pc.nActive)}
+	words, k := (b.Size()+63)/64, len(pc.constraints)
+	w := &seedWalk{pc: pc, b: b, dv: dv, done: done, words: words,
+		in: make([]uint64, pc.nActive*words), vals: make([][]int32, pc.nActive),
+		live: make([][2][]uint64, k), stride: make([]int, k), pinned: make([]bool, k)}
+	for ci, c := range pc.constraints {
+		if fwd, bwd, stride := b.Rel(c.rel).BitRows(); fwd != nil && len(c.scope) == 2 && len(c.atomTmpl) == 2 {
+			w.live[ci][c.atomTmpl[0]], w.live[ci][c.atomTmpl[1]], w.stride[ci] = fwd, bwd, stride
+		}
+	}
+	return w
 }
 
 // term adds J(new₁..newᵢ₋₁, Δᵢ, oldᵢ₊₁..oldₖ) to acc and reports whether
-// it ran to completion (false: done fired).  Table i is built first, from
-// its relation's appended rows, and fixes the supports the rest are
-// fetched through.  The tables, their prefix indexes and everything
+// it ran to completion (false: done fired).
+func (w *seedWalk) term(i int, acc *big.Int) bool {
+	w.i, w.pinned[i] = i, true
+	defer func() { w.pinned[i] = false }()
+	return w.run(i, acc, false)
+}
+
+// run adds (subtracts if neg) the term under the current pins to acc,
+// then its corrections: per live constraint c past last whose Δc meets
+// this term's supports (else it is zero), the term with c pinned too.
+func (w *seedWalk) run(last int, acc *big.Int, neg bool) bool {
+	j, ok := w.join()
+	if !ok || j == nil || j.Sign() == 0 {
+		return ok // a zero term has zero corrections
+	}
+	if neg {
+		j.Neg(j)
+	}
+	acc.Add(acc, j)
+	var next []int
+	for c := last + 1; c < len(w.pinned); c++ {
+		if w.live[c][0] != nil && w.meets(c) {
+			next = append(next, c)
+		}
+	}
+	for _, c := range next {
+		w.pinned[c] = true
+		ok = w.run(c, acc, !neg)
+		if w.pinned[c] = false; !ok {
+			return false
+		}
+	}
+	return !w.aborted
+}
+
+// join builds the current term's inputs and counts it: nil when an input
+// is empty, ok=false when done fired.  The tables, their prefix indexes and everything
 // newExecPlan binds over them live in a scratch arena returned to the
 // pools before the next term.
-func (w *seedWalk) term(i int, acc *big.Int) bool {
+func (w *seedWalk) join() (j *big.Int, ok bool) {
 	for v := range w.vals {
 		w.clear(v)
 	}
 	scratch := &arena{}
 	defer scratch.free()
-	tables := make([]*Table, len(w.pc.constraints))
-	for ci, seed := i, -1; ci >= 0; ci, seed = w.next(tables) {
-		t := w.reduce(ci, i, seed, scratch)
-		if w.aborted {
-			return false
-		}
-		if t.n == 0 {
-			return true // an empty input: the term is zero
-		}
-		tables[ci] = t
-		for p, v := range w.pc.constraints[ci].scope {
-			w.support(v, t, p)
+	tables := make([]*Table, len(w.pinned))
+	for ci, seed := w.next(tables); ci >= 0; ci, seed = w.next(tables) {
+		if !w.input(ci, seed, tables, scratch) {
+			return nil, !w.aborted
 		}
 	}
-	dom := w.b.Size()
-	j, aborted := joinCount(w.pc, newExecPlan(w.pc, tables, dom, true), dom, true, w.done)
-	if !aborted {
-		acc.Add(acc, j)
+	masks := make([][]uint64, len(w.vals)) // every variable is supported by now
+	for v := range masks {
+		masks[v] = w.in[v*w.words : (v+1)*w.words]
 	}
-	return !aborted
+	j, aborted := joinCount(w.pc, newExecPlan(w.pc, tables, w.b.Size(), masks), w.b.Size(), w.done)
+	return j, !aborted
+}
+
+// input builds constraint ci's input — a live one's rows (view), or tuples
+// (reduce) — and narrows its variables' supports; false: it is empty or
+// done fired.
+func (w *seedWalk) input(ci, seed int, tables []*Table, ar *arena) bool {
+	if w.live[ci][0] != nil && !w.pinned[ci] && seed >= 0 {
+		tables[ci] = w.view(ci)
+		return tables[ci].n > 0
+	}
+	t := w.reduce(ci, seed, ar)
+	if w.aborted || t.n == 0 {
+		return false
+	}
+	tables[ci] = t
+	for p, v := range w.pc.constraints[ci].scope {
+		w.support(v, t, p)
+	}
+	return true
 }
 
 // next picks the constraint to build next and the scope position to seed
-// it from: over the unbuilt constraints, the supported variable with the
-// fewest values, so every fetch starts from the smallest set that bounds
+// it from: a pinned one, read whole; else over the unbuilt constraints,
+// the supported variable with the fewest values, so every fetch starts from the smallest set that bounds
 // it.  ci is -1 when every table is built; seed is -1 for a constraint no
 // built table shares a variable with (a component's atoms are connected,
 // so there is none), which is then read whole.
@@ -280,7 +341,9 @@ func (w *seedWalk) next(tables []*Table) (ci, seed int) {
 		if tables[c] != nil {
 			continue
 		}
-		if ci < 0 {
+		if w.pinned[c] {
+			return c, -1 // a Δ input comes first, read whole
+		} else if ci < 0 {
 			ci = c
 		}
 		for p, v := range w.pc.constraints[c].scope {
@@ -292,22 +355,22 @@ func (w *seedWalk) next(tables []*Table) (ci, seed int) {
 	return ci, seed
 }
 
-// reduce builds constraint ci's input to delta term i: the rows of its
-// relation in the term's range — appended since the snapshot for ci == i,
-// all for ci < i, older than the snapshot for ci > i — that pass the
+// reduce builds constraint ci's tuples in the term: the rows of its
+// relation in the term's range — appended since the snapshot when ci is
+// pinned, all before i, older than the snapshot after i — that pass the
 // atom's repeated-variable filter and hold a supported value at every
 // supported variable, projected through the template (one table row per
 // kept relation row: the projection is injective on them).  The rows are
 // fetched from the posting lists of the values supporting scope position
 // seed (row ids ascend, so each list is left at the cut); work is the
 // rows visited, whatever the relation holds.
-func (w *seedWalk) reduce(ci, i, seed int, ar *arena) *Table {
+func (w *seedWalk) reduce(ci, seed int, ar *arena) *Table {
 	c := &w.pc.constraints[ci]
 	rel := w.b.Rel(c.rel)
 	lo, hi := 0, rel.Len()
-	if ci == i {
+	if w.pinned[ci] {
 		lo = w.dv.OldRows(c.rel)
-	} else if ci > i {
+	} else if ci > w.i {
 		hi = w.dv.OldRows(c.rel)
 	}
 	t := newTable(len(c.scope), w.b.Size(), ar)
@@ -324,15 +387,9 @@ func (w *seedWalk) reduce(ci, i, seed int, ar *arena) *Table {
 			default:
 			}
 		}
-		if !c.project(rel, int(r), row) {
-			return true
+		if c.project(rel, int(r), row) && w.supported(c.scope, row) {
+			t.appendRow(row)
 		}
-		for p, v := range c.scope {
-			if u := row[p]; len(w.vals[v]) > 0 && w.in[v*w.words+u>>6]&(1<<(u&63)) == 0 {
-				return true
-			}
-		}
-		t.appendRow(row)
 		return true
 	}
 	if seed < 0 {
@@ -350,6 +407,66 @@ func (w *seedWalk) reduce(ci, i, seed int, ar *arena) *Table {
 		}
 	}
 	return t
+}
+
+// supported reports whether every supported variable of scope holds a
+// value of its support in row.
+func (w *seedWalk) supported(scope, row []int) bool {
+	for p, v := range scope {
+		if u := row[p]; len(w.vals[v]) > 0 && w.in[v*w.words+u>>6]&(1<<(u&63)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// view narrows live constraint ci's supports through its rows, returned
+// as a live table: of the side with fewer values, those whose row meets
+// the other's support stay, and the other's becomes their rows' union.
+func (w *seedWalk) view(ci int) *Table {
+	c := &w.pc.constraints[ci]
+	p := 0
+	if x, y := len(w.vals[c.scope[0]]), len(w.vals[c.scope[1]]); x == 0 || y > 0 && y < x {
+		p = 1
+	}
+	a, b, stride := c.scope[p], c.scope[1-p], w.stride[ci]
+	bIn, cut := w.in[b*w.words:][:w.words], len(w.vals[b]) > 0
+	acc, n, kept := make([]uint64, w.words), 0, w.vals[a][:0]
+	for _, u := range w.vals[a] {
+		k := 0
+		for i, x := range w.live[ci][p][int(u)*stride:][:w.words] {
+			if cut {
+				x &= bIn[i]
+			}
+			acc[i] |= x
+			k += bits.OnesCount64(x)
+		}
+		if n += k; k > 0 {
+			kept = append(kept, u)
+		} else {
+			w.in[a*w.words+int(u>>6)] &^= 1 << (u & 63)
+		}
+	}
+	w.vals[a] = kept
+	w.clear(b)
+	copy(bIn, acc)
+	for u := range eachBit(bIn) {
+		w.vals[b] = append(w.vals[b], int32(u))
+	}
+	return &Table{width: 2, n: n, dom: w.b.Size(), bitRows: w.live[ci], stride: stride}
+}
+
+// meets reports whether live constraint ci's Δ holds a tuple inside the
+// current term's supports.
+func (w *seedWalk) meets(ci int) bool {
+	c := &w.pc.constraints[ci]
+	rel, row := w.b.Rel(c.rel), make([]int, 2)
+	for r := w.dv.OldRows(c.rel); r < rel.Len(); r++ {
+		if c.project(rel, r, row); w.supported(c.scope, row) {
+			return true
+		}
+	}
+	return false
 }
 
 // clear empties variable v's support and returns its bitmap.

@@ -45,12 +45,13 @@
 //     binds from a row intersection or tests a bit, and where a node's
 //     last binder binds one position from rows the end of the bind order
 //     is one AND of rows per bound prefix, emitted 64 values a word or
-//     added into flat accumulators by index (the tail in enumerate).
-//     Every other table, and every input of a delta run, is entered by
-//     a prefix index keyed on the packed bound values (tableIndex: a
+//     added into flat accumulators by index (the tail in enumerate); a
+//     delta run reads a binary relation's rows in the store (live tables).
+//     Every other table, and every tuple input of a delta run, is entered
+//     by a prefix index keyed on the packed bound values (tableIndex: a
 //     CSR-layout open-addressing table sized once at build, its probes
-//     allocation-free; the per-table cache is LRU-capped).  A
-//     run stays on its caller's goroutine: requests, and the structures
+//     allocation-free; the per-table cache is LRU-capped).  A run stays
+//     on its caller's goroutine: requests, and the structures
 //     of a batch (RunBoundedCtx), are the units of parallelism.
 //     Bag keys are packed uint64 (with a spill path for wide bags),
 //     counts are int64 with overflow detection before big.Int held
@@ -91,21 +92,21 @@
 // stale session's settled counts into its replacement as priors; the
 // next keyed count of the same fingerprint then applies the exact
 // telescoped delta-join identity — one mixed join per constraint whose
-// relation grew, its inputs read off the columnar store: the appended
-// row range for that constraint, and for the others the posting-list
-// rows reached from it through shared variables, cut at the prior's
-// snapshot row count (seedWalk) — and re-stamps the memo, at a cost
-// proportional to the rows those fetches keep, not to the structure.
-// Which plans are maintained is decided at compile time (fptPlan.deltaOK:
-// every component a quantifier-free join over atoms) and the state a
-// count leaves for the next advance is its per-component join values
-// (*fptDeltaState), captured by the plan's one full-count loop
-// (fptPlan.countIn); oversized deltas (more than deltaMinRows appended
-// tuples and more than deltaMaxPct percent of the structure) and
-// foreign or rewound snapshots fall back to a full recount that
-// re-captures fresh state.  DeltaStats counts
-// advances vs fallbacks; priors live inside sessions, so eviction frees
-// them.
+// relation grew, its inputs read off the columnar store from the
+// appended row range through shared variables: a binary relation's
+// maintained rows (Relation.BitRows; new = old + Δ, so each after the
+// pinned one takes a correction pinned to its Δ too) or posting-list
+// rows cut at the snapshot (seedWalk) — and re-stamps the memo, at a
+// cost proportional to the values those inputs keep, not to the
+// structure.  Which plans are maintained is decided at compile time
+// (fptPlan.deltaOK: every component a quantifier-free join over atoms)
+// and the state a count leaves for the next advance is its per-component
+// join values (*fptDeltaState), captured by the plan's one full-count
+// loop (fptPlan.countIn); oversized deltas (more than deltaMinRows
+// appended tuples and more than deltaMaxPct percent of the structure)
+// and foreign or rewound snapshots fall back to a full recount that
+// re-captures fresh state.  DeltaStats counts advances vs fallbacks;
+// priors live inside sessions, so eviction frees them.
 //
 // Execution is cancellable: every plan's CountIn takes the context, the
 // simple engines poll it per enumerated assignment, the join-count DP

@@ -48,13 +48,13 @@ import (
 //     theirs out on first use; predicate tables, and the prune's copies
 //     of tables on rows, are born as rows and lay out tuples only for a
 //     consumer of tuples (layTuples: a prefix index, a delta run).  Wider
-//     tables, universes too small or too sparse for the rule, and every
-//     delta run (dpRun.sparse: nothing universe-sized is built for an
-//     append batch) stay on tuples.  A step over rows scans the non-empty
-//     rows, binds a position from a row intersection or tests a bit, and
-//     builds no index.  Where a node's last binder binds one position v
-//     from rows, the end of the bind order is one intersection per bound
-//     prefix, emitted whole as the tail's mode says (enumerate).
+//     tables and universes too small or too sparse for the rule stay on
+//     tuples; a delta run reads the store's rows in place (live tables).
+//     A step over rows scans the non-empty rows, binds a position from a
+//     row intersection or tests a bit, and builds no index.  Where a
+//     node's last binder binds one position v from rows, the end of the
+//     bind order is one intersection per bound prefix, emitted whole as
+//     the tail's mode says (enumerate).
 
 // packedKeyBudget is the number of key bits available before the packed
 // representation spills to strings.  Nothing outside the package's own
@@ -458,6 +458,10 @@ type Table struct {
 	idx     map[uint64]*tableIndex // bound-position bitmask → index
 	clock   uint64                 // probe tick for LRU eviction of idx
 	bitRows [2][]uint64            // rows(by): born, or laid out on first use
+
+	// stride ≠ 0 marks a live table (seedWalk.view): a relation's rows in
+	// the store, stride ≥ ⌈dom/64⌉ words apart, no tuples, n only a bound.
+	stride int
 }
 
 func newTable(width, dom int, ar *arena) *Table { return &Table{width: width, dom: dom, ar: ar} }
@@ -525,7 +529,7 @@ func (t *Table) grow(need int) {
 // rowsMinDom is the smallest universe whose tables are laid out as rows:
 // from 64 values on a row is at least a word, and a flat key set over two
 // positions (wmap.bits, codec.bits ≥ 6) is word-aligned rows already.
-const rowsMinDom = 64
+const rowsMinDom = structure.RowsMinDom
 
 // rows returns t laid out as a bit matrix by scope position by — row u,
 // ⌈dom/64⌉ words, holds the values beside u in the rows with u at by — or
@@ -767,15 +771,20 @@ type execNode struct {
 // zero formula-dependent setup.
 type execPlan struct {
 	nodes []execNode
+
+	// masks marks a delta term's run: per variable, its support (nil:
+	// none), which every value bound from rows is cut to.
+	masks [][]uint64
 }
 
 // newExecPlan chooses the per-node bind orders for the given tables and
 // binds every non-pivot step to its table's rows or, for a table that has
-// none and for a delta term's inputs (sparse), builds the prefix index it
-// probes.  Heuristic: smallest table first, then maximal bound-prefix
-// overlap (ties: smaller table, then placement order).
-func newExecPlan(pc *planComponent, tables []*Table, domSize int, sparse bool) *execPlan {
-	ep := &execPlan{nodes: make([]execNode, len(pc.dec.Bags))}
+// none, builds the prefix index it probes.  Heuristic: smallest table
+// first, then maximal bound-prefix overlap (ties: smaller table, then
+// placement order).  A delta term's run (masks ≠ nil) reads rows only of
+// live tables, and binds last the position lastBinder picks.
+func newExecPlan(pc *planComponent, tables []*Table, domSize int, masks [][]uint64) *execPlan {
+	ep := &execPlan{nodes: make([]execNode, len(pc.dec.Bags)), masks: masks}
 	words := (domSize + 63) / 64
 	for ni, bag := range pc.dec.Bags {
 		meta := &pc.nodes[ni]
@@ -786,11 +795,19 @@ func newExecPlan(pc *planComponent, tables []*Table, domSize int, sparse bool) *
 		if len(cons) == 0 {
 			continue
 		}
+		mask := func(bi int) []rowSrc { // bag position bi's support in a delta run
+			if masks == nil || masks[bag[bi]] == nil {
+				return nil
+			}
+			return []rowSrc{{masks[bag[bi]], 0, bi}}
+		}
+		last := lastBinder(pc, ni, tables)
+		var pending []rowSrc             // the rows last is bound from
 		boundAt := make([]int, len(bag)) // bind depth per position; 0 = unbound
 		used := make([]bool, len(cons))
 		en.steps = make([]execStep, 0, len(cons))
 		for placed := 0; placed < len(cons); placed++ {
-			best, bestOv, bestSz := -1, -1, -1
+			best, bestOv, bestSz, bestLast := -1, -1, -1, false
 			for k := range cons {
 				if used[k] {
 					continue
@@ -804,12 +821,24 @@ func newExecPlan(pc *planComponent, tables []*Table, domSize int, sparse bool) *
 					}
 				}
 				sz := tables[cons[k]].Len()
-				if best == -1 || ov > bestOv || (ov == bestOv && sz < bestSz) {
-					best, bestOv, bestSz = k, ov, sz
+				hasLast := slices.Contains(meta.scopeBag[k], last) // placed after every other table
+				if best == -1 || bestLast && !hasLast || bestLast == hasLast && (ov > bestOv || (ov == bestOv && sz < bestSz)) {
+					best, bestOv, bestSz, bestLast = k, ov, sz, hasLast
 				}
 			}
 			used[best] = true
 			t := tables[cons[best]]
+			stride := max(t.stride, words)
+			if bestLast { // scan the other position if unbound; last is bound from its row
+				o := 1 - slices.Index(meta.scopeBag[best], last)
+				src := rowSrc{t.rows(o), stride, meta.scopeBag[best][o]}
+				if boundAt[src.by] == 0 {
+					boundAt[src.by] = len(en.steps) + 1
+					en.steps = append(en.steps, execStep{table: t, srcs: append([]rowSrc{src}, mask(src.by)...), bit: src.by, freeBag: []int{src.by}})
+				}
+				pending = append(pending, src)
+				continue
+			}
 			st := execStep{table: t}
 			var boundScope []int
 			for j, bi := range meta.scopeBag[best] {
@@ -825,7 +854,7 @@ func newExecPlan(pc *planComponent, tables []*Table, domSize int, sparse bool) *
 			// of two the one bound first, so that a test is of the later.
 			var m []uint64
 			by := 0
-			if t.width == 2 && !sparse {
+			if t.width == 2 && (masks == nil || t.stride != 0) {
 				if len(boundScope) > 0 {
 					by = boundScope[0]
 				}
@@ -836,17 +865,20 @@ func newExecPlan(pc *planComponent, tables []*Table, domSize int, sparse bool) *
 			}
 			switch {
 			case m != nil:
-				src := rowSrc{m, words, meta.scopeBag[best][by]}
+				src := rowSrc{m, stride, meta.scopeBag[best][by]}
 				st.bit = meta.scopeBag[best][1-by]
 				if len(boundScope) == 0 { // the scan of src.by, then st binds bit from its row
 					boundAt[src.by] = len(en.steps) + 1
-					en.steps = append(en.steps, execStep{table: t, srcs: []rowSrc{src}, bit: src.by, freeBag: []int{src.by}})
+					en.steps = append(en.steps, execStep{table: t, srcs: append([]rowSrc{src}, mask(src.by)...), bit: src.by, freeBag: []int{src.by}})
 					st.boundBag, st.freeBag = []int{src.by}, []int{st.bit}
 				} else if prev := &en.steps[len(en.steps)-1]; len(st.freeBag) == 0 && prev.bindsRow() && prev.bit == st.bit {
 					prev.srcs = append(prev.srcs, src)
 					continue
 				}
 				st.srcs = []rowSrc{src}
+				if len(st.freeBag) > 0 {
+					st.srcs = append(st.srcs, mask(st.bit)...)
+				}
 			case len(boundScope) > 0 && t.width <= 64:
 				// Scope widths beyond 64 cannot be mask-keyed; fall back to
 				// row enumeration (unreachable for bag widths the packed and
@@ -862,8 +894,35 @@ func newExecPlan(pc *planComponent, tables []*Table, domSize int, sparse bool) *
 			}
 			en.steps = append(en.steps, st)
 		}
+		if pending != nil {
+			en.steps = append(en.steps, execStep{table: tables[cons[0]], srcs: append(pending, mask(last)...),
+				bit: last, boundBag: []int{pending[0].by}, freeBag: []int{last}})
+		}
 	}
 	return ep
+}
+
+// lastBinder picks the position node ni of a delta run binds last, by one
+// intersection (a popcount, not a hashed add a value): covered by live
+// tables alone, outside the node's output and its child groups; or -1.
+func lastBinder(pc *planComponent, ni int, tables []*Table) int {
+	meta := &pc.nodes[ni]
+	taken := func(bi int) bool {
+		for k, ci := range pc.consAt[ni] {
+			if tables[ci].stride == 0 && slices.Contains(meta.scopeBag[k], bi) {
+				return true
+			}
+		}
+		return slices.Contains(meta.shared, bi)
+	}
+	for k, ci := range pc.consAt[ni] {
+		for _, bi := range meta.scopeBag[k] {
+			if tables[ci].stride != 0 && !taken(bi) {
+				return bi
+			}
+		}
+	}
+	return -1
 }
 
 // bindsRow reports whether the step binds a bag position (bit) from the
@@ -925,11 +984,6 @@ type dpRun struct {
 	// node looks for one witness per output key (cut in enumerate).
 	exists bool
 
-	// sparse marks a delta term's run (delta.go): its pivot is an append
-	// batch, so its node tables hold a handful of keys and are hashed
-	// rather than laid out flat over their key space.
-	sparse bool
-
 	// ar allocates the tables the run builds for itself (freeDrivers):
 	// nil, the heap, for a counting run; the scratch arena of a predicate
 	// materialization.
@@ -988,9 +1042,9 @@ func (r *dpRun) scratch() *execScratch {
 // done (nil = never fires) is the cooperative cancellation signal: when
 // it fires mid-run the partial result is discarded and aborted=true is
 // returned; a run that completed before observing the signal returns its
-// (correct, complete) total with aborted=false.  sparse is dpRun.sparse.
-func joinCount(pc *planComponent, ep *execPlan, domSize int, sparse bool, done <-chan struct{}) (total *big.Int, aborted bool) {
-	r := &dpRun{pc: pc, ep: ep, dom: domSize, maxW: pc.dec.Width() + 1, sparse: sparse, done: done}
+// (correct, complete) total with aborted=false.
+func joinCount(pc *planComponent, ep *execPlan, domSize int, done <-chan struct{}) (total *big.Int, aborted bool) {
+	r := &dpRun{pc: pc, ep: ep, dom: domSize, maxW: pc.dec.Width() + 1, done: done}
 	root := r.process(pc.root, nil)
 	if r.aborted {
 		return nil, true
@@ -1057,7 +1111,13 @@ func (r *dpRun) process(ni int, proj []int) *wmap {
 
 	en := &r.ep.nodes[ni]
 	hint := projSize(r.dom, len(proj), en.pivotSize(r.dom))
-	out := newWmap(newKeyCodec(r.dom, len(proj)), hint, r.exists, r.sparse)
+	if r.ep.masks != nil { // a delta run's table is hashed, sized by the largest support it is keyed on
+		hint = 1
+		for _, bi := range proj {
+			hint = max(hint, countWords(r.ep.masks[r.pc.dec.Bags[ni][bi]]))
+		}
+	}
+	out := newWmap(newKeyCodec(r.dom, len(proj)), hint, r.exists, r.ep.masks != nil)
 	r.enumerate(en, groups, out, proj)
 	for _, g := range groups {
 		g.sums.release()
@@ -1220,8 +1280,8 @@ const (
 	tailAdd          // v in a flat key (bits, dense): each candidate adds weight (× the gather's) by index
 )
 
-// rowBinds counts the positions bound from rows, for the package's tests
-// (export_test.go) to tell which side of the fit rule a run was on.
+// rowBinds counts the values bound from rows (a whole tail is one), for the
+// tests (export_test.go): which side of the fit rule ran, and how much.
 var rowBinds atomic.Int64
 
 // enumerate fills m with node en's contributions keyed on the bag
@@ -1244,9 +1304,9 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 	nSteps := len(en.steps)
 	free := en.freePos
 	last := nSteps + len(free) // the depth at which the bag is fully assigned
-	if en.cons == 1 && len(free) == 0 && len(groups) == 0 && len(outProj) == 0 {
+	if en.cons == 1 && len(free) == 0 && len(groups) == 0 && len(outProj) == 0 && en.steps[0].table.stride == 0 {
 		// One table covers the bag, each of its rows adding 1 to the one
-		// key: count, don't walk.
+		// key: count, don't walk (a live table's n is only a bound).
 		m.add(nil, wnum{lo: int64(en.steps[0].table.n)}, nil)
 		return
 	}
@@ -1367,7 +1427,6 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 				return
 			}
 		}
-		binds++
 		if cap(sc.cand) < (last+1)*words { // one intersection per depth: binders nest
 			sc.cand = make([]uint64, (last+1)*words)
 		}
@@ -1380,6 +1439,7 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 			}
 		}
 		if md == tailEach {
+			binds += countWords(cand)
 			for x := range eachBit(cand) {
 				assign[u] = x
 				if descend(d, w) {
@@ -1388,6 +1448,7 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 			}
 			return
 		}
+		binds++
 		var gBase uint64 // the gather's key at v = 0
 		if assign[u] = 0; gather != nil {
 			gBase = gather.sums.codec.pack(valuesAt(sc.vals, assign, gather.sharedBag))
@@ -1465,12 +1526,21 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 		switch {
 		case st.bindsRow():
 			bindRow(st.srcs, st.bit, si+1, w)
-		case st.srcs != nil && len(st.boundBag) == 0: // a scan of the non-empty rows
-			s := &st.srcs[0]
+		case st.srcs != nil && len(st.boundBag) == 0: // a scan of the non-empty rows (of the mask's, in a delta run)
+			s, mask := &st.srcs[0], st.srcs[1:]
 			for u := 0; u < r.dom; u++ {
+				if len(mask) > 0 { // on to the mask's next value
+					wd := mask[0].m[u>>6] >> (u & 63)
+					if wd == 0 {
+						u |= 63
+						continue
+					}
+					u += bits.TrailingZeros64(wd)
+				}
 				if countWords(s.m[u*s.stride:][:words]) == 0 {
 					continue
 				}
+				binds++
 				if assign[st.bit] = u; r.cancelled(sc) || descend(si+1, w) {
 					return
 				}

@@ -71,6 +71,7 @@ type nodeMeta struct {
 	scopeBag [][]int // aligned with consAt[node]: scope position j → bag index
 	freePos  []int   // bag positions covered by no constraint at this node
 	groups   []groupMeta
+	shared   []int // bag positions shared with the parent or a child
 }
 
 type planComponent struct {
@@ -386,6 +387,8 @@ func (pc *planComponent) compileNodes() {
 		for _, c := range pc.children[ni] {
 			sb, sc := sharedPositions(bag, pc.dec.Bags[c])
 			nm.groups = append(nm.groups, groupMeta{child: c, sharedBag: sb, sharedChild: sc})
+			nm.shared = append(nm.shared, sb...)
+			pc.nodes[c].shared = append(pc.nodes[c].shared, sc...)
 		}
 	}
 }
@@ -486,7 +489,7 @@ func (pc *planComponent) joinIn(ctx context.Context, s *Session) (*big.Int, erro
 	if empty {
 		return new(big.Int), nil
 	}
-	joined, aborted := joinCount(pc, ep, s.B.Size(), false, done)
+	joined, aborted := joinCount(pc, ep, s.B.Size(), done)
 	if aborted {
 		return nil, ctxAbortErr(ctx)
 	}

@@ -360,11 +360,11 @@ func TestSparseRunLaysOutBornRows(t *testing.T) {
 	}
 	rows, tables := predRows(tab, nil), []*Table{tab}
 	before := tupleLayouts.Load()
-	want, _ := joinCount(pc, newExecPlan(pc, tables, n, false), n, false, nil)
+	want, _ := joinCount(pc, newExecPlan(pc, tables, n, nil), n, nil)
 	if laid := tupleLayouts.Load() - before; laid != 0 {
 		t.Fatalf("a run on rows laid the table out as tuples %d times", laid)
 	}
-	got, _ := joinCount(pc, newExecPlan(pc, tables, n, true), n, true, nil)
+	got, _ := joinCount(pc, newExecPlan(pc, tables, n, make([][]uint64, pc.nActive)), n, nil)
 	if laid := tupleLayouts.Load() - before; laid != 1 {
 		t.Fatalf("binding a sparse run laid the table out as tuples %d times, want 1", laid)
 	}
@@ -404,7 +404,7 @@ func TestBornRowsSharedAcrossGoroutines(t *testing.T) {
 			case 0:
 				tab.rows(1)
 			case 1:
-				newExecPlan(pl.(*fptPlan).comps[0], []*Table{tab}, b.Size(), true)
+				newExecPlan(pl.(*fptPlan).comps[0], []*Table{tab}, b.Size(), make([][]uint64, pl.(*fptPlan).comps[0].nActive))
 			}
 			for i, p := range plans {
 				if got, err := p.CountIn(context.Background(), s); err != nil || got.Cmp(want[i]) != 0 {

@@ -86,14 +86,14 @@ func checkPrunePreservesCount(t *testing.T, label string, pc *planComponent, tab
 	for ci, tb := range tables {
 		lens[ci] = tb.Len()
 	}
-	want, _ := joinCount(pc, newExecPlan(pc, tables, dom, false), dom, false, nil)
+	want, _ := joinCount(pc, newExecPlan(pc, tables, dom, nil), dom, nil)
 	pruned, empty := semiJoinPrune(pc, tables, dom)
 	if empty {
 		if want.Sign() != 0 {
 			t.Fatalf("%s: pruned to empty but the unpruned count is %v", label, want)
 		}
 	} else {
-		got, _ := joinCount(pc, newExecPlan(pc, pruned, dom, false), dom, false, nil)
+		got, _ := joinCount(pc, newExecPlan(pc, pruned, dom, nil), dom, nil)
 		if want.Cmp(got) != 0 {
 			t.Fatalf("%s: pruned count %v != unpruned %v", label, got, want)
 		}

@@ -377,7 +377,7 @@ func (s *Session) execPlanFor(pc *planComponent, tables []*Table) (*execPlan, bo
 			e.empty = true
 			return
 		}
-		e.ep = newExecPlan(pc, pruned, s.B.Size(), false)
+		e.ep = newExecPlan(pc, pruned, s.B.Size(), nil)
 	})
 	return e.ep, e.empty
 }
@@ -482,7 +482,7 @@ func (s *Session) materializePredicate(c *planConstraint, done <-chan struct{}) 
 	if empty {
 		return out
 	}
-	keys, aborted := projectKeys(c.pred, newExecPlan(c.pred, pruned, dom, false), dom, c.predProj, scratch, done)
+	keys, aborted := projectKeys(c.pred, newExecPlan(c.pred, pruned, dom, nil), dom, c.predProj, scratch, done)
 	if aborted {
 		return nil
 	}

@@ -18,12 +18,13 @@ import (
 // nothing; the count materializes lazily on the first read and is then
 // *advanced* on later reads — the counter's keyed counts ride the
 // engine's incremental delta path (engine/delta.go), whose inputs are
-// fetched from the store's posting lists starting at the appended rows,
-// so a read after an append batch costs the delta joins — not a
-// recount, and not a rebuild of the structure's session tables — while
-// an unchanged version is answered from the subscription's own cached
-// pair without touching the engine at all.  That holds for queries
-// whose terms are quantifier-free joins; the others recount.
+// reached from the appended rows through the store's maintained bit rows
+// and posting lists, so a read after an append batch costs the delta
+// joins — not a recount, and not a rebuild of the structure's session
+// tables — while an unchanged version is answered from the
+// subscription's own cached pair without touching the engine at all.
+// That holds for queries whose terms are quantifier-free joins; the
+// others recount.
 
 // subEntry is one registered subscription plus its maintained state.
 type subEntry struct {

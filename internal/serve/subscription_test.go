@@ -114,16 +114,43 @@ func TestSubscriptionLifecycleHTTP(t *testing.T) {
 // spelling of the served executor, with readers racing the writer (run
 // under -race this is the incremental-maintenance safety net the serving
 // layer relies on).  The batches are a few tuples each, so the engine's
-// default advance gate sends every one down the delta path.
+// default advance gate sends every one down the delta path.  Two
+// streams: a sparse one from six vertices, and a dense one from 64
+// (density 0.3) whose delta terms read the store's rows while the writer
+// sets their bits, the universe growing past 64 so the rows are re-laid
+// out at a wider stride between reads.
 func TestSubscriptionDeltaDifferential(t *testing.T) {
 	const query = "tri(x,y,z) := E(x,y) & E(y,z) & E(z,x)"
 	engines := []string{"fpt", "auto", ""}
+	for _, tc := range []struct {
+		name   string
+		nVerts int
+		edges  int
+		oracle count.PPEngine
+	}{
+		{"sparse", 6, 3, count.EngineBrute},
+		{"dense", 64, 64 * 64 * 3 / 10, count.EngineProjection},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			subscriptionDeltaDifferential(t, query, engines, tc.nVerts, tc.edges, tc.oracle)
+		})
+	}
+}
 
+func subscriptionDeltaDifferential(t *testing.T, query string, engines []string, nVerts, edges int, oracleEngine count.PPEngine) {
 	// A randomized append stream over a growing vertex pool; duplicate
 	// edges occur naturally and whole-batch duplicates keep the version.
 	rng := rand.New(rand.NewSource(20260807))
-	initial := "universe v0, v1, v2, v3, v4, v5.\nE(v0,v1). E(v1,v2). E(v2,v0).\n"
-	nVerts := 6
+	var ib strings.Builder
+	ib.WriteString("universe v0")
+	for v := 1; v < nVerts; v++ {
+		fmt.Fprintf(&ib, ", v%d", v)
+	}
+	ib.WriteString(".\nE(v0,v1). E(v1,v2). E(v2,v0).\n")
+	for k := 3; k < edges; k++ {
+		fmt.Fprintf(&ib, "E(v%d,v%d). ", rng.Intn(nVerts), rng.Intn(nVerts))
+	}
+	initial := ib.String()
 	const nAppends = 24
 	batches := make([]string, nAppends)
 	for i := range batches {
@@ -235,7 +262,7 @@ func TestSubscriptionDeltaDifferential(t *testing.T) {
 	// the batch prefix and recount from scratch.  Equal versions always
 	// denote equal fact sets (ineffective batches do not bump), so the
 	// latest prefix per version is a valid witness.
-	oracle, err := core.NewCounter(parser.MustQuery(query), nil, count.EngineBrute)
+	oracle, err := core.NewCounter(parser.MustQuery(query), nil, oracleEngine)
 	if err != nil {
 		t.Fatal(err)
 	}

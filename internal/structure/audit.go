@@ -1,6 +1,9 @@
 package structure
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Audit verifies the structure's internal invariants end to end and
 // returns the first violation found.  It exists for boot recovery: a
@@ -17,7 +20,7 @@ import "fmt"
 //     stored value indexes a live element, the dedup set's cardinality
 //     matches, and the per-position posting lists partition exactly the
 //     row ids [0, Len()) — the incremental bitmaps agree with the flat
-//     columns they index.
+//     columns they index; and the bit rows are the tuples' (auditRows).
 func (s *Structure) Audit() error {
 	if got, want := s.version, uint64(s.Size()+s.NumTuples()); got != want {
 		return fmt.Errorf("structure: version %d, but %d elements + %d tuples imply %d",
@@ -70,6 +73,26 @@ func (s *Structure) Audit() error {
 				return fmt.Errorf("structure: %s position %d posting lists cover %d of %d rows", rs.Name, p, covered, n)
 			}
 		}
+		if err := r.auditRows(s.Size()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// auditRows checks the rows against rows laid out afresh from the
+// columns: kept or not alike, one per element at a stride that holds a
+// row, and equal.
+func (r *Relation) auditRows(dom int) error {
+	ref := &Relation{arity: r.arity, cols: r.cols}
+	ref.fitRows(dom)
+	ok := (r.fwd == nil) == (ref.fwd == nil) && r.stride >= ref.stride && len(r.fwd) == dom*r.stride && len(r.bwd) == len(r.fwd)
+	for u := 0; ok && u < dom && r.fwd != nil; u++ {
+		ok = slices.Equal(r.fwd[u*r.stride:][:ref.stride], ref.fwd[u*ref.stride:][:ref.stride]) &&
+			slices.Equal(r.bwd[u*r.stride:][:ref.stride], ref.bwd[u*ref.stride:][:ref.stride])
+	}
+	if !ok {
+		return fmt.Errorf("structure: %s rows (kept %v, stride %d) disagree with its tuples", r.name, r.fwd != nil, r.stride)
 	}
 	return nil
 }

@@ -7,10 +7,9 @@ package structure
 // is fully described by its universe size and per-relation row counts at
 // that version — a Snapshot.  The rows appended since are then exactly
 // the row ranges [old, current) of each relation, which DeltaView
-// exposes through the same allocation-free iteration the full store
-// offers.  This is the structural foundation of incremental count
-// maintenance: a delta-join executor visits only appended tuples
-// instead of re-scanning the relation.
+// exposes as cut points.  This is the structural foundation of
+// incremental count maintenance: a delta-join executor visits only
+// appended tuples instead of re-scanning the relation.
 
 // Snapshot captures the extent of a structure at one version: the
 // universe size and the row count of every relation, aligned with
@@ -73,10 +72,6 @@ func (s *Structure) DeltaSince(snap Snapshot) (DeltaView, bool) {
 	return DeltaView{base: snap, cur: s, rowOf: rowOf}, true
 }
 
-// ElemsAdded returns the number of universe elements added since the
-// snapshot.
-func (d DeltaView) ElemsAdded() int { return d.cur.Size() - d.base.Elems }
-
 // OldRows returns rel's row count at the snapshot (0 for unknown
 // relations).
 func (d DeltaView) OldRows(rel string) int { return d.rowOf[rel] }
@@ -98,15 +93,4 @@ func (d DeltaView) TuplesAdded() int {
 		n += d.NewRows(r.Name)
 	}
 	return n
-}
-
-// ForEachNewTuple visits every tuple appended to rel since the snapshot,
-// in insertion order, through a reused row buffer (copy to retain).
-// Returning false stops early.
-func (d DeltaView) ForEachNewTuple(rel string, fn func(t []int) bool) {
-	r := d.cur.Rel(rel)
-	if r == nil {
-		return
-	}
-	r.ForEachTupleIn(d.rowOf[rel], r.Len(), fn)
 }

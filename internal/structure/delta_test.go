@@ -53,11 +53,11 @@ func TestSnapshotDeltaView(t *testing.T) {
 	if dv.NewRows("C") != 0 {
 		t.Fatalf("C delta = %d new rows, want 0", dv.NewRows("C"))
 	}
-	if dv.TuplesAdded() != 2 || dv.ElemsAdded() != 1 {
-		t.Fatalf("delta totals = %d tuples, %d elems, want 2, 1", dv.TuplesAdded(), dv.ElemsAdded())
+	if dv.TuplesAdded() != 2 || s.Size()-snap.Elems != 1 {
+		t.Fatalf("delta totals = %d tuples, %d elems, want 2, 1", dv.TuplesAdded(), s.Size()-snap.Elems)
 	}
 	var got [][]int
-	dv.ForEachNewTuple("E", func(tu []int) bool {
+	s.Rel("E").ForEachTupleIn(dv.OldRows("E"), s.Rel("E").Len(), func(tu []int) bool {
 		got = append(got, append([]int(nil), tu...))
 		return true
 	})

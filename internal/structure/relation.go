@@ -1,5 +1,7 @@
 package structure
 
+import "slices"
+
 // Relation is the columnar store of one relation's tuple set: a flat
 // []int32 column per position, a packed-key TupleSet for O(1)
 // dedup/membership, and per-position posting lists (value → row-id
@@ -10,15 +12,20 @@ package structure
 // one element at a time.  Rows are exposed through allocation-free
 // iteration (ForEachTuple, ForEachWith) and row views.
 //
+// A binary relation that fits BitRowsFit keeps value-space rows (fitRows).
+//
 // A Relation is mutated only through its owning Structure (single
-// mutator); any number of goroutines may read it concurrently between
-// mutations.
+// mutator); any number of goroutines may read it — its rows included —
+// concurrently between mutations.
 type Relation struct {
 	name  string
 	arity int
 	cols  [][]int32           // per position, len == Len()
 	posts []map[int32]*Bitmap // per position: value → row-id bitmap
 	set   *TupleSet
+
+	fwd, bwd []uint64 // rows of u: {v : (u,v)}, {v : (v,u)}; nil unless it fits
+	stride   int
 }
 
 func newRelation(name string, arity int) *Relation {
@@ -49,10 +56,10 @@ func (r *Relation) Len() int {
 	return len(r.cols[0])
 }
 
-// add inserts t (already arity- and range-checked by the Structure) and
-// reports whether it was new.  Posting lists and the dedup set are
-// updated in place.
-func (r *Relation) add(t []int) bool {
+// add inserts t (already arity- and range-checked by the Structure, whose
+// universe holds dom elements) and reports whether it was new.  Posting
+// lists, the dedup set and the rows are updated in place.
+func (r *Relation) add(t []int, dom int) bool {
 	if !r.set.Add(t) {
 		return false
 	}
@@ -66,8 +73,41 @@ func (r *Relation) add(t []int) bool {
 		}
 		bm.Add(row)
 	}
+	if r.fwd == nil {
+		r.fitRows(dom)
+		return true
+	}
+	u, v := t[0], t[1]
+	r.fwd[u*r.stride+v>>6] |= 1 << (v & 63)
+	r.bwd[v*r.stride+u>>6] |= 1 << (u & 63)
 	return true
 }
+
+// fitRows brings the rows in line with a universe of dom elements: none
+// unless the relation fits, else laid out from the columns when it starts
+// to fit or outgrows the stride (which then at least doubles).
+func (r *Relation) fitRows(dom int) {
+	words := (dom + 63) / 64
+	switch {
+	case dom < RowsMinDom || !BitRowsFit(r.arity, dom, r.Len()):
+		r.fwd, r.bwd, r.stride = nil, nil, 0
+	case r.fwd == nil || words > r.stride:
+		r.stride = max(words, 2*r.stride)
+		r.fwd, r.bwd = make([]uint64, dom*r.stride), make([]uint64, dom*r.stride)
+		for i, u := range r.cols[0] {
+			v := r.cols[1][i]
+			r.fwd[int(u)*r.stride+int(v>>6)] |= 1 << (v & 63)
+			r.bwd[int(v)*r.stride+int(u>>6)] |= 1 << (u & 63)
+		}
+	default: // the empty rows of new elements
+		r.fwd = append(r.fwd, make([]uint64, dom*r.stride-len(r.fwd))...)
+		r.bwd = append(r.bwd, make([]uint64, dom*r.stride-len(r.bwd))...)
+	}
+}
+
+// BitRows returns the relation's value-space rows, shared and read-only —
+// fwd row u holds the v with (u, v), bwd row v the u — or nils.
+func (r *Relation) BitRows() (fwd, bwd []uint64, stride int) { return r.fwd, r.bwd, r.stride }
 
 // Contains reports membership of t.
 func (r *Relation) Contains(t []int) bool {
@@ -109,7 +149,7 @@ func (r *Relation) ForEachTuple(fn func(t []int) bool) {
 // ForEachTupleIn visits the tuples in rows [lo, hi) in insertion order,
 // through a reused row buffer (copy to retain).  Rows are append-only,
 // so [oldLen, Len()) is exactly the set of tuples appended since an
-// earlier observation of oldLen — the iteration DeltaView is built on.
+// earlier observation of oldLen.
 // Returning false stops early.
 func (r *Relation) ForEachTupleIn(lo, hi int, fn func(t []int) bool) {
 	if r == nil || r.arity == 0 {
@@ -180,8 +220,12 @@ func (r *Relation) clone() *Relation {
 			c.posts[p][v] = rows.clone()
 		}
 	}
+	c.fwd, c.bwd, c.stride = slices.Clone(r.fwd), slices.Clone(r.bwd), r.stride
 	return c
 }
+
+// RowsMinDom is the smallest universe with rows: a row is at least a word.
+const RowsMinDom = 64
 
 // bitRowWordsPerTuple bounds the size of a binary relation's value-space
 // rows (row a = {b : R(a,b)}, a bitset over the universe): a direction's

@@ -1,7 +1,9 @@
 package structure
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -149,5 +151,84 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if !Equal(s.Clone(), s) {
 		t.Fatal("clone not equal to original")
+	}
+}
+
+// A binary relation's value-space rows follow the structure through
+// every boundary of the rule: none below RowsMinDom, laid out once the
+// universe reaches it or the tuples reach BitRowsFit, dropped when the
+// universe outgrows the rule, and re-laid out at a doubled stride when it
+// outgrows the stride.  Audit proves rows = tuples after every mutation,
+// and Clone and Induced carry equal rows.
+func TestBitRowsMaintained(t *testing.T) {
+	s := New(relTestSig())
+	rng := rand.New(rand.NewSource(5))
+	var strides []int
+	add := func() {
+		if err := s.AddTuple("E", rng.Intn(s.Size()), rng.Intn(s.Size())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		if err := s.Audit(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if _, _, st := s.Rel("E").BitRows(); st > 0 && (len(strides) == 0 || strides[len(strides)-1] != st) {
+			strides = append(strides, st)
+		}
+	}
+	for i := 0; i < 260; i++ { // 3 tuples an element up to 64, then elements alone
+		s.EnsureElem(fmt.Sprintf("v%d", i))
+		check(fmt.Sprintf("element %d", i))
+		for k := 0; i < 64 && k < 3; k++ {
+			add()
+			check(fmt.Sprintf("tuple at %d elements", i+1))
+		}
+	}
+	if fwd, _, _ := s.Rel("E").BitRows(); fwd != nil {
+		t.Fatal("260 elements and ≤ 192 tuples: E should be too sparse for rows")
+	}
+	for s.Rel("E").Len() < 260*5/5 {
+		add()
+	}
+	check("after densifying")
+	if fwd, _, _ := s.Rel("E").BitRows(); fwd == nil {
+		t.Fatal("E fits its rows again but keeps none")
+	}
+	if fwd, _, _ := s.Rel("T").BitRows(); fwd != nil {
+		t.Fatal("a ternary relation keeps rows")
+	}
+	if fmt.Sprint(strides) != "[1 2 4 5]" {
+		t.Fatalf("strides %v, want [1 2 4 5]: one word from 64 elements, doubling as the universe crosses 64 and 128, then ⌈260/64⌉ when laid out afresh", strides)
+	}
+
+	c := s.Clone()
+	if err := c.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	equalRows := func(a, b *Structure) bool {
+		af, ab, as := a.Rel("E").BitRows()
+		bf, bb, bs := b.Rel("E").BitRows()
+		return as == bs && slices.Equal(af, bf) && slices.Equal(ab, bb)
+	}
+	if !equalRows(s, c) {
+		t.Fatal("Clone's rows differ")
+	}
+	if err := c.AddTuple("E", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Audit(); err != nil {
+		t.Fatalf("a tuple added to the clone reached the original: %v", err)
+	}
+	all := make([]int, s.Size())
+	for i := range all {
+		all[i] = i
+	}
+	if in, _ := s.Induced(all); !equalRows(s, in) {
+		t.Fatal("Induced on every element has different rows")
+	}
+	if in, _ := s.Induced(all[:100]); in.Audit() != nil {
+		t.Fatalf("Induced on 100 elements: %v", in.Audit())
 	}
 }

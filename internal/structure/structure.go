@@ -14,8 +14,8 @@ import (
 // formula-as-structure view used throughout the paper.
 //
 // Tuples live in per-relation columnar Relation stores: flat columns, a
-// packed-key dedup set, and per-position posting lists maintained
-// incrementally on AddTuple.  Consumers iterate with ForEachTuple /
+// packed-key dedup set, per-position posting lists and bit rows, kept up
+// to date by AddTuple and AddElem.  Consumers iterate with ForEachTuple /
 // ForEachWith, or reach the columns through Rel.
 type Structure struct {
 	sig   *Signature
@@ -92,6 +92,11 @@ func (s *Structure) AddElem(name string) (int, error) {
 	s.elems = append(s.elems, name)
 	s.index[name] = i
 	s.version++
+	if i+1 >= RowsMinDom { // below it no relation keeps rows
+		for _, r := range s.rels {
+			r.fitRows(i + 1)
+		}
+	}
 	return i, nil
 }
 
@@ -145,7 +150,7 @@ func (s *Structure) AddTuple(rel string, t ...int) error {
 			return fmt.Errorf("structure: element index %d out of range in %s-tuple", v, rel)
 		}
 	}
-	if r.add(t) {
+	if r.add(t, len(s.elems)) {
 		s.version++
 	}
 	return nil

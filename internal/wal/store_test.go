@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -366,5 +367,73 @@ func TestClosedStoreRefusesWrites(t *testing.T) {
 	}
 	if err := s.Compact(nil); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Fatalf("Compact on closed store: %v", err)
+	}
+}
+
+// Recovery rebuilds a binary relation's value-space rows equal to the
+// ones the live structure kept: a structure that starts at 63 elements
+// (no rows), gains its 64th (rows laid out) and grows past 65 (stride
+// doubled) across appends, with a compaction in the middle, comes back
+// from snapshot + tail with the mirror's rows.
+func TestRecoveredRowsEqualMirror(t *testing.T) {
+	var facts strings.Builder
+	facts.WriteString("universe")
+	for i := 0; i < 63; i++ {
+		if i > 0 {
+			facts.WriteString(",")
+		}
+		facts.WriteString(" v" + itoa(uint64(i)))
+	}
+	facts.WriteString(".\n")
+	edge := func(sb *strings.Builder, u, v int) {
+		sb.WriteString("E(v" + itoa(uint64(u)) + ",v" + itoa(uint64(v)) + "). ")
+	}
+	for i := 0; i < 63; i++ {
+		edge(&facts, i, (i*7+3)%63)
+	}
+	ops := []op{{create: true, name: "r", sig: []RelSpec{{Name: "E", Arity: 2}}, facts: facts.String()}}
+	for k := 0; k < 6; k++ {
+		var sb strings.Builder
+		n := 63 + k // the batch adds element v<n> and edges through it
+		for j := 0; j < 5; j++ {
+			edge(&sb, n, (n*j+k)%n)
+		}
+		ops = append(ops, op{name: "r", facts: sb.String()})
+	}
+
+	dir := t.TempDir()
+	s, _, err := Open(Options{Dir: dir, Sync: SyncBatch})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	mirror := make(map[string]*structure.Structure)
+	for i, o := range ops {
+		logOp(t, s, mirror, o)
+		applyOp(t, mirror, o)
+		if i == 2 {
+			if err := s.Compact(mirror); err != nil {
+				t.Fatalf("Compact: %v", err)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	want := mirror["r"]
+	if fwd, _, st := want.Rel("E").BitRows(); fwd == nil || st != 2 || want.Size() != 69 {
+		t.Fatalf("the mirror should keep rows at stride 2 over 69 elements: rows %v, stride %d, %d elements", fwd != nil, st, want.Size())
+	}
+	_, rep, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	got := rep.Structures[0].B
+	gf, gb, gs := got.Rel("E").BitRows()
+	wf, wb, ws := want.Rel("E").BitRows()
+	if gs != ws || fmt.Sprint(gf) != fmt.Sprint(wf) || fmt.Sprint(gb) != fmt.Sprint(wb) {
+		t.Fatalf("recovered rows differ from the mirror's: stride %d vs %d", gs, ws)
+	}
+	if err := got.Audit(); err != nil {
+		t.Fatal(err)
 	}
 }
