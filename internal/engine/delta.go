@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"sync/atomic"
 
+	"repro/internal/bitvec"
 	"repro/internal/structure"
 )
 
@@ -224,10 +225,9 @@ type seedWalk struct {
 	in    []uint64 // nActive bitmaps; set exactly at vals
 	vals  [][]int32
 
-	live   [][2][]uint64 // a live constraint's rows, by the scope position selecting them
-	stride []int
-	i      int    // the current term's constraint
-	pinned []bool // constraints read as their Δ: i, and a correction's
+	live   []*Table // a live constraint's store rows (storeRows); nil for the others
+	i      int      // the current term's constraint
+	pinned []bool   // constraints read as their Δ: i, and a correction's
 
 	// done is polled every cancelCheckMask+1 row visits, as in
 	// dpRun.cancelled; aborted latches.
@@ -240,11 +240,10 @@ func newSeedWalk(pc *planComponent, b *structure.Structure, dv structure.DeltaVi
 	words, k := (b.Size()+63)/64, len(pc.constraints)
 	w := &seedWalk{pc: pc, b: b, dv: dv, done: done, words: words,
 		in: make([]uint64, pc.nActive*words), vals: make([][]int32, pc.nActive),
-		live: make([][2][]uint64, k), stride: make([]int, k), pinned: make([]bool, k)}
-	for ci, c := range pc.constraints {
-		if fwd, bwd, stride := b.Rel(c.rel).BitRows(); fwd != nil && len(c.scope) == 2 && len(c.atomTmpl) == 2 {
-			w.live[ci][c.atomTmpl[0]], w.live[ci][c.atomTmpl[1]], w.stride[ci] = fwd, bwd, stride
-		}
+		live: make([]*Table, k), pinned: make([]bool, k)}
+	for ci := range pc.constraints {
+		c := &pc.constraints[ci]
+		w.live[ci] = storeRows(c, b.Rel(c.rel), b.Size(), nil)
 	}
 	return w
 }
@@ -271,7 +270,7 @@ func (w *seedWalk) run(last int, acc *big.Int, neg bool) bool {
 	acc.Add(acc, j)
 	var next []int
 	for c := last + 1; c < len(w.pinned); c++ {
-		if w.live[c][0] != nil && w.meets(c) {
+		if w.live[c] != nil && w.meets(c) {
 			next = append(next, c)
 		}
 	}
@@ -305,7 +304,7 @@ func (w *seedWalk) join() (j *big.Int, ok bool) {
 	for v := range masks {
 		masks[v] = w.in[v*w.words : (v+1)*w.words]
 	}
-	j, aborted := joinCount(w.pc, newExecPlan(w.pc, tables, w.b.Size(), masks), w.b.Size(), w.done)
+	j, aborted := joinCount(w.pc, newExecPlan(w.pc, tables, masks), w.b.Size(), w.done)
 	return j, !aborted
 }
 
@@ -313,7 +312,7 @@ func (w *seedWalk) join() (j *big.Int, ok bool) {
 // (reduce) — and narrows its variables' supports; false: it is empty or
 // done fired.
 func (w *seedWalk) input(ci, seed int, tables []*Table, ar *arena) bool {
-	if w.live[ci][0] != nil && !w.pinned[ci] && seed >= 0 {
+	if w.live[ci] != nil && !w.pinned[ci] && seed >= 0 {
 		tables[ci] = w.view(ci)
 		return tables[ci].n > 0
 	}
@@ -429,12 +428,12 @@ func (w *seedWalk) view(ci int) *Table {
 	if x, y := len(w.vals[c.scope[0]]), len(w.vals[c.scope[1]]); x == 0 || y > 0 && y < x {
 		p = 1
 	}
-	a, b, stride := c.scope[p], c.scope[1-p], w.stride[ci]
+	a, b, lt := c.scope[p], c.scope[1-p], w.live[ci]
 	bIn, cut := w.in[b*w.words:][:w.words], len(w.vals[b]) > 0
 	acc, n, kept := make([]uint64, w.words), 0, w.vals[a][:0]
 	for _, u := range w.vals[a] {
 		k := 0
-		for i, x := range w.live[ci][p][int(u)*stride:][:w.words] {
+		for i, x := range lt.bitRows[p][int(u)*lt.stride:][:w.words] {
 			if cut {
 				x &= bIn[i]
 			}
@@ -450,10 +449,10 @@ func (w *seedWalk) view(ci int) *Table {
 	w.vals[a] = kept
 	w.clear(b)
 	copy(bIn, acc)
-	for u := range eachBit(bIn) {
+	for u := range bitvec.Each(bIn) {
 		w.vals[b] = append(w.vals[b], int32(u))
 	}
-	return &Table{width: 2, n: n, dom: w.b.Size(), bitRows: w.live[ci], stride: stride}
+	return &Table{width: 2, n: n, dom: lt.dom, bitRows: lt.bitRows, stride: lt.stride}
 }
 
 // meets reports whether live constraint ci's Δ holds a tuple inside the

@@ -27,28 +27,31 @@
 //     makes the predicate a polynomial-time DP rather than a search.
 //     Decompositions are reduced (tw.Reduce): bags contained in a
 //     neighbour's are contracted away;
-//   - the Executor layer (exec.go, prune.go, words.go): a semi-join
-//     pre-pruning pass that reduces each constraint table against the
-//     value supports of the other constraints on its variables — one
-//     bounded scanning fixpoint (at most pruneMaxRounds rounds) over two
-//     layouts, a table's rows or an alive mask over its tuples, compacted
-//     once into a table of the same layout — then the join-count dynamic
-//     program itself.  At plan-bind time (once per component and
-//     session) each node gets a constraint bind order (smallest table
-//     first, then maximal bound-prefix overlap) and each step the way it
-//     enters its table by the already-bound part of its scope, so
-//     enumeration is look-ups instead of backtracking scans.  A width-2
-//     table over a universe of at least 64 elements that is dense enough
-//     for it (structure.BitRowsFit, the hom solver's rule) is a bit
-//     matrix over the universe for its whole life (Table.rows; predicate
-//     tables are born as rows): a step over it scans its non-empty rows,
-//     binds from a row intersection or tests a bit, and where a node's
-//     last binder binds one position from rows the end of the bind order
-//     is one AND of rows per bound prefix, emitted 64 values a word or
-//     added into flat accumulators by index (the tail in enumerate); a
-//     delta run reads a binary relation's rows in the store (live tables).
-//     Every other table, and every tuple input of a delta run, is entered
-//     by a prefix index keyed on the packed bound values (tableIndex: a
+//   - the Executor layer (exec.go, prune.go, over the word kernel
+//     internal/bitvec): a semi-join pre-pruning pass that reduces each
+//     constraint table against the value supports of the other
+//     constraints on its variables — one bounded scanning fixpoint (at
+//     most pruneMaxRounds rounds) over a table's two layouts, its rows
+//     (the table's stride apart) or an alive mask over its tuples,
+//     compacted once into a table of the same layout — then the
+//     join-count dynamic program itself.  At plan-bind time (once per
+//     component and session) each node gets a constraint bind order
+//     (smallest table first, then maximal bound-prefix overlap) and each
+//     step the way it enters its table by the already-bound part of its
+//     scope, so enumeration is look-ups instead of backtracking scans.  A
+//     table's layout is fixed when it is built.  A width-2 table over a
+//     universe of at least 64 elements that is dense enough for it
+//     (structure.BitRowsFit, the store's and the hom solver's rule) is a
+//     bit matrix over the universe (Table.rows): a plain binary atom's is
+//     the store's own (Relation.BitRows, read in place, in cold counts
+//     and delta runs alike), a predicate table and the prune's copies are
+//     built as rows.  A step over one scans its non-empty rows, binds
+//     from a row intersection or tests a bit, and where a node's last
+//     binder binds one position from rows the end of the bind order is
+//     one AND of rows per bound prefix, emitted 64 values a word or added
+//     into flat accumulators by index (the tail in enumerate).  Every
+//     other table is tuples, entered by a prefix index keyed on the
+//     packed bound values (tableIndex: a
 //     CSR-layout open-addressing table sized once at build, its probes
 //     allocation-free; the per-table cache is LRU-capped).  A run stays
 //     on its caller's goroutine: requests, and the structures
@@ -66,7 +69,8 @@
 //     the enumeration stops at the first witness (cut in enumerate);
 //   - the Session layer (session.go): per-structure state — atom
 //     tables materialized straight off the columnar relation
-//     stores, predicate tables materialized by a nested executor run
+//     stores (a plain binary atom's rows are the store's, with no copy),
+//     predicate tables materialized by a nested executor run
 //     over those atom tables (one-shot: its pruned copies, indexes and
 //     bind plan live in a scratch arena returned before the rows are
 //     emitted) and shared under a structural key of the ∃-component,

@@ -341,6 +341,46 @@ func TestAtomTableOneRowPerPassingRow(t *testing.T) {
 	}
 }
 
+// A plain binary atom over a relation that keeps rows is the store's rows
+// themselves: its session table has no cells, and its rows(0) is the
+// store's fwd memory — bwd for the reversed atom — at the store's stride,
+// here wider than ⌈|B|/64⌉ words after the universe grew.  Every other
+// atom's table is tuples, with no rows.
+func TestPlainBinaryAtomTableIsStoreRows(t *testing.T) {
+	sig := predSig()
+	b := GrownRowsStructure(130, 1300, 400, 1)
+	fwd, bwd, stride := b.Rel("E").BitRows()
+	if fwd == nil || stride <= (b.Size()+63)/64 {
+		t.Fatalf("E keeps rows: %v, stride %d over %d elements; want rows wider than the universe's", fwd != nil, stride, b.Size())
+	}
+	same := func(a, b []uint64) bool { return len(a) == len(b) && &a[0] == &b[0] }
+	for _, tc := range []struct {
+		src          string
+		rows0, rows1 []uint64 // nil: tuples
+	}{
+		{"q(x,y) := E(x,y)", fwd, bwd},
+		{"q(x,y) := E(y,x)", bwd, fwd},
+		{"q(x) := E(x,x)", nil, nil},
+		{"q(x,y) := R(x,x,y)", nil, nil},
+	} {
+		pl, err := Compile(compilePP(t, sig, tc.src), FPT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab := NewSession(b).tableFor(&pl.(*fptPlan).comps[0].constraints[0], nil)
+		switch {
+		case tc.rows0 == nil:
+			if tab.rows(0) != nil || tab.flat == nil {
+				t.Errorf("%s: a table on rows, want tuples", tc.src)
+			}
+		case tab.flat != nil || tab.stride != stride || tab.Len() != b.Rel("E").Len():
+			t.Errorf("%s: %d cells, stride %d, %d rows; want none, %d, %d", tc.src, len(tab.flat), tab.stride, tab.Len(), stride, b.Rel("E").Len())
+		case !same(tab.rows(0), tc.rows0) || !same(tab.rows(1), tc.rows1):
+			t.Errorf("%s: rows(0) and rows(1) are not the store's rows of E", tc.src)
+		}
+	}
+}
+
 func TestRunBounded(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		got := make([]int, 100)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/bitvec"
 	"repro/internal/structure"
 )
 
@@ -40,21 +41,21 @@ import (
 //     wide bags;
 //   - extension counts are int64 until an addition or multiplication
 //     would overflow, then fall back to big.Int per entry;
-//   - a width-2 table that fits rows — |B| ≥ 64 (rowsMinDom: below it a
+//   - a table has one of two layouts, fixed when it is built: tuples, or
+//     — a width-2 table that fits rows: |B| ≥ 64 (rowsMinDom: below it a
 //     row is a fraction of a word and a flat key set is not word-aligned
-//     rows) and |B|·⌈|B|/64⌉ ≤ 5·rows (structure.BitRowsFit, the hom
-//     solver's rule) — is a bit matrix over the universe for its whole
-//     life (Table.rows: row u = the values beside u).  Atom tables lay
-//     theirs out on first use; predicate tables, and the prune's copies
-//     of tables on rows, are born as rows and lay out tuples only for a
-//     consumer of tuples (layTuples: a prefix index, a delta run).  Wider
-//     tables and universes too small or too sparse for the rule stay on
-//     tuples; a delta run reads the store's rows in place (live tables).
-//     A step over rows scans the non-empty rows, binds a position from a
-//     row intersection or tests a bit, and builds no index.  Where a
-//     node's last binder binds one position v from rows, the end of the
-//     bind order is one intersection per bound prefix, emitted whole as
-//     the tail's mode says (enumerate).
+//     rows) and |B|·⌈|B|/64⌉ ≤ 5·rows (structure.BitRowsFit, the store's
+//     and the hom solver's rule) — a bit matrix over the universe
+//     (Table.rows: row u = the values beside u).  A plain binary atom
+//     over a relation that keeps rows is a view of the store's own
+//     (Relation.BitRows, at the store's stride), in a cold count and in a
+//     delta run (live tables) alike; predicate tables, and the prune's
+//     copies of tables on rows, are built as rows.  Every other table is
+//     tuples.  A step over rows scans the non-empty rows, binds a
+//     position from a row intersection or tests a bit, and builds no
+//     index.  Where a node's last binder binds one position v from rows,
+//     the end of the bind order is one intersection per bound prefix,
+//     emitted whole as the tail's mode says (enumerate).
 
 // packedKeyBudget is the number of key bits available before the packed
 // representation spills to strings.  Nothing outside the package's own
@@ -404,7 +405,7 @@ func (m *wmap) get(vals []int, buf []byte) (wnum, bool) {
 func (m *wmap) forEach(vals []int, fn func(vals []int, w wnum)) {
 	if m.codec.packed {
 		if m.bits != nil {
-			for k := range eachBit(m.bits) {
+			for k := range bitvec.Each(m.bits) {
 				m.codec.unpack(uint64(k), vals)
 				fn(vals, wnum{lo: 1})
 			}
@@ -436,63 +437,65 @@ func (m *wmap) forEach(vals []int, fn func(vals []int, w wnum)) {
 }
 
 // Table is a materialized constraint: the set of allowed assignments over
-// its scope (variable positions), deduplicated, stored as flat row-major
-// []int32 cells like the structure package's columnar relations, or — a
-// table born as rows (rowsTable) — as a bit matrix, with the cells laid
-// out from it only for a consumer of tuples (layTuples).  Tables are
-// immutable once built and shared across plans via the Session; prefix
-// indexes (value-prefix → row ids) are built lazily per bound position
-// subset and cached on the table (capped: see prefixIndex).
+// its scope (variable positions), deduplicated, in one of two layouts
+// fixed when it is built.  On tuples it is flat row-major []int32 cells
+// like the structure package's columnar relations, entered by prefix
+// indexes (value-prefix → row ids) built lazily per bound position subset
+// and cached on the table (capped: see prefixIndex).  On rows it is a
+// width-2 table's bit matrix, by either scope position (rows): a view of
+// the store's rows (storeRows), or built as rows by the engine
+// (rowsTable).  Tables are immutable once built and shared across plans
+// via the Session.
 //
-// Row cells and index arrays are carved from the owning session's arena
-// (ar; nil falls back to the heap), so a session's whole table memory is
-// a handful of pooled chunks that return to the pools on retirement.
+// Cells, index arrays and the rows the engine builds are carved from the
+// owning session's arena (ar; nil falls back to the heap), so a session's
+// whole table memory is a handful of pooled chunks that return to the
+// pools on retirement; a store view's rows are the store's.
 type Table struct {
 	width int
 	n     int
 	dom   int     // domain size of the values (index key packing)
-	flat  []int32 // nil until layTuples in a table born as rows
+	flat  []int32 // the cells of a table on tuples
 	ar    *arena  // owning session's allocator; nil → heap
 
 	mu      sync.Mutex
 	idx     map[uint64]*tableIndex // bound-position bitmask → index
 	clock   uint64                 // probe tick for LRU eviction of idx
-	bitRows [2][]uint64            // rows(by): born, or laid out on first use
+	bitRows [2][]uint64            // rows(by) of a table on rows
 
-	// stride ≠ 0 marks a live table (seedWalk.view): a relation's rows in
-	// the store, stride ≥ ⌈dom/64⌉ words apart, no tuples, n only a bound.
+	// stride is the distance of two rows of bitRows in words, at least
+	// ⌈dom/64⌉ (a store view's is the store's); 0 for a table on tuples.
 	stride int
 }
 
 func newTable(width, dom int, ar *arena) *Table { return &Table{width: width, dom: dom, ar: ar} }
 
-// rowsTable returns the width-2 table whose rows(0) is m: ⌈dom/64⌉ words a
+// rowsTable returns the width-2 table whose rows(0) is m: stride words a
 // row, row u the values beside u.
-func rowsTable(m []uint64, dom int, ar *arena) *Table {
+func rowsTable(m []uint64, stride, dom int, ar *arena) *Table {
 	t := newTable(2, dom, ar)
-	t.bitRows[0], t.n = m, countWords(m)
+	t.bitRows[0], t.n, t.stride = m, bitvec.Count(m), stride
 	return t
 }
 
-// tupleLayouts counts the tuple forms built of predicate tables and of
-// tables born as rows, for the package's tests (export_test.go) to tell
-// which tables a count laid out as tuples.
-var tupleLayouts atomic.Int64
-
-// layTuples lays out the cells of a table born as rows, from rows(0), on
-// first use by a consumer of tuples.  The caller holds t.mu.
-func (t *Table) layTuples() {
-	if t.flat == nil && t.n > 0 {
-		words := (t.dom + 63) / 64
-		t.flat = t.ar.allocI32(2 * t.n)[:0]
-		for u := 0; u < t.dom; u++ {
-			for v := range eachBit(t.bitRows[0][u*words:][:words]) {
-				t.flat = append(t.flat, int32(u), int32(v))
-			}
-		}
-		tupleLayouts.Add(1)
+// storeRows returns the table of atom c over rel read in place, when c is
+// a plain binary atom (two distinct variables, in either orientation) and
+// rel keeps rows (Relation.BitRows): rows(p) is the store's fwd or bwd, by
+// the argument at scope position p.  Otherwise nil.
+func storeRows(c *planConstraint, rel *structure.Relation, dom int, ar *arena) *Table {
+	fwd, bwd, stride := rel.BitRows()
+	if fwd == nil || len(c.scope) != 2 || len(c.atomTmpl) != 2 {
+		return nil
 	}
+	t := &Table{width: 2, n: rel.Len(), dom: dom, ar: ar, stride: stride}
+	t.bitRows[c.atomTmpl[0]], t.bitRows[c.atomTmpl[1]] = fwd, bwd
+	return t
 }
+
+// tupleLayouts counts the predicate tables built as tuples, for the
+// package's tests (export_test.go) to tell which side of the fit rule a
+// count's predicate tables were built on.
+var tupleLayouts atomic.Int64
 
 // Len returns the number of distinct rows.
 func (t *Table) Len() int { return t.n }
@@ -526,37 +529,26 @@ func (t *Table) grow(need int) {
 	t.flat = nf[:len(t.flat)]
 }
 
-// rowsMinDom is the smallest universe whose tables are laid out as rows:
+// rowsMinDom is the smallest universe with tables on rows:
 // from 64 values on a row is at least a word, and a flat key set over two
 // positions (wmap.bits, codec.bits ≥ 6) is word-aligned rows already.
 const rowsMinDom = structure.RowsMinDom
 
-// rows returns t laid out as a bit matrix by scope position by — row u,
-// ⌈dom/64⌉ words, holds the values beside u in the rows with u at by — or
-// nil when t does not fit the layout: width 2, a universe of at least
-// rowsMinDom, dense enough for it by the hom solver's rule.  A table born
-// as rows has them whatever it holds.  An orientation is built on first
-// use — from the cells, or by transposing the other — and cached beside
+// rows returns the bit matrix of a table on rows by scope position by —
+// row u, stride words from the next, holds the values beside u in the
+// rows with u at by — or nil for a table on tuples.  The orientation a
+// table was not built with is transposed on first use and cached beside
 // idx.
 func (t *Table) rows(by int) []uint64 {
+	if t.stride == 0 {
+		return nil
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.bitRows[by] == nil {
-		words := (t.dom + 63) / 64
-		switch {
-		case t.bitRows[1-by] != nil:
-			m := t.ar.allocU64(t.dom * words)
-			transposeRows(m, words, t.bitRows[1-by], words, t.dom)
-			t.bitRows[by] = m
-		case t.dom >= rowsMinDom && structure.BitRowsFit(t.width, t.dom, t.n):
-			m := t.ar.allocU64(t.dom * words)
-			clear(m)
-			for r := 0; r < t.n; r++ {
-				u, v := int(t.flat[2*r+by]), uint(t.flat[2*r+1-by])
-				m[u*words+int(v>>6)] |= 1 << (v & 63)
-			}
-			t.bitRows[by] = m
-		}
+		m := t.ar.allocU64(t.dom * t.stride)
+		bitvec.Transpose(m, t.stride, t.bitRows[1-by], t.stride, t.dom)
+		t.bitRows[by] = m
 	}
 	return t.bitRows[by]
 }
@@ -658,7 +650,6 @@ func (t *Table) prefixIndex(pos []int) *tableIndex {
 		return ix
 	}
 	ix := &tableIndex{pos: append([]int(nil), pos...), codec: newKeyCodec(t.dom, len(pos)), lastUse: t.clock}
-	t.layTuples()
 	vals := make([]int, len(pos))
 	if ix.codec.packed {
 		capN := t.n + (t.n*3+6)/7 // ≥ n/0.7: load factor ≤ 0.7, never rehashed
@@ -745,7 +736,7 @@ type execStep struct {
 	// the bag positions they bind into.
 	freeScope []int
 	freeBag   []int
-	// A step over a table laid out as rows (Table.rows) is bound to srcs
+	// A step over a table on rows (Table.rows) is bound to srcs
 	// instead of idx: their rows' intersection holds the candidates of bag
 	// position bit, which the step binds (freeBag = {bit}) or, both bound,
 	// tests.  A test of the position the step before it binds from rows is
@@ -778,14 +769,13 @@ type execPlan struct {
 }
 
 // newExecPlan chooses the per-node bind orders for the given tables and
-// binds every non-pivot step to its table's rows or, for a table that has
-// none, builds the prefix index it probes.  Heuristic: smallest table
+// binds every non-pivot step to its table's rows or, for a table on
+// tuples, builds the prefix index it probes.  Heuristic: smallest table
 // first, then maximal bound-prefix overlap (ties: smaller table, then
-// placement order).  A delta term's run (masks ≠ nil) reads rows only of
-// live tables, and binds last the position lastBinder picks.
-func newExecPlan(pc *planComponent, tables []*Table, domSize int, masks [][]uint64) *execPlan {
+// placement order).  A delta term's run (masks ≠ nil) binds last the
+// position lastBinder picks.
+func newExecPlan(pc *planComponent, tables []*Table, masks [][]uint64) *execPlan {
 	ep := &execPlan{nodes: make([]execNode, len(pc.dec.Bags)), masks: masks}
-	words := (domSize + 63) / 64
 	for ni, bag := range pc.dec.Bags {
 		meta := &pc.nodes[ni]
 		cons := pc.consAt[ni]
@@ -801,7 +791,10 @@ func newExecPlan(pc *planComponent, tables []*Table, domSize int, masks [][]uint
 			}
 			return []rowSrc{{masks[bag[bi]], 0, bi}}
 		}
-		last := lastBinder(pc, ni, tables)
+		last := -1
+		if masks != nil {
+			last = lastBinder(pc, ni, tables)
+		}
 		var pending []rowSrc             // the rows last is bound from
 		boundAt := make([]int, len(bag)) // bind depth per position; 0 = unbound
 		used := make([]bool, len(cons))
@@ -828,10 +821,9 @@ func newExecPlan(pc *planComponent, tables []*Table, domSize int, masks [][]uint
 			}
 			used[best] = true
 			t := tables[cons[best]]
-			stride := max(t.stride, words)
 			if bestLast { // scan the other position if unbound; last is bound from its row
 				o := 1 - slices.Index(meta.scopeBag[best], last)
-				src := rowSrc{t.rows(o), stride, meta.scopeBag[best][o]}
+				src := rowSrc{t.rows(o), t.stride, meta.scopeBag[best][o]}
 				if boundAt[src.by] == 0 {
 					boundAt[src.by] = len(en.steps) + 1
 					en.steps = append(en.steps, execStep{table: t, srcs: append([]rowSrc{src}, mask(src.by)...), bit: src.by, freeBag: []int{src.by}})
@@ -854,7 +846,7 @@ func newExecPlan(pc *planComponent, tables []*Table, domSize int, masks [][]uint
 			// of two the one bound first, so that a test is of the later.
 			var m []uint64
 			by := 0
-			if t.width == 2 && (masks == nil || t.stride != 0) {
+			if t.stride != 0 {
 				if len(boundScope) > 0 {
 					by = boundScope[0]
 				}
@@ -865,7 +857,7 @@ func newExecPlan(pc *planComponent, tables []*Table, domSize int, masks [][]uint
 			}
 			switch {
 			case m != nil:
-				src := rowSrc{m, stride, meta.scopeBag[best][by]}
+				src := rowSrc{m, t.stride, meta.scopeBag[best][by]}
 				st.bit = meta.scopeBag[best][1-by]
 				if len(boundScope) == 0 { // the scan of src.by, then st binds bit from its row
 					boundAt[src.by] = len(en.steps) + 1
@@ -884,10 +876,6 @@ func newExecPlan(pc *planComponent, tables []*Table, domSize int, masks [][]uint
 				// row enumeration (unreachable for bag widths the packed and
 				// spill key paths are designed for).
 				st.idx = t.prefixIndex(boundScope)
-			default: // the step enumerates the cells
-				t.mu.Lock()
-				t.layTuples()
-				t.mu.Unlock()
 			}
 			for _, bi := range st.freeBag {
 				boundAt[bi] = len(en.steps) + 1
@@ -904,7 +892,8 @@ func newExecPlan(pc *planComponent, tables []*Table, domSize int, masks [][]uint
 
 // lastBinder picks the position node ni of a delta run binds last, by one
 // intersection (a popcount, not a hashed add a value): covered by live
-// tables alone, outside the node's output and its child groups; or -1.
+// tables (the run's tables on rows) alone, outside the node's output and
+// its child groups; or -1.
 func lastBinder(pc *planComponent, ni int, tables []*Table) int {
 	meta := &pc.nodes[ni]
 	taken := func(bi int) bool {
@@ -1114,7 +1103,7 @@ func (r *dpRun) process(ni int, proj []int) *wmap {
 	if r.ep.masks != nil { // a delta run's table is hashed, sized by the largest support it is keyed on
 		hint = 1
 		for _, bi := range proj {
-			hint = max(hint, countWords(r.ep.masks[r.pc.dec.Bags[ni][bi]]))
+			hint = max(hint, bitvec.Count(r.ep.masks[r.pc.dec.Bags[ni][bi]]))
 		}
 	}
 	out := newWmap(newKeyCodec(r.dom, len(proj)), hint, r.exists, r.ep.masks != nil)
@@ -1267,7 +1256,7 @@ func (r *dpRun) groupRows(g *childGroup, v int) (rowSrc, bool) {
 	}
 	words := (r.dom + 63) / 64
 	t := r.ar.allocU64(r.dom * words)
-	transposeRows(t, words, set, stride, r.dom)
+	bitvec.Transpose(t, words, set, stride, r.dom)
 	return rowSrc{t, words, g.sharedBag[1]}, true
 }
 
@@ -1304,9 +1293,10 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 	nSteps := len(en.steps)
 	free := en.freePos
 	last := nSteps + len(free) // the depth at which the bag is fully assigned
-	if en.cons == 1 && len(free) == 0 && len(groups) == 0 && len(outProj) == 0 && en.steps[0].table.stride == 0 {
+	if en.cons == 1 && len(free) == 0 && len(groups) == 0 && len(outProj) == 0 && (r.ep.masks == nil || en.steps[0].table.stride == 0) {
 		// One table covers the bag, each of its rows adding 1 to the one
-		// key: count, don't walk (a live table's n is only a bound).
+		// key: count, don't walk (a delta run's live table's n is only a
+		// bound).
 		m.add(nil, wnum{lo: int64(en.steps[0].table.n)}, nil)
 		return
 	}
@@ -1435,12 +1425,12 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 			cand = sc.cand[d*words:][:words]
 			copy(cand, srcs[0].m[assign[srcs[0].by]*srcs[0].stride:])
 			for i := range srcs[1:] {
-				andWords(cand, srcs[1+i].m[assign[srcs[1+i].by]*srcs[1+i].stride:])
+				bitvec.And(cand, srcs[1+i].m[assign[srcs[1+i].by]*srcs[1+i].stride:])
 			}
 		}
 		if md == tailEach {
-			binds += countWords(cand)
-			for x := range eachBit(cand) {
+			binds += bitvec.Count(cand)
+			for x := range bitvec.Each(cand) {
 				assign[u] = x
 				if descend(d, w) {
 					return
@@ -1455,19 +1445,19 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 		}
 		switch md {
 		case tailAny:
-			if countWords(cand) > 0 {
+			if bitvec.Count(cand) > 0 {
 				m.add(key(), w, sc.keyBuf)
 				hit = true
 			}
 		case tailOr:
 			row := m.bits[m.codec.pack(key())>>6:][:words]
-			m.n += countAndNotWords(cand, row)
-			orWords(row, cand)
+			m.n += bitvec.CountAndNot(cand, row)
+			bitvec.Or(row, cand)
 		case tailCount:
-			n := wnum{lo: int64(countWords(cand))}
+			n := wnum{lo: int64(bitvec.Count(cand))}
 			if gather != nil {
 				n = wnum{}
-				for x := range eachBit(cand) {
+				for x := range bitvec.Each(cand) {
 					n = addW(n, gather.sums.denseAt(gBase|uint64(x)<<gShift))
 				}
 			}
@@ -1476,15 +1466,15 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 			base := m.codec.pack(key())
 			switch {
 			case m.bits != nil: // an existence run's: every weight is 1
-				for x := range eachBit(cand) {
+				for x := range bitvec.Each(cand) {
 					m.setBit(base | uint64(x)<<outShift)
 				}
 			case gather == nil:
-				for x := range eachBit(cand) {
+				for x := range bitvec.Each(cand) {
 					m.addDense(base|uint64(x)<<outShift, w)
 				}
 			default:
-				for x := range eachBit(cand) {
+				for x := range bitvec.Each(cand) {
 					if k := gBase | uint64(x)<<gShift; gather.sums.dense[k] != 0 {
 						m.addDense(base|uint64(x)<<outShift, mulW(w, gather.sums.denseAt(k)))
 					}
@@ -1537,7 +1527,7 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 					}
 					u += bits.TrailingZeros64(wd)
 				}
-				if countWords(s.m[u*s.stride:][:words]) == 0 {
+				if bitvec.Count(s.m[u*s.stride:][:words]) == 0 {
 					continue
 				}
 				binds++

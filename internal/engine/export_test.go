@@ -35,7 +35,7 @@ func DisableDelta() (restore func()) {
 // it unchanged ran on the tuple path alone.
 func RowBinds() int64 { return rowBinds.Load() }
 
-// TupleLayouts reports how many tuple forms of predicate tables and of
-// tables born as rows the executor has built since process start: a
-// count that leaves it unchanged kept every such table as rows.
+// TupleLayouts reports how many predicate tables the executor has built
+// as tuples since process start: a count that leaves it unchanged built
+// every predicate table it needed as rows.
 func TupleLayouts() int64 { return tupleLayouts.Load() }

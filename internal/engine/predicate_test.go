@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bitvec"
 	"repro/internal/hom"
 	"repro/internal/pp"
 	"repro/internal/structure"
@@ -26,17 +27,31 @@ func predSig() *structure.Signature {
 	)
 }
 
-// PredSig, RowsStructure and PadIsolated are exported to the package's
-// external tests (rows_test.go).
+// PredSig, RowsStructure, GrownRowsStructure and PadIsolated are
+// exported to the package's external tests (rows_test.go).
 func PredSig() *structure.Signature { return predSig() }
 
 // RowsStructure draws a structure over predSig with n elements, nE
 // distinct E-tuples (loops included) and nR distinct R-triples: sizes
-// picked by the caller to land on one side of Table.rows' fit rule.
+// picked by the caller to land on one side of the rows' fit rule.
 func RowsStructure(n, nE, nR int, seed int64) *structure.Structure {
+	return growRows(structure.New(predSig()), rand.New(rand.NewSource(seed)), n, nE, nR)
+}
+
+// GrownRowsStructure is RowsStructure grown from 64 elements: half of its
+// E-tuples are drawn over the first 64, so that E keeps rows (if it fits
+// them there) before the universe grows to n and the rest are drawn.  The
+// store's stride at least doubles each time it is outgrown, so from 129
+// elements on it is wider than ⌈n/64⌉ words.
+func GrownRowsStructure(n, nE, nR int, seed int64) *structure.Structure {
 	rng := rand.New(rand.NewSource(seed))
-	b := structure.New(predSig())
-	for i := 0; i < n; i++ {
+	return growRows(growRows(structure.New(predSig()), rng, 64, nE/2, 0), rng, n, nE, nR)
+}
+
+// growRows adds elements to b up to n, then draws tuples over all of them
+// until E holds nE and R holds nR.
+func growRows(b *structure.Structure, rng *rand.Rand, n, nE, nR int) *structure.Structure {
+	for i := b.Size(); i < n; i++ {
 		b.EnsureElem(fmt.Sprintf("e%d", i))
 	}
 	for b.Rel("E").Len() < nE {
@@ -167,7 +182,7 @@ func solverRows(sub, b *structure.Structure, iface []int) []string {
 }
 
 // predRows lists t's rows that keep accepts (nil: all), read from its
-// rows(0) when it was born as rows, so that listing them builds no tuples.
+// rows(0) when it is on rows.
 func predRows(t *Table, keep func(row []int) bool) []string {
 	if bornRows(t) {
 		return bitPairs(t.bitRows[0], t.dom, false, keep)
@@ -186,16 +201,17 @@ func predRows(t *Table, keep func(row []int) bool) []string {
 	return rows
 }
 
-// bornRows reports whether t was born as rows and has no tuples yet.
-func bornRows(t *Table) bool { return t.flat == nil && t.n > 0 }
+// bornRows reports whether t is a non-empty table on rows.
+func bornRows(t *Table) bool { return t.stride != 0 && t.n > 0 }
 
 // bitPairs lists the pairs [u v] of the dom × dom bit matrix m (bit v of
-// row u), as [v u] if swap, that keep accepts (nil: all).
+// row u; a table's rows are len(m)/dom words apart), as [v u] if swap,
+// that keep accepts (nil: all).
 func bitPairs(m []uint64, dom int, swap bool, keep func(row []int) bool) []string {
 	var rows []string
-	words := (dom + 63) / 64
+	words, stride := (dom+63)/64, len(m)/dom
 	for u := 0; u < dom; u++ {
-		for v := range eachBit(m[u*words:][:words]) {
+		for v := range bitvec.Each(m[u*stride:][:words]) {
 			row := []int{u, v}
 			if swap {
 				row[0], row[1] = v, u
@@ -347,39 +363,10 @@ func TestPredicateTableRowsMatchTuples(t *testing.T) {
 	}
 }
 
-// A table born as rows has no tuples until a consumer of tuples asks for
-// them: binding a delta (sparse) run over it lays them out, once, from the
-// rows, and the run counts what the rows run counts.
-func TestSparseRunLaysOutBornRows(t *testing.T) {
-	pl, pred := predicateFixture(t)
-	pc := pl.(*fptPlan).comps[0]
-	const n = 120
-	tab := NewSession(workload.RandomStructure(workload.EdgeSig(), n, 8.0/n, 20160626)).tableFor(pred, nil)
-	if !bornRows(tab) {
-		t.Fatal("the quantified 3-path's predicate table at |B| = 120 was not born as rows")
-	}
-	rows, tables := predRows(tab, nil), []*Table{tab}
-	before := tupleLayouts.Load()
-	want, _ := joinCount(pc, newExecPlan(pc, tables, n, nil), n, nil)
-	if laid := tupleLayouts.Load() - before; laid != 0 {
-		t.Fatalf("a run on rows laid the table out as tuples %d times", laid)
-	}
-	got, _ := joinCount(pc, newExecPlan(pc, tables, n, make([][]uint64, pc.nActive)), n, nil)
-	if laid := tupleLayouts.Load() - before; laid != 1 {
-		t.Fatalf("binding a sparse run laid the table out as tuples %d times, want 1", laid)
-	}
-	if got.Cmp(want) != 0 || want.Int64() != int64(len(rows)) {
-		t.Fatalf("sparse run %v, run on rows %v, %d rows", got, want, len(rows))
-	}
-	if tuples := predRows(tab, nil); fmt.Sprint(tuples) != fmt.Sprint(rows) {
-		t.Fatalf("tuples laid out from the rows\n %v\nrows\n %v", tuples, rows)
-	}
-}
-
-// Counts that share a session share its tables born as rows and the
-// pooled accumulators: goroutines that at once lay out a born table's
-// other orientation or its tuples, and count through it or through a
-// 4-cycle's flat weights, all count right (run under -race).
+// Counts that share a session share its tables built as rows and the
+// pooled accumulators: goroutines that at once transpose a predicate
+// table's other orientation, and count through it or through a 4-cycle's
+// flat weights, all count right (run under -race).
 func TestBornRowsSharedAcrossGoroutines(t *testing.T) {
 	pl, pred := predicateFixture(t)
 	c4, err := Compile(compilePP(t, workload.EdgeSig(), "c4(a,b,c,d) := E(a,b) & E(b,c) & E(c,d) & E(d,a)"), FPT)
@@ -400,11 +387,8 @@ func TestBornRowsSharedAcrossGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			switch tab := s.tableFor(pred, nil); g % 3 {
-			case 0:
+			if tab := s.tableFor(pred, nil); g%2 == 0 {
 				tab.rows(1)
-			case 1:
-				newExecPlan(pl.(*fptPlan).comps[0], []*Table{tab}, b.Size(), make([][]uint64, pl.(*fptPlan).comps[0].nActive))
 			}
 			for i, p := range plans {
 				if got, err := p.CountIn(context.Background(), s); err != nil || got.Cmp(want[i]) != 0 {

@@ -1,6 +1,10 @@
 package engine
 
-import "slices"
+import (
+	"slices"
+
+	"repro/internal/bitvec"
+)
 
 // Semi-join pre-pruning: before the join-count DP runs, each constraint
 // table is reduced against the value supports of every other constraint
@@ -11,17 +15,19 @@ import "slices"
 // shrinking the intermediate tables the DP joins and groups — and the
 // prefix indexes the bound plan builds over them.
 //
-// The pass works entirely in word bitmaps (words.go), one pass over two
-// layouts.  Supports and per-variable allowed sets are value bitmaps
-// intersected 64 values per word op.  What survives of a table is kept
-// in its own layout.  A table on rows (Table.rows) is its bit matrix,
-// copied at its first kill: column 0's support is the set of non-empty
-// rows, column 1's the OR of the rows, and killing clears the rows whose
-// value is not allowed and ANDs the others with the allowed set — a
-// round is O(|B|·⌈|B|/64⌉) words whatever the table holds.  Any other
-// table is an alive mask over its tuples (bit r = row r survives).  The
-// session-shared input tables are never mutated; the survivors are
-// compacted once, at the end, into fresh tables of the same layout.
+// The pass works entirely in word bitmaps (internal/bitvec), one pass over
+// a table's two layouts.  Supports and per-variable allowed sets are value
+// bitmaps intersected 64 values per word op.  What survives of a table is
+// kept in its own layout.  A table on rows (Table.rows) is its bit matrix,
+// its rows the table's stride apart (a store view's can be wider than
+// ⌈|B|/64⌉ words), copied at its first kill: column 0's support is the
+// set of non-empty rows, column 1's the OR of the rows, and killing
+// clears the rows whose value is not allowed and ANDs the others with the
+// allowed set — a round is O(|B|·⌈|B|/64⌉) words whatever the table
+// holds.  Any other table is an alive mask over its tuples (bit r = row r
+// survives).  The session-shared input tables are never mutated; the
+// survivors are compacted once, at the end, into fresh tables of the same
+// layout.
 //
 // There is one strategy, a bounded scanning fixpoint: each round
 // rebuilds the per-variable allowed sets from the live rows and kills
@@ -106,20 +112,20 @@ func semiJoinPrune(pc *planComponent, tables []*Table, domSize int) ([]*Table, b
 				clear(support)
 				a0 := allowedOf(scope[0])
 				for u := 0; u < domSize; u++ {
-					if !orWords(support, m[u*words:]) {
+					if !bitvec.Or(support, m[u*t.stride:]) {
 						a0[u>>6] &^= 1 << (u & 63)
 					}
 				}
-				andWords(allowedOf(scope[1]), support)
+				bitvec.And(allowedOf(scope[1]), support)
 				continue
 			}
 			for j, v := range scope {
 				clear(support)
-				for r := range eachBit(m) {
+				for r := range bitvec.Each(m) {
 					u := int(t.flat[r*t.width+j])
 					support[u>>6] |= 1 << (u & 63)
 				}
-				andWords(allowedOf(v), support)
+				bitvec.And(allowedOf(v), support)
 			}
 		}
 		for v := 0; v < nv; v++ {
@@ -137,24 +143,24 @@ func semiJoinPrune(pc *planComponent, tables []*Table, domSize int) ([]*Table, b
 				// shrunken allowed set can kill some.
 				a0, a1 := allowedOf(scope[0]), allowedOf(scope[1])
 				for u := 0; u < domSize; u++ {
-					row, keep, dead := m[u*words:][:words], a0[u>>6]>>(u&63)&1 != 0, 0
+					row, keep, dead := m[u*t.stride:][:words], a0[u>>6]>>(u&63)&1 != 0, 0
 					switch {
 					case keep && varChanged[scope[1]]:
-						dead = countAndNotWords(row, a1)
+						dead = bitvec.CountAndNot(row, a1)
 					case !keep && varChanged[scope[0]]:
-						dead = countWords(row)
+						dead = bitvec.Count(row)
 					}
 					if dead == 0 {
 						continue
 					}
 					if !owned[ci] { // the first kill copies the table's rows
-						c := t.ar.allocU64(domSize * words)
+						c := t.ar.allocU64(domSize * t.stride)
 						copy(c, m)
-						m, row = c, c[u*words:][:words]
+						m, row = c, c[u*t.stride:][:words]
 						alive[ci], owned[ci] = c, true
 					}
 					if keep {
-						andWords(row, a1)
+						bitvec.And(row, a1)
 					} else {
 						clear(row)
 					}
@@ -168,7 +174,7 @@ func semiJoinPrune(pc *planComponent, tables []*Table, domSize int) ([]*Table, b
 						continue
 					}
 					ab := allowedOf(v)
-					for r := range eachBit(m) { // eachBit holds a copy of the word it is in
+					for r := range bitvec.Each(m) { // Each holds a copy of the word it is in
 						if u := int(t.flat[r*w+j]); ab[u>>6]&(1<<(u&63)) == 0 {
 							m[r>>6] &^= 1 << (r & 63)
 							liveN[ci]--
@@ -198,13 +204,13 @@ func semiJoinPrune(pc *planComponent, tables []*Table, domSize int) ([]*Table, b
 			continue
 		}
 		if onRows[ci] {
-			out[ci] = rowsTable(alive[ci], t.dom, t.ar)
+			out[ci] = rowsTable(alive[ci], t.stride, t.dom, t.ar)
 			continue
 		}
 		nt := newTable(t.width, t.dom, t.ar)
 		dst := t.ar.allocI32(liveN[ci] * t.width)
 		o := 0
-		for r := range eachBit(alive[ci]) {
+		for r := range bitvec.Each(alive[ci]) {
 			copy(dst[o:o+t.width], t.flat[r*t.width:(r+1)*t.width])
 			o += t.width
 		}

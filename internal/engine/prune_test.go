@@ -86,14 +86,14 @@ func checkPrunePreservesCount(t *testing.T, label string, pc *planComponent, tab
 	for ci, tb := range tables {
 		lens[ci] = tb.Len()
 	}
-	want, _ := joinCount(pc, newExecPlan(pc, tables, dom, nil), dom, nil)
+	want, _ := joinCount(pc, newExecPlan(pc, tables, nil), dom, nil)
 	pruned, empty := semiJoinPrune(pc, tables, dom)
 	if empty {
 		if want.Sign() != 0 {
 			t.Fatalf("%s: pruned to empty but the unpruned count is %v", label, want)
 		}
 	} else {
-		got, _ := joinCount(pc, newExecPlan(pc, pruned, dom, nil), dom, nil)
+		got, _ := joinCount(pc, newExecPlan(pc, pruned, nil), dom, nil)
 		if want.Cmp(got) != 0 {
 			t.Fatalf("%s: pruned count %v != unpruned %v", label, got, want)
 		}
@@ -112,22 +112,28 @@ func checkPrunePreservesCount(t *testing.T, label string, pc *planComponent, tab
 
 // TestPruneRowsMatchTuples runs the prune on both layouts of the same
 // tables: random components — a random ∃-component's nested run and the
-// liberal components of a random ep-query's disjuncts — over a structure
-// whose binary tables fit rows, and over that structure padded with
-// isolated elements until nothing does (PadIsolated keeps every value).
-// Table by table the rows prune and the tuple prune agree on empty and on
-// the rows that survive.
+// liberal components of a random ep-query's disjuncts — and a component
+// with reversed atoms, over a structure whose binary tables fit rows, and
+// over that structure padded with isolated elements until nothing does
+// (PadIsolated keeps every value).  Table by table the rows prune and the
+// tuple prune agree on empty and on the rows that survive.  The last
+// rounds draw structures grown from 64 elements, whose store rows are
+// wider apart than ⌈|B|/64⌉ words.
 func TestPruneRowsMatchTuples(t *testing.T) {
 	rounds := 120
 	if testing.Short() {
 		rounds = 30
 	}
 	sig := predSig()
+	rev, err := Compile(compilePP(t, sig, "rev(x,y,z) := E(y,x) & E(z,y) & E(z,z)"), FPT)
+	if err != nil {
+		t.Fatal(err)
+	}
 	onRows := 0
-	for seed := 0; seed < rounds; seed++ {
+	for seed := 0; seed < rounds+rounds/4; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		c, _, _, _ := existsConstraint(t, randomExistsComponent(rng))
-		comps := []*planComponent{c.pred}
+		comps := append([]*planComponent{c.pred}, rev.(*fptPlan).comps...)
 		q := workload.RandomEPQuery(sig, 2, 4, 2, 3+rng.Intn(3), int64(seed))
 		for _, d := range q.Disjuncts() {
 			p, err := pp.FromDisjunct(sig, q.Lib, d)
@@ -144,8 +150,11 @@ func TestPruneRowsMatchTuples(t *testing.T) {
 				}
 			}
 		}
-		n := []int{64, 65, 128, 200}[seed%4]
-		b := RowsStructure(n, (2+rng.Intn(6))*n, rng.Intn(2*n), int64(seed))
+		n, build := []int{64, 65, 128, 200}[seed%4], RowsStructure
+		if seed >= rounds {
+			n, build = 130, GrownRowsStructure
+		}
+		b := build(n, (2+rng.Intn(6))*n, rng.Intn(2*n), int64(seed))
 		pad := PadIsolated(b)
 		onB, onPad := NewSession(b), NewSession(pad)
 		tablesIn := func(s *Session, pc *planComponent) []*Table {

@@ -67,6 +67,7 @@ func rowsQueries() []rowsQuery {
 		{q: parser.MustQuery("star3(x,y) := exists c. exists d. E(c,x) & E(y,c) & E(c,d)"), tail: true},
 		{q: parser.MustQuery("tern(x,y) := exists z. R(x,y,z) & E(z,x)")},
 		{q: parser.MustQuery("u(x,y) := E(x,y) | (exists z. E(x,z) & E(z,y)) | E(y,x) | (exists w. E(y,w) & E(w,x))"), tail: true},
+		{q: parser.MustQuery("rev(x,y,z) := E(y,x) & E(z,y) & E(z,x)"), tail: true, free: true},
 	}
 	for seed := int64(0); seed < 12; seed++ {
 		qs = append(qs, rowsQuery{q: workload.RandomEPQuery(engine.PredSig(), 1+int(seed%3), 4+int(seed%2), 2, 3+int(seed%3), seed)})
@@ -77,7 +78,7 @@ func rowsQueries() []rowsQuery {
 func TestRowsDifferential(t *testing.T) {
 	queries := rowsQueries()
 	if testing.Short() {
-		queries = queries[:16]
+		queries = queries[:17]
 	}
 	counters := make([][2]*core.Counter, len(queries))
 	for i, rq := range queries {
@@ -102,14 +103,18 @@ func TestRowsDifferential(t *testing.T) {
 		c.Release(b)
 		return v, engine.RowBinds() - before
 	}
-	for _, n := range []int{63, 64, 65, 127, 128, 129, 200} {
+	for _, n := range []int{63, 64, 65, 127, 128, 129, 130, 200} {
 		fits := n * ((n + 63) / 64) / 5 // E-tuples at which the layout starts to fit
+		build := engine.RowsStructure
+		if n == 130 { // grown from 64 elements: the store's stride (4) is wider than ⌈130/64⌉ (3)
+			build = engine.GrownRowsStructure
+		}
 		for _, dense := range []bool{false, true} {
 			nE := fits * 6 / 10
 			if dense {
 				nE = 10 * n
 			}
-			b := engine.RowsStructure(n, nE, 3*n, int64(n))
+			b := build(n, nE, 3*n, int64(n))
 			pad := engine.PadIsolated(b)
 			for i, rq := range queries {
 				name := fmt.Sprintf("|B| = %d, dense = %v, query %v", n, dense, rq.q)

@@ -377,7 +377,7 @@ func (s *Session) execPlanFor(pc *planComponent, tables []*Table) (*execPlan, bo
 			e.empty = true
 			return
 		}
-		e.ep = newExecPlan(pc, pruned, s.B.Size(), nil)
+		e.ep = newExecPlan(pc, pruned, nil)
 	})
 	return e.ep, e.empty
 }
@@ -410,17 +410,22 @@ func (s *Session) tableFor(c *planConstraint, done <-chan struct{}) *Table {
 	return e.t
 }
 
-// materializeAtom projects B's relation through the atom's template
-// directly off the columnar store into the table's flat row-major cells
-// (no [][]int materialization of the relation).  Nothing is deduplicated
-// because nothing can repeat: every argument position maps to a scope
-// position, so the projection is injective on the rows that pass the
+// materializeAtom returns the atom's table: the store's rows themselves
+// for a plain binary atom over a relation that keeps them (storeRows),
+// else B's relation projected through the atom's template directly off
+// the columnar store into the table's flat row-major cells (no [][]int
+// materialization of the relation).  Nothing is deduplicated because
+// nothing can repeat: every argument position maps to a scope position,
+// so the projection is injective on the rows that pass the
 // repeated-variable filter, and a relation is a set — the table has one
 // row per passing relation row, in row order.
 func (s *Session) materializeAtom(c *planConstraint) *Table {
+	rel := s.B.Rel(c.rel)
+	if t := storeRows(c, rel, s.B.Size(), s.arenaFor()); t != nil {
+		return t
+	}
 	width := len(c.scope)
 	t := newTable(width, s.B.Size(), s.arenaFor())
-	rel := s.B.Rel(c.rel)
 	n := rel.Len()
 	t.flat = t.ar.allocI32(n * width)[:0]
 	vals := make([]int, width)
@@ -458,11 +463,11 @@ func (c *planConstraint) project(rel *structure.Relation, row int, vals []int) b
 // The run is one-shot per (predicate, session), so everything it binds —
 // pruned table copies, prefix indexes, the bind plan — lives in a scratch
 // arena returned to the pools before the rows are emitted.  The answer is
-// born as rows when it is a flat key set (wmap.bits) on two positions
-// that fits them: the key set's own words, which are its rows (copied
-// only to close up a stride wider than the universe's rows).  Otherwise
-// it goes to the session arena as tuples.  Returns nil when done fired
-// mid-run.
+// built as rows when it is on two positions and fits them, whatever form
+// its key set has: a flat one's words are its rows already (unless the
+// key's stride is wider than the universe's rows), a hashed or spilled
+// one's keys set the rows' bits.  Otherwise it goes to the session arena
+// as tuples.  Returns nil when done fired mid-run.
 func (s *Session) materializePredicate(c *planConstraint, done <-chan struct{}) *Table {
 	dom := s.B.Size()
 	out := newTable(len(c.scope), dom, s.arenaFor())
@@ -474,28 +479,27 @@ func (s *Session) materializePredicate(c *planConstraint, done <-chan struct{}) 
 		if at.n == 0 {
 			return out // an atom of the component has no rows: nothing extends
 		}
-		// A view of the shared cells (session tables are never appended to)
-		// whose indexes and rows are scratch too.
-		tables[i] = &Table{width: at.width, n: at.n, dom: dom, flat: at.flat, ar: scratch}
+		// A view of the shared table (its layout is fixed when it is built)
+		// whose indexes, transposes and pruned copies are scratch.
+		tables[i] = &Table{width: at.width, n: at.n, dom: dom, flat: at.flat, bitRows: at.bitRows, stride: at.stride, ar: scratch}
 	}
 	pruned, empty := semiJoinPrune(c.pred, tables, dom)
 	if empty {
 		return out
 	}
-	keys, aborted := projectKeys(c.pred, newExecPlan(c.pred, pruned, dom, nil), dom, c.predProj, scratch, done)
+	keys, aborted := projectKeys(c.pred, newExecPlan(c.pred, pruned, nil), dom, c.predProj, scratch, done)
 	if aborted {
 		return nil
 	}
-	if keys.bits != nil && out.width == 2 && dom >= rowsMinDom && structure.BitRowsFit(2, dom, keys.len()) {
-		// Row u of the key set is its keys u<<bits | v, stride words apart.
-		m, words, stride := keys.bits, (dom+63)/64, 1<<(keys.codec.bits-6)
-		if stride != words {
-			m = make([]uint64, dom*words)
-			for u := 0; u < dom; u++ {
-				copy(m[u*words:][:words], keys.bits[u*stride:])
-			}
+	if out.width == 2 && dom >= rowsMinDom && structure.BitRowsFit(2, dom, keys.len()) {
+		// Row u of a flat key set is its keys u<<bits | v, 1<<(bits-6) words.
+		m, words := keys.bits, (dom+63)/64
+		if m == nil || 1<<(keys.codec.bits-6) != words {
+			m = out.ar.allocU64(dom * words)
+			clear(m)
+			keys.forEach(make([]int, 2), func(uv []int, _ wnum) { m[uv[0]*words+uv[1]>>6] |= 1 << (uv[1] & 63) })
 		}
-		return rowsTable(m, dom, out.ar)
+		return rowsTable(m[:dom*words], words, dom, out.ar)
 	}
 	tupleLayouts.Add(1)
 	out.flat = out.ar.allocI32(keys.len() * out.width)[:0]

@@ -90,10 +90,10 @@ func TestSemiJoinPrunePreservesJoinCount(t *testing.T) {
 // materializes the ∃-component binds pruned table copies, prefix indexes
 // and a bind plan, all one-shot, and returns them before it emits the
 // rows.  One cold count of the quantified 3-path at the repository
-// benchmark's cold-exec size holds one pooled chunk, as it did when the
-// hom solver enumerated the predicate and bound nothing at all; retiring
-// the session returns it.
-func TestPredicateCountHoldsOneArenaChunk(t *testing.T) {
+// benchmark's cold-exec size holds no pooled chunk at all: its atom
+// tables are the store's rows, and its predicate's rows are the key set's
+// own words; retiring the session leaves the balance where it was.
+func TestPredicateCountHoldsNoArenaChunk(t *testing.T) {
 	sig := workload.EdgeSig()
 	p := compilePP(t, sig, "p(s,t) := exists a. exists b. E(s,a) & E(a,b) & E(b,t)")
 	pl, err := Compile(p, FPT)
@@ -106,8 +106,8 @@ func TestPredicateCountHoldsOneArenaChunk(t *testing.T) {
 	if _, err := pl.CountIn(context.Background(), s); err != nil {
 		t.Fatal(err)
 	}
-	if held := ArenaChunksLive() - base; held != 1 {
-		t.Fatalf("one cold predicate count holds %d arena chunks in its session, want 1", held)
+	if held := ArenaChunksLive() - base; held != 0 {
+		t.Fatalf("one cold predicate count holds %d arena chunks in its session, want 0", held)
 	}
 	s.retire()
 	if live := ArenaChunksLive(); live != base {

@@ -2,7 +2,8 @@ package hom
 
 import "math/bits"
 
-// bitset is a fixed-capacity set of small non-negative integers.
+// bitset is a fixed-capacity set of small non-negative integers; the
+// word kernel (internal/bitvec) counts and iterates it.
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
@@ -25,14 +26,6 @@ func (b bitset) zero() {
 	for i := range b {
 		b[i] = 0
 	}
-}
-
-func (b bitset) count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // intersect replaces b with b ∩ o and reports whether b changed.
@@ -85,19 +78,4 @@ func (b bitset) first() int {
 		}
 	}
 	return -1
-}
-
-// forEach calls fn on each member in increasing order; fn returning false
-// stops the iteration early and forEach returns false.
-func (b bitset) forEach(fn func(int) bool) bool {
-	for i, w := range b {
-		for w != 0 {
-			j := bits.TrailingZeros64(w)
-			w &^= 1 << j
-			if !fn(i*64 + j) {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"repro/internal/bitvec"
 	"repro/internal/structure"
 )
 
@@ -299,7 +300,7 @@ func (s *solver) propagate(dom []bitset, from int) bool {
 // domain is empty.
 func reviseBits(c *constraint, dom, support []bitset) bool {
 	small, other, rows := 0, 1, c.fwd
-	cs, co := dom[c.vars[0]].count(), dom[c.vars[1]].count()
+	cs, co := bitvec.Count(dom[c.vars[0]]), bitvec.Count(dom[c.vars[1]])
 	if co < cs {
 		small, other, rows = 1, 0, c.bwd
 		cs, co = co, cs
@@ -346,7 +347,7 @@ func (s *solver) reviseRows(c *constraint, dom, support []bitset) bool {
 	// posting lookups when almost every row qualifies anyway.
 	bestPos, bestCnt := -1, 1<<30
 	for p, v := range c.vars {
-		if cnt := dom[v].count(); cnt < bestCnt {
+		if cnt := bitvec.Count(dom[v]); cnt < bestCnt {
 			bestPos, bestCnt = p, cnt
 		}
 	}
@@ -365,10 +366,9 @@ func (s *solver) reviseRows(c *constraint, dom, support []bitset) bool {
 		// holding one value at the pivot position), then visit each
 		// candidate row once in increasing, cache-friendly order.
 		words := s.candWords(c.brel.Len())
-		dom[vars[bestPos]].forEach(func(val int) bool {
+		for val := range bitvec.Each(dom[vars[bestPos]]) {
 			c.brel.RowsWith(bestPos, val).UnionIntoWords(words)
-			return true
-		})
+		}
 		for wi, w := range words {
 			for w != 0 {
 				j := bits.TrailingZeros64(w)
@@ -419,7 +419,7 @@ func (s *solver) propagateAllDiff(dom []bitset) bool {
 	for changed {
 		changed = false
 		for v := 0; v < s.nA; v++ {
-			if !s.allDiff[v] || dom[v].count() != 1 {
+			if !s.allDiff[v] || bitvec.Count(dom[v]) != 1 {
 				continue
 			}
 			b := dom[v].first()
@@ -453,7 +453,7 @@ func (s *solver) searchRec(dom []bitset, onSolution func(assign []int) bool) boo
 	// MRV: pick unfixed variable with smallest domain > 1.
 	pick, pickCnt := -1, 1<<30
 	for v := 0; v < s.nA; v++ {
-		c := dom[v].count()
+		c := bitvec.Count(dom[v])
 		if c == 0 {
 			return true
 		}
@@ -479,18 +479,20 @@ func (s *solver) searchRec(dom []bitset, onSolution func(assign []int) bool) boo
 		}
 		return onSolution(assign)
 	}
-	cont := true
-	dom[pick].forEach(func(b int) bool {
+	for b := range bitvec.Each(dom[pick]) {
 		nd := s.cloneDoms(dom)
 		nd[pick].zero()
 		nd[pick].set(b)
+		cont := true
 		if s.propagateAllDiff(nd) && s.propagate(nd, pick) {
 			cont = s.searchRec(nd, onSolution)
 		}
 		s.releaseDoms(nd)
-		return cont
-	})
-	return cont
+		if !cont {
+			return false
+		}
+	}
+	return true
 }
 
 // initialDomains propagates the solver's initial domains in place and
@@ -574,19 +576,21 @@ func ForEachExtendable(A, B *structure.Structure, proj []int, opts Options, fn f
 			return fn(vals)
 		}
 		v := proj[i]
-		cont := true
-		dom[v].forEach(func(b int) bool {
+		for b := range bitvec.Each(dom[v]) {
 			nd := s.cloneDoms(dom)
 			nd[v].zero()
 			nd[v].set(b)
+			cont := true
 			if s.propagateAllDiff(nd) && s.propagate(nd, v) {
 				vals[i] = b
 				cont = rec(i+1, nd)
 			}
 			s.releaseDoms(nd)
-			return cont
-		})
-		return cont
+			if !cont {
+				return false
+			}
+		}
+		return true
 	}
 	rec(0, dom)
 }
@@ -632,7 +636,7 @@ func Retract(A *structure.Structure, fixed []int) []int {
 	inI, img := newBitset(s.nA), newBitset(s.nA)
 	inI.fill(s.nA)
 	for v := 0; v < s.nA; v++ {
-		if !inI.has(v) || (base[v].has(v) && base[v].count() == 1) {
+		if !inI.has(v) || (base[v].has(v) && bitvec.Count(base[v]) == 1) {
 			// Already dropped, or every solution maps v to itself.
 			continue
 		}
@@ -642,10 +646,9 @@ func Retract(A *structure.Structure, fixed []int) []int {
 		}
 		dropped := s.propagate(nd, -1) && s.search(nd, func(h []int) bool {
 			img.zero()
-			inI.forEach(func(u int) bool {
+			for u := range bitvec.Each(inI) {
 				img.set(h[u])
-				return true
-			})
+			}
 			return false
 		})
 		s.releaseDoms(nd)
@@ -657,11 +660,10 @@ func Retract(A *structure.Structure, fixed []int) []int {
 			s.propagate(base, -1)
 		}
 	}
-	keep := make([]int, 0, inI.count())
-	inI.forEach(func(v int) bool {
+	keep := make([]int, 0, bitvec.Count(inI))
+	for v := range bitvec.Each(inI) {
 		keep = append(keep, v)
-		return true
-	})
+	}
 	return keep
 }
 

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/structure"
 )
 
@@ -128,7 +129,7 @@ func TestReviseKernelsAgreeOnDomains(t *testing.T) {
 			}
 			// Fix variables one by one, as search and the sampler do.
 			for v := 0; okb && v < sb.nA; v++ {
-				pick := db[v].nth(rng.Intn(db[v].count()))
+				pick := db[v].nth(rng.Intn(bitvec.Count(db[v])))
 				for _, d := range [][]bitset{db, dr} {
 					d[v].zero()
 					d[v].set(pick)

@@ -3,6 +3,7 @@ package hom
 import (
 	"math/rand"
 
+	"repro/internal/bitvec"
 	"repro/internal/structure"
 )
 
@@ -82,7 +83,7 @@ func (sp *Sampler) Sample(rng *rand.Rand) float64 {
 func (sp *Sampler) draw(dom []bitset, rng *rand.Rand) float64 {
 	w := 1.0
 	for _, v := range sp.proj {
-		c := dom[v].count()
+		c := bitvec.Count(dom[v])
 		if c == 0 {
 			return 0
 		}

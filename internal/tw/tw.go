@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/bitvec"
 	"repro/internal/graph"
 )
 
@@ -233,30 +234,11 @@ func (a adjBits) row(v int) []uint64 { return a.bits[v*a.w : (v+1)*a.w] }
 
 // clique makes the vertices of set pairwise adjacent.
 func (a adjBits) clique(set []uint64) {
-	forEachBit(set, func(u int) {
+	for u := range bitvec.Each(set) {
 		row := a.row(u)
-		for i, m := range set {
-			row[i] |= m
-		}
+		bitvec.Or(row, set)
 		row[u>>6] &^= 1 << (uint(u) & 63)
-	})
-}
-
-// forEachBit calls fn with the index of every set bit, ascending.
-func forEachBit(set []uint64, fn func(v int)) {
-	for i, m := range set {
-		for ; m != 0; m &= m - 1 {
-			fn(i<<6 + bits.TrailingZeros64(m))
-		}
 	}
-}
-
-func popcount(set []uint64) int {
-	c := 0
-	for _, m := range set {
-		c += bits.OnesCount64(m)
-	}
-	return c
 }
 
 // FromEliminationOrder builds a tree decomposition from an elimination
@@ -290,14 +272,14 @@ func fromEliminationOrder(adj adjBits, order []int) *Decomposition {
 		for j, m := range adj.row(v) {
 			later[j] = m & left[j]
 		}
-		bag := make([]int, 0, popcount(later)+1)
+		bag := make([]int, 0, bitvec.Count(later)+1)
 		placed := false
-		forEachBit(later, func(u int) {
+		for u := range bitvec.Each(later) {
 			if !placed && u > v {
 				bag, placed = append(bag, v), true
 			}
 			bag = append(bag, u)
-		})
+		}
 		if !placed {
 			bag = append(bag, v)
 		}
@@ -356,22 +338,19 @@ func minFillOrder(adj adjBits) []int {
 	order := make([]int, 0, n)
 	for len(order) < n {
 		best, bestFill, bestDeg := -1, 1<<30, 1<<30
-		forEachBit(alive, func(v int) {
+		for v := range bitvec.Each(alive) {
 			liveNbrs(v)
-			deg := popcount(nbrs)
+			deg := bitvec.Count(nbrs)
 			// Each missing edge {a,b} among the neighbours is seen from a
 			// and from b; a itself is in nbrs and not in its own row.
 			missing := 0
-			forEachBit(nbrs, func(a int) {
-				for j, m := range adj.row(a) {
-					missing += bits.OnesCount64(nbrs[j] &^ m)
-				}
-				missing--
-			})
+			for a := range bitvec.Each(nbrs) {
+				missing += bitvec.CountAndNot(nbrs, adj.row(a)) - 1
+			}
 			if fill := missing / 2; fill < bestFill || (fill == bestFill && deg < bestDeg) {
 				best, bestFill, bestDeg = v, fill, deg
 			}
-		})
+		}
 		order = append(order, best)
 		alive[best>>6] &^= 1 << (uint(best) & 63)
 		liveNbrs(best)
@@ -395,7 +374,7 @@ func lowerBoundMMD(adj adjBits) int {
 	alive := make([]bool, n)
 	for v := 0; v < n; v++ {
 		alive[v] = true
-		deg[v] = popcount(adj.row(v))
+		deg[v] = bitvec.Count(adj.row(v))
 	}
 	lb, remaining := 0, n
 	for remaining > 0 {
@@ -410,11 +389,11 @@ func lowerBoundMMD(adj adjBits) int {
 		}
 		alive[best] = false
 		remaining--
-		forEachBit(adj.row(best), func(u int) {
+		for u := range bitvec.Each(adj.row(best)) {
 			if alive[u] {
 				deg[u]--
 			}
-		})
+		}
 	}
 	return lb
 }
