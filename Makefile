@@ -25,9 +25,10 @@ doccheck:
 # classes of the repository benchmark's cold-exec workload in process
 # (one by one and at the workload's mix) beside the other
 # materialization benchmarks, + the engine delta guard: on an
-# append+count mix, sparse and dense, the delta path must beat forced
-# full recounts by ≥ 20x — a same-machine relative bound, independent of
-# absolute CI machine speed.
+# append+count mix — sparse and dense on the store's bit rows, and on a
+# relation too sparse for rows, where a delta term walks posting lists —
+# the delta path must beat forced full recounts by ≥ 20x — a
+# same-machine relative bound, independent of absolute CI machine speed.
 bench-smoke:
 	$(GO) test -run XXX -bench 'JoinCount|FPT|UnionDedup|Advance_' -benchmem -benchtime 0.2s .
 	$(GO) test -run XXX -bench 'Materialize_|ColdExec_' -benchmem -benchtime 0.2s ./internal/engine

@@ -17,7 +17,7 @@ import (
 // a batch + keyed counts per step) must beat the full-recount baseline by
 // at least 20x — a same-machine relative bound that catches regressions
 // in the incremental path (delta.go) without depending on absolute CI
-// speed.  Two regimes:
+// speed.  Three regimes:
 //
 //   - sparse: the triangle on 1040 elements of degree ≈ 16, where the
 //     recount on rows (Table.rows) had come within 14–17x of the advance
@@ -27,7 +27,12 @@ import (
 //     term's supports cover most of the universe.  Delta terms that walked
 //     posting lists and hashed tuples read ≈ 5x here (31 against 145 ms
 //     for the 24 steps, 2 vCPUs); on the store's rows they read ≈ 40x, so
-//     a silent fallback to tuples fails the guard.
+//     a silent fallback to tuples fails the guard;
+//   - posting: the triangle and the 4-cycle on G(4000, 0.001), where E is
+//     too sparse for its universe to keep rows (BitRowsFit), so a delta
+//     term walks the posting lists of its seed values (RowsWith) and stops
+//     each at the snapshot cut.  It reads ≈ 400x; a walk that scans the
+//     row range instead of the lists reads ≈ 8x and fails the guard.
 //
 // Gated behind EPCQ_BENCH_SMOKE so the normal test run stays fast.
 func TestBenchSmokeDeltaAppendCountMix(t *testing.T) {
@@ -45,6 +50,7 @@ func TestBenchSmokeDeltaAppendCountMix(t *testing.T) {
 	}{
 		{"sparse", 1040, 0.015, []string{tri}},
 		{"dense", 200, 0.35, []string{tri, c4}},
+		{"posting", 4000, 0.001, []string{tri, c4}},
 	} {
 		var plans []Plan
 		for _, src := range tc.queries {

@@ -401,7 +401,12 @@ func (w *seedWalk) reduce(ci, seed int, ar *arena) *Table {
 		arg++
 	}
 	for _, u := range w.vals[c.scope[seed]] {
-		if rel.RowsWith(arg, int(u)).ForEach(keep); w.aborted {
+		for _, r := range rel.RowsWith(arg, int(u)) {
+			if !keep(r) {
+				break
+			}
+		}
+		if w.aborted {
 			break
 		}
 	}

@@ -53,8 +53,8 @@ type solver struct {
 	// domFree is a freelist of domain-set copies (one flat backing array
 	// per entry) recycled across search branches; supBuf is the
 	// per-position support scratch of propagate; candBuf is the pooled
-	// candidate-row word bitmap the row kernel's posting-bitmap union
-	// accumulates into; queue/inQueue are propagate's worklist and assign
+	// candidate-row word bitmap the row kernel marks its posting lists'
+	// rows in; queue/inQueue are propagate's worklist and assign
 	// is search's solution buffer.  A solver serves one call and is
 	// single-threaded, so no locking is needed.
 	domFree [][]bitset
@@ -360,14 +360,16 @@ func (s *solver) reviseRows(c *constraint, dom, support []bitset) bool {
 	bcols := c.bcols
 	vars := c.vars
 	if 4*bestCnt < 3*s.nB {
-		// Restrictive pivot: union the posting bitmaps of the
-		// domain's values into one candidate-row word bitmap (64
-		// rows per op; the per-value bitmaps are disjoint, each row
-		// holding one value at the pivot position), then visit each
-		// candidate row once in increasing, cache-friendly order.
+		// Restrictive pivot: set the candidate-row bit of every row
+		// on the posting lists of the domain's values (the lists are
+		// disjoint, each row holding one value at the pivot
+		// position), then visit each candidate row once in
+		// increasing, cache-friendly order.
 		words := s.candWords(c.brel.Len())
 		for val := range bitvec.Each(dom[vars[bestPos]]) {
-			c.brel.RowsWith(bestPos, val).UnionIntoWords(words)
+			for _, r := range c.brel.RowsWith(bestPos, val) {
+				words[r>>6] |= 1 << (r & 63)
+			}
 		}
 		for wi, w := range words {
 			for w != 0 {

@@ -19,8 +19,9 @@ import (
 //   - every relation's columns have equal length (its Len), every
 //     stored value indexes a live element, the dedup set's cardinality
 //     matches, and the per-position posting lists partition exactly the
-//     row ids [0, Len()) — the incremental bitmaps agree with the flat
-//     columns they index; and the bit rows are the tuples' (auditRows).
+//     row ids [0, Len()), each list strictly ascending and agreeing with
+//     the flat column it indexes; and the bit rows are the tuples'
+//     (auditRows).
 func (s *Structure) Audit() error {
 	if got, want := s.version, uint64(s.Size()+s.NumTuples()); got != want {
 		return fmt.Errorf("structure: version %d, but %d elements + %d tuples imply %d",
@@ -55,19 +56,13 @@ func (s *Structure) Audit() error {
 		}
 		for p := range r.cols {
 			covered := 0
-			for v, bm := range r.posts[p] {
-				ok := true
-				bm.ForEach(func(row int32) bool {
-					if int(row) >= n || r.cols[p][row] != v {
-						ok = false
-						return false
+			for v, rows := range r.posts[p] {
+				for i, row := range rows {
+					if int(row) >= n || r.cols[p][row] != v || i > 0 && row <= rows[i-1] {
+						return fmt.Errorf("structure: %s posting list (pos %d, value %d) disagrees with column or does not ascend", rs.Name, p, v)
 					}
-					return true
-				})
-				if !ok {
-					return fmt.Errorf("structure: %s posting list (pos %d, value %d) disagrees with column", rs.Name, p, v)
 				}
-				covered += bm.Len()
+				covered += len(rows)
 			}
 			if covered != n {
 				return fmt.Errorf("structure: %s position %d posting lists cover %d of %d rows", rs.Name, p, covered, n)

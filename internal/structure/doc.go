@@ -5,18 +5,19 @@
 //
 // Universes are finite, non-empty sets of named elements.  Each relation
 // is held in a columnar Relation store: flat []int32 columns, a
-// packed-key tuple set for O(1) dedup/membership, and per-position
-// posting lists maintained incrementally on insertion.  Posting lists
-// are two-level roaring-style bitmaps (Bitmap): rows chunk by row>>16
-// into sorted-uint16 array containers (sparse) or 1024-word bitmap
-// containers (dense, promoted at 4096 entries).  A posting list is
-// appended to, iterated and unioned — the hom solver ors lists straight
-// into word-aligned candidate masks (UnionIntoWords) — and never
-// intersected: joins run on the engine's session table indexes.
-// Consumers iterate allocation-free with ForEachTuple/ForEachWith or
-// access columns through Rel; there is no materialized [][]int view.
-// Element order, relation-symbol order, and tuple insertion order are
-// deterministic so that all algorithms built on top are reproducible.
+// packed-key tuple set (a Go map) for O(1) dedup/membership, and
+// per-position posting lists appended to on insertion.  A posting list is
+// the ascending []int32 of the ids of the rows holding one value at one
+// position (RowsWith): rows are only appended, so it ascends by
+// construction, and Audit proves it.  Its readers — the hom solver's row
+// kernel and the engine's seeded delta walk — iterate it, never
+// intersect it: joins run on the engine's session table indexes.  A
+// binary relation dense enough for its universe (BitRowsFit) also keeps
+// value-space bit rows (BitRows).  Consumers iterate allocation-free with
+// ForEachTuple or access columns through Rel; there is no materialized
+// [][]int view.  Element order, relation-symbol order, and tuple
+// insertion order are deterministic so that all algorithms built on top
+// are reproducible.
 //
 // Concurrency discipline: a Structure is safe for any number of
 // concurrent readers, but mutation (AddElem/AddTuple/AddFact) requires

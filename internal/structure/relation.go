@@ -4,13 +4,11 @@ import "slices"
 
 // Relation is the columnar store of one relation's tuple set: a flat
 // []int32 column per position, a packed-key TupleSet for O(1)
-// dedup/membership, and per-position posting lists (value → row-id
-// Bitmap) that are maintained incrementally on every insert — never
-// rebuilt from scratch.  Postings are roaring-style Bitmaps (bitmap.go):
-// array containers while sparse, packed bitmap containers once dense, so
-// consumers union and intersect candidate rows 64 per word op instead of
-// one element at a time.  Rows are exposed through allocation-free
-// iteration (ForEachTuple, ForEachWith) and row views.
+// dedup/membership, and per-position posting lists (value → the ids of
+// the rows holding it there), appended to on every insert — never rebuilt
+// from scratch.  Row ids only grow, so every posting list ascends; its
+// readers iterate it (RowsWith) and may stop at a row cut.  Rows are
+// exposed through allocation-free iteration (ForEachTuple) and row views.
 //
 // A binary relation that fits BitRowsFit keeps value-space rows (fitRows).
 //
@@ -21,7 +19,7 @@ type Relation struct {
 	name  string
 	arity int
 	cols  [][]int32           // per position, len == Len()
-	posts []map[int32]*Bitmap // per position: value → row-id bitmap
+	posts []map[int32][]int32 // per position: value → ascending row ids
 	set   *TupleSet
 
 	fwd, bwd []uint64 // rows of u: {v : (u,v)}, {v : (v,u)}; nil unless it fits
@@ -33,11 +31,11 @@ func newRelation(name string, arity int) *Relation {
 		name:  name,
 		arity: arity,
 		cols:  make([][]int32, arity),
-		posts: make([]map[int32]*Bitmap, arity),
+		posts: make([]map[int32][]int32, arity),
 		set:   NewTupleSet(arity),
 	}
 	for p := range r.posts {
-		r.posts[p] = make(map[int32]*Bitmap)
+		r.posts[p] = make(map[int32][]int32)
 	}
 	return r
 }
@@ -66,12 +64,7 @@ func (r *Relation) add(t []int, dom int) bool {
 	row := int32(len(r.cols[0]))
 	for p, v := range t {
 		r.cols[p] = append(r.cols[p], int32(v))
-		bm := r.posts[p][int32(v)]
-		if bm == nil {
-			bm = &Bitmap{}
-			r.posts[p][int32(v)] = bm
-		}
-		bm.Add(row)
+		r.posts[p][int32(v)] = append(r.posts[p][int32(v)], row)
 	}
 	if r.fwd == nil {
 		r.fitRows(dom)
@@ -175,29 +168,10 @@ func (r *Relation) ForEachTupleIn(lo, hi int, fn func(t []int) bool) {
 	}
 }
 
-// ForEachWith visits every tuple whose position pos holds value v, via
-// the posting bitmap — no relation scan, no allocation beyond the shared
-// row buffer.  Returning false stops the iteration.
-func (r *Relation) ForEachWith(pos, v int, fn func(t []int) bool) {
-	if r == nil || pos < 0 || pos >= r.arity {
-		return
-	}
-	bm := r.posts[pos][int32(v)]
-	if bm.Len() == 0 {
-		return
-	}
-	buf := make([]int, r.arity)
-	bm.ForEach(func(i int32) bool {
-		for p := range r.cols {
-			buf[p] = int(r.cols[p][i])
-		}
-		return fn(buf)
-	})
-}
-
-// RowsWith returns the posting bitmap (row ids) of value v at position
-// pos as a shared read-only view; nil means no row holds v there.
-func (r *Relation) RowsWith(pos, v int) *Bitmap {
+// RowsWith returns the ascending ids of the rows holding value v at
+// position pos, as a shared read-only view; nil means no row holds v
+// there.
+func (r *Relation) RowsWith(pos, v int) []int32 {
 	if r == nil || pos < 0 || pos >= r.arity {
 		return nil
 	}
@@ -210,14 +184,14 @@ func (r *Relation) clone() *Relation {
 		name:  r.name,
 		arity: r.arity,
 		cols:  make([][]int32, r.arity),
-		posts: make([]map[int32]*Bitmap, r.arity),
+		posts: make([]map[int32][]int32, r.arity),
 		set:   r.set.clone(),
 	}
 	for p := range r.cols {
 		c.cols[p] = append([]int32(nil), r.cols[p]...)
-		c.posts[p] = make(map[int32]*Bitmap, len(r.posts[p]))
+		c.posts[p] = make(map[int32][]int32, len(r.posts[p]))
 		for v, rows := range r.posts[p] {
-			c.posts[p][v] = rows.clone()
+			c.posts[p][v] = slices.Clone(rows)
 		}
 	}
 	c.fwd, c.bwd, c.stride = slices.Clone(r.fwd), slices.Clone(r.bwd), r.stride

@@ -29,11 +29,11 @@ func TestRelationColumnsAndPostings(t *testing.T) {
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d, want 4 (dup ignored)", r.Len())
 	}
-	if got := r.RowsWith(0, 0).Len(); got != 2 {
-		t.Fatalf("RowsWith(0,0).Len() = %d, want 2", got)
+	if got := len(r.RowsWith(0, 0)); got != 2 {
+		t.Fatalf("len(RowsWith(0,0)) = %d, want 2", got)
 	}
-	if got := r.RowsWith(1, 2).Len(); got != 2 {
-		t.Fatalf("RowsWith(1,2).Len() = %d, want 2", got)
+	if got := len(r.RowsWith(1, 2)); got != 2 {
+		t.Fatalf("len(RowsWith(1,2)) = %d, want 2", got)
 	}
 	// Columns align with insertion order.
 	if r.Value(2, 0) != 0 || r.Value(2, 1) != 2 {
@@ -55,22 +55,20 @@ func TestPostingListsAreIncremental(t *testing.T) {
 		if err := s.AddTuple("E", 0, i); err != nil {
 			t.Fatal(err)
 		}
-		n := 0
-		s.ForEachWith("E", 0, 0, func(u []int) bool {
-			if u[0] != 0 {
-				t.Fatalf("ForEachWith yielded row with pos0 = %d", u[0])
+		rows := s.Rel("E").RowsWith(0, 0)
+		for _, r := range rows {
+			if v := s.Rel("E").Value(int(r), 0); v != 0 {
+				t.Fatalf("RowsWith listed row %d with pos0 = %d", r, v)
 			}
-			n++
-			return true
-		})
-		if n != i+1 {
-			t.Fatalf("after %d inserts: ForEachWith saw %d rows", i+1, n)
+		}
+		if len(rows) != i+1 {
+			t.Fatalf("after %d inserts: RowsWith listed %d rows", i+1, len(rows))
 		}
 	}
 }
 
-// The posting-list walk must yield exactly the rows a filtered full
-// iteration yields, in the same (insertion) order.
+// A posting list must hold exactly the rows a filtered full iteration
+// yields, in the same (insertion) order.
 func TestForEachWithMatchesFilteredScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := New(relTestSig())
@@ -90,12 +88,11 @@ func TestForEachWithMatchesFilteredScan(t *testing.T) {
 				}
 				return true
 			})
-			s.ForEachWith("T", pos, v, func(u []int) bool {
-				got = append(got, append([]int(nil), u...))
-				return true
-			})
+			for _, r := range s.Rel("T").RowsWith(pos, v) {
+				got = append(got, s.Rel("T").Row(int(r), make([]int, 3)))
+			}
 			if len(got) != len(want) {
-				t.Fatalf("pos %d val %d: ForEachWith %d rows, filtered scan %d", pos, v, len(got), len(want))
+				t.Fatalf("pos %d val %d: RowsWith %d rows, filtered scan %d", pos, v, len(got), len(want))
 			}
 			for i := range got {
 				for j := range got[i] {
@@ -133,6 +130,98 @@ func TestTupleSetPackedAndSpill(t *testing.T) {
 	if !wide.Add(w) {
 		t.Fatal("wide distinct tuple rejected")
 	}
+
+	// The all-zero tuple packs to key 0, a key like any other.
+	zero := NewTupleSet(3)
+	if zero.Contains([]int{0, 0, 0}) || !zero.Add([]int{0, 0, 0}) || zero.Add([]int{0, 0, 0}) ||
+		!zero.Contains([]int{0, 0, 0}) || zero.Contains([]int{0, 0, 1}) || zero.Len() != 1 {
+		t.Fatal("all-zero tuple dedup broken")
+	}
+
+	// Width 0 (a negative width clamps to it) holds the empty tuple once.
+	for _, width := range []int{0, -1} {
+		empty := NewTupleSet(width)
+		if empty.Contains(nil) || !empty.Add(nil) || empty.Add(nil) || !empty.Contains(nil) || empty.Len() != 1 {
+			t.Fatalf("width %d: empty-tuple set broken", width)
+		}
+	}
+
+	// 2^(64/width) − 1 is the largest value that packs; one more spills.
+	for _, width := range []int{2, 3, 5, 64} {
+		edge := NewTupleSet(width)
+		top := 1<<(64/width) - 1
+		tup := make([]int, width)
+		for i := range tup {
+			tup[i] = top
+		}
+		if !edge.Add(tup) || edge.Add(tup) || len(edge.packed) != 1 || edge.sk != nil {
+			t.Fatalf("width %d: %d should pack", width, top)
+		}
+		tup[0] = top + 1
+		if edge.Contains(tup) || !edge.Add(tup) || edge.Add(tup) || len(edge.packed) != 1 || len(edge.sk) != 1 {
+			t.Fatalf("width %d: %d should spill", width, top+1)
+		}
+		if edge.Len() != 2 {
+			t.Fatalf("width %d: Len = %d, want 2", width, edge.Len())
+		}
+	}
+
+	// A clone shares nothing with its original, packed or spilled.
+	c := ts.clone()
+	if !c.Add([]int{3, 4}) || !c.Add([]int{big, 1}) || ts.Contains([]int{3, 4}) || ts.Contains([]int{big, 1}) || ts.Len() != 2 {
+		t.Fatal("tuples added to a clone reached the original")
+	}
+	if !ts.Add([]int{5, 6}) || !ts.Add([]int{big, 2}) || c.Contains([]int{5, 6}) || c.Contains([]int{big, 2}) || c.Len() != 4 {
+		t.Fatal("tuples added to the original reached a clone")
+	}
+}
+
+// Audit proves the posting lists: each corruption that keeps the column
+// intact but breaks a list — order, a duplicate, a value, a dropped row —
+// is an error.  The swap and the duplicate keep every listed row under
+// its value and the row count whole, so only the ascent check sees them.
+func TestAuditRejectsCorruptPostingLists(t *testing.T) {
+	s := New(relTestSig())
+	for i := 0; i < 4; i++ {
+		s.EnsureElem(fmt.Sprintf("e%d", i))
+	}
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {0, 3}} {
+		if err := s.AddTuple("E", e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(posts map[int32][]int32)
+	}{
+		{"swap", func(posts map[int32][]int32) {
+			rows := posts[0]
+			rows[0], rows[1] = rows[1], rows[0]
+		}},
+		{"duplicate", func(posts map[int32][]int32) {
+			rows := posts[0]
+			rows[1] = rows[0]
+		}},
+		{"wrong value", func(posts map[int32][]int32) {
+			rows := posts[0]
+			posts[0], posts[1] = rows[:len(rows)-1], append(posts[1], rows[len(rows)-1])
+		}},
+		{"drop", func(posts map[int32][]int32) {
+			posts[0] = posts[0][1:]
+		}},
+	} {
+		c := s.Clone()
+		tc.corrupt(c.rels["E"].posts[0])
+		if err := c.Audit(); err == nil {
+			t.Errorf("%s: Audit accepted a corrupt posting list", tc.name)
+		}
+	}
+	if err := s.Audit(); err != nil {
+		t.Fatalf("corrupting clones reached the original: %v", err)
+	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
@@ -146,7 +235,7 @@ func TestCloneIsDeep(t *testing.T) {
 	if s.Rel("E").Len() != 1 || c.Rel("E").Len() != 2 {
 		t.Fatalf("clone not independent: orig %d, clone %d", s.Rel("E").Len(), c.Rel("E").Len())
 	}
-	if s.Rel("E").RowsWith(0, 1).Len() != 0 || c.Rel("E").RowsWith(0, 1).Len() != 1 {
+	if len(s.Rel("E").RowsWith(0, 1)) != 0 || len(c.Rel("E").RowsWith(0, 1)) != 1 {
 		t.Fatal("clone postings not independent")
 	}
 	if !Equal(s.Clone(), s) {

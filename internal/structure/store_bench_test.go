@@ -78,34 +78,33 @@ func BenchmarkStore_AddTuple_50k(b *testing.B) {
 func BenchmarkStore_LookupAfterMutation(b *testing.B) {
 	const n, m = 400, 20000
 	s := benchBase(n, m)
+	e := s.Rel("E")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A fresh arity-3 tuple each iteration (n^3 ≫ b.N combinations).
 		_ = s.AddTuple("T", i%n, (i/n)%n, (i/(n*n))%n)
 		total := 0
-		s.ForEachWith("E", 0, i%n, func(t []int) bool {
-			total += t[1]
-			return true
-		})
+		for _, r := range e.RowsWith(0, i%n) {
+			total += e.Value(int(r), 1)
+		}
 		_ = total
 	}
 }
 
 // BenchmarkStore_ForEachWith_Hot measures repeated indexed lookups on an
-// unchanging structure: posting-list iteration through the reused row
-// buffer, zero allocations.
+// unchanging structure: a posting list's rows read through the column,
+// zero allocations.
 func BenchmarkStore_ForEachWith_Hot(b *testing.B) {
 	const n, m = 1000, 30000
-	s := benchBase(n, m)
+	e := benchBase(n, m).Rel("E")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		total := 0
-		s.ForEachWith("E", 0, i%n, func(t []int) bool {
-			total += t[1]
-			return true
-		})
+		for _, r := range e.RowsWith(0, i%n) {
+			total += e.Value(int(r), 1)
+		}
 		_ = total
 	}
 }

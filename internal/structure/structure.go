@@ -15,8 +15,8 @@ import (
 //
 // Tuples live in per-relation columnar Relation stores: flat columns, a
 // packed-key dedup set, per-position posting lists and bit rows, kept up
-// to date by AddTuple and AddElem.  Consumers iterate with ForEachTuple /
-// ForEachWith, or reach the columns through Rel.
+// to date by AddTuple and AddElem.  Consumers iterate with ForEachTuple,
+// or reach the columns and posting lists through Rel.
 type Structure struct {
 	sig   *Signature
 	elems []string
@@ -174,14 +174,6 @@ func (s *Structure) HasTuple(rel string, t []int) bool {
 // reused row buffer (copy to retain).  Returning false stops early.
 func (s *Structure) ForEachTuple(rel string, fn func(t []int) bool) {
 	s.rels[rel].ForEachTuple(fn)
-}
-
-// ForEachWith visits every tuple of rel whose position pos holds value v,
-// via the relation's incrementally maintained posting lists — no scan,
-// no allocation beyond the reused row buffer.  Returning false stops
-// early.
-func (s *Structure) ForEachWith(rel string, pos, v int, fn func(t []int) bool) {
-	s.rels[rel].ForEachWith(pos, v, fn)
 }
 
 // NumTuples returns the total number of tuples across all relations.

@@ -125,23 +125,19 @@ func TestForEachWithAfterAddFact(t *testing.T) {
 		}
 	}
 	a := s.ElemIndex("a")
-	rowsWith := func(pos int) int {
-		n := 0
-		s.ForEachWith("E", pos, a, func([]int) bool { n++; return true })
-		return n
-	}
+	rowsWith := func(pos int) int { return len(s.Rel("E").RowsWith(pos, a)) }
 	if got := rowsWith(0); got != 2 {
-		t.Fatalf("ForEachWith(E,0,a) = %d tuples, want 2", got)
+		t.Fatalf("RowsWith(0,a) = %d rows, want 2", got)
 	}
 	if rowsWith(1) != 0 {
-		t.Fatal("ForEachWith(E,1,a) should be empty")
+		t.Fatal("RowsWith(1,a) should be empty")
 	}
 	// Index must refresh after adding tuples.
 	if err := s.AddFact("E", "c", "a"); err != nil {
 		t.Fatal(err)
 	}
 	if rowsWith(1) != 1 {
-		t.Fatal("ForEachWith stale after AddFact")
+		t.Fatal("RowsWith stale after AddFact")
 	}
 }
 

@@ -1,61 +1,36 @@
 package structure
 
+import "maps"
+
 // TupleSet is a deduplicating set of fixed-width int tuples.  Tuples whose
 // values fit the packed budget (64/width bits per value) are keyed as
-// uint64 in an open-addressing table with no per-insert allocation;
-// oversized values spill to a byte-string-keyed fallback map that is
-// allocated lazily and, in practice, never.  It backs the per-relation
+// uint64 in a map; oversized values spill to a byte-string-keyed map that
+// is allocated lazily and, in practice, never.  It backs the per-relation
 // dedup sets of the columnar store and the projection dedup of the
 // engine's constraint materializer.
 //
 // The zero value is not usable; construct with NewTupleSet.  A TupleSet
 // is not safe for concurrent mutation.
 type TupleSet struct {
-	width   int
-	shift   uint     // bits per packed value; 0 disables packing (width > 64)
-	slots   []uint64 // open addressing, linear probing; 0 = empty slot
-	mask    uint64
-	used    int                 // occupied slots (excludes the zero key)
-	hasZero bool                // the all-zeros tuple, whose packed key is 0
-	sk      map[string]struct{} // lazily allocated spill path
-	n       int
-}
-
-// tsMix is the splitmix64 finalizer: a bijective scramble spreading
-// packed keys (which concentrate in low bits) across the table.
-func tsMix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	width  int
+	shift  uint // bits per packed value; 0 disables packing (width > 64)
+	packed map[uint64]struct{}
+	sk     map[string]struct{} // lazily allocated spill path
+	n      int
 }
 
 // NewTupleSet returns an empty set of width-ary tuples.
-func NewTupleSet(width int) *TupleSet {
-	if width < 0 {
-		width = 0
-	}
-	var shift uint
-	if width > 0 && width <= 64 {
-		shift = uint(64 / width)
-	}
-	return &TupleSet{width: width, shift: shift}
-}
+func NewTupleSet(width int) *TupleSet { return NewTupleSetSized(width, 0) }
 
 // NewTupleSetSized is NewTupleSet with capacity for n tuples reserved up
-// front, so bulk insertion skips the doubling rehashes.  n is a hint; the
-// set still grows past it.
+// front, so bulk insertion skips the map's growth.  n is a hint; the set
+// still grows past it.
 func NewTupleSetSized(width, n int) *TupleSet {
-	ts := NewTupleSet(width)
-	if ts.shift > 0 && n > 0 {
-		capN := 16
-		for capN < 2*(n+1) {
-			capN *= 2
-		}
-		ts.slots = make([]uint64, capN)
-		ts.mask = uint64(capN - 1)
+	width = max(width, 0)
+	ts := &TupleSet{width: width}
+	if width > 0 && width <= 64 {
+		ts.shift = uint(64 / width)
+		ts.packed = make(map[uint64]struct{}, n)
 	}
 	return ts
 }
@@ -77,75 +52,6 @@ func (ts *TupleSet) pack(t []int) (uint64, bool) {
 		k = k<<ts.shift | uint64(v)
 	}
 	return k, true
-}
-
-// addPacked inserts packed key k, reporting whether it was absent.
-// Load is kept at or below 1/2 so unsuccessful probes stay short.
-func (ts *TupleSet) addPacked(k uint64) bool {
-	if k == 0 {
-		if ts.hasZero {
-			return false
-		}
-		ts.hasZero = true
-		return true
-	}
-	if 2*(ts.used+1) > len(ts.slots) {
-		ts.growSlots()
-	}
-	h := tsMix(k) & ts.mask
-	for {
-		s := ts.slots[h]
-		if s == 0 {
-			ts.slots[h] = k
-			ts.used++
-			return true
-		}
-		if s == k {
-			return false
-		}
-		h = (h + 1) & ts.mask
-	}
-}
-
-func (ts *TupleSet) growSlots() {
-	newCap := 2 * len(ts.slots)
-	if newCap < 16 {
-		newCap = 16
-	}
-	old := ts.slots
-	ts.slots = make([]uint64, newCap)
-	ts.mask = uint64(newCap - 1)
-	for _, k := range old {
-		if k == 0 {
-			continue
-		}
-		h := tsMix(k) & ts.mask
-		for ts.slots[h] != 0 {
-			h = (h + 1) & ts.mask
-		}
-		ts.slots[h] = k
-	}
-}
-
-// containsPacked reports whether packed key k is present.
-func (ts *TupleSet) containsPacked(k uint64) bool {
-	if k == 0 {
-		return ts.hasZero
-	}
-	if len(ts.slots) == 0 {
-		return false
-	}
-	h := tsMix(k) & ts.mask
-	for {
-		s := ts.slots[h]
-		if s == 0 {
-			return false
-		}
-		if s == k {
-			return true
-		}
-		h = (h + 1) & ts.mask
-	}
 }
 
 // TupleKey encodes vals as an exact byte-string map key, 8 bytes
@@ -185,9 +91,10 @@ func (ts *TupleSet) Add(t []int) bool {
 		return false
 	}
 	if k, ok := ts.pack(t); ok {
-		if !ts.addPacked(k) {
+		if _, dup := ts.packed[k]; dup {
 			return false
 		}
+		ts.packed[k] = struct{}{}
 		ts.n++
 		return true
 	}
@@ -209,10 +116,8 @@ func (ts *TupleSet) Contains(t []int) bool {
 		return ts.n > 0
 	}
 	if k, ok := ts.pack(t); ok {
-		return ts.containsPacked(k)
-	}
-	if ts.sk == nil {
-		return false
+		_, present := ts.packed[k]
+		return present
 	}
 	_, present := ts.sk[TupleKey(t, nil)]
 	return present
@@ -220,16 +125,7 @@ func (ts *TupleSet) Contains(t []int) bool {
 
 // clone returns a deep copy of the set.
 func (ts *TupleSet) clone() *TupleSet {
-	c := &TupleSet{width: ts.width, shift: ts.shift, used: ts.used, hasZero: ts.hasZero, n: ts.n}
-	if ts.slots != nil {
-		c.slots = append([]uint64(nil), ts.slots...)
-		c.mask = ts.mask
-	}
-	if ts.sk != nil {
-		c.sk = make(map[string]struct{}, len(ts.sk))
-		for k := range ts.sk {
-			c.sk[k] = struct{}{}
-		}
-	}
-	return c
+	c := *ts
+	c.packed, c.sk = maps.Clone(ts.packed), maps.Clone(ts.sk)
+	return &c
 }

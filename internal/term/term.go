@@ -66,8 +66,8 @@ type Pool struct {
 	DisableCanon bool
 
 	entries []*Interned
-	byRawFP map[string]int // raw-formula canonical key → entry index
-	byFP    map[string]int // cored canonical key → entry index
+	byRawFP map[string]int   // raw-formula canonical key → entry index
+	byFP    map[string]int   // cored canonical key → entry index
 	buckets map[string][]int // cored invariant key → all entry indices
 
 	// Raw-stage gating: canonical labeling of the (larger) un-cored
