@@ -37,7 +37,7 @@ func mustCompile(b *testing.B, src string) *eptrans.Compiled {
 }
 
 func fptCounter(p pp.PP, s *structure.Structure) (*big.Int, error) {
-	return count.PP(p, s, count.EngineFPT)
+	return count.PP(p, s)
 }
 
 // --- E1: Example 4.1 -----------------------------------------------------
@@ -188,7 +188,7 @@ func BenchmarkE5_SemiCountingEquiv_Decide(b *testing.B) {
 
 // --- E6: FPT scaling ------------------------------------------------------
 
-func benchPathOnER(b *testing.B, n int, engine count.PPEngine) {
+func benchPathOnER(b *testing.B, n int) {
 	b.Helper()
 	q := workload.PathQuery(4)
 	ds := q.Disjuncts()
@@ -200,17 +200,15 @@ func benchPathOnER(b *testing.B, n int, engine count.PPEngine) {
 	bs := workload.GraphStructure(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := count.PP(p, bs, engine); err != nil {
+		if _, err := count.PP(p, bs); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkE6_FPTScaling_FPT_N40(b *testing.B)   { benchPathOnER(b, 40, count.EngineFPT) }
-func BenchmarkE6_FPTScaling_FPT_N80(b *testing.B)   { benchPathOnER(b, 80, count.EngineFPT) }
-func BenchmarkE6_FPTScaling_FPT_N160(b *testing.B)  { benchPathOnER(b, 160, count.EngineFPT) }
-func BenchmarkE6_FPTScaling_Proj_N80(b *testing.B)  { benchPathOnER(b, 80, count.EngineProjection) }
-func BenchmarkE6_FPTScaling_Brute_N12(b *testing.B) { benchPathOnER(b, 12, count.EngineBrute) }
+func BenchmarkE6_FPTScaling_FPT_N40(b *testing.B)  { benchPathOnER(b, 40) }
+func BenchmarkE6_FPTScaling_FPT_N80(b *testing.B)  { benchPathOnER(b, 80) }
+func BenchmarkE6_FPTScaling_FPT_N160(b *testing.B) { benchPathOnER(b, 160) }
 
 // --- E7: clique hardness ---------------------------------------------------
 
@@ -219,7 +217,7 @@ func benchCliqueCount(b *testing.B, k int) {
 	g := workload.PlantedClique(20, 0.5, 6, 123)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cliquered.CountCliquesViaQuery(g, k, count.EngineProjection); err != nil {
+		if _, err := cliquered.CountCliquesViaQuery(g, k); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -290,30 +288,10 @@ func BenchmarkE9_Classify_CliqueFamily(b *testing.B) {
 	}
 }
 
-// --- A1/A4: engine ablations ---------------------------------------------
+// --- A1: the engine on the E6 path query ----------------------------------
+// (A4, the core ablation, is timed beside its claim in internal/engine.)
 
-func BenchmarkA1_Engine_FPT(b *testing.B)        { benchPathOnER(b, 60, count.EngineFPT) }
-func BenchmarkA1_Engine_Projection(b *testing.B) { benchPathOnER(b, 60, count.EngineProjection) }
-
-func benchCoreAblation(b *testing.B, engine count.PPEngine) {
-	b.Helper()
-	q := parser.MustQuery("q(x) := exists u, v, w. E(x,u) & E(x,v) & E(x,w)")
-	p, err := pp.FromDisjunct(workload.EdgeSig(), q.Lib, q.Disjuncts()[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := workload.ER(40, 0.15, 9)
-	bs := workload.GraphStructure(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := count.PP(p, bs, engine); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkA4_FPT_WithCore(b *testing.B)    { benchCoreAblation(b, count.EngineFPT) }
-func BenchmarkA4_FPT_WithoutCore(b *testing.B) { benchCoreAblation(b, count.EngineFPTNoCore) }
+func BenchmarkA1_Engine_FPT(b *testing.B) { benchPathOnER(b, 60) }
 
 // --- A5: treewidth ----------------------------------------------------------
 

@@ -4,12 +4,15 @@
 // Usage:
 //
 //	epcount -query 'phi(x,y) := E(x,y) | E(y,x)' -data graph.facts
-//	epcount -queryfile q.epq -data db.facts -engine projection -explain
+//	epcount -queryfile q.epq -data db.facts -explain -verify
 //
 // The query is given inline (-query) or from a file (-queryfile); the
 // structure is a fact file (see ParseStructure syntax).  -explain prints
 // the compiled pipeline (normalized disjuncts, φ*, φ⁺ and the structural
-// parameters of the trichotomy) before counting.
+// parameters of the trichotomy) before counting; -verify recounts by
+// set-union enumeration of the disjuncts' answers (count.EPUnion), a path
+// that shares no inclusion–exclusion, term pool or engine with the count
+// it checks.
 package main
 
 import (
@@ -24,7 +27,6 @@ import (
 	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/count"
-	"repro/internal/engine"
 )
 
 func main() {
@@ -32,10 +34,9 @@ func main() {
 		queryStr  = flag.String("query", "", "query text, e.g. 'phi(x,y) := E(x,y)'")
 		queryFile = flag.String("queryfile", "", "file containing the query")
 		dataFile  = flag.String("data", "", "fact file with the structure (required)")
-		engine    = flag.String("engine", "fpt", "counting engine: fpt | fpt-nocore | projection | brute")
 		explain   = flag.Bool("explain", false, "print the compiled pipeline before counting")
 		stats     = flag.Bool("stats", false, "print term-interning and cache statistics after counting")
-		verify    = flag.Bool("verify", false, "cross-check with a second engine")
+		verify    = flag.Bool("verify", false, "cross-check by set-union enumeration of the disjuncts' answers")
 		timing    = flag.Bool("time", false, "print elapsed wall-clock time")
 		answers   = flag.Int("answers", 0, "also print up to N answers (-1 = all)")
 		mode      = flag.String("mode", "exact", "counting mode: exact | approx (approx samples hard terms, exact terms stay exact)")
@@ -46,7 +47,7 @@ func main() {
 	)
 	flag.Parse()
 	ao := approxOpts{mode: *mode, eps: *eps, delta: *delta, seed: *seed, maxSamples: *maxS}
-	if err := run(*queryStr, *queryFile, *dataFile, *engine, *explain, *stats, *verify, *timing, *answers, ao); err != nil {
+	if err := run(*queryStr, *queryFile, *dataFile, *explain, *stats, *verify, *timing, *answers, ao); err != nil {
 		fmt.Fprintln(os.Stderr, "epcount:", err)
 		os.Exit(1)
 	}
@@ -60,7 +61,7 @@ type approxOpts struct {
 	maxSamples int
 }
 
-func run(queryStr, queryFile, dataFile, engineName string, explain, stats, verify, timing bool, answers int, ao approxOpts) error {
+func run(queryStr, queryFile, dataFile string, explain, stats, verify, timing bool, answers int, ao approxOpts) error {
 	if (queryStr == "") == (queryFile == "") {
 		return fmt.Errorf("exactly one of -query or -queryfile is required")
 	}
@@ -92,11 +93,7 @@ func run(queryStr, queryFile, dataFile, engineName string, explain, stats, verif
 	if err != nil {
 		return err
 	}
-	eng, err := parseEngine(engineName)
-	if err != nil {
-		return err
-	}
-	c, err := core.NewCounter(q, sig, eng)
+	c, err := core.NewCounter(q, sig, count.EngineFPT)
 	if err != nil {
 		return err
 	}
@@ -139,16 +136,16 @@ func run(queryStr, queryFile, dataFile, engineName string, explain, stats, verif
 	elapsed := time.Since(start)
 	if verify {
 		if ao.mode == "approx" {
-			return fmt.Errorf("-verify cross-checks exact engines and does not apply to -mode approx")
+			return fmt.Errorf("-verify cross-checks exact counts and does not apply to -mode approx")
 		}
-		v, err := c.CountWithAllEngines(b)
+		v, err := count.EPUnion(c.Compiled.Disjuncts, b)
 		if err != nil {
 			return err
 		}
 		if v.Cmp(n) != 0 {
-			return fmt.Errorf("verification failed: %v vs %v", v, n)
+			return fmt.Errorf("verification failed: union enumeration %v vs %v", v, n)
 		}
-		fmt.Fprintln(os.Stderr, "verified: engines agree")
+		fmt.Fprintln(os.Stderr, "verified: union enumeration agrees")
 	}
 	if timing {
 		fmt.Fprintf(os.Stderr, "elapsed: %v (|B| = %d, %d tuples)\n", elapsed, b.Size(), b.NumTuples())
@@ -170,8 +167,4 @@ func run(queryStr, queryFile, dataFile, engineName string, explain, stats, verif
 		}
 	}
 	return nil
-}
-
-func parseEngine(name string) (count.PPEngine, error) {
-	return engine.ParseName(name)
 }

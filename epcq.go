@@ -82,7 +82,7 @@ type (
 	Compiled = eptrans.Compiled
 	// Verdict is a trichotomy classification result (Theorem 3.2).
 	Verdict = classify.Verdict
-	// Engine selects a pp-counting algorithm.
+	// Engine names the pp-counting algorithm (EngineFPT or EngineAuto).
 	Engine = count.PPEngine
 	// ApproxParams configures an approximate count: the (ε, δ) target,
 	// the per-component sample caps, and the RNG seed.
@@ -95,19 +95,13 @@ type (
 	HardExactError = core.HardExactError
 )
 
-// Counting engines.
+// Counting engines: both name the one exact executor.
 const (
-	// EngineAuto chooses automatically (currently the FPT engine).
+	// EngineAuto chooses automatically (the FPT engine).
 	EngineAuto = count.EngineAuto
-	// EngineBrute enumerates all liberal assignments (reference).
-	EngineBrute = count.EngineBrute
-	// EngineProjection enumerates extendable assignments per component.
-	EngineProjection = count.EngineProjection
 	// EngineFPT is the Theorem 2.11 algorithm: core, ∃-component
 	// predicates, join-count DP over a contract-graph tree decomposition.
 	EngineFPT = count.EngineFPT
-	// EngineFPTNoCore is EngineFPT without the core step.
-	EngineFPTNoCore = count.EngineFPTNoCore
 )
 
 // Trichotomy cases (Theorem 3.2).

@@ -98,7 +98,7 @@ func main() {
 	fmt.Printf("%-3s  %-14s  %-12s  %s\n", "k", "#k-cliques", "time", "trichotomy case")
 	for k := 2; k <= 5; k++ {
 		q := cliqueQuery(k)
-		counter, err := epcq.NewCounter(q, g.Signature(), epcq.EngineProjection)
+		counter, err := epcq.NewCounter(q, g.Signature(), epcq.EngineFPT)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -78,9 +78,9 @@ type Result struct {
 }
 
 // Estimator is a compiled approximate-counting plan for one pp-formula:
-// the Gaifman-component split is done once at construction, mirroring
-// the exact projection engine.  An Estimator is immutable and safe for
-// concurrent Count calls (each call builds its own samplers).
+// the Gaifman-component split is done once at construction, as in the
+// exact engine.  An Estimator is immutable and safe for concurrent Count
+// calls (each call builds its own samplers).
 type Estimator struct {
 	p     pp.PP
 	comps []pp.PP

@@ -17,8 +17,8 @@
 // propagation step and the weighted indicator is exactly unbiased:
 // E[weight · 1{extendable}] = |φ(B)|.
 //
-// Gaifman components are handled as in the exact projection engine
-// (|φ(B)| = ∏ᵢ |φᵢ(B)|): sentence components and isolated liberal
+// Gaifman components are counted apart and multiplied, as in the exact
+// engine (|φ(B)| = ∏ᵢ |φᵢ(B)|): sentence components and isolated liberal
 // variables contribute exact factors (hom.Exists, |B|^|S|); only
 // components with both liberal variables and tuples are sampled, each
 // with an (ε/k, δ/k) share of the requested budget so the product meets

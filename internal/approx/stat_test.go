@@ -20,7 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/approx"
-	"repro/internal/engine"
+	"repro/internal/count"
 	"repro/internal/graph"
 	"repro/internal/hom"
 	"repro/internal/pp"
@@ -60,14 +60,10 @@ func cliquePP(t *testing.T, k int) pp.PP {
 	return p
 }
 
-// exactCount is the ground truth |φ(B)| via the exact projection engine.
+// exactCount is the ground truth |φ(B)| by set-union enumeration.
 func exactCount(t *testing.T, p pp.PP, b *structure.Structure) *big.Int {
 	t.Helper()
-	pl, err := engine.Compile(p, engine.Projection)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := pl.CountIn(context.Background(), engine.SessionFor(b))
+	n, err := count.EPUnion([]pp.PP{p}, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,7 @@ func singlePP(q logic.Query) (pp.PP, error) {
 // CountCliquesViaQuery counts the k-cliques of g by counting the answers
 // of the free k-clique query on the symmetric encoding of g and dividing
 // by k! — the reduction that makes case-3 families #Clique-hard.
-// The engine parameter selects the counting algorithm.
-func CountCliquesViaQuery(g *graph.Graph, k int, engine count.PPEngine) (*big.Int, error) {
+func CountCliquesViaQuery(g *graph.Graph, k int) (*big.Int, error) {
 	if k <= 0 {
 		return big.NewInt(1), nil
 	}
@@ -48,7 +47,7 @@ func CountCliquesViaQuery(g *graph.Graph, k int, engine count.PPEngine) (*big.In
 	if b.Size() == 0 {
 		return new(big.Int), nil
 	}
-	answers, err := count.PP(p, b, engine)
+	answers, err := count.PP(p, b)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +66,7 @@ func CountCliquesViaQuery(g *graph.Graph, k int, engine count.PPEngine) (*big.In
 
 // HasCliqueViaQuery decides k-clique existence through the Boolean clique
 // query — the case-2 shape (model checking a quantified clique).
-func HasCliqueViaQuery(g *graph.Graph, k int, engine count.PPEngine) (bool, error) {
+func HasCliqueViaQuery(g *graph.Graph, k int) (bool, error) {
 	if k <= 0 {
 		return true, nil
 	}
@@ -79,7 +78,7 @@ func HasCliqueViaQuery(g *graph.Graph, k int, engine count.PPEngine) (bool, erro
 	if b.Size() == 0 {
 		return false, nil
 	}
-	c, err := count.PP(p, b, engine)
+	c, err := count.PP(p, b)
 	if err != nil {
 		return false, err
 	}

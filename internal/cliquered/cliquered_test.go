@@ -3,7 +3,6 @@ package cliquered
 import (
 	"testing"
 
-	"repro/internal/count"
 	"repro/internal/graph"
 	"repro/internal/workload"
 )
@@ -19,7 +18,7 @@ func TestCountCliquesViaQueryMatchesNative(t *testing.T) {
 	for gi, g := range graphs {
 		for k := 2; k <= 4; k++ {
 			want := g.CountCliques(k)
-			got, err := CountCliquesViaQuery(g, k, count.EngineProjection)
+			got, err := CountCliquesViaQuery(g, k)
 			if err != nil {
 				t.Fatalf("graph %d k=%d: %v", gi, k, err)
 			}
@@ -38,14 +37,14 @@ func TestPaperCliqueCountViaQuery(t *testing.T) {
 	g := workload.PlantedClique(14, 0.5, 6, 123)
 	for k := 2; k <= 4; k++ {
 		want := g.CountCliques(k)
-		got, err := CountCliquesViaQuery(g, k, count.EngineProjection)
+		got, err := CountCliquesViaQuery(g, k)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 		if got.Cmp(want) != 0 {
 			t.Fatalf("k=%d: via query %v != native %v", k, got, want)
 		}
-		has, err := HasCliqueViaQuery(g, k, count.EngineProjection)
+		has, err := HasCliqueViaQuery(g, k)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -59,7 +58,7 @@ func TestPaperCliqueCountViaQuery(t *testing.T) {
 func TestCountCliquesViaFPTEngine(t *testing.T) {
 	g := workload.PlantedClique(8, 0.4, 4, 3)
 	want := g.CountCliques(3)
-	got, err := CountCliquesViaQuery(g, 3, count.EngineFPT)
+	got, err := CountCliquesViaQuery(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +71,7 @@ func TestHasCliqueViaQuery(t *testing.T) {
 	g := workload.PlantedClique(10, 0.2, 4, 5)
 	for k := 2; k <= 5; k++ {
 		want := g.HasClique(k)
-		got, err := HasCliqueViaQuery(g, k, count.EngineProjection)
+		got, err := HasCliqueViaQuery(g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,10 +83,10 @@ func TestHasCliqueViaQuery(t *testing.T) {
 
 func TestTrivialK(t *testing.T) {
 	g := workload.PathGraph(3)
-	if c, err := CountCliquesViaQuery(g, 0, count.EngineFPT); err != nil || c.Sign() != 1 {
+	if c, err := CountCliquesViaQuery(g, 0); err != nil || c.Sign() != 1 {
 		t.Fatalf("0-cliques = %v, %v", c, err)
 	}
-	if ok, err := HasCliqueViaQuery(g, 0, count.EngineFPT); err != nil || !ok {
+	if ok, err := HasCliqueViaQuery(g, 0); err != nil || !ok {
 		t.Fatalf("0-clique existence = %v, %v", ok, err)
 	}
 }

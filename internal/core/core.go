@@ -23,7 +23,6 @@ import (
 // Counter is a compiled ep-query ready for repeated counting.
 type Counter struct {
 	Compiled *eptrans.Compiled
-	Engine   count.PPEngine
 
 	// terms holds the unique φ⁻af counting classes, each carrying its
 	// canonical fingerprint, merged coefficient, and compiled
@@ -107,23 +106,12 @@ func (c *Counter) batchWidth() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// termEngine maps the configured engine to the engine used for interned
-// inclusion–exclusion terms: terms come out of the pool already cored,
-// so the FPT family skips the redundant core step.
-func termEngine(e count.PPEngine) count.PPEngine {
-	switch e {
-	case count.EngineFPT, count.EngineAuto, count.EngineFPTNoCore:
-		return count.EngineFPTNoCore
-	default:
-		return e
-	}
-}
-
 // NewCounter compiles the query over the signature.  Passing a nil
 // signature infers it from the query's atoms.  Each unique φ⁻af counting
 // class gets exactly one engine plan, resolved through the fingerprint-
 // keyed plan cache (counting-equivalent terms of other Counters share
-// it).
+// it).  eng must be count.EngineFPT or count.EngineAuto, which both name
+// the one exact executor.
 func NewCounter(q logic.Query, sig *structure.Signature, eng count.PPEngine) (*Counter, error) {
 	if sig == nil {
 		var err error
@@ -136,11 +124,11 @@ func NewCounter(q logic.Query, sig *structure.Signature, eng count.PPEngine) (*C
 	if err != nil {
 		return nil, err
 	}
-	counter := &Counter{Compiled: c, Engine: eng}
+	counter := &Counter{Compiled: c}
 	counter.terms = make([]compiledTerm, 0, len(c.Minus))
 	counter.termIdx = make(map[*structure.Structure]int, len(c.Minus))
 	for _, t := range c.Minus {
-		plan, hit, err := engine.CompileKeyed(t.Formula, t.FP, termEngine(eng))
+		plan, hit, err := engine.CompileKeyed(t.Formula, t.FP, eng)
 		if err != nil {
 			return nil, err
 		}
@@ -162,7 +150,7 @@ func NewCounter(q logic.Query, sig *structure.Signature, eng count.PPEngine) (*C
 // Count returns |φ(B)|: the number of assignments of the liberal
 // variables satisfying the query on b.  This is the paper's pipeline:
 // sentence disjuncts short-circuit to |B|^|lib|; otherwise the signed sum
-// over φ⁻af is evaluated with the configured pp engine.
+// over φ⁻af is evaluated with the exact engine.
 func (c *Counter) Count(b *structure.Structure) (*big.Int, error) {
 	return c.CountInto(context.Background(), b, new(big.Int))
 }
@@ -312,7 +300,7 @@ func (c *Counter) ppCounter() eptrans.PPCounter {
 		if i, ok := c.termIdx[p.A]; ok {
 			return c.termCountAt(context.Background(), i, engine.SessionFor(b))
 		}
-		return count.PP(p, b, c.Engine)
+		return count.PP(p, b)
 	}
 }
 
@@ -328,9 +316,9 @@ func (c *Counter) CountDirect(b *structure.Structure) (*big.Int, error) {
 	return count.EPDirect(c.Compiled.Query, b)
 }
 
-// CountPP counts one member of φ⁺ directly with the configured engine.
+// CountPP counts one member of φ⁺ directly.
 func (c *Counter) CountPP(p pp.PP, b *structure.Structure) (*big.Int, error) {
-	return count.PP(p, b, c.Engine)
+	return count.PP(p, b)
 }
 
 // CountPPViaOracle counts a member of φ⁺ using only oracle access to the
@@ -484,26 +472,4 @@ func (c *Counter) buildExplain() string {
 		}
 	}
 	return b.String()
-}
-
-// CountWithAllEngines runs the projection and FPT engines and checks they
-// agree; returns the common count.  Used by validation tooling and tests.
-func (c *Counter) CountWithAllEngines(b *structure.Structure) (*big.Int, error) {
-	engines := []count.PPEngine{count.EngineProjection, count.EngineFPT}
-	var result *big.Int
-	for _, e := range engines {
-		engine := e
-		v, err := eptrans.CountEPViaPP(c.Compiled, b, func(p pp.PP, s *structure.Structure) (*big.Int, error) {
-			return count.PP(p, s, engine)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: engine %v: %w", e, err)
-		}
-		if result == nil {
-			result = v
-		} else if result.Cmp(v) != 0 {
-			return nil, fmt.Errorf("core: engines disagree: %v vs %v", result, v)
-		}
-	}
-	return result, nil
 }

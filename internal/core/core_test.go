@@ -54,23 +54,6 @@ func TestCounterSignatureMismatch(t *testing.T) {
 	}
 }
 
-func TestCountWithAllEngines(t *testing.T) {
-	q := parser.MustQuery("q(x,y) := E(x,y) | E(y,x)")
-	c, err := NewCounter(q, nil, count.EngineFPT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := workload.RandomStructure(workload.EdgeSig(), 4, 0.4, 3)
-	v, err := c.CountWithAllEngines(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := c.CountDirect(b)
-	if v.Cmp(want) != 0 {
-		t.Fatalf("all-engines count %v != direct %v", v, want)
-	}
-}
-
 func TestCounterClassify(t *testing.T) {
 	c, err := NewCounter(workload.PathQuery(3), nil, count.EngineFPT)
 	if err != nil {
@@ -170,7 +153,7 @@ func TestAnswersThroughCounter(t *testing.T) {
 // report errors (here: a signature mismatch inside the batch).
 func TestCountBatchMatchesCount(t *testing.T) {
 	q := parser.MustQuery("q(w,x,y,z) := E(x,y) & E(y,z) | E(z,w) & E(w,x) | E(w,x) & E(x,y)")
-	for _, eng := range []count.PPEngine{count.EngineFPT, count.EngineProjection} {
+	for _, eng := range []count.PPEngine{count.EngineFPT, count.EngineAuto} {
 		c, err := NewCounter(q, nil, eng)
 		if err != nil {
 			t.Fatal(err)

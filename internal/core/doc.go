@@ -5,8 +5,8 @@
 // through the canonical term pool of internal/term, sentence-disjunct
 // filtering) and then counts answers on any number of structures via
 // the unique φ⁻af counting classes, each counted with the Theorem 2.11
-// FPT algorithm (or a chosen fallback engine) through the fingerprint-
-// keyed plan cache and the per-session count memo.  It also exposes the
+// FPT algorithm (the one exact engine) through the fingerprint-keyed
+// plan cache and the per-session count memo.  It also exposes the
 // trichotomy classification of the compiled query (Theorem 3.2) and the
 // interning/caching telemetry (Stats, Explain).
 //

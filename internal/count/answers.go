@@ -129,7 +129,7 @@ func Homomorphisms(a, b *structure.Structure) (*big.Int, error) {
 	if err != nil {
 		return nil, err
 	}
-	// No core: counting homs from A itself, not from its core (the count
-	// differs between a structure and its core!).
-	return PP(p, b, EngineFPTNoCore)
+	// Every element is liberal, so the core is A itself: PP counts homs
+	// from A, not from a smaller retract.
+	return PP(p, b)
 }

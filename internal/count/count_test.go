@@ -34,17 +34,23 @@ func exampleStructC() *structure.Structure {
 	return parser.MustStructure(`E(1,2). E(2,3). E(3,4). E(4,4).`, edgeSig())
 }
 
-var allEngines = []PPEngine{EngineBrute, EngineProjection, EngineFPT, EngineFPTNoCore}
+// unionRef counts p on b by set-union enumeration (EPUnion): the
+// engine-free reference the engine is checked against.
+func unionRef(p pp.PP, b *structure.Structure) (*big.Int, error) {
+	return EPUnion([]pp.PP{p}, b)
+}
 
+// assertAllEngines fails t unless both the engine and the union reference
+// count p on b as want.
 func assertAllEngines(t *testing.T, p pp.PP, b *structure.Structure, want *big.Int) {
 	t.Helper()
-	for _, e := range allEngines {
-		got, err := PP(p, b, e)
+	for name, count := range map[string]func(pp.PP, *structure.Structure) (*big.Int, error){"engine": PP, "union": unionRef} {
+		got, err := count(p, b)
 		if err != nil {
-			t.Fatalf("engine %v: %v", e, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if got.Cmp(want) != 0 {
-			t.Fatalf("engine %v: count = %v, want %v (formula %v)", e, got, want, p)
+			t.Fatalf("%s: count = %v, want %v (formula %v)", name, got, want, p)
 		}
 	}
 }
@@ -154,7 +160,7 @@ func TestSignatureMismatchRejected(t *testing.T) {
 	sig := structure.MustSignature(structure.RelSym{Name: "F", Arity: 1})
 	p := mustPPFromQuery(t, q, sig)
 	b := exampleStructC() // over {E/2}
-	if _, err := PP(p, b, EngineFPT); err == nil {
+	if _, err := PP(p, b); err == nil {
 		t.Fatal("signature mismatch should error")
 	}
 }
@@ -163,28 +169,26 @@ func TestEmptyStructureRejected(t *testing.T) {
 	q := parser.MustQuery("q(x,y) := E(x,y)")
 	p := mustPPFromQuery(t, q, edgeSig())
 	empty := structure.New(edgeSig())
-	if _, err := PP(p, empty, EngineFPT); err == nil {
+	if _, err := PP(p, empty); err == nil {
 		t.Fatal("empty universe should error")
 	}
 }
 
-// enginesAgree fails t unless every engine counts p on b as brute force
-// does, and returns that count.
+// enginesAgree fails t unless the engine counts p on b as the union
+// reference does, and returns that count.
 func enginesAgree(t *testing.T, name string, p pp.PP, b *structure.Structure) *big.Int {
 	t.Helper()
-	want, err := PP(p, b, EngineBrute)
+	want, err := unionRef(p, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []PPEngine{EngineProjection, EngineFPT, EngineFPTNoCore} {
-		got, err := PP(p, b, e)
-		if err != nil {
-			t.Fatalf("%s engine %v: %v", name, e, err)
-		}
-		if got.Cmp(want) != 0 {
-			t.Fatalf("%s engine %v: %v != brute %v\nformula: %v\nstruct: %v",
-				name, e, got, want, p, b)
-		}
+	got, err := PP(p, b)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if got.Cmp(want) != 0 {
+		t.Fatalf("%s: engine %v != union %v\nformula: %v\nstruct: %v",
+			name, got, want, p, b)
 	}
 	return want
 }
@@ -200,66 +204,41 @@ func TestEnginesAgreeOnRandomInstances(t *testing.T) {
 	}
 }
 
-// Theorem 2.11's tractable side as |B| grows: every engine counts the
-// path query alike on sparse random graphs.
+// Theorem 2.11's tractable side as |B| grows: the engine counts the path
+// query as the union reference does on sparse random graphs.
 func TestPaperPathQueryScaling(t *testing.T) {
 	p := mustPPFromQuery(t, workload.PathQuery(4), edgeSig())
 	for _, n := range []int{12, 20} {
 		name := fmt.Sprintf("path(4) on G(%d, 4/n)", n)
 		v := enginesAgree(t, name, p, workload.GraphStructure(workload.ER(n, 4.0/float64(n), int64(n))))
-		t.Logf("%s: %v answers, every engine agrees", name, v)
+		t.Logf("%s: %v answers, engine and union agree", name, v)
 	}
 }
 
-// Theorem 2.11's tractable side as the parameter grows: every engine
-// counts free paths alike, where brute force enumerates |B|^(k+1)
-// liberal assignments.
+// Theorem 2.11's tractable side as the parameter grows: the engine
+// counts free paths as the union reference does.
 func TestPaperFreePathParameter(t *testing.T) {
 	b := workload.GraphStructure(workload.ER(9, 0.35, 17))
 	for k := 1; k <= 4; k++ {
 		name := fmt.Sprintf("free-path(%d) on G(9, 0.35)", k)
 		v := enginesAgree(t, name, mustPPFromQuery(t, workload.FreePathQuery(k), edgeSig()), b)
-		t.Logf("%s: %v answers, every engine agrees", name, v)
+		t.Logf("%s: %v answers, engine and union agree", name, v)
 	}
 }
 
-// Queries whose core is smaller than the query: FPT counts them alike
-// with and without the core step.
-func TestPaperCoreCollapse(t *testing.T) {
-	// Every fifth vertex carries a loop, so the looped query has answers.
-	b := workload.GraphStructure(workload.ER(40, 6.0/40, 7))
-	for v := 0; v < b.Size(); v += 5 {
-		if err := b.AddTuple("E", v, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, src := range []string{
-		"q(x) := exists u, v, w. E(x,u) & E(x,v) & E(x,w)",
-		"q(s,t) := exists u, a, b. E(s,u) & E(u,t) & E(s,a) & E(a,b)",
-		"q(x) := exists u, v. E(x,u) & E(u,v) & E(x,v) & E(x,x)",
-	} {
-		p := mustPPFromQuery(t, parser.MustQuery(src), edgeSig())
-		core := p.Core()
-		if core.A.Size() >= p.A.Size() {
-			t.Fatalf("%s: core has %d elements, the query %d", src, core.A.Size(), p.A.Size())
-		}
-		v := enginesAgree(t, src, p, b)
-		t.Logf("%s: |core|/|A| = %d/%d, %v answers, every engine agrees", src, core.A.Size(), p.A.Size(), v)
-	}
-}
-
-// Property-based: FPT engine equals brute force on tiny random instances.
+// Property-based: the engine equals brute force (EPDirect) on tiny
+// random instances.
 func TestFPTMatchesBruteProperty(t *testing.T) {
 	sig := edgeSig()
 	f := func(qSeed, bSeed int64) bool {
 		q := workload.RandomPPQuery(sig, 3, 2, 2, qSeed)
 		b := workload.RandomStructure(sig, 3, 0.4, bSeed)
 		p := mustPPFromQuery(nil2t(), q, sig)
-		want, err := PP(p, b, EngineBrute)
+		want, err := EPDirect(q, b)
 		if err != nil {
 			return false
 		}
-		got, err := PP(p, b, EngineFPT)
+		got, err := PP(p, b)
 		if err != nil {
 			return false
 		}
@@ -284,9 +263,9 @@ func TestProductCountMultiplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, _ := PP(p, d1, EngineFPT)
-	c2, _ := PP(p, d2, EngineFPT)
-	cp, _ := PP(p, prod, EngineFPT)
+	c1, _ := PP(p, d1)
+	c2, _ := PP(p, d2)
+	cp, _ := PP(p, prod)
 	want := new(big.Int).Mul(c1, c2)
 	if cp.Cmp(want) != 0 {
 		t.Fatalf("product count %v != %v·%v", cp, c1, c2)
@@ -304,7 +283,7 @@ func TestPadLoopsPositivity(t *testing.T) {
 	padded := structure.PadLoops(base, 1)
 	for _, q := range qs {
 		p := mustPPFromQuery(t, q, edgeSig())
-		got, err := PP(p, padded, EngineFPT)
+		got, err := PP(p, padded)
 		if err != nil {
 			t.Fatal(err)
 		}

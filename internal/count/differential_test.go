@@ -52,7 +52,7 @@ func TestIndexedCountsMatchBruteForceAndInsertionOrder(t *testing.T) {
 		"q(a,b,c,d) := E(a,b) & E(c,d)",
 		"q(x) := E(x,x) & (exists s, t. E(s,t) & E(t,s))",
 	}
-	engines := []PPEngine{EngineFPT, EngineFPTNoCore, EngineProjection}
+	counters := map[string]func(pp.PP, *structure.Structure) (*big.Int, error){"engine": PP, "union": unionRef}
 	rng := rand.New(rand.NewSource(99))
 	for seed := int64(0); seed < 8; seed++ {
 		b := workload.RandomStructure(sig, 5, 0.35, seed)
@@ -70,15 +70,15 @@ func TestIndexedCountsMatchBruteForceAndInsertionOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, eng := range engines {
+			for name, count := range counters {
 				for which, bs := range []*structure.Structure{b, shuffled} {
-					got, err := PP(p, bs, eng)
+					got, err := count(p, bs)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got.Cmp(want) != 0 {
-						t.Fatalf("seed %d, query %q, engine %v, structure %d: got %v, brute-force %v",
-							seed, src, eng, which, got, want)
+						t.Fatalf("seed %d, query %q, %s, structure %d: got %v, brute-force %v",
+							seed, src, name, which, got, want)
 					}
 				}
 			}
@@ -114,7 +114,7 @@ func TestExecutorMatchesBruteForceUnderReinsertion(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pl, err := engine.Compile(p, engine.FPTNoCore)
+			pl, err := engine.Compile(p, engine.FPT)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +164,7 @@ func TestExecutorCountsThroughOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := engine.Compile(p, engine.FPTNoCore)
+	pl, err := engine.Compile(p, engine.FPT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestIndexedCountsInsertionOrderMixedArity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for which, bs := range []*structure.Structure{b, shuffled} {
-				got, err := PP(p, bs, EngineFPT)
+				got, err := PP(p, bs)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -71,7 +71,7 @@ func EvalEP(b *structure.Structure, env Env, f logic.Formula) (bool, error) {
 
 // EPDirect counts |φ(B)| by enumerating every assignment of the liberal
 // variables and evaluating the formula: the reference (exponential)
-// semantics against which all other engines are tested.
+// semantics the engine and EPUnion are tested against.
 func EPDirect(q logic.Query, b *structure.Structure) (*big.Int, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err

@@ -29,7 +29,7 @@ func TestPlanMatchesOneShot(t *testing.T) {
 		}
 		for seed := int64(0); seed < 8; seed++ {
 			b := workload.RandomStructure(sig, 4, 0.35, seed)
-			want, err := PP(p, b, EngineBrute)
+			want, err := unionRef(p, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -38,7 +38,7 @@ func TestPlanMatchesOneShot(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got.Cmp(want) != 0 {
-				t.Fatalf("%s seed %d: plan %v != brute %v", src, seed, got, want)
+				t.Fatalf("%s seed %d: plan %v != union %v", src, seed, got, want)
 			}
 		}
 	}
@@ -62,12 +62,12 @@ func TestPlanReuseAcrossStructures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := PP(p, b, EngineProjection)
+		want, err := unionRef(p, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Cmp(want) != 0 {
-			t.Fatalf("n=%d: plan %v != projection %v", n, got, want)
+			t.Fatalf("n=%d: plan %v != union %v", n, got, want)
 		}
 	}
 }
@@ -116,7 +116,7 @@ func BenchmarkPlanReuse_OneShot(b *testing.B) {
 	bs := workload.GraphStructure(workload.ER(40, 0.1, 3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := PP(p, bs, EngineFPT); err != nil {
+		if _, err := PP(p, bs); err != nil {
 			b.Fatal(err)
 		}
 	}

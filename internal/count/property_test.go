@@ -44,7 +44,7 @@ func TestEPEnginesAgreeOnRandomQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 		viaIE, err := ie.Count(star, b, func(p pp.PP, s *structure.Structure) (*big.Int, error) {
-			return PP(p, s, EngineFPT)
+			return PP(p, s)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -78,18 +78,16 @@ func TestEnginesAgreeMixedArity(t *testing.T) {
 		}
 		for seed := int64(0); seed < 5; seed++ {
 			b := workload.RandomStructure(sig, 3, 0.3, seed)
-			want, err := PP(p, b, EngineBrute)
+			want, err := unionRef(p, b)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range []PPEngine{EngineProjection, EngineFPT, EngineFPTNoCore} {
-				got, err := PP(p, b, e)
-				if err != nil {
-					t.Fatalf("%s engine %v: %v", src, e, err)
-				}
-				if got.Cmp(want) != 0 {
-					t.Fatalf("%s engine %v seed %d: %v != %v", src, e, seed, got, want)
-				}
+			got, err := PP(p, b)
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			if got.Cmp(want) != 0 {
+				t.Fatalf("%s seed %d: engine %v != union %v", src, seed, got, want)
 			}
 		}
 	}
@@ -111,9 +109,9 @@ func TestDisjointUnionAdditivityForConnectedQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1, _ := PP(p, b1, EngineFPT)
-		v2, _ := PP(p, b2, EngineFPT)
-		vu, _ := PP(p, u, EngineFPT)
+		v1, _ := PP(p, b1)
+		v2, _ := PP(p, b2)
+		vu, _ := PP(p, u)
 		want := new(big.Int).Add(v1, v2)
 		if vu.Cmp(want) != 0 {
 			t.Fatalf("seed %d: |φ(B1⊎B2)| = %v, want %v + %v", seed, vu, v1, v2)
@@ -130,14 +128,14 @@ func TestMonotoneUnderFacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := workload.RandomStructure(workload.EdgeSig(), 4, 0.2, 5)
-	prev, err := PP(p, b, EngineFPT)
+	prev, err := PP(p, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			_ = b.AddTuple("E", i, j)
-			cur, err := PP(p, b, EngineFPT)
+			cur, err := PP(p, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +175,7 @@ func TestPaddingPolynomialIdentity(t *testing.T) {
 	var vals []*big.Int
 	for k := 0; k <= 3; k++ {
 		padded := structure.PadLoops(b, k)
-		v, err := PP(p, padded, EngineFPT)
+		v, err := PP(p, padded)
 		if err != nil {
 			t.Fatal(err)
 		}

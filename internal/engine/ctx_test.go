@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/pp"
 	"repro/internal/structure"
 	"repro/internal/workload"
 )
@@ -59,31 +58,6 @@ func TestRunBoundedCtxCompletesWithoutCancel(t *testing.T) {
 	}
 }
 
-// compileTestPlan compiles a canned pp-formula shape for an engine (built
-// from workload helpers to avoid an import cycle with the parser).
-func compileTestPlan(t *testing.T, shape string, name Name) Plan {
-	t.Helper()
-	var (
-		p   pp.PP
-		err error
-	)
-	switch shape {
-	case "triangle":
-		// x,y,z free, pairwise adjacent — a dense joinable core.
-		p, err = pp.New(workload.GraphStructure(workload.CompleteGraph(3)), []int{0, 1, 2})
-	default:
-		p, err = pp.New(workload.GraphStructure(workload.PathGraph(4)), []int{0, 1, 2, 3})
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := Compile(p, name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pl
-}
-
 // testDeadline is the deadline of the mid-run abort tests below.
 const testDeadline = 500 * time.Microsecond
 
@@ -105,7 +79,10 @@ func slowCycle4(t *testing.T) (Plan, *structure.Structure) {
 // TestCountInCtxPreCancelled: a context that is already done returns its
 // error without executing.
 func TestCountInCtxPreCancelled(t *testing.T) {
-	pl := compileTestPlan(t, "triangle", FPT)
+	pl, err := Compile(compilePP(t, workload.EdgeSig(), "tri(x,y,z) := E(x,y) & E(y,z) & E(z,x)"), FPT)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := workload.RandomStructure(workload.EdgeSig(), 30, 0.3, 7)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -208,30 +185,6 @@ func TestCountKeyedCtxHealthyWaiterRetries(t *testing.T) {
 	}
 	if v.Cmp(want) != 0 {
 		t.Fatalf("healthy caller count %v != %v", v, want)
-	}
-}
-
-// Cancellation must also reach the simple engines' enumerations.
-func TestSimpleEnginesCountInCtx(t *testing.T) {
-	b := workload.RandomStructure(workload.EdgeSig(), 26, 0.4, 5)
-	for _, name := range []Name{Brute, Projection} {
-		pl := compileTestPlan(t, "path", name)
-		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		start := time.Now()
-		_, err := CountInCtx(ctx, pl, SessionFor(b), 0)
-		cancel()
-		if name == Brute {
-			// 26^4 pinned hom checks cannot finish in 1ms; the brute
-			// engine must abort with the deadline error.
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("%v: err = %v, want context.DeadlineExceeded", name, err)
-			}
-			if el := time.Since(start); el > 5*time.Second {
-				t.Fatalf("%v: cancellation took %v", name, el)
-			}
-		} else if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("%v: err = %v", name, err)
-		}
 	}
 }
 

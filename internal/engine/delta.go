@@ -60,7 +60,7 @@ import (
 // telescoped delta-join advance handles.
 func deltaMaintainable(comps []*planComponent) bool {
 	for _, pc := range comps {
-		if pc.sentence || len(pc.extraSentences) > 0 {
+		if pc.sentence {
 			return false
 		}
 		for i := range pc.constraints {

@@ -2,10 +2,9 @@
 // It separates three concerns that the paper's algorithms (Theorems 2.11
 // and 3.1) interleave:
 //
-//   - the Plan IR layer: compiling a pp-formula once into an executable
-//     Plan — every engine (brute, projection, FPT with or without core,
-//     auto) is a Plan behind the same interface, so callers never
-//     switch-dispatch on engine names.  A plan is entered one way,
+//   - the Plan IR layer: compiling a pp-formula's core once into an
+//     executable Plan for the one exact executor (Auto and FPT both name
+//     it; Compile refuses any other Name).  A plan is entered one way,
 //     Plan.CountIn(ctx, session), and the package has two ways in:
 //     CountInCtx (the plan, in a session) and CountKeyedCtx (the same
 //     through the session's per-fingerprint count memo, which is where
@@ -112,18 +111,17 @@
 // re-captures fresh state.  DeltaStats counts advances vs fallbacks;
 // priors live inside sessions, so eviction frees them.
 //
-// Execution is cancellable: every plan's CountIn takes the context, the
-// simple engines poll it per enumerated assignment, the join-count DP
-// per pivot row and per emission or row tail (dpRun.cancelled) — in the
-// nested predicate runs too — and the delta walk per fetched row, so a
-// serving layer's per-request deadline stops CPU consumption within a
-// bounded amount of work.  A cancelled
-// keyed count never poisons the session memo — its entry is evicted and
-// the next request recomputes — and an aborted predicate
-// materialization caches no table.
+// Execution is cancellable: a plan's CountIn takes the context, the
+// join-count DP polls it per pivot row and per emission or row tail
+// (dpRun.cancelled) — in the nested predicate runs too — and the delta
+// walk per fetched row, so a serving layer's per-request deadline stops
+// CPU consumption within a bounded amount of work.  A cancelled keyed
+// count never poisons the session memo — its entry is evicted and the
+// next request recomputes — and an aborted predicate materialization
+// caches no table.
 //
 // internal/hom's backtracking solver is not on this path: it answers
-// sentence checks (hom.Exists), drives the brute and projection
-// ablation engines (plan_simple.go), and is the reference the predicate
-// tables are differential-tested against.
+// sentence checks (hom.Exists) and is the reference the predicate tables
+// and the package's own tests (solverCount) are differential-tested
+// against.
 package engine

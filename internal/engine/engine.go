@@ -11,68 +11,33 @@ import (
 	"repro/internal/structure"
 )
 
-// Name identifies a counting engine.
+// Name identifies a counting engine.  There is one exact executor, the
+// Theorem 2.11 pipeline; Auto and FPT both name it, and Compile refuses
+// every other value.
 type Name int
 
 const (
-	// Auto picks an engine automatically (currently the FPT engine).
+	// Auto picks an engine automatically (the FPT engine).
 	Auto Name = iota
-	// Brute enumerates all |B|^|S| liberal assignments (reference).
-	Brute
-	// Projection factorizes over components and enumerates extendable
-	// liberal assignments by backtracking with propagation.
-	Projection
 	// FPT runs the Theorem 2.11 pipeline: core, ∃-component predicates,
 	// join-count DP over a contract-graph tree decomposition.
 	FPT
-	// FPTNoCore is FPT without the core step.
-	FPTNoCore
 )
 
-func (n Name) String() string {
-	switch n {
-	case Auto:
-		return "auto"
-	case Brute:
-		return "brute"
-	case Projection:
-		return "projection"
-	case FPT:
-		return "fpt"
-	case FPTNoCore:
-		return "fpt-nocore"
+// checkName refuses every Name but Auto and FPT.
+func checkName(n Name) error {
+	if n != Auto && n != FPT {
+		return fmt.Errorf("engine: unknown engine %d", n)
 	}
-	return "unknown"
+	return nil
 }
 
-// ParseName resolves an engine name as used by the CLIs.
-func ParseName(s string) (Name, error) {
-	switch s {
-	case "auto":
-		return Auto, nil
-	case "fpt":
-		return FPT, nil
-	case "fpt-nocore":
-		return FPTNoCore, nil
-	case "projection", "proj":
-		return Projection, nil
-	case "brute":
-		return Brute, nil
-	}
-	return 0, fmt.Errorf("engine: unknown engine %q (want auto, fpt, fpt-nocore, projection or brute)", s)
-}
-
-// Names lists every engine, in declaration order.
-func Names() []Name { return []Name{Auto, Brute, Projection, FPT, FPTNoCore} }
-
-// Plan is a pp-formula compiled for a fixed engine: all formula-dependent
-// work (cores, ∃-components, tree decompositions, constraint schemes) is
-// done at compile time, so CountIn only performs structure-dependent
-// work.  Plans are immutable after compilation and safe for concurrent
-// use.
+// Plan is a pp-formula compiled for the join-count executor: all
+// formula-dependent work (cores, ∃-components, tree decompositions,
+// constraint schemes) is done at compile time, so CountIn only performs
+// structure-dependent work.  Plans are immutable after compilation and
+// safe for concurrent use.
 type Plan interface {
-	// Engine returns the engine the plan was compiled for.
-	Engine() Name
 	// Formula returns the compiled pp-formula.
 	Formula() pp.PP
 	// CountIn executes the plan inside a session (the structure is the
@@ -131,12 +96,12 @@ func CountKeyedCtx(ctx context.Context, pl Plan, fp string, s *Session, _ int) (
 	}
 	// Memo-warm fast path: a settled fingerprint returns its shared value
 	// with zero allocations — no compute closure is ever built.
-	if v, ok := s.countMemoHit(fp, pl.Engine()); ok {
+	if v, ok := s.countMemoHit(fp); ok {
 		return v, true, nil
 	}
 	maintained, _ := pl.(*fptPlan)
 	for {
-		v, hit, err := s.countMemoState(ctx, fp, pl.Engine(), func(prev *priorCount) (*big.Int, *fptDeltaState, error) {
+		v, hit, err := s.countMemoState(ctx, fp, func(prev *priorCount) (*big.Int, *fptDeltaState, error) {
 			if maintained != nil {
 				return maintained.countMaintained(ctx, s, prev)
 			}
@@ -155,52 +120,59 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Compile builds a plan for the formula under the named engine.  Results
-// are memoized per (formula structure identity, structure version, liberal
-// set, engine), so hot one-shot paths that re-count the same compiled
-// formula do not pay recompilation.
+// Compile builds a plan for the formula; name must be Auto or FPT.
+// Results are memoized per (formula structure identity, structure
+// version, liberal set), so hot one-shot paths that re-count the same
+// compiled formula do not pay recompilation.
 func Compile(p pp.PP, name Name) (Plan, error) {
-	if key, ok := planCacheKeyFor(p, name); ok {
-		planCacheMu.Lock()
-		cached := planCache[key]
-		planCacheMu.Unlock()
-		if cached != nil {
-			return cached, nil
-		}
-		pl, err := compile(p, name)
-		if err != nil {
-			return nil, err
-		}
-		planCacheMu.Lock()
-		if len(planCache) >= planCacheCap {
-			// Cheap wholesale eviction: the cache is a memo, not a store.
-			planCache = make(map[planCacheKey]Plan, planCacheCap)
-		}
-		planCache[key] = pl
-		planCacheMu.Unlock()
-		return pl, nil
+	if err := checkName(name); err != nil {
+		return nil, err
 	}
-	return compile(p, name)
+	key, ok := planCacheKeyFor(p)
+	if !ok {
+		return newFPTPlan(p)
+	}
+	planCacheMu.Lock()
+	cached := planCache[key]
+	planCacheMu.Unlock()
+	if cached != nil {
+		return cached, nil
+	}
+	pl, err := newFPTPlan(p)
+	if err != nil {
+		return nil, err
+	}
+	planCacheMu.Lock()
+	if len(planCache) >= planCacheCap {
+		// Cheap wholesale eviction: the cache is a memo, not a store.
+		planCache = make(map[planCacheKey]Plan, planCacheCap)
+	}
+	planCache[key] = pl
+	planCacheMu.Unlock()
+	return pl, nil
 }
 
 // CompileKeyed is Compile with an optional canonical counting-class
 // fingerprint (term.Fingerprint, threaded through ie.Term.FP): plans are
-// additionally cached per (fingerprint, engine), so pointer-distinct but
+// additionally cached per fingerprint, so pointer-distinct but
 // counting-equivalent formulas — across inclusion–exclusion terms,
 // Counters, and batches — share one compiled plan.  This is sound by
 // Theorem 5.4: counting-equivalent formulas have identical counts on
 // every structure, so a plan compiled from any representative of the
-// class counts for all of them.  The returned bool reports whether the
-// plan came out of the fingerprint cache.  An empty fp degrades to
-// Compile.
+// class counts for all of them.  Canonical fingerprints embed the full
+// relational schema and the liberal-set coloring, so equal keys imply
+// interchangeable plans.  The returned bool reports whether the plan
+// came out of the fingerprint cache.  An empty fp degrades to Compile.
 func CompileKeyed(p pp.PP, fp string, name Name) (Plan, bool, error) {
+	if err := checkName(name); err != nil {
+		return nil, false, err
+	}
 	if fp == "" {
 		pl, err := Compile(p, name)
 		return pl, false, err
 	}
-	key := fpPlanKey{fp: fp, name: name}
 	planCacheMu.Lock()
-	cached := fpPlanCache[key]
+	cached := fpPlanCache[fp]
 	planCacheMu.Unlock()
 	if cached != nil {
 		return cached, true, nil
@@ -211,45 +183,19 @@ func CompileKeyed(p pp.PP, fp string, name Name) (Plan, bool, error) {
 	}
 	planCacheMu.Lock()
 	if len(fpPlanCache) >= planCacheCap {
-		fpPlanCache = make(map[fpPlanKey]Plan, planCacheCap)
+		fpPlanCache = make(map[string]Plan, planCacheCap)
 	}
-	fpPlanCache[key] = pl
+	fpPlanCache[fp] = pl
 	planCacheMu.Unlock()
 	return pl, false, nil
 }
 
-// fpPlanKey identifies a compiled counting class: canonical fingerprints
-// embed the full relational schema and the liberal-set coloring, so equal
-// keys imply interchangeable plans.
-type fpPlanKey struct {
-	fp   string
-	name Name
-}
-
-var fpPlanCache = make(map[fpPlanKey]Plan, planCacheCap)
-
-func compile(p pp.PP, name Name) (Plan, error) {
-	switch name {
-	case Brute:
-		return &brutePlan{p: p}, nil
-	case Projection:
-		return newProjectionPlan(p), nil
-	case FPT, Auto:
-		return newFPTPlan(p, name, true)
-	case FPTNoCore:
-		return newFPTPlan(p, name, false)
-	}
-	return nil, fmt.Errorf("engine: unknown engine %d", name)
-}
-
 // planCacheKey identifies a compiled formula: the structure pointer plus
-// its mutation version (stale entries simply miss), the liberal set, and
-// the engine.
+// its mutation version (stale entries simply miss) and the liberal set.
 type planCacheKey struct {
 	a       *structure.Structure
 	version uint64
 	libs    string
-	name    Name
 }
 
 const planCacheCap = 256
@@ -257,9 +203,10 @@ const planCacheCap = 256
 var (
 	planCacheMu sync.Mutex
 	planCache   = make(map[planCacheKey]Plan, planCacheCap)
+	fpPlanCache = make(map[string]Plan, planCacheCap)
 )
 
-func planCacheKeyFor(p pp.PP, name Name) (planCacheKey, bool) {
+func planCacheKeyFor(p pp.PP) (planCacheKey, bool) {
 	if p.A == nil {
 		return planCacheKey{}, false
 	}
@@ -272,5 +219,5 @@ func planCacheKeyFor(p pp.PP, name Name) (planCacheKey, bool) {
 		}
 		buf = append(buf, byte(v), byte(v>>8))
 	}
-	return planCacheKey{a: p.A, version: p.A.Version(), libs: string(buf), name: name}, true
+	return planCacheKey{a: p.A, version: p.A.Version(), libs: string(buf)}, true
 }

@@ -41,8 +41,9 @@ func firstPredicate(tb testing.TB, pl Plan) *planConstraint {
 	return nil
 }
 
-// All five engines are Plans behind the same interface and must agree
-// with the brute reference on random structures.
+// Both engine names compile the one executor, which must agree with the
+// solver reference on random structures; every other name is refused,
+// even for a formula and a fingerprint whose plans are already cached.
 func TestAllEnginesAgreeViaPlanInterface(t *testing.T) {
 	sig := workload.EdgeSig()
 	queries := []string{
@@ -53,23 +54,13 @@ func TestAllEnginesAgreeViaPlanInterface(t *testing.T) {
 	}
 	for _, src := range queries {
 		p := compilePP(t, sig, src)
-		ref, err := Compile(p, Brute)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for seed := int64(0); seed < 6; seed++ {
 			b := workload.RandomStructure(sig, 4, 0.35, seed)
-			want, err := ref.CountIn(context.Background(), SessionFor(b))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, name := range Names() {
-				pl, err := Compile(p, name)
+			want := solverCount(p, b)
+			for _, name := range []Name{Auto, FPT} {
+				pl, _, err := CompileKeyed(p, src, name)
 				if err != nil {
 					t.Fatalf("%s: compile %v: %v", src, name, err)
-				}
-				if pl.Engine() != name {
-					t.Fatalf("plan engine = %v, want %v", pl.Engine(), name)
 				}
 				got, err := pl.CountIn(context.Background(), SessionFor(b))
 				if err != nil {
@@ -79,6 +70,12 @@ func TestAllEnginesAgreeViaPlanInterface(t *testing.T) {
 					t.Fatalf("%s engine %v seed %d: %v != %v", src, name, seed, got, want)
 				}
 			}
+		}
+		if _, err := Compile(p, FPT+1); err == nil {
+			t.Fatalf("%s: Compile accepted engine %d", src, FPT+1)
+		}
+		if _, _, err := CompileKeyed(p, src, FPT+1); err == nil {
+			t.Fatalf("%s: CompileKeyed accepted engine %d", src, FPT+1)
 		}
 	}
 }
@@ -213,7 +210,7 @@ func TestExecutorBigIntFallbackEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := Compile(p, FPTNoCore)
+	pl, err := Compile(p, FPT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,17 +403,5 @@ func TestRunBounded(t *testing.T) {
 	})
 	if err != wantErr {
 		t.Fatalf("err = %v, want %v", err, wantErr)
-	}
-}
-
-func TestParseNameRoundTrip(t *testing.T) {
-	for _, n := range Names() {
-		got, err := ParseName(n.String())
-		if err != nil || got != n {
-			t.Fatalf("ParseName(%q) = %v, %v", n.String(), got, err)
-		}
-	}
-	if _, err := ParseName("quantum"); err == nil {
-		t.Fatal("unknown engine should fail")
 	}
 }

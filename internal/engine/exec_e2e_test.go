@@ -10,7 +10,7 @@ import (
 )
 
 // Executor key schemes: the packed-uint64 and wide-bag spill paths of the
-// join-count DP must agree with the brute engine on randomized
+// join-count DP must agree with brute-force evaluation on randomized
 // queries/structures.
 func TestExecutorKeySchemesAgreeWithBrute(t *testing.T) {
 	sig := workload.EdgeSig()
@@ -21,16 +21,16 @@ func TestExecutorKeySchemesAgreeWithBrute(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := workload.RandomStructure(sig, 5, 0.35, seed+1000)
-		want, err := count.PP(p, b, count.EngineBrute)
+		want, err := count.EPDirect(q, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		packed, err := count.PP(p, b, count.EngineFPT)
+		packed, err := count.PP(p, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		restore := engine.ForcePackedKeyBudget(0)
-		spilled, err := count.PP(p, b, count.EngineFPT)
+		spilled, err := count.PP(p, b)
 		restore()
 		if err != nil {
 			t.Fatal(err)

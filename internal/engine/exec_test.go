@@ -49,7 +49,7 @@ func TestScratchPoolReuseAcrossWidthsWithSpill(t *testing.T) {
 		b := workload.RandomStructure(sig, 7, 0.35, seed)
 		var packed []*big.Int
 		for _, src := range queries {
-			pl, err := Compile(compilePP(t, sig, src), FPTNoCore)
+			pl, err := Compile(compilePP(t, sig, src), FPT)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +61,7 @@ func TestScratchPoolReuseAcrossWidthsWithSpill(t *testing.T) {
 		}
 		restore := ForcePackedKeyBudget(0)
 		for i, src := range queries {
-			pl, err := Compile(compilePP(t, sig, src), FPTNoCore)
+			pl, err := Compile(compilePP(t, sig, src), FPT)
 			if err != nil {
 				restore()
 				t.Fatal(err)
@@ -124,7 +124,7 @@ func TestTablePrefixIndex(t *testing.T) {
 // panic (regression: projSize divided by the domain size).
 func TestCountInEmptyUniverse(t *testing.T) {
 	sig := workload.EdgeSig()
-	pl, err := Compile(compilePP(t, sig, "q(a,b,c,d) := E(a,b) & E(b,c) & E(c,d)"), FPTNoCore)
+	pl, err := Compile(compilePP(t, sig, "q(a,b,c,d) := E(a,b) & E(b,c) & E(c,d)"), FPT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestCountRunsOnTheCallersGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := Compile(p, FPTNoCore)
+	pl, err := Compile(p, FPT)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,13 @@
 package engine
 
+import (
+	"math/big"
+
+	"repro/internal/hom"
+	"repro/internal/pp"
+	"repro/internal/structure"
+)
+
 // Test-only overrides of the executor's fixed parameters.  Each returns
 // a restore function that re-installs the value seen at override time,
 // so callers must not interleave override/restore pairs, and must not
@@ -39,3 +47,20 @@ func RowBinds() int64 { return rowBinds.Load() }
 // as tuples since process start: a count that leaves it unchanged built
 // every predicate table it needed as rows.
 func TupleLayouts() int64 { return tupleLayouts.Load() }
+
+// CompileUncored compiles p as it is, skipping the core step: the
+// without-core side of the core-collapse claim.
+func CompileUncored(p pp.PP) (Plan, error) { return planFrom(p, p) }
+
+// solverCount counts p's answers on b with the hom solver alone, one
+// Gaifman component at a time (|φ(B)| = ∏|φᵢ(B)|, Section 2.1): the
+// executor-free reference of the package's own tests.
+func solverCount(p pp.PP, b *structure.Structure) *big.Int {
+	total := big.NewInt(1)
+	for _, c := range p.Components() {
+		var n int64
+		hom.ForEachExtendable(c.A, b, c.S, hom.Options{}, func([]int) bool { n++; return true })
+		total.Mul(total, big.NewInt(n))
+	}
+	return total
+}

@@ -22,17 +22,15 @@ import (
 // per-node constraint orders to the table sizes (cached per component and
 // session), and run the join-count DP (exec.go).
 type fptPlan struct {
-	name  Name
 	p     pp.PP
 	sig   *structure.Signature
 	comps []*planComponent
 
 	// deltaOK marks the plan as delta-maintainable (delta.go): every
 	// component is a quantifier-free join over atom constraints — no
-	// sentence components, no extra sentence checks, no ∃-component
-	// predicate tables.  Only then is each component's join value a pure
-	// function of its constraint tables, which is what the telescoped
-	// delta-join advance relies on.
+	// sentence components, no ∃-component predicate tables.  Only then is
+	// each component's join value a pure function of its constraint
+	// tables, which is what the telescoped delta-join advance relies on.
 	deltaOK bool
 }
 
@@ -78,9 +76,6 @@ type planComponent struct {
 	// sentence components: check hom existence of structureOnly.
 	sentence      bool
 	structureOnly *structure.Structure
-	// extraSentences are quantified parts with empty interfaces inside a
-	// liberal component (possible without coring): pure existence checks.
-	extraSentences []*structure.Structure
 
 	// liberal components:
 	nActive     int // number of constraint-covered liberal positions
@@ -93,15 +88,14 @@ type planComponent struct {
 	root        int
 }
 
-// newFPTPlan compiles a counting plan.  useCore selects whether the
-// formula is replaced by its core first (always sound; FPTNoCore skips
-// it).
-func newFPTPlan(p pp.PP, name Name, useCore bool) (*fptPlan, error) {
-	d := p
-	if useCore {
-		d = p.Core()
-	}
-	plan := &fptPlan{name: name, p: p, sig: p.A.Signature()}
+// newFPTPlan compiles a counting plan for p's core.  Pool terms carry
+// the cored mark, so for them p.Core() is p itself and costs nothing.
+func newFPTPlan(p pp.PP) (*fptPlan, error) { return planFrom(p, p.Core()) }
+
+// planFrom compiles a plan that counts p by counting d, which must have
+// the same answers as p on every structure (p itself, or its core).
+func planFrom(p, d pp.PP) (*fptPlan, error) {
+	plan := &fptPlan{p: p, sig: p.A.Signature()}
 	for _, comp := range d.Components() {
 		pc, err := compileComponent(comp)
 		if err != nil {
@@ -130,14 +124,11 @@ func compileComponent(comp pp.PP) (*planComponent, error) {
 
 	// (b) ∃-component predicates.  ExistsComponents expects the cored
 	// formula per the paper's definition, but the decomposition of the
-	// extension condition is sound for any formula.
-	var sentences []*structure.Structure
+	// extension condition is sound for any formula.  comp is Gaifman-
+	// connected and has a liberal variable, so every ∃-component borders
+	// one: no interface is empty.
 	for _, ec := range pp.ExistsComponents(comp) {
 		sub, old2new := existsSub(comp.A, ec)
-		if len(ec.Interface) == 0 {
-			sentences = append(sentences, sub)
-			continue
-		}
 		// Interface sorted by scope position (comp.S and ec.Interface are
 		// both ascending, so it already is).
 		iface := make([]int, len(ec.Interface))
@@ -182,9 +173,6 @@ func compileComponent(comp pp.PP) (*planComponent, error) {
 		nActive:     nActive,
 		freeVars:    free,
 		constraints: cons,
-		// Quantified-only parts with empty interfaces behave as sentence
-		// sub-checks: treat each as an extra sentence component.
-		extraSentences: sentences,
 	}
 	if nActive > 0 {
 		cg := graph.New(nActive)
@@ -393,7 +381,6 @@ func (pc *planComponent) compileNodes() {
 	}
 }
 
-func (pl *fptPlan) Engine() Name   { return pl.name }
 func (pl *fptPlan) Formula() pp.PP { return pl.p }
 
 // CountIn executes the plan inside a session, reusing any constraint
@@ -422,7 +409,7 @@ func (pl *fptPlan) countIn(ctx context.Context, s *Session, st *fptDeltaState) (
 	}
 	b := s.B
 	if !pl.sig.Equal(b.Signature()) {
-		return nil, errSignature(pl.p, b)
+		return nil, fmt.Errorf("engine: plan signature %v differs from structure signature %v", pl.sig, b.Signature())
 	}
 	total := big.NewInt(1)
 	for ci, pc := range pl.comps {
@@ -452,11 +439,6 @@ func (pc *planComponent) count(ctx context.Context, s *Session) (f, join *big.In
 			return big.NewInt(1), nil, nil
 		}
 		return new(big.Int), nil, nil
-	}
-	for _, sub := range pc.extraSentences {
-		if !s.SentenceHolds(sub) {
-			return new(big.Int), nil, nil
-		}
 	}
 	join, err = pc.joinIn(ctx, s)
 	if err != nil {
@@ -504,11 +486,6 @@ func ctxAbortErr(ctx context.Context) error {
 		return err
 	}
 	return context.Canceled
-}
-
-func errSignature(p pp.PP, b *structure.Structure) error {
-	return fmt.Errorf("engine: plan signature %v differs from structure signature %v",
-		p.A.Signature(), b.Signature())
 }
 
 // containsAll reports whether the sorted set contains every element of

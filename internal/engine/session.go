@@ -46,14 +46,14 @@ type Session struct {
 	tables    map[tableKey]*tableEntry
 	sentences map[*structure.Structure]bool
 	pruned    map[*planComponent]*pruneEntry
-	counts    map[countKey]*countEntry
+	counts    map[string]*countEntry
 	// prior holds the settled, advanceable counts adopted from the
 	// structure's previous session (SessionFor carries them across a
 	// version bump): instead of recomputing a warm fingerprint from
 	// scratch, the delta executor advances its prior value by the rows
 	// appended since (delta.go).  Priors live inside the session, so
 	// LRU eviction of the session frees them with everything else.
-	prior map[countKey]priorCount
+	prior map[string]priorCount
 }
 
 // priorCount is one adopted count: its value, the snapshot of the
@@ -63,15 +63,6 @@ type priorCount struct {
 	v     *big.Int
 	snap  structure.Snapshot
 	state *fptDeltaState
-}
-
-// countKey identifies a memoized term count: the canonical counting-
-// class fingerprint plus the engine it was evaluated with.  Counts are
-// engine-independent in value, but keeping the engine in the key lets
-// differential tests exercise engines side by side without cross-talk.
-type countKey struct {
-	fp   string
-	name Name
 }
 
 // countEntry guards one memoized count: the installing caller drives the
@@ -123,7 +114,7 @@ func NewSession(b *structure.Structure) *Session {
 		tables:    make(map[tableKey]*tableEntry),
 		sentences: make(map[*structure.Structure]bool),
 		pruned:    make(map[*planComponent]*pruneEntry),
-		counts:    make(map[countKey]*countEntry),
+		counts:    make(map[string]*countEntry),
 	}
 	s.pins.Store(1) // the owner's reference, dropped by retire
 	return s
@@ -188,12 +179,12 @@ func (s *Session) arenaFor() *arena {
 }
 
 // countMemoHit is the allocation-free warm path of the count memo: it
-// reports the settled value of (fp, name) without building closures or
+// reports the settled value of fp without building closures or
 // entries.  A miss (absent, still computing, or failed) falls through to
 // the full countMemoState machinery.
-func (s *Session) countMemoHit(fp string, name Name) (*big.Int, bool) {
+func (s *Session) countMemoHit(fp string) (*big.Int, bool) {
 	s.mu.Lock()
-	e := s.counts[countKey{fp: fp, name: name}]
+	e := s.counts[fp]
 	s.mu.Unlock()
 	if e != nil && e.done.Load() {
 		return e.v, true
@@ -202,7 +193,7 @@ func (s *Session) countMemoHit(fp string, name Name) (*big.Int, bool) {
 }
 
 // countMemoState returns the session-cached count of the canonical
-// counting class fp under engine name, computing it with f on first use.
+// counting class fp, computing it with f on first use.
 // One session counts each unique term at most once, no matter how many
 // inclusion–exclusion terms, repeated counts, Counters, or batch workers
 // ask for it — the per-(session, structure-version) count cache of the
@@ -219,23 +210,22 @@ func (s *Session) countMemoHit(fp string, name Name) (*big.Int, bool) {
 // immediately instead of riding out the driver's computation — a
 // serving request's deadline bounds its wait even when another request
 // owns the compute.
-func (s *Session) countMemoState(ctx context.Context, fp string, name Name, f func(prev *priorCount) (*big.Int, *fptDeltaState, error)) (*big.Int, bool, error) {
-	key := countKey{fp: fp, name: name}
+func (s *Session) countMemoState(ctx context.Context, fp string, f func(prev *priorCount) (*big.Int, *fptDeltaState, error)) (*big.Int, bool, error) {
 	s.mu.Lock()
-	e := s.counts[key]
+	e := s.counts[fp]
 	hit := e != nil
 	if e == nil {
 		if len(s.counts) >= sessionMemoCap {
-			s.counts = make(map[countKey]*countEntry)
+			s.counts = make(map[string]*countEntry)
 		}
 		e = &countEntry{ch: make(chan struct{})}
-		s.counts[key] = e
+		s.counts[fp] = e
 		s.mu.Unlock()
 		// Driver path.  The prior is looked up here (not at install
 		// time) so the computation sees the freshest adopted state.
 		var prev *priorCount
 		s.mu.Lock()
-		if p, ok := s.prior[key]; ok {
+		if p, ok := s.prior[fp]; ok {
 			prev = &p
 		}
 		s.mu.Unlock()
@@ -248,8 +238,8 @@ func (s *Session) countMemoState(ctx context.Context, fp string, name Name, f fu
 			// waiters, so their retries install a fresh entry.
 			// CountKeyedCtx retries waiters whose own context is alive.
 			s.mu.Lock()
-			if s.counts[key] == e {
-				delete(s.counts, key)
+			if s.counts[fp] == e {
+				delete(s.counts, fp)
 			}
 			s.mu.Unlock()
 		}
@@ -636,10 +626,10 @@ func sessionLookup(b *structure.Structure) (*Session, []*Session) {
 // this session's snapshot).  Entries without state cannot be advanced
 // and are dropped.  Returns nil past the memo cap — a memo, not a
 // store.
-func (s *Session) settledCounts() map[countKey]priorCount {
+func (s *Session) settledCounts() map[string]priorCount {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[countKey]priorCount, len(s.prior)+len(s.counts))
+	out := make(map[string]priorCount, len(s.prior)+len(s.counts))
 	for k, p := range s.prior {
 		out[k] = p
 	}

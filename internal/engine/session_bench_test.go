@@ -33,7 +33,7 @@ func benchMaterializeFresh(b *testing.B, src string, n int, avgDeg float64) {
 	b.Helper()
 	sig := workload.EdgeSig()
 	p := benchCompilePP(b, sig, src)
-	pl, err := Compile(p, FPTNoCore)
+	pl, err := Compile(p, FPT)
 	if err != nil {
 		b.Fatal(err)
 	}

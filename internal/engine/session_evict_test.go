@@ -59,7 +59,7 @@ func TestSessionForReplacesStaleSession(t *testing.T) {
 func TestSemiJoinPrunePreservesJoinCount(t *testing.T) {
 	sig := workload.EdgeSig()
 	p := compilePP(t, sig, "q(a,b,c,d) := E(a,b) & E(b,c) & E(c,d)")
-	pl, err := Compile(p, FPTNoCore)
+	pl, err := Compile(p, FPT)
 	if err != nil {
 		t.Fatal(err)
 	}

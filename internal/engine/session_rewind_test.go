@@ -34,8 +34,8 @@ func TestSessionForCarriesPriorsForward(t *testing.T) {
 	defer ReleaseSession(b)
 	s1 := SessionFor(b)
 	s1.mu.Lock()
-	s1.prior = map[countKey]priorCount{
-		{fp: "fake", name: FPT}: {v: big.NewInt(42), snap: s1.snap},
+	s1.prior = map[string]priorCount{
+		"fake": {v: big.NewInt(42), snap: s1.snap},
 	}
 	s1.mu.Unlock()
 
@@ -46,7 +46,7 @@ func TestSessionForCarriesPriorsForward(t *testing.T) {
 	if s2 == s1 {
 		t.Fatalf("stale session not replaced")
 	}
-	if len(s2.prior) != 1 || s2.prior[countKey{fp: "fake", name: FPT}].v.Int64() != 42 {
+	if len(s2.prior) != 1 || s2.prior["fake"].v.Int64() != 42 {
 		t.Fatalf("forward version bump dropped priors: %+v", s2.prior)
 	}
 }
@@ -62,8 +62,8 @@ func TestSessionForRewindDropsPriors(t *testing.T) {
 	defer ReleaseSession(b)
 	s1 := SessionFor(b)
 	s1.mu.Lock()
-	s1.prior = map[countKey]priorCount{
-		{fp: "fake", name: FPT}: {v: big.NewInt(42), snap: s1.snap},
+	s1.prior = map[string]priorCount{
+		"fake": {v: big.NewInt(42), snap: s1.snap},
 	}
 	// Simulate the structure having been swapped for an older version:
 	// the cached session believes it is far in the future.

@@ -14,10 +14,10 @@ func homExists(a, b *structure.Structure) bool {
 	return hom.Exists(a, b, hom.Options{})
 }
 
-// countOn counts |p(B)| with the projection engine (the distinguishing
-// search needs exact counts on small candidate structures).
+// countOn counts |p(B)| exactly (the distinguishing search needs exact
+// counts on small candidate structures).
 func countOn(p pp.PP, b *structure.Structure) (*big.Int, error) {
-	return count.PP(p, b, count.EngineProjection)
+	return count.PP(p, b)
 }
 
 // maxMaterializedSize caps the size of structures the distinguishing

@@ -17,7 +17,7 @@ func edgeSig() *structure.Signature { return workload.EdgeSig() }
 
 // fptCounter is the pp oracle used by the forward reduction in tests.
 func fptCounter(p pp.PP, b *structure.Structure) (*big.Int, error) {
-	return count.PP(p, b, count.EngineFPT)
+	return count.PP(p, b)
 }
 
 // epOracleFor returns an EP oracle computed by the forward pipeline (an
@@ -214,7 +214,7 @@ func TestPaperExample43StructureSeparates(t *testing.T) {
 	}
 	var vals []*big.Int
 	for _, s := range c.Star {
-		v, err := count.PP(s.Formula, cStruct, count.EngineFPT)
+		v, err := count.PP(s.Formula, cStruct)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func TestPaperExample43StructureSeparates(t *testing.T) {
 		}
 		for pi, psi := range c.Plus {
 			calls = 0
-			want, err := count.PP(psi, b, count.EngineFPT)
+			want, err := count.PP(psi, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,7 +270,7 @@ func TestBackwardReductionMatchesDirect(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			b := workload.RandomStructure(c.Sig, 3, 0.45, 100+seed)
 			for pi, psi := range c.Plus {
-				want, err := count.PP(psi, b, count.EngineFPT)
+				want, err := count.PP(psi, b)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -336,11 +336,11 @@ func TestPeelClass(t *testing.T) {
 	}
 	coeffs := []*big.Int{big.NewInt(2), big.NewInt(-3)}
 	sumOracle := func(y *structure.Structure) (*big.Int, error) {
-		v1, err := count.PP(p1, y, count.EngineProjection)
+		v1, err := count.EPUnion([]pp.PP{p1}, y)
 		if err != nil {
 			return nil, err
 		}
-		v2, err := count.PP(p2, y, count.EngineProjection)
+		v2, err := count.EPUnion([]pp.PP{p2}, y)
 		if err != nil {
 			return nil, err
 		}
@@ -349,7 +349,7 @@ func TestPeelClass(t *testing.T) {
 	}
 	b := parser.MustStructure(`E(1,2). E(2,3). F(1).`, sig)
 	for target, p := range []pp.PP{p1, p2} {
-		want, err := count.PP(p, b, count.EngineProjection)
+		want, err := count.EPUnion([]pp.PP{p}, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,7 +451,7 @@ func TestPaperTheorem31Interreduction(t *testing.T) {
 		// Backward, for every member of φ⁺.
 		oracle := epOracleFor(c)
 		for pi, psi := range c.Plus {
-			pw, err := count.PP(psi, b, count.EngineFPT)
+			pw, err := count.PP(psi, b)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -54,7 +54,7 @@ func TestBackwardReductionTernary(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		b := workload.RandomStructure(sig, 3, 0.35, 40+seed)
 		for pi, psi := range c.Plus {
-			want, err := count.PP(psi, b, count.EngineFPT)
+			want, err := count.PP(psi, b)
 			if err != nil {
 				t.Fatal(err)
 			}

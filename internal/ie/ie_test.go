@@ -108,7 +108,7 @@ func TestPaperExample42Cancellation(t *testing.T) {
 		t.Fatalf("pool %s: want 7 raw and unique = %d live + cancelled", ps, len(star))
 	}
 	cnt := func(p pp.PP, s *structure.Structure) (*big.Int, error) {
-		return count.PP(p, s, count.EngineProjection)
+		return count.EPUnion([]pp.PP{p}, s)
 	}
 	for _, n := range []int{5, 7, 10} {
 		b := workload.RandomStructure(edgeSig(), n, 0.3, int64(n))
@@ -251,7 +251,7 @@ func TestExample42CountMatchesUnion(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := ie.Count(star, b, func(p pp.PP, s *structure.Structure) (*big.Int, error) {
-			return count.PP(p, s, count.EngineFPT)
+			return count.PP(p, s)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -275,7 +275,7 @@ func TestRawEqualsMerged(t *testing.T) {
 	}
 	b := workload.RandomStructure(edgeSig(), 5, 0.3, 42)
 	cnt := func(p pp.PP, s *structure.Structure) (*big.Int, error) {
-		return count.PP(p, s, count.EngineProjection)
+		return count.EPUnion([]pp.PP{p}, s)
 	}
 	a, err := ie.Count(raw, b, cnt)
 	if err != nil {
@@ -364,7 +364,7 @@ func TestMergeAcrossUniverseSizes(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := ie.Count(star, b, func(p pp.PP, s *structure.Structure) (*big.Int, error) {
-			return count.PP(p, s, count.EngineFPT)
+			return count.PP(p, s)
 		})
 		if err != nil {
 			t.Fatal(err)

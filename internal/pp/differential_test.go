@@ -117,6 +117,21 @@ func TestFrontEndMatchesReference(t *testing.T) {
 			if c.A.Size() < p.A.Size() {
 				shrunk++
 			}
+			// The plan compiler relies on this: in a connected formula with
+			// a liberal variable every ∃-component borders one, so none is
+			// a sentence hiding inside a liberal component.
+			for _, f := range []pp.PP{p, c} {
+				for _, comp := range f.Components() {
+					if len(comp.S) == 0 {
+						continue
+					}
+					for _, ec := range pp.ExistsComponents(comp) {
+						if len(ec.Interface) == 0 {
+							t.Fatalf("group %d formula %d: ∃-component %v of a liberal component has an empty interface\n%v", g, i, ec.Vertices, comp)
+						}
+					}
+				}
+			}
 			if p.IsSentence() {
 				sentences++
 			}

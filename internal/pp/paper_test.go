@@ -44,11 +44,11 @@ func equivCorpus(sig *structure.Signature) []*structure.Structure {
 func equalOnCorpus(t *testing.T, p1, p2 pp.PP, corpus []*structure.Structure, positiveOnly bool) (bool, int) {
 	t.Helper()
 	for i, b := range corpus {
-		v1, err := count.PP(p1, b, count.EngineProjection)
+		v1, err := count.EPUnion([]pp.PP{p1}, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2, err := count.PP(p2, b, count.EngineProjection)
+		v2, err := count.EPUnion([]pp.PP{p2}, b)
 		if err != nil {
 			t.Fatal(err)
 		}

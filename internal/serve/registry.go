@@ -647,9 +647,8 @@ func (r *Registry) DurabilityStats() DurabilityStats {
 const servedEngine = "fpt"
 
 // parseEngine validates the wire engine field.  It selects nothing: the
-// empty string, "auto" and "fpt" all mean the served executor, and every
-// other name — the oracles and ablations that epcount -engine still
-// runs — is refused.
+// empty string, "auto" and "fpt" all mean the one exact executor, and
+// every other name is refused.
 func parseEngine(s string) error {
 	switch strings.TrimSpace(s) {
 	case "", "auto", servedEngine:
