@@ -24,14 +24,17 @@ doccheck:
 # densities (Advance_TriC4_N200_P06 / _P35) and growing, the query
 # classes of the repository benchmark's cold-exec workload in process
 # (one by one and at the workload's mix) beside the other
-# materialization benchmarks, + the engine delta guard: on an
-# append+count mix — sparse and dense on the store's bit rows, and on a
-# relation too sparse for rows, where a delta term walks posting lists —
+# materialization benchmarks, approx-hard's request mix in process
+# (Approx_HardMix: one sampled K4 / K5 estimate per op, memos cold), +
+# the engine delta guard: on an append+count mix — sparse and dense on
+# the store's bit rows, and on a relation too sparse for rows, where a
+# delta term walks posting lists —
 # the delta path must beat forced full recounts by ≥ 20x — a
 # same-machine relative bound, independent of absolute CI machine speed.
 bench-smoke:
 	$(GO) test -run XXX -bench 'JoinCount|FPT|UnionDedup|Advance_' -benchmem -benchtime 0.2s .
 	$(GO) test -run XXX -bench 'Materialize_|ColdExec_' -benchmem -benchtime 0.2s ./internal/engine
+	$(GO) test -run XXX -bench 'Approx_' -benchmem -benchtime 0.2s ./internal/core
 	EPCQ_BENCH_SMOKE=1 $(GO) test -run TestBenchSmoke -v ./internal/engine
 
 fuzz-smoke:

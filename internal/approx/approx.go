@@ -208,7 +208,7 @@ func (e *Estimator) Count(ctx context.Context, b *structure.Structure, prm Param
 		switch {
 		case len(comp.S) == 0:
 			if !hom.Exists(comp.A, b, hom.Options{}) {
-				return zeroResult(res, prm, sampled), nil
+				return zeroResult(res), nil
 			}
 		case comp.A.NumTuples() == 0:
 			prod.Mul(prod, new(big.Float).SetPrec(128).SetInt(structure.PowerSize(b, len(comp.S))))
@@ -225,12 +225,12 @@ func (e *Estimator) Count(ctx context.Context, b *structure.Structure, prm Param
 			res.Samples += ce.samples
 			res.Converged = res.Converged && ce.converged
 			if sp.ExactZero() {
-				return zeroResult(res, prm, sampled), nil
+				return zeroResult(res), nil
 			}
 			if ce.mean == 0 {
 				// No successful draw: the point estimate is 0 but no
 				// relative bound was established.
-				z := zeroResult(res, prm, sampled)
+				z := zeroResult(res)
 				z.Exact = false
 				z.Converged = false
 				z.RelErr = 1
@@ -241,7 +241,7 @@ func (e *Estimator) Count(ctx context.Context, b *structure.Structure, prm Param
 			relSum += ce.absErr / ce.mean
 		}
 		if prod.Sign() == 0 {
-			return zeroResult(res, prm, sampled), nil
+			return zeroResult(res), nil
 		}
 	}
 
@@ -259,7 +259,7 @@ func (e *Estimator) Count(ctx context.Context, b *structure.Structure, prm Param
 // false sentence component, an initial domain wipeout, or an empty
 // structure): the zero is certain, whatever sampling budget was already
 // spent on other components.
-func zeroResult(res Result, _ Params, _ int) Result {
+func zeroResult(res Result) Result {
 	res.Estimate = new(big.Int)
 	res.RelErr = 0
 	res.AbsErr = 0

@@ -7,8 +7,10 @@
 // The estimator is a sequential importance sampler in the style of
 // Knuth's unbiased tree-size estimator, run over the same GAC
 // propagation the exact solver uses (hom.Sampler; on binary relations a
-// revise is a few word operations on the solver's bit rows, so a draw
-// costs microseconds and allocates nothing): a
+// revise is a few word operations on the solver's bit rows, and the
+// first fixing is propagated once per value and then copied from the
+// sampler's memo, so a draw costs one to a few microseconds and allocates
+// nothing): a
 // draw fixes the liberal variables one at a time to a uniformly random
 // member of their current propagated domain, multiplies the domain sizes
 // into a Horvitz–Thompson weight, and checks the partial assignment

@@ -222,7 +222,9 @@ func TestWithRouteBoundsReroutes(t *testing.T) {
 // approx-hard benchmark inputs, as recorded before the hom solver's
 // revise moved to value-space bit rows: arc consistency has a unique
 // fixpoint, so a change of propagation kernel must reproduce every draw
-// and therefore every figure here bit for bit.
+// and therefore every figure here bit for bit.  The figures also pin
+// hom.Sampler's first-fixing memo and its skipped last propagation,
+// which rest on the same fixpoint.
 func TestApproxHardGolden(t *testing.T) {
 	type golden struct {
 		estimate int64

@@ -22,4 +22,15 @@
 // lists.  Arc consistency has a unique fixpoint, so the two kernels yield
 // identical domains and everything derived from them — search order,
 // sampler draws — does not depend on which one ran.
+//
+// Sampler draws the approximate counter's Horvitz–Thompson samples: a
+// draw fixes the liberal variables one at a time and propagates after
+// each fixing.  The first fixing dominates a draw's revise work, yet its
+// variable takes one of at most |B| values while an estimate makes
+// hundreds of draws, so a Sampler propagates each first value once and
+// keeps the resulting domains (or a dead mark) in a memo it carves at
+// construction; a sampler whose liberal variables cover A skips the
+// propagation after its last fixing, where every value left extends.
+// Both rest on the unique fixpoint: each draw is bit-identical to
+// fixing and propagating every variable.
 package hom

@@ -87,7 +87,11 @@ func cliquePattern(k int) (*structure.Structure, []int) {
 
 // The two sampler benchmarks run on the approx-hard workload's pinned
 // inputs (benchmark/workload.go: free K4 on ER(40, 0.4) and free K5 on
-// ER(30, 0.6), input seed 20160626); ns/op is the cost of one draw.
+// ER(30, 0.6), input seed 20160626).  One sampler serves every draw, so
+// after the first draw of each first value its first fixing is a memo
+// copy: ns/op is the cost of one draw on a warm memo.  A request builds
+// its samplers and starts cold; BenchmarkApprox_HardMix (internal/core)
+// measures that.
 
 func benchSampler(b *testing.B, k, n int, p float64, seed int64) {
 	a, proj := cliquePattern(k)

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -281,24 +282,151 @@ func TestSamplerWeightsIdenticalAcrossKernels(t *testing.T) {
 	}
 }
 
-// TestSampleAllocatesNothing pins the per-draw cost model: after the
-// first draw has populated the solver's pooled domain copy, a draw on
-// the approx-hard inputs is propagation only.
+// withoutMemo strips the sampler's first-fixing memo, so every draw
+// fixes and propagates proj[0] itself.
+func (sp *Sampler) withoutMemo() *Sampler {
+	sp.memo, sp.state = nil, nil
+	return sp
+}
+
+// splitmixSource is a rand.Source whose Seed costs nothing, so every
+// draw can start from a seed of its own and its first pick can be peeked.
+type splitmixSource uint64
+
+func (s *splitmixSource) Seed(seed int64) { *s = splitmixSource(seed) }
+
+func (s *splitmixSource) Int63() int64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return int64((z ^ z>>31) >> 1)
+}
+
+// TestSamplerMemoMatchesPlainDraws compares a sampler against its twin
+// without the first-fixing memo on the differential suite's inputs, with
+// partial projections (the completion search), injectivity groups and
+// pins / restricts: on one seed a draw served from the memo, live or
+// dead, must weigh exactly what fixing and propagating weighs.
+func TestSamplerMemoMatchesPlainDraws(t *testing.T) {
+	var memos, partial, allDiff, pinned, live, liveHits, deadHits int
+	for _, nB := range kernelUniverses {
+		rng := rand.New(rand.NewSource(int64(4000 + nB)))
+		// Most generated cases are exact zeros or keep no memo; draw
+		// until this universe has contributed its share of samplers
+		// with one, trying several projections on each live case.
+		for iter, share := 0, memos+40; memos < share && iter < 2000; iter++ {
+			c := randomKernelCase(rng, nB)
+			if _, ok := newSolver(c.A, c.B, c.opts).initialDomains(); !ok {
+				continue
+			}
+			nA := c.A.Size()
+			for variant := 0; variant < 4; variant++ {
+				opts := c.opts
+				if rng.Intn(3) == 0 {
+					opts.AllDiff = rng.Perm(nA)[:1+rng.Intn(nA)]
+				}
+				proj := rng.Perm(nA)[:1+rng.Intn(nA)]
+				// Lead with an element whose every constraint revises on
+				// support rows, when there is one: the memo serves it.
+				s := newSolver(c.A, c.B, opts)
+				for i, v := range proj {
+					if len(s.consOf[v]) > 0 && !slices.ContainsFunc(s.consOf[v], func(ci int) bool { return s.cons[ci].fwd == nil }) {
+						proj[0], proj[i] = proj[i], proj[0]
+						break
+					}
+				}
+				memo := newSampler(s, proj)
+				plain := NewSampler(c.A, c.B, proj, opts).withoutMemo()
+				if memo.ExactZero() != plain.ExactZero() {
+					t.Fatalf("nB=%d iter %d: samplers disagree before the first draw", nB, iter)
+				}
+				if memo.memo == nil {
+					continue
+				}
+				memos++
+				if len(proj) < nA {
+					partial++
+				}
+				if opts.AllDiff != nil {
+					allDiff++
+				}
+				if opts.Pin != nil || opts.Restrict != nil {
+					pinned++
+				}
+				c0 := bitvec.Count(memo.dom0[proj[0]])
+				var sPeek, sMemo, sPlain splitmixSource
+				peek, rm, rp := rand.New(&sPeek), rand.New(&sMemo), rand.New(&sPlain)
+				for d := int64(0); d < 60; d++ {
+					seed := int64(nB)<<32 | int64(iter)<<10 | int64(variant)<<8 | d
+					peek.Seed(seed)
+					rm.Seed(seed)
+					rp.Seed(seed)
+					// The first pick names the memo entry this draw reads.
+					switch memo.state[peek.Intn(c0)] {
+					case memoLive:
+						liveHits++
+					case memoDead:
+						deadHits++
+					}
+					wm, wp := memo.Sample(rm), plain.Sample(rp)
+					if wm != wp {
+						t.Fatalf("nB=%d iter %d variant %d draw %d: weight %v with the memo, %v without", nB, iter, variant, d, wm, wp)
+					}
+					if wm != 0 {
+						live++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d samplers with a memo (%d partial, %d alldiff, %d pinned/restricted): %d live draws, %d live and %d dead memo hits",
+		memos, partial, allDiff, pinned, live, liveHits, deadHits)
+	if memos < 240 || partial < 100 || allDiff < 50 || pinned < 100 {
+		t.Fatalf("generator is lopsided: %d samplers with a memo, %d partial, %d alldiff, %d pinned/restricted", memos, partial, allDiff, pinned)
+	}
+	if live < 1000 || liveHits < 1000 || deadHits < 100 {
+		t.Fatalf("the comparison is vacuous: %d live draws, %d live and %d dead memo hits", live, liveHits, deadHits)
+	}
+}
+
+// TestSampleAllocatesNothing pins the per-draw cost model: a draw on the
+// approx-hard inputs is propagation only, its first fixing served from a
+// memo carved at construction.  The 200 draws run inside one measured
+// call, so a single allocation among them fails the test.
 func TestSampleAllocatesNothing(t *testing.T) {
 	a, proj := cliquePattern(4)
-	sp := NewSampler(a, erStructure(40, 16, 20160626), proj, Options{})
+	b := erStructure(40, 16, 20160626)
 	rng := rand.New(rand.NewSource(1))
-	sp.Sample(rng)
-	if allocs := testing.AllocsPerRun(200, func() { sp.Sample(rng) }); allocs != 0 {
-		t.Fatalf("Sample allocates %v times per draw, want 0", allocs)
+	draws := func(sp *Sampler) func() {
+		return func() {
+			for i := 0; i < 200; i++ {
+				sp.Sample(rng)
+			}
+		}
+	}
+	sp := NewSampler(a, b, proj, Options{})
+	if sp.memo == nil {
+		t.Fatal("no first-fixing memo on the approx-hard inputs")
+	}
+	if allocs := testing.AllocsPerRun(1, draws(sp)); allocs != 0 {
+		t.Fatalf("200 draws allocate %v times, want 0", allocs)
 	}
 	// A quantified variable brings in the completion search; it must not
-	// allocate either once its domain copies are pooled.
-	sp = NewSampler(a, erStructure(40, 16, 20160626), proj[:3], Options{})
-	for i := 0; i < 50; i++ {
-		sp.Sample(rng)
+	// allocate either once its domain copies are pooled (AllocsPerRun's
+	// warm-up call pools them).
+	sp = NewSampler(a, b, proj[:3], Options{})
+	if allocs := testing.AllocsPerRun(1, draws(sp)); allocs != 0 {
+		t.Fatalf("200 draws with a quantified variable allocate %v times, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(200, func() { sp.Sample(rng) }); allocs != 0 {
-		t.Fatalf("Sample with a quantified variable allocates %v times per draw, want 0", allocs)
+	// A relation too sparse for support rows (5.9 words per tuple, past
+	// structure.BitRowsFit) keeps no memo.
+	path := pathPattern(6)
+	all := make([]int, path.Size())
+	for i := range all {
+		all[i] = i
+	}
+	if sp := NewSampler(path, erStructure(1500, 4.0, 7), all, Options{}); sp.ExactZero() || sp.memo != nil {
+		t.Fatalf("row-kernel sampler: exact zero %v, memo kept %v; want a live sampler without a memo", sp.ExactZero(), sp.memo != nil)
 	}
 }
