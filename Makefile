@@ -8,8 +8,11 @@ build:
 test:
 	$(GO) test ./...
 
+# The second line repeats the session-lifetime concurrency tests (counts
+# racing a session's leaving the registry, LRU eviction, stale replacement).
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'Retire|Session|Evict' ./internal/engine
 
 vet:
 	$(GO) vet ./...

@@ -243,7 +243,7 @@ func newSeedWalk(pc *planComponent, b *structure.Structure, dv structure.DeltaVi
 		live: make([]*Table, k), pinned: make([]bool, k)}
 	for ci := range pc.constraints {
 		c := &pc.constraints[ci]
-		w.live[ci] = storeRows(c, b.Rel(c.rel), b.Size(), nil)
+		w.live[ci] = storeRows(c, b.Rel(c.rel), b.Size())
 	}
 	return w
 }
@@ -285,18 +285,16 @@ func (w *seedWalk) run(last int, acc *big.Int, neg bool) bool {
 }
 
 // join builds the current term's inputs and counts it: nil when an input
-// is empty, ok=false when done fired.  The tables, their prefix indexes and everything
-// newExecPlan binds over them live in a scratch arena returned to the
-// pools before the next term.
+// is empty, ok=false when done fired.  The tables, their prefix indexes
+// and everything newExecPlan binds over them are garbage once the term
+// is counted.
 func (w *seedWalk) join() (j *big.Int, ok bool) {
 	for v := range w.vals {
 		w.clear(v)
 	}
-	scratch := &arena{}
-	defer scratch.free()
 	tables := make([]*Table, len(w.pinned))
 	for ci, seed := w.next(tables); ci >= 0; ci, seed = w.next(tables) {
-		if !w.input(ci, seed, tables, scratch) {
+		if !w.input(ci, seed, tables) {
 			return nil, !w.aborted
 		}
 	}
@@ -311,12 +309,12 @@ func (w *seedWalk) join() (j *big.Int, ok bool) {
 // input builds constraint ci's input — a live one's rows (view), or tuples
 // (reduce) — and narrows its variables' supports; false: it is empty or
 // done fired.
-func (w *seedWalk) input(ci, seed int, tables []*Table, ar *arena) bool {
+func (w *seedWalk) input(ci, seed int, tables []*Table) bool {
 	if w.live[ci] != nil && !w.pinned[ci] && seed >= 0 {
 		tables[ci] = w.view(ci)
 		return tables[ci].n > 0
 	}
-	t := w.reduce(ci, seed, ar)
+	t := w.reduce(ci, seed)
 	if w.aborted || t.n == 0 {
 		return false
 	}
@@ -363,7 +361,7 @@ func (w *seedWalk) next(tables []*Table) (ci, seed int) {
 // fetched from the posting lists of the values supporting scope position
 // seed (row ids ascend, so each list is left at the cut); work is the
 // rows visited, whatever the relation holds.
-func (w *seedWalk) reduce(ci, seed int, ar *arena) *Table {
+func (w *seedWalk) reduce(ci, seed int) *Table {
 	c := &w.pc.constraints[ci]
 	rel := w.b.Rel(c.rel)
 	lo, hi := 0, rel.Len()
@@ -372,7 +370,7 @@ func (w *seedWalk) reduce(ci, seed int, ar *arena) *Table {
 	} else if ci > w.i {
 		hi = w.dv.OldRows(c.rel)
 	}
-	t := newTable(len(c.scope), w.b.Size(), ar)
+	t := newTable(len(c.scope), w.b.Size())
 	row := make([]int, len(c.scope))
 	keep := func(r int32) bool {
 		if int(r) >= hi {

@@ -259,18 +259,10 @@ func TestAdvanceAbortsMidReduction(t *testing.T) {
 // 4-cycle; per read the allocation must agree within 2× and stay under
 // 52 KiB (2× the ≈ 26 KB measured at n = 200, ≈ 17 KB at n = 1600, once
 // the delta terms read the store's rows and size their accumulators from
-// their supports).  Refills of the chunk
-// pools are pool policy, not the advance's cost — a GC empties them,
-// and under -race sync.Pool drops a quarter of the Puts — so they are
-// counted and taken out.  At the parent of this test's commit every
-// 4-cycle delta term zeroed a 1 MiB accumulator at n = 200 and copied
-// tables of 12·n rows.
+// their supports).  Every byte the read allocates is counted.  At the
+// parent of this test's commit every 4-cycle delta term zeroed a 1 MiB
+// accumulator at n = 200 and copied tables of 12·n rows.
 func TestAdvanceCostIndependentOfStructureSize(t *testing.T) {
-	var refills uint64
-	newI32, newU64 := chunkPoolI32.New, chunkPoolU64.New
-	chunkPoolI32.New = func() any { refills += 4 * arenaChunkI32; return newI32() }
-	chunkPoolU64.New = func() any { refills += 8 * arenaChunkU64; return newU64() }
-	defer func() { chunkPoolI32.New, chunkPoolU64.New = newI32, newU64 }()
 	sig := workload.EdgeSig()
 	var plans []Plan
 	for _, src := range []string{
@@ -311,10 +303,9 @@ func TestAdvanceCostIndependentOfStructureSize(t *testing.T) {
 				e++
 			}
 			runtime.ReadMemStats(&before)
-			refills = 0
 			read()
 			runtime.ReadMemStats(&after)
-			total += after.TotalAlloc - before.TotalAlloc - refills
+			total += after.TotalAlloc - before.TotalAlloc
 		}
 		if got := DeltaStats().Advances - adv; got != uint64(batches*len(plans)) {
 			t.Fatalf("n=%d: %d of %d reads advanced", n, got, batches*len(plans))
@@ -424,7 +415,6 @@ func TestAdvanceableMemosFreedWithSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := SessionStats()
-	arenaBaseline := ArenaChunksLive()
 	var structs []*structure.Structure
 	for i := 0; i < sessionCacheCap+8; i++ {
 		b := workload.RandomStructure(sig, 5, 0.4, int64(i))
@@ -473,15 +463,7 @@ func TestAdvanceableMemosFreedWithSessions(t *testing.T) {
 	if present {
 		t.Fatal("oldest structure expected to be LRU-evicted by now")
 	}
-
-	// Arena memory follows the same lifecycle: releasing every remaining
-	// registry entry must return all of this test's pooled chunks, so the
-	// live-chunk gauge falls back to (at most) where it started — LRU
-	// evictions above may have freed chunks of other tests' sessions too.
 	for _, b := range structs {
 		ReleaseSession(b)
-	}
-	if live := ArenaChunksLive(); live > arenaBaseline {
-		t.Fatalf("arena chunks leaked across session eviction: %d live, baseline %d", live, arenaBaseline)
 	}
 }

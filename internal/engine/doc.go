@@ -70,21 +70,19 @@
 //     tables materialized straight off the columnar relation
 //     stores (a plain binary atom's rows are the store's, with no copy),
 //     predicate tables materialized by a nested executor run
-//     over those atom tables (one-shot: its pruned copies, indexes and
-//     bind plan live in a scratch arena returned before the rows are
-//     emitted) and shared under a structural key of the ∃-component,
+//     over views of those atom tables (one-shot: its pruned copies,
+//     indexes and bind plan hang off the views and are garbage once the
+//     rows are emitted) and shared under a structural key of the ∃-component,
 //     bound execution plans, cached sentence checks, and a count
 //     memo keyed on canonical term fingerprints (each unique counting
 //     class executes at most once per structure-version) — shared
 //     across φ⁻af terms, repeated counts, and batched counting, with
 //     LRU eviction of the session registry under cap pressure
 //     (SessionStats exposes the registry telemetry).  Session memory —
-//     table rows, index slots, prune scratch — is bump-allocated from a
-//     per-session arena (arena.go) drawing 256 KiB chunks from
-//     process-wide pools; counts in flight hold a pin refcount, and
-//     retirement (eviction, ReleaseSession, version replacement) frees
-//     the chunks back to the pools once the last pin drops, with
-//     ArenaChunksLive gauging the pool debt.  Memo-warm serving
+//     table rows, index slots, prune scratch — is ordinary heap slices;
+//     a session leaves (eviction, ReleaseSession, version replacement)
+//     by dropping its registry entry, and the collector takes its
+//     memory once the last count running on it returns.  Memo-warm serving
 //     (countMemoHit, Counter.CountBatchInto above) answers settled
 //     fingerprints with zero heap allocations per request.
 //

@@ -447,16 +447,14 @@ func (m *wmap) forEach(vals []int, fn func(vals []int, w wnum)) {
 // (rowsTable).  Tables are immutable once built and shared across plans
 // via the Session.
 //
-// Cells, index arrays and the rows the engine builds are carved from the
-// owning session's arena (ar; nil falls back to the heap), so a session's
-// whole table memory is a handful of pooled chunks that return to the
-// pools on retirement; a store view's rows are the store's.
+// Cells, index arrays and the rows the engine builds are ordinary heap
+// slices, garbage once the session that built them leaves the registry
+// and its last count returns; a store view's rows are the store's.
 type Table struct {
 	width int
 	n     int
 	dom   int     // domain size of the values (index key packing)
 	flat  []int32 // the cells of a table on tuples
-	ar    *arena  // owning session's allocator; nil → heap
 
 	mu      sync.Mutex
 	idx     map[uint64]*tableIndex // bound-position bitmask → index
@@ -468,12 +466,12 @@ type Table struct {
 	stride int
 }
 
-func newTable(width, dom int, ar *arena) *Table { return &Table{width: width, dom: dom, ar: ar} }
+func newTable(width, dom int) *Table { return &Table{width: width, dom: dom} }
 
 // rowsTable returns the width-2 table whose rows(0) is m: stride words a
 // row, row u the values beside u.
-func rowsTable(m []uint64, stride, dom int, ar *arena) *Table {
-	t := newTable(2, dom, ar)
+func rowsTable(m []uint64, stride, dom int) *Table {
+	t := newTable(2, dom)
 	t.bitRows[0], t.n, t.stride = m, bitvec.Count(m), stride
 	return t
 }
@@ -482,12 +480,12 @@ func rowsTable(m []uint64, stride, dom int, ar *arena) *Table {
 // a plain binary atom (two distinct variables, in either orientation) and
 // rel keeps rows (Relation.BitRows): rows(p) is the store's fwd or bwd, by
 // the argument at scope position p.  Otherwise nil.
-func storeRows(c *planConstraint, rel *structure.Relation, dom int, ar *arena) *Table {
+func storeRows(c *planConstraint, rel *structure.Relation, dom int) *Table {
 	fwd, bwd, stride := rel.BitRows()
 	if fwd == nil || len(c.scope) != 2 || len(c.atomTmpl) != 2 {
 		return nil
 	}
-	t := &Table{width: 2, n: rel.Len(), dom: dom, ar: ar, stride: stride}
+	t := &Table{width: 2, n: rel.Len(), dom: dom, stride: stride}
 	t.bitRows[c.atomTmpl[0]], t.bitRows[c.atomTmpl[1]] = fwd, bwd
 	return t
 }
@@ -502,31 +500,10 @@ func (t *Table) Len() int { return t.n }
 
 // appendRow copies vals as a new row (the caller guarantees dedup).
 func (t *Table) appendRow(vals []int) {
-	if len(t.flat)+len(vals) > cap(t.flat) {
-		t.grow(len(t.flat) + len(vals))
-	}
-	t.flat = t.flat[:len(t.flat)+len(vals)]
-	base := len(t.flat) - len(vals)
-	for i, v := range vals {
-		t.flat[base+i] = int32(v)
+	for _, v := range vals {
+		t.flat = append(t.flat, int32(v))
 	}
 	t.n++
-}
-
-// grow moves flat to a slice of capacity ≥ need (geometric, arena-backed).
-// Arena slices have no spare capacity — it would alias the next
-// allocation — so growth is explicit rather than via append.
-func (t *Table) grow(need int) {
-	newCap := 2 * cap(t.flat)
-	if newCap < 64 {
-		newCap = 64
-	}
-	for newCap < need {
-		newCap *= 2
-	}
-	nf := t.ar.allocI32(newCap)
-	copy(nf, t.flat)
-	t.flat = nf[:len(t.flat)]
 }
 
 // rowsMinDom is the smallest universe with tables on rows:
@@ -546,7 +523,7 @@ func (t *Table) rows(by int) []uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.bitRows[by] == nil {
-		m := t.ar.allocU64(t.dom * t.stride)
+		m := make([]uint64, t.dom*t.stride)
 		bitvec.Transpose(m, t.stride, t.bitRows[1-by], t.stride, t.dom)
 		t.bitRows[by] = m
 	}
@@ -658,11 +635,10 @@ func (t *Table) prefixIndex(pos []int) *tableIndex {
 		}
 		capN = nextPow2(capN)
 		ix.mask = uint64(capN - 1)
-		ix.keys = t.ar.allocU64(capN)
-		ix.starts = t.ar.allocI32(capN)
-		ix.counts = t.ar.allocI32(capN)
-		clear(ix.counts)
-		ix.rows = t.ar.allocI32(t.n)
+		ix.keys = make([]uint64, capN)
+		ix.starts = make([]int32, capN)
+		ix.counts = make([]int32, capN)
+		ix.rows = make([]int32, t.n)
 		// Pass 1: bucket cardinalities.
 		for r := 0; r < t.n; r++ {
 			base := r * t.width
@@ -961,7 +937,9 @@ type childGroup struct {
 }
 
 // dpRun is one joinCount (or projectKeys) execution: the compiled
-// component and its bound plan.  A run lives on one goroutine.
+// component and its bound plan.  A run lives on one goroutine; the
+// tables it builds for itself (freeDrivers, groupRows) are heap slices
+// that die with it.
 type dpRun struct {
 	pc   *planComponent
 	ep   *execPlan
@@ -972,11 +950,6 @@ type dpRun struct {
 	// node tables are key sets (wmap.set), so every weight is 1, and each
 	// node looks for one witness per output key (cut in enumerate).
 	exists bool
-
-	// ar allocates the tables the run builds for itself (freeDrivers):
-	// nil, the heap, for a counting run; the scratch arena of a predicate
-	// materialization.
-	ar *arena
 
 	// done is the run's cancellation signal (nil when the caller's
 	// context cannot fire; then every check below is a single nil
@@ -1054,10 +1027,10 @@ func joinCount(pc *planComponent, ep *execPlan, domSize int, done <-chan struct{
 // constraint.  This is how an ∃-component predicate is materialized
 // (Session.materializePredicate).  Weights would count the extensions,
 // which nobody asks for, so they stay 1 — nothing overflows towards
-// big.Int however many extensions there are.  The run builds what tables
-// it needs in scratch.  done and aborted are as for joinCount.
-func projectKeys(pc *planComponent, ep *execPlan, domSize int, proj []int, scratch *arena, done <-chan struct{}) (keys *wmap, aborted bool) {
-	r := &dpRun{pc: pc, ep: ep, dom: domSize, maxW: pc.dec.Width() + 1, done: done, exists: true, ar: scratch}
+// big.Int however many extensions there are.  done and aborted are as
+// for joinCount.
+func projectKeys(pc *planComponent, ep *execPlan, domSize int, proj []int, done <-chan struct{}) (keys *wmap, aborted bool) {
+	r := &dpRun{pc: pc, ep: ep, dom: domSize, maxW: pc.dec.Width() + 1, done: done, exists: true}
 	keys = r.process(pc.root, proj)
 	return keys, r.aborted
 }
@@ -1183,7 +1156,7 @@ type freeDriver struct {
 // the child's table |B| times per prefix.  The group's readiness lookup
 // still runs and supplies the weight; a driver only narrows the candidates.
 // Without a bound prefix the scan is one pass over the domain already.
-func freeDrivers(free []int, groups []*childGroup, boundAt []int, dom int, ar *arena) []*freeDriver {
+func freeDrivers(free []int, groups []*childGroup, boundAt []int, dom int) []*freeDriver {
 	drivers := make([]*freeDriver, len(free))
 	for k, f := range free {
 		var from *childGroup
@@ -1215,8 +1188,8 @@ func freeDrivers(free []int, groups []*childGroup, boundAt []int, dom int, ar *a
 		}
 		cols = append(cols, fcol)
 		n := from.sums.len()
-		d.t = newTable(len(cols), dom, ar)
-		d.t.flat = ar.allocI32(n * len(cols))[:0]
+		d.t = newTable(len(cols), dom)
+		d.t.flat = make([]int32, 0, n*len(cols))
 		var dedup *structure.TupleSet // keys differing only in later-bound positions project alike
 		if len(cols) < len(from.sharedBag) {
 			dedup = structure.NewTupleSetSized(len(cols), n)
@@ -1255,7 +1228,7 @@ func (r *dpRun) groupRows(g *childGroup, v int) (rowSrc, bool) {
 		return rowSrc{set, (n - 1) * stride, g.sharedBag[0]}, true
 	}
 	words := (r.dom + 63) / 64
-	t := r.ar.allocU64(r.dom * words)
+	t := make([]uint64, r.dom*words)
 	bitvec.Transpose(t, words, set, stride, r.dom)
 	return rowSrc{t, words, g.sharedBag[1]}, true
 }
@@ -1349,7 +1322,7 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 	if len(tail) > 0 && nDrive > 0 {
 		nDrive-- // the tail binds the last free position
 	}
-	drive := freeDrivers(free[:nDrive], groups, boundAt, r.dom, r.ar)
+	drive := freeDrivers(free[:nDrive], groups, boundAt, r.dom)
 	// cut is, in an existence run, the bind depth at which the output key
 	// is fully bound (-1 in a counting run).  Below it the enumeration
 	// only looks for a witness: a key that is already present is not

@@ -85,7 +85,7 @@ func TestScratchPoolReuseAcrossWidthsWithSpill(t *testing.T) {
 // Table prefix indexes: probing must return exactly the rows whose bound
 // positions match, under both the packed and spilled codecs.
 func TestTablePrefixIndex(t *testing.T) {
-	tb := newTable(3, 5, nil)
+	tb := newTable(3, 5)
 	rows := [][]int{{0, 1, 2}, {0, 1, 3}, {1, 1, 2}, {4, 0, 0}}
 	for _, r := range rows {
 		tb.appendRow(r)
@@ -112,7 +112,7 @@ func TestTablePrefixIndex(t *testing.T) {
 	// Spilled codec: fresh table (the index cache is keyed per table).
 	restore := ForcePackedKeyBudget(0)
 	defer restore()
-	tb = newTable(3, 5, nil)
+	tb = newTable(3, 5)
 	for _, r := range rows {
 		tb.appendRow(r)
 	}

@@ -7,7 +7,7 @@ import (
 
 func benchIndexSetup(b *testing.B) (*Table, []int, []uint64) {
 	rng := rand.New(rand.NewSource(7))
-	tb := randomTable(rng, 20000, 3, 40, nil)
+	tb := randomTable(rng, 20000, 3, 40)
 	pos := []int{0, 1}
 	codec := newKeyCodec(tb.dom, len(pos))
 	keys := make([]uint64, 1024)
@@ -54,7 +54,7 @@ func BenchmarkIndexProbe_MapRef(b *testing.B) {
 }
 
 // Index construction cost, both ways: the open-addressing build is two
-// linear passes over the rows into arena-backed slots.
+// linear passes over the rows into slots sized once.
 func BenchmarkIndexBuild_OpenAddr(b *testing.B) {
 	tb, pos, _ := benchIndexSetup(b)
 	b.ReportAllocs()

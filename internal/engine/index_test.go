@@ -27,7 +27,7 @@ func buildMapIndexRef(t *Table, pos []int) map[uint64][]int32 {
 	return ref
 }
 
-func randomTable(rng *rand.Rand, n, width, dom int, ar *arena) *Table {
+func randomTable(rng *rand.Rand, n, width, dom int) *Table {
 	space := 1
 	for i := 0; i < width && space < n; i++ {
 		space *= dom
@@ -35,7 +35,7 @@ func randomTable(rng *rand.Rand, n, width, dom int, ar *arena) *Table {
 	if n > space {
 		n = space
 	}
-	t := newTable(width, dom, ar)
+	t := newTable(width, dom)
 	row := make([]int, width)
 	seen := structure.NewTupleSet(width)
 	for seen.Len() < n {
@@ -51,21 +51,15 @@ func randomTable(rng *rand.Rand, n, width, dom int, ar *arena) *Table {
 
 // The open-addressing prefix index must return exactly the reference
 // map's row lists — same rows, same (ascending) order — across table
-// sizes, prefix widths, and both heap- and arena-backed storage.
+// sizes and prefix widths.
 func TestPrefixIndexDifferentialVsMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	ar := &arena{}
-	defer ar.free()
 	for trial := 0; trial < 40; trial++ {
 		dom := 2 + rng.Intn(12)
 		width := 1 + rng.Intn(4)
 		maxN := dom * dom * width // keep the tuple space saturable
 		n := rng.Intn(maxN)
-		var owner *arena
-		if trial%2 == 0 {
-			owner = ar
-		}
-		tb := randomTable(rng, n, width, dom, owner)
+		tb := randomTable(rng, n, width, dom)
 		var pos []int
 		for j := 0; j < width; j++ {
 			if rng.Intn(2) == 0 {
@@ -118,7 +112,7 @@ func TestPrefixIndexDifferentialVsMapReference(t *testing.T) {
 // the spill codec — each checked against the map reference.
 func TestPrefixIndexEdgeCases(t *testing.T) {
 	t.Run("EmptyTable", func(t *testing.T) {
-		tb := newTable(2, 5, nil)
+		tb := newTable(2, 5)
 		ix := tb.prefixIndex([]int{0})
 		for k := uint64(0); k < 8; k++ {
 			if got := ix.probe(k); len(got) != 0 {
@@ -127,7 +121,7 @@ func TestPrefixIndexEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("SingleRow", func(t *testing.T) {
-		tb := newTable(3, 7, nil)
+		tb := newTable(3, 7)
 		tb.appendRow([]int{4, 2, 6})
 		ix := tb.prefixIndex([]int{0, 2})
 		if got := ix.probe(ix.codec.pack([]int{4, 6})); len(got) != 1 || got[0] != 0 {
@@ -139,7 +133,7 @@ func TestPrefixIndexEdgeCases(t *testing.T) {
 	})
 	t.Run("FullyBoundScope", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
-		tb := randomTable(rng, 60, 3, 6, nil)
+		tb := randomTable(rng, 60, 3, 6)
 		pos := []int{0, 1, 2}
 		ix := tb.prefixIndex(pos)
 		ref := buildMapIndexRef(tb, pos)
@@ -157,7 +151,7 @@ func TestPrefixIndexEdgeCases(t *testing.T) {
 		restore := ForcePackedKeyBudget(0)
 		defer restore()
 		rng := rand.New(rand.NewSource(9))
-		tb := randomTable(rng, 80, 3, 6, nil)
+		tb := randomTable(rng, 80, 3, 6)
 		ix := tb.prefixIndex([]int{0, 1})
 		if ix.codec.packed {
 			t.Fatal("expected the spill codec under a zero budget")
@@ -193,7 +187,7 @@ func TestPrefixIndexEdgeCases(t *testing.T) {
 // must keep the most recently probed subsets.
 func TestTableIndexCacheCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	tb := randomTable(rng, 50, 12, 3, nil)
+	tb := randomTable(rng, 50, 12, 3)
 	// 12 singleton subsets + pairs: far more masks than the cap.
 	for j := 0; j < tb.width; j++ {
 		tb.prefixIndex([]int{j})

@@ -399,14 +399,8 @@ func (pl *fptPlan) CountIn(ctx context.Context, s *Session) (*big.Int, error) {
 // values.  A non-nil st (sized to the plan, see countMaintained)
 // captures every component's join value — the state a later delta
 // advance starts from — so the count then runs every component; without
-// it a zero factor ends the count early.  The whole count runs under a
-// session pin: the tables and prefix indexes it reads live in the
-// session's arena, and the pin keeps those chunks out of the recycling
-// pools until the executor window closes.
+// it a zero factor ends the count early.
 func (pl *fptPlan) countIn(ctx context.Context, s *Session, st *fptDeltaState) (*big.Int, error) {
-	if s.acquirePin() {
-		defer s.releasePin()
-	}
 	b := s.B
 	if !pl.sig.Equal(b.Signature()) {
 		return nil, fmt.Errorf("engine: plan signature %v differs from structure signature %v", pl.sig, b.Signature())

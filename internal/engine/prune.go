@@ -154,7 +154,7 @@ func semiJoinPrune(pc *planComponent, tables []*Table, domSize int) ([]*Table, b
 						continue
 					}
 					if !owned[ci] { // the first kill copies the table's rows
-						c := t.ar.allocU64(domSize * t.stride)
+						c := make([]uint64, domSize*t.stride)
 						copy(c, m)
 						m, row = c, c[u*t.stride:][:words]
 						alive[ci], owned[ci] = c, true
@@ -196,19 +196,19 @@ func semiJoinPrune(pc *planComponent, tables []*Table, domSize int) ([]*Table, b
 		return tables, false
 	}
 	// Compact once at the end: a table on rows keeps its surviving rows;
-	// each other shrunken table gets an exactly sized arena allocation and
-	// a single masked copy pass.
+	// each other shrunken table gets an exactly sized slice and a single
+	// masked copy pass.
 	out := append([]*Table(nil), tables...)
 	for ci, t := range tables {
 		if liveN[ci] == t.n {
 			continue
 		}
 		if onRows[ci] {
-			out[ci] = rowsTable(alive[ci], t.stride, t.dom, t.ar)
+			out[ci] = rowsTable(alive[ci], t.stride, t.dom)
 			continue
 		}
-		nt := newTable(t.width, t.dom, t.ar)
-		dst := t.ar.allocI32(liveN[ci] * t.width)
+		nt := newTable(t.width, t.dom)
+		dst := make([]int32, liveN[ci]*t.width)
 		o := 0
 		for r := range bitvec.Each(alive[ci]) {
 			copy(dst[o:o+t.width], t.flat[r*t.width:(r+1)*t.width])

@@ -11,24 +11,15 @@ import "testing"
 //   - Empties: a shallow target that cannot hold the chain, so the
 //     supports collapse and the pass decides the count is zero.
 //
-// Each iteration rebinds the tables to a fresh arena (prune never
-// mutates its inputs) so compaction cost is measured without unbounded
-// arena growth.
+// Prune never mutates its inputs, so every iteration prunes the same
+// tables and pays for its own compacted copies.
 func benchPrune(b *testing.B, nvars, layers, width, deg int) {
 	pc := chainComponent(nvars)
-	base, dom := layeredEdgeTables(nvars-1, layers, width, deg, 7, &arena{})
-	tables := make([]*Table, len(base))
+	tables, dom := layeredEdgeTables(nvars-1, layers, width, deg, 7)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ar := &arena{}
-		for ci, t := range base {
-			tt := newTable(t.width, t.dom, ar)
-			tt.flat, tt.n = t.flat, t.n
-			tables[ci] = tt
-		}
 		semiJoinPrune(pc, tables, dom)
-		ar.free()
 	}
 }
 

@@ -33,7 +33,7 @@ func chainComponent(nvars int) *planComponent {
 // of a dense layered DAG (width vertices per layer, deg out-edges into
 // the next layer).  All tables share the edge set but are distinct
 // copies, as session materialization would produce.
-func layeredEdgeTables(k, layers, width, deg int, seed int64, ar *arena) ([]*Table, int) {
+func layeredEdgeTables(k, layers, width, deg int, seed int64) ([]*Table, int) {
 	dom := layers * width
 	rng := rand.New(rand.NewSource(seed))
 	var edges [][2]int
@@ -52,7 +52,7 @@ func layeredEdgeTables(k, layers, width, deg int, seed int64, ar *arena) ([]*Tab
 	}
 	tables := make([]*Table, k)
 	for ci := range tables {
-		t := newTable(2, dom, ar)
+		t := newTable(2, dom)
 		for _, e := range edges {
 			t.appendRow(e[:])
 		}
@@ -195,12 +195,12 @@ func TestPruneRowsMatchTuples(t *testing.T) {
 // cannot silently turn the count-preservation check one-sided.
 func TestSemiJoinPruneShapesCoverBothOutcomes(t *testing.T) {
 	pcE := chainComponent(5)
-	tE, domE := layeredEdgeTables(4, 3, 20, 4, 1, &arena{})
+	tE, domE := layeredEdgeTables(4, 3, 20, 4, 1)
 	if _, empty := semiJoinPrune(pcE, tE, domE); !empty {
 		t.Error("5-var chain on a 3-layer DAG should prune to empty")
 	}
 	pcS := chainComponent(9)
-	tS, domS := layeredEdgeTables(8, 12, 24, 4, 2, &arena{})
+	tS, domS := layeredEdgeTables(8, 12, 24, 4, 2)
 	out, empty := semiJoinPrune(pcS, tS, domS)
 	if empty {
 		t.Fatal("9-var chain on a 12-layer DAG has walks; must not empty")

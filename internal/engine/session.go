@@ -32,16 +32,6 @@ type Session struct {
 	version uint64
 	snap    structure.Snapshot
 
-	// ar backs the session's table rows and prefix-index slots with
-	// pooled chunks (arena.go).  pins is the reference count guarding
-	// that memory: it starts at 1 (the registry's reference, dropped by
-	// retire) and is incremented around every count's executor window
-	// (acquirePin/releasePin).  When it reaches zero, freeArena wipes
-	// the arena-referencing memos and returns the chunks to the pools.
-	ar       *arena
-	pins     atomic.Int64
-	freeOnce sync.Once
-
 	mu        sync.Mutex
 	tables    map[tableKey]*tableEntry
 	sentences map[*structure.Structure]bool
@@ -106,76 +96,15 @@ type tableEntry struct {
 // NewSession builds a fresh session for b.
 func NewSession(b *structure.Structure) *Session {
 	snap := b.Snapshot()
-	s := &Session{
+	return &Session{
 		B:         b,
 		version:   snap.Version,
 		snap:      snap,
-		ar:        &arena{},
 		tables:    make(map[tableKey]*tableEntry),
 		sentences: make(map[*structure.Structure]bool),
 		pruned:    make(map[*planComponent]*pruneEntry),
 		counts:    make(map[string]*countEntry),
 	}
-	s.pins.Store(1) // the owner's reference, dropped by retire
-	return s
-}
-
-// acquirePin takes a reference on the session's arena memory for the
-// duration of an executor window (increment-if-positive, so a pin can
-// never resurrect a session whose memory was already freed).  It returns
-// false when the session has been retired and fully released: by then
-// freeArena has completed — acquirePin blocks on it via the Once — the
-// table/plan memos are wiped, and every rebuild falls back to plain heap
-// allocation, so the caller proceeds unpinned and safely, just slower.
-func (s *Session) acquirePin() bool {
-	for {
-		n := s.pins.Load()
-		if n <= 0 {
-			s.freeArena() // idempotent; waits until the chunks are back in the pools
-			return false
-		}
-		if s.pins.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-// releasePin drops a reference taken by acquirePin; the last release
-// after retirement frees the arena.
-func (s *Session) releasePin() {
-	if s.pins.Add(-1) == 0 {
-		s.freeArena()
-	}
-}
-
-// retire drops the owner's reference: the registry calls it exactly once
-// when the session leaves the cache (LRU eviction, stale replacement,
-// ReleaseSession).  The arena is freed immediately if no count is in
-// flight, otherwise by the last releasePin.
-func (s *Session) retire() { s.releasePin() }
-
-// freeArena wipes every memo that can reference arena memory (tables,
-// bound plans) and returns the arena's chunks to the process pools.  The
-// refcount protocol guarantees no executor window is open when it runs;
-// any later use of the session rebuilds heap-backed state on demand.
-func (s *Session) freeArena() {
-	s.freeOnce.Do(func() {
-		s.mu.Lock()
-		s.tables = make(map[tableKey]*tableEntry)
-		s.pruned = make(map[*planComponent]*pruneEntry)
-		ar := s.ar
-		s.ar = nil
-		s.mu.Unlock()
-		ar.free()
-	})
-}
-
-// arenaFor returns the session's arena (nil after retirement, which
-// makes every downstream allocation fall back to the heap).
-func (s *Session) arenaFor() *arena {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ar
 }
 
 // countMemoHit is the allocation-free warm path of the count memo: it
@@ -340,7 +269,8 @@ func predKey(sub *structure.Structure, iface []int) string {
 }
 
 // sessionMemoCap bounds each per-session memo map (tables, sentences,
-// pruned results); reaching it wipes that map wholesale.
+// pruned results, and the counts map countMemoState fills); reaching it
+// wipes that map wholesale.
 const sessionMemoCap = 1024
 
 // execPlanFor returns the component's execution plan bound to this
@@ -411,13 +341,13 @@ func (s *Session) tableFor(c *planConstraint, done <-chan struct{}) *Table {
 // row per passing relation row, in row order.
 func (s *Session) materializeAtom(c *planConstraint) *Table {
 	rel := s.B.Rel(c.rel)
-	if t := storeRows(c, rel, s.B.Size(), s.arenaFor()); t != nil {
+	if t := storeRows(c, rel, s.B.Size()); t != nil {
 		return t
 	}
 	width := len(c.scope)
-	t := newTable(width, s.B.Size(), s.arenaFor())
+	t := newTable(width, s.B.Size())
 	n := rel.Len()
-	t.flat = t.ar.allocI32(n * width)[:0]
+	t.flat = make([]int32, 0, n*width)
 	vals := make([]int, width)
 	for row := 0; row < n; row++ {
 		if c.project(rel, row, vals) {
@@ -451,18 +381,17 @@ func (c *planConstraint) project(rel *structure.Relation, row int, vals []int) b
 // existence semiring: the constraint tables are the session's atom
 // tables, and the root bag's projection onto the interface is the answer.
 // The run is one-shot per (predicate, session), so everything it binds —
-// pruned table copies, prefix indexes, the bind plan — lives in a scratch
-// arena returned to the pools before the rows are emitted.  The answer is
-// built as rows when it is on two positions and fits them, whatever form
-// its key set has: a flat one's words are its rows already (unless the
-// key's stride is wider than the universe's rows), a hashed or spilled
-// one's keys set the rows' bits.  Otherwise it goes to the session arena
-// as tuples.  Returns nil when done fired mid-run.
+// pruned table copies, prefix indexes, transposed rows, the bind plan —
+// hangs off views of the shared atom tables and is garbage once the rows
+// are emitted; the shared tables themselves are never touched.  The
+// answer is built as rows when it is on two positions and fits them,
+// whatever form its key set has: a flat one's words are its rows already
+// (unless the key's stride is wider than the universe's rows), a hashed
+// or spilled one's keys set the rows' bits.  Otherwise it is built as
+// tuples.  Returns nil when done fired mid-run.
 func (s *Session) materializePredicate(c *planConstraint, done <-chan struct{}) *Table {
 	dom := s.B.Size()
-	out := newTable(len(c.scope), dom, s.arenaFor())
-	scratch := &arena{}
-	defer scratch.free()
+	out := newTable(len(c.scope), dom)
 	tables := make([]*Table, len(c.pred.constraints))
 	for i := range c.pred.constraints {
 		at := s.tableFor(&c.pred.constraints[i], nil)
@@ -470,14 +399,14 @@ func (s *Session) materializePredicate(c *planConstraint, done <-chan struct{}) 
 			return out // an atom of the component has no rows: nothing extends
 		}
 		// A view of the shared table (its layout is fixed when it is built)
-		// whose indexes, transposes and pruned copies are scratch.
-		tables[i] = &Table{width: at.width, n: at.n, dom: dom, flat: at.flat, bitRows: at.bitRows, stride: at.stride, ar: scratch}
+		// whose indexes, transposes and pruned copies are the run's own.
+		tables[i] = &Table{width: at.width, n: at.n, dom: dom, flat: at.flat, bitRows: at.bitRows, stride: at.stride}
 	}
 	pruned, empty := semiJoinPrune(c.pred, tables, dom)
 	if empty {
 		return out
 	}
-	keys, aborted := projectKeys(c.pred, newExecPlan(c.pred, pruned, nil), dom, c.predProj, scratch, done)
+	keys, aborted := projectKeys(c.pred, newExecPlan(c.pred, pruned, nil), dom, c.predProj, done)
 	if aborted {
 		return nil
 	}
@@ -485,14 +414,13 @@ func (s *Session) materializePredicate(c *planConstraint, done <-chan struct{}) 
 		// Row u of a flat key set is its keys u<<bits | v, 1<<(bits-6) words.
 		m, words := keys.bits, (dom+63)/64
 		if m == nil || 1<<(keys.codec.bits-6) != words {
-			m = out.ar.allocU64(dom * words)
-			clear(m)
+			m = make([]uint64, dom*words)
 			keys.forEach(make([]int, 2), func(uv []int, _ wnum) { m[uv[0]*words+uv[1]>>6] |= 1 << (uv[1] & 63) })
 		}
-		return rowsTable(m[:dom*words], words, dom, out.ar)
+		return rowsTable(m[:dom*words], words, dom)
 	}
 	tupleLayouts.Add(1)
-	out.flat = out.ar.allocI32(keys.len() * out.width)[:0]
+	out.flat = make([]int32, 0, keys.len()*out.width)
 	keys.forEach(make([]int, out.width), func(vals []int, _ wnum) { out.appendRow(vals) })
 	return out
 }
@@ -521,9 +449,8 @@ var (
 var sessionEvictions atomic.Uint64
 
 // evictSessionsLocked drops the least-recently-used entries until at
-// least sessionCacheCap/8 slots are free and returns them for the caller
-// to retire once it has released sessionMu, which it holds here.
-func evictSessionsLocked() (evicted []*Session) {
+// least sessionCacheCap/8 slots are free.  The caller holds sessionMu.
+func evictSessionsLocked() {
 	target := sessionCacheCap - sessionCacheCap/8
 	if target < 1 {
 		target = 1
@@ -536,11 +463,9 @@ func evictSessionsLocked() (evicted []*Session) {
 				oldest, oldestUse = b, e.use
 			}
 		}
-		evicted = append(evicted, sessions[oldest].s)
 		delete(sessions, oldest)
 		sessionEvictions.Add(1)
 	}
-	return evicted
 }
 
 // SessionCacheStats is a snapshot of the process-wide session registry:
@@ -564,12 +489,17 @@ func SessionStats() SessionCacheStats {
 	return SessionCacheStats{Sessions: n, Cap: sessionCacheCap, Evictions: sessionEvictions.Load()}
 }
 
+// ArenaChunksLive returns 0: session tables live on the Go heap, and no
+// arena chunks exist any more.  It stays for benchmark/ladder.go's gauge.
+func ArenaChunksLive() int64 { return 0 }
+
 // SessionFor returns the cached session of b, creating (or replacing a
 // stale) one as needed.  NewSession is cheap (all materialization is
-// lazy), so the whole lookup runs under the registry lock; the sessions
-// it displaces are retired after the lock is released, because freeing
-// an arena (chunk-pool returns, memo rebuilds) is work every reader of
-// every other structure would otherwise wait for.
+// lazy), so the whole lookup runs under the registry lock.  A session
+// that leaves the registry (stale replacement, LRU eviction,
+// ReleaseSession) is only dropped from the map: counts still running on
+// it keep its tables alive and finish exactly, and the collector takes
+// its memory after the last of them returns.
 //
 // Replacing a stale session carries its settled advanceable counts into
 // the new one as priors (settledCounts), so a warm memo survives the
@@ -579,16 +509,6 @@ func SessionStats() SessionCacheStats {
 // takes its priors with it, so advanceable memos never outlive their
 // structure's registry entry.
 func SessionFor(b *structure.Structure) *Session {
-	s, displaced := sessionLookup(b)
-	for _, d := range displaced {
-		d.retire()
-	}
-	return s
-}
-
-// sessionLookup is SessionFor under sessionMu: the session to use and
-// the sessions that left the registry to make room for it.
-func sessionLookup(b *structure.Structure) (*Session, []*Session) {
 	v := b.Version()
 	sessionMu.Lock()
 	defer sessionMu.Unlock()
@@ -596,7 +516,7 @@ func sessionLookup(b *structure.Structure) (*Session, []*Session) {
 	if e := sessions[b]; e != nil {
 		if e.s.version == v {
 			e.use = sessionClock
-			return e.s, nil
+			return e.s
 		}
 		ns := NewSession(b)
 		if e.s.version < v {
@@ -609,15 +529,14 @@ func sessionLookup(b *structure.Structure) (*Session, []*Session) {
 			ns.prior = e.s.settledCounts()
 		}
 		sessions[b] = &sessionEntry{s: ns, use: sessionClock}
-		return ns, []*Session{e.s}
+		return ns
 	}
-	var displaced []*Session
 	if len(sessions) >= sessionCacheCap {
-		displaced = evictSessionsLocked()
+		evictSessionsLocked()
 	}
 	ns := NewSession(b)
 	sessions[b] = &sessionEntry{s: ns, use: sessionClock}
-	return ns, displaced
+	return ns
 }
 
 // settledCounts collects the session's advanceable counts for adoption
@@ -644,16 +563,12 @@ func (s *Session) settledCounts() map[string]priorCount {
 	return out
 }
 
-// ReleaseSession drops b's cached session (if any), releasing its
-// materialized tables and returning its arena chunks to the process
-// pools.  Long-lived processes that are done with a structure can call
-// this instead of waiting for cap-triggered eviction.
+// ReleaseSession drops b's cached session (if any) from the registry,
+// so its materialized tables and memos become garbage once no count is
+// running on it.  Long-lived processes that are done with a structure
+// can call this instead of waiting for cap-triggered eviction.
 func ReleaseSession(b *structure.Structure) {
 	sessionMu.Lock()
-	e := sessions[b]
 	delete(sessions, b)
 	sessionMu.Unlock()
-	if e != nil {
-		e.s.retire()
-	}
 }

@@ -80,37 +80,57 @@ func TestSemiJoinPrunePreservesJoinCount(t *testing.T) {
 	}
 	for _, sh := range pruneShapes {
 		pc := chainComponent(sh.nvars)
-		tables, dom := layeredEdgeTables(sh.nvars-1, sh.layers, sh.width, sh.deg, sh.seed, &arena{})
+		tables, dom := layeredEdgeTables(sh.nvars-1, sh.layers, sh.width, sh.deg, sh.seed)
 		checkPrunePreservesCount(t, fmt.Sprintf("shape %+v", sh), pc, tables, dom)
 	}
 }
 
-// A predicate count must leave no more arena memory parked in its session
-// than the predicate's rows and the atom tables need: the nested run that
-// materializes the ∃-component binds pruned table copies, prefix indexes
-// and a bind plan, all one-shot, and returns them before it emits the
-// rows.  One cold count of the quantified 3-path at the repository
-// benchmark's cold-exec size holds no pooled chunk at all: its atom
-// tables are the store's rows, and its predicate's rows are the key set's
-// own words; retiring the session leaves the balance where it was.
-func TestPredicateCountHoldsNoArenaChunk(t *testing.T) {
+// The nested run that materializes an ∃-component binds pruned copies,
+// prefix indexes, transposed rows and a bind plan, all one-shot: they
+// hang off the run's views of the session's atom tables and become
+// garbage with them.  The shared tables themselves are left as they were
+// built — after one cold count of the quantified 3-path no atom table
+// holds a prefix index, and a table on rows holds only the store's own
+// orientations.  At n = 120 the atom tables are the store's rows; below
+// RowsMinDom they are tuples, which the nested run would index.
+func TestPredicateRunLeavesSharedTablesAlone(t *testing.T) {
 	sig := workload.EdgeSig()
 	p := compilePP(t, sig, "p(s,t) := exists a. exists b. E(s,a) & E(a,b) & E(b,t)")
 	pl, err := Compile(p, FPT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := workload.RandomStructure(sig, 120, 8.0/120, 20160626)
-	base := ArenaChunksLive()
-	s := NewSession(b)
-	if _, err := pl.CountIn(context.Background(), s); err != nil {
-		t.Fatal(err)
-	}
-	if held := ArenaChunksLive() - base; held != 0 {
-		t.Fatalf("one cold predicate count holds %d arena chunks in its session, want 0", held)
-	}
-	s.retire()
-	if live := ArenaChunksLive(); live != base {
-		t.Fatalf("retiring the session left %d chunks live, baseline %d", live, base)
+	for _, n := range []int{120, 40} {
+		b := workload.RandomStructure(sig, n, 8.0/float64(n), 20160626)
+		s := NewSession(b)
+		if _, err := pl.CountIn(context.Background(), s); err != nil {
+			t.Fatal(err)
+		}
+		fwd, bwd, _ := b.Rel("E").BitRows()
+		atoms := 0
+		for k, e := range s.tables {
+			if k.kind != 'a' {
+				continue
+			}
+			atoms++
+			at := e.t
+			if len(at.idx) != 0 {
+				t.Errorf("n=%d: an atom table of %s holds %d prefix indexes after a predicate count", n, k.rel, len(at.idx))
+			}
+			if (at.stride != 0) != (fwd != nil) {
+				t.Fatalf("n=%d: atom table on rows %v, store keeps rows %v", n, at.stride != 0, fwd != nil)
+			}
+			for by, m := range at.bitRows {
+				if m != nil && !sameSlice(m, fwd) && !sameSlice(m, bwd) {
+					t.Errorf("n=%d: an atom table of %s holds an orientation %d of its own", n, k.rel, by)
+				}
+			}
+		}
+		if atoms == 0 {
+			t.Fatalf("n=%d: the count built no atom table", n)
+		}
 	}
 }
+
+// sameSlice reports whether a and b are one slice (same first element).
+func sameSlice(a, b []uint64) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
