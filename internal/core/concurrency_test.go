@@ -136,3 +136,35 @@ func TestCountBatchCtxCancel(t *testing.T) {
 		}
 	}
 }
+
+// TestCountCtxPreCancelledSentence: a context that is already done stops
+// a count whose only work is deciding a sentence disjunct — the check
+// runs under the request's context like every term — and the count
+// after it, on the same structure, is right.  A repeat reads the verdict
+// from the session memo and shows as one count-cache hit in Stats.
+func TestCountCtxPreCancelledSentence(t *testing.T) {
+	c, err := NewCounter(parser.MustQuery("q(x,y) := E(x,y) | exists u. E(u,u)"), workload.EdgeSig(), count.EngineFPT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := parser.MustStructure("E(1,1). E(1,2). E(2,3).", workload.EdgeSig())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if v, err := c.CountCtx(ctx, b); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled CountCtx = %v, %v; want context.Canceled", v, err)
+	}
+	got, err := c.Count(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Int64() != 9 {
+		t.Fatalf("count = %v, want 9 = |B|²", got)
+	}
+	hits := c.Stats().CountCacheHits
+	if _, err := c.Count(b); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.Stats().CountCacheHits - hits; d != 1 {
+		t.Fatalf("warm sentence check added %d count-cache hits, want 1", d)
+	}
+}

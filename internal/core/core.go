@@ -33,6 +33,10 @@ type Counter struct {
 	// per-fingerprint counts) lives in per-structure engine.Sessions
 	// shared across terms, repeated counts, and batches.
 	terms []compiledTerm
+	// sentences holds one plan per sentence disjunct, counting 0 or
+	// |B|^|lib| (its liberal variables are isolated), memoized per
+	// session under its fingerprint like a term's count.
+	sentences []compiledTerm
 	// termIdx maps a φ⁻af term's structure identity to its terms index —
 	// the lookup the oracle-reduction paths use.
 	termIdx map[*structure.Structure]int
@@ -143,6 +147,14 @@ func NewCounter(q logic.Query, sig *structure.Signature, eng count.PPEngine) (*C
 			plan:    plan,
 		})
 	}
+	for _, th := range c.Sentences {
+		fp, _ := term.Fingerprint(th) // "" only past the labeling budget: decided unmemoized
+		plan, _, err := engine.CompileKeyed(th, fp, eng)
+		if err != nil {
+			return nil, err
+		}
+		counter.sentences = append(counter.sentences, compiledTerm{formula: th, fp: fp, plan: plan})
+	}
 	counter.routeTerms(DefaultRouteWCore, DefaultRouteWContract)
 	return counter, nil
 }
@@ -179,15 +191,21 @@ func (c *Counter) sessionFor(b *structure.Structure) (*engine.Session, error) {
 	return engine.SessionFor(b), nil
 }
 
-// sentenceHolds reports whether some sentence disjunct holds on the
-// session's structure (cached per session).
-func (c *Counter) sentenceHolds(sess *engine.Session) bool {
-	for _, th := range c.Compiled.Sentences {
-		if sess.SentenceHolds(th.A) {
-			return true
+// sentenceCount returns the count of the first sentence disjunct that
+// holds on the session's structure — |B|^|lib|, the Theorem 3.1
+// short-circuit — or nil if none holds.  Each is a term counted under
+// ctx like any other (0 when it fails); the value is the memo's.
+func (c *Counter) sentenceCount(ctx context.Context, sess *engine.Session) (*big.Int, error) {
+	for i := range c.sentences {
+		v, err := c.countTerm(ctx, &c.sentences[i], sess)
+		if err != nil {
+			return nil, err
+		}
+		if v.Sign() != 0 {
+			return v, nil
 		}
 	}
-	return false
+	return nil, nil
 }
 
 // CountBatch counts the query on every structure of the batch, spreading
@@ -222,23 +240,27 @@ var mulScratch = sync.Pool{New: func() any { return new(big.Int) }}
 // (which is returned): the paper's forward pipeline — sentence
 // short-circuit, then the signed sum over the unique φ⁻af counting
 // classes — executed through the session's per-fingerprint count memo.
-// On the memo-warm path — every term's fingerprint settled in b's
-// session, the steady state of serving workloads — it performs zero heap
-// allocations: term counts come out of the session memo by pointer, the
-// per-term product uses a pooled temporary, and dst absorbs the sum in
-// place.  See CountBatchInto for the batch form.
+// On the memo-warm path — every fingerprint settled in b's session, the
+// steady state of serving workloads — it performs zero heap allocations:
+// sentence and term counts come out of the memo by pointer, the
+// per-term products use a pooled temporary, and dst absorbs the result
+// in place.  See CountBatchInto for the batch form.
 func (c *Counter) CountInto(ctx context.Context, b *structure.Structure, dst *big.Int) (*big.Int, error) {
 	sess, err := c.sessionFor(b)
 	if err != nil {
 		return nil, err
 	}
-	if c.sentenceHolds(sess) {
-		return dst.Set(c.Compiled.MaxCount(b)), nil
+	full, err := c.sentenceCount(ctx, sess)
+	if err != nil {
+		return nil, err
+	}
+	if full != nil {
+		return dst.Set(full), nil
 	}
 	dst.SetInt64(0)
 	tmp := mulScratch.Get().(*big.Int)
 	for i := range c.terms {
-		v, err := c.termCountAt(ctx, i, sess)
+		v, err := c.countTerm(ctx, &c.terms[i], sess)
 		if err != nil {
 			mulScratch.Put(tmp)
 			return nil, err
@@ -277,13 +299,11 @@ func (c *Counter) CountBatchInto(ctx context.Context, bs []*structure.Structure,
 	})
 }
 
-// termCountAt evaluates the i-th unique term inside a session through
-// the shared fingerprint-memoized execution helper
+// countTerm evaluates a unique term or sentence disjunct inside a
+// session through the shared fingerprint-memoized execution helper
 // (engine.CountKeyedCtx); the memo hit/miss telemetry feeds Stats.  The
-// memoized value is shared and must be treated as read-only (every
-// caller multiplies it into a fresh big.Int).
-func (c *Counter) termCountAt(ctx context.Context, i int, sess *engine.Session) (*big.Int, error) {
-	t := &c.terms[i]
+// memoized value is shared and must be treated as read-only.
+func (c *Counter) countTerm(ctx context.Context, t *compiledTerm, sess *engine.Session) (*big.Int, error) {
 	v, hit, err := engine.CountKeyedCtx(ctx, t.plan, t.fp, sess, 0)
 	if t.fp != "" {
 		if hit {
@@ -298,7 +318,7 @@ func (c *Counter) termCountAt(ctx context.Context, i int, sess *engine.Session) 
 func (c *Counter) ppCounter() eptrans.PPCounter {
 	return func(p pp.PP, b *structure.Structure) (*big.Int, error) {
 		if i, ok := c.termIdx[p.A]; ok {
-			return c.termCountAt(context.Background(), i, engine.SessionFor(b))
+			return c.countTerm(context.Background(), &c.terms[i], engine.SessionFor(b))
 		}
 		return count.PP(p, b)
 	}

@@ -6,9 +6,11 @@
 // filtering) and then counts answers on any number of structures via
 // the unique φ⁻af counting classes, each counted with the Theorem 2.11
 // FPT algorithm (the one exact engine) through the fingerprint-keyed
-// plan cache and the per-session count memo.  It also exposes the
-// trichotomy classification of the compiled query (Theorem 3.2) and the
-// interning/caching telemetry (Stats, Explain).
+// plan cache and the per-session count memo — sentence disjuncts too,
+// decided by the engine's DP as zero-width predicates under the
+// context.  It also exposes the trichotomy classification of the
+// compiled query (Theorem 3.2) and the interning/caching telemetry
+// (Stats, Explain).
 //
 // Counters are built for long-lived concurrent use: every count enters
 // the engine through engine.CountKeyedCtx with a context — the context

@@ -197,8 +197,12 @@ func (c *Counter) CountApproxCtx(ctx context.Context, b *structure.Structure, pr
 	if err != nil {
 		return ApproxResult{}, err
 	}
+	full, err := c.sentenceCount(ctx, sess)
+	if err != nil {
+		return ApproxResult{}, err
+	}
 	res := ApproxResult{Case: c.hardest, Confidence: 1, Exact: true, Converged: true}
-	if c.sentenceHolds(sess) {
+	if full != nil {
 		res.Estimate = c.Compiled.MaxCount(b)
 		return res, nil
 	}
@@ -215,7 +219,7 @@ func (c *Counter) CountApproxCtx(ctx context.Context, b *structure.Structure, pr
 	for i := range c.terms {
 		t := &c.terms[i]
 		if t.est == nil {
-			v, err := c.termCountAt(ctx, i, sess)
+			v, err := c.countTerm(ctx, t, sess)
 			if err != nil {
 				return ApproxResult{}, err
 			}

@@ -49,20 +49,17 @@ import (
 // the memoized state is the join values alone.
 //
 // The delta path applies only to delta-maintainable plans (fptPlan.
-// deltaOK: quantifier-free joins over atom constraints; sentence checks
-// and ∃-component predicate tables are not pure functions of appended
-// rows) and only while the batch is small relative to the structure
-// (deltaMinRows, deltaMaxPct); everything else falls back to a full recount,
-// which is always sound.
+// deltaOK: quantifier-free joins over atom constraints; predicate
+// tables, sentences' included, are not pure functions of appended rows)
+// and only while the batch is small relative to the structure
+// (deltaMinRows, deltaMaxPct); everything else falls back to a full
+// recount, which is always sound.
 
 // deltaMaintainable reports whether every component of a compiled plan
 // is a quantifier-free join over atom constraints — the shape the
 // telescoped delta-join advance handles.
 func deltaMaintainable(comps []*planComponent) bool {
 	for _, pc := range comps {
-		if pc.sentence {
-			return false
-		}
 		for i := range pc.constraints {
 			if pc.constraints[i].sub != nil {
 				return false

@@ -24,7 +24,10 @@
 //     case of Theorem 3.2 bounds the treewidth of the core as well as
 //     of the contract graph, and that second bound is exactly what
 //     makes the predicate a polynomial-time DP rather than a search.
-//     Decompositions are reduced (tw.Reduce): bags contained in a
+//     A sentence component is the same thing on an empty interface: no
+//     liberal variable and one zero-width predicate, whose table — empty,
+//     or one empty row — is the verdict, so sentences are decided, shared
+//     and cancelled like every other predicate.  Decompositions are reduced (tw.Reduce): bags contained in a
 //     neighbour's are contracted away;
 //   - the Executor layer (exec.go, prune.go, over the word kernel
 //     internal/bitvec): a semi-join pre-pruning pass that reduces each
@@ -73,8 +76,7 @@
 //     over views of those atom tables (one-shot: its pruned copies,
 //     indexes and bind plan hang off the views and are garbage once the
 //     rows are emitted) and shared under a structural key of the ∃-component,
-//     bound execution plans, cached sentence checks, and a count
-//     memo keyed on canonical term fingerprints (each unique counting
+//     bound execution plans, and a count memo keyed on canonical term fingerprints (each unique counting
 //     class executes at most once per structure-version) — shared
 //     across φ⁻af terms, repeated counts, and batched counting, with
 //     LRU eviction of the session registry under cap pressure
@@ -118,8 +120,8 @@
 // next request recomputes — and an aborted predicate materialization
 // caches no table.
 //
-// internal/hom's backtracking solver is not on this path: it answers
-// sentence checks (hom.Exists) and is the reference the predicate tables
-// and the package's own tests (solverCount) are differential-tested
-// against.
+// internal/hom's backtracking solver is not on this path, and the
+// package does not import it: it is the reference the predicate tables,
+// the sentence verdicts and the package's own tests (solverCount) are
+// differential-tested against.
 package engine

@@ -64,3 +64,19 @@ func solverCount(p pp.PP, b *structure.Structure) *big.Int {
 	}
 	return total
 }
+
+// CachedTables reports how many constraint tables s holds materialized:
+// atom tables, predicate tables and sentence verdicts alike (an aborted
+// materialization leaves its entry without one).  Call it with no count
+// running on s.
+func CachedTables(s *Session) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, e := range s.tables {
+		if e.t != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -28,7 +28,7 @@ type fptPlan struct {
 
 	// deltaOK marks the plan as delta-maintainable (delta.go): every
 	// component is a quantifier-free join over atom constraints — no
-	// sentence components, no ∃-component predicate tables.  Only then is
+	// predicate tables, sentences' included.  Only then is
 	// each component's join value a pure function of its constraint
 	// tables, which is what the telescoped delta-join advance relies on.
 	deltaOK bool
@@ -72,12 +72,9 @@ type nodeMeta struct {
 	shared   []int // bag positions shared with the parent or a child
 }
 
+// planComponent is one Gaifman component of the cored formula, or the
+// nested component of an ∃-component predicate (compilePredicate).
 type planComponent struct {
-	// sentence components: check hom existence of structureOnly.
-	sentence      bool
-	structureOnly *structure.Structure
-
-	// liberal components:
 	nActive     int // number of constraint-covered liberal positions
 	freeVars    int // liberal positions covered by no constraint: factor |B| each
 	constraints []planConstraint
@@ -108,8 +105,14 @@ func planFrom(p, d pp.PP) (*fptPlan, error) {
 }
 
 func compileComponent(comp pp.PP) (*planComponent, error) {
-	if len(comp.S) == 0 {
-		return &planComponent{sentence: true, structureOnly: comp.A}, nil
+	if len(comp.S) == 0 { // a sentence: one zero-width predicate on all of comp
+		pred, _, err := compilePredicate(comp.A, nil)
+		if err != nil {
+			return nil, err
+		}
+		c := planConstraint{sub: comp.A, pred: pred}
+		c.key = makeTableKey(&c)
+		return &planComponent{constraints: []planConstraint{c}}, nil
 	}
 	pos := make([]int, comp.A.Size())
 	for v := range pos {
@@ -266,7 +269,8 @@ func existsSub(a *structure.Structure, ec pp.ExistsComponent) (*structure.Struct
 }
 
 // compilePredicate compiles the predicate "iface extends to a
-// homomorphism of sub" into a nested component over all of sub's
+// homomorphism of sub" (for a sentence, iface is empty: "sub maps into
+// the structure") into a nested component over all of sub's
 // elements, to be run by the join executor in the existence semiring
 // (Session.materializePredicate): the bounded treewidth of the core (Theorem 3.2)
 // is what bounds this component's bags.  Its constraints are sub's atoms,
@@ -388,18 +392,18 @@ func (pl *fptPlan) Formula() pp.PP { return pl.p }
 // component's own and the nested runs that materialize its ∃-component
 // predicate tables — polls ctx at pivot-row and emission granularity and
 // aborts with ctx's error once it fires (partial work discarded, no
-// table cached).  Sentence checks and atom-table projection are not
-// interruptible; cancellation latency is bounded by the largest of those
-// steps.
+// table cached); a sentence is such a nested run.  Atom-table projection
+// is not interruptible; cancellation latency is bounded by the largest
+// atom table.
 func (pl *fptPlan) CountIn(ctx context.Context, s *Session) (*big.Int, error) {
 	return pl.countIn(ctx, s, nil)
 }
 
-// countIn is the plan's one full count: the product of the component
-// values.  A non-nil st (sized to the plan, see countMaintained)
-// captures every component's join value — the state a later delta
-// advance starts from — so the count then runs every component; without
-// it a zero factor ends the count early.
+// countIn is the plan's one full count: the product over components of
+// |B|^free × J (J the join count).  A non-nil st (sized to the plan, see
+// countMaintained) captures every J — the state a later delta advance
+// starts from — so the count then runs every component; without it a
+// zero factor ends the count early.
 func (pl *fptPlan) countIn(ctx context.Context, s *Session, st *fptDeltaState) (*big.Int, error) {
 	b := s.B
 	if !pl.sig.Equal(b.Signature()) {
@@ -410,45 +414,24 @@ func (pl *fptPlan) countIn(ctx context.Context, s *Session, st *fptDeltaState) (
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		f, join, err := pc.count(ctx, s)
+		join, err := pc.joinIn(ctx, s)
 		if err != nil {
 			return nil, err
 		}
 		if st != nil {
 			st.joins[ci] = join
-		} else if f.Sign() == 0 {
+		} else if join.Sign() == 0 {
 			return new(big.Int), nil
 		}
-		total.Mul(total, f)
+		total.Mul(total, join).Mul(total, structure.PowerSize(b, pc.freeVars))
 	}
 	return total, nil
 }
 
-// count returns the component's value |B|^free × J and, for a liberal
-// component, its join count J (nil for a sentence component or a failed
-// sentence check, which no delta-maintainable plan has).
-func (pc *planComponent) count(ctx context.Context, s *Session) (f, join *big.Int, err error) {
-	if pc.sentence {
-		if s.SentenceHolds(pc.structureOnly) {
-			return big.NewInt(1), nil, nil
-		}
-		return new(big.Int), nil, nil
-	}
-	join, err = pc.joinIn(ctx, s)
-	if err != nil {
-		return nil, nil, err
-	}
-	f = structure.PowerSize(s.B, pc.freeVars)
-	return f.Mul(f, join), join, nil
-}
-
 // joinIn computes the component's join count over the session's
-// materialized constraint tables (the neutral 1 for a constraint-free
-// component).
+// materialized constraint tables: 0 if one is empty, else 1 if no
+// position is active (no constraint, or a sentence's zero-width one).
 func (pc *planComponent) joinIn(ctx context.Context, s *Session) (*big.Int, error) {
-	if pc.nActive == 0 {
-		return big.NewInt(1), nil
-	}
 	done := ctx.Done()
 	tables := make([]*Table, len(pc.constraints))
 	for ci := range pc.constraints {
@@ -456,7 +439,13 @@ func (pc *planComponent) joinIn(ctx context.Context, s *Session) (*big.Int, erro
 		if t == nil {
 			return nil, ctxAbortErr(ctx)
 		}
+		if t.n == 0 {
+			return new(big.Int), nil
+		}
 		tables[ci] = t
+	}
+	if pc.nActive == 0 {
+		return big.NewInt(1), nil
 	}
 	// Bind the component to this session's tables: semi-join pre-pruning,
 	// per-node bind orders, prefix indexes — computed once per

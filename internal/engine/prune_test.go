@@ -145,7 +145,7 @@ func TestPruneRowsMatchTuples(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, pc := range pl.(*fptPlan).comps {
-				if !pc.sentence && pc.nActive > 0 {
+				if pc.nActive > 0 {
 					comps = append(comps, pc)
 				}
 			}

@@ -9,34 +9,32 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/hom"
 	"repro/internal/structure"
 )
 
 // Session is the per-structure state of the counting pipeline: the
-// materialized constraint tables, cached sentence checks, and cached
-// semi-join prune results.  One session serves every φ⁻af term of a
+// materialized constraint tables (a sentence's verdict among them: its
+// zero-width predicate table), cached semi-join prune results, and the
+// count memo.  One session serves every φ⁻af term and sentence of a
 // compiled query, repeated Count calls, and batched counting — each
 // distinct constraint scheme is materialized against the structure
 // exactly once.  Sessions are safe for concurrent use.
 //
-// The memo maps are keyed partly by compile-time pointers (bound plans by
-// component, sentence checks by sub-structure; tables are keyed
-// structurally), so a long-lived session fed by endlessly recompiled
-// plans would otherwise grow without bound; each map is wiped wholesale
-// when it reaches sessionMemoCap (a memo, not a store — entries rebuild
-// on demand).
+// The prune memo is keyed by compile-time pointers (bound plans by
+// component; tables are keyed structurally), so a long-lived session fed
+// by endlessly recompiled plans would otherwise grow without bound; each
+// map is wiped wholesale when it reaches sessionMemoCap (a memo, not a
+// store — entries rebuild on demand).
 type Session struct {
 	B *structure.Structure
 
 	version uint64
 	snap    structure.Snapshot
 
-	mu        sync.Mutex
-	tables    map[tableKey]*tableEntry
-	sentences map[*structure.Structure]bool
-	pruned    map[*planComponent]*pruneEntry
-	counts    map[string]*countEntry
+	mu     sync.Mutex
+	tables map[tableKey]*tableEntry
+	pruned map[*planComponent]*pruneEntry
+	counts map[string]*countEntry
 	// prior holds the settled, advanceable counts adopted from the
 	// structure's previous session (SessionFor carries them across a
 	// version bump): instead of recomputing a warm fingerprint from
@@ -97,13 +95,12 @@ type tableEntry struct {
 func NewSession(b *structure.Structure) *Session {
 	snap := b.Snapshot()
 	return &Session{
-		B:         b,
-		version:   snap.Version,
-		snap:      snap,
-		tables:    make(map[tableKey]*tableEntry),
-		sentences: make(map[*structure.Structure]bool),
-		pruned:    make(map[*planComponent]*pruneEntry),
-		counts:    make(map[string]*countEntry),
+		B:       b,
+		version: snap.Version,
+		snap:    snap,
+		tables:  make(map[tableKey]*tableEntry),
+		pruned:  make(map[*planComponent]*pruneEntry),
+		counts:  make(map[string]*countEntry),
 	}
 }
 
@@ -184,25 +181,6 @@ func (s *Session) countMemoState(ctx context.Context, fp string, f func(prev *pr
 	return e.v, hit, e.err
 }
 
-// SentenceHolds reports whether sub maps homomorphically into the
-// session's structure, caching the answer per sub-structure identity.
-func (s *Session) SentenceHolds(sub *structure.Structure) bool {
-	s.mu.Lock()
-	ok, cached := s.sentences[sub]
-	s.mu.Unlock()
-	if cached {
-		return ok
-	}
-	ok = hom.Exists(sub, s.B, hom.Options{})
-	s.mu.Lock()
-	if len(s.sentences) >= sessionMemoCap {
-		s.sentences = make(map[*structure.Structure]bool)
-	}
-	s.sentences[sub] = ok
-	s.mu.Unlock()
-	return ok
-}
-
 // tableKey identifies a constraint scheme's materialization: atom tables
 // by (relation, projection template), predicate tables by the structural
 // encoding of the ∃-component and its interface (predKey).  Two
@@ -268,9 +246,9 @@ func predKey(sub *structure.Structure, iface []int) string {
 	return string(enc)
 }
 
-// sessionMemoCap bounds each per-session memo map (tables, sentences,
-// pruned results, and the counts map countMemoState fills); reaching it
-// wipes that map wholesale.
+// sessionMemoCap bounds each per-session memo map (tables, pruned
+// results, and the counts map countMemoState fills); reaching it wipes
+// that map wholesale.
 const sessionMemoCap = 1024
 
 // execPlanFor returns the component's execution plan bound to this
