@@ -60,8 +60,7 @@ crash-smoke:
 # coordinator-vs-single-node differential over real loopback HTTP, the
 # router-vs-single-node wire equivalence on errors, the
 # 503-mid-shutdown scatter-gather reroute regression, dead-shard
-# failover, the consistent-hash stability property test, and the
-# partitioned-count recombination differentials.
+# failover, and the consistent-hash stability property test.
 cluster-smoke:
 	$(GO) test -race -count=1 ./internal/cluster
 

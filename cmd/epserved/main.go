@@ -30,10 +30,10 @@
 // With -router the process is a cluster coordinator instead of a shard:
 // it serves the same API but owns no structures itself, routing every
 // request over the comma-separated shard list by consistent hashing
-// with -replicas-way replication, scatter-gather batch counting, and
-// partitioned-structure recombination (see internal/cluster).  -load,
-// -data-dir and the shard-local tuning flags do not apply in router
-// mode.
+// with -replicas-way replication and scatter-gather batch counting
+// (see internal/cluster).  It accepts the same structure names and
+// request bodies as a shard.  -load, -data-dir and the shard-local
+// tuning flags do not apply in router mode.
 package main
 
 import (

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/big"
 	"net/http"
 	"net/http/httptest"
@@ -222,36 +221,5 @@ func TestClusterHardExactAdmissionPassthrough(t *testing.T) {
 	// Approx mode crosses the same admission gate.
 	if _, _, err := cc.CountApprox(ctx, triQuery, "g", 0.1, 0.05); err != nil {
 		t.Fatalf("approx mode rejected through the router: %v", err)
-	}
-}
-
-// TestClusterApproxPartitionedRejected checks the documented limit:
-// approx mode on a partitioned structure is a 400, since the
-// inclusion–exclusion recombination needs exact part counts.
-func TestClusterApproxPartitionedRejected(t *testing.T) {
-	f := startFleet(t, 3)
-	_, cc := startCoordinator(t, f, 1)
-	ctx := context.Background()
-
-	var facts string
-	for i := 0; i < 9; i++ {
-		facts += fmt.Sprintf("E(a%d,b%d). ", i, i)
-	}
-	if _, err := cc.CreateStructureWith(ctx, serve.CreateStructureRequest{
-		Name: "pg", Facts: facts, Partitions: 3,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	var ae *serve.APIError
-	_, _, err := cc.CountWith(ctx, serve.CountRequest{Query: triQuery, Structure: "pg", Mode: "approx"})
-	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
-		t.Fatalf("partitioned approx count: want 400, got %v", err)
-	}
-	_, _, err = cc.CountBatchWith(ctx, serve.CountBatchRequest{
-		Query: triQuery, Structures: []string{"pg"}, Mode: "approx",
-	})
-	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
-		t.Fatalf("partitioned approx batch: want 400, got %v", err)
 	}
 }

@@ -21,28 +21,23 @@ import (
 
 var _ serve.Backend = (*Coordinator)(nil)
 
-// errApproxPartitioned refuses approx mode on partitioned structures.
-var errApproxPartitioned = serve.Errorf(http.StatusBadRequest,
-	"approx mode is not supported on partitioned structures (inclusion–exclusion recombination needs exact part counts)")
-
 // ---- structures ----
 
-// CreateStructureWith creates a plain structure on its R ring owners,
-// or, with partitions > 1, splits it into shard-resident parts.
+// CreateStructureWith creates a structure on its R ring owners,
+// primary first.  The first error aborts the walk; already-created
+// replicas remain (a retried create dedups into 409s).
 func (co *Coordinator) CreateStructureWith(ctx context.Context, req serve.CreateStructureRequest) (serve.StructureInfo, error) {
-	switch {
-	case isPartName(req.Name):
-		return serve.StructureInfo{}, serve.Errorf(http.StatusBadRequest,
-			"structure name must not contain %q (reserved for partition parts)", partSep)
-	case req.Partitions < 0:
-		return serve.StructureInfo{}, serve.Errorf(http.StatusBadRequest, "partitions must be ≥ 0")
-	case co.partitionedFor(req.Name) != nil:
-		return serve.StructureInfo{}, errDuplicate(req.Name)
-	case req.Partitions > 1:
-		return co.createPartitioned(ctx, req)
+	var primary serve.StructureInfo
+	for i, node := range co.ring.Owners(req.Name, co.cfg.Replicas) {
+		info, err := co.shard(node).CreateStructureWith(ctx, req)
+		if err != nil {
+			return serve.StructureInfo{}, err
+		}
+		if i == 0 {
+			primary = info
+		}
 	}
-	req.Partitions = 0
-	return co.createOnOwners(ctx, req)
+	return primary, nil
 }
 
 // Structures lists the cluster's logical structures.
@@ -53,32 +48,17 @@ func (co *Coordinator) Structures(ctx context.Context) ([]serve.StructureInfo, e
 // Structure fetches one structure's metadata, failing over along its
 // replica set.
 func (co *Coordinator) Structure(ctx context.Context, name string) (serve.StructureInfo, error) {
-	p, err := co.resolve(name)
-	if err != nil {
-		return serve.StructureInfo{}, err
-	}
-	if p != nil {
-		return p.logicalInfo(), nil
-	}
 	var info serve.StructureInfo
-	err = co.failover(ctx, co.ring.Owners(name, co.cfg.Replicas), 0, "", func(b serve.Backend) (err error) {
+	err := co.failover(ctx, co.ring.Owners(name, co.cfg.Replicas), 0, "", func(b serve.Backend) (err error) {
 		info, err = b.Structure(ctx, name)
 		return err
 	})
 	return info, err
 }
 
-// AppendFactsBatch appends to every replica of a plain structure,
+// AppendFactsBatch appends to every replica of a structure,
 // primary first, under one idempotency batch id.
 func (co *Coordinator) AppendFactsBatch(ctx context.Context, name, facts, batchID string) (serve.StructureInfo, error) {
-	p, err := co.resolve(name)
-	if err != nil {
-		return serve.StructureInfo{}, err
-	}
-	if p != nil {
-		return serve.StructureInfo{}, serve.Errorf(http.StatusBadRequest,
-			"partitioned structure %q is immutable: an append could join Gaifman components across parts and break the disjoint-union invariant the exact recombination relies on", name)
-	}
 	// The same idempotency id propagates the batch to every replica
 	// (and across coordinator retries): the per-structure batch memo on
 	// each shard makes the multi-replica apply exactly-once.
@@ -104,42 +84,15 @@ func (co *Coordinator) AppendFactsBatch(ctx context.Context, name, facts, batchI
 
 // ---- counting ----
 
-// CountWith counts on the structure's warm replica, or recombines a
-// partitioned structure's per-part counts.
+// CountWith counts on the structure's warm replica.
 func (co *Coordinator) CountWith(ctx context.Context, req serve.CountRequest) (*big.Int, serve.CountResponse, error) {
-	p, err := co.resolve(req.Structure)
-	if err != nil {
-		return nil, serve.CountResponse{}, err
-	}
-	if p == nil {
-		return co.countOne(ctx, req, "")
-	}
-	if req.Mode == "approx" {
-		return nil, serve.CountResponse{}, errApproxPartitioned
-	}
-	start := time.Now()
-	v, err := co.partitionedCount(ctx, p, req.Query, req.Engine, req.TimeoutMillis)
-	if err != nil {
-		return nil, serve.CountResponse{}, err
-	}
-	return v, serve.CountResponse{Count: v.String(), ElapsedUS: time.Since(start).Microseconds()}, nil
+	return co.countOne(ctx, req, "")
 }
 
-// CountBatchWith scatters the plain structures of the batch by warm
-// replica and recombines each partitioned one, all concurrently.
+// CountBatchWith scatters the batch by warm replica.
 func (co *Coordinator) CountBatchWith(ctx context.Context, req serve.CountBatchRequest) ([]*big.Int, serve.CountBatchResponse, error) {
 	start := time.Now()
-	parts := make([]*partitioned, len(req.Structures))
-	for i, name := range req.Structures {
-		var err error
-		if parts[i], err = co.resolve(name); err != nil {
-			return nil, serve.CountBatchResponse{}, err
-		}
-		if parts[i] != nil && req.Mode == "approx" {
-			return nil, serve.CountBatchResponse{}, errApproxPartitioned
-		}
-	}
-	vals, resp, err := co.scatterBatch(ctx, req, parts)
+	vals, resp, err := co.scatterBatch(ctx, req)
 	resp.ElapsedUS = time.Since(start).Microseconds()
 	return vals, resp, err
 }
@@ -170,14 +123,6 @@ func (co *Coordinator) decodeSubID(id string) (shard serve.Backend, upstream str
 // SubscribeWith registers the maintained count on the structure's
 // primary owner: the count and its delta state stay on one shard.
 func (co *Coordinator) SubscribeWith(ctx context.Context, req serve.SubscribeRequest) (serve.SubscriptionInfo, error) {
-	p, err := co.resolve(req.Structure)
-	if err != nil {
-		return serve.SubscriptionInfo{}, err
-	}
-	if p != nil {
-		return serve.SubscriptionInfo{}, serve.Errorf(http.StatusBadRequest,
-			"subscriptions are not supported on partitioned structures (they are immutable; a plain /count is already exact)")
-	}
 	primary := co.ring.Owners(req.Structure, co.cfg.Replicas)[0]
 	info, err := co.shard(primary).SubscribeWith(ctx, req)
 	if err != nil {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -398,125 +397,6 @@ func TestFailoverOnDeadShard(t *testing.T) {
 	if healthy != 1 {
 		t.Fatalf("stats report %d healthy shards, want 1", healthy)
 	}
-}
-
-// TestPartitionedStructureThroughCluster is the end-to-end partitioned
-// differential: a multi-component structure created with partitions=3
-// on the cluster must answer every battery query bit-identically to a
-// single node holding the whole structure — including mixed batches —
-// while hiding its parts, refusing appends, and rejecting duplicate
-// and plain-server partitioned creates.
-func TestPartitionedStructureThroughCluster(t *testing.T) {
-	f := startFleet(t, 2)
-	_, cc := startCoordinator(t, f, 2)
-
-	ref := serve.New(serve.Config{})
-	rts := httptest.NewServer(ref.Handler())
-	t.Cleanup(rts.Close)
-	rc := serve.NewClient(rts.URL, nil)
-	ctx := context.Background()
-
-	b := multiComponentStructure(21, 4, 4, 0.5, 2)
-	facts, err := b.FactsString()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinfo, err := cc.CreateStructureWith(ctx, serve.CreateStructureRequest{
-		Name: "big", Facts: facts, Partitions: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rinfo, err := rc.CreateStructure(ctx, "big", facts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pinfo.Size != rinfo.Size || pinfo.Tuples != rinfo.Tuples {
-		t.Fatalf("partitioned create metadata %+v, single node %+v", pinfo, rinfo)
-	}
-
-	plain := workload.RandomStructure(workload.EdgeSig(), 6, 0.3, 5)
-	pfacts, err := plain.FactsString()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cc.CreateStructure(ctx, "plain", pfacts, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rc.CreateStructure(ctx, "plain", pfacts, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, query := range partitionQueries() {
-		cv, _, err := cc.Count(ctx, query, "big")
-		if err != nil {
-			t.Fatalf("cluster count %q: %v", query, err)
-		}
-		rv, _, err := rc.Count(ctx, query, "big")
-		if err != nil {
-			t.Fatalf("single-node count %q: %v", query, err)
-		}
-		if cv.Cmp(rv) != 0 {
-			t.Fatalf("partitioned count %q = %v, single node = %v", query, cv, rv)
-		}
-	}
-
-	// A batch mixing a partitioned and a plain structure.
-	query := workload.FreePathQuery(2).String()
-	cvs, _, err := cc.CountBatch(ctx, query, []string{"big", "plain"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rvs, _, err := rc.CountBatch(ctx, query, []string{"big", "plain"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cvs {
-		if cvs[i].Cmp(rvs[i]) != 0 {
-			t.Fatalf("mixed batch [%d]: cluster %v, single node %v", i, cvs[i], rvs[i])
-		}
-	}
-
-	// Parts stay hidden; the logical structure is listed.
-	infos, err := cc.Structures(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var listed []string
-	for _, info := range infos {
-		listed = append(listed, info.Name)
-	}
-	sort.Strings(listed)
-	if fmt.Sprint(listed) != "[big plain]" {
-		t.Fatalf("cluster listing %v, want [big plain]", listed)
-	}
-	got, err := cc.Structure(ctx, "big")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Size != rinfo.Size || got.Tuples != rinfo.Tuples {
-		t.Fatalf("logical metadata %+v, want size %d tuples %d", got, rinfo.Size, rinfo.Tuples)
-	}
-
-	// Immutability and validation.
-	assertStatus := func(err error, status int, what string) {
-		t.Helper()
-		var ae *serve.APIError
-		if !errors.As(err, &ae) || ae.Status != status {
-			t.Fatalf("%s: got %v, want HTTP %d", what, err, status)
-		}
-	}
-	_, err = cc.AppendFacts(ctx, "big", "E(zz,zz).")
-	assertStatus(err, http.StatusBadRequest, "append to partitioned structure")
-	_, err = cc.Subscribe(ctx, query, "big")
-	assertStatus(err, http.StatusBadRequest, "subscribe on partitioned structure")
-	_, err = cc.CreateStructureWith(ctx, serve.CreateStructureRequest{Name: "big", Facts: facts, Partitions: 2})
-	assertStatus(err, http.StatusConflict, "duplicate partitioned create")
-	_, err = cc.CreateStructure(ctx, "bad@p0", pfacts, nil)
-	assertStatus(err, http.StatusBadRequest, "reserved part name")
-	shard := serve.NewClient(f.urls[0], nil)
-	_, err = shard.CreateStructureWith(ctx, serve.CreateStructureRequest{Name: "x", Facts: pfacts, Partitions: 2})
-	assertStatus(err, http.StatusBadRequest, "partitioned create on a plain shard")
 }
 
 // TestSubscriptionRoutingLifecycle walks a subscription end to end

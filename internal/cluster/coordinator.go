@@ -9,13 +9,11 @@ import (
 	"math/big"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/serve"
-	"repro/internal/structure"
 )
 
 // Config tunes a cluster Coordinator.
@@ -36,8 +34,6 @@ type Config struct {
 	// calls before the coordinator fails over to another replica
 	// (zero value = 2 attempts, 25ms base, 250ms cap).
 	Retry serve.RetryPolicy
-	// MaxPartitions caps partitioned creates (≤ 0 = 64).
-	MaxPartitions int
 }
 
 func (c Config) withDefaults() Config {
@@ -50,51 +46,21 @@ func (c Config) withDefaults() Config {
 	if c.Retry.MaxAttempts == 0 {
 		c.Retry = serve.RetryPolicy{MaxAttempts: 2, BaseDelay: 25 * time.Millisecond, MaxDelay: 250 * time.Millisecond}
 	}
-	if c.MaxPartitions <= 0 {
-		c.MaxPartitions = 64
-	}
 	return c
 }
 
-// partSep separates a logical partitioned structure's name from its
-// part index in the shard-resident part names ("users@p3").  Client-
-// facing names must not contain it.
-const partSep = "@p"
-
-// partitioned is one logical partitioned structure the coordinator
-// tracks: its part names (shard residency follows the ring) and the
-// immutable logical metadata.
-type partitioned struct {
-	name   string
-	parts  []string
-	size   int
-	tuples int
-	sig    *structure.Signature
-}
-
-// planKey caches recombination plans per (query, signature).
-type planKey struct {
-	query string
-	sig   string
-}
-
 // Coordinator is the cluster router: a serve.Backend composed of the
-// shard fleet's Backends — consistent-hash routing with replication for
-// plain structures, exact inclusion–exclusion recombination for
-// partitioned ones.  Served through a serve.Frontend it speaks the same
-// HTTP/JSON API as a single epserved node (serve.Client works against
-// it unchanged).  Create with New; mount Handler, or hand the
-// coordinator to serve.NewFrontend for a managed listener.
+// shard fleet's Backends — consistent-hash routing with replication.
+// Served through a serve.Frontend it speaks the same HTTP/JSON API as
+// a single epserved node (serve.Client works against it unchanged).
+// Create with New; mount Handler, or hand the coordinator to
+// serve.NewFrontend for a managed listener.
 type Coordinator struct {
 	cfg     Config
 	ring    *Ring
 	shards  []serve.Backend // aligned with cfg.Shards
 	nodeIdx map[string]int
 	started time.Time
-
-	mu    sync.RWMutex
-	parts map[string]*partitioned
-	plans map[planKey]*partPlan
 
 	scatters  atomic.Uint64
 	failovers atomic.Uint64
@@ -103,10 +69,6 @@ type Coordinator struct {
 	batchPrefix string
 	batchSeq    atomic.Uint64
 }
-
-// planCacheCap bounds the recombination-plan cache; reaching it wipes
-// the cache wholesale (a memo: entries rebuild on demand).
-const planCacheCap = 256
 
 // New builds a Coordinator over the configured shard fleet.  It does
 // not contact the shards; routing state is purely local (the ring).
@@ -126,8 +88,6 @@ func New(cfg Config) (*Coordinator, error) {
 		ring:        ring,
 		nodeIdx:     make(map[string]int, len(cfg.Shards)),
 		started:     time.Now(),
-		parts:       make(map[string]*partitioned),
-		plans:       make(map[planKey]*partPlan),
 		batchPrefix: hex.EncodeToString(rnd[:]),
 	}
 	for i, s := range cfg.Shards {
@@ -174,26 +134,6 @@ func (co *Coordinator) Handler() http.Handler { return serve.NewFrontend(co, "",
 // replica apply exactly-once even under the coordinator's own retries.
 func (co *Coordinator) genBatchID() string {
 	return fmt.Sprintf("coord-%s-%d", co.batchPrefix, co.batchSeq.Add(1))
-}
-
-// partitionedFor resolves a logical partitioned structure, nil when
-// the name is not partitioned.
-func (co *Coordinator) partitionedFor(name string) *partitioned {
-	co.mu.RLock()
-	defer co.mu.RUnlock()
-	return co.parts[name]
-}
-
-// resolve is the name-resolution step every operation on an existing
-// structure starts from.  A client-facing name is partitioned (p is its
-// logical structure), plain (p is nil: the ring places it), or reserved:
-// name@pN belongs to the parts of partitioned structures, which no
-// client may address, so to clients there is no such structure.
-func (co *Coordinator) resolve(name string) (p *partitioned, err error) {
-	if p = co.partitionedFor(name); p == nil && isPartName(name) {
-		return nil, serve.Errorf(http.StatusNotFound, "unknown structure %q", name)
-	}
-	return p, nil
 }
 
 // ---- routing primitives ----
@@ -271,16 +211,15 @@ func slot(r serve.CountBatchResponse, j int) serve.CountResponse {
 	return s
 }
 
-// scatterBatch fans one query over many structures.  The plain ones
-// group by their warm replica shard, each group runs as one upstream
-// batch count; each partitioned one (parts[i] non-nil; parts itself may
-// be nil) recombines its own scatter; all run concurrently, and results
-// reassemble in request order.  req carries the query, engine, timeout,
+// scatterBatch fans one query over many structures.  They group by
+// their warm replica shard, each group runs as one upstream batch
+// count, the groups run concurrently, and results reassemble in
+// request order.  req carries the query, engine, timeout,
 // and the approx-mode knobs applied to every structure.  A shard-level
 // failoverable failure (503 from a node draining, a dropped connection)
 // does not fail the request: that group's structures reroute
 // individually to surviving replicas.
-func (co *Coordinator) scatterBatch(ctx context.Context, req serve.CountBatchRequest, parts []*partitioned) ([]*big.Int, serve.CountBatchResponse, error) {
+func (co *Coordinator) scatterBatch(ctx context.Context, req serve.CountBatchRequest) ([]*big.Int, serve.CountBatchResponse, error) {
 	names := req.Structures
 	approxMode := req.Mode == "approx"
 	vals := make([]*big.Int, len(names))
@@ -307,17 +246,6 @@ func (co *Coordinator) scatterBatch(ctx context.Context, req serve.CountBatchReq
 	var wg sync.WaitGroup
 	groups := make(map[string][]int) // warm replica → its structures' indexes
 	for i, name := range names {
-		if parts != nil && parts[i] != nil {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				v, err := co.partitionedCount(ctx, parts[i], req.Query, req.Engine, req.TimeoutMillis)
-				if errs[i] = err; err == nil {
-					put(i, v, serve.CountResponse{Count: v.String()})
-				}
-			}()
-			continue
-		}
 		owners, start := co.replicaAt(req.Query, name)
 		groups[owners[start]] = append(groups[owners[start]], i)
 	}
@@ -368,174 +296,9 @@ func (co *Coordinator) scatterBatch(ctx context.Context, req serve.CountBatchReq
 	return vals, out, nil
 }
 
-// ---- partitioned structures ----
-
-// planFor resolves (building and caching on first use) the
-// recombination plan of a query over a partitioned structure's
-// signature.
-func (co *Coordinator) planFor(query string, p *partitioned) (*partPlan, error) {
-	key := planKey{query: query, sig: p.sig.String()}
-	co.mu.RLock()
-	pl := co.plans[key]
-	co.mu.RUnlock()
-	if pl != nil {
-		return pl, nil
-	}
-	pl, err := buildPartitionPlan(query, p.sig)
-	if err != nil {
-		// A malformed query or an unknown relation: the client's fault,
-		// as on a single node.
-		return nil, serve.WithStatus(http.StatusBadRequest, err)
-	}
-	co.mu.Lock()
-	if prev := co.plans[key]; prev != nil {
-		pl = prev
-	} else {
-		if len(co.plans) >= planCacheCap {
-			co.plans = make(map[planKey]*partPlan, planCacheCap)
-		}
-		co.plans[key] = pl
-	}
-	co.mu.Unlock()
-	return pl, nil
-}
-
-// partitionedCount evaluates a query against a partitioned structure:
-// every component query of the recombination plan scatters over all
-// parts (riding the same grouped scatter-gather and failover as plain
-// batches), per-part counts sum per component, and the plan reassembles
-// the exact logical count.
-func (co *Coordinator) partitionedCount(ctx context.Context, p *partitioned, query, engineName string, timeoutMillis int64) (*big.Int, error) {
-	pl, err := co.planFor(query, p)
-	if err != nil {
-		return nil, err
-	}
-	totals := make([]*big.Int, len(pl.comps))
-	errs := make([]error, len(pl.comps))
-	var wg sync.WaitGroup
-	for ci := range pl.comps {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			vals, _, err := co.scatterBatch(ctx, serve.CountBatchRequest{
-				Query: pl.comps[ci].query, Structures: p.parts, Engine: engineName, TimeoutMillis: timeoutMillis,
-			}, nil)
-			if err != nil {
-				errs[ci] = err
-				return
-			}
-			sum := new(big.Int)
-			for _, v := range vals {
-				sum.Add(sum, v)
-			}
-			totals[ci] = sum
-		}(ci)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return pl.combine(totals, p.size), nil
-}
-
-// createOnOwners creates one (part or plain) structure on its R ring
-// owners, primary first.  The first error aborts the walk; already-
-// created replicas remain (a retried create dedups into 409s, which
-// the caller may treat as success for parts).
-func (co *Coordinator) createOnOwners(ctx context.Context, req serve.CreateStructureRequest) (serve.StructureInfo, error) {
-	owners := co.ring.Owners(req.Name, co.cfg.Replicas)
-	var primary serve.StructureInfo
-	for i, node := range owners {
-		info, err := co.shard(node).CreateStructureWith(ctx, req)
-		if err != nil {
-			return serve.StructureInfo{}, err
-		}
-		if i == 0 {
-			primary = info
-		}
-	}
-	return primary, nil
-}
-
-// createPartitioned parses the structure on the coordinator, splits it
-// into Gaifman-component parts, creates every part (with the explicit
-// signature, so empty parts stay well-typed) on its ring owners, and
-// registers the logical structure.  Partitioned structures are
-// immutable after creation: appends could join components across
-// parts, which would break the disjoint-union invariant the exact
-// recombination rests on.
-func (co *Coordinator) createPartitioned(ctx context.Context, req serve.CreateStructureRequest) (serve.StructureInfo, error) {
-	// What the coordinator finds wrong with the request itself is the
-	// client's fault; a shard's refusal or a transport failure passes as is.
-	bad := func(err error) (serve.StructureInfo, error) {
-		return serve.StructureInfo{}, serve.WithStatus(http.StatusBadRequest, err)
-	}
-	if req.Partitions > co.cfg.MaxPartitions {
-		return bad(fmt.Errorf("cluster: %d partitions exceed the cap of %d", req.Partitions, co.cfg.MaxPartitions))
-	}
-	b, err := serve.ParseFacts(req.Facts, req.Signature)
-	if err != nil {
-		return bad(err)
-	}
-	spec := make([]serve.RelSpec, 0, len(b.Signature().Rels()))
-	for _, r := range b.Signature().Rels() {
-		spec = append(spec, serve.RelSpec{Name: r.Name, Arity: r.Arity})
-	}
-	if b.Size() == 0 {
-		return bad(fmt.Errorf("cluster: an empty structure cannot be partitioned"))
-	}
-	bins := partitionElems(b, req.Partitions)
-	p := &partitioned{name: req.Name, size: b.Size(), tuples: b.NumTuples(), sig: b.Signature()}
-	for i, bin := range bins {
-		// Fewer Gaifman components than requested partitions leaves some
-		// bins empty; an empty part would be uncountable (the engine
-		// refuses empty universes), so it simply is not created —
-		// `partitions` is a ceiling, not a promise.
-		if len(bin) == 0 {
-			continue
-		}
-		part, _ := b.Induced(bin)
-		facts, err := part.FactsString()
-		if err != nil {
-			return bad(err)
-		}
-		partName := fmt.Sprintf("%s%s%d", req.Name, partSep, i)
-		if _, err := co.createOnOwners(ctx, serve.CreateStructureRequest{Name: partName, Facts: facts, Signature: spec}); err != nil {
-			return serve.StructureInfo{}, err
-		}
-		p.parts = append(p.parts, partName)
-	}
-	co.mu.Lock()
-	if _, dup := co.parts[req.Name]; dup {
-		co.mu.Unlock()
-		return serve.StructureInfo{}, errDuplicate(req.Name)
-	}
-	co.parts[req.Name] = p
-	co.mu.Unlock()
-	return p.logicalInfo(), nil
-}
-
-// errDuplicate is a create's name collision with a partitioned
-// structure, worded as a shard words its own.
-func errDuplicate(name string) error {
-	return serve.Errorf(http.StatusConflict, "structure %q already exists", name)
-}
-
-// logicalInfo is the wire metadata of a partitioned structure (version
-// 0: partitioned structures are immutable).
-func (p *partitioned) logicalInfo() serve.StructureInfo {
-	return serve.StructureInfo{Name: p.name, Size: p.size, Tuples: p.tuples}
-}
-
-// isPartName reports whether a shard-resident structure name is an
-// internal partition part (hidden from cluster listings).
-func isPartName(name string) bool { return strings.Contains(name, partSep) }
-
 // mergedStructures builds the cluster's logical structure list: every
-// shard's registry fanned in, part names hidden, replicas deduplicated
-// (the ring primary's row wins), partitioned logical rows appended.
+// shard's registry fanned in, replicas deduplicated (the ring primary's
+// row wins).
 // Unreachable shards are skipped — listing degrades, it does not fail.
 func (co *Coordinator) mergedStructures(ctx context.Context) []serve.StructureInfo {
 	lists, errs := fanOut(co, func(b serve.Backend) ([]serve.StructureInfo, error) { return b.Structures(ctx) })
@@ -546,9 +309,6 @@ func (co *Coordinator) mergedStructures(ctx context.Context) []serve.StructureIn
 			continue
 		}
 		for _, info := range infos {
-			if isPartName(info.Name) {
-				continue
-			}
 			primary := co.ring.Owner(info.Name) == co.cfg.Shards[i]
 			prev, ok := byName[info.Name]
 			// Prefer the ring primary's row; among replicas keep the
@@ -559,11 +319,6 @@ func (co *Coordinator) mergedStructures(ctx context.Context) []serve.StructureIn
 			}
 		}
 	}
-	co.mu.RLock()
-	for name, p := range co.parts {
-		byName[name] = p.logicalInfo()
-	}
-	co.mu.RUnlock()
 	names := make([]string, 0, len(byName))
 	for n := range byName {
 		names = append(names, n)

@@ -3,10 +3,8 @@
 // composed of the shards' Backends and holds no HTTP code: behind the
 // serve.Frontend every node has, it speaks the HTTP/JSON API of a
 // single node (serve.Client works against it unchanged) because it is
-// served by the same handlers.  Every operation starts from one
-// name-resolution step — partitioned, plain, or the reserved name@pN
-// of a partition part, which no client may address — and routes
-// behind it: structure names map to shard nodes
+// served by the same handlers, and accepts the same structure names
+// and request bodies.  Structure names map to shard nodes
 // by a consistent-hash ring with virtual nodes (membership changes
 // remap only the expected 1/(N+1) fraction of names), structures are
 // created on R ring successors, and reads pick the replica a query
@@ -20,21 +18,6 @@
 // the request.  Appends route primary-first to every replica under
 // one idempotency batch id (coordinator-minted when the client sent
 // none), so the shard-side batch memos make the multi-replica apply
-// exactly-once.
-//
-// The paper-grounded piece is the partitioned structure: a create
-// with partitions > 1 splits the structure's domain along connected
-// components of its Gaifman graph into shard-resident parts — a
-// disjoint union, no tuple spans parts.  Counting against the logical
-// structure then follows the inclusion–exclusion pipeline of
-// Chen–Mengel (PODS'16) one level up: each φ⁻af term's quantifier-free
-// part decomposes into connected components; a connected component
-// with a liberal variable maps entirely into one part, so its count
-// over the union is the sum of its per-part counts; a fully
-// quantified component contributes a satisfiability bit (nonzero
-// somewhere); isolated liberal variables contribute |B|^k for the
-// whole logical domain.  The coordinator scatters the component
-// queries over the parts, sums per component, and recombines exactly
-// — bit-identical to a single node holding the whole structure, which
-// the differential tests assert.
+// exactly-once.  Counting itself is the shards' alone: the coordinator
+// parses no query and holds no structure.
 package cluster

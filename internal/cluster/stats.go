@@ -26,9 +26,6 @@ func (co *Coordinator) Stats(ctx context.Context) (serve.StatsResponse, error) {
 		Failovers:      co.failovers.Load(),
 		Rerouted:       co.rerouted.Load(),
 	}
-	co.mu.RLock()
-	cluster.Partitioned = len(co.parts)
-	co.mu.RUnlock()
 
 	type qkey struct{ query, engine string }
 	queryAt := make(map[qkey]int)

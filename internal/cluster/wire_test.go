@@ -50,9 +50,8 @@ func probe(t *testing.T, base, method, path, body string) answer {
 
 // wireSurfaces starts a 2-shard × 2-replica router and a single node
 // (all with the same exact-admission limit, so a typed 422 exists on
-// both) holding the same state: "g" (plain, over E), "h" (plain, over
-// F only), and "big" — partitioned three ways on the router, plain on
-// the single node.
+// both) holding the same state: "g" and "big" (over E) and "h" (over
+// F only).
 func wireSurfaces(t *testing.T) (router, single string) {
 	t.Helper()
 	cfg := serve.Config{HardExactLimit: 5}
@@ -70,13 +69,6 @@ func wireSurfaces(t *testing.T) (router, single string) {
 	t.Cleanup(rts.Close)
 	sts := httptest.NewServer(serve.New(cfg).Handler())
 	t.Cleanup(sts.Close)
-
-	// Every part of "big" must itself exceed the admission limit, or the
-	// partitioned 422 row would be a 200: clusters of ≥ 10 tuples each.
-	big, err := multiComponentStructure(33, 3, 5, 0.7, 0).FactsString()
-	if err != nil {
-		t.Fatal(err)
-	}
 	create := func(base string, req serve.CreateStructureRequest) {
 		t.Helper()
 		body, _ := json.Marshal(req)
@@ -87,9 +79,8 @@ func wireSurfaces(t *testing.T) (router, single string) {
 	for _, base := range []string{rts.URL, sts.URL} {
 		create(base, serve.CreateStructureRequest{Name: "g", Facts: erFacts(t, 12, 0.5, 3)})
 		create(base, serve.CreateStructureRequest{Name: "h", Facts: "F(a,b). F(b,c)."})
+		create(base, serve.CreateStructureRequest{Name: "big", Facts: erFacts(t, 15, 0.7, 33)})
 	}
-	create(rts.URL, serve.CreateStructureRequest{Name: "big", Facts: big, Partitions: 3})
-	create(sts.URL, serve.CreateStructureRequest{Name: "big", Facts: big})
 	return rts.URL, sts.URL
 }
 
@@ -97,9 +88,6 @@ func wireSurfaces(t *testing.T) (router, single string) {
 // to a single node and requires the same status and the same trichotomy
 // case from both, with Retry-After on every 503: whatever a client does
 // wrong, it cannot tell from the answer which of the two it talks to.
-// The rows marked routerWant are the router's own refusals — operations
-// a single node cannot be asked (its "big" is a plain structure) — and
-// pin the router's status alone.
 func TestWireEquivalenceOnErrors(t *testing.T) {
 	router, single := wireSurfaces(t)
 
@@ -107,13 +95,12 @@ func TestWireEquivalenceOnErrors(t *testing.T) {
 	type row struct {
 		name, method, path, body string
 		singlePath               string // the single node's path, where it differs (subscription ids are per surface)
-		routerWant               int
 		mentions                 string // what both error messages must name
 	}
 	var rows []row
 
-	// The counting probes, on a plain and on a partitioned structure,
-	// through /count and /countBatch.
+	// The counting probes, on two structures, through /count and
+	// /countBatch.
 	counting := []struct{ name, query, more, mentions string }{
 		{"unknown mode", edge, `,"mode":"bogus"`, ""},
 		{"unknown engine", edge, `,"engine":"warp"`, ""},
@@ -146,19 +133,16 @@ func TestWireEquivalenceOnErrors(t *testing.T) {
 		rows = append(rows, row{name: "mixed-signature batch " + target, method: "POST", path: "/countBatch",
 			body: fmt.Sprintf(`{"query":%q,"structures":[%q,"h"]}`, edge, target)})
 	}
-	// Names that resolve to nothing: unknown, and a partition part, which
-	// exists on the shards but not for clients.
-	for _, name := range []string{"nope", "big@p0"} {
-		rows = append(rows,
-			row{name: "count on " + name, method: "POST", path: "/count",
-				body: fmt.Sprintf(`{"query":%q,"structure":%q}`, edge, name)},
-			row{name: "countBatch on " + name, method: "POST", path: "/countBatch",
-				body: fmt.Sprintf(`{"query":%q,"structures":["g",%q]}`, edge, name)},
-			row{name: "get " + name, method: "GET", path: "/structures/" + name},
-			row{name: "append to " + name, method: "POST", path: "/structures/" + name + "/facts", body: `{"facts":"E(a,b)."}`},
-			row{name: "subscribe to " + name, method: "POST", path: "/subscriptions",
-				body: fmt.Sprintf(`{"query":%q,"structure":%q}`, edge, name)})
-	}
+	// A name that resolves to nothing.
+	rows = append(rows,
+		row{name: "count on nope", method: "POST", path: "/count",
+			body: fmt.Sprintf(`{"query":%q,"structure":"nope"}`, edge)},
+		row{name: "countBatch on nope", method: "POST", path: "/countBatch",
+			body: fmt.Sprintf(`{"query":%q,"structures":["g","nope"]}`, edge)},
+		row{name: "get nope", method: "GET", path: "/structures/nope"},
+		row{name: "append to nope", method: "POST", path: "/structures/nope/facts", body: `{"facts":"E(a,b)."}`},
+		row{name: "subscribe to nope", method: "POST", path: "/subscriptions",
+			body: fmt.Sprintf(`{"query":%q,"structure":"nope"}`, edge)})
 	for _, eng := range []string{"brute", "projection", "fpt-nocore"} {
 		rows = append(rows, row{name: "subscribe: engine " + eng, method: "POST", path: "/subscriptions", mentions: "engine",
 			body: fmt.Sprintf(`{"query":%q,"structure":"g","engine":%q}`, edge, eng)})
@@ -167,21 +151,17 @@ func TestWireEquivalenceOnErrors(t *testing.T) {
 		row{name: "empty structures", method: "POST", path: "/countBatch", body: fmt.Sprintf(`{"query":%q,"structures":[]}`, edge)},
 		row{name: "create: empty name", method: "POST", path: "/structures", body: `{"name":"","facts":"E(a,b)."}`},
 		row{name: "create: duplicate name", method: "POST", path: "/structures", body: `{"name":"g","facts":"E(a,b)."}`},
-		row{name: "create: name of a partitioned structure", method: "POST", path: "/structures", body: `{"name":"big","facts":"E(a,b)."}`},
-		row{name: "create: negative partitions", method: "POST", path: "/structures", body: `{"name":"n","facts":"E(a,b).","partitions":-1}`},
+		// "partitions" is no field of a create on either surface: the
+		// router must not accept a body a single node refuses.
+		row{name: "create: a partitions field of 1", method: "POST", path: "/structures", body: `{"name":"n","facts":"E(a,b).","partitions":1}`},
+		row{name: "create: a partitions field of 3", method: "POST", path: "/structures", body: `{"name":"n","facts":"E(a,b).","partitions":3}`},
 		row{name: "create: malformed facts", method: "POST", path: "/structures", body: `{"name":"m","facts":"E(a,"}`},
 		row{name: "create: unknown JSON field", method: "POST", path: "/structures", body: `{"name":"u","facts":"E(a,b).","bogus":1}`},
-		row{name: "create: reserved @p name", method: "POST", path: "/structures", body: `{"name":"x@p0","facts":"E(a,b)."}`,
-			routerWant: http.StatusBadRequest},
 		row{name: "append: arity mismatch", method: "POST", path: "/structures/g/facts", body: `{"facts":"E(a,b,c)."}`},
 		row{name: "append: unknown JSON field", method: "POST", path: "/structures/g/facts", body: `{"facts":"E(a,b).","bogus":1}`},
-		row{name: "append to partitioned", method: "POST", path: "/structures/big/facts", body: `{"facts":"E(zz,zz)."}`,
-			routerWant: http.StatusBadRequest},
 		row{name: "subscribe: unknown engine", method: "POST", path: "/subscriptions",
 			body: fmt.Sprintf(`{"query":%q,"structure":"g","engine":"warp"}`, edge)},
 		row{name: "subscribe: malformed query", method: "POST", path: "/subscriptions", body: `{"query":"nope","structure":"g"}`},
-		row{name: "subscribe to partitioned", method: "POST", path: "/subscriptions",
-			body: fmt.Sprintf(`{"query":%q,"structure":"big"}`, edge), routerWant: http.StatusBadRequest},
 		row{name: "read unknown subscription", method: "GET", path: "/subscriptions/sub-999"},
 		row{name: "read unknown subscription, shard-shaped id", method: "GET", path: "/subscriptions/s0~sub-999"},
 		row{name: "delete unknown subscription", method: "DELETE", path: "/subscriptions/sub-999"},
@@ -202,16 +182,13 @@ func TestWireEquivalenceOnErrors(t *testing.T) {
 
 	for _, r := range rows {
 		got := probe(t, router, r.method, r.path, r.body)
-		want := answer{status: r.routerWant}
-		if r.routerWant == 0 {
-			singlePath := r.path
-			if r.singlePath != "" {
-				singlePath = r.singlePath
-			}
-			want = probe(t, single, r.method, singlePath, r.body)
-			if want.status < 400 {
-				t.Errorf("%s: the single node answers HTTP %d; every row is meant to be an error", r.name, want.status)
-			}
+		singlePath := r.path
+		if r.singlePath != "" {
+			singlePath = r.singlePath
+		}
+		want := probe(t, single, r.method, singlePath, r.body)
+		if want.status < 400 {
+			t.Errorf("%s: the single node answers HTTP %d; every row is meant to be an error", r.name, want.status)
 		}
 		if got.status != want.status || got.caseStr != want.caseStr {
 			t.Errorf("%s: router HTTP %d case %q (%s), want HTTP %d case %q (%s)",
@@ -221,7 +198,7 @@ func TestWireEquivalenceOnErrors(t *testing.T) {
 			if a.status == http.StatusServiceUnavailable && a.retryAfter == "" {
 				t.Errorf("%s: %s answers 503 without Retry-After", r.name, who)
 			}
-			if a.status >= 400 && r.routerWant == 0 && a.errMsg == "" {
+			if a.status >= 400 && a.errMsg == "" {
 				t.Errorf("%s: %s answers HTTP %d without an error message", r.name, who, a.status)
 			}
 			if r.mentions != "" && (a.status != http.StatusBadRequest || !strings.Contains(a.errMsg, r.mentions)) {
@@ -250,14 +227,16 @@ func TestWireEquivalenceOnErrors(t *testing.T) {
 // row: the table is the whole API on both, so a route registered on one
 // surface only — a second mux — has nowhere to hide.  The counting
 // bodies spell the served executor both ways the engine field accepts.
+// The structure's name has the shape of no reserved name on either
+// surface: the two accept the same names.
 func TestEveryRouteOnBothSurfaces(t *testing.T) {
-	const edge = `q(x,y) := E(x,y)`
+	const edge, name = `q(x,y) := E(x,y)`, "g@p0"
 	bodies := map[string]string{
-		"POST /structures":              `{"name":"fresh","facts":"E(a,b)."}`,
+		"POST /structures":              `{"name":"fresh@p1","facts":"E(a,b)."}`,
 		"POST /structures/{name}/facts": `{"facts":"E(b,c)."}`,
-		"POST /count":                   fmt.Sprintf(`{"query":%q,"structure":"g","engine":"fpt"}`, edge),
-		"POST /countBatch":              fmt.Sprintf(`{"query":%q,"structures":["g"],"engine":"auto"}`, edge),
-		"POST /subscriptions":           fmt.Sprintf(`{"query":%q,"structure":"g","engine":"auto"}`, edge),
+		"POST /count":                   fmt.Sprintf(`{"query":%q,"structure":%q,"engine":"fpt"}`, edge, name),
+		"POST /countBatch":              fmt.Sprintf(`{"query":%q,"structures":[%q],"engine":"auto"}`, edge, name),
+		"POST /subscriptions":           fmt.Sprintf(`{"query":%q,"structure":%q,"engine":"auto"}`, edge, name),
 	}
 	shard := httptest.NewServer(serve.New(serve.Config{}).Handler())
 	t.Cleanup(shard.Close)
@@ -276,14 +255,14 @@ func TestEveryRouteOnBothSurfaces(t *testing.T) {
 		ts := httptest.NewServer(h)
 		t.Cleanup(ts.Close)
 		cl := serve.NewClient(ts.URL, nil)
-		if _, err := cl.CreateStructure(t.Context(), "g", "E(a,b).", nil); err != nil {
+		if _, err := cl.CreateStructure(t.Context(), name, "E(a,b).", nil); err != nil {
 			t.Fatal(err)
 		}
-		sub, err := cl.Subscribe(t.Context(), edge, "g")
+		sub, err := cl.Subscribe(t.Context(), edge, name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fill := strings.NewReplacer("{name}", "g", "{id}", sub.ID)
+		fill := strings.NewReplacer("{name}", name, "{id}", sub.ID)
 		for _, rt := range serve.Routes {
 			a := probe(t, ts.URL, rt.Method, fill.Replace(rt.Path), bodies[rt.Method+" "+rt.Path])
 			if a.status < 200 || a.status >= 300 {

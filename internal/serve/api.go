@@ -26,14 +26,6 @@ type CreateStructureRequest struct {
 	Name      string    `json:"name"`
 	Facts     string    `json:"facts"`
 	Signature []RelSpec `json:"signature,omitempty"`
-	// Partitions > 1 asks a cluster coordinator to split the
-	// structure's domain into that many shard-resident parts along
-	// connected components of its Gaifman graph; counts against the
-	// logical structure are then computed per part and recombined
-	// exactly (see internal/cluster).  A plain single-node server
-	// rejects a partitioned create — partitioning only means something
-	// behind a coordinator.
-	Partitions int `json:"partitions,omitempty"`
 }
 
 // AppendFactsRequest appends facts to an existing structure.  New
@@ -307,7 +299,7 @@ type ShardStats struct {
 	// Healthy reports whether the shard answered the stats fan-out.
 	Healthy bool `json:"healthy"`
 	// Structures is the number of structures registered on the shard
-	// (replicas and partition parts count once per holding shard).
+	// (a replica counts once per holding shard).
 	Structures int `json:"structures"`
 	// Admission is the shard's admission telemetry.
 	Admission AdmissionStats `json:"admission"`
@@ -333,9 +325,6 @@ type ClusterStats struct {
 	Replicas int `json:"replicas"`
 	// VirtualNodes is the ring's virtual-node count per shard.
 	VirtualNodes int `json:"virtual_nodes"`
-	// Partitioned is the number of logical partitioned structures the
-	// coordinator tracks.
-	Partitioned int `json:"partitioned"`
 	// ScatterGathers counts fanned-out /countBatch requests; Failovers
 	// counts replica failovers on reads; Rerouted counts structure
 	// groups rerouted to another replica after a shard-level batch

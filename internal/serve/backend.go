@@ -43,12 +43,12 @@ var (
 
 // APIError is the one error that carries a wire status.  A backend
 // raises it where the fault is known (the registry's not-found, the
-// admission controller's 503, a coordinator's refusal to append to a
-// partitioned structure); the Client rebuilds it from every non-2xx
-// response, so it crosses a router hop unchanged.  Callers that route
-// around failing replicas inspect Status via errors.As to separate
-// transient refusals (503, 504) from semantic errors (400, 404, 422)
-// that would fail identically everywhere.
+// admission controller's 503, the duplicate-name 409); the Client
+// rebuilds it from every non-2xx response, so it crosses a router hop
+// unchanged.  Callers that route around failing replicas inspect
+// Status via errors.As to separate transient refusals (503, 504) from
+// semantic errors (400, 404, 422) that would fail identically
+// everywhere.
 type APIError struct {
 	// Status is the HTTP status code.
 	Status int

@@ -200,10 +200,8 @@ func (c *Client) CreateStructure(ctx context.Context, name, facts string, sig []
 	return c.CreateStructureWith(ctx, CreateStructureRequest{Name: name, Facts: facts, Signature: sig})
 }
 
-// CreateStructureWith is CreateStructure with full request control —
-// in particular Partitions, which a cluster coordinator honors by
-// splitting the structure's domain across shards (a plain server
-// rejects it).
+// CreateStructureWith is CreateStructure taking the whole request (the
+// Backend method).
 func (c *Client) CreateStructureWith(ctx context.Context, req CreateStructureRequest) (StructureInfo, error) {
 	var info StructureInfo
 	err := c.do(ctx, http.MethodPost, "/structures", req, &info, false)

@@ -23,7 +23,7 @@ type Route struct {
 // router — serves exactly these, through the one Frontend.  Bodies and
 // responses are the JSON types of api.go; "?" marks an optional field.
 var Routes = []Route{
-	{"POST", "/structures", `{"name", "facts", "signature"?: [{"name", "arity"}], "partitions"?}  ingest a structure (partitions > 1: router only, split along Gaifman components)`, (*Frontend).createStructure},
+	{"POST", "/structures", `{"name", "facts", "signature"?: [{"name", "arity"}]}  ingest a structure`, (*Frontend).createStructure},
 	{"GET", "/structures", `list the registered structures`, (*Frontend).listStructures},
 	{"GET", "/structures/{name}", `one structure's metadata`, (*Frontend).getStructure},
 	{"POST", "/structures/{name}/facts", `{"facts", "batch_id"?}  append atomically, idempotent per batch_id`, (*Frontend).appendFacts},

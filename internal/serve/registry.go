@@ -153,7 +153,7 @@ func (r *Registry) CreateStructure(name, facts string, spec []RelSpec) (Structur
 	if name == "" {
 		return StructureInfo{}, fmt.Errorf("structure name must not be empty")
 	}
-	b, err := ParseFacts(facts, spec)
+	b, err := parseFacts(facts, spec)
 	if err != nil {
 		return StructureInfo{}, err
 	}
@@ -179,9 +179,9 @@ func (r *Registry) CreateStructure(name, facts string, spec []RelSpec) (Structur
 	return StructureInfo{Name: name, Size: b.Size(), Tuples: b.NumTuples(), Version: b.Version()}, nil
 }
 
-// ParseFacts parses a create request's facts over its signature spec
+// parseFacts parses a create request's facts over its signature spec
 // (empty: relation arities are inferred from the facts).
-func ParseFacts(facts string, spec []RelSpec) (*structure.Structure, error) {
+func parseFacts(facts string, spec []RelSpec) (*structure.Structure, error) {
 	var sig *structure.Signature
 	if len(spec) > 0 {
 		rels := make([]structure.RelSym, len(spec))

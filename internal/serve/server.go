@@ -201,10 +201,6 @@ func IsDuplicate(err error) bool {
 
 // CreateStructureWith ingests a named structure.
 func (s *Server) CreateStructureWith(_ context.Context, req CreateStructureRequest) (StructureInfo, error) {
-	if req.Partitions != 0 {
-		return StructureInfo{}, Errorf(http.StatusBadRequest,
-			"partitioned structures require a cluster coordinator (this is a single shard node)")
-	}
 	info, err := s.reg.CreateStructure(req.Name, req.Facts, req.Signature)
 	return info, WithStatus(http.StatusBadRequest, err)
 }
