@@ -28,7 +28,9 @@ doccheck:
 # classes of the repository benchmark's cold-exec workload in process
 # (one by one and at the workload's mix) beside the other
 # materialization benchmarks, approx-hard's request mix in process
-# (Approx_HardMix: one sampled K4 / K5 estimate per op, memos cold), +
+# (Approx_HardMix: one sampled K4 / K5 estimate per op, memos cold),
+# cold-query's stream in process (ColdQuery_Front: parse, NewCounter and
+# one count per op, allocs/op reported), +
 # the engine delta guard: on an append+count mix — sparse and dense on
 # the store's bit rows, and on a relation too sparse for rows, where a
 # delta term walks posting lists —
@@ -37,7 +39,7 @@ doccheck:
 bench-smoke:
 	$(GO) test -run XXX -bench 'JoinCount|FPT|UnionDedup|Advance_' -benchmem -benchtime 0.2s .
 	$(GO) test -run XXX -bench 'Materialize_|ColdExec_' -benchmem -benchtime 0.2s ./internal/engine
-	$(GO) test -run XXX -bench 'Approx_' -benchmem -benchtime 0.2s ./internal/core
+	$(GO) test -run XXX -bench 'Approx_|ColdQuery_Front' -benchmem -benchtime 0.2s ./internal/core
 	EPCQ_BENCH_SMOKE=1 $(GO) test -run TestBenchSmoke -v ./internal/engine
 
 fuzz-smoke:

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"sync"
 
 	"repro/internal/hom"
 	"repro/internal/pp"
@@ -77,22 +78,44 @@ type Result struct {
 	Converged bool
 }
 
-// Estimator is a compiled approximate-counting plan for one pp-formula:
-// the Gaifman-component split is done once at construction, as in the
-// exact engine.  An Estimator is immutable and safe for concurrent Count
+// Estimator is an approximate-counting plan for one pp-formula, split
+// into its Gaifman components as the exact engine is.  The components
+// are built once, on the first Count, so a term that is only ever counted
+// exactly never pays for them.  An Estimator is safe for concurrent Count
 // calls (each call builds its own samplers).
 type Estimator struct {
 	p     pp.PP
+	sh    *pp.Shape
+	once  sync.Once
 	comps []pp.PP
 }
 
-// New compiles an estimator for p.
-func New(p pp.PP) *Estimator {
-	return &Estimator{p: p, comps: p.Components()}
-}
+// New compiles an estimator for p: it derives p's shape and delegates to
+// FromShape.
+func New(p pp.PP) *Estimator { return FromShape(p, pp.ShapeOf(p)) }
+
+// FromShape returns the estimator of p over sh, the shape of p or of a
+// formula counting-equivalent to it (a shared plan's, engine.Plan.Shape).
+// It builds nothing.
+func FromShape(p pp.PP, sh *pp.Shape) *Estimator { return &Estimator{p: p, sh: sh} }
 
 // Formula returns the pp-formula the estimator was compiled from.
 func (e *Estimator) Formula() pp.PP { return e.p }
+
+// components returns p's Gaifman components, built on the first call.
+// They are Induced copies of the shape's vertex sets when sh is p's own;
+// another representative numbers its elements otherwise, and sampling it
+// would change every draw, so p is then split itself (pp.PP.Components).
+func (e *Estimator) components() []pp.PP {
+	e.once.Do(func() {
+		if e.sh.Formula.A == e.p.A {
+			e.comps = e.sh.Split()
+		} else {
+			e.comps = e.p.Components()
+		}
+	})
+	return e.comps
+}
 
 // zQuantile returns the two-sided normal critical value for failure
 // probability delta: P(|Z| > z) = delta.
@@ -188,8 +211,9 @@ func (e *Estimator) Count(ctx context.Context, b *structure.Structure, prm Param
 		return Result{}, fmt.Errorf("approx: structure signature does not match formula signature")
 	}
 
+	comps := e.components()
 	sampled := 0
-	for _, comp := range e.comps {
+	for _, comp := range comps {
 		if len(comp.S) > 0 && comp.A.NumTuples() > 0 {
 			sampled++
 		}
@@ -199,7 +223,7 @@ func (e *Estimator) Count(ctx context.Context, b *structure.Structure, prm Param
 	prod := new(big.Float).SetPrec(128).SetInt64(1)
 	relSum := 0.0
 	seed := uint64(prm.Seed)
-	for i, comp := range e.comps {
+	for i, comp := range comps {
 		select {
 		case <-ctx.Done():
 			return Result{}, ctx.Err()

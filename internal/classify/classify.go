@@ -7,7 +7,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/pp"
 	"repro/internal/structure"
-	"repro/internal/tw"
 )
 
 // Case is a trichotomy case of Theorem 3.2.
@@ -76,24 +75,27 @@ type Report struct {
 
 // AnalyzePP measures one pp-formula.  Coring is free for formulas already
 // marked cored, as the interned φ⁻af terms of the counting pipeline are.
-func AnalyzePP(p pp.PP) Report { return measure(p, p.Core()) }
+func AnalyzePP(p pp.PP) Report { return Read(p, pp.ShapeOf(p.Core())) }
 
 // AnalyzeCored measures a pp-formula the caller vouches is its own core,
 // without looking for a retraction.
-func AnalyzeCored(p pp.PP) Report { return measure(p, p) }
+func AnalyzeCored(p pp.PP) Report { return Read(p, pp.ShapeOf(p)) }
 
-func measure(p, core pp.PP) Report {
-	r := Report{Formula: p, Core: core}
-	g := core.Graph()
-	r.CoreTreewidth, _, r.CoreExact = tw.Treewidth(g)
-	cg, _ := pp.ContractGraph(core)
-	r.ContractTreewidth, _, r.ContractExact = tw.Treewidth(cg)
-	ecs := pp.ExistsComponents(core)
-	r.NumExistsComponents = len(ecs)
-	for _, ec := range ecs {
-		if len(ec.Interface) > r.MaxInterface {
-			r.MaxInterface = len(ec.Interface)
-		}
+// Read is p's Report read off sh, the shape of p's core or of a formula
+// counting-equivalent to it (a shared plan's, engine.Plan.Shape): no
+// treewidth search runs.
+func Read(p pp.PP, sh *pp.Shape) Report {
+	r := Report{
+		Formula:             p,
+		Core:                sh.Formula,
+		CoreTreewidth:       sh.CoreWidth,
+		CoreExact:           sh.CoreExact,
+		ContractTreewidth:   sh.ContractWidth,
+		ContractExact:       sh.ContractExact,
+		NumExistsComponents: len(sh.Exists),
+	}
+	for _, ec := range sh.Exists {
+		r.MaxInterface = max(r.MaxInterface, len(ec.Interface))
 	}
 	return r
 }
@@ -102,14 +104,19 @@ func measure(p, core pp.PP) Report {
 // the width bounds (wCore, wContract) — the per-term analogue of
 // ClassifyPPSet's verdict rule.
 func (r Report) CaseFor(wCore, wContract int) Case {
+	return caseOf(r.ContractTreewidth <= wContract, r.CoreTreewidth <= wCore)
+}
+
+// caseOf is the trichotomy case of a contract width and a core width,
+// each bounded or not.
+func caseOf(contractBounded, coreBounded bool) Case {
 	switch {
-	case r.ContractTreewidth <= wContract && r.CoreTreewidth <= wCore:
+	case contractBounded && coreBounded:
 		return CaseFPT
-	case r.ContractTreewidth <= wContract:
+	case contractBounded:
 		return CaseClique
-	default:
-		return CaseSharpClique
 	}
+	return CaseSharpClique
 }
 
 // Verdict classifies a set of measured formulas against width bounds: a
@@ -142,24 +149,11 @@ func ClassifyPPSet(pps []pp.PP, wCore, wContract int) Verdict {
 		if r.CoreTreewidth > v.MaxCoreTW || r.ContractTreewidth > v.MaxContractTW {
 			v.LimitingFormulaID = i
 		}
-		if r.CoreTreewidth > v.MaxCoreTW {
-			v.MaxCoreTW = r.CoreTreewidth
-		}
-		if r.ContractTreewidth > v.MaxContractTW {
-			v.MaxContractTW = r.ContractTreewidth
-		}
-		if !r.CoreExact || !r.ContractExact {
-			v.AllWidthsExact = false
-		}
+		v.MaxCoreTW = max(v.MaxCoreTW, r.CoreTreewidth)
+		v.MaxContractTW = max(v.MaxContractTW, r.ContractTreewidth)
+		v.AllWidthsExact = v.AllWidthsExact && r.CoreExact && r.ContractExact
 	}
-	switch {
-	case v.MaxContractTW <= wContract && v.MaxCoreTW <= wCore:
-		v.Case = CaseFPT
-	case v.MaxContractTW <= wContract:
-		v.Case = CaseClique
-	default:
-		v.Case = CaseSharpClique
-	}
+	v.Case = caseOf(v.MaxContractTW <= wContract, v.MaxCoreTW <= wCore)
 	return v
 }
 
@@ -224,14 +218,7 @@ func AnalyzeFamily(gen func(k int) logic.Query, sig *structure.Signature, ks []i
 	}
 	fv.CoreTrend = trendOf(fv.Points, func(p FamilyPoint) int { return p.CoreTW })
 	fv.ContractTrend = trendOf(fv.Points, func(p FamilyPoint) int { return p.ContractTW })
-	switch {
-	case fv.ContractTrend == TrendBounded && fv.CoreTrend == TrendBounded:
-		fv.ImpliedCase = CaseFPT
-	case fv.ContractTrend == TrendBounded:
-		fv.ImpliedCase = CaseClique
-	default:
-		fv.ImpliedCase = CaseSharpClique
-	}
+	fv.ImpliedCase = caseOf(fv.ContractTrend == TrendBounded, fv.CoreTrend == TrendBounded)
 	return fv, nil
 }
 

@@ -6,15 +6,14 @@ import (
 	"repro/internal/pp"
 )
 
-// The classification memo: AnalyzeKeyed caches Reports per canonical
-// counting-class fingerprint (term.Fingerprint).  Classification is
-// treewidth-search heavy, so it must run once per interned term class,
-// not once per Counter construction or per request.  Soundness mirrors
-// the engine's fingerprint-keyed plan cache: equal fingerprints mean
-// counting-equivalent (hence renaming-equivalent, Theorem 5.4) cored
-// formulas, and renaming equivalence preserves the core graph, the
-// contract graph, and the ∃-component structure — so one Report serves
-// the whole class.
+// The classification memo: ReadKeyed (and AnalyzeKeyed) cache Reports
+// per canonical counting-class fingerprint (term.Fingerprint), so a term
+// class is classified once, not per Counter construction or per request.
+// Soundness mirrors the engine's fingerprint-keyed plan cache: equal
+// fingerprints mean counting-equivalent (hence renaming-equivalent,
+// Theorem 5.4) cored formulas, and renaming equivalence preserves the
+// core graph, the contract graph, and the ∃-component structure — so one
+// Report serves the whole class.
 var (
 	memoMu       sync.Mutex
 	memo         = make(map[string]Report, memoCap)
@@ -46,18 +45,27 @@ func Stats() MemoStats {
 // Report under the canonical fingerprint fp.  The returned bool reports
 // whether the Report came out of the memo.  An empty fp degrades to an
 // unmemoized AnalyzeCored.
-func AnalyzeKeyed(p pp.PP, fp string) (Report, bool) {
-	if fp == "" {
-		return AnalyzeCored(p), false
-	}
+func AnalyzeKeyed(p pp.PP, fp string) (Report, bool) { return ReadKeyed(p, nil, fp) }
+
+// ReadKeyed is AnalyzeKeyed for a caller that already holds the term's
+// shape (a plan's, engine.Plan.Shape): a memo miss reads the Report off
+// sh (Read), so no treewidth search runs twice.  A nil sh is derived
+// from p.
+func ReadKeyed(p pp.PP, sh *pp.Shape, fp string) (Report, bool) {
 	memoMu.Lock()
-	if r, ok := memo[fp]; ok {
+	if r, ok := memo[fp]; ok { // "" is never stored
 		memoHits++
 		memoMu.Unlock()
 		return r, true
 	}
 	memoMu.Unlock()
-	r := AnalyzeCored(p)
+	if sh == nil {
+		sh = pp.ShapeOf(p)
+	}
+	r := Read(p, sh)
+	if fp == "" {
+		return r, false
+	}
 	memoMu.Lock()
 	memoAnalyses++
 	if len(memo) >= memoCap {

@@ -81,7 +81,7 @@ type compiledTerm struct {
 
 	// Routing state (see routing.go): the memoized classification
 	// Report, the trichotomy case under the counter's route bounds, and
-	// — for hard terms — the compiled approximate plan.
+	// — for hard terms — the estimator over the plan's shape.
 	report   classify.Report
 	analyzed bool
 	caseOf   classify.Case

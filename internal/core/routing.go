@@ -12,9 +12,10 @@ import (
 )
 
 // Trichotomy-driven routing: every interned φ⁻af term is classified once
-// at compile time (through the fingerprint-keyed classification memo)
-// against the route bounds, and hard terms (cases 2/3 of Theorem 3.2)
-// get an approximate-counting plan alongside the exact one.  The default
+// at compile time (through the fingerprint-keyed classification memo,
+// which reads the widths off the plan's shape) against the route bounds,
+// and hard terms (cases 2/3 of Theorem 3.2) get an estimator over the
+// same shape alongside the exact plan.  The default
 // Count path is untouched — exact execution stays bit-identical — while
 // CountApprox routes each term to the cheapest sound executor: exact
 // memoized counting for FPT terms, sampling for hard terms.
@@ -38,7 +39,7 @@ func (c *Counter) routeTerms(wCore, wContract int) {
 	for i := range c.terms {
 		t := &c.terms[i]
 		if !t.analyzed {
-			r, hit := classify.AnalyzeKeyed(t.formula, t.fp)
+			r, hit := classify.ReadKeyed(t.formula, t.plan.Shape(), t.fp)
 			t.report, t.analyzed = r, true
 			if hit {
 				c.classifyHits++
@@ -49,7 +50,7 @@ func (c *Counter) routeTerms(wCore, wContract int) {
 		t.caseOf = t.report.CaseFor(wCore, wContract)
 		if t.caseOf.Hard() {
 			if t.est == nil {
-				t.est = approx.New(t.formula)
+				t.est = approx.FromShape(t.formula, t.plan.Shape())
 			}
 		} else {
 			t.est = nil
@@ -88,7 +89,10 @@ type TermRoute struct {
 	// CoreTreewidth / ContractTreewidth are the measured widths.
 	CoreTreewidth     int
 	ContractTreewidth int
-	// Approx reports whether the term carries an approximate plan.
+	// Approx reports whether the term is routed to the sampler: it
+	// carries an approx.Estimator over its plan's shape, which builds its
+	// per-component structures on the term's first approximate count, so
+	// an exact count never does.
 	Approx bool
 }
 

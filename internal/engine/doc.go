@@ -27,8 +27,10 @@
 //     A sentence component is the same thing on an empty interface: no
 //     liberal variable and one zero-width predicate, whose table — empty,
 //     or one empty row — is the verdict, so sentences are decided, shared
-//     and cancelled like every other predicate.  Decompositions are reduced (tw.Reduce): bags contained in a
-//     neighbour's are contracted away;
+//     and cancelled like every other predicate.  The package derives no
+//     graph and searches no treewidth: every decomposition comes from
+//     the core's pp.Shape, which the plan carries (Plan.Shape), reduced
+//     (tw.Reduce: bags contained in a neighbour's are contracted away);
 //   - the Executor layer (exec.go, prune.go, over the word kernel
 //     internal/bitvec): a semi-join pre-pruning pass that reduces each
 //     constraint table against the value supports of the other

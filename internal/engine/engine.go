@@ -40,6 +40,10 @@ func checkName(n Name) error {
 type Plan interface {
 	// Formula returns the compiled pp-formula.
 	Formula() pp.PP
+	// Shape returns the shape the plan was compiled from (pp.ShapeOf of
+	// the formula's core): the decompositions it runs on and the widths
+	// they certify.
+	Shape() *pp.Shape
 	// CountIn executes the plan inside a session (the structure is the
 	// session's; materialized tables are reused and extended), polling
 	// ctx while it runs and returning ctx's error once it fires, partial

@@ -50,7 +50,7 @@ func TupleLayouts() int64 { return tupleLayouts.Load() }
 
 // CompileUncored compiles p as it is, skipping the core step: the
 // without-core side of the core-collapse claim.
-func CompileUncored(p pp.PP) (Plan, error) { return planFrom(p, p) }
+func CompileUncored(p pp.PP) (Plan, error) { return planFrom(p, pp.ShapeOf(p)) }
 
 // solverCount counts p's answers on b with the hom solver alone, one
 // Gaifman component at a time (|φ(B)| = ∏|φᵢ(B)|, Section 2.1): the

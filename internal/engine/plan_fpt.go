@@ -6,7 +6,6 @@ import (
 	"math/big"
 	"sort"
 
-	"repro/internal/graph"
 	"repro/internal/pp"
 	"repro/internal/structure"
 	"repro/internal/tw"
@@ -24,6 +23,7 @@ import (
 type fptPlan struct {
 	p     pp.PP
 	sig   *structure.Signature
+	shape *pp.Shape
 	comps []*planComponent
 
 	// deltaOK marks the plan as delta-maintainable (delta.go): every
@@ -87,14 +87,15 @@ type planComponent struct {
 
 // newFPTPlan compiles a counting plan for p's core.  Pool terms carry
 // the cored mark, so for them p.Core() is p itself and costs nothing.
-func newFPTPlan(p pp.PP) (*fptPlan, error) { return planFrom(p, p.Core()) }
+func newFPTPlan(p pp.PP) (*fptPlan, error) { return planFrom(p, pp.ShapeOf(p.Core())) }
 
-// planFrom compiles a plan that counts p by counting d, which must have
-// the same answers as p on every structure (p itself, or its core).
-func planFrom(p, d pp.PP) (*fptPlan, error) {
-	plan := &fptPlan{p: p, sig: p.A.Signature()}
-	for _, comp := range d.Components() {
-		pc, err := compileComponent(comp)
+// planFrom compiles a plan that counts p by counting sh's formula, which
+// must have the same answers as p on every structure (p itself, or its
+// core).  Every decomposition is sh's.
+func planFrom(p pp.PP, sh *pp.Shape) (*fptPlan, error) {
+	plan := &fptPlan{p: p, sig: p.A.Signature(), shape: sh}
+	for i := range sh.Components {
+		pc, err := compileComponent(sh, &sh.Components[i])
 		if err != nil {
 			return nil, err
 		}
@@ -104,86 +105,63 @@ func planFrom(p, d pp.PP) (*fptPlan, error) {
 	return plan, nil
 }
 
-func compileComponent(comp pp.PP) (*planComponent, error) {
-	if len(comp.S) == 0 { // a sentence: one zero-width predicate on all of comp
-		pred, _, err := compilePredicate(comp.A, nil)
+func compileComponent(sh *pp.Shape, comp *pp.ComponentShape) (*planComponent, error) {
+	a := sh.Formula.A
+	if len(comp.Lib) == 0 { // a sentence: one zero-width predicate on its one ∃-component
+		ec := &sh.Exists[comp.Exists[0]]
+		sub, _ := existsSub(a, ec)
+		pred, _, err := compilePredicate(sub, nil, ec.Pred)
 		if err != nil {
 			return nil, err
 		}
-		c := planConstraint{sub: comp.A, pred: pred}
+		c := planConstraint{sub: sub, pred: pred}
 		c.key = makeTableKey(&c)
 		return &planComponent{constraints: []planConstraint{c}}, nil
 	}
-	pos := make([]int, comp.A.Size())
+	// Constraint scopes are positions into comp.Active: the liberal
+	// variables some atom or interface covers.  The others are free.
+	pos := make([]int, a.Size())
 	for v := range pos {
 		pos[v] = -1
 	}
-	for i, v := range comp.S {
+	for i, v := range comp.Active {
 		pos[v] = i
 	}
 
 	// (a) atoms entirely on liberal variables.
-	cons := atomConstraints(comp.A, pos)
+	cons := atomConstraints(a, pos)
 
-	// (b) ∃-component predicates.  ExistsComponents expects the cored
-	// formula per the paper's definition, but the decomposition of the
-	// extension condition is sound for any formula.  comp is Gaifman-
-	// connected and has a liberal variable, so every ∃-component borders
-	// one: no interface is empty.
-	for _, ec := range pp.ExistsComponents(comp) {
-		sub, old2new := existsSub(comp.A, ec)
-		// Interface sorted by scope position (comp.S and ec.Interface are
-		// both ascending, so it already is).
+	// (b) ∃-component predicates.  comp is Gaifman-connected and has a
+	// liberal variable, so every ∃-component borders one: no interface is
+	// empty.
+	for _, e := range comp.Exists {
+		ec := &sh.Exists[e]
+		sub, old2new := existsSub(a, ec)
+		// Interface sorted by scope position (comp.Active and ec.Interface
+		// are both ascending, so it already is).
 		iface := make([]int, len(ec.Interface))
 		scope := make([]int, len(ec.Interface))
 		for i, v := range ec.Interface {
 			iface[i] = old2new[v]
 			scope[i] = pos[v]
 		}
-		pred, proj, err := compilePredicate(sub, iface)
+		pred, proj, err := compilePredicate(sub, iface, ec.Pred)
 		if err != nil {
 			return nil, err
 		}
 		cons = append(cons, planConstraint{scope: scope, sub: sub, iface: iface, pred: pred, predProj: proj})
 	}
-
-	// Re-index to active (constraint-covered) variables.
-	covered := make([]bool, len(comp.S))
-	for _, c := range cons {
-		for _, s := range c.scope {
-			covered[s] = true
-		}
-	}
-	oldToNew := make([]int, len(comp.S))
-	nActive, free := 0, 0
-	for s := range covered {
-		if covered[s] {
-			oldToNew[s] = nActive
-			nActive++
-		} else {
-			oldToNew[s] = -1
-			free++
-		}
-	}
 	for i := range cons {
-		for j, s := range cons[i].scope {
-			cons[i].scope[j] = oldToNew[s]
-		}
 		cons[i].key = makeTableKey(&cons[i])
 	}
 
 	pc := &planComponent{
-		nActive:     nActive,
-		freeVars:    free,
+		nActive:     len(comp.Active),
+		freeVars:    len(comp.Lib) - len(comp.Active),
 		constraints: cons,
 	}
-	if nActive > 0 {
-		cg := graph.New(nActive)
-		for _, c := range cons {
-			cg.AddClique(c.scope)
-		}
-		_, dec, _ := tw.Treewidth(cg)
-		if err := pc.place(dec); err != nil {
+	if comp.Contract != nil {
+		if err := pc.place(comp.Contract); err != nil {
 			return nil, err
 		}
 	}
@@ -197,7 +175,9 @@ func compileComponent(comp pp.PP) (*planComponent, error) {
 func atomConstraints(a *structure.Structure, pos []int) []planConstraint {
 	var cons []planConstraint
 	var scopeBuf []int
-	for _, r := range a.Signature().Rels() {
+	sig := a.Signature()
+	for ri := 0; ri < sig.NumRels(); ri++ {
+		r := sig.Rel(ri)
 		a.ForEachTuple(r.Name, func(t []int) bool {
 			scopeBuf = scopeBuf[:0]
 			for _, v := range t {
@@ -230,7 +210,7 @@ func atomConstraints(a *structure.Structure, pos []int) []planConstraint {
 // enclosing component; dropping them here only widens the predicate to a
 // superset the enclosing join cuts back, and lets ∃-components that
 // differ in nothing else share one table (predKey).
-func existsSub(a *structure.Structure, ec pp.ExistsComponent) (*structure.Structure, []int) {
+func existsSub(a *structure.Structure, ec *pp.ExistsComponent) (*structure.Structure, []int) {
 	old2new := make([]int, a.Size())
 	for i := range old2new {
 		old2new[i] = -1
@@ -248,7 +228,9 @@ func existsSub(a *structure.Structure, ec pp.ExistsComponent) (*structure.Struct
 	for _, v := range ec.Interface {
 		onIface[v] = true
 	}
-	for _, r := range a.Signature().Rels() {
+	sig := a.Signature()
+	for ri := 0; ri < sig.NumRels(); ri++ {
+		r := sig.Rel(ri)
 		nt := make([]int, r.Arity)
 		a.ForEachTuple(r.Name, func(t []int) bool {
 			quantified := false
@@ -274,38 +256,21 @@ func existsSub(a *structure.Structure, ec pp.ExistsComponent) (*structure.Struct
 // elements, to be run by the join executor in the existence semiring
 // (Session.materializePredicate): the bounded treewidth of the core (Theorem 3.2)
 // is what bounds this component's bags.  Its constraints are sub's atoms,
-// so their tables are the session's shared atom tables; its constraint
-// graph gets one extra clique on the interface, so that some bag contains
-// the whole interface, and the decomposition is rooted there.  proj lists
-// the root-bag positions of iface, in iface order: the root's projection
-// onto them is the predicate's table.
-func compilePredicate(sub *structure.Structure, iface []int) (pc *planComponent, proj []int, err error) {
+// so their tables are the session's shared atom tables.  dec is the
+// ∃-component's decomposition (pp.ExistsComponent.Pred): its graph has
+// one extra clique on the interface, and its root bag holds the whole
+// interface.  proj lists the root-bag positions of iface, in iface order:
+// the root's projection onto them is the predicate's table.
+func compilePredicate(sub *structure.Structure, iface []int, dec *tw.Decomposition) (pc *planComponent, proj []int, err error) {
 	n := sub.Size()
 	pos := make([]int, n)
 	for v := range pos {
 		pos[v] = v
 	}
 	cons := atomConstraints(sub, pos)
-	cg := graph.New(n)
 	for i := range cons {
 		cons[i].key = makeTableKey(&cons[i])
-		cg.AddClique(cons[i].scope)
 	}
-	clique := append([]int(nil), iface...)
-	sort.Ints(clique)
-	cg.AddClique(clique)
-	_, dec, _ := tw.Treewidth(cg)
-	root := -1
-	for ni, bag := range dec.Bags {
-		if containsAll(bag, clique) {
-			root = ni
-			break
-		}
-	}
-	if root < 0 {
-		return nil, nil, fmt.Errorf("engine: interface %v fits in no bag", iface)
-	}
-	dec.Reroot(root)
 	pc = &planComponent{nActive: n, constraints: cons}
 	if err := pc.place(dec); err != nil {
 		return nil, nil, err
@@ -317,11 +282,11 @@ func compilePredicate(sub *structure.Structure, iface []int) (pc *planComponent,
 	return pc, proj, nil
 }
 
-// place installs the decomposition: every constraint goes to the first
-// bag containing its scope, the tree's child lists and root are derived
-// from the parent pointers, and the per-node metadata is compiled.
+// place installs the decomposition, which it shares and does not edit:
+// every constraint goes to the first bag containing its scope, the tree's
+// child lists and root are derived from the parent pointers, and the
+// per-node metadata is compiled.
 func (pc *planComponent) place(dec *tw.Decomposition) error {
-	dec.Reduce()
 	pc.dec = dec
 	pc.consAt = make([][]int, len(dec.Bags))
 	for ci, c := range pc.constraints {
@@ -357,13 +322,25 @@ func (pc *planComponent) place(dec *tw.Decomposition) error {
 // positions come from linear merges.
 func (pc *planComponent) compileNodes() {
 	pc.nodes = make([]nodeMeta, len(pc.dec.Bags))
+	// One buffer holds every constraint's scope→bag map, one the covered
+	// marks of the bag at hand.
+	total, widest := 0, 0
+	for _, c := range pc.constraints {
+		total += len(c.scope)
+	}
+	for _, bag := range pc.dec.Bags {
+		widest = max(widest, len(bag))
+	}
+	flat, marks := make([]int, total), make([]bool, widest)
 	for ni, bag := range pc.dec.Bags {
 		nm := &pc.nodes[ni]
-		covered := make([]bool, len(bag))
+		covered := marks[:len(bag)]
+		clear(covered)
 		nm.scopeBag = make([][]int, len(pc.consAt[ni]))
 		for k, ci := range pc.consAt[ni] {
 			scope := pc.constraints[ci].scope
-			sb := make([]int, len(scope))
+			sb := flat[:len(scope):len(scope)]
+			flat = flat[len(scope):]
 			for j, v := range scope {
 				bi := sort.SearchInts(bag, v) // containsAll guaranteed the hit
 				sb[j] = bi
@@ -386,6 +363,8 @@ func (pc *planComponent) compileNodes() {
 }
 
 func (pl *fptPlan) Formula() pp.PP { return pl.p }
+
+func (pl *fptPlan) Shape() *pp.Shape { return pl.shape }
 
 // CountIn executes the plan inside a session, reusing any constraint
 // tables already materialized there.  The join-count DP — the

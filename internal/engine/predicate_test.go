@@ -232,18 +232,18 @@ func bitPairs(m []uint64, dom int, swap bool, keep func(row []int) bool) []strin
 // interface's elements in sub.
 func existsConstraint(t *testing.T, p pp.PP) (c *planConstraint, sub, full *structure.Structure, iface []int) {
 	t.Helper()
-	ecs := pp.ExistsComponents(p)
+	ecs := pp.ShapeOf(p).Exists
 	if len(ecs) != 1 || len(ecs[0].Interface) != len(p.S) {
 		t.Fatalf("generator produced %d ∃-components, want one on the whole interface", len(ecs))
 	}
-	sub, old2new := existsSub(p.A, ecs[0])
+	sub, old2new := existsSub(p.A, &ecs[0])
 	full, _ = p.A.Induced(ecs[0].Vertices)
 	iface = make([]int, len(p.S))
 	scope := make([]int, len(p.S))
 	for i, v := range p.S {
 		iface[i], scope[i] = old2new[v], i
 	}
-	pred, proj, err := compilePredicate(sub, iface)
+	pred, proj, err := compilePredicate(sub, iface, ecs[0].Pred)
 	if err != nil {
 		t.Fatal(err)
 	}

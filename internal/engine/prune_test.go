@@ -23,6 +23,7 @@ func chainComponent(nvars int) *planComponent {
 		cg.AddEdge(i, i+1)
 	}
 	_, dec, _ := tw.Treewidth(cg)
+	dec.Reduce()
 	if err := pc.place(dec); err != nil {
 		panic(err)
 	}

@@ -223,7 +223,9 @@ func predKey(sub *structure.Structure, iface []int) string {
 	}
 	var enc []byte
 	enc = strconv.AppendInt(enc, int64(len(iface)), 10)
-	for _, r := range sub.Signature().Rels() {
+	sig := sub.Signature()
+	for ri := 0; ri < sig.NumRels(); ri++ {
+		r := sig.Rel(ri)
 		var tuples []string
 		var buf []byte
 		sub.ForEachTuple(r.Name, func(t []int) bool {

@@ -3,34 +3,40 @@ package graph
 import (
 	"fmt"
 	"math/big"
-	"sort"
+	"slices"
+
+	"repro/internal/bitvec"
 )
 
-// Graph is a simple undirected graph on vertices 0..n-1.
+// Graph is a simple undirected graph on vertices 0..n-1, stored as an
+// adjacency matrix of bit rows: row v holds bit u iff {u,v} is an edge,
+// in w = ⌈n/64⌉ words, and the n rows share one slice.
 type Graph struct {
-	n   int
-	adj []map[int]bool
+	n, w int
+	bits []uint64
 }
 
 // New returns an empty graph on n vertices.
 func New(n int) *Graph {
-	g := &Graph{n: n, adj: make([]map[int]bool, n)}
-	for i := range g.adj {
-		g.adj[i] = make(map[int]bool)
-	}
-	return g
+	w := (n + 63) / 64
+	return &Graph{n: n, w: w, bits: make([]uint64, n*w)}
 }
 
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
+
+// Row returns v's adjacency row: bit u is set iff {u,v} is an edge.  It is
+// a view into the graph: writing through it edits the graph, which must
+// stay symmetric (as internal/tw's fill graphs do).
+func (g *Graph) Row(v int) []uint64 { return g.bits[v*g.w : (v+1)*g.w : (v+1)*g.w] }
 
 // AddEdge adds the undirected edge {u,v}; self-loops are ignored.
 func (g *Graph) AddEdge(u, v int) {
 	if u == v || u < 0 || v < 0 || u >= g.n || v >= g.n {
 		return
 	}
-	g.adj[u][v] = true
-	g.adj[v][u] = true
+	g.bits[u*g.w+v>>6] |= 1 << (v & 63)
+	g.bits[v*g.w+u>>6] |= 1 << (u & 63)
 }
 
 // HasEdge reports whether {u,v} is an edge.
@@ -38,52 +44,33 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return false
 	}
-	return g.adj[u][v]
+	return g.bits[u*g.w+v>>6]&(1<<(v&63)) != 0
 }
 
 // Neighbors returns the sorted neighbor list of v.
-func (g *Graph) Neighbors(v int) []int {
-	out := make([]int, 0, len(g.adj[v]))
-	for u := range g.adj[v] {
-		out = append(out, u)
-	}
-	sort.Ints(out)
-	return out
-}
+func (g *Graph) Neighbors(v int) []int { return slices.Collect(bitvec.Each(g.Row(v))) }
 
 // NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int {
-	m := 0
-	for _, a := range g.adj {
-		m += len(a)
-	}
-	return m / 2
-}
+func (g *Graph) NumEdges() int { return bitvec.Count(g.bits) / 2 }
 
 // Clone returns a deep copy.
-func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for v, a := range g.adj {
-		for u := range a {
-			c.adj[v][u] = true
-		}
-	}
-	return c
-}
+func (g *Graph) Clone() *Graph { return &Graph{n: g.n, w: g.w, bits: slices.Clone(g.bits)} }
 
 // Subgraph returns the induced subgraph on the given vertices together
-// with the old-index list (new vertex i corresponds to verts[i]).
+// with the old-index list (new vertex i corresponds to verts[i]): verts
+// itself when it is ascending and distinct, else a sorted copy.
 func (g *Graph) Subgraph(verts []int) (*Graph, []int) {
-	vs := append([]int(nil), verts...)
-	sort.Ints(vs)
-	pos := make(map[int]int, len(vs))
-	for i, v := range vs {
-		pos[v] = i
+	vs := verts
+	for i := 1; i < len(vs); i++ {
+		if vs[i] <= vs[i-1] {
+			vs = slices.Compact(slices.Sorted(slices.Values(verts)))
+			break
+		}
 	}
 	sub := New(len(vs))
 	for i, v := range vs {
-		for u := range g.adj[v] {
-			if j, ok := pos[u]; ok {
+		for j, u := range vs[:i] {
+			if g.HasEdge(v, u) {
 				sub.AddEdge(i, j)
 			}
 		}
@@ -91,39 +78,55 @@ func (g *Graph) Subgraph(verts []int) (*Graph, []int) {
 	return sub, vs
 }
 
-// Components returns the connected components as sorted vertex lists,
-// ordered by smallest vertex.
-func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
+// All returns the set of all n vertices, in the words of a row.
+func (g *Graph) All() []uint64 {
+	all := make([]uint64, g.w)
+	for v := 0; v < g.n; v++ {
+		all[v>>6] |= 1 << (v & 63)
+	}
+	return all
+}
+
+// Split returns the connected components of the subgraph induced on the
+// vertex set within (a row-length bit set), as vertex sets of the same
+// length ordered by their smallest vertex.
+func (g *Graph) Split(within []uint64) [][]uint64 {
+	left := slices.Clone(within)
+	var comps [][]uint64
+	for s := range bitvec.Each(within) {
+		if left[s>>6]&(1<<(s&63)) == 0 {
 			continue
 		}
-		var comp []int
-		stack := []int{s}
-		seen[s] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, v)
-			for u := range g.adj[v] {
-				if !seen[u] {
-					seen[u] = true
-					stack = append(stack, u)
+		comp := make([]uint64, g.w)
+		comp[s>>6] = 1 << (s & 63)
+		left[s>>6] &^= comp[s>>6]
+		for grew := true; grew; { // add the neighbours still left, to a fixpoint
+			grew = false
+			for v := range bitvec.Each(comp) {
+				for j, m := range g.Row(v) {
+					if m &= left[j]; m != 0 {
+						comp[j], left[j], grew = comp[j]|m, left[j]&^m, true
+					}
 				}
 			}
 		}
-		sort.Ints(comp)
 		comps = append(comps, comp)
 	}
 	return comps
 }
 
-// IsConnected reports whether the graph is connected (true for n ≤ 1).
-func (g *Graph) IsConnected() bool {
-	return g.n <= 1 || len(g.Components()) == 1
+// Components returns the connected components as sorted vertex lists,
+// ordered by smallest vertex.
+func (g *Graph) Components() [][]int {
+	var comps [][]int
+	for _, set := range g.Split(g.All()) {
+		comps = append(comps, slices.Collect(bitvec.Each(set)))
+	}
+	return comps
 }
+
+// IsConnected reports whether the graph is connected (true for n ≤ 1).
+func (g *Graph) IsConnected() bool { return len(g.Split(g.All())) <= 1 }
 
 // IsClique reports whether the given vertices are pairwise adjacent.
 func (g *Graph) IsClique(verts []int) bool {
@@ -147,121 +150,48 @@ func (g *Graph) AddClique(verts []int) {
 }
 
 // HasClique reports whether the graph contains a clique of size k
-// (the p-Clique problem).  Degree-ordered backtracking with pruning.
-func (g *Graph) HasClique(k int) bool {
-	if k <= 0 {
-		return true
-	}
-	if k == 1 {
-		return g.n >= 1
-	}
-	order := g.degeneracyOrder()
-	cur := make([]int, 0, k)
-	var rec func(cands []int) bool
-	rec = func(cands []int) bool {
-		if len(cur) == k {
-			return true
-		}
-		if len(cur)+len(cands) < k {
-			return false
-		}
-		for i, v := range cands {
-			if len(cur)+(len(cands)-i) < k {
-				return false
-			}
-			var next []int
-			for _, u := range cands[i+1:] {
-				if g.adj[v][u] {
-					next = append(next, u)
-				}
-			}
-			cur = append(cur, v)
-			if rec(next) {
-				return true
-			}
-			cur = cur[:len(cur)-1]
-		}
-		return false
-	}
-	return rec(order)
-}
+// (the p-Clique problem).
+func (g *Graph) HasClique(k int) bool { return k <= 0 || g.cliques(k, true).Sign() > 0 }
 
 // CountCliques returns the number of k-cliques (unordered) in the graph:
 // the p-#Clique problem.
-func (g *Graph) CountCliques(k int) *big.Int {
-	total := new(big.Int)
-	if k < 0 {
-		return total
-	}
-	if k == 0 {
-		return total.SetInt64(1)
-	}
-	if k == 1 {
-		return total.SetInt64(int64(g.n))
-	}
-	order := g.degeneracyOrder()
-	var rec func(cands []int, depth int)
-	rec = func(cands []int, depth int) {
-		if depth == k {
-			total.Add(total, big.NewInt(1))
-			return
-		}
-		for i, v := range cands {
-			if depth+(len(cands)-i) < k {
-				return
-			}
-			var next []int
-			for _, u := range cands[i+1:] {
-				if g.adj[v][u] {
-					next = append(next, u)
-				}
-			}
-			rec(next, depth+1)
-		}
-	}
-	// Seed with each vertex in order; cands restricted to later neighbors.
-	pos := make([]int, g.n)
-	for i, v := range order {
-		pos[v] = i
-	}
-	for i, v := range order {
-		var cands []int
-		for _, u := range order[i+1:] {
-			if g.adj[v][u] {
-				cands = append(cands, u)
-			}
-		}
-		rec(cands, 1)
-		_ = i
-	}
-	return total
-}
+func (g *Graph) CountCliques(k int) *big.Int { return g.cliques(k, false) }
 
-// degeneracyOrder returns a vertex order by repeatedly removing a
-// minimum-degree vertex; it bounds the candidate sets during clique search.
-func (g *Graph) degeneracyOrder() []int {
-	deg := make([]int, g.n)
-	removed := make([]bool, g.n)
-	for v := 0; v < g.n; v++ {
-		deg[v] = len(g.adj[v])
+// one is the constant 1 cliques adds per clique found.
+var one = big.NewInt(1)
+
+// cliques counts the k-cliques, stopping at the first one if first is
+// set.  Each clique is built once, in increasing vertex order, by
+// backtracking over candidate sets that are ANDs of bit rows, pruned when
+// too few candidates are left to complete it.
+func (g *Graph) cliques(k int, first bool) *big.Int {
+	total := new(big.Int)
+	if k <= 0 {
+		return total.SetInt64(int64(max(0, 1+k))) // one empty clique
 	}
-	order := make([]int, 0, g.n)
-	for len(order) < g.n {
-		best, bestDeg := -1, g.n+1
-		for v := 0; v < g.n; v++ {
-			if !removed[v] && deg[v] < bestDeg {
-				best, bestDeg = v, deg[v]
+	var rec func(cands []uint64, depth int) bool
+	rec = func(cands []uint64, depth int) bool {
+		if depth == k {
+			total.Add(total, one)
+			return first
+		}
+		if depth+bitvec.Count(cands) < k {
+			return false
+		}
+		for v := range bitvec.Each(cands) {
+			next := make([]uint64, g.w)
+			for j, m := range g.Row(v)[v>>6:] {
+				next[v>>6+j] = m & cands[v>>6+j]
+			}
+			next[v>>6] &^= 1<<(v&63)<<1 - 1 // only later vertices
+			if rec(next, depth+1) {
+				return true
 			}
 		}
-		removed[best] = true
-		order = append(order, best)
-		for u := range g.adj[best] {
-			if !removed[u] {
-				deg[u]--
-			}
-		}
+		return false
 	}
-	return order
+	rec(g.All(), 0)
+	return total
 }
 
 // String renders the graph as an edge list.

@@ -2,6 +2,7 @@ package pp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -142,9 +143,6 @@ func (p PP) String() string {
 	return "(" + strings.Join(p.LibNames(), ",") + ") | " + d.String()
 }
 
-// IsLiberal reports |S| > 0.
-func (p PP) IsLiberal() bool { return len(p.S) > 0 }
-
 // FreeElems returns the liberal elements that occur in at least one atom:
 // these are exactly free(φ).
 func (p PP) FreeElems() []int {
@@ -175,72 +173,47 @@ func (p PP) IsFree() bool { return !p.IsSentence() }
 // "Graphs").
 func (p PP) Graph() *graph.Graph {
 	g := graph.New(p.A.Size())
-	p.forEachAtom(func(t []int) {
-		for i := 0; i < len(t); i++ {
-			for j := i + 1; j < len(t); j++ {
-				g.AddEdge(t[i], t[j])
-			}
-		}
-	})
+	p.forEachAtom(g.AddClique)
 	return g
 }
 
 // Components splits the formula into its components (Section 2.1): one PP
 // per connected component of the Gaifman graph, with S restricted to the
 // component.  For any structure B, |φ(B)| = ∏ᵢ |φᵢ(B)|.
-func (p PP) Components() []PP {
-	comps := p.Graph().Components()
+func (p PP) Components() []PP { return p.split(p.Graph().Components()) }
+
+// split returns the subformulas induced on the given non-empty vertex
+// sets, each with S restricted to it.
+func (p PP) split(comps [][]int) []PP {
 	out := make([]PP, 0, len(comps))
-	inS := p.sSet()
 	for _, c := range comps {
 		sub, old2new := p.A.Induced(c)
 		var s []int
-		for _, v := range c {
-			if inS[v] {
+		for _, v := range p.S {
+			if old2new[v] >= 0 {
 				s = append(s, old2new[v])
 			}
 		}
-		q, err := New(sub, s)
-		if err != nil {
-			panic(fmt.Sprintf("pp: invalid component: %v", err))
-		}
-		out = append(out, q)
+		out = append(out, PP{A: sub, S: s})
 	}
 	return out
 }
-
-// IsConnected reports whether the formula's graph is connected.
-func (p PP) IsConnected() bool { return p.Graph().IsConnected() }
 
 // Hat returns φ̂: the formula obtained by removing every non-liberal
 // component (a component without liberal variables), cf. Example 5.8 and
 // Proposition 5.10.  Only defined for liberal formulas.
 func (p PP) Hat() (PP, error) {
-	if !p.IsLiberal() {
+	if len(p.S) == 0 {
 		return PP{}, fmt.Errorf("pp: Hat undefined for non-liberal formula")
 	}
 	inS := p.sSet()
 	var keep []int
 	for _, c := range p.Graph().Components() {
-		liberal := false
-		for _, v := range c {
-			if inS[v] {
-				liberal = true
-				break
-			}
-		}
-		if liberal {
+		if slices.ContainsFunc(c, func(v int) bool { return inS[v] }) {
 			keep = append(keep, c...)
 		}
 	}
-	sub, old2new := p.A.Induced(keep)
-	var s []int
-	for _, v := range p.S {
-		if old2new[v] >= 0 {
-			s = append(s, old2new[v])
-		}
-	}
-	return New(sub, s)
+	return p.split([][]int{keep})[0], nil
 }
 
 // libPins maps every liberal element of q to the liberal element of p
@@ -311,84 +284,6 @@ func (p PP) Core() PP {
 	}
 	p.coredAt = p.A.Version() + 1
 	return p
-}
-
-// ExistsComponent is an ∃-component of a pp-formula (Section 2.4): the
-// vertex set of a component of G[D∖S] in the core D, extended by the
-// liberal vertices adjacent to it.
-type ExistsComponent struct {
-	Vertices  []int // indices into the cored formula's structure
-	Interface []int // Vertices ∩ S (the adjacent liberal variables)
-}
-
-// ExistsComponents returns the ∃-components of the *cored* formula d
-// (call Core first; the definition in Section 2.4 is on the core).
-func ExistsComponents(d PP) []ExistsComponent {
-	g := d.Graph()
-	inS := d.sSet()
-	var quantified []int
-	for v := 0; v < d.A.Size(); v++ {
-		if !inS[v] {
-			quantified = append(quantified, v)
-		}
-	}
-	sub, old := g.Subgraph(quantified)
-	var out []ExistsComponent
-	for _, c := range sub.Components() {
-		compSet := make(map[int]bool)
-		var verts []int
-		for _, nv := range c {
-			compSet[old[nv]] = true
-			verts = append(verts, old[nv])
-		}
-		ifaceSet := make(map[int]bool)
-		for _, v := range verts {
-			for _, u := range g.Neighbors(v) {
-				if inS[u] {
-					ifaceSet[u] = true
-				}
-			}
-		}
-		var iface []int
-		for u := range ifaceSet {
-			iface = append(iface, u)
-		}
-		iface = hom.SortElems(iface)
-		out = append(out, ExistsComponent{
-			Vertices:  append(hom.SortElems(verts), iface...),
-			Interface: iface,
-		})
-	}
-	return out
-}
-
-// ContractGraph returns contract(A,S) of the *cored* formula d: the graph
-// on S obtained from G[S] by adding an edge between any two liberal
-// vertices appearing together in an ∃-component (Section 2.4).  The
-// returned graph's vertex i corresponds to d.S[i]; the mapping is also
-// returned.
-func ContractGraph(d PP) (*graph.Graph, []int) {
-	g := d.Graph()
-	posOf := make(map[int]int, len(d.S))
-	for i, v := range d.S {
-		posOf[v] = i
-	}
-	cg := graph.New(len(d.S))
-	for i, v := range d.S {
-		for _, u := range g.Neighbors(v) {
-			if j, ok := posOf[u]; ok && j > i {
-				cg.AddEdge(i, j)
-			}
-		}
-	}
-	for _, ec := range ExistsComponents(d) {
-		idx := make([]int, 0, len(ec.Interface))
-		for _, v := range ec.Interface {
-			idx = append(idx, posOf[v])
-		}
-		cg.AddClique(idx)
-	}
-	return cg, append([]int(nil), d.S...)
 }
 
 // Conjoin returns the conjunction of the given pp-formulas, which must all

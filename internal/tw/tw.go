@@ -38,6 +38,18 @@ func (d *Decomposition) Reroot(r int) {
 	}
 }
 
+// RerootAt makes the first bag that holds every vertex of set the root
+// (Reroot), if there is one.  A clique of the decomposed graph is in some
+// bag.
+func (d *Decomposition) RerootAt(set []int) {
+	for b, bag := range d.Bags {
+		if subset(set, bag) {
+			d.Reroot(b)
+			return
+		}
+	}
+}
+
 // Reduce contracts every tree edge one of whose bags contains the other,
 // keeping the larger bag, until none is left, and renumbers the bags that
 // remain (order kept).  Contracting such an edge keeps the decomposition
@@ -203,39 +215,11 @@ func (d *Decomposition) Validate(g *graph.Graph) error {
 	return nil
 }
 
-// adjBits is a mutable adjacency matrix, one bit row of w words per
-// vertex: the fill graph the elimination routines below edit.  Rows of
-// maps cost an allocation per vertex and a hash per probe; query graphs
-// are a handful of vertices, where a row is one word.
-type adjBits struct {
-	n, w int
-	bits []uint64
-}
-
-func newAdjBits(g *graph.Graph) adjBits {
-	n := g.N()
-	a := adjBits{n: n, w: (n + 63) / 64}
-	a.bits = make([]uint64, n*a.w)
-	for v := 0; v < n; v++ {
-		row := a.row(v)
-		for _, u := range g.Neighbors(v) {
-			row[u>>6] |= 1 << (uint(u) & 63)
-		}
-	}
-	return a
-}
-
-func (a adjBits) clone() adjBits {
-	a.bits = append([]uint64(nil), a.bits...)
-	return a
-}
-
-func (a adjBits) row(v int) []uint64 { return a.bits[v*a.w : (v+1)*a.w] }
-
-// clique makes the vertices of set pairwise adjacent.
-func (a adjBits) clique(set []uint64) {
+// clique makes the vertices of set pairwise adjacent in the fill graph
+// adj, writing through its rows.
+func clique(adj *graph.Graph, set []uint64) {
 	for u := range bitvec.Each(set) {
-		row := a.row(u)
+		row := adj.Row(u)
 		bitvec.Or(row, set)
 		row[u>>6] &^= 1 << (uint(u) & 63)
 	}
@@ -246,13 +230,12 @@ func (a adjBits) clique(set []uint64) {
 // plus its higher-ordered neighbors in the fill graph; bag i's parent is
 // the bag of the lowest-ordered vertex among those neighbors.
 func FromEliminationOrder(g *graph.Graph, order []int) *Decomposition {
-	return fromEliminationOrder(newAdjBits(g), order)
+	return fromEliminationOrder(g.Clone(), order)
 }
 
-// fromEliminationOrder is FromEliminationOrder on an adjacency matrix it
-// may edit.
-func fromEliminationOrder(adj adjBits, order []int) *Decomposition {
-	n := adj.n
+// fromEliminationOrder is FromEliminationOrder on a fill graph it edits.
+func fromEliminationOrder(adj *graph.Graph, order []int) *Decomposition {
+	n := adj.N()
 	if n == 0 {
 		return &Decomposition{Bags: [][]int{{}}, Parent: []int{-1}}
 	}
@@ -261,32 +244,38 @@ func fromEliminationOrder(adj adjBits, order []int) *Decomposition {
 		pos[v] = i
 	}
 	bags := make([][]int, n)
+	ends := make([]int, n) // the bags share flat: bag i ends at ends[i]
+	var flat []int
 	bagOf := make([]int, n) // vertex -> index of its bag
-	later := make([]uint64, adj.w)
-	left := make([]uint64, adj.w) // vertices not yet eliminated
+	w := len(adj.Row(0))
+	later := make([]uint64, w)
+	left := make([]uint64, w) // vertices not yet eliminated
 	for _, v := range order {
 		left[v>>6] |= 1 << (uint(v) & 63)
 	}
 	for i, v := range order {
 		left[v>>6] &^= 1 << (uint(v) & 63)
-		for j, m := range adj.row(v) {
+		for j, m := range adj.Row(v) {
 			later[j] = m & left[j]
 		}
-		bag := make([]int, 0, bitvec.Count(later)+1)
 		placed := false
 		for u := range bitvec.Each(later) {
 			if !placed && u > v {
-				bag, placed = append(bag, v), true
+				flat, placed = append(flat, v), true
 			}
-			bag = append(bag, u)
+			flat = append(flat, u)
 		}
 		if !placed {
-			bag = append(bag, v)
+			flat = append(flat, v)
 		}
-		bags[i] = bag
+		ends[i] = len(flat)
 		bagOf[v] = i
 		// Connect later neighbors into a clique.
-		adj.clique(later)
+		clique(adj, later)
+	}
+	lo := 0
+	for i, hi := range ends {
+		bags[i], lo = flat[lo:hi:hi], hi
 	}
 	parent := make([]int, n)
 	for i, v := range order {
@@ -322,16 +311,13 @@ func fromEliminationOrder(adj adjBits, order []int) *Decomposition {
 }
 
 // minFillOrder returns an elimination order chosen greedily by minimum
-// fill-in (ties broken by minimum degree, then index).  It may edit adj.
-func minFillOrder(adj adjBits) []int {
-	n := adj.n
-	alive := make([]uint64, adj.w)
-	for v := 0; v < n; v++ {
-		alive[v>>6] |= 1 << (uint(v) & 63)
-	}
-	nbrs := make([]uint64, adj.w)
+// fill-in (ties broken by minimum degree, then index).  It edits adj.
+func minFillOrder(adj *graph.Graph) []int {
+	n := adj.N()
+	alive := adj.All()
+	nbrs := make([]uint64, len(alive))
 	liveNbrs := func(v int) {
-		for j, m := range adj.row(v) {
+		for j, m := range adj.Row(v) {
 			nbrs[j] = m & alive[j]
 		}
 	}
@@ -345,7 +331,7 @@ func minFillOrder(adj adjBits) []int {
 			// and from b; a itself is in nbrs and not in its own row.
 			missing := 0
 			for a := range bitvec.Each(nbrs) {
-				missing += bitvec.CountAndNot(nbrs, adj.row(a)) - 1
+				missing += bitvec.CountAndNot(nbrs, adj.Row(a)) - 1
 			}
 			if fill := missing / 2; fill < bestFill || (fill == bestFill && deg < bestDeg) {
 				best, bestFill, bestDeg = v, fill, deg
@@ -354,27 +340,29 @@ func minFillOrder(adj adjBits) []int {
 		order = append(order, best)
 		alive[best>>6] &^= 1 << (uint(best) & 63)
 		liveNbrs(best)
-		adj.clique(nbrs)
+		clique(adj, nbrs)
 	}
 	return order
 }
 
 // HeuristicDecomposition returns a min-fill tree decomposition.
+//
+// Eliminating in min-fill order leaves each vertex's row holding exactly
+// its later neighbours, so the decomposition is read off the fill graph
+// minFillOrder built, on one copy of g's rows.
 func HeuristicDecomposition(g *graph.Graph) *Decomposition {
-	adj := newAdjBits(g)
-	return fromEliminationOrder(adj.clone(), minFillOrder(adj))
+	adj := g.Clone()
+	return fromEliminationOrder(adj, minFillOrder(adj))
 }
 
 // LowerBoundMMD returns the maximum-minimum-degree treewidth lower bound.
-func LowerBoundMMD(g *graph.Graph) int { return lowerBoundMMD(newAdjBits(g)) }
-
-func lowerBoundMMD(adj adjBits) int {
-	n := adj.n
+func LowerBoundMMD(g *graph.Graph) int {
+	n := g.N()
 	deg := make([]int, n)
 	alive := make([]bool, n)
 	for v := 0; v < n; v++ {
 		alive[v] = true
-		deg[v] = bitvec.Count(adj.row(v))
+		deg[v] = bitvec.Count(g.Row(v))
 	}
 	lb, remaining := 0, n
 	for remaining > 0 {
@@ -389,7 +377,7 @@ func lowerBoundMMD(adj adjBits) int {
 		}
 		alive[best] = false
 		remaining--
-		for u := range bitvec.Each(adj.row(best)) {
+		for u := range bitvec.Each(g.Row(best)) {
 			if alive[u] {
 				deg[u]--
 			}
@@ -409,13 +397,12 @@ func Treewidth(g *graph.Graph) (width int, dec *Decomposition, exact bool) {
 	if g.N() == 0 {
 		return -1, &Decomposition{Bags: [][]int{{}}, Parent: []int{-1}}, true
 	}
-	adj := newAdjBits(g)
-	heur := fromEliminationOrder(adj.clone(), minFillOrder(adj.clone()))
+	heur := HeuristicDecomposition(g)
 	ub := heur.Width()
 	if g.N() > exactLimit {
 		return ub, heur, false
 	}
-	lb := lowerBoundMMD(adj)
+	lb := LowerBoundMMD(g)
 	if lb >= ub {
 		return ub, heur, true
 	}
@@ -437,9 +424,7 @@ func elimOrderWithWidth(g *graph.Graph, k int) ([]int, bool) {
 	full := state(1)<<n - 1
 	baseAdj := make([]state, n)
 	for v := 0; v < n; v++ {
-		for _, u := range g.Neighbors(v) {
-			baseAdj[v] |= 1 << u
-		}
+		baseAdj[v] = state(g.Row(v)[0]) // n ≤ exactLimit: one word
 	}
 	// In the eliminated-set model, the current degree of v given eliminated
 	// set S is |reach(v, S)|: neighbors of v reachable through eliminated
