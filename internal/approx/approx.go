@@ -85,35 +85,20 @@ type Result struct {
 // calls (each call builds its own samplers).
 type Estimator struct {
 	p     pp.PP
-	sh    *pp.Shape
 	once  sync.Once
 	comps []pp.PP
 }
 
-// New compiles an estimator for p: it derives p's shape and delegates to
-// FromShape.
-func New(p pp.PP) *Estimator { return FromShape(p, pp.ShapeOf(p)) }
-
-// FromShape returns the estimator of p over sh, the shape of p or of a
-// formula counting-equivalent to it (a shared plan's, engine.Plan.Shape).
-// It builds nothing.
-func FromShape(p pp.PP, sh *pp.Shape) *Estimator { return &Estimator{p: p, sh: sh} }
+// New returns the estimator of p.  It builds nothing.
+func New(p pp.PP) *Estimator { return &Estimator{p: p} }
 
 // Formula returns the pp-formula the estimator was compiled from.
 func (e *Estimator) Formula() pp.PP { return e.p }
 
-// components returns p's Gaifman components, built on the first call.
-// They are Induced copies of the shape's vertex sets when sh is p's own;
-// another representative numbers its elements otherwise, and sampling it
-// would change every draw, so p is then split itself (pp.PP.Components).
+// components returns p's Gaifman components (pp.PP.Components), built on
+// the first call.
 func (e *Estimator) components() []pp.PP {
-	e.once.Do(func() {
-		if e.sh.Formula.A == e.p.A {
-			e.comps = e.sh.Split()
-		} else {
-			e.comps = e.p.Components()
-		}
-	})
+	e.once.Do(func() { e.comps = e.p.Components() })
 	return e.comps
 }
 

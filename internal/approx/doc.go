@@ -20,10 +20,9 @@
 // E[weight · 1{extendable}] = |φ(B)|.
 //
 // Gaifman components are counted apart and multiplied, as in the exact
-// engine (|φ(B)| = ∏ᵢ |φᵢ(B)|).  The split is the term's pp.Shape, the
-// one the exact plan was compiled from (FromShape); the estimator builds
-// the component structures on its first Count, so a term counted only
-// exactly never builds them.  Sentence components and isolated liberal
+// engine (|φ(B)| = ∏ᵢ |φᵢ(B)|).  The estimator splits its formula
+// (pp.PP.Components) on its first Count, so a term counted only exactly
+// never builds the component structures.  Sentence components and isolated liberal
 // variables contribute exact factors (hom.Exists, |B|^|S|); only
 // components with both liberal variables and tuples are sampled, each
 // with an (ε/k, δ/k) share of the requested budget so the product meets

@@ -6,7 +6,7 @@ import (
 	"repro/internal/pp"
 )
 
-// The classification memo: ReadKeyed (and AnalyzeKeyed) cache Reports
+// The classification memo: ReadKeyed caches Reports
 // per canonical counting-class fingerprint (term.Fingerprint), so a term
 // class is classified once, not per Counter construction or per request.
 // Soundness mirrors the engine's fingerprint-keyed plan cache: equal
@@ -28,7 +28,7 @@ const memoCap = 1024
 
 // MemoStats reports the cumulative behavior of the classification memo:
 // Analyses counts structural analyses actually performed through
-// AnalyzeKeyed, Hits counts lookups served from the memo.
+// ReadKeyed, Hits counts lookups served from the memo.
 type MemoStats struct {
 	Analyses uint64 `json:"analyses"`
 	Hits     uint64 `json:"hits"`
@@ -41,16 +41,12 @@ func Stats() MemoStats {
 	return MemoStats{Analyses: memoAnalyses, Hits: memoHits}
 }
 
-// AnalyzeKeyed measures an already-cored pp-formula, memoizing the
-// Report under the canonical fingerprint fp.  The returned bool reports
+// ReadKeyed classifies an already-cored pp-formula p whose shape the
+// caller holds (a plan's, engine.Plan.Shape), memoizing the Report under
+// the canonical fingerprint fp: a memo miss reads the Report off sh
+// (Read), so no treewidth search runs twice.  The returned bool reports
 // whether the Report came out of the memo.  An empty fp degrades to an
-// unmemoized AnalyzeCored.
-func AnalyzeKeyed(p pp.PP, fp string) (Report, bool) { return ReadKeyed(p, nil, fp) }
-
-// ReadKeyed is AnalyzeKeyed for a caller that already holds the term's
-// shape (a plan's, engine.Plan.Shape): a memo miss reads the Report off
-// sh (Read), so no treewidth search runs twice.  A nil sh is derived
-// from p.
+// unmemoized Read.
 func ReadKeyed(p pp.PP, sh *pp.Shape, fp string) (Report, bool) {
 	memoMu.Lock()
 	if r, ok := memo[fp]; ok { // "" is never stored
@@ -59,9 +55,6 @@ func ReadKeyed(p pp.PP, sh *pp.Shape, fp string) (Report, bool) {
 		return r, true
 	}
 	memoMu.Unlock()
-	if sh == nil {
-		sh = pp.ShapeOf(p)
-	}
 	r := Read(p, sh)
 	if fp == "" {
 		return r, false

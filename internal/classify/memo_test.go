@@ -16,10 +16,11 @@ func TestAnalyzeKeyedMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sh := pp.ShapeOf(p)
 	fp := fmt.Sprintf("memo-test-%p", t) // unique per run: never pre-seeded
 	s0 := Stats()
 
-	r1, hit := AnalyzeKeyed(p, fp)
+	r1, hit := ReadKeyed(p, sh, fp)
 	if hit {
 		t.Fatal("first lookup reported a memo hit")
 	}
@@ -29,7 +30,7 @@ func TestAnalyzeKeyedMemoizes(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		r2, hit := AnalyzeKeyed(p, fp)
+		r2, hit := ReadKeyed(p, sh, fp)
 		if !hit {
 			t.Fatalf("lookup %d re-analyzed instead of hitting the memo", i+2)
 		}
@@ -43,7 +44,7 @@ func TestAnalyzeKeyedMemoizes(t *testing.T) {
 		t.Fatalf("repeat lookups: stats %+v → %+v, want three hits and no analyses", s1, s2)
 	}
 
-	if _, hit := AnalyzeKeyed(p, ""); hit {
+	if _, hit := ReadKeyed(p, sh, ""); hit {
 		t.Fatal("empty fingerprint must bypass the memo")
 	}
 	if s3 := Stats(); s3 != s2 {

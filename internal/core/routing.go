@@ -50,7 +50,7 @@ func (c *Counter) routeTerms(wCore, wContract int) {
 		t.caseOf = t.report.CaseFor(wCore, wContract)
 		if t.caseOf.Hard() {
 			if t.est == nil {
-				t.est = approx.FromShape(t.formula, t.plan.Shape())
+				t.est = approx.New(t.formula)
 			}
 		} else {
 			t.est = nil
@@ -90,9 +90,9 @@ type TermRoute struct {
 	CoreTreewidth     int
 	ContractTreewidth int
 	// Approx reports whether the term is routed to the sampler: it
-	// carries an approx.Estimator over its plan's shape, which builds its
-	// per-component structures on the term's first approximate count, so
-	// an exact count never does.
+	// carries an approx.Estimator, which builds its per-component
+	// structures on the term's first approximate count, so an exact count
+	// never does.
 	Approx bool
 }
 

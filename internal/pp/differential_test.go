@@ -119,7 +119,9 @@ func TestFrontEndMatchesReference(t *testing.T) {
 			}
 			// The plan compiler relies on this: in a connected formula with
 			// a liberal variable every ∃-component borders one, so none is
-			// a sentence hiding inside a liberal component.
+			// a sentence hiding inside a liberal component; a component
+			// without liberal variables is one ∃-component.  Checked on the
+			// definitions and on the Shape the compiler reads.
 			for _, f := range []pp.PP{p, c} {
 				for _, comp := range f.Components() {
 					if len(comp.S) == 0 {
@@ -128,6 +130,20 @@ func TestFrontEndMatchesReference(t *testing.T) {
 					for _, ec := range pp.ExistsComponents(comp) {
 						if len(ec.Interface) == 0 {
 							t.Fatalf("group %d formula %d: ∃-component %v of a liberal component has an empty interface\n%v", g, i, ec.Vertices, comp)
+						}
+					}
+				}
+				sh := pp.ShapeOf(f)
+				for _, comp := range sh.Components {
+					if len(comp.Lib) == 0 {
+						if len(comp.Exists) != 1 {
+							t.Fatalf("group %d formula %d: Shape component %v without liberal variables has %d ∃-components, want 1\n%v", g, i, comp.Vertices, len(comp.Exists), f)
+						}
+						continue
+					}
+					for _, e := range comp.Exists {
+						if len(sh.Exists[e].Interface) == 0 {
+							t.Fatalf("group %d formula %d: Shape ∃-component %v of a liberal component has an empty interface\n%v", g, i, sh.Exists[e].Vertices, f)
 						}
 					}
 				}

@@ -7,8 +7,8 @@
 // conjunction, Chandra–Merlin entailment, canonical keys, and the
 // renaming / counting / semi-counting equivalences of Section 5.
 // ShapeOf derives, once per compiled plan and by word operations on bit
-// rows, what Theorems 3.2 and 2.11 read of a core; the engine, classify
-// and approx all read that one Shape.
+// rows, what Theorems 3.2 and 2.11 read of a core; the engine and
+// classify both read that one Shape.
 // Entailment and cores are homomorphism questions between query-sized
 // structures and go straight to internal/hom's solver: the liberal
 // variables are pinned rather than marked by extra relations, and a core

@@ -1,6 +1,7 @@
 package pp
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/logic"
@@ -309,6 +310,13 @@ func TestExistsComponentsAndContract(t *testing.T) {
 	if !cg.HasEdge(0, 1) {
 		t.Fatal("contract graph must connect s and t through the ∃-component")
 	}
+	sh := ShapeOf(d)
+	if len(sh.Exists) != 1 || !slices.Equal(sh.Exists[0].Interface, ecs[0].Interface) {
+		t.Fatalf("Shape ∃-components %+v, want one with interface %v", sh.Exists, ecs[0].Interface)
+	}
+	if sh.ContractWidth != 1 || !sh.ContractExact {
+		t.Fatalf("Shape contract width %d (exact %v), want 1", sh.ContractWidth, sh.ContractExact)
+	}
 }
 
 func TestContractGraphStar(t *testing.T) {
@@ -322,6 +330,13 @@ func TestContractGraphStar(t *testing.T) {
 	cg, _ := ContractGraph(d)
 	if cg.NumEdges() != 3 {
 		t.Fatalf("star contract graph edges = %d, want 3 (K3)", cg.NumEdges())
+	}
+	sh := ShapeOf(d)
+	if len(sh.Exists) != 1 || len(sh.Exists[0].Interface) != 3 {
+		t.Fatalf("Shape ∃-components %+v, want one with a 3-vertex interface", sh.Exists)
+	}
+	if sh.ContractWidth != 2 || !sh.ContractExact {
+		t.Fatalf("Shape contract width %d (exact %v), want 2 (K3)", sh.ContractWidth, sh.ContractExact)
 	}
 }
 
@@ -342,6 +357,9 @@ func TestContractGraphDisconnectedQuantified(t *testing.T) {
 	}
 	if d.A.Size() != 2 {
 		t.Fatalf("core should collapse the quantified copy, size = %d", d.A.Size())
+	}
+	if sh := ShapeOf(d); len(sh.Exists) != 0 || sh.ContractWidth != 1 || !sh.ContractExact {
+		t.Fatalf("Shape: %d ∃-components, contract width %d (exact %v), want none and 1", len(sh.Exists), sh.ContractWidth, sh.ContractExact)
 	}
 }
 

@@ -13,8 +13,7 @@ import (
 // its ∃-components (Section 2.4), and tree decompositions of the core
 // graph, the contract graph and every ∃-component.  ShapeOf derives it
 // once per compiled plan; it is immutable, and the engine (the
-// decompositions), classify (the widths) and approx (the components) all
-// read that one value.
+// decompositions) and classify (the widths) both read that one value.
 type Shape struct {
 	Formula    PP               // the formula derived from: a core, to classify
 	Components []ComponentShape // the Gaifman components, in Components' order
@@ -69,7 +68,8 @@ func ShapeOf(p PP) *Shape {
 		free[v>>6] |= 1 << (v & 63)
 	}
 	sh := &Shape{Formula: p, ContractWidth: min(0, len(p.S)-1), ContractExact: true}
-	sh.CoreWidth, _, sh.CoreExact = tw.Treewidth(g)
+	var coreDec *tw.Decomposition
+	sh.CoreWidth, coreDec, sh.CoreExact = tw.Treewidth(g)
 
 	compOf := make([]int, p.A.Size())
 	sets := g.Split(g.All())
@@ -97,10 +97,16 @@ func ShapeOf(p PP) *Shape {
 		bitvec.Or(set, iface)
 		ec := &sh.Exists[i]
 		ec.Vertices, ec.Interface = members(set, nil), members(iface, nil)
-		pg, _ := g.Subgraph(ec.Vertices)
 		root := positions(ec.Vertices, ec.Interface)
-		pg.AddClique(root)
-		_, ec.Pred, _ = tw.Treewidth(pg)
+		if len(ec.Vertices) == p.A.Size() && len(root) == 0 {
+			// A connected sentence: its predicate graph is the core
+			// graph, searched above.
+			ec.Pred = coreDec
+		} else {
+			pg, _ := g.Subgraph(ec.Vertices)
+			pg.AddClique(root)
+			_, ec.Pred, _ = tw.Treewidth(pg)
+		}
 		ec.Pred.RerootAt(root)
 		ec.Pred.Reduce()
 		c := &sh.Components[compOf[ec.Vertices[0]]]
@@ -123,15 +129,6 @@ func ShapeOf(p PP) *Shape {
 		sh.ContractExact = sh.ContractExact && exact
 	}
 	return sh
-}
-
-// Split returns the Gaifman components as formulas, as Components does.
-func (sh *Shape) Split() []PP {
-	comps := make([][]int, len(sh.Components))
-	for i, c := range sh.Components {
-		comps[i] = c.Vertices
-	}
-	return sh.Formula.split(comps)
 }
 
 // members lists the vertices of set ∩ mask (all of set for a nil mask),
