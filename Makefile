@@ -27,7 +27,9 @@ doccheck:
 # densities (Advance_TriC4_N200_P06 / _P35) and growing, the query
 # classes of the repository benchmark's cold-exec workload in process
 # (one by one and at the workload's mix) beside the other
-# materialization benchmarks, approx-hard's request mix in process
+# materialization benchmarks, the executor alone on plans bound before
+# the timer (Enumerate_: joinCount / projectKeys, no session,
+# materialization or prune), approx-hard's request mix in process
 # (Approx_HardMix: one sampled K4 / K5 estimate per op, memos cold),
 # cold-query's stream in process (ColdQuery_Front: parse, NewCounter and
 # one count per op, allocs/op reported), +
@@ -38,7 +40,7 @@ doccheck:
 # same-machine relative bound, independent of absolute CI machine speed.
 bench-smoke:
 	$(GO) test -run XXX -bench 'JoinCount|FPT|UnionDedup|Advance_' -benchmem -benchtime 0.2s .
-	$(GO) test -run XXX -bench 'Materialize_|ColdExec_' -benchmem -benchtime 0.2s ./internal/engine
+	$(GO) test -run XXX -bench 'Materialize_|ColdExec_|Enumerate_' -benchmem -benchtime 0.2s ./internal/engine
 	$(GO) test -run XXX -bench 'Approx_|ColdQuery_Front' -benchmem -benchtime 0.2s ./internal/core
 	EPCQ_BENCH_SMOKE=1 $(GO) test -run TestBenchSmoke -v ./internal/engine
 

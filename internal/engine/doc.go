@@ -42,7 +42,13 @@
 //     component and session) each node gets a constraint bind order
 //     (smallest table first, then maximal bound-prefix overlap) and each
 //     step the way it enters its table by the already-bound part of its
-//     scope, so enumeration is look-ups instead of backtracking scans.  A
+//     scope, so enumeration is look-ups instead of backtracking scans.
+//     At run time each node is a flat program of ops, one per bind
+//     depth, whose kinds — row scan, row bind, bit test, index probe,
+//     tuple scan, free driver, domain fill, tail — are fixed before the
+//     first binding, each carrying the child-group lookups due after it;
+//     one loop with a cursor and a running weight per depth runs it,
+//     with no call per binding (execStep, program, enumerate).  A
 //     table's layout is fixed when it is built.  A width-2 table over a
 //     universe of at least 64 elements that is dense enough for it
 //     (structure.BitRowsFit, the store's and the hom solver's rule) is a
@@ -53,7 +59,7 @@
 //     from a row intersection or tests a bit, and where a node's last
 //     binder binds one position from rows the end of the bind order is
 //     one AND of rows per bound prefix, emitted 64 values a word or added
-//     into flat accumulators by index (the tail in enumerate).  Every
+//     into flat accumulators by index (opTail).  Every
 //     other table is tuples, entered by a prefix index keyed on the
 //     packed bound values (tableIndex: a
 //     CSR-layout open-addressing table sized once at build, its probes
@@ -65,7 +71,7 @@
 //     inline in open-addressing wmap accumulators, and scratch buffers
 //     are pooled.  A bag position no local constraint covers is
 //     enumerated from a child table's keys under the already-bound
-//     prefix where one shares it (freeDrivers), over the domain
+//     prefix where one shares it (driverFor), over the domain
 //     otherwise.  The same DP run in the existence semiring
 //     (projectKeys) materializes the predicate tables: node tables are
 //     key sets, the root bag's projection onto the interface is the

@@ -13,15 +13,15 @@ import (
 	"repro/internal/workload"
 )
 
-func compilePP(t *testing.T, sig *structure.Signature, src string) pp.PP {
-	t.Helper()
+func compilePP(tb testing.TB, sig *structure.Signature, src string) pp.PP {
+	tb.Helper()
 	q, err := parser.ParseQuery(src)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	p, err := pp.FromDisjunct(sig, q.Lib, q.Disjuncts()[0])
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return p
 }

@@ -30,8 +30,16 @@ import (
 //     bound-prefix overlap), the bound/free split of every scope, and the
 //     rows or prefix hash index each step enters its table by —
 //     everything derivable from the formula plus the tables;
-//   - run time (joinCount): row intersections, index probes and map
-//     accumulation, on the caller's goroutine — a request is the unit of
+//   - run time (joinCount, projectKeys, and a delta term's run alike):
+//     per node, first a flat program of ops, one per bind depth, each of
+//     a kind fixed before the first binding (program: the steps' scans,
+//     row binds, bit tests, index probes and tuple scans, then a free
+//     driver or a domain fill per free position, or the tail with its
+//     emission mode and gather), carrying the child-group lookups due
+//     after it and the existence cut; then one loop (enumerate) with a
+//     cursor and a running weight per depth runs it — row
+//     intersections, index probes and accumulation, no closure call per
+//     binding — on the caller's goroutine: a request is the unit of
 //     parallelism.
 //
 // Three representation choices make this the hot path's fast path:
@@ -55,7 +63,7 @@ import (
 //     position from a row intersection or tests a bit, and builds no
 //     index.  Where a node's last binder binds one position v from rows,
 //     the end of the bind order is one intersection per bound prefix,
-//     emitted whole as the tail's mode says (enumerate).
+//     emitted whole as the tail's mode says (opTail).
 
 // packedKeyBudget is the number of key bits available before the packed
 // representation spills to strings.  Nothing outside the package's own
@@ -308,6 +316,21 @@ func (m *wmap) addDense(k uint64, w wnum) {
 	}
 	m.over[k] = addW(m.denseAt(k), w).b // past int64
 	*d = -1
+}
+
+// addDenseLo is addDense's common case, inlined into the executor's
+// loops: it adds lo ≥ 1 at packed key k of a counting accumulator's flat
+// form and reports true, unless the entry is or would get past int64.
+func (m *wmap) addDenseLo(k uint64, lo int64) bool {
+	v := m.dense[k]
+	if v < 0 || v+lo < 0 {
+		return false
+	}
+	if v == 0 {
+		m.n++
+	}
+	m.dense[k] = v + lo
+	return true
 }
 
 // denseAt is the weight at packed key k of a counting accumulator's flat
@@ -699,29 +722,72 @@ func (t *Table) prefixIndex(pos []int) *tableIndex {
 	return ix
 }
 
-// execStep is one constraint of a node in bind order: bind the rows of
-// table (all of them for the pivot step, the prefix-index probe results
-// otherwise) into the bag assignment.
+// The kinds of a node program's ops (execStep.kind).  The first six are
+// constraint steps, fixed at plan bind (newExecPlan); the rest are chosen
+// per run (program), when the child groups are known.
+const (
+	opScan       = iota // bind bit to each non-empty row of srcs[0]
+	opScanMasked        // the same, on the values of a delta run's mask srcs[1] alone
+	opRows              // bind bit to each value in the intersection of srcs' rows
+	opTest              // both positions bound: bit's value must be in srcs[0]'s row
+	opProbe             // bind freeScope from the rows idx holds under the values at boundBag
+	opTuples            // bind freeScope from every row of table
+	opDrive             // opProbe on a child group's keys: bind the free position bit (driverFor)
+	opFill              // bind bit to every value of the domain
+	opTail              // the last binder: one intersection of srcs' rows, emitted as mode says
+	numOpKinds
+)
+
+// execStep is one binder of a node's program as newExecPlan builds it
+// for a constraint in bind order, or program for a free position: the
+// op at index d binds the bag positions set at bind depth d+1 (depth 0
+// is before any op runs).  Its kind and operands are fixed before the
+// first binding, so a run (enumerate) is one loop over the ops with a
+// cursor per depth.
 type execStep struct {
+	kind int
+	// A row op's srcs intersect to the candidates of bag position bit,
+	// which it binds (opRows, opTail; freeBag = {bit}) or, both bound,
+	// tests (opTest).  A test of the position the op before it binds from
+	// rows is no op of its own: its row joins that op's srcs.  A table on
+	// rows entered with nothing bound is two ops: a scan binds bit to each
+	// non-empty row of srcs[0], and the next op binds the other position
+	// from that row.  opFill binds bit too.
+	bit  int
+	srcs []rowSrc
+
 	table *Table
-	// idx is nil for the pivot step, for steps whose scope shares no bound
-	// position (then every row is enumerated) and for steps bound to rows.
+	// idx is the prefix index opProbe and opDrive enter table by, keyed on
+	// the values at boundBag (aligned with idx.pos).  It is nil for a
+	// table entered with no bound position (opTuples) and for tables on
+	// rows.
 	idx      *tableIndex
-	boundBag []int // bag positions supplying the probe key, aligned with idx.pos
-	// freeScope/freeBag are the scope positions this step newly binds and
-	// the bag positions they bind into.
+	boundBag []int
+	// freeScope/freeBag are the scope positions opProbe, opDrive and
+	// opTuples bind and the bag positions they bind into.
 	freeScope []int
 	freeBag   []int
-	// A step over a table on rows (Table.rows) is bound to srcs
-	// instead of idx: their rows' intersection holds the candidates of bag
-	// position bit, which the step binds (freeBag = {bit}) or, both bound,
-	// tests.  A test of the position the step before it binds from rows is
-	// no step of its own: its row joins that step's srcs.  A table entered
-	// with nothing bound is two steps: a scan (boundBag empty) binds bit to
-	// each non-empty row of srcs[0], and the next step binds the other
-	// position from that row.
-	srcs []rowSrc
-	bit  int
+}
+
+// execOp is a step as one run uses it (program), with what the run's
+// child groups and output decide:
+//   - ready: the child-group lookups due once the op has bound — each at
+//     the earliest depth where all of its shared bag positions are set, so
+//     a lookup runs once per distinct shared prefix and a missing factor
+//     abandons the subtree before any deeper op runs;
+//   - cut: in an existence run, the op completes the output key, so a key
+//     already present is not searched again (see program);
+//   - mode, gather, outShift, gShift: an opTail's emission, and the one
+//     child group with flat weights it reads by index (gather): at bit = x
+//     the output's key is base | x<<outShift, the gather's gBase |
+//     x<<gShift.
+type execOp struct {
+	execStep
+	ready            []*childGroup
+	cut              bool
+	mode             int
+	gather           *childGroup
+	outShift, gShift uint
 }
 
 // execNode is a decomposition node bound to a session's tables.
@@ -862,6 +928,9 @@ func newExecPlan(pc *planComponent, tables []*Table, masks [][]uint64) *execPlan
 			en.steps = append(en.steps, execStep{table: tables[cons[0]], srcs: append(pending, mask(last)...),
 				bit: last, boundBag: []int{pending[0].by}, freeBag: []int{last}})
 		}
+		for i := range en.steps {
+			en.steps[i].kind = en.steps[i].stepKind()
+		}
 	}
 	return ep
 }
@@ -896,6 +965,33 @@ func (st *execStep) bindsRow() bool {
 	return st.srcs != nil && len(st.freeBag) == 1 && len(st.boundBag) > 0
 }
 
+// stepKind is the kind of a constraint step as newExecPlan built it.
+func (st *execStep) stepKind() int {
+	switch {
+	case st.bindsRow():
+		return opRows
+	case st.srcs != nil && len(st.boundBag) == 0 && len(st.srcs) > 1:
+		return opScanMasked
+	case st.srcs != nil && len(st.boundBag) == 0:
+		return opScan
+	case st.srcs != nil:
+		return opTest
+	case st.idx == nil:
+		return opTuples
+	}
+	return opProbe
+}
+
+// opCursor is one bind depth's place in a run (enumerate): the weight
+// its op started from and where its candidates stand.
+type opCursor struct {
+	w    wnum
+	cand []uint64 // opRows, an opTail that binds: the candidates
+	word uint64   // cand[i]'s bits not yet bound
+	ids  []int32  // opProbe, opDrive: the rows the probe returned
+	i    int      // next word, row or value
+}
+
 // execScratch holds the buffers of one node enumeration, pooled across
 // calls to keep the inner loops allocation-free.
 type execScratch struct {
@@ -903,8 +999,17 @@ type execScratch struct {
 	proj   []int
 	vals   []int
 	keyBuf []byte
-	cand   []uint64 // row intersections, one per bind depth (enumerate's bindRow)
+	cand   []uint64 // row intersections, one per bind depth
 	ops    int      // cancellation-poll counter (see dpRun.cancelled)
+
+	// The node program (program) and its run's state.
+	prog    []execOp
+	cur     []opCursor
+	boundAt []int // bind depth per bag position
+	due     []int // lookup depth per child group; -1: read at the tail
+	ready   []*childGroup
+	readyAt []int // ready[readyAt[d]:readyAt[d+1]] are the lookups due at depth d
+	tail    []rowSrc
 }
 
 var scratchPool = sync.Pool{New: func() any { return &execScratch{} }}
@@ -927,6 +1032,9 @@ func (sc *execScratch) ensure(width int) {
 	if cap(sc.keyBuf) < 8*width {
 		sc.keyBuf = make([]byte, 0, 8*width)
 	}
+	if cap(sc.boundAt) < width {
+		sc.boundAt = make([]int, width)
+	}
 }
 
 // childGroup is one child's node table projected onto the bag positions
@@ -938,7 +1046,7 @@ type childGroup struct {
 
 // dpRun is one joinCount (or projectKeys) execution: the compiled
 // component and its bound plan.  A run lives on one goroutine; the
-// tables it builds for itself (freeDrivers, groupRows) are heap slices
+// tables it builds for itself (driverFor, groupRows) are heap slices
 // that die with it.
 type dpRun struct {
 	pc   *planComponent
@@ -1100,12 +1208,12 @@ func (en *execNode) pivotSize(domSize int) int {
 	return 1
 }
 
-// bindDepths returns, per bag position, the bind depth at which it is
-// set: depth si+1 is after step si binds its free scope, depth
-// len(steps)+k+1 after free variable k is assigned (depth 0 is before
+// bindDepths writes into boundAt, per bag position, the bind depth at
+// which it is set: depth si+1 is after step si binds its free scope,
+// depth len(steps)+k+1 after free variable k is assigned (depth 0 is before
 // any binder runs).
-func (en *execNode) bindDepths() []int {
-	boundAt := make([]int, en.width)
+func (en *execNode) bindDepths(boundAt []int) []int {
+	boundAt = boundAt[:en.width]
 	for si := range en.steps {
 		for _, bi := range en.steps[si].freeBag {
 			boundAt[bi] = si + 1
@@ -1117,100 +1225,70 @@ func (en *execNode) bindDepths() []int {
 	return boundAt
 }
 
-// groupReadiness schedules each child-group lookup at the earliest bind
-// depth (bindDepths) where all of its shared bag positions are set.
-// Hoisting the lookups out of the deeper loops both deduplicates them
-// (one probe per distinct shared-prefix binding instead of one per full
-// assignment) and prunes the entire subtree on a zero factor.
-func groupReadiness(en *execNode, groups []*childGroup, boundAt []int) [][]*childGroup {
-	ready := make([][]*childGroup, len(en.steps)+len(en.freePos)+1)
+// driverFor returns the op that binds free bag position f — one no local
+// constraint covers.  It is opDrive where a child group shares f together
+// with at least one position bound before it: the candidates come from
+// the smallest such group's keys instead of the whole domain, through a
+// table of its distinct (bound prefix, value) projections indexed on the
+// prefix.  Otherwise it is opFill, over the domain.  A free variable is in
+// the bag only to connect nodes that do constrain it, so under a bound
+// prefix the child's keys name the few values that can survive, where the
+// domain scan probes the child's table |B| times per prefix.  The group's
+// readiness lookup still runs and supplies the weight; a driver only
+// narrows the candidates.  Without a bound prefix the scan is one pass
+// over the domain already.
+func driverFor(f int, groups []*childGroup, boundAt []int, dom int) execStep {
+	var from *childGroup
 	for _, g := range groups {
-		d := 0
+		shares, prefix := false, false
 		for _, bi := range g.sharedBag {
-			if boundAt[bi] > d {
-				d = boundAt[bi]
-			}
+			shares = shares || bi == f
+			prefix = prefix || boundAt[bi] < boundAt[f]
 		}
-		ready[d] = append(ready[d], g)
+		// (prefixIndex keys its cache on a 64-bit position mask.)
+		if shares && prefix && len(g.sharedBag) <= 64 && (from == nil || g.sums.len() < from.sums.len()) {
+			from = g
+		}
 	}
-	return ready
-}
-
-// freeDriver supplies the candidate values of one free bag position —
-// one no local constraint covers — from a child group's keys instead of
-// the whole domain: t holds the group's distinct (bound prefix, value)
-// projections, idx indexes them on the prefix.
-type freeDriver struct {
-	t        *Table
-	idx      *tableIndex
-	boundBag []int // bag positions supplying the probe key, aligned with idx.pos
-}
-
-// freeDrivers builds, for each position in free (the node's free positions
-// but one a row tail binds, see enumerate), a driver from the smallest
-// child group that shares the position together with at least one
-// position bound before it (nil where there is none: the position is then
-// enumerated over the domain).  A free variable is in the bag only to
-// connect nodes that do constrain it, so under a bound prefix the child's
-// keys name the few values that can survive, where the domain scan probes
-// the child's table |B| times per prefix.  The group's readiness lookup
-// still runs and supplies the weight; a driver only narrows the candidates.
-// Without a bound prefix the scan is one pass over the domain already.
-func freeDrivers(free []int, groups []*childGroup, boundAt []int, dom int) []*freeDriver {
-	drivers := make([]*freeDriver, len(free))
-	for k, f := range free {
-		var from *childGroup
-		for _, g := range groups {
-			shares, prefix := false, false
-			for _, bi := range g.sharedBag {
-				shares = shares || bi == f
-				prefix = prefix || boundAt[bi] < boundAt[f]
-			}
-			// (prefixIndex keys its cache on a 64-bit position mask.)
-			if shares && prefix && len(g.sharedBag) <= 64 && (from == nil || g.sums.len() < from.sums.len()) {
-				from = g
-			}
-		}
-		if from == nil {
-			continue
-		}
-		d := &freeDriver{}
-		var cols []int // the prefix's, then f's, index in the group's keys
-		fcol := -1
-		for i, bi := range from.sharedBag {
-			switch {
-			case bi == f:
-				fcol = i
-			case boundAt[bi] < boundAt[f]:
-				cols = append(cols, i)
-				d.boundBag = append(d.boundBag, bi)
-			}
-		}
-		cols = append(cols, fcol)
-		n := from.sums.len()
-		d.t = newTable(len(cols), dom)
-		d.t.flat = make([]int32, 0, n*len(cols))
-		var dedup *structure.TupleSet // keys differing only in later-bound positions project alike
-		if len(cols) < len(from.sharedBag) {
-			dedup = structure.NewTupleSetSized(len(cols), n)
-		}
-		row := make([]int, len(cols))
-		from.sums.forEach(make([]int, len(from.sharedBag)), func(vals []int, _ wnum) {
-			for i, c := range cols {
-				row[i] = vals[c]
-			}
-			if dedup == nil || dedup.Add(row) {
-				d.t.appendRow(row)
-			}
-		})
-		prefix := make([]int, len(cols)-1)
-		for i := range prefix {
-			prefix[i] = i
-		}
-		d.idx = d.t.prefixIndex(prefix)
-		drivers[k] = d
+	if from == nil {
+		return execStep{kind: opFill, bit: f}
 	}
-	return drivers
+	op := execStep{kind: opDrive, bit: f}
+	var cols []int // the prefix's, then f's, index in the group's keys
+	fcol := -1
+	for i, bi := range from.sharedBag {
+		switch {
+		case bi == f:
+			fcol = i
+		case boundAt[bi] < boundAt[f]:
+			cols = append(cols, i)
+			op.boundBag = append(op.boundBag, bi)
+		}
+	}
+	cols = append(cols, fcol)
+	n := from.sums.len()
+	t := newTable(len(cols), dom)
+	t.flat = make([]int32, 0, n*len(cols))
+	var dedup *structure.TupleSet // keys differing only in later-bound positions project alike
+	if len(cols) < len(from.sharedBag) {
+		dedup = structure.NewTupleSetSized(len(cols), n)
+	}
+	row := make([]int, len(cols))
+	from.sums.forEach(make([]int, len(from.sharedBag)), func(vals []int, _ wnum) {
+		for i, c := range cols {
+			row[i] = vals[c]
+		}
+		if dedup == nil || dedup.Add(row) {
+			t.appendRow(row)
+		}
+	})
+	prefix := make([]int, len(cols)-1)
+	for i := range prefix {
+		prefix[i] = i
+	}
+	op.table, op.idx = t, t.prefixIndex(prefix)
+	op.freeScope, op.freeBag = []int{len(cols) - 1}, []int{f}
+	return op
 }
 
 // groupRows returns child group g's keys as rows over bag position v
@@ -1233,76 +1311,89 @@ func (r *dpRun) groupRows(g *childGroup, v int) (rowSrc, bool) {
 	return rowSrc{t, words, g.sharedBag[1]}, true
 }
 
-// The emission of a row tail (enumerate), chosen once per run.
+// The emission of a row tail (opTail), chosen once per run.
 const (
-	tailEach  = iota // bind each candidate and descend: the general case
+	tailEach  = iota // bind each candidate and go on: the general case
 	tailAny          // existence run, v outside the key: one emission if there is a candidate
 	tailOr           // existence run, v the last column of a flat key set: OR into the key's row
 	tailCount        // counting run, v outside the key: weight × candidates, or × Σ the gather's weights
 	tailAdd          // v in a flat key (bits, dense): each candidate adds weight (× the gather's) by index
+	numTailModes
 )
 
 // rowBinds counts the values bound from rows (a whole tail is one), for the
 // tests (export_test.go): which side of the fit rule ran, and how much.
 var rowBinds atomic.Int64
 
-// enumerate fills m with node en's contributions keyed on the bag
-// positions outProj, by enumerating the node's bag assignments: the rows
-// of the pivot table (or the values of the first free variable of a
-// constraint-less node), then each later step's index probes or rows.
-// Bind orders are fixed at plan bind, so no assigned-flag bookkeeping or
-// rollback happens here — every bag position is written by exactly one
-// binder before any deeper read.  Child-group factors are multiplied
-// into the running weight at their readiness depth (see groupReadiness);
-// a missing factor abandons the subtree before any deeper binder runs.
+// opsBuilt and tailsBuilt count the ops node programs were built with,
+// by kind, and their tails by mode and whether they gather, for the
+// package's tests: which op kinds a corpus reaches.  program counts; the
+// run loop does not.
+var (
+	opsBuilt   [numOpKinds]atomic.Int64
+	tailsBuilt [numTailModes][2]atomic.Int64
+)
+
+// program builds node en's ops for one run into sc.prog: the constraint
+// steps (en.steps) in bind order, then one op per free position (driverFor),
+// with every child-group lookup scheduled on the op after which it is due.
+// It returns them, with the lookups due before any op runs and, in an
+// existence run, the cut: the bind depth at which the output key is fully
+// bound (-1 in a counting run).  Below the cut the enumeration only looks
+// for a witness: a key that is already present is not searched again
+// (execOp.cut), and the first emission unwinds back to depth cut, because
+// every other candidate down there would emit the same key.
 //
 // The tail: when the node's last binder binds one position v from rows —
-// the last step's (execStep.srcs) and those of the child key sets sharing
-// v (groupRows), which alone serve a last free position — v's candidates
-// under a bound prefix are one intersection, emitted as mode says.  One
-// child group left there with flat weights (wmap.dense) is read by index
-// too (gather): its key, as the output's, is base | x<<shift at v = x.
-func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj []int) {
-	nSteps := len(en.steps)
-	free := en.freePos
+// the last step's (execStep.srcs) and those of the child key sets sharing v
+// (groupRows), which alone serve a last free position — it is an opTail:
+// v's candidates under a bound prefix are one intersection, emitted as
+// its mode says.  One child group left there with flat weights
+// (wmap.dense) is read by index too (gather): its key, as the output's,
+// is base | x<<shift at v = x.
+func (r *dpRun) program(sc *execScratch, en *execNode, groups []*childGroup, m *wmap, outProj []int) (ops []execOp, ready0 []*childGroup, cut int) {
+	nSteps, free := len(en.steps), en.freePos
 	last := nSteps + len(free) // the depth at which the bag is fully assigned
-	if en.cons == 1 && len(free) == 0 && len(groups) == 0 && len(outProj) == 0 && (r.ep.masks == nil || en.steps[0].table.stride == 0) {
-		// One table covers the bag, each of its rows adding 1 to the one
-		// key: count, don't walk (a delta run's live table's n is only a
-		// bound).
-		m.add(nil, wnum{lo: int64(en.steps[0].table.n)}, nil)
-		return
+	boundAt := en.bindDepths(sc.boundAt)
+	due := sc.due[:0]
+	for _, g := range groups {
+		d := 0
+		for _, bi := range g.sharedBag {
+			d = max(d, boundAt[bi])
+		}
+		due = append(due, d)
 	}
-	boundAt := en.bindDepths()
-	ready := groupReadiness(en, groups, boundAt)
-	v, tail := -1, []rowSrc(nil)
+	v, tail := -1, sc.tail[:0]
 	if len(free) > 0 {
 		v = free[len(free)-1]
-	} else if st := &en.steps[nSteps-1]; st.bindsRow() {
-		v, tail = st.bit, st.srcs[:len(st.srcs):len(st.srcs)]
+	} else if nSteps > 0 && en.steps[nSteps-1].kind == opRows {
+		st := &en.steps[nSteps-1]
+		v, tail = st.bit, append(tail, st.srcs...)
 	}
+	rest, only := 0, -1 // the groups due at last and not read as rows
 	if v >= 0 {
-		rest := ready[last][:0]
-		for _, g := range ready[last] {
+		for i, g := range groups {
+			if due[i] != last {
+				continue
+			}
 			if src, ok := r.groupRows(g, v); ok {
-				tail = append(tail, src)
+				tail, due[i] = append(tail, src), -1
 			} else {
-				rest = append(rest, g)
+				rest, only = rest+1, i
 			}
 		}
-		ready[last] = rest
 	}
-	mode, gather := tailEach, (*childGroup)(nil)
+	mode, gather := tailEach, -1
 	var outShift, gShift uint
 	if len(tail) > 0 {
-		rest := ready[last]
-		if len(rest) == 1 && rest[0].sums.dense != nil {
-			gather, rest = rest[0], nil
-			gShift = gather.sums.codec.bits * uint(len(gather.sharedBag)-1-slices.Index(gather.sharedBag, v))
+		if rest == 1 && groups[only].sums.dense != nil {
+			g := groups[only]
+			gather, rest = only, 0
+			gShift = g.sums.codec.bits * uint(len(g.sharedBag)-1-slices.Index(g.sharedBag, v))
 		}
 		col := slices.Index(outProj, v)
 		switch {
-		case len(rest) > 0:
+		case rest > 0:
 		case col < 0 && r.exists:
 			mode = tailAny
 		case col < 0:
@@ -1313,235 +1404,355 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 			mode, outShift = tailAdd, m.codec.bits*uint(len(outProj)-1-col)
 		}
 		if mode == tailEach {
-			gather = nil
-		} else {
-			ready[last] = rest
+			gather = -1
+		} else if gather >= 0 {
+			due[gather] = -1
 		}
 	}
-	nDrive := len(free)
-	if len(tail) > 0 && nDrive > 0 {
-		nDrive-- // the tail binds the last free position
+
+	if cap(sc.prog) < last {
+		sc.prog, sc.cur = make([]execOp, last), make([]opCursor, last)
 	}
-	drive := freeDrivers(free[:nDrive], groups, boundAt, r.dom)
-	// cut is, in an existence run, the bind depth at which the output key
-	// is fully bound (-1 in a counting run).  Below it the enumeration
-	// only looks for a witness: a key that is already present is not
-	// searched again, and the first emission unwinds back to depth cut,
-	// because every other candidate down there would emit the same key.
-	cut := -1
+	ops = sc.prog[:last]
+	for i, st := range en.steps {
+		ops[i] = execOp{execStep: st}
+	}
+	for k, f := range free {
+		if len(tail) == 0 || k < len(free)-1 { // else the tail binds the last free position
+			ops[nSteps+k] = execOp{execStep: driverFor(f, groups, boundAt, r.dom)}
+		}
+	}
+	if len(tail) > 0 {
+		op := &ops[last-1]
+		if len(free) > 0 {
+			*op = execOp{execStep: execStep{bit: v}}
+		}
+		op.kind, op.srcs, op.mode, op.outShift, op.gShift = opTail, tail, mode, outShift, gShift
+		if gather >= 0 {
+			op.gather = groups[gather]
+		}
+	}
+	ready, readyAt := sc.ready[:0], sc.readyAt[:0]
+	for d := 0; d <= last; d++ {
+		readyAt = append(readyAt, len(ready))
+		for i, g := range groups {
+			if due[i] == d {
+				ready = append(ready, g)
+			}
+		}
+	}
+	readyAt = append(readyAt, len(ready))
+	ready0 = ready[readyAt[0]:readyAt[1]]
+	cut = -1
 	if r.exists {
 		cut = 0
 		for _, bi := range outProj {
-			if boundAt[bi] > cut {
-				cut = boundAt[bi]
-			}
+			cut = max(cut, boundAt[bi])
 		}
+	}
+	for d := range ops {
+		op := &ops[d]
+		op.ready, op.cut = ready[readyAt[d+1]:readyAt[d+2]], d+1 == cut && d+1 < last
+		opsBuilt[op.kind].Add(1)
+		if op.kind == opTail {
+			g := 0
+			if op.gather != nil {
+				g = 1
+			}
+			tailsBuilt[op.mode][g].Add(1)
+		}
+	}
+	sc.due, sc.tail, sc.ready, sc.readyAt = due, tail, ready, readyAt
+	return ops, ready0, cut
+}
+
+// rowsAnd returns the intersection of srcs' rows at the bag assignment
+// assign, two or more of them: their AND, written to buf (one row's words
+// long).  The one-row case is the row itself, read in place (enumerate).
+func rowsAnd(srcs []rowSrc, assign []int, buf []uint64) []uint64 {
+	s := &srcs[0]
+	row := s.m[assign[s.by]*s.stride:][:len(buf)]
+	s = &srcs[1]
+	next := s.m[assign[s.by]*s.stride:][:len(buf)]
+	for i := range buf {
+		buf[i] = row[i] & next[i]
+	}
+	for i := 2; i < len(srcs); i++ {
+		s = &srcs[i]
+		bitvec.And(buf, s.m[assign[s.by]*s.stride:])
+	}
+	return buf
+}
+
+// enumerate fills m with node en's contributions keyed on the bag
+// positions outProj, by running the node's program (program): the ops in
+// bind order, the first over the rows of the pivot table (or the values
+// of the first free variable of a constraint-less node), each later one
+// over index probes or rows under what the ops before it bound.  Bind
+// orders are fixed at plan bind, so no assigned-flag bookkeeping or
+// rollback happens here — every bag position is written by exactly one op
+// before any deeper read.  One loop runs the program: a cursor per depth
+// holds its op's candidates and the weight it started from; each binding
+// folds in the child-group factors due after it, then starts the next op
+// or, with the bag fully bound, emits; an op out of candidates hands back
+// to the one before it.  A root with no output key (a counting run's)
+// sums its emissions in one scalar and adds it to m once.
+func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj []int) {
+	if en.cons == 1 && len(en.freePos) == 0 && len(groups) == 0 && len(outProj) == 0 && (r.ep.masks == nil || en.steps[0].table.stride == 0) {
+		// One table covers the bag, each of its rows adding 1 to the one
+		// key: count, don't walk (a delta run's live table's n is only a
+		// bound).
+		m.add(nil, wnum{lo: int64(en.steps[0].table.n)}, nil)
+		return
 	}
 	sc := r.scratch()
-	assign := sc.assign[:en.width]
+	ops, ready0, cut := r.program(sc, en, groups, m, outProj)
+	last := len(ops)
 	words := (r.dom + 63) / 64
+	if cap(sc.cand) < last*words { // one intersection per depth: ops nest
+		sc.cand = make([]uint64, last*words)
+	}
+	assign, cur := sc.assign[:en.width], sc.cur[:last]
+	scalar := len(outProj) == 0 && !r.exists
+	var sum wnum // the scalar's emissions
+	var sump *wnum
+	if scalar {
+		sump = &sum
+	}
 	binds := 0
-	key := func() []int { return valuesAt(sc.proj, assign, outProj) }
-	hit := false // existence run: a key was emitted and the unwinding to cut is under way
-	var recStep func(si int, w wnum)
-	var fill func(k int, w wnum)
-	// descend continues below depth d, whose binder has just written its
-	// bag positions: it folds in the child-group factors scheduled at d (a
-	// missing one means the subtree contributes nothing) and runs the next
-	// binder, or emits.  It reports whether the calling binder should stop
-	// iterating (see cut).
-	descend := func(d int, w wnum) bool {
-		if d == cut && d < last {
-			if _, ok := m.get(key(), sc.keyBuf); ok {
-				return false
+	// The loop arrives at depth d+1 with weight w: ops[d] has just bound
+	// (d = -1: no op has run yet).
+	d, w := -1, wnum{lo: 1}
+	for {
+		ok, ready := true, ready0
+		if d >= 0 {
+			ready = ops[d].ready
+			if ops[d].cut {
+				_, found := m.get(valuesAt(sc.proj, assign, outProj), sc.keyBuf)
+				ok = !found
 			}
 		}
-		for _, g := range ready[d] {
-			s, ok := g.sums.get(valuesAt(sc.proj, assign, g.sharedBag), sc.keyBuf)
-			if !ok {
-				return false
+		for i := 0; ok && i < len(ready); i++ {
+			g := ready[i]
+			s, found := g.sums.get(valuesAt(sc.proj, assign, g.sharedBag), sc.keyBuf)
+			if ok = found; ok {
+				w = mulW(w, s)
 			}
-			w = mulW(w, s)
 		}
 		switch {
-		case d < nSteps:
-			recStep(d, w)
-		case d < last:
-			fill(d-nSteps, w)
-		case !r.cancelled(sc):
-			m.add(key(), w, sc.keyBuf)
-			hit = r.exists
-		}
-		if hit {
-			if d > cut {
-				return true
+		case !ok:
+		case d+1 == last: // the bag is fully bound: emit
+			if r.cancelled(sc) {
+				break
 			}
-			hit = false
-		}
-		return false
-	}
-	// bindRow binds position u (bind depth d) to each value in the
-	// intersection of srcs' rows and descends, or at the tail (d == last)
-	// emits for all the values in tail's at once as mode says.
-	bindRow := func(srcs []rowSrc, u, d int, w wnum) {
-		md := tailEach
-		if d == last {
-			if srcs, md = tail, mode; r.cancelled(sc) {
-				return
+			if scalar {
+				sum = addW(sum, w)
+				break
 			}
-		}
-		if cap(sc.cand) < (last+1)*words { // one intersection per depth: binders nest
-			sc.cand = make([]uint64, (last+1)*words)
-		}
-		cand := srcs[0].m[assign[srcs[0].by]*srcs[0].stride:][:words] // one row is read in place
-		if len(srcs) > 1 {
-			cand = sc.cand[d*words:][:words]
-			copy(cand, srcs[0].m[assign[srcs[0].by]*srcs[0].stride:])
-			for i := range srcs[1:] {
-				bitvec.And(cand, srcs[1+i].m[assign[srcs[1+i].by]*srcs[1+i].stride:])
+			m.add(valuesAt(sc.proj, assign, outProj), w, sc.keyBuf)
+			if r.exists { // the ops from depth cut on stop
+				d = min(d, cut-1)
 			}
-		}
-		if md == tailEach {
-			binds += bitvec.Count(cand)
-			for x := range bitvec.Each(cand) {
-				assign[u] = x
-				if descend(d, w) {
-					return
+		default: // start the next op
+			d++
+			op, c := &ops[d], &cur[d]
+			c.w, c.i = w, 0
+			switch op.kind {
+			case opRows:
+				if s := &op.srcs[0]; len(op.srcs) == 1 {
+					c.cand = s.m[assign[s.by]*s.stride:][:words]
+				} else {
+					c.cand = rowsAnd(op.srcs, assign, sc.cand[d*words:][:words])
 				}
-			}
-			return
-		}
-		binds++
-		var gBase uint64 // the gather's key at v = 0
-		if assign[u] = 0; gather != nil {
-			gBase = gather.sums.codec.pack(valuesAt(sc.vals, assign, gather.sharedBag))
-		}
-		switch md {
-		case tailAny:
-			if bitvec.Count(cand) > 0 {
-				m.add(key(), w, sc.keyBuf)
-				hit = true
-			}
-		case tailOr:
-			row := m.bits[m.codec.pack(key())>>6:][:words]
-			m.n += bitvec.CountAndNot(cand, row)
-			bitvec.Or(row, cand)
-		case tailCount:
-			n := wnum{lo: int64(bitvec.Count(cand))}
-			if gather != nil {
-				n = wnum{}
-				for x := range bitvec.Each(cand) {
-					n = addW(n, gather.sums.denseAt(gBase|uint64(x)<<gShift))
+				c.word = c.cand[0]
+				binds += bitvec.Count(c.cand)
+			case opProbe, opDrive:
+				c.ids = op.idx.lookup(valuesAt(sc.vals, assign, op.boundBag), sc.keyBuf)
+			case opTail: // one intersection: bound value by value (tailEach), or spent here
+				if r.cancelled(sc) {
+					d--
+					break
 				}
-			}
-			m.add(key(), mulW(w, n), sc.keyBuf)
-		case tailAdd:
-			base := m.codec.pack(key())
-			switch {
-			case m.bits != nil: // an existence run's: every weight is 1
-				for x := range bitvec.Each(cand) {
-					m.setBit(base | uint64(x)<<outShift)
+				s := &op.srcs[0]
+				cand := s.m[assign[s.by]*s.stride:][:words]
+				if len(op.srcs) > 1 {
+					cand = rowsAnd(op.srcs, assign, sc.cand[d*words:][:words])
 				}
-			case gather == nil:
-				for x := range bitvec.Each(cand) {
-					m.addDense(base|uint64(x)<<outShift, w)
-				}
-			default:
-				for x := range bitvec.Each(cand) {
-					if k := gBase | uint64(x)<<gShift; gather.sums.dense[k] != 0 {
-						m.addDense(base|uint64(x)<<outShift, mulW(w, gather.sums.denseAt(k)))
-					}
-				}
-			}
-		}
-	}
-	// fill assigns free position k (bind depth nSteps+k+1).
-	fill = func(k int, w wnum) {
-		if k == nDrive {
-			bindRow(nil, free[k], last, w)
-			return
-		}
-		if d := drive[k]; d != nil {
-			col := d.t.width - 1
-			for _, row := range d.idx.lookup(valuesAt(sc.vals, assign, d.boundBag), sc.keyBuf) {
-				assign[free[k]] = int(d.t.flat[int(row)*d.t.width+col])
-				if descend(nSteps+k+1, w) {
-					return
-				}
-			}
-			return
-		}
-		pivot := nSteps == 0 && k == 0
-		for v := 0; v < r.dom; v++ {
-			if pivot && r.cancelled(sc) {
-				return
-			}
-			assign[free[k]] = v
-			if descend(nSteps+k+1, w) {
-				return
-			}
-		}
-	}
-	// recStep binds step si's free scope (bind depth si+1).
-	recStep = func(si int, w wnum) {
-		st := &en.steps[si]
-		t := st.table
-		switch {
-		case st.bindsRow():
-			bindRow(st.srcs, st.bit, si+1, w)
-		case st.srcs != nil && len(st.boundBag) == 0: // a scan of the non-empty rows (of the mask's, in a delta run)
-			s, mask := &st.srcs[0], st.srcs[1:]
-			for u := 0; u < r.dom; u++ {
-				if len(mask) > 0 { // on to the mask's next value
-					wd := mask[0].m[u>>6] >> (u & 63)
-					if wd == 0 {
-						u |= 63
-						continue
-					}
-					u += bits.TrailingZeros64(wd)
-				}
-				if bitvec.Count(s.m[u*s.stride:][:words]) == 0 {
-					continue
+				if op.mode == tailEach {
+					c.cand, c.word = cand, cand[0]
+					binds += bitvec.Count(cand)
+					break
 				}
 				binds++
-				if assign[st.bit] = u; r.cancelled(sc) || descend(si+1, w) {
-					return
+				if r.emitTail(sc, op, cand, w, m, outProj, sump) {
+					d = min(d, cut) // the ops from depth cut on stop
 				}
+				d--
 			}
-		case st.srcs != nil: // both positions bound: a bit test
-			if s, u := &st.srcs[0], assign[st.bit]; s.m[assign[s.by]*s.stride+u>>6]>>(u&63)&1 != 0 {
-				descend(si+1, w)
-			}
-		case st.idx == nil:
-			for row := 0; row < t.n; row++ {
-				if si == 0 && r.cancelled(sc) {
-					return
+		}
+		// Advance: the deepest op with a candidate left binds it.
+	advance:
+		for ; d >= 0; d-- {
+			op, c := &ops[d], &cur[d]
+			switch op.kind {
+			case opRows, opTail:
+				for c.word == 0 && c.i+1 < len(c.cand) {
+					c.i++
+					c.word = c.cand[c.i]
 				}
-				base := row * t.width
-				for i, j := range st.freeScope {
-					assign[st.freeBag[i]] = int(t.flat[base+j])
+				if c.word != 0 {
+					assign[op.bit] = c.i<<6 | bits.TrailingZeros64(c.word)
+					c.word &= c.word - 1
+					break advance
 				}
-				if descend(si+1, w) {
-					return
+			case opScan, opScanMasked: // the non-empty rows (of the mask's values)
+				s := &op.srcs[0]
+				for u := c.i; u < r.dom; u++ {
+					if op.kind == opScanMasked { // on to the mask's next value
+						wd := op.srcs[1].m[u>>6] >> (u & 63)
+						if wd == 0 {
+							u |= 63
+							continue
+						}
+						u += bits.TrailingZeros64(wd)
+					}
+					if bitvec.Count(s.m[u*s.stride:][:words]) == 0 {
+						continue
+					}
+					binds++
+					assign[op.bit], c.i = u, u+1
+					if r.cancelled(sc) {
+						break
+					}
+					break advance
 				}
-			}
-		default:
-			for _, row := range st.idx.lookup(valuesAt(sc.vals, assign, st.boundBag), sc.keyBuf) {
-				base := int(row) * t.width
-				for i, j := range st.freeScope {
-					assign[st.freeBag[i]] = int(t.flat[base+j])
+			case opTest:
+				if s, u := &op.srcs[0], assign[op.bit]; c.i == 0 && s.m[assign[s.by]*s.stride+u>>6]>>(u&63)&1 != 0 {
+					c.i = 1
+					break advance
 				}
-				if descend(si+1, w) {
-					return
+			case opProbe, opDrive:
+				if c.i < len(c.ids) {
+					t := op.table
+					base := int(c.ids[c.i]) * t.width
+					for i, j := range op.freeScope {
+						assign[op.freeBag[i]] = int(t.flat[base+j])
+					}
+					c.i++
+					break advance
+				}
+			case opTuples:
+				if t := op.table; c.i < t.n && !(d == 0 && r.cancelled(sc)) {
+					base := c.i * t.width
+					for i, j := range op.freeScope {
+						assign[op.freeBag[i]] = int(t.flat[base+j])
+					}
+					c.i++
+					break advance
+				}
+			case opFill:
+				if c.i < r.dom && !(d == 0 && r.cancelled(sc)) {
+					assign[op.bit] = c.i
+					c.i++
+					break advance
 				}
 			}
 		}
+		if d < 0 {
+			break
+		}
+		w = cur[d].w
 	}
-	descend(0, wnum{lo: 1})
+	if scalar {
+		m.add(nil, sum, nil)
+	}
 	if binds > 0 { // a tuple-side run leaves the shared counter alone
 		rowBinds.Add(int64(binds))
 	}
+	clear(ops) // the pool keeps no table or child group alive
+	clear(cur)
+	clear(sc.ready)
+	clear(sc.tail)
 	scratchPool.Put(sc)
+}
+
+// emitTail emits a tail op's candidates cand (not tailEach: those are
+// bound one by one) under weight w as its mode says — into m keyed on
+// outProj, or into the scalar sum of a root with no output key (sum ≠
+// nil) — and reports whether it emitted in an existence run (tailAny),
+// which stops the ops from depth cut on.
+func (r *dpRun) emitTail(sc *execScratch, op *execOp, cand []uint64, w wnum, m *wmap, outProj []int, sum *wnum) bool {
+	assign := sc.assign
+	var gBase uint64 // the gather's key at v = 0
+	if assign[op.bit] = 0; op.gather != nil {
+		gBase = op.gather.sums.codec.pack(valuesAt(sc.vals, assign, op.gather.sharedBag))
+	}
+	switch op.mode {
+	case tailAny:
+		if bitvec.Count(cand) > 0 {
+			m.add(valuesAt(sc.proj, assign, outProj), w, sc.keyBuf)
+			return true
+		}
+	case tailOr:
+		row := m.bits[m.codec.pack(valuesAt(sc.proj, assign, outProj))>>6:][:len(cand)]
+		m.n += bitvec.CountAndNot(cand, row)
+		bitvec.Or(row, cand)
+	case tailCount:
+		n := wnum{lo: int64(bitvec.Count(cand))}
+		if g := op.gather; g != nil {
+			n = wnum{}
+			var lo int64 // the sum while it fits int64; folded into n where it would not
+			for x := range bitvec.Each(cand) {
+				k := gBase | uint64(x)<<op.gShift
+				if v := g.sums.dense[k]; v >= 0 && lo+v >= 0 {
+					lo += v
+				} else {
+					n, lo = addW(addW(n, wnum{lo: lo}), g.sums.denseAt(k)), 0
+				}
+			}
+			n = addW(n, wnum{lo: lo})
+		}
+		switch hi, lo := bits.Mul64(uint64(w.lo), uint64(n.lo)); {
+		case sum == nil:
+			m.add(valuesAt(sc.proj, assign, outProj), mulW(w, n), sc.keyBuf)
+		case w.b == nil && n.b == nil && sum.b == nil && hi == 0 && lo <= math.MaxInt64 && sum.lo+int64(lo) >= 0:
+			sum.lo += int64(lo) // addW(*sum, mulW(w, n)) without the calls
+		default:
+			*sum = addW(*sum, mulW(w, n))
+		}
+	case tailAdd:
+		base := m.codec.pack(valuesAt(sc.proj, assign, outProj))
+		switch {
+		case m.bits != nil: // an existence run's: every weight is 1
+			set, added := m.bits, 0
+			for x := range bitvec.Each(cand) {
+				k := base | uint64(x)<<op.outShift
+				added += int(^set[k>>6] >> (k & 63) & 1)
+				set[k>>6] |= 1 << (k & 63)
+			}
+			m.n += added
+		case op.gather == nil:
+			for x := range bitvec.Each(cand) {
+				if k := base | uint64(x)<<op.outShift; w.b != nil || !m.addDenseLo(k, w.lo) {
+					m.addDense(k, w)
+				}
+			}
+		default:
+			g := op.gather.sums
+			for x := range bitvec.Each(cand) {
+				k := gBase | uint64(x)<<op.gShift
+				v := g.dense[k]
+				if v == 0 {
+					continue
+				}
+				out := base | uint64(x)<<op.outShift
+				if hi, lo := bits.Mul64(uint64(w.lo), uint64(v)); w.b != nil || v < 0 || hi != 0 || lo > math.MaxInt64 || !m.addDenseLo(out, int64(lo)) {
+					m.addDense(out, mulW(w, g.denseAt(k)))
+				}
+			}
+		}
+	}
+	return false
 }
 
 // valuesAt writes into dst the values assign holds at the bag positions

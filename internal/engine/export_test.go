@@ -80,3 +80,26 @@ func CachedTables(s *Session) int {
 	}
 	return n
 }
+
+// OpKinds names the kinds of the ops node programs are built with, in
+// order; OpsBuilt counts each kind's builds since process start, and
+// TailsBuilt the tail ops' builds by mode (TailModes) and, second index,
+// whether they gather.
+var (
+	OpKinds   = []string{"scan", "scanMasked", "rows", "test", "probe", "tuples", "drive", "fill", "tail"}
+	TailModes = []string{"each", "any", "or", "count", "add"}
+)
+
+func OpsBuilt() (kinds []int64) {
+	for i := range opsBuilt {
+		kinds = append(kinds, opsBuilt[i].Load())
+	}
+	return kinds
+}
+
+func TailsBuilt() (modes [][2]int64) {
+	for i := range tailsBuilt {
+		modes = append(modes, [2]int64{tailsBuilt[i][0].Load(), tailsBuilt[i][1].Load()})
+	}
+	return modes
+}
