@@ -267,7 +267,9 @@ func (m *wmap) addPacked(k uint64, w wnum) {
 		return
 	}
 	if m.dense != nil {
-		m.addDense(k, w)
+		if w.b != nil || !m.addDense(k, w.lo) {
+			m.spillDense(k, w)
+		}
 		return
 	}
 	if (m.n+1)*2 > len(m.slots) {
@@ -294,36 +296,18 @@ func (m *wmap) addPacked(k uint64, w wnum) {
 
 // setBit adds packed key k to a key set's flat form.
 func (m *wmap) setBit(k uint64) {
-	if wd, b := &m.bits[k>>6], uint64(1)<<(k&63); *wd&b == 0 {
-		*wd |= b
-		m.n++
-	}
+	wd := &m.bits[k>>6]
+	m.n += int(^*wd >> (k & 63) & 1) // no branch: a key set's adds are dense in a tail
+	*wd |= 1 << (k & 63)
 }
 
-// addDense accumulates w ≠ 0 at packed key k of a counting accumulator's
-// flat form (a key set's is bits).
-func (m *wmap) addDense(k uint64, w wnum) {
-	d := &m.dense[k]
-	if *d == 0 {
-		m.n++
-	}
-	if s := *d + w.lo; *d >= 0 && w.b == nil && s >= 0 { // both operands are non-negative: wrap ⇒ negative
-		*d = s
-		return
-	}
-	if m.over == nil {
-		m.over = make(map[uint64]*big.Int)
-	}
-	m.over[k] = addW(m.denseAt(k), w).b // past int64
-	*d = -1
-}
-
-// addDenseLo is addDense's common case, inlined into the executor's
-// loops: it adds lo ≥ 1 at packed key k of a counting accumulator's flat
-// form and reports true, unless the entry is or would get past int64.
-func (m *wmap) addDenseLo(k uint64, lo int64) bool {
+// addDense adds lo ≥ 1 at packed key k of a counting accumulator's flat
+// form (a key set's is bits) and reports true, unless the entry is past
+// int64 or the sum would be: then it adds nothing, and the caller adds by
+// spillDense.  It inlines into the DP's loops.
+func (m *wmap) addDense(k uint64, lo int64) bool {
 	v := m.dense[k]
-	if v < 0 || v+lo < 0 {
+	if v < 0 || v+lo < 0 { // both operands are non-negative: wrap ⇒ negative
 		return false
 	}
 	if v == 0 {
@@ -331,6 +315,19 @@ func (m *wmap) addDenseLo(k uint64, lo int64) bool {
 	}
 	m.dense[k] = v + lo
 	return true
+}
+
+// spillDense accumulates w ≠ 0 at packed key k of a counting accumulator's
+// flat form where addDense does not: past int64.
+func (m *wmap) spillDense(k uint64, w wnum) {
+	if m.dense[k] == 0 {
+		m.n++
+	}
+	if m.over == nil {
+		m.over = make(map[uint64]*big.Int)
+	}
+	m.over[k] = addW(m.denseAt(k), w).b
+	m.dense[k] = -1
 }
 
 // denseAt is the weight at packed key k of a counting accumulator's flat
@@ -722,19 +719,18 @@ func (t *Table) prefixIndex(pos []int) *tableIndex {
 	return ix
 }
 
-// The kinds of a node program's ops (execStep.kind).  The first six are
+// The kinds of a node program's ops (execStep.kind).  The first five are
 // constraint steps, fixed at plan bind (newExecPlan); the rest are chosen
 // per run (program), when the child groups are known.
 const (
-	opScan       = iota // bind bit to each non-empty row of srcs[0]
-	opScanMasked        // the same, on the values of a delta run's mask srcs[1] alone
-	opRows              // bind bit to each value in the intersection of srcs' rows
-	opTest              // both positions bound: bit's value must be in srcs[0]'s row
-	opProbe             // bind freeScope from the rows idx holds under the values at boundBag
-	opTuples            // bind freeScope from every row of table
-	opDrive             // opProbe on a child group's keys: bind the free position bit (driverFor)
-	opFill              // bind bit to every value of the domain
-	opTail              // the last binder: one intersection of srcs' rows, emitted as mode says
+	opScan   = iota // bind bit to each non-empty row of srcs[0] (in a delta run, of the mask srcs[1]'s values alone)
+	opRows          // bind bit to each value in the intersection of srcs' rows
+	opTest          // both positions bound: bit's value must be in srcs[0]'s row
+	opProbe         // bind freeScope from the rows idx holds under the values at boundBag
+	opTuples        // bind freeScope from every row of table
+	opDrive         // opProbe on a child group's keys: bind the free position bit (driverFor)
+	opFill          // bind bit to every value of the domain
+	opTail          // the last binder: one intersection of srcs' rows, emitted as mode says
 	numOpKinds
 )
 
@@ -970,8 +966,6 @@ func (st *execStep) stepKind() int {
 	switch {
 	case st.bindsRow():
 		return opRows
-	case st.srcs != nil && len(st.boundBag) == 0 && len(st.srcs) > 1:
-		return opScanMasked
 	case st.srcs != nil && len(st.boundBag) == 0:
 		return opScan
 	case st.srcs != nil:
@@ -1325,14 +1319,9 @@ const (
 // tests (export_test.go): which side of the fit rule ran, and how much.
 var rowBinds atomic.Int64
 
-// opsBuilt and tailsBuilt count the ops node programs were built with,
-// by kind, and their tails by mode and whether they gather, for the
-// package's tests: which op kinds a corpus reaches.  program counts; the
-// run loop does not.
-var (
-	opsBuilt   [numOpKinds]atomic.Int64
-	tailsBuilt [numTailModes][2]atomic.Int64
-)
+// onProgram, set by the package's tests alone, sees each node program
+// program builds: which op kinds and tail modes a corpus reaches.
+var onProgram func(ops []execOp)
 
 // program builds node en's ops for one run into sc.prog: the constraint
 // steps (en.steps) in bind order, then one op per free position (driverFor),
@@ -1453,14 +1442,9 @@ func (r *dpRun) program(sc *execScratch, en *execNode, groups []*childGroup, m *
 	for d := range ops {
 		op := &ops[d]
 		op.ready, op.cut = ready[readyAt[d+1]:readyAt[d+2]], d+1 == cut && d+1 < last
-		opsBuilt[op.kind].Add(1)
-		if op.kind == opTail {
-			g := 0
-			if op.gather != nil {
-				g = 1
-			}
-			tailsBuilt[op.mode][g].Add(1)
-		}
+	}
+	if onProgram != nil {
+		onProgram(ops)
 	}
 	sc.due, sc.tail, sc.ready, sc.readyAt = due, tail, ready, readyAt
 	return ops, ready0, cut
@@ -1605,11 +1589,11 @@ func (r *dpRun) enumerate(en *execNode, groups []*childGroup, m *wmap, outProj [
 					c.word &= c.word - 1
 					break advance
 				}
-			case opScan, opScanMasked: // the non-empty rows (of the mask's values)
-				s := &op.srcs[0]
+			case opScan: // the non-empty rows (of the mask's values, in a delta run)
+				s, mask := &op.srcs[0], op.srcs[1:]
 				for u := c.i; u < r.dom; u++ {
-					if op.kind == opScanMasked { // on to the mask's next value
-						wd := op.srcs[1].m[u>>6] >> (u & 63)
+					if len(mask) > 0 { // on to the mask's next value
+						wd := mask[0].m[u>>6] >> (u & 63)
 						if wd == 0 {
 							u |= 63
 							continue
@@ -1701,7 +1685,9 @@ func (r *dpRun) emitTail(sc *execScratch, op *execOp, cand []uint64, w wnum, m *
 		n := wnum{lo: int64(bitvec.Count(cand))}
 		if g := op.gather; g != nil {
 			n = wnum{}
-			var lo int64 // the sum while it fits int64; folded into n where it would not
+			// The sum while it fits int64, folded into n where it would not:
+			// addW per candidate, a call, costs the 4-cycle's count ≈ 9 %.
+			var lo int64
 			for x := range bitvec.Each(cand) {
 				k := gBase | uint64(x)<<op.gShift
 				if v := g.sums.dense[k]; v >= 0 && lo+v >= 0 {
@@ -1712,42 +1698,30 @@ func (r *dpRun) emitTail(sc *execScratch, op *execOp, cand []uint64, w wnum, m *
 			}
 			n = addW(n, wnum{lo: lo})
 		}
-		switch hi, lo := bits.Mul64(uint64(w.lo), uint64(n.lo)); {
-		case sum == nil:
-			m.add(valuesAt(sc.proj, assign, outProj), mulW(w, n), sc.keyBuf)
-		case w.b == nil && n.b == nil && sum.b == nil && hi == 0 && lo <= math.MaxInt64 && sum.lo+int64(lo) >= 0:
-			sum.lo += int64(lo) // addW(*sum, mulW(w, n)) without the calls
-		default:
+		if sum != nil {
 			*sum = addW(*sum, mulW(w, n))
+		} else {
+			m.add(valuesAt(sc.proj, assign, outProj), mulW(w, n), sc.keyBuf)
 		}
 	case tailAdd:
 		base := m.codec.pack(valuesAt(sc.proj, assign, outProj))
-		switch {
+		switch g := op.gather; {
 		case m.bits != nil: // an existence run's: every weight is 1
-			set, added := m.bits, 0
 			for x := range bitvec.Each(cand) {
-				k := base | uint64(x)<<op.outShift
-				added += int(^set[k>>6] >> (k & 63) & 1)
-				set[k>>6] |= 1 << (k & 63)
+				m.setBit(base | uint64(x)<<op.outShift)
 			}
-			m.n += added
-		case op.gather == nil:
+		case g == nil:
 			for x := range bitvec.Each(cand) {
-				if k := base | uint64(x)<<op.outShift; w.b != nil || !m.addDenseLo(k, w.lo) {
-					m.addDense(k, w)
+				if k := base | uint64(x)<<op.outShift; w.b != nil || !m.addDense(k, w.lo) {
+					m.spillDense(k, w)
 				}
 			}
 		default:
-			g := op.gather.sums
 			for x := range bitvec.Each(cand) {
-				k := gBase | uint64(x)<<op.gShift
-				v := g.dense[k]
-				if v == 0 {
-					continue
-				}
-				out := base | uint64(x)<<op.outShift
-				if hi, lo := bits.Mul64(uint64(w.lo), uint64(v)); w.b != nil || v < 0 || hi != 0 || lo > math.MaxInt64 || !m.addDenseLo(out, int64(lo)) {
-					m.addDense(out, mulW(w, g.denseAt(k)))
+				if k := gBase | uint64(x)<<op.gShift; g.sums.dense[k] != 0 {
+					if out, p := base|uint64(x)<<op.outShift, mulW(w, g.sums.denseAt(k)); p.b != nil || !m.addDense(out, p.lo) {
+						m.spillDense(out, p)
+					}
 				}
 			}
 		}

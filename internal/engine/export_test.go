@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/big"
+	"sync"
 
 	"repro/internal/hom"
 	"repro/internal/pp"
@@ -82,24 +83,33 @@ func CachedTables(s *Session) int {
 }
 
 // OpKinds names the kinds of the ops node programs are built with, in
-// order; OpsBuilt counts each kind's builds since process start, and
-// TailsBuilt the tail ops' builds by mode (TailModes) and, second index,
-// whether they gather.
+// order, and TailModes the modes of their tails.
 var (
-	OpKinds   = []string{"scan", "scanMasked", "rows", "test", "probe", "tuples", "drive", "fill", "tail"}
+	OpKinds   = []string{"scan", "rows", "test", "probe", "tuples", "drive", "fill", "tail"}
 	TailModes = []string{"each", "any", "or", "count", "add"}
 )
 
-func OpsBuilt() (kinds []int64) {
-	for i := range opsBuilt {
-		kinds = append(kinds, opsBuilt[i].Load())
+// CountBuilds runs f and counts the ops node programs were built with
+// meanwhile, by kind, and their tails by mode and, second index, whether
+// they gather.  No other test may run beside it.
+func CountBuilds(f func()) (kinds []int64, tails [][2]int64) {
+	kinds, tails = make([]int64, numOpKinds), make([][2]int64, numTailModes)
+	var mu sync.Mutex
+	onProgram = func(ops []execOp) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, op := range ops {
+			kinds[op.kind]++
+			if op.kind == opTail {
+				g := 0
+				if op.gather != nil {
+					g = 1
+				}
+				tails[op.mode][g]++
+			}
+		}
 	}
-	return kinds
-}
-
-func TailsBuilt() (modes [][2]int64) {
-	for i := range tailsBuilt {
-		modes = append(modes, [2]int64{tailsBuilt[i][0].Load(), tailsBuilt[i][1].Load()})
-	}
-	return modes
+	defer func() { onProgram = nil }()
+	f()
+	return kinds, tails
 }

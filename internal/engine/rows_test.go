@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -254,6 +255,82 @@ func TestRowTailCountsThroughOverflow(t *testing.T) {
 		}
 		if want := new(big.Int).Exp(big.NewInt(n), big.NewInt(int64(len(all))), nil); got.Cmp(want) != 0 {
 			t.Fatalf("%d-cycle: got %v, want %v", sh.cycle, got, want)
+		}
+	}
+}
+
+// TestRowTailAddGathersThroughOverflow reaches the tail that adds into a
+// flat accumulator by index while it reads a child's flat weights by index
+// (tailAdd with a gather) with weights past int64, on the complete graph
+// with loops over 70 elements, where every count is 70^(variables): a
+// 4-cycle with a pendant edge and a ladder, with 10-edge paths hanging off
+// corners.  Their 70^10 extensions leave int64 at each place the gather
+// can: in the gathered child's entry (c4p off corner 0, the ladder off
+// corner 0), in the entry's product with the running weight (c4p off
+// corner 1), and in the running weight itself (c4p off corners 1 and 2).
+func TestRowTailAddGathersThroughOverflow(t *testing.T) {
+	const n, tail = 70, 10
+	b := structure.New(workload.EdgeSig())
+	for i := 0; i < n; i++ {
+		b.EnsureElem(fmt.Sprintf("e%d", i))
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			_ = b.AddTuple("E", i, j)
+		}
+	}
+	c4p := [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {3, 4}}
+	lad := [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}, {0, 3}, {1, 4}, {2, 5}}
+	for _, sh := range []struct {
+		name    string
+		edges   [][2]int // over corners 0..k-1
+		corners []int    // the corners a path hangs off
+	}{
+		{"c4p", c4p, []int{0}},
+		{"c4p", c4p, []int{1}},
+		{"c4p", c4p, []int{1, 2}},
+		{"lad", lad, []int{0}},
+	} {
+		k := 0
+		for _, e := range sh.edges {
+			k = max(k, e[0]+1, e[1]+1)
+		}
+		a := structure.New(workload.EdgeSig())
+		all := make([]int, k+len(sh.corners)*tail)
+		for i := range all {
+			all[i] = a.EnsureElem(fmt.Sprintf("x%d", i))
+		}
+		for _, e := range sh.edges {
+			_ = a.AddTuple("E", e[0], e[1])
+		}
+		for j, corner := range sh.corners {
+			prev := corner
+			for i := 0; i < tail; i++ {
+				next := k + j*tail + i
+				_ = a.AddTuple("E", prev, next)
+				prev = next
+			}
+		}
+		p, err := pp.New(a, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := engine.Compile(p, engine.FPT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got *big.Int
+		_, tails := engine.CountBuilds(func() {
+			got, err = pl.CountIn(context.Background(), engine.NewSession(b))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if add := tails[slices.Index(engine.TailModes, "add")]; add[1] == 0 {
+			t.Errorf("%s off %v: no add tail gathering a child group was built", sh.name, sh.corners)
+		}
+		if want := new(big.Int).Exp(big.NewInt(n), big.NewInt(int64(len(all))), nil); got.Cmp(want) != 0 {
+			t.Errorf("%s off %v: got %v, want %v", sh.name, sh.corners, got, want)
 		}
 	}
 }
