@@ -9,10 +9,11 @@ test:
 	$(GO) test ./...
 
 # The second line repeats the session-lifetime concurrency tests (counts
-# racing a session's leaving the registry, LRU eviction, stale replacement).
+# racing a session's leaving the registry, eviction, stale replacement)
+# and the cache type's own (hits racing evictions under the read lock).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'Retire|Session|Evict' ./internal/engine
+	$(GO) test -race -count=10 -run 'Retire|Session|Evict' ./internal/engine ./internal/cache
 
 vet:
 	$(GO) vet ./...

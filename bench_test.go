@@ -5,6 +5,7 @@
 package epcq_test
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/cliquered"
 	"repro/internal/core"
 	"repro/internal/count"
+	"repro/internal/engine"
 	"repro/internal/eptrans"
 	"repro/internal/graph"
 	"repro/internal/ie"
@@ -196,11 +198,15 @@ func benchPathOnER(b *testing.B, n int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	pl, err := engine.Compile(p, engine.FPT)
+	if err != nil {
+		b.Fatal(err)
+	}
 	g := workload.ER(n, 4.0/float64(n), int64(n))
 	bs := workload.GraphStructure(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := count.PP(p, bs); err != nil {
+		if _, err := pl.CountIn(context.Background(), engine.SessionFor(bs)); err != nil {
 			b.Fatal(err)
 		}
 	}

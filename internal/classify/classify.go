@@ -231,3 +231,10 @@ func trendOf(pts []FamilyPoint, f func(FamilyPoint) int) Trend {
 	}
 	return TrendBounded
 }
+
+// MemoStats and Stats read zero: classify keeps no memo.  They stay only
+// because benchmark/ladder.go, frozen outside benchmark PRs, reads them.
+type MemoStats struct{ Analyses, Hits uint64 }
+
+// Stats returns zero counters (see MemoStats).
+func Stats() MemoStats { return MemoStats{} }

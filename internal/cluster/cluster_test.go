@@ -397,6 +397,9 @@ func TestFailoverOnDeadShard(t *testing.T) {
 	if healthy != 1 {
 		t.Fatalf("stats report %d healthy shards, want 1", healthy)
 	}
+	if c := stats.Caches; c.Counters.Len < 1 || c.Sessions.Len < 1 {
+		t.Fatalf("merged caches block lost the surviving shard's caches: %+v", c)
+	}
 }
 
 // TestSubscriptionRoutingLifecycle walks a subscription end to end

@@ -67,6 +67,9 @@ func (co *Coordinator) Stats(ctx context.Context) (serve.StatsResponse, error) {
 		merged.Sessions.Sessions += st.Sessions.Sessions
 		merged.Sessions.Cap += st.Sessions.Cap
 		merged.Sessions.Evictions += st.Sessions.Evictions
+		merged.Caches.Counters = merged.Caches.Counters.Plus(st.Caches.Counters)
+		merged.Caches.Plans = merged.Caches.Plans.Plus(st.Caches.Plans)
+		merged.Caches.Sessions = merged.Caches.Sessions.Plus(st.Caches.Sessions)
 		merged.Delta.Advances += st.Delta.Advances
 		merged.Delta.FullRecounts += st.Delta.FullRecounts
 		merged.Subscriptions += st.Subscriptions

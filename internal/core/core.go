@@ -62,13 +62,10 @@ type Counter struct {
 	workers atomic.Int32
 
 	// Routing state (see routing.go): the width bounds terms were
-	// classified against, the worst case among them, the construction-
-	// time classification-memo outcomes, and the number of approximate
-	// term evaluations performed so far.
+	// classified against, the worst case among them, and the number of
+	// approximate term evaluations performed so far.
 	routeWCore, routeWContract int
 	hardest                    classify.Case
-	classifyAnalyses           int
-	classifyHits               int
 	approxCounts               atomic.Uint64
 }
 
@@ -79,13 +76,12 @@ type compiledTerm struct {
 	coeff   *big.Int
 	plan    engine.Plan
 
-	// Routing state (see routing.go): the memoized classification
-	// Report, the trichotomy case under the counter's route bounds, and
-	// — for hard terms — the estimator over the plan's shape.
-	report   classify.Report
-	analyzed bool
-	caseOf   classify.Case
-	est      *approx.Estimator
+	// Routing state (see routing.go): the classification Report, the
+	// trichotomy case under the counter's route bounds, and — for hard
+	// terms — the estimator over the plan's shape.
+	report classify.Report
+	caseOf classify.Case
+	est    *approx.Estimator
 }
 
 // WithWorkers sets the width of the counter's batch fan-out — how many
@@ -398,12 +394,6 @@ type Stats struct {
 	HardestCase                classify.Case
 	RouteWCore, RouteWContract int
 	TermsFPT, TermsHard        int
-	// ClassifyAnalyses/ClassifyHits are the construction-time outcomes
-	// of the fingerprint-keyed classification memo for this counter's
-	// terms: analyses actually run vs reports reused.  A warm memo makes
-	// ClassifyAnalyses 0 — classification runs once per interned class,
-	// not once per Counter.
-	ClassifyAnalyses, ClassifyHits int
 	// ApproxCounts is the number of approximate term evaluations
 	// (CountApprox hard-term executions) performed so far.
 	ApproxCounts uint64
@@ -412,10 +402,10 @@ type Stats struct {
 // String renders the telemetry block shared by Explain and epcount
 // -stats.
 func (st Stats) String() string {
-	return fmt.Sprintf("term pool: %s\nplans: %d (one per unique surviving term; %d shared via fingerprint cache)\ncount cache: %d hits, %d misses\nbatch width: %d\nrouting vs bounds (%d,%d): %s — %d exact term(s), %d approx term(s); classify memo: %d analyses, %d hits; approx evals: %d\n",
+	return fmt.Sprintf("term pool: %s\nplans: %d (one per unique surviving term; %d shared via fingerprint cache)\ncount cache: %d hits, %d misses\nbatch width: %d\nrouting vs bounds (%d,%d): %s — %d exact term(s), %d approx term(s); approx evals: %d\n",
 		st.Pool, st.Plans, st.SharedPlans, st.CountCacheHits, st.CountCacheMisses, st.Workers,
 		st.RouteWCore, st.RouteWContract, st.HardestCase.Short(), st.TermsFPT, st.TermsHard,
-		st.ClassifyAnalyses, st.ClassifyHits, st.ApproxCounts)
+		st.ApproxCounts)
 }
 
 // Stats returns a consistent snapshot of the counter's interning and
@@ -433,8 +423,6 @@ func (c *Counter) Stats() Stats {
 		HardestCase:      c.hardest,
 		RouteWCore:       c.routeWCore,
 		RouteWContract:   c.routeWContract,
-		ClassifyAnalyses: c.classifyAnalyses,
-		ClassifyHits:     c.classifyHits,
 		ApproxCounts:     c.approxCounts.Load(),
 	}
 	for i := range c.terms {

@@ -11,9 +11,9 @@ import (
 	"repro/internal/structure"
 )
 
-// Trichotomy-driven routing: every interned φ⁻af term is classified once
-// at compile time (through the fingerprint-keyed classification memo,
-// which reads the widths off the plan's shape) against the route bounds,
+// Trichotomy-driven routing: every interned φ⁻af term is classified at
+// compile time (classify.Read copies the widths off the plan's shape,
+// which the fingerprint-keyed plan cache holds) against the route bounds,
 // and hard terms (cases 2/3 of Theorem 3.2) get an estimator over the
 // same shape alongside the exact plan.  The default
 // Count path is untouched — exact execution stays bit-identical — while
@@ -35,18 +35,9 @@ const (
 func (c *Counter) routeTerms(wCore, wContract int) {
 	c.routeWCore, c.routeWContract = wCore, wContract
 	c.hardest = 0
-	c.classifyAnalyses, c.classifyHits = 0, 0
 	for i := range c.terms {
 		t := &c.terms[i]
-		if !t.analyzed {
-			r, hit := classify.ReadKeyed(t.formula, t.plan.Shape(), t.fp)
-			t.report, t.analyzed = r, true
-			if hit {
-				c.classifyHits++
-			} else {
-				c.classifyAnalyses++
-			}
-		}
+		t.report = classify.Read(t.formula, t.plan.Shape())
 		t.caseOf = t.report.CaseFor(wCore, wContract)
 		if t.caseOf.Hard() {
 			if t.est == nil {
@@ -65,8 +56,8 @@ func (c *Counter) routeTerms(wCore, wContract int) {
 }
 
 // WithRouteBounds re-routes the counter's terms against different width
-// bounds (the trichotomy case of each term is recomputed from its
-// memoized Report; no new treewidth searches run) and returns the
+// bounds (each term's Report is read off its plan's shape again; no
+// treewidth search runs) and returns the
 // counter for chaining.  Configure before serving: not safe to call
 // concurrently with in-flight counting.
 func (c *Counter) WithRouteBounds(wCore, wContract int) *Counter {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/big"
+	"reflect"
 	"testing"
 
 	"repro/internal/approx"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/count"
 	"repro/internal/logic"
 	"repro/internal/parser"
+	"repro/internal/pp"
 	"repro/internal/workload"
 )
 
@@ -148,19 +150,15 @@ func TestHardRoutingSamples(t *testing.T) {
 	}
 }
 
-// TestClassificationMemoizedPerFingerprint checks that classification
-// runs once per interned term fingerprint, not once per counter: a second
-// counter over a renaming-equivalent query must be served entirely from
-// the classification memo.
+// TestClassificationMemoizedPerFingerprint checks that a term class is
+// classified off one plan per fingerprint, not once per counter: a second
+// counter over a renaming-equivalent query takes every plan from the
+// fingerprint-keyed plan cache, and its routing table and Reports equal
+// the first counter's.
 func TestClassificationMemoizedPerFingerprint(t *testing.T) {
 	c1, err := NewCounter(parser.MustQuery("tri(x,y,z) := E(x,y) & E(y,z) & E(x,z)"), nil, count.EngineFPT)
 	if err != nil {
 		t.Fatal(err)
-	}
-	s1 := c1.Stats()
-	if s1.ClassifyAnalyses+s1.ClassifyHits != len(c1.terms) {
-		t.Fatalf("first counter: %d analyses + %d hits for %d terms",
-			s1.ClassifyAnalyses, s1.ClassifyHits, len(c1.terms))
 	}
 
 	// Renaming-equivalent: same canonical fingerprint, different source.
@@ -168,12 +166,22 @@ func TestClassificationMemoizedPerFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := c2.Stats()
-	if s2.ClassifyAnalyses != 0 {
-		t.Fatalf("renaming-equivalent query re-ran %d classifications (want 0, all memo hits)", s2.ClassifyAnalyses)
+	if s2 := c2.Stats(); s2.Plans == 0 || s2.SharedPlans != s2.Plans {
+		t.Fatalf("renaming-equivalent counter: %d of %d plans from the fingerprint cache, want all", s2.SharedPlans, s2.Plans)
 	}
-	if s2.ClassifyHits != len(c2.terms) {
-		t.Fatalf("second counter: %d memo hits for %d terms", s2.ClassifyHits, len(c2.terms))
+	if r1, r2 := c1.Routes(), c2.Routes(); !reflect.DeepEqual(r1, r2) {
+		t.Fatalf("equivalent queries routed differently:\n%+v\n%+v", r1, r2)
+	}
+	for i := range c2.terms {
+		t1, t2 := &c1.terms[i], &c2.terms[i]
+		if t1.plan != t2.plan {
+			t.Fatalf("term %d: the second counter compiled its own plan", i)
+		}
+		r1, r2 := t1.report, t2.report
+		r1.Formula, r1.Core, r2.Formula, r2.Core = pp.PP{}, pp.PP{}, pp.PP{}, pp.PP{}
+		if !reflect.DeepEqual(r1, r2) {
+			t.Fatalf("term %d: Reports differ: %+v vs %+v", i, r1, r2)
+		}
 	}
 	if c1.HardestCase() != c2.HardestCase() {
 		t.Fatalf("equivalent queries routed differently: %s vs %s", c1.HardestCase(), c2.HardestCase())
@@ -191,13 +199,9 @@ func TestWithRouteBoundsReroutes(t *testing.T) {
 	if !c.HardestCase().Hard() {
 		t.Fatalf("triangle query classified %s under (1,1)", c.HardestCase())
 	}
-	g0 := classify.Stats()
 	c.WithRouteBounds(3, 3)
 	if c.HardestCase() != classify.CaseFPT {
 		t.Fatalf("under (3,3) the triangle should be FPT, got %s", c.HardestCase())
-	}
-	if g1 := classify.Stats(); g1 != g0 {
-		t.Fatalf("re-routing re-ran classification: memo stats went %+v → %+v", g0, g1)
 	}
 	for _, r := range c.Routes() {
 		if r.Approx {

@@ -23,10 +23,9 @@ const (
 	EngineFPT = engine.FPT
 )
 
-// PP counts |φ(B)| for a pp-formula with the Theorem 2.11 engine.  The
-// formula is compiled to an engine.Plan (memoized across calls) and
-// executed against b; callers holding a Plan directly avoid even the
-// memoization lookup.
+// PP counts |φ(B)| for a pp-formula with the Theorem 2.11 engine: it
+// compiles the formula and executes the plan against b, so a caller
+// counting one formula many times holds on to an engine.Plan instead.
 func PP(p pp.PP, b *structure.Structure) (*big.Int, error) {
 	if !p.A.Signature().Equal(b.Signature()) {
 		return nil, fmt.Errorf("count: formula signature %v differs from structure signature %v",

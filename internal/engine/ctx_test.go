@@ -203,10 +203,8 @@ func predicateFixture(t *testing.T) (Plan, *planConstraint) {
 // cachedTable reports the table the session has cached under the
 // constraint's key (nil: none, or a materialization that did not finish).
 func cachedTable(s *Session, c *planConstraint) *Table {
-	s.mu.Lock()
-	e := s.tables[c.key]
-	s.mu.Unlock()
-	if e == nil {
+	e, ok := s.tables.Get(c.key)
+	if !ok {
 		return nil
 	}
 	e.mu.Lock()
@@ -256,9 +254,7 @@ func TestPredicateMaterializationDeadlineMidRun(t *testing.T) {
 	if _, err := CountInCtx(ctx, pl, s, 0); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	s.mu.Lock()
-	_, attempted := s.tables[pred.key]
-	s.mu.Unlock()
+	_, attempted := s.tables.Get(pred.key)
 	if !attempted {
 		t.Fatal("the deadline fired before the predicate was requested: the test exercised nothing")
 	}

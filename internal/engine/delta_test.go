@@ -227,9 +227,7 @@ func TestAdvanceAbortsMidReduction(t *testing.T) {
 	if _, _, err := CountKeyedCtx(ctx, pl, fp, s, 0); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	s.mu.Lock()
-	_, left := s.counts[fp]
-	s.mu.Unlock()
+	_, left := s.counts.Get(fp)
 	if left {
 		t.Fatal("aborted advance left its memo entry behind")
 	}
@@ -457,9 +455,7 @@ func TestAdvanceableMemosFreedWithSessions(t *testing.T) {
 	if cold != 0 {
 		t.Fatal("advanceable memos survived ReleaseSession")
 	}
-	sessionMu.Lock()
-	_, present := sessions[structs[0]]
-	sessionMu.Unlock()
+	_, present := sessions.Get(structs[0])
 	if present {
 		t.Fatal("oldest structure expected to be LRU-evicted by now")
 	}

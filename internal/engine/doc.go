@@ -10,10 +10,10 @@
 //     through the session's per-fingerprint count memo, which is where
 //     delta maintenance happens).  The context is never nil; callers
 //     with nothing to cancel pass context.Background(), which costs
-//     nothing.  Plans are memoized per formula
-//     identity (Compile) and per canonical counting-class fingerprint
-//     (CompileKeyed): counting-equivalent terms — across inclusion–
-//     exclusion expansions, Counters, and batches — share one plan.
+//     nothing.  Compile caches nothing; CompileKeyed caches plans per
+//     canonical counting-class fingerprint: counting-equivalent terms —
+//     across inclusion–exclusion expansions, Counters, and batches —
+//     share one plan.
 //     An FPT plan component is a join over two kinds of constraint on
 //     its liberal variables: atoms, and one predicate per ∃-component
 //     ("this interface assignment extends to the quantified part").
@@ -38,8 +38,8 @@
 //     most pruneMaxRounds rounds) over a table's two layouts, its rows
 //     (the table's stride apart) or an alive mask over its tuples,
 //     compacted once into a table of the same layout — then the
-//     join-count dynamic program itself.  At plan-bind time (once per
-//     component and session) each node gets a constraint bind order
+//     join-count dynamic program itself.  At plan-bind time (on every
+//     count the memo does not answer) each node gets a constraint bind order
 //     (smallest table first, then maximal bound-prefix overlap) and each
 //     step the way it enters its table by the already-bound part of its
 //     scope, so enumeration is look-ups instead of backtracking scans.
@@ -63,7 +63,7 @@
 //     other table is tuples, entered by a prefix index keyed on the
 //     packed bound values (tableIndex: a
 //     CSR-layout open-addressing table sized once at build, its probes
-//     allocation-free; the per-table cache is LRU-capped).  A run stays
+//     allocation-free; the per-table cache is capped).  A run stays
 //     on its caller's goroutine: requests, and the structures
 //     of a batch (RunBoundedCtx), are the units of parallelism.
 //     Bag keys are packed uint64 (with a spill path for wide bags),
@@ -83,17 +83,20 @@
 //     predicate tables materialized by a nested executor run
 //     over views of those atom tables (one-shot: its pruned copies,
 //     indexes and bind plan hang off the views and are garbage once the
-//     rows are emitted) and shared under a structural key of the ∃-component,
-//     bound execution plans, and a count memo keyed on canonical term fingerprints (each unique counting
-//     class executes at most once per structure-version) — shared
-//     across φ⁻af terms, repeated counts, and batched counting, with
-//     LRU eviction of the session registry under cap pressure
-//     (SessionStats exposes the registry telemetry).  Session memory —
+//     rows are emitted) and shared under a structural key of the
+//     ∃-component, and a count memo keyed on canonical term fingerprints
+//     (each unique counting class executes at most once per
+//     structure-version) — shared across φ⁻af terms, repeated counts,
+//     and batched counting.  Every cache here — the plan cache, the
+//     session registry, each session's table and count memos, each
+//     table's prefix indexes — is an internal/cache CLOCK cache with a
+//     fixed entry cap (SessionStats and CacheStats expose the
+//     process-wide ones).  Session memory —
 //     table rows, index slots, prune scratch — is ordinary heap slices;
 //     a session leaves (eviction, ReleaseSession, version replacement)
 //     by dropping its registry entry, and the collector takes its
 //     memory once the last count running on it returns.  Memo-warm serving
-//     (countMemoHit, Counter.CountBatchInto above) answers settled
+//     (CountKeyedCtx, Counter.CountBatchInto above) answers settled
 //     fingerprints with zero heap allocations per request.
 //
 // A fourth concern, delta maintenance (delta.go), spans the last two

@@ -5,10 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sync"
 
+	"repro/internal/cache"
 	"repro/internal/pp"
-	"repro/internal/structure"
 )
 
 // Name identifies a counting engine.  There is one exact executor, the
@@ -99,9 +98,10 @@ func CountKeyedCtx(ctx context.Context, pl Plan, fp string, s *Session, _ int) (
 		return v, false, err
 	}
 	// Memo-warm fast path: a settled fingerprint returns its shared value
-	// with zero allocations — no compute closure is ever built.
-	if v, ok := s.countMemoHit(fp); ok {
-		return v, true, nil
+	// with zero allocations — no compute closure is ever built.  A miss
+	// (absent, still computing, or failed) falls through to countMemoState.
+	if e, ok := s.counts.Get(fp); ok && e.done.Load() {
+		return e.v, true, nil
 	}
 	maintained, _ := pl.(*fptPlan)
 	for {
@@ -124,104 +124,53 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Compile builds a plan for the formula; name must be Auto or FPT.
-// Results are memoized per (formula structure identity, structure
-// version, liberal set), so hot one-shot paths that re-count the same
-// compiled formula do not pay recompilation.
+// Compile builds a plan for p's core; name must be Auto or FPT.  Pool
+// terms carry the cored mark, so for them p.Core() is p itself and costs
+// nothing.  Compile caches nothing: a caller that counts one formula many
+// times holds on to the plan, and one that compiles counting-equivalent
+// formulas keys them by fingerprint (CompileKeyed).
 func Compile(p pp.PP, name Name) (Plan, error) {
 	if err := checkName(name); err != nil {
 		return nil, err
 	}
-	key, ok := planCacheKeyFor(p)
-	if !ok {
-		return newFPTPlan(p)
-	}
-	planCacheMu.Lock()
-	cached := planCache[key]
-	planCacheMu.Unlock()
-	if cached != nil {
-		return cached, nil
-	}
-	pl, err := newFPTPlan(p)
+	pl, err := planFrom(p, pp.ShapeOf(p.Core()))
 	if err != nil {
 		return nil, err
 	}
-	planCacheMu.Lock()
-	if len(planCache) >= planCacheCap {
-		// Cheap wholesale eviction: the cache is a memo, not a store.
-		planCache = make(map[planCacheKey]Plan, planCacheCap)
-	}
-	planCache[key] = pl
-	planCacheMu.Unlock()
 	return pl, nil
 }
 
 // CompileKeyed is Compile with an optional canonical counting-class
 // fingerprint (term.Fingerprint, threaded through ie.Term.FP): plans are
-// additionally cached per fingerprint, so pointer-distinct but
-// counting-equivalent formulas — across inclusion–exclusion terms,
-// Counters, and batches — share one compiled plan.  This is sound by
-// Theorem 5.4: counting-equivalent formulas have identical counts on
-// every structure, so a plan compiled from any representative of the
-// class counts for all of them.  Canonical fingerprints embed the full
-// relational schema and the liberal-set coloring, so equal keys imply
-// interchangeable plans.  The returned bool reports whether the plan
-// came out of the fingerprint cache.  An empty fp degrades to Compile.
+// cached per fingerprint, so pointer-distinct but counting-equivalent
+// formulas — across inclusion–exclusion terms, Counters, and batches —
+// share one compiled plan.  This is sound by Theorem 5.4:
+// counting-equivalent formulas have identical counts on every structure,
+// so a plan compiled from any representative of the class counts for
+// all of them.  Canonical fingerprints embed the full relational schema
+// and the liberal-set coloring, so equal keys imply interchangeable
+// plans.  The returned bool reports whether the plan came out of the
+// cache.  An empty fp degrades to Compile.
 func CompileKeyed(p pp.PP, fp string, name Name) (Plan, bool, error) {
 	if err := checkName(name); err != nil {
 		return nil, false, err
 	}
-	if fp == "" {
-		pl, err := Compile(p, name)
+	if pl, ok := fpPlanCache.Get(fp); ok { // "" is never stored
+		return pl, true, nil
+	}
+	pl, err := Compile(p, name)
+	if err != nil || fp == "" {
 		return pl, false, err
 	}
-	planCacheMu.Lock()
-	cached := fpPlanCache[fp]
-	planCacheMu.Unlock()
-	if cached != nil {
-		return cached, true, nil
-	}
-	pl, err := Compile(p, name) // also feeds the pointer-keyed memo
-	if err != nil {
-		return nil, false, err
-	}
-	planCacheMu.Lock()
-	if len(fpPlanCache) >= planCacheCap {
-		fpPlanCache = make(map[string]Plan, planCacheCap)
-	}
-	fpPlanCache[fp] = pl
-	planCacheMu.Unlock()
-	return pl, false, nil
+	pl, shared := fpPlanCache.Add(fp, pl)
+	return pl, shared, nil
 }
 
-// planCacheKey identifies a compiled formula: the structure pointer plus
-// its mutation version (stale entries simply miss) and the liberal set.
-type planCacheKey struct {
-	a       *structure.Structure
-	version uint64
-	libs    string
-}
+// fpPlanCache is the process-wide fingerprint-keyed plan cache.
+var fpPlanCache = cache.New[string, Plan](256)
 
-const planCacheCap = 256
-
-var (
-	planCacheMu sync.Mutex
-	planCache   = make(map[planCacheKey]Plan, planCacheCap)
-	fpPlanCache = make(map[string]Plan, planCacheCap)
-)
-
-func planCacheKeyFor(p pp.PP) (planCacheKey, bool) {
-	if p.A == nil {
-		return planCacheKey{}, false
-	}
-	// S is a sorted list of small ints; a compact byte encoding is an
-	// adequate identity.
-	buf := make([]byte, 0, 2*len(p.S))
-	for _, v := range p.S {
-		if v > 0xffff {
-			return planCacheKey{}, false
-		}
-		buf = append(buf, byte(v), byte(v>>8))
-	}
-	return planCacheKey{a: p.A, version: p.A.Version(), libs: string(buf)}, true
+// CacheStats returns snapshots of the two process-wide caches: the
+// fingerprint-keyed plan cache and the session registry.
+func CacheStats() (planCache, sessionCache cache.Stats) {
+	return fpPlanCache.Stats(), sessions.Stats()
 }

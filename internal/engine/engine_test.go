@@ -246,7 +246,7 @@ func TestSessionReuseAndInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s1.tables) == 0 {
+	if s1.tables.Stats().Len == 0 {
 		t.Fatal("counting materialized no tables in the session")
 	}
 	if s1.version != b.Version() {

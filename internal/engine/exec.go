@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bitvec"
+	"repro/internal/cache"
 	"repro/internal/structure"
 )
 
@@ -476,10 +477,9 @@ type Table struct {
 	dom   int     // domain size of the values (index key packing)
 	flat  []int32 // the cells of a table on tuples
 
-	mu      sync.Mutex
-	idx     map[uint64]*tableIndex // bound-position bitmask → index
-	clock   uint64                 // probe tick for LRU eviction of idx
-	bitRows [2][]uint64            // rows(by) of a table on rows
+	mu      sync.Mutex                        // guards idx's creation and each index's build
+	idx     *cache.Cache[uint64, *tableIndex] // bound-position bitmask → index; nil until first probed
+	bitRows [2][]uint64                       // rows(by) of a table on rows
 
 	// stride is the distance of two rows of bitRows in words, at least
 	// ⌈dom/64⌉ (a store view's is the store's); 0 for a table on tuples.
@@ -581,8 +581,6 @@ type tableIndex struct {
 	rows   []int32
 
 	sk map[string][]int32 // spill form (codec.packed == false)
-
-	lastUse uint64 // owning Table's clock at the last prefixIndex call
 }
 
 // probe returns the row ids whose prefix packs to key (nil if none).
@@ -625,9 +623,8 @@ func (ix *tableIndex) slotFor(key uint64) uint64 {
 // pathological workload binding the same table under many different
 // bound-position subsets (e.g. ad-hoc queries over one large relation)
 // would otherwise accumulate one index per subset for the life of the
-// session; beyond the cap the least-recently-probed index is dropped.
-// Plans already bound keep their direct *tableIndex pointers — eviction
-// only stops the cache from handing the index to future binds.
+// session.  Plans already bound keep their direct *tableIndex pointers —
+// eviction only stops the cache from handing the index to future binds.
 const tableIndexCacheCap = 8
 
 // prefixIndex returns (building and caching on first use) the index of t
@@ -641,12 +638,12 @@ func (t *Table) prefixIndex(pos []int) *tableIndex {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.clock++
-	if ix, ok := t.idx[mask]; ok {
-		ix.lastUse = t.clock
+	if t.idx == nil {
+		t.idx = cache.New[uint64, *tableIndex](tableIndexCacheCap)
+	} else if ix, ok := t.idx.Get(mask); ok {
 		return ix
 	}
-	ix := &tableIndex{pos: append([]int(nil), pos...), codec: newKeyCodec(t.dom, len(pos)), lastUse: t.clock}
+	ix := &tableIndex{pos: append([]int(nil), pos...), codec: newKeyCodec(t.dom, len(pos))}
 	vals := make([]int, len(pos))
 	if ix.codec.packed {
 		capN := t.n + (t.n*3+6)/7 // ≥ n/0.7: load factor ≤ 0.7, never rehashed
@@ -702,20 +699,7 @@ func (t *Table) prefixIndex(pos []int) *tableIndex {
 			ix.sk[k] = append(ix.sk[k], int32(r))
 		}
 	}
-	if t.idx == nil {
-		t.idx = make(map[uint64]*tableIndex)
-	}
-	if len(t.idx) >= tableIndexCacheCap {
-		var lruMask uint64
-		lruUse := t.clock + 1
-		for m, e := range t.idx {
-			if e.lastUse < lruUse {
-				lruMask, lruUse = m, e.lastUse
-			}
-		}
-		delete(t.idx, lruMask)
-	}
-	t.idx[mask] = ix
+	t.idx.Add(mask, ix)
 	return ix
 }
 

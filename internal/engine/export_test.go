@@ -71,10 +71,8 @@ func solverCount(p pp.PP, b *structure.Structure) *big.Int {
 // materialization leaves its entry without one).  Call it with no count
 // running on s.
 func CachedTables(s *Session) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
-	for _, e := range s.tables {
+	for _, e := range s.tables.All() {
 		if e.t != nil {
 			n++
 		}

@@ -195,9 +195,7 @@ func TestTableIndexCacheCap(t *testing.T) {
 	for j := 0; j+1 < tb.width; j++ {
 		tb.prefixIndex([]int{j, j + 1})
 	}
-	tb.mu.Lock()
-	size := len(tb.idx)
-	tb.mu.Unlock()
+	size := tb.idx.Stats().Len
 	if size > tableIndexCacheCap {
 		t.Fatalf("index cache holds %d entries, cap %d", size, tableIndexCacheCap)
 	}

@@ -85,10 +85,6 @@ type planComponent struct {
 	root        int
 }
 
-// newFPTPlan compiles a counting plan for p's core.  Pool terms carry
-// the cored mark, so for them p.Core() is p itself and costs nothing.
-func newFPTPlan(p pp.PP) (*fptPlan, error) { return planFrom(p, pp.ShapeOf(p.Core())) }
-
 // planFrom compiles a plan that counts p by counting sh's formula, which
 // must have the same answers as p on every structure (p itself, or its
 // core).  Every decomposition is sh's.

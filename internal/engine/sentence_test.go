@@ -195,7 +195,7 @@ func TestSentenceCheckAbortMidRun(t *testing.T) {
 	if _, err := CountInCtx(ctx, pl, s, 0); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	for k, e := range s.tables {
+	for k, e := range s.tables.All() {
 		if k.kind == 'p' && e.t != nil {
 			t.Fatalf("an aborted check cached predicate table %q", k.enc)
 		}

@@ -2,39 +2,34 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"math/big"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cache"
 	"repro/internal/structure"
 )
 
 // Session is the per-structure state of the counting pipeline: the
 // materialized constraint tables (a sentence's verdict among them: its
-// zero-width predicate table), cached semi-join prune results, and the
-// count memo.  One session serves every φ⁻af term and sentence of a
-// compiled query, repeated Count calls, and batched counting — each
-// distinct constraint scheme is materialized against the structure
-// exactly once.  Sessions are safe for concurrent use.
-//
-// The prune memo is keyed by compile-time pointers (bound plans by
-// component; tables are keyed structurally), so a long-lived session fed
-// by endlessly recompiled plans would otherwise grow without bound; each
-// map is wiped wholesale when it reaches sessionMemoCap (a memo, not a
-// store — entries rebuild on demand).
+// zero-width predicate table) and the count memo.  One session serves
+// every φ⁻af term and sentence of a compiled query, repeated Count
+// calls, and batched counting — each distinct constraint scheme is
+// materialized against the structure exactly once.  Both memos hold at
+// most sessionMemoCap entries (an evicted entry rebuilds on demand).
+// Sessions are safe for concurrent use.
 type Session struct {
 	B *structure.Structure
 
 	version uint64
 	snap    structure.Snapshot
 
-	mu     sync.Mutex
-	tables map[tableKey]*tableEntry
-	pruned map[*planComponent]*pruneEntry
-	counts map[string]*countEntry
+	tables *cache.Cache[tableKey, *tableEntry]
+	counts *cache.Cache[string, *countEntry]
+
+	mu sync.Mutex // guards prior
 	// prior holds the settled, advanceable counts adopted from the
 	// structure's previous session (SessionFor carries them across a
 	// version bump): instead of recomputing a warm fingerprint from
@@ -70,17 +65,6 @@ type countEntry struct {
 	done  atomic.Bool
 }
 
-// pruneEntry guards one component's bound execution plan: semi-join
-// pre-pruning, per-node bind orders, and table prefix indexes are all
-// deterministic per (component, session), so repeated counts reuse the
-// bound plan instead of re-running the fixpoint and re-sorting
-// constraints.
-type pruneEntry struct {
-	once  sync.Once
-	ep    *execPlan
-	empty bool
-}
-
 // tableEntry guards one table's materialization: the registry lock is
 // only held to install the entry, so distinct tables build concurrently
 // while duplicate requests wait on the entry's lock.  t stays nil until a
@@ -98,24 +82,9 @@ func NewSession(b *structure.Structure) *Session {
 		B:       b,
 		version: snap.Version,
 		snap:    snap,
-		tables:  make(map[tableKey]*tableEntry),
-		pruned:  make(map[*planComponent]*pruneEntry),
-		counts:  make(map[string]*countEntry),
+		tables:  cache.New[tableKey, *tableEntry](sessionMemoCap),
+		counts:  cache.New[string, *countEntry](sessionMemoCap),
 	}
-}
-
-// countMemoHit is the allocation-free warm path of the count memo: it
-// reports the settled value of fp without building closures or
-// entries.  A miss (absent, still computing, or failed) falls through to
-// the full countMemoState machinery.
-func (s *Session) countMemoHit(fp string) (*big.Int, bool) {
-	s.mu.Lock()
-	e := s.counts[fp]
-	s.mu.Unlock()
-	if e != nil && e.done.Load() {
-		return e.v, true
-	}
-	return nil, false
 }
 
 // countMemoState returns the session-cached count of the canonical
@@ -137,16 +106,11 @@ func (s *Session) countMemoHit(fp string) (*big.Int, bool) {
 // serving request's deadline bounds its wait even when another request
 // owns the compute.
 func (s *Session) countMemoState(ctx context.Context, fp string, f func(prev *priorCount) (*big.Int, *fptDeltaState, error)) (*big.Int, bool, error) {
-	s.mu.Lock()
-	e := s.counts[fp]
-	hit := e != nil
-	if e == nil {
-		if len(s.counts) >= sessionMemoCap {
-			s.counts = make(map[string]*countEntry)
-		}
-		e = &countEntry{ch: make(chan struct{})}
-		s.counts[fp] = e
-		s.mu.Unlock()
+	e, hit := s.counts.Get(fp)
+	if !hit {
+		e, hit = s.counts.Add(fp, &countEntry{ch: make(chan struct{})})
+	}
+	if !hit {
 		// Driver path.  The prior is looked up here (not at install
 		// time) so the computation sees the freshest adopted state.
 		var prev *priorCount
@@ -158,21 +122,16 @@ func (s *Session) countMemoState(ctx context.Context, fp string, f func(prev *pr
 		e.v, e.state, e.err = f(prev)
 		if e.err == nil {
 			e.done.Store(true)
-		} else if errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded) {
-			// A cancelled computation must not poison the memo: evict
-			// the entry (if it is still ours) before releasing the
-			// waiters, so their retries install a fresh entry.
-			// CountKeyedCtx retries waiters whose own context is alive.
-			s.mu.Lock()
-			if s.counts[fp] == e {
-				delete(s.counts, fp)
-			}
-			s.mu.Unlock()
+		} else if isCancellation(e.err) {
+			// A cancelled computation must not poison the memo: evict the
+			// entry before releasing the waiters, so their retries (see
+			// CountKeyedCtx) install a fresh one.  Were it evicted mid-run
+			// and refilled, the delete only unmemoizes the refill.
+			s.counts.Delete(fp)
 		}
 		close(e.ch)
-		return e.v, hit, e.err
+		return e.v, false, e.err
 	}
-	s.mu.Unlock()
 	select {
 	case <-e.ch:
 	case <-ctx.Done():
@@ -248,38 +207,22 @@ func predKey(sub *structure.Structure, iface []int) string {
 	return string(enc)
 }
 
-// sessionMemoCap bounds each per-session memo map (tables, pruned
-// results, and the counts map countMemoState fills); reaching it wipes
-// that map wholesale.
+// sessionMemoCap bounds each session's table and count memos.
 const sessionMemoCap = 1024
 
 // execPlanFor returns the component's execution plan bound to this
 // session's tables (or empty=true when pruning emptied some table): the
-// semi-join pre-pruning pass, the per-node constraint bind orders, and
-// the prefix indexes the steps probe, computed once per (component,
-// session) and shared across repeated counts.  tables must be the
-// component's session-materialized tables, which are deterministic here,
-// so first-caller-wins is sound.
+// semi-join pre-pruning pass, then the per-node constraint bind orders
+// and the prefix indexes the steps probe.  It runs on every count that
+// the count memo does not answer; the tables' prefix indexes are cached
+// on the tables themselves (prefixIndex), so an unpruned table is
+// indexed once per session.
 func (s *Session) execPlanFor(pc *planComponent, tables []*Table) (*execPlan, bool) {
-	s.mu.Lock()
-	e := s.pruned[pc]
-	if e == nil {
-		if len(s.pruned) >= sessionMemoCap {
-			s.pruned = make(map[*planComponent]*pruneEntry)
-		}
-		e = &pruneEntry{}
-		s.pruned[pc] = e
+	pruned, empty := semiJoinPrune(pc, tables, s.B.Size())
+	if empty {
+		return nil, true
 	}
-	s.mu.Unlock()
-	e.once.Do(func() {
-		pruned, empty := semiJoinPrune(pc, tables, s.B.Size())
-		if empty {
-			e.empty = true
-			return
-		}
-		e.ep = newExecPlan(pc, pruned, nil)
-	})
-	return e.ep, e.empty
+	return newExecPlan(pc, pruned, nil), false
 }
 
 // tableFor returns the materialized table of the constraint, building it
@@ -288,16 +231,10 @@ func (s *Session) execPlanFor(pc *planComponent, tables []*Table) (*execPlan, bo
 // table.  done (nil = never fires) interrupts a predicate
 // materialization: the result is nil then, and nothing is cached.
 func (s *Session) tableFor(c *planConstraint, done <-chan struct{}) *Table {
-	s.mu.Lock()
-	e := s.tables[c.key]
-	if e == nil {
-		if len(s.tables) >= sessionMemoCap {
-			s.tables = make(map[tableKey]*tableEntry)
-		}
-		e = &tableEntry{}
-		s.tables[c.key] = e
+	e, ok := s.tables.Get(c.key)
+	if !ok {
+		e, _ = s.tables.Add(c.key, &tableEntry{})
 	}
-	s.mu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.t == nil {
@@ -408,52 +345,22 @@ func (s *Session) materializePredicate(c *planConstraint, done <-chan struct{}) 
 // The session registry memoizes sessions per structure identity, keyed by
 // pointer and validated by mutation version, so one-shot Plan.Count calls
 // against a repeatedly used structure share materializations with every
-// other caller.  At capacity the least-recently-used entries are evicted
-// (an eighth of the cache at a time, so eviction is amortized): hot
-// sessions keep their materialized tables under cap pressure.
+// other caller.  It holds sessionCacheCap sessions; past that, CLOCK
+// eviction (internal/cache) drops a session not hit since the hand last
+// passed it, so hot sessions keep their materialized tables under cap
+// pressure.
 const sessionCacheCap = 64
 
-type sessionEntry struct {
-	s   *Session
-	use uint64 // registry clock at last SessionFor hit
-}
-
 var (
-	sessionMu    sync.Mutex
-	sessionClock uint64
-	sessions     = make(map[*structure.Structure]*sessionEntry, sessionCacheCap)
+	sessions  = cache.New[*structure.Structure, *Session](sessionCacheCap)
+	sessionMu sync.Mutex // serializes installs: a stale session is replaced, its priors carried, once
 )
-
-// sessionEvictions counts sessions dropped by LRU cap pressure since
-// process start (telemetry; see SessionStats).
-var sessionEvictions atomic.Uint64
-
-// evictSessionsLocked drops the least-recently-used entries until at
-// least sessionCacheCap/8 slots are free.  The caller holds sessionMu.
-func evictSessionsLocked() {
-	target := sessionCacheCap - sessionCacheCap/8
-	if target < 1 {
-		target = 1
-	}
-	for len(sessions) >= target {
-		var oldest *structure.Structure
-		var oldestUse uint64
-		for b, e := range sessions {
-			if oldest == nil || e.use < oldestUse {
-				oldest, oldestUse = b, e.use
-			}
-		}
-		delete(sessions, oldest)
-		sessionEvictions.Add(1)
-	}
-}
 
 // SessionCacheStats is a snapshot of the process-wide session registry:
 // how many structures currently hold a cached session (materialized
-// constraint tables, bound exec plans, count memos), the registry's
-// capacity, and how many sessions LRU pressure has evicted since
-// process start.  Long-running services surface it next to
-// core.Counter.Stats.
+// constraint tables, count memos), the registry's capacity, and how
+// many sessions cap pressure has evicted since process start.
+// Long-running services surface it next to core.Counter.Stats.
 type SessionCacheStats struct {
 	Sessions  int    `json:"sessions"`
 	Cap       int    `json:"cap"`
@@ -463,10 +370,8 @@ type SessionCacheStats struct {
 // SessionStats returns a consistent snapshot of the session registry's
 // telemetry.  Safe for concurrent use.
 func SessionStats() SessionCacheStats {
-	sessionMu.Lock()
-	n := len(sessions)
-	sessionMu.Unlock()
-	return SessionCacheStats{Sessions: n, Cap: sessionCacheCap, Evictions: sessionEvictions.Load()}
+	st := sessions.Stats()
+	return SessionCacheStats{Sessions: st.Len, Cap: st.Cap, Evictions: st.Evictions}
 }
 
 // ArenaChunksLive returns 0: session tables live on the Go heap, and no
@@ -474,48 +379,44 @@ func SessionStats() SessionCacheStats {
 func ArenaChunksLive() int64 { return 0 }
 
 // SessionFor returns the cached session of b, creating (or replacing a
-// stale) one as needed.  NewSession is cheap (all materialization is
-// lazy), so the whole lookup runs under the registry lock.  A session
-// that leaves the registry (stale replacement, LRU eviction,
-// ReleaseSession) is only dropped from the map: counts still running on
-// it keep its tables alive and finish exactly, and the collector takes
-// its memory after the last of them returns.
+// stale) one as needed.  A hit on a current session takes only the
+// registry's read lock; NewSession is cheap (all materialization is
+// lazy), so installs run under sessionMu.  A session that leaves the
+// registry (stale replacement, eviction, ReleaseSession) is only dropped
+// from it: counts still running on it keep its tables alive and finish
+// exactly, and the collector takes its memory after the last of them
+// returns.
 //
 // Replacing a stale session carries its settled advanceable counts into
 // the new one as priors (settledCounts), so a warm memo survives the
 // version bump: the next keyed count advances the prior by the appended
 // delta instead of recounting (delta.go).  Priors exist only inside the
-// owning session — a session dropped by LRU pressure or ReleaseSession
-// takes its priors with it, so advanceable memos never outlive their
-// structure's registry entry.
+// owning session — a session evicted or released takes its priors with
+// it, so advanceable memos never outlive their structure's registry
+// entry.
 func SessionFor(b *structure.Structure) *Session {
 	v := b.Version()
+	if s, ok := sessions.Get(b); ok && s.version == v {
+		return s
+	}
 	sessionMu.Lock()
 	defer sessionMu.Unlock()
-	sessionClock++
-	if e := sessions[b]; e != nil {
-		if e.s.version == v {
-			e.use = sessionClock
-			return e.s
-		}
-		ns := NewSession(b)
-		if e.s.version < v {
-			// Priors are advanceable only FORWARD: the delta path
-			// reconciles "state at e.s.version" up to v by scanning the
-			// rows appended in between.  A version that moved backwards
-			// (the structure was rebuilt or replaced underneath us, e.g.
-			// by recovery tooling) has no such delta, so the stale
-			// session's counts are unusable — drop them.
-			ns.prior = e.s.settledCounts()
-		}
-		sessions[b] = &sessionEntry{s: ns, use: sessionClock}
-		return ns
-	}
-	if len(sessions) >= sessionCacheCap {
-		evictSessionsLocked()
-	}
 	ns := NewSession(b)
-	sessions[b] = &sessionEntry{s: ns, use: sessionClock}
+	s, ok := sessions.Add(b, ns)
+	if !ok || s.version == v {
+		return s // installed now, or by a concurrent caller
+	}
+	if s.version < v {
+		// Priors are advanceable only FORWARD: the delta path
+		// reconciles "state at s.version" up to v by scanning the
+		// rows appended in between.  A version that moved backwards
+		// (the structure was rebuilt or replaced underneath us, e.g.
+		// by recovery tooling) has no such delta, so the stale
+		// session's counts are unusable — drop them.
+		ns.prior = s.settledCounts()
+	}
+	sessions.Delete(b)
+	sessions.Add(b, ns)
 	return ns
 }
 
@@ -528,11 +429,11 @@ func SessionFor(b *structure.Structure) *Session {
 func (s *Session) settledCounts() map[string]priorCount {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]priorCount, len(s.prior)+len(s.counts))
+	out := make(map[string]priorCount, len(s.prior)+s.counts.Stats().Len)
 	for k, p := range s.prior {
 		out[k] = p
 	}
-	for k, e := range s.counts {
+	for k, e := range s.counts.All() {
 		if e.done.Load() && e.state != nil {
 			out[k] = priorCount{v: e.v, snap: s.snap, state: e.state}
 		}
@@ -547,8 +448,4 @@ func (s *Session) settledCounts() map[string]priorCount {
 // so its materialized tables and memos become garbage once no count is
 // running on it.  Long-lived processes that are done with a structure
 // can call this instead of waiting for cap-triggered eviction.
-func ReleaseSession(b *structure.Structure) {
-	sessionMu.Lock()
-	delete(sessions, b)
-	sessionMu.Unlock()
-}
+func ReleaseSession(b *structure.Structure) { sessions.Delete(b) }

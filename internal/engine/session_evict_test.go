@@ -9,8 +9,8 @@ import (
 	"repro/internal/workload"
 )
 
-// A hot session must survive cap pressure: the registry evicts
-// least-recently-used entries, not the whole map.
+// A hot session must survive cap pressure: the registry evicts entries
+// not hit since the clock hand last passed them, not the whole map.
 func TestSessionForKeepsHotSessionUnderCapPressure(t *testing.T) {
 	sig := workload.EdgeSig()
 	hot := workload.RandomStructure(sig, 5, 0.4, 1)
@@ -22,9 +22,7 @@ func TestSessionForKeepsHotSessionUnderCapPressure(t *testing.T) {
 			t.Fatalf("hot session evicted after %d cold inserts", i+1)
 		}
 	}
-	sessionMu.Lock()
-	n := len(sessions)
-	sessionMu.Unlock()
+	n := sessions.Stats().Len
 	if n > sessionCacheCap {
 		t.Fatalf("registry grew past cap: %d > %d", n, sessionCacheCap)
 	}
@@ -108,14 +106,14 @@ func TestPredicateRunLeavesSharedTablesAlone(t *testing.T) {
 		}
 		fwd, bwd, _ := b.Rel("E").BitRows()
 		atoms := 0
-		for k, e := range s.tables {
+		for k, e := range s.tables.All() {
 			if k.kind != 'a' {
 				continue
 			}
 			atoms++
 			at := e.t
-			if len(at.idx) != 0 {
-				t.Errorf("n=%d: an atom table of %s holds %d prefix indexes after a predicate count", n, k.rel, len(at.idx))
+			if at.idx != nil {
+				t.Errorf("n=%d: an atom table of %s holds %d prefix indexes after a predicate count", n, k.rel, at.idx.Stats().Len)
 			}
 			if (at.stride != 0) != (fwd != nil) {
 				t.Fatalf("n=%d: atom table on rows %v, store keeps rows %v", n, at.stride != 0, fwd != nil)

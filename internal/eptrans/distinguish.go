@@ -1,10 +1,12 @@
 package eptrans
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 
 	"repro/internal/count"
+	"repro/internal/engine"
 	"repro/internal/hom"
 	"repro/internal/pp"
 	"repro/internal/structure"
@@ -14,10 +16,29 @@ func homExists(a, b *structure.Structure) bool {
 	return hom.Exists(a, b, hom.Options{})
 }
 
-// countOn counts |p(B)| exactly (the distinguishing search needs exact
-// counts on small candidate structures).
+// countOn counts |p(B)| exactly (the reductions' one-shot counts).
 func countOn(p pp.PP, b *structure.Structure) (*big.Int, error) {
 	return count.PP(p, b)
+}
+
+// exactCounters compiles each formula once and returns, per formula, a
+// function counting |p(B)| exactly on a structure B of its signature, in
+// a session of its own: the distinguishing search tries many throwaway
+// candidates, so it neither recompiles per candidate nor lets them into
+// the process-wide session registry, where they would evict serving
+// sessions.
+func exactCounters(ps ...pp.PP) ([]func(*structure.Structure) (*big.Int, error), error) {
+	out := make([]func(*structure.Structure) (*big.Int, error), len(ps))
+	for i, p := range ps {
+		pl, err := engine.Compile(p, engine.FPT)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = func(b *structure.Structure) (*big.Int, error) {
+			return pl.CountIn(context.Background(), engine.NewSession(b))
+		}
+	}
+	return out, nil
 }
 
 // maxMaterializedSize caps the size of structures the distinguishing
@@ -53,12 +74,16 @@ func DistinguishPair(p, q pp.PP) (*structure.Structure, error) {
 		bases = append(bases, prod)
 	}
 
+	counts, err := exactCounters(p, q)
+	if err != nil {
+		return nil, err
+	}
 	try := func(cand *structure.Structure) (bool, error) {
-		cp, err := countOn(p, cand)
+		cp, err := counts[0](cand)
 		if err != nil {
 			return false, err
 		}
-		cq, err := countOn(q, cand)
+		cq, err := counts[1](cand)
 		if err != nil {
 			return false, err
 		}
@@ -174,10 +199,14 @@ func DistinguishSet(reps []pp.PP) (*structure.Structure, error) {
 	}
 	c := structure.PadLoops(reps[0].A, 1)
 
+	counts, err := exactCounters(reps...)
+	if err != nil {
+		return nil, err
+	}
 	countsOn := func(x *structure.Structure, upto int) ([]*big.Int, error) {
 		out := make([]*big.Int, upto)
 		for i := 0; i < upto; i++ {
-			v, err := countOn(reps[i], x)
+			v, err := counts[i](x)
 			if err != nil {
 				return nil, err
 			}

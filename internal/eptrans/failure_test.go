@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/ie"
 	"repro/internal/logic"
 	"repro/internal/parser"
@@ -107,6 +108,24 @@ func TestDistinguishPairRejectsEquivalent(t *testing.T) {
 	// Same vocabulary; counting equivalent up to renaming.
 	if _, err := DistinguishPair(p1, p2); err == nil {
 		t.Fatal("equivalent formulas must not yield a distinguishing structure")
+	}
+}
+
+// The distinguishing search counts on throwaway candidates in sessions
+// of their own: a search that tries every candidate (an equivalent pair
+// has no witness) leaves the process-wide session registry as it found
+// it, so it can evict no serving session.
+func TestDistinguishPairLeavesSessionRegistryAlone(t *testing.T) {
+	p1, _ := pp.FromDisjunct(edgeSig(), []logic.Var{"x", "y"},
+		parser.MustQuery("p(x,y) := E(x,y)").Disjuncts()[0])
+	p2, _ := pp.FromDisjunct(edgeSig(), []logic.Var{"w", "z"},
+		parser.MustQuery("p(w,z) := E(w,z)").Disjuncts()[0])
+	before := engine.SessionStats()
+	if _, err := DistinguishPair(p1, p2); err == nil {
+		t.Fatal("equivalent formulas must not yield a distinguishing structure")
+	}
+	if after := engine.SessionStats(); after.Sessions != before.Sessions || after.Evictions != before.Evictions {
+		t.Fatalf("the search changed the session registry: %+v → %+v", before, after)
 	}
 }
 

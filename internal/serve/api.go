@@ -2,6 +2,7 @@ package serve
 
 import (
 	"repro/internal/approx"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/term"
@@ -227,15 +228,11 @@ type QueryStats struct {
 	CountCacheHits   uint64 `json:"count_cache_hits"`
 	CountCacheMisses uint64 `json:"count_cache_misses"`
 	// Case is the counter's hardest trichotomy case under the route
-	// bounds; TermsHard the number of approx-routed terms;
-	// ClassifyAnalyses/ClassifyHits the construction-time
-	// classification-memo outcomes; ApproxCounts the approximate term
-	// evaluations served so far.
-	Case             string `json:"case,omitempty"`
-	TermsHard        int    `json:"terms_hard,omitempty"`
-	ClassifyAnalyses int    `json:"classify_analyses,omitempty"`
-	ClassifyHits     int    `json:"classify_hits,omitempty"`
-	ApproxCounts     uint64 `json:"approx_counts,omitempty"`
+	// bounds; TermsHard the number of approx-routed terms; ApproxCounts
+	// the approximate term evaluations served so far.
+	Case         string `json:"case,omitempty"`
+	TermsHard    int    `json:"terms_hard,omitempty"`
+	ApproxCounts uint64 `json:"approx_counts,omitempty"`
 }
 
 // AdmissionStats counts the admission controller's decisions since
@@ -336,9 +333,9 @@ type ClusterStats struct {
 
 // StatsResponse is the /stats snapshot: admission telemetry, the
 // per-query counter statistics, the structure registry, the
-// process-wide engine session registry, the incremental-maintenance
-// counters, the number of registered subscriptions, and the durability
-// layer; Workers is the /countBatch fan-out width (Config.Workers,
+// process-wide engine session registry and caches, the
+// incremental-maintenance counters, the number of registered
+// subscriptions, and the durability layer; Workers is the /countBatch fan-out width (Config.Workers,
 // resolved).  A cluster coordinator answers the same shape with every
 // counter merged across its shards and the per-shard breakdown under
 // Cluster.
@@ -349,11 +346,21 @@ type StatsResponse struct {
 	Queries       []QueryStats             `json:"queries"`
 	Structures    []StructureInfo          `json:"structures"`
 	Sessions      engine.SessionCacheStats `json:"sessions"`
+	Caches        CacheStats               `json:"caches"`
 	Delta         engine.DeltaCounters     `json:"delta"`
 	Subscriptions int                      `json:"subscriptions"`
 	Durability    DurabilityStats          `json:"durability"`
 	// Cluster is set only on coordinator responses.
 	Cluster *ClusterStats `json:"cluster,omitempty"`
+}
+
+// CacheStats is the /stats caches section: the process-wide caches — the
+// registry's compiled counters, the engine's fingerprint-keyed plans and
+// its session registry (whose counts the sessions section repeats).
+type CacheStats struct {
+	Counters cache.Stats `json:"counters"`
+	Plans    cache.Stats `json:"plans"`
+	Sessions cache.Stats `json:"sessions"`
 }
 
 // ErrorResponse is the JSON body of every non-2xx response.  Case is
@@ -377,8 +384,6 @@ func queryStatsFrom(query string, st core.Stats) QueryStats {
 		CountCacheMisses: st.CountCacheMisses,
 		Case:             st.HardestCase.Short(),
 		TermsHard:        st.TermsHard,
-		ClassifyAnalyses: st.ClassifyAnalyses,
-		ClassifyHits:     st.ClassifyHits,
 		ApproxCounts:     st.ApproxCounts,
 	}
 }

@@ -33,7 +33,7 @@ var Routes = []Route{
 	{"GET", "/subscriptions", `list the subscriptions`, (*Frontend).listSubscriptions},
 	{"GET", "/subscriptions/{id}", `the maintained count at the structure's current version`, (*Frontend).subscriptionCount},
 	{"DELETE", "/subscriptions/{id}", `remove a subscription`, (*Frontend).unsubscribe},
-	{"GET", "/stats", `admission, per-query, session, delta and durability telemetry (merged across shards on a router)`, (*Frontend).stats},
+	{"GET", "/stats", `admission, per-query, session, cache, delta and durability telemetry (merged across shards on a router)`, (*Frontend).stats},
 	{"GET", "/healthz", `200 "ready", or 503 with the state ("recovering", "degraded (2/3 shards ready)")`, (*Frontend).healthz},
 }
 

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/approx"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/count"
 	"repro/internal/parser"
@@ -90,15 +91,12 @@ type queryKey struct {
 type Registry struct {
 	mu      sync.RWMutex
 	structs map[string]*structEntry
-	queries map[queryKey]*core.Counter
+	queries *cache.Cache[queryKey, *core.Counter]
 	// subs holds the registered subscriptions (maintained counts; see
 	// subscription.go), keyed by id; subSeq feeds id allocation.
 	subs   map[string]*subEntry
 	subSeq uint64
 
-	// queryCap bounds the counter cache; reaching it wipes the cache
-	// wholesale (a memo, not a store — entries rebuild on demand).
-	queryCap int
 	// workers is the batch fan-out width handed to every new counter
 	// (0 = GOMAXPROCS).
 	workers int
@@ -131,19 +129,21 @@ type Registry struct {
 	recTruncated                     bool
 }
 
-// NewRegistry returns an empty registry.  queryCap ≤ 0 selects the
-// default counter-cache capacity; workers is the batch fan-out width of
-// its counters (core.Counter.WithWorkers; 0 = GOMAXPROCS).
-func NewRegistry(queryCap, workers int) *Registry {
-	if queryCap <= 0 {
-		queryCap = 256
-	}
+// counterCacheCap bounds the counter cache (an evicted counter recompiles
+// on demand).
+const counterCacheCap = 256
+
+// NewRegistry returns an empty registry; workers is the batch fan-out
+// width of its counters (core.Counter.WithWorkers; 0 = GOMAXPROCS).  The
+// leading int is retired (it was the counter cache's cap, which no caller
+// set) and stays only because benchmark/ladder.go, frozen outside
+// benchmark PRs, still passes it.
+func NewRegistry(_ int, workers int) *Registry {
 	return &Registry{
-		structs:  make(map[string]*structEntry),
-		queries:  make(map[queryKey]*core.Counter),
-		subs:     make(map[string]*subEntry),
-		queryCap: queryCap,
-		workers:  workers,
+		structs: make(map[string]*structEntry),
+		queries: cache.New[queryKey, *core.Counter](counterCacheCap),
+		subs:    make(map[string]*subEntry),
+		workers: workers,
 	}
 }
 
@@ -350,31 +350,19 @@ func (r *Registry) Structures() []StructureInfo {
 // when their source texts differ.
 func (r *Registry) counterFor(src string, sig *structure.Signature) (*core.Counter, error) {
 	key := queryKey{src: src, sig: sig.String()}
-	r.mu.RLock()
-	c := r.queries[key]
-	r.mu.RUnlock()
-	if c != nil {
+	if c, ok := r.queries.Get(key); ok {
 		return c, nil
 	}
 	q, err := parser.ParseQuery(src)
 	if err != nil {
 		return nil, err
 	}
-	c, err = core.NewCounter(q, sig, count.EngineFPT)
+	c, err := core.NewCounter(q, sig, count.EngineFPT)
 	if err != nil {
 		return nil, err
 	}
 	c.WithWorkers(r.workers)
-	r.mu.Lock()
-	if prev := r.queries[key]; prev != nil {
-		c = prev // a concurrent compile won; keep its telemetry
-	} else {
-		if len(r.queries) >= r.queryCap {
-			r.queries = make(map[queryKey]*core.Counter, r.queryCap)
-		}
-		r.queries[key] = c
-	}
-	r.mu.Unlock()
+	c, _ = r.queries.Add(key, c) // a concurrent compile may have won; keep its telemetry
 	return c, nil
 }
 
@@ -385,12 +373,10 @@ func (r *Registry) QueryStats() []QueryStats {
 		key queryKey
 		c   *core.Counter
 	}
-	r.mu.RLock()
-	pairs := make([]pair, 0, len(r.queries))
-	for k, c := range r.queries {
+	var pairs []pair
+	for k, c := range r.queries.All() {
 		pairs = append(pairs, pair{key: k, c: c})
 	}
-	r.mu.RUnlock()
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].key.src != pairs[j].key.src {
 			return pairs[i].key.src < pairs[j].key.src

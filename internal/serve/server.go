@@ -391,6 +391,7 @@ func (s *Server) Unsubscribe(_ context.Context, id string) error {
 
 // Stats snapshots the server's telemetry.
 func (s *Server) Stats(context.Context) (StatsResponse, error) {
+	plans, sessions := engine.CacheStats()
 	return StatsResponse{
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Admission: AdmissionStats{
@@ -404,6 +405,7 @@ func (s *Server) Stats(context.Context) (StatsResponse, error) {
 		Queries:       s.reg.QueryStats(),
 		Structures:    s.reg.Structures(),
 		Sessions:      engine.SessionStats(),
+		Caches:        CacheStats{Counters: s.reg.queries.Stats(), Plans: plans, Sessions: sessions},
 		Delta:         engine.DeltaStats(),
 		Subscriptions: s.reg.NumSubscriptions(),
 		Durability:    s.reg.DurabilityStats(),

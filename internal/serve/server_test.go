@@ -134,6 +134,12 @@ func TestPlanSharingAcrossClients(t *testing.T) {
 	if memoHits < 1 {
 		t.Fatalf("second query should hit the shared session count memo: %+v", st.Queries)
 	}
+	// The caches block: this server compiled two counters, the second
+	// query's plan came out of the process-wide plan cache, and g holds a
+	// session.
+	if c := st.Caches; c.Counters.Len != 2 || c.Counters.Misses < 2 || c.Plans.Hits < 1 || c.Sessions.Len < 1 {
+		t.Fatalf("caches block: %+v", c)
+	}
 }
 
 func TestCountBatchEndpoint(t *testing.T) {
