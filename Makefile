@@ -10,10 +10,14 @@ test:
 
 # The second line repeats the session-lifetime concurrency tests (counts
 # racing a session's leaving the registry, eviction, stale replacement)
-# and the cache type's own (hits racing evictions under the read lock).
+# and the cache type's own (hits racing evictions under the read lock);
+# the third the hom solver pool's (pooled solvers answering as fresh ones,
+# concurrent Exists and Retract), the posting lists' first read by many
+# goroutines at once, and the term pool's.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Retire|Session|Evict' ./internal/engine ./internal/cache
+	$(GO) test -race -count=10 -run 'Concurrent|Pool' ./internal/hom ./internal/structure ./internal/term
 
 vet:
 	$(GO) vet ./...

@@ -6,8 +6,6 @@ import "math/bits"
 // word kernel (internal/bitvec) counts and iterates it.
 type bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
 // fill makes b the set {0, …, n-1}; n must not exceed b's capacity.
 func (b bitset) fill(n int) {
 	for i := range b {

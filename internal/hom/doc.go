@@ -33,4 +33,12 @@
 // propagation after its last fixing, where every value left extends.
 // Both rest on the unique fixpoint: each draw is bit-identical to
 // fixing and propagating every variable.
+//
+// The query front end runs thousands of small homomorphism tests per
+// query (a Retract per core, an Exists per entailment), so the calls
+// that finish before they return — Exists, Retract, Find, Count,
+// ForEachExtendable — take their solver from a sync.Pool and give it
+// back: its arrays are regrown only when a call needs more than they
+// hold, and a warm call on small structures allocates nothing.  A
+// Sampler outlives its call and keeps a solver of its own.
 package hom

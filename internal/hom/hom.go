@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/structure"
@@ -63,6 +64,63 @@ type solver struct {
 	queue   []int
 	inQueue []bool
 	assign  []int
+
+	buf scratch
+}
+
+// scratch holds the backing arrays init carves a solver out of.  A
+// pooled solver keeps them from call to call and regrows one only when
+// a call needs more than it holds.
+type scratch struct {
+	ints   []int
+	slab   []uint64
+	sets   []bitset
+	bcols  [][]int32
+	cons   []constraint
+	consOf [][]int
+	inQ    []bool
+	marks  []uint64 // retract's two masks
+}
+
+// reuse returns buf[:n], zeroed, regrowing it if it is too short.
+func reuse[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	out := (*buf)[:n:n]
+	clear(out)
+	return out
+}
+
+// solverPool recycles the solvers of calls that finish before they
+// return (Exists, Retract, Find, Count, ForEachExtendable): the front
+// end runs thousands of small homomorphism tests per query, and each
+// would otherwise allocate its solver's arrays afresh.  A Sampler
+// outlives its call and keeps a solver of its own.
+var solverPool = sync.Pool{New: func() any { return new(solver) }}
+
+// acquireSolver is newSolver on a pooled solver; release it when done.
+func acquireSolver(A, B *structure.Structure, opts Options) *solver {
+	return solverPool.Get().(*solver).init(A, B, opts)
+}
+
+// maxPooledWords caps the bitset slab and the candidate-row bitmap a
+// pooled solver keeps (512 KiB each): the support rows of a large B are
+// left to the collector rather than held for the next small call.
+const maxPooledWords = 1 << 16
+
+// release returns s to the pool, dropping its references to A and B.
+func (s *solver) release() {
+	clear(s.buf.cons[:cap(s.buf.cons)])
+	clear(s.buf.bcols[:cap(s.buf.bcols)])
+	if cap(s.buf.slab) > maxPooledWords {
+		s.buf.slab = nil
+	}
+	if cap(s.candBuf) > maxPooledWords {
+		s.candBuf = nil
+	}
+	s.A, s.B, s.cons, s.initDom = nil, nil, nil, nil
+	solverPool.Put(s)
 }
 
 // candWords returns a zeroed word bitmap covering n rows from the pooled
@@ -104,11 +162,23 @@ func carveBitsets(sets []bitset, flat []uint64, words int) []bitset {
 
 func (s *solver) releaseDoms(d []bitset) { s.domFree = append(s.domFree, d) }
 
+// newSolver returns a fresh solver for homomorphisms A → B under opts.
 func newSolver(A, B *structure.Structure, opts Options) *solver {
-	s := &solver{A: A, B: B, nA: A.Size(), nB: B.Size()}
-	s.words = (s.nB + 63) / 64
+	return new(solver).init(A, B, opts)
+}
+
+// init sets s up for homomorphisms A → B under opts, carving every
+// array out of s.buf.  The recycled domain copies survive when the
+// domains keep their shape.
+func (s *solver) init(A, B *structure.Structure, opts Options) *solver {
+	nA, words := A.Size(), (B.Size()+63)/64
+	domFree := s.domFree
+	if nA != s.nA || words != s.words {
+		domFree = nil
+	}
+	*s = solver{A: A, B: B, nA: nA, nB: B.Size(), words: words, domFree: domFree, candBuf: s.candBuf, buf: s.buf}
 	sig := A.Signature()
-	nCons, nSlots, maxAr, nBitRels := 0, 0, 0, 0
+	nCons, nSlots, nCols, maxAr, nBitRels := 0, 0, 0, 0, 0
 	for i := 0; i < sig.NumRels(); i++ {
 		r := sig.Rel(i)
 		n := A.Rel(r.Name).Len()
@@ -117,6 +187,7 @@ func newSolver(A, B *structure.Structure, opts Options) *solver {
 		}
 		nCons += n
 		nSlots += n * r.Arity
+		nCols += r.Arity
 		if r.Arity > maxAr {
 			maxAr = r.Arity
 		}
@@ -128,20 +199,21 @@ func newSolver(A, B *structure.Structure, opts Options) *solver {
 	// the solver's int scratch are carved out of one array, and the
 	// initial domains, the support scratch and every relation's support
 	// rows out of another.
-	ints := make([]int, 2*nSlots+nCons+2*s.nA)
+	ints := reuse(&s.buf.ints, 2*nSlots+nCons+2*s.nA)
 	carve := func(n int) []int {
 		out := ints[:n:n]
 		ints = ints[n:]
 		return out
 	}
 	rowWords := s.nB * s.words
-	slab := make([]uint64, (s.nA+maxAr)*s.words+2*nBitRels*rowWords)
-	sets := carveBitsets(make([]bitset, s.nA+maxAr), slab, s.words)
+	slab := reuse(&s.buf.slab, (s.nA+maxAr)*s.words+2*nBitRels*rowWords)
+	sets := carveBitsets(reuse(&s.buf.sets, s.nA+maxAr), slab, s.words)
 	dom := sets[:s.nA:s.nA]
 	s.supBuf = sets[s.nA:]
 	slab = slab[(s.nA+maxAr)*s.words:]
 	flat, deg := carve(nSlots), carve(s.nA)
-	s.cons = make([]constraint, 0, nCons)
+	bcols := reuse(&s.buf.bcols, nCols)
+	s.cons = reuse(&s.buf.cons, nCons)[:0]
 	for i := 0; i < sig.NumRels(); i++ {
 		r := sig.Rel(i)
 		arel, brel := A.Rel(r.Name), B.Rel(r.Name)
@@ -150,7 +222,7 @@ func newSolver(A, B *structure.Structure, opts Options) *solver {
 		}
 		c := constraint{brel: brel}
 		if brel != nil {
-			c.bcols = make([][]int32, r.Arity)
+			c.bcols, bcols = bcols[:r.Arity:r.Arity], bcols[r.Arity:]
 			for p := 0; p < r.Arity; p++ {
 				c.bcols[p] = brel.Col(p)
 			}
@@ -181,7 +253,7 @@ func newSolver(A, B *structure.Structure, opts Options) *solver {
 			}
 		}
 	}
-	s.consOf = make([][]int, s.nA)
+	s.consOf = reuse(&s.buf.consOf, s.nA)
 	flat = carve(nSlots)
 	for v, d := range deg {
 		s.consOf[v] = flat[:0:d]
@@ -196,7 +268,7 @@ func newSolver(A, B *structure.Structure, opts Options) *solver {
 		}
 	}
 	s.queue, s.assign = carve(nCons)[:0], carve(s.nA)
-	s.inQueue = make([]bool, nCons)
+	s.inQueue = reuse(&s.buf.inQ, nCons)
 	if len(opts.AllDiff) > 0 {
 		s.allDiff = make([]bool, s.nA)
 		for _, v := range opts.AllDiff {
@@ -513,7 +585,12 @@ func (s *solver) initialDomains() ([]bitset, bool) {
 // Find searches for a homomorphism from A to B subject to opts and returns
 // the full assignment (A-element index → B-element index) if one exists.
 func Find(A, B *structure.Structure, opts Options) ([]int, bool) {
-	s := newSolver(A, B, opts)
+	s := acquireSolver(A, B, opts)
+	defer s.release()
+	return s.find()
+}
+
+func (s *solver) find() ([]int, bool) {
 	dom, ok := s.initialDomains()
 	if !ok {
 		return nil, false
@@ -533,7 +610,12 @@ func firstSolution([]int) bool { return false }
 
 // Exists reports whether a homomorphism from A to B subject to opts exists.
 func Exists(A, B *structure.Structure, opts Options) bool {
-	s := newSolver(A, B, opts)
+	s := acquireSolver(A, B, opts)
+	defer s.release()
+	return s.exists()
+}
+
+func (s *solver) exists() bool {
 	dom, ok := s.initialDomains()
 	return ok && s.search(dom, firstSolution)
 }
@@ -541,7 +623,12 @@ func Exists(A, B *structure.Structure, opts Options) bool {
 // Count returns the number of homomorphisms from A to B subject to opts.
 // Enumeration-based: intended for small instances and tests.
 func Count(A, B *structure.Structure, opts Options) *big.Int {
-	s := newSolver(A, B, opts)
+	s := acquireSolver(A, B, opts)
+	defer s.release()
+	return s.count()
+}
+
+func (s *solver) count() *big.Int {
 	total := new(big.Int)
 	dom, ok := s.initialDomains()
 	if !ok {
@@ -562,7 +649,8 @@ func Count(A, B *structure.Structure, opts Options) *big.Int {
 // g is reported exactly once: this is exactly the answer-set semantics
 // φ(B) for the pp-formula (A, proj).
 func ForEachExtendable(A, B *structure.Structure, proj []int, opts Options, fn func(vals []int) bool) {
-	s := newSolver(A, B, opts)
+	s := acquireSolver(A, B, opts)
+	defer s.release()
 	dom, ok := s.initialDomains()
 	if !ok {
 		return
@@ -627,7 +715,13 @@ func FindBijectionOn(A, B *structure.Structure, SA, SB []int) ([]int, bool) {
 // cannot be dropped from any subset of I either, so one pass over the
 // vertices reaches the core.
 func Retract(A *structure.Structure, fixed []int) []int {
-	s := newSolver(A, A, Options{})
+	s := acquireSolver(A, A, Options{})
+	defer s.release()
+	return s.retract(fixed)
+}
+
+// retract is Retract on a solver for (A, A) without options.
+func (s *solver) retract(fixed []int) []int {
 	for _, v := range fixed {
 		s.initDom[v].zero()
 		s.initDom[v].set(v)
@@ -635,7 +729,8 @@ func Retract(A *structure.Structure, fixed []int) []int {
 	// base is the arc-consistent closure of "fixed pinned, codomain I".
 	// The identity is a solution, so no domain empties.
 	base, _ := s.initialDomains()
-	inI, img := newBitset(s.nA), newBitset(s.nA)
+	marks := reuse(&s.buf.marks, 2*s.words)
+	inI, img := bitset(marks[:s.words:s.words]), bitset(marks[s.words:])
 	inI.fill(s.nA)
 	for v := 0; v < s.nA; v++ {
 		if !inI.has(v) || (base[v].has(v) && bitvec.Count(base[v]) == 1) {

@@ -164,9 +164,11 @@ func PhiStar(disjuncts []pp.PP) ([]Term, error) {
 // the caller keeps the per-class statistics and fingerprints.
 //
 // It interns the same 2^s-1 terms as MergeInto(pool, RawTerms(disjuncts))
-// in the same order, but builds each φ_J as core(φ_{J∖{max J}}) ∧ φ_{max J}
-// — logically equivalent to ⋀_{j∈J} φ_j, and a much smaller input to the
-// core computation than the conjunction of the raw disjuncts.
+// in the same order, but builds each φ_J as
+// core(φ_{J∖{max J}}) ∧ core(φ_{max J}) — logically equivalent to
+// ⋀_{j∈J} φ_j, and a much smaller input to the core computation than the
+// conjunction of the raw disjuncts.  Masks ascend, so both cores are
+// ready when J's turn comes: core(φ_{max J}) is the singleton's term.
 func PhiStarInto(pool *term.Pool, disjuncts []pp.PP) ([]Term, error) {
 	m, err := newMerger(pool)
 	if err != nil {
@@ -181,7 +183,7 @@ func PhiStarInto(pool *term.Pool, disjuncts []pp.PP) ([]Term, error) {
 		f := disjuncts[hi]
 		if rest := mask &^ (1 << hi); rest != 0 {
 			var err error
-			if f, err = pp.Conjoin(cored[rest], f); err != nil {
+			if f, err = pp.Conjoin(cored[rest], cored[1<<hi]); err != nil {
 				return pp.PP{}, err
 			}
 		}

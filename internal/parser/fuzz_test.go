@@ -29,6 +29,9 @@ func FuzzParseQuery(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	for _, tc := range multiByteInputs {
+		f.Add(tc.src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		q, err := ParseQuery(src)
 		if err != nil {

@@ -3,6 +3,7 @@ package parser
 import (
 	"fmt"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokenKind int
@@ -22,7 +23,6 @@ const (
 type token struct {
 	kind tokenKind
 	text string
-	pos  int
 	line int
 	col  int
 }
@@ -38,14 +38,6 @@ func (t token) String() string {
 	}
 }
 
-type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
-	toks []token
-}
-
 func isIdentStart(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
 }
@@ -54,72 +46,64 @@ func isIdentRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '\''
 }
 
-// lex tokenizes src, stripping '%' and '#' line comments.
+// lex tokenizes src, stripping '%' and '#' line comments.  It decodes
+// src in place, so an identifier's text is a substring of src; columns
+// count runes, an invalid byte counting as one.
 func lex(src string) ([]token, error) {
-	lx := &lexer{src: src, line: 1, col: 1}
-	rs := []rune(src)
-	i := 0
-	emit := func(kind tokenKind, text string) {
-		lx.toks = append(lx.toks, token{kind: kind, text: text, pos: i, line: lx.line, col: lx.col})
-	}
-	advance := func(n int) {
-		for k := 0; k < n; k++ {
-			if rs[i+k] == '\n' {
-				lx.line++
-				lx.col = 1
-			} else {
-				lx.col++
-			}
-		}
-		i += n
-	}
-	for i < len(rs) {
-		r := rs[i]
+	// Generated queries run at about one token per two bytes; the slice
+	// grows past two per three if it must.
+	toks := make([]token, 0, 2*len(src)/3+2)
+	line, col := 1, 1
+	for i := 0; i < len(src); {
+		r, w := utf8.DecodeRuneInString(src[i:])
+		t, n := token{line: line, col: col}, 1 // n: runes consumed
 		switch {
-		case r == ' ' || r == '\t' || r == '\n' || r == '\r':
-			advance(1)
+		case r == '\n':
+			line, col = line+1, 1
+			i++
+			continue
+		case r == ' ' || r == '\t' || r == '\r':
 		case r == '%' || r == '#':
-			for i < len(rs) && rs[i] != '\n' {
-				advance(1)
+			for n = 0; i+w < len(src) && src[i+w] != '\n'; n++ {
+				_, rw := utf8.DecodeRuneInString(src[i+w:])
+				w += rw
 			}
+			n++
 		case r == '(':
-			emit(tokLParen, "(")
-			advance(1)
+			t.kind, t.text = tokLParen, "("
 		case r == ')':
-			emit(tokRParen, ")")
-			advance(1)
+			t.kind, t.text = tokRParen, ")"
 		case r == ',':
-			emit(tokComma, ",")
-			advance(1)
+			t.kind, t.text = tokComma, ","
 		case r == '.':
-			emit(tokDot, ".")
-			advance(1)
+			t.kind, t.text = tokDot, "."
 		case r == '&' || r == '∧':
-			emit(tokAmp, "&")
-			advance(1)
+			t.kind, t.text = tokAmp, "&"
 		case r == '|' || r == '∨':
-			emit(tokPipe, "|")
-			advance(1)
+			t.kind, t.text = tokPipe, "|"
 		case r == ':':
-			if i+1 < len(rs) && rs[i+1] == '=' {
-				emit(tokAssign, ":=")
-				advance(2)
-			} else {
-				return nil, fmt.Errorf("parser: line %d col %d: unexpected ':'", lx.line, lx.col)
+			if i+1 >= len(src) || src[i+1] != '=' {
+				return nil, fmt.Errorf("parser: line %d col %d: unexpected ':'", line, col)
 			}
+			t.kind, t.text, w, n = tokAssign, ":=", 2, 2
 		case isIdentStart(r):
-			j := i
-			for j < len(rs) && isIdentRune(rs[j]) {
-				j++
+			for i+w < len(src) {
+				r, rw := utf8.DecodeRuneInString(src[i+w:])
+				if !isIdentRune(r) {
+					break
+				}
+				w, n = w+rw, n+1
 			}
-			emit(tokIdent, string(rs[i:j]))
-			advance(j - i)
+			t.kind, t.text = tokIdent, src[i:i+w]
 		default:
-			return nil, fmt.Errorf("parser: line %d col %d: unexpected character %q", lx.line, lx.col, string(r))
+			return nil, fmt.Errorf("parser: line %d col %d: unexpected character %q", line, col, string(r))
 		}
+		if t.kind != tokEOF { // whitespace and comments emit nothing
+			toks = append(toks, t)
+		}
+		i, col = i+w, col+n
 	}
-	lx.toks = append(lx.toks, token{kind: tokEOF, line: lx.line, col: lx.col})
-	return lx.toks, nil
+	return append(toks, token{kind: tokEOF, line: line, col: col}), nil
 }
 
 // errorAt formats a parse error with position information.

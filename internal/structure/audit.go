@@ -18,10 +18,10 @@ import (
 //   - the element index is a bijection between names and [0, Size());
 //   - every relation's columns have equal length (its Len), every
 //     stored value indexes a live element, the dedup set's cardinality
-//     matches, and the per-position posting lists partition exactly the
-//     row ids [0, Len()), each list strictly ascending and agreeing with
-//     the flat column it indexes; and the bit rows are the tuples'
-//     (auditRows).
+//     matches, and the per-position posting lists (built first if no
+//     read has built them yet) partition exactly the row ids [0, Len()),
+//     each list strictly ascending and agreeing with the flat column it
+//     indexes; and the bit rows are the tuples' (auditRows).
 func (s *Structure) Audit() error {
 	if got, want := s.version, uint64(s.Size()+s.NumTuples()); got != want {
 		return fmt.Errorf("structure: version %d, but %d elements + %d tuples imply %d",
@@ -54,6 +54,7 @@ func (s *Structure) Audit() error {
 		if r.set.Len() != n {
 			return fmt.Errorf("structure: %s dedup set holds %d keys for %d rows", rs.Name, r.set.Len(), n)
 		}
+		r.buildPosts()
 		for p := range r.cols {
 			covered := 0
 			for v, rows := range r.posts[p] {

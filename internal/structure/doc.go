@@ -6,10 +6,13 @@
 // Universes are finite, non-empty sets of named elements.  Each relation
 // is held in a columnar Relation store: flat []int32 columns, a
 // packed-key tuple set (a Go map) for O(1) dedup/membership, and
-// per-position posting lists appended to on insertion.  A posting list is
-// the ascending []int32 of the ids of the rows holding one value at one
+// per-position posting lists, built from the columns by the first read
+// and appended to on every insertion after it.  A posting list is the
+// ascending []int32 of the ids of the rows holding one value at one
 // position (RowsWith): rows are only appended, so it ascends by
-// construction, and Audit proves it.  Its readers — the hom solver's row
+// construction, and Audit (which builds the lists first) proves it.  The
+// small structures the query front end builds never read their lists,
+// so they never pay for them.  Its readers — the hom solver's row
 // kernel and the engine's seeded delta walk — iterate it, never
 // intersect it: joins run on the engine's session table indexes.  A
 // binary relation dense enough for its universe (BitRowsFit) also keeps

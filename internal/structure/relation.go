@@ -1,43 +1,71 @@
 package structure
 
-import "slices"
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+)
 
 // Relation is the columnar store of one relation's tuple set: a flat
 // []int32 column per position, a packed-key TupleSet for O(1)
 // dedup/membership, and per-position posting lists (value → the ids of
-// the rows holding it there), appended to on every insert — never rebuilt
-// from scratch.  Row ids only grow, so every posting list ascends; its
-// readers iterate it (RowsWith) and may stop at a row cut.  Rows are
+// the rows holding it there).  The posting lists are built from the
+// columns by the first RowsWith and appended to on every insert after
+// that, never rebuilt: the small structures the query side builds (a
+// formula's A, its cores and conjunctions) never read them, so they
+// never pay for them.  Row ids only grow, so every posting list ascends;
+// its readers iterate it (RowsWith) and may stop at a row cut.  Rows are
 // exposed through allocation-free iteration (ForEachTuple) and row views.
 //
 // A binary relation that fits BitRowsFit keeps value-space rows (fitRows).
 //
 // A Relation is mutated only through its owning Structure (single
-// mutator); any number of goroutines may read it — its rows included —
-// concurrently between mutations.
+// mutator); any number of goroutines may read it — its rows and its
+// posting lists included, the first RowsWith building the lists under a
+// lock — concurrently between mutations.
 type Relation struct {
 	name  string
 	arity int
-	cols  [][]int32           // per position, len == Len()
-	posts []map[int32][]int32 // per position: value → ascending row ids
+	cols  [][]int32 // per position, len == Len()
 	set   *TupleSet
+
+	// posts holds, per position, value → ascending row ids once built is
+	// set; buildMu serializes the build.
+	posts   []map[int32][]int32
+	built   atomic.Bool
+	buildMu sync.Mutex
 
 	fwd, bwd []uint64 // rows of u: {v : (u,v)}, {v : (v,u)}; nil unless it fits
 	stride   int
 }
 
 func newRelation(name string, arity int) *Relation {
-	r := &Relation{
+	return &Relation{
 		name:  name,
 		arity: arity,
 		cols:  make([][]int32, arity),
-		posts: make([]map[int32][]int32, arity),
 		set:   NewTupleSet(arity),
 	}
-	for p := range r.posts {
-		r.posts[p] = make(map[int32][]int32)
+}
+
+// buildPosts lays the posting lists out from the columns, once.
+func (r *Relation) buildPosts() {
+	if r.built.Load() {
+		return
 	}
-	return r
+	r.buildMu.Lock()
+	defer r.buildMu.Unlock()
+	if r.built.Load() {
+		return
+	}
+	r.posts = make([]map[int32][]int32, r.arity)
+	for p, col := range r.cols {
+		r.posts[p] = make(map[int32][]int32)
+		for row, v := range col {
+			r.posts[p][v] = append(r.posts[p][v], int32(row))
+		}
+	}
+	r.built.Store(true)
 }
 
 // Name returns the relation symbol's name.
@@ -56,7 +84,7 @@ func (r *Relation) Len() int {
 
 // add inserts t (already arity- and range-checked by the Structure, whose
 // universe holds dom elements) and reports whether it was new.  Posting
-// lists, the dedup set and the rows are updated in place.
+// lists (once built), the dedup set and the rows are updated in place.
 func (r *Relation) add(t []int, dom int) bool {
 	if !r.set.Add(t) {
 		return false
@@ -64,7 +92,9 @@ func (r *Relation) add(t []int, dom int) bool {
 	row := int32(len(r.cols[0]))
 	for p, v := range t {
 		r.cols[p] = append(r.cols[p], int32(v))
-		r.posts[p][int32(v)] = append(r.posts[p][int32(v)], row)
+		if r.posts != nil {
+			r.posts[p][int32(v)] = append(r.posts[p][int32(v)], row)
+		}
 	}
 	if r.fwd == nil {
 		r.fitRows(dom)
@@ -170,29 +200,29 @@ func (r *Relation) ForEachTupleIn(lo, hi int, fn func(t []int) bool) {
 
 // RowsWith returns the ascending ids of the rows holding value v at
 // position pos, as a shared read-only view; nil means no row holds v
-// there.
+// there.  The first call builds the relation's posting lists.
 func (r *Relation) RowsWith(pos, v int) []int32 {
 	if r == nil || pos < 0 || pos >= r.arity {
 		return nil
 	}
+	r.buildPosts()
 	return r.posts[pos][int32(v)]
 }
 
-// clone returns a deep copy sharing nothing with r.
+// clone returns a deep copy sharing nothing with r.  The copy has posting
+// lists, laid out from its own columns, if r has built its own.
 func (r *Relation) clone() *Relation {
 	c := &Relation{
 		name:  r.name,
 		arity: r.arity,
 		cols:  make([][]int32, r.arity),
-		posts: make([]map[int32][]int32, r.arity),
 		set:   r.set.clone(),
 	}
 	for p := range r.cols {
 		c.cols[p] = append([]int32(nil), r.cols[p]...)
-		c.posts[p] = make(map[int32][]int32, len(r.posts[p]))
-		for v, rows := range r.posts[p] {
-			c.posts[p][v] = slices.Clone(rows)
-		}
+	}
+	if r.built.Load() {
+		c.buildPosts()
 	}
 	c.fwd, c.bwd, c.stride = slices.Clone(r.fwd), slices.Clone(r.bwd), r.stride
 	return c

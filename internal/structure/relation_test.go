@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -102,6 +103,134 @@ func TestForEachWithMatchesFilteredScan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRowsWithConcurrentFirstRead has many goroutines make the first
+// RowsWith calls on a freshly loaded relation at once: the lists are
+// built once, and every reader sees all of them.  Run under -race.
+func TestRowsWithConcurrentFirstRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	s := New(relTestSig())
+	const n = 30
+	for i := 0; i < n; i++ {
+		s.EnsureElem(fmt.Sprintf("e%d", i))
+	}
+	for i := 0; i < 400; i++ {
+		_ = s.AddTuple("T", rng.Intn(n), rng.Intn(n), rng.Intn(n))
+	}
+	r := s.Rel("T")
+	if r.built.Load() {
+		t.Fatal("posting lists built before the first read")
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for pos := 0; pos < 3; pos++ {
+				covered := 0
+				for k := 0; k < n; k++ {
+					v := (k + g) % n
+					rows := r.RowsWith(pos, v)
+					for i, row := range rows {
+						if r.Value(int(row), pos) != v || i > 0 && row <= rows[i-1] {
+							errs <- fmt.Sprintf("goroutine %d: RowsWith(%d, %d) = %v", g, pos, v, rows)
+							return
+						}
+					}
+					covered += len(rows)
+				}
+				if covered != r.Len() {
+					errs <- fmt.Sprintf("goroutine %d: position %d lists cover %d of %d rows", g, pos, covered, r.Len())
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if err := s.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRowsWithAfterAppendAscends reads the posting lists, appends, and
+// reads again: the lists built by the first read are maintained, so the
+// rows appended since are listed after the old ones, in ascending order —
+// what the engine's delta walk relies on when it stops at a row cut.  A
+// relation read while empty is maintained from its first row.
+func TestRowsWithAfterAppendAscends(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	s := New(relTestSig())
+	const n = 12
+	for i := 0; i < n; i++ {
+		s.EnsureElem(fmt.Sprintf("e%d", i))
+	}
+	e := s.Rel("E")
+	if rows := e.RowsWith(0, 0); rows != nil {
+		t.Fatalf("empty relation lists %v", rows)
+	}
+	for round := 0; round < 4; round++ {
+		cut := e.Len()
+		for i := 0; i < 40; i++ {
+			_ = s.AddTuple("E", rng.Intn(n), rng.Intn(n))
+			_ = s.AddTuple("T", rng.Intn(n), rng.Intn(n), rng.Intn(n))
+		}
+		if round == 1 {
+			s.Rel("T").RowsWith(2, 0) // T's lists are built mid-stream
+		}
+		for _, name := range []string{"E", "T"} {
+			r := s.Rel(name)
+			for pos := 0; pos < r.Arity(); pos++ {
+				for v := 0; v < n; v++ {
+					var want []int32
+					for row := 0; row < r.Len(); row++ {
+						if r.Value(row, pos) == v {
+							want = append(want, int32(row))
+						}
+					}
+					if got := r.RowsWith(pos, v); !slices.Equal(got, want) {
+						t.Fatalf("round %d: %s.RowsWith(%d, %d) = %v, want %v", round, name, pos, v, got, want)
+					}
+				}
+			}
+		}
+		if round > 0 && e.Len() == cut {
+			t.Fatalf("round %d appended nothing to E", round)
+		}
+	}
+	if err := s.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCloneBuildsListsOnlyIfTheSourceDid: a clone of a relation nobody
+// has read keeps its lists unbuilt, and reading it leaves the source
+// unbuilt too.
+func TestCloneBuildsListsOnlyIfTheSourceDid(t *testing.T) {
+	s := New(relTestSig())
+	for i := 0; i < 3; i++ {
+		s.EnsureElem(fmt.Sprintf("e%d", i))
+	}
+	_ = s.AddTuple("E", 0, 1)
+	_ = s.AddTuple("E", 0, 2)
+	c := s.Clone()
+	if c.Rel("E").built.Load() {
+		t.Fatal("a clone of an unread relation has posting lists")
+	}
+	if got := c.Rel("E").RowsWith(0, 0); !slices.Equal(got, []int32{0, 1}) {
+		t.Fatalf("clone's RowsWith(0, 0) = %v", got)
+	}
+	if s.Rel("E").built.Load() {
+		t.Fatal("reading the clone built the source's posting lists")
+	}
+	if d := c.Clone(); !d.Rel("E").built.Load() || !slices.Equal(d.Rel("E").RowsWith(0, 0), []int32{0, 1}) {
+		t.Fatal("a clone of a read relation lost its posting lists")
 	}
 }
 

@@ -14,9 +14,10 @@ import (
 // formula-as-structure view used throughout the paper.
 //
 // Tuples live in per-relation columnar Relation stores: flat columns, a
-// packed-key dedup set, per-position posting lists and bit rows, kept up
-// to date by AddTuple and AddElem.  Consumers iterate with ForEachTuple,
-// or reach the columns and posting lists through Rel.
+// packed-key dedup set, per-position posting lists (built on first read)
+// and bit rows, kept up to date by AddTuple and AddElem.  Consumers
+// iterate with ForEachTuple, or reach the columns and posting lists
+// through Rel.
 type Structure struct {
 	sig   *Signature
 	elems []string

@@ -28,5 +28,8 @@
 // Canonical labeling carries a permutation budget; terms that exceed it
 // fall back to invariant-key bucketing with pairwise Theorem 5.4
 // equivalence tests (and carry an empty fingerprint downstream, which
-// simply opts them out of the fingerprint-keyed caches).
+// simply opts them out of the fingerprint-keyed caches).  The buckets
+// exist only from the first such term on, which fills them for every
+// earlier entry: a pool whose terms all carry fingerprints never
+// computes an invariant key.
 package term

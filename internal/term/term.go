@@ -66,9 +66,12 @@ type Pool struct {
 	DisableCanon bool
 
 	entries []*Interned
-	byRawFP map[string]int   // raw-formula canonical key → entry index
-	byFP    map[string]int   // cored canonical key → entry index
-	buckets map[string][]int // cored invariant key → all entry indices
+	byRawFP map[string]int // raw-formula canonical key → entry index
+	byFP    map[string]int // cored canonical key → entry index
+	// buckets maps a cored invariant key to all entry indices.  Only a
+	// fingerprint-less term or entry is ever compared pairwise, so the
+	// buckets stay nil until the first one arrives, which backfills them.
+	buckets map[string][]int
 
 	// Raw-stage gating: canonical labeling of the (larger) un-cored
 	// formula only runs when a second term shares the same cheap
@@ -89,7 +92,6 @@ func NewPool() *Pool {
 	return &Pool{
 		byRawFP:    make(map[string]int),
 		byFP:       make(map[string]int),
-		buckets:    make(map[string][]int),
 		rawSeen:    make(map[string]int),
 		rawPending: make(map[string][]rawPendingEntry),
 	}
@@ -147,12 +149,24 @@ func (pl *Pool) Add(f pp.PP, coeff *big.Int) (int, error) {
 		}
 	}
 	if idx < 0 {
-		ikey := cored.InvariantKey()
 		// A fingerprint miss can still coincide with an entry that itself
 		// missed canonical labeling (equivalent formulas need not exceed
 		// the budget together), so fingerprinted terms are compared
 		// against the bucket's fingerprint-less entries; fallback terms
-		// are compared against every entry in the bucket.
+		// are compared against every entry in the bucket.  While every
+		// entry and this term are fingerprinted there is nothing to
+		// compare, and no bucket is kept.
+		var ikey string
+		if fp == "" && pl.buckets == nil {
+			pl.buckets = make(map[string][]int)
+			for i, e := range pl.entries {
+				k := e.Formula.InvariantKey()
+				pl.buckets[k] = append(pl.buckets[k], i)
+			}
+		}
+		if pl.buckets != nil {
+			ikey = cored.InvariantKey()
+		}
 		for _, i := range pl.buckets[ikey] {
 			if fp != "" && pl.entries[i].FP != "" {
 				continue // both fingerprinted: inequality already decided
@@ -169,7 +183,9 @@ func (pl *Pool) Add(f pp.PP, coeff *big.Int) (int, error) {
 		if idx < 0 {
 			idx = len(pl.entries)
 			pl.entries = append(pl.entries, &Interned{Formula: cored, FP: fp, Coeff: new(big.Int)})
-			pl.buckets[ikey] = append(pl.buckets[ikey], idx)
+			if pl.buckets != nil {
+				pl.buckets[ikey] = append(pl.buckets[ikey], idx)
+			}
 			if fp != "" {
 				pl.byFP[fp] = idx
 			}

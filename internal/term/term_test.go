@@ -86,6 +86,51 @@ func TestPoolMergesAndCancels(t *testing.T) {
 	}
 }
 
+// TestPoolBackfillsBucketsForUnlabelledTerm: a pool whose entries are
+// all fingerprinted keeps no invariant-key buckets; the first unlabelled
+// term (DisableCanon forces one) builds them for the earlier entries, and
+// must still find the fingerprinted entry it is counting equivalent to.
+// Entries added after the backfill are bucketed as they arrive.
+func TestPoolBackfillsBucketsForUnlabelledTerm(t *testing.T) {
+	sig := workload.EdgeSig()
+	lib := []logic.Var{"x", "y"}
+	path := mustDisjunct(t, sig, lib, "p(x,y) := exists u. E(x,u) & E(u,y)")
+	twoCycle := mustDisjunct(t, sig, lib, "p(x,y) := E(x,y) & E(y,x)")
+	// Counting equivalent to path (v retracts onto u) and to twoCycle
+	// (w retracts onto y), but not raw-isomorphic to either.
+	pathTwin := mustDisjunct(t, sig, lib, "p(x,y) := exists u, v. E(x,u) & E(u,y) & E(x,v)")
+	cycleTwin := mustDisjunct(t, sig, lib, "p(x,y) := exists w. E(x,y) & E(y,x) & E(x,w)")
+	loops := mustDisjunct(t, sig, lib, "p(x,y) := E(x,x) & E(y,y)")
+	loopsTwin := mustDisjunct(t, sig, lib, "p(x,y) := exists w. E(x,x) & E(y,y) & E(w,w)")
+	pl := term.NewPool()
+	add := func(f pp.PP, canon bool, coeff int64, want int) {
+		t.Helper()
+		pl.DisableCanon = !canon
+		i, err := pl.Add(f, big.NewInt(coeff))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i != want {
+			t.Fatalf("interned into class %d, want %d", i, want)
+		}
+	}
+	add(path, true, 1, 0)
+	add(twoCycle, true, 1, 1)
+	add(pathTwin, false, -1, 0) // backfills the buckets
+	add(loops, true, 1, 2)      // bucketed on arrival
+	add(loopsTwin, false, 2, 2)
+	add(cycleTwin, false, 1, 1)
+	st := pl.Stats()
+	if st.Unique != 3 || st.Fallback != 3 || st.Cancelled != 1 {
+		t.Fatalf("stats %+v, want 3 classes, 3 terms via fallback, 1 cancelled", st)
+	}
+	for i, e := range pl.Terms() {
+		if e.FP == "" {
+			t.Fatalf("class %d lost its fingerprint", i)
+		}
+	}
+}
+
 func TestPoolCancellationDropsClass(t *testing.T) {
 	sig := workload.EdgeSig()
 	lib := []logic.Var{"x"}
