@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	epcq "repro"
-	"repro/internal/count"
 	"repro/internal/engine"
 	"repro/internal/structure"
 	"repro/internal/workload"
@@ -50,7 +49,7 @@ func benchPrunePath6(b *testing.B, width int) {
 		// Session-cold every iteration: the prune result is memoized per
 		// (component, session), so a warm session would time a map hit.
 		engine.ReleaseSession(bs)
-		v, err := count.Homomorphisms(pattern, bs)
+		v, err := epcq.CountHomomorphisms(pattern, bs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +75,7 @@ func BenchmarkPrune_Path8Layers12_Trickle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		engine.ReleaseSession(bs)
-		v, err := count.Homomorphisms(pattern, bs)
+		v, err := epcq.CountHomomorphisms(pattern, bs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +99,7 @@ func BenchmarkAdvance_TriC4_N200(b *testing.B) {
 		"tri(x,y,z) := E(x,y) & E(y,z) & E(z,x)",
 		"c4(a,b,c,d) := E(a,b) & E(b,c) & E(c,d) & E(d,a)",
 	} {
-		c, err := epcq.NewCounter(epcq.MustParseQuery(src), sig, epcq.EngineFPT)
+		c, err := epcq.NewCounter(epcq.MustParseQuery(src), sig)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +149,7 @@ func benchAdvancePinned(b *testing.B, p float64) {
 		"tri(x,y,z) := E(x,y) & E(y,z) & E(z,x)",
 		"c4(a,b,c,d) := E(a,b) & E(b,c) & E(c,d) & E(d,a)",
 	} {
-		c, err := epcq.NewCounter(epcq.MustParseQuery(src), sig, epcq.EngineFPT)
+		c, err := epcq.NewCounter(epcq.MustParseQuery(src), sig)
 		if err != nil {
 			b.Fatal(err)
 		}

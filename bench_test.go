@@ -1,7 +1,7 @@
 // Benchmarks: timing probes for the paper's worked examples and
 // theorems, one family per claim.  The claims themselves
 // are asserted by the TestPaper* tests of the packages that own them
-// (go test -run Paper -v ./internal/...); these benches only time them.
+// (go test -run Paper -v . ./internal/...); these benches only time them.
 package epcq_test
 
 import (
@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	epcq "repro"
-	"repro/internal/cliquered"
 	"repro/internal/core"
 	"repro/internal/count"
 	"repro/internal/engine"
@@ -39,7 +38,7 @@ func mustCompile(b *testing.B, src string) *eptrans.Compiled {
 }
 
 func fptCounter(p pp.PP, s *structure.Structure) (*big.Int, error) {
-	return count.PP(p, s)
+	return engine.CountOnce(p, s)
 }
 
 // --- E1: Example 4.1 -----------------------------------------------------
@@ -223,7 +222,7 @@ func benchCliqueCount(b *testing.B, k int) {
 	g := workload.PlantedClique(20, 0.5, 6, 123)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cliquered.CountCliquesViaQuery(g, k); err != nil {
+		if _, err := countCliquesViaQuery(g, k); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -339,7 +338,7 @@ func BenchmarkAPI_CompiledCount(b *testing.B) {
 	q := epcq.MustParseQuery("common(a,c) := exists m. E(a,m) & E(m,c)")
 	g := workload.ER(50, 0.1, 77)
 	bs := workload.GraphStructure(g)
-	c, err := epcq.NewCounter(q, bs.Signature(), epcq.EngineFPT)
+	c, err := epcq.NewCounter(q, bs.Signature())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -385,7 +384,7 @@ func benchJoinCountHom(b *testing.B, pattern *structure.Structure, n int, densit
 	bs := workload.GraphStructure(workload.ER(n, density, int64(n)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := count.Homomorphisms(pattern, bs); err != nil {
+		if _, err := epcq.CountHomomorphisms(pattern, bs); err != nil {
 			b.Fatal(err)
 		}
 	}

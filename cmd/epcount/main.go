@@ -27,6 +27,7 @@ import (
 	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/count"
+	"repro/internal/engine"
 )
 
 func main() {
@@ -93,7 +94,7 @@ func run(queryStr, queryFile, dataFile string, explain, stats, verify, timing bo
 	if err != nil {
 		return err
 	}
-	c, err := core.NewCounter(q, sig, count.EngineFPT)
+	c, err := core.NewCounter(q, sig, engine.FPT)
 	if err != nil {
 		return err
 	}
@@ -158,7 +159,7 @@ func run(queryStr, queryFile, dataFile string, explain, stats, verify, timing bo
 		if limit < 0 {
 			limit = 0 // unlimited
 		}
-		_, err := c.Answers(b, limit, func(a count.Answer) bool {
+		_, err := c.Answers(b, limit, func(a core.Answer) bool {
 			fmt.Printf("  (%s)\n", strings.Join(a, ", "))
 			return true
 		})

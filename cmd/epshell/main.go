@@ -30,7 +30,7 @@ import (
 
 	epcq "repro"
 	"repro/internal/core"
-	"repro/internal/count"
+	"repro/internal/engine"
 )
 
 func main() {
@@ -177,7 +177,7 @@ func (sh *shell) counterFor(src string) (*core.Counter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.NewCounter(q, sh.db.Signature(), count.EngineFPT)
+	return core.NewCounter(q, sh.db.Signature(), engine.FPT)
 }
 
 func (sh *shell) count(src string) error {
@@ -205,7 +205,7 @@ func (sh *shell) answers(rest string) error {
 	if err != nil {
 		return err
 	}
-	shown, err := c.Answers(sh.db, limit, func(a count.Answer) bool {
+	shown, err := c.Answers(sh.db, limit, func(a core.Answer) bool {
 		fmt.Fprintf(sh.out, "  (%s)\n", strings.Join(a, ", "))
 		return true
 	})

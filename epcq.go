@@ -35,7 +35,7 @@
 //
 //	q, _ := epcq.ParseQuery("triangles(x,y,z) := E(x,y) & E(y,z) & E(z,x)")
 //	b, _ := epcq.ParseStructure("E(a,b). E(b,c). E(c,a).", nil)
-//	c, _ := epcq.NewCounter(q, b.Signature(), epcq.EngineFPT)
+//	c, _ := epcq.NewCounter(q, b.Signature())
 //	n, _ := c.Count(b)                                  // *big.Int
 //	ns, _ := c.CountBatch([]*epcq.Structure{b, b2, b3}) // GOMAXPROCS at a time
 package epcq
@@ -47,7 +47,7 @@ import (
 	"repro/internal/approx"
 	"repro/internal/classify"
 	"repro/internal/core"
-	"repro/internal/count"
+	"repro/internal/engine"
 	"repro/internal/eptrans"
 	"repro/internal/logic"
 	"repro/internal/parser"
@@ -82,8 +82,6 @@ type (
 	Compiled = eptrans.Compiled
 	// Verdict is a trichotomy classification result (Theorem 3.2).
 	Verdict = classify.Verdict
-	// Engine names the pp-counting algorithm (EngineFPT or EngineAuto).
-	Engine = count.PPEngine
 	// ApproxParams configures an approximate count: the (ε, δ) target,
 	// the per-component sample caps, and the RNG seed.
 	ApproxParams = approx.Params
@@ -93,15 +91,6 @@ type (
 	// HardExactError is the typed admission-control rejection returned
 	// when exact execution of a hard-classified query is refused.
 	HardExactError = core.HardExactError
-)
-
-// Counting engines: both name the one exact executor.
-const (
-	// EngineAuto chooses automatically (the FPT engine).
-	EngineAuto = count.EngineAuto
-	// EngineFPT is the Theorem 2.11 algorithm: core, ∃-component
-	// predicates, join-count DP over a contract-graph tree decomposition.
-	EngineFPT = count.EngineFPT
 )
 
 // Trichotomy cases (Theorem 3.2).
@@ -146,16 +135,16 @@ func NewSignature(rels ...RelSym) (*Signature, error) {
 // AddFact).
 func NewStructure(sig *Signature) *Structure { return structure.New(sig) }
 
-// NewCounter compiles a query for repeated counting.  A nil signature is
-// inferred from the query.
-func NewCounter(q Query, sig *Signature, engine Engine) (*Counter, error) {
-	return core.NewCounter(q, sig, engine)
+// NewCounter compiles a query for repeated counting with the Theorem 2.11
+// engine.  A nil signature is inferred from the query.
+func NewCounter(q Query, sig *Signature) (*Counter, error) {
+	return core.NewCounter(q, sig, engine.FPT)
 }
 
 // Count is the one-shot convenience: compile and count in one call.
 // For repeated counting over the same query, use NewCounter.
 func Count(q Query, b *Structure) (*big.Int, error) {
-	c, err := core.NewCounter(q, b.Signature(), count.EngineFPT)
+	c, err := NewCounter(q, b.Signature())
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +158,7 @@ func Count(q Query, b *Structure) (*big.Int, error) {
 // ApproxParams.Seed always yields the same estimate.  For repeated
 // counting, hold a Counter and call its CountApprox method.
 func CountApprox(q Query, b *Structure, prm ApproxParams) (ApproxResult, error) {
-	c, err := core.NewCounter(q, b.Signature(), count.EngineFPT)
+	c, err := NewCounter(q, b.Signature())
 	if err != nil {
 		return ApproxResult{}, err
 	}
@@ -185,7 +174,7 @@ func CountBatch(q Query, bs []*Structure) ([]*big.Int, error) {
 	if len(bs) == 0 {
 		return nil, nil
 	}
-	c, err := core.NewCounter(q, bs[0].Signature(), count.EngineFPT)
+	c, err := NewCounter(q, bs[0].Signature())
 	if err != nil {
 		return nil, err
 	}
@@ -194,12 +183,12 @@ func CountBatch(q Query, bs []*Structure) ([]*big.Int, error) {
 
 // Answer is one satisfying assignment of the liberal variables, with
 // values given as element names aligned with the query head.
-type Answer = count.Answer
+type Answer = core.Answer
 
 // Answers collects up to limit answers of the query on b (limit ≤ 0 means
 // all).  For streaming or early termination use Counter.Answers.
 func Answers(q Query, b *Structure, limit int) ([]Answer, error) {
-	c, err := core.NewCounter(q, b.Signature(), count.EngineFPT)
+	c, err := NewCounter(q, b.Signature())
 	if err != nil {
 		return nil, err
 	}
@@ -216,9 +205,19 @@ func Answers(q Query, b *Structure, limit int) ([]Answer, error) {
 
 // CountHomomorphisms counts all homomorphisms A → B via the join-count
 // dynamic program — the #HOM problem of Dalmau–Jonsson that the paper's
-// trichotomy generalizes; FPT when A has bounded treewidth.
+// trichotomy generalizes; FPT when A has bounded treewidth.  It counts
+// the quantifier-free pp-formula whose liberal variables are all of A's
+// elements, so the core is A itself, not a smaller retract.
 func CountHomomorphisms(a, b *Structure) (*big.Int, error) {
-	return count.Homomorphisms(a, b)
+	all := make([]int, a.Size())
+	for i := range all {
+		all[i] = i
+	}
+	p, err := pp.New(a, all)
+	if err != nil {
+		return nil, err
+	}
+	return engine.CountOnce(p, b)
 }
 
 // InferSignature derives the signature used by a query's atoms.

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	epcq "repro"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/eptrans"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -32,7 +35,7 @@ func TestCounterReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := epcq.NewCounter(q, sig, epcq.EngineFPT)
+	c, err := epcq.NewCounter(q, sig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,5 +232,47 @@ func TestCountBatchAPI(t *testing.T) {
 	}
 	if res, err := epcq.CountBatch(q, nil); err != nil || res != nil {
 		t.Fatalf("empty batch = %v, %v; want nil, nil", res, err)
+	}
+}
+
+// One-shot counts run in sessions of their own: a φ⁺ member counted
+// directly and through the ep oracle (the backward reduction of Theorem
+// 3.1), both slice reductions and a homomorphism count leave the
+// process-wide session registry as they found it, so a throwaway
+// structure can evict no serving session.
+func TestOneShotCountsLeaveSessionRegistryAlone(t *testing.T) {
+	q := epcq.MustParseQuery("q(x,y) := E(x,y) | E(y,x)")
+	b := epcq.MustParseStructure("E(a,b). E(b,c). E(c,d). E(d,d).", nil)
+	c, err := core.NewCounter(q, b.Signature(), engine.FPT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := func(y *epcq.Structure) (*big.Int, error) { return eptrans.CountEPViaPP(c.Compiled, y, c.CountPP) }
+	before := engine.SessionStats()
+	for _, p := range c.Compiled.Plus {
+		direct, err := c.CountPP(p, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaOracle, err := c.CountPPViaOracle(p, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaEP, err := eptrans.CountPPViaEP(c.Compiled, p, b, oracle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if viaOracle.Cmp(direct) != 0 || viaEP.Cmp(direct) != 0 {
+			t.Fatalf("%v: direct %v, via the counter's oracle %v, via CountPPViaEP %v", p, direct, viaOracle, viaEP)
+		}
+	}
+	if _, err := oracle(b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := epcq.CountHomomorphisms(epcq.MustParseStructure("E(u,v). E(v,w).", nil), b); err != nil {
+		t.Fatal(err)
+	}
+	if after := engine.SessionStats(); after.Sessions != before.Sessions || after.Evictions != before.Evictions {
+		t.Fatalf("one-shot counts changed the session registry: %+v → %+v", before, after)
 	}
 }

@@ -64,7 +64,7 @@ func ExampleCompile() {
 func ExampleCounter_CountBatch() {
 	q := epcq.MustParseQuery("edges(x,y) := E(x,y)")
 	sig, _ := epcq.InferSignature(q)
-	c, _ := epcq.NewCounter(q, sig, epcq.EngineFPT)
+	c, _ := epcq.NewCounter(q, sig)
 	batch := []*epcq.Structure{
 		epcq.MustParseStructure("E(a,b).", sig),
 		epcq.MustParseStructure("E(a,b). E(b,c).", sig),
@@ -80,7 +80,7 @@ func ExampleCounter_CountBatch() {
 func ExampleNewCounter() {
 	q := epcq.MustParseQuery("q(x,y) := E(x,y) & E(y,x) | exists u. E(u,u)")
 	sig, _ := epcq.InferSignature(q)
-	c, _ := epcq.NewCounter(q, sig, epcq.EngineFPT)
+	c, _ := epcq.NewCounter(q, sig)
 	withLoop := epcq.MustParseStructure("E(1,1). E(1,2). E(2,3).", sig)
 	n, _ := c.Count(withLoop)
 	fmt.Println(n)

@@ -47,7 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	counter, err := epcq.NewCounter(theta, b.Signature(), epcq.EngineFPT)
+	counter, err := epcq.NewCounter(theta, b.Signature())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	counter, err := epcq.NewCounter(q, sig, epcq.EngineFPT)
+	counter, err := epcq.NewCounter(q, sig)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		counter, err := epcq.NewCounter(q, db.Signature(), epcq.EngineFPT)
+		counter, err := epcq.NewCounter(q, db.Signature())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -214,7 +214,7 @@ func slot(r serve.CountBatchResponse, j int) serve.CountResponse {
 // scatterBatch fans one query over many structures.  They group by
 // their warm replica shard, each group runs as one upstream batch
 // count, the groups run concurrently, and results reassemble in
-// request order.  req carries the query, engine, timeout,
+// request order.  req carries the query, timeout,
 // and the approx-mode knobs applied to every structure.  A shard-level
 // failoverable failure (503 from a node draining, a dropped connection)
 // does not fail the request: that group's structures reroute
@@ -275,7 +275,7 @@ func (co *Coordinator) scatterBatch(ctx context.Context, req serve.CountBatchReq
 			co.rerouted.Add(1)
 			for _, i := range idx {
 				v, cresp, cerr := co.countOne(ctx, serve.CountRequest{
-					Query: req.Query, Structure: names[i], Engine: req.Engine, TimeoutMillis: req.TimeoutMillis,
+					Query: req.Query, Structure: names[i], TimeoutMillis: req.TimeoutMillis,
 					Mode: req.Mode, Epsilon: req.Epsilon, Delta: req.Delta,
 					MaxSamples: req.MaxSamples, Seed: req.Seed,
 				}, node)

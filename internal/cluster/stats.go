@@ -11,7 +11,7 @@ import (
 // StatsResponses fan in concurrently and merge into one StatsResponse
 // of the single-node shape — admission counters, query memo hits,
 // delta counters and durability counters summed, query rows merged by
-// (query, engine), the structure list the logical cluster view — with
+// query text, the structure list the logical cluster view — with
 // the per-shard breakdown and router telemetry under Cluster.  A
 // dashboard written against one epserved node reads a whole cluster
 // unchanged.
@@ -27,8 +27,7 @@ func (co *Coordinator) Stats(ctx context.Context) (serve.StatsResponse, error) {
 		Rerouted:       co.rerouted.Load(),
 	}
 
-	type qkey struct{ query, engine string }
-	queryAt := make(map[qkey]int)
+	queryAt := make(map[string]int)
 	for i, node := range co.cfg.Shards {
 		ss := serve.ShardStats{Node: node}
 		if errs[i] != nil {
@@ -44,15 +43,14 @@ func (co *Coordinator) Stats(ctx context.Context) (serve.StatsResponse, error) {
 		for _, q := range st.Queries {
 			ss.CountCacheHits += q.CountCacheHits
 			ss.CountCacheMisses += q.CountCacheMisses
-			k := qkey{q.Query, q.Engine}
-			if at, ok := queryAt[k]; ok {
+			if at, ok := queryAt[q.Query]; ok {
 				m := &merged.Queries[at]
 				m.Plans += q.Plans
 				m.SharedPlans += q.SharedPlans
 				m.CountCacheHits += q.CountCacheHits
 				m.CountCacheMisses += q.CountCacheMisses
 			} else {
-				queryAt[k] = len(merged.Queries)
+				queryAt[q.Query] = len(merged.Queries)
 				merged.Queries = append(merged.Queries, q)
 			}
 		}

@@ -225,18 +225,17 @@ func TestWireEquivalenceOnErrors(t *testing.T) {
 // TestEveryRouteOnBothSurfaces walks the exported route table and
 // requires a success from a single node and from the router on every
 // row: the table is the whole API on both, so a route registered on one
-// surface only — a second mux — has nowhere to hide.  The counting
-// bodies spell the served executor both ways the engine field accepts.
-// The structure's name has the shape of no reserved name on either
-// surface: the two accept the same names.
+// surface only — a second mux — has nowhere to hide.  The structure's
+// name has the shape of no reserved name on either surface: the two
+// accept the same names.
 func TestEveryRouteOnBothSurfaces(t *testing.T) {
 	const edge, name = `q(x,y) := E(x,y)`, "g@p0"
 	bodies := map[string]string{
 		"POST /structures":              `{"name":"fresh@p1","facts":"E(a,b)."}`,
 		"POST /structures/{name}/facts": `{"facts":"E(b,c)."}`,
-		"POST /count":                   fmt.Sprintf(`{"query":%q,"structure":%q,"engine":"fpt"}`, edge, name),
-		"POST /countBatch":              fmt.Sprintf(`{"query":%q,"structures":[%q],"engine":"auto"}`, edge, name),
-		"POST /subscriptions":           fmt.Sprintf(`{"query":%q,"structure":%q,"engine":"auto"}`, edge, name),
+		"POST /count":                   fmt.Sprintf(`{"query":%q,"structure":%q}`, edge, name),
+		"POST /countBatch":              fmt.Sprintf(`{"query":%q,"structures":[%q]}`, edge, name),
+		"POST /subscriptions":           fmt.Sprintf(`{"query":%q,"structure":%q}`, edge, name),
 	}
 	shard := httptest.NewServer(serve.New(serve.Config{}).Handler())
 	t.Cleanup(shard.Close)

@@ -1,8 +1,7 @@
-package count
+package core
 
 import (
 	"fmt"
-	"math/big"
 
 	"repro/internal/hom"
 	"repro/internal/logic"
@@ -14,7 +13,7 @@ import (
 // values given as element names aligned with the query's liberal list.
 type Answer []string
 
-// EnumerateAnswers streams the answer set φ(B) of an ep-query given as
+// enumerateAnswers streams the answer set φ(B) of an ep-query given as
 // prenex pp disjuncts over the liberal variables lib.  Answers are
 // deduplicated across disjuncts (the set semantics |⋃ψ ψ(B)|) and
 // delivered in no particular order; fn returning false stops early.
@@ -22,7 +21,7 @@ type Answer []string
 //
 // If a sentence disjunct holds on b, the answer set is all of B^lib; the
 // enumeration then iterates the full cross product (respect limit!).
-func EnumerateAnswers(sig *structure.Signature, lib []logic.Var, disjuncts []pp.PP, b *structure.Structure, limit int, fn func(Answer) bool) (int, error) {
+func enumerateAnswers(lib []logic.Var, disjuncts []pp.PP, b *structure.Structure, limit int, fn func(Answer) bool) (int, error) {
 	if err := b.Validate(); err != nil {
 		return 0, err
 	}
@@ -64,7 +63,7 @@ func EnumerateAnswers(sig *structure.Signature, lib []logic.Var, disjuncts []pp.
 	seen := make(map[string]bool)
 	for _, d := range disjuncts {
 		if len(d.S) != len(lib) {
-			return delivered, fmt.Errorf("count: disjunct liberal arity %d != |lib| %d", len(d.S), len(lib))
+			return delivered, fmt.Errorf("core: disjunct liberal arity %d != |lib| %d", len(d.S), len(lib))
 		}
 		// Align the disjunct's (sorted) S with the declared lib order.
 		perm, err := libPermutation(d, lib)
@@ -108,28 +107,9 @@ func libPermutation(d pp.PP, lib []logic.Var) ([]int, error) {
 			}
 		}
 		if found < 0 {
-			return nil, fmt.Errorf("count: liberal variable %s missing from disjunct", v)
+			return nil, fmt.Errorf("core: liberal variable %s missing from disjunct", v)
 		}
 		perm[i] = found
 	}
 	return perm, nil
-}
-
-// Homomorphisms counts all homomorphisms A → B with the join-count
-// dynamic program: it is the Theorem 2.11 engine applied to the
-// quantifier-free pp-formula whose liberal variables are all of A's
-// elements — exactly the #HOM problem of Dalmau–Jonsson [DJ04] that the
-// paper's trichotomy generalizes.  FPT when A has bounded treewidth.
-func Homomorphisms(a, b *structure.Structure) (*big.Int, error) {
-	all := make([]int, a.Size())
-	for i := range all {
-		all[i] = i
-	}
-	p, err := pp.New(a, all)
-	if err != nil {
-		return nil, err
-	}
-	// Every element is liberal, so the core is A itself: PP counts homs
-	// from A, not from a smaller retract.
-	return PP(p, b)
 }

@@ -1,10 +1,10 @@
-package count
+package core
 
 import (
-	"math/big"
 	"testing"
 
-	"repro/internal/hom"
+	"repro/internal/count"
+	"repro/internal/parser"
 	"repro/internal/pp"
 	"repro/internal/workload"
 )
@@ -17,7 +17,7 @@ func TestEnumerateAnswersMatchesCount(t *testing.T) {
 		"q(x,y,z) := E(x,y)", // isolated liberal z
 	}
 	for _, src := range queries {
-		q := mustParseQ(t, src)
+		q := parser.MustQuery(src)
 		var ds []pp.PP
 		for _, d := range q.Disjuncts() {
 			p, err := pp.FromDisjunct(sig, q.Lib, d)
@@ -28,12 +28,12 @@ func TestEnumerateAnswersMatchesCount(t *testing.T) {
 		}
 		for seed := int64(0); seed < 5; seed++ {
 			b := workload.RandomStructure(sig, 3, 0.45, seed)
-			want, err := EPDirect(q, b)
+			want, err := count.EPDirect(q, b)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var got []Answer
-			n, err := EnumerateAnswers(sig, q.Lib, ds, b, 0, func(a Answer) bool {
+			n, err := enumerateAnswers(q.Lib, ds, b, 0, func(a Answer) bool {
 				got = append(got, append(Answer(nil), a...))
 				return true
 			})
@@ -45,11 +45,11 @@ func TestEnumerateAnswersMatchesCount(t *testing.T) {
 			}
 			// Every answer must actually satisfy the query.
 			for _, a := range got {
-				env := Env{}
+				env := count.Env{}
 				for i, v := range q.Lib {
 					env[v] = b.ElemIndex(a[i])
 				}
-				ok, err := EvalEP(b, env, q.F)
+				ok, err := count.EvalEP(b, env, q.F)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -75,13 +75,13 @@ func TestEnumerateAnswersMatchesCount(t *testing.T) {
 
 func TestEnumerateAnswersLimit(t *testing.T) {
 	sig := workload.EdgeSig()
-	q := mustParseQ(t, "q(x,y) := E(x,y)")
+	q := parser.MustQuery("q(x,y) := E(x,y)")
 	p, err := pp.FromDisjunct(sig, q.Lib, q.Disjuncts()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := workload.GraphStructure(workload.CompleteGraph(5)) // 20 directed edges
-	n, err := EnumerateAnswers(sig, q.Lib, []pp.PP{p}, b, 7, func(Answer) bool { return true })
+	n, err := enumerateAnswers(q.Lib, []pp.PP{p}, b, 7, func(Answer) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestEnumerateAnswersLimit(t *testing.T) {
 
 func TestEnumerateAnswersSentenceShortCircuit(t *testing.T) {
 	sig := workload.EdgeSig()
-	q := mustParseQ(t, "q(x,y) := E(x,x) & E(y,y) | exists u. E(u,u)")
+	q := parser.MustQuery("q(x,y) := E(x,x) & E(y,y) | exists u. E(u,u)")
 	var ds []pp.PP
 	for _, d := range q.Disjuncts() {
 		p, err := pp.FromDisjunct(sig, q.Lib, d)
@@ -103,41 +103,11 @@ func TestEnumerateAnswersSentenceShortCircuit(t *testing.T) {
 	}
 	b := workload.RandomStructure(sig, 3, 0, 1)
 	_ = b.AddTuple("E", 0, 0)
-	n, err := EnumerateAnswers(sig, q.Lib, ds, b, 0, func(Answer) bool { return true })
+	n, err := enumerateAnswers(q.Lib, ds, b, 0, func(Answer) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 9 {
 		t.Fatalf("sentence short-circuit: delivered %d, want 9 = |B|²", n)
-	}
-}
-
-func TestHomomorphismsMatchesEnumeration(t *testing.T) {
-	sig := workload.EdgeSig()
-	for seed := int64(0); seed < 10; seed++ {
-		a := workload.RandomStructure(sig, 3, 0.4, seed)
-		b := workload.RandomStructure(sig, 4, 0.4, seed+50)
-		want := hom.Count(a, b, hom.Options{})
-		got, err := Homomorphisms(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cmp(want) != 0 {
-			t.Fatalf("seed %d: DP homs %v != enumerated %v", seed, got, want)
-		}
-	}
-}
-
-func TestHomomorphismsPathIntoClique(t *testing.T) {
-	// Walks of length 2 in K4 (symmetric): 4·3·3 = 36 homomorphisms of
-	// the path a-b-c.
-	path := workload.GraphStructure(workload.PathGraph(3))
-	k4 := workload.GraphStructure(workload.CompleteGraph(4))
-	got, err := Homomorphisms(path, k4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(big.NewInt(36)) != 0 {
-		t.Fatalf("homs = %v, want 36", got)
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/approx"
 	"repro/internal/classify"
-	"repro/internal/count"
 	"repro/internal/engine"
 	"repro/internal/eptrans"
 	"repro/internal/logic"
@@ -110,9 +109,9 @@ func (c *Counter) batchWidth() int {
 // signature infers it from the query's atoms.  Each unique φ⁻af counting
 // class gets exactly one engine plan, resolved through the fingerprint-
 // keyed plan cache (counting-equivalent terms of other Counters share
-// it).  eng must be count.EngineFPT or count.EngineAuto, which both name
-// the one exact executor.
-func NewCounter(q logic.Query, sig *structure.Signature, eng count.PPEngine) (*Counter, error) {
+// it).  eng must be engine.FPT or engine.Auto, which both name the one
+// exact executor.
+func NewCounter(q logic.Query, sig *structure.Signature, eng engine.Name) (*Counter, error) {
 	if sig == nil {
 		var err error
 		sig, err = eptrans.InferStructSignature(q)
@@ -311,12 +310,16 @@ func (c *Counter) countTerm(ctx context.Context, t *compiledTerm, sess *engine.S
 	return v, err
 }
 
+// ppCounter counts the terms of the oracle reduction on the structures it
+// builds.  Those are throwaway, so every count runs in a session of its
+// own and none enters the session registry, where it could evict a
+// serving session.
 func (c *Counter) ppCounter() eptrans.PPCounter {
 	return func(p pp.PP, b *structure.Structure) (*big.Int, error) {
 		if i, ok := c.termIdx[p.A]; ok {
-			return c.countTerm(context.Background(), &c.terms[i], engine.SessionFor(b))
+			return c.countTerm(context.Background(), &c.terms[i], engine.NewSession(b))
 		}
-		return count.PP(p, b)
+		return engine.CountOnce(p, b)
 	}
 }
 
@@ -326,15 +329,9 @@ func (c *Counter) ppCounter() eptrans.PPCounter {
 // waiting for the session registry's cap-pressure eviction.
 func (c *Counter) Release(b *structure.Structure) { engine.ReleaseSession(b) }
 
-// CountDirect evaluates the query by brute-force enumeration of liberal
-// assignments: the reference semantics (exponential; for validation).
-func (c *Counter) CountDirect(b *structure.Structure) (*big.Int, error) {
-	return count.EPDirect(c.Compiled.Query, b)
-}
-
 // CountPP counts one member of φ⁺ directly.
 func (c *Counter) CountPP(p pp.PP, b *structure.Structure) (*big.Int, error) {
-	return count.PP(p, b)
+	return engine.CountOnce(p, b)
 }
 
 // CountPPViaOracle counts a member of φ⁺ using only oracle access to the
@@ -351,12 +348,12 @@ func (c *Counter) CountPPViaOracle(p pp.PP, b *structure.Structure) (*big.Int, e
 // the liberal variables, as element names aligned with the query head).
 // fn returning false stops early; limit ≤ 0 means unlimited.  Returns the
 // number of answers delivered.
-func (c *Counter) Answers(b *structure.Structure, limit int, fn func(count.Answer) bool) (int, error) {
+func (c *Counter) Answers(b *structure.Structure, limit int, fn func(Answer) bool) (int, error) {
 	if !c.Compiled.Sig.Equal(b.Signature()) {
 		return 0, fmt.Errorf("core: query signature %v differs from structure signature %v",
 			c.Compiled.Sig, b.Signature())
 	}
-	return count.EnumerateAnswers(c.Compiled.Sig, c.Compiled.Query.Lib, c.Compiled.Disjuncts, b, limit, fn)
+	return enumerateAnswers(c.Compiled.Query.Lib, c.Compiled.Disjuncts, b, limit, fn)
 }
 
 // Classify returns the trichotomy verdict of the compiled query's φ⁺

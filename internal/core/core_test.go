@@ -27,7 +27,7 @@ func TestCounterMatchesDirect(t *testing.T) {
 		}
 		for seed := int64(0); seed < 5; seed++ {
 			b := workload.RandomStructure(c.Compiled.Sig, 3, 0.4, seed)
-			want, err := c.CountDirect(b)
+			want, err := count.EPDirect(c.Compiled.Query, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,9 +132,9 @@ func TestAnswersThroughCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := parser.MustStructure("E(a,b).", workload.EdgeSig())
-	var got []count.Answer
-	n, err := c.Answers(b, 0, func(a count.Answer) bool {
-		got = append(got, append(count.Answer(nil), a...))
+	var got []Answer
+	n, err := c.Answers(b, 0, func(a Answer) bool {
+		got = append(got, append(Answer(nil), a...))
 		return true
 	})
 	if err != nil {

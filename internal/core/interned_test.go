@@ -56,7 +56,7 @@ func TestInternedPlansFewerThanRawTerms(t *testing.T) {
 	// And the deduped pipeline still counts correctly.
 	for seed := int64(0); seed < 4; seed++ {
 		b := workload.RandomStructure(c.Compiled.Sig, 4, 0.4, seed)
-		want, err := c.CountDirect(b)
+		want, err := count.EPDirect(c.Compiled.Query, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestInternedPipelineMatchesDirectRandomUnions(t *testing.T) {
 		}
 		for seed := int64(0); seed < 3; seed++ {
 			b := workload.RandomStructure(c.Compiled.Sig, 4, 0.35, int64(trial)*7+seed)
-			want, err := c.CountDirect(b)
+			want, err := count.EPDirect(c.Compiled.Query, b)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -86,7 +86,7 @@ func TestCountBatchIntoZeroAllocMemoWarm(t *testing.T) {
 			if out[i].Cmp(want[i]) != 0 {
 				t.Fatalf("%s structure %d: warm result %v != first pass %v", in.src, i, out[i], want[i])
 			}
-			if direct, err := c.CountDirect(bs[i]); err != nil || direct.Cmp(out[i]) != 0 {
+			if direct, err := count.EPDirect(c.Compiled.Query, bs[i]); err != nil || direct.Cmp(out[i]) != 0 {
 				t.Fatalf("%s structure %d: count %v, direct %v (%v)", in.src, i, out[i], direct, err)
 			}
 		}

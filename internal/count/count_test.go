@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/engine"
 	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/pp"
@@ -44,7 +45,7 @@ func unionRef(p pp.PP, b *structure.Structure) (*big.Int, error) {
 // count p on b as want.
 func assertAllEngines(t *testing.T, p pp.PP, b *structure.Structure, want *big.Int) {
 	t.Helper()
-	for name, count := range map[string]func(pp.PP, *structure.Structure) (*big.Int, error){"engine": PP, "union": unionRef} {
+	for name, count := range map[string]func(pp.PP, *structure.Structure) (*big.Int, error){"engine": engine.CountOnce, "union": unionRef} {
 		got, err := count(p, b)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -160,7 +161,7 @@ func TestSignatureMismatchRejected(t *testing.T) {
 	sig := structure.MustSignature(structure.RelSym{Name: "F", Arity: 1})
 	p := mustPPFromQuery(t, q, sig)
 	b := exampleStructC() // over {E/2}
-	if _, err := PP(p, b); err == nil {
+	if _, err := engine.CountOnce(p, b); err == nil {
 		t.Fatal("signature mismatch should error")
 	}
 }
@@ -169,7 +170,7 @@ func TestEmptyStructureRejected(t *testing.T) {
 	q := parser.MustQuery("q(x,y) := E(x,y)")
 	p := mustPPFromQuery(t, q, edgeSig())
 	empty := structure.New(edgeSig())
-	if _, err := PP(p, empty); err == nil {
+	if _, err := engine.CountOnce(p, empty); err == nil {
 		t.Fatal("empty universe should error")
 	}
 }
@@ -182,7 +183,7 @@ func enginesAgree(t *testing.T, name string, p pp.PP, b *structure.Structure) *b
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := PP(p, b)
+	got, err := engine.CountOnce(p, b)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -238,7 +239,7 @@ func TestFPTMatchesBruteProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := PP(p, b)
+		got, err := engine.CountOnce(p, b)
 		if err != nil {
 			return false
 		}
@@ -263,9 +264,9 @@ func TestProductCountMultiplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, _ := PP(p, d1)
-	c2, _ := PP(p, d2)
-	cp, _ := PP(p, prod)
+	c1, _ := engine.CountOnce(p, d1)
+	c2, _ := engine.CountOnce(p, d2)
+	cp, _ := engine.CountOnce(p, prod)
 	want := new(big.Int).Mul(c1, c2)
 	if cp.Cmp(want) != 0 {
 		t.Fatalf("product count %v != %v·%v", cp, c1, c2)
@@ -283,7 +284,7 @@ func TestPadLoopsPositivity(t *testing.T) {
 	padded := structure.PadLoops(base, 1)
 	for _, q := range qs {
 		p := mustPPFromQuery(t, q, edgeSig())
-		got, err := PP(p, padded)
+		got, err := engine.CountOnce(p, padded)
 		if err != nil {
 			t.Fatal(err)
 		}

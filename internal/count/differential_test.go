@@ -52,7 +52,7 @@ func TestIndexedCountsMatchBruteForceAndInsertionOrder(t *testing.T) {
 		"q(a,b,c,d) := E(a,b) & E(c,d)",
 		"q(x) := E(x,x) & (exists s, t. E(s,t) & E(t,s))",
 	}
-	counters := map[string]func(pp.PP, *structure.Structure) (*big.Int, error){"engine": PP, "union": unionRef}
+	counters := map[string]func(pp.PP, *structure.Structure) (*big.Int, error){"engine": engine.CountOnce, "union": unionRef}
 	rng := rand.New(rand.NewSource(99))
 	for seed := int64(0); seed < 8; seed++ {
 		b := workload.RandomStructure(sig, 5, 0.35, seed)
@@ -209,7 +209,7 @@ func TestIndexedCountsInsertionOrderMixedArity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for which, bs := range []*structure.Structure{b, shuffled} {
-				got, err := PP(p, bs)
+				got, err := engine.CountOnce(p, bs)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,13 +1,15 @@
-// Package count computes the number of answers |φ(B)| of pp- and
-// ep-formulas on finite structures:
+// Package count is the oracle: the reference semantics of |φ(B)| that the
+// production counter (internal/core over internal/engine) is checked
+// against.  Tests import it, and so does epcount -verify.
 //
-//   - PP and Homomorphisms run the FPT engine of Theorem 2.11 (core
-//     computation, ∃-component predicate tables, and a join-count
-//     dynamic program over a tree decomposition of the contract graph);
-//   - EPDirect (direct recursive evaluation) and EPUnion (set-union
-//     enumeration of the disjuncts' answers) are the references the
-//     engine is differential-tested against;
-//   - EnumerateAnswers lists the answers themselves.
+//   - EvalEP decides B, f ⊨ φ for an ep-formula by direct recursion;
+//   - EPDirect counts |φ(B)| by evaluating every assignment of the
+//     liberal variables (exponential);
+//   - EPUnion counts by set-union enumeration of the prenex pp
+//     disjuncts' answers, |⋃ψ ψ(B)|, sharing no inclusion–exclusion,
+//     term pool or engine with the production path.
 //
-// All counts are big.Int (they reach |B|^|lib φ|).
+// It also re-exports the engine names (PPEngine, EngineAuto, EngineFPT)
+// that the benchmark passes to core.NewCounter.  All counts are big.Int
+// (they reach |B|^|lib φ|).
 package count

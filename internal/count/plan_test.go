@@ -1,6 +1,8 @@
 package count
 
 import (
+	"context"
+	"math/big"
 	"testing"
 
 	"repro/internal/engine"
@@ -8,6 +10,15 @@ import (
 	"repro/internal/structure"
 	"repro/internal/workload"
 )
+
+// countPlan executes a compiled plan against a structure, validated
+// first, in a session of its own.
+func countPlan(pl engine.Plan, b *structure.Structure) (*big.Int, error) {
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	return pl.CountIn(context.Background(), engine.NewSession(b))
+}
 
 func TestPlanMatchesOneShot(t *testing.T) {
 	sig := workload.EdgeSig()
@@ -116,7 +127,7 @@ func BenchmarkPlanReuse_OneShot(b *testing.B) {
 	bs := workload.GraphStructure(workload.ER(40, 0.1, 3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := PP(p, bs); err != nil {
+		if _, err := engine.CountOnce(p, bs); err != nil {
 			b.Fatal(err)
 		}
 	}

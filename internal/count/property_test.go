@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/ie"
 	"repro/internal/logic"
 	"repro/internal/parser"
@@ -44,7 +45,7 @@ func TestEPEnginesAgreeOnRandomQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 		viaIE, err := ie.Count(star, b, func(p pp.PP, s *structure.Structure) (*big.Int, error) {
-			return PP(p, s)
+			return engine.CountOnce(p, s)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -82,7 +83,7 @@ func TestEnginesAgreeMixedArity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := PP(p, b)
+			got, err := engine.CountOnce(p, b)
 			if err != nil {
 				t.Fatalf("%s: %v", src, err)
 			}
@@ -109,9 +110,9 @@ func TestDisjointUnionAdditivityForConnectedQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1, _ := PP(p, b1)
-		v2, _ := PP(p, b2)
-		vu, _ := PP(p, u)
+		v1, _ := engine.CountOnce(p, b1)
+		v2, _ := engine.CountOnce(p, b2)
+		vu, _ := engine.CountOnce(p, u)
 		want := new(big.Int).Add(v1, v2)
 		if vu.Cmp(want) != 0 {
 			t.Fatalf("seed %d: |φ(B1⊎B2)| = %v, want %v + %v", seed, vu, v1, v2)
@@ -128,14 +129,14 @@ func TestMonotoneUnderFacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := workload.RandomStructure(workload.EdgeSig(), 4, 0.2, 5)
-	prev, err := PP(p, b)
+	prev, err := engine.CountOnce(p, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			_ = b.AddTuple("E", i, j)
-			cur, err := PP(p, b)
+			cur, err := engine.CountOnce(p, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,7 +176,7 @@ func TestPaddingPolynomialIdentity(t *testing.T) {
 	var vals []*big.Int
 	for k := 0; k <= 3; k++ {
 		padded := structure.PadLoops(b, k)
-		v, err := PP(p, padded)
+		v, err := engine.CountOnce(p, padded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +226,7 @@ func TestExecutorOverflowFallsBackToBigInt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := Homomorphisms(a, b)
+	got, err := homomorphisms(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

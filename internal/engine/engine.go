@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/pp"
+	"repro/internal/structure"
 )
 
 // Name identifies a counting engine.  There is one exact executor, the
@@ -138,6 +139,26 @@ func Compile(p pp.PP, name Name) (Plan, error) {
 		return nil, err
 	}
 	return pl, nil
+}
+
+// CountOnce counts |p(B)| once: it checks the signature, validates b,
+// compiles p and counts it in a session of its own.  The session is
+// never registered (SessionFor), so a throwaway structure cannot evict a
+// serving session; a caller counting one formula many times, or one
+// structure many times, holds on to a Plan or a Session instead.
+func CountOnce(p pp.PP, b *structure.Structure) (*big.Int, error) {
+	if !p.A.Signature().Equal(b.Signature()) {
+		return nil, fmt.Errorf("engine: formula signature %v differs from structure signature %v",
+			p.A.Signature(), b.Signature())
+	}
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	pl, err := Compile(p, FPT)
+	if err != nil {
+		return nil, err
+	}
+	return pl.CountIn(context.Background(), NewSession(b))
 }
 
 // CompileKeyed is Compile with an optional canonical counting-class

@@ -25,12 +25,12 @@ func TestExecutorKeySchemesAgreeWithBrute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		packed, err := count.PP(p, b)
+		packed, err := engine.CountOnce(p, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		restore := engine.ForcePackedKeyBudget(0)
-		spilled, err := count.PP(p, b)
+		spilled, err := engine.CountOnce(p, b)
 		restore()
 		if err != nil {
 			t.Fatal(err)

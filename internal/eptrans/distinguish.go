@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/big"
 
-	"repro/internal/count"
 	"repro/internal/engine"
 	"repro/internal/hom"
 	"repro/internal/pp"
@@ -14,11 +13,6 @@ import (
 
 func homExists(a, b *structure.Structure) bool {
 	return hom.Exists(a, b, hom.Options{})
-}
-
-// countOn counts |p(B)| exactly (the reductions' one-shot counts).
-func countOn(p pp.PP, b *structure.Structure) (*big.Int, error) {
-	return count.PP(p, b)
 }
 
 // exactCounters compiles each formula once and returns, per formula, a

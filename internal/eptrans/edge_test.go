@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/count"
+	"repro/internal/engine"
 	"repro/internal/parser"
 	"repro/internal/pp"
 	"repro/internal/workload"
@@ -99,7 +100,7 @@ func TestDistinguishSetSingleton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := countOn(p, c)
+	v, err := engine.CountOnce(p, c)
 	if err != nil {
 		t.Fatal(err)
 	}

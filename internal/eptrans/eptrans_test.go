@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/count"
+	"repro/internal/engine"
 	"repro/internal/ie"
 	"repro/internal/logic"
 	"repro/internal/parser"
@@ -17,7 +18,7 @@ func edgeSig() *structure.Signature { return workload.EdgeSig() }
 
 // fptCounter is the pp oracle used by the forward reduction in tests.
 func fptCounter(p pp.PP, b *structure.Structure) (*big.Int, error) {
-	return count.PP(p, b)
+	return engine.CountOnce(p, b)
 }
 
 // epOracleFor returns an EP oracle computed by the forward pipeline (an
@@ -214,7 +215,7 @@ func TestPaperExample43StructureSeparates(t *testing.T) {
 	}
 	var vals []*big.Int
 	for _, s := range c.Star {
-		v, err := count.PP(s.Formula, cStruct)
+		v, err := engine.CountOnce(s.Formula, cStruct)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +241,7 @@ func TestPaperExample43StructureSeparates(t *testing.T) {
 		}
 		for pi, psi := range c.Plus {
 			calls = 0
-			want, err := count.PP(psi, b)
+			want, err := engine.CountOnce(psi, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,7 +271,7 @@ func TestBackwardReductionMatchesDirect(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			b := workload.RandomStructure(c.Sig, 3, 0.45, 100+seed)
 			for pi, psi := range c.Plus {
-				want, err := count.PP(psi, b)
+				want, err := engine.CountOnce(psi, b)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -372,8 +373,8 @@ func TestDistinguishPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, _ := countOn(p1, d)
-	v2, _ := countOn(p2, d)
+	v1, _ := engine.CountOnce(p1, d)
+	v2, _ := engine.CountOnce(p2, d)
 	if v1.Sign() <= 0 || v2.Sign() <= 0 || v1.Cmp(v2) == 0 {
 		t.Fatalf("distinguisher failed: %v vs %v on %v", v1, v2, d)
 	}
@@ -400,7 +401,7 @@ func TestDistinguishSet(t *testing.T) {
 	}
 	var vals []*big.Int
 	for _, r := range reps {
-		v, err := countOn(r, c)
+		v, err := engine.CountOnce(r, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,7 +452,7 @@ func TestPaperTheorem31Interreduction(t *testing.T) {
 		// Backward, for every member of φ⁺.
 		oracle := epOracleFor(c)
 		for pi, psi := range c.Plus {
-			pw, err := count.PP(psi, b)
+			pw, err := engine.CountOnce(psi, b)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/count"
+	"repro/internal/engine"
 	"repro/internal/parser"
 	"repro/internal/structure"
 	"repro/internal/workload"
@@ -54,7 +55,7 @@ func TestBackwardReductionTernary(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		b := workload.RandomStructure(sig, 3, 0.35, 40+seed)
 		for pi, psi := range c.Plus {
-			want, err := count.PP(psi, b)
+			want, err := engine.CountOnce(psi, b)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"repro/internal/engine"
 	"repro/internal/ie"
 	"repro/internal/lin"
 	"repro/internal/pp"
@@ -99,7 +100,7 @@ func CountPPViaEP(c *Compiled, psi pp.PP, b *structure.Structure, oracle EPOracl
 	if err != nil {
 		return nil, err
 	}
-	onC, err := countOn(psi, cPsi)
+	onC, err := engine.CountOnce(psi, cPsi)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +190,7 @@ func allFreeCountViaEP(c *Compiled, psi pp.PP, b *structure.Structure, oracle EP
 	}
 	nodes := make([]*big.Int, len(classes))
 	for ci := range classes {
-		nodes[ci], err = countOn(reps[ci], cPrime)
+		nodes[ci], err = engine.CountOnce(reps[ci], cPrime)
 		if err != nil {
 			return nil, err
 		}
@@ -285,7 +286,7 @@ func PeelClass(formulas []pp.PP, coeffs []*big.Int, target int, b *structure.Str
 		return nil, err
 	}
 	cStruct := formulas[i].A
-	onC, err := countOn(formulas[i], cStruct)
+	onC, err := engine.CountOnce(formulas[i], cStruct)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/count"
+	"repro/internal/engine"
 	"repro/internal/ie"
 	"repro/internal/logic"
 	"repro/internal/parser"
@@ -251,7 +252,7 @@ func TestExample42CountMatchesUnion(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := ie.Count(star, b, func(p pp.PP, s *structure.Structure) (*big.Int, error) {
-			return count.PP(p, s)
+			return engine.CountOnce(p, s)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -364,7 +365,7 @@ func TestMergeAcrossUniverseSizes(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := ie.Count(star, b, func(p pp.PP, s *structure.Structure) (*big.Int, error) {
-			return count.PP(p, s)
+			return engine.CountOnce(p, s)
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -75,10 +75,6 @@ type CountRequest struct {
 	Query string `json:"query"`
 	// Structure is the registered structure's name.
 	Structure string `json:"structure"`
-	// Engine selects nothing: the service runs one exact executor, and
-	// the field accepts its spellings ("fpt", "auto", or empty).  Any
-	// other engine name is a 400.
-	Engine string `json:"engine,omitempty"`
 	// TimeoutMillis lowers the server's per-request deadline for this
 	// request (0 = server default; values above the server default are
 	// clamped to it).
@@ -142,7 +138,6 @@ type CountResponse struct {
 type CountBatchRequest struct {
 	Query         string   `json:"query"`
 	Structures    []string `json:"structures"`
-	Engine        string   `json:"engine,omitempty"`
 	TimeoutMillis int64    `json:"timeout_ms,omitempty"`
 	// Mode / Epsilon / Delta / MaxSamples / Seed are the approx-mode
 	// knobs, with the same semantics as on CountRequest, applied to
@@ -186,8 +181,6 @@ type CountBatchResponse struct {
 type SubscribeRequest struct {
 	Query     string `json:"query"`
 	Structure string `json:"structure"`
-	// Engine is validated as on CountRequest and selects nothing.
-	Engine string `json:"engine,omitempty"`
 }
 
 // SubscriptionInfo describes one subscription.  Count (a decimal
@@ -199,7 +192,6 @@ type SubscriptionInfo struct {
 	ID        string `json:"id"`
 	Query     string `json:"query"`
 	Structure string `json:"structure"`
-	Engine    string `json:"engine"`
 	Count     string `json:"count,omitempty"`
 	Version   uint64 `json:"version,omitempty"`
 	ElapsedUS int64  `json:"elapsed_us,omitempty"`
@@ -214,9 +206,6 @@ type SubscriptionsResponse struct {
 type QueryStats struct {
 	// Query is the source text the counter was registered under.
 	Query string `json:"query"`
-	// Engine is the exact executor the counter compiles to: always
-	// "fpt".
-	Engine string `json:"engine"`
 	// Pool is the canonical term pool's interning summary.
 	Pool term.Stats `json:"pool"`
 	// Plans / SharedPlans: engine plans backing the counter, and how
@@ -376,7 +365,6 @@ type ErrorResponse struct {
 func queryStatsFrom(query string, st core.Stats) QueryStats {
 	return QueryStats{
 		Query:            query,
-		Engine:           servedEngine,
 		Pool:             st.Pool,
 		Plans:            st.Plans,
 		SharedPlans:      st.SharedPlans,

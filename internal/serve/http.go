@@ -27,9 +27,9 @@ var Routes = []Route{
 	{"GET", "/structures", `list the registered structures`, (*Frontend).listStructures},
 	{"GET", "/structures/{name}", `one structure's metadata`, (*Frontend).getStructure},
 	{"POST", "/structures/{name}/facts", `{"facts", "batch_id"?}  append atomically, idempotent per batch_id`, (*Frontend).appendFacts},
-	{"POST", "/count", `{"query", "structure", "engine"?: "fpt", "timeout_ms"?, "mode"?: "exact" | "approx", "epsilon"?, "delta"?, "max_samples"?, "seed"?}`, (*Frontend).count},
+	{"POST", "/count", `{"query", "structure", "timeout_ms"?, "mode"?: "exact" | "approx", "epsilon"?, "delta"?, "max_samples"?, "seed"?}`, (*Frontend).count},
 	{"POST", "/countBatch", `{"query", "structures": [...], and the options of /count}  one query on many structures`, (*Frontend).countBatch},
-	{"POST", "/subscriptions", `{"query", "structure", "engine"?: "fpt"}  register a maintained count`, (*Frontend).subscribe},
+	{"POST", "/subscriptions", `{"query", "structure"}  register a maintained count`, (*Frontend).subscribe},
 	{"GET", "/subscriptions", `list the subscriptions`, (*Frontend).listSubscriptions},
 	{"GET", "/subscriptions/{id}", `the maintained count at the structure's current version`, (*Frontend).subscriptionCount},
 	{"DELETE", "/subscriptions/{id}", `remove a subscription`, (*Frontend).unsubscribe},
@@ -202,7 +202,7 @@ func (f *Frontend) count(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if _, err := countOptions(req.Engine, req.Mode, req.approxParams()); err != nil {
+	if _, err := countOptions(req.Mode, req.approxParams()); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -221,7 +221,7 @@ func (f *Frontend) countBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errNoStructures)
 		return
 	}
-	if _, err := countOptions(req.Engine, req.Mode, req.approxParams()); err != nil {
+	if _, err := countOptions(req.Mode, req.approxParams()); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -234,10 +234,6 @@ func (f *Frontend) countBatch(w http.ResponseWriter, r *http.Request) {
 func (f *Frontend) subscribe(w http.ResponseWriter, r *http.Request) {
 	var req SubscribeRequest
 	if !decodeJSON(w, r, &req) {
-		return
-	}
-	if err := parseEngine(req.Engine); err != nil {
-		writeError(w, err)
 		return
 	}
 	info, err := f.b.SubscribeWith(r.Context(), req)

@@ -7,14 +7,13 @@ import (
 	"math/big"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/approx"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/count"
+	"repro/internal/engine"
 	"repro/internal/parser"
 	"repro/internal/structure"
 	"repro/internal/wal"
@@ -97,9 +96,6 @@ type Registry struct {
 	subs   map[string]*subEntry
 	subSeq uint64
 
-	// workers is the batch fan-out width handed to every new counter
-	// (0 = GOMAXPROCS).
-	workers int
 	// hardExactLimit is the exact-mode admission bound read applies
 	// (Config.HardExactLimit, installed by New; 0 = every read admitted).
 	hardExactLimit int
@@ -133,17 +129,16 @@ type Registry struct {
 // on demand).
 const counterCacheCap = 256
 
-// NewRegistry returns an empty registry; workers is the batch fan-out
-// width of its counters (core.Counter.WithWorkers; 0 = GOMAXPROCS).  The
-// leading int is retired (it was the counter cache's cap, which no caller
-// set) and stays only because benchmark/ladder.go, frozen outside
-// benchmark PRs, still passes it.
-func NewRegistry(_ int, workers int) *Registry {
+// NewRegistry returns an empty registry.  Both ints are retired and read
+// by nothing — the first was the counter cache's cap, which no caller
+// set, the second the batch width of its counters, which nothing in
+// serve batches through — and stay only because benchmark/ladder.go,
+// frozen outside benchmark PRs, still passes them.
+func NewRegistry(_, _ int) *Registry {
 	return &Registry{
 		structs: make(map[string]*structEntry),
 		queries: cache.New[queryKey, *core.Counter](counterCacheCap),
 		subs:    make(map[string]*subEntry),
-		workers: workers,
 	}
 }
 
@@ -357,11 +352,10 @@ func (r *Registry) counterFor(src string, sig *structure.Signature) (*core.Count
 	if err != nil {
 		return nil, err
 	}
-	c, err := core.NewCounter(q, sig, count.EngineFPT)
+	c, err := core.NewCounter(q, sig, engine.FPT)
 	if err != nil {
 		return nil, err
 	}
-	c.WithWorkers(r.workers)
 	c, _ = r.queries.Add(key, c) // a concurrent compile may have won; keep its telemetry
 	return c, nil
 }
@@ -626,19 +620,4 @@ func (r *Registry) DurabilityStats() DurabilityStats {
 	ds.Compactions = s.Compactions
 	ds.Syncs = s.Syncs
 	return ds
-}
-
-// servedEngine is the one exact executor epserved runs, as the engine
-// fields of its responses spell it.
-const servedEngine = "fpt"
-
-// parseEngine validates the wire engine field.  It selects nothing: the
-// empty string, "auto" and "fpt" all mean the one exact executor, and
-// every other name is refused.
-func parseEngine(s string) error {
-	switch strings.TrimSpace(s) {
-	case "", "auto", servedEngine:
-		return nil
-	}
-	return Errorf(http.StatusBadRequest, "serve: engine %q is not served (want %q, \"auto\" or empty)", s, servedEngine)
 }

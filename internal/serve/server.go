@@ -87,7 +87,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:      cfg,
-		reg:      NewRegistry(0, cfg.Workers),
+		reg:      NewRegistry(0, 0),
 		started:  time.Now(),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 	}
@@ -165,15 +165,12 @@ func (s *Server) admit() (release func(), err error) {
 // errNoStructures refuses a batch count over no structures.
 var errNoStructures = Errorf(http.StatusBadRequest, "structures must not be empty")
 
-// countOptions validates a counting request's engine, execution mode
-// and — in approx mode — its (ε, δ) target and sample cap: the one check
+// countOptions validates a counting request's execution mode and — in
+// approx mode — its (ε, δ) target and sample cap: the one check
 // behind every surface, and where the local backend reads their parsed
 // values.  A zero approx parameter means its default; one out of range
 // is refused, never replaced — the answer would misstate what it met.
-func countOptions(engineName, mode string, prm approx.Params) (approxMode bool, err error) {
-	if err = parseEngine(engineName); err != nil {
-		return false, err
-	}
+func countOptions(mode string, prm approx.Params) (approxMode bool, err error) {
 	switch mode {
 	case "", "exact":
 		return false, nil
@@ -232,7 +229,7 @@ func (s *Server) CountWith(ctx context.Context, req CountRequest) (*big.Int, Cou
 	}
 	defer release()
 	prm := req.approxParams()
-	approxMode, err := countOptions(req.Engine, req.Mode, prm)
+	approxMode, err := countOptions(req.Mode, prm)
 	if err != nil {
 		return fail(err)
 	}
@@ -287,7 +284,7 @@ func (s *Server) CountBatchWith(ctx context.Context, req CountBatchRequest) ([]*
 	}
 	defer release()
 	prm := req.approxParams()
-	approxMode, err := countOptions(req.Engine, req.Mode, prm)
+	approxMode, err := countOptions(req.Mode, prm)
 	if err != nil {
 		return fail(err)
 	}
@@ -357,7 +354,7 @@ func (s *Server) CountBatchWith(ctx context.Context, req CountBatchRequest) ([]*
 
 // SubscribeWith registers a maintained count (see Registry.Subscribe).
 func (s *Server) SubscribeWith(_ context.Context, req SubscribeRequest) (SubscriptionInfo, error) {
-	info, err := s.reg.Subscribe(req.Query, req.Structure, req.Engine)
+	info, err := s.reg.Subscribe(req.Query, req.Structure, "")
 	return info, WithStatus(http.StatusBadRequest, err)
 }
 

@@ -312,10 +312,10 @@ func TestErrorStatuses(t *testing.T) {
 			_, _, err := cl.Count(ctx, "this is not a query", "g")
 			return err
 		}, "HTTP 400"},
-		{"bad engine", func() error {
-			_, _, err := cl.CountWith(ctx, CountRequest{Query: triangleQuery, Structure: "g", Engine: "warp"})
-			return err
-		}, "HTTP 400"},
+		{"engine field", func() error {
+			body := map[string]string{"query": triangleQuery, "structure": "g", "engine": "fpt"}
+			return cl.do(ctx, "POST", "/count", body, nil, false)
+		}, `unknown field "engine" (HTTP 400)`},
 		{"bad facts", func() error {
 			_, err := cl.AppendFacts(ctx, "g", "E(a,b,c).") // arity mismatch
 			return err

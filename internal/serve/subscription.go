@@ -50,7 +50,6 @@ func (se *subEntry) snapshot() SubscriptionInfo {
 		ID:        se.id,
 		Query:     se.query,
 		Structure: se.structure,
-		Engine:    servedEngine,
 	}
 	se.mu.Lock()
 	if se.valid {
@@ -65,13 +64,10 @@ func (se *subEntry) snapshot() SubscriptionInfo {
 // counter compiles eagerly (errors surface here, not on read); the
 // count itself is maintained lazily from the first read on.
 //
-// engineName is validated and selects nothing (parseEngine).  The
-// parameter is a wart: the repository benchmark, frozen between its own
-// PRs, pins this signature, and the parameter goes at its next re-pin.
-func (r *Registry) Subscribe(query, structureName, engineName string) (SubscriptionInfo, error) {
-	if err := parseEngine(engineName); err != nil {
-		return SubscriptionInfo{}, err
-	}
+// The trailing string is retired and read by nothing: it was the engine
+// name, and stays only because benchmark/ladder.go, frozen outside
+// benchmark PRs, still passes it.
+func (r *Registry) Subscribe(query, structureName, _ string) (SubscriptionInfo, error) {
 	e, err := r.entry(structureName)
 	if err != nil {
 		return SubscriptionInfo{}, err
@@ -148,7 +144,6 @@ func (r *Registry) subscriptionCount(ctx context.Context, id string) (*big.Int, 
 		ID:        se.id,
 		Query:     se.query,
 		Structure: se.structure,
-		Engine:    servedEngine,
 		Count:     cnt.String(),
 		Version:   v,
 	}, nil
