@@ -86,5 +86,5 @@ approx-smoke:
 		EPCQ_APPROX_SEED_BASE=$$base $(GO) test -count=1 ./internal/approx || exit 1; \
 	done
 	$(GO) test -race -count=1 ./internal/approx ./internal/hom
-	$(GO) test -race -count=1 -run 'TestRoutingMatchesClassify|TestFPTApproxBitIdentical|TestHardRoutingSamples|TestApproxHardGolden|TestWithRouteBoundsReroutes|TestClassificationMemoizedPerFingerprint' ./internal/core
+	$(GO) test -race -count=1 -run 'TestRoutingMatchesClassify|TestFPTApproxBitIdentical|TestHardRoutingSamples|TestApproxHardGolden|TestClassificationMemoizedPerFingerprint' ./internal/core
 	$(GO) test -race -count=1 -run 'Approx|TestHardExactAdmission|TestCountModeValidation' ./internal/serve ./internal/cluster

@@ -18,6 +18,7 @@ import (
 	"repro/internal/ie"
 	"repro/internal/parser"
 	"repro/internal/pp"
+	"repro/internal/reduce"
 	"repro/internal/structure"
 	"repro/internal/tw"
 	"repro/internal/workload"
@@ -48,7 +49,7 @@ func BenchmarkE1_Example41_Pipeline(b *testing.B) {
 	bs := workload.RandomStructure(workload.EdgeSig(), 12, 0.3, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eptrans.CountEPViaPP(c, bs, fptCounter); err != nil {
+		if _, err := reduce.CountEPViaPP(c, bs, fptCounter); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -142,12 +143,12 @@ func BenchmarkE3_Vandermonde_BackwardReduction(b *testing.B) {
 	c := mustCompile(b, "phi(w,x,y,z) := E(x,y) & (E(w,x) | E(y,z) & E(z,z))")
 	bs := workload.RandomStructure(workload.EdgeSig(), 3, 0.45, 3)
 	oracle := func(y *structure.Structure) (*big.Int, error) {
-		return eptrans.CountEPViaPP(c, y, fptCounter)
+		return reduce.CountEPViaPP(c, y, fptCounter)
 	}
 	psi := c.Plus[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eptrans.CountPPViaEP(c, psi, bs, oracle); err != nil {
+		if _, err := reduce.CountPPViaEP(c, psi, bs, oracle); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -251,7 +252,7 @@ func BenchmarkE8_EquivalenceTheorem_Forward(b *testing.B) {
 	bs := workload.RandomStructure(workload.EdgeSig(), 8, 0.25, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eptrans.CountEPViaPP(c, bs, fptCounter); err != nil {
+		if _, err := reduce.CountEPViaPP(c, bs, fptCounter); err != nil {
 			b.Fatal(err)
 		}
 	}

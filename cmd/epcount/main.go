@@ -28,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/count"
 	"repro/internal/engine"
+	"repro/internal/eptrans"
 )
 
 func main() {
@@ -139,7 +140,11 @@ func run(queryStr, queryFile, dataFile string, explain, stats, verify, timing bo
 		if ao.mode == "approx" {
 			return fmt.Errorf("-verify cross-checks exact counts and does not apply to -mode approx")
 		}
-		v, err := count.EPUnion(c.Compiled.Disjuncts, b)
+		comp, err := eptrans.Compile(q, sig)
+		if err != nil {
+			return err
+		}
+		v, err := count.EPUnion(comp.Disjuncts, b)
 		if err != nil {
 			return err
 		}

@@ -27,8 +27,9 @@
 //     GOMAXPROCS by default;
 //   - the decidable equivalence notions of Section 5 (counting
 //     equivalence, semi-counting equivalence, logical equivalence);
-//   - the φ⁺ translation of the equivalence theorem and both counting
-//     slice reductions;
+//   - the φ⁺ translation of the equivalence theorem (Compile), direct
+//     counts of its members (CountPP) and both counting slice
+//     reductions (CountPPViaOracle), outside the counting pipeline;
 //   - the trichotomy classifier of Theorem 3.2.
 //
 // Quick start:
@@ -41,6 +42,7 @@
 package epcq
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 
@@ -52,6 +54,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/pp"
+	"repro/internal/reduce"
 	"repro/internal/structure"
 )
 
@@ -74,8 +77,8 @@ type (
 	// PPFormula is a prenex primitive positive formula in the pair view
 	// (A, S) of Chandra–Merlin.
 	PPFormula = pp.PP
-	// Counter is a compiled ep-query supporting repeated counting,
-	// classification, and the oracle reductions.
+	// Counter is a compiled ep-query supporting repeated counting and
+	// classification.
 	Counter = core.Counter
 	// Compiled is the Theorem 3.1 front-end output: normalized disjuncts,
 	// φ*af, φ⁻af and φ⁺.
@@ -236,6 +239,32 @@ func Compile(q Query, sig *Signature) (*Compiled, error) {
 		}
 	}
 	return eptrans.Compile(q, sig)
+}
+
+// CountPP counts one pp-formula, typically a member of φ⁺, directly on b.
+func CountPP(p PPFormula, b *Structure) (*big.Int, error) { return engine.CountOnce(p, b) }
+
+// CountPPViaOracle counts a member p of comp's φ⁺ using only oracle access
+// to the full ep-query — the backward slice reduction of Theorem 3.1,
+// exposed so applications can exercise the interreduction.  The oracle is
+// the forward reduction: it counts each φ⁻af term through the term's
+// fingerprint-keyed plan, in a session of its own, so none of the
+// structures the reduction builds enters the session registry, where it
+// could evict a serving session.
+func CountPPViaOracle(comp *Compiled, p PPFormula, b *Structure) (*big.Int, error) {
+	plans := make(map[*Structure]engine.Plan, len(comp.Minus))
+	for _, t := range comp.Minus {
+		pl, _, err := engine.CompileKeyed(t.Formula, t.FP, engine.FPT)
+		if err != nil {
+			return nil, err
+		}
+		plans[t.Formula.A] = pl
+	}
+	terms := func(t PPFormula, y *Structure) (*big.Int, error) { // t is one of comp.Minus
+		return plans[t.A].CountIn(context.Background(), engine.NewSession(y))
+	}
+	oracle := func(y *Structure) (*big.Int, error) { return reduce.CountEPViaPP(comp, y, terms) }
+	return reduce.CountPPViaEP(comp, p, b, oracle)
 }
 
 // asSinglePP converts a pp-query (one disjunct) to the pair view.

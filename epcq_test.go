@@ -5,9 +5,8 @@ import (
 	"testing"
 
 	epcq "repro"
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/eptrans"
+	"repro/internal/reduce"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -243,22 +242,22 @@ func TestCountBatchAPI(t *testing.T) {
 func TestOneShotCountsLeaveSessionRegistryAlone(t *testing.T) {
 	q := epcq.MustParseQuery("q(x,y) := E(x,y) | E(y,x)")
 	b := epcq.MustParseStructure("E(a,b). E(b,c). E(c,d). E(d,d).", nil)
-	c, err := core.NewCounter(q, b.Signature(), engine.FPT)
+	comp, err := epcq.Compile(q, b.Signature())
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := func(y *epcq.Structure) (*big.Int, error) { return eptrans.CountEPViaPP(c.Compiled, y, c.CountPP) }
+	oracle := func(y *epcq.Structure) (*big.Int, error) { return reduce.CountEPViaPP(comp, y, epcq.CountPP) }
 	before := engine.SessionStats()
-	for _, p := range c.Compiled.Plus {
-		direct, err := c.CountPP(p, b)
+	for _, p := range comp.Plus {
+		direct, err := epcq.CountPP(p, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaOracle, err := c.CountPPViaOracle(p, b)
+		viaOracle, err := epcq.CountPPViaOracle(comp, p, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaEP, err := eptrans.CountPPViaEP(c.Compiled, p, b, oracle)
+		viaEP, err := reduce.CountPPViaEP(comp, p, b, oracle)
 		if err != nil {
 			t.Fatal(err)
 		}

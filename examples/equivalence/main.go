@@ -60,12 +60,12 @@ func main() {
 
 	fmt.Println("\nbackward reduction (Thm 5.20 / Appendix A): recover each |ψ(B)|")
 	fmt.Println("using ONLY oracle calls to |θ(·)|:")
-	for i, p := range counter.Compiled.Plus {
-		direct, err := counter.CountPP(p, b)
+	for i, p := range compiled.Plus {
+		direct, err := epcq.CountPP(p, b)
 		if err != nil {
 			log.Fatal(err)
 		}
-		viaOracle, err := counter.CountPPViaOracle(p, b)
+		viaOracle, err := epcq.CountPPViaOracle(compiled, p, b)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -137,15 +137,13 @@ func (v Verdict) String() string {
 		v.Case, v.MaxCoreTW, v.WCore, v.MaxContractTW, v.WContract)
 }
 
-// ClassifyPPSet classifies a finite set of pp-formulas relative to the
-// width bounds (wCore, wContract): the verdict is the Theorem 3.2 case of
-// any family whose members stay within the measured maxima iff those
-// maxima respect the bounds.
-func ClassifyPPSet(pps []pp.PP, wCore, wContract int) Verdict {
-	v := Verdict{WCore: wCore, WContract: wContract, AllWidthsExact: true, LimitingFormulaID: -1}
-	for i, p := range pps {
-		r := AnalyzePP(p)
-		v.Reports = append(v.Reports, r)
+// ClassifyPPSet classifies a finite set of pp-formulas, given by their
+// Reports, relative to the width bounds (wCore, wContract): the verdict
+// is the Theorem 3.2 case of any family whose members stay within the
+// measured maxima iff those maxima respect the bounds.
+func ClassifyPPSet(reports []Report, wCore, wContract int) Verdict {
+	v := Verdict{WCore: wCore, WContract: wContract, AllWidthsExact: true, LimitingFormulaID: -1, Reports: reports}
+	for i, r := range reports {
 		if r.CoreTreewidth > v.MaxCoreTW || r.ContractTreewidth > v.MaxContractTW {
 			v.LimitingFormulaID = i
 		}
@@ -165,8 +163,11 @@ func ClassifyEP(q logic.Query, sig *structure.Signature, wCore, wContract int) (
 	if err != nil {
 		return Verdict{}, nil, err
 	}
-	v := ClassifyPPSet(c.Plus, wCore, wContract)
-	return v, c, nil
+	reports := make([]Report, len(c.Plus))
+	for i, p := range c.Plus {
+		reports[i] = AnalyzePP(p)
+	}
+	return ClassifyPPSet(reports, wCore, wContract), c, nil
 }
 
 // FamilyPoint is one sample of a parameterized family analysis.

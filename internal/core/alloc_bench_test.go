@@ -24,7 +24,7 @@ func BenchmarkCountBatchInto_MemoWarm(b *testing.B) {
 	bs := make([]*structure.Structure, 16)
 	out := make([]*big.Int, len(bs))
 	for i := range bs {
-		bs[i] = workload.RandomStructure(c.Compiled.Sig, 12, 0.3, int64(i))
+		bs[i] = workload.RandomStructure(c.Signature(), 12, 0.3, int64(i))
 		out[i] = new(big.Int)
 	}
 	ctx := context.Background()

@@ -21,7 +21,7 @@ func TestCountBatchIntoMatchesCountBatch(t *testing.T) {
 	}
 	bs := make([]*structure.Structure, 6)
 	for i := range bs {
-		bs[i] = workload.RandomStructure(c.Compiled.Sig, 9, 0.4, 100+int64(i))
+		bs[i] = workload.RandomStructure(c.Signature(), 9, 0.4, 100+int64(i))
 	}
 	ref, err := c.CountBatch(bs)
 	if err != nil {

@@ -19,9 +19,15 @@ import (
 	"repro/internal/term"
 )
 
-// Counter is a compiled ep-query ready for repeated counting.
+// Counter is a compiled ep-query ready for repeated counting: its term
+// list and what the count path reads beside it.  It keeps nothing else
+// of the front end's output.
 type Counter struct {
-	Compiled *eptrans.Compiled
+	query logic.Query
+	sig   *structure.Signature
+	// pool is the canonical term pool's interning counters, taken at
+	// construction.
+	pool term.Stats
 
 	// terms holds the unique φ⁻af counting classes, each carrying its
 	// canonical fingerprint, merged coefficient, and compiled
@@ -36,9 +42,6 @@ type Counter struct {
 	// |B|^|lib| (its liberal variables are isolated), memoized per
 	// session under its fingerprint like a term's count.
 	sentences []compiledTerm
-	// termIdx maps a φ⁻af term's structure identity to its terms index —
-	// the lookup the oracle-reduction paths use.
-	termIdx map[*structure.Structure]int
 	// sharedPlans counts terms whose plan was already in the
 	// fingerprint-keyed cache at construction.
 	sharedPlans int
@@ -48,11 +51,6 @@ type Counter struct {
 	countHits   atomic.Uint64
 	countMisses atomic.Uint64
 
-	// Explain's static report (normalized disjuncts, φ*, classification)
-	// is classification-heavy; it is built once and reused.
-	explainOnce   sync.Once
-	explainStatic string
-
 	// workers is the width of the CountBatch fan-out over independent
 	// structures (0 = GOMAXPROCS); see WithWorkers.  A single count runs
 	// on its caller's goroutine and never reads it.  Atomic so that
@@ -60,12 +58,11 @@ type Counter struct {
 	// flight (the race-free snapshot Stats relies on).
 	workers atomic.Int32
 
-	// Routing state (see routing.go): the width bounds terms were
-	// classified against, the worst case among them, and the number of
-	// approximate term evaluations performed so far.
-	routeWCore, routeWContract int
-	hardest                    classify.Case
-	approxCounts               atomic.Uint64
+	// Routing state (see routing.go): the worst trichotomy case among
+	// the terms under the route bounds, and the number of approximate
+	// term evaluations performed so far.
+	hardest      classify.Case
+	approxCounts atomic.Uint64
 }
 
 // compiledTerm is one unique φ⁻af counting class, ready to execute.
@@ -76,8 +73,8 @@ type compiledTerm struct {
 	plan    engine.Plan
 
 	// Routing state (see routing.go): the classification Report, the
-	// trichotomy case under the counter's route bounds, and — for hard
-	// terms — the estimator over the plan's shape.
+	// trichotomy case under the route bounds, and — for hard terms — the
+	// estimator over the plan's shape.
 	report classify.Report
 	caseOf classify.Case
 	est    *approx.Estimator
@@ -123,9 +120,8 @@ func NewCounter(q logic.Query, sig *structure.Signature, eng engine.Name) (*Coun
 	if err != nil {
 		return nil, err
 	}
-	counter := &Counter{Compiled: c}
+	counter := &Counter{query: q, sig: sig, pool: c.Pool.Stats()}
 	counter.terms = make([]compiledTerm, 0, len(c.Minus))
-	counter.termIdx = make(map[*structure.Structure]int, len(c.Minus))
 	for _, t := range c.Minus {
 		plan, hit, err := engine.CompileKeyed(t.Formula, t.FP, eng)
 		if err != nil {
@@ -134,7 +130,6 @@ func NewCounter(q logic.Query, sig *structure.Signature, eng engine.Name) (*Coun
 		if hit {
 			counter.sharedPlans++
 		}
-		counter.termIdx[t.Formula.A] = len(counter.terms)
 		counter.terms = append(counter.terms, compiledTerm{
 			formula: t.Formula,
 			fp:      t.FP,
@@ -150,9 +145,15 @@ func NewCounter(q logic.Query, sig *structure.Signature, eng engine.Name) (*Coun
 		}
 		counter.sentences = append(counter.sentences, compiledTerm{formula: th, fp: fp, plan: plan})
 	}
-	counter.routeTerms(DefaultRouteWCore, DefaultRouteWContract)
+	counter.routeTerms()
 	return counter, nil
 }
+
+// Query returns the query the counter was compiled from.
+func (c *Counter) Query() logic.Query { return c.query }
+
+// Signature returns the signature the counter counts over.
+func (c *Counter) Signature() *structure.Signature { return c.sig }
 
 // Count returns |φ(B)|: the number of assignments of the liberal
 // variables satisfying the query on b.  This is the paper's pipeline:
@@ -176,9 +177,9 @@ func (c *Counter) CountCtx(ctx context.Context, b *structure.Structure) (*big.In
 // sessionFor validates b against the compiled signature and returns its
 // shared engine session.
 func (c *Counter) sessionFor(b *structure.Structure) (*engine.Session, error) {
-	if !c.Compiled.Sig.Equal(b.Signature()) {
+	if !c.sig.Equal(b.Signature()) {
 		return nil, fmt.Errorf("core: query signature %v differs from structure signature %v",
-			c.Compiled.Sig, b.Signature())
+			c.sig, b.Signature())
 	}
 	if err := b.Validate(); err != nil {
 		return nil, err
@@ -310,56 +311,41 @@ func (c *Counter) countTerm(ctx context.Context, t *compiledTerm, sess *engine.S
 	return v, err
 }
 
-// ppCounter counts the terms of the oracle reduction on the structures it
-// builds.  Those are throwaway, so every count runs in a session of its
-// own and none enters the session registry, where it could evict a
-// serving session.
-func (c *Counter) ppCounter() eptrans.PPCounter {
-	return func(p pp.PP, b *structure.Structure) (*big.Int, error) {
-		if i, ok := c.termIdx[p.A]; ok {
-			return c.countTerm(context.Background(), &c.terms[i], engine.NewSession(b))
-		}
-		return engine.CountOnce(p, b)
-	}
-}
-
 // Release drops the cached engine session of b (if any), freeing its
 // materialized constraint tables ahead of LRU eviction.  Long-lived
 // processes that are done with a structure can call this instead of
 // waiting for the session registry's cap-pressure eviction.
 func (c *Counter) Release(b *structure.Structure) { engine.ReleaseSession(b) }
 
-// CountPP counts one member of φ⁺ directly.
-func (c *Counter) CountPP(p pp.PP, b *structure.Structure) (*big.Int, error) {
-	return engine.CountOnce(p, b)
-}
-
-// CountPPViaOracle counts a member of φ⁺ using only oracle access to the
-// full ep-query — the backward slice reduction of Theorem 3.1, exposed so
-// applications can exercise the interreduction.
-func (c *Counter) CountPPViaOracle(p pp.PP, b *structure.Structure) (*big.Int, error) {
-	oracle := func(y *structure.Structure) (*big.Int, error) {
-		return eptrans.CountEPViaPP(c.Compiled, y, c.ppCounter())
-	}
-	return eptrans.CountPPViaEP(c.Compiled, p, b, oracle)
-}
-
 // Answers enumerates the answer set φ(B) (deduplicated assignments of
 // the liberal variables, as element names aligned with the query head).
 // fn returning false stops early; limit ≤ 0 means unlimited.  Returns the
-// number of answers delivered.
+// number of answers delivered.  It enumerates the normalized disjuncts,
+// which it compiles afresh: the counter keeps only its terms.
 func (c *Counter) Answers(b *structure.Structure, limit int, fn func(Answer) bool) (int, error) {
-	if !c.Compiled.Sig.Equal(b.Signature()) {
+	if !c.sig.Equal(b.Signature()) {
 		return 0, fmt.Errorf("core: query signature %v differs from structure signature %v",
-			c.Compiled.Sig, b.Signature())
+			c.sig, b.Signature())
 	}
-	return enumerateAnswers(c.Compiled.Query.Lib, c.Compiled.Disjuncts, b, limit, fn)
+	cp, err := eptrans.Compile(c.query, c.sig)
+	if err != nil {
+		return 0, err
+	}
+	return enumerateAnswers(c.query.Lib, cp.Disjuncts, b, limit, fn)
 }
 
-// Classify returns the trichotomy verdict of the compiled query's φ⁺
-// relative to the supplied width bounds.
+// Classify returns the trichotomy verdict of the compiled query's φ⁺ —
+// the φ⁻af terms, then the sentence disjuncts — relative to the supplied
+// width bounds.  Every Report is read off its plan's shape
+// (classify.Read): no treewidth search runs.
 func (c *Counter) Classify(wCore, wContract int) (classify.Verdict, error) {
-	return classify.ClassifyPPSet(c.Compiled.Plus, wCore, wContract), nil
+	reports := make([]classify.Report, 0, len(c.terms)+len(c.sentences))
+	for _, ts := range [][]compiledTerm{c.terms, c.sentences} {
+		for i := range ts {
+			reports = append(reports, classify.Read(ts[i].formula, ts[i].plan.Shape()))
+		}
+	}
+	return classify.ClassifyPPSet(reports, wCore, wContract), nil
 }
 
 // Stats is a snapshot of the counter's term-interning and caching
@@ -386,11 +372,10 @@ type Stats struct {
 	// time (WithWorkers, else GOMAXPROCS).
 	Workers int
 	// HardestCase is the worst trichotomy case among the terms under
-	// the route bounds (RouteWCore, RouteWContract); TermsFPT/TermsHard
-	// split the terms by routing decision.
-	HardestCase                classify.Case
-	RouteWCore, RouteWContract int
-	TermsFPT, TermsHard        int
+	// the route bounds (DefaultRouteWCore, DefaultRouteWContract);
+	// TermsFPT/TermsHard split the terms by routing decision.
+	HardestCase         classify.Case
+	TermsFPT, TermsHard int
 	// ApproxCounts is the number of approximate term evaluations
 	// (CountApprox hard-term executions) performed so far.
 	ApproxCounts uint64
@@ -401,7 +386,7 @@ type Stats struct {
 func (st Stats) String() string {
 	return fmt.Sprintf("term pool: %s\nplans: %d (one per unique surviving term; %d shared via fingerprint cache)\ncount cache: %d hits, %d misses\nbatch width: %d\nrouting vs bounds (%d,%d): %s — %d exact term(s), %d approx term(s); approx evals: %d\n",
 		st.Pool, st.Plans, st.SharedPlans, st.CountCacheHits, st.CountCacheMisses, st.Workers,
-		st.RouteWCore, st.RouteWContract, st.HardestCase.Short(), st.TermsFPT, st.TermsHard,
+		DefaultRouteWCore, DefaultRouteWContract, st.HardestCase.Short(), st.TermsFPT, st.TermsHard,
 		st.ApproxCounts)
 }
 
@@ -412,14 +397,13 @@ func (st Stats) String() string {
 // the snapshot is immutable after NewCounter.
 func (c *Counter) Stats() Stats {
 	st := Stats{
+		Pool:             c.pool,
 		Plans:            len(c.terms),
 		SharedPlans:      c.sharedPlans,
 		CountCacheHits:   c.countHits.Load(),
 		CountCacheMisses: c.countMisses.Load(),
 		Workers:          c.batchWidth(),
 		HardestCase:      c.hardest,
-		RouteWCore:       c.routeWCore,
-		RouteWContract:   c.routeWContract,
 		ApproxCounts:     c.approxCounts.Load(),
 	}
 	for i := range c.terms {
@@ -429,29 +413,20 @@ func (c *Counter) Stats() Stats {
 			st.TermsFPT++
 		}
 	}
-	if c.Compiled != nil && c.Compiled.Pool != nil {
-		st.Pool = c.Compiled.Pool.Stats()
-	}
 	return st
 }
 
 // Explain renders a human-readable account of the compiled pipeline: the
 // normalized disjuncts, φ*af with coefficients, φ⁻af and φ⁺, the
 // per-formula structural parameters, and the term-pool / cache
-// statistics.  The static report (which includes a classification pass)
-// is built once per Counter and memoized; only the statistics block is
-// refreshed per call.
+// statistics.  The counter keeps only its terms, so each call compiles
+// the query afresh for the front-end part of the report.
 func (c *Counter) Explain() string {
-	c.explainOnce.Do(func() { c.explainStatic = c.buildExplain() })
-	return c.explainStatic + c.explainStats()
-}
-
-// explainStats renders the dynamic interning/caching statistics block.
-func (c *Counter) explainStats() string { return c.Stats().String() }
-
-func (c *Counter) buildExplain() string {
+	cp, err := eptrans.Compile(c.query, c.sig)
+	if err != nil { // unreachable: NewCounter compiled the same query
+		return fmt.Sprintf("query: %s\nfront end: %v\n", c.query, err) + c.Stats().String()
+	}
 	var b strings.Builder
-	cp := c.Compiled
 	fmt.Fprintf(&b, "query: %s\n", cp.Query)
 	fmt.Fprintf(&b, "signature: %s\n", cp.Sig)
 	fmt.Fprintf(&b, "normalized disjuncts: %d (%d free, %d sentence)\n",
@@ -476,5 +451,6 @@ func (c *Counter) buildExplain() string {
 				i, r.CoreTreewidth, r.ContractTreewidth, r.NumExistsComponents, r.MaxInterface)
 		}
 	}
+	b.WriteString(c.Stats().String())
 	return b.String()
 }

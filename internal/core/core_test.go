@@ -1,14 +1,21 @@
 package core
 
 import (
+	"fmt"
 	"math/big"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/classify"
 	"repro/internal/count"
+	"repro/internal/engine"
+	"repro/internal/eptrans"
 	"repro/internal/parser"
+	"repro/internal/pp"
+	"repro/internal/reduce"
 	"repro/internal/structure"
 	"repro/internal/workload"
 )
@@ -26,8 +33,8 @@ func TestCounterMatchesDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		for seed := int64(0); seed < 5; seed++ {
-			b := workload.RandomStructure(c.Compiled.Sig, 3, 0.4, seed)
-			want, err := count.EPDirect(c.Compiled.Query, b)
+			b := workload.RandomStructure(c.Signature(), 3, 0.4, seed)
+			want, err := count.EPDirect(c.Query(), b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,21 +73,72 @@ func TestCounterClassify(t *testing.T) {
 	if v.Case != classify.CaseFPT {
 		t.Fatalf("path query should be FPT, got %v", v.Case)
 	}
+
+	// Differential: Counter.Classify reads each φ⁺ member off its plan's
+	// shape; classify.ClassifyEP compiles the query again and measures
+	// every member itself.  The verdicts must agree in every field but
+	// the formula pointers, whose text is compared instead.
+	battery := append(routingBattery(), namedQuery{"sentence", parser.MustQuery("q(x,y) := E(x,y) & E(y,x) | exists u. E(u,u)")})
+	for seed := int64(0); seed < 200; seed++ {
+		q := workload.RandomEPQuery(workload.EdgeSig(), 3, 4, 2, 3, 1000+seed)
+		battery = append(battery, namedQuery{fmt.Sprintf("random-ep-%d", 1000+seed), q})
+	}
+	strip := func(v classify.Verdict) (classify.Verdict, []string) {
+		texts := make([]string, len(v.Reports))
+		v.Reports = slices.Clone(v.Reports)
+		for i := range v.Reports {
+			texts[i] = v.Reports[i].Formula.String()
+			v.Reports[i].Formula, v.Reports[i].Core = pp.PP{}, pp.PP{}
+		}
+		return v, texts
+	}
+	sentences := 0
+	for _, nq := range battery {
+		c, err := NewCounter(nq.q, nil, count.EngineFPT)
+		if err != nil {
+			t.Fatalf("%s: %v", nq.name, err)
+		}
+		sentences += len(c.sentences)
+		for _, w := range [][2]int{{1, 1}, {2, 2}, {1, 3}, {3, 3}} {
+			got, err := c.Classify(w[0], w[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := classify.ClassifyEP(nq.q, c.Signature(), w[0], w[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotV, gotF := strip(got)
+			wantV, wantF := strip(want)
+			if !reflect.DeepEqual(gotV, wantV) || !slices.Equal(gotF, wantF) {
+				t.Fatalf("%s under %v:\nCounter.Classify %+v %q\nClassifyEP       %+v %q", nq.name, w, gotV, gotF, wantV, wantF)
+			}
+		}
+	}
+	if sentences == 0 {
+		t.Fatal("the battery has no sentence disjunct")
+	}
 }
 
+// The counter is an ep oracle: the backward reduction of Theorem 3.1
+// recovers every φ⁺ member's count from its counts alone.
 func TestCounterOracleRoundTrip(t *testing.T) {
 	q := parser.MustQuery("q(x,y) := E(x,y) | E(y,x)")
 	c, err := NewCounter(q, nil, count.EngineFPT)
 	if err != nil {
 		t.Fatal(err)
 	}
+	comp, err := eptrans.Compile(q, c.Signature())
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := workload.RandomStructure(workload.EdgeSig(), 3, 0.5, 5)
-	for _, p := range c.Compiled.Plus {
-		direct, err := c.CountPP(p, b)
+	for _, p := range comp.Plus {
+		direct, err := engine.CountOnce(p, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaOracle, err := c.CountPPViaOracle(p, b)
+		viaOracle, err := reduce.CountPPViaEP(comp, p, b, c.Count)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,22 +29,16 @@ const (
 	DefaultRouteWContract = 1
 )
 
-// routeTerms classifies every compiled term against the width bounds and
-// attaches approximate plans to the hard ones.  Called from NewCounter
-// (and WithRouteBounds): not safe to run concurrently with counting.
-func (c *Counter) routeTerms(wCore, wContract int) {
-	c.routeWCore, c.routeWContract = wCore, wContract
-	c.hardest = 0
+// routeTerms classifies every compiled term against the route bounds and
+// attaches approximate plans to the hard ones.  Called once, from
+// NewCounter.
+func (c *Counter) routeTerms() {
 	for i := range c.terms {
 		t := &c.terms[i]
 		t.report = classify.Read(t.formula, t.plan.Shape())
-		t.caseOf = t.report.CaseFor(wCore, wContract)
+		t.caseOf = t.report.CaseFor(DefaultRouteWCore, DefaultRouteWContract)
 		if t.caseOf.Hard() {
-			if t.est == nil {
-				t.est = approx.New(t.formula)
-			}
-		} else {
-			t.est = nil
+			t.est = approx.New(t.formula)
 		}
 		if t.caseOf > c.hardest {
 			c.hardest = t.caseOf
@@ -55,18 +49,8 @@ func (c *Counter) routeTerms(wCore, wContract int) {
 	}
 }
 
-// WithRouteBounds re-routes the counter's terms against different width
-// bounds (each term's Report is read off its plan's shape again; no
-// treewidth search runs) and returns the
-// counter for chaining.  Configure before serving: not safe to call
-// concurrently with in-flight counting.
-func (c *Counter) WithRouteBounds(wCore, wContract int) *Counter {
-	c.routeTerms(wCore, wContract)
-	return c
-}
-
 // HardestCase returns the worst trichotomy case among the counter's
-// terms under the current route bounds — the admission-control signal:
+// terms under the route bounds — the admission-control signal:
 // CaseFPT means every term has an exact FPT executor.
 func (c *Counter) HardestCase() classify.Case { return c.hardest }
 
@@ -87,7 +71,7 @@ type TermRoute struct {
 	Approx bool
 }
 
-// Routes returns the per-term routing table under the current bounds.
+// Routes returns the per-term routing table.
 func (c *Counter) Routes() []TermRoute {
 	out := make([]TermRoute, len(c.terms))
 	for i := range c.terms {
@@ -198,7 +182,7 @@ func (c *Counter) CountApproxCtx(ctx context.Context, b *structure.Structure, pr
 	}
 	res := ApproxResult{Case: c.hardest, Confidence: 1, Exact: true, Converged: true}
 	if full != nil {
-		res.Estimate = c.Compiled.MaxCount(b)
+		res.Estimate = structure.PowerSize(b, len(c.query.Lib))
 		return res, nil
 	}
 	nHard := 0

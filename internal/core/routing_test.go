@@ -21,12 +21,10 @@ type namedQuery struct {
 	q    logic.Query
 }
 
-// TestRoutingMatchesClassify cross-checks the compile-time routing table
-// against an independent classification of each interned term: the case
-// the router stored must equal what classify.AnalyzePP reports under the
-// same (wCore, wContract) bounds, and exactly the hard terms must carry
-// an approximate plan.
-func TestRoutingMatchesClassify(t *testing.T) {
+// routingBattery is the query battery the routing and classification
+// differentials run over: hand-picked shapes on both sides of the
+// trichotomy, an overlapping union, and a few random ep-queries.
+func routingBattery() []namedQuery {
 	queries := []string{
 		"p(x,y) := E(x,y)",
 		"path(x,y,z) := E(x,y) & E(y,z)",
@@ -44,7 +42,16 @@ func TestRoutingMatchesClassify(t *testing.T) {
 		q := workload.RandomEPQuery(sig, 2, 4, 2, 3, seed)
 		battery = append(battery, namedQuery{fmt.Sprintf("random-ep-%d", seed), q})
 	}
-	for _, nq := range battery {
+	return battery
+}
+
+// TestRoutingMatchesClassify cross-checks the compile-time routing table
+// against an independent classification of each interned term: the case
+// the router stored must equal what classify.AnalyzePP reports under the
+// same (wCore, wContract) bounds, and exactly the hard terms must carry
+// an approximate plan.
+func TestRoutingMatchesClassify(t *testing.T) {
+	for _, nq := range routingBattery() {
 		src, q := nq.name, nq.q
 		c, err := NewCounter(q, nil, count.EngineFPT)
 		if err != nil {
@@ -185,40 +192,6 @@ func TestClassificationMemoizedPerFingerprint(t *testing.T) {
 	}
 	if c1.HardestCase() != c2.HardestCase() {
 		t.Fatalf("equivalent queries routed differently: %s vs %s", c1.HardestCase(), c2.HardestCase())
-	}
-}
-
-// TestWithRouteBoundsReroutes checks that re-routing against wider bounds
-// flips a hard query back to the exact path without re-analyzing terms.
-func TestWithRouteBoundsReroutes(t *testing.T) {
-	q := parser.MustQuery("tri(x,y,z) := E(x,y) & E(y,z) & E(x,z)")
-	c, err := NewCounter(q, nil, count.EngineFPT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.HardestCase().Hard() {
-		t.Fatalf("triangle query classified %s under (1,1)", c.HardestCase())
-	}
-	c.WithRouteBounds(3, 3)
-	if c.HardestCase() != classify.CaseFPT {
-		t.Fatalf("under (3,3) the triangle should be FPT, got %s", c.HardestCase())
-	}
-	for _, r := range c.Routes() {
-		if r.Approx {
-			t.Fatalf("term %s still carries an approx plan after re-route to FPT", r.FP)
-		}
-	}
-	b := workload.GraphStructure(workload.ER(20, 0.3, 1))
-	want, err := c.Count(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.CountApprox(b, approx.Params{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Estimate.Cmp(want) != 0 || !res.Exact {
-		t.Fatalf("re-routed FPT count %v (exact=%v) != %v", res.Estimate, res.Exact, want)
 	}
 }
 

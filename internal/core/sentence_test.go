@@ -65,8 +65,8 @@ func TestSentenceDisjunctsMatchDirect(t *testing.T) {
 			if got.Cmp(want) != 0 {
 				t.Fatalf("%s on %d elements: count %v, direct %v", q, n, got, want)
 			}
-			for _, th := range c.Compiled.Sentences {
-				if hom.Exists(th.A, b, hom.Options{}) {
+			for _, th := range c.sentences {
+				if hom.Exists(th.formula.A, b, hom.Options{}) {
 					verdicts[1]++
 				} else {
 					verdicts[0]++

@@ -42,12 +42,12 @@ func TestCountBatchIntoZeroAllocMemoWarm(t *testing.T) {
 		out := make([]*big.Int, len(bs))
 		holds := 0
 		for i := range bs {
-			bs[i] = workload.RandomStructure(c.Compiled.Sig, 12, 0.3, int64(i))
+			bs[i] = workload.RandomStructure(c.Signature(), 12, 0.3, int64(i))
 			if i == 3 && in.holds > 0 {
 				bs[i] = path // triangle-free
 			}
-			for _, th := range c.Compiled.Sentences {
-				if hom.Exists(th.A, bs[i], hom.Options{}) {
+			for _, th := range c.sentences {
+				if hom.Exists(th.formula.A, bs[i], hom.Options{}) {
 					holds++
 				}
 			}
@@ -86,7 +86,7 @@ func TestCountBatchIntoZeroAllocMemoWarm(t *testing.T) {
 			if out[i].Cmp(want[i]) != 0 {
 				t.Fatalf("%s structure %d: warm result %v != first pass %v", in.src, i, out[i], want[i])
 			}
-			if direct, err := count.EPDirect(c.Compiled.Query, bs[i]); err != nil || direct.Cmp(out[i]) != 0 {
+			if direct, err := count.EPDirect(c.Query(), bs[i]); err != nil || direct.Cmp(out[i]) != 0 {
 				t.Fatalf("%s structure %d: count %v, direct %v (%v)", in.src, i, out[i], direct, err)
 			}
 		}

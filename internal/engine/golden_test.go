@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/count"
 	"repro/internal/engine"
+	"repro/internal/eptrans"
 	"repro/internal/parser"
 	"repro/internal/pp"
 	"repro/internal/structure"
@@ -86,7 +87,11 @@ func goldenRuns(t *testing.T) []goldenRun {
 		if i == len(goldenMore)-1 {
 			continue
 		}
-		if want, err := count.EPUnion(c.Compiled.Disjuncts, n120); err != nil || runs[len(runs)-1].count != want.String() {
+		comp, err := eptrans.Compile(c.Query(), c.Signature())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err := count.EPUnion(comp.Disjuncts, n120); err != nil || runs[len(runs)-1].count != want.String() {
 			t.Fatalf("%s: %s, union enumeration %v (%v)", src, runs[len(runs)-1].count, want, err)
 		}
 	}

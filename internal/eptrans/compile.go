@@ -89,12 +89,7 @@ func Compile(q logic.Query, sig *structure.Signature) (*Compiled, error) {
 			}
 		}
 		if !entailsSentence {
-			c.Minus = append(c.Minus, ie.Term{
-				Formula: t.Formula,
-				Coeff:   new(big.Int).Set(t.Coeff),
-				FP:      t.FP,
-				Subset:  append([]int(nil), t.Subset...),
-			})
+			c.Minus = append(c.Minus, t)
 		}
 	}
 	for _, t := range c.Minus {
@@ -166,10 +161,4 @@ func InferStructSignature(q logic.Query) (*structure.Signature, error) {
 // MaxCount returns |B|^|lib(φ)|: the count when a sentence disjunct holds.
 func (c *Compiled) MaxCount(b *structure.Structure) *big.Int {
 	return structure.PowerSize(b, len(c.Query.Lib))
-}
-
-// SentenceHolds reports whether the given sentence disjunct is true on b
-// (equivalently, whether its structure maps homomorphically into b).
-func SentenceHolds(theta pp.PP, b *structure.Structure) bool {
-	return homExists(theta.A, b)
 }

@@ -1,7 +1,7 @@
-// Package eptrans implements the equivalence theorem (Theorem 3.1): the
-// effective translation of an ep-formula φ into the finite set φ⁺ of
-// prenex pp-formulas, and the two counting slice reductions between
-// count[Φ] and count[Φ⁺] (Section 5.3, Section 5.4, Appendix A).  The
-// distinguishing-structure lemmas (5.12/5.13) and the recursive class
-// peeling of Lemma 5.18 are implemented constructively.
+// Package eptrans is the front end of the equivalence theorem (Theorem
+// 3.1): it translates an ep-formula φ into the finite set φ⁺ of prenex
+// pp-formulas — normalization, inclusion–exclusion through the canonical
+// term pool, and the sentence-entailment filter of Section 5.4.  The two
+// counting slice reductions between count[Φ] and count[Φ⁺] live in
+// internal/reduce, outside the serving pipeline.
 package eptrans

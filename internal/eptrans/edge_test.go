@@ -1,4 +1,4 @@
-package eptrans
+package eptrans_test
 
 import (
 	"math/big"
@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/parser"
 	"repro/internal/pp"
+	. "repro/internal/reduce"
 	"repro/internal/workload"
 )
 

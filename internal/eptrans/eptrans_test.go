@@ -1,4 +1,4 @@
-package eptrans
+package eptrans_test
 
 import (
 	"math/big"
@@ -6,10 +6,12 @@ import (
 
 	"repro/internal/count"
 	"repro/internal/engine"
+	. "repro/internal/eptrans"
 	"repro/internal/ie"
 	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/pp"
+	. "repro/internal/reduce"
 	"repro/internal/structure"
 	"repro/internal/workload"
 )

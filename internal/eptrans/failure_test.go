@@ -1,4 +1,4 @@
-package eptrans
+package eptrans_test
 
 import (
 	"fmt"
@@ -7,10 +7,12 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	. "repro/internal/eptrans"
 	"repro/internal/ie"
 	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/pp"
+	. "repro/internal/reduce"
 	"repro/internal/structure"
 	"repro/internal/workload"
 )

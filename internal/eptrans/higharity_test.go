@@ -1,11 +1,13 @@
-package eptrans
+package eptrans_test
 
 import (
 	"testing"
 
 	"repro/internal/count"
 	"repro/internal/engine"
+	. "repro/internal/eptrans"
 	"repro/internal/parser"
+	. "repro/internal/reduce"
 	"repro/internal/structure"
 	"repro/internal/workload"
 )

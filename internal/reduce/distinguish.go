@@ -1,4 +1,4 @@
-package eptrans
+package reduce
 
 import (
 	"context"
@@ -10,6 +10,12 @@ import (
 	"repro/internal/pp"
 	"repro/internal/structure"
 )
+
+// SentenceHolds reports whether the given sentence disjunct is true on b
+// (equivalently, whether its structure maps homomorphically into b).
+func SentenceHolds(theta pp.PP, b *structure.Structure) bool {
+	return homExists(theta.A, b)
+}
 
 func homExists(a, b *structure.Structure) bool {
 	return hom.Exists(a, b, hom.Options{})
@@ -52,7 +58,7 @@ const maxMaterializedSize = 1 << 17
 func DistinguishPair(p, q pp.PP) (*structure.Structure, error) {
 	sig := p.A.Signature()
 	if !sig.Equal(q.A.Signature()) {
-		return nil, fmt.Errorf("eptrans: distinguishing across different signatures")
+		return nil, fmt.Errorf("reduce: distinguishing across different signatures")
 	}
 	// Counts on B+kI are polynomials in k of degree at most the number of
 	// components; if two such polynomials differ they differ at some
@@ -111,7 +117,7 @@ func DistinguishPair(p, q pp.PP) (*structure.Structure, error) {
 			}
 		}
 	}
-	return nil, fmt.Errorf("eptrans: no distinguishing structure found for %v vs %v (are they semi-counting equivalent?)", p, q)
+	return nil, fmt.Errorf("reduce: no distinguishing structure found for %v vs %v (are they semi-counting equivalent?)", p, q)
 }
 
 // enumerateStructures yields up to limit structures over sig with at most
@@ -189,7 +195,7 @@ func enumerateStructures(sig *structure.Signature, maxN, limit int) []*structure
 // is found.
 func DistinguishSet(reps []pp.PP) (*structure.Structure, error) {
 	if len(reps) == 0 {
-		return nil, fmt.Errorf("eptrans: no formulas to distinguish")
+		return nil, fmt.Errorf("reduce: no formulas to distinguish")
 	}
 	c := structure.PadLoops(reps[0].A, 1)
 
@@ -275,7 +281,7 @@ func DistinguishSet(reps []pp.PP) (*structure.Structure, error) {
 			size := new(big.Int).Exp(sizeC, big.NewInt(int64(l)), nil)
 			size.Mul(size, sizeD)
 			if size.Cmp(big.NewInt(maxMaterializedSize)) > 0 {
-				return nil, fmt.Errorf("eptrans: distinguishing structure would need %v elements (C^%d×D')", size, l)
+				return nil, fmt.Errorf("reduce: distinguishing structure would need %v elements (C^%d×D')", size, l)
 			}
 			cl, err := structure.Power(c, l)
 			if err != nil {
@@ -289,7 +295,7 @@ func DistinguishSet(reps []pp.PP) (*structure.Structure, error) {
 			break
 		}
 		if !found {
-			return nil, fmt.Errorf("eptrans: product amplification failed to separate formula %d", t)
+			return nil, fmt.Errorf("reduce: product amplification failed to separate formula %d", t)
 		}
 	}
 	// Final verification.
@@ -298,10 +304,10 @@ func DistinguishSet(reps []pp.PP) (*structure.Structure, error) {
 		return nil, err
 	}
 	if !allDistinct(vals) {
-		return nil, fmt.Errorf("eptrans: distinguishing structure verification failed")
+		return nil, fmt.Errorf("reduce: distinguishing structure verification failed")
 	}
 	if !c.HasAllLoopElem() {
-		return nil, fmt.Errorf("eptrans: distinguishing structure lost its all-loop element")
+		return nil, fmt.Errorf("reduce: distinguishing structure lost its all-loop element")
 	}
 	return c, nil
 }

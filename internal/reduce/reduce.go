@@ -1,10 +1,11 @@
-package eptrans
+package reduce
 
 import (
 	"fmt"
 	"math/big"
 
 	"repro/internal/engine"
+	"repro/internal/eptrans"
 	"repro/internal/ie"
 	"repro/internal/lin"
 	"repro/internal/pp"
@@ -26,7 +27,7 @@ type PPCounter func(p pp.PP, b *structure.Structure) (*big.Int, error)
 // |φ(B)| = |φaf(B)| = Σ over φ*af of c_ψ·|ψ(B)|, where terms outside φ⁻af
 // are answered 0 (they entail a sentence disjunct that fails on B) and
 // terms in φ⁻af are answered by the oracle.
-func CountEPViaPP(c *Compiled, b *structure.Structure, cnt PPCounter) (*big.Int, error) {
+func CountEPViaPP(c *eptrans.Compiled, b *structure.Structure, cnt PPCounter) (*big.Int, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
@@ -39,7 +40,7 @@ func CountEPViaPP(c *Compiled, b *structure.Structure, cnt PPCounter) (*big.Int,
 }
 
 // plusIndex locates psi among c.Plus by structure identity.
-func (c *Compiled) plusIndex(psi pp.PP) int {
+func plusIndex(c *eptrans.Compiled, psi pp.PP) int {
 	for i, p := range c.Plus {
 		if p.A == psi.A {
 			return i
@@ -79,13 +80,13 @@ func (c *Compiled) plusIndex(psi pp.PP) int {
 // choice of the reduction's per-parameter data and avoids a subtlety with
 // disconnected sentence disjuncts: a sentence disjunct split over several
 // φ⁻af structures could hold on their union while failing on each.)
-func CountPPViaEP(c *Compiled, psi pp.PP, b *structure.Structure, oracle EPOracle) (*big.Int, error) {
+func CountPPViaEP(c *eptrans.Compiled, psi pp.PP, b *structure.Structure, oracle EPOracle) (*big.Int, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	idx := c.plusIndex(psi)
+	idx := plusIndex(c, psi)
 	if idx < 0 {
-		return nil, fmt.Errorf("eptrans: formula not in φ⁺")
+		return nil, fmt.Errorf("reduce: formula not in φ⁺")
 	}
 	if idx >= len(c.Minus) {
 		return countSentenceViaEP(c, psi, b, oracle)
@@ -105,16 +106,16 @@ func CountPPViaEP(c *Compiled, psi pp.PP, b *structure.Structure, oracle EPOracl
 		return nil, err
 	}
 	if onC.Sign() == 0 {
-		return nil, fmt.Errorf("eptrans: |ψ(Aψ)| = 0, impossible for ψ ∈ φ⁻af")
+		return nil, fmt.Errorf("reduce: |ψ(Aψ)| = 0, impossible for ψ ∈ φ⁻af")
 	}
 	q, r := new(big.Int).QuoRem(onBC, onC, new(big.Int))
 	if r.Sign() != 0 {
-		return nil, fmt.Errorf("eptrans: product count %v not divisible by |ψ(C)| = %v", onBC, onC)
+		return nil, fmt.Errorf("reduce: product count %v not divisible by |ψ(C)| = %v", onBC, onC)
 	}
 	return q, nil
 }
 
-func countSentenceViaEP(c *Compiled, theta pp.PP, b *structure.Structure, oracle EPOracle) (*big.Int, error) {
+func countSentenceViaEP(c *eptrans.Compiled, theta pp.PP, b *structure.Structure, oracle EPOracle) (*big.Int, error) {
 	prod, err := structure.Product(theta.A, b)
 	if err != nil {
 		return nil, err
@@ -141,9 +142,9 @@ func countSentenceViaEP(c *Compiled, theta pp.PP, b *structure.Structure, oracle
 // ℓ = 0..s-1 yields a Vandermonde system in the per-class aggregates
 // T_j = Σ_{ψ∈class j} c_ψ·|ψ(B)|; Lemma 5.18's recursive peeling then
 // extracts the individual |ψ(B)| within ψ's class.
-func allFreeCountViaEP(c *Compiled, psi pp.PP, b *structure.Structure, oracle EPOracle) (*big.Int, error) {
+func allFreeCountViaEP(c *eptrans.Compiled, psi pp.PP, b *structure.Structure, oracle EPOracle) (*big.Int, error) {
 	if len(c.Star) == 0 {
-		return nil, fmt.Errorf("eptrans: query has no all-free part")
+		return nil, fmt.Errorf("reduce: query has no all-free part")
 	}
 	// Group Star terms into semi-counting-equivalence classes.
 	var classes [][]int
@@ -170,7 +171,7 @@ func allFreeCountViaEP(c *Compiled, psi pp.PP, b *structure.Structure, oracle EP
 		}
 	}
 	if target < 0 {
-		return nil, fmt.Errorf("eptrans: ψ not among φ*af terms")
+		return nil, fmt.Errorf("reduce: ψ not among φ*af terms")
 	}
 	for ci, cls := range classes {
 		for _, ti := range cls {
@@ -226,7 +227,7 @@ func allFreeCountViaEP(c *Compiled, psi pp.PP, b *structure.Structure, oracle EP
 		for i, s := range sol {
 			out[i], err = lin.RatInt(s)
 			if err != nil {
-				return nil, fmt.Errorf("eptrans: non-integer aggregate: %v", err)
+				return nil, fmt.Errorf("reduce: non-integer aggregate: %v", err)
 			}
 		}
 		return out, nil
@@ -272,7 +273,7 @@ func allFreeCountViaEP(c *Compiled, psi pp.PP, b *structure.Structure, oracle EP
 // subtraction.
 func PeelClass(formulas []pp.PP, coeffs []*big.Int, target int, b *structure.Structure, oracle EPOracle) (*big.Int, error) {
 	if len(formulas) != len(coeffs) || target < 0 || target >= len(formulas) {
-		return nil, fmt.Errorf("eptrans: bad PeelClass arguments")
+		return nil, fmt.Errorf("reduce: bad PeelClass arguments")
 	}
 	if len(formulas) == 1 {
 		v, err := oracle(b)
@@ -291,7 +292,7 @@ func PeelClass(formulas []pp.PP, coeffs []*big.Int, target int, b *structure.Str
 		return nil, err
 	}
 	if onC.Sign() == 0 {
-		return nil, fmt.Errorf("eptrans: minimal formula has zero count on its own structure")
+		return nil, fmt.Errorf("reduce: minimal formula has zero count on its own structure")
 	}
 	den := new(big.Int).Mul(coeffs[i], onC)
 	countI := func(y *structure.Structure) (*big.Int, error) {
@@ -337,11 +338,11 @@ func PeelClass(formulas []pp.PP, coeffs []*big.Int, target int, b *structure.Str
 
 func exactDiv(num, den *big.Int) (*big.Int, error) {
 	if den.Sign() == 0 {
-		return nil, fmt.Errorf("eptrans: division by zero coefficient")
+		return nil, fmt.Errorf("reduce: division by zero coefficient")
 	}
 	q, r := new(big.Int).QuoRem(num, den, new(big.Int))
 	if r.Sign() != 0 {
-		return nil, fmt.Errorf("eptrans: %v not divisible by %v", num, den)
+		return nil, fmt.Errorf("reduce: %v not divisible by %v", num, den)
 	}
 	return q, nil
 }

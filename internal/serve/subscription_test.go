@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/count"
 	"repro/internal/engine"
+	"repro/internal/eptrans"
 	"repro/internal/parser"
 )
 
@@ -283,9 +284,12 @@ func subscriptionDeltaDifferential(t *testing.T, query string, subscribers int, 
 				t.Fatal(err)
 			}
 			if union {
-				w, err = count.EPUnion(oracle.Compiled.Disjuncts, b)
+				var comp *eptrans.Compiled
+				if comp, err = eptrans.Compile(oracle.Query(), oracle.Signature()); err == nil {
+					w, err = count.EPUnion(comp.Disjuncts, b)
+				}
 			} else {
-				w, err = count.EPDirect(oracle.Compiled.Query, b)
+				w, err = count.EPDirect(oracle.Query(), b)
 			}
 			if err != nil {
 				t.Fatal(err)
