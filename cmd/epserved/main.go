@@ -89,7 +89,7 @@ func main() {
 		fsync     = flag.String("fsync", "batch", "WAL sync policy with -data-dir: always | batch | never")
 		router    = flag.String("router", "", "run as a cluster coordinator over this comma-separated shard URL list instead of serving structures locally")
 		replicas  = flag.Int("replicas", 1, "router mode: replication factor (structures live on this many ring successors)")
-		hardExact = flag.Int("hard-exact-limit", 0, "reject exact-mode counting of #W[1]-hard queries on structures above this many tuples with 422; clients should retry with mode=approx (0 = no limit)")
+		hardExact = flag.Int("hard-exact-limit", 0, "reject exact-mode counting of hard queries (Theorem 3.2 cases 2–3) on structures above this many tuples with 422; clients should retry with mode=approx (0 = no limit)")
 		loadSpecs []loadSpec
 	)
 	flag.Func("load", "preload a structure at startup as name=factfile (repeatable)", func(s string) error {

@@ -82,7 +82,8 @@ type Result struct {
 // into its Gaifman components as the exact engine is.  The components
 // are built once, on the first Count, so a term that is only ever counted
 // exactly never pays for them.  An Estimator is safe for concurrent Count
-// calls (each call builds its own samplers).
+// calls: each call builds its own samplers, or borrows warm ones that no
+// other call holds (CountIn).
 type Estimator struct {
 	p     pp.PP
 	once  sync.Once
@@ -188,6 +189,17 @@ func sampleComponent(ctx context.Context, sp *hom.Sampler, rng *rand.Rand, eps, 
 // other component is sampled with an (ε/k, δ/k) share of the budget.
 // The same Params.Seed always yields the same Result.
 func (e *Estimator) Count(ctx context.Context, b *structure.Structure, prm Params) (Result, error) {
+	return e.CountIn(ctx, b, prm, nil)
+}
+
+// CountIn is Count with warm samplers: pools(i) is the pool that keeps
+// component i's samplers on b, and must hold only samplers built on b as
+// it is now (a pool per structure version).  The count borrows one, or
+// builds one if the pool has none, and gives it back when done; a warm
+// sampler has already propagated its first fixings (hom.Sampler), and
+// draws exactly what a fresh one draws, so the Result does not depend on
+// the pools.  A nil pools builds every sampler afresh.
+func (e *Estimator) CountIn(ctx context.Context, b *structure.Structure, prm Params, pools func(comp int) *sync.Pool) (Result, error) {
 	prm = prm.withDefaults()
 	if err := b.Validate(); err != nil {
 		return Result{}, err
@@ -224,16 +236,24 @@ func (e *Estimator) Count(ctx context.Context, b *structure.Structure, prm Param
 		default:
 			seed = splitmix(seed + uint64(i))
 			rng := rand.New(rand.NewSource(int64(seed)))
-			sp := hom.NewSampler(comp.A, b, comp.S, hom.Options{})
-			ce, err := sampleComponent(ctx, sp, rng,
+			var pool *sync.Pool
+			if pools != nil {
+				pool = pools(i)
+			}
+			w := borrow(pool, comp, b)
+			ce, err := sampleComponent(ctx, w.sp, rng,
 				prm.Epsilon/float64(sampled), prm.Delta/float64(sampled),
 				prm.MinSamples, prm.MaxSamples)
+			zero := w.sp.ExactZero()
+			if pool != nil {
+				pool.Put(w)
+			}
 			if err != nil {
 				return Result{}, err
 			}
 			res.Samples += ce.samples
 			res.Converged = res.Converged && ce.converged
-			if sp.ExactZero() {
+			if zero {
 				return zeroResult(res), nil
 			}
 			if ce.mean == 0 {
@@ -262,6 +282,25 @@ func (e *Estimator) Count(ctx context.Context, b *structure.Structure, prm Param
 		res.Confidence = 1 - prm.Delta
 	}
 	return res, nil
+}
+
+// warmSampler is a pooled sampler with the component it was built for.
+type warmSampler struct {
+	a  *structure.Structure
+	sp *hom.Sampler
+}
+
+// borrow returns a sampler of comp on b: one from pool if it holds one
+// built for comp, else a new one.  Core keys a pool by a term's
+// fingerprint, which counting-equivalent formulas share, so it may hold
+// the sampler of another formula of the class; that one is dropped.
+func borrow(pool *sync.Pool, comp pp.PP, b *structure.Structure) *warmSampler {
+	if pool != nil {
+		if w, _ := pool.Get().(*warmSampler); w != nil && w.a == comp.A {
+			return w
+		}
+	}
+	return &warmSampler{a: comp.A, sp: hom.NewSampler(comp.A, b, comp.S, hom.Options{})}
 }
 
 // zeroResult finalizes a Result whose estimate was proven to be zero (a

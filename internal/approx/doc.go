@@ -22,7 +22,11 @@
 // Gaifman components are counted apart and multiplied, as in the exact
 // engine (|φ(B)| = ∏ᵢ |φᵢ(B)|).  The estimator splits its formula
 // (pp.PP.Components) on its first Count, so a term counted only exactly
-// never builds the component structures.  Sentence components and isolated liberal
+// never builds the component structures.  Count builds a sampler per
+// sampled component; CountIn borrows warm ones from pools the caller
+// keeps per structure version (core keeps them in the engine session,
+// per term fingerprint and component), and a warm sampler draws exactly
+// what a fresh one would.  Sentence components and isolated liberal
 // variables contribute exact factors (hom.Exists, |B|^|S|); only
 // components with both liberal variables and tuples are sampled, each
 // with an (ε/k, δ/k) share of the requested budget so the product meets

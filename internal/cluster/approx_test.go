@@ -27,15 +27,19 @@ func erFacts(t *testing.T, n int, p float64, seed int64) string {
 // TestClusterApproxRoundTrip drives mode=approx through the coordinator:
 // the estimate schema survives routing, the estimate lands near the
 // routed exact count, and a fixed seed is reproducible across requests.
+// The exact count runs on a twin of "g": on "g" itself approx mode would
+// answer from the count memo.
 func TestClusterApproxRoundTrip(t *testing.T) {
 	f := startFleet(t, 3)
 	_, cc := startCoordinator(t, f, 2)
 	ctx := context.Background()
 
-	if _, err := cc.CreateStructure(ctx, "g", erFacts(t, 40, 0.25, 3), nil); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"g", "twin"} {
+		if _, err := cc.CreateStructure(ctx, name, erFacts(t, 40, 0.25, 3), nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	exact, _, err := cc.Count(ctx, triQuery, "g")
+	exact, _, err := cc.Count(ctx, triQuery, "twin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +88,8 @@ func TestClusterApproxRoundTrip(t *testing.T) {
 
 // TestClusterApproxBatchArrays checks the scatter-gather batch path
 // carries the per-structure approx arrays back through the coordinator.
+// The exact counts run on twins of the structures, so that the capped
+// batch at the end samples rather than answering from the count memo.
 func TestClusterApproxBatchArrays(t *testing.T) {
 	f := startFleet(t, 3)
 	_, cc := startCoordinator(t, f, 1)
@@ -91,8 +97,10 @@ func TestClusterApproxBatchArrays(t *testing.T) {
 
 	names := []string{"b1", "b2", "b3", "b4"}
 	for i, name := range names {
-		if _, err := cc.CreateStructure(ctx, name, erFacts(t, 28+2*i, 0.25, int64(i+1)), nil); err != nil {
-			t.Fatal(err)
+		for _, n := range []string{name, "twin-" + name} {
+			if _, err := cc.CreateStructure(ctx, n, erFacts(t, 28+2*i, 0.25, int64(i+1)), nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	ests, resp, err := cc.CountBatchWith(ctx, serve.CountBatchRequest{
@@ -115,7 +123,7 @@ func TestClusterApproxBatchArrays(t *testing.T) {
 			t.Fatalf("structure %d: missing approx telemetry: case=%q samples=%d converged=%v",
 				i, resp.Cases[i], resp.Samples[i], resp.Converged[i])
 		}
-		exact, _, err := cc.Count(ctx, triQuery, names[i])
+		exact, _, err := cc.Count(ctx, triQuery, "twin-"+names[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,8 +14,11 @@ import (
 // process: one CountApproxCtx per op with a fresh sampler seed, 70 %
 // free K4 on ER(40, 0.4) and 30 % free K5 on ER(30, 0.6) (input seed
 // 20160626, the K5 graph at +100 as the workload draws it).  Every op
-// builds its samplers, so each starts with a cold first-fixing memo, as
-// a request does; ns/op is the cost of one request's estimate.
+// borrows its samplers from the structure's session, as a request does:
+// the first op of each (term, structure) pair builds them and fills
+// their first-fixing memos, and later ops find them warm (a GC may drop
+// pooled samplers, which are then rebuilt).  ns/op is the cost of one
+// request's estimate.
 func BenchmarkApprox_HardMix(b *testing.B) {
 	type class struct {
 		c *Counter

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/count"
+	"repro/internal/engine"
 	"repro/internal/parser"
 	"repro/internal/structure"
 	"repro/internal/workload"
@@ -77,7 +78,7 @@ func slowCycle4(t *testing.T) (*Counter, *structure.Structure) {
 	}
 	return c, workload.SlowDigraph(t, testDeadline, func(b *structure.Structure) error {
 		_, err := c.Count(b)
-		c.Release(b)
+		engine.ReleaseSession(b)
 		return err
 	})
 }

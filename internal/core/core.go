@@ -311,12 +311,6 @@ func (c *Counter) countTerm(ctx context.Context, t *compiledTerm, sess *engine.S
 	return v, err
 }
 
-// Release drops the cached engine session of b (if any), freeing its
-// materialized constraint tables ahead of LRU eviction.  Long-lived
-// processes that are done with a structure can call this instead of
-// waiting for the session registry's cap-pressure eviction.
-func (c *Counter) Release(b *structure.Structure) { engine.ReleaseSession(b) }
-
 // Answers enumerates the answer set φ(B) (deduplicated assignments of
 // the liberal variables, as element names aligned with the query head).
 // fn returning false stops early; limit ≤ 0 means unlimited.  Returns the

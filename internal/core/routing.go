@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/big"
+	"sync"
 
 	"repro/internal/approx"
 	"repro/internal/classify"
@@ -133,7 +134,8 @@ type ApproxResult struct {
 	// Case is the query's hardest trichotomy case (the routing driver).
 	Case classify.Case
 	// Exact reports that every term resolved exactly (FPT terms, plus
-	// hard terms whose components all collapsed to exact factors).
+	// hard terms answered from the session's count memo or whose
+	// components all collapsed to exact factors).
 	Exact bool
 	// Converged reports whether every sampled term met its ε share
 	// within its sample cap.
@@ -171,6 +173,14 @@ func (c *Counter) CountApprox(b *structure.Structure, prm approx.Params) (Approx
 // the combined bound is exact for same-sign sums and reported honestly
 // (RelErr) when inclusion–exclusion cancellation amplifies it.  The same
 // Params.Seed always yields the same estimate.
+//
+// A hard term whose exact count b's session already memoizes at b's
+// version answers with that count and no draw (memo first), and the
+// δ/h split still counts it, so the other terms' estimates do not
+// depend on what the memo holds.  A sampled term borrows its
+// components' samplers from the session's pools (engine.Session.Pool,
+// keyed by the term's fingerprint and the component), so they stay warm
+// across requests and die with the version.
 func (c *Counter) CountApproxCtx(ctx context.Context, b *structure.Structure, prm approx.Params) (ApproxResult, error) {
 	sess, err := c.sessionFor(b)
 	if err != nil {
@@ -206,10 +216,21 @@ func (c *Counter) CountApproxCtx(ctx context.Context, b *structure.Structure, pr
 			res.ExactTerms++
 			continue
 		}
+		if v, ok := sess.Memoized(t.fp); ok {
+			// Memo first: the session already holds the term's exact
+			// count at this version, so no draw is made.
+			total.Add(total, tmp.Mul(t.coeff, v))
+			res.ExactTerms++
+			continue
+		}
 		p := prm
 		p.Delta = effDelta(prm.Delta) / float64(nHard)
 		p.Seed = termSeed(prm.Seed, t.fp, i)
-		r, err := t.est.Count(ctx, b, p)
+		var pools func(int) *sync.Pool
+		if t.fp != "" {
+			pools = func(comp int) *sync.Pool { return sess.Pool(t.fp, comp) }
+		}
+		r, err := t.est.CountIn(ctx, b, p, pools)
 		if err != nil {
 			return ApproxResult{}, err
 		}

@@ -123,7 +123,9 @@ func TestFPTApproxBitIdentical(t *testing.T) {
 
 // TestHardRoutingSamples checks the hard side of the dichotomy: a clique
 // query routes to the sampling estimator, spends budget, and lands near
-// the exact count; the exact Count path is untouched by routing.
+// the exact count; the exact Count path is untouched by routing.  The
+// exact count runs on a twin of the sampled structure: on the structure
+// itself, approx mode would answer from the count memo.
 func TestHardRoutingSamples(t *testing.T) {
 	q := parser.MustQuery("tri(x,y,z) := E(x,y) & E(y,z) & E(x,z)")
 	c, err := NewCounter(q, nil, count.EngineFPT)
@@ -134,7 +136,7 @@ func TestHardRoutingSamples(t *testing.T) {
 		t.Fatalf("triangle query classified %s, want a hard case", c.HardestCase())
 	}
 	b := workload.GraphStructure(workload.ER(40, 0.25, 3))
-	want, err := c.Count(b)
+	want, err := c.Count(workload.GraphStructure(workload.ER(40, 0.25, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}

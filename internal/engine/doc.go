@@ -87,9 +87,14 @@
 //     ∃-component, and a count memo keyed on canonical term fingerprints
 //     (each unique counting class executes at most once per
 //     structure-version) — shared across φ⁻af terms, repeated counts,
-//     and batched counting.  Every cache here — the plan cache, the
-//     session registry, each session's table and count memos, each
-//     table's prefix indexes — is an internal/cache CLOCK cache with a
+//     and batched counting.  Memoized peeks at that memo without
+//     computing (approx mode answers a memoized hard term exactly), and
+//     Pool keeps per-(fingerprint, part) sync.Pools of state the engine
+//     does not know — approx's warm samplers — so that state dies with
+//     the version and with the session.  Every cache here — the plan
+//     cache, the session registry, each session's table and count memos
+//     and its pools, each table's prefix indexes — is an internal/cache
+//     CLOCK cache with a
 //     fixed entry cap (SessionStats and CacheStats expose the
 //     process-wide ones).  Session memory —
 //     table rows, index slots, prune scratch — is ordinary heap slices;

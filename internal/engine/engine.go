@@ -101,8 +101,8 @@ func CountKeyedCtx(ctx context.Context, pl Plan, fp string, s *Session, _ int) (
 	// Memo-warm fast path: a settled fingerprint returns its shared value
 	// with zero allocations — no compute closure is ever built.  A miss
 	// (absent, still computing, or failed) falls through to countMemoState.
-	if e, ok := s.counts.Get(fp); ok && e.done.Load() {
-		return e.v, true, nil
+	if v, ok := s.Memoized(fp); ok {
+		return v, true, nil
 	}
 	maintained, _ := pl.(*fptPlan)
 	for {

@@ -55,13 +55,13 @@ func goldenRuns(t *testing.T) []goldenRun {
 	t.Helper()
 	var runs []goldenRun
 	cold := func(name string, c *core.Counter, b *structure.Structure) {
-		c.Release(b)
+		engine.ReleaseSession(b)
 		before := engine.RowBinds()
 		v, err := c.Count(b)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		c.Release(b)
+		engine.ReleaseSession(b)
 		runs = append(runs, goldenRun{name, v.String(), engine.RowBinds() - before})
 	}
 	n120 := workload.RandomStructure(workload.EdgeSig(), 120, 8.0/120, 20160626)

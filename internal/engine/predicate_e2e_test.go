@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/count"
+	"repro/internal/engine"
 	"repro/internal/structure"
 	"repro/internal/workload"
 )
@@ -48,7 +49,7 @@ func TestRandomEPQueriesMatchEPDirect(t *testing.T) {
 			if got.Cmp(want) != 0 {
 				t.Fatalf("seed %d n %d: FPT %v, EPDirect %v\nquery %v\nstructure %v", seed, n, got, want, q, b)
 			}
-			c.Release(b)
+			engine.ReleaseSession(b)
 		}
 	}
 }

@@ -99,13 +99,13 @@ func TestRowsDifferential(t *testing.T) {
 	// the count bound from rows.
 	cold := func(c *core.Counter, b *structure.Structure) (*big.Int, int64) {
 		t.Helper()
-		c.Release(b)
+		engine.ReleaseSession(b)
 		before := engine.RowBinds()
 		v, err := c.Count(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Release(b)
+		engine.ReleaseSession(b)
 		return v, engine.RowBinds() - before
 	}
 	for _, n := range []int{63, 64, 65, 127, 128, 129, 130, 200} {
@@ -180,12 +180,12 @@ func TestColdPredicateTablesStayRows(t *testing.T) {
 		}
 		layouts := func(b *structure.Structure) int64 {
 			t.Helper()
-			c.Release(b)
+			engine.ReleaseSession(b)
 			before := engine.TupleLayouts()
 			if _, err := c.Count(b); err != nil {
 				t.Fatal(err)
 			}
-			c.Release(b)
+			engine.ReleaseSession(b)
 			return engine.TupleLayouts() - before
 		}
 		b := workload.RandomStructure(workload.EdgeSig(), 120, 8.0/120, 20160626)

@@ -14,11 +14,12 @@ import (
 
 // Session is the per-structure state of the counting pipeline: the
 // materialized constraint tables (a sentence's verdict among them: its
-// zero-width predicate table) and the count memo.  One session serves
-// every φ⁻af term and sentence of a compiled query, repeated Count
-// calls, and batched counting — each distinct constraint scheme is
-// materialized against the structure exactly once.  Both memos hold at
-// most sessionMemoCap entries (an evicted entry rebuilds on demand).
+// zero-width predicate table), the count memo, and the pools of warm
+// state other layers keep per term (Pool).  One session serves every
+// φ⁻af term and sentence of a compiled query, repeated Count calls, and
+// batched counting — each distinct constraint scheme is materialized
+// against the structure exactly once.  Each memo holds at most
+// sessionMemoCap entries (an evicted entry rebuilds on demand).
 // Sessions are safe for concurrent use.
 type Session struct {
 	B *structure.Structure
@@ -28,6 +29,7 @@ type Session struct {
 
 	tables *cache.Cache[tableKey, *tableEntry]
 	counts *cache.Cache[string, *countEntry]
+	pools  *cache.Cache[poolKey, *sync.Pool]
 
 	mu sync.Mutex // guards prior
 	// prior holds the settled, advanceable counts adopted from the
@@ -84,7 +86,41 @@ func NewSession(b *structure.Structure) *Session {
 		snap:    snap,
 		tables:  cache.New[tableKey, *tableEntry](sessionMemoCap),
 		counts:  cache.New[string, *countEntry](sessionMemoCap),
+		pools:   cache.New[poolKey, *sync.Pool](sessionMemoCap),
 	}
+}
+
+// Memoized returns the count settled under fp at this session's
+// version, if there is one, and never computes it.  The value is shared
+// and read-only.
+func (s *Session) Memoized(fp string) (*big.Int, bool) {
+	if e, ok := s.counts.Get(fp); ok && e.done.Load() {
+		return e.v, true
+	}
+	return nil, false
+}
+
+// poolKey names one of a session's pools: a term's fingerprint and a
+// part of the term.
+type poolKey struct {
+	fp   string
+	part int
+}
+
+// Pool returns the session's pool under (fp, part), made on first use.
+// It is for warm, reusable state that the engine does not know about
+// and that is valid only for this session's structure at its version —
+// approx keeps the samplers of a term's components here — so the state
+// dies with the version and with the session.  A session holds at most
+// sessionMemoCap pools; what is given back to an evicted pool is
+// garbage.
+func (s *Session) Pool(fp string, part int) *sync.Pool {
+	k := poolKey{fp, part}
+	p, ok := s.pools.Get(k)
+	if !ok {
+		p, _ = s.pools.Add(k, new(sync.Pool))
+	}
+	return p
 }
 
 // countMemoState returns the session-cached count of the canonical

@@ -39,6 +39,17 @@ func (b bitset) intersect(o bitset) bool {
 	return changed
 }
 
+// single reports whether b has exactly one member.
+func (b bitset) single() bool {
+	n := 0
+	for _, w := range b {
+		if n += bits.OnesCount64(w); n > 1 {
+			return false
+		}
+	}
+	return n == 1
+}
+
 func (b bitset) empty() bool {
 	for _, w := range b {
 		if w != 0 {

@@ -21,7 +21,17 @@
 // structure.BitRowsFit) visit candidate B-tuples drawn from posting
 // lists.  Arc consistency has a unique fixpoint, so the two kernels yield
 // identical domains and everything derived from them — search order,
-// sampler draws — does not depend on which one ran.
+// sampler draws — does not depend on which one ran.  The injectivity
+// group's weak alldiff runs inside the same worklist: a member that
+// becomes a singleton takes its value from the others, and each such
+// narrowing queues the narrowed variable's constraints like any other.
+// So a variable that becomes a singleton always has every constraint
+// revised, and from then on a binary constraint R(x,y) on distinct
+// variables with y = {b} is entailed (dom[x] ⊆ R⁻¹(b)): propagate
+// queues it no more when x narrows, since only a wipe-out of x could
+// break it, and that is caught at x.  On the approx-hard inputs this
+// cuts a warm draw's revisions from 12.7 to 4.95 (free K4) and from
+// 30.4 to 14.0 (free K5), with the same fixpoint.
 //
 // Sampler draws the approximate counter's Horvitz–Thompson samples: a
 // draw fixes the liberal variables one at a time and propagates after
@@ -32,7 +42,11 @@
 // construction; a sampler whose liberal variables cover A skips the
 // propagation after its last fixing, where every value left extends.
 // Both rest on the unique fixpoint: each draw is bit-identical to
-// fixing and propagating every variable.
+// fixing and propagating every variable.  A memo entry is therefore the
+// draw itself, so a warm sampler draws exactly what a fresh one draws:
+// one sampler may serve request after request on the same structure
+// version, one at a time (approx keeps them in the engine session's
+// pools).
 //
 // The query front end runs thousands of small homomorphism tests per
 // query (a Retract per core, an Exists per entailment), so the calls

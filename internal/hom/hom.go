@@ -309,34 +309,54 @@ func firstAt(vars []int, p int) bool {
 	return true
 }
 
-// propagate runs generalized arc consistency to a fixpoint on dom,
-// starting from the constraints of A-element from (from < 0: all
-// constraints).  It returns false if some domain became empty.
+// propagate runs generalized arc consistency, and the injectivity
+// group's weak alldiff, to a fixpoint on dom, starting from the
+// constraints of A-element from (from < 0: all constraints, and every
+// group member that is already a singleton).  A caller passing from ≥ 0
+// narrowed only from's domain since dom was last at that fixpoint.  It
+// returns false if some domain became empty.
 //
 // One worklist serves two revise kernels.  Both compute, per position,
 // the set of values that some B-tuple consistent with every current
 // domain supports; the fixpoint of that operator is unique, so which
 // kernel revises a constraint — and in what order — cannot change the
-// resulting domains.
+// resulting domains.  A revision leaves its own constraint at its
+// fixpoint, and a variable's constraints are queued whenever its domain
+// narrows, save the entailed ones (see narrowed): so every constraint
+// off the queue is arc consistent, and an empty queue is the fixpoint.
 func (s *solver) propagate(dom []bitset, from int) bool {
-	queue, inQueue := s.queue[:0], s.inQueue
-	if from < 0 {
-		for ci := range s.cons {
-			queue = append(queue, ci)
+	ok := s.run(dom, from)
+	if !ok {
+		for _, ci := range s.queue {
+			s.inQueue[ci] = false
+		}
+	}
+	return ok
+}
+
+// run is propagate without its cleanup: a false return may leave
+// constraints on the queue.
+func (s *solver) run(dom []bitset, from int) bool {
+	s.queue = s.queue[:0]
+	if from >= 0 {
+		if !s.narrowed(dom, from, -1) {
+			return false
 		}
 	} else {
-		queue = append(queue, s.consOf[from]...)
+		for ci := range s.cons {
+			s.inQueue[ci] = true
+			s.queue = append(s.queue, ci)
+		}
+		for v, in := range s.allDiff {
+			if in && dom[v].single() && !s.spread(dom, v) {
+				return false
+			}
+		}
 	}
-	for i := range inQueue {
-		inQueue[i] = false
-	}
-	for _, ci := range queue {
-		inQueue[ci] = true
-	}
-	for len(queue) > 0 {
-		ci := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		inQueue[ci] = false
+	for len(s.queue) > 0 {
+		ci := s.queue[len(s.queue)-1]
+		s.queue = s.queue[:len(s.queue)-1]
+		s.inQueue[ci] = false
 		c := &s.cons[ci]
 		support := s.supBuf[:len(c.vars)]
 		if c.fwd != nil {
@@ -347,20 +367,71 @@ func (s *solver) propagate(dom []bitset, from int) bool {
 			return false
 		}
 		for p, v := range c.vars {
-			if dom[v].intersect(support[p]) {
-				if dom[v].empty() {
-					return false
-				}
-				for _, cj := range s.consOf[v] {
-					if cj != ci && !inQueue[cj] {
-						inQueue[cj] = true
-						queue = append(queue, cj)
-					}
-				}
+			if dom[v].intersect(support[p]) && (dom[v].empty() || !s.narrowed(dom, v, ci)) {
+				return false
 			}
 		}
 	}
 	return true
+}
+
+// narrowed queues the constraints of v, whose domain just narrowed to a
+// non-empty set, except ci (just revised, hence at its own fixpoint) and
+// the entailed ones; when v is an injectivity-group member that became a
+// singleton, it then takes v's value from the other members (spread).
+// It returns false on a wipe-out.
+//
+// A binary constraint R(v,y) on two distinct variables whose y is the
+// singleton {b} is entailed: it was revised after y became {b} — every
+// narrowing of y queues it, and a revision that narrows y is its own —
+// so dom[v] ⊆ R⁻¹(b) already, and narrowing v further cannot unsupport
+// anything short of emptying dom[v], which its narrowing reports.
+func (s *solver) narrowed(dom []bitset, v, ci int) bool {
+	for _, cj := range s.consOf[v] {
+		if cj == ci || s.inQueue[cj] {
+			continue
+		}
+		if y := s.cons[cj].partner(v); y >= 0 && dom[y].single() {
+			continue
+		}
+		s.inQueue[cj] = true
+		s.queue = append(s.queue, cj)
+	}
+	if s.allDiff != nil && s.allDiff[v] && dom[v].single() {
+		return s.spread(dom, v)
+	}
+	return true
+}
+
+// spread is the weak alldiff propagator: it removes the value of v, a
+// group member whose domain is a singleton, from the other members'
+// domains, each removal feeding the worklist like any narrowing.  It
+// returns false on a wipe-out.  (Sound: no injective assignment gives
+// two members one value.)
+func (s *solver) spread(dom []bitset, v int) bool {
+	b := dom[v].first()
+	for u, in := range s.allDiff {
+		if !in || u == v || !dom[u].has(b) {
+			continue
+		}
+		dom[u].clear(b)
+		if dom[u].empty() || !s.narrowed(dom, u, -1) {
+			return false
+		}
+	}
+	return true
+}
+
+// partner returns the variable of c other than v when c is a binary
+// constraint on two distinct variables, and -1 otherwise.
+func (c *constraint) partner(v int) int {
+	if len(c.vars) != 2 || c.vars[0] == c.vars[1] {
+		return -1
+	}
+	if c.vars[0] == v {
+		return c.vars[1]
+	}
+	return c.vars[0]
 }
 
 // reviseBits is the bit-row revise kernel (bitwise arc consistency in
@@ -382,6 +453,19 @@ func reviseBits(c *constraint, dom, support []bitset) bool {
 	}
 	ds, do := dom[c.vars[small]], dom[c.vars[other]]
 	ss, so := support[small], support[other]
+	if len(do) == 1 {
+		// A universe of at most 64 elements: each value's row is a word.
+		d, sup, keep := do[0], uint64(0), uint64(0)
+		for w := ds[0]; w != 0; w &= w - 1 {
+			j := bits.TrailingZeros64(w)
+			if t := rows[j] & d; t != 0 {
+				sup |= t
+				keep |= 1 << j
+			}
+		}
+		ss[0], so[0] = keep, sup
+		return true
+	}
 	so.zero()
 	for i, w := range ds {
 		keep := uint64(0)
@@ -482,38 +566,6 @@ func addRowSupport(vars []int, bcols [][]int32, dom []bitset, support []bitset, 
 	}
 }
 
-// propagateAllDiff removes value b from the domains of other alldiff
-// members once some alldiff member's domain is the singleton {b}.
-// Returns false on wipeout.  (Weak alldiff propagation; sound.)
-func (s *solver) propagateAllDiff(dom []bitset) bool {
-	if s.allDiff == nil {
-		return true
-	}
-	changed := true
-	for changed {
-		changed = false
-		for v := 0; v < s.nA; v++ {
-			if !s.allDiff[v] || bitvec.Count(dom[v]) != 1 {
-				continue
-			}
-			b := dom[v].first()
-			for u := 0; u < s.nA; u++ {
-				if u == v || !s.allDiff[u] {
-					continue
-				}
-				if dom[u].has(b) {
-					dom[u].clear(b)
-					changed = true
-					if dom[u].empty() {
-						return false
-					}
-				}
-			}
-		}
-	}
-	return true
-}
-
 // search runs backtracking search from the (propagated) domains dom.
 // onSolution is invoked with the value of each variable in a buffer the
 // solver reuses (copy to retain); returning false stops the search.
@@ -540,17 +592,8 @@ func (s *solver) searchRec(dom []bitset, onSolution func(assign []int) bool) boo
 		for v := 0; v < s.nA; v++ {
 			assign[v] = dom[v].first()
 		}
-		// GAC can fix variables without passing through the alldiff
-		// propagator, so re-verify injectivity at the leaf.
-		if s.allDiff != nil {
-			for v := 0; v < s.nA; v++ {
-				for u := 0; u < v && s.allDiff[v]; u++ {
-					if s.allDiff[u] && assign[u] == assign[v] {
-						return true
-					}
-				}
-			}
-		}
+		// dom is a fixpoint of propagate with every variable fixed:
+		// every constraint holds, and no two group members share a value.
 		return onSolution(assign)
 	}
 	for b := range bitvec.Each(dom[pick]) {
@@ -558,7 +601,7 @@ func (s *solver) searchRec(dom []bitset, onSolution func(assign []int) bool) boo
 		nd[pick].zero()
 		nd[pick].set(b)
 		cont := true
-		if s.propagateAllDiff(nd) && s.propagate(nd, pick) {
+		if s.propagate(nd, pick) {
 			cont = s.searchRec(nd, onSolution)
 		}
 		s.releaseDoms(nd)
@@ -576,7 +619,7 @@ func (s *solver) initialDomains() ([]bitset, bool) {
 		return nil, false
 	}
 	dom := s.initDom
-	if !s.propagateAllDiff(dom) || !s.propagate(dom, -1) {
+	if !s.propagate(dom, -1) {
 		return nil, false
 	}
 	return dom, true
@@ -671,7 +714,7 @@ func ForEachExtendable(A, B *structure.Structure, proj []int, opts Options, fn f
 			nd[v].zero()
 			nd[v].set(b)
 			cont := true
-			if s.propagateAllDiff(nd) && s.propagate(nd, v) {
+			if s.propagate(nd, v) {
 				vals[i] = b
 				cont = rec(i+1, nd)
 			}

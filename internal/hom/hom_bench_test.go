@@ -89,9 +89,10 @@ func cliquePattern(k int) (*structure.Structure, []int) {
 // inputs (benchmark/workload.go: free K4 on ER(40, 0.4) and free K5 on
 // ER(30, 0.6), input seed 20160626).  One sampler serves every draw, so
 // after the first draw of each first value its first fixing is a memo
-// copy: ns/op is the cost of one draw on a warm memo.  A request builds
-// its samplers and starts cold; BenchmarkApprox_HardMix (internal/core)
-// measures that.
+// copy: ns/op is the cost of one draw on a warm memo.  A request borrows
+// its samplers from the structure's session, warm after the first
+// request; BenchmarkApprox_HardMix (internal/core) measures whole
+// requests.
 
 func benchSampler(b *testing.B, k, n int, p float64, seed int64) {
 	a, proj := cliquePattern(k)

@@ -147,6 +147,120 @@ func TestReviseKernelsAgreeOnDomains(t *testing.T) {
 	}
 }
 
+// naiveFixpoint is propagate's reference: it revises every constraint
+// of s by scanning its whole relation, then applies the injectivity
+// group's weak alldiff, and repeats until nothing changes.  It returns
+// false if some domain is empty.
+func naiveFixpoint(s *solver, dom []bitset) bool {
+	for changed := true; changed; {
+		changed = false
+		for ci := range s.cons {
+			c := &s.cons[ci]
+			sup := carveBitsets(make([]bitset, len(c.vars)), make([]uint64, len(c.vars)*s.words), s.words)
+			for row := 0; c.brel != nil && row < c.brel.Len(); row++ {
+				ok := true
+				for p, v := range c.vars {
+					u := int(c.bcols[p][row])
+					ok = ok && dom[v].has(u)
+					for q := 0; q < p; q++ {
+						ok = ok && (c.vars[q] != v || int(c.bcols[q][row]) == u)
+					}
+				}
+				for p := range c.vars {
+					if ok {
+						sup[p].set(int(c.bcols[p][row]))
+					}
+				}
+			}
+			for p, v := range c.vars {
+				changed = dom[v].intersect(sup[p]) || changed
+			}
+		}
+		for v, in := range s.allDiff {
+			if !in || bitvec.Count(dom[v]) != 1 {
+				continue
+			}
+			b := dom[v].first()
+			for u, other := range s.allDiff {
+				if other && u != v && dom[u].has(b) {
+					dom[u].clear(b)
+					changed = true
+				}
+			}
+		}
+		for v := range dom {
+			if dom[v].empty() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// copyDoms returns a deep copy of dom.
+func copyDoms(dom []bitset) []bitset {
+	out := make([]bitset, len(dom))
+	for v := range dom {
+		out[v] = append(bitset(nil), dom[v]...)
+	}
+	return out
+}
+
+// TestPropagateMatchesNaiveFixpoint checks propagate, with its skips of
+// entailed constraints, against the naive fixpoint on the differential
+// suite's inputs with injectivity groups added: from the initial
+// domains, then after fixing each variable in turn as search and the
+// sampler do, on both kernels.  Arc consistency with weak alldiff has
+// one fixpoint, so the domains must be equal whenever neither wipes out.
+func TestPropagateMatchesNaiveFixpoint(t *testing.T) {
+	var cases, allDiff, fixes, live int
+	for _, nB := range kernelUniverses {
+		rng := rand.New(rand.NewSource(int64(5000 + nB)))
+		for iter := 0; iter < 250; iter++ {
+			c := randomKernelCase(rng, nB)
+			if rng.Intn(3) == 0 {
+				c.opts.AllDiff = rng.Perm(c.A.Size())[:1+rng.Intn(c.A.Size())]
+				allDiff++
+			}
+			for _, rowsOnly := range []bool{false, true} {
+				s := newSolver(c.A, c.B, c.opts)
+				if rowsOnly {
+					s.rowKernelOnly()
+				}
+				if s.initErr != nil {
+					continue
+				}
+				cases++
+				want := copyDoms(s.initDom)
+				wantOK := naiveFixpoint(s, want)
+				dom, ok := s.initialDomains()
+				if ok != wantOK || (ok && !reflect.DeepEqual(dom, want)) {
+					t.Fatalf("nB=%d iter %d rows-only %v: initial domains differ from the naive fixpoint (ok %v, naive %v)", nB, iter, rowsOnly, ok, wantOK)
+				}
+				for v := 0; ok && v < s.nA; v++ {
+					pick := dom[v].nth(rng.Intn(bitvec.Count(dom[v])))
+					dom[v].zero()
+					dom[v].set(pick)
+					want := copyDoms(dom)
+					wantOK := naiveFixpoint(s, want)
+					ok = s.propagate(dom, v)
+					fixes++
+					if ok != wantOK || (ok && !reflect.DeepEqual(dom, want)) {
+						t.Fatalf("nB=%d iter %d rows-only %v: domains after fixing %d→%d differ from the naive fixpoint (ok %v, naive %v)", nB, iter, rowsOnly, v, pick, ok, wantOK)
+					}
+					if ok {
+						live++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d solvers (%d with alldiff), %d fixings, %d live", cases, allDiff, fixes, live)
+	if cases < 2000 || allDiff < 400 || live < 2000 {
+		t.Fatalf("generator is lopsided: %d cases (%d with alldiff), %d fixings, %d live", cases, allDiff, fixes, live)
+	}
+}
+
 // bruteAnswers enumerates every map A → B that respects opts and carries
 // each A-tuple to a B-tuple; it returns their number and the distinct
 // projections onto proj in lexicographic order.

@@ -25,9 +25,16 @@ import (
 // a unique fixpoint, so a memoized draw is the draw itself.  The memo
 // exists when every constraint on proj[0] revises on support rows
 // (structure.BitRowsFit), which bounds it by nA/2 times the rows the
-// solver already holds.  Draws write the Sampler's scratch domains and
-// memo, so a Sampler is NOT safe for concurrent use.  Create one Sampler
-// per goroutine.
+// solver already holds.
+//
+// Draws write the Sampler's scratch domains and memo, so a Sampler is
+// NOT safe for concurrent use: one goroutine draws from it at a time.
+// It may pass from goroutine to goroutine (through a sync.Pool, say) and
+// serve any number of estimates, warm memo included, as long as B does
+// not change: it reads B's relations directly, and its memo holds
+// domains propagated against them.  A memo entry is the draw itself, so
+// the draws of a given RNG stream do not depend on what the sampler
+// drew before.
 type Sampler struct {
 	s    *solver
 	proj []int

@@ -18,15 +18,18 @@ func erFacts(t *testing.T, n int, p float64, seed int64) string {
 // TestCountApproxContract checks the mode=approx wire contract end to
 // end through the typed client: the estimate round-trips with its error
 // bound, case, confidence and sample count, and repeated requests with
-// the same seed are bit-identical.
+// the same seed are bit-identical.  The exact count runs on a twin of
+// "g": on "g" itself approx mode would answer from the count memo.
 func TestCountApproxContract(t *testing.T) {
 	_, cl := newTestServer(t, Config{})
 	ctx := context.Background()
-	if _, err := cl.CreateStructure(ctx, "g", erFacts(t, 40, 0.25, 3), nil); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"g", "twin"} {
+		if _, err := cl.CreateStructure(ctx, name, erFacts(t, 40, 0.25, 3), nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	exact, _, err := cl.Count(ctx, triangleQuery, "g")
+	exact, _, err := cl.Count(ctx, triangleQuery, "twin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +93,37 @@ func TestCountApproxContract(t *testing.T) {
 	}
 	if _, plain, err := cl.Count(ctx, triangleQuery, "g"); err != nil || plain.Converged != nil {
 		t.Fatalf("exact mode must not carry converged: %+v, %v", plain, err)
+	}
+}
+
+// TestCountApproxAnswersFromMemo: once an exact /count has memoized a
+// hard query's count at the structure's version, mode=approx answers
+// that count exactly with no draw; after an append it samples again.
+func TestCountApproxAnswersFromMemo(t *testing.T) {
+	_, cl := newTestServer(t, Config{})
+	ctx := context.Background()
+	if _, err := cl.CreateStructure(ctx, "g", erFacts(t, 40, 0.25, 3), nil); err != nil {
+		t.Fatal(err)
+	}
+	exact, _, err := cl.Count(ctx, triangleQuery, "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, resp, err := cl.CountApprox(ctx, triangleQuery, "g", 0.1, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Cmp(exact) != 0 || resp.Samples != 0 || !resp.Exact || resp.RelError != 0 || resp.Confidence != 1 {
+		t.Fatalf("approx after an exact count = %v %+v, want the exact count %v with 0 samples", est, resp, exact)
+	}
+	if resp.Converged == nil || !*resp.Converged || (resp.Case != "sharp-clique" && resp.Case != "clique") {
+		t.Fatalf("a memo answer keeps the approx schema: %+v", resp)
+	}
+	if _, err := cl.AppendFacts(ctx, "g", "E(v0,fresh). E(fresh,v0)."); err != nil {
+		t.Fatal(err)
+	}
+	if _, resp, err := cl.CountApprox(ctx, triangleQuery, "g", 0.1, 0.05); err != nil || resp.Samples == 0 || resp.Exact {
+		t.Fatalf("approx at a version with no memoized count must sample: %+v, %v", resp, err)
 	}
 }
 
