@@ -61,7 +61,7 @@ import (
 func deltaMaintainable(comps []*planComponent) bool {
 	for _, pc := range comps {
 		for i := range pc.constraints {
-			if pc.constraints[i].sub != nil {
+			if pc.constraints[i].pred != nil {
 				return false
 			}
 		}

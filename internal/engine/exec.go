@@ -1723,9 +1723,9 @@ func valuesAt(dst, assign, pos []int) []int {
 	return dst
 }
 
-// sharedPositions returns, for the variables common to bag and childVars
-// (both sorted ascending), their indices in each.
-func sharedPositions(bag, childVars []int) (bagIdx, childIdx []int) {
+// sharedPositions appends, for the variables common to bag and childVars
+// (both sorted ascending), their indices in each to bagIdx and childIdx.
+func sharedPositions(bag, childVars, bagIdx, childIdx []int) ([]int, []int) {
 	i, j := 0, 0
 	for i < len(bag) && j < len(childVars) {
 		switch {
@@ -1740,5 +1740,22 @@ func sharedPositions(bag, childVars []int) (bagIdx, childIdx []int) {
 			j++
 		}
 	}
-	return
+	return bagIdx, childIdx
+}
+
+// countShared returns how many variables bag and childVars (both sorted
+// ascending) have in common.
+func countShared(bag, childVars []int) int {
+	n, i, j := 0, 0, 0
+	for i < len(bag) && j < len(childVars) {
+		switch {
+		case bag[i] < childVars[j]:
+			i++
+		case bag[i] > childVars[j]:
+			j++
+		default:
+			n, i, j = n+1, i+1, j+1
+		}
+	}
+	return n
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/big"
 	"sync"
 
@@ -64,6 +65,37 @@ func solverCount(p pp.PP, b *structure.Structure) *big.Int {
 		total.Mul(total, big.NewInt(n))
 	}
 	return total
+}
+
+// predStructure rebuilds the structure a predicate's nested component pred
+// was compiled from: its elements, named e0, e1, …, and one tuple per
+// atom constraint.
+func predStructure(sig *structure.Signature, pred *planComponent) *structure.Structure {
+	sub := structure.New(sig)
+	for v := 0; v < pred.nActive; v++ {
+		sub.EnsureElem(fmt.Sprintf("e%d", v))
+	}
+	for _, c := range pred.constraints {
+		args := make([]int, len(c.atomTmpl))
+		for j, p := range c.atomTmpl {
+			args[j] = c.scope[p]
+		}
+		if err := sub.AddTuple(c.rel, args...); err != nil {
+			panic(err)
+		}
+	}
+	return sub
+}
+
+// predIface returns the elements of a predicate constraint's nested
+// component that are its table's columns, in column order: the root bag
+// at predProj.
+func predIface(c *planConstraint) []int {
+	iface := make([]int, len(c.predProj))
+	for i, bi := range c.predProj {
+		iface[i] = c.pred.dec.Bags[c.pred.root][bi]
+	}
+	return iface
 }
 
 // CachedTables reports how many constraint tables s holds materialized:

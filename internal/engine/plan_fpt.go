@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/pp"
 	"repro/internal/structure"
@@ -42,11 +46,11 @@ type planConstraint struct {
 	// Atom constraint:
 	rel      string
 	atomTmpl []int // for atoms: position-in-scope per argument (repeats kept)
-	// Predicate constraint:
-	sub      *structure.Structure // ∃-component structure (nil for atoms)
-	iface    []int                // projection elements inside sub, aligned with scope
-	pred     *planComponent       // sub compiled for the join executor (compilePredicate)
-	predProj []int                // pred's root-bag positions of iface
+	// Predicate constraint (pred non-nil): the ∃-component compiled for
+	// the join executor over its own elements (compilePredicate), and the
+	// root-bag positions of its interface, aligned with scope.
+	pred     *planComponent
+	predProj []int
 
 	// key identifies the materialized table of this constraint within a
 	// Session, enabling sharing across plans and repeated counts.
@@ -89,273 +93,474 @@ type planComponent struct {
 // must have the same answers as p on every structure (p itself, or its
 // core).  Every decomposition is sh's.
 func planFrom(p pp.PP, sh *pp.Shape) (*fptPlan, error) {
-	plan := &fptPlan{p: p, sig: p.A.Signature(), shape: sh}
+	plan := &fptPlan{p: p, sig: p.A.Signature(), shape: sh, comps: make([]*planComponent, len(sh.Components))}
+	pcl := newPlanCompiler(sh.Formula.A)
 	for i := range sh.Components {
-		pc, err := compileComponent(sh, &sh.Components[i])
+		pc, err := pcl.component(sh, &sh.Components[i])
 		if err != nil {
 			return nil, err
 		}
-		plan.comps = append(plan.comps, pc)
+		plan.comps[i] = pc
 	}
+	pcl.finishKeys()
 	plan.deltaOK = deltaMaintainable(plan.comps)
 	return plan, nil
 }
 
-func compileComponent(sh *pp.Shape, comp *pp.ComponentShape) (*planComponent, error) {
-	a := sh.Formula.A
-	if len(comp.Lib) == 0 { // a sentence: one zero-width predicate on its one ∃-component
-		ec := &sh.Exists[comp.Exists[0]]
-		sub, _ := existsSub(a, ec)
-		pred, _, err := compilePredicate(sub, nil, ec.Pred)
-		if err != nil {
-			return nil, err
+// planCompiler is one plan compile's scratch.  The formula's atoms are
+// read off its structure once, into a flat list; an ∃-component is cut
+// from that list, never built as a structure; every table key of the
+// plan is encoded into one buffer that becomes one string at the end
+// (finishKeys); and each component's index lists are carved from one
+// buffer of its own.  A plan keeps nothing of the compiler but that
+// string.
+type planCompiler struct {
+	sig *structure.Signature
+	// atoms lists the formula's atoms flat: relation index, arity, then
+	// the arguments; relations in signature order, tuples in row order.
+	// sub lists the ∃-component at hand's atoms the same way, renumbered.
+	atoms, sub []int
+	pos        []int  // element → scope position in the component at hand, else -1
+	renum      []int  // element → index in the ∃-component at hand, else -1
+	onIface    []bool // element → on the ∃-component at hand's interface
+	iface      []int  // that interface, renumbered
+	keys       []byte
+	spans      []keySpan
+	tuples     []byte // predKey's tuple encodings, one relation at a time
+	ends       []int  // their ends in tuples
+	scratch    []int  // predKey's numbering and order, place's counts
+	marks      []bool // place's covered bag positions
+}
+
+// keySpan says whose key ends where in planCompiler.keys: the key of
+// constraint ci of pc starts where the span before it ends.
+type keySpan struct {
+	pc     *planComponent
+	ci, hi int
+}
+
+func newPlanCompiler(a *structure.Structure) *planCompiler {
+	sig, n := a.Signature(), a.Size()
+	pcl := &planCompiler{sig: sig, onIface: make([]bool, n)}
+	idx := make([]int, 2*n)
+	for v := range idx {
+		idx[v] = -1
+	}
+	pcl.pos, pcl.renum = idx[:n:n], idx[n:]
+	size := 0
+	for ri := 0; ri < sig.NumRels(); ri++ {
+		size += (2 + sig.Rel(ri).Arity) * a.Rel(sig.Rel(ri).Name).Len()
+	}
+	pcl.atoms = make([]int, 0, size)
+	for ri := 0; ri < sig.NumRels(); ri++ {
+		r := sig.Rel(ri)
+		rel := a.Rel(r.Name)
+		for row := 0; row < rel.Len(); row++ {
+			pcl.atoms = append(pcl.atoms, ri, r.Arity)
+			for j := 0; j < r.Arity; j++ {
+				pcl.atoms = append(pcl.atoms, rel.Value(row, j))
+			}
 		}
-		c := planConstraint{sub: sub, pred: pred}
-		c.key = makeTableKey(&c)
-		return &planComponent{constraints: []planConstraint{c}}, nil
+	}
+	return pcl
+}
+
+func (pcl *planCompiler) component(sh *pp.Shape, comp *pp.ComponentShape) (*planComponent, error) {
+	pc := &planComponent{}
+	if len(comp.Lib) == 0 { // a sentence: one zero-width predicate on its one ∃-component
+		pc.constraints = make([]planConstraint, 1)
+		return pc, pcl.predicate(pc, 0, &sh.Exists[comp.Exists[0]], nil)
 	}
 	// Constraint scopes are positions into comp.Active: the liberal
 	// variables some atom or interface covers.  The others are free.
-	pos := make([]int, a.Size())
-	for v := range pos {
-		pos[v] = -1
-	}
 	for i, v := range comp.Active {
-		pos[v] = i
+		pcl.pos[v] = i
 	}
-
-	// (a) atoms entirely on liberal variables.
-	cons := atomConstraints(a, pos)
-
-	// (b) ∃-component predicates.  comp is Gaifman-connected and has a
-	// liberal variable, so every ∃-component borders one: no interface is
-	// empty.
+	defer func() {
+		for _, v := range comp.Active {
+			pcl.pos[v] = -1
+		}
+	}()
+	// (a) atoms entirely on liberal variables; (b) ∃-component predicates.
+	// comp is Gaifman-connected and has a liberal variable, so every
+	// ∃-component borders one: no interface is empty.
+	nAtoms, size := countAtoms(pcl.atoms, pcl.pos)
 	for _, e := range comp.Exists {
+		size += len(sh.Exists[e].Interface)
+	}
+	pc.constraints = make([]planConstraint, nAtoms+len(comp.Exists))
+	buf := pcl.atomConstraints(pc, pcl.atoms, pcl.pos, make([]int, size))
+	for k, e := range comp.Exists {
 		ec := &sh.Exists[e]
-		sub, old2new := existsSub(a, ec)
 		// Interface sorted by scope position (comp.Active and ec.Interface
 		// are both ascending, so it already is).
-		iface := make([]int, len(ec.Interface))
-		scope := make([]int, len(ec.Interface))
-		for i, v := range ec.Interface {
-			iface[i] = old2new[v]
-			scope[i] = pos[v]
+		scope := carve(&buf, len(ec.Interface))
+		for _, v := range ec.Interface {
+			scope = append(scope, pcl.pos[v])
 		}
-		pred, proj, err := compilePredicate(sub, iface, ec.Pred)
-		if err != nil {
+		if err := pcl.predicate(pc, nAtoms+k, ec, scope); err != nil {
 			return nil, err
 		}
-		cons = append(cons, planConstraint{scope: scope, sub: sub, iface: iface, pred: pred, predProj: proj})
 	}
-	for i := range cons {
-		cons[i].key = makeTableKey(&cons[i])
-	}
-
-	pc := &planComponent{
-		nActive:     len(comp.Active),
-		freeVars:    len(comp.Lib) - len(comp.Active),
-		constraints: cons,
-	}
+	pc.nActive, pc.freeVars = len(comp.Active), len(comp.Lib)-len(comp.Active)
 	if comp.Contract != nil {
-		if err := pc.place(comp.Contract); err != nil {
+		if err := pcl.place(pc, comp.Contract); err != nil {
 			return nil, err
 		}
 	}
 	return pc, nil
 }
 
-// atomConstraints returns one atom constraint per tuple of a whose
-// arguments all have a variable position (pos[v] ≥ 0), scoped on those
-// positions.  One sorted-dedup scratch buffer serves every atom;
-// position-in-scope lookups are binary searches on the sorted scope.
-func atomConstraints(a *structure.Structure, pos []int) []planConstraint {
-	var cons []planConstraint
-	var scopeBuf []int
-	sig := a.Signature()
-	for ri := 0; ri < sig.NumRels(); ri++ {
-		r := sig.Rel(ri)
-		a.ForEachTuple(r.Name, func(t []int) bool {
-			scopeBuf = scopeBuf[:0]
-			for _, v := range t {
-				if pos[v] < 0 {
-					return true
-				}
-				scopeBuf = append(scopeBuf, pos[v])
-			}
-			sort.Ints(scopeBuf)
-			scope := make([]int, 0, len(scopeBuf))
-			for i, s := range scopeBuf {
-				if i == 0 || s != scopeBuf[i-1] {
-					scope = append(scope, s)
-				}
-			}
-			tmpl := make([]int, len(t))
-			for j, v := range t {
-				tmpl[j] = sort.SearchInts(scope, pos[v])
-			}
-			cons = append(cons, planConstraint{scope: scope, rel: r.Name, atomTmpl: tmpl})
-			return true
-		})
-	}
-	return cons
-}
-
-// existsSub builds the structure of an ∃-component: a induced on the
-// component's vertices, minus the atoms lying entirely on its interface.
-// Those atoms are liberal-only, hence already atom constraints of the
-// enclosing component; dropping them here only widens the predicate to a
-// superset the enclosing join cuts back, and lets ∃-components that
-// differ in nothing else share one table (predKey).
-func existsSub(a *structure.Structure, ec *pp.ExistsComponent) (*structure.Structure, []int) {
-	old2new := make([]int, a.Size())
-	for i := range old2new {
-		old2new[i] = -1
-	}
-	for _, v := range ec.Vertices {
-		old2new[v] = 0
-	}
-	sub := structure.New(a.Signature())
-	for v := range old2new { // index order, as Induced numbers them
-		if old2new[v] == 0 {
-			old2new[v], _ = sub.AddElem(a.ElemName(v)) // names are distinct in a
+// countAtoms returns how many atoms of the flat list have every argument
+// on a scope position (pos[v] ≥ 0; a nil pos is the identity), and how
+// many ints their scopes and templates need.
+func countAtoms(atoms, pos []int) (n, size int) {
+	for i := 0; i < len(atoms); i += 2 + atoms[i+1] {
+		if onScope(atoms[i+2:i+2+atoms[i+1]], pos) {
+			n, size = n+1, size+2*atoms[i+1]
 		}
 	}
-	onIface := make([]bool, a.Size())
+	return n, size
+}
+
+func onScope(args, pos []int) bool {
+	for _, v := range args {
+		if pos != nil && pos[v] < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// atomConstraints fills pc's first constraints, one atom constraint per
+// atom of the flat list that countAtoms counts, scoped on its arguments'
+// positions, and returns what is left of buf: every scope and template is
+// carved from it.  Template lookups are binary searches on the sorted
+// scope.
+func (pcl *planCompiler) atomConstraints(pc *planComponent, atoms, pos, buf []int) []int {
+	k := 0
+	for i := 0; i < len(atoms); i += 2 + atoms[i+1] {
+		args := atoms[i+2 : i+2+atoms[i+1]]
+		if !onScope(args, pos) {
+			continue
+		}
+		scope, tmpl := buf[:len(args):len(args)], buf[len(args):2*len(args):2*len(args)]
+		buf = buf[2*len(args):]
+		for j, v := range args {
+			if pos != nil {
+				v = pos[v]
+			}
+			scope[j], tmpl[j] = v, v
+		}
+		slices.Sort(scope)
+		scope = slices.Clip(slices.Compact(scope))
+		for j, v := range tmpl {
+			tmpl[j] = sort.SearchInts(scope, v)
+		}
+		c := &pc.constraints[k]
+		c.scope, c.rel, c.atomTmpl = scope, pcl.sig.Rel(atoms[i]).Name, tmpl
+		// The atom table's key: the template as structure.TupleKey
+		// encodes it, ';', the scope's width.
+		c.key.kind, c.key.rel = 'a', c.rel
+		for _, v := range tmpl {
+			pcl.keys = binary.LittleEndian.AppendUint64(pcl.keys, uint64(v))
+		}
+		pcl.keys = strconv.AppendInt(append(pcl.keys, ';'), int64(len(scope)), 10)
+		pcl.endKey(pc, k)
+		k++
+	}
+	return buf
+}
+
+// predicate compiles ∃-component ec into constraint ci of pc, on the
+// scope positions of its interface (nil for a sentence: zero width).
+// Its atoms are ec's, renumbered by index in ec.Vertices (the order in
+// which structure.Induced would number them), minus the atoms lying
+// entirely on its interface.  Those are liberal-only, hence already atom
+// constraints of the enclosing component; dropping them here only widens
+// the predicate to a superset the enclosing join cuts back, and lets
+// ∃-components that differ in nothing else share one table (predKey).
+func (pcl *planCompiler) predicate(pc *planComponent, ci int, ec *pp.ExistsComponent, scope []int) error {
+	for i, v := range ec.Vertices {
+		pcl.renum[v] = i
+	}
 	for _, v := range ec.Interface {
-		onIface[v] = true
+		pcl.onIface[v] = true
 	}
-	sig := a.Signature()
-	for ri := 0; ri < sig.NumRels(); ri++ {
-		r := sig.Rel(ri)
-		nt := make([]int, r.Arity)
-		a.ForEachTuple(r.Name, func(t []int) bool {
-			quantified := false
-			for j, v := range t {
-				if old2new[v] < 0 {
-					return true
-				}
-				nt[j] = old2new[v]
-				quantified = quantified || !onIface[v]
+	sub, iface := pcl.sub[:0], pcl.iface[:0]
+	for i := 0; i < len(pcl.atoms); i += 2 + pcl.atoms[i+1] {
+		args := pcl.atoms[i+2 : i+2+pcl.atoms[i+1]]
+		inside, quantified := true, false
+		for _, v := range args {
+			inside = inside && pcl.renum[v] >= 0
+			quantified = quantified || !pcl.onIface[v]
+		}
+		if inside && quantified {
+			sub = append(sub, pcl.atoms[i], len(args))
+			for _, v := range args {
+				sub = append(sub, pcl.renum[v])
 			}
-			if quantified {
-				_ = sub.AddTuple(r.Name, nt...) // arity and indices are a's own
-			}
-			return true
-		})
+		}
 	}
-	return sub, old2new
+	for _, v := range ec.Interface {
+		iface = append(iface, pcl.renum[v])
+		pcl.onIface[v] = false
+	}
+	for _, v := range ec.Vertices {
+		pcl.renum[v] = -1
+	}
+	pcl.sub, pcl.iface = sub, iface
+	pred, proj, err := pcl.compilePredicate(sub, len(ec.Vertices), iface, ec.Pred)
+	if err != nil {
+		return err
+	}
+	c := &pc.constraints[ci]
+	c.scope, c.pred, c.predProj = scope, pred, proj
+	c.key.kind = 'p'
+	pcl.predKey(sub, len(ec.Vertices), iface)
+	pcl.endKey(pc, ci)
+	return nil
 }
 
 // compilePredicate compiles the predicate "iface extends to a
-// homomorphism of sub" (for a sentence, iface is empty: "sub maps into
-// the structure") into a nested component over all of sub's
-// elements, to be run by the join executor in the existence semiring
-// (Session.materializePredicate): the bounded treewidth of the core (Theorem 3.2)
-// is what bounds this component's bags.  Its constraints are sub's atoms,
-// so their tables are the session's shared atom tables.  dec is the
-// ∃-component's decomposition (pp.ExistsComponent.Pred): its graph has
-// one extra clique on the interface, and its root bag holds the whole
-// interface.  proj lists the root-bag positions of iface, in iface order:
-// the root's projection onto them is the predicate's table.
-func compilePredicate(sub *structure.Structure, iface []int, dec *tw.Decomposition) (pc *planComponent, proj []int, err error) {
-	n := sub.Size()
-	pos := make([]int, n)
-	for v := range pos {
-		pos[v] = v
-	}
-	cons := atomConstraints(sub, pos)
-	for i := range cons {
-		cons[i].key = makeTableKey(&cons[i])
-	}
-	pc = &planComponent{nActive: n, constraints: cons}
-	if err := pc.place(dec); err != nil {
+// homomorphism of the component" — the flat atom list sub on n elements;
+// for a sentence, iface is empty: "the component maps into the
+// structure" — into a nested component over all n elements, to be run by
+// the join executor in the existence semiring
+// (Session.materializePredicate): the bounded treewidth of the core
+// (Theorem 3.2) is what bounds this component's bags.  Its constraints
+// are sub's atoms, so their tables are the session's shared atom tables.
+// dec is the ∃-component's decomposition (pp.ExistsComponent.Pred): its
+// graph has one extra clique on the interface, and its root bag holds
+// the whole interface.  proj lists the root-bag positions of iface, in
+// iface order: the root's projection onto them is the predicate's table.
+func (pcl *planCompiler) compilePredicate(sub []int, n int, iface []int, dec *tw.Decomposition) (pc *planComponent, proj []int, err error) {
+	nAtoms, size := countAtoms(sub, nil)
+	pc = &planComponent{nActive: n, constraints: make([]planConstraint, nAtoms)}
+	buf := pcl.atomConstraints(pc, sub, nil, make([]int, size+len(iface)))
+	if err := pcl.place(pc, dec); err != nil {
 		return nil, nil, err
 	}
-	proj = make([]int, len(iface))
+	proj = buf[:len(iface):len(iface)]
 	for i, v := range iface {
 		proj[i] = sort.SearchInts(dec.Bags[pc.root], v)
 	}
 	return pc, proj, nil
 }
 
+// predKey appends the key of an ∃-component's predicate table — its flat
+// atom list sub on n elements, and its interface — up to the names of
+// its elements: the interface elements are renumbered 0..k-1 in iface
+// order (the table's column order), the quantified ones k.. in index
+// order, and each relation's renumbered tuples are listed sorted.  Equal
+// keys mean isomorphic components with matching interface columns, hence
+// identical predicate tables on every structure; the encoding is not a
+// canonical form — components that differ in the order of their
+// quantified elements get distinct keys and merely miss the sharing.
+func (pcl *planCompiler) predKey(sub []int, n int, iface []int) {
+	buf := pcl.grow(n + len(sub)/2) // every atom takes at least two ints
+	num, orders := buf[:n], buf[n:]
+	for v := range num {
+		num[v] = -1
+	}
+	for i, v := range iface {
+		num[v] = i
+	}
+	next := len(iface)
+	for v := range num {
+		if num[v] < 0 {
+			num[v] = next
+			next++
+		}
+	}
+	pcl.keys = strconv.AppendInt(pcl.keys, int64(len(iface)), 10)
+	for i := 0; i < len(sub); {
+		r := sub[i]
+		// The relation's tuples, each encoded ",a,b…" after the last.
+		tuples, ends := pcl.tuples[:0], pcl.ends[:0]
+		for ; i < len(sub) && sub[i] == r; i += 2 + sub[i+1] {
+			for _, v := range sub[i+2 : i+2+sub[i+1]] {
+				tuples = strconv.AppendInt(append(tuples, ','), int64(num[v]), 10)
+			}
+			ends = append(ends, len(tuples))
+		}
+		pcl.tuples, pcl.ends = tuples, ends
+		tuple := func(t int) []byte {
+			if t == 0 {
+				return tuples[:ends[0]]
+			}
+			return tuples[ends[t-1]:ends[t]]
+		}
+		order := orders[:len(ends)]
+		for t := range order {
+			order[t] = t
+		}
+		slices.SortFunc(order, func(s, t int) int { return bytes.Compare(tuple(s), tuple(t)) })
+		pcl.keys = append(append(pcl.keys, ';'), pcl.sig.Rel(r).Name...)
+		for _, t := range order {
+			pcl.keys = append(append(pcl.keys, '('), tuple(t)...)
+		}
+	}
+}
+
+// endKey records that constraint ci of pc's key ends here.
+func (pcl *planCompiler) endKey(pc *planComponent, ci int) {
+	pcl.spans = append(pcl.spans, keySpan{pc: pc, ci: ci, hi: len(pcl.keys)})
+}
+
+// finishKeys makes every key encoded so far one string, and gives each
+// constraint its substring.
+func (pcl *planCompiler) finishKeys() {
+	all, lo := string(pcl.keys), 0
+	for _, sp := range pcl.spans {
+		sp.pc.constraints[sp.ci].key.enc = all[lo:sp.hi]
+		lo = sp.hi
+	}
+}
+
+// grow returns the scratch ints, n of them, holding anything.
+func (pcl *planCompiler) grow(n int) []int {
+	if cap(pcl.scratch) < n {
+		pcl.scratch = make([]int, n)
+	}
+	return pcl.scratch[:n]
+}
+
+// carve returns an empty slice of capacity n from the front of *buf, and
+// advances *buf past it.
+func carve(buf *[]int, n int) []int {
+	s := (*buf)[:0:n]
+	*buf = (*buf)[n:]
+	return s
+}
+
 // place installs the decomposition, which it shares and does not edit:
 // every constraint goes to the first bag containing its scope, the tree's
 // child lists and root are derived from the parent pointers, and the
-// per-node metadata is compiled.
-func (pc *planComponent) place(dec *tw.Decomposition) error {
-	pc.dec = dec
-	pc.consAt = make([][]int, len(dec.Bags))
-	for ci, c := range pc.constraints {
-		placed := false
-		for ni, bag := range dec.Bags {
-			if containsAll(bag, c.scope) {
-				pc.consAt[ni] = append(pc.consAt[ni], ci)
-				placed = true
-				break
-			}
+// per-node executor metadata is precomputed (scope→bag position maps,
+// free bag positions, child merge projections) so that binding and
+// executing a plan does zero formula-dependent setup.  Bags are sorted,
+// so position lookups are binary searches and shared positions come from
+// linear merges.  A first pass sizes every list, so that all of the
+// component's index lists are carved from one buffer, their headers from
+// another, and the groups from a third.
+func (pcl *planCompiler) place(pc *planComponent, dec *tw.Decomposition) error {
+	bags, nc := dec.Bags, len(pc.constraints)
+	nb := len(bags)
+	// Scratch: each constraint's bag, then per bag its constraint count,
+	// its child count and the positions it shares with its tree
+	// neighbours.
+	counts := pcl.grow(nc + 3*nb)
+	home, nCons, nKids, nShared := counts[:nc], counts[nc:nc+nb], counts[nc+nb:nc+2*nb], counts[nc+2*nb:]
+	clear(counts[nc:])
+	size := nc
+	for ci := range pc.constraints {
+		scope := pc.constraints[ci].scope
+		home[ci] = slices.IndexFunc(bags, func(bag []int) bool { return containsAll(bag, scope) })
+		if home[ci] < 0 {
+			return fmt.Errorf("engine: constraint scope %v fits in no bag", scope)
 		}
-		if !placed {
-			return fmt.Errorf("engine: constraint scope %v fits in no bag", c.scope)
-		}
+		nCons[home[ci]]++
+		size += len(scope)
 	}
-	pc.children = make([][]int, len(dec.Bags))
-	pc.root = -1
+	pc.dec, pc.root = dec, -1
+	widest, edges := 0, 0
 	for i, p := range dec.Parent {
+		widest = max(widest, len(bags[i]))
 		if p == -1 {
 			pc.root = i
-		} else {
+			continue
+		}
+		k := countShared(bags[p], bags[i])
+		edges++
+		nKids[p]++
+		nShared[p] += k
+		nShared[i] += k
+		size += 1 + 2*k // the child's index, and a group's two projections
+	}
+	if cap(pcl.marks) < widest {
+		pcl.marks = make([]bool, widest)
+	}
+	for ni, bag := range bags {
+		size += nShared[ni] + pcl.freeCount(pc, home, ni, bag)
+	}
+
+	flat, hdrs := make([]int, size), make([][]int, 2*nb+nc)
+	pc.consAt, pc.children, hdrs = hdrs[:nb:nb], hdrs[nb:2*nb:2*nb], hdrs[2*nb:]
+	for ni := range bags {
+		pc.consAt[ni], pc.children[ni] = carve(&flat, nCons[ni]), carve(&flat, nKids[ni])
+	}
+	for ci, ni := range home {
+		pc.consAt[ni] = append(pc.consAt[ni], ci)
+	}
+	for i, p := range dec.Parent {
+		if p != -1 {
 			pc.children[p] = append(pc.children[p], i)
 		}
 	}
-	pc.compileNodes()
-	return nil
-}
-
-// compileNodes precomputes the per-node executor metadata (scope→bag
-// position maps, free bag positions, child merge projections) so that
-// binding and executing a plan does zero formula-dependent setup.  Bags
-// are sorted, so position lookups are binary searches and shared
-// positions come from linear merges.
-func (pc *planComponent) compileNodes() {
-	pc.nodes = make([]nodeMeta, len(pc.dec.Bags))
-	// One buffer holds every constraint's scope→bag map, one the covered
-	// marks of the bag at hand.
-	total, widest := 0, 0
-	for _, c := range pc.constraints {
-		total += len(c.scope)
+	pc.nodes = make([]nodeMeta, nb)
+	for ni := range pc.nodes {
+		pc.nodes[ni].shared = carve(&flat, nShared[ni])
 	}
-	for _, bag := range pc.dec.Bags {
-		widest = max(widest, len(bag))
-	}
-	flat, marks := make([]int, total), make([]bool, widest)
-	for ni, bag := range pc.dec.Bags {
+	groups := make([]groupMeta, 0, edges)
+	for ni, bag := range bags {
 		nm := &pc.nodes[ni]
-		covered := marks[:len(bag)]
+		covered := pcl.marks[:len(bag)]
 		clear(covered)
-		nm.scopeBag = make([][]int, len(pc.consAt[ni]))
+		nm.scopeBag, hdrs = hdrs[:len(pc.consAt[ni]):len(pc.consAt[ni])], hdrs[len(pc.consAt[ni]):]
 		for k, ci := range pc.consAt[ni] {
 			scope := pc.constraints[ci].scope
-			sb := flat[:len(scope):len(scope)]
-			flat = flat[len(scope):]
-			for j, v := range scope {
+			sb := carve(&flat, len(scope))
+			for _, v := range scope {
 				bi := sort.SearchInts(bag, v) // containsAll guaranteed the hit
-				sb[j] = bi
+				sb = append(sb, bi)
 				covered[bi] = true
 			}
 			nm.scopeBag[k] = sb
 		}
-		for i := range bag {
-			if !covered[i] {
+		nm.freePos = carve(&flat, len(bag)-bitCount(covered))
+		for i, cov := range covered {
+			if !cov {
 				nm.freePos = append(nm.freePos, i)
 			}
 		}
+		first := len(groups)
 		for _, c := range pc.children[ni] {
-			sb, sc := sharedPositions(bag, pc.dec.Bags[c])
-			nm.groups = append(nm.groups, groupMeta{child: c, sharedBag: sb, sharedChild: sc})
+			k := countShared(bag, bags[c])
+			sb, sc := sharedPositions(bag, bags[c], carve(&flat, k), carve(&flat, k))
+			groups = append(groups, groupMeta{child: c, sharedBag: sb, sharedChild: sc})
 			nm.shared = append(nm.shared, sb...)
 			pc.nodes[c].shared = append(pc.nodes[c].shared, sc...)
 		}
+		nm.groups = groups[first:len(groups):len(groups)]
 	}
+	return nil
+}
+
+// freeCount returns how many positions of bag ni, which it marks
+// covered in place's marks, no constraint placed there covers.
+func (pcl *planCompiler) freeCount(pc *planComponent, home []int, ni int, bag []int) int {
+	covered := pcl.marks[:len(bag)]
+	clear(covered)
+	for ci, h := range home {
+		if h == ni {
+			for _, v := range pc.constraints[ci].scope {
+				covered[sort.SearchInts(bag, v)] = true
+			}
+		}
+	}
+	return len(bag) - bitCount(covered)
+}
+
+// bitCount returns how many of bs are set.
+func bitCount(bs []bool) int {
+	n := 0
+	for _, b := range bs {
+		if b {
+			n++
+		}
+	}
+	return n
 }
 
 func (pl *fptPlan) Formula() pp.PP { return pl.p }

@@ -229,7 +229,8 @@ func bitPairs(m []uint64, dom int, swap bool, keep func(row []int) bool) []strin
 // (randomExistsComponent) — into the predicate constraint the FPT plan
 // would hold for it, and returns it with the component as compiled (sub,
 // interface-only atoms stripped), the unstripped one (full) and the
-// interface's elements in sub.
+// interface's elements in sub.  The constraint is compiled from p's atom
+// list; sub is built as a structure (existsSub), and the two must agree.
 func existsConstraint(t *testing.T, p pp.PP) (c *planConstraint, sub, full *structure.Structure, iface []int) {
 	t.Helper()
 	ecs := pp.ShapeOf(p).Exists
@@ -243,13 +244,82 @@ func existsConstraint(t *testing.T, p pp.PP) (c *planConstraint, sub, full *stru
 	for i, v := range p.S {
 		iface[i], scope[i] = old2new[v], i
 	}
-	pred, proj, err := compilePredicate(sub, iface, ecs[0].Pred)
-	if err != nil {
+	pcl := newPlanCompiler(p.A)
+	pc := &planComponent{constraints: make([]planConstraint, 1)}
+	if err := pcl.predicate(pc, 0, &ecs[0], scope); err != nil {
 		t.Fatal(err)
 	}
-	c = &planConstraint{scope: scope, sub: sub, iface: iface, pred: pred, predProj: proj}
-	c.key = makeTableKey(c)
+	pcl.finishKeys()
+	c = &pc.constraints[0]
+	if got := predStructure(p.A.Signature(), c.pred); !sameTuples(got, sub) {
+		t.Fatalf("predicate compiled from atoms %v, want component %v", got, sub)
+	}
+	if got := predIface(c); fmt.Sprint(got) != fmt.Sprint(iface) {
+		t.Fatalf("predicate columns are elements %v, want %v", got, iface)
+	}
 	return c, sub, full, iface
+}
+
+// existsSub builds the structure of an ∃-component as a structure: a
+// induced on the component's vertices, minus the atoms lying entirely on
+// its interface — the definition the plan's atom-list compile
+// (planCompiler.predicate) is held to.
+func existsSub(a *structure.Structure, ec *pp.ExistsComponent) (*structure.Structure, []int) {
+	old2new := make([]int, a.Size())
+	for i := range old2new {
+		old2new[i] = -1
+	}
+	for _, v := range ec.Vertices {
+		old2new[v] = 0
+	}
+	sub := structure.New(a.Signature())
+	for v := range old2new { // index order, as Induced numbers them
+		if old2new[v] == 0 {
+			old2new[v], _ = sub.AddElem(a.ElemName(v)) // names are distinct in a
+		}
+	}
+	onIface := make([]bool, a.Size())
+	for _, v := range ec.Interface {
+		onIface[v] = true
+	}
+	sig := a.Signature()
+	for ri := 0; ri < sig.NumRels(); ri++ {
+		r := sig.Rel(ri)
+		nt := make([]int, r.Arity)
+		a.ForEachTuple(r.Name, func(t []int) bool {
+			quantified := false
+			for j, v := range t {
+				if old2new[v] < 0 {
+					return true
+				}
+				nt[j] = old2new[v]
+				quantified = quantified || !onIface[v]
+			}
+			if quantified {
+				_ = sub.AddTuple(r.Name, nt...) // arity and indices are a's own
+			}
+			return true
+		})
+	}
+	return sub, old2new
+}
+
+// sameTuples reports whether a and b have the same size and the same
+// tuples, element names aside.
+func sameTuples(a, b *structure.Structure) bool {
+	if a.Size() != b.Size() || a.NumTuples() != b.NumTuples() {
+		return false
+	}
+	same := true
+	sig := a.Signature()
+	for ri := 0; ri < sig.NumRels(); ri++ {
+		name := sig.Rel(ri).Name
+		a.ForEachTuple(name, func(t []int) bool {
+			same = same && b.HasTuple(name, t)
+			return same
+		})
+	}
+	return same
 }
 
 // TestPredicateTableMatchesSolver is the table-level differential of the

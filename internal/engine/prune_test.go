@@ -24,7 +24,7 @@ func chainComponent(nvars int) *planComponent {
 	}
 	_, dec, _ := tw.Treewidth(cg)
 	dec.Reduce()
-	if err := pc.place(dec); err != nil {
+	if err := new(planCompiler).place(pc, dec); err != nil {
 		panic(err)
 	}
 	return pc

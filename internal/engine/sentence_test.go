@@ -96,13 +96,14 @@ func TestSentenceMatchesSolver(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, pc := range pl.(*fptPlan).comps {
-				if pc.nActive != 0 || len(pc.constraints) != 1 || pc.constraints[0].sub == nil || len(pc.constraints[0].scope) != 0 {
+				if pc.nActive != 0 || len(pc.constraints) != 1 || pc.constraints[0].pred == nil || len(pc.constraints[0].scope) != 0 {
 					t.Fatalf("seed %d: sentence component compiled to %d active positions, %d constraints; want one zero-width predicate", seed, pc.nActive, len(pc.constraints))
 				}
 				c := &pc.constraints[0]
 				tab := s.tableFor(c, nil)
-				if want := hom.Exists(c.sub, b, hom.Options{}); tab.width != 0 || tab.n > 1 || (tab.n == 1) != want {
-					t.Fatalf("seed %d n %d: component %v: table width %d with %d rows, solver %v", seed, n, c.sub, tab.width, tab.n, want)
+				sub := predStructure(p.A.Signature(), c.pred)
+				if want := hom.Exists(sub, b, hom.Options{}); tab.width != 0 || tab.n > 1 || (tab.n == 1) != want {
+					t.Fatalf("seed %d n %d: component %v: table width %d with %d rows, solver %v", seed, n, sub, tab.width, tab.n, want)
 				}
 			}
 			restore()

@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"math/big"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -186,63 +184,6 @@ type tableKey struct {
 	enc  string
 }
 
-func makeTableKey(c *planConstraint) tableKey {
-	if c.sub == nil {
-		return tableKey{kind: 'a', rel: c.rel, enc: structure.TupleKey(c.atomTmpl, nil) + ";" + strconv.Itoa(len(c.scope))}
-	}
-	return tableKey{kind: 'p', enc: predKey(c.sub, c.iface)}
-}
-
-// predKey encodes an ∃-component up to the names of its elements: the
-// interface elements are renumbered 0..k-1 in iface order (the table's
-// column order), the quantified ones k.. in index order, and each
-// relation's renumbered tuples are listed sorted.  Equal keys mean
-// isomorphic components with matching interface columns, hence identical
-// predicate tables on every structure; the encoding is not a canonical
-// form — components that differ in the order of their quantified
-// elements get distinct keys and merely miss the sharing.
-func predKey(sub *structure.Structure, iface []int) string {
-	renum := make([]int, sub.Size())
-	for v := range renum {
-		renum[v] = -1
-	}
-	for i, v := range iface {
-		renum[v] = i
-	}
-	next := len(iface)
-	for v := range renum {
-		if renum[v] < 0 {
-			renum[v] = next
-			next++
-		}
-	}
-	var enc []byte
-	enc = strconv.AppendInt(enc, int64(len(iface)), 10)
-	sig := sub.Signature()
-	for ri := 0; ri < sig.NumRels(); ri++ {
-		r := sig.Rel(ri)
-		var tuples []string
-		var buf []byte
-		sub.ForEachTuple(r.Name, func(t []int) bool {
-			buf = buf[:0]
-			for _, v := range t {
-				buf = strconv.AppendInt(append(buf, ','), int64(renum[v]), 10)
-			}
-			tuples = append(tuples, string(buf))
-			return true
-		})
-		if len(tuples) == 0 {
-			continue
-		}
-		sort.Strings(tuples)
-		enc = append(append(enc, ';'), r.Name...)
-		for _, t := range tuples {
-			enc = append(append(enc, '('), t...)
-		}
-	}
-	return string(enc)
-}
-
 // sessionMemoCap bounds each session's table and count memos.
 const sessionMemoCap = 1024
 
@@ -274,7 +215,7 @@ func (s *Session) tableFor(c *planConstraint, done <-chan struct{}) *Table {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.t == nil {
-		if c.sub == nil {
+		if c.pred == nil {
 			e.t = s.materializeAtom(c)
 		} else {
 			e.t = s.materializePredicate(c, done)

@@ -87,10 +87,11 @@ func BenchmarkMaterialize_PredicateK4_N60(b *testing.B) {
 			}
 		}
 	})
+	sub, iface := predStructure(p.A.Signature(), pred.pred), predIface(pred)
 	b.Run("solver", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rows := 0
-			hom.ForEachExtendable(pred.sub, bs, pred.iface, hom.Options{}, func([]int) bool { rows++; return true })
+			hom.ForEachExtendable(sub, bs, iface, hom.Options{}, func([]int) bool { rows++; return true })
 			if rows == 0 {
 				b.Fatal("empty predicate")
 			}

@@ -67,15 +67,28 @@ func (g *Graph) Subgraph(verts []int) (*Graph, []int) {
 			break
 		}
 	}
-	sub := New(len(vs))
-	for i, v := range vs {
-		for j, u := range vs[:i] {
+	return g.SubgraphInto(New(len(vs)), vs), vs
+}
+
+// SubgraphInto writes the subgraph induced on verts, which must be
+// ascending and distinct, into dst (new vertex i is verts[i]) and returns
+// dst.  It reuses dst's rows when they fit.
+func (g *Graph) SubgraphInto(dst *Graph, verts []int) *Graph {
+	n := len(verts)
+	dst.n, dst.w = n, (n+63)/64
+	if cap(dst.bits) < n*dst.w {
+		dst.bits = make([]uint64, n*dst.w)
+	}
+	dst.bits = dst.bits[:n*dst.w]
+	clear(dst.bits)
+	for i, v := range verts {
+		for j, u := range verts[:i] {
 			if g.HasEdge(v, u) {
-				sub.AddEdge(i, j)
+				dst.AddEdge(i, j)
 			}
 		}
 	}
-	return sub, vs
+	return dst
 }
 
 // All returns the set of all n vertices, in the words of a row.

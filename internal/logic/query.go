@@ -2,6 +2,8 @@ package logic
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -118,14 +120,8 @@ func (d Disjunct) String() string {
 type freshNamer struct {
 	used map[Var]bool
 	n    int
-}
-
-func newFreshNamer(used map[Var]bool) *freshNamer {
-	u := make(map[Var]bool, len(used))
-	for v := range used {
-		u[v] = true
-	}
-	return &freshNamer{used: u}
+	buf  []byte // the candidate at hand
+	old  []Var  // renameExist's names before renaming
 }
 
 func (fn *freshNamer) fresh(hint Var) Var {
@@ -135,10 +131,31 @@ func (fn *freshNamer) fresh(hint Var) Var {
 	}
 	for {
 		fn.n++
-		cand := Var(fmt.Sprintf("%s_%d", base, fn.n))
-		if !fn.used[cand] {
+		fn.buf = strconv.AppendInt(append(append(fn.buf[:0], base...), '_'), int64(fn.n), 10)
+		if !fn.used[Var(fn.buf)] {
+			cand := Var(fn.buf)
 			fn.used[cand] = true
 			return cand
+		}
+	}
+}
+
+// renameExist renames d's existential variables fresh, in order, in d's
+// Exist list and atoms, which it edits.  One pass substitutes them all:
+// a fresh name is never one of the old ones.
+func (fn *freshNamer) renameExist(d *Disjunct) {
+	if len(d.Exist) == 0 {
+		return
+	}
+	fn.old = append(fn.old[:0], d.Exist...)
+	for i, v := range d.Exist {
+		d.Exist[i] = fn.fresh(v)
+	}
+	for _, a := range d.Atoms {
+		for j, v := range a.Args {
+			if k := slices.Index(fn.old, v); k >= 0 {
+				a.Args[j] = d.Exist[k]
+			}
 		}
 	}
 }
@@ -154,118 +171,167 @@ func (fn *freshNamer) fresh(hint Var) Var {
 // renames x fresh in each disjunct where x occurs or is dropped where it
 // does not (sound on non-empty universes, which Validate enforces).
 func (q Query) Disjuncts() []Disjunct {
-	fn := newFreshNamer(AllVars(q.F))
+	used := AllVars(q.F) // a map of its own: the namer extends it
 	for _, v := range q.Lib {
-		fn.used[v] = true
+		used[v] = true
 	}
-	return dnf(q.F, fn)
+	c := &dnfConv{fn: freshNamer{used: used}}
+	nAtoms, nArgs := countAtoms(q.F)
+	c.atoms, c.args = make([]Atom, nAtoms), make([]Var, nArgs)
+	c.dnf(q.F)
+	return slices.Clip(c.stack)
 }
 
-func dnf(f Formula, fn *freshNamer) []Disjunct {
+// dnfConv is one DNF conversion.  Every disjunct on its stack owns its
+// Exist list, its atom list and every atom's arguments — no other
+// disjunct and not the formula shares them — so renaming edits them in
+// place, and a conjunction reuses one side's arrays when they have room.
+// A disjunct that a distribution uses twice is cloned first.
+type dnfConv struct {
+	fn    freshNamer
+	stack []Disjunct
+	atoms []Atom // the formula's atoms' slots, one per leaf, in turn
+	args  []Var  // their arguments' cells
+}
+
+// countAtoms returns how many atoms f has, and how many arguments.
+func countAtoms(f Formula) (atoms, args int) {
 	switch g := f.(type) {
 	case Atom:
-		return []Disjunct{{Atoms: []Atom{g}}}
-	case Truth:
-		return []Disjunct{{}}
-	case Or:
-		l := dnf(g.L, fn)
-		r := dnf(g.R, fn)
-		return append(l, r...)
+		return 1, len(g.Args)
 	case And:
-		l := dnf(g.L, fn)
-		r := dnf(g.R, fn)
-		out := make([]Disjunct, 0, len(l)*len(r))
-		for _, dl := range l {
-			for _, dr := range r {
+		a, b := countAtoms(g.L)
+		c, d := countAtoms(g.R)
+		return a + c, b + d
+	case Or:
+		a, b := countAtoms(g.L)
+		c, d := countAtoms(g.R)
+		return a + c, b + d
+	case Exists:
+		return countAtoms(g.Body)
+	}
+	return 0, 0
+}
+
+// dnf pushes f's disjuncts onto the stack.
+func (c *dnfConv) dnf(f Formula) {
+	switch g := f.(type) {
+	case Atom:
+		args := c.args[:len(g.Args):len(g.Args)]
+		c.args = c.args[len(g.Args):]
+		copy(args, g.Args)
+		atoms := c.atoms[:1:1]
+		c.atoms = c.atoms[1:]
+		atoms[0] = Atom{Rel: g.Rel, Args: args}
+		c.stack = append(c.stack, Disjunct{Atoms: atoms})
+	case Truth:
+		c.stack = append(c.stack, Disjunct{})
+	case Or:
+		c.dnf(g.L)
+		c.dnf(g.R)
+	case And:
+		lo := len(c.stack)
+		c.dnf(g.L)
+		mid := len(c.stack)
+		c.dnf(g.R)
+		hi := len(c.stack)
+		for i := lo; i < mid; i++ {
+			for j := mid; j < hi; j++ {
+				a, b := c.stack[i], c.stack[j]
+				if j < hi-1 { // a pairs with another right disjunct
+					a = clone(a)
+				}
+				if i < mid-1 { // b pairs with another left disjunct
+					b = clone(b)
+				}
 				// Rename both sides' existential variables fresh so that
 				// different copies of the same subformula stay independent.
-				a := renameExist(dl, fn)
-				b := renameExist(dr, fn)
-				out = append(out, Disjunct{
-					Exist: append(append([]Var{}, a.Exist...), b.Exist...),
-					Atoms: append(append([]Atom{}, a.Atoms...), b.Atoms...),
-				})
+				c.fn.renameExist(&a)
+				c.fn.renameExist(&b)
+				c.stack = append(c.stack, Disjunct{Exist: concat(a.Exist, b.Exist), Atoms: concat(a.Atoms, b.Atoms)})
 			}
 		}
-		return out
+		c.stack = c.stack[:lo+copy(c.stack[lo:], c.stack[hi:])]
 	case Exists:
-		ds := dnf(g.Body, fn)
-		out := make([]Disjunct, 0, len(ds))
-		for _, d := range ds {
-			if !occursInAtoms(g.V, d.Atoms) {
-				// Vacuous quantifier on a non-empty universe: drop.
-				out = append(out, d)
+		lo := len(c.stack)
+		c.dnf(g.Body)
+		for i := lo; i < len(c.stack); i++ {
+			d := &c.stack[i]
+			// Vacuous quantifier on a non-empty universe: drop.  Already
+			// bound deeper (shadowing): the outer quantifier is vacuous
+			// for the atoms that survived.
+			if !occursInAtoms(g.V, d.Atoms) || containsVar(d.Exist, g.V) {
 				continue
 			}
-			if containsVar(d.Exist, g.V) {
-				// Already bound deeper (shadowing); the outer quantifier is
-				// vacuous for the atoms that survived.
-				out = append(out, d)
-				continue
+			nv := c.fn.fresh(g.V)
+			if d.Exist == nil {
+				d.Exist = make([]Var, 0, 4)
 			}
-			nv := fn.fresh(g.V)
-			out = append(out, Disjunct{
-				Exist: append(append([]Var{}, d.Exist...), nv),
-				Atoms: substAtoms(d.Atoms, g.V, nv),
-			})
+			d.Exist = append(d.Exist, nv)
+			substAtoms(d.Atoms, g.V, nv)
 		}
-		return out
 	default:
 		panic(fmt.Sprintf("logic: unknown formula node %T", f))
 	}
 }
 
-func renameExist(d Disjunct, fn *freshNamer) Disjunct {
-	if len(d.Exist) == 0 {
-		return d
+// clone returns a copy of d that shares nothing with it: the arguments
+// of all its atoms in one array.
+func clone(d Disjunct) Disjunct {
+	n := 0
+	for _, a := range d.Atoms {
+		n += len(a.Args)
 	}
-	out := Disjunct{Exist: make([]Var, len(d.Exist)), Atoms: append([]Atom(nil), d.Atoms...)}
-	for i, v := range d.Exist {
-		nv := fn.fresh(v)
-		out.Exist[i] = nv
-		out.Atoms = substAtoms(out.Atoms, v, nv)
+	args := make([]Var, n)
+	out := Disjunct{Exist: slices.Clone(d.Exist), Atoms: make([]Atom, len(d.Atoms))}
+	for i, a := range d.Atoms {
+		k := copy(args, a.Args)
+		out.Atoms[i], args = Atom{Rel: a.Rel, Args: args[:k:k]}, args[k:]
 	}
 	return out
 }
 
-func substAtoms(atoms []Atom, from, to Var) []Atom {
-	out := make([]Atom, len(atoms))
-	for i, a := range atoms {
-		args := make([]Var, len(a.Args))
-		changed := false
+// concat returns a followed by b, in a's array or b's when it has room
+// (moving b's elements up), else in a new one with room for as many
+// again; a and b are not to be used afterwards.
+func concat[T any](a, b []T) []T {
+	n := len(a) + len(b)
+	switch {
+	case len(b) == 0:
+		return a
+	case len(a) == 0:
+		return b
+	case cap(a) >= n:
+		return append(a, b...)
+	case cap(b) >= n:
+		out := b[:n]
+		copy(out[len(a):], b)
+		copy(out, a)
+		return out
+	}
+	out := make([]T, n, 2*n)
+	copy(out[copy(out, a):], b)
+	return out
+}
+
+// substAtoms replaces from by to in the atoms' arguments, in place.
+func substAtoms(atoms []Atom, from, to Var) {
+	for _, a := range atoms {
 		for j, v := range a.Args {
 			if v == from {
-				args[j] = to
-				changed = true
-			} else {
-				args[j] = v
+				a.Args[j] = to
 			}
 		}
-		if changed {
-			out[i] = Atom{Rel: a.Rel, Args: args}
-		} else {
-			out[i] = a
-		}
 	}
-	return out
 }
 
 func occursInAtoms(v Var, atoms []Atom) bool {
 	for _, a := range atoms {
-		for _, w := range a.Args {
-			if w == v {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func containsVar(vs []Var, v Var) bool {
-	for _, w := range vs {
-		if w == v {
+		if slices.Contains(a.Args, v) {
 			return true
 		}
 	}
 	return false
 }
+
+func containsVar(vs []Var, v Var) bool { return slices.Contains(vs, v) }

@@ -49,10 +49,16 @@ func isIdentRune(r rune) bool {
 // lex tokenizes src, stripping '%' and '#' line comments.  It decodes
 // src in place, so an identifier's text is a substring of src; columns
 // count runes, an invalid byte counting as one.
-func lex(src string) ([]token, error) {
-	// Generated queries run at about one token per two bytes; the slice
-	// grows past two per three if it must.
-	toks := make([]token, 0, 2*len(src)/3+2)
+func lex(src string) ([]token, error) { return lexInto(nil, src) }
+
+// lexInto is lex appending to toks[:0]; on an error it returns what it
+// appended so far, so that a caller recycling the slice keeps it.
+func lexInto(toks []token, src string) ([]token, error) {
+	if toks = toks[:0]; cap(toks) == 0 {
+		// Generated queries run at about one token per two bytes; the
+		// slice grows past two per three if it must.
+		toks = make([]token, 0, 2*len(src)/3+2)
+	}
 	line, col := 1, 1
 	for i := 0; i < len(src); {
 		r, w := utf8.DecodeRuneInString(src[i:])
@@ -83,7 +89,7 @@ func lex(src string) ([]token, error) {
 			t.kind, t.text = tokPipe, "|"
 		case r == ':':
 			if i+1 >= len(src) || src[i+1] != '=' {
-				return nil, fmt.Errorf("parser: line %d col %d: unexpected ':'", line, col)
+				return toks, fmt.Errorf("parser: line %d col %d: unexpected ':'", line, col)
 			}
 			t.kind, t.text, w, n = tokAssign, ":=", 2, 2
 		case isIdentStart(r):
@@ -96,7 +102,7 @@ func lex(src string) ([]token, error) {
 			}
 			t.kind, t.text = tokIdent, src[i:i+w]
 		default:
-			return nil, fmt.Errorf("parser: line %d col %d: unexpected character %q", line, col, string(r))
+			return toks, fmt.Errorf("parser: line %d col %d: unexpected character %q", line, col, string(r))
 		}
 		if t.kind != tokEOF { // whitespace and comments emit nothing
 			toks = append(toks, t)

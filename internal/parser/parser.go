@@ -2,6 +2,7 @@ package parser
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/logic"
 	"repro/internal/structure"
@@ -32,10 +33,29 @@ func (p *parser) expect(k tokenKind, what string) (token, error) {
 // or a bare formula (in which case the liberal variables are the free
 // variables in lexicographic order and the query is named "q").
 func ParseQuery(src string) (logic.Query, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return logic.Query{}, err
+	pooled := queryTokens.Get().(*[]token)
+	toks, err := lexInto(*pooled, src)
+	var q logic.Query
+	if err == nil {
+		q, err = parseQuery(toks)
 	}
+	clear(toks) // the texts are substrings of src: let it go
+	if cap(toks) <= maxPooledTokens {
+		*pooled = toks[:0]
+		queryTokens.Put(pooled)
+	}
+	return q, err
+}
+
+// queryTokens recycles ParseQuery's token slices, which hold no token
+// past the parse: the formula keeps identifier texts, never tokens.  A
+// slice grown past maxPooledTokens is left to the collector.
+var queryTokens = sync.Pool{New: func() any { return new([]token) }}
+
+const maxPooledTokens = 4096
+
+// parseQuery is ParseQuery on src's tokens.
+func parseQuery(toks []token) (logic.Query, error) {
 	p := &parser{toks: toks}
 
 	// Try the "name(vars) :=" header: ident '(' ... ')' ':='.

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/bitvec"
+	"repro/internal/graph"
 	"repro/internal/tw"
 )
 
@@ -57,10 +58,15 @@ type ExistsComponent struct {
 
 // ShapeOf derives p's shape by word operations on the rows of its
 // Gaifman graph.  Section 2.4 defines it on a core, so classifying
-// callers pass one; the decompositions are sound for any formula.
+// callers pass one; the decompositions are sound for any formula.  Every
+// vertex list of the shape is carved from one buffer, sized by counting
+// bits first, and the graphs decomposed below the core graph are built
+// in one scratch graph in turn.
 func ShapeOf(p PP) *Shape {
 	g := p.Graph()
-	lib, free := make([]uint64, (p.A.Size()+63)/64), make([]uint64, (p.A.Size()+63)/64)
+	n, w := p.A.Size(), (p.A.Size()+63)/64
+	vecs := make([]uint64, 3*w)
+	lib, free, iface := vecs[:w:w], vecs[w:2*w:2*w], vecs[2*w:]
 	for _, v := range p.S {
 		lib[v>>6] |= 1 << (v & 63)
 	}
@@ -71,44 +77,68 @@ func ShapeOf(p PP) *Shape {
 	var coreDec *tw.Decomposition
 	sh.CoreWidth, coreDec, sh.CoreExact = tw.Treewidth(g)
 
-	compOf := make([]int, p.A.Size())
+	// The Gaifman components, and the ∃-components: the components of
+	// the quantified vertices, each joined by the liberal vertices
+	// adjacent to it (its interface).
 	sets := g.Split(g.All())
-	sh.Components = make([]ComponentShape, len(sets))
-	for i, set := range sets {
-		c := &sh.Components[i]
-		c.Vertices, c.Lib, c.Active = members(set, nil), members(set, lib), members(set, free)
-		for _, v := range c.Vertices {
-			compOf[v] = i
-		}
-	}
-
 	quantified := g.All()
-	for i, w := range lib {
-		quantified[i] &^= w
+	for i, word := range lib {
+		quantified[i] &^= word
 	}
-	sets = g.Split(quantified)
-	sh.Exists = make([]ExistsComponent, len(sets))
-	for i, set := range sets {
-		iface := make([]uint64, len(set))
+	esets := g.Split(quantified)
+	size := len(esets)
+	for _, set := range sets {
+		size += count(set, nil) + count(set, lib) + count(set, free)
+	}
+	for _, set := range esets {
+		clear(iface)
 		for v := range bitvec.Each(set) {
 			bitvec.Or(iface, g.Row(v))
 		}
 		bitvec.And(iface, lib)
 		bitvec.Or(set, iface)
+		size += count(set, nil) + count(iface, nil)
+	}
+	// The lists, then the component of each vertex and each component's
+	// ∃-component count.
+	buf := make([]int, size+n+len(sets))
+	compOf, nExists := buf[size:size+n], buf[size+n:]
+	buf = buf[:size]
+
+	sh.Components = make([]ComponentShape, len(sets))
+	for i, set := range sets {
+		c := &sh.Components[i]
+		c.Vertices, c.Lib, c.Active = members(&buf, set, nil), members(&buf, set, lib), members(&buf, set, free)
+		for _, v := range c.Vertices {
+			compOf[v] = i
+		}
+	}
+	for _, set := range esets {
+		nExists[compOf[first(set)]]++
+	}
+	for i := range sh.Components {
+		k := nExists[i]
+		sh.Components[i].Exists, buf = buf[:0:k], buf[k:]
+	}
+
+	var sg graph.Graph // the scratch graph every decomposition below is searched on
+	var ints []int     // positions in it of the clique vertices at hand
+	sh.Exists = make([]ExistsComponent, len(esets))
+	for i, set := range esets {
 		ec := &sh.Exists[i]
-		ec.Vertices, ec.Interface = members(set, nil), members(iface, nil)
-		root := positions(ec.Vertices, ec.Interface)
-		if len(ec.Vertices) == p.A.Size() && len(root) == 0 {
+		ec.Vertices, ec.Interface = members(&buf, set, nil), members(&buf, set, lib)
+		root := positions(ints[:0], ec.Vertices, ec.Interface)
+		if len(ec.Vertices) == n && len(root) == 0 {
 			// A connected sentence: its predicate graph is the core
 			// graph, searched above.
 			ec.Pred = coreDec
 		} else {
-			pg, _ := g.Subgraph(ec.Vertices)
-			pg.AddClique(root)
-			_, ec.Pred, _ = tw.Treewidth(pg)
+			g.SubgraphInto(&sg, ec.Vertices).AddClique(root)
+			_, ec.Pred, _ = tw.Treewidth(&sg)
 		}
 		ec.Pred.RerootAt(root)
 		ec.Pred.Reduce()
+		ints = root
 		c := &sh.Components[compOf[ec.Vertices[0]]]
 		c.Exists = append(c.Exists, i)
 	}
@@ -118,11 +148,12 @@ func ShapeOf(p PP) *Shape {
 		if len(c.Active) == 0 {
 			continue
 		}
-		cg, _ := g.Subgraph(c.Active)
+		g.SubgraphInto(&sg, c.Active)
 		for _, e := range c.Exists {
-			cg.AddClique(positions(c.Active, sh.Exists[e].Interface))
+			ints = positions(ints[:0], c.Active, sh.Exists[e].Interface)
+			sg.AddClique(ints)
 		}
-		width, dec, exact := tw.Treewidth(cg)
+		width, dec, exact := tw.Treewidth(&sg)
 		dec.Reduce()
 		c.Contract = dec
 		sh.ContractWidth = max(sh.ContractWidth, width)
@@ -131,9 +162,8 @@ func ShapeOf(p PP) *Shape {
 	return sh
 }
 
-// members lists the vertices of set ∩ mask (all of set for a nil mask),
-// ascending.
-func members(set, mask []uint64) []int {
+// count returns |set ∩ mask| (|set| for a nil mask).
+func count(set, mask []uint64) int {
 	n := 0
 	for i, w := range set {
 		if mask != nil {
@@ -141,7 +171,25 @@ func members(set, mask []uint64) []int {
 		}
 		n += bits.OnesCount64(w)
 	}
-	out := make([]int, 0, n)
+	return n
+}
+
+// first returns the smallest member of the non-empty set.
+func first(set []uint64) int {
+	for i, w := range set {
+		if w != 0 {
+			return i<<6 | bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}
+
+// members lists the vertices of set ∩ mask (all of set for a nil mask),
+// ascending, carved from the front of *buf.
+func members(buf *[]int, set, mask []uint64) []int {
+	k := count(set, mask)
+	out := (*buf)[:0:k]
+	*buf = (*buf)[k:]
 	for v := range bitvec.Each(set) {
 		if mask == nil || mask[v>>6]&(1<<(v&63)) != 0 {
 			out = append(out, v)
@@ -150,12 +198,11 @@ func members(set, mask []uint64) []int {
 	return out
 }
 
-// positions returns the indexes in the ascending list vs of the members
-// of sub.
-func positions(vs, sub []int) []int {
-	out := make([]int, len(sub))
-	for i, v := range sub {
-		out[i] = sort.SearchInts(vs, v)
+// positions appends to dst the indexes in the ascending list vs of the
+// members of sub.
+func positions(dst, vs, sub []int) []int {
+	for _, v := range sub {
+		dst = append(dst, sort.SearchInts(vs, v))
 	}
-	return out
+	return dst
 }

@@ -58,10 +58,19 @@ func (d *Decomposition) RerootAt(set []int) {
 // elimination orders have one bag per vertex and are full of such edges.
 func (d *Decomposition) Reduce() {
 	n := len(d.Bags)
-	dead := make([]bool, n)
+	// renum[i] is -1 once bag i is contracted away, and its new index at
+	// the end; decompositions of query graphs fit the array on the stack.
+	var small [32]int
+	renum := small[:0]
+	if n > len(small) {
+		renum = make([]int, n)
+	} else {
+		renum = small[:n]
+		clear(renum)
+	}
 	reparent := func(from, to int) {
 		for c := 0; c < n; c++ {
-			if !dead[c] && c != to && d.Parent[c] == from {
+			if renum[c] >= 0 && c != to && d.Parent[c] == from {
 				d.Parent[c] = to
 			}
 		}
@@ -70,43 +79,42 @@ func (d *Decomposition) Reduce() {
 		changed = false
 		for i := 0; i < n; i++ {
 			p := d.Parent[i]
-			if dead[i] || p < 0 {
+			if renum[i] < 0 || p < 0 {
 				continue
 			}
 			switch {
 			case subset(d.Bags[i], d.Bags[p]):
 				reparent(i, p)
-				dead[i] = true
+				renum[i] = -1
 				changed = true
 			case subset(d.Bags[p], d.Bags[i]):
 				d.Parent[i] = d.Parent[p]
 				reparent(p, i)
-				dead[p] = true
+				renum[p] = -1
 				changed = true
 			}
 		}
 	}
-	renum := make([]int, n)
 	k := 0
 	for i := 0; i < n; i++ {
-		if !dead[i] {
+		if renum[i] >= 0 {
 			renum[i] = k
 			k++
 		}
 	}
-	bags, parent := make([][]int, 0, k), make([]int, 0, k)
+	// Compact in place: bag i moves to renum[i] ≤ i.
 	for i := 0; i < n; i++ {
-		if dead[i] {
+		if renum[i] < 0 {
 			continue
 		}
-		bags = append(bags, d.Bags[i])
+		d.Bags[renum[i]] = d.Bags[i]
 		if p := d.Parent[i]; p < 0 {
-			parent = append(parent, -1)
+			d.Parent[renum[i]] = -1
 		} else {
-			parent = append(parent, renum[p])
+			d.Parent[renum[i]] = renum[p]
 		}
 	}
-	d.Bags, d.Parent = bags, parent
+	d.Bags, d.Parent = d.Bags[:k:k], d.Parent[:k:k]
 }
 
 // subset reports whether every vertex of a is in b.
@@ -215,11 +223,64 @@ func (d *Decomposition) Validate(g *graph.Graph) error {
 	return nil
 }
 
-// clique makes the vertices of set pairwise adjacent in the fill graph
-// adj, writing through its rows.
-func clique(adj *graph.Graph, set []uint64) {
+// scratch is one decomposition's working memory: the fill graph's rows,
+// w words each, with four word vectors behind them, and the ints behind
+// the elimination order, the positions, the bag ends, the degrees and
+// the bags themselves as they are built.  Two allocations serve a whole
+// Treewidth call; the decomposition it returns takes three more.
+type scratch struct {
+	n, w  int
+	words []uint64
+	ints  []int
+}
+
+// init sizes the scratch for g and loads g's rows as the fill graph.  A
+// bag holds its vertex and the vertex's later neighbours, so the bags of
+// n vertices hold at most n(n+1)/2 cells.
+func (s *scratch) init(g *graph.Graph) {
+	n := g.N()
+	s.n, s.w = n, (n+63)/64
+	s.words = make([]uint64, (n+4)*s.w)
+	s.ints = make([]int, 4*n+n*(n+1)/2)
+	s.load(g)
+}
+
+// load copies g's rows into the fill graph.
+func (s *scratch) load(g *graph.Graph) {
+	for v := 0; v < s.n; v++ {
+		copy(s.row(v), g.Row(v))
+	}
+}
+
+// row is vertex v's row of the fill graph.
+func (s *scratch) row(v int) []uint64 { return s.words[v*s.w : (v+1)*s.w : (v+1)*s.w] }
+
+// vec is the k-th word vector behind the rows (k < 4).
+func (s *scratch) vec(k int) []uint64 {
+	lo := (s.n + k) * s.w
+	return s.words[lo : lo+s.w : lo+s.w]
+}
+
+// The ints: order, positions, bag ends, degrees, then the bags' cells.
+func (s *scratch) order() []int { return s.ints[:s.n:s.n] }
+func (s *scratch) pos() []int   { return s.ints[s.n : 2*s.n : 2*s.n] }
+func (s *scratch) ends() []int  { return s.ints[2*s.n : 3*s.n : 3*s.n] }
+func (s *scratch) deg() []int   { return s.ints[3*s.n : 4*s.n : 4*s.n] }
+func (s *scratch) cells() []int { return s.ints[4*s.n : 4*s.n] }
+
+// fillAll sets every vertex's bit in set.
+func (s *scratch) fillAll(set []uint64) {
+	clear(set)
+	for v := 0; v < s.n; v++ {
+		set[v>>6] |= 1 << (uint(v) & 63)
+	}
+}
+
+// clique makes the vertices of set pairwise adjacent in the fill graph,
+// writing through its rows.
+func (s *scratch) clique(set []uint64) {
 	for u := range bitvec.Each(set) {
-		row := adj.Row(u)
+		row := s.row(u)
 		bitvec.Or(row, set)
 		row[u>>6] &^= 1 << (uint(u) & 63)
 	}
@@ -230,32 +291,32 @@ func clique(adj *graph.Graph, set []uint64) {
 // plus its higher-ordered neighbors in the fill graph; bag i's parent is
 // the bag of the lowest-ordered vertex among those neighbors.
 func FromEliminationOrder(g *graph.Graph, order []int) *Decomposition {
-	return fromEliminationOrder(g.Clone(), order)
+	var s scratch
+	s.init(g)
+	return s.decompose(order)
 }
 
-// fromEliminationOrder is FromEliminationOrder on a fill graph it edits.
-func fromEliminationOrder(adj *graph.Graph, order []int) *Decomposition {
-	n := adj.N()
+// decompose is FromEliminationOrder on the fill graph, which it edits.
+// The bags are built in the scratch, then copied out next to the parent
+// pointers: the decomposition is one slice of ints, one of bag headers
+// and the struct.
+func (s *scratch) decompose(order []int) *Decomposition {
+	n := s.n
 	if n == 0 {
 		return &Decomposition{Bags: [][]int{{}}, Parent: []int{-1}}
 	}
-	pos := make([]int, n)
+	pos, ends, flat := s.pos(), s.ends(), s.cells()
 	for i, v := range order {
-		pos[v] = i
+		pos[v] = i // also the index of v's bag
 	}
-	bags := make([][]int, n)
-	ends := make([]int, n) // the bags share flat: bag i ends at ends[i]
-	var flat []int
-	bagOf := make([]int, n) // vertex -> index of its bag
-	w := len(adj.Row(0))
-	later := make([]uint64, w)
-	left := make([]uint64, w) // vertices not yet eliminated
+	later, left := s.vec(0), s.vec(1) // left: vertices not yet eliminated
+	clear(left)
 	for _, v := range order {
 		left[v>>6] |= 1 << (uint(v) & 63)
 	}
 	for i, v := range order {
 		left[v>>6] &^= 1 << (uint(v) & 63)
-		for j, m := range adj.Row(v) {
+		for j, m := range s.row(v) {
 			later[j] = m & left[j]
 		}
 		placed := false
@@ -269,15 +330,17 @@ func fromEliminationOrder(adj *graph.Graph, order []int) *Decomposition {
 			flat = append(flat, v)
 		}
 		ends[i] = len(flat)
-		bagOf[v] = i
 		// Connect later neighbors into a clique.
-		clique(adj, later)
+		s.clique(later)
 	}
+	out := make([]int, n+len(flat))
+	parent, cells := out[:n:n], out[n:]
+	copy(cells, flat)
+	bags := make([][]int, n)
 	lo := 0
 	for i, hi := range ends {
-		bags[i], lo = flat[lo:hi:hi], hi
+		bags[i], lo = cells[lo:hi:hi], hi
 	}
-	parent := make([]int, n)
 	for i, v := range order {
 		parent[i] = -1
 		// Parent is the bag of the earliest-eliminated later neighbor.
@@ -291,7 +354,7 @@ func fromEliminationOrder(adj *graph.Graph, order []int) *Decomposition {
 			}
 		}
 		if best != -1 {
-			parent[i] = bagOf[best]
+			parent[i] = pos[best]
 		}
 	}
 	// Multiple roots arise for disconnected graphs; link extra roots to the
@@ -311,18 +374,18 @@ func fromEliminationOrder(adj *graph.Graph, order []int) *Decomposition {
 }
 
 // minFillOrder returns an elimination order chosen greedily by minimum
-// fill-in (ties broken by minimum degree, then index).  It edits adj.
-func minFillOrder(adj *graph.Graph) []int {
-	n := adj.N()
-	alive := adj.All()
-	nbrs := make([]uint64, len(alive))
+// fill-in (ties broken by minimum degree, then index), in the scratch's
+// order ints.  It edits the fill graph.
+func (s *scratch) minFillOrder() []int {
+	alive, nbrs := s.vec(2), s.vec(3)
+	s.fillAll(alive)
 	liveNbrs := func(v int) {
-		for j, m := range adj.Row(v) {
+		for j, m := range s.row(v) {
 			nbrs[j] = m & alive[j]
 		}
 	}
-	order := make([]int, 0, n)
-	for len(order) < n {
+	order := s.order()[:0]
+	for len(order) < s.n {
 		best, bestFill, bestDeg := -1, 1<<30, 1<<30
 		for v := range bitvec.Each(alive) {
 			liveNbrs(v)
@@ -331,7 +394,7 @@ func minFillOrder(adj *graph.Graph) []int {
 			// and from b; a itself is in nbrs and not in its own row.
 			missing := 0
 			for a := range bitvec.Each(nbrs) {
-				missing += bitvec.CountAndNot(nbrs, adj.Row(a)) - 1
+				missing += bitvec.CountAndNot(nbrs, s.row(a)) - 1
 			}
 			if fill := missing / 2; fill < bestFill || (fill == bestFill && deg < bestDeg) {
 				best, bestFill, bestDeg = v, fill, deg
@@ -340,7 +403,7 @@ func minFillOrder(adj *graph.Graph) []int {
 		order = append(order, best)
 		alive[best>>6] &^= 1 << (uint(best) & 63)
 		liveNbrs(best)
-		clique(adj, nbrs)
+		s.clique(nbrs)
 	}
 	return order
 }
@@ -351,35 +414,40 @@ func minFillOrder(adj *graph.Graph) []int {
 // its later neighbours, so the decomposition is read off the fill graph
 // minFillOrder built, on one copy of g's rows.
 func HeuristicDecomposition(g *graph.Graph) *Decomposition {
-	adj := g.Clone()
-	return fromEliminationOrder(adj, minFillOrder(adj))
+	var s scratch
+	s.init(g)
+	return s.decompose(s.minFillOrder())
 }
 
 // LowerBoundMMD returns the maximum-minimum-degree treewidth lower bound.
 func LowerBoundMMD(g *graph.Graph) int {
-	n := g.N()
-	deg := make([]int, n)
-	alive := make([]bool, n)
-	for v := 0; v < n; v++ {
-		alive[v] = true
+	var s scratch
+	s.init(g)
+	return s.lowerBoundMMD(g)
+}
+
+// lowerBoundMMD is LowerBoundMMD on g's own rows (not the fill graph's,
+// which elimination may have edited), with the degrees and the live
+// vertices in the scratch.
+func (s *scratch) lowerBoundMMD(g *graph.Graph) int {
+	deg, alive := s.deg(), s.vec(2)
+	s.fillAll(alive)
+	for v := range deg {
 		deg[v] = bitvec.Count(g.Row(v))
 	}
-	lb, remaining := 0, n
-	for remaining > 0 {
+	lb := 0
+	for remaining := s.n; remaining > 0; remaining-- {
 		best, bestDeg := -1, 1<<30
-		for v := 0; v < n; v++ {
-			if alive[v] && deg[v] < bestDeg {
+		for v := range bitvec.Each(alive) {
+			if deg[v] < bestDeg {
 				best, bestDeg = v, deg[v]
 			}
 		}
-		if bestDeg > lb {
-			lb = bestDeg
-		}
-		alive[best] = false
-		remaining--
-		for u := range bitvec.Each(g.Row(best)) {
-			if alive[u] {
-				deg[u]--
+		lb = max(lb, bestDeg)
+		alive[best>>6] &^= 1 << (uint(best) & 63)
+		for j, m := range g.Row(best) {
+			for m &= alive[j]; m != 0; m &= m - 1 {
+				deg[j<<6|bits.TrailingZeros64(m)]--
 			}
 		}
 	}
@@ -392,27 +460,66 @@ const exactLimit = 24
 
 // Treewidth returns the treewidth of g together with a witnessing
 // decomposition.  Exact for graphs with at most exactLimit vertices,
-// min-fill upper bound beyond that (exact flag reports which).
+// min-fill upper bound beyond that (exact flag reports which).  Graphs
+// of one or two vertices skip the search: their min-fill decomposition
+// is exact, and tiny gives it directly.
 func Treewidth(g *graph.Graph) (width int, dec *Decomposition, exact bool) {
-	if g.N() == 0 {
+	switch g.N() {
+	case 0:
 		return -1, &Decomposition{Bags: [][]int{{}}, Parent: []int{-1}}, true
+	case 1, 2:
+		dec := tiny(g)
+		return dec.Width(), dec, true
 	}
-	heur := HeuristicDecomposition(g)
+	var s scratch
+	s.init(g)
+	heur := s.decompose(s.minFillOrder())
 	ub := heur.Width()
 	if g.N() > exactLimit {
 		return ub, heur, false
 	}
-	lb := LowerBoundMMD(g)
+	lb := s.lowerBoundMMD(g)
 	if lb >= ub {
 		return ub, heur, true
 	}
 	// Iterative tightening: test each candidate width k from lb upward.
 	for k := lb; k < ub; k++ {
 		if order, ok := elimOrderWithWidth(g, k); ok {
-			return k, FromEliminationOrder(g, order), true
+			s.load(g)
+			return k, s.decompose(order), true
 		}
 	}
 	return ub, heur, true
+}
+
+// tinyDecomposition holds a decomposition of at most two bags and its
+// storage in one allocation.
+type tinyDecomposition struct {
+	d     Decomposition
+	bags  [2][]int
+	cells [5]int
+}
+
+// tiny returns the decomposition min-fill builds for a graph of one or
+// two vertices: vertex 0 is eliminated first (no fill, then the lower
+// degree or index), so with the edge the bags are {0,1} under {1}, and
+// without it {0} over {1}.
+func tiny(g *graph.Graph) *Decomposition {
+	t := new(tinyDecomposition)
+	c := t.cells[:]
+	switch {
+	case g.N() == 1:
+		c[0], c[1] = -1, 0
+		t.bags[0] = c[1:2:2]
+	case g.HasEdge(0, 1):
+		c[0], c[1], c[2], c[3], c[4] = 1, -1, 0, 1, 1
+		t.bags[0], t.bags[1] = c[2:4:4], c[4:5:5]
+	default:
+		c[0], c[1], c[2], c[3] = -1, 0, 0, 1
+		t.bags[0], t.bags[1] = c[2:3:3], c[3:4:4]
+	}
+	t.d.Bags, t.d.Parent = t.bags[:g.N()], c[:g.N():g.N()]
+	return &t.d
 }
 
 // elimOrderWithWidth searches for an elimination order of width ≤ k using
