@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"repro/internal/pp"
 	"repro/internal/structure"
@@ -94,7 +95,8 @@ type planComponent struct {
 // core).  Every decomposition is sh's.
 func planFrom(p pp.PP, sh *pp.Shape) (*fptPlan, error) {
 	plan := &fptPlan{p: p, sig: p.A.Signature(), shape: sh, comps: make([]*planComponent, len(sh.Components))}
-	pcl := newPlanCompiler(sh.Formula.A)
+	pcl := compilerFor(sh.Formula.A)
+	defer pcl.release()
 	for i := range sh.Components {
 		pc, err := pcl.component(sh, &sh.Components[i])
 		if err != nil {
@@ -107,7 +109,7 @@ func planFrom(p pp.PP, sh *pp.Shape) (*fptPlan, error) {
 	return plan, nil
 }
 
-// planCompiler is one plan compile's scratch.  The formula's atoms are
+// planCompiler is a plan compile's scratch.  The formula's atoms are
 // read off its structure once, into a flat list; an ∃-component is cut
 // from that list, never built as a structure; every table key of the
 // plan is encoded into one buffer that becomes one string at the end
@@ -139,19 +141,26 @@ type keySpan struct {
 	ci, hi int
 }
 
-func newPlanCompiler(a *structure.Structure) *planCompiler {
+// compilers recycles plan compilers: a compile takes one (compilerFor)
+// and puts it back (release), so the scratch grows to the largest
+// formula compiled and stops allocating.
+var compilers = sync.Pool{New: func() any { return new(planCompiler) }}
+
+// compilerFor returns a compiler from the pool, loaded with a's atoms.
+func compilerFor(a *structure.Structure) *planCompiler {
+	pcl := compilers.Get().(*planCompiler)
 	sig, n := a.Signature(), a.Size()
-	pcl := &planCompiler{sig: sig, onIface: make([]bool, n)}
-	idx := make([]int, 2*n)
-	for v := range idx {
-		idx[v] = -1
+	pcl.sig = sig
+	pcl.pos, pcl.renum = resize(pcl.pos, n), resize(pcl.renum, n)
+	for v := 0; v < n; v++ {
+		pcl.pos[v], pcl.renum[v] = -1, -1
 	}
-	pcl.pos, pcl.renum = idx[:n:n], idx[n:]
-	size := 0
-	for ri := 0; ri < sig.NumRels(); ri++ {
-		size += (2 + sig.Rel(ri).Arity) * a.Rel(sig.Rel(ri).Name).Len()
+	if cap(pcl.onIface) < n {
+		pcl.onIface = make([]bool, n)
 	}
-	pcl.atoms = make([]int, 0, size)
+	pcl.onIface = pcl.onIface[:n]
+	clear(pcl.onIface)
+	pcl.atoms, pcl.keys, pcl.spans = pcl.atoms[:0], pcl.keys[:0], pcl.spans[:0]
 	for ri := 0; ri < sig.NumRels(); ri++ {
 		r := sig.Rel(ri)
 		rel := a.Rel(r.Name)
@@ -163,6 +172,21 @@ func newPlanCompiler(a *structure.Structure) *planCompiler {
 		}
 	}
 	return pcl
+}
+
+// release puts the compiler back in the pool, holding no plan.
+func (pcl *planCompiler) release() {
+	clear(pcl.spans)
+	pcl.sig = nil
+	compilers.Put(pcl)
+}
+
+// resize returns s with length n, reallocated if it lacks the room.
+func resize(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
 }
 
 func (pcl *planCompiler) component(sh *pp.Shape, comp *pp.ComponentShape) (*planComponent, error) {
@@ -420,10 +444,8 @@ func (pcl *planCompiler) finishKeys() {
 
 // grow returns the scratch ints, n of them, holding anything.
 func (pcl *planCompiler) grow(n int) []int {
-	if cap(pcl.scratch) < n {
-		pcl.scratch = make([]int, n)
-	}
-	return pcl.scratch[:n]
+	pcl.scratch = resize(pcl.scratch, n)
+	return pcl.scratch
 }
 
 // carve returns an empty slice of capacity n from the front of *buf, and

@@ -244,7 +244,8 @@ func existsConstraint(t *testing.T, p pp.PP) (c *planConstraint, sub, full *stru
 	for i, v := range p.S {
 		iface[i], scope[i] = old2new[v], i
 	}
-	pcl := newPlanCompiler(p.A)
+	pcl := compilerFor(p.A)
+	defer pcl.release()
 	pc := &planComponent{constraints: make([]planConstraint, 1)}
 	if err := pcl.predicate(pc, 0, &ecs[0], scope); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package ie
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 
 	"repro/internal/pp"
 	"repro/internal/structure"
@@ -17,8 +18,9 @@ type Term struct {
 	// (term.Fingerprint); empty when canonical labeling exceeded its
 	// budget.  Downstream layers key plan and count caches on it.
 	FP string
-	// Subset records one witnessing subset J of the original disjuncts
-	// (indices) whose conjunction produced the representative formula.
+	// Subset is the subset J of the original disjuncts (indices) whose
+	// conjunction the formula is: set on RawTerms' terms only, nil on
+	// merged ones, whose formula stands for a whole counting class.
 	Subset []int
 }
 
@@ -27,13 +29,15 @@ const MaxDisjuncts = 20
 
 // expand emits, in increasing order of the subset's bit mask, one term per
 // non-empty J ⊆ [s]: the formula build returns for J with coefficient
-// (-1)^{|J|+1} (equation (1) in Section 5.3).
+// (-1)^{|J|+1} (equation (1) in Section 5.3).  build reads J, ascending,
+// from one buffer that the next mask overwrites.
 func expand(s int, build func(mask int, subset []int) (pp.PP, error), emit func(Term) error) error {
 	if s > MaxDisjuncts {
 		return fmt.Errorf("ie: %d disjuncts exceed the 2^s expansion cap of %d", s, MaxDisjuncts)
 	}
+	subset := make([]int, 0, s)
 	for mask := 1; mask < 1<<s; mask++ {
-		var subset []int
+		subset = subset[:0]
 		for j := 0; j < s; j++ {
 			if mask&(1<<j) != 0 {
 				subset = append(subset, j)
@@ -47,7 +51,7 @@ func expand(s int, build func(mask int, subset []int) (pp.PP, error), emit func(
 		if len(subset)%2 == 0 {
 			coeff.SetInt64(-1)
 		}
-		if err := emit(Term{Formula: f, Coeff: coeff, Subset: subset}); err != nil {
+		if err := emit(Term{Formula: f, Coeff: coeff}); err != nil {
 			return err
 		}
 	}
@@ -59,13 +63,16 @@ func expand(s int, build func(mask int, subset []int) (pp.PP, error), emit func(
 // (-1)^{|J|+1}.
 func RawTerms(disjuncts []pp.PP) ([]Term, error) {
 	var out []Term
-	err := expand(len(disjuncts), func(_ int, subset []int) (pp.PP, error) {
+	var subset []int
+	err := expand(len(disjuncts), func(_ int, j []int) (pp.PP, error) {
+		subset = append([]int(nil), j...)
 		parts := make([]pp.PP, len(subset))
 		for i, j := range subset {
 			parts[i] = disjuncts[j]
 		}
 		return pp.Conjoin(parts...)
 	}, func(t Term) error {
+		t.Subset = subset
 		out = append(out, t)
 		return nil
 	})
@@ -111,36 +118,28 @@ func MergeInto(pool *term.Pool, terms []Term) ([]Term, error) {
 	return m.liveTerms(), nil
 }
 
-// merger interns terms into a pool, remembering for every counting class
-// the subset of the first term that landed in it.
+// merger interns terms into a fresh pool.
 type merger struct {
-	pool    *term.Pool
-	subsets map[int][]int // class index → witnessing subset
+	pool *term.Pool
 }
 
 func newMerger(pool *term.Pool) (*merger, error) {
 	if pool.Stats().Raw != 0 {
 		return nil, fmt.Errorf("ie: merging requires a fresh pool")
 	}
-	return &merger{pool: pool, subsets: make(map[int][]int)}, nil
+	return &merger{pool: pool}, nil
 }
 
 func (m *merger) intern(t Term) error {
-	idx, err := m.pool.Add(t.Formula, t.Coeff)
-	if err != nil {
-		return err
-	}
-	if _, seen := m.subsets[idx]; !seen {
-		m.subsets[idx] = append([]int(nil), t.Subset...)
-	}
-	return nil
+	_, err := m.pool.Add(t.Formula, t.Coeff)
+	return err
 }
 
 // liveTerms returns one Term per counting class of the pool with a
 // non-zero merged coefficient, in first-seen order.
 func (m *merger) liveTerms() []Term {
 	var out []Term
-	for idx, e := range m.pool.Terms() {
+	for _, e := range m.pool.Terms() {
 		if e.Coeff.Sign() == 0 {
 			continue
 		}
@@ -148,7 +147,6 @@ func (m *merger) liveTerms() []Term {
 			Formula: e.Formula,
 			Coeff:   new(big.Int).Set(e.Coeff),
 			FP:      e.FP,
-			Subset:  m.subsets[idx],
 		})
 	}
 	return out
@@ -175,11 +173,11 @@ func PhiStarInto(pool *term.Pool, disjuncts []pp.PP) ([]Term, error) {
 		return nil, err
 	}
 	var cored []pp.PP // core(φ_J) by J's bit mask
-	err = expand(len(disjuncts), func(mask int, subset []int) (pp.PP, error) {
+	err = expand(len(disjuncts), func(mask int, _ []int) (pp.PP, error) {
 		if cored == nil {
 			cored = make([]pp.PP, 1<<len(disjuncts))
 		}
-		hi := subset[len(subset)-1]
+		hi := bits.Len(uint(mask)) - 1
 		f := disjuncts[hi]
 		if rest := mask &^ (1 << hi); rest != 0 {
 			var err error

@@ -226,23 +226,31 @@ func (d *Decomposition) Validate(g *graph.Graph) error {
 // scratch is one decomposition's working memory: the fill graph's rows,
 // w words each, with four word vectors behind them, and the ints behind
 // the elimination order, the positions, the bag ends, the degrees and
-// the bags themselves as they are built.  Two allocations serve a whole
-// Treewidth call; the decomposition it returns takes three more.
+// the bags themselves as they are built.  The decomposition a Treewidth
+// call returns takes three allocations, and on query graphs nothing
+// else does.
 type scratch struct {
 	n, w  int
 	words []uint64
 	ints  []int
 }
 
-// init sizes the scratch for g and loads g's rows as the fill graph.  A
-// bag holds its vertex and the vertex's later neighbours, so the bags of
-// n vertices hold at most n(n+1)/2 cells.
-func (s *scratch) init(g *graph.Graph) {
+// newScratch sizes a scratch for g, in words and ints when they are long
+// enough, and loads g's rows as the fill graph.  A bag holds its vertex
+// and the vertex's later neighbours, so the bags of n vertices hold at
+// most n(n+1)/2 cells.
+func newScratch(g *graph.Graph, words []uint64, ints []int) scratch {
 	n := g.N()
-	s.n, s.w = n, (n+63)/64
-	s.words = make([]uint64, (n+4)*s.w)
-	s.ints = make([]int, 4*n+n*(n+1)/2)
+	w := (n + 63) / 64
+	if need := (n + 4) * w; len(words) < need {
+		words = make([]uint64, need)
+	}
+	if need := 4*n + n*(n+1)/2; len(ints) < need {
+		ints = make([]int, need)
+	}
+	s := scratch{n: n, w: w, words: words[:(n+4)*w], ints: ints[:4*n+n*(n+1)/2]}
 	s.load(g)
+	return s
 }
 
 // load copies g's rows into the fill graph.
@@ -291,8 +299,7 @@ func (s *scratch) clique(set []uint64) {
 // plus its higher-ordered neighbors in the fill graph; bag i's parent is
 // the bag of the lowest-ordered vertex among those neighbors.
 func FromEliminationOrder(g *graph.Graph, order []int) *Decomposition {
-	var s scratch
-	s.init(g)
+	s := newScratch(g, nil, nil)
 	return s.decompose(order)
 }
 
@@ -414,15 +421,13 @@ func (s *scratch) minFillOrder() []int {
 // its later neighbours, so the decomposition is read off the fill graph
 // minFillOrder built, on one copy of g's rows.
 func HeuristicDecomposition(g *graph.Graph) *Decomposition {
-	var s scratch
-	s.init(g)
+	s := newScratch(g, nil, nil)
 	return s.decompose(s.minFillOrder())
 }
 
 // LowerBoundMMD returns the maximum-minimum-degree treewidth lower bound.
 func LowerBoundMMD(g *graph.Graph) int {
-	var s scratch
-	s.init(g)
+	s := newScratch(g, nil, nil)
 	return s.lowerBoundMMD(g)
 }
 
@@ -471,8 +476,13 @@ func Treewidth(g *graph.Graph) (width int, dec *Decomposition, exact bool) {
 		dec := tiny(g)
 		return dec.Width(), dec, true
 	}
-	var s scratch
-	s.init(g)
+	// Query graphs fit the scratch on the stack: 28 vertices' rows, 18
+	// vertices' ints.
+	var (
+		words [32]uint64
+		ints  [256]int
+	)
+	s := newScratch(g, words[:], ints[:])
 	heur := s.decompose(s.minFillOrder())
 	ub := heur.Width()
 	if g.N() > exactLimit {
