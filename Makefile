@@ -37,7 +37,8 @@ doccheck:
 # materialization or prune), approx-hard's request mix in process
 # (Approx_HardMix: one sampled K4 / K5 estimate per op, memos cold),
 # cold-query's stream in process (ColdQuery_Front: parse, NewCounter and
-# one count per op, allocs/op reported), +
+# one count per op, allocs/op reported; Compile_Front: the front end and
+# plans alone, no plan cache), +
 # the engine delta guard: on an append+count mix — sparse and dense on
 # the store's bit rows, and on a relation too sparse for rows, where a
 # delta term walks posting lists —
@@ -46,7 +47,7 @@ doccheck:
 bench-smoke:
 	$(GO) test -run XXX -bench 'JoinCount|FPT|UnionDedup|Advance_' -benchmem -benchtime 0.2s .
 	$(GO) test -run XXX -bench 'Materialize_|ColdExec_|Enumerate_' -benchmem -benchtime 0.2s ./internal/engine
-	$(GO) test -run XXX -bench 'Approx_|ColdQuery_Front' -benchmem -benchtime 0.2s ./internal/core
+	$(GO) test -run XXX -bench 'Approx_|ColdQuery_Front|Compile_Front' -benchmem -benchtime 0.2s ./internal/core
 	EPCQ_BENCH_SMOKE=1 $(GO) test -run TestBenchSmoke -v ./internal/engine
 
 fuzz-smoke:

@@ -70,9 +70,10 @@ func parseLoadSpec(s string) (loadSpec, error) {
 // turn to garbage once used, and a memo-warm server's live heap is only a
 // couple of MiB (a binary relation's tables are the store's own rows), so
 // at Go's default of 100 the collector runs often.  On the repository
-// benchmark (2-vCPU Xeon, go1.24.0, three runs a side) 100 rather than
-// 200 costs cold-query 1.23× the CPU per op and 1.17× the p99, and
-// warm-read 1.16× the p99, for 0.70× and 0.80× of their peak RSS.
+// benchmark (2-vCPU Xeon, go1.24.0, three alternating runs a side) 100
+// rather than 200 costs cold-query 1.23× the CPU per op and 1.29× the
+// p99, and warm-read 1.04× the CPU per op and 1.03× the p99, for 0.74×
+// and 0.81× of their peak RSS.
 const gcPercent = 200
 
 func main() {

@@ -200,11 +200,6 @@ func (pcl *planCompiler) component(sh *pp.Shape, comp *pp.ComponentShape) (*plan
 	for i, v := range comp.Active {
 		pcl.pos[v] = i
 	}
-	defer func() {
-		for _, v := range comp.Active {
-			pcl.pos[v] = -1
-		}
-	}()
 	// (a) atoms entirely on liberal variables; (b) ∃-component predicates.
 	// comp is Gaifman-connected and has a liberal variable, so every
 	// ∃-component borders one: no interface is empty.
@@ -225,6 +220,9 @@ func (pcl *planCompiler) component(sh *pp.Shape, comp *pp.ComponentShape) (*plan
 		if err := pcl.predicate(pc, nAtoms+k, ec, scope); err != nil {
 			return nil, err
 		}
+	}
+	for _, v := range comp.Active { // the next component's atoms are not on scope
+		pcl.pos[v] = -1
 	}
 	pc.nActive, pc.freeVars = len(comp.Active), len(comp.Lib)-len(comp.Active)
 	if comp.Contract != nil {
@@ -248,12 +246,7 @@ func countAtoms(atoms, pos []int) (n, size int) {
 }
 
 func onScope(args, pos []int) bool {
-	for _, v := range args {
-		if pos != nil && pos[v] < 0 {
-			return false
-		}
-	}
-	return true
+	return pos == nil || !slices.ContainsFunc(args, func(v int) bool { return pos[v] < 0 })
 }
 
 // atomConstraints fills pc's first constraints, one atom constraint per
@@ -559,8 +552,8 @@ func (pcl *planCompiler) place(pc *planComponent, dec *tw.Decomposition) error {
 	return nil
 }
 
-// freeCount returns how many positions of bag ni, which it marks
-// covered in place's marks, no constraint placed there covers.
+// freeCount returns how many positions of bag ni no constraint placed
+// there (home) covers.
 func (pcl *planCompiler) freeCount(pc *planComponent, home []int, ni int, bag []int) int {
 	covered := pcl.marks[:len(bag)]
 	clear(covered)

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/eptrans"
@@ -12,8 +14,7 @@ import (
 	"repro/internal/workload"
 )
 
-// tableKeyGolden is the SHA-256 of TestTableKeyGolden's transcript, as
-// recorded before ∃-component predicates compiled from atom lists: a
+// tableKeyGolden is the SHA-256 of TestTableKeyGolden's transcript: a
 // table key that changes would change which constraints share a table,
 // and a scope, template, bag placement or node map that changes would
 // change the plan the executor runs.
@@ -70,4 +71,52 @@ func writeComponent(w io.Writer, pc *planComponent) {
 			writeComponent(w, c.pred)
 		}
 	}
+}
+
+// TestCompileConcurrentMatchesSerial compiles one corpus from several
+// goroutines at once — plan compilers come from a shared pool — and
+// requires every plan to be the one a serial compile gives, key for key.
+func TestCompileConcurrentMatchesSerial(t *testing.T) {
+	var terms []pp.PP
+	for i := 0; i < 40; i++ {
+		q := workload.RandomEPQuery(workload.EdgeSig(), 4, 6, 2, 5, 20160626+int64(i))
+		cp, err := eptrans.Compile(q, workload.EdgeSig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tm := range cp.Minus {
+			terms = append(terms, tm.Formula)
+		}
+		terms = append(terms, cp.Sentences...)
+	}
+	transcript := func(p pp.PP) string {
+		pl, err := Compile(p, FPT)
+		if err != nil {
+			return err.Error()
+		}
+		var b strings.Builder
+		for _, pc := range pl.(*fptPlan).comps {
+			writeComponent(&b, pc)
+		}
+		return b.String()
+	}
+	want := make([]string, len(terms))
+	for i, p := range terms {
+		want[i] = transcript(p)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range terms {
+				i := (k + w*len(terms)/4) % len(terms)
+				if got := transcript(terms[i]); got != want[i] {
+					t.Errorf("worker %d term %d: concurrent plan differs from the serial one", w, i)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -106,40 +106,34 @@ func Merge(terms []Term) ([]Term, error) {
 // recursive peeling depends on.  Terms exceeding the canonical-labeling
 // budget are classified by the pool's pairwise Theorem 5.4 fallback.
 func MergeInto(pool *term.Pool, terms []Term) ([]Term, error) {
-	m, err := newMerger(pool)
-	if err != nil {
+	if err := requireFresh(pool); err != nil {
 		return nil, err
 	}
 	for _, t := range terms {
-		if err := m.intern(t); err != nil {
+		if err := intern(pool, t); err != nil {
 			return nil, err
 		}
 	}
-	return m.liveTerms(), nil
+	return liveTerms(pool), nil
 }
 
-// merger interns terms into a fresh pool.
-type merger struct {
-	pool *term.Pool
-}
-
-func newMerger(pool *term.Pool) (*merger, error) {
+func requireFresh(pool *term.Pool) error {
 	if pool.Stats().Raw != 0 {
-		return nil, fmt.Errorf("ie: merging requires a fresh pool")
+		return fmt.Errorf("ie: merging requires a fresh pool")
 	}
-	return &merger{pool: pool}, nil
+	return nil
 }
 
-func (m *merger) intern(t Term) error {
-	_, err := m.pool.Add(t.Formula, t.Coeff)
+func intern(pool *term.Pool, t Term) error {
+	_, err := pool.Add(t.Formula, t.Coeff)
 	return err
 }
 
 // liveTerms returns one Term per counting class of the pool with a
 // non-zero merged coefficient, in first-seen order.
-func (m *merger) liveTerms() []Term {
+func liveTerms(pool *term.Pool) []Term {
 	var out []Term
-	for _, e := range m.pool.Terms() {
+	for _, e := range pool.Terms() {
 		if e.Coeff.Sign() == 0 {
 			continue
 		}
@@ -168,12 +162,11 @@ func PhiStar(disjuncts []pp.PP) ([]Term, error) {
 // conjunction of the raw disjuncts.  Masks ascend, so both cores are
 // ready when J's turn comes: core(φ_{max J}) is the singleton's term.
 func PhiStarInto(pool *term.Pool, disjuncts []pp.PP) ([]Term, error) {
-	m, err := newMerger(pool)
-	if err != nil {
+	if err := requireFresh(pool); err != nil {
 		return nil, err
 	}
 	var cored []pp.PP // core(φ_J) by J's bit mask
-	err = expand(len(disjuncts), func(mask int, _ []int) (pp.PP, error) {
+	err := expand(len(disjuncts), func(mask int, _ []int) (pp.PP, error) {
 		if cored == nil {
 			cored = make([]pp.PP, 1<<len(disjuncts))
 		}
@@ -187,11 +180,11 @@ func PhiStarInto(pool *term.Pool, disjuncts []pp.PP) ([]Term, error) {
 		}
 		cored[mask] = f.Core()
 		return cored[mask], nil
-	}, m.intern)
+	}, func(t Term) error { return intern(pool, t) })
 	if err != nil {
 		return nil, err
 	}
-	return m.liveTerms(), nil
+	return liveTerms(pool), nil
 }
 
 // newPool returns a pool honoring the package's test hook.

@@ -11,8 +11,7 @@ import (
 )
 
 // nestedDisjunctsGolden is the SHA-256 of TestDisjunctsGoldenNested's
-// transcript, as recorded before the DNF conversion stopped copying atom
-// lists.
+// transcript.
 const nestedDisjunctsGolden = "0d83553fbccab65fd881f1316381c6ed1be1314e4400833a7c90c50cb73f9959"
 
 // TestDisjunctsGoldenNested pins Query.Disjuncts where the cold-query

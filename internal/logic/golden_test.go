@@ -9,9 +9,9 @@ import (
 	"repro/internal/workload"
 )
 
-// disjunctsGolden is the SHA-256 of TestDisjunctsGolden's transcript, as
-// recorded before the DNF conversion stopped copying atom lists: a
-// disjunct, an atom order or a fresh variable name that changes shows.
+// disjunctsGolden is the SHA-256 of TestDisjunctsGolden's transcript: a
+// disjunct, an atom order or a generated variable name that changes
+// shows.
 const disjunctsGolden = "060b0735e5ec16229a1fcc760a1db203cbdb2eddc7670b2969c589ede0655b04"
 
 // TestDisjunctsGolden pins Query.Disjuncts — its disjuncts, their atom

@@ -260,7 +260,7 @@ func (c *dnfConv) dnf(f Formula) {
 			// Vacuous quantifier on a non-empty universe: drop.  Already
 			// bound deeper (shadowing): the outer quantifier is vacuous
 			// for the atoms that survived.
-			if !occursInAtoms(g.V, d.Atoms) || containsVar(d.Exist, g.V) {
+			if !occursInAtoms(g.V, d.Atoms) || slices.Contains(d.Exist, g.V) {
 				continue
 			}
 			nv := c.fn.fresh(g.V)
@@ -333,5 +333,3 @@ func occursInAtoms(v Var, atoms []Atom) bool {
 	}
 	return false
 }
-
-func containsVar(vs []Var, v Var) bool { return slices.Contains(vs, v) }

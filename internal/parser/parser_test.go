@@ -2,6 +2,7 @@ package parser
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/logic"
@@ -231,4 +232,44 @@ func TestQueryStringRoundTrip(t *testing.T) {
 			t.Fatalf("round trip changed query shape: %v vs %v", q1, q2)
 		}
 	}
+}
+
+// TestParseQueryConcurrent parses from several goroutines at once — the
+// token slices come from a shared pool — and requires every query to
+// print as a serial parse's does, errors included.
+func TestParseQueryConcurrent(t *testing.T) {
+	srcs := []string{
+		"phi(x,y) := E(x,y)",
+		"q(x) := exists u, v. E(x,u) & E(u,v) & E(v,x)",
+		"p(s,t) := E(s,t) | (exists a. E(s,a) & E(a,t)) | E(t,s)",
+		"E(x,y) & R(y,z,z)",
+		"bad(x) := E(x,",
+		"q(x) := E(x,y) ? E(y,x)",
+	}
+	show := func(src string) string {
+		q, err := ParseQuery(src)
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return q.String()
+	}
+	want := make([]string, len(srcs))
+	for i, src := range srcs {
+		want[i] = show(src)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 200; k++ {
+				i := (k + w) % len(srcs)
+				if got := show(srcs[i]); got != want[i] {
+					t.Errorf("parse of %q: %s, serially %s", srcs[i], got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

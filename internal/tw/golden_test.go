@@ -9,10 +9,10 @@ import (
 	"repro/internal/graph"
 )
 
-// treewidthGolden is the SHA-256 of TestTreewidthGolden's transcript, as
-// recorded before Treewidth's scratch and small-graph shortcut went in:
-// a decomposition that changes in any bag, bag order or parent pointer
-// changes it, whether or not its width does.
+// treewidthGolden is the SHA-256 of TestTreewidthGolden's transcript: a
+// decomposition that changes in any bag, bag order or parent pointer
+// changes it, whether or not its width does — the plans the engine
+// compiles are placed on all three.
 const treewidthGolden = "584e13166d7d89bb04c844e22635fbbe26de1cc8361de19809640392f16d19cc"
 
 // TestTreewidthGolden pins Treewidth on every labelled graph on at most

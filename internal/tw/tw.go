@@ -59,15 +59,13 @@ func (d *Decomposition) RerootAt(set []int) {
 func (d *Decomposition) Reduce() {
 	n := len(d.Bags)
 	// renum[i] is -1 once bag i is contracted away, and its new index at
-	// the end; decompositions of query graphs fit the array on the stack.
+	// the end; decompositions of query graphs fit small, on the stack.
 	var small [32]int
-	renum := small[:0]
+	renum := small[:]
 	if n > len(small) {
 		renum = make([]int, n)
-	} else {
-		renum = small[:n]
-		clear(renum)
 	}
+	renum = renum[:n]
 	reparent := func(from, to int) {
 		for c := 0; c < n; c++ {
 			if renum[c] >= 0 && c != to && d.Parent[c] == from {
