@@ -261,10 +261,10 @@ func existsConstraint(t *testing.T, p pp.PP) (c *planConstraint, sub, full *stru
 	return c, sub, full, iface
 }
 
-// existsSub builds the structure of an ∃-component as a structure: a
-// induced on the component's vertices, minus the atoms lying entirely on
-// its interface — the definition the plan's atom-list compile
-// (planCompiler.predicate) is held to.
+// existsSub builds an ∃-component as a structure: a induced on the
+// component's vertices, minus the atoms lying entirely on its interface
+// — the definition the plan's atom-list compile (planCompiler.predicate)
+// is held to.
 func existsSub(a *structure.Structure, ec *pp.ExistsComponent) (*structure.Structure, []int) {
 	old2new := make([]int, a.Size())
 	for i := range old2new {
