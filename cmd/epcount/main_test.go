@@ -1,73 +1,148 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
+// writeFile writes content to name under dir and returns its path.
+func writeFile(t *testing.T, dir, name, content string) string {
+	t.Helper()
+	p := filepath.Join(dir, name)
+	if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// runOut runs the command with o and returns what it printed.
+func runOut(o options) (stdout, stderr string, err error) {
+	var out, errOut bytes.Buffer
+	err = run(&out, &errOut, o)
+	return out.String(), errOut.String(), err
+}
+
 func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	data := filepath.Join(dir, "g.facts")
-	if err := os.WriteFile(data, []byte("E(a,b). E(b,c). E(c,a).\n"), 0o644); err != nil {
-		t.Fatal(err)
+	data := writeFile(t, dir, "g.facts", "E(a,b). E(b,c). E(c,a).\n")
+	verified := "verified: union enumeration agrees\n"
+	for _, c := range []struct {
+		name       string
+		o          options
+		wantOut    string
+		wantErrOut []string // substrings of stderr
+	}{
+		{"two-step walks with answers, stats and verify",
+			options{query: "p(s,t) := exists u. E(s,u) & E(u,t)", dataFile: data, stats: true, verify: true, answers: 3},
+			"3\n  (a, c)\n  (b, a)\n  (c, b)\n",
+			[]string{verified, "plans: 1 (one per unique surviving term;", "count cache: 0 hits, 1 misses\n"}},
+		{"approx mode on a free triangle, exact by the sampler's bound",
+			options{query: "tri(x,y,z) := E(x,y) & E(y,z) & E(z,x)", dataFile: data, mode: "approx", eps: 0.1, delta: 0.05, seed: 7},
+			"3\n",
+			[]string{"approx: rel-error ≤ 0 at confidence 0.95 (case sharp-clique"}},
+	} {
+		out, errOut, err := runOut(c.o)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if out != c.wantOut {
+			t.Errorf("%s: stdout %q, want %q", c.name, out, c.wantOut)
+		}
+		for _, w := range c.wantErrOut {
+			if !strings.Contains(errOut, w) {
+				t.Errorf("%s: stderr %q lacks %q", c.name, errOut, w)
+			}
+		}
 	}
-	if err := run("p(s,t) := exists u. E(s,u) & E(u,t)", "", data, false, true, true, false, 3, approxOpts{}); err != nil {
-		t.Fatal(err)
-	}
+
 	// -verify on overlapping unions: with the 2-cycle a ⇄ b the disjuncts
 	// of E(x,y) | E(y,x) share the answers (a,b) and (b,a), so the signed
 	// sum must subtract them to meet the union enumeration (6 answers);
 	// the same with a sentence disjunct that fails (no loop) and one that
-	// holds (|B|^2 = 9).
-	sym := filepath.Join(dir, "sym.facts")
-	if err := os.WriteFile(sym, []byte("E(a,b). E(b,a). E(b,c). E(c,a).\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{
-		"p(x,y) := E(x,y) | E(y,x)",
-		"p(x,y) := E(x,y) | E(y,x) | exists u. E(u,u)",
-		"p(x,y) := E(x,y) | exists u, v. E(u,v)",
+	// holds (|B|^2 = 9).  A fact file may hold relations the query does
+	// not mention (epgen's social network has Likes and Member beside
+	// Follows); a relation only the query mentions is present and empty.
+	sym := writeFile(t, dir, "sym.facts", "E(a,b). E(b,a). E(b,c). E(c,a).\n")
+	social := writeFile(t, dir, "s.facts", "Follows(a,b). Follows(b,a). Likes(a,i). Member(b,g).\n")
+	for _, c := range []struct{ data, q, want string }{
+		{sym, "p(x,y) := E(x,y) | E(y,x)", "6\n"},
+		{sym, "p(x,y) := E(x,y) | E(y,x) | exists u. E(u,u)", "6\n"},
+		{sym, "p(x,y) := E(x,y) | exists u, v. E(u,v)", "9\n"},
+		{social, "p(x,y) := Follows(x,y)", "2\n"},
+		{social, "p(x,y) := Follows(x,y) | Blocks(x,y)", "2\n"},
+		{social, "p(x) := exists y. Likes(x,y)", "1\n"},
 	} {
-		if err := run(q, "", sym, false, false, true, false, 0, approxOpts{}); err != nil {
-			t.Fatalf("%s: %v", q, err)
+		out, errOut, err := runOut(options{query: c.q, dataFile: c.data, verify: true})
+		if err != nil || out != c.want || errOut != verified {
+			t.Errorf("%s: stdout %q, stderr %q, err %v; want %q and %q", c.q, out, errOut, err, c.want, verified)
 		}
 	}
-	// Query file variant.
-	qf := filepath.Join(dir, "q.epq")
-	if err := os.WriteFile(qf, []byte("p(x,y) := E(x,y)\n"), 0o644); err != nil {
+
+	// Query file variant: the explanation, then the count and every
+	// answer.
+	qf := writeFile(t, dir, "q.epq", "p(x,y) := E(x,y)\n")
+	out, errOut, err := runOut(options{queryFile: qf, dataFile: data, explain: true, timing: true, answers: -1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", qf, data, true, false, false, true, -1, approxOpts{}); err != nil {
-		t.Fatal(err)
+	if want := "φ⁺ size: 1\n"; !strings.Contains(out, want) {
+		t.Errorf("-explain output lacks %q:\n%s", want, out)
 	}
-	// Approx mode: routed counting with explicit (ε, δ) and seed.
-	ao := approxOpts{mode: "approx", eps: 0.1, delta: 0.05, seed: 7}
-	if err := run("tri(x,y,z) := E(x,y) & E(y,z) & E(z,x)", "", data, false, false, false, false, 0, ao); err != nil {
-		t.Fatal(err)
+	if want := "\n3\n  (a, b)\n  (b, c)\n  (c, a)\n"; !strings.HasSuffix(out, want) {
+		t.Errorf("stdout ends %q, want %q", out, want)
 	}
-	// -verify cross-checks exact engines; it has no meaning under approx.
-	ao2 := approxOpts{mode: "approx"}
-	if err := run("p(x,y) := E(x,y)", "", data, false, false, true, false, 0, ao2); err == nil {
-		t.Fatal("-verify with -mode approx should fail")
-	}
-	// Unknown mode is rejected.
-	if err := run("p(x,y) := E(x,y)", "", data, false, false, false, false, 0, approxOpts{mode: "bogus"}); err == nil {
-		t.Fatal("unknown mode should fail")
+	if !strings.HasPrefix(errOut, "elapsed: ") || !strings.HasSuffix(errOut, "(|B| = 3, 3 tuples)\n") {
+		t.Errorf("-time printed %q", errOut)
 	}
 }
 
+// -explain with no -data prints the explanation and counts nothing.
+func TestRunExplainWithoutData(t *testing.T) {
+	out, errOut, err := runOut(options{query: "c(x,y,z) := E(x,y) & E(y,z) & E(z,x)", explain: true})
+	if err != nil || errOut != "" {
+		t.Fatalf("err %v, stderr %q", err, errOut)
+	}
+	for _, want := range []string{
+		"φ⁺ size: 1\n",
+		"classification vs bounds (1,1): case 3: p-#Clique-hard",
+		"  φ⁺[0]: core tw 2, contract tw 2, ∃-components 0 (max interface 0)\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if !strings.HasSuffix(out, "approx evals: 0\n") {
+		t.Errorf("output goes on past the explanation:\n%s", out)
+	}
+}
+
+// A refused invocation fails before it reads or counts anything: it
+// prints nothing on stdout.
 func TestRunArgumentValidation(t *testing.T) {
-	if err := run("", "", "x.facts", false, false, false, false, 0, approxOpts{}); err == nil {
-		t.Fatal("missing query should fail")
-	}
-	if err := run("q(x) := E(x,x)", "qf", "x.facts", false, false, false, false, 0, approxOpts{}); err == nil {
-		t.Fatal("both query and queryfile should fail")
-	}
-	if err := run("q(x) := E(x,x)", "", "", false, false, false, false, 0, approxOpts{}); err == nil {
-		t.Fatal("missing data should fail")
-	}
-	if err := run("q(x) := E(x,x)", "", "/nonexistent.facts", false, false, false, false, 0, approxOpts{}); err == nil {
-		t.Fatal("missing data file should fail")
+	data := writeFile(t, t.TempDir(), "g.facts", "E(a,b). E(b,c). E(c,a).\n")
+	for _, c := range []struct {
+		name string
+		o    options
+	}{
+		{"missing query", options{dataFile: data}},
+		{"both query and queryfile", options{query: "q(x) := E(x,x)", queryFile: "qf", dataFile: data}},
+		{"missing data", options{query: "q(x) := E(x,x)"}},
+		{"missing data file", options{query: "q(x) := E(x,x)", dataFile: "/nonexistent.facts"}},
+		{"-verify with -mode approx", options{query: "p(x,y) := E(x,y)", dataFile: data, verify: true, mode: "approx"}},
+		{"unknown mode", options{query: "p(x,y) := E(x,y)", dataFile: data, mode: "bogus"}},
+		{"arity clash between query and data", options{query: "p(x,y,z) := E(x,y,z)", dataFile: data}},
+		{"-explain with -verify and no data", options{query: "p(x,y) := E(x,y)", explain: true, verify: true}},
+		{"-explain with -answers and no data", options{query: "p(x,y) := E(x,y)", explain: true, answers: 1}},
+	} {
+		out, _, err := runOut(c.o)
+		if err == nil {
+			t.Errorf("%s: should fail", c.name)
+		}
+		if out != "" {
+			t.Errorf("%s: printed %q on stdout", c.name, out)
+		}
 	}
 }

@@ -1,8 +1,9 @@
 // Command epserved serves ep-query counting over HTTP/JSON: a named-
 // structure registry with streaming fact appends, compiled-query
 // caching with cross-client plan sharing, batched counting, admission
-// control, per-request deadlines, and a /stats telemetry endpoint.  See internal/serve for the API and
-// examples/service for an end-to-end walkthrough.
+// control, per-request deadlines, and a /stats telemetry endpoint.  See
+// internal/serve for the API and the README's "Serving" section for a
+// curl walkthrough.
 //
 // Usage:
 //

@@ -412,7 +412,8 @@ func (c *Counter) Stats() Stats {
 
 // Explain renders a human-readable account of the compiled pipeline: the
 // normalized disjuncts, φ*af with coefficients, φ⁻af and φ⁺, the
-// per-formula structural parameters, and the term-pool / cache
+// per-formula structural parameters (marked where a width is only a
+// heuristic upper bound), and the term-pool / cache
 // statistics.  The counter keeps only its terms, so each call compiles
 // the query afresh for the front-end part of the report.
 func (c *Counter) Explain() string {
@@ -441,8 +442,12 @@ func (c *Counter) Explain() string {
 	if v, err := c.Classify(1, 1); err == nil {
 		fmt.Fprintf(&b, "classification vs bounds (1,1): %s\n", v)
 		for i, r := range v.Reports {
-			fmt.Fprintf(&b, "  φ⁺[%d]: core tw %d, contract tw %d, ∃-components %d (max interface %d)\n",
-				i, r.CoreTreewidth, r.ContractTreewidth, r.NumExistsComponents, r.MaxInterface)
+			heuristic := ""
+			if !r.CoreExact || !r.ContractExact {
+				heuristic = " (heuristic bound)"
+			}
+			fmt.Fprintf(&b, "  φ⁺[%d]: core tw %d, contract tw %d, ∃-components %d (max interface %d)%s\n",
+				i, r.CoreTreewidth, r.ContractTreewidth, r.NumExistsComponents, r.MaxInterface, heuristic)
 		}
 	}
 	b.WriteString(c.Stats().String())

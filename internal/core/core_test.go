@@ -163,6 +163,19 @@ func TestExplainMentionsPipeline(t *testing.T) {
 			t.Fatalf("Explain missing %q:\n%s", want, s)
 		}
 	}
+	if strings.Contains(s, "heuristic") {
+		t.Fatalf("Explain marks exact widths heuristic:\n%s", s)
+	}
+
+	// A free path on 26 variables is past the exact treewidth search, so
+	// its widths are min-fill upper bounds and Explain says so.
+	c, err = NewCounter(workload.FreePathQuery(25), nil, count.EngineFPT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "  φ⁺[0]: core tw 1, contract tw 1, ∃-components 0 (max interface 0) (heuristic bound)\n"; !strings.Contains(c.Explain(), want) {
+		t.Fatalf("Explain lacks %q:\n%s", want, c.Explain())
+	}
 }
 
 func TestSentenceShortCircuit(t *testing.T) {

@@ -122,14 +122,15 @@ func (g importGraph) closureNone(root string, bad ...string) []string {
 
 // TestLayering pins the package layering: the executor stays off the
 // hom solver and the graph package, the classifier reads widths off
-// shapes, the router talks to nodes only through serve, and the brute-
-// force oracle and Theorem 3.1's reductions (with their linear algebra)
-// stay out of the server.  Every rule reads non-test imports only.
+// shapes, the router talks to nodes only through serve, the brute-force
+// oracle and Theorem 3.1's reductions (with their linear algebra) stay
+// out of the server, and the workload generators feed only epgen and the
+// benchmark.  Every rule reads non-test imports only.
 func TestLayering(t *testing.T) {
 	const in = modulePath + "/internal/"
 	g := readImportGraph(t)
 	for _, pkg := range []string{in + "engine", in + "hom", in + "graph", in + "cluster", in + "serve", in + "classify", in + "tw",
-		in + "count", in + "eptrans", in + "lin", in + "reduce", in + "workload", modulePath + "/cmd/epserved", modulePath + "/cmd/epcount", modulePath + "/benchmark"} {
+		in + "count", in + "eptrans", in + "lin", in + "reduce", in + "workload", modulePath + "/cmd/epserved", modulePath + "/cmd/epcount", modulePath + "/cmd/epgen", modulePath + "/benchmark"} {
 		if _, ok := g[pkg]; !ok {
 			t.Fatalf("package %s not found: the rules below would hold vacuously", pkg)
 		}
@@ -150,6 +151,8 @@ func TestLayering(t *testing.T) {
 			g.importsNone(in+"eptrans", in+"engine", in+"hom", in+"lin")},
 		{"internal/reduce has no importer but the epcq package",
 			g.importersAre(in+"reduce", modulePath)},
+		{"internal/workload, the generators, has no importer but cmd/epgen and benchmark",
+			g.importersAre(in+"workload", modulePath+"/cmd/epgen", modulePath+"/benchmark")},
 		{"cmd/epserved's import closure holds none of internal/reduce, internal/lin, internal/count and internal/workload",
 			g.closureNone(modulePath+"/cmd/epserved", in+"reduce", in+"lin", in+"count", in+"workload")},
 	} {
