@@ -288,9 +288,12 @@ func asSinglePP(q Query, sig *Signature) (PPFormula, error) {
 func ToPP(q Query, sig *Signature) (PPFormula, error) { return asSinglePP(q, sig) }
 
 // CountingEquivalent decides whether two pp-queries have the same number
-// of answers on every finite structure (Theorem 5.4: equivalent to
-// renaming equivalence, hence decidable).  Both queries must be primitive
-// positive and share a signature; pass nil to infer a joint signature.
+// of answers on every finite structure.  By Theorem 5.4 that is renaming
+// equivalence, which holds exactly when the two cores are isomorphic by
+// a map carrying liberal variables onto liberal variables: the decision
+// compares the canonical keys of the cores.  Both queries must be
+// primitive positive and share a signature; pass nil to infer a joint
+// signature.
 func CountingEquivalent(q1, q2 Query, sig *Signature) (bool, error) {
 	var err error
 	if sig == nil {

@@ -172,7 +172,7 @@ func ExampleCounter_Explain() {
 	//   φ⁺[3]: core tw 2, contract tw 1, ∃-components 1 (max interface 2)
 	//   φ⁺[4]: core tw 2, contract tw 1, ∃-components 1 (max interface 2)
 	//   φ⁺[5]: core tw 2, contract tw 1, ∃-components 1 (max interface 2)
-	// term pool: 7 raw IE terms → 6 unique cores (0 cancelled, 0 merged pre-core, 0 via fallback)
+	// term pool: 7 raw IE terms → 6 unique cores (0 cancelled, 0 merged pre-core)
 	// plans: 6 (one per unique surviving term; 6 shared via fingerprint cache)
 	// count cache: 0 hits, 0 misses
 	// routing vs bounds (1,1): clique — 3 exact term(s), 3 approx term(s); approx evals: 0

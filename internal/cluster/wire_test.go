@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ie"
 	"repro/internal/serve"
 )
 
@@ -92,6 +93,7 @@ func TestWireEquivalenceOnErrors(t *testing.T) {
 	router, single := wireSurfaces(t)
 
 	const edge = `q(x,y) := E(x,y)`
+	overCap, capMention := overCapUnion(), fmt.Sprintf("cap of %d", ie.MaxDisjuncts)
 	type row struct {
 		name, method, path, body string
 		singlePath               string // the single node's path, where it differs (subscription ids are per surface)
@@ -117,6 +119,8 @@ func TestWireEquivalenceOnErrors(t *testing.T) {
 		{"approx: negative epsilon", edge, `,"mode":"approx","epsilon":-1`, "epsilon"},
 		{"approx: delta beyond 1", edge, `,"mode":"approx","delta":2`, "delta"},
 		{"approx: negative max_samples", edge, `,"mode":"approx","max_samples":-7`, "max_samples"},
+		// Refused at compile time by the inclusion–exclusion cap.
+		{"union over the disjunct cap", overCap, "", capMention},
 	}
 	for _, target := range []string{"g", "big"} {
 		for _, c := range counting {
@@ -220,6 +224,40 @@ func TestWireEquivalenceOnErrors(t *testing.T) {
 			t.Errorf("hard subscription read on surface %d (0 = router): HTTP %d case %q, want 422 with a case", i, a.status, a.caseStr)
 		}
 	}
+
+	// A compile-time refusal is final: the router answers it without
+	// trying the query on another replica.
+	stats := func() serve.ClusterStats {
+		t.Helper()
+		st, err := serve.NewClient(router, nil).Stats(t.Context())
+		if err != nil || st.Cluster == nil {
+			t.Fatalf("router stats: %v", err)
+		}
+		return *st.Cluster
+	}
+	before := stats()
+	probe(t, router, "POST", "/count", fmt.Sprintf(`{"query":%q,"structure":"g"}`, overCap))
+	probe(t, router, "POST", "/countBatch", fmt.Sprintf(`{"query":%q,"structures":["g","big"]}`, overCap))
+	if after := stats(); after.Failovers != before.Failovers || after.Rerouted != before.Rerouted {
+		t.Errorf("the router retried a refused union: failovers %d → %d, rerouted %d → %d",
+			before.Failovers, after.Failovers, before.Rerouted, after.Rerouted)
+	}
+}
+
+// overCapUnion returns a union of ie.MaxDisjuncts+1 free disjuncts no
+// one of which entails another, so normalization keeps them all: edges
+// between ordered pairs of distinct liberal variables.
+func overCapUnion() string {
+	vars := []string{"a", "b", "c", "d", "e", "f"}
+	var ds []string
+	for _, u := range vars {
+		for _, v := range vars {
+			if u != v && len(ds) <= ie.MaxDisjuncts {
+				ds = append(ds, fmt.Sprintf("E(%s,%s)", u, v))
+			}
+		}
+	}
+	return fmt.Sprintf("q(%s) := %s", strings.Join(vars, ","), strings.Join(ds, " | "))
 }
 
 // TestEveryRouteOnBothSurfaces walks the exported route table and

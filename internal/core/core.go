@@ -68,7 +68,7 @@ type Counter struct {
 // compiledTerm is one unique φ⁻af counting class, ready to execute.
 type compiledTerm struct {
 	formula pp.PP
-	fp      string // canonical fingerprint ("" = labeling budget exceeded)
+	fp      string // canonical counting-class fingerprint
 	coeff   *big.Int
 	plan    engine.Plan
 
@@ -138,7 +138,10 @@ func NewCounter(q logic.Query, sig *structure.Signature, eng engine.Name) (*Coun
 		})
 	}
 	for _, th := range c.Sentences {
-		fp, _ := term.Fingerprint(th) // "" only past the labeling budget: decided unmemoized
+		fp, err := term.Fingerprint(th)
+		if err != nil {
+			return nil, err
+		}
 		plan, _, err := engine.CompileKeyed(th, fp, eng)
 		if err != nil {
 			return nil, err
@@ -301,12 +304,10 @@ func (c *Counter) CountBatchInto(ctx context.Context, bs []*structure.Structure,
 // memoized value is shared and must be treated as read-only.
 func (c *Counter) countTerm(ctx context.Context, t *compiledTerm, sess *engine.Session) (*big.Int, error) {
 	v, hit, err := engine.CountKeyedCtx(ctx, t.plan, t.fp, sess, 0)
-	if t.fp != "" {
-		if hit {
-			c.countHits.Add(1)
-		} else {
-			c.countMisses.Add(1)
-		}
+	if hit {
+		c.countHits.Add(1)
+	} else {
+		c.countMisses.Add(1)
 	}
 	return v, err
 }
@@ -347,9 +348,8 @@ func (c *Counter) Classify(wCore, wContract int) (classify.Verdict, error) {
 type Stats struct {
 	// Pool is the canonical term pool's interning counters: raw
 	// inclusion–exclusion terms (2^s − 1 over the free disjuncts), raw
-	// terms absorbed pre-core, unique counting classes, classes whose
-	// coefficients cancelled to zero (no plan built), and terms
-	// classified by the pairwise-equivalence fallback.
+	// terms absorbed pre-core, unique counting classes, and classes
+	// whose coefficients cancelled to zero (no plan built).
 	Pool term.Stats
 	// Plans is the number of engine plans backing this counter: one per
 	// unique φ⁻af term surviving the sentence-entailment filter.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/count"
+	"repro/internal/engine"
 	"repro/internal/eptrans"
 	"repro/internal/parser"
 	"repro/internal/workload"
@@ -206,5 +207,41 @@ func TestInternedPipelineMatchesDirectRandomUnions(t *testing.T) {
 				t.Fatalf("%s seed %d: interned %v != direct %v", src, seed, got, want)
 			}
 		}
+	}
+}
+
+// A star's liberal leaves are interchangeable, which once sent canonical
+// labeling through all k! orders of them and, past its budget, left the
+// term without a fingerprint.  StarQuery(16) must compile to fingerprinted
+// terms — a repeat count is a memo hit — and count what the formula says.
+func TestStarQueryCounterIsFingerprinted(t *testing.T) {
+	q := workload.StarQuery(16)
+	c, err := NewCounter(q, nil, engine.FPT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tm := range c.terms {
+		if tm.fp == "" {
+			t.Fatalf("term %v has no fingerprint", tm.formula)
+		}
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		b := workload.RandomStructure(workload.EdgeSig(), 2, 0.6, seed)
+		want, err := count.EPDirect(q, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 2; rep++ {
+			got, err := c.Count(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cmp(want) != 0 {
+				t.Fatalf("seed %d: StarQuery(16) counts %v, direct evaluation %v", seed, got, want)
+			}
+		}
+	}
+	if st := c.Stats(); st.CountCacheHits < 3 {
+		t.Fatalf("repeat counts were not memo hits: %+v", st)
 	}
 }

@@ -226,11 +226,7 @@ func (c *Counter) CountApproxCtx(ctx context.Context, b *structure.Structure, pr
 		p := prm
 		p.Delta = effDelta(prm.Delta) / float64(nHard)
 		p.Seed = termSeed(prm.Seed, t.fp, i)
-		var pools func(int) *sync.Pool
-		if t.fp != "" {
-			pools = func(comp int) *sync.Pool { return sess.Pool(t.fp, comp) }
-		}
-		r, err := t.est.CountIn(ctx, b, p, pools)
+		r, err := t.est.CountIn(ctx, b, p, func(comp int) *sync.Pool { return sess.Pool(t.fp, comp) })
 		if err != nil {
 			return ApproxResult{}, err
 		}

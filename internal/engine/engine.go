@@ -68,13 +68,13 @@ func CountInCtx(ctx context.Context, pl Plan, s *Session, _ int) (*big.Int, erro
 }
 
 // CountKeyedCtx executes the plan inside the session, memoizing the
-// result under the canonical counting-class fingerprint when one is
-// present (fp != ""): each unique class executes at most once per
-// (session, structure-version), no matter how many terms, repeated
-// counts, Counters, or batch workers ask.  The bool reports a memo hit
-// (always false for fp == "").  The returned value is shared — callers
-// must treat it as read-only.  The trailing int is retired, as on
-// CountInCtx.
+// result under the canonical counting-class fingerprint fp: each unique
+// class executes at most once per (session, structure-version), no
+// matter how many terms, repeated counts, Counters, or batch workers
+// ask.  The bool reports a memo hit.  The returned value is shared —
+// callers must treat it as read-only.  An empty fp is an error: every
+// interned term carries a fingerprint.  The trailing int is retired, as
+// on CountInCtx.
 //
 // A memo entry whose computation ended in a cancellation error is
 // evicted immediately (countMemoState), so one cancelled request never
@@ -95,8 +95,7 @@ func CountInCtx(ctx context.Context, pl Plan, s *Session, _ int) (*big.Int, erro
 // next advance starts from (delta.go).
 func CountKeyedCtx(ctx context.Context, pl Plan, fp string, s *Session, _ int) (*big.Int, bool, error) {
 	if fp == "" {
-		v, err := CountInCtx(ctx, pl, s, 0)
-		return v, false, err
+		return nil, false, errNoFingerprint
 	}
 	// Memo-warm fast path: a settled fingerprint returns its shared value
 	// with zero allocations — no compute closure is ever built.  A miss
@@ -119,6 +118,9 @@ func CountKeyedCtx(ctx context.Context, pl Plan, fp string, s *Session, _ int) (
 		return v, hit, err
 	}
 }
+
+// errNoFingerprint refuses a keyed call without a fingerprint.
+var errNoFingerprint = errors.New("engine: keyed call without a counting-class fingerprint")
 
 // isCancellation reports whether err stems from a context firing.
 func isCancellation(err error) bool {
@@ -171,17 +173,20 @@ func CountOnce(p pp.PP, b *structure.Structure) (*big.Int, error) {
 // all of them.  Canonical fingerprints embed the full relational schema
 // and the liberal-set coloring, so equal keys imply interchangeable
 // plans.  The returned bool reports whether the plan came out of the
-// cache.  An empty fp degrades to Compile.
+// cache.  An empty fp is an error, as on CountKeyedCtx.
 func CompileKeyed(p pp.PP, fp string, name Name) (Plan, bool, error) {
 	if err := checkName(name); err != nil {
 		return nil, false, err
 	}
-	if pl, ok := fpPlanCache.Get(fp); ok { // "" is never stored
+	if fp == "" {
+		return nil, false, errNoFingerprint
+	}
+	if pl, ok := fpPlanCache.Get(fp); ok {
 		return pl, true, nil
 	}
 	pl, err := Compile(p, name)
-	if err != nil || fp == "" {
-		return pl, false, err
+	if err != nil {
+		return nil, false, err
 	}
 	pl, shared := fpPlanCache.Add(fp, pl)
 	return pl, shared, nil

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -77,6 +78,24 @@ func TestAllEnginesAgreeViaPlanInterface(t *testing.T) {
 		if _, _, err := CompileKeyed(p, src, FPT+1); err == nil {
 			t.Fatalf("%s: CompileKeyed accepted engine %d", src, FPT+1)
 		}
+	}
+}
+
+// Every interned term carries a fingerprint, so a keyed call without
+// one is a caller's bug: both keyed entry points refuse it rather than
+// run unkeyed.
+func TestKeyedCallsRefuseEmptyFingerprint(t *testing.T) {
+	p := compilePP(t, workload.EdgeSig(), "q(x,y) := E(x,y)")
+	if _, _, err := CompileKeyed(p, "", FPT); !errors.Is(err, errNoFingerprint) {
+		t.Fatalf("CompileKeyed with no fingerprint: err = %v", err)
+	}
+	pl, err := Compile(p, FPT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := workload.RandomStructure(workload.EdgeSig(), 4, 0.5, 1)
+	if _, _, err := CountKeyedCtx(context.Background(), pl, "", NewSession(b), 0); !errors.Is(err, errNoFingerprint) {
+		t.Fatalf("CountKeyedCtx with no fingerprint: err = %v", err)
 	}
 }
 

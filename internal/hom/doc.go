@@ -4,7 +4,6 @@
 // tuple of B (Section 2.1).  The engine is a constraint solver: variables
 // are A's elements, domains are subsets of B's elements, the constraints
 // are A's tuples; it supports pinned partial maps, restricted domains,
-// injectivity groups (for the bijection searches of Theorem 5.4),
 // enumeration of the assignments of a projection set that extend to a
 // homomorphism (the counting semantics of pp-formulas), and Retract, the
 // core of a structure under endomorphisms fixing chosen elements.  The
@@ -21,12 +20,9 @@
 // structure.BitRowsFit) visit candidate B-tuples drawn from posting
 // lists.  Arc consistency has a unique fixpoint, so the two kernels yield
 // identical domains and everything derived from them — search order,
-// sampler draws — does not depend on which one ran.  The injectivity
-// group's weak alldiff runs inside the same worklist: a member that
-// becomes a singleton takes its value from the others, and each such
-// narrowing queues the narrowed variable's constraints like any other.
-// So a variable that becomes a singleton always has every constraint
-// revised, and from then on a binary constraint R(x,y) on distinct
+// sampler draws — does not depend on which one ran.  Every narrowing
+// queues the narrowed variable's constraints, so a variable that becomes
+// a singleton always has every constraint revised, and from then on a binary constraint R(x,y) on distinct
 // variables with y = {b} is entailed (dom[x] ⊆ R⁻¹(b)): propagate
 // queues it no more when x narrows, since only a wipe-out of x could
 // break it, and that is caught at x.  On the approx-hard inputs this

@@ -17,9 +17,6 @@ type Options struct {
 	Pin map[int]int
 	// Restrict limits the domain of an A-element to the given B-elements.
 	Restrict map[int][]int
-	// AllDiff lists A-elements that must be mapped injectively (used for
-	// the surjection/bijection checks of renaming equivalence).
-	AllDiff []int
 }
 
 type constraint struct {
@@ -47,7 +44,6 @@ type solver struct {
 	words   int // words per bitset over B's universe
 	cons    []constraint
 	consOf  [][]int // A-element -> indices into cons
-	allDiff []bool  // A-element -> participates in the alldiff group (nil: none)
 	initDom []bitset
 	initErr error
 
@@ -269,12 +265,6 @@ func (s *solver) init(A, B *structure.Structure, opts Options) *solver {
 	}
 	s.queue, s.assign = carve(nCons)[:0], carve(s.nA)
 	s.inQueue = reuse(&s.buf.inQ, nCons)
-	if len(opts.AllDiff) > 0 {
-		s.allDiff = make([]bool, s.nA)
-		for _, v := range opts.AllDiff {
-			s.allDiff[v] = true
-		}
-	}
 	// Initial domains.
 	for v := range dom {
 		dom[v].fill(s.nB)
@@ -309,10 +299,9 @@ func firstAt(vars []int, p int) bool {
 	return true
 }
 
-// propagate runs generalized arc consistency, and the injectivity
-// group's weak alldiff, to a fixpoint on dom, starting from the
-// constraints of A-element from (from < 0: all constraints, and every
-// group member that is already a singleton).  A caller passing from ≥ 0
+// propagate runs generalized arc consistency to a fixpoint on dom,
+// starting from the constraints of A-element from (from < 0: all
+// constraints).  A caller passing from ≥ 0
 // narrowed only from's domain since dom was last at that fixpoint.  It
 // returns false if some domain became empty.
 //
@@ -339,18 +328,11 @@ func (s *solver) propagate(dom []bitset, from int) bool {
 func (s *solver) run(dom []bitset, from int) bool {
 	s.queue = s.queue[:0]
 	if from >= 0 {
-		if !s.narrowed(dom, from, -1) {
-			return false
-		}
+		s.narrowed(dom, from, -1)
 	} else {
 		for ci := range s.cons {
 			s.inQueue[ci] = true
 			s.queue = append(s.queue, ci)
-		}
-		for v, in := range s.allDiff {
-			if in && dom[v].single() && !s.spread(dom, v) {
-				return false
-			}
 		}
 	}
 	for len(s.queue) > 0 {
@@ -367,8 +349,11 @@ func (s *solver) run(dom []bitset, from int) bool {
 			return false
 		}
 		for p, v := range c.vars {
-			if dom[v].intersect(support[p]) && (dom[v].empty() || !s.narrowed(dom, v, ci)) {
-				return false
+			if dom[v].intersect(support[p]) {
+				if dom[v].empty() {
+					return false
+				}
+				s.narrowed(dom, v, ci)
 			}
 		}
 	}
@@ -377,16 +362,14 @@ func (s *solver) run(dom []bitset, from int) bool {
 
 // narrowed queues the constraints of v, whose domain just narrowed to a
 // non-empty set, except ci (just revised, hence at its own fixpoint) and
-// the entailed ones; when v is an injectivity-group member that became a
-// singleton, it then takes v's value from the other members (spread).
-// It returns false on a wipe-out.
+// the entailed ones.
 //
 // A binary constraint R(v,y) on two distinct variables whose y is the
 // singleton {b} is entailed: it was revised after y became {b} — every
 // narrowing of y queues it, and a revision that narrows y is its own —
 // so dom[v] ⊆ R⁻¹(b) already, and narrowing v further cannot unsupport
 // anything short of emptying dom[v], which its narrowing reports.
-func (s *solver) narrowed(dom []bitset, v, ci int) bool {
+func (s *solver) narrowed(dom []bitset, v, ci int) {
 	for _, cj := range s.consOf[v] {
 		if cj == ci || s.inQueue[cj] {
 			continue
@@ -397,29 +380,6 @@ func (s *solver) narrowed(dom []bitset, v, ci int) bool {
 		s.inQueue[cj] = true
 		s.queue = append(s.queue, cj)
 	}
-	if s.allDiff != nil && s.allDiff[v] && dom[v].single() {
-		return s.spread(dom, v)
-	}
-	return true
-}
-
-// spread is the weak alldiff propagator: it removes the value of v, a
-// group member whose domain is a singleton, from the other members'
-// domains, each removal feeding the worklist like any narrowing.  It
-// returns false on a wipe-out.  (Sound: no injective assignment gives
-// two members one value.)
-func (s *solver) spread(dom []bitset, v int) bool {
-	b := dom[v].first()
-	for u, in := range s.allDiff {
-		if !in || u == v || !dom[u].has(b) {
-			continue
-		}
-		dom[u].clear(b)
-		if dom[u].empty() || !s.narrowed(dom, u, -1) {
-			return false
-		}
-	}
-	return true
 }
 
 // partner returns the variable of c other than v when c is a binary
@@ -726,22 +686,6 @@ func ForEachExtendable(A, B *structure.Structure, proj []int, opts Options, fn f
 		return true
 	}
 	rec(0, dom)
-}
-
-// FindBijectionOn searches for a homomorphism h : A → B whose restriction
-// to SA is a bijection onto SB.  This is the witness required by renaming
-// equivalence (Definition 5.3): a surjection SA → SB extending to a
-// homomorphism (|SA| = |SB| makes surjectivity and bijectivity coincide).
-// Returns the full assignment if found.
-func FindBijectionOn(A, B *structure.Structure, SA, SB []int) ([]int, bool) {
-	if len(SA) != len(SB) {
-		return nil, false
-	}
-	restrict := make(map[int][]int, len(SA))
-	for _, a := range SA {
-		restrict[a] = append([]int(nil), SB...)
-	}
-	return Find(A, B, Options{Restrict: restrict, AllDiff: append([]int(nil), SA...)})
 }
 
 // Retract returns, in increasing order, the elements of a core of A under

@@ -148,8 +148,8 @@ func TestReviseKernelsAgreeOnDomains(t *testing.T) {
 }
 
 // naiveFixpoint is propagate's reference: it revises every constraint
-// of s by scanning its whole relation, then applies the injectivity
-// group's weak alldiff, and repeats until nothing changes.  It returns
+// of s by scanning its whole relation, and repeats until nothing
+// changes.  It returns
 // false if some domain is empty.
 func naiveFixpoint(s *solver, dom []bitset) bool {
 	for changed := true; changed; {
@@ -176,18 +176,6 @@ func naiveFixpoint(s *solver, dom []bitset) bool {
 				changed = dom[v].intersect(sup[p]) || changed
 			}
 		}
-		for v, in := range s.allDiff {
-			if !in || bitvec.Count(dom[v]) != 1 {
-				continue
-			}
-			b := dom[v].first()
-			for u, other := range s.allDiff {
-				if other && u != v && dom[u].has(b) {
-					dom[u].clear(b)
-					changed = true
-				}
-			}
-		}
 		for v := range dom {
 			if dom[v].empty() {
 				return false
@@ -208,20 +196,16 @@ func copyDoms(dom []bitset) []bitset {
 
 // TestPropagateMatchesNaiveFixpoint checks propagate, with its skips of
 // entailed constraints, against the naive fixpoint on the differential
-// suite's inputs with injectivity groups added: from the initial
-// domains, then after fixing each variable in turn as search and the
-// sampler do, on both kernels.  Arc consistency with weak alldiff has
-// one fixpoint, so the domains must be equal whenever neither wipes out.
+// suite's inputs: from the initial domains, then after fixing each
+// variable in turn as search and the sampler do, on both kernels.  Arc
+// consistency has one fixpoint, so the domains must be equal whenever
+// neither wipes out.
 func TestPropagateMatchesNaiveFixpoint(t *testing.T) {
-	var cases, allDiff, fixes, live int
+	var cases, fixes, live int
 	for _, nB := range kernelUniverses {
 		rng := rand.New(rand.NewSource(int64(5000 + nB)))
 		for iter := 0; iter < 250; iter++ {
 			c := randomKernelCase(rng, nB)
-			if rng.Intn(3) == 0 {
-				c.opts.AllDiff = rng.Perm(c.A.Size())[:1+rng.Intn(c.A.Size())]
-				allDiff++
-			}
 			for _, rowsOnly := range []bool{false, true} {
 				s := newSolver(c.A, c.B, c.opts)
 				if rowsOnly {
@@ -255,9 +239,9 @@ func TestPropagateMatchesNaiveFixpoint(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d solvers (%d with alldiff), %d fixings, %d live", cases, allDiff, fixes, live)
-	if cases < 2000 || allDiff < 400 || live < 2000 {
-		t.Fatalf("generator is lopsided: %d cases (%d with alldiff), %d fixings, %d live", cases, allDiff, fixes, live)
+	t.Logf("%d solvers, %d fixings, %d live", cases, fixes, live)
+	if cases < 2000 || live < 2000 {
+		t.Fatalf("generator is lopsided: %d cases, %d fixings, %d live", cases, fixes, live)
 	}
 }
 
@@ -419,11 +403,10 @@ func (s *splitmixSource) Int63() int64 {
 
 // TestSamplerMemoMatchesPlainDraws compares a sampler against its twin
 // without the first-fixing memo on the differential suite's inputs, with
-// partial projections (the completion search), injectivity groups and
-// pins / restricts: on one seed a draw served from the memo, live or
+// partial projections (the completion search) and pins / restricts: on one seed a draw served from the memo, live or
 // dead, must weigh exactly what fixing and propagating weighs.
 func TestSamplerMemoMatchesPlainDraws(t *testing.T) {
-	var memos, partial, allDiff, pinned, live, liveHits, deadHits int
+	var memos, partial, pinned, live, liveHits, deadHits int
 	for _, nB := range kernelUniverses {
 		rng := rand.New(rand.NewSource(int64(4000 + nB)))
 		// Most generated cases are exact zeros or keep no memo; draw
@@ -437,9 +420,6 @@ func TestSamplerMemoMatchesPlainDraws(t *testing.T) {
 			nA := c.A.Size()
 			for variant := 0; variant < 4; variant++ {
 				opts := c.opts
-				if rng.Intn(3) == 0 {
-					opts.AllDiff = rng.Perm(nA)[:1+rng.Intn(nA)]
-				}
 				proj := rng.Perm(nA)[:1+rng.Intn(nA)]
 				// Lead with an element whose every constraint revises on
 				// support rows, when there is one: the memo serves it.
@@ -461,9 +441,6 @@ func TestSamplerMemoMatchesPlainDraws(t *testing.T) {
 				memos++
 				if len(proj) < nA {
 					partial++
-				}
-				if opts.AllDiff != nil {
-					allDiff++
 				}
 				if opts.Pin != nil || opts.Restrict != nil {
 					pinned++
@@ -494,10 +471,10 @@ func TestSamplerMemoMatchesPlainDraws(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d samplers with a memo (%d partial, %d alldiff, %d pinned/restricted): %d live draws, %d live and %d dead memo hits",
-		memos, partial, allDiff, pinned, live, liveHits, deadHits)
-	if memos < 240 || partial < 100 || allDiff < 50 || pinned < 100 {
-		t.Fatalf("generator is lopsided: %d samplers with a memo, %d partial, %d alldiff, %d pinned/restricted", memos, partial, allDiff, pinned)
+	t.Logf("%d samplers with a memo (%d partial, %d pinned/restricted): %d live draws, %d live and %d dead memo hits",
+		memos, partial, pinned, live, liveHits, deadHits)
+	if memos < 240 || partial < 100 || pinned < 100 {
+		t.Fatalf("generator is lopsided: %d samplers with a memo, %d partial, %d pinned/restricted", memos, partial, pinned)
 	}
 	if live < 1000 || liveHits < 1000 || deadHits < 100 {
 		t.Fatalf("the comparison is vacuous: %d live draws, %d live and %d dead memo hits", live, liveHits, deadHits)

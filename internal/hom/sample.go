@@ -39,10 +39,9 @@ type Sampler struct {
 	s    *solver
 	proj []int
 	zero bool
-	// total: proj covers every element of A and there is no injectivity
-	// group, so a draw that survives propagation is a homomorphism (all
-	// domains are arc-consistent singletons) and needs no completion
-	// search.
+	// total: proj covers every element of A, so a draw that survives
+	// propagation is a homomorphism (all domains are arc-consistent
+	// singletons) and needs no completion search.
 	total bool
 
 	// dom0 holds the initially propagated domains and dom a draw's
@@ -85,7 +84,7 @@ func newSampler(s *solver, proj []int) *Sampler {
 	for _, v := range sp.proj {
 		liberal[v] = true
 	}
-	sp.total = s.allDiff == nil
+	sp.total = true
 	for _, l := range liberal {
 		sp.total = sp.total && l
 	}

@@ -15,8 +15,8 @@ type Term struct {
 	Formula pp.PP
 	Coeff   *big.Int
 	// FP is the canonical counting-class fingerprint of the formula
-	// (term.Fingerprint); empty when canonical labeling exceeded its
-	// budget.  Downstream layers key plan and count caches on it.
+	// (term.Fingerprint).  Downstream layers key plan and count caches on
+	// it.
 	FP string
 	// Subset is the subset J of the original disjuncts (indices) whose
 	// conjunction the formula is: set on RawTerms' terms only, nil on
@@ -87,7 +87,7 @@ func RawTerms(disjuncts []pp.PP) ([]Term, error) {
 // Merge is MergeInto against a throwaway pool; callers that want the
 // interning statistics (or to share the pool downstream) use MergeInto.
 func Merge(terms []Term) ([]Term, error) {
-	return MergeInto(newPool(), terms)
+	return MergeInto(term.NewPool(), terms)
 }
 
 // MergeInto interns every term into the pool (which must be fresh) and
@@ -103,8 +103,8 @@ func Merge(terms []Term) ([]Term, error) {
 // core is a complete class invariant — equivalent terms merge even when
 // their raw universes differ by redundant quantified parts, and the
 // output is pairwise non-counting-equivalent, the contract Lemma 5.18's
-// recursive peeling depends on.  Terms exceeding the canonical-labeling
-// budget are classified by the pool's pairwise Theorem 5.4 fallback.
+// recursive peeling depends on.  A term whose labeling overruns its
+// budget is refused with pp.ErrLabelingBudget.
 func MergeInto(pool *term.Pool, terms []Term) ([]Term, error) {
 	if err := requireFresh(pool); err != nil {
 		return nil, err
@@ -149,7 +149,7 @@ func liveTerms(pool *term.Pool) []Term {
 // PhiStar computes φ* for an all-free disjunction: the cancelled
 // inclusion–exclusion expansion of Proposition 5.16.
 func PhiStar(disjuncts []pp.PP) ([]Term, error) {
-	return PhiStarInto(newPool(), disjuncts)
+	return PhiStarInto(term.NewPool(), disjuncts)
 }
 
 // PhiStarInto is PhiStar interning through the supplied (fresh) pool, so
@@ -187,13 +187,6 @@ func PhiStarInto(pool *term.Pool, disjuncts []pp.PP) ([]Term, error) {
 	return liveTerms(pool), nil
 }
 
-// newPool returns a pool honoring the package's test hook.
-func newPool() *term.Pool {
-	pool := term.NewPool()
-	pool.DisableCanon = disableCanonForTest
-	return pool
-}
-
 // CountFunc counts a pp-formula on a structure; the caller chooses the
 // engine (decoupling ie from the counting package).
 type CountFunc func(pp.PP, *structure.Structure) (*big.Int, error)
@@ -210,8 +203,3 @@ func Count(terms []Term, b *structure.Structure, cnt CountFunc) (*big.Int, error
 	}
 	return total, nil
 }
-
-// disableCanonForTest forces Merge onto the pool's invariant-key +
-// pairwise Theorem 5.4 fallback path, so tests can verify both paths
-// agree.
-var disableCanonForTest bool

@@ -415,53 +415,6 @@ func TestEmptyDisjuncts(t *testing.T) {
 	}
 }
 
-// The canonical-key fast path and the pairwise-equivalence fallback of
-// ie.Merge must produce identical expansions.
-func TestMergeFallbackAgreesWithCanonical(t *testing.T) {
-	ds := example42(t)
-	raw, err := ie.RawTerms(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := ie.Merge(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ie.SetDisableCanonForTest(true)
-	defer ie.SetDisableCanonForTest(false)
-	slow, err := ie.Merge(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fast) != len(slow) {
-		t.Fatalf("paths disagree: %d vs %d terms", len(fast), len(slow))
-	}
-	for i := range fast {
-		if fast[i].Coeff.Cmp(slow[i].Coeff) != 0 {
-			t.Fatalf("term %d coefficient: %v vs %v", i, fast[i].Coeff, slow[i].Coeff)
-		}
-		eq, err := pp.CountingEquivalent(fast[i].Formula, slow[i].Formula)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !eq {
-			t.Fatalf("term %d representatives not equivalent", i)
-		}
-	}
-	// And the size-crossing regression must also hold on the slow path.
-	sig := edgeSig()
-	lib := []logic.Var{"x"}
-	psi1 := mustDisjunct(t, sig, lib, "p(x) := exists u. E(x,u)")
-	psi2 := mustDisjunct(t, sig, lib, "p(x) := E(x,x)")
-	star, err := ie.PhiStar([]pp.PP{psi1, psi2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(star) != 1 {
-		t.Fatalf("fallback path: φ* terms = %d, want 1", len(star))
-	}
-}
-
 // PhiStarInto builds φ_J from the core of φ_J∖max; it must intern the same
 // classes with the same coefficients, in the same order and with the same
 // witnessing subsets, as merging the raw conjunctions.

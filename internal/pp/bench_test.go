@@ -3,6 +3,7 @@ package pp
 import (
 	"testing"
 
+	"repro/internal/structure"
 	"repro/internal/workload"
 )
 
@@ -55,11 +56,45 @@ func BenchmarkFrontEnd_Core(b *testing.B) {
 	}
 }
 
+// symmetricTerms returns the StarQuery(16) core and K_{6,6} with every
+// element liberal: formulas whose labeling explores factorially many
+// leaves unless automorphisms prune it.
+func symmetricTerms(tb testing.TB) []PP {
+	tb.Helper()
+	sig := workload.EdgeSig()
+	q := workload.StarQuery(16)
+	star, err := FromDisjunct(sig, q.Lib, q.Disjuncts()[0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	k66 := structure.New(sig)
+	lib := make([]int, 12)
+	for v := range lib {
+		lib[v] = k66.FreshElem("v")
+	}
+	for u := 0; u < 6; u++ {
+		for v := 6; v < 12; v++ {
+			if err := k66.AddTuple("E", u, v); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	bip, err := New(k66, lib)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []PP{star.Core(), bip}
+}
+
+// BenchmarkFrontEnd_CanonicalKey labels the cored cold-query terms and,
+// beside them, the symmetric terms: a return to factorial search
+// overruns the labeling budget there and fails the benchmark.
 func BenchmarkFrontEnd_CanonicalKey(b *testing.B) {
 	terms := frontEndTerms(b, 32)
 	for i, p := range terms {
 		terms[i] = p.Core()
 	}
+	terms = append(terms, symmetricTerms(b)...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,7 +5,8 @@
 // tuples are φ's atoms.  The package provides the syntactic and algebraic
 // toolkit of the paper: components, cores, ∃-components, contract graphs,
 // conjunction, Chandra–Merlin entailment, canonical keys, and the
-// renaming / counting / semi-counting equivalences of Section 5.
+// counting and semi-counting equivalences of Section 5, both decided by
+// canonical keys of cores.
 // ShapeOf derives, once per compiled plan and by word operations on bit
 // rows, what Theorems 3.2 and 2.11 read of a core; the engine and
 // classify both read that one Shape.

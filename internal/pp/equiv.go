@@ -6,33 +6,33 @@ import (
 	"repro/internal/hom"
 )
 
-// RenamingEquivalent implements Definition 5.3: two pp-formulas are
-// renaming equivalent if there are surjections h : S₁ → S₂ and
-// h' : S₂ → S₁ that extend to homomorphisms A₁ → A₂ and A₂ → A₁
-// respectively.  (Surjections between finite liberal sets of equal size
-// are bijections, and unequal sizes immediately refute equivalence —
-// Observation 5.5.)
-func RenamingEquivalent(p, q PP) (bool, error) {
-	if !p.A.Signature().Equal(q.A.Signature()) {
-		return false, fmt.Errorf("pp: renaming equivalence across different signatures")
-	}
-	if len(p.S) != len(q.S) {
-		return false, nil
-	}
-	if _, ok := hom.FindBijectionOn(p.A, q.A, p.S, q.S); !ok {
-		return false, nil
-	}
-	if _, ok := hom.FindBijectionOn(q.A, p.A, q.S, p.S); !ok {
-		return false, nil
-	}
-	return true, nil
-}
-
 // CountingEquivalent decides whether |p(B)| = |q(B)| for every finite
-// structure B.  By Theorem 5.4 this coincides with renaming equivalence,
-// which makes the problem decidable (and in NP).
+// structure B.  By Theorem 5.4 this is renaming equivalence
+// (Definition 5.3: surjections between the liberal sets extending to
+// homomorphisms both ways), and two formulas are renaming equivalent
+// exactly when their cores are isomorphic by a map carrying liberal
+// variables onto liberal variables, which equality of the cores'
+// canonical keys decides.  An error wrapping ErrLabelingBudget means the
+// labeling gave up.
 func CountingEquivalent(p, q PP) (bool, error) {
-	return RenamingEquivalent(p, q)
+	if !p.A.Signature().Equal(q.A.Signature()) {
+		return false, fmt.Errorf("pp: counting equivalence across different signatures")
+	}
+	if len(p.S) != len(q.S) || (p.A.Size() == 0) != (q.A.Size() == 0) {
+		return false, nil
+	}
+	if p.A.Size() == 0 {
+		return true, nil // both the empty conjunction: count 1 everywhere
+	}
+	kp, err := p.Core().CanonicalKey()
+	if err != nil {
+		return false, err
+	}
+	kq, err := q.Core().CanonicalKey()
+	if err != nil {
+		return false, err
+	}
+	return kp == kq, nil
 }
 
 // SemiCountingEquivalent decides Definition 5.6: |p(B)| = |q(B)| whenever

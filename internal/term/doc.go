@@ -25,11 +25,8 @@
 //     their coefficients; entries whose merged coefficient cancels to
 //     zero are dropped before any plan is built.
 //
-// Canonical labeling carries a permutation budget; terms that exceed it
-// fall back to invariant-key bucketing with pairwise Theorem 5.4
-// equivalence tests (and carry an empty fingerprint downstream, which
-// simply opts them out of the fingerprint-keyed caches).  The buckets
-// exist only from the first such term on, which fills them for every
-// earlier entry: a pool whose terms all carry fingerprints never
-// computes an invariant key.
+// Canonical labeling prunes its search by the automorphisms it finds,
+// so every term the pipeline has met labels well inside its step
+// budget.  A term that overruns it has no fingerprint, and Add refuses
+// it with pp.ErrLabelingBudget.
 package term

@@ -10,9 +10,9 @@ import (
 // Fingerprint returns the canonical counting-class fingerprint of a
 // pp-formula: the canonical key of its core.  Two formulas over the same
 // signature receive equal fingerprints iff they are counting equivalent
-// (property-tested against pp.CountingEquivalent).  Errors indicate the
-// canonical-labeling budget was exceeded; callers should then fall back
-// to pairwise equivalence tests.
+// (property-tested in pp against brute-force renaming equivalence).  An
+// error wrapping pp.ErrLabelingBudget means the labeling gave up; the
+// formula has no fingerprint and cannot be interned.
 func Fingerprint(p pp.PP) (string, error) {
 	return p.Core().CanonicalKey()
 }
@@ -24,9 +24,7 @@ type Interned struct {
 	// Formula is the core of the first term interned into this entry
 	// (logically equivalent to it, hence count-preserving).
 	Formula pp.PP
-	// FP is the canonical fingerprint of the class; empty when the
-	// canonical-labeling budget was exceeded and the entry was placed by
-	// the pairwise-equivalence fallback.
+	// FP is the canonical fingerprint of the class.
 	FP string
 	// Coeff is the merged coefficient Σ of the interned terms' coefficients.
 	Coeff *big.Int
@@ -34,7 +32,6 @@ type Interned struct {
 	Raw int
 
 	rawMerged int // raw terms absorbed at the pre-core stage
-	fallback  int // raw terms placed by the pairwise-equivalence fallback
 }
 
 // Stats summarizes a pool's interning activity.  The JSON tags are the
@@ -50,9 +47,6 @@ type Stats struct {
 	// Cancelled is the number of entries whose merged coefficient is
 	// currently zero — classes dropped before any plan is built.
 	Cancelled int `json:"cancelled"`
-	// Fallback counts terms placed via the pairwise-equivalence fallback
-	// because canonical labeling exceeded its budget.
-	Fallback int `json:"fallback"`
 }
 
 // Pool interns pp-terms by canonical core, aggregating inclusion–
@@ -60,18 +54,9 @@ type Stats struct {
 // usable; call NewPool.  A Pool is not safe for concurrent use (it is a
 // compile-time object; compiled outputs are immutable and shareable).
 type Pool struct {
-	// DisableCanon forces every Add onto the invariant-key + pairwise
-	// Theorem 5.4 fallback path.  Test hook: lets tests verify the two
-	// paths agree.
-	DisableCanon bool
-
 	entries []*Interned
 	byRawFP map[string]int // raw-formula canonical key → entry index
 	byFP    map[string]int // cored canonical key → entry index
-	// buckets maps a cored invariant key to all entry indices.  Only a
-	// fingerprint-less term or entry is ever compared pairwise, so the
-	// buckets stay nil until the first one arrives, which backfills them.
-	buckets map[string][]int
 
 	// Raw-stage gating: canonical labeling of the (larger) un-cored
 	// formula only runs when a second term shares the same cheap
@@ -106,14 +91,16 @@ func rawProfile(p pp.PP) string { return p.InvariantKey() }
 
 // Add interns the formula with the given coefficient and returns the
 // index of its counting class among Terms().  The coefficient is read,
-// not retained.
+// not retained.  A formula whose core's labeling overruns its budget is
+// refused with an error wrapping pp.ErrLabelingBudget.
 func (pl *Pool) Add(f pp.PP, coeff *big.Int) (int, error) {
 	// Raw stage: isomorphic raw terms share a class without being cored
 	// (a term that arrives cored has nothing to save).  The labeling only
 	// runs once a profile twin exists; the first term of a profile defers
-	// (rawPending) and is labeled retroactively.
+	// (rawPending) and is labeled retroactively.  A raw labeling that
+	// gives up only skips the shortcut.
 	var rawKey, deferProfile string
-	if !pl.DisableCanon && !f.IsCored() {
+	if !f.IsCored() {
 		profile := rawProfile(f)
 		if pl.rawSeen[profile] == 0 {
 			deferProfile = profile
@@ -138,65 +125,15 @@ func (pl *Pool) Add(f pp.PP, coeff *big.Int) (int, error) {
 	}
 	// Cored stage: the complete counting-class fingerprint.
 	cored := f.Core()
-	idx := -1
-	var fp string
-	if !pl.DisableCanon {
-		if k, err := cored.CanonicalKey(); err == nil {
-			fp = k
-			if i, ok := pl.byFP[fp]; ok {
-				idx = i
-			}
-		}
+	fp, err := cored.CanonicalKey()
+	if err != nil {
+		return -1, fmt.Errorf("term: interning %v: %w", cored, err)
 	}
-	if idx < 0 {
-		// A fingerprint miss can still coincide with an entry that itself
-		// missed canonical labeling (equivalent formulas need not exceed
-		// the budget together), so fingerprinted terms are compared
-		// against the bucket's fingerprint-less entries; fallback terms
-		// are compared against every entry in the bucket.  While every
-		// entry and this term are fingerprinted there is nothing to
-		// compare, and no bucket is kept.
-		var ikey string
-		if fp == "" && pl.buckets == nil {
-			pl.buckets = make(map[string][]int)
-			for i, e := range pl.entries {
-				k := e.Formula.InvariantKey()
-				pl.buckets[k] = append(pl.buckets[k], i)
-			}
-		}
-		if pl.buckets != nil {
-			ikey = cored.InvariantKey()
-		}
-		for _, i := range pl.buckets[ikey] {
-			if fp != "" && pl.entries[i].FP != "" {
-				continue // both fingerprinted: inequality already decided
-			}
-			eq, err := pp.CountingEquivalent(pl.entries[i].Formula, cored)
-			if err != nil {
-				return -1, err
-			}
-			if eq {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			idx = len(pl.entries)
-			pl.entries = append(pl.entries, &Interned{Formula: cored, FP: fp, Coeff: new(big.Int)})
-			if pl.buckets != nil {
-				pl.buckets[ikey] = append(pl.buckets[ikey], idx)
-			}
-			if fp != "" {
-				pl.byFP[fp] = idx
-			}
-		} else if fp != "" && pl.entries[idx].FP == "" {
-			// Learned the class's fingerprint after the fact.
-			pl.entries[idx].FP = fp
-			pl.byFP[fp] = idx
-		}
-		if fp == "" {
-			pl.entries[idx].fallback++
-		}
+	idx, ok := pl.byFP[fp]
+	if !ok {
+		idx = len(pl.entries)
+		pl.entries = append(pl.entries, &Interned{Formula: cored, FP: fp, Coeff: new(big.Int)})
+		pl.byFP[fp] = idx
 	}
 	if rawKey != "" {
 		pl.byRawFP[rawKey] = idx
@@ -234,8 +171,8 @@ func (pl *Pool) Live() []*Interned {
 // String renders the stats in the canonical one-line form shared by the
 // CLIs and Explain.
 func (st Stats) String() string {
-	return fmt.Sprintf("%d raw IE terms → %d unique cores (%d cancelled, %d merged pre-core, %d via fallback)",
-		st.Raw, st.Unique, st.Cancelled, st.RawMerged, st.Fallback)
+	return fmt.Sprintf("%d raw IE terms → %d unique cores (%d cancelled, %d merged pre-core)",
+		st.Raw, st.Unique, st.Cancelled, st.RawMerged)
 }
 
 // Stats returns a snapshot of the pool's interning counters.
@@ -244,7 +181,6 @@ func (pl *Pool) Stats() Stats {
 	for _, e := range pl.entries {
 		st.Raw += e.Raw
 		st.RawMerged += e.rawMerged
-		st.Fallback += e.fallback
 		if e.Coeff.Sign() == 0 {
 			st.Cancelled++
 		}
