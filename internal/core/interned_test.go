@@ -210,10 +210,10 @@ func TestInternedPipelineMatchesDirectRandomUnions(t *testing.T) {
 	}
 }
 
-// A star's liberal leaves are interchangeable, which once sent canonical
-// labeling through all k! orders of them and, past its budget, left the
-// term without a fingerprint.  StarQuery(16) must compile to fingerprinted
-// terms — a repeat count is a memo hit — and count what the formula says.
+// A star's liberal leaves are interchangeable: without automorphism
+// pruning, labeling walks all k! orders of them and overruns its budget.
+// StarQuery(16) must compile to fingerprinted terms — a repeat count is
+// a memo hit — and count what the formula says.
 func TestStarQueryCounterIsFingerprinted(t *testing.T) {
 	q := workload.StarQuery(16)
 	c, err := NewCounter(q, nil, engine.FPT)

@@ -9,9 +9,8 @@ import (
 )
 
 // ErrLabelingBudget reports that canonical labeling gave up after
-// exploring its step budget of search nodes.  With automorphism pruning
-// no query the pipeline has met comes near it; a formula that does
-// cannot be interned, and the caller refuses it.
+// exploring its step budget of search nodes.  The formula then has no
+// canonical key, so it cannot be interned and callers refuse it.
 var ErrLabelingBudget = errors.New("pp: canonical labeling budget exceeded")
 
 // labelingBudget caps the search nodes one labeling explores.  Only
