@@ -54,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzParseQuery -fuzztime 10s ./internal/parser
 	$(GO) test -run XXX -fuzz FuzzParseStructure -fuzztime 10s ./internal/parser
 	$(GO) test -run XXX -fuzz FuzzFingerprintInvariance -fuzztime 10s ./internal/term
+	$(GO) test -run XXX -fuzz FuzzFormulaOps -fuzztime 10s ./internal/pp
 	$(GO) test -run XXX -fuzz FuzzWALRecordDecode -fuzztime 10s ./internal/wal
 	$(GO) test -run XXX -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/wal
 

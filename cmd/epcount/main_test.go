@@ -43,6 +43,10 @@ func TestRunEndToEnd(t *testing.T) {
 			options{query: "tri(x,y,z) := E(x,y) & E(y,z) & E(z,x)", dataFile: data, mode: "approx", eps: 0.1, delta: 0.05, seed: 7},
 			"3\n",
 			[]string{"approx: rel-error ≤ 0 at confidence 0.95 (case sharp-clique"}},
+		{"the sentence true, whose one answer is the empty tuple",
+			options{query: "q() := true", dataFile: data, verify: true},
+			"1\n",
+			[]string{verified}},
 	} {
 		out, errOut, err := runOut(c.o)
 		if err != nil {
@@ -101,21 +105,35 @@ func TestRunEndToEnd(t *testing.T) {
 
 // -explain with no -data prints the explanation and counts nothing.
 func TestRunExplainWithoutData(t *testing.T) {
-	out, errOut, err := runOut(options{query: "c(x,y,z) := E(x,y) & E(y,z) & E(z,x)", explain: true})
-	if err != nil || errOut != "" {
-		t.Fatalf("err %v, stderr %q", err, errOut)
-	}
-	for _, want := range []string{
-		"φ⁺ size: 1\n",
-		"classification vs bounds (1,1): case 3: p-#Clique-hard",
-		"  φ⁺[0]: core tw 2, contract tw 2, ∃-components 0 (max interface 0)\n",
+	for _, c := range []struct {
+		query string
+		want  []string
+	}{
+		{"c(x,y,z) := E(x,y) & E(y,z) & E(z,x)", []string{
+			"φ⁺ size: 1\n",
+			"classification vs bounds (1,1): case 3: p-#Clique-hard",
+			"  φ⁺[0]: core tw 2, contract tw 2, ∃-components 0 (max interface 0)\n",
+		}},
+		// A disjunct without variables is the empty formula, a sentence.
+		{"q() := true", []string{
+			"normalized disjuncts: 1 (0 free, 1 sentence)\n",
+			"  ψ1 (sentence): () | true\n",
+			"φ⁺ size: 1\n",
+			"classification vs bounds (1,1): case 1: FPT",
+		}},
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output lacks %q:\n%s", want, out)
+		out, errOut, err := runOut(options{query: c.query, explain: true})
+		if err != nil || errOut != "" {
+			t.Fatalf("%s: err %v, stderr %q", c.query, err, errOut)
 		}
-	}
-	if !strings.HasSuffix(out, "approx evals: 0\n") {
-		t.Errorf("output goes on past the explanation:\n%s", out)
+		for _, want := range c.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: output lacks %q:\n%s", c.query, want, out)
+			}
+		}
+		if !strings.HasSuffix(out, "approx evals: 0\n") {
+			t.Errorf("%s: output goes on past the explanation:\n%s", c.query, out)
+		}
 	}
 }
 

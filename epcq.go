@@ -216,7 +216,7 @@ func CountHomomorphisms(a, b *Structure) (*big.Int, error) {
 	for i := range all {
 		all[i] = i
 	}
-	p, err := pp.New(a, all)
+	p, err := pp.New(structure.AtomsOf(a), all)
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +252,7 @@ func CountPP(p PPFormula, b *Structure) (*big.Int, error) { return engine.CountO
 // structures the reduction builds enters the session registry, where it
 // could evict a serving session.
 func CountPPViaOracle(comp *Compiled, p PPFormula, b *Structure) (*big.Int, error) {
-	plans := make(map[*Structure]engine.Plan, len(comp.Minus))
+	plans := make(map[*structure.Atoms]engine.Plan, len(comp.Minus))
 	for _, t := range comp.Minus {
 		pl, _, err := engine.CompileKeyed(t.Formula, t.FP, engine.FPT)
 		if err != nil {

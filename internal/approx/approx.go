@@ -211,7 +211,7 @@ func (e *Estimator) CountIn(ctx context.Context, b *structure.Structure, prm Par
 	comps := e.components()
 	sampled := 0
 	for _, comp := range comps {
-		if len(comp.S) > 0 && comp.A.NumTuples() > 0 {
+		if len(comp.S) > 0 && comp.A.NumAtoms() > 0 {
 			sampled++
 		}
 	}
@@ -231,7 +231,7 @@ func (e *Estimator) CountIn(ctx context.Context, b *structure.Structure, prm Par
 			if !hom.Exists(comp.A, b, hom.Options{}) {
 				return zeroResult(res), nil
 			}
-		case comp.A.NumTuples() == 0:
+		case comp.A.NumAtoms() == 0:
 			prod.Mul(prod, new(big.Float).SetPrec(128).SetInt(structure.PowerSize(b, len(comp.S))))
 		default:
 			seed = splitmix(seed + uint64(i))
@@ -286,7 +286,7 @@ func (e *Estimator) CountIn(ctx context.Context, b *structure.Structure, prm Par
 
 // warmSampler is a pooled sampler with the component it was built for.
 type warmSampler struct {
-	a  *structure.Structure
+	a  *structure.Atoms
 	sp *hom.Sampler
 }
 

@@ -53,7 +53,7 @@ func cliquePP(t *testing.T, k int) pp.PP {
 	for i := range all {
 		all[i] = i
 	}
-	p, err := pp.New(workload.GraphStructure(workload.CompleteGraph(k)), all)
+	p, err := pp.New(structure.AtomsOf(workload.GraphStructure(workload.CompleteGraph(k))), all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestMultiComponentProduct(t *testing.T) {
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}} {
 		g.AddEdge(e[0], e[1])
 	}
-	p, err := pp.New(workload.GraphStructure(g), []int{0, 1, 2, 3, 4, 5})
+	p, err := pp.New(structure.AtomsOf(workload.GraphStructure(g)), []int{0, 1, 2, 3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestExactShortCircuits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	free, err := pp.New(a, []int{0, 1})
+	free, err := pp.New(structure.AtomsOf(a), []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestSparseAnswerHonesty(t *testing.T) {
 	two := graph.New(6)
 	two.AddClique([]int{0, 1, 2})
 	two.AddClique([]int{3, 4, 5})
-	twoK3, err := pp.New(workload.GraphStructure(two), []int{0, 1, 2, 3, 4, 5})
+	twoK3, err := pp.New(structure.AtomsOf(workload.GraphStructure(two)), []int{0, 1, 2, 3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestSparseAnswerHonesty(t *testing.T) {
 		b := workload.GraphStructure(inst.g)
 		sampled, proven := 0, false
 		for _, comp := range inst.p.Components() {
-			if len(comp.S) > 0 && comp.A.NumTuples() > 0 {
+			if len(comp.S) > 0 && comp.A.NumAtoms() > 0 {
 				sampled++
 				proven = proven || hom.NewSampler(comp.A, b, comp.S, hom.Options{}).ExactZero()
 			}

@@ -11,8 +11,8 @@ import (
 )
 
 // coldCompileAllocBudget bounds the heap objects one cold compile of the
-// 200-query slice below makes: the measured value, 248 286, plus 5 %.
-const coldCompileAllocBudget = 260_700
+// 200-query slice below makes: the measured value, 153 865, plus 5 %.
+const coldCompileAllocBudget = 161_560
 
 // TestColdCompileAllocBudget pins the query side's allocations:
 // eptrans.Compile and engine.Compile of every φ⁻af term and sentence

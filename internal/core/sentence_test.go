@@ -8,6 +8,8 @@ import (
 	"repro/internal/count"
 	"repro/internal/hom"
 	"repro/internal/logic"
+	"repro/internal/parser"
+	"repro/internal/pp"
 	"repro/internal/structure"
 	"repro/internal/workload"
 )
@@ -77,5 +79,52 @@ func TestSentenceDisjunctsMatchDirect(t *testing.T) {
 	t.Logf("sentence verdicts false/true = %v", verdicts)
 	if verdicts[0] == 0 || verdicts[1] == 0 {
 		t.Fatalf("sentence verdicts false/true = %v: the generator missed a side", verdicts)
+	}
+}
+
+// The disjunct true has no variables: it is the empty formula, a
+// sentence whose one answer, the empty tuple, is an answer on every
+// structure.  So q() := true, alone or beside ∃x E(x,x), counts 1 on
+// structures with and without a loop, as union enumeration of the
+// disjuncts does.
+func TestTrueDisjunctCountsOne(t *testing.T) {
+	sig := workload.EdgeSig()
+	rng := rand.New(rand.NewSource(52))
+	loop := workload.RandomStructure(sig, 3, 0, 1)
+	_ = loop.AddTuple("E", 1, 1)
+	bs := []*structure.Structure{workload.RandomStructure(sig, 1, 0, 1), loop}
+	for n := 1; n <= 5; n++ {
+		bs = append(bs, workload.RandomStructure(sig, n, 0.5*rng.Float64(), rng.Int63()))
+	}
+	for _, text := range []string{"q() := true", "q() := true | exists x. E(x,x)", "q() := exists x. E(x,x) | true"} {
+		q, err := parser.ParseQuery(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var disjuncts []pp.PP
+		for _, d := range q.Disjuncts() {
+			p, err := pp.FromDisjunct(sig, q.Lib, d)
+			if err != nil {
+				t.Fatalf("%s: %v", text, err)
+			}
+			disjuncts = append(disjuncts, p)
+		}
+		c, err := NewCounter(q, sig, count.EngineFPT)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		for i, b := range bs {
+			got, err := c.Count(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := count.EPUnion(disjuncts, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cmp(want) != 0 || got.Int64() != 1 {
+				t.Errorf("%s on structure %d: count %v, union enumeration %v, want 1", text, i, got, want)
+			}
+		}
 	}
 }

@@ -311,7 +311,7 @@ func TestEPUnionMixedSentenceAndFree(t *testing.T) {
 	if err := sa.AddTuple("E", u, u); err != nil {
 		t.Fatal(err)
 	}
-	sentence, err := pp.New(sa, nil)
+	sentence, err := pp.New(structure.AtomsOf(sa), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func homomorphisms(a, b *structure.Structure) (*big.Int, error) {
 	for i := range all {
 		all[i] = i
 	}
-	p, err := pp.New(a, all)
+	p, err := pp.New(structure.AtomsOf(a), all)
 	if err != nil {
 		return nil, err
 	}
@@ -31,7 +31,7 @@ func TestHomomorphismsMatchesEnumeration(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		a := workload.RandomStructure(sig, 3, 0.4, seed)
 		b := workload.RandomStructure(sig, 4, 0.4, seed+50)
-		want := hom.Count(a, b, hom.Options{})
+		want := hom.Count(structure.AtomsOf(a), b, hom.Options{})
 		got, err := homomorphisms(a, b)
 		if err != nil {
 			t.Fatal(err)

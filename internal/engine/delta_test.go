@@ -44,7 +44,8 @@ func appendRandomBatch(t *testing.T, b *structure.Structure, rng *rand.Rand, ste
 func appendShapedBatch(t *testing.T, b *structure.Structure, rng *rand.Rand, rel string, step int) {
 	t.Helper()
 	r := b.Rel(rel)
-	tup := make([]int, r.Arity())
+	arity, _ := b.Signature().Arity(rel)
+	tup := make([]int, arity)
 	add := func() {
 		if err := b.AddTuple(rel, tup...); err != nil {
 			t.Fatal(err)

@@ -225,7 +225,7 @@ func TestExecutorBigIntFallbackEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p, err := pp.New(a, all)
+	p, err := pp.New(structure.AtomsOf(a), all)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,7 @@ func TestCountInEmptyUniverse(t *testing.T) {
 // itself and the baseline.
 func TestCountRunsOnTheCallersGoroutine(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	p, err := pp.New(workload.GraphStructure(workload.CycleGraph(6)), []int{0, 1, 2, 3, 4, 5})
+	p, err := pp.New(structure.AtomsOf(workload.GraphStructure(workload.CycleGraph(6))), []int{0, 1, 2, 3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,7 +147,7 @@ type keySpan struct {
 var compilers = sync.Pool{New: func() any { return new(planCompiler) }}
 
 // compilerFor returns a compiler from the pool, loaded with a's atoms.
-func compilerFor(a *structure.Structure) *planCompiler {
+func compilerFor(a *structure.Atoms) *planCompiler {
 	pcl := compilers.Get().(*planCompiler)
 	sig, n := a.Signature(), a.Size()
 	pcl.sig = sig
@@ -162,12 +162,11 @@ func compilerFor(a *structure.Structure) *planCompiler {
 	clear(pcl.onIface)
 	pcl.atoms, pcl.keys, pcl.spans = pcl.atoms[:0], pcl.keys[:0], pcl.spans[:0]
 	for ri := 0; ri < sig.NumRels(); ri++ {
-		r := sig.Rel(ri)
-		rel := a.Rel(r.Name)
-		for row := 0; row < rel.Len(); row++ {
-			pcl.atoms = append(pcl.atoms, ri, r.Arity)
-			for j := 0; j < r.Arity; j++ {
-				pcl.atoms = append(pcl.atoms, rel.Value(row, j))
+		ar := sig.Rel(ri).Arity
+		for args := a.Args(ri); len(args) > 0; args = args[ar:] {
+			pcl.atoms = append(pcl.atoms, ri, ar)
+			for _, v := range args[:ar] {
+				pcl.atoms = append(pcl.atoms, int(v))
 			}
 		}
 	}
@@ -292,7 +291,7 @@ func (pcl *planCompiler) atomConstraints(pc *planComponent, atoms, pos, buf []in
 // predicate compiles ∃-component ec into constraint ci of pc, on the
 // scope positions of its interface (nil for a sentence: zero width).
 // Its atoms are ec's, renumbered by index in ec.Vertices (the order in
-// which structure.Induced would number them), minus the atoms lying
+// which Atoms.Induced would number them), minus the atoms lying
 // entirely on its interface.  Those are liberal-only, hence already atom
 // constraints of the enclosing component; dropping them here only widens
 // the predicate to a superset the enclosing join cuts back, and lets

@@ -135,7 +135,7 @@ func randomExistsComponent(rng *rand.Rand) pp.PP {
 	for i := range s {
 		s[i] = i
 	}
-	p, err := pp.New(a, s)
+	p, err := pp.New(structure.AtomsOf(a), s)
 	if err != nil {
 		panic(err)
 	}
@@ -173,7 +173,7 @@ func randomPredStructure(rng *rand.Rand, n int) *structure.Structure {
 
 func solverRows(sub, b *structure.Structure, iface []int) []string {
 	var rows []string
-	hom.ForEachExtendable(sub, b, iface, hom.Options{}, func(vals []int) bool {
+	hom.ForEachExtendable(structure.AtomsOf(sub), b, iface, hom.Options{}, func(vals []int) bool {
 		rows = append(rows, fmt.Sprint(vals))
 		return true
 	})
@@ -237,8 +237,9 @@ func existsConstraint(t *testing.T, p pp.PP) (c *planConstraint, sub, full *stru
 	if len(ecs) != 1 || len(ecs[0].Interface) != len(p.S) {
 		t.Fatalf("generator produced %d ∃-components, want one on the whole interface", len(ecs))
 	}
-	sub, old2new := existsSub(p.A, &ecs[0])
-	full, _ = p.A.Induced(ecs[0].Vertices)
+	sub, old2new := existsSub(p.A.Database(), &ecs[0])
+	fullBody, _ := p.A.Induced(ecs[0].Vertices)
+	full = fullBody.Database()
 	iface = make([]int, len(p.S))
 	scope := make([]int, len(p.S))
 	for i, v := range p.S {
@@ -339,13 +340,14 @@ func TestPredicateTableMatchesSolver(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		p := randomExistsComponent(rng)
 		c, sub, full, iface := existsConstraint(t, p)
+		pa := p.A.Database()
 		// onIface reports whether an interface assignment satisfies the
 		// atoms of the component that lie on the interface alone.
 		onIface := func(b *structure.Structure) func(row []int) bool {
 			return func(row []int) bool {
 				ok := true
 				for _, r := range predSig().Rels() {
-					p.A.ForEachTuple(r.Name, func(tu []int) bool {
+					pa.ForEachTuple(r.Name, func(tu []int) bool {
 						img := make([]int, len(tu))
 						for j, v := range tu {
 							if v >= len(p.S) {

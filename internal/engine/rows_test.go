@@ -243,7 +243,7 @@ func TestRowTailCountsThroughOverflow(t *testing.T) {
 				prev = next
 			}
 		}
-		p, err := pp.New(a, all)
+		p, err := pp.New(structure.AtomsOf(a), all)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestRowTailAddGathersThroughOverflow(t *testing.T) {
 				prev = next
 			}
 		}
-		p, err := pp.New(a, all)
+		p, err := pp.New(structure.AtomsOf(a), all)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,7 @@ func randomSentence(rng *rand.Rand) pp.PP {
 	default:
 		part(1 + rng.Intn(5))
 	}
-	p, err := pp.New(a, nil)
+	p, err := pp.New(structure.AtomsOf(a), nil)
 	if err != nil {
 		panic(err)
 	}
@@ -102,7 +102,7 @@ func TestSentenceMatchesSolver(t *testing.T) {
 				c := &pc.constraints[0]
 				tab := s.tableFor(c, nil)
 				sub := predStructure(p.A.Signature(), c.pred)
-				if want := hom.Exists(sub, b, hom.Options{}); tab.width != 0 || tab.n > 1 || (tab.n == 1) != want {
+				if want := hom.Exists(structure.AtomsOf(sub), b, hom.Options{}); tab.width != 0 || tab.n > 1 || (tab.n == 1) != want {
 					t.Fatalf("seed %d n %d: component %v: table width %d with %d rows, solver %v", seed, n, sub, tab.width, tab.n, want)
 				}
 			}
@@ -139,7 +139,7 @@ func cliqueSentence(k int) pp.PP {
 			}
 		}
 	}
-	p, err := pp.New(a, nil)
+	p, err := pp.New(structure.AtomsOf(a), nil)
 	if err != nil {
 		panic(err)
 	}

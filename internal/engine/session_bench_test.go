@@ -91,7 +91,7 @@ func BenchmarkMaterialize_PredicateK4_N60(b *testing.B) {
 	b.Run("solver", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rows := 0
-			hom.ForEachExtendable(sub, bs, iface, hom.Options{}, func([]int) bool { rows++; return true })
+			hom.ForEachExtendable(structure.AtomsOf(sub), bs, iface, hom.Options{}, func([]int) bool { rows++; return true })
 			if rows == 0 {
 				b.Fatal("empty predicate")
 			}

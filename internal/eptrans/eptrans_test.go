@@ -51,7 +51,7 @@ func TestMinimizeDropsEntailingDisjunct(t *testing.T) {
 	if len(c.Disjuncts) != 1 {
 		t.Fatalf("normalized disjuncts = %d, want 1", len(c.Disjuncts))
 	}
-	if c.Disjuncts[0].A.Rel("E").Len() != 1 {
+	if c.Disjuncts[0].A.NumAtoms() != 1 {
 		t.Fatal("wrong disjunct survived")
 	}
 }

@@ -3,10 +3,14 @@
 // elements of B so that every tuple of every relation of A is carried to a
 // tuple of B (Section 2.1).  The engine is a constraint solver: variables
 // are A's elements, domains are subsets of B's elements, the constraints
-// are A's tuples; it supports pinned partial maps, restricted domains,
-// enumeration of the assignments of a projection set that extend to a
-// homomorphism (the counting semantics of pp-formulas), and Retract, the
-// core of a structure under endomorphisms fixing chosen elements.  The
+// are A's tuples.  A is always a formula's flat body (structure.Atoms);
+// B (Target) is either a data Structure, whose posting lists and
+// columns the row kernel reads, or another body, whose few atoms it
+// scans with no index built — one solver and one init serve both.  It
+// supports pinned partial maps, restricted domains, enumeration of the
+// assignments of a projection set that extend to a homomorphism (the
+// counting semantics of pp-formulas), and Retract, the core of a body
+// under endomorphisms fixing chosen elements.  The
 // query front-end (entailment, cores) runs on this solver directly: a pin
 // per liberal variable stands for the singleton relations of the paper's
 // aug(A,S).
@@ -18,9 +22,10 @@
 // — in |dom| word operations (AC3^bit).  Constraints without rows (arity
 // ≠ 2, a repeated variable, a relation too sparse for its universe; see
 // structure.BitRowsFit) visit candidate B-tuples drawn from posting
-// lists.  Arc consistency has a unique fixpoint, so the two kernels yield
-// identical domains and everything derived from them — search order,
-// sampler draws — does not depend on which one ran.  Every narrowing
+// lists, or all of a body's atoms.  Arc consistency has a unique
+// fixpoint, so the two kernels yield identical domains and everything
+// derived from them — search order, sampler draws — does not depend on
+// which one ran.  Every narrowing
 // queues the narrowed variable's constraints, so a variable that becomes
 // a singleton always has every constraint revised, and from then on a binary constraint R(x,y) on distinct
 // variables with y = {b} is entailed (dom[x] ⊆ R⁻¹(b)): propagate

@@ -22,12 +22,16 @@ type Options struct {
 type constraint struct {
 	vars []int // A-element per position
 
-	// brel/bcols are B's columnar relation store and its column views,
-	// resolved once at solver construction: the row kernel's candidate
-	// generation walks posting lists and reads columns directly, never
-	// materializing tuple slices or scanning the full relation.
+	// The relation's B-tuples, resolved once at solver construction.  A
+	// data target gives its columnar store brel and the column views
+	// bcols: the row kernel's candidate generation walks posting lists
+	// and reads columns directly, never materializing tuple slices or
+	// scanning the full relation.  A formula target gives its few atoms,
+	// row-major, in brows (brel nil), and the row kernel scans them: a
+	// posting index would cost more to build than it saves.
 	brel  *structure.Relation
 	bcols [][]int32
+	brows []int32
 
 	// fwd/bwd are the relation's value-space support rows, words words
 	// per B-element: fwd[a] = {b : R(a,b)} and bwd[b] = {a : R(a,b)} as
@@ -38,8 +42,23 @@ type constraint struct {
 	fwd, bwd []uint64
 }
 
+// Target is the codomain of a homomorphism: a data structure, whose
+// posting lists and columns the row kernel reads, or a formula's body,
+// whose atoms it scans.
+type Target interface {
+	*structure.Structure | *structure.Atoms
+}
+
+// target splits B into its data-structure and formula forms, one of
+// them nil.
+func target[T Target](B T) (*structure.Structure, *structure.Atoms) {
+	bs, _ := any(B).(*structure.Structure)
+	ba, _ := any(B).(*structure.Atoms)
+	return bs, ba
+}
+
 type solver struct {
-	A, B    *structure.Structure
+	A       *structure.Atoms
 	nA, nB  int
 	words   int // words per bitset over B's universe
 	cons    []constraint
@@ -72,6 +91,8 @@ type scratch struct {
 	slab   []uint64
 	sets   []bitset
 	bcols  [][]int32
+	brels  []*structure.Relation
+	brows  [][]int32
 	cons   []constraint
 	consOf [][]int
 	inQ    []bool
@@ -96,8 +117,9 @@ func reuse[T any](buf *[]T, n int) []T {
 var solverPool = sync.Pool{New: func() any { return new(solver) }}
 
 // acquireSolver is newSolver on a pooled solver; release it when done.
-func acquireSolver(A, B *structure.Structure, opts Options) *solver {
-	return solverPool.Get().(*solver).init(A, B, opts)
+func acquireSolver[T Target](A *structure.Atoms, B T, opts Options) *solver {
+	bs, ba := target(B)
+	return solverPool.Get().(*solver).init(A, bs, ba, opts)
 }
 
 // maxPooledWords caps the bitset slab and the candidate-row bitmap a
@@ -109,13 +131,15 @@ const maxPooledWords = 1 << 16
 func (s *solver) release() {
 	clear(s.buf.cons[:cap(s.buf.cons)])
 	clear(s.buf.bcols[:cap(s.buf.bcols)])
+	clear(s.buf.brels[:cap(s.buf.brels)])
+	clear(s.buf.brows[:cap(s.buf.brows)])
 	if cap(s.buf.slab) > maxPooledWords {
 		s.buf.slab = nil
 	}
 	if cap(s.candBuf) > maxPooledWords {
 		s.candBuf = nil
 	}
-	s.A, s.B, s.cons, s.initDom = nil, nil, nil, nil
+	s.A, s.cons, s.initDom = nil, nil, nil
 	solverPool.Put(s)
 }
 
@@ -159,35 +183,59 @@ func carveBitsets(sets []bitset, flat []uint64, words int) []bitset {
 func (s *solver) releaseDoms(d []bitset) { s.domFree = append(s.domFree, d) }
 
 // newSolver returns a fresh solver for homomorphisms A → B under opts.
-func newSolver(A, B *structure.Structure, opts Options) *solver {
-	return new(solver).init(A, B, opts)
+func newSolver[T Target](A *structure.Atoms, B T, opts Options) *solver {
+	bs, ba := target(B)
+	return new(solver).init(A, bs, ba, opts)
 }
 
-// init sets s up for homomorphisms A → B under opts, carving every
+// init sets s up for homomorphisms A → B under opts, B being the data
+// structure bs or the formula body ba (the other nil), carving every
 // array out of s.buf.  The recycled domain copies survive when the
 // domains keep their shape.
-func (s *solver) init(A, B *structure.Structure, opts Options) *solver {
-	nA, words := A.Size(), (B.Size()+63)/64
+func (s *solver) init(A *structure.Atoms, bs *structure.Structure, ba *structure.Atoms, opts Options) *solver {
+	var nB int
+	if bs != nil {
+		nB = bs.Size()
+	} else {
+		nB = ba.Size()
+	}
+	nA, words := A.Size(), (nB+63)/64
 	domFree := s.domFree
 	if nA != s.nA || words != s.words {
 		domFree = nil
 	}
-	*s = solver{A: A, B: B, nA: nA, nB: B.Size(), words: words, domFree: domFree, candBuf: s.candBuf, buf: s.buf}
+	*s = solver{A: A, nA: nA, nB: nB, words: words, domFree: domFree, candBuf: s.candBuf, buf: s.buf}
 	sig := A.Signature()
+	// B's tuples of each of A's relations: a relation B lacks has none.
+	brels := reuse(&s.buf.brels, sig.NumRels())
+	brows := reuse(&s.buf.brows, sig.NumRels())
+	bLen := func(i int) int {
+		if bs != nil {
+			return brels[i].Len()
+		}
+		return len(brows[i]) / sig.Rel(i).Arity
+	}
 	nCons, nSlots, nCols, maxAr, nBitRels := 0, 0, 0, 0, 0
 	for i := 0; i < sig.NumRels(); i++ {
 		r := sig.Rel(i)
-		n := A.Rel(r.Name).Len()
+		n := len(A.Args(i)) / r.Arity
 		if n == 0 {
 			continue
 		}
+		if bs != nil {
+			brels[i] = bs.Rel(r.Name)
+		} else if j, ok := ba.Signature().Index(r.Name); ok {
+			brows[i] = ba.Args(j)
+		}
 		nCons += n
 		nSlots += n * r.Arity
-		nCols += r.Arity
+		if bs != nil {
+			nCols += r.Arity
+		}
 		if r.Arity > maxAr {
 			maxAr = r.Arity
 		}
-		if structure.BitRowsFit(r.Arity, s.nB, B.Rel(r.Name).Len()) {
+		if structure.BitRowsFit(r.Arity, s.nB, bLen(i)) {
 			nBitRels++
 		}
 	}
@@ -212,30 +260,32 @@ func (s *solver) init(A, B *structure.Structure, opts Options) *solver {
 	s.cons = reuse(&s.buf.cons, nCons)[:0]
 	for i := 0; i < sig.NumRels(); i++ {
 		r := sig.Rel(i)
-		arel, brel := A.Rel(r.Name), B.Rel(r.Name)
-		if arel.Len() == 0 {
+		args := A.Args(i)
+		if len(args) == 0 {
 			continue
 		}
-		c := constraint{brel: brel}
-		if brel != nil {
+		c := constraint{brel: brels[i], brows: brows[i]}
+		if c.brel != nil {
 			c.bcols, bcols = bcols[:r.Arity:r.Arity], bcols[r.Arity:]
 			for p := 0; p < r.Arity; p++ {
-				c.bcols[p] = brel.Col(p)
-			}
-			if structure.BitRowsFit(r.Arity, s.nB, brel.Len()) {
-				c.fwd, c.bwd = slab[:rowWords:rowWords], slab[rowWords:2*rowWords:2*rowWords]
-				slab = slab[2*rowWords:]
-				for row, a := range c.bcols[0] {
-					b := c.bcols[1][row]
-					bitset(c.fwd[int(a)*s.words:]).set(int(b))
-					bitset(c.bwd[int(b)*s.words:]).set(int(a))
-				}
+				c.bcols[p] = c.brel.Col(p)
 			}
 		}
-		for row, n := 0, arel.Len(); row < n; row++ {
+		if structure.BitRowsFit(r.Arity, s.nB, bLen(i)) {
+			c.fwd, c.bwd = slab[:rowWords:rowWords], slab[rowWords:2*rowWords:2*rowWords]
+			slab = slab[2*rowWords:]
+			c.forEachPair(func(a, b int32) {
+				bitset(c.fwd[int(a)*s.words:]).set(int(b))
+				bitset(c.bwd[int(b)*s.words:]).set(int(a))
+			})
+		}
+		for ; len(args) > 0; args = args[r.Arity:] {
 			ac := c
-			ac.vars = arel.Row(row, flat[:r.Arity:r.Arity])
+			ac.vars = flat[:r.Arity:r.Arity]
 			flat = flat[r.Arity:]
+			for p, v := range args[:r.Arity] {
+				ac.vars[p] = int(v)
+			}
 			if r.Arity == 2 && ac.vars[0] == ac.vars[1] {
 				// R(x,x) constrains one domain by the relation's
 				// diagonal: the row kernel's repeated-variable check.
@@ -287,6 +337,19 @@ func (s *solver) init(A, B *structure.Structure, opts Options) *solver {
 	}
 	s.initDom = dom
 	return s
+}
+
+// forEachPair calls fn on every tuple of a binary constraint's relation.
+func (c *constraint) forEachPair(fn func(a, b int32)) {
+	if c.brel != nil {
+		for row, a := range c.bcols[0] {
+			fn(a, c.bcols[1][row])
+		}
+		return
+	}
+	for t := c.brows; len(t) > 0; t = t[2:] {
+		fn(t[0], t[1])
+	}
 }
 
 // firstAt reports whether position p is the first occurrence of vars[p].
@@ -454,7 +517,8 @@ func reviseBits(c *constraint, dom, support []bitset) bool {
 // of each tuple consistent with every domain.  It returns false if a
 // domain or the relation is empty.
 func (s *solver) reviseRows(c *constraint, dom, support []bitset) bool {
-	// Candidate B-tuples come from the posting lists of the position
+	// A formula target's few atoms are scanned.  A data target's
+	// candidate B-tuples come from the posting lists of the position
 	// whose variable has the smallest domain: the union over that
 	// domain's values is disjoint (each row holds one value there)
 	// and visits only rows consistent with the tightest domain.
@@ -467,11 +531,17 @@ func (s *solver) reviseRows(c *constraint, dom, support []bitset) bool {
 			bestPos, bestCnt = p, cnt
 		}
 	}
-	if bestCnt == 0 || c.brel == nil || c.brel.Len() == 0 {
+	if bestCnt == 0 || len(c.brows) == 0 && c.brel.Len() == 0 {
 		return false
 	}
 	for _, b := range support {
 		b.zero()
+	}
+	if c.brel == nil {
+		for t := c.brows; len(t) > 0; t = t[len(c.vars):] {
+			addTupleSupport(c.vars, t[:len(c.vars)], dom, support)
+		}
+		return true
 	}
 	bcols := c.bcols
 	vars := c.vars
@@ -523,6 +593,25 @@ func addRowSupport(vars []int, bcols [][]int32, dom []bitset, support []bitset, 
 	}
 	for p := range vars {
 		support[p].set(int(bcols[p][row]))
+	}
+}
+
+// addTupleSupport is addRowSupport for one row-major tuple t of a
+// formula target.
+func addTupleSupport(vars []int, t []int32, dom []bitset, support []bitset) {
+	for p, v := range vars {
+		u := int(t[p])
+		if !dom[v].has(u) {
+			return
+		}
+		for q := p + 1; q < len(vars); q++ {
+			if vars[q] == v && t[q] != t[p] {
+				return
+			}
+		}
+	}
+	for p, u := range t {
+		support[p].set(int(u))
 	}
 }
 
@@ -587,7 +676,7 @@ func (s *solver) initialDomains() ([]bitset, bool) {
 
 // Find searches for a homomorphism from A to B subject to opts and returns
 // the full assignment (A-element index → B-element index) if one exists.
-func Find(A, B *structure.Structure, opts Options) ([]int, bool) {
+func Find[T Target](A *structure.Atoms, B T, opts Options) ([]int, bool) {
 	s := acquireSolver(A, B, opts)
 	defer s.release()
 	return s.find()
@@ -612,7 +701,7 @@ func (s *solver) find() ([]int, bool) {
 func firstSolution([]int) bool { return false }
 
 // Exists reports whether a homomorphism from A to B subject to opts exists.
-func Exists(A, B *structure.Structure, opts Options) bool {
+func Exists[T Target](A *structure.Atoms, B T, opts Options) bool {
 	s := acquireSolver(A, B, opts)
 	defer s.release()
 	return s.exists()
@@ -625,7 +714,7 @@ func (s *solver) exists() bool {
 
 // Count returns the number of homomorphisms from A to B subject to opts.
 // Enumeration-based: intended for small instances and tests.
-func Count(A, B *structure.Structure, opts Options) *big.Int {
+func Count[T Target](A *structure.Atoms, B T, opts Options) *big.Int {
 	s := acquireSolver(A, B, opts)
 	defer s.release()
 	return s.count()
@@ -651,7 +740,7 @@ func (s *solver) count() *big.Int {
 // aligned with proj; returning false stops the enumeration.  Each distinct
 // g is reported exactly once: this is exactly the answer-set semantics
 // φ(B) for the pp-formula (A, proj).
-func ForEachExtendable(A, B *structure.Structure, proj []int, opts Options, fn func(vals []int) bool) {
+func ForEachExtendable[T Target](A *structure.Atoms, B T, proj []int, opts Options, fn func(vals []int) bool) {
 	s := acquireSolver(A, B, opts)
 	defer s.release()
 	dom, ok := s.initialDomains()
@@ -701,7 +790,7 @@ func ForEachExtendable(A, B *structure.Structure, proj []int, opts Options, fn f
 // a witness h shrinks I to h(I).  A vertex that cannot be dropped from I
 // cannot be dropped from any subset of I either, so one pass over the
 // vertices reaches the core.
-func Retract(A *structure.Structure, fixed []int) []int {
+func Retract(A *structure.Atoms, fixed []int) []int {
 	s := acquireSolver(A, A, Options{})
 	defer s.release()
 	return s.retract(fixed)

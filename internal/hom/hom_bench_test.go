@@ -33,7 +33,7 @@ func BenchmarkHom_ExistsPath6_N1500(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !Exists(a, bs, Options{}) {
+		if !Exists(structure.AtomsOf(a), bs, Options{}) {
 			b.Fatal("expected a homomorphism")
 		}
 	}
@@ -45,7 +45,7 @@ func BenchmarkHom_CountPath4_N300(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if Count(a, bs, Options{}).Sign() == 0 {
+		if Count(structure.AtomsOf(a), bs, Options{}).Sign() == 0 {
 			b.Fatal("expected homomorphisms")
 		}
 	}
@@ -59,7 +59,7 @@ func BenchmarkHom_ForEachExtendablePath4_N800(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		total := 0
-		ForEachExtendable(a, bs, proj, Options{}, func([]int) bool {
+		ForEachExtendable(structure.AtomsOf(a), bs, proj, Options{}, func([]int) bool {
 			total++
 			return true
 		})
@@ -96,7 +96,7 @@ func cliquePattern(k int) (*structure.Structure, []int) {
 
 func benchSampler(b *testing.B, k, n int, p float64, seed int64) {
 	a, proj := cliquePattern(k)
-	sp := NewSampler(a, workload.GraphStructure(workload.ER(n, p, seed)), proj, Options{})
+	sp := NewSampler(structure.AtomsOf(a), workload.GraphStructure(workload.ER(n, p, seed)), proj, Options{})
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -45,31 +45,31 @@ func loopStruct() *structure.Structure {
 
 func TestExistsBasic(t *testing.T) {
 	p3 := pathStruct(3)
-	if !Exists(p3, p3, Options{}) {
+	if !Exists(structure.AtomsOf(p3), p3, Options{}) {
 		t.Fatal("identity homomorphism must exist")
 	}
 	// Path maps into a loop.
-	if !Exists(p3, loopStruct(), Options{}) {
+	if !Exists(structure.AtomsOf(p3), loopStruct(), Options{}) {
 		t.Fatal("path must map into loop")
 	}
 	// Loop does not map into a path.
-	if Exists(loopStruct(), p3, Options{}) {
+	if Exists(structure.AtomsOf(loopStruct()), p3, Options{}) {
 		t.Fatal("loop must not map into path")
 	}
 	// Path of length 2 maps into cycle of length 3.
-	if !Exists(p3, cycleStruct(3), Options{}) {
+	if !Exists(structure.AtomsOf(p3), cycleStruct(3), Options{}) {
 		t.Fatal("path must map into cycle")
 	}
 	// Directed 3-cycle does not map into directed 4-cycle.
-	if Exists(cycleStruct(3), cycleStruct(4), Options{}) {
+	if Exists(structure.AtomsOf(cycleStruct(3)), cycleStruct(4), Options{}) {
 		t.Fatal("C3 must not map into C4 (directed)")
 	}
 	// But C4 maps into... not into C3 either (directed cycles map iff
 	// length divisible).
-	if Exists(cycleStruct(4), cycleStruct(3), Options{}) {
+	if Exists(structure.AtomsOf(cycleStruct(4)), cycleStruct(3), Options{}) {
 		t.Fatal("C4 must not map into C3 (directed)")
 	}
-	if !Exists(cycleStruct(4), cycleStruct(2), Options{}) {
+	if !Exists(structure.AtomsOf(cycleStruct(4)), cycleStruct(2), Options{}) {
 		t.Fatal("C4 must map onto C2 (4 divisible by 2)")
 	}
 }
@@ -77,7 +77,7 @@ func TestExistsBasic(t *testing.T) {
 func TestFindReturnsValidHom(t *testing.T) {
 	a := pathStruct(4)
 	b := cycleStruct(2)
-	h, ok := Find(a, b, Options{})
+	h, ok := Find(structure.AtomsOf(a), b, Options{})
 	if !ok {
 		t.Fatal("path must map into C2")
 	}
@@ -99,7 +99,7 @@ func TestPins(t *testing.T) {
 	p3 := pathStruct(3) // a→b→c
 	c2 := cycleStruct(2)
 	// Pin a→a (index 0); forced b→b, c→a.
-	h, ok := Find(p3, c2, Options{Pin: map[int]int{0: 0}})
+	h, ok := Find(structure.AtomsOf(p3), c2, Options{Pin: map[int]int{0: 0}})
 	if !ok {
 		t.Fatal("pinned hom must exist")
 	}
@@ -108,11 +108,11 @@ func TestPins(t *testing.T) {
 	}
 	// Unsatisfiable pin: path endpoint into a vertex with no outgoing edge.
 	p2 := pathStruct(2)
-	if Exists(p2, p3, Options{Pin: map[int]int{0: 2}}) {
+	if Exists(structure.AtomsOf(p2), p3, Options{Pin: map[int]int{0: 2}}) {
 		t.Fatal("pinning source to sink must fail")
 	}
 	// Pin out of range.
-	if Exists(p2, p3, Options{Pin: map[int]int{0: 99}}) {
+	if Exists(structure.AtomsOf(p2), p3, Options{Pin: map[int]int{0: 99}}) {
 		t.Fatal("out-of-range pin must fail")
 	}
 }
@@ -121,11 +121,11 @@ func TestRestrict(t *testing.T) {
 	p2 := pathStruct(2)
 	p4 := pathStruct(4)
 	// First vertex restricted to {c (index 2)}: then the edge forces d.
-	h, ok := Find(p2, p4, Options{Restrict: map[int][]int{0: {2}}})
+	h, ok := Find(structure.AtomsOf(p2), p4, Options{Restrict: map[int][]int{0: {2}}})
 	if !ok || h[0] != 2 || h[1] != 3 {
 		t.Fatalf("restricted hom = %v ok=%v", h, ok)
 	}
-	if Exists(p2, p4, Options{Restrict: map[int][]int{0: {3}}}) {
+	if Exists(structure.AtomsOf(p2), p4, Options{Restrict: map[int][]int{0: {3}}}) {
 		t.Fatal("restricting to sink must fail")
 	}
 }
@@ -133,17 +133,17 @@ func TestRestrict(t *testing.T) {
 func TestCountHoms(t *testing.T) {
 	p2 := pathStruct(2) // one edge: homs = #edges of target
 	p5 := pathStruct(5)
-	if got := Count(p2, p5, Options{}); got.Cmp(big.NewInt(4)) != 0 {
+	if got := Count(structure.AtomsOf(p2), p5, Options{}); got.Cmp(big.NewInt(4)) != 0 {
 		t.Fatalf("edge homs into P5 = %v, want 4", got)
 	}
 	c4 := cycleStruct(4)
-	if got := Count(p2, c4, Options{}); got.Cmp(big.NewInt(4)) != 0 {
+	if got := Count(structure.AtomsOf(p2), c4, Options{}); got.Cmp(big.NewInt(4)) != 0 {
 		t.Fatalf("edge homs into C4 = %v, want 4", got)
 	}
 	// Single vertex no atoms → |B| homs.
 	v := structure.New(edgeSig())
 	v.EnsureElem("x")
-	if got := Count(v, p5, Options{}); got.Cmp(big.NewInt(5)) != 0 {
+	if got := Count(structure.AtomsOf(v), p5, Options{}); got.Cmp(big.NewInt(5)) != 0 {
 		t.Fatalf("vertex homs = %v, want 5", got)
 	}
 }
@@ -154,7 +154,7 @@ func TestForEachExtendable(t *testing.T) {
 	a := pathStruct(2) // x=0, u=1
 	b := pathStruct(4) // a→b→c→d: a,b,c have out-edges
 	var got []int
-	ForEachExtendable(a, b, []int{0}, Options{}, func(vals []int) bool {
+	ForEachExtendable(structure.AtomsOf(a), b, []int{0}, Options{}, func(vals []int) bool {
 		got = append(got, vals[0])
 		return true
 	})
@@ -163,7 +163,7 @@ func TestForEachExtendable(t *testing.T) {
 	}
 	// Early stop.
 	calls := 0
-	ForEachExtendable(a, b, []int{0}, Options{}, func([]int) bool {
+	ForEachExtendable(structure.AtomsOf(a), b, []int{0}, Options{}, func([]int) bool {
 		calls++
 		return false
 	})
@@ -183,7 +183,7 @@ func TestForEachExtendableDistinct(t *testing.T) {
 	_ = b.AddTuple("E", 0, 1)
 	_ = b.AddTuple("E", 0, 2)
 	seen := map[int]int{}
-	ForEachExtendable(a, b, []int{0}, Options{}, func(vals []int) bool {
+	ForEachExtendable(structure.AtomsOf(a), b, []int{0}, Options{}, func(vals []int) bool {
 		seen[vals[0]]++
 		return true
 	})
@@ -198,10 +198,10 @@ func TestRepeatedVariablesInTuple(t *testing.T) {
 	a.EnsureElem("x")
 	_ = a.AddTuple("E", 0, 0)
 	b := pathStruct(3)
-	if Exists(a, b, Options{}) {
+	if Exists(structure.AtomsOf(a), b, Options{}) {
 		t.Fatal("loop atom must not map into loop-free path")
 	}
-	if !Exists(a, loopStruct(), Options{}) {
+	if !Exists(structure.AtomsOf(a), loopStruct(), Options{}) {
 		t.Fatal("loop atom must map into loop")
 	}
 }
@@ -222,8 +222,8 @@ func TestExistsMatchesCountProperty(t *testing.T) {
 			_ = b.AddTuple("E", u, v)
 		}
 		a := pathStruct(3)
-		c := Count(a, b, Options{})
-		return Exists(a, b, Options{}) == (c.Sign() > 0)
+		c := Count(structure.AtomsOf(a), b, Options{})
+		return Exists(structure.AtomsOf(a), b, Options{}) == (c.Sign() > 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -237,26 +237,26 @@ func TestRetract(t *testing.T) {
 	a := pathStruct(3) // a→b→c
 	d := a.FreshElem("d")
 	_ = a.AddTuple("E", 0, d)
-	if got := Retract(a, nil); len(got) != 3 {
+	if got := Retract(structure.AtomsOf(a), nil); len(got) != 3 {
 		t.Fatalf("core of the forked path = %v, want 3 elements", got)
 	}
-	if got := Retract(a, []int{d}); len(got) != 4 {
+	if got := Retract(structure.AtomsOf(a), []int{d}); len(got) != 4 {
 		t.Fatalf("fixing the fork's tip must keep it: %v", got)
 	}
 	// The kept set must induce a substructure A maps into, fixing `fixed`.
-	keep := Retract(a, []int{0})
-	sub, old2new := a.Induced(keep)
-	if !Exists(a, sub, Options{Pin: map[int]int{0: old2new[0]}}) {
+	keep := Retract(structure.AtomsOf(a), []int{0})
+	sub, old2new := structure.AtomsOf(a).Induced(keep)
+	if !Exists(structure.AtomsOf(a), sub, Options{Pin: map[int]int{0: old2new[0]}}) {
 		t.Fatalf("A does not retract onto A[%v]", keep)
 	}
 	// A structure with a loop retracts onto the loop.
 	l := cycleStruct(3)
 	_ = l.AddTuple("E", 1, 1)
-	if got := Retract(l, nil); len(got) != 1 || got[0] != 1 {
+	if got := Retract(structure.AtomsOf(l), nil); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("core of a looped cycle = %v, want [1]", got)
 	}
 	// A directed cycle is a core.
-	if got := Retract(cycleStruct(4), nil); len(got) != 4 {
+	if got := Retract(structure.AtomsOf(cycleStruct(4)), nil); len(got) != 4 {
 		t.Fatalf("directed C4 is a core, got %v", got)
 	}
 }

@@ -48,7 +48,8 @@ var kernelSig = structure.MustSignature(
 var kernelUniverses = []int{1, 2, 63, 64, 65, 130}
 
 type kernelCase struct {
-	A, B *structure.Structure
+	A    *structure.Atoms
+	B    *structure.Structure
 	opts Options
 }
 
@@ -96,7 +97,7 @@ func randomKernelCase(rng *rand.Rand, nB int) kernelCase {
 			_ = b.AddTuple("T", rng.Intn(nB), rng.Intn(nB), rng.Intn(nB))
 		}
 	}
-	c := kernelCase{A: a, B: b}
+	c := kernelCase{A: structure.AtomsOf(a), B: b}
 	if rng.Intn(3) == 0 {
 		c.opts.Pin = map[int]int{rng.Intn(nA): rng.Intn(nB)}
 	}
@@ -272,6 +273,7 @@ func bruteAnswers(c kernelCase, proj []int) (int, [][]int) {
 		}
 		allowed[v][u] = ok
 	}
+	da := c.A.Database()
 	h := make([]int, nA)
 	total := 0
 	seen := map[string]bool{}
@@ -281,7 +283,7 @@ func bruteAnswers(c kernelCase, proj []int) (int, [][]int) {
 		if v == nA {
 			for _, r := range kernelSig.Rels() {
 				hom := true
-				c.A.ForEachTuple(r.Name, func(tup []int) bool {
+				da.ForEachTuple(r.Name, func(tup []int) bool {
 					img := make([]int, len(tup))
 					for i, x := range tup {
 						img[i] = h[x]
@@ -496,7 +498,7 @@ func TestSampleAllocatesNothing(t *testing.T) {
 			}
 		}
 	}
-	sp := NewSampler(a, b, proj, Options{})
+	sp := NewSampler(structure.AtomsOf(a), b, proj, Options{})
 	if sp.memo == nil {
 		t.Fatal("no first-fixing memo on the approx-hard inputs")
 	}
@@ -506,7 +508,7 @@ func TestSampleAllocatesNothing(t *testing.T) {
 	// A quantified variable brings in the completion search; it must not
 	// allocate either once its domain copies are pooled (AllocsPerRun's
 	// warm-up call pools them).
-	sp = NewSampler(a, b, proj[:3], Options{})
+	sp = NewSampler(structure.AtomsOf(a), b, proj[:3], Options{})
 	if allocs := testing.AllocsPerRun(1, draws(sp)); allocs != 0 {
 		t.Fatalf("200 draws with a quantified variable allocate %v times, want 0", allocs)
 	}
@@ -517,7 +519,7 @@ func TestSampleAllocatesNothing(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	if sp := NewSampler(path, erStructure(1500, 4.0, 7), all, Options{}); sp.ExactZero() || sp.memo != nil {
+	if sp := NewSampler(structure.AtomsOf(path), erStructure(1500, 4.0, 7), all, Options{}); sp.ExactZero() || sp.memo != nil {
 		t.Fatalf("row-kernel sampler: exact zero %v, memo kept %v; want a live sampler without a memo", sp.ExactZero(), sp.memo != nil)
 	}
 }

@@ -41,18 +41,18 @@ func smallSpace(c kernelCase) bool {
 
 // homResults renders Exists, Find, Count (on small spaces) and Retract of
 // A (fixing its first element when the case pins one) for one case.
-func homResults(c kernelCase, solve func(A, B *structure.Structure, opts Options) *solver) string {
+func homResults(c kernelCase, solve func(A *structure.Atoms, bs *structure.Structure, ba *structure.Atoms, opts Options) *solver) string {
 	var fixed []int
 	for v := range c.opts.Pin {
 		fixed = append(fixed, v)
 	}
-	ex := solve(c.A, c.B, c.opts).exists()
-	sol, found := solve(c.A, c.B, c.opts).find()
+	ex := solve(c.A, c.B, nil, c.opts).exists()
+	sol, found := solve(c.A, c.B, nil, c.opts).find()
 	cnt := "-"
 	if smallSpace(c) {
-		cnt = solve(c.A, c.B, c.opts).count().String()
+		cnt = solve(c.A, c.B, nil, c.opts).count().String()
 	}
-	core := solve(c.A, c.A, Options{}).retract(fixed)
+	core := solve(c.A, nil, c.A, Options{}).retract(fixed)
 	return fmt.Sprint(ex, sol, found, cnt, core)
 }
 
@@ -62,11 +62,13 @@ func homResults(c kernelCase, solve func(A, B *structure.Structure, opts Options
 // different sizes: a recycled solver must answer exactly what a fresh one
 // does.
 func TestPooledSolverMatchesFresh(t *testing.T) {
+	fresh := func(A *structure.Atoms, bs *structure.Structure, ba *structure.Atoms, opts Options) *solver {
+		return new(solver).init(A, bs, ba, opts)
+	}
 	reused := new(solver)
-	reinit := func(A, B *structure.Structure, opts Options) *solver { return reused.init(A, B, opts) }
 	for i, c := range poolCorpus(40, 5000) {
-		want := homResults(c, newSolver)
-		if got := homResults(c, reinit); got != want {
+		want := homResults(c, fresh)
+		if got := homResults(c, reused.init); got != want {
 			t.Fatalf("case %d (|A|=%d, |B|=%d): re-initialized solver gives %s, fresh %s", i, c.A.Size(), c.B.Size(), got, want)
 		}
 		var fixed []int
@@ -88,7 +90,7 @@ func TestPooledSolverMatchesFresh(t *testing.T) {
 // TestConcurrentExistsAndRetract shares structures between goroutines that
 // call Exists and Retract at once: each call takes a solver of its own
 // from the pool, and B's posting lists, built by the row kernel's first
-// read, are built once.  Run under -race.
+// read, are built once.  Retract takes B's body.  Run under -race.
 func TestConcurrentExistsAndRetract(t *testing.T) {
 	cases := poolCorpus(8, 6000)
 	type result struct {
@@ -97,10 +99,14 @@ func TestConcurrentExistsAndRetract(t *testing.T) {
 	}
 	want := make([]result, len(cases))
 	for i, c := range cases {
-		want[i] = result{newSolver(c.A, c.B, c.opts).exists(), fmt.Sprint(newSolver(c.B, c.B, Options{}).retract(nil))}
+		want[i] = result{newSolver(c.A, c.B, c.opts).exists(), fmt.Sprint(newSolver(structure.AtomsOf(c.B), c.B, Options{}).retract(nil))}
 	}
 	// The same corpus drawn again: its posting lists are not built yet.
 	cases = poolCorpus(8, 6000)
+	bodies := make([]*structure.Atoms, len(cases))
+	for i, c := range cases {
+		bodies[i] = structure.AtomsOf(c.B)
+	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for g := 0; g < 8; g++ {
@@ -110,7 +116,7 @@ func TestConcurrentExistsAndRetract(t *testing.T) {
 			for k := range cases {
 				i := (k + g*len(cases)/8) % len(cases)
 				c := cases[i]
-				got := result{Exists(c.A, c.B, c.opts), fmt.Sprint(Retract(c.B, nil))}
+				got := result{Exists(c.A, c.B, c.opts), fmt.Sprint(Retract(bodies[i], nil))}
 				if got != want[i] {
 					errs <- fmt.Sprintf("goroutine %d case %d: got %+v, want %+v", g, i, got, want[i])
 					return
@@ -132,7 +138,7 @@ func TestExistsAllocatesNothingWhenWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
-	a, b := pathStruct(4), cycleStruct(6)
+	a, b := structure.AtomsOf(pathStruct(4)), cycleStruct(6)
 	_ = b.AddTuple("E", 0, 3)
 	if !Exists(a, b, Options{}) {
 		t.Fatal("the path P4 maps into C6")

@@ -69,7 +69,7 @@ const (
 // the A-elements proj.  Construction runs the initial propagation once;
 // if it already wipes out a domain the count is exactly zero and
 // ExactZero reports true.
-func NewSampler(A, B *structure.Structure, proj []int, opts Options) *Sampler {
+func NewSampler(A *structure.Atoms, B *structure.Structure, proj []int, opts Options) *Sampler {
 	return newSampler(newSolver(A, B, opts), proj)
 }
 

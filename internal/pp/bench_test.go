@@ -79,7 +79,7 @@ func symmetricTerms(tb testing.TB) []PP {
 			}
 		}
 	}
-	bip, err := New(k66, lib)
+	bip, err := New(structure.AtomsOf(k66), lib)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -116,8 +116,8 @@ func (c *canonizer) load(p PP) {
 	c.maxAr = 1
 	for ri := 0; ri < nRels; ri++ {
 		r := sig.Rel(ri)
-		nTuples += p.A.Rel(r.Name).Len()
-		nArgs += p.A.Rel(r.Name).Len() * r.Arity
+		nTuples += len(p.A.Args(ri)) / r.Arity
+		nArgs += len(p.A.Args(ri))
 		c.maxAr = max(c.maxAr, int32(r.Arity))
 	}
 	need := (nRels + 1) + (nTuples + 1) + 5*nArgs + (n + 1) + 3*nTuples + 4*n
@@ -143,15 +143,13 @@ func (c *canonizer) load(p PP) {
 	t, a := int32(0), int32(0)
 	for ri := 0; ri < nRels; ri++ {
 		c.relStart[ri] = t
-		rel := p.A.Rel(sig.Rel(ri).Name)
-		for row, rows := 0, rel.Len(); row < rows; row++ {
+		args := p.A.Args(ri)
+		copy(c.args[a:], args)
+		for _, v := range args {
+			c.occOff[v+1]++
+		}
+		for end, ar := a+int32(len(args)), int32(sig.Rel(ri).Arity); a < end; a += ar {
 			c.relOf[t], c.argOff[t] = int32(ri), a
-			for pos := 0; pos < rel.Arity(); pos++ {
-				v := int32(rel.Value(row, pos))
-				c.args[a] = v
-				c.occOff[v+1]++
-				a++
-			}
 			t++
 		}
 	}

@@ -35,7 +35,7 @@ func shuffledCopy(t *testing.T, p PP, seed int64) PP {
 		}
 	}
 	for _, r := range p.A.Signature().Rels() {
-		p.A.ForEachTuple(r.Name, func(tp []int) bool {
+		p.A.Database().ForEachTuple(r.Name, func(tp []int) bool {
 			nt := make([]int, len(tp))
 			for j, v := range tp {
 				nt[j] = old2new[v]
@@ -50,7 +50,7 @@ func shuffledCopy(t *testing.T, p PP, seed int64) PP {
 	for _, v := range p.S {
 		s = append(s, old2new[v])
 	}
-	q, err := New(out, s)
+	q, err := New(structure.AtomsOf(out), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestCanonicalAgreesWithRenamingEquivalence(t *testing.T) {
 // formulas are counting equivalent, and neither is equivalent to a
 // formula with elements.
 func TestCanonicalKeyEmptyUniverse(t *testing.T) {
-	empty := PP{A: structure.New(edgeSig())}
+	empty := PP{A: structure.AtomsOf(structure.New(edgeSig()))}
 	if _, err := empty.CanonicalKey(); err == nil {
 		t.Fatal("empty universe should error")
 	}
-	if eq, err := CountingEquivalent(empty, PP{A: structure.New(edgeSig())}); err != nil || !eq {
+	if eq, err := CountingEquivalent(empty, PP{A: structure.AtomsOf(structure.New(edgeSig()))}); err != nil || !eq {
 		t.Fatalf("two empty universes: equivalent %v, err %v", eq, err)
 	}
 	loop := mustPP(t, edgeSig(), nil, logic.Disjunct{Exist: []logic.Var{"u"}, Atoms: []logic.Atom{atom("E", "u", "u")}})
@@ -256,7 +256,7 @@ func TestFingerprintIffCountingEquivalent(t *testing.T) {
 				s = append(s, v)
 			}
 		}
-		p, err := New(a, s)
+		p, err := New(structure.AtomsOf(a), s)
 		if err != nil {
 			t.Fatal(err)
 		}

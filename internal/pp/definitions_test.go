@@ -13,13 +13,17 @@ import (
 // are A's elements, edges join elements co-occurring in a tuple.
 func GaifmanGraph(p PP) *graph.Graph {
 	g := graph.New(p.A.Size())
-	p.forEachAtom(func(t []int) {
-		for i := range t {
-			for j := i + 1; j < len(t); j++ {
-				g.AddEdge(t[i], t[j])
+	sig := p.A.Signature()
+	for ri := 0; ri < sig.NumRels(); ri++ {
+		ar := sig.Rel(ri).Arity
+		for t := p.A.Args(ri); len(t) > 0; t = t[ar:] {
+			for i := 0; i < ar; i++ {
+				for j := i + 1; j < ar; j++ {
+					g.AddEdge(int(t[i]), int(t[j]))
+				}
 			}
 		}
-	})
+	}
 	return g
 }
 

@@ -19,7 +19,7 @@ func bruteSurjects(p, q PP) bool {
 	lib := p.sSet()
 	var last [][][]int // the E-tuples whose largest element is v
 	last = make([][][]int, nA)
-	p.A.ForEachTuple("E", func(t []int) bool {
+	p.A.Database().ForEachTuple("E", func(t []int) bool {
 		m := max(t[0], t[1])
 		last[m] = append(last[m], append([]int(nil), t...))
 		return true
@@ -33,7 +33,7 @@ func bruteSurjects(p, q PP) bool {
 		try := func(b int) bool {
 			h[v] = b
 			for _, t := range last[v] {
-				if !q.A.HasTuple("E", []int{h[t[0]], h[t[1]]}) {
+				if !q.A.Database().HasTuple("E", []int{h[t[0]], h[t[1]]}) {
 					return false
 				}
 			}
@@ -73,7 +73,7 @@ func randomEquivPair(t *testing.T, seed int64) (PP, PP) {
 	k := 1 + rng.Intn(3)
 	a := workload.RandomStructure(workload.EdgeSig(), n, 0.15+0.4*rng.Float64(), rng.Int63())
 	mk := func(a *structure.Structure, s []int) PP {
-		p, err := New(a, s)
+		p, err := New(structure.AtomsOf(a), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func symmetricFamilies(t *testing.T) []symmetricFamily {
 				}
 			}
 		}
-		p, err := New(a, lib)
+		p, err := New(structure.AtomsOf(a), lib)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func symmetricFamilies(t *testing.T) []symmetricFamily {
 				t.Fatal(err)
 			}
 		}
-		p, err := New(a, lib)
+		p, err := New(structure.AtomsOf(a), lib)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func symmetricFamilies(t *testing.T) []symmetricFamily {
 			}
 		}
 	}
-	p, err := New(a, lib)
+	p, err := New(structure.AtomsOf(a), lib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,9 +257,9 @@ func dropTuple(t *testing.T, p PP, i int) PP {
 	for v := 0; v < p.A.Size(); v++ {
 		a.FreshElem("v")
 	}
-	drop, j := i%max(1, p.A.NumTuples()), 0
+	drop, j := i%max(1, p.A.NumAtoms()), 0
 	var err error
-	p.A.ForEachTuple("E", func(tp []int) bool {
+	p.A.Database().ForEachTuple("E", func(tp []int) bool {
 		if j != drop {
 			err = a.AddTuple("E", tp...)
 		}
@@ -269,7 +269,7 @@ func dropTuple(t *testing.T, p PP, i int) PP {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := New(a, p.S)
+	q, err := New(structure.AtomsOf(a), p.S)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,74 +15,97 @@ import (
 
 // PP is a prenex pp-formula (A, S): A's elements are variables, S ⊆ A is
 // the set of liberal variables (stored as sorted element indices).
-// Elements of A ∖ S are existentially quantified.
+// Elements of A ∖ S are existentially quantified.  A is the formula's
+// body in flat, immutable form; a formula without variables (the empty
+// conjunction) has an empty one.
 type PP struct {
-	A *structure.Structure
+	A *structure.Atoms
 	S []int
 
-	// coredAt is A.Version()+1 as of the moment the formula was found to
-	// be its own core (0: not known), so the mark lapses if A is mutated.
-	coredAt uint64
+	// cored records that the formula was found to be its own core.
+	cored bool
 }
 
-// New validates and returns a PP over the given structure and liberal set.
-func New(a *structure.Structure, s []int) (PP, error) {
-	if err := a.Validate(); err != nil {
-		return PP{}, err
-	}
-	seen := make(map[int]bool, len(s))
-	for _, v := range s {
+// New validates and returns a PP over the given body and liberal set.
+func New(a *structure.Atoms, s []int) (PP, error) {
+	sorted := hom.SortElems(s)
+	for i, v := range sorted {
 		if v < 0 || v >= a.Size() {
 			return PP{}, fmt.Errorf("pp: liberal index %d out of range", v)
 		}
-		if seen[v] {
+		if i > 0 && sorted[i-1] == v {
 			return PP{}, fmt.Errorf("pp: duplicate liberal index %d", v)
 		}
-		seen[v] = true
 	}
-	return PP{A: a, S: hom.SortElems(s)}, nil
+	return PP{A: a, S: sorted}, nil
 }
 
 // FromDisjunct builds the pair view of a prenex pp disjunct over the given
 // liberal variables.  The universe is lib ∪ (variables of the disjunct);
 // liberal variables missing from every atom become isolated elements, as
-// in Example 2.2 (the variable z there).
+// in Example 2.2 (the variable z there).  The atoms keep their order
+// within each relation; a repeated atom keeps its first place.
 func FromDisjunct(sig *structure.Signature, lib []logic.Var, d logic.Disjunct) (PP, error) {
-	a := structure.New(sig)
-	s := make([]int, 0, len(lib))
+	names := make([]string, 0, len(lib)+len(d.Exist))
 	for _, v := range lib {
-		i, err := a.AddElem(string(v))
-		if err != nil {
+		if err := checkName(names, string(v)); err != nil {
 			return PP{}, err
 		}
-		s = append(s, i)
+		names = append(names, string(v))
 	}
 	for _, v := range d.Exist {
-		if _, err := a.AddElem(string(v)); err != nil {
+		if err := checkName(names, string(v)); err != nil {
 			return PP{}, fmt.Errorf("pp: quantified variable %s collides: %v", v, err)
 		}
+		names = append(names, string(v))
 	}
-	for _, at := range d.Atoms {
-		ar, ok := sig.Arity(at.Rel)
+	// Resolve every atom in text order, then lay them out relation by
+	// relation.
+	rel := make([]int, len(d.Atoms))
+	var args []int32
+	for i, at := range d.Atoms {
+		ri, ok := sig.Index(at.Rel)
 		if !ok {
 			return PP{}, fmt.Errorf("pp: atom uses unknown relation %s", at.Rel)
 		}
-		if ar != len(at.Args) {
+		if ar := sig.Rel(ri).Arity; ar != len(at.Args) {
 			return PP{}, fmt.Errorf("pp: atom %s has %d args, arity is %d", at.Rel, len(at.Args), ar)
 		}
-		t := make([]int, len(at.Args))
-		for j, v := range at.Args {
-			idx := a.ElemIndex(string(v))
+		rel[i] = ri
+		for _, v := range at.Args {
+			idx := slices.Index(names, string(v))
 			if idx < 0 {
 				return PP{}, fmt.Errorf("pp: atom variable %s neither liberal nor quantified", v)
 			}
-			t[j] = idx
-		}
-		if err := a.AddTuple(at.Rel, t...); err != nil {
-			return PP{}, err
+			args = append(args, int32(idx))
 		}
 	}
-	return New(a, s)
+	b := structure.NewAtomsBuilder(sig, names, len(args))
+	for ri := 0; ri < sig.NumRels(); ri++ {
+		t := args
+		for i, at := range d.Atoms {
+			if rel[i] == ri {
+				b.Add(ri, t[:len(at.Args)])
+			}
+			t = t[len(at.Args):]
+		}
+	}
+	s := make([]int, len(lib))
+	for i := range s {
+		s[i] = i
+	}
+	return PP{A: b.Atoms(), S: s}, nil
+}
+
+// checkName reports an empty name or one already in names.
+func checkName(names []string, name string) error {
+	if name == "" {
+		return fmt.Errorf("structure: empty element name")
+	}
+	if slices.Contains(names, name) {
+		return fmt.Errorf("structure: duplicate element %q", name)
+	}
+	return nil
 }
 
 // ToDisjunct converts back to the logic view (existential variables are
@@ -95,15 +118,16 @@ func (p PP) ToDisjunct() logic.Disjunct {
 			d.Exist = append(d.Exist, logic.Var(p.A.ElemName(i)))
 		}
 	}
-	for _, r := range p.A.Signature().Rels() {
-		p.A.ForEachTuple(r.Name, func(t []int) bool {
-			args := make([]logic.Var, len(t))
-			for j, v := range t {
-				args[j] = logic.Var(p.A.ElemName(v))
+	sig := p.A.Signature()
+	for ri := 0; ri < sig.NumRels(); ri++ {
+		r := sig.Rel(ri)
+		for t := p.A.Args(ri); len(t) > 0; t = t[r.Arity:] {
+			args := make([]logic.Var, r.Arity)
+			for j, v := range t[:r.Arity] {
+				args[j] = logic.Var(p.A.ElemName(int(v)))
 			}
 			d.Atoms = append(d.Atoms, logic.Atom{Rel: r.Name, Args: args})
-			return true
-		})
+		}
 	}
 	return d
 }
@@ -125,18 +149,6 @@ func (p PP) sSet() []bool {
 	return in
 }
 
-// forEachAtom visits every tuple of every relation of A through a reused
-// buffer.
-func (p PP) forEachAtom(fn func(t []int)) {
-	sig := p.A.Signature()
-	for i := 0; i < sig.NumRels(); i++ {
-		p.A.ForEachTuple(sig.Rel(i).Name, func(t []int) bool {
-			fn(t)
-			return true
-		})
-	}
-}
-
 // String renders the formula as "(x,y) | exists u. E(x,u) & E(u,y)".
 func (p PP) String() string {
 	d := p.ToDisjunct()
@@ -147,11 +159,12 @@ func (p PP) String() string {
 // these are exactly free(φ).
 func (p PP) FreeElems() []int {
 	occurs := make([]bool, p.A.Size())
-	p.forEachAtom(func(t []int) {
-		for _, v := range t {
+	sig := p.A.Signature()
+	for ri := 0; ri < sig.NumRels(); ri++ {
+		for _, v := range p.A.Args(ri) {
 			occurs[v] = true
 		}
-	})
+	}
 	var out []int
 	for _, v := range p.S {
 		if occurs[v] {
@@ -163,7 +176,17 @@ func (p PP) FreeElems() []int {
 
 // IsSentence reports free(φ) = ∅: no liberal variable occurs in an atom.
 // (Liberal variables may still exist; they are isolated.)
-func (p PP) IsSentence() bool { return len(p.FreeElems()) == 0 }
+func (p PP) IsSentence() bool {
+	sig := p.A.Signature()
+	for ri := 0; ri < sig.NumRels(); ri++ {
+		for _, v := range p.A.Args(ri) {
+			if _, found := slices.BinarySearch(p.S, int(v)); found {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // IsFree reports free(φ) ≠ ∅.
 func (p PP) IsFree() bool { return !p.IsSentence() }
@@ -173,7 +196,22 @@ func (p PP) IsFree() bool { return !p.IsSentence() }
 // "Graphs").
 func (p PP) Graph() *graph.Graph {
 	g := graph.New(p.A.Size())
-	p.forEachAtom(g.AddClique)
+	sig := p.A.Signature()
+	var buf [8]int
+	for ri := 0; ri < sig.NumRels(); ri++ {
+		ar := sig.Rel(ri).Arity
+		t := buf[:0]
+		if ar > len(buf) {
+			t = make([]int, 0, ar)
+		}
+		for args := p.A.Args(ri); len(args) > 0; args = args[ar:] {
+			t = t[:0]
+			for _, v := range args[:ar] {
+				t = append(t, int(v))
+			}
+			g.AddClique(t)
+		}
+	}
 	return g
 }
 
@@ -261,16 +299,16 @@ func LogicallyEquivalent(p, q PP) (bool, error) {
 
 // IsCored reports whether the formula is known to be its own core, which
 // makes Core free.
-func (p PP) IsCored() bool { return p.coredAt == p.A.Version()+1 }
+func (p PP) IsCored() bool { return p.cored }
 
 // Core returns the core of the pp-formula (Section 2.1): a smallest
 // induced subformula that p retracts onto by an endomorphism fixing the
 // liberal variables.  It has the same liberal variables and is logically
 // equivalent to p.  The result is marked cored; a formula that already is
-// its own core is returned as is (same structure), so coring twice costs
+// its own core is returned as is (same body), so coring twice costs
 // nothing.
 func (p PP) Core() PP {
-	if p.IsCored() {
+	if p.cored {
 		return p
 	}
 	keep := hom.Retract(p.A, p.S)
@@ -282,89 +320,119 @@ func (p PP) Core() PP {
 		}
 		p = PP{A: sub, S: s}
 	}
-	p.coredAt = p.A.Version() + 1
+	p.cored = true
 	return p
 }
 
 // Conjoin returns the conjunction of the given pp-formulas, which must all
 // share the same liberal variable names and signature: liberal variables
-// are identified by name, quantified variables are renamed apart.  This is
+// are identified by name, quantified variables are renamed apart (the
+// k-th formula's u becomes u~k, or u~k#n if that name is taken).  This is
 // the φ_J = ⋀_{j∈J} φ_j construction of the inclusion–exclusion argument
-// (Section 5.3).
+// (Section 5.3).  The variables are the liberal ones, then each formula's
+// quantified ones in turn; each relation's atoms are the formulas' in
+// turn, a repeated atom keeping its first place.
 func Conjoin(ps ...PP) (PP, error) {
 	if len(ps) == 0 {
 		return PP{}, fmt.Errorf("pp: empty conjunction")
 	}
 	sig := ps[0].A.Signature()
-	out := structure.New(sig)
-	var s []int
-	libIdx := make(map[string]int)
-	for _, v := range ps[0].S {
-		name := ps[0].A.ElemName(v)
-		i, err := out.AddElem(name)
-		if err != nil {
-			return PP{}, err
-		}
-		libIdx[name] = i
-		s = append(s, i)
-	}
-	for k, p := range ps {
+	n, nArgs, nMap := len(ps[0].S), 0, 0
+	for _, p := range ps {
 		if !p.A.Signature().Equal(sig) {
 			return PP{}, fmt.Errorf("pp: conjunction across different signatures")
 		}
-		if len(p.S) != len(s) {
+		if len(p.S) != len(ps[0].S) {
 			return PP{}, fmt.Errorf("pp: conjunction requires identical liberal variables")
 		}
-		// Map each element of p into out.
-		m := make([]int, p.A.Size())
-		inS := p.sSet()
-		for v := 0; v < p.A.Size(); v++ {
-			if !inS[v] {
-				m[v] = out.FreshElem(p.A.ElemName(v) + "~" + strconv.Itoa(k))
-			} else if i, ok := libIdx[p.A.ElemName(v)]; ok {
-				m[v] = i
+		n += p.A.Size() - len(p.S)
+		nMap += p.A.Size()
+		for ri := 0; ri < sig.NumRels(); ri++ {
+			nArgs += len(p.A.Args(ri))
+		}
+	}
+	names := make([]string, len(ps[0].S), n)
+	s := make([]int, len(ps[0].S))
+	for i, v := range ps[0].S {
+		names[i], s[i] = ps[0].A.ElemName(v), i
+	}
+	lib := names[:len(s)]
+	// maps[k] carries ps[k]'s variables to the conjunction's.
+	maps, flat := make([][]int32, len(ps)), make([]int32, nMap)
+	for k, p := range ps {
+		m := flat[:p.A.Size()]
+		flat = flat[p.A.Size():]
+		for v := range m {
+			name := p.A.ElemName(v)
+			if i := sort.SearchInts(p.S, v); i == len(p.S) || p.S[i] != v {
+				prefix := name + "~" + strconv.Itoa(k)
+				name = prefix
+				for c := 0; slices.Contains(names, name); c++ {
+					name = prefix + "#" + strconv.Itoa(c)
+				}
+				m[v] = int32(len(names))
+				names = append(names, name)
+			} else if i := slices.Index(lib, name); i >= 0 {
+				m[v] = int32(i)
 			} else {
 				return PP{}, fmt.Errorf("pp: conjunction requires identical liberal variables")
 			}
 		}
-		for ri := 0; ri < sig.NumRels(); ri++ {
-			r := sig.Rel(ri)
-			var addErr error
-			nt := make([]int, r.Arity)
-			p.A.ForEachTuple(r.Name, func(t []int) bool {
-				for j, v := range t {
-					nt[j] = m[v]
+		maps[k] = m
+	}
+	b := structure.NewAtomsBuilder(sig, names, nArgs)
+	var t []int32
+	for ri := 0; ri < sig.NumRels(); ri++ {
+		ar := sig.Rel(ri).Arity
+		for k, p := range ps {
+			for args := p.A.Args(ri); len(args) > 0; args = args[ar:] {
+				t = t[:0]
+				for _, v := range args[:ar] {
+					t = append(t, maps[k][v])
 				}
-				addErr = out.AddTuple(r.Name, nt...)
-				return addErr == nil
-			})
-			if addErr != nil {
-				return PP{}, addErr
+				b.Add(ri, t)
 			}
 		}
 	}
-	return New(out, s)
+	return PP{A: b.Atoms(), S: s}, nil
 }
 
 // InvariantKey is a cheap renaming-invariant bucket key used to prefilter
-// counting-equivalence tests.
+// counting-equivalence tests: the number of variables, the number of
+// atoms of each relation, and the sorted occurrence counts of the
+// liberal and of the quantified variables.
 func (p PP) InvariantKey() string {
-	inS := p.sSet()
+	sig := p.A.Signature()
 	deg := make([]int, p.A.Size())
-	p.forEachAtom(func(t []int) {
-		for _, v := range t {
+	buf := strconv.AppendInt(append(make([]byte, 0, 64), "n="...), int64(p.A.Size()), 10)
+	for ri := 0; ri < sig.NumRels(); ri++ {
+		r := sig.Rel(ri)
+		args := p.A.Args(ri)
+		for _, v := range args {
 			deg[v]++
 		}
-	})
+		buf = append(append(append(buf, ';'), r.Name...), '=')
+		buf = strconv.AppendInt(buf, int64(len(args)/r.Arity), 10)
+	}
+	inS := p.sSet()
 	var sDeg, qDeg []int
-	for v := 0; v < p.A.Size(); v++ {
+	for v, d := range deg {
 		if inS[v] {
-			sDeg = append(sDeg, deg[v])
+			sDeg = append(sDeg, d)
 		} else {
-			qDeg = append(qDeg, deg[v])
+			qDeg = append(qDeg, d)
 		}
 	}
 	sort.Ints(sDeg)
 	sort.Ints(qDeg)
-	return fmt.Sprintf("%s|s=%v|q=%v", p.A.Fingerprint(), sDeg, qDeg)
+	for i, ds := range [2][]int{sDeg, qDeg} {
+		buf = append(buf, [2]string{"|s=", "|q="}[i]...)
+		for j, d := range ds {
+			if j > 0 {
+				buf = append(buf, ',')
+			}
+			buf = strconv.AppendInt(buf, int64(d), 10)
+		}
+	}
+	return string(buf)
 }

@@ -56,7 +56,7 @@ func TestExample22PairView(t *testing.T) {
 	if len(p.S) != 4 {
 		t.Fatalf("|S| = %d, want 4", len(p.S))
 	}
-	if p.A.Rel("E").Len() != 2 || p.A.Rel("F").Len() != 1 || p.A.Rel("G").Len() != 1 {
+	if p.A.Database().Rel("E").Len() != 2 || p.A.Database().Rel("F").Len() != 1 || p.A.Database().Rel("G").Len() != 1 {
 		t.Fatal("relation contents wrong")
 	}
 	// z is isolated but in the universe.
@@ -91,7 +91,7 @@ func TestExample24Components(t *testing.T) {
 		case len(names) == 1 && names[0] == "z":
 			sawZ = true
 			// ψ3(z) = ⊤: no atoms.
-			if c.A.NumTuples() != 0 {
+			if c.A.NumAtoms() != 0 {
 				t.Fatal("ψ3(z) should have no atoms")
 			}
 			if !c.IsSentence() {
@@ -129,7 +129,7 @@ func TestExample58Hat(t *testing.T) {
 	if len(h.S) != 4 {
 		t.Fatalf("φ̂ |S| = %d, want 4", len(h.S))
 	}
-	if h.A.Rel("E").Len() != 2 || h.A.Rel("F").Len() != 0 {
+	if h.A.Database().Rel("E").Len() != 2 || h.A.Database().Rel("F").Len() != 0 {
 		t.Fatal("φ̂ atoms wrong")
 	}
 }
@@ -384,8 +384,8 @@ func TestConjoin(t *testing.T) {
 	if c.A.Size() != 4 {
 		t.Fatalf("conjunction size = %d, want 4 (x,y,u~0,u~1)", c.A.Size())
 	}
-	if c.A.Rel("E").Len() != 2 {
-		t.Fatalf("conjunction tuples = %d", c.A.Rel("E").Len())
+	if c.A.Database().Rel("E").Len() != 2 {
+		t.Fatalf("conjunction tuples = %d", c.A.Database().Rel("E").Len())
 	}
 }
 
@@ -399,8 +399,8 @@ func TestConjoinIdempotentShape(t *testing.T) {
 	}
 	// Atoms coincide (quantifier-free), so the conjunction is the formula
 	// itself (the duplicate tuple is deduplicated).
-	if c.A.Size() != 2 || c.A.Rel("E").Len() != 1 {
-		t.Fatalf("self-conjunction should collapse: size=%d tuples=%d", c.A.Size(), c.A.Rel("E").Len())
+	if c.A.Size() != 2 || c.A.Database().Rel("E").Len() != 1 {
+		t.Fatalf("self-conjunction should collapse: size=%d tuples=%d", c.A.Size(), c.A.Database().Rel("E").Len())
 	}
 	eq, err := CountingEquivalent(c, p)
 	if err != nil {

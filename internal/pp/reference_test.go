@@ -44,7 +44,7 @@ func refAug(p pp.PP) *structure.Structure {
 	for _, v := range p.S {
 		rels = append(rels, structure.RelSym{Name: refLibRelPrefix + p.A.ElemName(v), Arity: 1})
 	}
-	out := refOver(p.A, structure.MustSignature(rels...))
+	out := refOver(p.A.Database(), structure.MustSignature(rels...))
 	for _, v := range p.S {
 		_ = out.AddTuple(refLibRelPrefix+p.A.ElemName(v), v)
 	}
@@ -64,7 +64,7 @@ func refEntails(p, q pp.PP) (bool, error) {
 		return false, fmt.Errorf("reference: incomparable formulas")
 	}
 	ap := refAug(p)
-	return hom.Exists(refOver(refAug(q), ap.Signature()), ap, hom.Options{}), nil
+	return hom.Exists(structure.AtomsOf(refOver(refAug(q), ap.Signature())), ap, hom.Options{}), nil
 }
 
 // refCoreOf computes the core of a structure by iterated proper
@@ -80,8 +80,8 @@ func refCoreOf(x *structure.Structure) *structure.Structure {
 					keep = append(keep, u)
 				}
 			}
-			sub, _ := x.Induced(keep)
-			h, ok := hom.Find(x, sub, hom.Options{})
+			sub := refInduced(x, keep)
+			h, ok := hom.Find(structure.AtomsOf(x), sub, hom.Options{})
 			if !ok {
 				continue
 			}
@@ -93,13 +93,38 @@ func refCoreOf(x *structure.Structure) *structure.Structure {
 			for b := range imgSet {
 				img = append(img, b)
 			}
-			x, _ = sub.Induced(hom.SortElems(img))
+			x = refInduced(sub, hom.SortElems(img))
 			improved = true
 		}
 		if !improved {
 			return x
 		}
 	}
+}
+
+// refInduced is the substructure of x induced on the ascending elements
+// keep.
+func refInduced(x *structure.Structure, keep []int) *structure.Structure {
+	out := structure.New(x.Signature())
+	old2new := make(map[int]int, len(keep))
+	for _, v := range keep {
+		old2new[v], _ = out.AddElem(x.ElemName(v))
+	}
+	for _, r := range x.Signature().Rels() {
+		x.ForEachTuple(r.Name, func(t []int) bool {
+			nt := make([]int, len(t))
+			for i, v := range t {
+				w, ok := old2new[v]
+				if !ok {
+					return true
+				}
+				nt[i] = w
+			}
+			_ = out.AddTuple(r.Name, nt...)
+			return true
+		})
+	}
+	return out
 }
 
 // refCore is the core of the augmented structure, re-expressed over the
@@ -114,7 +139,7 @@ func refCore(p pp.PP) (pp.PP, error) {
 		}
 		s = append(s, idx)
 	}
-	return pp.New(plain, s)
+	return pp.New(structure.AtomsOf(plain), s)
 }
 
 // refMinimize is eptrans.Minimize over refEntails; it returns the indices
@@ -164,8 +189,9 @@ func refCanonicalKey(p pp.PP) (string, error) {
 	rels := p.A.Signature().Rels()
 	tuples := make([][][]int, len(rels))
 	occ := make([][]occurrence, n)
+	db := p.A.Database()
 	for ri, r := range rels {
-		p.A.ForEachTuple(r.Name, func(t []int) bool {
+		db.ForEachTuple(r.Name, func(t []int) bool {
 			tuples[ri] = append(tuples[ri], append([]int(nil), t...))
 			return true
 		})

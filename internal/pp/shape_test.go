@@ -36,7 +36,7 @@ func checkShape(t *testing.T, d pp.PP) {
 	}
 	occurs := make([]bool, d.A.Size())
 	for _, r := range d.A.Signature().Rels() {
-		d.A.ForEachTuple(r.Name, func(tu []int) bool {
+		d.A.Database().ForEachTuple(r.Name, func(tu []int) bool {
 			for _, v := range tu {
 				occurs[v] = true
 			}
@@ -168,7 +168,7 @@ func TestShapeContractCorner(t *testing.T) {
 		_ = a.AddTuple("E", x, y)
 		s = append(s, x, y)
 	}
-	d, err := pp.New(a, s)
+	d, err := pp.New(structure.AtomsOf(a), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestShapeConventions(t *testing.T) {
 	u, _ := a.AddElem("u")
 	v, _ := a.AddElem("v")
 	_ = a.AddTuple("E", u, v)
-	sentence, err := pp.New(a, nil)
+	sentence, err := pp.New(structure.AtomsOf(a), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestShapeConventions(t *testing.T) {
 	}
 	b := structure.New(workload.EdgeSig())
 	x, _ := b.AddElem("x")
-	isolated, err := pp.New(b, []int{x})
+	isolated, err := pp.New(structure.AtomsOf(b), []int{x})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,11 +14,7 @@ import (
 // SentenceHolds reports whether the given sentence disjunct is true on b
 // (equivalently, whether its structure maps homomorphically into b).
 func SentenceHolds(theta pp.PP, b *structure.Structure) bool {
-	return homExists(theta.A, b)
-}
-
-func homExists(a, b *structure.Structure) bool {
-	return hom.Exists(a, b, hom.Options{})
+	return hom.Exists(theta.A, b, hom.Options{})
 }
 
 // exactCounters compiles each formula once and returns, per formula, a
@@ -65,12 +61,13 @@ func DistinguishPair(p, q pp.PP) (*structure.Structure, error) {
 	// k ≤ deg+1 among k = 1..deg+2.
 	degBound := len(p.Components()) + len(q.Components()) + 2
 
+	pa, qa := p.A.Database(), q.A.Database()
 	bases := []*structure.Structure{}
-	if u, err := structure.DisjointUnion(p.A, q.A); err == nil {
+	if u, err := structure.DisjointUnion(pa, qa); err == nil {
 		bases = append(bases, u)
 	}
-	bases = append(bases, p.A, q.A)
-	if prod, err := structure.Product(p.A, q.A); err == nil && prod.Size() <= maxMaterializedSize {
+	bases = append(bases, pa, qa)
+	if prod, err := structure.Product(pa, qa); err == nil && prod.Size() <= maxMaterializedSize {
 		bases = append(bases, prod)
 	}
 
@@ -197,7 +194,7 @@ func DistinguishSet(reps []pp.PP) (*structure.Structure, error) {
 	if len(reps) == 0 {
 		return nil, fmt.Errorf("reduce: no formulas to distinguish")
 	}
-	c := structure.PadLoops(reps[0].A, 1)
+	c := structure.PadLoops(reps[0].A.Database(), 1)
 
 	counts, err := exactCounters(reps...)
 	if err != nil {

@@ -47,7 +47,7 @@ func plusIndex(c *eptrans.Compiled, psi pp.PP) int {
 		}
 	}
 	for i, p := range c.Plus {
-		if structure.Equal(p.A, psi.A) && len(p.S) == len(psi.S) {
+		if structure.Equal(p.A.Database(), psi.A.Database()) && len(p.S) == len(psi.S) {
 			same := true
 			for j := range p.S {
 				if p.S[j] != psi.S[j] {
@@ -92,7 +92,7 @@ func CountPPViaEP(c *eptrans.Compiled, psi pp.PP, b *structure.Structure, oracle
 		return countSentenceViaEP(c, psi, b, oracle)
 	}
 	// ψ ∈ φ⁻af.
-	cPsi := psi.A
+	cPsi := psi.A.Database()
 	bc, err := structure.Product(b, cPsi)
 	if err != nil {
 		return nil, err
@@ -116,7 +116,7 @@ func CountPPViaEP(c *eptrans.Compiled, psi pp.PP, b *structure.Structure, oracle
 }
 
 func countSentenceViaEP(c *eptrans.Compiled, theta pp.PP, b *structure.Structure, oracle EPOracle) (*big.Int, error) {
-	prod, err := structure.Product(theta.A, b)
+	prod, err := structure.Product(theta.A.Database(), b)
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +286,7 @@ func PeelClass(formulas []pp.PP, coeffs []*big.Int, target int, b *structure.Str
 	if err != nil {
 		return nil, err
 	}
-	cStruct := formulas[i].A
+	cStruct := formulas[i].A.Database()
 	onC, err := engine.CountOnce(formulas[i], cStruct)
 	if err != nil {
 		return nil, err

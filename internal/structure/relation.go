@@ -11,11 +11,10 @@ import (
 // dedup/membership, and per-position posting lists (value → the ids of
 // the rows holding it there).  The posting lists are built from the
 // columns by the first RowsWith and appended to on every insert after
-// that, never rebuilt: the small structures the query side builds (a
-// formula's A, its cores and conjunctions) never read them, so they
-// never pay for them.  Row ids only grow, so every posting list ascends;
-// its readers iterate it (RowsWith) and may stop at a row cut.  Rows are
-// exposed through allocation-free iteration (ForEachTuple) and row views.
+// that, never rebuilt: a structure nobody reads them on never pays for
+// them.  Row ids only grow, so every posting list ascends; its readers
+// iterate it (RowsWith) and may stop at a row cut.  Rows are exposed
+// through allocation-free iteration (ForEachTuple) and row views.
 //
 // A binary relation that fits BitRowsFit keeps value-space rows (fitRows).
 //
@@ -67,12 +66,6 @@ func (r *Relation) buildPosts() {
 	}
 	r.built.Store(true)
 }
-
-// Name returns the relation symbol's name.
-func (r *Relation) Name() string { return r.name }
-
-// Arity returns the relation's arity.
-func (r *Relation) Arity() int { return r.arity }
 
 // Len returns the number of distinct tuples.
 func (r *Relation) Len() int {

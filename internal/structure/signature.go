@@ -122,3 +122,10 @@ func (s *Signature) Restrict(keep func(RelSym) bool) *Signature {
 
 // String renders the signature as, e.g., "{E/2, F/1}".
 func (s *Signature) String() string { return s.text }
+
+// Index returns the position of the named relation in sorted name order
+// and whether the signature has it.
+func (s *Signature) Index(name string) (int, bool) {
+	i, ok := s.index[name]
+	return i, ok
+}

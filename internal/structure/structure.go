@@ -2,7 +2,6 @@ package structure
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -10,8 +9,8 @@ import (
 // Structure is a finite relational structure: a non-empty universe of named
 // elements plus, for each relation symbol of the signature, a set of tuples
 // over the universe.  Elements are addressed by dense integer indices;
-// names exist for I/O and for carrying variable identities in the
-// formula-as-structure view used throughout the paper.
+// names exist for I/O.  A Structure holds data; a pp-formula's body is
+// the flat, immutable Atoms, whose Database is a Structure.
 //
 // Tuples live in per-relation columnar Relation stores: flat columns, a
 // packed-key dedup set, per-position posting lists (built on first read)
@@ -212,62 +211,6 @@ func (s *Structure) Clone() *Structure {
 	return c
 }
 
-// Induced returns the substructure induced on the given element indices
-// (keeping only tuples entirely within the subset), along with a map from
-// old indices to new indices (-1 for dropped elements).
-func (s *Structure) Induced(keep []int) (*Structure, []int) {
-	inSet := make([]bool, len(s.elems))
-	for _, v := range keep {
-		inSet[v] = true
-	}
-	old2new := make([]int, len(s.elems))
-	for i := range old2new {
-		old2new[i] = -1
-	}
-	out := New(s.sig)
-	// Preserve original index order for determinism.
-	for i, name := range s.elems {
-		if inSet[i] {
-			ni, _ := out.AddElem(name)
-			old2new[i] = ni
-		}
-	}
-	for _, r := range s.sig.rels {
-		nt := make([]int, r.Arity)
-		s.ForEachTuple(r.Name, func(t []int) bool {
-			for j, v := range t {
-				if !inSet[v] {
-					return true
-				}
-				nt[j] = old2new[v]
-			}
-			_ = out.AddTuple(r.Name, nt...)
-			return true
-		})
-	}
-	return out, old2new
-}
-
-// RenameElems returns a copy whose element i is named names[i].
-func (s *Structure) RenameElems(names []string) (*Structure, error) {
-	if len(names) != len(s.elems) {
-		return nil, fmt.Errorf("structure: rename needs %d names, got %d", len(s.elems), len(names))
-	}
-	out := New(s.sig)
-	for _, n := range names {
-		if _, err := out.AddElem(n); err != nil {
-			return nil, err
-		}
-	}
-	for _, r := range s.sig.rels {
-		s.ForEachTuple(r.Name, func(t []int) bool {
-			_ = out.AddTuple(r.Name, t...)
-			return true
-		})
-	}
-	return out, nil
-}
-
 // IsAllLoop reports whether element e carries the "all loops" pattern:
 // for every relation R of arity k, the tuple (e,...,e) is present.
 func (s *Structure) IsAllLoop(e int) bool {
@@ -293,34 +236,6 @@ func (s *Structure) HasAllLoopElem() bool {
 		}
 	}
 	return false
-}
-
-// Fingerprint returns a cheap isomorphism-invariant summary used to bucket
-// structures before expensive equivalence tests.
-func (s *Structure) Fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d", len(s.elems))
-	for _, r := range s.sig.rels {
-		fmt.Fprintf(&b, ";%s=%d", r.Name, s.rels[r.Name].Len())
-	}
-	// Degree multiset: number of tuple-slots each element occupies.
-	deg := make([]int, len(s.elems))
-	for _, r := range s.rels {
-		for _, col := range r.cols {
-			for _, v := range col {
-				deg[v]++
-			}
-		}
-	}
-	sort.Ints(deg)
-	b.WriteString(";deg=")
-	for i, d := range deg {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(d))
-	}
-	return b.String()
 }
 
 // String renders the structure in fact syntax, elements listed first.

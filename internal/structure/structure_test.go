@@ -155,12 +155,12 @@ func TestInduced(t *testing.T) {
 	s := New(edgeSig())
 	_ = s.AddFact("E", "a", "b")
 	_ = s.AddFact("E", "b", "c")
-	sub, old2new := s.Induced([]int{s.ElemIndex("a"), s.ElemIndex("b")})
-	if sub.Size() != 2 {
-		t.Fatalf("induced size = %d", sub.Size())
+	sub, old2new := AtomsOf(s).Induced([]int{s.ElemIndex("b"), s.ElemIndex("a")})
+	if sub.Size() != 2 || sub.ElemName(0) != "a" {
+		t.Fatalf("induced variables = %v, want a, b in their order", sub.Database())
 	}
-	if sub.Rel("E").Len() != 1 {
-		t.Fatalf("induced tuples = %d, want 1", sub.Rel("E").Len())
+	if sub.NumAtoms() != 1 {
+		t.Fatalf("induced atoms = %d, want 1", sub.NumAtoms())
 	}
 	if old2new[s.ElemIndex("c")] != -1 {
 		t.Fatal("dropped element should map to -1")
@@ -290,25 +290,6 @@ func TestEqual(t *testing.T) {
 	_ = b.AddFact("E", "y", "x")
 	if Equal(a, b) {
 		t.Fatal("different structures Equal")
-	}
-}
-
-func TestRenameElems(t *testing.T) {
-	sig := edgeSig()
-	a := New(sig)
-	_ = a.AddFact("E", "x", "y")
-	r, err := a.RenameElems([]string{"u", "v"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ElemName(0) != "u" || r.ElemName(1) != "v" {
-		t.Fatal("rename wrong")
-	}
-	if _, err := a.RenameElems([]string{"u"}); err == nil {
-		t.Fatal("wrong-length rename should error")
-	}
-	if _, err := a.RenameElems([]string{"u", "u"}); err == nil {
-		t.Fatal("duplicate rename should error")
 	}
 }
 

@@ -40,7 +40,7 @@ func formulaFromBytes(data []byte) (pp.PP, []byte, bool) {
 			s = append(s, v)
 		}
 	}
-	p, err := pp.New(a, s)
+	p, err := pp.New(structure.AtomsOf(a), s)
 	if err != nil {
 		return pp.PP{}, nil, false
 	}
@@ -73,8 +73,9 @@ func applyPerm(p pp.PP, perm []int) (pp.PP, error) {
 		a.EnsureElem("w" + string(rune('0'+i)))
 	}
 	var addErr error
+	pa := p.A.Database()
 	for _, r := range p.A.Signature().Rels() {
-		p.A.ForEachTuple(r.Name, func(t []int) bool {
+		pa.ForEachTuple(r.Name, func(t []int) bool {
 			nt := make([]int, len(t))
 			for j, v := range t {
 				nt[j] = perm[v]
@@ -90,7 +91,7 @@ func applyPerm(p pp.PP, perm []int) (pp.PP, error) {
 	for _, v := range p.S {
 		s = append(s, perm[v])
 	}
-	return pp.New(a, s)
+	return pp.New(structure.AtomsOf(a), s)
 }
 
 // FuzzFingerprintInvariance checks the canonical-labeling core of the

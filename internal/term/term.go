@@ -12,10 +12,21 @@ import (
 // signature receive equal fingerprints iff they are counting equivalent
 // (property-tested in pp against brute-force renaming equivalence).  An
 // error wrapping pp.ErrLabelingBudget means the labeling gave up; the
-// formula has no fingerprint and cannot be interned.
+// formula has no fingerprint and cannot be interned.  The formula
+// without variables, the empty conjunction, has no canonical key; its
+// fingerprint is emptyFP.
 func Fingerprint(p pp.PP) (string, error) {
-	return p.Core().CanonicalKey()
+	c := p.Core()
+	if c.A.Size() == 0 {
+		return emptyFP, nil
+	}
+	return c.CanonicalKey()
 }
+
+// emptyFP is the fingerprint of the formula without variables ("true"):
+// its one answer, the empty tuple, is an answer on every structure.  No
+// canonical key has this form.
+const emptyFP = "true"
 
 // Interned is one unique counting class in a Pool: the cored
 // representative of its first-seen term, the canonical fingerprint, and
