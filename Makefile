@@ -79,7 +79,8 @@ cluster-smoke:
 # swept across several disjoint fixed-seed matrices: unbiasedness of the
 # fixed-budget estimator, (ε, δ) interval coverage against exact ground
 # truth, cover-or-Converged=false on sparse-answer instances, routing
-# differentials (FPT bit-identical, hard sampled, golden seeds), and
+# differentials (FPT bit-identical, hard sampled, golden seeds, a zero
+# the sampler's first fixings prove exact), and
 # the serve/cluster approx wire contracts under the race detector.  The
 # tolerances carry a Chernoff-style failure budget, so a red matrix
 # means estimator bias, not bad luck.
@@ -88,5 +89,5 @@ approx-smoke:
 		EPCQ_APPROX_SEED_BASE=$$base $(GO) test -count=1 ./internal/approx || exit 1; \
 	done
 	$(GO) test -race -count=1 ./internal/approx ./internal/hom
-	$(GO) test -race -count=1 -run 'TestRoutingMatchesClassify|TestFPTApproxBitIdentical|TestHardRoutingSamples|TestApproxHardGolden|TestClassificationMemoizedPerFingerprint' ./internal/core
+	$(GO) test -race -count=1 -run 'TestRoutingMatchesClassify|TestFPTApproxBitIdentical|TestHardRoutingSamples|TestApproxHardGolden|TestApproxExactZeroFromPrefix|TestClassificationMemoizedPerFingerprint' ./internal/core
 	$(GO) test -race -count=1 -run 'Approx|TestHardExactAdmission|TestCountModeValidation' ./internal/serve ./internal/cluster

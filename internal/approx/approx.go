@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"sync"
 
 	"repro/internal/hom"
@@ -118,6 +119,15 @@ func splitmix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// pcgSource adapts math/rand/v2's PCG, whose state is two words, to
+// the math/rand.Source64 that hom.Sampler draws from.
+type pcgSource struct{ randv2.PCG }
+
+func (p *pcgSource) Int63() int64 { return int64(p.Uint64() >> 1) }
+
+// Seed seeds the PCG with seed and seed's splitmix64 successor.
+func (p *pcgSource) Seed(seed int64) { p.PCG.Seed(uint64(seed), splitmix(uint64(seed))) }
+
 // compEstimate is one sampled component's outcome.
 type compEstimate struct {
 	mean      float64
@@ -196,9 +206,9 @@ func (e *Estimator) Count(ctx context.Context, b *structure.Structure, prm Param
 // component i's samplers on b, and must hold only samplers built on b as
 // it is now (a pool per structure version).  The count borrows one, or
 // builds one if the pool has none, and gives it back when done; a warm
-// sampler has already propagated its first fixings (hom.Sampler), and
-// draws exactly what a fresh one draws, so the Result does not depend on
-// the pools.  A nil pools builds every sampler afresh.
+// sampler carries the memo of its first fixings, prefilled when it was
+// built (hom.Sampler), and draws exactly what a fresh one draws, so the
+// Result does not depend on the pools.  A nil pools builds every sampler afresh.
 func (e *Estimator) CountIn(ctx context.Context, b *structure.Structure, prm Params, pools func(comp int) *sync.Pool) (Result, error) {
 	prm = prm.withDefaults()
 	if err := b.Validate(); err != nil {
@@ -235,7 +245,9 @@ func (e *Estimator) CountIn(ctx context.Context, b *structure.Structure, prm Par
 			prod.Mul(prod, new(big.Float).SetPrec(128).SetInt(structure.PowerSize(b, len(comp.S))))
 		default:
 			seed = splitmix(seed + uint64(i))
-			rng := rand.New(rand.NewSource(int64(seed)))
+			src := new(pcgSource)
+			src.Seed(int64(seed))
+			rng := rand.New(src)
 			var pool *sync.Pool
 			if pools != nil {
 				pool = pools(i)

@@ -8,16 +8,20 @@
 // Knuth's unbiased tree-size estimator, run over the same GAC
 // propagation the exact solver uses (hom.Sampler; on binary relations a
 // revise is a few word operations on the solver's bit rows, and the
-// first fixing is propagated once per value and then copied from the
-// sampler's memo, so a draw costs one to a few microseconds and allocates
-// nothing): a
-// draw fixes the liberal variables one at a time to a uniformly random
-// member of their current propagated domain, multiplies the domain sizes
-// into a Horvitz–Thompson weight, and checks the partial assignment
-// extends to a full homomorphism.  Arc-consistency only deletes values
-// with no supporting solution, so every answer survives every
-// propagation step and the weighted indicator is exactly unbiased:
-// E[weight · 1{extendable}] = |φ(B)|.
+// first fixings are propagated once per value combination, when the
+// sampler is built, so a draw costs well under a microsecond to a few
+// microseconds and allocates nothing): a draw fixes the liberal
+// variables one at a time, the memoized prefix (up to two variables) in
+// proportion to the size of the domain each of its value combinations
+// leaves the next variable and every later variable to a uniformly
+// random member of its current propagated domain; it weighs the inverse
+// of its probability (a Horvitz–Thompson weight) and checks the partial
+// assignment extends to a full homomorphism.  Arc-consistency only
+// deletes values with no supporting solution, so every answer survives
+// every propagation step and is drawn with positive probability: the
+// weighted indicator is exactly unbiased, E[weight · 1{extendable}] =
+// |φ(B)|.  A prefix that no value combination survives proves the
+// count zero, and the Result says so as an exact 0 with no draw.
 //
 // Gaifman components are counted apart and multiplied, as in the exact
 // engine (|φ(B)| = ∏ᵢ |φᵢ(B)|).  The estimator splits its formula
@@ -41,5 +45,7 @@
 // makes empirical-Bernstein stopping vacuous on realistic instances — and
 // its coverage is validated empirically by the repeated-trial statistical
 // suite in stat_test.go.  All randomness flows from a caller-provided
-// seed (Params.Seed), so estimates are bit-reproducible.
+// seed (Params.Seed): each sampled component draws from a PCG source of
+// two words, seeded by splitmix64 from it, so estimates are
+// bit-reproducible and seeding costs next to nothing.
 package approx

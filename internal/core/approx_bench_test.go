@@ -15,10 +15,11 @@ import (
 // free K4 on ER(40, 0.4) and 30 % free K5 on ER(30, 0.6) (input seed
 // 20160626, the K5 graph at +100 as the workload draws it).  Every op
 // borrows its samplers from the structure's session, as a request does:
-// the first op of each (term, structure) pair builds them and fills
-// their first-fixing memos, and later ops find them warm (a GC may drop
-// pooled samplers, which are then rebuilt).  ns/op is the cost of one
-// request's estimate.
+// the first op of each (term, structure) pair builds them and prefills
+// the memos of their first two fixings, and later ops find them warm (a
+// GC may drop pooled samplers, which are then rebuilt;
+// BenchmarkHom_SamplerBuild_* in internal/hom is that cost).  ns/op is
+// the cost of one request's estimate, its RNG seeding included.
 func BenchmarkApprox_HardMix(b *testing.B) {
 	type class struct {
 		c *Counter

@@ -36,18 +36,21 @@
 //
 // Sampler draws the approximate counter's Horvitz–Thompson samples: a
 // draw fixes the liberal variables one at a time and propagates after
-// each fixing.  The first fixing dominates a draw's revise work, yet its
-// variable takes one of at most |B| values while an estimate makes
-// hundreds of draws, so a Sampler propagates each first value once and
-// keeps the resulting domains (or a dead mark) in a memo it carves at
-// construction; a sampler whose liberal variables cover A skips the
-// propagation after its last fixing, where every value left extends.
-// Both rest on the unique fixpoint: each draw is bit-identical to
-// fixing and propagating every variable.  A memo entry is therefore the
-// draw itself, so a warm sampler draws exactly what a fresh one draws:
-// one sampler may serve request after request on the same structure
-// version, one at a time (approx keeps them in the engine session's
-// pools).
+// each fixing.  The first fixings dominate a draw's revise work, yet
+// they take few value combinations while an estimate makes hundreds of
+// draws, so a Sampler fixes and propagates every live combination of
+// its first d ≤ 2 liberal variables once, at construction, into a memo
+// of one slab.  A draw is proportional in that memoized prefix and
+// uniform after it: it picks an entry in proportion to the size of the
+// next domain, which evens the weights out and so cuts the draws an
+// (ε, δ) target costs, then fixes the later variables uniformly.  A
+// memo with no live entry proves the count zero.  A sampler whose
+// liberal variables cover A skips the propagation after its last
+// fixing, where every value left extends.  The memo is read-only after
+// construction, so a warm sampler draws exactly what a fresh one
+// draws: one sampler may serve request after request on the same
+// structure version, one at a time (approx keeps them in the engine
+// session's pools).
 //
 // The query front end runs thousands of small homomorphism tests per
 // query (a Retract per core, an Exists per entailment), so the calls

@@ -647,10 +647,8 @@ func (s *solver) searchRec(dom []bitset, onSolution func(assign []int) bool) boo
 	}
 	for b := range bitvec.Each(dom[pick]) {
 		nd := s.cloneDoms(dom)
-		nd[pick].zero()
-		nd[pick].set(b)
 		cont := true
-		if s.propagate(nd, pick) {
+		if s.fix(nd, pick, b) {
 			cont = s.searchRec(nd, onSolution)
 		}
 		s.releaseDoms(nd)
@@ -659,6 +657,14 @@ func (s *solver) searchRec(dom []bitset, onSolution func(assign []int) bool) boo
 		}
 	}
 	return true
+}
+
+// fix fixes v to b in dom and propagates, reporting whether every
+// domain survived.
+func (s *solver) fix(dom []bitset, v, b int) bool {
+	dom[v].zero()
+	dom[v].set(b)
+	return s.propagate(dom, v)
 }
 
 // initialDomains propagates the solver's initial domains in place and

@@ -85,14 +85,16 @@ func cliquePattern(k int) (*structure.Structure, []int) {
 	return a, proj
 }
 
-// The two sampler benchmarks run on the approx-hard workload's pinned
+// The sampler benchmarks run on the approx-hard workload's pinned
 // inputs (benchmark/workload.go: free K4 on ER(40, 0.4) and free K5 on
-// ER(30, 0.6), input seed 20160626).  One sampler serves every draw, so
-// after the first draw of each first value its first fixing is a memo
-// copy: ns/op is the cost of one draw on a warm memo.  A request borrows
-// its samplers from the structure's session, warm after the first
-// request; BenchmarkApprox_HardMix (internal/core) measures whole
-// requests.
+// ER(30, 0.6), input seed 20160626).  Hom_Sampler* draws from one
+// sampler, whose memo of the first two fixings was prefilled at
+// construction: ns/op is the cost of one draw, a copy of a memo entry
+// and the propagations after it.  Hom_SamplerBuild* is that
+// construction, the initial propagation and the prefill, which a
+// request pays once per sampler: a request borrows its samplers from
+// the structure's session, warm after the first request.
+// BenchmarkApprox_HardMix (internal/core) measures whole requests.
 
 func benchSampler(b *testing.B, k, n int, p float64, seed int64) {
 	a, proj := cliquePattern(k)
@@ -109,5 +111,19 @@ func benchSampler(b *testing.B, k, n int, p float64, seed int64) {
 	}
 }
 
-func BenchmarkHom_SamplerK4_N40(b *testing.B) { benchSampler(b, 4, 40, 0.4, 20160626) }
-func BenchmarkHom_SamplerK5_N30(b *testing.B) { benchSampler(b, 5, 30, 0.6, 20160726) }
+func benchSamplerBuild(b *testing.B, k, n int, p float64, seed int64) {
+	a, proj := cliquePattern(k)
+	atoms, g := structure.AtomsOf(a), workload.GraphStructure(workload.ER(n, p, seed))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sp := NewSampler(atoms, g, proj, Options{}); sp.ExactZero() || sp.depth != 2 {
+			b.Fatalf("exact zero %v, memo depth %d: want a live depth-2 memo", sp.ExactZero(), sp.depth)
+		}
+	}
+}
+
+func BenchmarkHom_SamplerK4_N40(b *testing.B)       { benchSampler(b, 4, 40, 0.4, 20160626) }
+func BenchmarkHom_SamplerK5_N30(b *testing.B)       { benchSampler(b, 5, 30, 0.6, 20160726) }
+func BenchmarkHom_SamplerBuild_K4_N40(b *testing.B) { benchSamplerBuild(b, 4, 40, 0.4, 20160626) }
+func BenchmarkHom_SamplerBuild_K5_N30(b *testing.B) { benchSamplerBuild(b, 5, 30, 0.6, 20160726) }

@@ -127,6 +127,31 @@ func TestCountApproxAnswersFromMemo(t *testing.T) {
 	}
 }
 
+// TestCountApproxExactZeroFromPrefix: mode=approx on a free triangle
+// over K3,3, whose count is 0 though arc consistency keeps every
+// vertex, answers 0 with exact=true, converged=true and no sample: the
+// sampler's first fixings prove the zero when it is built.
+func TestCountApproxExactZeroFromPrefix(t *testing.T) {
+	_, cl := newTestServer(t, Config{})
+	ctx := context.Background()
+	var facts string
+	for _, u := range []string{"a1", "a2", "a3"} {
+		for _, v := range []string{"b1", "b2", "b3"} {
+			facts += "E(" + u + "," + v + "). E(" + v + "," + u + "). "
+		}
+	}
+	if _, err := cl.CreateStructure(ctx, "k33", facts, nil); err != nil {
+		t.Fatal(err)
+	}
+	est, resp, err := cl.CountApprox(ctx, triangleQuery, "k33", 0.1, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Sign() != 0 || !resp.Exact || resp.Samples != 0 || resp.RelError != 0 || resp.Converged == nil || !*resp.Converged {
+		t.Fatalf("free triangle over K3,3 = %v %+v, want an exact, converged 0 with no sample", est, resp)
+	}
+}
+
 // TestCountApproxFPTExact checks that an FPT query under mode=approx
 // takes the exact path: the response carries the exact count, case fpt,
 // zero rel_error and no samples.
